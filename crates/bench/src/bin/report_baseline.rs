@@ -245,7 +245,7 @@ fn main() {
     ]);
 
     // --- Kernel-layer headline (K1 condensed): tiled GEMM throughput vs
-    // the naive i-k-j loop at n = 256, and the f32 vs f64 Chebyshev
+    // the naive i-k-j loop at n = 256, and the four-column block Chebyshev
     // recurrence step on the untruncated Si-64 region. `report_kernels`
     // runs the full sweep with the bitwise gates; this keeps the headline
     // numbers in BENCH_phase.json.
@@ -279,45 +279,20 @@ fn main() {
             "tiled GEMM diverged from the naive summation order"
         );
         let sr = tbmd::structure::bulk_diamond(Species::Silicon, 2, 2, 2);
-        let nlr = NeighborList::build(&sr, model.cutoff());
-        let idx = OrbitalIndex::new(&sr);
-        let sh = tbmd::linscale::SparseH::build(&sr, &nlr, &model, &idx);
-        let region = tbmd::linscale::LocalRegion::build(&sr, &idx, &sh, 0, f64::INFINITY);
-        let region32 = tbmd::linscale::F32Region::from_region(&region);
+        let fixture = tbmd_bench::RegionFixture::new(&sr, &model, f64::INFINITY);
         let steps = 2000usize;
-        let x64: Vec<f64> = (0..region.len())
-            .map(|i| ((i % 7) as f64) * 0.1 - 0.3)
-            .collect();
-        let mut y64 = Vec::new();
         let t0 = Instant::now();
-        {
-            let mut x = x64.clone();
-            for _ in 0..steps {
-                region.matvec_scaled_into(&x, 0.5, 10.0, &mut y64);
-                std::mem::swap(&mut x, &mut y64);
-            }
-        }
-        let cheb64_ns = t0.elapsed().as_secs_f64() / steps as f64 * 1e9;
-        let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-        let mut y32 = Vec::new();
-        let t0 = Instant::now();
-        {
-            let mut x = x32.clone();
-            for _ in 0..steps {
-                region32.matvec_scaled_into(&x, 0.5, 10.0, &mut y32);
-                std::mem::swap(&mut x, &mut y32);
-            }
-        }
-        let cheb32_ns = t0.elapsed().as_secs_f64() / steps as f64 * 1e9;
+        std::hint::black_box(fixture.recurrence(steps).current());
+        let cheb_ns = t0.elapsed().as_secs_f64() / steps as f64 * 1e9;
+        let cheb_gflops = fixture.step_flops() / cheb_ns;
         let mut k = JsonValue::object();
         k.set("gemm_n", n)
             .set("gemm_naive_gflops", flops / t_naive / 1e9)
             .set("gemm_tiled_gflops", flops / t_tiled / 1e9)
             .set("gemm_speedup", t_naive / t_tiled)
             .set("gemm_bitwise", true)
-            .set("cheb_f64_ns_per_step", cheb64_ns)
-            .set("cheb_f32_ns_per_step", cheb32_ns)
-            .set("cheb_f32_vs_f64", cheb32_ns / cheb64_ns);
+            .set("cheb_block_ns_per_step", cheb_ns)
+            .set("cheb_block_gflops", cheb_gflops);
         k
     };
     let mut kernel_table = ReportTable::new(
@@ -326,9 +301,8 @@ fn main() {
             "naive GFLOP/s",
             "tiled GFLOP/s",
             "speedup",
-            "cheb f64 ns",
-            "cheb f32 ns",
-            "f32/f64",
+            "cheb block ns",
+            "cheb GFLOP/s",
         ],
     );
     kernel_table.row(vec![
@@ -347,22 +321,14 @@ fn main() {
         format!(
             "{:.1}",
             kernels
-                .get("cheb_f64_ns_per_step")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-        ),
-        format!(
-            "{:.1}",
-            kernels
-                .get("cheb_f32_ns_per_step")
+                .get("cheb_block_ns_per_step")
                 .unwrap()
                 .as_f64()
                 .unwrap()
         ),
         format!(
             "{:.2}",
-            kernels.get("cheb_f32_vs_f64").unwrap().as_f64().unwrap()
+            kernels.get("cheb_block_gflops").unwrap().as_f64().unwrap()
         ),
     ]);
     root.set("kernels", kernels);

@@ -20,7 +20,7 @@
 //!
 //! Run: `cargo run --release -p tbmd-bench --bin report_phase_breakdown [-- max_reps]`
 
-use tbmd::linscale::{LinearScalingTb, Precision};
+use tbmd::linscale::LinearScalingTb;
 use tbmd::trace::{Counter, TraceSink};
 use tbmd::{silicon_gsp, DistributedTb, ForceProvider, Species, TbCalculator, Workspace};
 use tbmd_bench::{fmt_f, fmt_ms, BenchArgs, Report, ReportTable};
@@ -31,7 +31,7 @@ fn main() {
     let model = silicon_gsp();
     let calc = TbCalculator::new(&model);
     // Collecting sink so the kernel-layer counters (kernel_flops,
-    // f32_chebyshev_steps, precision_fallbacks) land in the tables below.
+    // chebyshev_matvecs) land in the tables below.
     tbmd::trace::install(TraceSink::collecting());
 
     let mut t1 = ReportTable::new(
@@ -142,36 +142,30 @@ fn main() {
             ]);
         }
     }
-    // O(N) engine precision: the f64 reference against the gated mixed
-    // f32-tail path, surfacing the f32_chebyshev_steps and
-    // precision_fallbacks counters alongside the energy agreement.
+    // O(N) engine at the same size: one evaluation with its matvec count
+    // and the block-recurrence throughput from the kernel_flops counter.
     let mut t1c = ReportTable::new(
-        "T1c: linear-scaling engine precision (Si-64, warm, order 350)",
-        &["precision", "eval/ms", "f32 steps", "fallbacks", "|ΔE|/eV"],
+        "T1c: linear-scaling engine (Si-64, warm, order 350, untruncated)",
+        &["eval/ms", "matvecs", "GFLOP/s"],
     );
     {
         let s = tbmd::structure::bulk_diamond(Species::Silicon, 2, 2, 2);
-        let mut e_f64 = 0.0;
-        for (label, precision) in [("f64", Precision::F64), ("mixed-f32", Precision::MixedF32)] {
-            let engine = LinearScalingTb::new(&model).with_precision(precision);
-            let mut ws = Workspace::new();
-            engine.evaluate_with(&s, &mut ws).expect("warmup");
-            let before = tbmd::trace::snapshot();
-            let t0 = std::time::Instant::now();
-            let eval = engine.evaluate_with(&s, &mut ws).expect("evaluation");
-            let wall = t0.elapsed();
-            let delta = tbmd::trace::snapshot().since(&before);
-            if precision == Precision::F64 {
-                e_f64 = eval.energy;
-            }
-            t1c.row(vec![
-                label.to_string(),
-                fmt_ms(wall),
-                delta.counter(Counter::F32ChebyshevSteps).to_string(),
-                delta.counter(Counter::PrecisionFallbacks).to_string(),
-                format!("{:.2e}", (eval.energy - e_f64).abs()),
-            ]);
-        }
+        let engine = LinearScalingTb::new(&model);
+        let mut ws = Workspace::new();
+        engine.evaluate_with(&s, &mut ws).expect("warmup");
+        let before = tbmd::trace::snapshot();
+        let t0 = std::time::Instant::now();
+        engine.evaluate_with(&s, &mut ws).expect("evaluation");
+        let wall = t0.elapsed();
+        let delta = tbmd::trace::snapshot().since(&before);
+        t1c.row(vec![
+            fmt_ms(wall),
+            delta.counter(Counter::ChebyshevMatvecs).to_string(),
+            fmt_f(
+                delta.counter(Counter::KernelFlops) as f64 / wall.as_secs_f64() / 1e9,
+                2,
+            ),
+        ]);
     }
 
     let mut report = Report::new("phase_breakdown");

@@ -9,7 +9,58 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use tbmd_linscale::chebyshev::spectral_window;
+use tbmd_linscale::{BlockRecurrence, LocalRegion, SparseH};
+use tbmd_model::{OrbitalIndex, TbModel};
+use tbmd_structure::{NeighborList, Structure};
+
 pub use tbmd_trace::JsonValue;
+
+/// Atom 0's localization region of a structure with everything a block
+/// recurrence on it starts from — what the kernel timers and the
+/// block-vs-scalar check share.
+pub struct RegionFixture {
+    pub index: OrbitalIndex,
+    pub h: SparseH,
+    pub region: LocalRegion,
+    /// First padded row of atom 0 in `region`.
+    pub row0: usize,
+    /// `(shift, scale)` of the Gershgorin window of `h`.
+    pub window: (f64, f64),
+}
+
+impl RegionFixture {
+    pub fn new(s: &Structure, model: &dyn TbModel, r_loc: f64) -> Self {
+        let nl = NeighborList::build(s, model.cutoff());
+        let index = OrbitalIndex::new(s);
+        let h = SparseH::build(s, &nl, model, &index);
+        let (e_min, e_max) = h.gershgorin_bounds();
+        let region = LocalRegion::build(s, &index, &h, 0, r_loc);
+        let row0 = region.local_index(index.offset(0)).expect("centre");
+        RegionFixture {
+            index,
+            window: spectral_window(e_min, e_max),
+            h,
+            region,
+            row0,
+        }
+    }
+
+    /// The four-column recurrence seeded at atom 0, advanced `steps` times.
+    pub fn recurrence(&self, steps: usize) -> BlockRecurrence<'_> {
+        let (shift, scale) = self.window;
+        let mut rec = BlockRecurrence::new(&self.region, self.row0, 4, shift, scale);
+        for _ in 0..steps {
+            rec.advance();
+        }
+        rec
+    }
+
+    /// Floating-point operations of one recurrence step (4 columns).
+    pub fn step_flops(&self) -> f64 {
+        2.0 * 4.0 * self.region.nnz() as f64
+    }
+}
 
 /// Parsed command line of a report binary: positional arguments, a `check`
 /// flag anywhere, and `--json <path>` for machine-readable output.

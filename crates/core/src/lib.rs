@@ -46,7 +46,7 @@ pub use tbmd_ckpt::{
 };
 pub use tbmd_linalg::budget::{configure_budget, try_lease, ComputeLease};
 pub use tbmd_linalg::{Matrix, Vec3};
-pub use tbmd_linscale::{DistributedLinearScalingTb, LinearScalingTb, Precision};
+pub use tbmd_linscale::{DistributedLinearScalingTb, LinearScalingTb};
 pub use tbmd_md::{
     maxwell_boltzmann, normal_modes, relax, MdState, NormalModes, NoseHoover, RelaxOptions,
     TemperatureRamp, Trajectory, VelocityVerlet,

@@ -13,9 +13,9 @@
 //! bitwise identical by construction: each output element's accumulation
 //! order depends only on the inner index, never on the thread partition.
 //!
-//! All kernels are generic over [`Scalar`] so the f64 production path and
-//! the opt-in f32 Chebyshev path (`tbmd-linscale`) instantiate the same
-//! code.
+//! The dense kernels are generic over [`Scalar`]; the block-sparse
+//! Chebyshev step ([`bsr4_chebyshev_step`]) is f64 only — four f64 columns
+//! already fill an AVX2 register.
 
 /// Crossover below which the blocked/tiled entry points in `matrix.rs` take
 /// the short naive loop instead. Register tiling pays panel-setup and
@@ -37,8 +37,7 @@ const DOT_LANES: usize = 8;
 /// budget bounded when several dots run in one pass.
 const DOT2_LANES: usize = 4;
 
-/// Scalar element type of a kernel: the f64 production precision or the
-/// f32 mixed-precision Chebyshev path.
+/// Scalar element type of a kernel (f64 in production).
 pub trait Scalar:
     Copy
     + Send
@@ -274,29 +273,11 @@ pub fn syrk_row<T: Scalar>(orow: &mut [T], i: usize, a: &[T], lda: usize) {
     }
 }
 
-/// Gathered sparse dot over an index/value pair list: `Σ (c,v) v·x[c]`.
+/// Gathered sparse dot over split index/value slices (CSR row layout):
+/// `Σ vals[p]·x[idx[p]]`.
 ///
 /// Four accumulator lanes hide the gather latency of `x[c]`; the tail is
-/// added last in list order. This is the CSR/region row kernel of the
-/// linear-scaling Chebyshev engines.
-#[inline]
-pub fn sparse_dot<T: Scalar>(pairs: &[(usize, T)], x: &[T]) -> T {
-    let mut acc = [T::ZERO; DOT2_LANES];
-    let mut it = pairs.chunks_exact(DOT2_LANES);
-    for c in it.by_ref() {
-        for l in 0..DOT2_LANES {
-            let (idx, v) = c[l];
-            acc[l] += v * x[idx];
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for &(idx, v) in it.remainder() {
-        s += v * x[idx];
-    }
-    s
-}
-
-/// Gathered sparse dot over split index/value slices (CSR row layout).
+/// added last in list order.
 #[inline]
 pub fn sparse_dot_csr<T: Scalar>(idx: &[usize], vals: &[T], x: &[T]) -> T {
     debug_assert_eq!(idx.len(), vals.len());
@@ -315,27 +296,68 @@ pub fn sparse_dot_csr<T: Scalar>(idx: &[usize], vals: &[T], x: &[T]) -> T {
     s
 }
 
-/// [`sparse_dot_csr`] over compressed `u32` column indices — the layout
-/// the mixed-precision f32 operator mirror uses (12 bytes per entry
-/// instead of 24, so the f32 recurrence step actually halves memory
-/// traffic). Same lane structure and summation order as the other two
-/// sparse dots: all three agree bitwise on identical data.
-#[inline]
-pub fn sparse_dot_u32<T: Scalar>(idx: &[u32], vals: &[T], x: &[T]) -> T {
-    debug_assert_eq!(idx.len(), vals.len());
-    let mut acc = [T::ZERO; DOT2_LANES];
-    let mut ic = idx.chunks_exact(DOT2_LANES);
-    let mut vc = vals.chunks_exact(DOT2_LANES);
-    for (ci, cv) in ic.by_ref().zip(vc.by_ref()) {
-        for l in 0..DOT2_LANES {
-            acc[l] += cv[l] * x[ci[l] as usize];
+/// Dense row-major 4×4 block of a block-sparse (BSR) operator.
+pub type Block4 = [[f64; 4]; 4];
+
+/// One row of a four-column multivector: the four columns side by side, so
+/// a row is one AVX2 register.
+pub type Row4 = [f64; 4];
+
+/// One three-term Chebyshev step of a four-column block recurrence over a
+/// BSR operator `A` with 4×4 blocks:
+///
+/// ```text
+/// out = factor · (A·x − shift·x) · inv_scale − prev
+/// ```
+///
+/// Block row `i` owns blocks `block_ptr[i]..block_ptr[i+1]`; block `b`
+/// multiplies rows `4·block_col[b]..+4` of `x`. `factor = 1` with a zero
+/// `prev` gives the first step `T₁ = H̃·T₀`, `factor = 2` every later one.
+///
+/// Each of the 16 accumulators of a block row sums its products in block
+/// order, then inner index `k`, with a separate multiply and add (no
+/// `mul_add`), so an output entry depends only on its own row of `A` —
+/// never on how the caller partitions atoms over threads. The row loads of
+/// `x` are shared by the four output rows of a block and the four columns
+/// fill a vector register: 64 multiply-adds per 4 vector loads.
+#[allow(clippy::too_many_arguments)]
+pub fn bsr4_chebyshev_step(
+    block_ptr: &[u32],
+    block_col: &[u32],
+    blocks: &[Block4],
+    shift: f64,
+    inv_scale: f64,
+    factor: f64,
+    x: &[Row4],
+    prev: &[Row4],
+    out: &mut [Row4],
+) {
+    debug_assert_eq!(block_col.len(), blocks.len());
+    assert_eq!(x.len(), 4 * (block_ptr.len() - 1));
+    assert!(prev.len() == x.len() && out.len() == x.len());
+    let rows = out
+        .chunks_exact_mut(4)
+        .zip(x.chunks_exact(4).zip(prev.chunks_exact(4)));
+    for ((o, (xi, pi)), w) in rows.zip(block_ptr.windows(2)) {
+        let (lo, hi) = (w[0] as usize, w[1] as usize);
+        let mut acc = [[0.0f64; 4]; 4];
+        for (a, &j) in blocks[lo..hi].iter().zip(&block_col[lo..hi]) {
+            let xb = &x[4 * j as usize..4 * j as usize + 4];
+            for r in 0..4 {
+                for k in 0..4 {
+                    let ark = a[r][k];
+                    for c in 0..4 {
+                        acc[r][c] += ark * xb[k][c];
+                    }
+                }
+            }
+        }
+        for r in 0..4 {
+            for c in 0..4 {
+                o[r][c] = factor * ((acc[r][c] - shift * xi[r][c]) * inv_scale) - pi[r][c];
+            }
         }
     }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (&i, &v) in ic.remainder().iter().zip(vc.remainder()) {
-        s += v * x[i as usize];
-    }
-    s
 }
 
 /// Dense row-major matrix–vector product `y = A·x` via [`dot`] per row.
@@ -423,18 +445,60 @@ mod tests {
     }
 
     #[test]
-    fn sparse_dots_agree() {
+    fn sparse_dot_csr_matches_naive() {
         let x = seq(50, 0.13, -0.7);
-        let pairs: Vec<(usize, f64)> = (0..23)
-            .map(|i| (i * 2 + 1, (i as f64) * 0.3 - 2.0))
-            .collect();
-        let idx: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-        let vals: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        let a = sparse_dot(&pairs, &x);
-        let b = sparse_dot_csr(&idx, &vals, &x);
-        assert_eq!(a.to_bits(), b.to_bits());
-        let naive: f64 = pairs.iter().map(|&(c, v)| v * x[c]).sum();
+        let idx: Vec<usize> = (0..23).map(|i| i * 2 + 1).collect();
+        let vals: Vec<f64> = (0..23).map(|i| (i as f64) * 0.3 - 2.0).collect();
+        let a = sparse_dot_csr(&idx, &vals, &x);
+        let naive: f64 = idx.iter().zip(&vals).map(|(&c, &v)| v * x[c]).sum();
         assert!((a - naive).abs() < 1e-13 * naive.abs().max(1.0));
+    }
+
+    #[test]
+    fn bsr4_step_matches_dense_recurrence() {
+        // 3 block rows, an empty one in the middle, against the dense
+        // 12×12 operator applied column by column.
+        let block_ptr = [0u32, 2, 2, 4];
+        let block_col = [0u32, 2, 0, 1];
+        let blocks: Vec<Block4> = (0..4)
+            .map(|b| {
+                let mut a = [[0.0; 4]; 4];
+                for (r, row) in a.iter_mut().enumerate() {
+                    for (k, v) in row.iter_mut().enumerate() {
+                        *v = ((b * 16 + r * 4 + k) as f64 * 0.37).sin();
+                    }
+                }
+                a
+            })
+            .collect();
+        let mut dense = vec![[0.0f64; 12]; 12];
+        for i in 0..3 {
+            for b in block_ptr[i] as usize..block_ptr[i + 1] as usize {
+                for r in 0..4 {
+                    for k in 0..4 {
+                        dense[4 * i + r][4 * block_col[b] as usize + k] = blocks[b][r][k];
+                    }
+                }
+            }
+        }
+        let x: Vec<Row4> = (0..12)
+            .map(|i| std::array::from_fn(|c| ((i * 4 + c) as f64 * 0.21).cos()))
+            .collect();
+        let prev: Vec<Row4> = (0..12)
+            .map(|i| std::array::from_fn(|c| (i as f64) * 0.1 - c as f64))
+            .collect();
+        let (shift, inv_scale, factor) = (0.3, 0.25, 2.0);
+        let mut out = vec![[0.0; 4]; 12];
+        bsr4_chebyshev_step(
+            &block_ptr, &block_col, &blocks, shift, inv_scale, factor, &x, &prev, &mut out,
+        );
+        for i in 0..12 {
+            for c in 0..4 {
+                let ax: f64 = (0..12).map(|j| dense[i][j] * x[j][c]).sum();
+                let expect = factor * ((ax - shift * x[i][c]) * inv_scale) - prev[i][c];
+                assert!((out[i][c] - expect).abs() < 1e-13, "({i},{c})");
+            }
+        }
     }
 
     #[test]

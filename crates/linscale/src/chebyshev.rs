@@ -15,30 +15,69 @@
 //! its atom makes the whole density matrix O(N): the Goedecker–Colombo
 //! (1994) linear-scaling TBMD scheme this crate reproduces.
 
+use crate::sparse::LocalRegion;
+use tbmd_linalg::kernels::Row4;
+
+/// The `2m` Chebyshev–Gauss nodes `θ_j = π(j + ½)/2m` of an order-`m`
+/// expansion with every `cos(kθ_j)` they need: `kθ_j` is a multiple of
+/// `2π/8m`, so one period table replaces the O(m²) cosine evaluations of
+/// the discrete cosine sums.
+struct GaussNodes {
+    m: usize,
+    /// `table[i] = cos(2π·i/8m)`.
+    table: Vec<f64>,
+}
+
+impl GaussNodes {
+    fn new(m: usize) -> Self {
+        assert!(m >= 1);
+        let period = 8 * m;
+        let table = (0..period)
+            .map(|i| (2.0 * std::f64::consts::PI * i as f64 / period as f64).cos())
+            .collect();
+        GaussNodes { m, table }
+    }
+
+    /// Node abscissae `x_j = cos θ_j`, `j = 0..2m`.
+    fn abscissae(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..2 * self.m).map(|j| self.table[2 * j + 1])
+    }
+
+    /// `cos(kθ_j)` for `k = 0..m`: `table[k(2j+1) mod 8m]`.
+    fn cosines(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
+        let step = 2 * j + 1;
+        (0..self.m).scan(0, move |i, _| {
+            let c = self.table[*i];
+            *i += step;
+            if *i >= self.table.len() {
+                *i -= self.table.len();
+            }
+            Some(c)
+        })
+    }
+
+    /// Coefficients `c_k = (2/2m) Σ_j fvals[j] cos(kθ_j)` from node values.
+    fn coefficients(&self, fvals: impl Iterator<Item = f64>) -> Vec<f64> {
+        let mut c = vec![0.0; self.m];
+        for (j, fv) in fvals.enumerate() {
+            for (ck, cos) in c.iter_mut().zip(self.cosines(j)) {
+                *ck += fv * cos;
+            }
+        }
+        let norm = 1.0 / self.m as f64;
+        c.iter_mut().for_each(|ck| *ck *= norm);
+        c
+    }
+}
+
 /// Chebyshev coefficients of a function on `[−1, 1]` via Chebyshev–Gauss
 /// quadrature with `2m` nodes (the standard discrete cosine construction).
 ///
 /// The returned `c[0]` is the *full* zeroth coefficient; evaluation must use
 /// `½ c₀ + Σ_{k≥1} c_k T_k`.
 pub fn chebyshev_coefficients(f: impl Fn(f64) -> f64, m: usize) -> Vec<f64> {
-    assert!(m >= 1);
-    let npts = 2 * m;
-    let fvals: Vec<f64> = (0..npts)
-        .map(|j| {
-            let theta = std::f64::consts::PI * (j as f64 + 0.5) / npts as f64;
-            f(theta.cos())
-        })
-        .collect();
-    (0..m)
-        .map(|k| {
-            let mut acc = 0.0;
-            for (j, &fv) in fvals.iter().enumerate() {
-                let theta = std::f64::consts::PI * (j as f64 + 0.5) / npts as f64;
-                acc += fv * (k as f64 * theta).cos();
-            }
-            2.0 * acc / npts as f64
-        })
-        .collect()
+    let nodes = GaussNodes::new(m);
+    nodes.coefficients(nodes.abscissae().map(f))
 }
 
 /// Evaluate a Chebyshev series at a scalar `x ∈ [−1, 1]` (Clenshaw).
@@ -66,12 +105,20 @@ pub fn fermi_function(eps: f64, mu: f64, kt: f64) -> f64 {
     }
 }
 
-/// Coefficients of the Fermi operator on a spectrum window `[e_min, e_max]`:
-/// returns `(shift, scale, coefficients)` with `H̃ = (H − shift)/scale` and
-/// the series approximating `f(scale·x + shift)` for `x ∈ [−1, 1]`.
-///
-/// The window is padded by 5% so Chebyshev's edge oscillations stay outside
-/// the actual spectrum.
+/// Map a spectrum window `[e_min, e_max]` onto `[−1, 1]`: returns
+/// `(shift, scale)` with `H̃ = (H − shift)/scale`. The window is padded by
+/// 5% so Chebyshev's edge oscillations stay outside the actual spectrum.
+pub fn spectral_window(e_min: f64, e_max: f64) -> (f64, f64) {
+    assert!(e_max > e_min);
+    let pad = 0.05 * (e_max - e_min).max(1e-6);
+    let lo = e_min - pad;
+    let hi = e_max + pad;
+    (0.5 * (hi + lo), 0.5 * (hi - lo))
+}
+
+/// Coefficients of the Fermi operator on the [`spectral_window`] of
+/// `[e_min, e_max]`: returns `(shift, scale, coefficients)` with the series
+/// approximating `f(scale·x + shift)` for `x ∈ [−1, 1]`.
 pub fn fermi_coefficients(
     e_min: f64,
     e_max: f64,
@@ -79,12 +126,8 @@ pub fn fermi_coefficients(
     kt: f64,
     order: usize,
 ) -> (f64, f64, Vec<f64>) {
-    assert!(e_max > e_min && kt > 0.0 && order >= 2);
-    let pad = 0.05 * (e_max - e_min).max(1e-6);
-    let lo = e_min - pad;
-    let hi = e_max + pad;
-    let shift = 0.5 * (hi + lo);
-    let scale = 0.5 * (hi - lo);
+    assert!(kt > 0.0 && order >= 2);
+    let (shift, scale) = spectral_window(e_min, e_max);
     let coeffs = chebyshev_coefficients(|x| fermi_function(scale * x + shift, mu, kt), order);
     (shift, scale, coeffs)
 }
@@ -112,14 +155,199 @@ pub fn entropy_coefficients(
     kt: f64,
     order: usize,
 ) -> (f64, f64, Vec<f64>) {
-    assert!(e_max > e_min && kt > 0.0 && order >= 2);
-    let pad = 0.05 * (e_max - e_min).max(1e-6);
-    let lo = e_min - pad;
-    let hi = e_max + pad;
-    let shift = 0.5 * (hi + lo);
-    let scale = 0.5 * (hi - lo);
+    assert!(kt > 0.0 && order >= 2);
+    let (shift, scale) = spectral_window(e_min, e_max);
     let coeffs = chebyshev_coefficients(|x| entropy_density(scale * x + shift, mu, kt), order);
     (shift, scale, coeffs)
+}
+
+/// Chemical potential and everything priced at it, from the diagonal
+/// Chebyshev moments (see [`solve_mu`]).
+#[derive(Debug, Clone)]
+pub struct FermiLevel {
+    /// Chemical potential (eV).
+    pub mu: f64,
+    /// Electron count reproduced at `mu`.
+    pub electron_count: f64,
+    /// Mermin correction `−T_e S = 2·kT·Tr g(H)` (eV).
+    pub entropy_term: f64,
+    /// Fermi-operator coefficients at `mu` (`c[0]` full; see
+    /// [`chebyshev_coefficients`]).
+    pub coeffs: Vec<f64>,
+}
+
+/// Find μ by bisection on the electron count `2 Tr f(H)` expressed through
+/// the moments `M_k = Tr T_k(H̃)` on the window `(shift, scale)`.
+///
+/// Swapping the sums of `2(½c₀M₀ + Σ_k c_k M_k)` with
+/// `c_k = (2/n) Σ_j f(x_j) cos(kθ_j)` gives `(4/n) Σ_j f(x_j; μ) D_j` with the
+/// μ-independent node sums `D_j = ½M₀ + Σ_k M_k cos(kθ_j)`, formed once; a
+/// candidate μ then costs O(order) Fermi evaluations. The entropy trace
+/// uses the same `D_j`; only the final coefficients need the k-sum.
+pub fn solve_mu(moments: &[f64], shift: f64, scale: f64, kt: f64, n_electrons: f64) -> FermiLevel {
+    assert!(kt > 0.0 && moments.len() >= 2);
+    let nodes = GaussNodes::new(moments.len());
+    let eps: Vec<f64> = nodes.abscissae().map(|x| scale * x + shift).collect();
+    let node_sums: Vec<f64> = (0..eps.len())
+        .map(|j| {
+            let tail: f64 = moments
+                .iter()
+                .zip(nodes.cosines(j))
+                .skip(1)
+                .map(|(m, c)| m * c)
+                .sum();
+            0.5 * moments[0] + tail
+        })
+        .collect();
+    // 2·Tr g(H) for a node function g(ε, μ, kT), spin factor included.
+    let norm = 4.0 / eps.len() as f64;
+    let trace = |g: fn(f64, f64, f64) -> f64, mu: f64| -> f64 {
+        let sum: f64 = eps
+            .iter()
+            .zip(&node_sums)
+            .map(|(&e, d)| g(e, mu, kt) * d)
+            .sum();
+        norm * sum
+    };
+    let (mut lo, mut hi) = (shift - scale - 10.0 * kt, shift + scale + 10.0 * kt);
+    for _ in 0..80 {
+        let mid = 0.5 * (lo + hi);
+        if trace(fermi_function, mid) < n_electrons {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let mu = 0.5 * (lo + hi);
+    FermiLevel {
+        mu,
+        electron_count: trace(fermi_function, mu),
+        entropy_term: kt * trace(entropy_density, mu),
+        coeffs: nodes.coefficients(eps.iter().map(|&e| fermi_function(e, mu, kt))),
+    }
+}
+
+/// The Chebyshev three-term recurrence `T_{k+1} = 2 H̃ T_k − T_{k−1}` on a
+/// localization region, advancing the four orbital columns of one atom
+/// together as a row-major multivector.
+pub struct BlockRecurrence<'r> {
+    region: &'r LocalRegion,
+    shift: f64,
+    scale: f64,
+    /// `T_{k−1}`, `T_k` and the buffer the next step writes.
+    prev: Vec<Row4>,
+    cur: Vec<Row4>,
+    next: Vec<Row4>,
+    /// 1 for the first step (`T₁ = H̃ T₀` against a zero `T₋₁`), then 2.
+    factor: f64,
+}
+
+impl<'r> BlockRecurrence<'r> {
+    /// Seed `T₀` with the unit vectors of the `n_cols` orbitals of the atom
+    /// whose first padded row is `row0` (column ν starts at row `row0 + ν`;
+    /// columns beyond `n_cols` stay zero).
+    pub fn new(
+        region: &'r LocalRegion,
+        row0: usize,
+        n_cols: usize,
+        shift: f64,
+        scale: f64,
+    ) -> Self {
+        let n = region.padded_len();
+        let mut cur = vec![[0.0; 4]; n];
+        for nu in 0..n_cols {
+            cur[row0 + nu][nu] = 1.0;
+        }
+        BlockRecurrence {
+            region,
+            shift,
+            scale,
+            prev: vec![[0.0; 4]; n],
+            cur,
+            next: vec![[0.0; 4]; n],
+            factor: 1.0,
+        }
+    }
+
+    /// `T_k` (after `k` calls of [`advance`](Self::advance)).
+    pub fn current(&self) -> &[Row4] {
+        &self.cur
+    }
+
+    /// `T_{k−1}` (zero before the first step).
+    pub fn previous(&self) -> &[Row4] {
+        &self.prev
+    }
+
+    /// Step `k → k + 1`.
+    pub fn advance(&mut self) {
+        self.region.chebyshev_step(
+            self.shift,
+            self.scale,
+            self.factor,
+            &self.cur,
+            &self.prev,
+            &mut self.next,
+        );
+        self.factor = 2.0;
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        std::mem::swap(&mut self.cur, &mut self.next);
+    }
+
+    /// Add the diagonal moments `Σ_ν T_k(H̃)_νν`, `k < moments.len()`, of the
+    /// seed columns into `moments`, in `moments.len() / 2` steps instead of
+    /// `moments.len() − 1`: for the symmetric restricted operator
+    /// `T_m T_n = ½(T_{m+n} + T_{|m−n|})` gives
+    /// `T_{2k,νν} = 2⟨T_k e_ν, T_k e_ν⟩ − T_{0,νν}` and
+    /// `T_{2k−1,νν} = 2⟨T_k e_ν, T_{k−1} e_ν⟩ − T_{1,νν}`.
+    pub fn diagonal_moments(mut self, moments: &mut [f64]) {
+        let order = moments.len();
+        let m0 = column_dots(&self.cur, &self.cur);
+        if order > 0 {
+            moments[0] += m0;
+        }
+        let mut m1 = 0.0;
+        for k in 1..=order / 2 {
+            self.advance();
+            let odd = column_dots(&self.cur, &self.prev);
+            if k == 1 {
+                m1 = odd;
+            }
+            moments[2 * k - 1] += 2.0 * odd - m1;
+            if 2 * k < order {
+                moments[2 * k] += 2.0 * column_dots(&self.cur, &self.cur) - m0;
+            }
+        }
+    }
+
+    /// The density-matrix columns `2(½c₀ T₀ + Σ_{k≥1} c_k T_k)` of the seed
+    /// (spin factor included), in `coeffs.len() − 1` steps.
+    pub fn density_columns(mut self, coeffs: &[f64]) -> Vec<Row4> {
+        let mut rho = vec![[0.0; 4]; self.cur.len()];
+        for (k, &ck) in coeffs.iter().enumerate() {
+            if k > 0 {
+                self.advance();
+            }
+            let c = if k == 0 { ck } else { 2.0 * ck };
+            for (r, t) in rho.iter_mut().zip(&self.cur) {
+                for nu in 0..4 {
+                    r[nu] += c * t[nu];
+                }
+            }
+        }
+        rho
+    }
+}
+
+/// `Σ_ν ⟨a_ν, b_ν⟩` over the four columns of two multivectors.
+fn column_dots(a: &[Row4], b: &[Row4]) -> f64 {
+    let mut acc = [0.0; 4];
+    for (x, y) in a.iter().zip(b) {
+        for nu in 0..4 {
+            acc[nu] += x[nu] * y[nu];
+        }
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 #[cfg(test)]

@@ -11,16 +11,16 @@
 //! all independent of the O(N³) wall that throttled the dense engine's
 //! scaled speedup (experiments F1 vs F8).
 
-use crate::chebyshev::{chebyshev_coefficients, entropy_density, fermi_function};
-use crate::engine::{LinScaleReport, LinearScalingTb};
-use crate::sparse::{LocalRegion, SparseH};
+use crate::chebyshev::{solve_mu, spectral_window};
+use crate::engine::{atom_force, embedding, validate, AtomRegion, LinearScalingTb};
+use crate::sparse::SparseH;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use tbmd_linalg::Vec3;
 use tbmd_model::{
-    sk_block_gradient, ForceEvaluation, ForceProvider, NeighborWorkspace, OrbitalIndex,
-    PhaseTimings, TbError, TbModel, Workspace,
+    ForceEvaluation, ForceProvider, NeighborWorkspace, OrbitalIndex, PhaseTimings, TbError,
+    TbModel, Workspace,
 };
 use tbmd_parallel::{
     partition_range, vmp_run_opts, FaultPlan, RankWorkspacePool, RecvTimeoutPolicy, VmpFault,
@@ -40,23 +40,13 @@ pub struct DistributedLinScaleReport {
 }
 
 /// Per-rank persistent buffers of the O(N) engine: the replicated geometry,
-/// the amortized neighbour list, the Chebyshev three-term recurrence
-/// vectors, and the moment/embedding/force accumulators.
+/// the amortized neighbour list, and the moment/force accumulators.
 #[derive(Default)]
 struct LinScaleRankSlot {
     local: Option<Structure>,
     neighbors: NeighborWorkspace,
-    /// Chebyshev recurrence ping-pong vectors (region-sized).
-    t_prev: Vec<f64>,
-    t_cur: Vec<f64>,
-    t_next: Vec<f64>,
-    /// Density-matrix column accumulator (region-sized).
-    rho_col: Vec<f64>,
     /// Chebyshev moments μ_m = Σ_owned ⟨g|T_m|g⟩ before the allreduce.
     moments: Vec<f64>,
-    /// Per-atom embedding arguments / values+derivatives.
-    x_embed: Vec<f64>,
-    fx: Vec<(f64, f64)>,
     /// This rank's force block.
     forces_block: Vec<f64>,
     /// Buffer-growth events (slot creation covers the warmup burst).
@@ -230,17 +220,7 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
     }
 
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        for i in 0..s.n_atoms() {
-            if !self.model.supports(s.species(i)) {
-                return Err(TbError::UnsupportedSpecies {
-                    species: s.species(i),
-                    model: self.model.name().to_string(),
-                });
-            }
-        }
-        if s.n_atoms() == 0 {
-            return Err(TbError::EmptyStructure);
-        }
+        validate(self.model, s)?;
         // Per-rank workspaces hold the solve state; the caller's workspace
         // only carries growth accounting, never dense eigenpairs.
         ws.dense_cache = tbmd_model::DenseCache::None;
@@ -316,202 +296,54 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
             mark = Instant::now();
 
             // Spectrum mapping shared by all ranks.
-            let pad = 0.05 * (e_max - e_min).max(1e-6);
-            let shift = 0.5 * (e_max + e_min);
-            let scale = 0.5 * ((e_max + pad) - (e_min - pad));
+            let (shift, scale) = spectral_window(e_min, e_max);
 
             // ---- Moment pass over my atoms.
-            let regions: Vec<LocalRegion> = my_atoms
+            let regions: Vec<AtomRegion> = my_atoms
                 .clone()
-                .map(|a| LocalRegion::build(local, &index, &h, a, r_loc))
+                .map(|a| AtomRegion::build(local, &index, &h, a, r_loc))
                 .collect();
             slot.moments.clear();
             slot.moments.resize(order, 0.0);
-            for (ri, a) in my_atoms.clone().enumerate() {
-                let region = &regions[ri];
-                for nu in 0..local.species(a).n_orbitals() {
-                    let g = index.offset(a) + nu;
-                    let lj = region.local_index(g).expect("centre in region");
-                    slot.t_prev.clear();
-                    slot.t_prev.resize(region.len(), 0.0);
-                    slot.t_prev[lj] = 1.0;
-                    region.matvec_scaled_into(&slot.t_prev, shift, scale, &mut slot.t_cur);
-                    rank.count_flops(2 * region.nnz() as u64);
-                    slot.moments[0] += 1.0;
-                    if order > 1 {
-                        slot.moments[1] += slot.t_cur[lj];
-                    }
-                    for m in 2..order {
-                        region.matvec_scaled_into(&slot.t_cur, shift, scale, &mut slot.t_next);
-                        rank.count_flops(2 * region.nnz() as u64);
-                        for (tn, &tp) in slot.t_next.iter_mut().zip(&slot.t_prev) {
-                            *tn = 2.0 * *tn - tp;
-                        }
-                        slot.moments[m] += slot.t_next[lj];
-                        std::mem::swap(&mut slot.t_prev, &mut slot.t_cur);
-                        std::mem::swap(&mut slot.t_cur, &mut slot.t_next);
-                    }
-                }
+            for region in &regions {
+                region.add_moments(shift, scale, &mut slot.moments);
+                rank.count_flops(2 * region.step_ops(order / 2));
             }
             let c0 = Instant::now();
             rank.allreduce_sum(301, &mut slot.moments);
             comm_in_phase += c0.elapsed();
-            let moments = &slot.moments;
 
-            // ---- μ bisection on the replicated global moments.
-            let n_target = local.n_electrons() as f64;
-            let count_at = |mu: f64| -> f64 {
-                let c =
-                    chebyshev_coefficients(|x| fermi_function(scale * x + shift, mu, kt), order);
-                let mut acc = 0.5 * c[0] * moments[0];
-                for k in 1..order {
-                    acc += c[k] * moments[k];
-                }
-                2.0 * acc
-            };
-            let (mut lo, mut hi) = (e_min - 10.0 * kt, e_max + 10.0 * kt);
-            for _ in 0..80 {
-                let mid = 0.5 * (lo + hi);
-                if count_at(mid) < n_target {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let mu = 0.5 * (lo + hi);
-            let coeffs =
-                chebyshev_coefficients(|x| fermi_function(scale * x + shift, mu, kt), order);
-            // Mermin correction −T_e S from the replicated global moments
-            // (identical on every rank, so no further communication).
-            let s_coeffs =
-                chebyshev_coefficients(|x| entropy_density(scale * x + shift, mu, kt), order);
-            let mut tr_g = 0.5 * s_coeffs[0] * moments[0];
-            for k in 1..order {
-                tr_g += s_coeffs[k] * moments[k];
-            }
-            let entropy_term = 2.0 * kt * tr_g;
+            // ---- μ bisection on the replicated global moments (identical
+            // on every rank, so no further communication).
+            let fermi = solve_mu(&slot.moments, shift, scale, kt, local.n_electrons() as f64);
             timings.diagonalize = mark.elapsed() - comm_in_phase;
             timings.communication += comm_in_phase;
             comm_in_phase = Duration::ZERO;
             mark = Instant::now();
+
+            // ---- Density + forces for my atoms.
+            let fx = embedding(model, nl, n_atoms);
+            let mut band_partial = 0.0;
+            let mut rep_partial = 0.0;
+            slot.forces_block.clear();
+            for (region, a) in regions.iter().zip(my_atoms.clone()) {
+                let density = region.density(nl, &index, &fermi.coeffs, shift, scale);
+                rank.count_flops(2 * region.step_ops(order.saturating_sub(1)));
+                band_partial += density.band;
+                rep_partial += fx[a].0;
+                let fi = atom_force(model, nl, a, &density, &fx);
+                rank.count_flops(400 * nl.neighbors(a).len() as u64);
+                slot.forces_block.extend_from_slice(&fi.to_array());
+            }
+            // order/2 moment steps + order − 1 density steps, one matvec
+            // per owned orbital column each.
             let my_orbitals: usize = my_atoms
                 .clone()
                 .map(|a| local.species(a).n_orbitals())
                 .sum();
             tbmd_trace::add(
                 tbmd_trace::Counter::ChebyshevMatvecs,
-                (my_orbitals * order.saturating_sub(1)) as u64,
-            );
-
-            // ---- Density + forces for my atoms.
-            slot.x_embed.clear();
-            slot.x_embed.extend((0..n_atoms).map(|i| {
-                nl.neighbors(i)
-                    .iter()
-                    .map(|nb| model.repulsion(nb.dist).0)
-                    .sum::<f64>()
-            }));
-            slot.fx.clear();
-            slot.fx
-                .extend(slot.x_embed.iter().map(|&xi| model.embedding(xi)));
-            let fx = &slot.fx;
-            let mut band_partial = 0.0;
-            let mut rep_partial = 0.0;
-            slot.forces_block.clear();
-            for (ri, a) in my_atoms.clone().enumerate() {
-                let region = &regions[ri];
-                rep_partial += fx[a].0;
-                let mut neighbor_atoms: Vec<usize> = nl
-                    .neighbors(a)
-                    .iter()
-                    .map(|nb| nb.j)
-                    .filter(|&j| j != a)
-                    .collect();
-                neighbor_atoms.sort_unstable();
-                neighbor_atoms.dedup();
-                let mut blocks = vec![[[0.0; 4]; 4]; neighbor_atoms.len()];
-                for nu in 0..local.species(a).n_orbitals() {
-                    let g = index.offset(a) + nu;
-                    let lj = region.local_index(g).expect("centre in region");
-                    slot.t_prev.clear();
-                    slot.t_prev.resize(region.len(), 0.0);
-                    slot.t_prev[lj] = 1.0;
-                    slot.rho_col.clear();
-                    slot.rho_col.resize(region.len(), 0.0);
-                    slot.rho_col[lj] = 0.5 * coeffs[0];
-                    region.matvec_scaled_into(&slot.t_prev, shift, scale, &mut slot.t_cur);
-                    rank.count_flops(2 * region.nnz() as u64);
-                    if order > 1 {
-                        for (r, &t) in slot.rho_col.iter_mut().zip(&slot.t_cur) {
-                            *r += coeffs[1] * t;
-                        }
-                    }
-                    for ck in coeffs.iter().take(order).skip(2) {
-                        region.matvec_scaled_into(&slot.t_cur, shift, scale, &mut slot.t_next);
-                        rank.count_flops(2 * region.nnz() as u64);
-                        for (tn, &tp) in slot.t_next.iter_mut().zip(&slot.t_prev) {
-                            *tn = 2.0 * *tn - tp;
-                        }
-                        for (r, &t) in slot.rho_col.iter_mut().zip(&slot.t_next) {
-                            *r += ck * t;
-                        }
-                        std::mem::swap(&mut slot.t_prev, &mut slot.t_cur);
-                        std::mem::swap(&mut slot.t_cur, &mut slot.t_next);
-                    }
-                    for r in &mut slot.rho_col {
-                        *r *= 2.0;
-                    }
-                    for (col, hval) in h.row(g) {
-                        if let Some(lc) = region.local_index(col) {
-                            band_partial += slot.rho_col[lc] * hval;
-                        }
-                    }
-                    for (block, &j) in blocks.iter_mut().zip(&neighbor_atoms) {
-                        let oj = index.offset(j);
-                        for (beta, brow) in block.iter_mut().enumerate() {
-                            if let Some(lb) = region.local_index(oj + beta) {
-                                brow[nu] = slot.rho_col[lb];
-                            }
-                        }
-                    }
-                }
-                // Forces on atom a (electronic from local ρ blocks +
-                // repulsive gather form).
-                let mut fi = Vec3::ZERO;
-                for nb in nl.neighbors(a) {
-                    if nb.j == a {
-                        continue;
-                    }
-                    let v = model.hoppings(nb.dist);
-                    let dv = model.hoppings_deriv(nb.dist);
-                    if !(v.iter().all(|&y| y == 0.0) && dv.iter().all(|&y| y == 0.0)) {
-                        let grad = sk_block_gradient(nb.disp.to_array(), v, dv);
-                        let e = neighbor_atoms.binary_search(&nb.j).expect("neighbour");
-                        let block = &blocks[e];
-                        for gamma in 0..3 {
-                            let mut acc = 0.0;
-                            for (m2, grow) in grad[gamma].iter().enumerate() {
-                                for (n2, &gv) in grow.iter().enumerate() {
-                                    acc += block[n2][m2] * gv;
-                                }
-                            }
-                            fi[gamma] += 2.0 * acc;
-                        }
-                    }
-                    let (_, dphi) = model.repulsion(nb.dist);
-                    if dphi != 0.0 {
-                        let unit = nb.disp / nb.dist;
-                        fi += unit * ((fx[a].1 + fx[nb.j].1) * dphi);
-                    }
-                }
-                rank.count_flops(400 * nl.neighbors(a).len() as u64);
-                slot.forces_block.extend_from_slice(&fi.to_array());
-            }
-            // The density/force pass repeats the order-1 recurrence matvecs
-            // per owned orbital column.
-            tbmd_trace::add(
-                tbmd_trace::Counter::ChebyshevMatvecs,
-                (my_orbitals * order.saturating_sub(1)) as u64,
+                (my_orbitals * (order / 2 + order.saturating_sub(1))) as u64,
             );
             let mut energy_parts = vec![band_partial, rep_partial];
             let c0 = Instant::now();
@@ -529,9 +361,9 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                     }
                 }
                 Some((
-                    energy_parts[0] + energy_parts[1] + entropy_term,
+                    energy_parts[0] + energy_parts[1] + fermi.entropy_term,
                     forces,
-                    mu,
+                    fermi.mu,
                     timings,
                 ))
             } else {
@@ -572,9 +404,6 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
     }
 }
 
-/// Re-export of the shared-memory report type for API symmetry.
-pub type SharedReport = LinScaleReport;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,13 +427,13 @@ mod tests {
             let a = shared.evaluate(&s).unwrap();
             let b = dist.evaluate(&s).unwrap();
             assert!(
-                (a.energy - b.energy).abs() < 1e-7,
+                (a.energy - b.energy).abs() < 1e-12,
                 "p={p}: {} vs {}",
                 a.energy,
                 b.energy
             );
             for (fa, fb) in a.forces.iter().zip(&b.forces) {
-                assert!((*fa - *fb).max_abs() < 1e-7, "p={p}");
+                assert!((*fa - *fb).max_abs() < 1e-12, "p={p}");
             }
         }
     }
@@ -658,7 +487,7 @@ mod tests {
     #[test]
     fn shrink_resharding_matches_shared_memory() {
         // Atoms re-partition over the survivors after a shrink; physics
-        // must still match the shared-memory reference to solver tolerance.
+        // must still match the shared-memory reference to round-off.
         let model = silicon_gsp();
         let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
         let mut rng = StdRng::seed_from_u64(12);
@@ -672,9 +501,9 @@ mod tests {
         assert_eq!(dist.shrink_ranks(1), 2);
         let shrunk = dist.evaluate(&s).unwrap();
         assert_eq!(dist.last_report().unwrap().n_ranks, 2);
-        assert!((shrunk.energy - reference.energy).abs() < 1e-7);
+        assert!((shrunk.energy - reference.energy).abs() < 1e-12);
         for (fa, fb) in reference.forces.iter().zip(&shrunk.forces) {
-            assert!((*fa - *fb).max_abs() < 1e-7);
+            assert!((*fa - *fb).max_abs() < 1e-12);
         }
         assert_eq!(dist.respawn_full_ranks(), 3);
         dist.evaluate(&s).unwrap();

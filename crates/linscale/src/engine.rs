@@ -2,12 +2,14 @@
 //!
 //! Per atom, the engine expands the four density-matrix columns of that
 //! atom's orbitals in Chebyshev polynomials of the sparse Hamiltonian,
-//! truncated to a localization region of radius `r_loc` — cost
-//! O(order · region_nnz) per column, hence **O(N) total** at fixed radius
-//! and order. The chemical potential is found by bisection on the Chebyshev
-//! *moments* (computed once; re-pricing a μ candidate costs only a
-//! coefficient refresh), and forces come from the same local ρ blocks via
-//! the standard Hellmann–Feynman contraction.
+//! truncated to a localization region of radius `r_loc` — the four columns
+//! advance together through one block recurrence
+//! ([`BlockRecurrence`]), cost O(order · region_nnz) per column, hence
+//! **O(N) total** at fixed radius and order. The chemical potential is found
+//! by bisection on the Chebyshev *moments* (computed once, in half the steps
+//! via the product identity; re-pricing a μ candidate costs O(order), see
+//! [`solve_mu`]), and forces come from the same local ρ blocks via the
+//! standard Hellmann–Feynman contraction.
 //!
 //! Accuracy knobs: `order` controls the Fermi-function resolution
 //! (`order ≳ spectrum width / kT`), `r_loc` the density-matrix truncation
@@ -22,14 +24,11 @@
 //! quantity the Hellmann–Feynman forces conserve, and NVE trajectories show
 //! a spurious drift proportional to the variation of `T_e S`.
 
-use crate::chebyshev::{entropy_coefficients, fermi_coefficients};
-use crate::precision::{
-    chebyshev_column_f64, chebyshev_column_mixed, split_order, F32Region, Precision, PrecisionGate,
-    Term, TAIL_MASS_TOL,
-};
+use crate::chebyshev::{solve_mu, spectral_window, BlockRecurrence};
 use crate::sparse::{LocalRegion, SparseH};
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use tbmd_linalg::kernels::Block4;
 use tbmd_linalg::Vec3;
 use tbmd_model::{
     sk_block_gradient, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings, TbError,
@@ -48,7 +47,8 @@ pub struct LinScaleReport {
     pub entropy_term: f64,
     /// Sum of localization-region orbital counts (the memory footprint).
     pub total_region_orbitals: usize,
-    /// Total restricted-matvec multiply-adds — the O(N) cost metric.
+    /// Multiply-adds executed by the block recurrence in the moment and
+    /// density passes together — the O(N) cost metric.
     pub total_matvec_ops: u64,
 }
 
@@ -62,9 +62,6 @@ pub struct LinearScalingTb<'m> {
     pub order: usize,
     /// Localization radius (Å); `f64::INFINITY` disables truncation.
     pub r_loc: f64,
-    /// Recurrence precision (default [`Precision::F64`]).
-    pub precision: Precision,
-    gate: PrecisionGate,
     last_report: Mutex<Option<LinScaleReport>>,
 }
 
@@ -77,27 +74,8 @@ impl<'m> LinearScalingTb<'m> {
             kt: 0.2,
             order: 350,
             r_loc: f64::INFINITY,
-            precision: Precision::F64,
-            gate: PrecisionGate::new(),
             last_report: Mutex::new(None),
         }
-    }
-
-    /// Select the recurrence precision. [`Precision::MixedF32`] splits each
-    /// Chebyshev column at the [`split_order`] tail-mass point (f64 head,
-    /// f32 tail) and is guarded at runtime: every evaluation re-solves one
-    /// rotating probe atom fully in f64; a deviation beyond the probe
-    /// tolerance recomputes the evaluation in f64 and latches the engine
-    /// there permanently (see [`PrecisionGate`]).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
-    /// True once the mixed-precision probe has tripped and the engine has
-    /// fallen back to pure f64.
-    pub fn precision_latched(&self) -> bool {
-        self.gate.latched()
     }
 
     /// Set the localization radius.
@@ -125,180 +103,178 @@ impl<'m> LinearScalingTb<'m> {
     pub fn last_report(&self) -> Option<LinScaleReport> {
         self.last_report.lock().clone()
     }
+}
 
-    fn validate(&self, s: &Structure) -> Result<(), TbError> {
-        if s.n_atoms() == 0 {
-            return Err(TbError::EmptyStructure);
+/// Reject empty structures and species the model does not parametrize.
+pub(crate) fn validate(model: &dyn TbModel, s: &Structure) -> Result<(), TbError> {
+    if s.n_atoms() == 0 {
+        return Err(TbError::EmptyStructure);
+    }
+    for i in 0..s.n_atoms() {
+        if !model.supports(s.species(i)) {
+            return Err(TbError::UnsupportedSpecies {
+                species: s.species(i),
+                model: model.name().to_string(),
+            });
         }
-        for i in 0..s.n_atoms() {
-            if !self.model.supports(s.species(i)) {
-                return Err(TbError::UnsupportedSpecies {
-                    species: s.species(i),
-                    model: self.model.name().to_string(),
-                });
-            }
+    }
+    Ok(())
+}
+
+/// One atom's localization region with the recurrence seeded at its
+/// orbitals — the unit of work both engines distribute.
+pub(crate) struct AtomRegion {
+    region: LocalRegion,
+    /// The centre atom, its first padded row and its orbital count.
+    atom: usize,
+    row0: usize,
+    n_orbitals: usize,
+}
+
+impl AtomRegion {
+    pub(crate) fn build(
+        s: &Structure,
+        index: &OrbitalIndex,
+        h: &SparseH,
+        atom: usize,
+        r_loc: f64,
+    ) -> Self {
+        let region = LocalRegion::build(s, index, h, atom, r_loc);
+        let row0 = region
+            .local_index(index.offset(atom))
+            .expect("centre inside its region");
+        AtomRegion {
+            region,
+            atom,
+            row0,
+            n_orbitals: s.species(atom).n_orbitals(),
         }
-        Ok(())
+    }
+
+    /// Orbitals in the region.
+    pub(crate) fn len(&self) -> usize {
+        self.region.len()
+    }
+
+    /// Multiply-adds of `steps` recurrence steps: all four columns run,
+    /// padded or not.
+    pub(crate) fn step_ops(&self, steps: usize) -> u64 {
+        (4 * self.region.nnz() * steps) as u64
+    }
+
+    fn recurrence(&self, shift: f64, scale: f64) -> BlockRecurrence<'_> {
+        BlockRecurrence::new(&self.region, self.row0, self.n_orbitals, shift, scale)
+    }
+
+    /// Moment pass (`moments.len() / 2` steps): add this atom's diagonal
+    /// samples `Σ_ν T_k(H̃)_νν` into `moments`.
+    pub(crate) fn add_moments(&self, shift: f64, scale: f64, moments: &mut [f64]) {
+        self.recurrence(shift, scale).diagonal_moments(moments);
+    }
+
+    /// Density pass (`coeffs.len() − 1` steps): band-energy contribution and
+    /// local ρ blocks from this atom's Chebyshev ρ columns.
+    pub(crate) fn density(
+        &self,
+        nl: &NeighborList,
+        index: &OrbitalIndex,
+        coeffs: &[f64],
+        shift: f64,
+        scale: f64,
+    ) -> AtomDensity {
+        let rho = self.recurrence(shift, scale).density_columns(coeffs);
+        // Distinct neighbour atoms (images of a pair share a block).
+        let mut neighbor_atoms: Vec<usize> = nl
+            .neighbors(self.atom)
+            .iter()
+            .map(|nb| nb.j)
+            .filter(|&j| j != self.atom)
+            .collect();
+        neighbor_atoms.sort_unstable();
+        neighbor_atoms.dedup();
+        // Padded row `r_j + β`, column ν of `rho` is ρ[o_j+β, o_a+ν]; a
+        // neighbour outside the region has no density.
+        let blocks = neighbor_atoms
+            .iter()
+            .map(|&j| match self.region.local_index(index.offset(j)) {
+                Some(rj) => [rho[rj], rho[rj + 1], rho[rj + 2], rho[rj + 3]],
+                None => [[0.0; 4]; 4],
+            })
+            .collect();
+        AtomDensity {
+            band: self.region.block_row_trace(self.row0, &rho),
+            neighbor_atoms,
+            blocks,
+        }
     }
 }
 
 /// Per-atom output of the density pass.
-struct AtomDensity {
+pub(crate) struct AtomDensity {
     /// Band-energy contribution Σ_ν (ρ column_ν · H column_ν).
-    band: f64,
-    /// ρ blocks per neighbour entry order: `blocks[e][beta][alpha]` =
-    /// `ρ[o_j+β, o_i+α]` for the e-th *distinct neighbour atom* (see
-    /// `neighbor_atoms`).
+    pub(crate) band: f64,
+    /// Distinct neighbour atoms, ascending, and for the e-th of them
+    /// `blocks[e][beta][alpha] = ρ[o_j+β, o_i+α]`.
     neighbor_atoms: Vec<usize>,
-    blocks: Vec<[[f64; 4]; 4]>,
-    /// Diagnostics.
-    region_orbitals: usize,
-    matvec_ops: u64,
+    blocks: Vec<Block4>,
 }
 
-/// Moment-pass contribution of one atom: diagonal samples `T_k(H̃)_{jj}`
-/// of its orbital columns. `mixed = Some((f32 mirror, k_split))` runs the
-/// split-precision recurrence; moments always accumulate in f64. Returns
-/// the local moments and the number of f32 recurrence steps taken.
-#[allow(clippy::too_many_arguments)]
-fn atom_moments(
-    s: &Structure,
-    index: &OrbitalIndex,
-    region: &LocalRegion,
-    mixed: Option<(&F32Region, usize)>,
-    a: usize,
-    order: usize,
-    shift: f64,
-    scale: f64,
-) -> (Vec<f64>, u64) {
-    let mut local = vec![0.0; order];
-    let mut steps = 0u64;
-    for nu in 0..s.species(a).n_orbitals() {
-        let g = index.offset(a) + nu;
-        let lj = region.local_index(g).expect("centre inside its region");
-        match mixed {
-            None => chebyshev_column_f64(region, lj, shift, scale, order, |k, t| local[k] += t[lj]),
-            Some((r32, k_split)) => {
-                steps += chebyshev_column_mixed(
-                    region,
-                    r32,
-                    lj,
-                    shift,
-                    scale,
-                    order,
-                    k_split,
-                    |k, term| {
-                        local[k] += match term {
-                            Term::F64(t) => t[lj],
-                            Term::F32(t) => t[lj] as f64,
-                        };
-                    },
-                )
-            }
-        }
-    }
-    (local, steps)
+/// Embedding value and derivative `(f(x_i), f'(x_i))` of every atom's summed
+/// pair repulsion `x_i = Σ_j φ(r_ij)`.
+pub(crate) fn embedding(model: &dyn TbModel, nl: &NeighborList, n_atoms: usize) -> Vec<(f64, f64)> {
+    (0..n_atoms)
+        .map(|i| {
+            let x = nl
+                .neighbors(i)
+                .iter()
+                .map(|nb| model.repulsion(nb.dist).0)
+                .sum();
+            model.embedding(x)
+        })
+        .collect()
 }
 
-/// Density-pass output of one atom: band-energy contribution and local ρ
-/// blocks from its Chebyshev ρ columns. ρ columns always accumulate in
-/// f64; `mixed` selects the split-precision recurrence as in
-/// [`atom_moments`]. Returns the atom record and the f32 step count.
-#[allow(clippy::too_many_arguments)]
-fn atom_density(
-    s: &Structure,
+/// Force on atom `i`: electronic from its local ρ blocks + repulsive gather.
+pub(crate) fn atom_force(
+    model: &dyn TbModel,
     nl: &NeighborList,
-    index: &OrbitalIndex,
-    h: &SparseH,
-    region: &LocalRegion,
-    mixed: Option<(&F32Region, usize)>,
-    a: usize,
-    coeffs: &[f64],
-    order: usize,
-    shift: f64,
-    scale: f64,
-) -> (AtomDensity, u64) {
-    let rl = region.len();
-    let oa = index.offset(a);
-    let n_orb_a = s.species(a).n_orbitals();
-    // Distinct neighbour atoms (images of a pair share a block).
-    let mut neighbor_atoms: Vec<usize> = nl
-        .neighbors(a)
-        .iter()
-        .map(|nb| nb.j)
-        .filter(|&j| j != a)
-        .collect();
-    neighbor_atoms.sort_unstable();
-    neighbor_atoms.dedup();
-    let mut blocks = vec![[[0.0; 4]; 4]; neighbor_atoms.len()];
-    let mut band = 0.0;
-    let mut steps = 0u64;
-    // order − 1 restricted matvecs of region.nnz() multiply-adds per column.
-    let ops = (n_orb_a * region.nnz() * order.saturating_sub(1)) as u64;
-    let mut rho_col: Vec<f64> = vec![0.0; rl];
-    for nu in 0..n_orb_a {
-        let g = oa + nu;
-        let lj = region.local_index(g).expect("centre inside region");
-        rho_col.clear();
-        rho_col.resize(rl, 0.0);
-        // Chebyshev column: ρ_col = 2(½c₀ T₀ + Σ_{k≥1} c_k T_k) e_lj.
-        match mixed {
-            None => chebyshev_column_f64(region, lj, shift, scale, order, |k, t| {
-                let c = if k == 0 { 0.5 * coeffs[0] } else { coeffs[k] };
-                for (r, &tv) in rho_col.iter_mut().zip(t) {
-                    *r += c * tv;
-                }
-            }),
-            Some((r32, k_split)) => {
-                steps += chebyshev_column_mixed(region, r32, lj, shift, scale, order, k_split, {
-                    let rho_col = &mut rho_col;
-                    move |k, term| match term {
-                        Term::F64(t) => {
-                            let c = if k == 0 { 0.5 * coeffs[0] } else { coeffs[k] };
-                            for (r, &tv) in rho_col.iter_mut().zip(t) {
-                                *r += c * tv;
-                            }
-                        }
-                        Term::F32(t) => {
-                            let c = coeffs[k];
-                            for (r, &tv) in rho_col.iter_mut().zip(t) {
-                                *r += c * tv as f64;
-                            }
-                        }
+    i: usize,
+    d: &AtomDensity,
+    fx: &[(f64, f64)],
+) -> Vec3 {
+    let mut fi = Vec3::ZERO;
+    for nb in nl.neighbors(i) {
+        if nb.j == i {
+            continue;
+        }
+        let v = model.hoppings(nb.dist);
+        let dv = model.hoppings_deriv(nb.dist);
+        if !(v.iter().all(|&y| y == 0.0) && dv.iter().all(|&y| y == 0.0)) {
+            let grad = sk_block_gradient(nb.disp.to_array(), v, dv);
+            // ρ_ij[μ][ν] = block[ν][μ] (atom i's columns hold
+            // ρ[o_j+β, o_i+α]).
+            let e = d
+                .neighbor_atoms
+                .binary_search(&nb.j)
+                .expect("neighbour present");
+            let block = &d.blocks[e];
+            for gamma in 0..3 {
+                let mut acc = 0.0;
+                for (mu, grow) in grad[gamma].iter().enumerate() {
+                    for (nu, &g) in grow.iter().enumerate() {
+                        acc += block[nu][mu] * g;
                     }
-                })
-            }
-        }
-        for r in &mut rho_col {
-            *r *= 2.0;
-        }
-        // Band energy: Tr(ρH) column contribution Σ_i ρ[i, g] H[i, g]
-        // (H row g by symmetry).
-        for (col, hval) in h.row(g) {
-            if let Some(lc) = region.local_index(col) {
-                band += rho_col[lc] * hval;
-            }
-        }
-        // ρ blocks for the force pass: ρ[o_j+β, o_a+ν].
-        for (block, &j) in blocks.iter_mut().zip(&neighbor_atoms) {
-            let oj = index.offset(j);
-            for (beta, brow) in block.iter_mut().enumerate() {
-                if let Some(lb) = region.local_index(oj + beta) {
-                    brow[nu] = rho_col[lb];
                 }
+                fi[gamma] += 2.0 * acc;
             }
+        }
+        let (_, dphi) = model.repulsion(nb.dist);
+        if dphi != 0.0 {
+            let unit = nb.disp / nb.dist;
+            fi += unit * ((fx[i].1 + fx[nb.j].1) * dphi);
         }
     }
-    (
-        AtomDensity {
-            band,
-            neighbor_atoms,
-            blocks,
-            region_orbitals: rl,
-            matvec_ops: ops,
-        },
-        steps,
-    )
+    fi
 }
 
 impl ForceProvider for LinearScalingTb<'_> {
@@ -307,16 +283,17 @@ impl ForceProvider for LinearScalingTb<'_> {
     }
 
     /// Workspace-threaded evaluation. Only the neighbour machinery is
-    /// amortized here (the Chebyshev recurrence buffers are per-column and
+    /// amortized here (the Chebyshev recurrence buffers are per-atom and
     /// per-thread); skin entries beyond the cutoff are dropped by the
     /// sparse-Hamiltonian build, so results are identical to the cold path.
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        self.validate(s)?;
+        validate(self.model, s)?;
         // O(N) path: no dense eigenpairs ever land in this workspace.
         ws.dense_cache = tbmd_model::DenseCache::None;
         let mut timings = PhaseTimings::default();
         let model = self.model;
         let n_atoms = s.n_atoms();
+        let order = self.order;
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Neighbors);
         let outcome = ws.neighbors.update(s, model.cutoff());
@@ -328,248 +305,74 @@ impl ForceProvider for LinearScalingTb<'_> {
         let index = OrbitalIndex::new(s);
         let h = SparseH::build(s, nl, model, &index);
         let (e_min, e_max) = h.gershgorin_bounds();
+        // shift/scale chosen once (μ enters only through coefficients).
+        let (shift, scale) = spectral_window(e_min, e_max);
         // Localization regions, one per atom (shared by its 4 columns).
-        let regions: Vec<LocalRegion> = (0..n_atoms)
+        let regions: Vec<AtomRegion> = (0..n_atoms)
             .into_par_iter()
-            .map(|a| LocalRegion::build(s, &index, &h, a, self.r_loc))
+            .map(|a| AtomRegion::build(s, &index, &h, a, self.r_loc))
             .collect();
-        // f32 mirrors for the mixed-precision tail (skipped once latched).
-        let use_mixed = self.precision == Precision::MixedF32 && !self.gate.latched();
-        let regions32: Option<Vec<F32Region>> = if use_mixed {
-            Some(regions.par_iter().map(F32Region::from_region).collect())
-        } else {
-            None
-        };
         timings.hamiltonian = sp.finish();
 
-        // ---- Moment pass: diagonal Chebyshev moments M_k = Σ_j T_k(H̃)_jj.
+        // ---- Moment pass: diagonal Chebyshev moments M_k = Σ_j T_k(H̃)_jj,
+        // then μ from them.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-        // shift/scale chosen once (μ enters only through coefficients).
-        let (shift, scale, mu0_coeffs) = fermi_coefficients(e_min, e_max, 0.0, self.kt, self.order);
-        let order = self.order;
-        // Kernel flop estimate of one full pass: 2·nnz multiply-adds per
-        // recurrence step, order − 1 steps per orbital column.
-        let pass_flops: u64 = (0..n_atoms)
+        let moments = (0..n_atoms)
+            .into_par_iter()
             .map(|a| {
-                2 * (s.species(a).n_orbitals() * regions[a].nnz() * order.saturating_sub(1)) as u64
+                let mut m = vec![0.0; order];
+                regions[a].add_moments(shift, scale, &mut m);
+                m
             })
-            .sum();
-        let run_moments = |mixed_split: Option<usize>| -> (Vec<f64>, u64) {
-            // order − 1 Chebyshev matvecs per orbital column.
-            tbmd_trace::add(
-                tbmd_trace::Counter::ChebyshevMatvecs,
-                (index.total() * order.saturating_sub(1)) as u64,
+            .reduce(
+                || vec![0.0; order],
+                |mut acc, m| {
+                    for (x, y) in acc.iter_mut().zip(&m) {
+                        *x += y;
+                    }
+                    acc
+                },
             );
-            tbmd_trace::add(tbmd_trace::Counter::KernelFlops, pass_flops);
-            (0..n_atoms)
-                .into_par_iter()
-                .map(|a| {
-                    let mixed = match (mixed_split, regions32.as_deref()) {
-                        (Some(ks), Some(r32s)) => Some((&r32s[a], ks)),
-                        _ => None,
-                    };
-                    atom_moments(s, &index, &regions[a], mixed, a, order, shift, scale)
-                })
-                .reduce(
-                    || (vec![0.0; order], 0u64),
-                    |mut acc, (m, st)| {
-                        for (x, y) in acc.0.iter_mut().zip(&m) {
-                            *x += y;
-                        }
-                        acc.1 += st;
-                        acc
-                    },
-                )
-        };
-        let k_split_m = split_order(&mu0_coeffs, TAIL_MASS_TOL);
-        let (moments, mut f32_steps) = run_moments(use_mixed.then_some(k_split_m));
-
-        // ---- μ bisection on the moment representation.
-        let n_target = s.n_electrons() as f64;
-        let solve_mu = |moments: &[f64]| -> (f64, f64, Vec<f64>, f64) {
-            let count_at = |mu: f64| -> f64 {
-                let (_, _, c) = fermi_coefficients(e_min, e_max, mu, self.kt, order);
-                let mut acc = 0.5 * c[0] * moments[0];
-                for k in 1..order {
-                    acc += c[k] * moments[k];
-                }
-                2.0 * acc
-            };
-            let (mut lo, mut hi) = (e_min - 10.0 * self.kt, e_max + 10.0 * self.kt);
-            for _ in 0..80 {
-                let mid = 0.5 * (lo + hi);
-                if count_at(mid) < n_target {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let mu = 0.5 * (lo + hi);
-            let electron_count = count_at(mu);
-            let (_, _, coeffs) = fermi_coefficients(e_min, e_max, mu, self.kt, order);
-            // Mermin correction −T_e S from the same diagonal moments:
-            // −T_e S = 2·kT·Tr g(H), g = f ln f + (1−f) ln(1−f).
-            let (_, _, s_coeffs) = entropy_coefficients(e_min, e_max, mu, self.kt, order);
-            let mut tr_g = 0.5 * s_coeffs[0] * moments[0];
-            for k in 1..order {
-                tr_g += s_coeffs[k] * moments[k];
-            }
-            (mu, electron_count, coeffs, 2.0 * self.kt * tr_g)
-        };
-        let (mut mu, mut electron_count, mut coeffs, mut entropy_term) = solve_mu(&moments);
+        let fermi = solve_mu(&moments, shift, scale, self.kt, s.n_electrons() as f64);
         timings.diagonalize = sp.finish();
 
         // ---- Density pass: ρ columns, band energy, local ρ blocks.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
-        let run_density = |coeffs: &[f64], mixed_split: Option<usize>| -> (Vec<AtomDensity>, u64) {
-            // order − 1 matvecs per orbital column again.
-            tbmd_trace::add(
-                tbmd_trace::Counter::ChebyshevMatvecs,
-                (index.total() * order.saturating_sub(1)) as u64,
-            );
-            tbmd_trace::add(tbmd_trace::Counter::KernelFlops, pass_flops);
-            let per_atom: Vec<(AtomDensity, u64)> = (0..n_atoms)
-                .into_par_iter()
-                .map(|a| {
-                    let mixed = match (mixed_split, regions32.as_deref()) {
-                        (Some(ks), Some(r32s)) => Some((&r32s[a], ks)),
-                        _ => None,
-                    };
-                    atom_density(
-                        s,
-                        nl,
-                        &index,
-                        &h,
-                        &regions[a],
-                        mixed,
-                        a,
-                        coeffs,
-                        order,
-                        shift,
-                        scale,
-                    )
-                })
-                .collect();
-            let mut steps = 0u64;
-            let densities = per_atom
-                .into_iter()
-                .map(|(d, st)| {
-                    steps += st;
-                    d
-                })
-                .collect();
-            (densities, steps)
-        };
-        let k_split_d = split_order(&coeffs, TAIL_MASS_TOL);
-        let (mut densities, steps_d) = run_density(&coeffs, use_mixed.then_some(k_split_d));
-        f32_steps += steps_d;
-
-        // ---- Mixed-precision probe: re-solve one rotating atom fully in
-        // f64 and compare its band contribution and ρ blocks. A deviation
-        // beyond the gate tolerance means the f32 mirror is not a faithful
-        // representation of H (pathological dynamic range, poisoned data):
-        // recompute everything in f64 and latch the engine there.
-        if use_mixed {
-            let pa = self.gate.next_probe(n_atoms);
-            let (ref_d, _) = atom_density(
-                s,
-                nl,
-                &index,
-                &h,
-                &regions[pa],
-                None,
-                pa,
-                &coeffs,
-                order,
-                shift,
-                scale,
-            );
-            let md = &densities[pa];
-            let mut dev = (md.band - ref_d.band).abs() / ref_d.band.abs().max(1.0);
-            for (bm, br) in md.blocks.iter().zip(&ref_d.blocks) {
-                for (rm, rr) in bm.iter().zip(br.iter()) {
-                    for (vm, vr) in rm.iter().zip(rr.iter()) {
-                        dev = dev.max((vm - vr).abs());
-                    }
-                }
-            }
-            if self.gate.observe(dev, 1.0) {
-                let (m64, _) = run_moments(None);
-                (mu, electron_count, coeffs, entropy_term) = solve_mu(&m64);
-                let (d64, _) = run_density(&coeffs, None);
-                densities = d64;
-                f32_steps = 0;
-            }
-        }
+        let densities: Vec<AtomDensity> = regions
+            .par_iter()
+            .map(|r| r.density(nl, &index, &fermi.coeffs, shift, scale))
+            .collect();
         let band_energy: f64 = densities.iter().map(|d| d.band).sum();
+        // order/2 moment steps + order − 1 density steps, one matvec per
+        // orbital column each.
+        let steps = order / 2 + order.saturating_sub(1);
+        let total_matvec_ops: u64 = regions.iter().map(|r| r.step_ops(steps)).sum();
+        tbmd_trace::add(
+            tbmd_trace::Counter::ChebyshevMatvecs,
+            (index.total() * steps) as u64,
+        );
+        tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 2 * total_matvec_ops);
         timings.density = sp.finish();
-        if f32_steps > 0 {
-            tbmd_trace::add(tbmd_trace::Counter::F32ChebyshevSteps, f32_steps);
-        }
 
         // ---- Forces: electronic from local ρ blocks + repulsive gather.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let x: Vec<f64> = (0..n_atoms)
-            .into_par_iter()
-            .map(|i| {
-                nl.neighbors(i)
-                    .iter()
-                    .map(|nb| model.repulsion(nb.dist).0)
-                    .sum()
-            })
-            .collect();
-        let fx: Vec<(f64, f64)> = x.par_iter().map(|&xi| model.embedding(xi)).collect();
+        let fx = embedding(model, nl, n_atoms);
         let e_rep: f64 = fx.iter().map(|&(f, _)| f).sum();
         let forces: Vec<Vec3> = (0..n_atoms)
             .into_par_iter()
-            .map(|i| {
-                let d = &densities[i];
-                let mut fi = Vec3::ZERO;
-                for nb in nl.neighbors(i) {
-                    if nb.j == i {
-                        continue;
-                    }
-                    let v = model.hoppings(nb.dist);
-                    let dv = model.hoppings_deriv(nb.dist);
-                    if !(v.iter().all(|&y| y == 0.0) && dv.iter().all(|&y| y == 0.0)) {
-                        let grad = sk_block_gradient(nb.disp.to_array(), v, dv);
-                        // ρ_ij[μ][ν] = block[ν][μ] (atom i's columns hold
-                        // ρ[o_j+β, o_i+α]).
-                        let e = d
-                            .neighbor_atoms
-                            .binary_search(&nb.j)
-                            .expect("neighbour present");
-                        let block = &d.blocks[e];
-                        for gamma in 0..3 {
-                            let mut acc = 0.0;
-                            for (mu, grow) in grad[gamma].iter().enumerate() {
-                                for (nu, &g) in grow.iter().enumerate() {
-                                    acc += block[nu][mu] * g;
-                                }
-                            }
-                            fi[gamma] += 2.0 * acc;
-                        }
-                    }
-                    let (_, dphi) = model.repulsion(nb.dist);
-                    if dphi != 0.0 {
-                        let unit = nb.disp / nb.dist;
-                        fi += unit * ((fx[i].1 + fx[nb.j].1) * dphi);
-                    }
-                }
-                fi
-            })
+            .map(|i| atom_force(model, nl, i, &densities[i], &fx))
             .collect();
         timings.forces = sp.finish();
 
         *self.last_report.lock() = Some(LinScaleReport {
-            mu,
-            electron_count,
-            entropy_term,
-            total_region_orbitals: densities.iter().map(|d| d.region_orbitals).sum(),
-            total_matvec_ops: densities.iter().map(|d| d.matvec_ops).sum(),
+            mu: fermi.mu,
+            electron_count: fermi.electron_count,
+            entropy_term: fermi.entropy_term,
+            total_region_orbitals: regions.iter().map(AtomRegion::len).sum(),
+            total_matvec_ops,
         });
         Ok(ForceEvaluation {
-            energy: band_energy + e_rep + entropy_term,
+            energy: band_energy + e_rep + fermi.entropy_term,
             forces,
             timings,
         })

@@ -2,18 +2,20 @@
 //!
 //! Linear-scaling O(N) tight binding: sparse CSR Hamiltonians, Chebyshev
 //! expansion of the Fermi operator, localization-region truncation of the
-//! density matrix, and the [`LinearScalingTb`] engine implementing
+//! density matrix (block-sparse regions, one four-column block recurrence),
+//! and the [`LinearScalingTb`] engine implementing
 //! [`tbmd_model::ForceProvider`] — the Goedecker–Colombo (1994) class of
 //! method that let TBMD escape O(N³) diagonalization.
 
 pub mod chebyshev;
 pub mod distributed;
 pub mod engine;
-pub mod precision;
 pub mod sparse;
 
-pub use chebyshev::{chebyshev_coefficients, chebyshev_eval, fermi_coefficients, fermi_function};
+pub use chebyshev::{
+    chebyshev_coefficients, chebyshev_eval, fermi_coefficients, fermi_function, solve_mu,
+    BlockRecurrence,
+};
 pub use distributed::{DistributedLinScaleReport, DistributedLinearScalingTb};
 pub use engine::{LinScaleReport, LinearScalingTb};
-pub use precision::{split_order, F32Region, Precision, PrecisionGate};
 pub use sparse::{LocalRegion, SparseH};

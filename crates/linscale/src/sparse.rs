@@ -1,12 +1,13 @@
-//! Sparse (CSR) Hamiltonian storage for the linear-scaling engine.
+//! Sparse Hamiltonian storage for the linear-scaling engine.
 //!
 //! A short-ranged tight-binding Hamiltonian has O(1) non-zeros per row, so
 //! the dense `n²` storage and O(n³) diagonalization are pure waste for large
 //! systems — the insight behind the 1994 linear-scaling TBMD methods. This
-//! module builds the CSR matrix straight from a neighbour list and provides
-//! the (restricted) matrix–vector products the Chebyshev expansion consumes.
+//! module builds the CSR matrix straight from a neighbour list and restricts
+//! it to per-atom localization regions stored as 4×4 blocks, the operator
+//! the Chebyshev block recurrence consumes.
 
-use tbmd_linalg::kernels;
+use tbmd_linalg::kernels::{self, Block4, Row4};
 use tbmd_model::{sk_block, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
@@ -34,8 +35,9 @@ impl SparseH {
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         for i in 0..n_atoms {
             let oi = index.offset(i);
+            let ni = s.species(i).n_orbitals();
             let e = model.on_site(s.species(i));
-            for (k, &ek) in e.iter().enumerate() {
+            for (k, &ek) in e.iter().enumerate().take(ni) {
                 push_add(&mut rows[oi + k], oi + k, ek);
             }
             for nb in nl.neighbors(i) {
@@ -45,8 +47,9 @@ impl SparseH {
                 }
                 let b = sk_block(nb.disp.to_array(), v);
                 let oj = index.offset(nb.j);
-                for (mu, row) in b.iter().enumerate() {
-                    for (nu, &x) in row.iter().enumerate() {
+                let nj = s.species(nb.j).n_orbitals();
+                for (mu, row) in b.iter().enumerate().take(ni) {
+                    for (nu, &x) in row.iter().enumerate().take(nj) {
                         push_add(&mut rows[oi + mu], oj + nu, x);
                     }
                 }
@@ -158,16 +161,29 @@ fn push_add(row: &mut Vec<(usize, f64)>, col: usize, v: f64) {
     }
 }
 
+/// Block index marking a column span outside the region during
+/// [`LocalRegion::build`].
+const OUTSIDE: usize = usize::MAX;
+
 /// A localization region: the orbitals of all atoms within `r_loc` of a
-/// centre atom, with a global→local index map and a restricted CSR operator.
+/// centre atom, and the Hamiltonian restricted to them as flat 4×4 blocks
+/// (BSR).
+///
+/// Every atom of the region owns one *slot* — four consecutive rows of the
+/// padded local space — whatever its orbital count, so one block kernel
+/// serves every species: rows `4·slot + k` with `k ≥ n_orbitals` are
+/// identically zero in the operator and stay zero in every iterate.
 #[derive(Debug, Clone)]
 pub struct LocalRegion {
     /// Global orbital indices inside the region, ascending.
     pub orbitals: Vec<usize>,
-    /// `local_of[g]` = local index of global orbital `g`, or `usize::MAX`.
-    local_of: Vec<usize>,
-    /// Restricted CSR: for each local orbital, (local col, value) pairs.
-    rows: Vec<Vec<(usize, f64)>>,
+    /// Padded local row `4·slot + k` of each entry of `orbitals`.
+    rows: Vec<u32>,
+    /// Blocks of slot `i` are `block_ptr[i]..block_ptr[i + 1]`.
+    block_ptr: Vec<u32>,
+    /// Column slot of each block, ascending within a block row.
+    block_col: Vec<u32>,
+    blocks: Vec<Block4>,
 }
 
 impl LocalRegion {
@@ -180,36 +196,96 @@ impl LocalRegion {
         center_atom: usize,
         r_loc: f64,
     ) -> Self {
+        // Atoms ascend, and so do their orbital offsets.
         let mut orbitals = Vec::new();
+        let mut rows = Vec::new();
+        let mut slot_orbitals = Vec::new();
         for a in 0..s.n_atoms() {
-            let inside = a == center_atom || s.distance(center_atom, a) <= r_loc;
-            if inside {
-                let o = index.offset(a);
+            if a == center_atom || s.distance(center_atom, a) <= r_loc {
+                let first = orbitals.len();
+                let base = 4 * slot_orbitals.len() as u32;
                 for k in 0..s.species(a).n_orbitals() {
-                    orbitals.push(o + k);
+                    orbitals.push(index.offset(a) + k);
+                    rows.push(base + k as u32);
                 }
+                slot_orbitals.push(first..orbitals.len());
             }
         }
-        orbitals.sort_unstable();
-        let mut local_of = vec![usize::MAX; h.n()];
-        for (l, &g) in orbitals.iter().enumerate() {
-            local_of[g] = l;
-        }
-        let rows = orbitals
-            .iter()
-            .map(|&g| {
-                h.row(g)
-                    .filter_map(|(c, v)| {
-                        let lc = local_of[c];
-                        (lc != usize::MAX).then_some((lc, v))
-                    })
-                    .collect()
-            })
-            .collect();
-        LocalRegion {
+        let mut region = LocalRegion {
             orbitals,
-            local_of,
             rows,
+            block_ptr: vec![0],
+            block_col: Vec::new(),
+            blocks: Vec::new(),
+        };
+        let mut row_blocks: Vec<(u32, Block4)> = Vec::new();
+        // Column spans `(first, width, e)` met along the rows of one atom:
+        // global columns `first..first + width` are block `e` of
+        // `row_blocks`, or lie outside the region when `e == OUTSIDE`.
+        // Columns ascend along a CSR row, an atom's orbitals are contiguous
+        // and its rows meet (nearly) the same spans, so the ordered list
+        // turns one search per entry into one per neighbour atom.
+        let mut spans: Vec<(usize, usize, usize)> = Vec::new();
+        for locals in slot_orbitals {
+            row_blocks.clear();
+            spans.clear();
+            for (r, l) in locals.enumerate() {
+                let mut next = 0;
+                let (mut first, mut width, mut e) = (0, 0, OUTSIDE);
+                for (c, v) in h.row(region.orbitals[l]) {
+                    if c.wrapping_sub(first) >= width {
+                        while next < spans.len() && spans[next].0 + spans[next].1 <= c {
+                            next += 1;
+                        }
+                        if next == spans.len() || c < spans[next].0 {
+                            spans.insert(next, region.span_of(c, &mut row_blocks));
+                        }
+                        (first, width, e) = spans[next];
+                    }
+                    if e != OUTSIDE {
+                        row_blocks[e].1[r][c - first] = v;
+                    }
+                }
+            }
+            row_blocks.sort_unstable_by_key(|b| b.0);
+            for &(slot, block) in &row_blocks {
+                region.block_col.push(slot);
+                region.blocks.push(block);
+            }
+            region.block_ptr.push(region.blocks.len() as u32);
+        }
+        region
+    }
+
+    /// The span of global column `c` (see `build`): the orbitals of its atom
+    /// with their block in `row_blocks` (added if new), or the gap between
+    /// two region orbitals.
+    fn span_of(&self, c: usize, row_blocks: &mut Vec<(u32, Block4)>) -> (usize, usize, usize) {
+        match self.orbitals.binary_search(&c) {
+            Ok(lc) => {
+                let (slot, k) = (self.rows[lc] / 4, (self.rows[lc] % 4) as usize);
+                let width = self.rows[lc - k..]
+                    .iter()
+                    .take_while(|&&row| row / 4 == slot)
+                    .count();
+                let e = match row_blocks.iter().position(|b| b.0 == slot) {
+                    Some(e) => e,
+                    None => {
+                        row_blocks.push((slot, [[0.0; 4]; 4]));
+                        row_blocks.len() - 1
+                    }
+                };
+                (c - k, width, e)
+            }
+            Err(at) => {
+                let first = if at == 0 {
+                    0
+                } else {
+                    self.orbitals[at - 1] + 1
+                };
+                let end = self.orbitals.get(at).map_or(usize::MAX, |&o| o);
+                (first, end - first, OUTSIDE)
+            }
         }
     }
 
@@ -223,59 +299,71 @@ impl LocalRegion {
         self.orbitals.is_empty()
     }
 
-    /// Local index of a global orbital, if inside.
+    /// Rows of the padded local space (four per atom): the length of every
+    /// multivector the region operator acts on.
+    pub fn padded_len(&self) -> usize {
+        4 * (self.block_ptr.len() - 1)
+    }
+
+    /// Padded local row of a global orbital, if inside.
     pub fn local_index(&self, global: usize) -> Option<usize> {
-        let l = self.local_of[global];
-        (l != usize::MAX).then_some(l)
+        let l = self.orbitals.binary_search(&global).ok()?;
+        Some(self.rows[l] as usize)
     }
 
-    /// Build a region directly from restricted CSR rows in local indices —
-    /// orbital `l` is global orbital `l` (identity map). This is the
-    /// synthetic-operator entry the mixed-precision tests use to inject
-    /// matrices (e.g. f32-poisoned dynamic ranges) without a structure.
-    pub fn from_rows(rows: Vec<Vec<(usize, f64)>>) -> Self {
-        let n = rows.len();
-        LocalRegion {
-            orbitals: (0..n).collect(),
-            local_of: (0..n).collect(),
-            rows,
-        }
-    }
-
-    /// Restricted matvec `y = (P A Pᵀ) x` in local indices, with the shifted
-    /// and scaled operator `(A − shift)/scale` applied on the fly.
-    pub fn matvec_scaled(&self, x: &[f64], shift: f64, scale: f64) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.matvec_scaled_into(x, shift, scale, &mut y);
-        y
-    }
-
-    /// [`LocalRegion::matvec_scaled`] into a caller-owned buffer — the
-    /// allocation-free form the per-rank workspace pools thread through the
-    /// Chebyshev recurrence. Each row is a four-lane gathered
-    /// [`kernels::sparse_dot`].
-    pub fn matvec_scaled_into(&self, x: &[f64], shift: f64, scale: f64, y: &mut Vec<f64>) {
-        debug_assert_eq!(x.len(), self.rows.len());
-        let inv = 1.0 / scale;
-        y.clear();
-        y.extend(
-            self.rows
-                .iter()
-                .enumerate()
-                .map(|(l, row)| (kernels::sparse_dot(row, x) - shift * x[l]) * inv),
+    /// One Chebyshev step of the shifted and scaled restricted operator on
+    /// a four-column multivector:
+    /// `out = factor·(P A Pᵀ − shift)/scale · x − prev`
+    /// ([`kernels::bsr4_chebyshev_step`]).
+    pub fn chebyshev_step(
+        &self,
+        shift: f64,
+        scale: f64,
+        factor: f64,
+        x: &[Row4],
+        prev: &[Row4],
+        out: &mut [Row4],
+    ) {
+        kernels::bsr4_chebyshev_step(
+            &self.block_ptr,
+            &self.block_col,
+            &self.blocks,
+            shift,
+            1.0 / scale,
+            factor,
+            x,
+            prev,
+            out,
         );
     }
 
-    /// Raw restricted rows (local `(col, value)` pairs) — the mixed-precision
-    /// path mirrors these into f32.
-    pub(crate) fn local_rows(&self) -> &[Vec<(usize, f64)>] {
-        &self.rows
+    /// `Σ_ν (P A Pᵀ x)[row0 + ν][ν]` over the four columns of `x`, where
+    /// `row0` is the first padded row of an atom: with `x` that atom's ρ
+    /// columns this is its share of the band energy `Tr ρH`.
+    pub fn block_row_trace(&self, row0: usize, x: &[Row4]) -> f64 {
+        let slot = row0 / 4;
+        let (lo, hi) = (
+            self.block_ptr[slot] as usize,
+            self.block_ptr[slot + 1] as usize,
+        );
+        let mut acc = 0.0;
+        for (a, &j) in self.blocks[lo..hi].iter().zip(&self.block_col[lo..hi]) {
+            let xb = &x[4 * j as usize..4 * j as usize + 4];
+            for nu in 0..4 {
+                for k in 0..4 {
+                    acc += a[nu][k] * xb[k][nu];
+                }
+            }
+        }
+        acc
     }
 
-    /// Number of restricted non-zeros (cost metric for the O(N) scaling
-    /// experiment).
+    /// Stored entries of the block operator (16 per block, structural zeros
+    /// and padding included): the multiply-adds one column of one
+    /// recurrence step executes — the cost metric of the O(N) scaling
+    /// experiment.
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(|r| r.len()).sum()
+        16 * self.blocks.len()
     }
 }
 
@@ -346,14 +434,24 @@ mod tests {
         assert!(eigs[eigs.len() - 1] <= hi + 1e-9);
     }
 
+    /// `(A − shift)/scale · x` through the block step, `x` in column 0.
+    fn apply(region: &LocalRegion, x: &[f64], shift: f64, scale: f64) -> Vec<f64> {
+        let xs: Vec<Row4> = x.iter().map(|&v| [v, 0.0, 0.0, 0.0]).collect();
+        let zero = vec![[0.0; 4]; xs.len()];
+        let mut out = zero.clone();
+        region.chebyshev_step(shift, scale, 1.0, &xs, &zero, &mut out);
+        out.iter().map(|r| r[0]).collect()
+    }
+
     #[test]
     fn full_region_reproduces_matvec() {
         let (s, _, index, sparse, _) = setup();
         let region = LocalRegion::build(&s, &index, &sparse, 0, 1e9);
         assert_eq!(region.len(), sparse.n());
+        assert_eq!(region.padded_len(), sparse.n());
         let x: Vec<f64> = (0..sparse.n()).map(|i| (i as f64 * 0.11).cos()).collect();
         let y_full = sparse.matvec(&x);
-        let y_region = region.matvec_scaled(&x, 0.0, 1.0);
+        let y_region = apply(&region, &x, 0.0, 1.0);
         for (a, b) in y_full.iter().zip(&y_region) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -372,13 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn scaled_matvec_shifts_spectrum() {
+    fn scaled_step_shifts_spectrum() {
         let (s, _, index, sparse, _) = setup();
         let region = LocalRegion::build(&s, &index, &sparse, 0, 1e9);
         let x: Vec<f64> = (0..sparse.n())
             .map(|i| if i == 5 { 1.0 } else { 0.0 })
             .collect();
-        let y = region.matvec_scaled(&x, 2.0, 4.0);
+        let y = apply(&region, &x, 2.0, 4.0);
         let y_raw = sparse.matvec(&x);
         for i in 0..sparse.n() {
             let expected = (y_raw[i] - 2.0 * x[i]) / 4.0;

@@ -82,16 +82,10 @@ pub enum Counter {
     /// (GEMM/SYRK/GEMV/tridiagonalization/CSR entry points; counted from
     /// operand shapes, not per-instruction).
     KernelFlops,
-    /// Sparse H·v recurrence steps executed in f32 by the mixed-precision
-    /// Chebyshev path (subset of `chebyshev_matvecs`).
-    F32ChebyshevSteps,
-    /// Mixed-precision evaluations whose accuracy probe tripped and forced
-    /// a full f64 recomputation (the precision gate latching down).
-    PrecisionFallbacks,
 }
 
 impl Counter {
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 15;
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::WireBytes,
         Counter::WireMessages,
@@ -108,8 +102,6 @@ impl Counter {
         Counter::Recoveries,
         Counter::WorkerCancellations,
         Counter::KernelFlops,
-        Counter::F32ChebyshevSteps,
-        Counter::PrecisionFallbacks,
     ];
 
     pub const fn index(self) -> usize {
@@ -134,8 +126,6 @@ impl Counter {
             Counter::Recoveries => "recoveries",
             Counter::WorkerCancellations => "worker_cancellations",
             Counter::KernelFlops => "kernel_flops",
-            Counter::F32ChebyshevSteps => "f32_chebyshev_steps",
-            Counter::PrecisionFallbacks => "precision_fallbacks",
         }
     }
 }
