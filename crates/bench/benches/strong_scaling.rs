@@ -4,7 +4,7 @@
 //! model in `report_speedup`, since all ranks share this host's core).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tbmd::{silicon_gsp, DistributedTb, ForceProvider, SharedMemoryTb, Species, TbCalculator};
+use tbmd::{shared_memory_tb, silicon_gsp, DistributedTb, ForceProvider, Species, TbCalculator};
 
 fn bench_engines(c: &mut Criterion) {
     let model = silicon_gsp();
@@ -15,7 +15,7 @@ fn bench_engines(c: &mut Criterion) {
     let serial = TbCalculator::new(&model);
     group.bench_function("serial", |b| b.iter(|| serial.evaluate(&s).unwrap()));
 
-    let shared = SharedMemoryTb::new(&model);
+    let shared = shared_memory_tb(&model);
     group.bench_function("shared_memory", |b| b.iter(|| shared.evaluate(&s).unwrap()));
 
     for p in [1usize, 2, 4] {

@@ -13,7 +13,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use tbmd::parallel::{Eigensolver, SharedMemoryTb};
+use tbmd::model::DenseSolver;
+use tbmd::parallel::shared_memory_tb;
 use tbmd::{
     maxwell_boltzmann, silicon_gsp, ForceProvider, MdState, OccupationScheme, Species,
     TbCalculator, VelocityVerlet,
@@ -88,10 +89,11 @@ fn main() {
     );
     let s = tbmd::structure::bulk_diamond(Species::Silicon, 2, 2, 2);
     for (label, solver) in [
-        ("Householder+QL", Eigensolver::HouseholderQl),
-        ("parallel Jacobi", Eigensolver::ParallelJacobi),
+        ("Householder+QL", DenseSolver::FullQl),
+        ("parallel Jacobi", DenseSolver::ParallelJacobi),
     ] {
-        let engine = SharedMemoryTb::new(&model).with_eigensolver(solver);
+        let mut engine = shared_memory_tb(&model);
+        engine.solver = solver;
         let t0 = Instant::now();
         let eval = engine.evaluate(&s).expect("evaluation");
         let t = t0.elapsed();

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 use tbmd::{
-    carbon_xwch, DistributedTb, ForceProvider, LinearScalingTb, SharedMemoryTb, TbCalculator,
+    carbon_xwch, shared_memory_tb, DistributedTb, ForceProvider, LinearScalingTb, TbCalculator,
 };
 use tbmd_bench::{fmt_e, fmt_s, BenchArgs, Report, ReportTable};
 
@@ -44,7 +44,7 @@ fn main() {
         let ref_eval = serial.evaluate(s).expect("serial");
         let t_serial = t0.elapsed().as_secs_f64();
 
-        let shared = SharedMemoryTb::new(&model);
+        let shared = shared_memory_tb(&model);
         let t0 = Instant::now();
         let sh_eval = shared.evaluate(s).expect("shared");
         let t_shared = t0.elapsed().as_secs_f64();

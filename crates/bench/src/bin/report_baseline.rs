@@ -38,10 +38,11 @@ use tbmd::model::PhaseTimings;
 use tbmd::trace::{git_describe, Counter, JsonValue, Phase};
 use tbmd::{
     live_vmp_workers, run_manifest, run_simulation_checkpointed, run_simulation_recorded,
-    run_simulation_resilient_with, silicon_gsp, CheckpointConfig, CheckpointStore,
-    DistributedSolver, DistributedTb, EngineKind, FaultKind, FaultPlan, ForceProvider, Hist,
-    RecorderConfig, ResilienceOptions, RunRecorder, SessionBuilder, SessionStatus, SharedMemoryTb,
-    SimulationConfig, Species, Structure, SystemSpec, TbCalculator, TraceSink, Workspace,
+    run_simulation_resilient_with, shared_memory_tb, silicon_gsp, CheckpointConfig,
+    CheckpointStore, DistributedSolver, DistributedTb, EngineKind, FaultKind, FaultPlan,
+    ForceProvider, Hist, RecorderConfig, ResilienceOptions, RunRecorder, SessionBuilder,
+    SessionStatus, SimulationConfig, Species, Structure, SystemSpec, TbCalculator, TraceSink,
+    Workspace,
 };
 use tbmd_bench::{check_gate, compare_baselines, fmt_ms, write_json, BenchArgs, ReportTable};
 use tbmd_campaign::{run_campaign, CampaignSpec, RunOptions};
@@ -154,7 +155,7 @@ fn main() {
         let t = warm_timings(&serial, &s);
         engine_entry(&mut engines, &mut engine_table, "serial", &s, 1, &t, 0, 0);
 
-        let shared = SharedMemoryTb::new(&model);
+        let shared = shared_memory_tb(&model);
         let t = warm_timings(&shared, &s);
         engine_entry(&mut engines, &mut engine_table, "shared", &s, 1, &t, 0, 0);
 

@@ -307,24 +307,6 @@ fn parse_protocol(v: &JsonValue) -> Result<ProtocolSpec, String> {
     }
 }
 
-fn parse_engine(s: &str) -> Result<EngineKind, String> {
-    if let Some(ranks) = s.strip_prefix("distributed:") {
-        let ranks = ranks
-            .parse::<usize>()
-            .map_err(|_| format!("bad rank count in {s:?}"))?;
-        return Ok(EngineKind::Distributed {
-            ranks: ranks.max(1),
-        });
-    }
-    match s {
-        "serial" => Ok(EngineKind::Serial),
-        "shared" => Ok(EngineKind::Shared),
-        "shared-jacobi" => Ok(EngineKind::SharedJacobi),
-        "distributed" => Ok(EngineKind::Distributed { ranks: 2 }),
-        other => Err(format!("unknown engine {other:?}")),
-    }
-}
-
 impl CampaignSpec {
     /// Parse a campaign from its JSON text. See DESIGN.md ("Campaign
     /// harness") for the schema; README has a runnable example.
@@ -389,7 +371,7 @@ impl CampaignSpec {
                     let s = e
                         .as_str()
                         .ok_or_else(|| "engines must be strings".to_string())?;
-                    engines.push((s.to_string(), parse_engine(s)?));
+                    engines.push((s.to_string(), EngineKind::parse(s, None)?));
                 }
             }
             None => engines.push(("serial".to_string(), EngineKind::Serial)),

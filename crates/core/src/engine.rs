@@ -1,23 +1,24 @@
-//! Engine selection: one enum over every force engine in the workspace.
+//! Engine selection: one enum over every force engine in the workspace,
+//! and the one parser of engine names both front ends share.
 
 use serde::{Deserialize, Serialize};
 use tbmd_linscale::{DistributedLinearScalingTb, LinearScalingTb};
 use tbmd_model::{
     ForceEvaluation, ForceProvider, OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
 };
-use tbmd_parallel::{DistributedTb, Eigensolver, FaultPlan, RecvTimeoutPolicy, SharedMemoryTb};
+use tbmd_parallel::{shared_memory_tb, DistributedTb, RankControl};
 use tbmd_structure::Structure;
 
 /// Which engine evaluates energies and forces.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum EngineKind {
-    /// Serial reference calculator (Householder+QL).
+    /// The dense Γ-point calculator on one thread (two-stage eigensolver,
+    /// one-stage QL below 96 orbitals).
     #[default]
     Serial,
-    /// Shared-memory Rayon engine with the QL eigensolver.
+    /// The same dense pipeline with the Rayon fan-out `H`-assembly and
+    /// force stages.
     Shared,
-    /// Shared-memory Rayon engine with the parallel-ordered Jacobi solver.
-    SharedJacobi,
     /// Message-passing engine on `ranks` virtual ranks.
     Distributed { ranks: usize },
     /// O(N) Chebyshev engine with the given localization radius (Å) and
@@ -31,10 +32,34 @@ pub enum EngineKind {
     },
 }
 
+impl EngineKind {
+    /// Parse an engine name as the front ends spell it: `serial`, `shared`,
+    /// or `distributed` with its rank count either as a `:N` suffix
+    /// (`distributed:4`, the campaign form) or passed in `ranks` (the serve
+    /// form's `"ranks"` field). The count defaults to 2 and is clamped to
+    /// at least 1.
+    pub fn parse(name: &str, ranks: Option<usize>) -> Result<EngineKind, String> {
+        match (name, name.strip_prefix("distributed:")) {
+            ("serial", _) => Ok(EngineKind::Serial),
+            ("shared", _) => Ok(EngineKind::Shared),
+            ("distributed", _) => Ok(EngineKind::Distributed {
+                ranks: ranks.unwrap_or(2).max(1),
+            }),
+            (_, Some(n)) => match n.parse::<usize>() {
+                Ok(ranks) => Ok(EngineKind::Distributed {
+                    ranks: ranks.max(1),
+                }),
+                Err(_) => Err(format!("bad rank count in {name:?}")),
+            },
+            _ => Err(format!("unknown engine {name:?}")),
+        }
+    }
+}
+
 /// A constructed engine borrowing its model.
 pub enum Engine<'m> {
-    Serial(TbCalculator<'m>),
-    Shared(SharedMemoryTb<'m>),
+    /// The dense pipeline, with the serial or the fan-out stages.
+    Dense(TbCalculator<'m>),
     Distributed(DistributedTb<'m>),
     LinearScaling(LinearScalingTb<'m>),
     DistributedLinearScaling(DistributedLinearScalingTb<'m>),
@@ -55,13 +80,12 @@ impl<'m> Engine<'m> {
             OccupationScheme::ZeroTemperature
         };
         match kind {
-            EngineKind::Serial => Engine::Serial(TbCalculator::with_occupation(model, occ)),
-            EngineKind::Shared => Engine::Shared(SharedMemoryTb::new(model).with_occupation(occ)),
-            EngineKind::SharedJacobi => Engine::Shared(
-                SharedMemoryTb::new(model)
-                    .with_occupation(occ)
-                    .with_eigensolver(Eigensolver::ParallelJacobi),
-            ),
+            EngineKind::Serial => Engine::Dense(TbCalculator::with_occupation(model, occ)),
+            EngineKind::Shared => {
+                let mut calc = shared_memory_tb(model);
+                calc.occupation = occ;
+                Engine::Dense(calc)
+            }
             EngineKind::Distributed { ranks } => {
                 Engine::Distributed(DistributedTb::new(model, ranks).with_occupation(occ))
             }
@@ -84,123 +108,43 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Arm a fault-injection plan on the underlying distributed engine.
-    /// Returns `false` (and arms nothing) for engines without virtual
-    /// ranks — serial and shared-memory paths have no rank to kill.
-    pub fn inject_fault(&self, plan: FaultPlan) -> bool {
+    /// The engine as a force provider.
+    pub fn provider(&self) -> &(dyn ForceProvider + 'm) {
         match self {
-            Engine::Distributed(e) => {
-                e.set_fault_plan(plan);
-                true
-            }
-            Engine::DistributedLinearScaling(e) => {
-                e.set_fault_plan(plan);
-                true
-            }
-            Engine::Serial(_) | Engine::Shared(_) | Engine::LinearScaling(_) => false,
+            Engine::Dense(e) => e,
+            Engine::Distributed(e) => e,
+            Engine::LinearScaling(e) => e,
+            Engine::DistributedLinearScaling(e) => e,
         }
     }
 
-    /// Ranks the next evaluation will launch: the configured count minus
-    /// any dropped by [`Engine::shrink_ranks`]. 1 for engines without
-    /// virtual ranks.
-    pub fn active_ranks(&self) -> usize {
+    /// The rank-control block (fault plans, failure-detection window,
+    /// shrink/respawn, evaluation count) of an engine on virtual ranks;
+    /// `None` for the engines that have no rank to kill.
+    pub fn rank_control(&self) -> Option<&RankControl> {
         match self {
-            Engine::Distributed(e) => e.active_ranks(),
-            Engine::DistributedLinearScaling(e) => e.active_ranks(),
-            Engine::Serial(_) | Engine::Shared(_) | Engine::LinearScaling(_) => 1,
-        }
-    }
-
-    /// Shrink-to-fit re-sharding after a rank failure: drop `n_failed`
-    /// ranks from the active set (never below 1) and return the new count.
-    /// The next evaluation re-partitions every spectrum slice and atom
-    /// block over the survivors. No-op (returns 1) for rankless engines.
-    pub fn shrink_ranks(&self, n_failed: usize) -> usize {
-        match self {
-            Engine::Distributed(e) => e.shrink_ranks(n_failed),
-            Engine::DistributedLinearScaling(e) => e.shrink_ranks(n_failed),
-            Engine::Serial(_) | Engine::Shared(_) | Engine::LinearScaling(_) => 1,
-        }
-    }
-
-    /// Restore the full configured rank count (virtual ranks are threads,
-    /// so "respawning" is free) and return it.
-    pub fn respawn_full_ranks(&self) -> usize {
-        match self {
-            Engine::Distributed(e) => e.respawn_full_ranks(),
-            Engine::DistributedLinearScaling(e) => e.respawn_full_ranks(),
-            Engine::Serial(_) | Engine::Shared(_) | Engine::LinearScaling(_) => 1,
-        }
-    }
-
-    /// Set the failure-detection window policy on the underlying
-    /// distributed engine. Returns `false` (and sets nothing) for engines
-    /// without virtual ranks.
-    pub fn set_recv_timeout(&self, policy: RecvTimeoutPolicy) -> bool {
-        match self {
-            Engine::Distributed(e) => {
-                e.set_recv_timeout(policy);
-                true
-            }
-            Engine::DistributedLinearScaling(e) => {
-                e.set_recv_timeout(policy);
-                true
-            }
-            Engine::Serial(_) | Engine::Shared(_) | Engine::LinearScaling(_) => false,
-        }
-    }
-
-    /// Evaluations performed by this engine instance (fault plans are
-    /// 1-based against this count; 0 for engines that do not count).
-    pub fn evaluations(&self) -> u64 {
-        match self {
-            Engine::Distributed(e) => e.evaluations(),
-            Engine::DistributedLinearScaling(e) => e.evaluations(),
-            Engine::Serial(_) | Engine::Shared(_) | Engine::LinearScaling(_) => 0,
+            Engine::Distributed(e) => Some(&e.ranks),
+            Engine::DistributedLinearScaling(e) => Some(&e.ranks),
+            Engine::Dense(_) | Engine::LinearScaling(_) => None,
         }
     }
 }
 
 impl ForceProvider for Engine<'_> {
     fn evaluate(&self, s: &Structure) -> Result<ForceEvaluation, TbError> {
-        match self {
-            Engine::Serial(e) => e.evaluate(s),
-            Engine::Shared(e) => e.evaluate(s),
-            Engine::Distributed(e) => e.evaluate(s),
-            Engine::LinearScaling(e) => e.evaluate(s),
-            Engine::DistributedLinearScaling(e) => e.evaluate(s),
-        }
+        self.provider().evaluate(s)
     }
 
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        match self {
-            Engine::Serial(e) => e.evaluate_with(s, ws),
-            Engine::Shared(e) => e.evaluate_with(s, ws),
-            Engine::Distributed(e) => e.evaluate_with(s, ws),
-            Engine::LinearScaling(e) => e.evaluate_with(s, ws),
-            Engine::DistributedLinearScaling(e) => e.evaluate_with(s, ws),
-        }
+        self.provider().evaluate_with(s, ws)
     }
 
     fn energy_only(&self, s: &Structure) -> Result<f64, TbError> {
-        match self {
-            Engine::Serial(e) => e.energy_only(s),
-            Engine::Shared(e) => e.energy_only(s),
-            Engine::Distributed(e) => e.energy_only(s),
-            Engine::LinearScaling(e) => e.energy_only(s),
-            Engine::DistributedLinearScaling(e) => e.energy_only(s),
-        }
+        self.provider().energy_only(s)
     }
 
     fn provider_name(&self) -> &str {
-        match self {
-            Engine::Serial(e) => e.provider_name(),
-            Engine::Shared(e) => e.provider_name(),
-            Engine::Distributed(e) => e.provider_name(),
-            Engine::LinearScaling(e) => e.provider_name(),
-            Engine::DistributedLinearScaling(e) => e.provider_name(),
-        }
+        self.provider().provider_name()
     }
 }
 
@@ -217,7 +161,6 @@ mod tests {
         let kinds = [
             EngineKind::Serial,
             EngineKind::Shared,
-            EngineKind::SharedJacobi,
             EngineKind::Distributed { ranks: 2 },
         ];
         let reference = Engine::build(EngineKind::Serial, &model, 0.1)
@@ -277,6 +220,27 @@ mod tests {
         let b = dist.evaluate(&s).unwrap().energy;
         assert!((a - b).abs() < 1e-7, "{a} vs {b}");
         assert_eq!(dist.provider_name(), "distributed-linear-scaling-tb");
+    }
+
+    #[test]
+    fn engine_names_parse_in_both_wire_forms() {
+        let parse = EngineKind::parse;
+        assert_eq!(parse("serial", None), Ok(EngineKind::Serial));
+        assert_eq!(parse("shared", Some(7)), Ok(EngineKind::Shared));
+        // Serve form: the count comes alongside; campaign form: as a suffix.
+        let dist = |ranks| Ok(EngineKind::Distributed { ranks });
+        assert_eq!(parse("distributed", None), dist(2));
+        assert_eq!(parse("distributed", Some(3)), dist(3));
+        assert_eq!(parse("distributed", Some(0)), dist(1));
+        assert_eq!(parse("distributed:4", None), dist(4));
+        assert_eq!(parse("distributed:0", Some(3)), dist(1));
+        assert!(parse("distributed:x", None)
+            .unwrap_err()
+            .contains("bad rank count"));
+        for gone in ["shared-jacobi", "serial:2", "Serial", ""] {
+            let err = parse(gone, None).unwrap_err();
+            assert!(err.contains("unknown engine"), "{gone:?}: {err}");
+        }
     }
 
     #[test]

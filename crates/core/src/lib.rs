@@ -56,8 +56,8 @@ pub use tbmd_model::{
     ForceProvider, NonOrthoCalculator, OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
 };
 pub use tbmd_parallel::{
-    default_recv_timeout, live_vmp_workers, DistributedSolver, DistributedTb, FaultKind, FaultPlan,
-    MachineProfile, RecvTimeoutPolicy, SharedMemoryTb,
+    default_recv_timeout, live_vmp_workers, shared_memory_tb, DistributedSolver, DistributedTb,
+    FaultKind, FaultPlan, MachineProfile, RankControl, RecvTimeoutPolicy,
 };
 pub use tbmd_structure::{Cell, NeighborList, Species, Structure, VerletNeighborList};
 pub use tbmd_trace::{

@@ -40,7 +40,7 @@ use tbmd_model::{
     cached_eigensolver_health, eigensolver_health, DenseSolver, GspTbModel, OccupationScheme,
     TbError, TbModel, Workspace,
 };
-use tbmd_parallel::FaultPlan;
+use tbmd_parallel::{FaultPlan, RankControl};
 use tbmd_trace::{
     Counter, Hist, JsonValue, RunRecorder, ScopedSink, StepRecord, TraceSink, TraceSnapshot,
 };
@@ -257,6 +257,12 @@ fn restore_state(
 
 /// Check a loaded snapshot against the resuming run's fingerprint (config
 /// combined with any initial-state override).
+/// Ranks the engine's next evaluation will launch: the configured count
+/// minus any dropped by a shrink; 1 for engines without virtual ranks.
+fn active_ranks(engine: &Engine<'_>) -> usize {
+    engine.rank_control().map_or(1, RankControl::active_ranks)
+}
+
 fn validate_resume(expect: u64, snap: &Snapshot) -> Result<(), TbError> {
     if snap.config_fingerprint != expect {
         return Err(TbError::Checkpoint(format!(
@@ -1254,7 +1260,7 @@ impl<'r> SessionBuilder<'r> {
         let model_ref: &'static GspTbModel = unsafe { &*(model.as_ref() as *const GspTbModel) };
         let engine = Engine::build(config.engine, model_ref, config.electronic_kt);
         let report = RecoveryReport {
-            final_ranks: engine.active_ranks(),
+            final_ranks: active_ranks(&engine),
             ..RecoveryReport::default()
         };
         Ok(Session {
@@ -1332,7 +1338,9 @@ impl<'r> Session<'r> {
 
     /// Force/energy evaluations performed so far, across all attempts.
     pub fn evaluations(&self) -> u64 {
-        self.engine.evaluations()
+        self.engine
+            .rank_control()
+            .map_or(0, RankControl::evaluations)
     }
 
     /// MD steps this session has executed (across rewinds; a relaxation
@@ -1410,11 +1418,7 @@ impl<'r> Session<'r> {
         // interval. With tracing disabled this whole block is one relaxed
         // atomic load and two `None`s — no clocks are read.
         let _scope = self.telemetry.as_ref().map(|s| s.enter());
-        let step_clock = if tbmd_trace::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let step_clock = tbmd_trace::active().then(Instant::now);
         let step_span = if tbmd_trace::timeline::is_enabled() {
             Some(tbmd_trace::timeline::span("step"))
         } else {
@@ -1504,8 +1508,10 @@ impl<'r> Session<'r> {
     /// snapshot (explicit for a required resume, the newest usable one in
     /// resilient mode, none otherwise), and run the protocol init.
     fn begin_attempt(&mut self) -> Result<(), TbError> {
-        if let Some(plan) = self.faults.next() {
-            self.engine.inject_fault(plan);
+        // Engines without virtual ranks have no rank to kill: the plan is
+        // consumed and arms nothing.
+        if let (Some(plan), Some(ranks)) = (self.faults.next(), self.engine.rank_control()) {
+            ranks.arm(plan);
         }
         let resume = if let Some(snap) = self.pending_resume.take() {
             Some(snap)
@@ -1558,14 +1564,14 @@ impl<'r> Session<'r> {
         }
         self.report.recoveries += 1;
         tbmd_trace::add(Counter::Recoveries, 1);
+        let ranks = self
+            .engine
+            .rank_control()
+            .expect("a rank failure comes from an engine on virtual ranks");
         match options.policy {
-            ReshardPolicy::Respawn => {
-                self.engine.respawn_full_ranks();
-            }
-            ReshardPolicy::Shrink => {
-                self.engine.shrink_ranks(failed_ranks.len().max(1));
-            }
-        }
+            ReshardPolicy::Respawn => ranks.respawn_full_ranks(),
+            ReshardPolicy::Shrink => ranks.shrink_ranks(failed_ranks.len().max(1)),
+        };
         self.report.failed_ranks.extend(failed_ranks);
         if let Some(failed) = self.attempt.take() {
             self.alloc_events += failed.ws.large_alloc_events() as u64;
@@ -1576,7 +1582,7 @@ impl<'r> Session<'r> {
     fn finish_attempt(&mut self) {
         let attempt = self.attempt.take().expect("finished attempt present");
         self.alloc_events += attempt.ws.large_alloc_events() as u64;
-        self.report.final_ranks = self.engine.active_ranks();
+        self.report.final_ranks = active_ranks(&self.engine);
         let t_stats = attempt.t_stats.clone();
         let summary = attempt.finish();
         if let Some(slot) = self.recorder.as_mut() {

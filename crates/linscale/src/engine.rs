@@ -31,8 +31,8 @@ use rayon::prelude::*;
 use tbmd_linalg::kernels::Block4;
 use tbmd_linalg::Vec3;
 use tbmd_model::{
-    sk_block_gradient, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings, TbError,
-    TbModel, Workspace,
+    bond_force, embedding, prologue, validate, ForceEvaluation, ForceProvider, OrbitalIndex,
+    PhaseTimings, TbError, TbModel, Workspace,
 };
 use tbmd_structure::{NeighborList, Structure};
 
@@ -103,22 +103,6 @@ impl<'m> LinearScalingTb<'m> {
     pub fn last_report(&self) -> Option<LinScaleReport> {
         self.last_report.lock().clone()
     }
-}
-
-/// Reject empty structures and species the model does not parametrize.
-pub(crate) fn validate(model: &dyn TbModel, s: &Structure) -> Result<(), TbError> {
-    if s.n_atoms() == 0 {
-        return Err(TbError::EmptyStructure);
-    }
-    for i in 0..s.n_atoms() {
-        if !model.supports(s.species(i)) {
-            return Err(TbError::UnsupportedSpecies {
-                species: s.species(i),
-                model: model.name().to_string(),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// One atom's localization region with the recurrence seeded at its
@@ -219,62 +203,18 @@ pub(crate) struct AtomDensity {
     blocks: Vec<Block4>,
 }
 
-/// Embedding value and derivative `(f(x_i), f'(x_i))` of every atom's summed
-/// pair repulsion `x_i = Σ_j φ(r_ij)`.
-pub(crate) fn embedding(model: &dyn TbModel, nl: &NeighborList, n_atoms: usize) -> Vec<(f64, f64)> {
-    (0..n_atoms)
-        .map(|i| {
-            let x = nl
-                .neighbors(i)
-                .iter()
-                .map(|nb| model.repulsion(nb.dist).0)
-                .sum();
-            model.embedding(x)
-        })
-        .collect()
-}
-
-/// Force on atom `i`: electronic from its local ρ blocks + repulsive gather.
-pub(crate) fn atom_force(
-    model: &dyn TbModel,
-    nl: &NeighborList,
-    i: usize,
-    d: &AtomDensity,
-    fx: &[(f64, f64)],
-) -> Vec3 {
-    let mut fi = Vec3::ZERO;
-    for nb in nl.neighbors(i) {
-        if nb.j == i {
-            continue;
-        }
-        let v = model.hoppings(nb.dist);
-        let dv = model.hoppings_deriv(nb.dist);
-        if !(v.iter().all(|&y| y == 0.0) && dv.iter().all(|&y| y == 0.0)) {
-            let grad = sk_block_gradient(nb.disp.to_array(), v, dv);
-            // ρ_ij[μ][ν] = block[ν][μ] (atom i's columns hold
-            // ρ[o_j+β, o_i+α]).
-            let e = d
-                .neighbor_atoms
-                .binary_search(&nb.j)
-                .expect("neighbour present");
-            let block = &d.blocks[e];
-            for gamma in 0..3 {
-                let mut acc = 0.0;
-                for (mu, grow) in grad[gamma].iter().enumerate() {
-                    for (nu, &g) in grow.iter().enumerate() {
-                        acc += block[nu][mu] * g;
-                    }
-                }
-                fi[gamma] += 2.0 * acc;
-            }
-        }
-        let (_, dphi) = model.repulsion(nb.dist);
-        if dphi != 0.0 {
-            let unit = nb.disp / nb.dist;
-            fi += unit * ((fx[i].1 + fx[nb.j].1) * dphi);
-        }
+impl AtomDensity {
+    /// The `(μ, ν)` reader of `ρ_ij` for neighbour atom `j` of this atom
+    /// `i`: `ρ_ij[μ][ν] = block[ν][μ]` (atom i's columns hold
+    /// `ρ[o_j+β, o_i+α]`) — what [`bond_force`] contracts.
+    pub(crate) fn block(&self, j: usize) -> impl Fn(usize, usize) -> f64 + '_ {
+        let e = self
+            .neighbor_atoms
+            .binary_search(&j)
+            .expect("neighbour present");
+        let block = &self.blocks[e];
+        move |mu, nu| block[nu][mu]
     }
-    fi
 }
 
 impl ForceProvider for LinearScalingTb<'_> {
@@ -295,10 +235,7 @@ impl ForceProvider for LinearScalingTb<'_> {
         let n_atoms = s.n_atoms();
         let order = self.order;
 
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Neighbors);
-        let outcome = ws.neighbors.update(s, model.cutoff());
-        timings.neighbors = sp.finish();
-        timings.note_neighbors(outcome);
+        prologue(model, s, ws, &mut timings);
         let nl = ws.neighbors.list();
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
@@ -360,7 +297,7 @@ impl ForceProvider for LinearScalingTb<'_> {
         let e_rep: f64 = fx.iter().map(|&(f, _)| f).sum();
         let forces: Vec<Vec3> = (0..n_atoms)
             .into_par_iter()
-            .map(|i| atom_force(model, nl, i, &densities[i], &fx))
+            .map(|i| bond_force(model, nl, i, &fx, |j| densities[i].block(j)))
             .collect();
         timings.forces = sp.finish();
 

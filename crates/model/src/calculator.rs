@@ -1,5 +1,6 @@
-//! The serial reference tight-binding calculator: energies, Hellmann–Feynman
-//! forces and per-phase timings.
+//! The dense Γ-point tight-binding calculator: energies, Hellmann–Feynman
+//! forces and per-phase timings — the one pipeline behind the serial and
+//! the shared-memory engines, the stress tensor and the health probe.
 //!
 //! A TBMD step decomposes into the five phases every 1990s systems paper
 //! reports (experiment T1):
@@ -11,18 +12,19 @@
 //! 5. **forces** — O(N·z) contraction of `ρ` with `∂H/∂R` plus the
 //!    repulsive-potential forces.
 //!
-//! The same phase structure is what `tbmd-parallel` distributes.
+//! The same phase structure is what `tbmd-parallel` distributes; the stages
+//! themselves live in [`crate::stages`].
 
 use crate::hamiltonian::{build_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
-use crate::occupations::{occupations, occupied_count, OccupationScheme, Occupations};
-use crate::slater_koster::sk_block_gradient;
-use crate::workspace::{DenseCache, NeighborOutcome, Workspace};
-use std::time::Duration;
-use tbmd_linalg::{
-    eigh_into, eigvalsh, reduced_eigenvalues_into, reduced_eigenvectors_into,
-    tridiagonalize_blocked_into, EigError, Matrix, Vec3,
+use crate::occupations::{occupations, OccupationScheme, Occupations};
+use crate::stages::{
+    bond_contraction, dense_block, embedding, entropy_term, epilogue, prologue, solve_occupied,
+    validate,
 };
+use crate::workspace::{NeighborOutcome, Workspace};
+use std::time::Duration;
+use tbmd_linalg::{eigvalsh, EigError, Matrix, Vec3};
 use tbmd_structure::{NeighborList, Species, Structure};
 
 /// Errors from a tight-binding calculation.
@@ -135,7 +137,7 @@ impl PhaseTimings {
     }
 
     /// Record one neighbour-phase outcome in the counters (mirrored into
-    /// the trace registry when a collecting sink is installed).
+    /// the trace registry when anyone is listening).
     pub fn note_neighbors(&mut self, outcome: NeighborOutcome) {
         match outcome {
             NeighborOutcome::Rebuilt | NeighborOutcome::Fallback => {
@@ -170,19 +172,6 @@ impl PhaseTimings {
         }
         out
     }
-
-    /// Feed this evaluation's per-phase durations into the global trace
-    /// registry. Engines that assemble timings outside span guards (the
-    /// Vmp-distributed paths, whose rank-0 view is the canonical one) call
-    /// this once per evaluation; a disabled sink makes it free.
-    pub fn export_to_trace(&self) {
-        if !tbmd_trace::enabled() {
-            return;
-        }
-        for p in tbmd_trace::Phase::ALL {
-            tbmd_trace::add_phase_ns(p, self.phase(p).as_nanos() as u64);
-        }
-    }
 }
 
 /// Full output of a tight-binding force evaluation.
@@ -216,7 +205,7 @@ pub struct TbResult {
 /// `report_eigensolvers`).
 pub const TWO_STAGE_MIN_DIM: usize = 96;
 
-/// Which dense symmetric eigensolver [`TbCalculator::compute_with`] runs.
+/// Which dense symmetric eigensolver [`solve_occupied`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseSolver {
     /// Two-stage blocked solver: blocked Householder reduction, full
@@ -231,9 +220,41 @@ pub enum DenseSolver {
     /// eigenvector accumulation ([`tbmd_linalg::eigh_into`]). Kept as the
     /// reference implementation and for cross-checks.
     FullQl,
+    /// Parallel-ordered cyclic Jacobi ([`tbmd_linalg::par_jacobi_eigh_into`]):
+    /// slower serially, but every round exposes n/2 independent rotations —
+    /// the era reference experiment T4 compares against.
+    ParallelJacobi,
 }
 
-/// Serial tight-binding calculator.
+/// Assemble `H` into the buffer; `true` if it had to grow.
+pub type HamiltonianStage =
+    fn(&Structure, &NeighborList, &dyn TbModel, &OrbitalIndex, &mut Matrix) -> bool;
+/// Repulsive energy and total (electronic + repulsive) forces from `ρ`.
+pub type ForceStage =
+    fn(&Structure, &NeighborList, &dyn TbModel, &OrbitalIndex, &Matrix) -> (f64, Vec<Vec3>);
+
+/// The two stages of the dense pipeline that differ between the serial and
+/// the shared-memory engine: how `H` is assembled and how `ρ` is contracted
+/// into forces. Plain function pointers — called once per evaluation.
+#[derive(Clone, Copy)]
+pub struct DenseStages {
+    pub hamiltonian: HamiltonianStage,
+    pub forces: ForceStage,
+    /// Engine name for logs and benchmark tables.
+    pub name: &'static str,
+}
+
+impl DenseStages {
+    /// The serial stages: one thread assembles `H` band by band, forces in
+    /// scatter form ([`electronic_forces`] + [`repulsive_energy_forces`]).
+    pub const SERIAL: DenseStages = DenseStages {
+        hamiltonian: build_hamiltonian_into,
+        forces: scatter_forces,
+        name: "serial-tb",
+    };
+}
+
+/// Dense Γ-point tight-binding calculator.
 ///
 /// Borrows a model; construct one per simulation and reuse it (it is
 /// stateless between calls).
@@ -245,6 +266,9 @@ pub struct TbCalculator<'m> {
     /// Dense eigensolver selection; defaults to the two-stage blocked
     /// solver with occupied-subspace spectrum slicing.
     pub solver: DenseSolver,
+    /// `H`-assembly and force stages; serial by default, the fan-out pair
+    /// for the shared-memory engine (`tbmd_parallel::shared_memory_tb`).
+    pub stages: DenseStages,
 }
 
 impl<'m> TbCalculator<'m> {
@@ -254,15 +278,15 @@ impl<'m> TbCalculator<'m> {
             model,
             occupation: OccupationScheme::Fermi { kt: 0.1 },
             solver: DenseSolver::default(),
+            stages: DenseStages::SERIAL,
         }
     }
 
     /// Calculator with an explicit occupation scheme.
     pub fn with_occupation(model: &'m dyn TbModel, occupation: OccupationScheme) -> Self {
         TbCalculator {
-            model,
             occupation,
-            solver: DenseSolver::default(),
+            ..TbCalculator::new(model)
         }
     }
 
@@ -279,26 +303,11 @@ impl<'m> TbCalculator<'m> {
         self.model
     }
 
-    fn validate(&self, s: &Structure) -> Result<(), TbError> {
-        if s.n_atoms() == 0 {
-            return Err(TbError::EmptyStructure);
-        }
-        for i in 0..s.n_atoms() {
-            let sp = s.species(i);
-            if !self.model.supports(sp) {
-                return Err(TbError::UnsupportedSpecies {
-                    species: sp,
-                    model: self.model.name().to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Potential energy only (skips eigenvectors, density matrix and
-    /// forces — used by finite-difference tests and line searches).
+    /// Potential energy only: eigenvalues without eigenvectors, no density
+    /// matrix, no forces — the line-search and finite-difference path of
+    /// every dense engine.
     pub fn energy(&self, s: &Structure) -> Result<f64, TbError> {
-        self.validate(s)?;
+        validate(self.model, s)?;
         let nl = NeighborList::build(s, self.model.cutoff());
         let index = OrbitalIndex::new(s);
         let mut h = Matrix::zeros(0, 0);
@@ -307,8 +316,7 @@ impl<'m> TbCalculator<'m> {
         let occ = occupations(&eigenvalues, s.n_electrons(), self.occupation);
         let band = occ.band_energy(&eigenvalues);
         let (rep, _) = repulsive_energy_forces(s, &nl, self.model, false);
-        let entropy_term = entropy_correction(&occ, self.occupation);
-        Ok(band + rep + entropy_term)
+        Ok(band + rep + entropy_term(self.occupation, occ.entropy))
     }
 
     /// Full evaluation: energy, forces, spectrum, timings.
@@ -319,83 +327,57 @@ impl<'m> TbCalculator<'m> {
         self.compute_with(s, &mut Workspace::new())
     }
 
+    /// The front half of the pipeline — neighbours → `H` → solve → `ρ` —
+    /// through a persistent [`Workspace`]. Leaves `ρ` in `ws.rho`, the
+    /// spectrum in `ws.values`, the neighbour list in `ws.neighbors` and the
+    /// eigenvectors where `ws.dense_cache` says; everything downstream
+    /// (forces, stress, the health probe) reads those.
+    pub fn density_with(
+        &self,
+        s: &Structure,
+        ws: &mut Workspace,
+        timings: &mut PhaseTimings,
+    ) -> Result<(OrbitalIndex, Occupations), TbError> {
+        validate(self.model, s)?;
+        prologue(self.model, s, ws, timings);
+
+        let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
+        let index = OrbitalIndex::new(s);
+        ws.grown += (self.stages.hamiltonian)(s, ws.neighbors.list(), self.model, &index, &mut ws.h)
+            as usize;
+        timings.hamiltonian = sp.finish();
+
+        let (occ, diagonalize) = solve_occupied(ws, s.n_electrons(), self.occupation, self.solver)?;
+        timings.diagonalize = diagonalize;
+
+        let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
+        let (vectors, k) = ws
+            .dense_cache
+            .vectors(&ws.h, &ws.c)
+            .expect("solve_occupied leaves eigenvectors");
+        ws.grown += density_matrix_into(vectors, &occ.f[..k], &mut ws.w, &mut ws.rho);
+        timings.density = sp.finish();
+        Ok((index, occ))
+    }
+
     /// Full evaluation through a persistent [`Workspace`]: amortized
     /// neighbour lists, reused matrix buffers, in-place eigensolve.
     /// Numerically identical to [`TbCalculator::compute`] (the neighbour
     /// list differs only by skin entries beyond the cutoff, where every
     /// model term vanishes).
     pub fn compute_with(&self, s: &Structure, ws: &mut Workspace) -> Result<TbResult, TbError> {
-        self.validate(s)?;
         let mut timings = PhaseTimings::default();
         let grown_before = ws.grown;
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Neighbors);
-        let outcome = ws.neighbors.update(s, self.model.cutoff());
-        timings.neighbors = sp.finish();
-        timings.note_neighbors(outcome);
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
-        let index = OrbitalIndex::new(s);
-        ws.grown +=
-            build_hamiltonian_into(s, ws.neighbors.list(), self.model, &index, &mut ws.h) as usize;
-        timings.hamiltonian = sp.finish();
-
-        // Diagonalize. FullQl overwrites ws.h with all n eigenvectors in
-        // place; TwoStage reduces ws.h to tridiagonal form (reflectors stay
-        // packed in it), takes the complete eigenvalue spectrum from the
-        // tridiagonal factor, and defers eigenvectors until the occupations
-        // say how many states actually matter. Below the crossover size the
-        // two-stage overheads don't pay and QL handles everything.
-        let two_stage = self.solver == DenseSolver::TwoStage && ws.h.rows() >= TWO_STAGE_MIN_DIM;
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-        if two_stage {
-            tridiagonalize_blocked_into(&mut ws.h, &mut ws.eigh);
-            reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
-            tbmd_trace::add(tbmd_trace::Counter::SturmBisections, ws.values.len() as u64);
-        } else {
-            eigh_into(&mut ws.h, &mut ws.values, &mut ws.eigh)?;
-        }
-        timings.diagonalize = sp.finish();
-
-        let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
+        let (index, occ) = self.density_with(s, ws, &mut timings)?;
         let band = occ.band_energy(&ws.values);
 
-        // TwoStage eigenvector stage: inverse iteration for the k occupied
-        // states only (f > 10⁻¹² — exactly the set the density-matrix filter
-        // keeps), back-transformed through the blocked reflectors. k = n
-        // (window covering the whole spectrum) is simply a full solve.
-        let (vectors, f_window) = if two_stage {
-            let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-            let k = occupied_count(&occ.f);
-            reduced_eigenvectors_into(&ws.h, &ws.values[..k], &mut ws.c, &mut ws.eigh);
-            timings.diagonalize += sp.finish();
-            ws.dense_cache = DenseCache::Sliced { occupied: k };
-            (&ws.c, &occ.f[..k])
-        } else {
-            ws.dense_cache = DenseCache::Full {
-                occupied: occupied_count(&occ.f),
-            };
-            (&ws.h, &occ.f[..])
-        };
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
-        ws.grown += density_matrix_into(vectors, f_window, &mut ws.w, &mut ws.rho);
-        timings.density = sp.finish();
-
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let nl = ws.neighbors.list();
-        let mut forces = electronic_forces(s, nl, self.model, &index, &ws.rho);
-        let (rep, rep_forces) = repulsive_energy_forces(s, nl, self.model, true);
-        for (f, rf) in forces.iter_mut().zip(rep_forces.expect("forces requested")) {
-            *f += rf;
-        }
+        let (rep, forces) =
+            (self.stages.forces)(s, ws.neighbors.list(), self.model, &index, &ws.rho);
         timings.forces = sp.finish();
 
-        tbmd_trace::add(
-            tbmd_trace::Counter::AllocGrowth,
-            (ws.grown - grown_before) as u64,
-        );
-        let entropy_term = entropy_correction(&occ, self.occupation);
+        epilogue(ws.grown - grown_before, &timings, &[]);
+        let entropy_term = entropy_term(self.occupation, occ.entropy);
         Ok(TbResult {
             energy: band + rep + entropy_term,
             band_energy: band,
@@ -406,17 +388,6 @@ impl<'m> TbCalculator<'m> {
             occupations: occ,
             timings,
         })
-    }
-}
-
-/// `−T_e S` for Fermi smearing, zero otherwise.
-fn entropy_correction(occ: &Occupations, scheme: OccupationScheme) -> f64 {
-    match scheme {
-        OccupationScheme::Fermi { kt } if kt > 0.0 => {
-            // S is in eV/K; T_e = kt / k_B, so −T_e·S = −(kt/k_B)·S.
-            -(kt / crate::units::KB_EV) * occ.entropy
-        }
-        _ => 0.0,
     }
 }
 
@@ -462,35 +433,19 @@ pub fn electronic_forces(
     index: &OrbitalIndex,
     rho: &Matrix,
 ) -> Vec<Vec3> {
-    let n = s.n_atoms();
-    let mut forces = vec![Vec3::ZERO; n];
-    for (i, fo) in forces.iter_mut().enumerate() {
-        let oi = index.offset(i);
-        let mut fi = Vec3::ZERO;
-        for nb in nl.neighbors(i) {
-            if nb.j == i {
-                continue;
-            }
-            let v = model.hoppings(nb.dist);
-            let dv = model.hoppings_deriv(nb.dist);
-            if v.iter().all(|&x| x == 0.0) && dv.iter().all(|&x| x == 0.0) {
-                continue;
-            }
-            let grad = sk_block_gradient(nb.disp.to_array(), v, dv);
-            let oj = index.offset(nb.j);
-            for gamma in 0..3 {
-                let mut acc = 0.0;
-                for (mu, grow) in grad[gamma].iter().enumerate() {
-                    for (nu, &g) in grow.iter().enumerate() {
-                        acc += rho[(oi + mu, oj + nu)] * g;
-                    }
+    (0..s.n_atoms())
+        .map(|i| {
+            let oi = index.offset(i);
+            let mut fi = Vec3::ZERO;
+            for nb in nl.neighbors(i).iter().filter(|nb| nb.j != i) {
+                let block = dense_block(rho, oi, index.offset(nb.j));
+                if let Some(acc) = bond_contraction(model, nb, block) {
+                    fi += acc * 2.0;
                 }
-                fi[gamma] += 2.0 * acc;
             }
-        }
-        *fo = fi;
-    }
-    forces
+            fi
+        })
+        .collect()
 }
 
 /// Repulsive energy `Σ_i f(x_i)`, `x_i = Σ_j φ(r_ij)`, and optionally its
@@ -505,21 +460,10 @@ pub fn repulsive_energy_forces(
     want_forces: bool,
 ) -> (f64, Option<Vec<Vec3>>) {
     let n = s.n_atoms();
-    // Per-atom embedding argument.
-    let x: Vec<f64> = (0..n)
-        .map(|i| {
-            nl.neighbors(i)
-                .iter()
-                .map(|nb| model.repulsion(nb.dist).0)
-                .sum()
-        })
-        .collect();
+    let fx = embedding(model, nl, n);
     let mut energy = 0.0;
-    let mut dfdx = vec![0.0; n];
-    for i in 0..n {
-        let (f, df) = model.embedding(x[i]);
+    for &(f, _) in &fx {
         energy += f;
-        dfdx[i] = df;
     }
     if !want_forces {
         return (energy, None);
@@ -538,11 +482,28 @@ pub fn repulsive_energy_forces(
             // directed entries, so the j-side shows up when roles swap;
             // here we only apply the x_i terms.
             let unit = nb.disp / nb.dist;
-            forces[i] += unit * (dfdx[i] * dphi);
-            forces[nb.j] -= unit * (dfdx[i] * dphi);
+            forces[i] += unit * (fx[i].1 * dphi);
+            forces[nb.j] -= unit * (fx[i].1 * dphi);
         }
     }
     (energy, Some(forces))
+}
+
+/// The serial force stage: electronic forces plus the scatter-form
+/// repulsive forces, and the repulsive energy.
+fn scatter_forces(
+    s: &Structure,
+    nl: &NeighborList,
+    model: &dyn TbModel,
+    index: &OrbitalIndex,
+    rho: &Matrix,
+) -> (f64, Vec<Vec3>) {
+    let mut forces = electronic_forces(s, nl, model, index, rho);
+    let (rep, rep_forces) = repulsive_energy_forces(s, nl, model, true);
+    for (f, rf) in forces.iter_mut().zip(rep_forces.expect("forces requested")) {
+        *f += rf;
+    }
+    (rep, forces)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! diagonal block, which is what makes small supercells come out right).
 
 use crate::model::TbModel;
-use crate::slater_koster::sk_block;
+use crate::slater_koster::{sk_block, Hoppings};
 use tbmd_linalg::Matrix;
 use tbmd_structure::{NeighborList, Structure};
 
@@ -70,35 +70,69 @@ pub fn build_hamiltonian_into(
     index: &OrbitalIndex,
     h: &mut Matrix,
 ) -> bool {
+    let on_site = |i| model.on_site(s.species(i));
+    assemble_bands(nl, index, h, on_site, |r| model.hoppings(r))
+}
+
+/// Size `m` to the orbital count and fill it band by band
+/// ([`assemble_band`]) — the Hamiltonian from `(on_site, hoppings)`, the
+/// overlap matrix from `(1, overlaps)`. Returns `true` if `m` had to grow.
+pub fn assemble_bands(
+    nl: &NeighborList,
+    index: &OrbitalIndex,
+    m: &mut Matrix,
+    on_site: impl Fn(usize) -> [f64; 4],
+    two_center: impl Fn(f64) -> Hoppings,
+) -> bool {
     let n = index.total();
-    let grew = h.resize_zeroed(n, n);
-    // On-site energies.
-    for i in 0..s.n_atoms() {
-        let e = model.on_site(s.species(i));
-        let o = index.offset(i);
-        for (k, &ek) in e.iter().enumerate() {
-            h[(o + k, o + k)] = ek;
-        }
-    }
-    // Two-center blocks: every directed neighbour entry fills block (i, j)
-    // exactly once; self-image entries accumulate on the diagonal block.
-    for i in 0..s.n_atoms() {
-        let oi = index.offset(i);
-        for nb in nl.neighbors(i) {
-            let v = model.hoppings(nb.dist);
-            if v.iter().all(|&x| x == 0.0) {
-                continue;
-            }
-            let b = sk_block(nb.disp.to_array(), v);
-            let oj = index.offset(nb.j);
-            for (mu, row) in b.iter().enumerate() {
-                for (nu, &x) in row.iter().enumerate() {
-                    h[(oi + mu, oj + nu)] += x;
-                }
-            }
+    let grew = m.resize_zeroed(n, n);
+    if n > 0 {
+        for (i, band) in m.as_mut_slice().chunks_mut(4 * n).enumerate() {
+            assemble_band(nl, index, i, band, on_site(i), &two_center);
         }
     }
     grew
+}
+
+/// Assemble atom `i`'s band of a two-center matrix — its 4 rows, zeroed on
+/// entry, as one row-major slice: `on_site` on the diagonal, then one
+/// Slater–Koster block of `two_center(r)` per directed neighbour entry in
+/// list order (self-image entries accumulate on the diagonal block). Bands
+/// are disjoint, so they can be filled in any order or in parallel with
+/// bitwise-identical results.
+pub fn assemble_band(
+    nl: &NeighborList,
+    index: &OrbitalIndex,
+    i: usize,
+    band: &mut [f64],
+    on_site: [f64; 4],
+    two_center: impl Fn(f64) -> Hoppings,
+) {
+    let n = index.total();
+    let oi = index.offset(i);
+    // All bundled models have 4 orbitals/atom, which makes the band layout
+    // uniform; assert so a future heteronuclear model fails loudly here.
+    assert_eq!(
+        (oi, band.len()),
+        (4 * i, 4 * n),
+        "band assembly assumes 4 orbitals per atom"
+    );
+    for (k, &ek) in on_site.iter().enumerate() {
+        band[k * n + oi + k] = ek;
+    }
+    for nb in nl.neighbors(i) {
+        let v = two_center(nb.dist);
+        if v.iter().all(|&x| x == 0.0) {
+            continue;
+        }
+        let b = sk_block(nb.disp.to_array(), v);
+        let oj = index.offset(nb.j);
+        for (mu, row) in b.iter().enumerate() {
+            for (nu, &x) in row.iter().enumerate() {
+                band[mu * n + oj + nu] += x;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

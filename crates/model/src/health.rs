@@ -6,19 +6,18 @@
 //! stagnation on a pathological cluster) shows up as silently wrong forces
 //! long before anything crashes. The probe re-derives an independent check:
 //! rebuild a pristine `H` for the current structure, run the *production*
-//! solver path on a copy, then measure `‖Hv − λv‖∞` against the untouched
+//! solver stage on a copy, then measure `‖Hv − λv‖∞` against the untouched
 //! `H` and spot-check orthogonality on a sampled occupied eigenpair. Cost
 //! is one extra evaluation-sized solve, so it runs on a stride (see
 //! `RecorderConfig` in `tbmd-core`), not every step.
 
-use crate::calculator::{DenseSolver, TbError, TWO_STAGE_MIN_DIM};
+use crate::calculator::{DenseSolver, TbError};
 use crate::hamiltonian::{build_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
-use crate::occupations::{occupations, occupied_count, OccupationScheme};
+use crate::occupations::OccupationScheme;
+use crate::stages::solve_occupied;
 use crate::workspace::{DenseCache, Workspace};
-use tbmd_linalg::{
-    eigh_into, reduced_eigenvalues_into, reduced_eigenvectors_into, tridiagonalize_blocked_into,
-};
+use tbmd_linalg::Matrix;
 use tbmd_structure::Structure;
 use tbmd_trace::HealthRecord;
 
@@ -26,8 +25,46 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Solve the structure's eigenproblem with the production solver path and
-/// report residual + orthogonality of a sampled occupied eigenpair.
+/// `‖Hv − λv‖∞` and an orthogonality spot-check on eigenpair `sampled` of
+/// the first `k` columns of `vectors`, against the pristine `h`.
+fn probe(
+    h: &Matrix,
+    vectors: &Matrix,
+    values: &[f64],
+    k: usize,
+    sampled: usize,
+    step: usize,
+) -> HealthRecord {
+    let v = vectors.col(sampled);
+    let lambda = values[sampled];
+    let residual_inf = h
+        .matvec(&v)
+        .iter()
+        .zip(&v)
+        .map(|(hv_i, v_i)| (hv_i - lambda * v_i).abs())
+        .fold(0.0_f64, f64::max);
+
+    let mut orthogonality = (dot(&v, &v) - 1.0).abs();
+    if k > 1 {
+        let j = if sampled + 1 < k {
+            sampled + 1
+        } else {
+            sampled - 1
+        };
+        orthogonality = orthogonality.max(dot(&v, &vectors.col(j)).abs());
+    }
+    HealthRecord {
+        step,
+        residual_inf,
+        orthogonality,
+        sampled_index: sampled,
+        n_orbitals: h.rows(),
+    }
+}
+
+/// Solve the structure's eigenproblem with the production solver path
+/// ([`solve_occupied`]) and report residual + orthogonality of a sampled
+/// occupied eigenpair.
 ///
 /// `step` is carried through into the [`HealthRecord`] so the JSONL line
 /// lands at the right place in the run stream. The probe allocates its own
@@ -47,50 +84,14 @@ pub fn eigensolver_health(
     build_hamiltonian_into(s, ws.neighbors.list(), model, &index, &mut ws.h);
     // Pristine copy: the solvers overwrite their input in place.
     let h0 = ws.h.clone();
-
-    let two_stage = solver == DenseSolver::TwoStage && ws.h.rows() >= TWO_STAGE_MIN_DIM;
-    let k;
-    if two_stage {
-        tridiagonalize_blocked_into(&mut ws.h, &mut ws.eigh);
-        reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
-        let occ = occupations(&ws.values, s.n_electrons(), occupation);
-        k = occupied_count(&occ.f).max(1);
-        reduced_eigenvectors_into(&ws.h, &ws.values[..k], &mut ws.c, &mut ws.eigh);
-    } else {
-        eigh_into(&mut ws.h, &mut ws.values, &mut ws.eigh)?;
-        k = ws.h.cols();
-    }
-    let vectors = if two_stage { &ws.c } else { &ws.h };
-
-    // Middle of the occupied window: clear of both the deflation-prone
-    // band edges and the Fermi-window boundary.
-    let sampled = k / 2;
-    let v = vectors.col(sampled);
-    let lambda = ws.values[sampled];
-    let hv = h0.matvec(&v);
-    let residual_inf = hv
-        .iter()
-        .zip(&v)
-        .map(|(hv_i, v_i)| (hv_i - lambda * v_i).abs())
-        .fold(0.0_f64, f64::max);
-
-    let mut orthogonality = (dot(&v, &v) - 1.0).abs();
-    if k > 1 {
-        let j = if sampled + 1 < k {
-            sampled + 1
-        } else {
-            sampled - 1
-        };
-        orthogonality = orthogonality.max(dot(&v, &vectors.col(j)).abs());
-    }
-
-    Ok(HealthRecord {
-        step,
-        residual_inf,
-        orthogonality,
-        sampled_index: sampled,
-        n_orbitals: h0.rows(),
-    })
+    solve_occupied(&mut ws, s.n_electrons(), occupation, solver)?;
+    let (vectors, k) = ws
+        .dense_cache
+        .vectors(&ws.h, &ws.c)
+        .expect("solve_occupied leaves eigenvectors");
+    // Middle of the solved window: clear of both the deflation-prone band
+    // edges and the Fermi-window boundary.
+    Ok(probe(&h0, vectors, &ws.values, k, k / 2, step))
 }
 
 /// Incremental health probe on the *cached* eigenpairs of the last dense
@@ -114,63 +115,40 @@ pub fn cached_eigensolver_health(
     ws: &mut Workspace,
     step: usize,
 ) -> Result<Option<HealthRecord>, TbError> {
-    let (sliced, occupied) = match ws.dense_cache {
-        DenseCache::None => return Ok(None),
-        DenseCache::Sliced { occupied } => (true, occupied),
-        DenseCache::Full { occupied } => (false, occupied),
+    let (DenseCache::Sliced { occupied } | DenseCache::Full { occupied }) = ws.dense_cache else {
+        return Ok(None);
     };
     let index = OrbitalIndex::new(s);
     let n = index.total();
+    let (vectors, k) = ws
+        .dense_cache
+        .vectors(&ws.h, &ws.c)
+        .expect("a marker was set");
     // Defensive shape checks: a cache marker is only trustworthy if the
     // buffers it points at still match the structure being probed.
+    if n == 0
+        || k == 0
+        || vectors.rows() != n
+        || vectors.cols() < k
+        || ws.values.len() < k
+        || occupied > k
     {
-        let vectors = if sliced { &ws.c } else { &ws.h };
-        let k = if sliced { occupied } else { vectors.cols() };
-        if n == 0
-            || k == 0
-            || vectors.rows() != n
-            || vectors.cols() < k
-            || ws.values.len() < k
-            || occupied > k
-        {
-            return Ok(None);
-        }
+        return Ok(None);
     }
     // The last evaluation updated `ws.neighbors` for exactly these
     // positions; skin entries beyond the cutoff contribute nothing to `H`.
     ws.grown +=
         build_hamiltonian_into(s, ws.neighbors.list(), model, &index, &mut ws.health_h) as usize;
-
-    let vectors = if sliced { &ws.c } else { &ws.h };
-    let k = if sliced { occupied } else { vectors.cols() };
     // Middle of the occupied window, as in the full probe.
     let sampled = occupied.max(1).min(k) / 2;
-    let v = vectors.col(sampled);
-    let lambda = ws.values[sampled];
-    let hv = ws.health_h.matvec(&v);
-    let residual_inf = hv
-        .iter()
-        .zip(&v)
-        .map(|(hv_i, v_i)| (hv_i - lambda * v_i).abs())
-        .fold(0.0_f64, f64::max);
-
-    let mut orthogonality = (dot(&v, &v) - 1.0).abs();
-    if k > 1 {
-        let j = if sampled + 1 < k {
-            sampled + 1
-        } else {
-            sampled - 1
-        };
-        orthogonality = orthogonality.max(dot(&v, &vectors.col(j)).abs());
-    }
-
-    Ok(Some(HealthRecord {
+    Ok(Some(probe(
+        &ws.health_h,
+        vectors,
+        &ws.values,
+        k,
+        sampled,
         step,
-        residual_inf,
-        orthogonality,
-        sampled_index: sampled,
-        n_orbitals: n,
-    }))
+    )))
 }
 
 #[cfg(test)]

@@ -18,13 +18,23 @@ use crate::bands::bloch_hamiltonian_into;
 use crate::calculator::{repulsive_energy_forces, PhaseTimings, TbError};
 use crate::hamiltonian::OrbitalIndex;
 use crate::model::TbModel;
+use crate::occupations::{fermi_entropy, fermi_occ, OccupationScheme};
 use crate::provider::{ForceEvaluation, ForceProvider};
-use crate::slater_koster::sk_block_gradient;
-use crate::units::KB_EV;
+use crate::stages::{bond_contraction, entropy_term, epilogue, prologue, validate};
 use crate::workspace::{DenseCache, KPointSlot, Workspace};
 use std::time::{Duration, Instant};
 use tbmd_linalg::{eigh_into, Matrix, Vec3};
 use tbmd_structure::Structure;
+use tbmd_trace::Phase;
+
+/// The phases clocked inside the per-k fan-out and fed to the trace
+/// registry once per evaluation (neighbours run under a span of their own).
+const PER_K_PHASES: [Phase; 4] = [
+    Phase::Hamiltonian,
+    Phase::Diagonalize,
+    Phase::Density,
+    Phase::Forces,
+];
 
 /// A k-point with its quadrature weight (weights sum to 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,21 +167,6 @@ impl<'m> KPointCalculator<'m> {
         self
     }
 
-    fn validate(&self, s: &Structure) -> Result<(), TbError> {
-        if s.n_atoms() == 0 {
-            return Err(TbError::EmptyStructure);
-        }
-        for i in 0..s.n_atoms() {
-            if !self.model.supports(s.species(i)) {
-                return Err(TbError::UnsupportedSpecies {
-                    species: s.species(i),
-                    model: self.model.name().to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Weighted Fermi level for the combined spectrum held in the per-k
     /// workspace slots.
     fn fermi_level(&self, slots: &[KPointSlot], n_electrons: usize) -> f64 {
@@ -185,7 +180,7 @@ impl<'m> KPointCalculator<'m> {
                         * slot
                             .values
                             .iter()
-                            .map(|&e| fermi((e - mu) / self.kt))
+                            .map(|&e| fermi_occ((e - mu) / self.kt))
                             .sum::<f64>()
                 })
                 .sum()
@@ -232,35 +227,21 @@ where
     tbmd_linalg::batch_map(parallel, &mut jobs, |_, (kp, slot)| f(kp, slot))
 }
 
-#[inline]
-fn fermi(x: f64) -> f64 {
-    if x > 40.0 {
-        0.0
-    } else if x < -40.0 {
-        1.0
-    } else {
-        1.0 / (1.0 + x.exp())
-    }
-}
-
 impl ForceProvider for KPointCalculator<'_> {
     fn evaluate(&self, s: &Structure) -> Result<ForceEvaluation, TbError> {
         self.evaluate_with(s, &mut Workspace::new())
     }
 
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        self.validate(s)?;
+        validate(self.model, s)?;
         // Eigenvectors live in the per-k embedded slots, not the dense cache.
         ws.dense_cache = DenseCache::None;
         let mut timings = PhaseTimings::default();
-        let mut mark = Instant::now();
-        let outcome = ws.neighbors.update(s, self.model.cutoff());
-        timings.note_neighbors(outcome);
+        prologue(self.model, s, ws, &mut timings);
         let nl = ws.neighbors.list();
         let index = OrbitalIndex::new(s);
         let n = index.total();
         let lengths = s.cell().lengths;
-        timings.neighbors = mark.elapsed();
 
         let kws = &mut ws.kspace;
         let mut grew = 0usize;
@@ -313,7 +294,7 @@ impl ForceProvider for KPointCalculator<'_> {
                 let mut mark = Instant::now();
                 slot.f.clear();
                 slot.f
-                    .extend(slot.values.iter().map(|&e| fermi((e - mu) / self.kt)));
+                    .extend(slot.values.iter().map(|&e| fermi_occ((e - mu) / self.kt)));
                 let band = kp.weight
                     * 2.0
                     * slot
@@ -322,19 +303,7 @@ impl ForceProvider for KPointCalculator<'_> {
                         .zip(&slot.values)
                         .map(|(fk, e)| fk * e)
                         .sum::<f64>();
-                let entropy = kp.weight
-                    * -2.0
-                    * KB_EV
-                    * slot
-                        .f
-                        .iter()
-                        .map(|&fk| {
-                            let x = if fk > 1e-300 { fk * fk.ln() } else { 0.0 };
-                            let g = 1.0 - fk;
-                            let y = if g > 1e-300 { g * g.ln() } else { 0.0 };
-                            x + y
-                        })
-                        .sum::<f64>();
+                let entropy = kp.weight * fermi_entropy(&slot.f);
                 // Real projector over both members of each embedded pair —
                 // degeneracy-safe: any orthonormal basis of a degenerate
                 // eigenspace yields the same projector. Occupied columns only:
@@ -365,16 +334,7 @@ impl ForceProvider for KPointCalculator<'_> {
                 for (i, fo) in slot.force.iter_mut().enumerate() {
                     let oi = index.offset(i);
                     let mut fi = Vec3::ZERO;
-                    for nb in nl.neighbors(i) {
-                        if nb.j == i {
-                            continue;
-                        }
-                        let v = self.model.hoppings(nb.dist);
-                        let dv = self.model.hoppings_deriv(nb.dist);
-                        if v.iter().all(|&x| x == 0.0) && dv.iter().all(|&x| x == 0.0) {
-                            continue;
-                        }
-                        let grad = sk_block_gradient(nb.disp.to_array(), v, dv);
+                    for nb in nl.neighbors(i).iter().filter(|nb| nb.j != i) {
                         let t = Vec3::new(
                             nb.shift[0] as f64 * lengths.x,
                             nb.shift[1] as f64 * lengths.y,
@@ -383,17 +343,12 @@ impl ForceProvider for KPointCalculator<'_> {
                         let phase = kp.k.dot(t);
                         let (cp, sp) = (phase.cos(), phase.sin());
                         let oj = index.offset(nb.j);
-                        for gamma in 0..3 {
-                            let mut acc = 0.0;
-                            for (mu2, grow) in grad[gamma].iter().enumerate() {
-                                for (nu, &g) in grow.iter().enumerate() {
-                                    // Re{ρ* e^{ikT}} = Re ρ·cos + Im ρ·sin.
-                                    let rho_eff = slot.re[(oi + mu2, oj + nu)] * cp
-                                        + slot.im[(oi + mu2, oj + nu)] * sp;
-                                    acc += rho_eff * g;
-                                }
-                            }
-                            fi[gamma] += 2.0 * kp.weight * acc;
+                        // Re{ρ* e^{ikT}} = Re ρ·cos + Im ρ·sin.
+                        let rho_eff = |mu: usize, nu: usize| {
+                            slot.re[(oi + mu, oj + nu)] * cp + slot.im[(oi + mu, oj + nu)] * sp
+                        };
+                        if let Some(acc) = bond_contraction(self.model, nb, rho_eff) {
+                            fi += acc * (2.0 * kp.weight);
                         }
                     }
                     *fo += fi;
@@ -417,14 +372,17 @@ impl ForceProvider for KPointCalculator<'_> {
                 *fo += *fi;
             }
         }
-        mark = Instant::now();
+        let mark = Instant::now();
         let (e_rep, rep_forces) = repulsive_energy_forces(s, nl, self.model, true);
         for (f, rf) in forces.iter_mut().zip(rep_forces.expect("forces")) {
             *f += rf;
         }
         timings.forces += mark.elapsed();
         ws.grown += grew;
-        let entropy_term = -(self.kt / KB_EV) * entropy;
+        // The per-k phases were clocked inside the fan-out (summed over
+        // k-points); one sample each per evaluation.
+        epilogue(grew, &timings, &PER_K_PHASES);
+        let entropy_term = entropy_term(OccupationScheme::Fermi { kt: self.kt }, entropy);
         Ok(ForceEvaluation {
             energy: band + e_rep + entropy_term,
             forces,
@@ -605,5 +563,14 @@ mod tests {
             (mp2 - reference).abs() < (gamma_only - reference).abs(),
             "MP-2 ({mp2}) not closer to reference ({reference}) than Γ ({gamma_only})"
         );
+    }
+
+    /// A recorded run on this engine has phase histograms.
+    #[test]
+    fn evaluation_feeds_the_trace_registry() {
+        let model = silicon_gsp();
+        let s = bulk_diamond(Species::Silicon, 1, 1, 1);
+        let calc = KPointCalculator::new(&model, monkhorst_pack(&s, [2, 2, 2]), 0.1);
+        crate::stages::assert_feeds_trace_registry(&calc, &s);
     }
 }

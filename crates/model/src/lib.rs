@@ -3,9 +3,10 @@
 //! The tight-binding physics engine: Slater–Koster `sp³` matrix elements
 //! with analytic gradients, the Goodwin–Skinner–Pettifor/Kwon silicon and
 //! Xu–Wang–Chan–Ho carbon parametrizations, Γ-point Hamiltonian assembly,
-//! electronic occupations (0 K and Fermi smearing), and the serial
-//! reference calculator producing total energies and Hellmann–Feynman
-//! forces with per-phase timings.
+//! electronic occupations (0 K and Fermi smearing), the evaluation stages
+//! every engine shares ([`stages`]), and the dense calculator that strings
+//! them into total energies and Hellmann–Feynman forces with per-phase
+//! timings.
 
 pub mod bands;
 pub mod calculator;
@@ -20,6 +21,7 @@ pub mod provider;
 pub mod scaling;
 pub mod silicon;
 pub mod slater_koster;
+pub mod stages;
 pub mod stress;
 pub mod units;
 pub mod workspace;
@@ -30,10 +32,12 @@ pub use bands::{
 };
 pub use calculator::{
     density_matrix, density_matrix_into, electronic_forces, repulsive_energy_forces, DenseSolver,
-    PhaseTimings, TbCalculator, TbError, TbResult, TWO_STAGE_MIN_DIM,
+    DenseStages, PhaseTimings, TbCalculator, TbError, TbResult, TWO_STAGE_MIN_DIM,
 };
 pub use carbon::carbon_xwch;
-pub use hamiltonian::{build_hamiltonian, build_hamiltonian_into, OrbitalIndex};
+pub use hamiltonian::{
+    assemble_band, assemble_bands, build_hamiltonian, build_hamiltonian_into, OrbitalIndex,
+};
 pub use health::{cached_eigensolver_health, eigensolver_health};
 pub use kpoints::{folding_grid, monkhorst_pack, KPoint, KPointCalculator};
 pub use model::{EmbeddingPolynomial, GspTbModel, TbModel};
@@ -48,6 +52,10 @@ pub use provider::{ForceEvaluation, ForceProvider};
 pub use scaling::{CutoffTail, GspScaling, RadialFunction};
 pub use silicon::silicon_gsp;
 pub use slater_koster::{sk_block, sk_block_gradient, sk_transpose, Hoppings, SkBlock};
+pub use stages::{
+    bond_contraction, bond_force, dense_block, embedding, entropy_term, epilogue, prologue,
+    solve_occupied, validate,
+};
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};
 pub use workspace::{

@@ -21,15 +21,16 @@
 //! policy.
 
 use crate::calculator::{density_matrix_into, repulsive_energy_forces, PhaseTimings, TbError};
-use crate::hamiltonian::{build_hamiltonian, build_hamiltonian_into, OrbitalIndex};
+use crate::hamiltonian::{assemble_bands, build_hamiltonian, build_hamiltonian_into, OrbitalIndex};
 use crate::model::{GspTbModel, TbModel};
 use crate::occupations::{occupations, OccupationScheme};
 use crate::provider::{ForceEvaluation, ForceProvider};
-use crate::slater_koster::{sk_block, sk_block_gradient, Hoppings};
+use crate::slater_koster::{sk_block_gradient, Hoppings};
+use crate::stages::{entropy_term, epilogue, prologue, validate};
 use crate::workspace::{DenseCache, Workspace};
-use std::time::Instant;
 use tbmd_linalg::{generalized_eigh, generalized_eigh_into, GeneralizedEigError, Matrix, Vec3};
 use tbmd_structure::{NeighborList, Species, Structure};
+use tbmd_trace::Phase;
 
 /// A tight-binding model with an explicit overlap table.
 pub trait NonOrthogonalTbModel: TbModel {
@@ -138,34 +139,13 @@ pub fn build_overlap(
 /// [`build_overlap`] into a caller-owned buffer, reusing its allocation when
 /// the capacity suffices. Returns `true` if the buffer had to grow.
 pub fn build_overlap_into(
-    s: &Structure,
+    _s: &Structure,
     nl: &NeighborList,
     model: &dyn NonOrthogonalTbModel,
     index: &OrbitalIndex,
     sm: &mut Matrix,
 ) -> bool {
-    let n = index.total();
-    let grew = sm.resize_zeroed(n, n);
-    for i in 0..n {
-        sm[(i, i)] = 1.0;
-    }
-    for i in 0..s.n_atoms() {
-        let oi = index.offset(i);
-        for nb in nl.neighbors(i) {
-            let v = model.overlaps(nb.dist);
-            if v.iter().all(|&x| x == 0.0) {
-                continue;
-            }
-            let b = sk_block(nb.disp.to_array(), v);
-            let oj = index.offset(nb.j);
-            for (mu, row) in b.iter().enumerate() {
-                for (nu, &x) in row.iter().enumerate() {
-                    sm[(oi + mu, oj + nu)] += x;
-                }
-            }
-        }
-    }
-    grew
+    assemble_bands(nl, index, sm, |_| [1.0; 4], |r| model.overlaps(r))
 }
 
 /// Non-orthogonal tight-binding calculator (generalized eigenproblem +
@@ -183,21 +163,6 @@ impl<'m> NonOrthoCalculator<'m> {
             model,
             occupation: OccupationScheme::Fermi { kt: 0.1 },
         }
-    }
-
-    fn validate(&self, s: &Structure) -> Result<(), TbError> {
-        if s.n_atoms() == 0 {
-            return Err(TbError::EmptyStructure);
-        }
-        for i in 0..s.n_atoms() {
-            if !self.model.supports(s.species(i)) {
-                return Err(TbError::UnsupportedSpecies {
-                    species: s.species(i),
-                    model: self.model.name().to_string(),
-                });
-            }
-        }
-        Ok(())
     }
 
     fn solve(
@@ -226,28 +191,25 @@ impl ForceProvider for NonOrthoCalculator<'_> {
     }
 
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        self.validate(s)?;
+        validate(self.model, s)?;
         // The generalized solve leaves S-orthonormal vectors, which the
         // plain-residual health probe cannot consume.
         ws.dense_cache = DenseCache::None;
         let mut timings = PhaseTimings::default();
-        let mut mark = Instant::now();
-        let outcome = ws.neighbors.update(s, self.model.cutoff());
-        timings.note_neighbors(outcome);
+        prologue(self.model, s, ws, &mut timings);
         let nl = ws.neighbors.list();
         let index = OrbitalIndex::new(s);
         let n = index.total();
-        timings.neighbors = mark.elapsed();
-        mark = Instant::now();
 
+        let sp = tbmd_trace::span(Phase::Hamiltonian);
         let mut grew = build_hamiltonian_into(s, nl, self.model, &index, &mut ws.h) as usize;
         grew += build_overlap_into(s, nl, self.model, &index, &mut ws.overlap) as usize;
-        timings.hamiltonian = mark.elapsed();
-        mark = Instant::now();
+        timings.hamiltonian = sp.finish();
 
         // Generalized solve H C = S C ε through the persistent Cholesky
         // sub-workspace (the factor of S and the congruence-reduced matrix
         // are reused across steps).
+        let sp = tbmd_trace::span(Phase::Diagonalize);
         let gen_before = ws.geneigh.large_alloc_events();
         generalized_eigh_into(
             &ws.h,
@@ -258,15 +220,11 @@ impl ForceProvider for NonOrthoCalculator<'_> {
         )
         .map_err(map_gen_err)?;
         grew += ws.geneigh.large_alloc_events() - gen_before;
-        timings.diagonalize = mark.elapsed();
-        mark = Instant::now();
+        timings.diagonalize = sp.finish();
 
+        let sp = tbmd_trace::span(Phase::Density);
         let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
         let band = occ.band_energy(&ws.values);
-        let entropy_term = match self.occupation {
-            OccupationScheme::Fermi { kt } if kt > 0.0 => -(kt / crate::units::KB_EV) * occ.entropy,
-            _ => 0.0,
-        };
         // Density matrix via the shared SYRK kernel; energy-weighted density
         // w = 2 Σ f ε c cᵀ by explicit accumulation (weights can be
         // negative, so no √-scaling factorization applies).
@@ -284,10 +242,10 @@ impl ForceProvider for NonOrthoCalculator<'_> {
                 }
             }
         }
-        timings.density = mark.elapsed();
-        mark = Instant::now();
+        timings.density = sp.finish();
 
         // Forces: electronic −ρ:∂H + w:∂S per directed entry, plus repulsion.
+        let sp = tbmd_trace::span(Phase::Forces);
         let mut forces = vec![Vec3::ZERO; s.n_atoms()];
         for (i, fo) in forces.iter_mut().enumerate() {
             let oi = index.offset(i);
@@ -320,25 +278,22 @@ impl ForceProvider for NonOrthoCalculator<'_> {
         for (f, rf) in forces.iter_mut().zip(rep_forces.expect("forces")) {
             *f += rf;
         }
-        timings.forces = mark.elapsed();
+        timings.forces = sp.finish();
         ws.grown += grew;
+        epilogue(grew, &timings, &[]);
         Ok(ForceEvaluation {
-            energy: band + e_rep + entropy_term,
+            energy: band + e_rep + entropy_term(self.occupation, occ.entropy),
             forces,
             timings,
         })
     }
 
     fn energy_only(&self, s: &Structure) -> Result<f64, TbError> {
-        self.validate(s)?;
+        validate(self.model, s)?;
         let (nl, _, eig) = self.solve(s)?;
         let occ = occupations(&eig.values, s.n_electrons(), self.occupation);
-        let entropy_term = match self.occupation {
-            OccupationScheme::Fermi { kt } if kt > 0.0 => -(kt / crate::units::KB_EV) * occ.entropy,
-            _ => 0.0,
-        };
         let (e_rep, _) = repulsive_energy_forces(s, &nl, self.model, false);
-        Ok(occ.band_energy(&eig.values) + e_rep + entropy_term)
+        Ok(occ.band_energy(&eig.values) + e_rep + entropy_term(self.occupation, occ.entropy))
     }
 
     fn provider_name(&self) -> &str {
@@ -454,5 +409,14 @@ mod tests {
         let e_short = calc.energy_only(&dimer(Species::Silicon, 2.4)).unwrap();
         let e_long = calc.energy_only(&dimer(Species::Silicon, 3.5)).unwrap();
         assert!(e_short < e_long);
+    }
+
+    /// A recorded run on this engine has phase histograms.
+    #[test]
+    fn evaluation_feeds_the_trace_registry() {
+        let model = silicon_nonortho_demo();
+        let s = bulk_diamond(Species::Silicon, 1, 1, 1);
+        let calc = NonOrthoCalculator::new(&model);
+        crate::stages::assert_feeds_trace_registry(&calc, &s);
     }
 }

@@ -191,9 +191,17 @@ fn fermi(eigenvalues: &[f64], n_electrons: usize, kt: f64) -> Occupations {
         .iter()
         .map(|&e| fermi_occ((e - mu) / kt))
         .collect();
-    // Electronic entropy S = −2 k_B Σ [f ln f + (1−f) ln(1−f)].
-    let entropy = -2.0
-        * KB_EV
+    Occupations {
+        entropy: fermi_entropy(&f),
+        f,
+        fermi_level: mu,
+    }
+}
+
+/// Electronic entropy `S = −2 k_B Σ [f ln f + (1−f) ln(1−f)]` (eV/K) of a
+/// set of Fermi occupations.
+pub fn fermi_entropy(f: &[f64]) -> f64 {
+    -2.0 * KB_EV
         * f.iter()
             .map(|&fk| {
                 let a = if fk > 1e-300 { fk * fk.ln() } else { 0.0 };
@@ -201,17 +209,12 @@ fn fermi(eigenvalues: &[f64], n_electrons: usize, kt: f64) -> Occupations {
                 let b = if g > 1e-300 { g * g.ln() } else { 0.0 };
                 a + b
             })
-            .sum::<f64>();
-    Occupations {
-        f,
-        fermi_level: mu,
-        entropy,
-    }
+            .sum::<f64>()
 }
 
 /// Overflow-safe Fermi function of the reduced energy `x = (ε − μ)/kT`.
 #[inline]
-fn fermi_occ(x: f64) -> f64 {
+pub fn fermi_occ(x: f64) -> f64 {
     if x > 40.0 {
         0.0
     } else if x < -40.0 {

@@ -2,9 +2,10 @@
 //! and forces.
 //!
 //! The MD integrators, relaxers and benchmark harness are generic over
-//! [`ForceProvider`], so the serial calculator, the shared-memory and
-//! message-passing engines in `tbmd-parallel`, and the O(N) engine in
-//! `tbmd-linscale` are all drop-in interchangeable.
+//! [`ForceProvider`], so the dense calculator (serial or with the
+//! shared-memory fan-out stages), the message-passing engine in
+//! `tbmd-parallel`, the O(N) engines in `tbmd-linscale` and the k-sampled
+//! and non-orthogonal calculators are all drop-in interchangeable.
 
 use crate::calculator::{PhaseTimings, TbCalculator, TbError, TbResult};
 use crate::workspace::Workspace;
@@ -74,7 +75,7 @@ impl ForceProvider for TbCalculator<'_> {
     }
 
     fn provider_name(&self) -> &str {
-        "serial-tb"
+        self.stages.name
     }
 }
 

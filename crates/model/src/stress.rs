@@ -17,13 +17,13 @@
 //! under compression has `p = −tr σ/3 > 0`; a crystal at its equilibrium
 //! lattice constant has `σ ≈ 0`.
 
-use crate::calculator::density_matrix;
-use crate::calculator::TbError;
-use crate::hamiltonian::{build_hamiltonian, OrbitalIndex};
+use crate::calculator::{PhaseTimings, TbCalculator, TbError};
+use crate::hamiltonian::OrbitalIndex;
 use crate::model::TbModel;
-use crate::occupations::{occupations, OccupationScheme};
-use crate::slater_koster::sk_block_gradient;
-use tbmd_linalg::{eigh, Matrix};
+use crate::occupations::OccupationScheme;
+use crate::stages::{bond_contraction, dense_block, embedding};
+use crate::workspace::Workspace;
+use tbmd_linalg::Matrix;
 use tbmd_structure::{NeighborList, Structure};
 
 /// Symmetric 3×3 stress tensor in eV/Å³.
@@ -37,7 +37,9 @@ pub fn pressure(stress: &StressTensor) -> f64 {
 /// eV/Å³ → GPa.
 pub const EV_PER_A3_TO_GPA: f64 = 160.217_663;
 
-/// Compute the virial stress of a fully periodic structure.
+/// Compute the virial stress of a fully periodic structure: the front half
+/// of the dense pipeline ([`TbCalculator::density_with`]) for `ρ`, then
+/// [`stress_from_density`].
 ///
 /// # Errors
 /// Returns [`TbError::EmptyStructure`] for empty input and propagates
@@ -48,20 +50,21 @@ pub fn stress_tensor(
     model: &dyn TbModel,
     occupation: OccupationScheme,
 ) -> Result<StressTensor, TbError> {
-    if s.n_atoms() == 0 {
-        return Err(TbError::EmptyStructure);
-    }
+    let mut ws = Workspace::new();
+    let calc = TbCalculator::with_occupation(model, occupation);
+    let (index, _) = calc.density_with(s, &mut ws, &mut PhaseTimings::default())?;
     let volume = s
         .cell()
         .volume()
         .expect("stress tensor requires a fully periodic cell");
-    let nl = NeighborList::build(s, model.cutoff());
-    let index = OrbitalIndex::new(s);
-    let h = build_hamiltonian(s, &nl, model, &index);
-    let eig = eigh(h)?;
-    let occ = occupations(&eig.values, s.n_electrons(), occupation);
-    let rho = density_matrix(&eig.vectors, &occ.f);
-    Ok(stress_from_density(s, &nl, model, &index, &rho, volume))
+    Ok(stress_from_density(
+        s,
+        ws.neighbors.list(),
+        model,
+        &index,
+        &ws.rho,
+        volume,
+    ))
 }
 
 /// Stress from a precomputed density matrix (shared by engines that already
@@ -74,40 +77,22 @@ pub fn stress_from_density(
     rho: &Matrix,
     volume: f64,
 ) -> StressTensor {
-    let n = s.n_atoms();
     let mut sigma = [[0.0; 3]; 3];
     // Embedding derivatives for the repulsive part.
-    let x: Vec<f64> = (0..n)
-        .map(|i| {
-            nl.neighbors(i)
-                .iter()
-                .map(|nb| model.repulsion(nb.dist).0)
-                .sum()
-        })
-        .collect();
-    let dfdx: Vec<f64> = x.iter().map(|&xi| model.embedding(xi).1).collect();
+    let fx = embedding(model, nl, s.n_atoms());
 
-    for (i, &dfdx_i) in dfdx.iter().enumerate() {
+    for (i, &(_, dfdx_i)) in fx.iter().enumerate() {
         let oi = index.offset(i);
         for nb in nl.neighbors(i) {
             let d = nb.disp;
             // Electronic part: (∂E/∂d_a) = ρ_ij : G_a summed over the block
             // (the directed double-count is absorbed by the ½ of the pair
             // sum — see module docs). Self-image entries included.
-            let v = model.hoppings(nb.dist);
-            let dv = model.hoppings_deriv(nb.dist);
-            if !(v.iter().all(|&y| y == 0.0) && dv.iter().all(|&y| y == 0.0)) {
-                let grad = sk_block_gradient(d.to_array(), v, dv);
-                let oj = index.offset(nb.j);
+            let block = dense_block(rho, oi, index.offset(nb.j));
+            if let Some(de_dd) = bond_contraction(model, nb, block) {
                 for a in 0..3 {
-                    let mut de_dda = 0.0;
-                    for (mu, grow) in grad[a].iter().enumerate() {
-                        for (nu, &g) in grow.iter().enumerate() {
-                            de_dda += rho[(oi + mu, oj + nu)] * g;
-                        }
-                    }
                     for b in 0..3 {
-                        sigma[a][b] += de_dda * d[b];
+                        sigma[a][b] += de_dd[a] * d[b];
                     }
                 }
             }

@@ -52,6 +52,19 @@ pub enum DenseCache {
     },
 }
 
+impl DenseCache {
+    /// The eigenvector block this marker points at — `c` for a sliced
+    /// solve, `h` for a full one — and how many of its leading columns the
+    /// solve produced. `None` when nothing is cached.
+    pub fn vectors<'w>(self, h: &'w Matrix, c: &'w Matrix) -> Option<(&'w Matrix, usize)> {
+        match self {
+            DenseCache::None => None,
+            DenseCache::Sliced { occupied } => Some((c, occupied)),
+            DenseCache::Full { .. } => Some((h, h.cols())),
+        }
+    }
+}
+
 /// Default Verlet skin in Å. Half an ångström keeps the list valid for many
 /// steps of near-melting silicon MD while adding only ~40% more candidate
 /// pairs (all beyond the radial cutoff, where the model terms vanish).

@@ -32,23 +32,20 @@
 //! the era cost model converts into Delta/Paragon/CM-5 scaling estimates.
 
 use crate::pool::RankWorkspacePool;
+use crate::ranks::{gather_forces, PhaseClock, RankControl, Replica};
 use crate::ring_jacobi::{initial_column_owners, ring_jacobi_worker};
-use crate::vmp::{
-    partition_range, vmp_run_opts, FaultPlan, RecvTimeoutPolicy, VmpFault, VmpOptions, VmpStats,
-};
+use crate::vmp::{partition_range, Rank, VmpStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 use tbmd_linalg::{
     cluster_tolerance, eigenvector_shards_batch, snap_range_to_clusters,
     tridiagonal_eigenvalues_range_into, tridiagonalize_blocked_into, EighWorkspace, Matrix,
     ShardJob, Vec3, JACOBI_MAX_SWEEPS, JACOBI_TOL,
 };
 use tbmd_model::{
-    build_hamiltonian_into, density_matrix_into, occupations, occupied_count, sk_block,
-    sk_block_gradient, sk_transpose, ForceEvaluation, ForceProvider, NeighborWorkspace,
-    OccupationScheme, OrbitalIndex, PhaseTimings, TbError, TbModel, Workspace, KB_EV,
+    bond_force, build_hamiltonian_into, density_matrix_into, embedding, entropy_term, occupations,
+    occupied_count, sk_block, sk_transpose, validate, DenseCache, ForceEvaluation, ForceProvider,
+    OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbError, TbModel, Workspace,
     OCCUPATION_DROP_TOL,
 };
 use tbmd_structure::{NeighborList, Structure};
@@ -80,17 +77,12 @@ pub struct DistributedReport {
     pub n_ranks: usize,
 }
 
-/// Per-rank persistent buffers of the sliced solver: everything a rank
-/// touches every step lives here and is reused across steps via the
-/// engine's [`RankWorkspacePool`].
+/// Per-rank persistent buffers: everything a rank touches every step lives
+/// here and is reused across steps via the engine's [`RankWorkspacePool`].
 #[derive(Default)]
 struct DenseRankSlot {
-    /// Replicated local structure (positions overwritten from the broadcast
-    /// each step; topology re-cloned only when the caller's structure
-    /// changes shape).
-    local: Option<Structure>,
-    /// Amortized per-rank neighbour list (Verlet skin when the cell allows).
-    neighbors: NeighborWorkspace,
+    /// Replicated geometry and its amortized neighbour list.
+    replica: Replica,
     /// Full replicated Hamiltonian; holds the packed Householder reflectors
     /// after the blocked reduction.
     h: Matrix,
@@ -109,57 +101,39 @@ struct DenseRankSlot {
     /// Flat ρ accumulator fed to the allreduce; holds the replicated ρ
     /// afterwards.
     rho_flat: Vec<f64>,
-    /// Per-atom embedding arguments / embedding values+derivatives.
-    x_embed: Vec<f64>,
-    fx_embed: Vec<(f64, f64)>,
     /// This rank's force block (3 components per owned atom).
     forces_block: Vec<f64>,
     /// Buffer-growth events in this slot (O(1) after warmup).
     grown: usize,
 }
 
+/// What rank 0 hands back: energy, forces, Jacobi sweeps.
+type RankResult = Option<((f64, Vec<Vec3>, usize), PhaseTimings)>;
+
 /// Message-passing TBMD engine over the virtual machine.
 pub struct DistributedTb<'m> {
     model: &'m dyn TbModel,
-    /// Number of virtual ranks.
-    pub n_ranks: usize,
     /// Occupation scheme (default 0.1 eV Fermi smearing).
     pub occupation: OccupationScheme,
     /// Distributed eigensolver selection (default: two-stage sliced).
     pub solver: DistributedSolver,
+    /// Rank count, fault plans, failure-detection window, shrink/respawn.
+    pub ranks: RankControl,
     last_report: Mutex<Option<DistributedReport>>,
     /// Per-rank workspace slots, persisted across steps.
     pool: Mutex<RankWorkspacePool<DenseRankSlot>>,
-    /// Armed fault-injection plan; fires once at its target evaluation.
-    fault_plan: Mutex<Option<FaultPlan>>,
-    /// Evaluations performed by this engine instance (plans are 1-based).
-    evals: AtomicU64,
-    /// Failure-detection window policy (default: size-scaled `Auto`).
-    recv_timeout: Mutex<RecvTimeoutPolicy>,
-    /// Currently active rank count: starts at `n_ranks`, shrinks when a
-    /// resilient driver re-shards over the survivors after a rank failure,
-    /// restored by [`DistributedTb::respawn_full_ranks`]. Every slice
-    /// boundary (`partition_range` over eigenvalue indices, occupied
-    /// columns and atom blocks) is computed from this per evaluation, so a
-    /// shrunken engine redistributes the dead rank's shards automatically.
-    active: AtomicUsize,
 }
 
 impl<'m> DistributedTb<'m> {
     /// Engine on `n_ranks` virtual ranks.
     pub fn new(model: &'m dyn TbModel, n_ranks: usize) -> Self {
-        assert!(n_ranks >= 1);
         DistributedTb {
             model,
-            n_ranks,
             occupation: OccupationScheme::Fermi { kt: 0.1 },
             solver: DistributedSolver::default(),
+            ranks: RankControl::new(n_ranks),
             last_report: Mutex::new(None),
             pool: Mutex::new(RankWorkspacePool::new()),
-            fault_plan: Mutex::new(None),
-            evals: AtomicU64::new(0),
-            recv_timeout: Mutex::new(RecvTimeoutPolicy::Auto),
-            active: AtomicUsize::new(n_ranks),
         }
     }
 
@@ -175,114 +149,205 @@ impl<'m> DistributedTb<'m> {
         self
     }
 
-    /// Fix the failure-detection window (replacing the size-scaled `Auto`
-    /// default). A *real* stalled or dead rank is then presumed dead after
-    /// `window` of collective silence instead of the scaled default.
-    pub fn with_recv_timeout(self, window: Duration) -> Self {
-        self.set_recv_timeout(RecvTimeoutPolicy::Fixed(window));
-        self
-    }
-
-    /// Set the failure-detection policy (shared-ref form for engines
-    /// already handed to a driver).
-    pub fn set_recv_timeout(&self, policy: RecvTimeoutPolicy) {
-        *self.recv_timeout.lock() = policy;
-    }
-
-    /// Current failure-detection policy.
-    pub fn recv_timeout_policy(&self) -> RecvTimeoutPolicy {
-        *self.recv_timeout.lock()
-    }
-
-    /// Ranks the next evaluation will launch (≤ `n_ranks` after a shrink).
-    pub fn active_ranks(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// Shrink-to-fit re-sharding: drop `n_failed` ranks from the active
-    /// set (never below 1) and return the new count. The next evaluation
-    /// recomputes every `partition_range` slice boundary over the
-    /// survivors — the Sturm eigenvalue shards, the cluster-snapped
-    /// occupied-eigenvector shards and the atom force blocks all follow
-    /// the active rank count.
-    pub fn shrink_ranks(&self, n_failed: usize) -> usize {
-        let cur = self.active.load(Ordering::SeqCst);
-        let new = cur.saturating_sub(n_failed).max(1);
-        self.active.store(new, Ordering::SeqCst);
-        new
-    }
-
-    /// Re-spawn policy: restore the full configured rank count (virtual
-    /// ranks are plain threads, so "respawning" is free) and return it.
-    pub fn respawn_full_ranks(&self) -> usize {
-        self.active.store(self.n_ranks, Ordering::SeqCst);
-        self.n_ranks
-    }
-
-    /// Engine evaluations performed so far (fault plans are 1-based
-    /// against this count).
-    pub fn evaluations(&self) -> u64 {
-        self.evals.load(Ordering::Relaxed)
-    }
-
     /// Traffic/flop report of the most recent [`ForceProvider::evaluate`].
     pub fn last_report(&self) -> Option<DistributedReport> {
         self.last_report.lock().clone()
     }
 
-    /// Arm a fault-injection plan: the chosen rank is killed or stalled at
-    /// the plan's (1-based) evaluation and the failure surfaces as
-    /// [`TbError::RankFailure`] instead of a hang. At most one plan is
-    /// armed; it fires exactly once.
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        assert!(plan.rank < self.n_ranks, "fault rank out of range");
-        *self.fault_plan.lock() = Some(plan);
+    /// The two-stage sliced solve on one rank: replicated `H` and blocked
+    /// tridiagonalization, sharded spectrum and occupied eigenvectors, ρ
+    /// allreduce, force block.
+    fn sliced_rank(
+        &self,
+        s: &Structure,
+        index: &OrbitalIndex,
+        rank: &mut Rank,
+        slot: &mut DenseRankSlot,
+    ) -> RankResult {
+        let (me, psize) = (rank.id(), rank.size());
+        let model = self.model;
+        let n_orb = index.total();
+        let mut timings = PhaseTimings::default();
+        let mut clock = PhaseClock::start();
+
+        // ---- Phase 1: positions broadcast (geometry replication).
+        slot.replica
+            .refresh(rank, 100, s, model.cutoff(), &mut clock, &mut timings);
+        let (local, nl) = slot.replica.geometry();
+        timings.neighbors = clock.lap(&mut timings);
+
+        // ---- Phase 2: full replicated H (0 wire bytes; cheaper than
+        // broadcasting a rank-0 reduction, see DESIGN.md).
+        slot.grown += build_hamiltonian_into(local, nl, model, index, &mut slot.h) as usize;
+        rank.count_flops(60 * nl.n_entries() as u64 + 20 * s.n_atoms() as u64);
+        timings.hamiltonian = clock.lap(&mut timings);
+
+        // ---- Phase 3: replicated blocked tridiagonalization +
+        // rank-sharded Sturm bisection of the full spectrum.
+        tridiagonalize_blocked_into(&mut slot.h, &mut slot.eigh);
+        rank.count_flops(4 * (n_orb as u64).pow(3) / 3);
+        let my_idx = partition_range(n_orb, psize, me);
+        let ctol;
+        {
+            let (d, e) = slot.eigh.tridiagonal_factor();
+            tridiagonal_eigenvalues_range_into(d, e, my_idx.clone(), &mut slot.evals_mine);
+            // ~120 bisection iterations × ~5 flops/row per Sturm count.
+            rank.count_flops(600 * (n_orb * my_idx.len()) as u64);
+            ctol = cluster_tolerance(d, e);
+        }
+        tbmd_trace::add(tbmd_trace::Counter::SturmBisections, my_idx.len() as u64);
+        // Deterministic per-index bisection ⇒ the concatenation of the rank
+        // shards is the ascending full spectrum, identical on every rank.
+        let parts = clock.blocked(|| rank.allgather(101, &slot.evals_mine));
+        slot.values.clear();
+        for part in &parts {
+            slot.values.extend_from_slice(part);
+        }
+
+        // ---- Phase 4a: replicated occupations from the full spectrum
+        // (needed for the Fermi level before the occupied window is known).
+        let occ = occupations(&slot.values, s.n_electrons(), self.occupation);
+        let band = occ.band_energy(&slot.values);
+        let k = occupied_count(&occ.f);
+
+        // ---- Phase 4b: sharded occupied window, snapped to cluster
+        // boundaries so each degenerate cluster has one owner rank (its
+        // MGS/Rayleigh–Ritz stays local) and the offset-seeded inverse
+        // iteration reproduces the serial columns bitwise.
+        let raw = partition_range(k, psize, me);
+        let occ_vals = &slot.values[..k];
+        let lo = snap_range_to_clusters(occ_vals, ctol, raw.start..k).start;
+        let hi = snap_range_to_clusters(occ_vals, ctol, raw.end..k).start;
+        // One shard per rank, launched through the shared batched entry
+        // point (same shape as the per-k fan-out).
+        let mut shard = [ShardJob {
+            lambda: &slot.values[lo..hi],
+            seed_offset: lo,
+            z: &mut slot.vectors,
+            ws: &mut slot.eigh,
+        }];
+        eigenvector_shards_batch(false, &slot.h, &mut shard);
+        rank.count_flops(4 * ((hi - lo) * n_orb * n_orb) as u64);
+        timings.diagonalize = clock.lap(&mut timings);
+
+        // ---- Phase 4c: partial ρ from the owned columns (the same SYRK
+        // kernel as the serial engine), then the allreduce.
+        slot.grown +=
+            density_matrix_into(&slot.vectors, &occ.f[lo..hi], &mut slot.w, &mut slot.rho);
+        rank.count_flops((occupied_count(&occ.f[lo..hi]) * n_orb * n_orb) as u64);
+        slot.rho_flat.clear();
+        slot.rho_flat.extend_from_slice(slot.rho.as_slice());
+        clock.blocked(|| rank.allreduce_sum(102, &mut slot.rho_flat));
+        timings.density = clock.lap(&mut timings);
+
+        // ---- Phase 5: forces for my atom block; allgather.
+        let (e_rep, forces) = force_phase(
+            rank,
+            &mut clock,
+            model,
+            nl,
+            index,
+            &slot.rho_flat,
+            &mut slot.forces_block,
+        );
+        timings.forces = clock.lap(&mut timings);
+        let energy = band + e_rep + entropy_term(self.occupation, occ.entropy);
+        forces.map(|forces| ((energy, forces, 0), timings))
     }
 
-    /// Builder form of [`set_fault_plan`](Self::set_fault_plan).
-    pub fn with_fault_plan(self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
-        self
-    }
+    /// The ring-Jacobi reference on one rank: owned `H` columns, ring
+    /// rotation sweeps, per-column occupations, ρ allreduce, force block.
+    fn ring_rank(
+        &self,
+        s: &Structure,
+        index: &OrbitalIndex,
+        rank: &mut Rank,
+        slot: &mut DenseRankSlot,
+    ) -> RankResult {
+        let me = rank.id();
+        let model = self.model;
+        let n_orb = index.total();
+        let owner0 = initial_column_owners(n_orb, rank.size());
+        let mut timings = PhaseTimings::default();
+        // The ring rotation inside `ring_jacobi_worker` is point-to-point,
+        // not a collective, and stays inside `diagonalize`.
+        let mut clock = PhaseClock::start();
 
-    /// Count this evaluation and take the armed fault if its target
-    /// evaluation is due (fires on `at_evaluation` or the first evaluation
-    /// after it, so a plan armed "in the past" still fires). Taking the
-    /// plan out of the slot *before* the launch is what makes plans
-    /// one-shot across resilient rewinds: the retry after a recovery finds
-    /// the slot empty. A due plan whose target rank no longer exists
-    /// (the engine shrank below it) is consumed without firing.
-    fn take_due_fault(&self, active: usize) -> Option<VmpFault> {
-        let eval_no = self.evals.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut armed = self.fault_plan.lock();
-        match *armed {
-            Some(plan) if eval_no >= plan.at_evaluation => {
-                armed.take();
-                if plan.rank >= active {
-                    return None;
+        // ---- Phase 1: positions broadcast (geometry replication).
+        slot.replica
+            .refresh(rank, 100, s, model.cutoff(), &mut clock, &mut timings);
+        let (local, nl) = slot.replica.geometry();
+        timings.neighbors = clock.lap(&mut timings);
+
+        // ---- Phase 2: assemble owned H columns.
+        let mut cols: HashMap<usize, Vec<f64>> = HashMap::new();
+        let mut atom_cache: HashMap<usize, [Vec<f64>; 4]> = HashMap::new();
+        for c in (0..n_orb).filter(|&c| owner0[c] == me) {
+            let atom = c / 4;
+            let slab = atom_cache.entry(atom).or_insert_with(|| {
+                rank.count_flops(60 * nl.neighbors(atom).len() as u64 + 20);
+                build_atom_columns(local, nl, model, index, atom)
+            });
+            cols.insert(c, slab[c % 4].clone());
+        }
+        drop(atom_cache);
+        timings.hamiltonian = clock.lap(&mut timings);
+
+        // ---- Phase 3: distributed diagonalization.
+        let local_fro2: f64 = cols.values().flat_map(|c| c.iter()).map(|&x| x * x).sum();
+        let mut buf = vec![local_fro2];
+        clock.blocked(|| rank.allreduce_sum(101, &mut buf));
+        let fro = buf[0].sqrt();
+        let deig = ring_jacobi_worker(rank, n_orb, cols, fro, JACOBI_TOL, JACOBI_MAX_SWEEPS, 200);
+        timings.diagonalize = clock.lap(&mut timings);
+
+        // ---- Phase 4: occupations (replicated) + distributed ρ.
+        let mut order: Vec<usize> = (0..n_orb).collect();
+        order.sort_by(|&a, &b| {
+            deig.values_by_column[a]
+                .partial_cmp(&deig.values_by_column[b])
+                .expect("NaN eigenvalue")
+        });
+        let sorted: Vec<f64> = order.iter().map(|&c| deig.values_by_column[c]).collect();
+        let occ = occupations(&sorted, s.n_electrons(), self.occupation);
+        let band = occ.band_energy(&sorted);
+        // Occupation per column id.
+        let mut f_by_column = vec![0.0; n_orb];
+        for (state_idx, &col) in order.iter().enumerate() {
+            f_by_column[col] = occ.f[state_idx];
+        }
+        // Partial density matrix from owned eigenvector columns.
+        let mut rho_flat = vec![0.0; n_orb * n_orb];
+        for (&c, v) in &deig.owned_vectors {
+            let f = f_by_column[c];
+            if f <= OCCUPATION_DROP_TOL {
+                continue;
+            }
+            rank.count_flops(2 * (n_orb * n_orb) as u64);
+            for i in 0..n_orb {
+                let vi2f = 2.0 * f * v[i];
+                let row = &mut rho_flat[i * n_orb..(i + 1) * n_orb];
+                for (rj, &vj) in row.iter_mut().zip(v) {
+                    *rj += vi2f * vj;
                 }
-                Some(VmpFault {
-                    rank: plan.rank,
-                    kind: plan.kind,
-                })
             }
-            _ => None,
         }
-    }
+        clock.blocked(|| rank.allreduce_sum(102, &mut rho_flat));
+        timings.density = clock.lap(&mut timings);
 
-    fn validate(&self, s: &Structure) -> Result<(), TbError> {
-        if s.n_atoms() == 0 {
-            return Err(TbError::EmptyStructure);
-        }
-        for i in 0..s.n_atoms() {
-            if !self.model.supports(s.species(i)) {
-                return Err(TbError::UnsupportedSpecies {
-                    species: s.species(i),
-                    model: self.model.name().to_string(),
-                });
-            }
-        }
-        Ok(())
+        // ---- Phase 5: forces for my atom block; allgather.
+        let (e_rep, forces) = force_phase(
+            rank,
+            &mut clock,
+            model,
+            nl,
+            index,
+            &rho_flat,
+            &mut slot.forces_block,
+        );
+        timings.forces = clock.lap(&mut timings);
+        let energy = band + e_rep + entropy_term(self.occupation, occ.entropy);
+        forces.map(|forces| ((energy, forces, deig.sweeps), timings))
     }
 }
 
@@ -324,67 +389,38 @@ fn build_atom_columns(
     cols
 }
 
-/// Per-atom repulsive-embedding precomputation shared by both solver paths:
-/// fills `x` with the per-atom embedding arguments and `fx` with the
-/// embedding values and derivatives.
-fn embedding_terms(
-    s_atoms: usize,
-    nl: &NeighborList,
+/// Phase 5 of both solver paths: gather-form forces ([`bond_force`]) for
+/// this rank's atom block from the replicated flat ρ, the force allgather
+/// and the repulsive-energy allreduce. Returns the repulsive energy and, on
+/// rank 0, the assembled forces.
+fn force_phase(
+    rank: &mut Rank,
+    clock: &mut PhaseClock,
     model: &dyn TbModel,
-    x: &mut Vec<f64>,
-    fx: &mut Vec<(f64, f64)>,
-) {
-    x.clear();
-    x.extend((0..s_atoms).map(|i| {
-        nl.neighbors(i)
-            .iter()
-            .map(|nb| model.repulsion(nb.dist).0)
-            .sum::<f64>()
-    }));
-    fx.clear();
-    fx.extend(x.iter().map(|&xi| model.embedding(xi)));
-}
-
-/// Force on atom `i` from the replicated flat density matrix plus the
-/// repulsive pair terms (gather form).
-#[allow(clippy::too_many_arguments)]
-fn atom_force(
-    i: usize,
     nl: &NeighborList,
-    model: &dyn TbModel,
     index: &OrbitalIndex,
     rho_flat: &[f64],
-    n_orb: usize,
-    fx: &[(f64, f64)],
-) -> Vec3 {
-    let oi = index.offset(i);
-    let mut fi = Vec3::ZERO;
-    for nb in nl.neighbors(i) {
-        if nb.j == i {
-            continue;
-        }
-        let v = model.hoppings(nb.dist);
-        let dv = model.hoppings_deriv(nb.dist);
-        if !(v.iter().all(|&y| y == 0.0) && dv.iter().all(|&y| y == 0.0)) {
-            let grad = sk_block_gradient(nb.disp.to_array(), v, dv);
-            let oj = index.offset(nb.j);
-            for gamma in 0..3 {
-                let mut acc = 0.0;
-                for (mu, grow) in grad[gamma].iter().enumerate() {
-                    for (nu, &g) in grow.iter().enumerate() {
-                        acc += rho_flat[(oi + mu) * n_orb + oj + nu] * g;
-                    }
-                }
-                fi[gamma] += 2.0 * acc;
-            }
-        }
-        let (_, dphi) = model.repulsion(nb.dist);
-        if dphi != 0.0 {
-            let unit = nb.disp / nb.dist;
-            fi += unit * ((fx[i].1 + fx[nb.j].1) * dphi);
-        }
+    block: &mut Vec<f64>,
+) -> (f64, Option<Vec<Vec3>>) {
+    let (n_atoms, n_orb) = (nl.n_atoms(), index.total());
+    let my_atoms = partition_range(n_atoms, rank.size(), rank.id());
+    let fx = embedding(model, nl, n_atoms);
+    rank.count_flops(30 * n_atoms as u64);
+    let my_rep_energy: f64 = my_atoms.clone().map(|i| fx[i].0).sum();
+    block.clear();
+    for i in my_atoms {
+        let row0 = index.offset(i) * n_orb;
+        let fi = bond_force(model, nl, i, &fx, |j| {
+            let at = row0 + index.offset(j);
+            move |mu: usize, nu: usize| rho_flat[at + mu * n_orb + nu]
+        });
+        rank.count_flops(400 * nl.neighbors(i).len() as u64);
+        block.extend_from_slice(&fi.to_array());
     }
-    fi
+    let forces = gather_forces(rank, 103, block, clock);
+    let mut e_parts = vec![my_rep_energy];
+    clock.blocked(|| rank.allreduce_sum(104, &mut e_parts));
+    (e_parts[0], forces)
 }
 
 impl ForceProvider for DistributedTb<'_> {
@@ -395,387 +431,38 @@ impl ForceProvider for DistributedTb<'_> {
     }
 
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        self.validate(s)?;
+        validate(self.model, s)?;
         // The solve happens in per-rank workspaces; the caller's workspace
         // never receives dense eigenpairs.
-        ws.dense_cache = tbmd_model::DenseCache::None;
-        let n_atoms = s.n_atoms();
+        ws.dense_cache = DenseCache::None;
         let index = OrbitalIndex::new(s);
-        let n_orb = index.total();
-        let n_electrons = s.n_electrons();
-        let occupation = self.occupation;
-        let model = self.model;
-        let p = self.active_ranks();
-
-        let fault = self.take_due_fault(p);
-        let opts = VmpOptions {
-            recv_timeout: self
-                .recv_timeout_policy()
-                .resolve(n_orb, p, fault.is_some()),
-            fault,
-        };
-
-        let mut pool = self.pool.lock();
-        pool.ensure(p);
-        let alloc_before = pool.created() + pool.total(|sl| sl.grown);
-        let pool_ref = &*pool;
-
-        let run = match self.solver {
-            DistributedSolver::TwoStageSliced => vmp_run_opts(p, opts, |mut rank| {
-                let me = rank.id();
-                let psize = rank.size();
-                let mut timings = PhaseTimings::default();
-                let mut mark = Instant::now();
-                // Time blocked in collectives since the last phase boundary;
-                // subtracted from the surrounding compute phase and
-                // accumulated into `timings.communication` instead.
-                let mut comm_in_phase = Duration::ZERO;
-
-                // ---- Phase 1: positions broadcast (geometry replication).
-                let mut pos_flat: Vec<f64> = if me == 0 {
-                    s.positions().iter().flat_map(|r| r.to_array()).collect()
-                } else {
-                    vec![]
-                };
-                let c0 = Instant::now();
-                rank.broadcast(0, 100, &mut pos_flat);
-                comm_in_phase += c0.elapsed();
-                let mut slot_guard = pool_ref.slot(me).lock();
-                let slot = &mut *slot_guard;
-                let stale = slot.local.as_ref().is_none_or(|l| {
-                    l.n_atoms() != n_atoms
-                        || l.cell() != s.cell()
-                        || (0..n_atoms).any(|i| l.species(i) != s.species(i))
-                });
-                if stale {
-                    slot.local = Some(s.clone());
-                }
-                let local = slot.local.as_mut().expect("slot.local just ensured");
-                for (r, c) in local
-                    .positions_mut()
-                    .iter_mut()
-                    .zip(pos_flat.chunks_exact(3))
-                {
-                    *r = Vec3::new(c[0], c[1], c[2]);
-                }
-                let outcome = slot.neighbors.update(local, model.cutoff());
-                timings.note_neighbors(outcome);
-                let local = slot.local.as_ref().expect("slot.local just ensured");
-                let nl = slot.neighbors.list();
-                rank.count_flops(10 * nl.n_entries() as u64);
-                timings.neighbors = mark.elapsed() - comm_in_phase;
-                timings.communication += comm_in_phase;
-                comm_in_phase = Duration::ZERO;
-                mark = Instant::now();
-
-                // ---- Phase 2: full replicated H (0 wire bytes; cheaper
-                // than broadcasting a rank-0 reduction, see DESIGN.md).
-                slot.grown +=
-                    build_hamiltonian_into(local, nl, model, &index, &mut slot.h) as usize;
-                rank.count_flops(60 * nl.n_entries() as u64 + 20 * n_atoms as u64);
-                timings.hamiltonian = mark.elapsed();
-                mark = Instant::now();
-
-                // ---- Phase 3: replicated blocked tridiagonalization +
-                // rank-sharded Sturm bisection of the full spectrum.
-                tridiagonalize_blocked_into(&mut slot.h, &mut slot.eigh);
-                rank.count_flops(4 * (n_orb as u64).pow(3) / 3);
-                let my_idx = partition_range(n_orb, psize, me);
-                let ctol;
-                {
-                    let (d, e) = slot.eigh.tridiagonal_factor();
-                    tridiagonal_eigenvalues_range_into(d, e, my_idx.clone(), &mut slot.evals_mine);
-                    // ~120 bisection iterations × ~5 flops/row per Sturm count.
-                    rank.count_flops(600 * (n_orb * my_idx.len()) as u64);
-                    ctol = cluster_tolerance(d, e);
-                }
-                tbmd_trace::add(tbmd_trace::Counter::SturmBisections, my_idx.len() as u64);
-                // Deterministic per-index bisection ⇒ the concatenation of
-                // the rank shards is the ascending full spectrum, identical
-                // on every rank.
-                let c0 = Instant::now();
-                let parts = rank.allgather(101, &slot.evals_mine);
-                comm_in_phase += c0.elapsed();
-                slot.values.clear();
-                for part in &parts {
-                    slot.values.extend_from_slice(part);
-                }
-
-                // ---- Phase 4a: replicated occupations from the full
-                // spectrum (needed for the Fermi level before the occupied
-                // window is known).
-                let occ = occupations(&slot.values, n_electrons, occupation);
-                let band = occ.band_energy(&slot.values);
-                let entropy_term = match occupation {
-                    OccupationScheme::Fermi { kt } if kt > 0.0 => -(kt / KB_EV) * occ.entropy,
-                    _ => 0.0,
-                };
-                let k = occupied_count(&occ.f);
-
-                // ---- Phase 4b: sharded occupied window, snapped to cluster
-                // boundaries so each degenerate cluster has one owner rank
-                // (its MGS/Rayleigh–Ritz stays local) and the offset-seeded
-                // inverse iteration reproduces the serial columns bitwise.
-                let raw = partition_range(k, psize, me);
-                let occ_vals = &slot.values[..k];
-                let lo = snap_range_to_clusters(occ_vals, ctol, raw.start..k).start;
-                let hi = snap_range_to_clusters(occ_vals, ctol, raw.end..k).start;
-                // One shard per rank, launched through the shared batched
-                // entry point (same shape as the per-k fan-out), so the
-                // offset-seeded inverse iteration stays bitwise identical
-                // to the serial columns.
-                let mut shard = [ShardJob {
-                    lambda: &slot.values[lo..hi],
-                    seed_offset: lo,
-                    z: &mut slot.vectors,
-                    ws: &mut slot.eigh,
-                }];
-                eigenvector_shards_batch(false, &slot.h, &mut shard);
-                rank.count_flops(4 * ((hi - lo) * n_orb * n_orb) as u64);
-                timings.diagonalize = mark.elapsed() - comm_in_phase;
-                timings.communication += comm_in_phase;
-                comm_in_phase = Duration::ZERO;
-                mark = Instant::now();
-
-                // ---- Phase 4c: partial ρ from the owned columns (the same
-                // SYRK kernel as the serial engine), then the allreduce.
-                slot.grown +=
-                    density_matrix_into(&slot.vectors, &occ.f[lo..hi], &mut slot.w, &mut slot.rho);
-                let n_occ_mine = occ.f[lo..hi]
-                    .iter()
-                    .filter(|&&f| f > OCCUPATION_DROP_TOL)
-                    .count();
-                rank.count_flops((n_occ_mine * n_orb * n_orb) as u64);
-                slot.rho_flat.clear();
-                slot.rho_flat.extend_from_slice(slot.rho.as_slice());
-                let c0 = Instant::now();
-                rank.allreduce_sum(102, &mut slot.rho_flat);
-                comm_in_phase += c0.elapsed();
-                timings.density = mark.elapsed() - comm_in_phase;
-                timings.communication += comm_in_phase;
-                comm_in_phase = Duration::ZERO;
-                mark = Instant::now();
-
-                // ---- Phase 5: forces for my atom block; allgather.
-                let my_atoms = partition_range(n_atoms, psize, me);
-                embedding_terms(n_atoms, nl, model, &mut slot.x_embed, &mut slot.fx_embed);
-                rank.count_flops(30 * n_atoms as u64);
-                let my_rep_energy: f64 = my_atoms.clone().map(|i| slot.fx_embed[i].0).sum();
-                slot.forces_block.clear();
-                for i in my_atoms.clone() {
-                    let fi =
-                        atom_force(i, nl, model, &index, &slot.rho_flat, n_orb, &slot.fx_embed);
-                    rank.count_flops(400 * nl.neighbors(i).len() as u64);
-                    slot.forces_block.extend_from_slice(&fi.to_array());
-                }
-                let c0 = Instant::now();
-                let all_forces = rank.allgather(103, &slot.forces_block);
-                let mut e_parts = vec![my_rep_energy];
-                rank.allreduce_sum(104, &mut e_parts);
-                comm_in_phase += c0.elapsed();
-                let e_rep = e_parts[0];
-                timings.forces = mark.elapsed() - comm_in_phase;
-                timings.communication += comm_in_phase;
-
-                if me == 0 {
-                    let mut forces: Vec<Vec3> = Vec::with_capacity(n_atoms);
-                    for part in &all_forces {
-                        for c in part.chunks_exact(3) {
-                            forces.push(Vec3::new(c[0], c[1], c[2]));
-                        }
-                    }
-                    Some((band + e_rep + entropy_term, forces, 0, timings))
-                } else {
-                    None
-                }
-            }),
-            DistributedSolver::RingJacobi => {
-                let owner0 = initial_column_owners(n_orb, p);
-                vmp_run_opts(p, opts, |mut rank| {
-                    let me = rank.id();
-                    let mut timings = PhaseTimings::default();
-                    let mut mark = Instant::now();
-                    // Collective wait since the last phase boundary. The ring
-                    // rotation inside `ring_jacobi_worker` is point-to-point,
-                    // not a collective, and stays inside `diagonalize`.
-                    let mut comm_in_phase = Duration::ZERO;
-                    // ---- Phase 1: positions broadcast (geometry replication).
-                    let mut pos_flat: Vec<f64> = if me == 0 {
-                        s.positions().iter().flat_map(|r| r.to_array()).collect()
-                    } else {
-                        vec![]
-                    };
-                    let c0 = Instant::now();
-                    rank.broadcast(0, 100, &mut pos_flat);
-                    comm_in_phase += c0.elapsed();
-                    // All ranks now hold the geometry; rebuild the structure/NL
-                    // locally (replicated data).
-                    let positions: Vec<Vec3> = pos_flat
-                        .chunks_exact(3)
-                        .map(|c| Vec3::new(c[0], c[1], c[2]))
-                        .collect();
-                    let mut local = s.clone();
-                    local.set_positions(positions);
-                    let nl = NeighborList::build(&local, model.cutoff());
-                    rank.count_flops(10 * nl.n_entries() as u64);
-                    timings.nl_rebuilds += 1;
-                    timings.neighbors = mark.elapsed() - comm_in_phase;
-                    timings.communication += comm_in_phase;
-                    comm_in_phase = Duration::ZERO;
-                    mark = Instant::now();
-
-                    // ---- Phase 2: assemble owned H columns.
-                    let mut cols: HashMap<usize, Vec<f64>> = HashMap::new();
-                    let mut atom_cache: HashMap<usize, [Vec<f64>; 4]> = HashMap::new();
-                    for c in 0..n_orb {
-                        if owner0[c] != me {
-                            continue;
-                        }
-                        let atom = c / 4;
-                        let slab = atom_cache.entry(atom).or_insert_with(|| {
-                            rank.count_flops(60 * nl.neighbors(atom).len() as u64 + 20);
-                            build_atom_columns(&local, &nl, model, &index, atom)
-                        });
-                        cols.insert(c, slab[c % 4].clone());
-                    }
-                    drop(atom_cache);
-                    timings.hamiltonian = mark.elapsed();
-                    mark = Instant::now();
-
-                    // ---- Phase 3: distributed diagonalization.
-                    let local_fro2: f64 =
-                        cols.values().flat_map(|c| c.iter()).map(|&x| x * x).sum();
-                    let mut buf = vec![local_fro2];
-                    let c0 = Instant::now();
-                    rank.allreduce_sum(101, &mut buf);
-                    comm_in_phase += c0.elapsed();
-                    let fro = buf[0].sqrt();
-                    let deig = ring_jacobi_worker(
-                        &mut rank,
-                        n_orb,
-                        cols,
-                        fro,
-                        JACOBI_TOL,
-                        JACOBI_MAX_SWEEPS,
-                        200,
-                    );
-                    timings.diagonalize = mark.elapsed() - comm_in_phase;
-                    timings.communication += comm_in_phase;
-                    comm_in_phase = Duration::ZERO;
-                    mark = Instant::now();
-
-                    // ---- Phase 4: occupations (replicated) + distributed ρ.
-                    let mut order: Vec<usize> = (0..n_orb).collect();
-                    order.sort_by(|&a, &b| {
-                        deig.values_by_column[a]
-                            .partial_cmp(&deig.values_by_column[b])
-                            .expect("NaN eigenvalue")
-                    });
-                    let sorted: Vec<f64> =
-                        order.iter().map(|&c| deig.values_by_column[c]).collect();
-                    let occ = occupations(&sorted, n_electrons, occupation);
-                    let band = occ.band_energy(&sorted);
-                    let entropy_term = match occupation {
-                        OccupationScheme::Fermi { kt } if kt > 0.0 => -(kt / KB_EV) * occ.entropy,
-                        _ => 0.0,
-                    };
-                    // Occupation per column id.
-                    let mut f_by_column = vec![0.0; n_orb];
-                    for (state_idx, &col) in order.iter().enumerate() {
-                        f_by_column[col] = occ.f[state_idx];
-                    }
-                    // Partial density matrix from owned eigenvector columns.
-                    let mut rho_flat = vec![0.0; n_orb * n_orb];
-                    for (&c, v) in &deig.owned_vectors {
-                        let f = f_by_column[c];
-                        if f <= OCCUPATION_DROP_TOL {
-                            continue;
-                        }
-                        rank.count_flops(2 * (n_orb * n_orb) as u64);
-                        for i in 0..n_orb {
-                            let vi2f = 2.0 * f * v[i];
-                            let row = &mut rho_flat[i * n_orb..(i + 1) * n_orb];
-                            for (rj, &vj) in row.iter_mut().zip(v) {
-                                *rj += vi2f * vj;
-                            }
-                        }
-                    }
-                    let c0 = Instant::now();
-                    rank.allreduce_sum(102, &mut rho_flat);
-                    comm_in_phase += c0.elapsed();
-                    timings.density = mark.elapsed() - comm_in_phase;
-                    timings.communication += comm_in_phase;
-                    comm_in_phase = Duration::ZERO;
-                    mark = Instant::now();
-
-                    // ---- Phase 5: forces for my atom block; allgather.
-                    let my_atoms = partition_range(n_atoms, rank.size(), me);
-                    let mut x = Vec::new();
-                    let mut fx = Vec::new();
-                    embedding_terms(n_atoms, &nl, model, &mut x, &mut fx);
-                    rank.count_flops(30 * n_atoms as u64);
-                    let my_rep_energy: f64 = my_atoms.clone().map(|i| fx[i].0).sum();
-                    let mut my_forces: Vec<f64> = Vec::with_capacity(3 * my_atoms.len());
-                    for i in my_atoms.clone() {
-                        let fi = atom_force(i, &nl, model, &index, &rho_flat, n_orb, &fx);
-                        rank.count_flops(400 * nl.neighbors(i).len() as u64);
-                        my_forces.extend_from_slice(&fi.to_array());
-                    }
-                    let c0 = Instant::now();
-                    let all_forces = rank.allgather(103, &my_forces);
-                    let mut e_parts = vec![my_rep_energy];
-                    rank.allreduce_sum(104, &mut e_parts);
-                    comm_in_phase += c0.elapsed();
-                    let e_rep = e_parts[0];
-                    timings.forces = mark.elapsed() - comm_in_phase;
-                    timings.communication += comm_in_phase;
-
-                    if me == 0 {
-                        let mut forces: Vec<Vec3> = Vec::with_capacity(n_atoms);
-                        for part in &all_forces {
-                            for c in part.chunks_exact(3) {
-                                forces.push(Vec3::new(c[0], c[1], c[2]));
-                            }
-                        }
-                        Some((band + e_rep + entropy_term, forces, deig.sweeps, timings))
-                    } else {
-                        None
-                    }
-                })
-            }
-        };
-
-        let (mut results, stats) = run.map_err(|e| TbError::RankFailure {
-            failed_ranks: e.failed_ranks(),
-            detail: e.to_string(),
-        })?;
-
-        // Surface pool growth (slot creation + per-slot buffer growth) into
-        // the caller's workspace counter so the O(1)-allocation guarantee is
-        // observable through the uniform `Workspace::large_alloc_events`.
-        let alloc_after = pool.created() + pool.total(|sl| sl.grown);
-        ws.grown += alloc_after - alloc_before;
-        tbmd_trace::add(
-            tbmd_trace::Counter::AllocGrowth,
-            (alloc_after - alloc_before) as u64,
-        );
-
-        let (energy, forces, sweeps, timings) = results
-            .remove(0)
-            .expect("rank 0 returns the assembled result");
-        // The rank-0 view is the canonical per-phase wall clock (per-rank
-        // spans would sum time-shared threads); feed it to the registry once.
-        timings.export_to_trace();
+        let launch = self.ranks.launch(
+            &self.pool,
+            |slot| slot.grown,
+            index.total(),
+            ws,
+            |rank, slot| match self.solver {
+                DistributedSolver::TwoStageSliced => self.sliced_rank(s, &index, rank, slot),
+                DistributedSolver::RingJacobi => self.ring_rank(s, &index, rank, slot),
+            },
+        )?;
+        let (energy, forces, jacobi_sweeps) = launch.result;
         *self.last_report.lock() = Some(DistributedReport {
-            stats,
-            jacobi_sweeps: sweeps,
-            n_ranks: p,
+            stats: launch.stats,
+            jacobi_sweeps,
+            n_ranks: launch.n_ranks,
         });
         Ok(ForceEvaluation {
             energy,
             forces,
-            timings,
+            timings: launch.timings,
         })
+    }
+
+    /// Eigenvalues-only energy on the calling thread — a line-search trial
+    /// needs no ranks, eigenvectors or ρ allreduce.
+    fn energy_only(&self, s: &Structure) -> Result<f64, TbError> {
+        TbCalculator::with_occupation(self.model, self.occupation).energy(s)
     }
 
     fn provider_name(&self) -> &str {
@@ -786,8 +473,10 @@ impl ForceProvider for DistributedTb<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vmp::RecvTimeoutPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::{Duration, Instant};
     use tbmd_model::{carbon_xwch, silicon_gsp, TbCalculator};
     use tbmd_structure::{bulk_diamond, fullerene_c60, Species};
 
@@ -953,7 +642,8 @@ mod tests {
     fn injected_kill_surfaces_rank_failure_then_recovers() {
         let model = silicon_gsp();
         let s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let dist = DistributedTb::new(&model, 3).with_fault_plan(crate::vmp::FaultPlan {
+        let dist = DistributedTb::new(&model, 3);
+        dist.ranks.arm(crate::vmp::FaultPlan {
             rank: 1,
             at_evaluation: 2,
             kind: crate::vmp::FaultKind::Kill,
@@ -992,7 +682,7 @@ mod tests {
         let reference = serial.evaluate(&s).unwrap();
         let dist = DistributedTb::new(&model, 3);
         dist.evaluate(&s).unwrap();
-        assert_eq!(dist.shrink_ranks(1), 2);
+        assert_eq!(dist.ranks.shrink_ranks(1), 2);
         let shrunk = dist.evaluate(&s).unwrap();
         assert_eq!(dist.last_report().unwrap().n_ranks, 2);
         assert!((shrunk.energy - reference.energy).abs() < 1e-8);
@@ -1000,11 +690,11 @@ mod tests {
             assert!((*fa - *fb).max_abs() < 1e-6);
         }
         // Respawn restores the configured width.
-        assert_eq!(dist.respawn_full_ranks(), 3);
+        assert_eq!(dist.ranks.respawn_full_ranks(), 3);
         dist.evaluate(&s).unwrap();
         assert_eq!(dist.last_report().unwrap().n_ranks, 3);
         // Never shrinks below one rank.
-        assert_eq!(dist.shrink_ranks(99), 1);
+        assert_eq!(dist.ranks.shrink_ranks(99), 1);
         dist.evaluate(&s).unwrap();
         assert_eq!(dist.last_report().unwrap().n_ranks, 1);
     }
@@ -1016,12 +706,13 @@ mod tests {
         // out-of-range rank id).
         let model = silicon_gsp();
         let s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let dist = DistributedTb::new(&model, 3).with_fault_plan(crate::vmp::FaultPlan {
+        let dist = DistributedTb::new(&model, 3);
+        dist.ranks.arm(crate::vmp::FaultPlan {
             rank: 2,
             at_evaluation: 1,
             kind: crate::vmp::FaultKind::Kill,
         });
-        dist.shrink_ranks(1);
+        dist.ranks.shrink_ranks(1);
         dist.evaluate(&s).expect("dropped plan must not fire");
         // The slot is empty now: later evaluations stay clean too.
         dist.evaluate(&s).expect("plan must stay consumed");
@@ -1037,15 +728,16 @@ mod tests {
         // duration (the cancellation token reclaims the frozen worker).
         let model = silicon_gsp();
         let s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let dist = DistributedTb::new(&model, 3)
-            .with_recv_timeout(Duration::from_millis(80))
-            .with_fault_plan(crate::vmp::FaultPlan {
-                rank: 1,
-                at_evaluation: 1,
-                kind: crate::vmp::FaultKind::Stall { ms: 30_000 },
-            });
+        let dist = DistributedTb::new(&model, 3);
+        dist.ranks
+            .set_recv_timeout(RecvTimeoutPolicy::Fixed(Duration::from_millis(80)));
+        dist.ranks.arm(crate::vmp::FaultPlan {
+            rank: 1,
+            at_evaluation: 1,
+            kind: crate::vmp::FaultKind::Stall { ms: 30_000 },
+        });
         assert_eq!(
-            dist.recv_timeout_policy(),
+            dist.ranks.recv_timeout_policy(),
             RecvTimeoutPolicy::Fixed(Duration::from_millis(80))
         );
         let started = Instant::now();

@@ -1,144 +1,43 @@
-//! Shared-memory data-parallel TBMD engine (Rayon).
+//! Shared-memory fan-out stages of the dense pipeline (Rayon).
 //!
-//! The modern counterpart to the message-passing engine: the same four
-//! phases (Hamiltonian build, diagonalization, density matrix, forces) are
-//! parallelized with Rayon parallel iterators. H rows belonging to different
-//! atoms are disjoint, so the build is a `par_chunks_mut` over 4-row bands;
-//! forces are an independent map over atoms against the shared density
-//! matrix; the density matrix itself uses the blocked parallel GEMM from
-//! `tbmd-linalg`; and the eigensolver can be either serial Householder+QL
-//! or the parallel-ordered Jacobi.
+//! The shared-memory engine is the dense calculator
+//! ([`tbmd_model::TbCalculator`]) with two stages swapped: `H` is assembled
+//! band by band across the pool (rows belonging to different atoms are
+//! disjoint, so the build is a `par_chunks_mut` over 4-row bands), and
+//! forces are an independent gather-form map over atoms against the shared
+//! density matrix. Neighbours, the two-stage eigensolve and the SYRK density
+//! matrix are the calculator's own (already threaded inside `tbmd-linalg`).
+//! Both stages honour the compute budget: under a width-1 lease they walk
+//! the same per-band / per-atom bodies serially, bitwise identical.
 
 use rayon::prelude::*;
-use tbmd_linalg::{
-    eigh_into, par_jacobi_eigh_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
-    tridiagonalize_blocked_into, Matrix, Vec3, JACOBI_MAX_SWEEPS, JACOBI_TOL,
-};
+use tbmd_linalg::{Matrix, Vec3};
 use tbmd_model::{
-    density_matrix_into, occupations, occupied_count, sk_block, DenseCache, ForceEvaluation,
-    ForceProvider, OccupationScheme, OrbitalIndex, PhaseTimings, TbError, TbModel, Workspace,
-    TWO_STAGE_MIN_DIM,
+    assemble_band, bond_force, build_hamiltonian_into, dense_block, embedding, DenseStages,
+    OrbitalIndex, TbCalculator, TbModel,
 };
 use tbmd_structure::{NeighborList, Structure};
 
-/// Which symmetric eigensolver the shared-memory engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Eigensolver {
-    /// Two-stage blocked solver with occupied-subspace spectrum slicing:
-    /// blocked Householder reduction, full tridiagonal spectrum, then
-    /// inverse-iteration eigenvectors for the occupied window only,
-    /// back-transformed with compact-WY sweeps.
-    #[default]
-    TwoStageSliced,
-    /// Serial Householder tridiagonalization + implicit QL with full
-    /// eigenvector accumulation (the reference path).
-    HouseholderQl,
-    /// Parallel-ordered cyclic Jacobi (slower serially, but every round
-    /// exposes n/2 independent rotations).
-    ParallelJacobi,
+/// The fan-out `H`-assembly and force stages.
+pub const FAN_OUT: DenseStages = DenseStages {
+    hamiltonian: par_build_hamiltonian_into,
+    forces: par_forces,
+    name: "shared-memory-tb",
+};
+
+/// The shared-memory engine: the dense calculator (default smearing,
+/// two-stage eigensolver) with the [`FAN_OUT`] stages plugged in. Set
+/// `occupation` / `solver` on the result as on any [`TbCalculator`].
+pub fn shared_memory_tb(model: &dyn TbModel) -> TbCalculator<'_> {
+    let mut calc = TbCalculator::new(model);
+    calc.stages = FAN_OUT;
+    calc
 }
 
-/// Rayon-parallel tight-binding engine. Implements [`ForceProvider`], so it
-/// drops into every integrator and the benchmark harness.
-pub struct SharedMemoryTb<'m> {
-    model: &'m dyn TbModel,
-    /// Occupation scheme (default: 0.1 eV Fermi smearing).
-    pub occupation: OccupationScheme,
-    /// Eigensolver selection.
-    pub eigensolver: Eigensolver,
-}
-
-impl<'m> SharedMemoryTb<'m> {
-    /// Engine with the default smearing and the two-stage sliced
-    /// eigensolver.
-    pub fn new(model: &'m dyn TbModel) -> Self {
-        SharedMemoryTb {
-            model,
-            occupation: OccupationScheme::Fermi { kt: 0.1 },
-            eigensolver: Eigensolver::default(),
-        }
-    }
-
-    /// Select the eigensolver.
-    pub fn with_eigensolver(mut self, solver: Eigensolver) -> Self {
-        self.eigensolver = solver;
-        self
-    }
-
-    /// Select the occupation scheme.
-    pub fn with_occupation(mut self, occupation: OccupationScheme) -> Self {
-        self.occupation = occupation;
-        self
-    }
-
-    fn validate(&self, s: &Structure) -> Result<(), TbError> {
-        if s.n_atoms() == 0 {
-            return Err(TbError::EmptyStructure);
-        }
-        for i in 0..s.n_atoms() {
-            if !self.model.supports(s.species(i)) {
-                return Err(TbError::UnsupportedSpecies {
-                    species: s.species(i),
-                    model: self.model.name().to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Eigenvalue stage. `HouseholderQl` and `ParallelJacobi` overwrite
-    /// `ws.h` with the full eigenvector matrix in place (allocation-free
-    /// through `ws.eigh` / `ws.jacobi`); `TwoStageSliced` reduces `ws.h` to
-    /// tridiagonal form and computes the complete spectrum, deferring
-    /// eigenvectors to [`SharedMemoryTb::solve_vectors`].
-    fn solve_values(&self, ws: &mut Workspace) -> Result<(), TbError> {
-        if self.slices_spectrum(ws.h.rows()) {
-            tridiagonalize_blocked_into(&mut ws.h, &mut ws.eigh);
-            reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
-            tbmd_trace::add(tbmd_trace::Counter::SturmBisections, ws.values.len() as u64);
-            return Ok(());
-        }
-        match self.eigensolver {
-            Eigensolver::TwoStageSliced | Eigensolver::HouseholderQl => {
-                eigh_into(&mut ws.h, &mut ws.values, &mut ws.eigh)?
-            }
-            Eigensolver::ParallelJacobi => {
-                par_jacobi_eigh_into(
-                    &mut ws.h,
-                    &mut ws.values,
-                    &mut ws.jacobi,
-                    JACOBI_TOL,
-                    JACOBI_MAX_SWEEPS,
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the eigenvalue stage defers eigenvectors to the sliced
-    /// inverse-iteration path. Below [`TWO_STAGE_MIN_DIM`] the two-stage
-    /// overheads don't amortize and the one-stage QL solve wins, so small
-    /// systems fall back to it even under `TwoStageSliced`.
-    fn slices_spectrum(&self, n: usize) -> bool {
-        self.eigensolver == Eigensolver::TwoStageSliced && n >= TWO_STAGE_MIN_DIM
-    }
-}
-
-/// Parallel Hamiltonian assembly: every atom's 4-row band is written by
-/// exactly one Rayon task.
-pub fn par_build_hamiltonian(
-    s: &Structure,
-    nl: &NeighborList,
-    model: &dyn TbModel,
-    index: &OrbitalIndex,
-) -> Matrix {
-    let mut h = Matrix::default();
-    par_build_hamiltonian_into(s, nl, model, index, &mut h);
-    h
-}
-
-/// [`par_build_hamiltonian`] into a caller-owned buffer, reusing its
-/// allocation. Returns `true` if the buffer had to grow.
+/// Parallel Hamiltonian assembly into a caller-owned buffer, reusing its
+/// allocation. Returns `true` if the buffer had to grow. Every atom's 4-row
+/// band is written by exactly one Rayon task running the serial build's own
+/// [`assemble_band`], so the budget-throttled serial walk is bitwise equal.
 pub fn par_build_hamiltonian_into(
     s: &Structure,
     nl: &NeighborList,
@@ -147,52 +46,25 @@ pub fn par_build_hamiltonian_into(
     h: &mut Matrix,
 ) -> bool {
     let n_orb = index.total();
-    let grew = h.resize_zeroed(n_orb, n_orb);
-    // All bundled models have 4 orbitals/atom, which makes the band layout
-    // uniform; assert so a future heteronuclear model fails loudly here.
-    assert!(
-        (0..s.n_atoms()).all(|i| s.species(i).n_orbitals() == 4),
-        "par_build_hamiltonian assumes 4 orbitals per atom"
-    );
-    let build_band = |(i, band): (usize, &mut [f64])| {
-        let e = model.on_site(s.species(i));
-        let oi = index.offset(i);
-        for (k, &ek) in e.iter().enumerate() {
-            band[k * n_orb + oi + k] = ek;
-        }
-        for nb in nl.neighbors(i) {
-            let v = model.hoppings(nb.dist);
-            if v.iter().all(|&x| x == 0.0) {
-                continue;
-            }
-            let b = sk_block(nb.disp.to_array(), v);
-            let oj = index.offset(nb.j);
-            for (mu, row) in b.iter().enumerate() {
-                for (nu, &x) in row.iter().enumerate() {
-                    band[mu * n_orb + oj + nu] += x;
-                }
-            }
-        }
-    };
-    // Each band is written by exactly one task with identical arithmetic
-    // either way, so the budget-throttled serial walk is bitwise equal.
-    if tbmd_linalg::parallel_allowed() {
-        h.as_mut_slice()
-            .par_chunks_mut(4 * n_orb)
-            .enumerate()
-            .for_each(build_band);
-    } else {
-        h.as_mut_slice()
-            .chunks_mut(4 * n_orb)
-            .enumerate()
-            .for_each(build_band);
+    if !tbmd_linalg::parallel_allowed() || n_orb == 0 {
+        return build_hamiltonian_into(s, nl, model, index, h);
     }
+    let grew = h.resize_zeroed(n_orb, n_orb);
+    h.as_mut_slice()
+        .par_chunks_mut(4 * n_orb)
+        .enumerate()
+        .for_each(|(i, band)| {
+            let on_site = model.on_site(s.species(i));
+            assemble_band(nl, index, i, band, on_site, |r| model.hoppings(r))
+        });
     grew
 }
 
 /// Parallel electronic + repulsive forces in gather form: each atom's force
-/// reads the shared density matrix and the per-atom embedding derivatives,
-/// writing only its own entry.
+/// ([`bond_force`]) reads the shared density matrix and the per-atom
+/// embedding derivatives, writing only its own entry — one task per atom
+/// with fixed-order arithmetic, so the budget-throttled serial map is
+/// bitwise equal. Returns the repulsive energy alongside.
 pub fn par_forces(
     s: &Structure,
     nl: &NeighborList,
@@ -201,62 +73,13 @@ pub fn par_forces(
     rho: &Matrix,
 ) -> (f64, Vec<Vec3>) {
     let n = s.n_atoms();
-    let wide = tbmd_linalg::parallel_allowed();
-    // Per-atom embedding arguments and derivatives (cheap, parallel).
-    // Every per-atom value is computed by one task with fixed-order
-    // arithmetic, so the budget-throttled serial map is bitwise equal.
-    let embed_arg = |i: usize| -> f64 {
-        nl.neighbors(i)
-            .iter()
-            .map(|nb| model.repulsion(nb.dist).0)
-            .sum()
-    };
-    let x: Vec<f64> = if wide {
-        (0..n).into_par_iter().map(embed_arg).collect()
-    } else {
-        (0..n).map(embed_arg).collect()
-    };
-    let fx: Vec<(f64, f64)> = if wide {
-        x.par_iter().map(|&xi| model.embedding(xi)).collect()
-    } else {
-        x.iter().map(|&xi| model.embedding(xi)).collect()
-    };
+    let fx = embedding(model, nl, n);
     let e_rep: f64 = fx.iter().map(|&(f, _)| f).sum();
-
     let force_on = |i: usize| -> Vec3 {
         let oi = index.offset(i);
-        let mut fi = Vec3::ZERO;
-        for nb in nl.neighbors(i) {
-            if nb.j == i {
-                continue;
-            }
-            // Electronic part: 2 ρ_ij : ∂B/∂d.
-            let v = model.hoppings(nb.dist);
-            let dv = model.hoppings_deriv(nb.dist);
-            if !(v.iter().all(|&x| x == 0.0) && dv.iter().all(|&x| x == 0.0)) {
-                let grad = tbmd_model::sk_block_gradient(nb.disp.to_array(), v, dv);
-                let oj = index.offset(nb.j);
-                for gamma in 0..3 {
-                    let mut acc = 0.0;
-                    for (mu, grow) in grad[gamma].iter().enumerate() {
-                        for (nu, &g) in grow.iter().enumerate() {
-                            acc += rho[(oi + mu, oj + nu)] * g;
-                        }
-                    }
-                    fi[gamma] += 2.0 * acc;
-                }
-            }
-            // Repulsive part, gather form:
-            // F_i += (f'(x_i) + f'(x_j)) φ'(r) d̂.
-            let (_, dphi) = model.repulsion(nb.dist);
-            if dphi != 0.0 {
-                let unit = nb.disp / nb.dist;
-                fi += unit * ((fx[i].1 + fx[nb.j].1) * dphi);
-            }
-        }
-        fi
+        bond_force(model, nl, i, &fx, |j| dense_block(rho, oi, index.offset(j)))
     };
-    let forces: Vec<Vec3> = if wide {
+    let forces: Vec<Vec3> = if tbmd_linalg::parallel_allowed() {
         (0..n).into_par_iter().map(force_on).collect()
     } else {
         (0..n).map(force_on).collect()
@@ -264,93 +87,20 @@ pub fn par_forces(
     (e_rep, forces)
 }
 
-impl ForceProvider for SharedMemoryTb<'_> {
-    fn evaluate(&self, s: &Structure) -> Result<ForceEvaluation, TbError> {
-        self.evaluate_with(s, &mut Workspace::new())
-    }
-
-    fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        self.validate(s)?;
-        let mut timings = PhaseTimings::default();
-        let grown_before = ws.grown;
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Neighbors);
-        let outcome = ws.neighbors.update(s, self.model.cutoff());
-        timings.neighbors = sp.finish();
-        timings.note_neighbors(outcome);
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
-        let index = OrbitalIndex::new(s);
-        ws.grown +=
-            par_build_hamiltonian_into(s, ws.neighbors.list(), self.model, &index, &mut ws.h)
-                as usize;
-        timings.hamiltonian = sp.finish();
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-        self.solve_values(ws)?;
-        timings.diagonalize = sp.finish();
-
-        let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
-        let band = occ.band_energy(&ws.values);
-        let entropy_term = match self.occupation {
-            OccupationScheme::Fermi { kt } if kt > 0.0 => -(kt / tbmd_model::KB_EV) * occ.entropy,
-            _ => 0.0,
-        };
-
-        // Two-stage eigenvector stage: inverse iteration for the occupied
-        // window only (`f > 10⁻¹²`), back-transformed through the blocked
-        // reflectors left in ws.h.
-        let (vectors, f_window) = if self.slices_spectrum(ws.h.rows()) {
-            let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-            let k = occupied_count(&occ.f);
-            reduced_eigenvectors_into(&ws.h, &ws.values[..k], &mut ws.c, &mut ws.eigh);
-            timings.diagonalize += sp.finish();
-            ws.dense_cache = DenseCache::Sliced { occupied: k };
-            (&ws.c, &occ.f[..k])
-        } else {
-            ws.dense_cache = DenseCache::Full {
-                occupied: occupied_count(&occ.f),
-            };
-            (&ws.h, &occ.f[..])
-        };
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
-        ws.grown += density_matrix_into(vectors, f_window, &mut ws.w, &mut ws.rho);
-        timings.density = sp.finish();
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let (e_rep, forces) = par_forces(s, ws.neighbors.list(), self.model, &index, &ws.rho);
-        timings.forces = sp.finish();
-
-        tbmd_trace::add(
-            tbmd_trace::Counter::AllocGrowth,
-            (ws.grown - grown_before) as u64,
-        );
-        Ok(ForceEvaluation {
-            energy: band + e_rep + entropy_term,
-            forces,
-            timings,
-        })
-    }
-
-    fn provider_name(&self) -> &str {
-        "shared-memory-tb"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tbmd_model::{carbon_xwch, silicon_gsp, TbCalculator};
+    use tbmd_model::{carbon_xwch, silicon_gsp, DenseSolver, ForceProvider, TbError};
     use tbmd_structure::{bulk_diamond, fullerene_c60, Species};
 
     /// The shared-memory engine must agree with the serial reference to
     /// near round-off for energy and every force component.
-    fn assert_engines_agree(s: &Structure, model: &dyn TbModel, solver: Eigensolver) {
+    fn assert_engines_agree(s: &Structure, model: &dyn TbModel, solver: DenseSolver) {
         let serial = TbCalculator::new(model);
-        let parallel = SharedMemoryTb::new(model).with_eigensolver(solver);
+        let mut parallel = shared_memory_tb(model);
+        parallel.solver = solver;
         let a = serial.evaluate(s).unwrap();
         let b = parallel.evaluate(s).unwrap();
         assert!(
@@ -368,15 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_serial_on_silicon_ql() {
-        let model = silicon_gsp();
-        let mut s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let mut rng = StdRng::seed_from_u64(2);
-        s.perturb(&mut rng, 0.08);
-        assert_engines_agree(&s, &model, Eigensolver::HouseholderQl);
-    }
-
-    #[test]
     fn matches_serial_on_silicon_two_stage() {
         let model = silicon_gsp();
         // 2x2x2 cell: 64 atoms / 256 orbitals, above TWO_STAGE_MIN_DIM so
@@ -384,7 +125,7 @@ mod tests {
         let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
         let mut rng = StdRng::seed_from_u64(9);
         s.perturb(&mut rng, 0.08);
-        assert_engines_agree(&s, &model, Eigensolver::TwoStageSliced);
+        assert_engines_agree(&s, &model, DenseSolver::TwoStage);
     }
 
     #[test]
@@ -393,7 +134,7 @@ mod tests {
         let mut s = bulk_diamond(Species::Silicon, 1, 1, 1);
         let mut rng = StdRng::seed_from_u64(3);
         s.perturb(&mut rng, 0.08);
-        assert_engines_agree(&s, &model, Eigensolver::ParallelJacobi);
+        assert_engines_agree(&s, &model, DenseSolver::ParallelJacobi);
     }
 
     #[test]
@@ -402,7 +143,7 @@ mod tests {
         let mut s = fullerene_c60(1.44);
         let mut rng = StdRng::seed_from_u64(4);
         s.perturb(&mut rng, 0.04);
-        assert_engines_agree(&s, &model, Eigensolver::HouseholderQl);
+        assert_engines_agree(&s, &model, DenseSolver::FullQl);
     }
 
     #[test]
@@ -414,18 +155,15 @@ mod tests {
         let nl = NeighborList::build(&s, model.cutoff());
         let index = OrbitalIndex::new(&s);
         let serial = tbmd_model::build_hamiltonian(&s, &nl, &model, &index);
-        let parallel = par_build_hamiltonian(&s, &nl, &model, &index);
-        assert!(
-            (&serial - &parallel).max_abs() < 1e-14,
-            "H mismatch {}",
-            (&serial - &parallel).max_abs()
-        );
+        let mut parallel = Matrix::default();
+        par_build_hamiltonian_into(&s, &nl, &model, &index, &mut parallel);
+        assert_eq!(serial.as_slice(), parallel.as_slice(), "same band body");
     }
 
     #[test]
     fn rejects_unsupported_species() {
         let model = silicon_gsp();
-        let engine = SharedMemoryTb::new(&model);
+        let engine = shared_memory_tb(&model);
         let s = tbmd_structure::dimer(Species::Carbon, 1.4);
         assert!(matches!(
             engine.evaluate(&s),
@@ -436,9 +174,6 @@ mod tests {
     #[test]
     fn provider_name() {
         let model = silicon_gsp();
-        assert_eq!(
-            SharedMemoryTb::new(&model).provider_name(),
-            "shared-memory-tb"
-        );
+        assert_eq!(shared_memory_tb(&model).provider_name(), "shared-memory-tb");
     }
 }

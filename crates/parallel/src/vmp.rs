@@ -661,6 +661,10 @@ where
     let mut results: Vec<Option<T>> = (0..n_ranks).map(|_| None).collect();
     let mut faults: Vec<RankFault> = Vec::new();
     let cancel = CancelToken::new();
+    // Workers re-enter the launching thread's scoped sinks, so whoever is
+    // watching the launcher (a tenant's view, a test's own scope) also sees
+    // what its ranks record. Empty, and free, when nobody is.
+    let launcher_scopes = tbmd_trace::entered_scopes();
     crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_ranks);
         for (id, receiver) in receivers.into_iter().enumerate() {
@@ -676,13 +680,17 @@ where
             };
             let fref = &f;
             let fault = opts.fault;
+            let launcher_scopes = &launcher_scopes;
             handles.push(scope.spawn(move |_| {
                 // Held for the worker's whole lifetime: census + latch the
                 // cancellation token if this thread unwinds for any reason.
                 let _guard = WorkerGuard::new(rank.cancel.clone());
                 // Attribute everything this worker records (counters,
-                // local phase spans) to its rank's scoped sink; a no-op
-                // single atomic load when tracing is disabled.
+                // local phase spans) to the launcher's scopes and to its
+                // rank's scoped sink; a no-op single atomic load when
+                // tracing is disabled.
+                let _inherited: Vec<tbmd_trace::ScopeGuard> =
+                    launcher_scopes.iter().map(|s| s.enter()).collect();
                 let _telemetry = tbmd_trace::rank_scope(id);
                 if let Some(fault) = fault {
                     if fault.rank == id {

@@ -163,15 +163,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "c60" => SystemSpec::C60,
         other => return Err(format!("unknown system {other:?}")),
     };
-    let engine = match v.get("engine").and_then(|s| s.as_str()).unwrap_or("serial") {
-        "serial" => EngineKind::Serial,
-        "shared" => EngineKind::Shared,
-        "shared-jacobi" => EngineKind::SharedJacobi,
-        "distributed" => EngineKind::Distributed {
-            ranks: int(&v, "ranks").unwrap_or(2).max(1),
-        },
-        other => return Err(format!("unknown engine {other:?}")),
-    };
+    let engine = EngineKind::parse(
+        v.get("engine").and_then(|s| s.as_str()).unwrap_or("serial"),
+        int(&v, "ranks"),
+    )?;
     let temperature_k = num(&v, "temperature_k").unwrap_or(300.0);
     let steps = int(&v, "steps").unwrap_or(100);
     let dt_fs = num(&v, "dt_fs").unwrap_or(1.0);
@@ -574,7 +569,7 @@ impl Multiplexer {
             let wait = waiting.queued_at.elapsed();
             let wait_ns = wait.as_nanos() as u64;
             tbmd_trace::record_ns(Hist::AdmissionWait, wait_ns);
-            if tbmd_trace::enabled() {
+            if tbmd_trace::active() {
                 waiting.entry.sink.record_ns(Hist::AdmissionWait, wait_ns);
             }
             waiting
@@ -668,7 +663,7 @@ impl Multiplexer {
             // and per-tenant.
             let quantum_span =
                 timeline::is_enabled().then(|| timeline::span(timeline::label(&tenant.name)));
-            let quantum_clock = tbmd_trace::enabled().then(Instant::now);
+            let quantum_clock = tbmd_trace::active().then(Instant::now);
             let outcome = tenant.session.run_until(target);
             if let Some(t0) = quantum_clock {
                 let ns = t0.elapsed().as_nanos() as u64;

@@ -6,8 +6,7 @@
 //!   [`Phase`]. Engines open a span per phase; `finish()` returns the
 //!   measured [`std::time::Duration`] (so `PhaseTimings` stays a plain
 //!   value type — it is now a *view* over span measurements) and feeds the
-//!   registry's monotonic per-phase nanosecond accumulators when a
-//!   collecting sink is installed.
+//!   monotonic per-phase nanosecond accumulators of whoever is listening.
 //! - **Counters** ([`Counter`]): monotonic event counts — wire bytes and
 //!   messages from the Vmp machine, workspace growth events, neighbour-list
 //!   rebuilds/refreshes, Sturm bisections, Chebyshev matvecs. Totals across
@@ -20,16 +19,18 @@
 //!   admission wait and quantum latency — with p50/p90/p99 reconstruction
 //!   and `since()` deltas ([`HistSnapshot`]).
 //! - **Scoped sinks** ([`ScopedSink`]): labelled per-tenant / per-rank
-//!   views layered over the global registry via a thread-local sink stack;
-//!   `tbmd-serve` enters a tenant's scope per quantum and `vmp_run_opts`
-//!   enters a rank's scope ([`rank_scope`]) per worker, so breakdowns fall
-//!   out without engine changes.
+//!   views fed through a thread-local sink stack, with or without a global
+//!   sink installed; `tbmd-serve` enters a tenant's scope per quantum,
+//!   `vmp_run_opts` re-enters the launcher's scopes plus a rank's scope
+//!   ([`rank_scope`]) per worker, and tests enter one of their own to watch
+//!   their run, so breakdowns fall out without engine changes.
 //! - **Timeline** ([`timeline`]): an opt-in hierarchical span recorder
 //!   (per-thread ring buffers) exporting Chrome `trace_event` JSON for
 //!   `chrome://tracing` / Perfetto.
 //!
-//! The global sink defaults to [`TraceSink::disabled()`]: every hot-path
-//! hook is then a single relaxed atomic load and no allocation, so an MD
+//! The global sink defaults to [`TraceSink::disabled()`]: with no scope
+//! entered either, every hot-path hook is a single relaxed atomic load and
+//! no allocation, so an MD
 //! run with tracing disabled is bitwise-identical to an uninstrumented one
 //! (pinned by `tests/trace_overhead.rs` at the workspace root).
 //!
@@ -56,7 +57,8 @@ pub use record::{
     git_describe, HealthRecord, RecorderSummary, RunManifest, RunRecorder, StepRecord,
 };
 pub use sink::{
-    add, add_phase_ns, enabled, handle, histograms, install, rank_scope, rank_telemetry, record_ns,
-    reset_rank_telemetry, set_gauge, snapshot, span, PhaseSpan, ScopeGuard, ScopedSink, TraceSink,
+    active, add, add_phase_ns, enabled, entered_scopes, handle, histograms, install, rank_scope,
+    rank_telemetry, record_ns, reset_rank_telemetry, set_gauge, snapshot, span, PhaseSpan,
+    ScopeGuard, ScopedSink, TraceSink,
 };
 pub use watchdog::{DriftWatchdog, WatchdogStatus};

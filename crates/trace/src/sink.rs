@@ -2,39 +2,48 @@
 //! nanosecond accumulators, gauges and latency [`Histogram`]s, plus the
 //! RAII span guard and the scoped-sink stack.
 //!
-//! Layout follows the `log`-crate pattern: a relaxed [`AtomicBool`] fast
-//! path guards every hook, so with the default [`TraceSink::disabled()`]
-//! installed each instrumentation point costs one atomic load and performs
-//! no allocation, locking, or syscall. Installing a collecting sink flips
-//! the flag and routes events into an `Arc`'d block of atomics shared with
-//! every [`handle`] the caller took.
+//! Layout follows the `log`-crate pattern: one relaxed atomic load guards
+//! every hook, so with the default [`TraceSink::disabled()`] installed and
+//! no scope entered each instrumentation point costs that load and performs
+//! no allocation, locking, or syscall. Installing a collecting sink sets
+//! the word's low bit and routes events into an `Arc`'d block of atomics
+//! shared with every [`handle`] the caller took; entering a scope counts
+//! into the word's upper bits.
 //!
 //! # Scoped sinks
 //!
 //! A [`ScopedSink`] is a second, labelled block of the same atomics. While
 //! a thread holds its [`ScopeGuard`] (from [`ScopedSink::enter`]), every
-//! event that thread records lands in the scoped block *in addition to*
-//! the global registry — the global totals stay exactly what they were,
-//! and the scope gets its own view. Guards nest (a tenant scope around a
-//! rank scope attributes events to both), giving per-tenant and per-rank
-//! breakdowns without any engine code knowing scopes exist. The stack is
-//! thread-local: a scope sees only events recorded by threads that entered
-//! it, which is the intended attribution (the thread driving a tenant's
-//! session, the thread running a VMP rank).
+//! event that thread records lands in the scoped block — *in addition to*
+//! the global registry when one is installed, and on its own when none is:
+//! an entered scope is sufficient to observe, which is how tests and
+//! benches watch their own run without touching process-global state.
+//! Guards nest (a tenant scope around a rank scope attributes events to
+//! both), giving per-tenant and per-rank breakdowns without any engine code
+//! knowing scopes exist. The stack is thread-local: a scope sees the events
+//! recorded by threads that entered it — the thread driving a tenant's
+//! session, and the VMP rank threads that session launches, which re-enter
+//! their launcher's scopes ([`entered_scopes`]).
 
 use crate::hist::{Hist, Histogram, HistogramSet};
 use crate::metrics::{Counter, Gauge, Phase, TraceSnapshot};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Who is listening, in one word: bit 0 is "a collecting global sink is
+/// installed", the rest counts entered scopes over all threads (in units
+/// of [`SCOPE_ENTERED`]). Zero — nothing installed, nothing entered — is
+/// the fast path every hook leaves on.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+const GLOBAL_INSTALLED: usize = 1;
+const SCOPE_ENTERED: usize = 2;
 static GLOBAL: RwLock<Option<Arc<Shared>>> = RwLock::new(None);
 
 thread_local! {
     /// Scoped-sink stack for this thread; events fan out to every entry.
-    static SCOPES: RefCell<Vec<Arc<Shared>>> = const { RefCell::new(Vec::new()) };
+    static SCOPES: RefCell<Vec<ScopedSink>> = const { RefCell::new(Vec::new()) };
 }
 
 struct Shared {
@@ -170,9 +179,8 @@ impl TraceSink {
 }
 
 /// A labelled metrics view: same storage layout as a collecting
-/// [`TraceSink`], fed only while a thread holds its [`ScopeGuard`] (and
-/// only while a collecting global sink is installed — scopes refine the
-/// global view, they never replace it).
+/// [`TraceSink`], fed while a thread holds its [`ScopeGuard`] — whether or
+/// not a global sink is installed.
 #[derive(Clone)]
 pub struct ScopedSink {
     label: Arc<str>,
@@ -197,7 +205,8 @@ impl ScopedSink {
     /// the thread records until the guard drops is mirrored here. Guards
     /// are strictly RAII (not `Send`), so the stack stays well-nested.
     pub fn enter(&self) -> ScopeGuard {
-        SCOPES.with(|stack| stack.borrow_mut().push(Arc::clone(&self.shared)));
+        SCOPES.with(|stack| stack.borrow_mut().push(self.clone()));
+        LIVE.fetch_add(SCOPE_ENTERED, Ordering::SeqCst);
         ScopeGuard {
             _not_send: std::marker::PhantomData,
         }
@@ -240,10 +249,21 @@ pub struct ScopeGuard {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
+        LIVE.fetch_sub(SCOPE_ENTERED, Ordering::SeqCst);
         SCOPES.with(|stack| {
             stack.borrow_mut().pop();
         });
     }
+}
+
+/// The scopes the current thread has entered, outermost first — what a
+/// worker thread re-enters to attribute its events to whoever launched it.
+/// Empty (and allocation-free) when the thread has entered none.
+pub fn entered_scopes() -> Vec<ScopedSink> {
+    if LIVE.load(Ordering::Relaxed) < SCOPE_ENTERED {
+        return Vec::new();
+    }
+    SCOPES.with(|stack| stack.borrow().clone())
 }
 
 /// Per-rank scoped sinks, created lazily the first time a VMP worker for
@@ -289,14 +309,18 @@ pub fn reset_rank_telemetry() {
 /// one). Handles already cloned from the old sink keep recording into the
 /// old storage; the global hooks switch immediately.
 pub fn install(sink: TraceSink) {
-    let enabled = sink.is_enabled();
-    *GLOBAL.write().expect("trace registry poisoned") = sink.shared;
-    ENABLED.store(enabled, Ordering::SeqCst);
+    let mut global = GLOBAL.write().expect("trace registry poisoned");
+    if sink.is_enabled() {
+        LIVE.fetch_or(GLOBAL_INSTALLED, Ordering::SeqCst);
+    } else {
+        LIVE.fetch_and(!GLOBAL_INSTALLED, Ordering::SeqCst);
+    }
+    *global = sink.shared;
 }
 
 /// Clone a handle on the currently installed sink (disabled if none).
 pub fn handle() -> TraceSink {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !enabled() {
         return TraceSink::disabled();
     }
     TraceSink {
@@ -304,72 +328,72 @@ pub fn handle() -> TraceSink {
     }
 }
 
-/// Fast check: is a collecting sink installed?
+/// Fast check: is a collecting *global* sink installed?
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    LIVE.load(Ordering::Relaxed) & GLOBAL_INSTALLED != 0
 }
 
-/// Apply `f` to the global registry and every scope on this thread's
-/// stack. One relaxed load and out when disabled.
+/// Fast check: is anyone listening at all — a collecting global sink, or a
+/// scope entered on some thread? Code that reads a clock only to record it
+/// gates on this.
 #[inline]
-fn dispatch(f: impl Fn(&Shared)) {
-    if !ENABLED.load(Ordering::Relaxed) {
+pub fn active() -> bool {
+    LIVE.load(Ordering::Relaxed) != 0
+}
+
+/// Apply `f` to the global registry (when `global`) and every scope on
+/// this thread's stack. One relaxed load and out when nothing is installed
+/// and nothing entered.
+#[inline]
+fn dispatch(global: bool, f: impl Fn(&Shared)) {
+    let live = LIVE.load(Ordering::Relaxed);
+    if live == 0 {
         return;
     }
-    if let Some(shared) = GLOBAL.read().expect("trace registry poisoned").as_ref() {
-        f(shared);
-    }
-    SCOPES.with(|stack| {
-        for shared in stack.borrow().iter() {
+    if global && live & GLOBAL_INSTALLED != 0 {
+        if let Some(shared) = GLOBAL.read().expect("trace registry poisoned").as_ref() {
             f(shared);
         }
-    });
-}
-
-/// Apply `f` to this thread's scopes only — the per-rank/per-tenant path
-/// for measurements that must not double-count into the global totals.
-#[inline]
-fn dispatch_scoped(f: impl Fn(&Shared)) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
     }
-    SCOPES.with(|stack| {
-        for shared in stack.borrow().iter() {
-            f(shared);
-        }
-    });
+    if live >= SCOPE_ENTERED {
+        SCOPES.with(|stack| {
+            for scope in stack.borrow().iter() {
+                f(&scope.shared);
+            }
+        });
+    }
 }
 
-/// Add to a global counter (no-op when disabled).
+/// Add to a counter of every listener (no-op when nobody listens).
 #[inline]
 pub fn add(counter: Counter, n: u64) {
-    dispatch(|s| {
+    dispatch(true, |s| {
         s.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
     });
 }
 
-/// Add nanoseconds to a global phase timer (no-op when disabled).
+/// Add nanoseconds to a phase timer (no-op when nobody listens).
 #[inline]
 pub fn add_phase_ns(phase: Phase, ns: u64) {
-    dispatch(|s| {
+    dispatch(true, |s| {
         s.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
     });
 }
 
-/// Overwrite a global gauge (no-op when disabled).
+/// Overwrite a gauge (no-op when nobody listens).
 #[inline]
 pub fn set_gauge(gauge: Gauge, value: f64) {
-    dispatch(|s| {
+    dispatch(true, |s| {
         s.gauges[gauge.index()].store(value.to_bits(), Ordering::Relaxed);
     });
 }
 
-/// Record one nanosecond sample into a global latency histogram (no-op
-/// when disabled).
+/// Record one nanosecond sample into a latency histogram (no-op when
+/// nobody listens).
 #[inline]
 pub fn record_ns(hist: Hist, ns: u64) {
-    dispatch(|s| {
+    dispatch(true, |s| {
         s.hists[hist.index()].record(ns);
     });
 }
@@ -392,9 +416,9 @@ pub fn histograms() -> HistogramSet {
 /// timings.diagonalize = sp.finish(); // Duration back to the caller
 /// ```
 ///
-/// `finish()` (or drop) adds the elapsed wall time to the registry's
-/// monotonic phase timer and the phase's latency histogram when a
-/// collecting sink is installed; the returned [`Duration`] is measured
+/// `finish()` (or drop) adds the elapsed wall time to the monotonic phase
+/// timer and the phase's latency histogram of whoever is listening (the
+/// installed global sink, this thread's entered scopes); the returned [`Duration`] is measured
 /// either way, so `PhaseTimings` keeps its exact pre-trace values with
 /// tracing disabled. Phase timers aggregate over all threads/ranks that
 /// open spans — on distributed engines only the rank-0 view feeds the
@@ -439,11 +463,7 @@ impl PhaseSpan {
             s.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
             s.hists[hist.index()].record(ns);
         };
-        if global {
-            dispatch(record);
-        } else {
-            dispatch_scoped(record);
-        }
+        dispatch(global, record);
         if let Some(depth) = self.timeline.take() {
             crate::timeline::close(self.phase.name(), self.start, d, depth);
         }
@@ -580,6 +600,42 @@ mod tests {
         add(Counter::NlRebuilds, 9);
         // Old handle unaffected by later global traffic.
         assert_eq!(sink.snapshot().counter(Counter::NlRebuilds), 6);
+    }
+
+    #[test]
+    fn entered_scope_observes_without_a_global_sink() {
+        // No install() here: an entered scope is sufficient, whatever the
+        // process-global sink happens to be while this test runs.
+        let scope = ScopedSink::new("solo");
+        add(Counter::CkptWrites, 1); // nobody listening on this thread yet
+        {
+            let _guard = scope.enter();
+            assert!(active());
+            add(Counter::CkptWrites, 2);
+            set_gauge(Gauge::QueueDepth, 4.0);
+            record_ns(Hist::Quantum, 700);
+            span(Phase::Density).finish();
+            span(Phase::Forces).finish_local();
+            // A worker re-enters its launcher's scopes to be attributed.
+            let inherited = entered_scopes();
+            assert_eq!(inherited.len(), 1);
+            std::thread::spawn(move || {
+                let _guards: Vec<ScopeGuard> = inherited.iter().map(ScopedSink::enter).collect();
+                add(Counter::CkptWrites, 5);
+            })
+            .join()
+            .unwrap();
+        }
+        add(Counter::CkptWrites, 9); // guard dropped: not ours any more
+        assert!(entered_scopes().is_empty());
+        let snap = scope.snapshot();
+        assert_eq!(snap.counter(Counter::CkptWrites), 7);
+        assert_eq!(snap.gauge(Gauge::QueueDepth), 4.0);
+        assert!(snap.phase_ns(Phase::Density) > 0);
+        let hists = scope.histograms();
+        assert_eq!(hists.hist(Hist::Quantum).count(), 1);
+        assert_eq!(hists.hist(Hist::Density).count(), 1);
+        assert_eq!(hists.hist(Hist::Forces).count(), 1);
     }
 
     #[test]

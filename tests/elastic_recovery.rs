@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 use tbmd::trace::Counter;
 use tbmd::{
     live_vmp_workers, run_simulation, run_simulation_resilient_with, CheckpointConfig, EngineKind,
-    FaultKind, FaultPlan, ReshardPolicy, ResilienceOptions, SimulationConfig, SimulationSummary,
-    SystemSpec, TraceSink, Vec3,
+    FaultKind, FaultPlan, ReshardPolicy, ResilienceOptions, ScopedSink, SimulationConfig,
+    SimulationSummary, SystemSpec, Vec3,
 };
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -76,8 +76,7 @@ fn p3_config() -> SimulationConfig {
     config
 }
 
-/// One chaos scenario end to end, in a single test so the global trace
-/// counters are read without interference from sibling tests.
+/// One chaos scenario end to end.
 #[test]
 fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
     let config = p3_config();
@@ -100,10 +99,10 @@ fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
         },
     ];
 
-    if !tbmd::trace::enabled() {
-        tbmd::trace::install(TraceSink::collecting());
-    }
-    let before = tbmd::trace::snapshot();
+    // Failure telemetry is observed through a scope entered on this thread
+    // (the VMP workers the sessions launch re-enter it).
+    let scope = ScopedSink::new("elastic-test");
+    let _observing = scope.enter();
 
     // --- Respawn: both faults, bitwise endpoint, bounded wall time.
     let dir = scratch_dir("respawn");
@@ -147,7 +146,7 @@ fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
     // only — blame suppression keeps secondary timeout casualties out),
     // two recoveries, and at least one cancelled worker (the survivors of
     // each failed collective drain instead of timing out on their own).
-    let delta = tbmd::trace::snapshot().since(&before);
+    let delta = scope.snapshot();
     assert_eq!(delta.counter(Counter::Recoveries), 2);
     assert_eq!(delta.counter(Counter::RankFailures), 2);
     assert!(

@@ -1,0 +1,225 @@
+//! Physics contracts at the size the benchmark runs (ROADMAP needle 3), every
+//! engine built through `Engine::build`: forces are −∇E, the parallel kinds
+//! agree with the serial one, the energy-only path agrees with the full
+//! evaluation, the shared fan-out does not depend on the lease width, the
+//! stress tensor falls out of the pipeline's own ρ, and the rank-control
+//! block behaves the same on both distributed engines.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tbmd::model::{stress_from_density, OrbitalIndex, TbCalculator};
+use tbmd::structure::{apply_strain, bulk_diamond};
+use tbmd::{
+    configure_budget, silicon_gsp, stress_tensor, try_lease, Engine, EngineKind, FaultKind,
+    FaultPlan, ForceProvider, OccupationScheme, Species, Structure, TbError, Workspace,
+};
+
+const KT: f64 = 0.1;
+
+fn perturbed_si64() -> Structure {
+    let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
+    s.perturb(&mut StdRng::seed_from_u64(64), 0.05);
+    s
+}
+
+/// Run `f` under a lease of exactly `width` threads (the budget is this
+/// test binary's own: every test here configures the same total).
+fn leased<T>(width: usize, f: impl FnOnce() -> T) -> T {
+    configure_budget(2);
+    // Sibling tests hold leases too, and a partial grant is not what was
+    // asked for: wait for the full width instead of racing them.
+    let lease = loop {
+        match try_lease(width) {
+            Some(lease) if lease.threads() == width => break lease,
+            _ => std::thread::sleep(std::time::Duration::from_millis(5)),
+        }
+    };
+    lease.scoped(f)
+}
+
+/// Central differences on 3 atoms × 3 components, engine vs serial, and
+/// energy-only vs full evaluation, for the dense kinds on perturbed Si-64.
+#[test]
+fn dense_kinds_hold_their_contracts_at_si64() {
+    let model = silicon_gsp();
+    let s = perturbed_si64();
+    let n = s.n_atoms() as f64;
+    let reference = Engine::build(EngineKind::Serial, &model, KT)
+        .evaluate(&s)
+        .unwrap();
+    let kinds = [
+        (EngineKind::Serial, 1),
+        (EngineKind::Shared, 2),
+        (EngineKind::Distributed { ranks: 2 }, 1),
+        (EngineKind::Distributed { ranks: 3 }, 1),
+    ];
+    for (kind, width) in kinds {
+        let engine = Engine::build(kind, &model, KT);
+        let eval = leased(width, || engine.evaluate(&s)).unwrap();
+
+        // Engine vs serial.
+        let gap = (eval.energy - reference.energy).abs() / n;
+        assert!(gap <= 1e-8, "{kind:?}: energy off by {gap:.3e} eV/atom");
+        for (i, (f, f_ref)) in eval.forces.iter().zip(&reference.forces).enumerate() {
+            let df = (*f - *f_ref).max_abs();
+            assert!(df <= 1e-6, "{kind:?}: force on atom {i} off by {df:.3e}");
+        }
+
+        // Energy-only path vs the full evaluation.
+        let e_only = engine.energy_only(&s).unwrap();
+        assert!(
+            (e_only - eval.energy).abs() <= 1e-9,
+            "{kind:?}: energy_only {e_only} vs evaluate {}",
+            eval.energy
+        );
+
+        // Forces are −∇E (tolerance as in `calculator.rs`).
+        let h = 1e-5;
+        for i in [0usize, 17, 41] {
+            for gamma in 0..3 {
+                let energy_at = |shift: f64| {
+                    let mut moved = s.clone();
+                    moved.positions_mut()[i][gamma] += shift;
+                    engine.energy_only(&moved).unwrap()
+                };
+                let fd = -(energy_at(h) - energy_at(-h)) / (2.0 * h);
+                let an = eval.forces[i][gamma];
+                assert!(
+                    (fd - an).abs() < 2e-4 * (1.0 + an.abs()),
+                    "{kind:?}: atom {i} comp {gamma}: fd={fd:.8}, analytic={an:.8}"
+                );
+            }
+        }
+    }
+}
+
+/// The O(N) kinds take the default energy-only path: the full evaluation.
+#[test]
+fn linear_scaling_energy_only_is_the_evaluation() {
+    let model = silicon_gsp();
+    let s = perturbed_si64();
+    let kind = EngineKind::LinearScaling {
+        r_loc: 6.0,
+        order: 64,
+    };
+    let engine = Engine::build(kind, &model, 0.2);
+    let (full, only) = leased(2, || {
+        (
+            engine.evaluate(&s).unwrap().energy,
+            engine.energy_only(&s).unwrap(),
+        )
+    });
+    assert_eq!(full.to_bits(), only.to_bits());
+}
+
+/// The shared engine's fan-out stages run the serial per-band / per-atom
+/// bodies: a width-2 and a width-1 lease give the same bits.
+#[test]
+fn shared_fan_out_is_bitwise_independent_of_the_lease_width() {
+    let model = silicon_gsp();
+    let s = perturbed_si64();
+    let engine = Engine::build(EngineKind::Shared, &model, KT);
+    let wide = leased(2, || engine.evaluate(&s)).unwrap();
+    let narrow = leased(1, || engine.evaluate(&s)).unwrap();
+    assert_eq!(wide.energy.to_bits(), narrow.energy.to_bits());
+    for (a, b) in wide.forces.iter().zip(&narrow.forces) {
+        assert_eq!(
+            a.to_array().map(f64::to_bits),
+            b.to_array().map(f64::to_bits)
+        );
+    }
+}
+
+/// Stress on strained Si-64: symmetric, the strain derivative of the energy,
+/// and exactly what `stress_from_density` makes of the ρ an evaluation left
+/// in its workspace — one solve, one ρ, every observable.
+#[test]
+fn stress_tensor_falls_out_of_the_pipeline_density() {
+    let model = silicon_gsp();
+    let occupation = OccupationScheme::Fermi { kt: KT };
+    let mut s = perturbed_si64();
+    apply_strain(&mut s, [0.02, -0.01, 0.0]);
+    let sigma = stress_tensor(&s, &model, occupation).unwrap();
+    for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+        assert_eq!(sigma[a][b].to_bits(), sigma[b][a].to_bits());
+    }
+
+    let calc = TbCalculator::with_occupation(&model, occupation);
+    let energy_at = |eps: f64| {
+        let mut strained = s.clone();
+        apply_strain(&mut strained, [eps, 0.0, 0.0]);
+        calc.energy(&strained).unwrap()
+    };
+    let h = 1e-4;
+    let volume = s.cell().volume().unwrap();
+    let numerical = (energy_at(h) - energy_at(-h)) / (2.0 * h) / volume;
+    assert!(
+        (sigma[0][0] - numerical).abs() < 1e-3,
+        "σ_xx {} vs ∂E/∂ε_xx / V {numerical}",
+        sigma[0][0]
+    );
+
+    let mut ws = Workspace::new();
+    calc.compute_with(&s, &mut ws).unwrap();
+    let from_ws = stress_from_density(
+        &s,
+        ws.neighbors.list(),
+        &model,
+        &OrbitalIndex::new(&s),
+        &ws.rho,
+        volume,
+    );
+    assert_eq!(
+        sigma.map(|row| row.map(f64::to_bits)),
+        from_ws.map(|row| row.map(f64::to_bits))
+    );
+}
+
+/// One rank-control block serves both distributed engines: a due plan fires
+/// once, a plan targeting a shrunk-away rank is consumed silently, respawn
+/// restores the configured width.
+#[test]
+fn rank_control_is_the_same_on_both_distributed_engines() {
+    let model = silicon_gsp();
+    let s = bulk_diamond(Species::Silicon, 1, 1, 1);
+    let kinds = [
+        EngineKind::Distributed { ranks: 3 },
+        EngineKind::DistributedLinearScaling {
+            ranks: 3,
+            r_loc: 4.0,
+            order: 32,
+        },
+    ];
+    let kill = |rank, at_evaluation| FaultPlan {
+        rank,
+        at_evaluation,
+        kind: FaultKind::Kill,
+    };
+    for kind in kinds {
+        let engine = Engine::build(kind, &model, 0.2);
+        let ranks = engine.rank_control().expect("a distributed kind");
+        assert_eq!(ranks.active_ranks(), 3);
+
+        // A due plan fires once, then the slot is empty.
+        ranks.arm(kill(1, 2));
+        engine.evaluate(&s).expect("evaluation 1 is clean");
+        match engine.evaluate(&s) {
+            Err(TbError::RankFailure { failed_ranks, .. }) => assert_eq!(failed_ranks, [1]),
+            other => panic!("{kind:?}: expected a rank failure, got {other:?}"),
+        }
+        engine.evaluate(&s).expect("the plan must not re-fire");
+
+        // A plan for a rank the engine has shrunk away is consumed silently.
+        ranks.arm(kill(2, 1));
+        assert_eq!(ranks.shrink_ranks(1), 2);
+        engine.evaluate(&s).expect("dropped plan must not fire");
+        assert_eq!(ranks.respawn_full_ranks(), 3);
+        assert_eq!(ranks.active_ranks(), 3);
+        engine.evaluate(&s).expect("plan must stay consumed");
+        assert_eq!(ranks.evaluations(), 5, "{kind:?}");
+    }
+    // Engines without virtual ranks have no control block.
+    assert!(Engine::build(EngineKind::Shared, &model, KT)
+        .rank_control()
+        .is_none());
+}

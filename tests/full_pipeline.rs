@@ -5,8 +5,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd::md::RdfAccumulator;
 use tbmd::{
-    maxwell_boltzmann, run_simulation, silicon_gsp, DistributedTb, EngineKind, ForceProvider,
-    LinearScalingTb, MdState, NoseHoover, Protocol, SharedMemoryTb, SimulationConfig, Species,
+    maxwell_boltzmann, run_simulation, shared_memory_tb, silicon_gsp, DistributedTb, EngineKind,
+    ForceProvider, LinearScalingTb, MdState, NoseHoover, Protocol, SimulationConfig, Species,
     SystemSpec, TbCalculator, VelocityVerlet,
 };
 
@@ -20,7 +20,7 @@ fn engines_produce_identical_trajectories() {
     let v = maxwell_boltzmann(&s, 400.0, &mut rng);
 
     let serial = TbCalculator::new(&model);
-    let shared = SharedMemoryTb::new(&model);
+    let shared = shared_memory_tb(&model);
     let distributed = DistributedTb::new(&model, 2);
 
     let run = |engine: &dyn ForceProvider| -> Vec<tbmd::Vec3> {

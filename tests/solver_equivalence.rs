@@ -13,7 +13,7 @@ use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{
     silicon_gsp, DenseSolver, ForceProvider, OccupationScheme, TbCalculator, Workspace,
 };
-use tbmd_parallel::{DistributedSolver, DistributedTb, Eigensolver, SharedMemoryTb};
+use tbmd_parallel::{shared_memory_tb, DistributedSolver, DistributedTb};
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
 fn si64() -> Structure {
@@ -79,8 +79,10 @@ fn serial_two_stage_matches_full_ql_over_nve_trajectory() {
 #[test]
 fn shared_two_stage_matches_full_ql_over_nve_trajectory() {
     let model = silicon_gsp();
-    let sliced = SharedMemoryTb::new(&model).with_eigensolver(Eigensolver::TwoStageSliced);
-    let full = SharedMemoryTb::new(&model).with_eigensolver(Eigensolver::HouseholderQl);
+    let sliced = shared_memory_tb(&model);
+    assert_eq!(sliced.solver, DenseSolver::TwoStage);
+    let mut full = shared_memory_tb(&model);
+    full.solver = DenseSolver::FullQl;
     assert_solver_trajectories_match(&sliced, &full, 20, 1e-8, 1e-7);
 }
 

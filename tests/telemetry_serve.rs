@@ -7,12 +7,13 @@
 //! the drain, every report carries its admission wait and the stats
 //! ledger shows all three tenants retired.
 //!
-//! This test owns the process-global budget, sink and timeline, so it
-//! lives in its own integration binary (one process) rather than sharing
-//! one with other trace tests.
+//! Counters, gauges and histograms are observed through a [`ScopedSink`]
+//! entered on the test's own thread (the scheduler ticks on it), not the
+//! process-global sink. The test still owns the process-global budget and
+//! timeline, so it lives in its own integration binary (one process).
 
-use tbmd::trace::{timeline, Gauge, JsonValue, TraceSink};
-use tbmd::{configure_budget, SimulationConfig, SystemSpec};
+use tbmd::trace::{timeline, Gauge, JsonValue};
+use tbmd::{configure_budget, ScopedSink, SimulationConfig, SystemSpec};
 use tbmd_serve::{JobSpec, Multiplexer, Request, StatsFormat};
 
 const STEPS: usize = 12;
@@ -30,7 +31,8 @@ fn tenant_config(i: usize) -> SimulationConfig {
 
 #[test]
 fn three_tenants_answer_stats_mid_run() {
-    tbmd::trace::install(TraceSink::collecting());
+    let scope = ScopedSink::new("telemetry-test");
+    let _observing = scope.enter();
     timeline::enable(0);
     configure_budget(2);
     tbmd::parallel::reset_high_water();
@@ -79,8 +81,8 @@ fn three_tenants_answer_stats_mid_run() {
     assert_eq!(tenants[2].get("state").unwrap().as_str(), Some("queued"));
     assert_eq!(tenants[2].get("steps").unwrap().as_f64(), Some(0.0));
 
-    // The gauges the scheduler maintains in the global registry.
-    let gauges = tbmd::trace::snapshot();
+    // The gauges the scheduler maintains, as this thread's scope saw them.
+    let gauges = scope.snapshot();
     assert_eq!(gauges.gauge(Gauge::QueueDepth), 1.0);
     assert_eq!(gauges.gauge(Gauge::LeaseHighWater), 2.0);
 
@@ -117,8 +119,8 @@ fn three_tenants_answer_stats_mid_run() {
         assert_eq!(t.get("state").unwrap().as_str(), Some("retired"));
         assert_eq!(t.get("steps").unwrap().as_f64(), Some(STEPS as f64));
     }
-    // The global admission-wait histogram saw all three admissions.
-    let waits = tbmd::trace::histograms();
+    // The admission-wait histogram saw all three admissions.
+    let waits = scope.histograms();
     assert_eq!(waits.hist(tbmd::Hist::AdmissionWait).count(), 3);
 
     // The timeline captured tenant-labelled quantum intervals with the MD
@@ -155,6 +157,5 @@ fn three_tenants_answer_stats_mid_run() {
     }
 
     timeline::disable();
-    tbmd::trace::install(TraceSink::disabled());
     configure_budget(0);
 }

@@ -1,20 +1,22 @@
 //! Observability must be free when it is off and faithful when it is on
 //! (ISSUE 4).
 //!
-//! The trace registry's contract: with [`TraceSink::disabled`] every hook is
-//! one relaxed atomic load — an instrumented MD trajectory is bitwise
-//! identical to an uninstrumented one and performs no extra allocations.
-//! With a live sink the same trajectory still produces bitwise-identical
-//! physics while the counters fill in. The JSONL recorder parses line by
-//! line, and the drift watchdog trips when an artificially large timestep
-//! destroys energy conservation.
+//! The trace registry's contract: with nobody listening every hook is one
+//! relaxed atomic load — an instrumented MD trajectory is bitwise identical
+//! to an uninstrumented one and performs no extra allocations. With a
+//! listener the same trajectory still produces bitwise-identical physics
+//! while the counters fill in. The tests listen through a [`ScopedSink`]
+//! entered on their own thread, never through the process-global sink, so
+//! they cannot race each other at any `--test-threads`. The JSONL recorder
+//! parses line by line, and the drift watchdog trips when an artificially
+//! large timestep destroys energy conservation.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd::trace::{Counter, Hist, JsonValue, Phase};
 use tbmd::{
-    run_manifest, run_simulation_recorded, Protocol, RecorderConfig, RunRecorder, SimulationConfig,
-    SystemSpec, TraceSink,
+    run_manifest, run_simulation_recorded, Protocol, RecorderConfig, RunRecorder, ScopedSink,
+    SimulationConfig, SystemSpec,
 };
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{silicon_gsp, OccupationScheme, TbCalculator, Workspace};
@@ -63,58 +65,50 @@ fn trajectory_bits(steps: usize) -> (Vec<u64>, Vec<u64>, bool) {
     (energies, positions, allocated_after_warm_in)
 }
 
-/// The tentpole acceptance test: a 50-step MD run with the disabled sink is
-/// bitwise identical to the same run with a live collecting sink, and the
-/// disabled run allocates nothing after warm-in. Both runs execute inside
-/// one test so no parallel test can flip the process-global sink mid-run.
+/// The tentpole acceptance test: a 50-step MD run nobody on this thread
+/// listens to is bitwise identical to the same run observed through an
+/// entered scope, and allocates nothing after warm-in.
 #[test]
 fn disabled_sink_md_is_bitwise_identical_and_allocation_free() {
-    tbmd::trace::install(TraceSink::disabled());
-    let before = tbmd::trace::snapshot();
+    let scope = ScopedSink::new("overhead");
     let (e_off, x_off, allocated_off) = trajectory_bits(50);
-    let after_off = tbmd::trace::snapshot().since(&before);
     assert!(
         !allocated_off,
-        "disabled-sink run grew workspace buffers after warm-in"
+        "unobserved run grew workspace buffers after warm-in"
     );
-    assert_eq!(
-        after_off.counter(Counter::NlRebuilds) + after_off.counter(Counter::AllocGrowth),
-        0,
-        "disabled sink accumulated counters"
-    );
-    assert_eq!(
-        tbmd::trace::histograms().total_count(),
-        0,
-        "disabled sink accumulated histogram samples"
-    );
+    // Created but not yet entered: the run above must not have reached it.
+    assert_eq!(scope.snapshot(), Default::default());
+    assert_eq!(scope.histograms().total_count(), 0);
 
-    tbmd::trace::install(TraceSink::collecting());
-    let before = tbmd::trace::snapshot();
-    let hists_before = tbmd::trace::histograms();
-    let (e_on, x_on, _) = trajectory_bits(50);
-    let delta = tbmd::trace::snapshot().since(&before);
-    let hists = tbmd::trace::histograms().since(&hists_before);
-    tbmd::trace::install(TraceSink::disabled());
+    let (e_on, x_on, _) = {
+        let _guard = scope.enter();
+        trajectory_bits(50)
+    };
+    let (delta, hists) = (scope.snapshot(), scope.histograms());
 
     assert_eq!(e_off, e_on, "per-step energies differ with tracing on");
     assert_eq!(x_off, x_on, "final positions differ with tracing on");
-    // The live sink actually observed the run it did not perturb.
-    assert!(
-        delta.counter(Counter::NlRebuilds) + delta.counter(Counter::NlRefreshes) >= 50,
-        "collecting sink saw no neighbor-list activity"
+    // The scope observed exactly the run it did not perturb: one
+    // neighbour-list update and one eigensolve per force evaluation
+    // (50 steps + the initial one), each Sturm-bisecting all 256 levels.
+    assert_eq!(
+        delta.counter(Counter::NlRebuilds) + delta.counter(Counter::NlRefreshes),
+        51,
+        "neighbour-list activity"
     );
-    assert!(
-        delta.counter(Counter::SturmBisections) > 0,
-        "collecting sink saw no eigensolver activity"
-    );
-    // Each phase span also fed its latency histogram: one diagonalize
-    // sample per force evaluation, with ordered reconstructed quantiles.
+    assert_eq!(delta.counter(Counter::SturmBisections), 51 * 256);
+    // Each phase span also fed its latency histogram: one sample per phase
+    // per force evaluation, with ordered reconstructed quantiles.
+    for hist in [
+        Hist::Neighbors,
+        Hist::Hamiltonian,
+        Hist::Diagonalize,
+        Hist::Density,
+        Hist::Forces,
+    ] {
+        assert_eq!(hists.hist(hist).count(), 51, "{hist:?}");
+    }
     let diag = hists.hist(Hist::Diagonalize);
-    assert!(
-        diag.count() >= 50,
-        "collecting run recorded {} diagonalize samples for 50 steps",
-        diag.count()
-    );
     let [p50, p90, p99] = diag.quantiles_ns().expect("non-empty diagonalize hist");
     assert!(
         0.0 < p50 && p50 <= p90 && p90 <= p99,
@@ -133,19 +127,19 @@ fn disabled_sink_md_is_bitwise_identical_and_allocation_free() {
 #[test]
 fn timeline_capture_exports_nested_chrome_trace() {
     tbmd::trace::timeline::enable(0);
-    tbmd::trace::install(TraceSink::collecting());
-    let scope = tbmd::trace::ScopedSink::new("overhead-test");
+    let scope = ScopedSink::new("overhead-test");
     {
         let _guard = scope.enter();
         let _ = trajectory_bits(5);
     }
     let chrome = tbmd::trace::timeline::export_chrome().to_compact();
-    tbmd::trace::install(TraceSink::disabled());
     tbmd::trace::timeline::disable();
 
-    // The scoped sink mirrored the phase histograms of exactly this run.
-    assert!(
-        scope.histograms().hist(Hist::Forces).count() >= 5,
+    // The scoped sink mirrored the phase histograms of exactly this run
+    // (5 steps + the initial evaluation).
+    assert_eq!(
+        scope.histograms().hist(Hist::Forces).count(),
+        6,
         "scoped sink missed the run's force spans"
     );
 

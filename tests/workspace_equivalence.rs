@@ -15,7 +15,7 @@ use tbmd_model::{
     monkhorst_pack, silicon_gsp, silicon_nonortho_demo, ForceProvider, KPointCalculator,
     NonOrthoCalculator, OccupationScheme, TbCalculator, Workspace,
 };
-use tbmd_parallel::{DistributedTb, SharedMemoryTb};
+use tbmd_parallel::{shared_memory_tb, DistributedTb};
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
 /// 2×2×2 Si diamond: 64 atoms, L/2 = 5.43 Å > cutoff + skin ≈ 4.66 Å, so
@@ -80,7 +80,8 @@ fn serial_engine_workspace_trajectory_matches_cold_path() {
 #[test]
 fn shared_engine_workspace_trajectory_matches_cold_path() {
     let model = silicon_gsp();
-    let shared = SharedMemoryTb::new(&model).with_occupation(OccupationScheme::Fermi { kt: 0.1 });
+    let mut shared = shared_memory_tb(&model);
+    shared.occupation = OccupationScheme::Fermi { kt: 0.1 };
     assert_trajectories_match(&shared, 20);
 }
 
