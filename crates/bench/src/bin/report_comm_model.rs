@@ -7,16 +7,19 @@
 //! sweet spot — the Delta's thin network suffers where the Paragon's fat
 //! mesh shrugs. A second table compares the default two-stage sliced
 //! eigensolver's measured traffic against the ring-Jacobi reference: the
-//! sliced solver replaces O(sweeps·N²)-byte column rotations with one O(N²)
-//! ρ allreduce plus an O(N) spectrum allgather.
+//! sliced solver replaces O(sweeps·N²)-byte column rotations with one
+//! allreduce of ρ's bond blocks (O(N·neighbours)) plus an O(N) spectrum
+//! allgather, and its byte total is the one the cost model predicts
+//! (`sliced_wire_bytes`).
 //!
 //! Run: `cargo run --release -p tbmd-bench --bin report_comm_model [-- reps] [--json path]`
 //!
 //! Check mode (CI gate): `-- 2 check` asserts that the sliced solver moves
-//! strictly fewer total bytes than ring-Jacobi at N = 64, P = 4 and exits
-//! non-zero otherwise.
+//! exactly the predicted bytes at every P, and strictly fewer than
+//! ring-Jacobi at N = 64, P = 4; exits non-zero otherwise.
 
-use tbmd::parallel::{estimate_cost, MachineProfile};
+use tbmd::model::{bond_block_elements, NeighborWorkspace, OrbitalIndex, TbModel};
+use tbmd::parallel::{estimate_cost, sliced_wire_bytes, MachineProfile};
 use tbmd::{silicon_gsp, DistributedSolver, DistributedTb, ForceProvider, Species};
 use tbmd_bench::{check_gate, fmt_f, fmt_s, BenchArgs, Report, ReportTable};
 
@@ -31,11 +34,29 @@ fn main() {
         "F2: communication share of one TBMD step across era machines (sliced solver)",
         &["P", "machine", "comp/s", "comm/s", "comm fraction"],
     );
+    // The ρ payload: the bond blocks of the list every rank's replica holds.
+    let index = OrbitalIndex::new(&s);
+    let mut replica = NeighborWorkspace::default();
+    replica.update(&s, model.cutoff());
+    let rho_doubles = bond_block_elements(replica.list(), &index);
+    println!(
+        "rho allreduce payload: {rho_doubles} doubles in bond blocks (full matrix: {})",
+        index.total() * index.total()
+    );
+
     let mut solvers = ReportTable::new(
-        "F2b: total wire bytes, two-stage sliced vs ring-Jacobi reference",
-        &["P", "sliced/B", "ring-Jacobi/B", "ratio", "ring sweeps"],
+        "F2b: total wire bytes, two-stage sliced (measured, predicted) vs ring-Jacobi reference",
+        &[
+            "P",
+            "sliced/B",
+            "predicted/B",
+            "ring-Jacobi/B",
+            "ratio",
+            "ring sweeps",
+        ],
     );
     let mut check_result: Option<(u64, u64)> = None;
+    let mut mispredicted = Vec::new();
     for p in [2usize, 4, 8] {
         let engine = DistributedTb::new(&model, p);
         engine.evaluate(&s).expect("evaluation");
@@ -54,10 +75,15 @@ fn main() {
         ring.evaluate(&s).expect("evaluation");
         let ring_report = ring.last_report().expect("report");
         let sliced_bytes = report.stats.total_bytes();
+        let predicted = sliced_wire_bytes(s.n_atoms(), index.total(), rho_doubles, p);
+        if predicted != sliced_bytes {
+            mispredicted.push(p);
+        }
         let ring_bytes = ring_report.stats.total_bytes();
         solvers.row(vec![
             p.to_string(),
             sliced_bytes.to_string(),
+            predicted.to_string(),
             ring_bytes.to_string(),
             format!(
                 "{}x",
@@ -79,6 +105,12 @@ fn main() {
     report.emit(&args);
 
     if args.check {
+        check_gate(
+            mispredicted.is_empty(),
+            &format!(
+                "sliced wire bytes equal the cost model's at every P (off at P = {mispredicted:?})"
+            ),
+        );
         let (sliced, ring) = check_result.expect("P=4 row measured");
         check_gate(
             sliced < ring,

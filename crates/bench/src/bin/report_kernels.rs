@@ -1,22 +1,32 @@
 //! **Experiment K1** — microkernel throughput: register-tiled GEMM/SYRK
-//! against the textbook triple loops, and the four-column block Chebyshev
-//! recurrence step on a real silicon localization region.
+//! against the textbook triple loops, the four-column block Chebyshev
+//! recurrence step on a real silicon localization region, and the two
+//! eigenvectors → ρ stages of the dense step (compact-WY back-transform,
+//! bond-block density).
 //!
 //! Expected shape: the tiled kernels keep the exact naive i-k-j summation
 //! order (GEMM is *bitwise* equal to the reference) while the multi-lane
 //! panels autovectorize, so GFLOP/s should improve by well over the noise
 //! floor at N ≥ 128. The block recurrence is a sparse × dense-block
-//! product; its GFLOP/s is printed against the tiled-GEMM rate.
+//! product; its GFLOP/s, and the two stages', are printed against the
+//! tiled-GEMM rate.
 //!
 //! Run: `cargo run --release -p tbmd-bench --bin report_kernels [-- max_n [check]]`
 //!
 //! With `check` anywhere on the command line the binary exits non-zero
-//! unless (a) tiled GEMM reproduces the naive loop bitwise and (b) tiled
-//! GEMM at the largest size is no slower than 0.9× naive — the CI smoke
-//! gate for the kernel layer. The recurrence row is printed, not gated.
+//! unless (a) tiled GEMM reproduces the naive loop bitwise, (b) tiled
+//! GEMM at the largest size is no slower than 0.9× naive, (c) the strip
+//! sweep leaves `Q` orthogonal to 1e-12 and (d) a column's back-transform
+//! does not depend on which columns share the call — the CI smoke gate for
+//! the kernel layer. The recurrence and stage rows are printed, not gated.
 
 use std::time::Instant;
-use tbmd::linalg::Matrix;
+use tbmd::linalg::{
+    apply_q_blocked, orthogonality_defect, tridiagonalize_blocked_into, EighWorkspace, Matrix,
+    TRIDIAG_BLOCK,
+};
+use tbmd::model::{bond_block_elements, bond_density, OrbitalIndex, TbModel};
+use tbmd::structure::NeighborList;
 use tbmd::{silicon_gsp, Species};
 use tbmd_bench::{check_gate, fmt_f, BenchArgs, RegionFixture, Report, ReportTable};
 
@@ -160,14 +170,88 @@ fn main() {
         fmt_f(step_gflops / gemm_gflops_last, 2),
     ]);
 
+    // ---- K1c: eigenvectors → ρ at n = max_n, 70 % of the states kept. ----
+    let n = max_n;
+    let k = 7 * n / 10;
+    let mut packed = random_matrix(n, n, 77);
+    packed.symmetrize();
+    let mut ws = EighWorkspace::default();
+    tridiagonalize_blocked_into(&mut packed, &mut ws);
+    let z0 = random_matrix(n, k, 78);
+    let (t_back, z) = best_of(5, || {
+        let mut z = z0.clone();
+        apply_q_blocked(&packed, &mut ws, &mut z);
+        z
+    });
+    // Panel [j0, j0+jb) works on rows j0+1..n, 4 flops per row, reflector
+    // and column.
+    let back_flops: usize = (0..n - 2)
+        .step_by(TRIDIAG_BLOCK)
+        .map(|j0| 4 * TRIDIAG_BLOCK.min(n - 2 - j0) * (n - j0 - 1) * k)
+        .sum();
+    // (c) Q itself, swept strip by strip out of the identity.
+    let mut q = Matrix::identity(n);
+    apply_q_blocked(&packed, &mut ws, &mut q);
+    let q_defect = orthogonality_defect(&q);
+    // (d) the same columns back-transformed in calls of other widths, whose
+    // strips start elsewhere.
+    let strips_invariant = [(5, k), (0, k / 3)].iter().all(|&(c0, c1)| {
+        let mut part = Matrix::from_fn(n, c1 - c0, |i, j| z0[(i, c0 + j)]);
+        apply_q_blocked(&packed, &mut ws, &mut part);
+        (0..n).all(|i| (c0..c1).all(|j| part[(i, j - c0)].to_bits() == z[(i, j)].to_bits()))
+    });
+
+    // A diamond crystal with n orbitals — n/32 = 2^e eight-atom cells, the e
+    // doublings dealt to the axes in turn — and every column fully occupied.
+    let cells = n / 32;
+    let reps: [usize; 3] =
+        std::array::from_fn(|a| 1 << ((cells.trailing_zeros() as usize + 2 - a) / 3));
+    let crystal = tbmd::structure::bulk_diamond(Species::Silicon, reps[0], reps[1], reps[2]);
+    let index = OrbitalIndex::new(&crystal);
+    assert_eq!(index.total(), n, "max_n must be a power of two");
+    let nl = NeighborList::build(&crystal, silicon_gsp().cutoff() + 0.5);
+    let (mut w, mut rho) = (Matrix::default(), Matrix::default());
+    let (t_bond, _) = best_of(5, || {
+        bond_density(&nl, &index, &z0, &vec![1.0; k], &mut w, &mut rho)
+    });
+    let bond_elements = bond_block_elements(&nl, &index);
+    let mut t_stage = ReportTable::new(
+        "K1c: eigenvectors → ρ stages (back-transform fans out over the host's threads)",
+        &[
+            "stage",
+            "n",
+            "k",
+            "ms",
+            "GFLOP/s",
+            "tiled GEMM GFLOP/s",
+            "of GEMM",
+        ],
+    );
+    for (stage, seconds, flops) in [
+        ("compact-WY back-transform", t_back, back_flops),
+        ("bond-block density", t_bond, 2 * bond_elements * k),
+    ] {
+        let gflops = flops as f64 / seconds / 1e9;
+        t_stage.row(vec![
+            stage.into(),
+            n.to_string(),
+            k.to_string(),
+            fmt_f(seconds * 1e3, 3),
+            fmt_f(gflops, 2),
+            fmt_f(gemm_gflops_last, 2),
+            fmt_f(gflops / gemm_gflops_last, 2),
+        ]);
+    }
+
     let mut report = Report::new("kernels");
     report
         .table(t_gemm)
         .table(t_cheb)
+        .table(t_stage)
         .note("Shape check: tiled GEMM bitwise-equal to the naive i-k-j loop at every")
         .note("size; throughput gains grow with n as panels stay cache-resident; the")
-        .note("block recurrence keeps a block row's 16 accumulators in registers (K1b is")
-        .note("printed against the tiled-GEMM rate, not gated).");
+        .note("block recurrence keeps a block row's 16 accumulators in registers (K1b and")
+        .note("K1c are printed against the tiled-GEMM rate, not gated).");
     report.emit(&args);
 
     if args.check {
@@ -178,6 +262,14 @@ fn main() {
         check_gate(
             gemm_speedup_last >= 0.9,
             &format!("tiled GEMM at n={max_n} is {gemm_speedup_last:.2}x naive (floor 0.9x)"),
+        );
+        check_gate(
+            q_defect <= 1e-12,
+            &format!("strip-swept Q at n={max_n}: max |QᵀQ − I| = {q_defect:.2e} (≤ 1e-12)"),
+        );
+        check_gate(
+            strips_invariant,
+            &format!("back-transformed columns bitwise independent of the call's width: {strips_invariant}"),
         );
     }
 }

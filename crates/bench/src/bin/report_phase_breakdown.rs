@@ -9,7 +9,7 @@
 //!
 //! The table is measured through a persistent [`Workspace`], so the
 //! neighbour column reflects the amortized skin-list path (refreshes, not
-//! rebuilds) and the density column the in-place SYRK kernel; the `nl` column
+//! rebuilds) and the density column the bond-block density stage; the `nl` column
 //! reports rebuild/refresh counts over the samples. A cold (fresh-workspace)
 //! evaluation is cross-checked against the warm one to 1e-10.
 //!

@@ -22,10 +22,10 @@
 //! column `j` holds `v_j` below the subdiagonal, `v_j[j+1] = 1` implicit)
 //! plus a `tau` array, so stage two can back-transform any subset of
 //! tridiagonal eigenvectors with a blocked, GEMM-shaped compact-WY
-//! application (`I − V T Vᵀ` per panel) instead of `tqli`'s per-rotation
-//! column sweeps. All scratch lives in [`BlockedScratch`] (embedded in
-//! [`crate::eigh::EighWorkspace`]), so repeated solves allocate nothing
-//! after warmup.
+//! application (`I − V T Vᵀ` per panel, [`apply_q_blocked`]) instead of
+//! `tqli`'s per-rotation column sweeps. All matrix scratch lives in
+//! [`BlockedScratch`] (embedded in [`crate::eigh::EighWorkspace`]), so
+//! repeated solves grow no buffer after warmup.
 
 use crate::eigh::{tqli, EigError, EighWorkspace};
 use crate::kernels;
@@ -37,10 +37,10 @@ use rayon::prelude::*;
 /// problem sizes TBMD produces while amortizing the trailing sweep well.
 pub const TRIDIAG_BLOCK: usize = 32;
 
-/// Row-chunk edge used by the deterministic chunked reductions (`Vᵀ Z`):
-/// fixed-size chunks make the partial-sum order independent of the thread
-/// count, so parallel runs are bitwise reproducible.
-const CHUNK_ROWS: usize = 256;
+/// Widest column strip of `Z` one task of [`apply_q_blocked`] sweeps every
+/// panel over. `n × 96` doubles stay L2-resident up to n ≈ 2500, and the
+/// strip's `Vᵀ Z` block (`32 × 96` doubles, 24 KB) stays in L1.
+const STRIP_COLS: usize = 96;
 
 /// Reusable scratch of the blocked reduction, the compact-WY application and
 /// the partial-spectrum path. Buffers grow to the largest size seen, then
@@ -59,14 +59,9 @@ pub struct BlockedScratch {
     vpan: Matrix,
     /// Panel update vectors `W`, one row per reflector.
     wpan: Matrix,
-    /// Compact-WY triangular factor `T` (NB×NB).
+    /// Negated compact-WY triangular factors `−T`, one `NB`-row band per
+    /// panel.
     tmat: Matrix,
-    /// `Vᵀ Z` application scratch (NB×k).
-    xmat: Matrix,
-    /// `T · (Vᵀ Z)` application scratch (NB×k).
-    ymat: Matrix,
-    /// Per-chunk partial results of the deterministic `Vᵀ Z` reduction.
-    partials: Vec<Matrix>,
     /// Householder candidate column / symmetric matvec result.
     colbuf: Vec<f64>,
     pvec: Vec<f64>,
@@ -247,153 +242,180 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     }
 }
 
-/// Build the compact-WY triangular factor `T` (forward, columnwise — LAPACK
-/// `dlarft`) for the `jb` reflectors whose rows live in `vpan`, restricted to
-/// rows `lo..n`. `H_0 H_1 ⋯ H_{jb−1} = I − Vᵀ T V` with `V` the row-packed
-/// panel.
-fn build_t_factor(vpan: &Matrix, tau: &[f64], jb: usize, lo: usize, tmat: &mut Matrix) {
-    let n = vpan.cols();
-    tmat.resize_zeroed(jb, jb);
-    for i in 0..jb {
-        let ti = tau[i];
-        tmat[(i, i)] = ti;
-        if ti == 0.0 || i == 0 {
-            continue;
-        }
-        // t = −τ_i · V[0..i] v_i  (rows are reflectors).
-        let vi = vpan.row(i);
-        for p in 0..i {
-            let vp = vpan.row(p);
-            let dot = kernels::dot(&vp[lo..n], &vi[lo..n]);
-            tmat[(p, i)] = -ti * dot;
-        }
-        // T[0..i, i] = T[0..i, 0..i] · t, in place. Row p reads t[q] only
-        // for q ≥ p, so the forward sweep never reads an overwritten entry.
-        for p in 0..i {
-            let mut acc = 0.0;
-            for q in p..i {
-                acc += tmat[(p, q)] * tmat[(q, i)];
-            }
-            tmat[(p, i)] = acc;
-        }
+/// Row `r` of panel `[j0, j0+jb)`'s reflector matrix `V` (`n × jb`, column
+/// `p` = `v_{j0+p}`): the contiguous slice `a.row(r)[j0..j0+jb]` of the
+/// packed reduction, except on the panel's first `jb` rows, where the implicit
+/// unit entry of reflector `r − j0 − 1` and the zeros above it are written
+/// out into `head`.
+#[inline]
+fn reflector_row<'a>(
+    a: &'a Matrix,
+    j0: usize,
+    jb: usize,
+    r: usize,
+    head: &'a mut [f64; TRIDIAG_BLOCK],
+) -> &'a [f64] {
+    let packed = &a.row(r)[j0..j0 + jb];
+    let unit = r - j0 - 1;
+    if unit >= jb {
+        return packed;
     }
+    head[..unit].copy_from_slice(&packed[..unit]);
+    head[unit] = 1.0;
+    head[unit + 1..jb].fill(0.0);
+    &head[..jb]
 }
 
-/// Load panel `[j0, j0+jb)`'s reflector vectors from the packed columns of
-/// `a` into explicit rows of `vpan`.
-fn load_panel(a: &Matrix, j0: usize, jb: usize, vpan: &mut Matrix) {
+/// Panels of the `n − 2` reflectors packed in an `n × n` reduction, as
+/// `(panel, j0, jb)` in application order (last panel first):
+/// `Q Z = B_0 (B_1 (⋯ (B_last Z)))`.
+fn panels_rev(n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let m = n - 2;
+    (0..m.div_ceil(TRIDIAG_BLOCK)).rev().map(move |panel| {
+        let j0 = panel * TRIDIAG_BLOCK;
+        (panel, j0, TRIDIAG_BLOCK.min(m - j0))
+    })
+}
+
+/// The negated compact-WY factor `−T` of every panel (forward, columnwise —
+/// LAPACK `dlarft`), panel `p` in rows `p·NB..` of `tmat`:
+/// `H_{j0} ⋯ H_{j0+jb−1} = I − V T Vᵀ`. The Gram matrix `Vᵀ V` a panel needs
+/// is accumulated row by row of `V`, so the reflectors are read where they
+/// are packed.
+fn build_t_factors(a: &Matrix, tau: &[f64], tmat: &mut Matrix) {
     let n = a.rows();
-    vpan.resize_zeroed(jb, n);
-    for jj in 0..jb {
-        let j = j0 + jj;
-        let row = vpan.row_mut(jj);
-        row.fill(0.0);
-        if j + 1 < n {
-            row[j + 1] = 1.0;
-            for r in j + 2..n {
-                row[r] = a[(r, j)];
+    let mut head = [0.0; TRIDIAG_BLOCK];
+    tmat.resize_zeroed(
+        (n - 2).div_ceil(TRIDIAG_BLOCK) * TRIDIAG_BLOCK,
+        TRIDIAG_BLOCK,
+    );
+    for (panel, j0, jb) in panels_rev(n) {
+        let t = &mut tmat.as_mut_slice()[panel * TRIDIAG_BLOCK * TRIDIAG_BLOCK..];
+        let at = |p: usize, q: usize| p * TRIDIAG_BLOCK + q;
+        // Upper triangle of VᵀV.
+        for r in j0 + 1..n {
+            let v = reflector_row(a, j0, jb, r, &mut head);
+            for p in 0..jb {
+                kernels::axpy(&mut t[at(p, p)..at(p, jb)], v[p], &v[p..]);
+            }
+        }
+        // −T[0..i, i] = −T[0..i, 0..i] · (−τ_i · VᵀV[0..i, i]), in place. Row
+        // p reads column i only at q ≥ p, so the forward sweep never reads an
+        // overwritten entry.
+        for i in 0..jb {
+            let ti = tau[j0 + i];
+            t[at(i, i)] = -ti;
+            for p in 0..i {
+                t[at(p, i)] *= -ti;
+            }
+            for p in 0..i {
+                t[at(p, i)] = (p..i).map(|q| t[at(p, q)] * t[at(q, i)]).sum();
             }
         }
     }
 }
 
-/// `out = V[lo..] Z[lo..]` as a deterministic chunked parallel reduction:
-/// fixed-size row chunks are reduced independently and summed in chunk
-/// order, so the result is identical for any thread count.
-fn vt_z_into(vpan: &Matrix, z: &Matrix, lo: usize, out: &mut Matrix, partials: &mut Vec<Matrix>) {
-    let (jb, k) = (vpan.rows(), z.cols());
-    let n = z.rows();
-    out.resize_zeroed(jb, k);
-    let nchunks = (n - lo).div_ceil(CHUNK_ROWS);
-    if partials.len() < nchunks {
-        partials.resize(nchunks, Matrix::default());
-    }
-    partials[..nchunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, part)| {
-            let part = &mut part[0];
-            part.resize_zeroed(jb, k);
-            let r0 = lo + c * CHUNK_ROWS;
-            let r1 = (r0 + CHUNK_ROWS).min(n);
-            for r in r0..r1 {
-                let zrow = z.row(r);
-                for p in 0..jb {
-                    let vpr = vpan.row(p)[r];
-                    if vpr == 0.0 {
-                        continue;
-                    }
-                    kernels::axpy(part.row_mut(p), vpr, zrow);
-                }
+/// Apply every panel to one column strip of `Z`, given as its row segments.
+/// Per panel: `X = Vᵀ Z` (four rows of `Z` per pass, [`kernels::axpy4`]),
+/// `X ← −T X` in place, `Z += V X` ([`kernels::gemm_row`]). Every element
+/// accumulates in ascending row (resp. reflector) order, one multiply and one
+/// add at a time, so a column's arithmetic does not depend on which strip it
+/// is in.
+fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
+    let n = a.rows();
+    let w = strip[0].len();
+    // Cache-line aligned: strip widths are multiples of 8, so no vector
+    // access to a row of `X` straddles two lines, wherever the frame lands.
+    #[repr(align(64))]
+    struct XBlock([f64; TRIDIAG_BLOCK * STRIP_COLS]);
+    let mut xblock = XBlock([0.0; TRIDIAG_BLOCK * STRIP_COLS]);
+    let mut heads = [[0.0; TRIDIAG_BLOCK]; kernels::GEMM_UNROLL];
+    for (panel, j0, jb) in panels_rev(n) {
+        let lo = j0 + 1;
+        let x = &mut xblock.0[..jb * w];
+        x.fill(0.0);
+        let fused = n - (n - lo) % kernels::GEMM_UNROLL;
+        for r in (lo..fused).step_by(kernels::GEMM_UNROLL) {
+            let [h0, h1, h2, h3] = &mut heads;
+            let v = [
+                reflector_row(a, j0, jb, r, h0),
+                reflector_row(a, j0, jb, r + 1, h1),
+                reflector_row(a, j0, jb, r + 2, h2),
+                reflector_row(a, j0, jb, r + 3, h3),
+            ];
+            let z: [&[f64]; 4] = std::array::from_fn(|i| &*strip[r + i]);
+            for (p, xrow) in x.chunks_exact_mut(w).enumerate() {
+                kernels::axpy4(xrow, [v[0][p], v[1][p], v[2][p], v[3][p]], z);
             }
-        });
-    for part in &partials[..nchunks] {
-        out.axpy(1.0, part);
+        }
+        for (r, zrow) in strip.iter().enumerate().skip(fused) {
+            let v = reflector_row(a, j0, jb, r, &mut heads[0]);
+            for (xrow, &vp) in x.chunks_exact_mut(w).zip(v) {
+                kernels::axpy(xrow, vp, zrow);
+            }
+        }
+        for p in 0..jb {
+            let trow = &tmat.row(panel * TRIDIAG_BLOCK + p)[..jb];
+            let (done, below) = x.split_at_mut((p + 1) * w);
+            let xrow = &mut done[p * w..];
+            for xv in xrow.iter_mut() {
+                *xv *= trow[p];
+            }
+            kernels::gemm_row(xrow, &trow[p + 1..], below, w, 0, jb - p - 1);
+        }
+        for (r, zrow) in strip.iter_mut().enumerate().skip(lo) {
+            let v = reflector_row(a, j0, jb, r, &mut heads[0]);
+            kernels::gemm_row(zrow, v, x, w, 0, jb);
+        }
     }
 }
 
 /// Apply the orthogonal factor `Q = H_0 H_1 ⋯` of a blocked tridiagonal
-/// reduction to the `n×k` matrix `z` in place (`z ← Q z`), using blocked
-/// compact-WY applications: per panel three GEMM-shaped sweeps
-/// (`X = Vᵀ Z`, `Y = T X`, `Z ← Z − V Y`) replace `tqli`'s per-rotation
-/// column updates. `a` must be the reflector-packed output of
+/// reduction to the `n×k` matrix `z` in place (`z ← Q z`) by blocked
+/// compact-WY applications (`I − V T Vᵀ` per panel). One fan-out hands each
+/// thread column strips of `z` (at most [`STRIP_COLS`] wide, so a strip
+/// stays L2-resident) and [`sweep_strip`] walks all panels over a strip
+/// before moving to the next; columns never interact, so the result is
+/// bitwise independent of strip width, thread count and of which columns
+/// share a call. `a` must be the reflector-packed output of
 /// [`tridiagonalize_blocked_into`] run with the same workspace.
 ///
 /// # Panics
 /// Panics if `z.rows()` differs from `a.rows()`.
 pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
     let n = a.rows();
+    let k = z.cols();
     assert_eq!(z.rows(), n, "apply_q_blocked: row mismatch");
-    if n < 3 || z.cols() == 0 {
+    if n < 3 || k == 0 {
         return;
     }
     let s = &mut ws.blocked;
-    let m = n - 2; // reflector count
-                   // ~4nk flops per reflector across the three GEMM-shaped sweeps.
+    build_t_factors(a, &s.tau, &mut s.tmat);
+    // Panel [j0, j0+jb) touches rows j0+1..n: 2·jb·(n−j0−1)·k flops in each
+    // of `Vᵀ Z` and `Z += V X`.
+    let panel_rows: usize = panels_rev(n).map(|(_, j0, jb)| jb * (n - j0 - 1)).sum();
     tbmd_trace::add(
         tbmd_trace::Counter::KernelFlops,
-        4 * (m * n * z.cols()) as u64,
+        4 * (panel_rows * k) as u64,
     );
-    let nfull = m.div_ceil(TRIDIAG_BLOCK);
-    // Panels in reverse order: Q Z = B_0 (B_1 (⋯ (B_last Z))).
-    for panel in (0..nfull).rev() {
-        let j0 = panel * TRIDIAG_BLOCK;
-        let jb = TRIDIAG_BLOCK.min(m - j0);
-        let lo = j0 + 1;
-        load_panel(a, j0, jb, &mut s.vpan);
-        build_t_factor(&s.vpan, &s.tau[j0..j0 + jb], jb, lo, &mut s.tmat);
-        // X = Vᵀ Z (deterministic chunked reduction).
-        vt_z_into(&s.vpan, z, lo, &mut s.xmat, &mut s.partials);
-        // Y = T X (small triangular product).
-        let k = z.cols();
-        s.ymat.resize_zeroed(jb, k);
-        for p in 0..jb {
-            for q in p..jb {
-                let t = s.tmat[(p, q)];
-                if t == 0.0 {
-                    continue;
-                }
-                kernels::axpy(s.ymat.row_mut(p), t, s.xmat.row(q));
-            }
+    // A strip count that is a multiple of the thread count keeps the static
+    // partition even; widths are multiples of 8 for the vector loops.
+    let nstrips = k
+        .div_ceil(STRIP_COLS)
+        .next_multiple_of(rayon::current_num_threads());
+    let width = k.div_ceil(nstrips).next_multiple_of(8).min(STRIP_COLS);
+    // Strip `s` is rows `s·n..(s+1)·n` of this table of row segments.
+    let mut segments: Vec<&mut [f64]> = Vec::new();
+    segments.resize_with(k.div_ceil(width) * n, Default::default);
+    for (r, row) in z.as_mut_slice().chunks_mut(k).enumerate() {
+        for (s, segment) in row.chunks_mut(width).enumerate() {
+            segments[s * n + r] = segment;
         }
-        // Z ← Z − V Y, row-parallel (each row written by one task).
-        let vpan = &s.vpan;
-        let ymat = &s.ymat;
-        let ncols = z.cols();
-        z.as_mut_slice()[lo * ncols..]
-            .par_chunks_mut(ncols)
-            .enumerate()
-            .for_each(|(ri, zrow)| {
-                let r = lo + ri;
-                for p in 0..jb {
-                    let vpr = vpan.row(p)[r];
-                    if vpr == 0.0 {
-                        continue;
-                    }
-                    kernels::axpy(zrow, -vpr, ymat.row(p));
-                }
-            });
     }
+    let tmat = &s.tmat;
+    segments
+        .par_chunks_mut(n)
+        .for_each(|strip| sweep_strip(a, tmat, strip));
 }
 
 /// All eigenvalues (ascending) of the tridiagonal factor currently held in
@@ -633,50 +655,78 @@ mod tests {
 
     #[test]
     fn blocked_reduction_reconstructs_original() {
-        for n in [1usize, 2, 3, 4, 5, 8, 31, 32, 33, 64, 65, 100] {
+        // 131 columns of the identity span more than one strip.
+        for n in [1usize, 2, 3, 4, 5, 8, 31, 32, 33, 64, 65, 100, 131] {
             let a = symmetric_test_matrix(n, 11 + n as u64);
             assert_reconstructs(&a, 1e-12 * n as f64);
         }
     }
 
     #[test]
-    fn offset_sliced_eigenvectors_match_full_window_bitwise() {
-        // The distributed-slicing contract: disjoint cluster-snapped shards
-        // with global seed offsets reproduce the full-window columns exactly.
-        let n = 48;
-        let a = symmetric_test_matrix(n, 23);
-        let mut packed = a.clone();
+    fn strip_sweep_matches_reflector_by_reflector() {
+        // n − 2 = 201 reflectors: six full panels and a 9-wide one; the
+        // column counts sit on both sides of one strip and, at k = n, span
+        // several.
+        let n = 203;
+        let mut packed = symmetric_test_matrix(n, 91);
         let mut ws = EighWorkspace::default();
         tridiagonalize_blocked_into(&mut packed, &mut ws);
-        let mut values = Vec::new();
-        reduced_eigenvalues_into(&mut ws, &mut values).unwrap();
-        let k = n / 2;
-        let mut full = Matrix::zeros(0, 0);
-        reduced_eigenvectors_into(&packed, &values[..k], &mut full, &mut ws);
-        let ctol = crate::inverse_iteration::cluster_tolerance(
-            ws.blocked.diagonal(),
-            ws.blocked.subdiagonal(),
-        );
-        for r in 0..3usize {
-            let raw = {
-                let per = k / 3;
-                let lo = r * per;
-                let hi = if r == 2 { k } else { (r + 1) * per };
-                lo..hi
+        for k in [1usize, 95, 96, 97, n] {
+            let z0 = Matrix::from_fn(n, k, |i, j| ((i * 31 + j * 17) as f64 * 0.37).sin());
+            let mut z = z0.clone();
+            apply_q_blocked(&packed, &mut ws, &mut z);
+            // Q z = H_0 (H_1 (⋯ z)), H_j = I − τ_j v_j v_jᵀ, one at a time.
+            let mut reference = z0;
+            for j in (0..n - 2).rev() {
+                let v = |r: usize| if r == j + 1 { 1.0 } else { packed[(r, j)] };
+                for c in 0..k {
+                    let vtz: f64 = (j + 1..n).map(|r| v(r) * reference[(r, c)]).sum();
+                    for r in j + 1..n {
+                        reference[(r, c)] -= ws.blocked.tau[j] * v(r) * vtz;
+                    }
+                }
+            }
+            let err = (&z - &reference).max_abs();
+            assert!(err < 1e-13, "k={k}: strip sweep deviates by {err}");
+        }
+    }
+
+    #[test]
+    fn offset_sliced_eigenvectors_match_full_window_bitwise() {
+        // The distributed-slicing contract: disjoint cluster-snapped shards
+        // with global seed offsets reproduce the full-window columns exactly
+        // — also when the shards start in the middle of a full-window strip
+        // (n = 150: the 131-column window is swept as strips of 72).
+        for (n, k, cuts) in [(48usize, 24usize, [8usize, 16]), (150, 131, [37, 101])] {
+            let a = symmetric_test_matrix(n, 23);
+            let mut packed = a.clone();
+            let mut ws = EighWorkspace::default();
+            tridiagonalize_blocked_into(&mut packed, &mut ws);
+            let mut values = Vec::new();
+            reduced_eigenvalues_into(&mut ws, &mut values).unwrap();
+            let mut full = Matrix::zeros(0, 0);
+            reduced_eigenvectors_into(&packed, &values[..k], &mut full, &mut ws);
+            let ctol = crate::inverse_iteration::cluster_tolerance(
+                ws.blocked.diagonal(),
+                ws.blocked.subdiagonal(),
+            );
+            let snap = |raw: usize| {
+                crate::bisection::snap_range_to_clusters(&values[..k], ctol, raw..k).start
             };
-            let lo =
-                crate::bisection::snap_range_to_clusters(&values[..k], ctol, raw.start..k).start;
-            let hi = crate::bisection::snap_range_to_clusters(&values[..k], ctol, raw.end..k).start;
-            let mut z = Matrix::zeros(0, 0);
-            reduced_eigenvectors_offset_into(&packed, &values[lo..hi], lo, &mut z, &mut ws);
-            for (jj, j) in (lo..hi).enumerate() {
-                for i in 0..n {
-                    assert!(
-                        z[(i, jj)] == full[(i, j)],
-                        "column {j} row {i}: sliced {} != full {}",
-                        z[(i, jj)],
-                        full[(i, j)]
-                    );
+            let bounds = [0, snap(cuts[0]), snap(cuts[1]), k];
+            for shard in bounds.windows(2) {
+                let (lo, hi) = (shard[0], shard[1]);
+                let mut z = Matrix::zeros(0, 0);
+                reduced_eigenvectors_offset_into(&packed, &values[lo..hi], lo, &mut z, &mut ws);
+                for (jj, j) in (lo..hi).enumerate() {
+                    for i in 0..n {
+                        assert!(
+                            z[(i, jj)] == full[(i, j)],
+                            "n={n} column {j} row {i}: sliced {} != full {}",
+                            z[(i, jj)],
+                            full[(i, j)]
+                        );
+                    }
                 }
             }
         }

@@ -209,36 +209,43 @@ pub fn axpy2<T: Scalar>(y: &mut [T], a: T, x: &[T], b: T, w: &[T]) {
 /// `GEMM_UNROLL` inner-index steps.
 pub const GEMM_UNROLL: usize = 4;
 
+/// Four fused rank-1 updates of one output row — the body of the GEMM panel
+/// kernel. Each element receives `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`,
+/// i.e. four [`axpy`] calls in order, with the output row loaded and stored
+/// once.
+#[inline]
+pub fn axpy4<T: Scalar>(orow: &mut [T], a: [T; 4], b: [&[T]; 4]) {
+    let n = orow.len();
+    let [b0, b1, b2, b3] = [&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]];
+    for j in 0..n {
+        orow[j] = (((orow[j] + a[0] * b0[j]) + a[1] * b1[j]) + a[2] * b2[j]) + a[3] * b3[j];
+    }
+}
+
 /// GEMM panel kernel: `out_row += Σ_p a_row[p] · b[p][..]` for
 /// `p ∈ [p0, p1)`, with `b` given as a row-major slice of row stride
 /// `ldb ≥ n`.
 ///
-/// The inner dimension is unrolled by [`GEMM_UNROLL`]: each output element
-/// receives `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`, i.e. the adds land in
-/// ascending-`p` order exactly as in a naive `i-k-j` loop, so the result
-/// is bitwise identical to that reference order regardless of how callers
-/// band the output rows.
+/// The inner dimension is unrolled by [`GEMM_UNROLL`] ([`axpy4`]): each
+/// output element receives `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`, i.e. the
+/// adds land in ascending-`p` order exactly as in a naive `i-k-j` loop, so
+/// the result is bitwise identical to that reference order regardless of how
+/// callers band the output rows.
 #[inline]
 pub fn gemm_row<T: Scalar>(orow: &mut [T], arow: &[T], b: &[T], ldb: usize, p0: usize, p1: usize) {
     let n = orow.len();
+    let brow = |p: usize| &b[p * ldb..p * ldb + n];
     let mut p = p0;
     while p + GEMM_UNROLL <= p1 {
-        let a0 = arow[p];
-        let a1 = arow[p + 1];
-        let a2 = arow[p + 2];
-        let a3 = arow[p + 3];
-        let b0 = &b[p * ldb..p * ldb + n];
-        let b1 = &b[(p + 1) * ldb..(p + 1) * ldb + n];
-        let b2 = &b[(p + 2) * ldb..(p + 2) * ldb + n];
-        let b3 = &b[(p + 3) * ldb..(p + 3) * ldb + n];
-        for j in 0..n {
-            orow[j] = (((orow[j] + a0 * b0[j]) + a1 * b1[j]) + a2 * b2[j]) + a3 * b3[j];
-        }
+        axpy4(
+            orow,
+            [arow[p], arow[p + 1], arow[p + 2], arow[p + 3]],
+            [brow(p), brow(p + 1), brow(p + 2), brow(p + 3)],
+        );
         p += GEMM_UNROLL;
     }
     while p < p1 {
-        let av = arow[p];
-        axpy(orow, av, &b[p * ldb..p * ldb + n]);
+        axpy(orow, arow[p], brow(p));
         p += 1;
     }
 }

@@ -8,7 +8,9 @@
 //! 1. **neighbours** — O(N) linked-cell list build;
 //! 2. **hamiltonian** — O(N·z) Slater–Koster assembly;
 //! 3. **diagonalize** — O(N³) symmetric eigensolve;
-//! 4. **density** — O(N²·N_occ) density-matrix formation `ρ = 2 C f Cᵀ`;
+//! 4. **density** — `ρ = 2 C f Cᵀ` on the blocks the forces read:
+//!    O(N·z·N_occ) ([`crate::stages::bond_density`]; the full matrix,
+//!    [`density_matrix_into`], is O(N²·N_occ));
 //! 5. **forces** — O(N·z) contraction of `ρ` with `∂H/∂R` plus the
 //!    repulsive-potential forces.
 //!
@@ -19,8 +21,8 @@ use crate::hamiltonian::{build_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
 use crate::occupations::{occupations, OccupationScheme, Occupations};
 use crate::stages::{
-    bond_contraction, dense_block, embedding, entropy_term, epilogue, prologue, solve_occupied,
-    validate,
+    bond_contraction, bond_density, dense_block, embedding, entropy_term, epilogue,
+    occupied_factor_into, prologue, solve_occupied, validate,
 };
 use crate::workspace::{NeighborOutcome, Workspace};
 use std::time::Duration;
@@ -328,9 +330,10 @@ impl<'m> TbCalculator<'m> {
     }
 
     /// The front half of the pipeline — neighbours → `H` → solve → `ρ` —
-    /// through a persistent [`Workspace`]. Leaves `ρ` in `ws.rho`, the
-    /// spectrum in `ws.values`, the neighbour list in `ws.neighbors` and the
-    /// eigenvectors where `ws.dense_cache` says; everything downstream
+    /// through a persistent [`Workspace`]. Leaves `ρ` on the bond blocks of
+    /// the neighbour list in `ws.rho` ([`bond_density`]; zero elsewhere),
+    /// the spectrum in `ws.values`, the neighbour list in `ws.neighbors` and
+    /// the eigenvectors where `ws.dense_cache` says; everything downstream
     /// (forces, stress, the health probe) reads those.
     pub fn density_with(
         &self,
@@ -355,7 +358,8 @@ impl<'m> TbCalculator<'m> {
             .dense_cache
             .vectors(&ws.h, &ws.c)
             .expect("solve_occupied leaves eigenvectors");
-        ws.grown += density_matrix_into(vectors, &occ.f[..k], &mut ws.w, &mut ws.rho);
+        let nl = ws.neighbors.list();
+        ws.grown += bond_density(nl, &index, vectors, &occ.f[..k], &mut ws.w, &mut ws.rho);
         timings.density = sp.finish();
         Ok((index, occ))
     }
@@ -396,6 +400,9 @@ impl<'m> TbCalculator<'m> {
 /// the symmetric-rank-k kernel ([`Matrix::par_syrk`]): only the lower
 /// triangle is computed and mirrored — half the flops of a general matmul
 /// and no materialized transpose, with results matching it to round-off.
+/// This is the full matrix: the reference the Γ-point pipeline's
+/// [`bond_density`] (bond blocks only) is tested against, and the builder of
+/// the k-point and non-orthogonal engines.
 pub fn density_matrix(vectors: &Matrix, f: &[f64]) -> Matrix {
     let mut w = Matrix::zeros(0, 0);
     let mut rho = Matrix::zeros(0, 0);
@@ -407,19 +414,7 @@ pub fn density_matrix(vectors: &Matrix, f: &[f64]) -> Matrix {
 /// eigenvector factor, `rho` for the result), reusing their allocations.
 /// Returns the number of buffers that had to grow.
 pub fn density_matrix_into(vectors: &Matrix, f: &[f64], w: &mut Matrix, rho: &mut Matrix) -> usize {
-    let n = vectors.rows();
-    let occupied: Vec<usize> = (0..f.len())
-        .filter(|&k| f[k] > crate::occupations::OCCUPATION_DROP_TOL)
-        .collect();
-    let mut grown = w.resize_zeroed(n, occupied.len()) as usize;
-    for (col, &k) in occupied.iter().enumerate() {
-        let scale = (2.0 * f[k]).sqrt();
-        for r in 0..n {
-            w[(r, col)] = scale * vectors[(r, k)];
-        }
-    }
-    grown += w.syrk_reuse(rho, true) as usize;
-    grown
+    occupied_factor_into(vectors, f, w) as usize + w.syrk_reuse(rho, true) as usize
 }
 
 /// Band-structure (electronic) forces: `F_i = 2 Σ_{j∈nb(i)} ρ_ij : ∂B/∂d`.

@@ -38,6 +38,12 @@ impl OrbitalIndex {
         self.offsets[i]
     }
 
+    /// Number of orbitals of atom `i`.
+    #[inline]
+    pub fn n_orbitals(&self, i: usize) -> usize {
+        self.offsets.get(i + 1).unwrap_or(&self.total) - self.offsets[i]
+    }
+
     /// Total orbital count.
     #[inline]
     pub fn total(&self) -> usize {

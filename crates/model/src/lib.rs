@@ -53,8 +53,8 @@ pub use scaling::{CutoffTail, GspScaling, RadialFunction};
 pub use silicon::silicon_gsp;
 pub use slater_koster::{sk_block, sk_block_gradient, sk_transpose, Hoppings, SkBlock};
 pub use stages::{
-    bond_contraction, bond_force, dense_block, embedding, entropy_term, epilogue, prologue,
-    solve_occupied, validate,
+    bond_block_elements, bond_contraction, bond_density, bond_force, dense_block, embedding,
+    entropy_term, epilogue, for_each_bond_block, prologue, solve_occupied, validate,
 };
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};

@@ -13,6 +13,9 @@
 //! * [`solve_occupied`] — the dense eigensolve for the occupied subspace
 //!   (the only place [`TWO_STAGE_MIN_DIM`] is consulted, the
 //!   [`DenseCache`] marker set and the `Diagonalize` span opened);
+//! * [`bond_density`] — `ρ` on the blocks the force and stress contractions
+//!   read: one per atom and one per neighbour-list pair
+//!   ([`for_each_bond_block`]);
 //! * [`entropy_term`] — the Mermin `−T_e S` correction;
 //! * [`embedding`] — the per-atom repulsive embedding pre-pass;
 //! * [`bond_contraction`] / [`bond_force`] — `ρ_ij : ∂B/∂d` for one bond and
@@ -24,13 +27,16 @@
 //! around their own solves.
 
 use crate::calculator::{DenseSolver, PhaseTimings, TbError, TWO_STAGE_MIN_DIM};
+use crate::hamiltonian::OrbitalIndex;
 use crate::model::TbModel;
-use crate::occupations::{occupations, occupied_count, OccupationScheme, Occupations};
+use crate::occupations::{
+    occupations, occupied_count, OccupationScheme, Occupations, OCCUPATION_DROP_TOL,
+};
 use crate::slater_koster::sk_block_gradient;
 use crate::units::KB_EV;
 use crate::workspace::{DenseCache, Workspace};
 use tbmd_linalg::{
-    eigh_into, par_jacobi_eigh_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
+    eigh_into, kernels, par_jacobi_eigh_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
     tridiagonalize_blocked_into, Matrix, Vec3, JACOBI_MAX_SWEEPS, JACOBI_TOL,
 };
 use tbmd_structure::{Neighbor, NeighborList, Structure};
@@ -129,6 +135,105 @@ pub fn solve_occupied(
         DenseCache::Full { occupied }
     };
     Ok((occ, sp.finish()))
+}
+
+/// The scaled eigenvector factor `W = C·diag(√(2 f))` restricted to the
+/// columns the occupation filter keeps, so that `ρ = W Wᵀ`. Returns whether
+/// `w` had to grow.
+pub(crate) fn occupied_factor_into(vectors: &Matrix, f: &[f64], w: &mut Matrix) -> bool {
+    let keep = |k: &usize| f[*k] > OCCUPATION_DROP_TOL;
+    // Sized before the column list exists: when the window widens, `w`
+    // regrows into the block the eigenvector buffers have just vacated
+    // unless a smaller allocation got there first (4 MB of peak RSS at
+    // Si-216).
+    let grew = w.resize_zeroed(vectors.rows(), (0..f.len()).filter(keep).count());
+    let kept: Vec<(usize, f64)> = (0..f.len())
+        .filter(keep)
+        .map(|k| (k, (2.0 * f[k]).sqrt()))
+        .collect();
+    if !kept.is_empty() {
+        for (wrow, crow) in w
+            .as_mut_slice()
+            .chunks_mut(kept.len())
+            .zip(vectors.rows_iter())
+        {
+            for (wv, &(k, scale)) in wrow.iter_mut().zip(&kept) {
+                *wv = scale * crow[k];
+            }
+        }
+    }
+    grew
+}
+
+/// Visit every *bond block* `(i, j)`, `i ≤ j`, once: the diagonal block of
+/// each atom, then — in list order — each atom pair with an entry in the
+/// neighbour list, however many periodic images the list holds for it. The
+/// list is symmetric, so the pairs `j > i` of `i`'s entries cover it. These
+/// blocks and their transposes are every block of `ρ` the bond contractions
+/// read ([`bond_force`], the virial); the visiting order depends on the list
+/// alone, so ranks holding the same replica agree on it.
+pub fn for_each_bond_block(nl: &NeighborList, mut visit: impl FnMut(usize, usize)) {
+    let mut seen_from = vec![usize::MAX; nl.n_atoms()];
+    for i in 0..nl.n_atoms() {
+        visit(i, i);
+        for nb in nl.neighbors(i) {
+            if nb.j > i && seen_from[nb.j] != i {
+                seen_from[nb.j] = i;
+                visit(i, nb.j);
+            }
+        }
+    }
+}
+
+/// Number of elements in the bond blocks of `nl` — the doubles a packed ρ
+/// holds (one block per pair; transposes are not stored twice).
+pub fn bond_block_elements(nl: &NeighborList, index: &OrbitalIndex) -> usize {
+    let mut elements = 0;
+    for_each_bond_block(nl, |i, j| {
+        elements += index.n_orbitals(i) * index.n_orbitals(j)
+    });
+    elements
+}
+
+/// The density stage of the dense pipeline: `ρ_IJ = Σ_n 2 f_n c_In c_Jnᵀ` on
+/// the bond blocks of `nl` only, from the eigenvector block `vectors`
+/// (`n × f.len()`) and its occupations — `O(N·neighbours·k)` instead of the
+/// `O(N²·k)` full matrix ([`crate::calculator::density_matrix_into`], the
+/// reference), which the force and stress contractions never read elsewhere.
+///
+/// On return `rho` is `n × n`, holds `ρ` on every bond block and its
+/// transpose (`ρ_JI = ρ_IJᵀ` bitwise) and is **zero everywhere else**; `w`
+/// holds the scaled factor. Each element is one [`kernels::dot4`] lane of
+/// two rows of `w`, so it depends on nothing but those rows. Returns the
+/// number of buffers that had to grow.
+pub fn bond_density(
+    nl: &NeighborList,
+    index: &OrbitalIndex,
+    vectors: &Matrix,
+    f: &[f64],
+    w: &mut Matrix,
+    rho: &mut Matrix,
+) -> usize {
+    let n = index.total();
+    let grown = occupied_factor_into(vectors, f, w) as usize + rho.resize_zeroed(n, n) as usize;
+    let mut elements = 0;
+    for_each_bond_block(nl, |i, j| {
+        let (oi, ni) = (index.offset(i), index.n_orbitals(i));
+        let (oj, nj) = (index.offset(j), index.n_orbitals(j));
+        elements += ni * nj;
+        // Four columns per pass; an atom with fewer orbitals repeats its
+        // last row and the surplus lanes are dropped.
+        let [w0, w1, w2, w3] = std::array::from_fn(|nu| w.row(oj + nu.min(nj - 1)));
+        for mu in 0..ni {
+            let dots = kernels::dot4(w.row(oi + mu), w0, w1, w2, w3);
+            for (nu, &d) in dots.iter().enumerate().take(nj) {
+                rho[(oi + mu, oj + nu)] = d;
+                rho[(oj + nu, oi + mu)] = d;
+            }
+        }
+    });
+    tbmd_trace::add(Counter::KernelFlops, 2 * (elements * w.cols()) as u64);
+    grown
 }
 
 /// The Mermin correction `−T_e S` for an electronic entropy `S` (eV/K):

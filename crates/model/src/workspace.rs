@@ -204,7 +204,11 @@ pub struct Workspace {
     pub c: Matrix,
     /// Scaled-eigenvector factor `W = C·diag(√(2f))`, occupied columns only.
     pub w: Matrix,
-    /// Density matrix `ρ = W·Wᵀ`.
+    /// Density matrix `ρ = W·Wᵀ`. The dense Γ-point pipeline fills only
+    /// the bond blocks of the neighbour list — every atom's diagonal block
+    /// and both blocks of every listed pair (`crate::stages::bond_density`)
+    /// — and leaves every other element zero; the non-orthogonal engine
+    /// fills all of it.
     pub rho: Matrix,
     /// Eigenvalues of the last evaluation (ascending).
     pub values: Vec<f64>,

@@ -15,16 +15,18 @@
 //!    degenerate-cluster boundaries so the Gram–Schmidt/Rayleigh–Ritz work
 //!    of a cluster stays on one rank. An eigenvalue allgather (O(N) wire
 //!    bytes) replicates the spectrum for occupations;
-//! 4. **density matrix** — each rank forms `W·Wᵀ` over its owned occupied
-//!    eigenvectors, then a sum-allreduce replicates ρ (the dominant
-//!    communication volume, O(N²) — exactly the term the era papers fought);
+//! 4. **density matrix** — each rank forms its owned eigenvectors' share of
+//!    ρ on the bond blocks of the replicated neighbour list
+//!    ([`bond_density`]), then a sum-allreduce of the packed blocks
+//!    replicates them: O(N·neighbours) wire bytes, still the dominant volume,
+//!    where the full matrix the era papers fought is O(N²);
 //! 5. **forces** — each rank computes forces for its block of atoms from the
 //!    replicated ρ; an allgather assembles the full force vector.
 //!
 //! The original ring-Jacobi eigensolver is kept as a selectable reference
 //! ([`DistributedSolver::RingJacobi`]); it rotates whole column pairs around
-//! a ring every sweep, an O(N²)-bytes-per-round pattern the sliced solver
-//! replaces with the single ρ allreduce.
+//! a ring every sweep, an O(N²)-bytes-per-round pattern, and allreduces the
+//! full ρ.
 //!
 //! Wall-clock speedups are not the point on a single-core host (see
 //! DESIGN.md): the engine's value is numerical equivalence to the serial
@@ -43,10 +45,10 @@ use tbmd_linalg::{
     ShardJob, Vec3, JACOBI_MAX_SWEEPS, JACOBI_TOL,
 };
 use tbmd_model::{
-    bond_force, build_hamiltonian_into, density_matrix_into, embedding, entropy_term, occupations,
-    occupied_count, sk_block, sk_transpose, validate, DenseCache, ForceEvaluation, ForceProvider,
-    OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbError, TbModel, Workspace,
-    OCCUPATION_DROP_TOL,
+    bond_density, bond_force, build_hamiltonian_into, embedding, entropy_term, for_each_bond_block,
+    occupations, occupied_count, sk_block, sk_transpose, validate, DenseCache, ForceEvaluation,
+    ForceProvider, OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbError, TbModel,
+    Workspace, OCCUPATION_DROP_TOL,
 };
 use tbmd_structure::{NeighborList, Structure};
 
@@ -94,13 +96,13 @@ struct DenseRankSlot {
     values: Vec<f64>,
     /// Owned occupied eigenvector columns.
     vectors: Matrix,
-    /// Scaled eigenvector factor `W` for the SYRK density kernel.
+    /// Scaled eigenvector factor `W` of the owned columns.
     w: Matrix,
-    /// Partial density matrix from the owned columns.
+    /// ρ on the bond blocks: the owned columns' share before the allreduce,
+    /// the replicated ρ after it.
     rho: Matrix,
-    /// Flat ρ accumulator fed to the allreduce; holds the replicated ρ
-    /// afterwards.
-    rho_flat: Vec<f64>,
+    /// The bond blocks of `rho`, packed for the allreduce.
+    rho_packed: Vec<f64>,
     /// This rank's force block (3 components per owned atom).
     forces_block: Vec<f64>,
     /// Buffer-growth events in this slot (O(1) after warmup).
@@ -230,14 +232,15 @@ impl<'m> DistributedTb<'m> {
         rank.count_flops(4 * ((hi - lo) * n_orb * n_orb) as u64);
         timings.diagonalize = clock.lap(&mut timings);
 
-        // ---- Phase 4c: partial ρ from the owned columns (the same SYRK
-        // kernel as the serial engine), then the allreduce.
-        slot.grown +=
-            density_matrix_into(&slot.vectors, &occ.f[lo..hi], &mut slot.w, &mut slot.rho);
-        rank.count_flops((occupied_count(&occ.f[lo..hi]) * n_orb * n_orb) as u64);
-        slot.rho_flat.clear();
-        slot.rho_flat.extend_from_slice(slot.rho.as_slice());
-        clock.blocked(|| rank.allreduce_sum(102, &mut slot.rho_flat));
+        // ---- Phase 4c: the owned columns' share of ρ on the bond blocks
+        // (the serial engine's density stage), then the allreduce of the
+        // packed blocks — every rank packs in the order of the same list.
+        let (f_mine, w, rho) = (&occ.f[lo..hi], &mut slot.w, &mut slot.rho);
+        slot.grown += bond_density(nl, index, &slot.vectors, f_mine, w, rho);
+        pack_bond_blocks(nl, index, rho, &mut slot.rho_packed);
+        rank.count_flops(2 * (slot.rho_packed.len() * w.cols()) as u64);
+        clock.blocked(|| rank.allreduce_sum(102, &mut slot.rho_packed));
+        unpack_bond_blocks(nl, index, &slot.rho_packed, rho);
         timings.density = clock.lap(&mut timings);
 
         // ---- Phase 5: forces for my atom block; allgather.
@@ -247,7 +250,7 @@ impl<'m> DistributedTb<'m> {
             model,
             nl,
             index,
-            &slot.rho_flat,
+            slot.rho.as_slice(),
             &mut slot.forces_block,
         );
         timings.forces = clock.lap(&mut timings);
@@ -389,8 +392,36 @@ fn build_atom_columns(
     cols
 }
 
+/// The bond blocks of `rho` ([`for_each_bond_block`] order, each row-major)
+/// one after another — the payload of the sliced solver's ρ allreduce.
+fn pack_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, rho: &Matrix, packed: &mut Vec<f64>) {
+    packed.clear();
+    for_each_bond_block(nl, |i, j| {
+        let (oj, nj) = (index.offset(j), index.n_orbitals(j));
+        for mu in 0..index.n_orbitals(i) {
+            packed.extend_from_slice(&rho.row(index.offset(i) + mu)[oj..oj + nj]);
+        }
+    });
+}
+
+/// Inverse of [`pack_bond_blocks`]: write every packed block and its
+/// transpose back into `rho`.
+fn unpack_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, packed: &[f64], rho: &mut Matrix) {
+    let mut values = packed.iter();
+    for_each_bond_block(nl, |i, j| {
+        let (oi, oj) = (index.offset(i), index.offset(j));
+        for mu in 0..index.n_orbitals(i) {
+            for nu in 0..index.n_orbitals(j) {
+                let v = *values.next().expect("packed by pack_bond_blocks");
+                rho[(oi + mu, oj + nu)] = v;
+                rho[(oj + nu, oi + mu)] = v;
+            }
+        }
+    });
+}
+
 /// Phase 5 of both solver paths: gather-form forces ([`bond_force`]) for
-/// this rank's atom block from the replicated flat ρ, the force allgather
+/// this rank's atom block from the replicated row-major ρ, the force allgather
 /// and the repulsive-energy allreduce. Returns the repulsive energy and, on
 /// rank 0, the assembled forces.
 fn force_phase(
@@ -559,6 +590,30 @@ mod tests {
                 "p={p}: sliced {} bytes vs ring {} bytes",
                 ra.stats.total_bytes(),
                 rb.stats.total_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn wire_volume_is_the_cost_models() {
+        // The ρ allreduce carries the packed bond blocks of the replica's
+        // list and nothing else; with the O(N) collectives around it the
+        // measured byte total is the cost model's, exactly.
+        let model = silicon_gsp();
+        let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
+        s.perturb(&mut StdRng::seed_from_u64(47), 0.05);
+        let index = OrbitalIndex::new(&s);
+        let mut replica = tbmd_model::NeighborWorkspace::default();
+        replica.update(&s, model.cutoff());
+        let rho_doubles = tbmd_model::bond_block_elements(replica.list(), &index);
+        assert!(rho_doubles < index.total() * index.total() / 3);
+        for p in [1usize, 2, 3, 4] {
+            let dist = DistributedTb::new(&model, p);
+            dist.evaluate(&s).unwrap();
+            assert_eq!(
+                dist.last_report().unwrap().stats.total_bytes(),
+                crate::cost_model::sliced_wire_bytes(s.n_atoms(), index.total(), rho_doubles, p),
+                "p={p}"
             );
         }
     }

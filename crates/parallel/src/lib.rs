@@ -17,7 +17,9 @@ pub mod ring_jacobi;
 pub mod shared;
 pub mod vmp;
 
-pub use cost_model::{estimate_cost, scaling, CostEstimate, MachineProfile, Scaling};
+pub use cost_model::{
+    estimate_cost, scaling, sliced_wire_bytes, CostEstimate, MachineProfile, Scaling,
+};
 pub use distributed::{DistributedReport, DistributedSolver, DistributedTb};
 pub use pool::RankWorkspacePool;
 pub use ranks::{gather_forces, Launch, PhaseClock, RankControl, Replica};

@@ -5,8 +5,9 @@
 //! band by band across the pool (rows belonging to different atoms are
 //! disjoint, so the build is a `par_chunks_mut` over 4-row bands), and
 //! forces are an independent gather-form map over atoms against the shared
-//! density matrix. Neighbours, the two-stage eigensolve and the SYRK density
-//! matrix are the calculator's own (already threaded inside `tbmd-linalg`).
+//! density matrix. Neighbours, the two-stage eigensolve (threaded inside
+//! `tbmd-linalg`) and the serial bond-block density stage are the
+//! calculator's own.
 //! Both stages honour the compute budget: under a width-1 lease they walk
 //! the same per-band / per-atom bodies serially, bitwise identical.
 
