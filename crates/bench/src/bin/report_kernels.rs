@@ -170,7 +170,8 @@ fn main() {
         fmt_f(step_gflops / gemm_gflops_last, 2),
     ]);
 
-    // ---- K1c: eigenvectors → ρ at n = max_n, 70 % of the states kept. ----
+    // ---- K1c: eigenvectors → ρ at n = max_n (the bond-block stage: at the
+    // largest diamond crystal that fits), 70 % of the states kept. ----
     let n = max_n;
     let k = 7 * n / 10;
     let mut packed = random_matrix(n, n, 77);
@@ -201,20 +202,21 @@ fn main() {
         (0..n).all(|i| (c0..c1).all(|j| part[(i, j - c0)].to_bits() == z[(i, j)].to_bits()))
     });
 
-    // A diamond crystal with n orbitals — n/32 = 2^e eight-atom cells, the e
-    // doublings dealt to the axes in turn — and every column fully occupied.
-    let cells = n / 32;
-    let reps: [usize; 3] =
-        std::array::from_fn(|a| 1 << ((cells.trailing_zeros() as usize + 2 - a) / 3));
+    // The largest diamond crystal with at most n orbitals whose cell count
+    // 2^e splits over the axes (the e doublings dealt to them in turn), every
+    // column fully occupied.
+    let doublings = (n / 32).ilog2() as usize;
+    let reps: [usize; 3] = std::array::from_fn(|a| 1 << ((doublings + 2 - a) / 3));
     let crystal = tbmd::structure::bulk_diamond(Species::Silicon, reps[0], reps[1], reps[2]);
     let index = OrbitalIndex::new(&crystal);
-    assert_eq!(index.total(), n, "max_n must be a power of two");
+    let (n_bond, k_bond) = (index.total(), 7 * index.total() / 10);
+    let vectors = random_matrix(n_bond, k_bond, 79);
     let nl = NeighborList::build(&crystal, silicon_gsp().cutoff() + 0.5);
     let (mut w, mut rho) = (Matrix::default(), Matrix::default());
     let (t_bond, _) = best_of(5, || {
-        bond_density(&nl, &index, &z0, &vec![1.0; k], &mut w, &mut rho)
+        bond_density(&nl, &index, &vectors, &vec![1.0; k_bond], &mut w, &mut rho)
     });
-    let bond_elements = bond_block_elements(&nl, &index);
+    let bond_flops = 2 * bond_block_elements(&nl, &index) * k_bond;
     let mut t_stage = ReportTable::new(
         "K1c: eigenvectors → ρ stages (back-transform fans out over the host's threads)",
         &[
@@ -227,9 +229,9 @@ fn main() {
             "of GEMM",
         ],
     );
-    for (stage, seconds, flops) in [
-        ("compact-WY back-transform", t_back, back_flops),
-        ("bond-block density", t_bond, 2 * bond_elements * k),
+    for (stage, n, k, seconds, flops) in [
+        ("compact-WY back-transform", n, k, t_back, back_flops),
+        ("bond-block density", n_bond, k_bond, t_bond, bond_flops),
     ] {
         let gflops = flops as f64 / seconds / 1e9;
         t_stage.row(vec![

@@ -326,6 +326,9 @@ fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
     let w = strip[0].len();
     // Cache-line aligned: strip widths are multiples of 8, so no vector
     // access to a row of `X` straddles two lines, wherever the frame lands.
+    // Measured at n = 864, k = 610, two threads (alternating binaries, median
+    // of 75–90 calls each): 24.0 ms as written, 25.9 ms with a plain array,
+    // 28.4 ms with a plain array and unrounded widths (77 columns).
     #[repr(align(64))]
     struct XBlock([f64; TRIDIAG_BLOCK * STRIP_COLS]);
     let mut xblock = XBlock([0.0; TRIDIAG_BLOCK * STRIP_COLS]);
@@ -399,7 +402,8 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
         4 * (panel_rows * k) as u64,
     );
     // A strip count that is a multiple of the thread count keeps the static
-    // partition even; widths are multiples of 8 for the vector loops.
+    // partition even; widths are multiples of 8 for the vector loops (the
+    // last strip takes what is left).
     let nstrips = k
         .div_ceil(STRIP_COLS)
         .next_multiple_of(rayon::current_num_threads());

@@ -47,6 +47,12 @@ struct LinScaleRankSlot {
     forces_block: Vec<f64>,
 }
 
+impl AsMut<Replica> for LinScaleRankSlot {
+    fn as_mut(&mut self) -> &mut Replica {
+        &mut self.replica
+    }
+}
+
 /// Message-passing O(N) TBMD engine.
 pub struct DistributedLinearScalingTb<'m> {
     model: &'m dyn TbModel,

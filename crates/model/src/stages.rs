@@ -141,24 +141,13 @@ pub fn solve_occupied(
 /// columns the occupation filter keeps, so that `ρ = W Wᵀ`. Returns whether
 /// `w` had to grow.
 pub(crate) fn occupied_factor_into(vectors: &Matrix, f: &[f64], w: &mut Matrix) -> bool {
-    let keep = |k: &usize| f[*k] > OCCUPATION_DROP_TOL;
-    // Sized before the column list exists: when the window widens, `w`
-    // regrows into the block the eigenvector buffers have just vacated
-    // unless a smaller allocation got there first (4 MB of peak RSS at
-    // Si-216).
-    let grew = w.resize_zeroed(vectors.rows(), (0..f.len()).filter(keep).count());
-    let kept: Vec<(usize, f64)> = (0..f.len())
-        .filter(keep)
-        .map(|k| (k, (2.0 * f[k]).sqrt()))
-        .collect();
-    if !kept.is_empty() {
-        for (wrow, crow) in w
-            .as_mut_slice()
-            .chunks_mut(kept.len())
-            .zip(vectors.rows_iter())
-        {
-            for (wv, &(k, scale)) in wrow.iter_mut().zip(&kept) {
-                *wv = scale * crow[k];
+    let kept = || (0..f.len()).filter(|&k| f[k] > OCCUPATION_DROP_TOL);
+    let cols = kept().count();
+    let grew = w.resize_zeroed(vectors.rows(), cols);
+    if cols > 0 {
+        for (wrow, crow) in w.as_mut_slice().chunks_mut(cols).zip(vectors.rows_iter()) {
+            for (wv, k) in wrow.iter_mut().zip(kept()) {
+                *wv = (2.0 * f[k]).sqrt() * crow[k];
             }
         }
     }

@@ -14,7 +14,7 @@
 //! overtakes computation, how efficiency decays with P) is what the
 //! reproduction checks, not third-digit agreement with a retired machine.
 
-use crate::vmp::{partition_range, VmpStats};
+use crate::vmp::{partition_range, Rank, VmpStats};
 
 /// A distributed-memory machine profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,23 +125,17 @@ pub fn estimate_cost(profile: &MachineProfile, stats: &VmpStats) -> CostEstimate
 
 /// Wire bytes (summed over ranks) of one evaluation of the two-stage sliced
 /// engine ([`crate::DistributedTb`]) on `p` ranks, for `n_atoms` atoms,
-/// `n_orb` orbitals and `rho_doubles` values in the packed bond blocks of ρ.
-///
-/// Every collective in [`crate::vmp`] is a tree over `p − 1` links: a
-/// broadcast moves its payload over each link once, an allreduce twice (up
-/// and down), and an allgather moves every non-root chunk to rank 0 and then
-/// broadcasts the concatenation behind a `p`-word length header. The step
-/// is: positions broadcast, spectrum allgather, ρ allreduce, force allgather,
-/// repulsive-energy allreduce — the ρ term is the only one above O(N).
+/// `n_orb` orbitals and `rho_doubles` values in the packed bond blocks of ρ:
+/// positions broadcast, spectrum allgather, ρ allreduce, force allgather,
+/// repulsive-energy allreduce, each at its collective's own count — the ρ
+/// term is the only one above O(N).
 pub fn sliced_wire_bytes(n_atoms: usize, n_orb: usize, rho_doubles: usize, p: usize) -> u64 {
-    let links = p - 1;
-    let allgather = |total: usize, root_chunk: usize| (total - root_chunk) + links * (p + total);
-    let doubles = links * 3 * n_atoms
-        + allgather(n_orb, partition_range(n_orb, p, 0).len())
-        + 2 * links * rho_doubles
-        + allgather(3 * n_atoms, 3 * partition_range(n_atoms, p, 0).len())
-        + 2 * links;
-    8 * doubles as u64
+    let my_atoms = partition_range(n_atoms, p, 0).len();
+    Rank::broadcast_bytes(3 * n_atoms, p)
+        + Rank::allgather_bytes(n_orb, partition_range(n_orb, p, 0).len(), p)
+        + Rank::allreduce_bytes(rho_doubles, p)
+        + Rank::allgather_bytes(3 * n_atoms, 3 * my_atoms, p)
+        + Rank::allreduce_bytes(1, p)
 }
 
 /// Speedup and efficiency of a P-rank estimate against a 1-rank baseline.

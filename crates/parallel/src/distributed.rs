@@ -109,6 +109,12 @@ struct DenseRankSlot {
     grown: usize,
 }
 
+impl AsMut<Replica> for DenseRankSlot {
+    fn as_mut(&mut self) -> &mut Replica {
+        &mut self.replica
+    }
+}
+
 /// What rank 0 hands back: energy, forces, Jacobi sweeps.
 type RankResult = Option<((f64, Vec<Vec3>, usize), PhaseTimings)>;
 
@@ -234,7 +240,8 @@ impl<'m> DistributedTb<'m> {
 
         // ---- Phase 4c: the owned columns' share of ρ on the bond blocks
         // (the serial engine's density stage), then the allreduce of the
-        // packed blocks — every rank packs in the order of the same list.
+        // packed blocks — every rank packs in the order of the same list
+        // (`RankControl::launch` never lets replicas updated apart meet).
         let (f_mine, w, rho) = (&occ.f[lo..hi], &mut slot.w, &mut slot.rho);
         slot.grown += bond_density(nl, index, &slot.vectors, f_mine, w, rho);
         pack_bond_blocks(nl, index, rho, &mut slot.rho_packed);
@@ -595,30 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_volume_is_the_cost_models() {
-        // The ρ allreduce carries the packed bond blocks of the replica's
-        // list and nothing else; with the O(N) collectives around it the
-        // measured byte total is the cost model's, exactly.
-        let model = silicon_gsp();
-        let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
-        s.perturb(&mut StdRng::seed_from_u64(47), 0.05);
-        let index = OrbitalIndex::new(&s);
-        let mut replica = tbmd_model::NeighborWorkspace::default();
-        replica.update(&s, model.cutoff());
-        let rho_doubles = tbmd_model::bond_block_elements(replica.list(), &index);
-        assert!(rho_doubles < index.total() * index.total() / 3);
-        for p in [1usize, 2, 3, 4] {
-            let dist = DistributedTb::new(&model, p);
-            dist.evaluate(&s).unwrap();
-            assert_eq!(
-                dist.last_report().unwrap().stats.total_bytes(),
-                crate::cost_model::sliced_wire_bytes(s.n_atoms(), index.total(), rho_doubles, p),
-                "p={p}"
-            );
-        }
-    }
-
-    #[test]
     fn traffic_grows_with_ranks() {
         let model = silicon_gsp();
         let s = bulk_diamond(Species::Silicon, 1, 1, 1);
@@ -752,6 +735,60 @@ mod tests {
         assert_eq!(dist.ranks.shrink_ranks(99), 1);
         dist.evaluate(&s).unwrap();
         assert_eq!(dist.last_report().unwrap().n_ranks, 1);
+    }
+
+    /// Si-64 (Verlet skin lists) at three positions of atom 0 along the line
+    /// to a third-shell neighbour (4.50 Å, outside the 4.3 Å list radius):
+    /// `[0]` the crystal, `[1]` 0.30 Å along — past skin/2, so a rank that
+    /// sees it rebuilds, with the neighbour (now at 4.20 Å) in the list —
+    /// and `[2]` 0.10 Å along, within skin/2 of both, so a list built at
+    /// `[0]` and one built at `[1]` are both kept and differ in that pair.
+    fn skin_crossing_positions(model: &dyn TbModel) -> [Structure; 3] {
+        let base = bulk_diamond(Species::Silicon, 2, 2, 2);
+        let radius = model.cutoff() + tbmd_model::DEFAULT_SKIN;
+        let to_third_shell = (1..base.n_atoms())
+            .map(|j| base.cell().displacement(base.position(0), base.position(j)))
+            .find(|d| d.norm() > radius + 0.15 && d.norm() < radius + 0.25)
+            .expect("third shell just outside the list radius");
+        [0.0, 0.30, 0.10].map(|along| {
+            let mut s = base.clone();
+            s.positions_mut()[0] += to_third_shell * (along / to_third_shell.norm());
+            s
+        })
+    }
+
+    #[test]
+    fn replicas_stay_identical_across_a_rank_failure_and_a_respawn() {
+        // The packed ρ allreduce walks each rank's own list, so the lists
+        // must be the same list. A killed rank never sees the positions its
+        // survivors rebuilt at; a shrunk-away rank sleeps through rebuilds.
+        let model = silicon_gsp();
+        let [p0, p1, p2] = skin_crossing_positions(&model);
+        let reference = TbCalculator::new(&model).evaluate(&p2).unwrap();
+        let assert_matches_reference = |dist: &DistributedTb| {
+            let eval = dist.evaluate(&p2).unwrap();
+            assert!((eval.energy - reference.energy).abs() < 1e-8);
+            for (fa, fb) in reference.forces.iter().zip(&eval.forces) {
+                assert!((*fa - *fb).max_abs() < 1e-6);
+            }
+        };
+
+        let dist = DistributedTb::new(&model, 2);
+        dist.ranks.arm(crate::vmp::FaultPlan {
+            rank: 1,
+            at_evaluation: 2,
+            kind: crate::vmp::FaultKind::Kill,
+        });
+        dist.evaluate(&p0).unwrap();
+        dist.evaluate(&p1).unwrap_err();
+        assert_matches_reference(&dist);
+
+        let dist = DistributedTb::new(&model, 2);
+        dist.evaluate(&p0).unwrap();
+        dist.ranks.shrink_ranks(1);
+        dist.evaluate(&p1).unwrap();
+        dist.ranks.respawn_full_ranks();
+        assert_matches_reference(&dist);
     }
 
     #[test]

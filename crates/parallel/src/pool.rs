@@ -69,6 +69,12 @@ impl<S: Default> RankWorkspacePool<S> {
         &self.slots[r]
     }
 
+    /// Visit every slot mutably (e.g. to reset state no rank may keep after
+    /// a failed launch). Locks each slot briefly; call outside the Vmp run.
+    pub fn for_each(&self, f: impl Fn(&mut S)) {
+        self.slots.iter().for_each(|m| f(&mut m.lock()));
+    }
+
     /// Fold a metric over all slots (e.g. summing per-slot buffer-growth
     /// counters after a run). Locks each slot briefly; call outside the
     /// Vmp run.

@@ -11,7 +11,7 @@ use crate::vmp::{
     vmp_run_opts, FaultPlan, Rank, RecvTimeoutPolicy, VmpFault, VmpOptions, VmpStats,
 };
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use tbmd_linalg::Vec3;
 use tbmd_model::{epilogue, NeighborWorkspace, PhaseTimings, TbError, Workspace};
@@ -38,6 +38,13 @@ pub struct RankControl {
     /// launch's rank count, so a shrunken engine redistributes the dead
     /// rank's shards automatically.
     active: AtomicUsize,
+    /// Set by whatever can leave the pool's [`Replica`]s updated apart: a
+    /// failed launch (a killed rank never saw the positions its survivors
+    /// updated at) and a change of the active set (a rank outside it sleeps
+    /// through rebuilds). The next launch starts every replica over, so the
+    /// lists that meet in one launch are always the same list — engines
+    /// exchange data laid out by it.
+    replicas_apart: AtomicBool,
 }
 
 impl RankControl {
@@ -50,6 +57,7 @@ impl RankControl {
             evals: AtomicU64::new(0),
             recv_timeout: Mutex::new(RecvTimeoutPolicy::Auto),
             active: AtomicUsize::new(n_ranks),
+            replicas_apart: AtomicBool::new(false),
         }
     }
 
@@ -84,6 +92,7 @@ impl RankControl {
     pub fn shrink_ranks(&self, n_failed: usize) -> usize {
         let new = self.active_ranks().saturating_sub(n_failed).max(1);
         self.active.store(new, Ordering::SeqCst);
+        self.replicas_apart.store(true, Ordering::SeqCst);
         new
     }
 
@@ -91,6 +100,7 @@ impl RankControl {
     /// ranks are plain threads, so "respawning" is free) and return it.
     pub fn respawn_full_ranks(&self) -> usize {
         self.active.store(self.n_ranks, Ordering::SeqCst);
+        self.replicas_apart.store(true, Ordering::SeqCst);
         self.n_ranks
     }
 
@@ -118,8 +128,9 @@ impl RankControl {
 
     /// Launch one evaluation over the active ranks: take the due fault,
     /// resolve the failure-detection window for an `n_orb`-dimensional
-    /// problem, hand every rank its locked pool slot, and map a failed
-    /// launch to [`TbError::RankFailure`]. Rank 0 returns the assembled
+    /// problem, hand every rank its locked pool slot — replicas reset first
+    /// if an earlier failure or re-shard may have left them apart — and map a
+    /// failed launch to [`TbError::RankFailure`]. Rank 0 returns the assembled
     /// result and its per-phase clocks — the canonical wall-clock view
     /// (per-rank spans would add up time-shared threads), fed to the trace
     /// registry here, once. Pool growth (slot creation plus `grown` per
@@ -134,7 +145,7 @@ impl RankControl {
         f: impl Fn(&mut Rank, &mut S) -> Option<(T, PhaseTimings)> + Sync,
     ) -> Result<Launch<T>, TbError>
     where
-        S: Default + Send,
+        S: Default + Send + AsMut<Replica>,
         T: Send,
     {
         let n_ranks = self.active_ranks();
@@ -147,15 +158,21 @@ impl RankControl {
         };
         let mut pool = pool.lock();
         pool.ensure(n_ranks);
+        if self.replicas_apart.swap(false, Ordering::SeqCst) {
+            pool.for_each(|slot| *slot.as_mut() = Replica::default());
+        }
         let alloc_before = pool.created() + pool.total(grown);
         let pool_ref = &*pool;
         let (mut results, stats) = vmp_run_opts(n_ranks, opts, |mut rank| {
             let mut slot = pool_ref.slot(rank.id()).lock();
             f(&mut rank, &mut slot)
         })
-        .map_err(|e| TbError::RankFailure {
-            failed_ranks: e.failed_ranks(),
-            detail: e.to_string(),
+        .map_err(|e| {
+            self.replicas_apart.store(true, Ordering::SeqCst);
+            TbError::RankFailure {
+                failed_ranks: e.failed_ranks(),
+                detail: e.to_string(),
+            }
         })?;
         let grew = pool.created() + pool.total(grown) - alloc_before;
         ws.grown += grew;

@@ -514,6 +514,13 @@ impl Rank {
         }
     }
 
+    /// Wire bytes, summed over ranks, of one [`Rank::broadcast`] of `len`
+    /// doubles over `p` ranks: the payload once over each of the tree's
+    /// `p − 1` links.
+    pub fn broadcast_bytes(len: usize, p: usize) -> u64 {
+        8 * ((p - 1) * len) as u64
+    }
+
     /// Element-wise sum-allreduce: binomial-tree reduce to rank 0
     /// (⌈log₂ P⌉ rounds, the mirror image of [`Rank::broadcast`]) followed
     /// by the binomial broadcast back. Every non-root rank still sends
@@ -541,6 +548,13 @@ impl Rank {
             self.send(self.id - top, tag, data);
         }
         self.broadcast(0, tag.wrapping_add(1), data);
+    }
+
+    /// Wire bytes, summed over ranks, of one [`Rank::allreduce_sum`] of `len`
+    /// doubles over `p` ranks: up the reduce tree and back down the
+    /// broadcast.
+    pub fn allreduce_bytes(len: usize, p: usize) -> u64 {
+        2 * Self::broadcast_bytes(len, p)
     }
 
     /// Gather variable-length chunks to `root`; returns all chunks in rank
@@ -582,6 +596,14 @@ impl Rank {
             off += len;
         }
         out
+    }
+
+    /// Wire bytes, summed over ranks, of one [`Rank::allgather`] over `p`
+    /// ranks of chunks totalling `total` doubles, `root_chunk` of them rank
+    /// 0's own: the other chunks travel to rank 0, then the concatenation
+    /// behind its `p`-word length header is broadcast.
+    pub fn allgather_bytes(total: usize, root_chunk: usize, p: usize) -> u64 {
+        8 * (total - root_chunk) as u64 + Self::broadcast_bytes(p + total, p)
     }
 
     /// Scatter `chunks` (given on the root) so rank `r` receives chunk `r`.
@@ -871,7 +893,7 @@ mod tests {
     fn broadcast_all_sizes() {
         for p in 1..=9 {
             for root in [0, p - 1, p / 2] {
-                let (results, _) = vmp_run(p, move |mut rank| {
+                let (results, stats) = vmp_run(p, move |mut rank| {
                     let mut data = if rank.id() == root {
                         vec![3.5, -1.0, 2.0]
                     } else {
@@ -880,6 +902,7 @@ mod tests {
                     rank.broadcast(root, 40, &mut data);
                     data
                 });
+                assert_eq!(stats.total_bytes(), Rank::broadcast_bytes(3, p));
                 for (r, v) in results.iter().enumerate() {
                     assert_eq!(v, &vec![3.5, -1.0, 2.0], "p={p} root={root} rank={r}");
                 }
@@ -890,11 +913,12 @@ mod tests {
     #[test]
     fn allreduce_sums() {
         for p in 1..=8 {
-            let (results, _) = vmp_run(p, move |mut rank| {
+            let (results, stats) = vmp_run(p, move |mut rank| {
                 let mut data = vec![rank.id() as f64, 1.0];
                 rank.allreduce_sum(50, &mut data);
                 data
             });
+            assert_eq!(stats.total_bytes(), Rank::allreduce_bytes(2, p));
             let expect0 = (0..p).map(|r| r as f64).sum::<f64>();
             for v in results {
                 assert_eq!(v, vec![expect0, p as f64]);
@@ -1134,6 +1158,17 @@ mod tests {
         for (g, ag) in &results {
             let _ = g;
             assert_eq!(ag, &expected);
+        }
+    }
+
+    #[test]
+    fn allgather_moves_the_bytes_its_formula_says() {
+        for p in 1..=6 {
+            let (_, stats) = vmp_run(p, |mut rank| {
+                rank.allgather(64, &vec![0.5; rank.id() + 1]);
+            });
+            let total = p * (p + 1) / 2;
+            assert_eq!(stats.total_bytes(), Rank::allgather_bytes(total, 1, p));
         }
     }
 
