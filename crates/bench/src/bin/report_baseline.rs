@@ -37,8 +37,7 @@ use tbmd::linalg::{
 use tbmd::model::PhaseTimings;
 use tbmd::trace::{git_describe, Counter, JsonValue, Phase};
 use tbmd::{
-    live_vmp_workers, run_manifest, run_simulation_checkpointed, run_simulation_recorded,
-    run_simulation_resilient_with, shared_memory_tb, silicon_gsp, CheckpointConfig,
+    live_vmp_workers, run_manifest, shared_memory_tb, silicon_gsp, CheckpointConfig,
     CheckpointStore, DistributedSolver, DistributedTb, EngineKind, FaultKind, FaultPlan,
     ForceProvider, Hist, RecorderConfig, ResilienceOptions, RunRecorder, SessionBuilder,
     SessionStatus, SimulationConfig, Species, Structure, SystemSpec, TbCalculator, TraceSink,
@@ -365,15 +364,16 @@ fn main() {
         config.engine = engine;
         let manifest = run_manifest(&config);
         let mut rec = RunRecorder::in_memory(&manifest);
-        run_simulation_recorded(
-            &config,
-            &mut rec,
-            RecorderConfig {
-                health_stride: 5,
-                ..RecorderConfig::standard()
-            },
-        )
-        .expect("recorded run");
+        let options = RecorderConfig {
+            health_stride: 5,
+            ..RecorderConfig::standard()
+        };
+        SessionBuilder::new(config)
+            .record(&mut rec, options)
+            .build()
+            .expect("recorded session")
+            .run()
+            .expect("recorded run");
         let summary = rec.finish().expect("summary");
         let mut v = summary.watchdog.to_json();
         v.set("engine", label)
@@ -406,7 +406,12 @@ fn main() {
     tbmd::trace::install(TraceSink::collecting());
     let before = tbmd::trace::snapshot();
     let t0 = Instant::now();
-    run_simulation_checkpointed(&config, &ckpt_cfg).expect("checkpointed run");
+    SessionBuilder::new(config)
+        .checkpoint(&ckpt_cfg)
+        .build()
+        .expect("checkpointed session")
+        .run()
+        .expect("checkpointed run");
     let wall = t0.elapsed();
     let delta = tbmd::trace::snapshot().since(&before);
     tbmd::trace::install(TraceSink::disabled());
@@ -459,20 +464,25 @@ fn main() {
     let mut rec_config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 12);
     rec_config.engine = EngineKind::Distributed { ranks: 3 };
     rec_config.perturb = 0.02;
-    let rec_clean = tbmd::run_simulation(&rec_config).expect("clean reference");
+    let rec_clean = SessionBuilder::new(rec_config)
+        .build()
+        .expect("clean session")
+        .run()
+        .expect("clean reference");
     let kill = FaultPlan {
         rank: 1,
         at_evaluation: 8, // MD step 7: past the step-4 snapshot
         kind: FaultKind::Kill,
     };
     let t0 = Instant::now();
-    let (recovered, rec_report) = run_simulation_resilient_with(
-        &rec_config,
-        &rec_ckpt,
-        &[kill],
-        ResilienceOptions::default(),
-    )
-    .expect("resilient run");
+    let mut resilient = SessionBuilder::new(rec_config)
+        .checkpoint(&rec_ckpt)
+        .faults(&[kill])
+        .resilience(ResilienceOptions::default())
+        .build()
+        .expect("resilient session");
+    let recovered = resilient.run().expect("resilient run");
+    let rec_report = resilient.recovery_report().clone();
     let recover_wall = t0.elapsed();
     let _ = std::fs::remove_dir_all(&rec_dir);
     let rec_bitwise = {
@@ -522,7 +532,10 @@ fn main() {
         }
         let reference: Vec<_> = configs
             .iter()
-            .map(|c| tbmd::run_simulation(c).expect("standalone tenant"))
+            .map(|c| {
+                let mut session = SessionBuilder::new(*c).build().expect("standalone tenant");
+                session.run().expect("standalone tenant")
+            })
             .collect();
         tbmd::configure_budget(1);
         tbmd::parallel::reset_high_water();

@@ -23,9 +23,8 @@ use std::time::{Duration, Instant};
 use tbmd::parallel::{vmp_run_opts, VmpFault, VmpOptions};
 use tbmd::trace::JsonValue;
 use tbmd::{
-    live_vmp_workers, run_simulation, run_simulation_resilient_with, CheckpointConfig, EngineKind,
-    FaultKind, FaultPlan, ReshardPolicy, ResilienceOptions, SimulationConfig, SimulationSummary,
-    SystemSpec, Vec3,
+    live_vmp_workers, CheckpointConfig, EngineKind, FaultKind, FaultPlan, ReshardPolicy,
+    ResilienceOptions, SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec, Vec3,
 };
 use tbmd_bench::{check_gate, fmt_f, write_json, BenchArgs, ReportTable};
 
@@ -147,7 +146,11 @@ fn main() {
     // --- Clean reference trajectory (never crashes).
     let config = chaos_config();
     let t0 = Instant::now();
-    let clean = run_simulation(&config).expect("clean run");
+    let clean = SessionBuilder::new(config)
+        .build()
+        .expect("clean session")
+        .run()
+        .expect("clean run");
     let clean_wall = t0.elapsed();
 
     // --- Respawn: kill then stall, bitwise endpoint, bounded wall.
@@ -158,16 +161,17 @@ fn main() {
         retain: 3,
     };
     let t0 = Instant::now();
-    let (respawned, respawn_report) = run_simulation_resilient_with(
-        &config,
-        &ckpt,
-        &chaos_faults(),
-        ResilienceOptions {
+    let mut session = SessionBuilder::new(config)
+        .checkpoint(&ckpt)
+        .faults(&chaos_faults())
+        .resilience(ResilienceOptions {
             policy: ReshardPolicy::Respawn,
             max_recoveries: 3,
-        },
-    )
-    .expect("respawn recovery");
+        })
+        .build()
+        .expect("respawn session");
+    let respawned = session.run().expect("respawn recovery");
+    let respawn_report = session.recovery_report().clone();
     let respawn_wall = t0.elapsed();
     let _ = std::fs::remove_dir_all(&dir);
     let respawn_bitwise = endpoints_equal(&clean, &respawned);
@@ -222,16 +226,17 @@ fn main() {
         at_evaluation: 8,
         kind: FaultKind::Kill,
     }];
-    let (shrunk, shrink_report) = run_simulation_resilient_with(
-        &config,
-        &ckpt,
-        &kill_only,
-        ResilienceOptions {
+    let mut session = SessionBuilder::new(config)
+        .checkpoint(&ckpt)
+        .faults(&kill_only)
+        .resilience(ResilienceOptions {
             policy: ReshardPolicy::Shrink,
             max_recoveries: 2,
-        },
-    )
-    .expect("shrink recovery");
+        })
+        .build()
+        .expect("shrink session");
+    let shrunk = session.run().expect("shrink recovery");
+    let shrink_report = session.recovery_report().clone();
     let _ = std::fs::remove_dir_all(&dir);
     let shrink_diff = endpoint_max_diff(&clean, &shrunk);
     let shrink_leaked = live_vmp_workers();

@@ -4,7 +4,7 @@
 //! Sections:
 //! * `snapshots` — TBCK snapshot size and write/load latency versus system
 //!   size (Si-8/64/216), measured through the real driver path
-//!   ([`run_simulation_checkpointed`]) with the trace counters as the
+//!   ([`SessionBuilder::checkpoint`]) with the trace counters as the
 //!   stopwatch.
 //! * `overhead` — the acceptance number: one snapshot write per 100 MD
 //!   steps at the largest size, as a percentage of 100 steps of MD. Must
@@ -24,9 +24,8 @@ use std::time::Instant;
 
 use tbmd::trace::{Counter, JsonValue};
 use tbmd::{
-    run_simulation, run_simulation_checkpointed, run_simulation_resilient, CheckpointConfig,
-    CheckpointStore, EngineKind, FaultKind, FaultPlan, SimulationConfig, SimulationSummary,
-    SystemSpec, TraceSink, Vec3,
+    CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan, ResilienceOptions,
+    SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec, TraceSink, Vec3,
 };
 use tbmd_bench::{check_gate, fmt_f, write_json, BenchArgs, ReportTable};
 
@@ -72,7 +71,12 @@ fn snapshot_cost(reps: usize) -> SnapshotCost {
     tbmd::trace::install(TraceSink::collecting());
     let before = tbmd::trace::snapshot();
     let t0 = Instant::now();
-    let summary = run_simulation_checkpointed(&config, &cfg).expect("checkpointed run");
+    let summary = SessionBuilder::new(config)
+        .checkpoint(&cfg)
+        .build()
+        .expect("checkpointed session")
+        .run()
+        .expect("checkpointed run");
     let wall = t0.elapsed();
     let delta = tbmd::trace::snapshot().since(&before);
     tbmd::trace::install(TraceSink::disabled());
@@ -149,7 +153,11 @@ fn main() {
     config.engine = EngineKind::Distributed { ranks: 2 };
     config.perturb = 0.02;
     let t0 = Instant::now();
-    let clean = run_simulation(&config).expect("clean run");
+    let clean = SessionBuilder::new(config)
+        .build()
+        .expect("clean session")
+        .run()
+        .expect("clean run");
     let clean_wall = t0.elapsed();
     let fault = FaultPlan {
         rank: 1,
@@ -157,8 +165,15 @@ fn main() {
         kind: FaultKind::Kill,
     };
     let t0 = Instant::now();
-    let (recovered, recoveries) =
-        run_simulation_resilient(&config, &ckpt, Some(fault), 2).expect("resilient run");
+    // The default policy: respawn, at most two recoveries.
+    let mut session = SessionBuilder::new(config)
+        .checkpoint(&ckpt)
+        .faults(&[fault])
+        .resilience(ResilienceOptions::default())
+        .build()
+        .expect("resilient session");
+    let recovered = session.run().expect("resilient run");
+    let recoveries = session.recovery_report().recoveries;
     let recover_wall = t0.elapsed();
     let bitwise = endpoints_equal(&clean, &recovered);
     let _ = std::fs::remove_dir_all(&dir);

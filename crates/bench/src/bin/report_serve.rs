@@ -5,7 +5,7 @@
 //! * `roundrobin` — K Si-8 NVE tenants advanced one step at a time by a
 //!   manual round-robin over [`tbmd::Session`]s, with per-`step()` wall
 //!   latencies (p50/p95) and a bitwise comparison of every endpoint
-//!   against its standalone `run_simulation`.
+//!   against its standalone session.
 //! * `service` — the same K tenants through the [`tbmd_serve::Multiplexer`]
 //!   scheduling loop with a 2-thread [`tbmd::configure_budget`] cap:
 //!   admission must queue jobs past the cap (max concurrent tenants and
@@ -25,8 +25,8 @@ use std::time::Instant;
 use tbmd::parallel::{budget_total, high_water, reset_high_water};
 use tbmd::trace::{git_describe, JsonValue};
 use tbmd::{
-    configure_budget, run_simulation, SessionBuilder, SessionStatus, SimulationConfig,
-    SimulationSummary, SystemSpec, Vec3,
+    configure_budget, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary,
+    SystemSpec, Vec3,
 };
 use tbmd_bench::{check_gate, fmt_f, write_json, BenchArgs, ReportTable};
 use tbmd_serve::{JobSpec, Multiplexer};
@@ -95,7 +95,10 @@ fn main() {
     let t0 = Instant::now();
     let reference: Vec<SimulationSummary> = configs
         .iter()
-        .map(|c| run_simulation(c).expect("sequential run"))
+        .map(|c| {
+            let mut session = SessionBuilder::new(*c).build().expect("session");
+            session.run().expect("sequential run")
+        })
         .collect();
     let seq_wall = t0.elapsed();
 

@@ -2,16 +2,16 @@
 //!
 //! The public facade of the workspace: re-exports the structure builders,
 //! tight-binding models, MD integrators, parallel engines and the O(N)
-//! engine, and adds the high-level [`SimulationConfig`]/[`run_simulation`]
-//! driver plus the [`Engine`]/[`EngineKind`] selection layer.
+//! engine, and adds the high-level [`SimulationConfig`] → [`SessionBuilder`]
+//! → [`Session`] run layer plus the [`Engine`]/[`EngineKind`] selection layer.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use tbmd::{run_simulation, SimulationConfig, SystemSpec};
+//! use tbmd::{SessionBuilder, SimulationConfig, SystemSpec};
 //!
 //! let config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 5);
-//! let summary = run_simulation(&config).unwrap();
+//! let summary = SessionBuilder::new(config).build().unwrap().run().unwrap();
 //! assert!(summary.conserved_drift < 0.05); // NVE energy conservation
 //! ```
 
@@ -23,10 +23,8 @@ pub mod system;
 pub use engine::{Engine, EngineKind};
 pub use session::{InitialState, Session, SessionBuilder, SessionStatus};
 pub use simulation::{
-    resume_simulation, resume_simulation_recorded, run_manifest, run_simulation,
-    run_simulation_checkpointed, run_simulation_recorded, run_simulation_resilient,
-    run_simulation_resilient_with, CheckpointConfig, Protocol, RecorderConfig, RecoveryReport,
-    ReshardPolicy, ResilienceOptions, SimulationConfig, SimulationSummary,
+    run_manifest, CheckpointConfig, Protocol, RecorderConfig, RecoveryReport, ReshardPolicy,
+    ResilienceOptions, SimulationConfig, SimulationSummary,
 };
 pub use system::SystemSpec;
 

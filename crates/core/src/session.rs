@@ -1,15 +1,13 @@
-//! The one composable run pipeline behind every driver entry point.
+//! The one run pipeline: every simulation is a [`Session`].
 //!
 //! A [`Session`] owns the persistent [`Engine`] (and the model it borrows),
 //! the evaluation counter fault plans are scheduled against, the optional
 //! recorder/checkpoint attachments, and the rewind loop of a resilient run.
-//! Every `run_simulation*` / `resume_simulation*` function in
-//! [`crate::simulation`] is a thin wrapper that builds a session and drives
-//! it to completion; callers that want to interleave many simulations in
-//! one process instead hold several sessions and pump [`Session::step`]
-//! (or [`Session::run_until`]) round-robin — each call advances exactly one
-//! MD step, bitwise identical to the step the monolithic driver would have
-//! taken.
+//! [`Session::run`] drives it to completion; callers that want to
+//! interleave many simulations in one process instead hold several
+//! sessions and pump [`Session::step`] (or [`Session::run_until`])
+//! round-robin — each call advances exactly one MD step, bitwise identical
+//! to the step `run` would have taken.
 //!
 //! Construction goes through [`SessionBuilder`]:
 //!
@@ -33,8 +31,8 @@ use tbmd_ckpt::{
 use tbmd_linalg::budget::ComputeLease;
 use tbmd_linalg::Vec3;
 use tbmd_md::{
-    maxwell_boltzmann, relax, MdState, NoseHoover, RdfAccumulator, RelaxOptions, RunningStats,
-    TemperatureRamp, Trajectory, VelocityVerlet,
+    maxwell_boltzmann, relax, MdState, NoseHoover, RdfAccumulator, RelaxOptions, RelaxResult,
+    RunningStats, TemperatureRamp, Trajectory, VelocityVerlet,
 };
 use tbmd_model::{
     cached_eigensolver_health, eigensolver_health, DenseSolver, GspTbModel, OccupationScheme,
@@ -255,14 +253,14 @@ fn restore_state(
     ))
 }
 
-/// Check a loaded snapshot against the resuming run's fingerprint (config
-/// combined with any initial-state override).
 /// Ranks the engine's next evaluation will launch: the configured count
 /// minus any dropped by a shrink; 1 for engines without virtual ranks.
 fn active_ranks(engine: &Engine<'_>) -> usize {
     engine.rank_control().map_or(1, RankControl::active_ranks)
 }
 
+/// Check a loaded snapshot against the resuming run's fingerprint (config
+/// combined with any initial-state override).
 fn validate_resume(expect: u64, snap: &Snapshot) -> Result<(), TbError> {
     if snap.config_fingerprint != expect {
         return Err(TbError::Checkpoint(format!(
@@ -286,12 +284,19 @@ fn load_latest_validated(expect: u64, store: &CheckpointStore) -> Result<Snapsho
     Ok(snap)
 }
 
+fn recorder_err(e: std::io::Error) -> TbError {
+    TbError::Recorder(e.to_string())
+}
+
 /// Per-step recording state threaded through the stepper. The recorder
 /// itself is owned by the [`Session`] (or borrowed from the caller) and
 /// passed in per call, so this struct stays borrow-free.
 struct Recording {
     health_stride: usize,
-    /// Counter snapshot at the previous step boundary (for per-step deltas).
+    /// The session's own telemetry scope: per-step counter deltas are read
+    /// from it, so they hold this session's events and nobody else's.
+    scope: ScopedSink,
+    /// Scope snapshot at the previous step boundary.
     prev: TraceSnapshot,
     /// Dense engines get the eigensolver probe; O(N) engines do not.
     probe_health: bool,
@@ -302,7 +307,7 @@ struct Recording {
 }
 
 impl Recording {
-    fn new(config: &SimulationConfig, options: &RecorderConfig) -> Recording {
+    fn new(config: &SimulationConfig, options: &RecorderConfig, scope: ScopedSink) -> Recording {
         if !tbmd_trace::enabled() {
             tbmd_trace::install(TraceSink::collecting());
         }
@@ -319,7 +324,8 @@ impl Recording {
         };
         Recording {
             health_stride: options.health_stride,
-            prev: tbmd_trace::snapshot(),
+            prev: scope.snapshot(),
+            scope,
             probe_health,
             occupation,
             recorded: 0,
@@ -339,7 +345,7 @@ impl Recording {
         model: &dyn TbModel,
         ws: &mut Workspace,
     ) -> Result<(), TbError> {
-        let snap = tbmd_trace::snapshot();
+        let snap = self.scope.snapshot();
         let delta = snap.since(&self.prev);
         self.prev = snap;
         let record = StepRecord {
@@ -352,9 +358,7 @@ impl Recording {
             comm_bytes: delta.counter(Counter::WireBytes),
             alloc_events: delta.counter(Counter::AllocGrowth),
         };
-        recorder
-            .record_step(&record)
-            .map_err(|e| TbError::Recorder(e.to_string()))?;
+        recorder.record_step(&record).map_err(recorder_err)?;
         self.recorded += 1;
         if self.probe_health && self.health_stride > 0 {
             let health = match cached_eigensolver_health(model, &state.structure, ws, step)? {
@@ -371,9 +375,7 @@ impl Recording {
                 None => None,
             };
             if let Some(health) = &health {
-                recorder
-                    .record_health(health)
-                    .map_err(|e| TbError::Recorder(e.to_string()))?;
+                recorder.record_health(health).map_err(recorder_err)?;
             }
         }
         Ok(())
@@ -384,15 +386,8 @@ impl Recording {
 /// state plus a reborrow of the session's recorder.
 type Rec<'a> = Option<(&'a mut Recording, &'a mut RunRecorder)>;
 
-/// Resolved checkpoint attachment of a session: an open (possibly
-/// in-memory) store plus the snapshot interval.
-struct CkptSpec {
-    store: CheckpointStore,
-    interval: usize,
-}
-
-/// Store + identity data threaded through the stepper when checkpointing
-/// is on.
+/// Checkpoint attachment of a session: an open (possibly in-memory) store,
+/// the snapshot interval, and the identity every snapshot is stamped with.
 struct CkptCtx {
     store: CheckpointStore,
     interval: usize,
@@ -401,15 +396,6 @@ struct CkptCtx {
 }
 
 impl CkptCtx {
-    fn from_spec(spec: &CkptSpec, fingerprint: u64, seed: u64) -> CkptCtx {
-        CkptCtx {
-            store: spec.store.clone(),
-            interval: spec.interval,
-            fingerprint,
-            seed,
-        }
-    }
-
     fn due(&self, step: usize) -> bool {
         self.interval > 0 && step.is_multiple_of(self.interval)
     }
@@ -417,55 +403,19 @@ impl CkptCtx {
     /// Encode + atomically publish one snapshot, routing the receipt into
     /// the recorder's `ckpt` line (which also bumps the trace counters) or
     /// straight into the trace registry when no recorder is attached.
-    #[allow(clippy::too_many_arguments)]
-    fn write(
-        &self,
-        step: u64,
-        state: &MdState,
-        rng_state: u64,
-        conserved_ref: f64,
-        drift: f64,
-        t_stats: &RunningStats,
-        thermostat: Option<ThermostatSnapshot>,
-        ramp: Option<RampSnapshot>,
-        rec: &mut Rec<'_>,
-    ) -> Result<(), TbError> {
-        let (n, mean, m2, min, max) = t_stats.to_raw();
-        let snap = Snapshot {
-            step,
-            time_fs: state.time_fs,
-            seed: self.seed,
-            config_fingerprint: self.fingerprint,
-            rng_state,
-            potential_energy: state.potential_energy,
-            conserved_ref,
-            drift,
-            recorded_steps: rec.as_ref().map_or(0, |(r, _)| r.recorded),
-            positions: flatten(state.structure.positions()),
-            velocities: flatten(&state.velocities),
-            forces: flatten(&state.forces),
-            temp_stats: StatsSnapshot {
-                n,
-                mean,
-                m2,
-                min,
-                max,
-            },
-            thermostat,
-            ramp,
-        };
+    fn write(&self, snap: &Snapshot, rec: &mut Rec<'_>) -> Result<(), TbError> {
         let started = Instant::now();
-        let receipt = self.store.write(&snap).map_err(ckpt_err)?;
+        let receipt = self.store.write(snap).map_err(ckpt_err)?;
         let wall_ns = started.elapsed().as_nanos() as u64;
         match rec.as_mut() {
             Some((_, recorder)) => recorder
                 .record_ckpt(
-                    step as usize,
+                    snap.step as usize,
                     receipt.bytes,
                     wall_ns,
                     &receipt.path.display().to_string(),
                 )
-                .map_err(|e| TbError::Recorder(e.to_string()))?,
+                .map_err(recorder_err)?,
             None => {
                 tbmd_trace::add(Counter::CkptWrites, 1);
                 tbmd_trace::add(Counter::CkptBytes, receipt.bytes);
@@ -476,45 +426,200 @@ impl CkptCtx {
     }
 }
 
-/// Where a temperature-ramp attempt currently is.
-enum RampPhase {
-    /// Set-point still moving; the extended energy is not conserved, so no
-    /// drift monitoring and no step records.
-    Ramping,
-    /// Set-point pinned at the target: H' is conserved again.
-    Holding { h0: f64, hold_step: usize },
+/// The integrator of an MD run: velocity Verlet (NVE) or Nosé–Hoover.
+enum Integrator {
+    Verlet(VelocityVerlet),
+    NoseHoover(NoseHoover),
 }
 
-/// Protocol-specific state of one attempt.
+impl Integrator {
+    fn step_with(
+        &mut self,
+        state: &mut MdState,
+        engine: &Engine<'_>,
+        ws: &mut Workspace,
+    ) -> Result<(), TbError> {
+        match self {
+            Integrator::Verlet(vv) => vv.step_with(state, engine, ws),
+            Integrator::NoseHoover(nh) => nh.step_with(state, engine, ws),
+        }
+    }
+
+    /// What the dynamics conserve: the total energy, or the extended-system
+    /// H' of the thermostatted run (while its set-point is fixed).
+    fn conserved_quantity(&self, state: &MdState) -> f64 {
+        match self {
+            Integrator::Verlet(_) => state.total_energy(),
+            Integrator::NoseHoover(nh) => nh.conserved_quantity(state),
+        }
+    }
+
+    /// The `THRM` section of a snapshot (none for Verlet).
+    fn thermostat_snapshot(&self) -> Option<ThermostatSnapshot> {
+        match self {
+            Integrator::Verlet(_) => None,
+            Integrator::NoseHoover(nh) => {
+                let (xi, eta) = nh.thermostat_state();
+                Some(ThermostatSnapshot {
+                    xi,
+                    eta,
+                    target_k: nh.target_k,
+                    q: nh.q,
+                })
+            }
+        }
+    }
+}
+
+/// The one MD run every dynamics protocol is: `Nve` is Verlet with no
+/// ramp, `Nvt` Nosé–Hoover with no ramp, `NvtRamp` Nosé–Hoover with a ramp
+/// that hands over to the hold by setting `reference`.
+struct MdRun {
+    integrator: Integrator,
+    state: MdState,
+    /// Set-point schedule, advanced before each step until it reaches its
+    /// target.
+    ramp: Option<TemperatureRamp>,
+    /// The conserved quantity drift is measured against: E₀ (NVE) or H'₀
+    /// (NVT, hold). `None` while the set-point is moving — the extended
+    /// energy is not conserved then, so no drift and no step records.
+    reference: Option<f64>,
+    /// Steps taken against `reference` (they number the step records).
+    counted: usize,
+    /// Counted steps the protocol asks for.
+    target: usize,
+    /// Every step taken, ramp included (numbers the snapshots).
+    total: usize,
+    t_stats: RunningStats,
+    drift: f64,
+    rng: StdRng,
+    trajectory: Option<Trajectory>,
+}
+
+impl MdRun {
+    /// One iteration of the MD loop; `true` once the protocol is complete
+    /// — possibly without doing work, when a resumed run is already past
+    /// its final step.
+    fn step(
+        &mut self,
+        engine: &Engine<'_>,
+        model: &dyn TbModel,
+        ws: &mut Workspace,
+        ckpt: Option<&CkptCtx>,
+        rec: &mut Rec<'_>,
+    ) -> Result<bool, TbError> {
+        let counting = self.reference.is_some();
+        if counting && self.counted >= self.target {
+            return Ok(true);
+        }
+        let moving = match (&self.ramp, &mut self.integrator) {
+            (Some(ramp), Integrator::NoseHoover(nh)) if !counting => ramp.advance(nh),
+            _ => false,
+        };
+        self.integrator.step_with(&mut self.state, engine, ws)?;
+        self.total += 1;
+        self.t_stats.push(self.state.temperature());
+        if let Some(tr) = self.trajectory.as_mut() {
+            tr.observe(&self.state);
+        }
+        let conserved = self.integrator.conserved_quantity(&self.state);
+        match self.reference {
+            Some(reference) => {
+                self.counted += 1;
+                self.drift = self.drift.max((conserved - reference).abs());
+                if let Some((recording, recorder)) = rec.as_mut() {
+                    recording.observe(recorder, self.counted, &self.state, conserved, model, ws)?;
+                }
+            }
+            // The set-point just reached its target: H' is conserved from
+            // this state on.
+            None if !moving => self.reference = Some(conserved),
+            None => {}
+        }
+        if let Some(c) = ckpt.filter(|c| c.due(self.total)) {
+            let recorded = rec.as_ref().map_or(0, |(r, _)| r.recorded);
+            c.write(&self.snapshot(c, recorded), rec)?;
+        }
+        Ok(self.reference.is_some() && self.counted >= self.target)
+    }
+
+    /// The resume path, after the phase-space point: restore whatever the
+    /// snapshot carries of the thermostat (`THRM`) and the ramp phase
+    /// (`RAMP`), then the reference, counters and running statistics.
+    fn restore(&mut self, snap: &Snapshot) -> Result<(), TbError> {
+        if let Integrator::NoseHoover(nh) = &mut self.integrator {
+            let thermo = snap.thermostat.ok_or_else(|| {
+                TbError::Checkpoint("thermostatted resume needs a THRM section".into())
+            })?;
+            nh.target_k = thermo.target_k;
+            nh.q = thermo.q;
+            nh.restore_thermostat_state(thermo.xi, thermo.eta);
+        }
+        // Without a schedule every step counts against the reference; a
+        // ramp's section says which phase it was in and how far.
+        let (holding, counted, total) = match self.ramp {
+            None => (true, snap.step, snap.step),
+            Some(_) => {
+                let phase = snap.ramp.ok_or_else(|| {
+                    TbError::Checkpoint("ramp resume needs a RAMP section".into())
+                })?;
+                (phase.holding, phase.hold_step, phase.steps_total)
+            }
+        };
+        self.reference = holding.then_some(snap.conserved_ref);
+        self.counted = counted as usize;
+        self.total = total as usize;
+        self.drift = snap.drift;
+        let ts = snap.temp_stats;
+        self.t_stats = RunningStats::from_raw(ts.n, ts.mean, ts.m2, ts.min, ts.max);
+        Ok(())
+    }
+
+    fn snapshot(&self, ckpt: &CkptCtx, recorded_steps: u64) -> Snapshot {
+        let state = &self.state;
+        let (n, mean, m2, min, max) = self.t_stats.to_raw();
+        Snapshot {
+            step: self.total as u64,
+            time_fs: state.time_fs,
+            seed: ckpt.seed,
+            config_fingerprint: ckpt.fingerprint,
+            rng_state: self.rng.state(),
+            potential_energy: state.potential_energy,
+            conserved_ref: self.reference.unwrap_or(0.0),
+            drift: self.drift,
+            recorded_steps,
+            positions: flatten(state.structure.positions()),
+            velocities: flatten(&state.velocities),
+            forces: flatten(&state.forces),
+            temp_stats: StatsSnapshot {
+                n,
+                mean,
+                m2,
+                min,
+                max,
+            },
+            thermostat: self.integrator.thermostat_snapshot(),
+            ramp: self.ramp.map(|_| RampSnapshot {
+                holding: self.reference.is_some(),
+                hold_step: self.counted as u64,
+                steps_total: self.total as u64,
+            }),
+        }
+    }
+}
+
+/// Protocol-specific state of one attempt. A session holds exactly one, in
+/// place, so the size difference between the arms costs nothing and a box
+/// would only add a heap block.
+#[allow(clippy::large_enum_variant)]
 enum AttemptKind {
+    /// Single-shot: the whole relaxation runs in the first step.
     Relax {
-        structure: Option<tbmd_structure::Structure>,
+        structure: tbmd_structure::Structure,
         opts: RelaxOptions,
-        /// `(energy, iterations, converged)` once the (single-shot) solve ran.
-        outcome: Option<(f64, usize, bool)>,
+        outcome: Option<RelaxResult>,
     },
-    Nve {
-        integrator: VelocityVerlet,
-        state: MdState,
-        e0: f64,
-        step: usize,
-        steps: usize,
-    },
-    Nvt {
-        nh: NoseHoover,
-        state: MdState,
-        h0: f64,
-        step: usize,
-        steps: usize,
-    },
-    Ramp {
-        nh: NoseHoover,
-        state: MdState,
-        ramp: TemperatureRamp,
-        phase: RampPhase,
-        hold_steps: usize,
-        steps_total: usize,
-    },
+    Md(MdRun),
 }
 
 /// One attempt of a configured simulation: everything the monolithic
@@ -523,25 +628,20 @@ enum AttemptKind {
 /// resilient session keeps one engine alive across rewound attempts.
 struct Attempt {
     ws: Workspace,
-    rng: StdRng,
-    trajectory: Option<Trajectory>,
-    ckpt: Option<CkptCtx>,
-    t_stats: RunningStats,
-    drift: f64,
     kind: AttemptKind,
 }
 
 impl Attempt {
     /// Everything the driver did before entering its stepping loop:
-    /// announce a restore, build the structure, and run the
-    /// protocol-specific initialization (which evaluates forces once for a
-    /// fresh MD start — a fault can fire here, and the session's rewind
-    /// loop treats that exactly like a mid-run failure).
+    /// announce a restore, build the structure, and start the protocol —
+    /// from the snapshot, or fresh (which evaluates forces once for an MD
+    /// start: a fault can fire here, and the session's rewind loop treats
+    /// that exactly like a mid-run failure).
     fn new(
         config: &SimulationConfig,
         initial: Option<&InitialState>,
         engine: &Engine<'_>,
-        ckpt: Option<CkptCtx>,
+        ckpt: Option<&CkptCtx>,
         resume: Option<Snapshot>,
         rec: &mut Rec<'_>,
     ) -> Result<Attempt, TbError> {
@@ -549,7 +649,6 @@ impl Attempt {
         // when a recorder is attached, a bare counter bump otherwise.
         if let Some(snap) = resume.as_ref() {
             let path = ckpt
-                .as_ref()
                 .map(|c| c.store.path_for(snap.step).display().to_string())
                 .unwrap_or_default();
             match rec.as_mut() {
@@ -557,7 +656,7 @@ impl Attempt {
                     recording.recorded = snap.recorded_steps;
                     recorder
                         .record_restore(snap.step as usize, "resume", &path)
-                        .map_err(|e| TbError::Recorder(e.to_string()))?;
+                        .map_err(recorder_err)?;
                 }
                 None => tbmd_trace::add(Counter::CkptRestores, 1),
             }
@@ -566,121 +665,46 @@ impl Attempt {
             Some(init) => init.structure.clone(),
             None => config.system.build(config.perturb, config.seed),
         };
-        // Caller-pinned starting velocities (None unless an InitialState
-        // carries them); fresh MD starts fall back to Maxwell–Boltzmann.
-        let pinned_v = initial.and_then(|init| init.velocities.clone());
-        let trajectory = (config.record_stride > 0).then(|| Trajectory::new(config.record_stride));
-        let mut rng = StdRng::seed_from_u64(config.seed);
         let mut ws = Workspace::new();
-
-        let (kind, t_stats, drift) = match config.protocol {
+        // What each dynamics protocol sets: the thermostat's starting
+        // set-point, the temperature velocities are drawn at, the timestep,
+        // the thermostat period (none = Verlet), the set-point schedule and
+        // the number of counted steps.
+        let (start_k, draw_k, dt_fs, tau_fs, ramp, target) = match config.protocol {
             Protocol::Relax {
                 force_tolerance,
                 max_iterations,
-            } => (
-                AttemptKind::Relax {
-                    structure: Some(structure),
-                    opts: RelaxOptions {
-                        force_tolerance,
-                        max_iterations,
-                        ..Default::default()
-                    },
+            } => {
+                let opts = RelaxOptions {
+                    force_tolerance,
+                    max_iterations,
+                    ..Default::default()
+                };
+                let kind = AttemptKind::Relax {
+                    structure,
+                    opts,
                     outcome: None,
-                },
-                RunningStats::new(),
-                0.0,
-            ),
+                };
+                return Ok(Attempt { ws, kind });
+            }
             Protocol::Nve {
                 temperature_k,
                 steps,
                 dt_fs,
-            } => {
-                let integrator = VelocityVerlet::new(dt_fs);
-                let (state, e0, t_stats, drift, start) = match resume.as_ref() {
-                    Some(snap) => {
-                        rng = StdRng::from_state(snap.rng_state);
-                        let state = restore_state(structure, snap)?;
-                        let ts = snap.temp_stats;
-                        (
-                            state,
-                            snap.conserved_ref,
-                            RunningStats::from_raw(ts.n, ts.mean, ts.m2, ts.min, ts.max),
-                            snap.drift,
-                            snap.step as usize,
-                        )
-                    }
-                    None => {
-                        let v = pinned_v.clone().unwrap_or_else(|| {
-                            maxwell_boltzmann(&structure, temperature_k, &mut rng)
-                        });
-                        let state = MdState::new_with(structure, v, engine, &mut ws)?;
-                        let e0 = state.total_energy();
-                        (state, e0, RunningStats::new(), 0.0f64, 0usize)
-                    }
-                };
-                (
-                    AttemptKind::Nve {
-                        integrator,
-                        state,
-                        e0,
-                        step: start,
-                        steps,
-                    },
-                    t_stats,
-                    drift,
-                )
-            }
+            } => (temperature_k, temperature_k, dt_fs, None, None, steps),
             Protocol::Nvt {
                 temperature_k,
                 steps,
                 dt_fs,
                 tau_fs,
-            } => {
-                let (state, nh, h0, t_stats, drift, start) = match resume.as_ref() {
-                    Some(snap) => {
-                        rng = StdRng::from_state(snap.rng_state);
-                        let thermo = snap.thermostat.ok_or_else(|| {
-                            TbError::Checkpoint("NVT resume needs a THRM section".into())
-                        })?;
-                        let state = restore_state(structure, snap)?;
-                        let mut nh =
-                            NoseHoover::with_period(dt_fs, temperature_k, state.n_dof(), tau_fs);
-                        nh.target_k = thermo.target_k;
-                        nh.q = thermo.q;
-                        nh.restore_thermostat_state(thermo.xi, thermo.eta);
-                        let ts = snap.temp_stats;
-                        (
-                            state,
-                            nh,
-                            snap.conserved_ref,
-                            RunningStats::from_raw(ts.n, ts.mean, ts.m2, ts.min, ts.max),
-                            snap.drift,
-                            snap.step as usize,
-                        )
-                    }
-                    None => {
-                        let v = pinned_v.clone().unwrap_or_else(|| {
-                            maxwell_boltzmann(&structure, temperature_k, &mut rng)
-                        });
-                        let state = MdState::new_with(structure, v, engine, &mut ws)?;
-                        let nh =
-                            NoseHoover::with_period(dt_fs, temperature_k, state.n_dof(), tau_fs);
-                        let h0 = nh.conserved_quantity(&state);
-                        (state, nh, h0, RunningStats::new(), 0.0f64, 0usize)
-                    }
-                };
-                (
-                    AttemptKind::Nvt {
-                        nh,
-                        state,
-                        h0,
-                        step: start,
-                        steps,
-                    },
-                    t_stats,
-                    drift,
-                )
-            }
+            } => (
+                temperature_k,
+                temperature_k,
+                dt_fs,
+                Some(tau_fs),
+                None,
+                steps,
+            ),
             Protocol::NvtRamp {
                 from_k,
                 to_k,
@@ -689,90 +713,66 @@ impl Attempt {
                 dt_fs,
                 tau_fs,
             } => {
-                // `(hold_step_done, h0, drift)` when the snapshot was taken
-                // in (or at the boundary of) the hold phase.
-                let mut resume_hold: Option<(u64, f64, f64)> = None;
-                let (state, nh, t_stats, steps_total) = match resume.as_ref() {
-                    Some(snap) => {
-                        rng = StdRng::from_state(snap.rng_state);
-                        let thermo = snap.thermostat.ok_or_else(|| {
-                            TbError::Checkpoint("ramp resume needs a THRM section".into())
-                        })?;
-                        let phase = snap.ramp.ok_or_else(|| {
-                            TbError::Checkpoint("ramp resume needs a RAMP section".into())
-                        })?;
-                        let state = restore_state(structure, snap)?;
-                        let mut nh = NoseHoover::with_period(dt_fs, from_k, state.n_dof(), tau_fs);
-                        nh.target_k = thermo.target_k;
-                        nh.q = thermo.q;
-                        nh.restore_thermostat_state(thermo.xi, thermo.eta);
-                        if phase.holding {
-                            resume_hold = Some((phase.hold_step, snap.conserved_ref, snap.drift));
-                        }
-                        let ts = snap.temp_stats;
-                        (
-                            state,
-                            nh,
-                            RunningStats::from_raw(ts.n, ts.mean, ts.m2, ts.min, ts.max),
-                            phase.steps_total as usize,
-                        )
-                    }
-                    None => {
-                        let v = pinned_v.clone().unwrap_or_else(|| {
-                            maxwell_boltzmann(&structure, from_k.max(1.0), &mut rng)
-                        });
-                        let state = MdState::new_with(structure, v, engine, &mut ws)?;
-                        let nh = NoseHoover::with_period(dt_fs, from_k, state.n_dof(), tau_fs);
-                        (state, nh, RunningStats::new(), 0usize)
-                    }
-                };
                 let ramp = TemperatureRamp {
                     rate_k_per_fs: rate_k_per_fs.abs() * (to_k - from_k).signum(),
                     target_k: to_k,
                 };
-                let (phase, drift) = match resume_hold {
-                    Some((done, h_ref, drift)) => (
-                        RampPhase::Holding {
-                            h0: h_ref,
-                            hold_step: done as usize,
-                        },
-                        drift,
-                    ),
-                    None => (RampPhase::Ramping, 0.0),
-                };
-                (
-                    AttemptKind::Ramp {
-                        nh,
-                        state,
-                        ramp,
-                        phase,
-                        hold_steps,
-                        steps_total,
-                    },
-                    t_stats,
-                    drift,
-                )
+                let draw_k = from_k.max(1.0);
+                (from_k, draw_k, dt_fs, Some(tau_fs), Some(ramp), hold_steps)
             }
         };
-        Ok(Attempt {
-            ws,
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let state = match resume.as_ref() {
+            Some(snap) => {
+                rng = StdRng::from_state(snap.rng_state);
+                restore_state(structure, snap)?
+            }
+            None => {
+                // Caller-pinned starting velocities, else Maxwell–Boltzmann.
+                let v = initial
+                    .and_then(|init| init.velocities.clone())
+                    .unwrap_or_else(|| maxwell_boltzmann(&structure, draw_k, &mut rng));
+                MdState::new_with(structure, v, engine, &mut ws)?
+            }
+        };
+        let integrator = match tau_fs {
+            None => Integrator::Verlet(VelocityVerlet::new(dt_fs)),
+            Some(tau) => {
+                Integrator::NoseHoover(NoseHoover::with_period(dt_fs, start_k, state.n_dof(), tau))
+            }
+        };
+        let mut run = MdRun {
+            integrator,
+            state,
+            ramp,
+            reference: None,
+            counted: 0,
+            target,
+            total: 0,
+            t_stats: RunningStats::new(),
+            drift: 0.0,
             rng,
-            trajectory,
-            ckpt,
-            t_stats,
-            drift,
-            kind,
-        })
+            trajectory: (config.record_stride > 0).then(|| Trajectory::new(config.record_stride)),
+        };
+        match resume.as_ref() {
+            Some(snap) => run.restore(snap)?,
+            // A fixed set-point conserves from the first step on.
+            None if run.ramp.is_none() => {
+                run.reference = Some(run.integrator.conserved_quantity(&run.state));
+            }
+            None => {}
+        }
+        let kind = AttemptKind::Md(run);
+        Ok(Attempt { ws, kind })
     }
 
-    /// Advance one MD step (one iteration of the driver's old loop body;
-    /// a relaxation runs to convergence in its single step). Returns `true`
-    /// once the protocol is complete — possibly without doing work, when a
-    /// resumed attempt is already past its final step.
+    /// Advance one MD step (a relaxation runs to convergence in its single
+    /// step). Returns `true` once the protocol is complete.
     fn step(
         &mut self,
         engine: &Engine<'_>,
         model: &dyn TbModel,
+        ckpt: Option<&CkptCtx>,
         rec: &mut Rec<'_>,
     ) -> Result<bool, TbError> {
         match &mut self.kind {
@@ -781,283 +781,58 @@ impl Attempt {
                 opts,
                 outcome,
             } => {
-                if outcome.is_some() {
-                    return Ok(true);
+                if outcome.is_none() {
+                    *outcome = Some(relax(structure, engine, opts)?);
                 }
-                let mut s = structure.take().expect("relax structure present");
-                let result = relax(&mut s, engine, opts)?;
-                *outcome = Some((result.energy, result.iterations, result.converged));
-                *structure = Some(s);
                 Ok(true)
             }
-            AttemptKind::Nve {
-                integrator,
-                state,
-                e0,
-                step,
-                steps,
-            } => {
-                if *step >= *steps {
-                    return Ok(true);
-                }
-                *step += 1;
-                let now = *step;
-                integrator.step_with(state, engine, &mut self.ws)?;
-                self.t_stats.push(state.temperature());
-                self.drift = self.drift.max((state.total_energy() - *e0).abs());
-                if let Some(tr) = self.trajectory.as_mut() {
-                    tr.observe(state);
-                }
-                if let Some((recording, recorder)) = rec.as_mut() {
-                    recording.observe(
-                        recorder,
-                        now,
-                        state,
-                        state.total_energy(),
-                        model,
-                        &mut self.ws,
-                    )?;
-                }
-                if let Some(c) = self.ckpt.as_ref() {
-                    if c.due(now) {
-                        c.write(
-                            now as u64,
-                            state,
-                            self.rng.state(),
-                            *e0,
-                            self.drift,
-                            &self.t_stats,
-                            None,
-                            None,
-                            rec,
-                        )?;
-                    }
-                }
-                Ok(*step >= *steps)
-            }
-            AttemptKind::Nvt {
-                nh,
-                state,
-                h0,
-                step,
-                steps,
-            } => {
-                if *step >= *steps {
-                    return Ok(true);
-                }
-                *step += 1;
-                let now = *step;
-                nh.step_with(state, engine, &mut self.ws)?;
-                self.t_stats.push(state.temperature());
-                self.drift = self.drift.max((nh.conserved_quantity(state) - *h0).abs());
-                if let Some(tr) = self.trajectory.as_mut() {
-                    tr.observe(state);
-                }
-                if let Some((recording, recorder)) = rec.as_mut() {
-                    recording.observe(
-                        recorder,
-                        now,
-                        state,
-                        nh.conserved_quantity(state),
-                        model,
-                        &mut self.ws,
-                    )?;
-                }
-                if let Some(c) = self.ckpt.as_ref() {
-                    if c.due(now) {
-                        let (xi, eta) = nh.thermostat_state();
-                        c.write(
-                            now as u64,
-                            state,
-                            self.rng.state(),
-                            *h0,
-                            self.drift,
-                            &self.t_stats,
-                            Some(ThermostatSnapshot {
-                                xi,
-                                eta,
-                                target_k: nh.target_k,
-                                q: nh.q,
-                            }),
-                            None,
-                            rec,
-                        )?;
-                    }
-                }
-                Ok(*step >= *steps)
-            }
-            AttemptKind::Ramp {
-                nh,
-                state,
-                ramp,
-                phase,
-                hold_steps,
-                steps_total,
-            } => match phase {
-                // Ramp phase: the extended-system quantity is not conserved
-                // (the set-point changes every step), so no drift monitoring
-                // and no step records until the ramp reaches its target.
-                RampPhase::Ramping => {
-                    let still_ramping = ramp.advance(nh);
-                    nh.step_with(state, engine, &mut self.ws)?;
-                    *steps_total += 1;
-                    self.t_stats.push(state.temperature());
-                    if let Some(tr) = self.trajectory.as_mut() {
-                        tr.observe(state);
-                    }
-                    if let Some(c) = self.ckpt.as_ref() {
-                        if c.due(*steps_total) {
-                            let (xi, eta) = nh.thermostat_state();
-                            // At the ramp→hold boundary the hold phase's
-                            // conserved reference is already a pure function
-                            // of this state; store it so a resume lands in
-                            // the hold with the right H'₀.
-                            let h_ref = if still_ramping {
-                                0.0
-                            } else {
-                                nh.conserved_quantity(state)
-                            };
-                            c.write(
-                                *steps_total as u64,
-                                state,
-                                self.rng.state(),
-                                h_ref,
-                                0.0,
-                                &self.t_stats,
-                                Some(ThermostatSnapshot {
-                                    xi,
-                                    eta,
-                                    target_k: nh.target_k,
-                                    q: nh.q,
-                                }),
-                                Some(RampSnapshot {
-                                    holding: !still_ramping,
-                                    hold_step: 0,
-                                    steps_total: *steps_total as u64,
-                                }),
-                                rec,
-                            )?;
-                        }
-                    }
-                    if !still_ramping {
-                        // Hold phase: the set-point is fixed at the target,
-                        // so H' is a real conserved quantity again.
-                        *phase = RampPhase::Holding {
-                            h0: nh.conserved_quantity(state),
-                            hold_step: 0,
-                        };
-                        return Ok(*hold_steps == 0);
-                    }
-                    Ok(false)
-                }
-                RampPhase::Holding { h0, hold_step } => {
-                    if *hold_step >= *hold_steps {
-                        return Ok(true);
-                    }
-                    *hold_step += 1;
-                    let now = *hold_step;
-                    nh.step_with(state, engine, &mut self.ws)?;
-                    *steps_total += 1;
-                    self.t_stats.push(state.temperature());
-                    self.drift = self.drift.max((nh.conserved_quantity(state) - *h0).abs());
-                    if let Some(tr) = self.trajectory.as_mut() {
-                        tr.observe(state);
-                    }
-                    if let Some((recording, recorder)) = rec.as_mut() {
-                        recording.observe(
-                            recorder,
-                            now,
-                            state,
-                            nh.conserved_quantity(state),
-                            model,
-                            &mut self.ws,
-                        )?;
-                    }
-                    if let Some(c) = self.ckpt.as_ref() {
-                        if c.due(*steps_total) {
-                            let (xi, eta) = nh.thermostat_state();
-                            c.write(
-                                *steps_total as u64,
-                                state,
-                                self.rng.state(),
-                                *h0,
-                                self.drift,
-                                &self.t_stats,
-                                Some(ThermostatSnapshot {
-                                    xi,
-                                    eta,
-                                    target_k: nh.target_k,
-                                    q: nh.q,
-                                }),
-                                Some(RampSnapshot {
-                                    holding: true,
-                                    hold_step: now as u64,
-                                    steps_total: *steps_total as u64,
-                                }),
-                                rec,
-                            )?;
-                        }
-                    }
-                    Ok(*hold_step >= *hold_steps)
-                }
-            },
+            AttemptKind::Md(run) => run.step(engine, model, &mut self.ws, ckpt, rec),
         }
     }
 
-    /// Consume the finished attempt into the run summary.
-    fn finish(self) -> SimulationSummary {
+    /// Consume the finished attempt into the run summary and the
+    /// temperature statistics behind its mean.
+    fn finish(self) -> (SimulationSummary, RunningStats) {
         match self.kind {
             AttemptKind::Relax {
                 structure, outcome, ..
             } => {
-                let (energy, iterations, converged) =
-                    outcome.expect("finish called before the relaxation ran");
-                SimulationSummary {
-                    final_potential_energy: energy,
-                    final_total_energy: energy,
+                let result = outcome.expect("finish called before the relaxation ran");
+                let summary = SimulationSummary {
+                    final_potential_energy: result.energy,
+                    final_total_energy: result.energy,
                     mean_temperature_k: 0.0,
                     conserved_drift: 0.0,
-                    steps: iterations,
-                    converged,
+                    steps: result.iterations,
+                    converged: result.converged,
                     trajectory: None,
-                    final_structure: structure.expect("relax structure present"),
+                    final_structure: structure,
                     final_velocities: Vec::new(),
-                }
+                };
+                (summary, RunningStats::new())
             }
-            AttemptKind::Nve { state, steps, .. } | AttemptKind::Nvt { state, steps, .. } => {
-                SimulationSummary {
-                    final_potential_energy: state.potential_energy,
-                    final_total_energy: state.total_energy(),
-                    mean_temperature_k: self.t_stats.mean(),
-                    conserved_drift: self.drift,
-                    steps,
+            AttemptKind::Md(run) => {
+                let summary = SimulationSummary {
+                    final_potential_energy: run.state.potential_energy,
+                    final_total_energy: run.state.total_energy(),
+                    mean_temperature_k: run.t_stats.mean(),
+                    conserved_drift: run.drift,
+                    steps: run.total,
                     converged: true,
-                    trajectory: self.trajectory,
-                    final_velocities: state.velocities.clone(),
-                    final_structure: state.structure,
-                }
+                    trajectory: run.trajectory,
+                    final_velocities: run.state.velocities,
+                    final_structure: run.state.structure,
+                };
+                (summary, run.t_stats)
             }
-            AttemptKind::Ramp {
-                state, steps_total, ..
-            } => SimulationSummary {
-                final_potential_energy: state.potential_energy,
-                final_total_energy: state.total_energy(),
-                mean_temperature_k: self.t_stats.mean(),
-                conserved_drift: self.drift,
-                steps: steps_total,
-                converged: true,
-                trajectory: self.trajectory,
-                final_velocities: state.velocities.clone(),
-                final_structure: state.structure,
-            },
         }
     }
 }
 
 /// Where the session's recorder lives.
 enum RecorderSlot<'r> {
-    /// Borrowed from the caller (the `run_simulation_recorded` wrappers —
-    /// the caller keeps ownership and calls `finish()` itself).
+    /// Borrowed from the caller ([`SessionBuilder::record`] — the caller
+    /// keeps ownership and calls `finish()` itself).
     Borrowed(&'r mut RunRecorder),
     /// Owned by the session (service tenants — reclaim it with
     /// [`Session::take_recorder`]).
@@ -1193,8 +968,9 @@ impl<'r> SessionBuilder<'r> {
     /// [`ScopedSink`]: every [`Session::step`] enters the scope, so the
     /// sink accumulates this session's counters, phase times and latency
     /// histograms alongside the process-global registry — the per-tenant
-    /// view the serve scheduler reads for its `stats` verb. No effect
-    /// unless a collecting global sink is installed.
+    /// view the serve scheduler reads for its `stats` verb, and where a
+    /// recorder takes its per-step `comm_bytes`/`alloc_events` from (a
+    /// recorded session without one makes its own).
     pub fn telemetry(mut self, sink: ScopedSink) -> Self {
         self.telemetry = Some(sink);
         self
@@ -1231,26 +1007,35 @@ impl<'r> SessionBuilder<'r> {
         let request = self
             .checkpoint
             .or_else(|| self.recorder_opts.checkpoint.clone().map(CkptRequest::Dir));
-        let checkpoint = match request {
-            Some(CkptRequest::Dir(c)) => Some(CkptSpec {
-                store: CheckpointStore::open(&c.dir, c.retain).map_err(ckpt_err)?,
-                interval: c.interval,
-            }),
-            Some(CkptRequest::Store { store, interval }) => Some(CkptSpec { store, interval }),
-            None => None,
+        let (store, interval) = match request {
+            Some(CkptRequest::Dir(c)) => (
+                Some(CheckpointStore::open(&c.dir, c.retain).map_err(ckpt_err)?),
+                c.interval,
+            ),
+            Some(CkptRequest::Store { store, interval }) => (Some(store), interval),
+            None => (None, 0),
         };
+        let checkpoint = store.map(|store| CkptCtx {
+            store,
+            interval,
+            fingerprint,
+            seed: config.seed,
+        });
         let pending_resume = if self.resume {
-            let spec = checkpoint.as_ref().ok_or_else(|| {
-                TbError::Checkpoint("resume_simulation_recorded needs options.checkpoint".into())
+            let ckpt = checkpoint.as_ref().ok_or_else(|| {
+                TbError::Checkpoint("SessionBuilder::resume needs a checkpoint store".into())
             })?;
-            Some(load_latest_validated(fingerprint, &spec.store)?)
+            Some(load_latest_validated(fingerprint, &ckpt.store)?)
         } else {
             None
         };
-        let recording = self
-            .recorder
-            .as_ref()
-            .map(|_| Recording::new(&config, &self.recorder_opts));
+        // A recorder reads its per-step counter deltas from the session's
+        // own scope, so a recorded session always has one.
+        let mut telemetry = self.telemetry;
+        let recording = self.recorder.as_ref().map(|_| {
+            let scope = telemetry.get_or_insert_with(|| ScopedSink::new("session"));
+            Recording::new(&config, &self.recorder_opts, scope.clone())
+        });
         // The session owns both the model and the engine that borrows it.
         // The model lives in a Box (a stable heap address), the engine is
         // declared before the model so it drops first, and `&mut model` /
@@ -1281,9 +1066,8 @@ impl<'r> SessionBuilder<'r> {
             steps_done: 0,
             alloc_events: 0,
             lease: self.lease,
-            telemetry: self.telemetry,
+            telemetry,
             initial: self.initial,
-            fingerprint,
         })
     }
 }
@@ -1301,7 +1085,7 @@ pub struct Session<'r> {
     config: SimulationConfig,
     recorder: Option<RecorderSlot<'r>>,
     recording: Option<Recording>,
-    checkpoint: Option<CkptSpec>,
+    checkpoint: Option<CkptCtx>,
     faults: std::vec::IntoIter<FaultPlan>,
     resilience: Option<ResilienceOptions>,
     report: RecoveryReport,
@@ -1320,8 +1104,6 @@ pub struct Session<'r> {
     telemetry: Option<ScopedSink>,
     /// Caller-supplied starting state override (see [`InitialState`]).
     initial: Option<InitialState>,
-    /// Resume-identity fingerprint: config + initial-state override.
-    fingerprint: u64,
 }
 
 impl<'r> Session<'r> {
@@ -1371,7 +1153,8 @@ impl<'r> Session<'r> {
                 .map_or(0, |a| a.ws.large_alloc_events() as u64)
     }
 
-    /// The scoped telemetry sink attached at build time, if any.
+    /// The scoped telemetry sink: the one attached at build time, or the
+    /// one a recorded session made for itself.
     pub fn telemetry(&self) -> Option<&ScopedSink> {
         self.telemetry.as_ref()
     }
@@ -1466,8 +1249,7 @@ impl<'r> Session<'r> {
         result
     }
 
-    /// Drive the session to completion and return the summary — the
-    /// monolithic entry points in [`crate::simulation`] are this.
+    /// Drive the session to completion and return the summary.
     pub fn run(&mut self) -> Result<SimulationSummary, TbError> {
         while self.step()? == SessionStatus::Running {}
         self.take_summary()
@@ -1500,6 +1282,7 @@ impl<'r> Session<'r> {
         self.attempt.as_mut().expect("attempt just ensured").step(
             &self.engine,
             self.model.as_ref(),
+            self.checkpoint.as_ref(),
             &mut rec,
         )
     }
@@ -1519,7 +1302,7 @@ impl<'r> Session<'r> {
             match self.checkpoint.as_ref() {
                 // A failure before the first snapshot (or an unusable one)
                 // restarts from scratch.
-                Some(spec) => match load_latest_validated(self.fingerprint, &spec.store) {
+                Some(ckpt) => match load_latest_validated(ckpt.fingerprint, &ckpt.store) {
                     Ok(snap) => Some(snap),
                     Err(TbError::Checkpoint(_)) => None,
                     Err(e) => return Err(e),
@@ -1529,10 +1312,6 @@ impl<'r> Session<'r> {
         } else {
             None
         };
-        let ckpt = self
-            .checkpoint
-            .as_ref()
-            .map(|spec| CkptCtx::from_spec(spec, self.fingerprint, self.config.seed));
         let mut rec: Rec<'_> = match (self.recording.as_mut(), self.recorder.as_mut()) {
             (Some(recording), Some(slot)) => Some((recording, slot.as_mut())),
             _ => None,
@@ -1541,7 +1320,7 @@ impl<'r> Session<'r> {
             &self.config,
             self.initial.as_ref(),
             &self.engine,
-            ckpt,
+            self.checkpoint.as_ref(),
             resume,
             &mut rec,
         )?;
@@ -1583,8 +1362,7 @@ impl<'r> Session<'r> {
         let attempt = self.attempt.take().expect("finished attempt present");
         self.alloc_events += attempt.ws.large_alloc_events() as u64;
         self.report.final_ranks = active_ranks(&self.engine);
-        let t_stats = attempt.t_stats.clone();
-        let summary = attempt.finish();
+        let (summary, t_stats) = attempt.finish();
         if let Some(slot) = self.recorder.as_mut() {
             slot.as_mut()
                 .set_observables(observables_json(&t_stats, &summary));
@@ -1597,7 +1375,6 @@ impl<'r> Session<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulation::run_simulation;
     use crate::system::SystemSpec;
 
     fn nve_config(seed: u64, steps: usize) -> SimulationConfig {
@@ -1606,11 +1383,19 @@ mod tests {
         c
     }
 
-    /// The stepwise session must retrace the monolithic driver bit for bit.
+    fn run(config: &SimulationConfig) -> SimulationSummary {
+        SessionBuilder::new(*config)
+            .build()
+            .expect("build")
+            .run()
+            .expect("run")
+    }
+
+    /// Stepping a session by hand must retrace `Session::run` bit for bit.
     #[test]
-    fn stepwise_session_matches_run_simulation_bitwise() {
+    fn stepwise_session_matches_run_bitwise() {
         let config = nve_config(11, 8);
-        let reference = run_simulation(&config).expect("reference run");
+        let reference = run(&config);
         let mut session = SessionBuilder::new(config).build().expect("build");
         let mut calls = 0usize;
         while session.step().expect("step") == SessionStatus::Running {
@@ -1646,8 +1431,8 @@ mod tests {
     fn interleaved_sessions_match_serial_runs() {
         let ca = nve_config(21, 6);
         let cb = nve_config(22, 6);
-        let ra = run_simulation(&ca).expect("serial a");
-        let rb = run_simulation(&cb).expect("serial b");
+        let ra = run(&ca);
+        let rb = run(&cb);
         let mut sa = SessionBuilder::new(ca).build().expect("a");
         let mut sb = SessionBuilder::new(cb).build().expect("b");
         loop {

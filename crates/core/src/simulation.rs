@@ -1,23 +1,18 @@
-//! High-level simulation driver: system + engine + protocol in one call.
+//! The vocabulary of a run: system + engine + protocol in one config, the
+//! attachment policies (checkpoints, recorder, resilience) and the summary.
 //!
-//! This is the public API a downstream user reaches for first; the examples
-//! in the repository root are thin wrappers around it. Since the session
-//! refactor every entry point here delegates to
-//! [`SessionBuilder`](crate::session::SessionBuilder) — the types below
-//! (configs, summary, policies) are the vocabulary, the session is the
-//! machine. Callers that want to interleave several runs in one process
-//! (or pace a run step-by-step) use [`crate::session`] directly.
+//! The machine that runs a config is the [`Session`](crate::session::Session)
+//! a [`SessionBuilder`](crate::session::SessionBuilder) builds; nothing here
+//! steps anything.
 
 use crate::engine::EngineKind;
-use crate::session::SessionBuilder;
 use crate::system::SystemSpec;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use tbmd_linalg::Vec3;
 use tbmd_md::Trajectory;
-use tbmd_model::{TbError, TbModel};
-use tbmd_parallel::FaultPlan;
-use tbmd_trace::{git_describe, RunManifest, RunRecorder};
+use tbmd_model::TbModel;
+use tbmd_trace::{git_describe, RunManifest};
 
 /// What to do with the system.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,7 +95,7 @@ pub struct CheckpointConfig {
     /// against whatever the directory already holds).
     pub interval: usize,
     /// Keep only the newest `retain` snapshots (0 keeps all). Keeping a few
-    /// lets [`resume_simulation`] fall back past a torn newest file.
+    /// lets a resume fall back past a torn newest file.
     pub retain: usize,
 }
 
@@ -143,7 +138,8 @@ pub struct SimulationSummary {
     pub final_velocities: Vec<Vec3>,
 }
 
-/// Knobs of the recorded-run path ([`run_simulation_recorded`]).
+/// Knobs of a recorded run
+/// ([`SessionBuilder::record`](crate::session::SessionBuilder::record)).
 #[derive(Debug, Clone)]
 pub struct RecorderConfig {
     /// Eigensolver health-probe stride in MD steps (0 disables the probe).
@@ -195,39 +191,7 @@ pub fn run_manifest(config: &SimulationConfig) -> RunManifest {
     }
 }
 
-/// Run a configured simulation to completion.
-pub fn run_simulation(config: &SimulationConfig) -> Result<SimulationSummary, TbError> {
-    SessionBuilder::new(*config).build()?.run()
-}
-
-/// [`run_simulation`] writing a `TBCK` snapshot every `ckpt.interval` steps
-/// (atomic publish, newest-`retain` rotation). A run killed at any point can
-/// be continued with [`resume_simulation`]; the continuation is bitwise the
-/// uninterrupted trajectory.
-pub fn run_simulation_checkpointed(
-    config: &SimulationConfig,
-    ckpt: &CheckpointConfig,
-) -> Result<SimulationSummary, TbError> {
-    SessionBuilder::new(*config).checkpoint(ckpt).build()?.run()
-}
-
-/// Continue an interrupted run from the newest usable snapshot in
-/// `ckpt.dir`. The snapshot must have been written by the same
-/// configuration (modulo step counts — resuming into a longer run is fine);
-/// anything else is a typed [`TbError::Checkpoint`]. Checkpointing stays on,
-/// so the resumed run keeps extending the same store.
-pub fn resume_simulation(
-    config: &SimulationConfig,
-    ckpt: &CheckpointConfig,
-) -> Result<SimulationSummary, TbError> {
-    SessionBuilder::new(*config)
-        .checkpoint(ckpt)
-        .resume()
-        .build()?
-        .run()
-}
-
-/// What a resilient driver does with the rank set after a failure.
+/// What a resilient session does with the rank set after a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReshardPolicy {
     /// Re-spawn the failed ranks and retry at the configured width.
@@ -247,7 +211,10 @@ pub enum ReshardPolicy {
     Shrink,
 }
 
-/// Knobs of [`run_simulation_resilient_with`].
+/// Knobs of a resilient run
+/// ([`SessionBuilder::resilience`](crate::session::SessionBuilder::resilience)):
+/// one engine lives across all attempts, each rank failure rewinds to the
+/// newest snapshot (or restarts from scratch before the first one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceOptions {
     /// Rank-set policy after each failure.
@@ -278,92 +245,20 @@ pub struct RecoveryReport {
     pub final_ranks: usize,
 }
 
-/// Drive a (possibly fault-injected) run to completion, recovering from the
-/// newest snapshot after every distributed rank failure — the
-/// kill-and-resume loop of an elastic batch scheduler, in miniature.
-///
-/// One engine lives across all attempts, so `faults` are scheduled against
-/// a single monotone evaluation counter: the i-th plan is armed at the
-/// start of the i-th attempt and fires at most once (the rewind after a
-/// recovery finds the one-shot slot already empty). A failure before the
-/// first snapshot restarts from scratch. After each failure the rank set
-/// follows `options.policy`; gives up after `options.max_recoveries`
-/// recoveries and returns the last [`TbError::RankFailure`].
-pub fn run_simulation_resilient_with(
-    config: &SimulationConfig,
-    ckpt: &CheckpointConfig,
-    faults: &[FaultPlan],
-    options: ResilienceOptions,
-) -> Result<(SimulationSummary, RecoveryReport), TbError> {
-    let mut session = SessionBuilder::new(*config)
-        .checkpoint(ckpt)
-        .faults(faults)
-        .resilience(options)
-        .build()?;
-    let summary = session.run()?;
-    Ok((summary, session.recovery_report().clone()))
-}
-
-/// [`run_simulation_resilient_with`] with the historical signature: at most
-/// one fault, the [`ReshardPolicy::Respawn`] policy (so the recovered
-/// endpoint is bitwise the clean one), and a plain recovery count.
-pub fn run_simulation_resilient(
-    config: &SimulationConfig,
-    ckpt: &CheckpointConfig,
-    fault: Option<FaultPlan>,
-    max_recoveries: usize,
-) -> Result<(SimulationSummary, usize), TbError> {
-    let faults: Vec<FaultPlan> = fault.into_iter().collect();
-    let options = ResilienceOptions {
-        policy: ReshardPolicy::Respawn,
-        max_recoveries,
-    };
-    run_simulation_resilient_with(config, ckpt, &faults, options)
-        .map(|(summary, report)| (summary, report.recoveries))
-}
-
-/// [`run_simulation`] streaming one JSONL `step` record per MD step (plus
-/// watchdog `warn` lines and periodic `eig_health` probes) into `recorder`.
-///
-/// Installs a collecting [`tbmd_trace::TraceSink`] if tracing is still
-/// disabled, so the records carry wire-byte and allocation counters. The
-/// caller keeps ownership of the recorder and calls [`RunRecorder::finish`]
-/// when done.
-pub fn run_simulation_recorded(
-    config: &SimulationConfig,
-    recorder: &mut RunRecorder,
-    options: RecorderConfig,
-) -> Result<SimulationSummary, TbError> {
-    SessionBuilder::new(*config)
-        .record(recorder, options)
-        .build()?
-        .run()
-}
-
-/// [`resume_simulation`] with a JSONL recorder attached: continues from the
-/// newest snapshot of `options.checkpoint` (required) and opens the stream
-/// with a `restore` line.
-pub fn resume_simulation_recorded(
-    config: &SimulationConfig,
-    recorder: &mut RunRecorder,
-    options: RecorderConfig,
-) -> Result<SimulationSummary, TbError> {
-    SessionBuilder::new(*config)
-        .record(recorder, options)
-        .resume()
-        .build()?
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionBuilder;
+
+    fn run(config: &SimulationConfig) -> SimulationSummary {
+        SessionBuilder::new(*config).build().unwrap().run().unwrap()
+    }
 
     #[test]
     fn nve_summary_sane() {
         let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 10);
         config.record_stride = 2;
-        let summary = run_simulation(&config).unwrap();
+        let summary = run(&config);
         assert_eq!(summary.steps, 10);
         assert!(summary.converged);
         assert!(summary.mean_temperature_k > 100.0 && summary.mean_temperature_k < 600.0);
@@ -386,7 +281,7 @@ mod tests {
             seed: 3,
             record_stride: 0,
         };
-        let summary = run_simulation(&config).unwrap();
+        let summary = run(&config);
         assert!(summary.converged, "relaxation failed: {summary:?}");
         assert!(summary.final_potential_energy < 0.0);
     }
@@ -407,7 +302,7 @@ mod tests {
             seed: 5,
             record_stride: 0,
         };
-        let summary = run_simulation(&config).unwrap();
+        let summary = run(&config);
         assert!(summary.mean_temperature_k > 250.0 && summary.mean_temperature_k < 800.0);
     }
 
@@ -429,7 +324,7 @@ mod tests {
             seed: 9,
             record_stride: 0,
         };
-        let summary = run_simulation(&config).unwrap();
+        let summary = run(&config);
         // 10 K at 0.5 K/fs = 20 steps of ramp + 3 hold.
         assert_eq!(summary.steps, 23);
         // The hold phase measures a real extended-energy drift now: finite,

@@ -2,15 +2,14 @@
 //!
 //! The molecular-dynamics layer: Maxwell–Boltzmann initialization,
 //! velocity-Verlet NVE integration, Nosé–Hoover NVT dynamics with the
-//! extended-system conserved quantity, Berendsen weak coupling, temperature
-//! ramps, conjugate-gradient structural relaxation, and observables
-//! (running statistics, RDF, MSD, VACF) with trajectory capture.
+//! extended-system conserved quantity, temperature ramps,
+//! conjugate-gradient structural relaxation, and observables (running
+//! statistics, RDF, MSD, VACF) with trajectory capture.
 //!
 //! Everything is generic over [`tbmd_model::ForceProvider`], so the same
 //! integrators drive the serial calculator, the parallel engines and the
 //! O(N) engine.
 
-pub mod berendsen;
 pub mod nose_hoover;
 pub mod observables;
 pub mod phonons;
@@ -21,7 +20,6 @@ pub mod trajectory;
 pub mod velocities;
 pub mod verlet;
 
-pub use berendsen::Berendsen;
 pub use nose_hoover::{NoseHoover, TemperatureRamp};
 pub use observables::{
     diffusion_coefficient, mean_square_displacement, RdfAccumulator, RunningStats, VacfAccumulator,

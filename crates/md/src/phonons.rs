@@ -45,9 +45,10 @@ impl NormalModes {
             .count()
     }
 
-    /// Largest frequency (THz).
+    /// Largest frequency (THz): the last one, the eigenvalues being
+    /// ascending; 0.0 with no modes.
     pub fn max_frequency_thz(&self) -> f64 {
-        self.frequencies_thz.iter().cloned().fold(0.0, f64::max)
+        self.frequencies_thz.last().copied().unwrap_or(0.0)
     }
 
     /// `true` when no eigenvalue is significantly negative (all modes are

@@ -14,7 +14,7 @@
 //! Scheduling invariants (asserted by the `report_serve` benchmark gate):
 //!
 //! - every tenant's trajectory is bitwise the one a standalone
-//!   `run_simulation` of the same config produces — multiplexing changes
+//!   session of the same config produces — multiplexing changes
 //!   *when* steps run, never *what* they compute;
 //! - admitted tenants hold a [`tbmd::ComputeLease`]; when
 //!   [`tbmd::configure_budget`] caps the process, jobs past the cap wait in
@@ -762,7 +762,6 @@ fn error_line(job: &str, detail: &str, queue_wait: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbmd::run_simulation;
 
     /// A Vec<u8> sink whose contents outlive the recorder.
     #[derive(Clone, Default)]
@@ -821,8 +820,8 @@ mod tests {
         ca.seed = 7;
         let mut cb = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 420.0, 14);
         cb.seed = 8;
-        let ra = run_simulation(&ca).unwrap();
-        let rb = run_simulation(&cb).unwrap();
+        let standalone = |c| SessionBuilder::new(c).build().unwrap().run().unwrap();
+        let (ra, rb) = (standalone(ca), standalone(cb));
 
         let (ba, bb) = (Buf::default(), Buf::default());
         let mut mux = Multiplexer::new();

@@ -6,7 +6,7 @@
 //! restored exactly, with no force re-evaluation at the resume point. The
 //! tests pin that for the serial engine (NVE, NVT, ramp protocols) and for
 //! the distributed engine under an injected mid-run rank kill driven through
-//! the `run_simulation_resilient` recovery loop.
+//! the resilient session's recovery loop.
 //!
 //! All tests use Si-8, whose cell is too small for the Verlet skin: every
 //! step rebuilds the neighbour list from positions alone, so the trajectory
@@ -14,10 +14,35 @@
 
 use std::path::PathBuf;
 use tbmd::{
-    resume_simulation, run_simulation, run_simulation_checkpointed, run_simulation_resilient,
-    CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan, Protocol,
-    SimulationConfig, SimulationSummary, SystemSpec, TbError, Vec3,
+    CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan, Protocol, ReshardPolicy,
+    ResilienceOptions, SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec, TbError,
+    Vec3,
 };
+
+/// Build the session and drive it to completion.
+fn run(builder: SessionBuilder<'_>) -> Result<SimulationSummary, TbError> {
+    builder.build()?.run()
+}
+
+/// `config` under the respawn policy with one injected fault: the summary
+/// (or the failure that exhausted the budget) and the recovery count.
+fn run_resilient(
+    config: &SimulationConfig,
+    ckpt: &CheckpointConfig,
+    fault: FaultPlan,
+    max_recoveries: usize,
+) -> Result<(SimulationSummary, usize), TbError> {
+    let mut session = SessionBuilder::new(*config)
+        .checkpoint(ckpt)
+        .faults(&[fault])
+        .resilience(ResilienceOptions {
+            policy: ReshardPolicy::Respawn,
+            max_recoveries,
+        })
+        .build()?;
+    let summary = session.run()?;
+    Ok((summary, session.recovery_report().recoveries))
+}
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tbmd_ckpt_{}_{}", name, std::process::id()));
@@ -85,16 +110,16 @@ fn serial_nve_kill_and_resume_is_bitwise_identical() {
         retain: 3,
     };
 
-    let clean = run_simulation(&si8_nve(20)).unwrap();
+    let clean = run(SessionBuilder::new(si8_nve(20))).unwrap();
 
     // Interrupted run: dies after step 12; newest usable snapshot is step 10.
-    run_simulation_checkpointed(&si8_nve(12), &ckpt).unwrap();
+    run(SessionBuilder::new(si8_nve(12)).checkpoint(&ckpt)).unwrap();
     let store = CheckpointStore::open(&dir, 0).unwrap();
     assert_eq!(store.latest().unwrap().unwrap().step, 10);
 
     // Resume into the *longer* 20-step request (step counts are outside the
     // config fingerprint) and land bit-for-bit on the uninterrupted endpoint.
-    let resumed = resume_simulation(&si8_nve(20), &ckpt).unwrap();
+    let resumed = run(SessionBuilder::new(si8_nve(20)).checkpoint(&ckpt).resume()).unwrap();
     assert_bitwise_equal(&clean, &resumed, "serial NVE");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -120,9 +145,9 @@ fn serial_nvt_kill_and_resume_is_bitwise_identical() {
         ..si8_nve(0)
     };
 
-    let clean = run_simulation(&config(15)).unwrap();
-    run_simulation_checkpointed(&config(9), &ckpt).unwrap();
-    let resumed = resume_simulation(&config(15), &ckpt).unwrap();
+    let clean = run(SessionBuilder::new(config(15))).unwrap();
+    run(SessionBuilder::new(config(9)).checkpoint(&ckpt)).unwrap();
+    let resumed = run(SessionBuilder::new(config(15)).checkpoint(&ckpt).resume()).unwrap();
     assert_bitwise_equal(&clean, &resumed, "serial NVT");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -153,20 +178,20 @@ fn ramp_resume_mid_ramp_and_at_hold_boundary() {
         ..si8_nve(0)
     };
 
-    let full = run_simulation_checkpointed(&config, &ckpt).unwrap();
+    let full = run(SessionBuilder::new(config).checkpoint(&ckpt)).unwrap();
     assert_eq!(full.steps, 23);
     let store = CheckpointStore::open(&dir, 0).unwrap();
     let steps: Vec<u64> = store.list().unwrap().into_iter().map(|(s, _)| s).collect();
     assert_eq!(steps, vec![5, 10, 15, 20]);
 
     // Resume from the boundary snapshot (step 20): replays only the hold.
-    let from_boundary = resume_simulation(&config, &ckpt).unwrap();
+    let from_boundary = run(SessionBuilder::new(config).checkpoint(&ckpt).resume()).unwrap();
     assert_bitwise_equal(&full, &from_boundary, "ramp hold-boundary resume");
 
     // Drop the boundary snapshot; latest is now mid-ramp (step 15) with the
     // thermostat set-point partway up the ramp.
     std::fs::remove_file(store.path_for(20)).unwrap();
-    let from_mid_ramp = resume_simulation(&config, &ckpt).unwrap();
+    let from_mid_ramp = run(SessionBuilder::new(config).checkpoint(&ckpt).resume()).unwrap();
     assert_bitwise_equal(&full, &from_mid_ramp, "mid-ramp resume");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -188,7 +213,7 @@ fn distributed_kill_recover_resume_is_bitwise_identical() {
         ..si8_nve(12)
     };
 
-    let clean = run_simulation(&config).unwrap();
+    let clean = run(SessionBuilder::new(config)).unwrap();
 
     // Evaluation 1 is the warm-up of `MdState::new`, so evaluation 8 is MD
     // step 7 — after the step-4 snapshot, before the step-8 one.
@@ -197,7 +222,7 @@ fn distributed_kill_recover_resume_is_bitwise_identical() {
         at_evaluation: 8,
         kind: FaultKind::Kill,
     };
-    let (recovered, recoveries) = run_simulation_resilient(&config, &ckpt, Some(fault), 2).unwrap();
+    let (recovered, recoveries) = run_resilient(&config, &ckpt, fault, 2).unwrap();
     assert_eq!(recoveries, 1, "exactly one recovery expected");
     assert_bitwise_equal(&clean, &recovered, "distributed kill+recover");
 
@@ -225,8 +250,8 @@ fn resilient_driver_edge_cases() {
         at_evaluation: 1,
         kind: FaultKind::Kill,
     };
-    let clean = run_simulation(&config).unwrap();
-    let (recovered, recoveries) = run_simulation_resilient(&config, &ckpt, Some(fault), 1).unwrap();
+    let clean = run(SessionBuilder::new(config)).unwrap();
+    let (recovered, recoveries) = run_resilient(&config, &ckpt, fault, 1).unwrap();
     assert_eq!(recoveries, 1);
     assert_bitwise_equal(&clean, &recovered, "restart-from-scratch recovery");
 
@@ -237,7 +262,7 @@ fn resilient_driver_edge_cases() {
         interval: 4,
         retain: 2,
     };
-    let err = run_simulation_resilient(&config, &ckpt2, Some(fault), 0).unwrap_err();
+    let err = run_resilient(&config, &ckpt2, fault, 0).unwrap_err();
     assert!(
         matches!(err, TbError::RankFailure { .. }),
         "expected RankFailure, got {err:?}"
@@ -259,15 +284,15 @@ fn resume_validation_rejects_empty_store_and_changed_config() {
     };
 
     // Nothing written yet.
-    let err = resume_simulation(&si8_nve(10), &ckpt).unwrap_err();
+    let err = run(SessionBuilder::new(si8_nve(10)).checkpoint(&ckpt).resume()).unwrap_err();
     assert!(matches!(err, TbError::Checkpoint(_)), "{err:?}");
 
-    run_simulation_checkpointed(&si8_nve(10), &ckpt).unwrap();
+    run(SessionBuilder::new(si8_nve(10)).checkpoint(&ckpt)).unwrap();
 
     // Same shape, different seed → different trajectory → rejected.
     let mut other = si8_nve(10);
     other.seed = 12;
-    let err = resume_simulation(&other, &ckpt).unwrap_err();
+    let err = run(SessionBuilder::new(other).checkpoint(&ckpt).resume()).unwrap_err();
     match err {
         TbError::Checkpoint(msg) => assert!(msg.contains("mismatch"), "{msg}"),
         other => panic!("expected Checkpoint error, got {other:?}"),
@@ -280,7 +305,7 @@ fn resume_validation_rejects_empty_store_and_changed_config() {
         steps: 10,
         dt_fs: 0.5,
     };
-    let err = resume_simulation(&other, &ckpt).unwrap_err();
+    let err = run(SessionBuilder::new(other).checkpoint(&ckpt).resume()).unwrap_err();
     assert!(matches!(err, TbError::Checkpoint(_)), "{err:?}");
 
     let _ = std::fs::remove_dir_all(&dir);

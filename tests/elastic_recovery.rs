@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 
 use tbmd::trace::Counter;
 use tbmd::{
-    live_vmp_workers, run_simulation, run_simulation_resilient_with, CheckpointConfig, EngineKind,
-    FaultKind, FaultPlan, ReshardPolicy, ResilienceOptions, ScopedSink, SimulationConfig,
-    SimulationSummary, SystemSpec, Vec3,
+    live_vmp_workers, CheckpointConfig, EngineKind, FaultKind, FaultPlan, ReshardPolicy,
+    ResilienceOptions, ScopedSink, SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec,
+    Vec3,
 };
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -80,7 +80,7 @@ fn p3_config() -> SimulationConfig {
 #[test]
 fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
     let config = p3_config();
-    let clean = run_simulation(&config).unwrap();
+    let clean = SessionBuilder::new(config).build().unwrap().run().unwrap();
 
     // Kill rank 1 at evaluation 8 (MD step 7, past the step-4 snapshot);
     // freeze rank 2 at evaluation 12 (step 8 of the first retry — the
@@ -112,16 +112,17 @@ fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
         retain: 3,
     };
     let t0 = Instant::now();
-    let (recovered, report) = run_simulation_resilient_with(
-        &config,
-        &ckpt,
-        &faults,
-        ResilienceOptions {
+    let mut session = SessionBuilder::new(config)
+        .checkpoint(&ckpt)
+        .faults(&faults)
+        .resilience(ResilienceOptions {
             policy: ReshardPolicy::Respawn,
             max_recoveries: 3,
-        },
-    )
-    .unwrap();
+        })
+        .build()
+        .unwrap();
+    let recovered = session.run().unwrap();
+    let report = session.recovery_report().clone();
     let wall = t0.elapsed();
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -166,16 +167,17 @@ fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
         at_evaluation: 8,
         kind: FaultKind::Kill,
     }];
-    let (shrunk, report) = run_simulation_resilient_with(
-        &config,
-        &ckpt,
-        &kill,
-        ResilienceOptions {
+    let mut session = SessionBuilder::new(config)
+        .checkpoint(&ckpt)
+        .faults(&kill)
+        .resilience(ResilienceOptions {
             policy: ReshardPolicy::Shrink,
             max_recoveries: 2,
-        },
-    )
-    .unwrap();
+        })
+        .build()
+        .unwrap();
+    let shrunk = session.run().unwrap();
+    let report = session.recovery_report().clone();
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(report.recoveries, 1);

@@ -2,7 +2,7 @@
 //!
 //! Interleaving many [`tbmd::Session`]s in one process is only useful if it
 //! is *invisible* to the physics: each tenant's trajectory must be bitwise
-//! the one a standalone `run_simulation` of the same config produces, the
+//! the one a standalone session of the same config produces, the
 //! shared engines must not leak worker threads, and per-session accounting
 //! (allocation growth events) must not bleed between tenants. The second
 //! half of the file property-tests the in-memory [`tbmd::SnapshotBackend`]
@@ -10,16 +10,30 @@
 //! pinned by.
 
 use proptest::prelude::*;
+use tbmd::trace::JsonValue;
 use tbmd::{
-    live_vmp_workers, run_simulation, CheckpointStore, EngineKind, MemoryBackend, SessionBuilder,
-    SessionStatus, SimulationConfig, SimulationSummary, Snapshot, SnapshotBackend, StatsSnapshot,
-    SystemSpec, ThermostatSnapshot, Vec3,
+    live_vmp_workers, run_manifest, CheckpointStore, EngineKind, MemoryBackend, RecorderConfig,
+    RunRecorder, ScopedSink, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary,
+    Snapshot, SnapshotBackend, StatsSnapshot, SystemSpec, ThermostatSnapshot, Vec3,
 };
+
+/// `live_vmp_workers` is a process-wide census, so the tests that launch
+/// virtual ranks take turns.
+static RANKS_IN_USE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn bits(v: &[Vec3]) -> Vec<u64> {
     v.iter()
         .flat_map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
         .collect()
+}
+
+/// The same config as a session of its own, driven to completion.
+fn standalone(config: &SimulationConfig, what: &str) -> SimulationSummary {
+    SessionBuilder::new(*config)
+        .build()
+        .expect(what)
+        .run()
+        .expect(what)
 }
 
 fn assert_endpoints_bitwise(a: &SimulationSummary, b: &SimulationSummary) {
@@ -50,8 +64,8 @@ fn interleaved_sessions_bitwise_match_standalone_runs() {
     ca.seed = 7;
     let mut cb = SimulationConfig::nve(SystemSpec::Graphene { nx: 1, ny: 1 }, 600.0, 17);
     cb.seed = 1234;
-    let ra = run_simulation(&ca).expect("standalone a");
-    let rb = run_simulation(&cb).expect("standalone b");
+    let ra = standalone(&ca, "standalone a");
+    let rb = standalone(&cb, "standalone b");
 
     let mut sa = SessionBuilder::new(ca).build().expect("session a");
     let mut sb = SessionBuilder::new(cb).build().expect("session b");
@@ -77,13 +91,14 @@ fn interleaved_sessions_bitwise_match_standalone_runs() {
 /// worker census is zero — multiplexing must not strand rank threads.
 #[test]
 fn multiplexed_distributed_session_leaks_no_workers() {
+    let _ranks = RANKS_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
     let mut cd = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 6);
     cd.engine = EngineKind::Distributed { ranks: 2 };
     cd.seed = 21;
     let mut cs = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 450.0, 9);
     cs.seed = 22;
-    let rd = run_simulation(&cd).expect("standalone distributed");
-    let rs = run_simulation(&cs).expect("standalone serial");
+    let rd = standalone(&cd, "standalone distributed");
+    let rs = standalone(&cs, "standalone serial");
     {
         let mut sd = SessionBuilder::new(cd)
             .build()
@@ -103,6 +118,64 @@ fn multiplexed_distributed_session_leaks_no_workers() {
     // Both sessions (and their engines) are dropped: every virtual rank
     // must have been joined.
     assert_eq!(live_vmp_workers(), 0, "leaked VMP worker threads");
+}
+
+/// The `comm_bytes` of every step line in a recorder's stream.
+fn comm_bytes(recorder: &RunRecorder) -> Vec<u64> {
+    recorder
+        .lines()
+        .iter()
+        .map(|line| JsonValue::parse(line).expect("JSONL line parses"))
+        .filter(|v| v.get("type").and_then(|t| t.as_str()) == Some("step"))
+        .map(|v| {
+            v.get("comm_bytes")
+                .and_then(|b| b.as_f64())
+                .expect("comm_bytes") as u64
+        })
+        .collect()
+}
+
+/// A recorded step line holds its own session's counters: with a serial and
+/// a distributed tenant stepped alternately — each under its own telemetry
+/// scope, as `tbmd-serve` runs them — the serial tenant's lines carry no
+/// wire bytes and the distributed tenant's equal its standalone stream.
+#[test]
+fn recorded_step_counters_are_per_session() {
+    let _ranks = RANKS_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cs = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 4);
+    cs.seed = 51;
+    let mut cd = cs;
+    cd.engine = EngineKind::Distributed { ranks: 2 };
+    let recorded = |config: SimulationConfig, scope: Option<&str>| {
+        let recorder = RunRecorder::in_memory(&run_manifest(&config));
+        let mut builder =
+            SessionBuilder::new(config).record_owned(recorder, RecorderConfig::standard());
+        if let Some(label) = scope {
+            builder = builder.telemetry(ScopedSink::new(label));
+        }
+        builder.build().expect("recorded session")
+    };
+
+    // Standalone: no scope attached, so the session makes its own.
+    let mut alone = recorded(cd, None);
+    alone.run().expect("standalone distributed");
+    let alone = comm_bytes(&alone.take_recorder().expect("owned recorder"));
+    assert_eq!(alone.len(), 4);
+    assert!(alone.iter().all(|&b| b > 0), "no wire bytes in {alone:?}");
+
+    let mut ss = recorded(cs, Some("serial"));
+    let mut sd = recorded(cd, Some("distributed"));
+    loop {
+        let a = ss.step().expect("serial step");
+        let b = sd.step().expect("distributed step");
+        if a == SessionStatus::Done && b == SessionStatus::Done {
+            break;
+        }
+    }
+    let serial = comm_bytes(&ss.take_recorder().expect("owned recorder"));
+    let distributed = comm_bytes(&sd.take_recorder().expect("owned recorder"));
+    assert_eq!(serial, vec![0; 4], "the serial tenant sends nothing");
+    assert_eq!(distributed, alone, "same job, same bytes, alone or not");
 }
 
 /// Allocation-growth accounting is per session: a session's count is the
@@ -150,7 +223,7 @@ fn per_session_alloc_counters_are_independent() {
 fn in_memory_checkpointed_session_resumes_bitwise() {
     let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 12);
     config.seed = 41;
-    let reference = run_simulation(&config).expect("uninterrupted");
+    let reference = standalone(&config, "uninterrupted");
 
     let store = CheckpointStore::in_memory(3);
     {

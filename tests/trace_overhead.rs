@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd::trace::{Counter, Hist, JsonValue, Phase};
 use tbmd::{
-    run_manifest, run_simulation_recorded, Protocol, RecorderConfig, RunRecorder, ScopedSink,
+    run_manifest, Protocol, RecorderConfig, RunRecorder, ScopedSink, SessionBuilder,
     SimulationConfig, SystemSpec,
 };
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
@@ -187,15 +187,18 @@ fn recorder_jsonl_parses_and_drift_watchdog_trips() {
     let manifest = run_manifest(&config);
     assert_eq!(manifest.n_atoms, 8);
     let mut recorder = RunRecorder::in_memory(&manifest).with_drift_budget(0.05);
-    run_simulation_recorded(
-        &config,
-        &mut recorder,
-        RecorderConfig {
-            health_stride: 10,
-            ..RecorderConfig::standard()
-        },
-    )
-    .expect("recorded run");
+    SessionBuilder::new(config)
+        .record(
+            &mut recorder,
+            RecorderConfig {
+                health_stride: 10,
+                ..RecorderConfig::standard()
+            },
+        )
+        .build()
+        .expect("build")
+        .run()
+        .expect("recorded run");
     let summary = recorder.finish().expect("summary");
 
     assert_eq!(summary.steps, 40);
