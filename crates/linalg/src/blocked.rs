@@ -9,14 +9,17 @@
 //!
 //! 1. **Panel factorization** — `NB` Householder reflectors are generated per
 //!    panel; the trailing matrix is touched only through `NB` symmetric
-//!    matrix–vector products whose corrections against the pending panel
-//!    (`V`, `W`) keep the panel numerically exact.
+//!    matrix–vector products (serial, four rows of the lower triangle per
+//!    pass, one fixed summation order) whose corrections against the pending
+//!    panel (`V`, `W`) keep the panel numerically exact.
 //! 2. **Rank-2k trailing update** — after each panel the trailing block
 //!    absorbs `A ← A − V Wᵀ − W Vᵀ` in one GEMM-shaped sweep over contiguous
-//!    rows (the SYR2K analogue of the SYRK density-matrix kernel): only the
-//!    lower triangle is computed, then mirrored tile-by-tile. Rows are
-//!    independent, so the sweep parallelizes over Rayon with a deterministic
-//!    partition (each row is written by exactly one task).
+//!    rows (the SYR2K analogue of the SYRK density-matrix kernel), two
+//!    reflector pairs per pass over a row. Only the lower triangle exists:
+//!    the panel matvec ([`kernels::symv_lower`]) reads nothing else. Rows are
+//!    independent and dealt round-robin over the threads, so both halves of
+//!    the triangle's area get done at once and each row is written by
+//!    exactly one task.
 //!
 //! The reflectors stay packed in the reduced matrix (LAPACK convention:
 //! column `j` holds `v_j` below the subdiagonal, `v_j[j+1] = 1` implicit)
@@ -182,19 +185,12 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
             }
             // --- 3. w = τ(A v − V(Wᵀv) − W(Vᵀv)); w −= (τ/2)(wᵀv)v --------
             // Symmetric matvec on the *panel-start* trailing block, reading
-            // only the lower triangle: row r contributes its dot to p[r] and
-            // its transpose (scaled by v[r]) to p[lo..r] while the row is
-            // hot. Half the memory traffic of the mirrored full-row form,
-            // and no mirror maintenance between panels at all.
+            // only the lower triangle: half the memory traffic of a mirrored
+            // full-row form, and no mirror maintenance between panels.
             let v = s.vpan.row(jj);
             let p = &mut s.pvec;
             let lo = j + 1;
-            p[lo..n].fill(0.0);
-            for r in lo..n {
-                let row = a.row(r);
-                p[r] += kernels::dot(&row[lo..=r], &v[lo..=r]);
-                kernels::axpy(&mut p[lo..r], v[r], &row[lo..r]);
-            }
+            kernels::symv_lower(a.as_slice(), n, lo, v, p);
             for q in 0..jj {
                 let vq = s.vpan.row(q);
                 let wq = s.wpan.row(q);
@@ -214,24 +210,7 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
         }
         // --- 4. rank-2k trailing update (SYR2K, lower triangle) -----------
         let t0 = j0 + jb;
-        let vpan = &s.vpan;
-        let wpan = &s.wpan;
-        let ncols = a.cols();
-        a.as_mut_slice()[t0 * ncols..]
-            .par_chunks_mut(ncols)
-            .enumerate()
-            .for_each(|(ri, row)| {
-                let r = t0 + ri;
-                for p in 0..jb {
-                    let vp = vpan.row(p);
-                    let wp = wpan.row(p);
-                    let (vr, wr) = (vp[r], wp[r]);
-                    if vr == 0.0 && wr == 0.0 {
-                        continue;
-                    }
-                    kernels::axpy2(&mut row[t0..=r], -vr, &wp[t0..=r], -wr, &vp[t0..=r]);
-                }
-            });
+        rank2k_lower(a, t0, jb, &s.vpan, &s.wpan);
         j0 = t0;
     }
     // Remaining 2×2 (or smaller) trailing block: read directly.
@@ -240,6 +219,37 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
         s.d[n - 1] = a[(n - 1, n - 1)];
         s.e[n - 1] = a[(n - 1, n - 2)];
     }
+}
+
+/// `A ← A − V Wᵀ − W Vᵀ` on the lower triangle of the trailing block
+/// `[t0, n)`, with `V`, `W` the first `jb` rows of `vpan`, `wpan` (one
+/// reflector per row). One fan-out over rows; a row folds two reflector pairs
+/// per pass — per element `(((y − v₀w₀) − w₀v₀) − v₁w₁) − w₁v₁`, the order of
+/// one [`kernels::axpy2`] per pair in ascending pair order, with `y` loaded
+/// and stored half as often — so an element's arithmetic does not depend on
+/// the thread count.
+fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &Matrix) {
+    let ncols = a.cols();
+    a.as_mut_slice()[t0 * ncols..]
+        .par_chunks_mut(ncols)
+        .enumerate()
+        .for_each(|(ri, row)| {
+            let r = t0 + ri;
+            let y = &mut row[t0..=r];
+            for p in (0..jb - jb % 2).step_by(2) {
+                let (v0, w0) = (vpan.row(p), wpan.row(p));
+                let (v1, w1) = (vpan.row(p + 1), wpan.row(p + 1));
+                kernels::axpy4(
+                    y,
+                    [-v0[r], -w0[r], -v1[r], -w1[r]],
+                    [&w0[t0..], &v0[t0..], &w1[t0..], &v1[t0..]],
+                );
+            }
+            if jb % 2 == 1 {
+                let (v, w) = (vpan.row(jb - 1), wpan.row(jb - 1));
+                kernels::axpy2(y, -v[r], &w[t0..=r], -w[r], &v[t0..=r]);
+            }
+        });
 }
 
 /// Row `r` of panel `[j0, j0+jb)`'s reflector matrix `V` (`n × jb`, column
@@ -425,7 +435,10 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
 /// All eigenvalues (ascending) of the tridiagonal factor currently held in
 /// the workspace, by implicit-shift QL on a scratch copy — `O(n²)` with a
 /// small constant, the fastest route on few cores. The `(d, e)` factor in
-/// the workspace is left intact for the eigenvector stage.
+/// the workspace is left intact for the eigenvector stage. The copy is
+/// iterated at unit scale and the spectrum scaled back, both exactly
+/// ([`tqli`]'s scaling contract), so the values are in the units of `(d, e)`
+/// whatever its magnitude.
 ///
 /// # Errors
 /// [`EigError::NoConvergence`] on non-finite input.
@@ -500,7 +513,10 @@ pub fn eigh_blocked_into(
 /// on a scratch copy when few Rayon threads are available (its `O(n²)`
 /// constant is small but it is inherently serial), parallel Sturm-sequence
 /// spectrum slicing ([`crate::bisection::tridiagonal_lowest_eigenvalues_into`])
-/// otherwise.
+/// otherwise. Either kernel returns the spectrum in the units of `(d, e)`:
+/// the QL kernel's internal scaling is exact and undone on exit, bisection
+/// never scales. Only the bisection kernel counts
+/// [`tbmd_trace::Counter::SturmBisections`].
 ///
 /// # Errors
 /// [`EigError::NoConvergence`] on non-finite input (QL kernel only; the
@@ -512,6 +528,7 @@ pub fn reduced_eigenvalues_into(
     if rayon::current_num_threads() >= 4 {
         let s = &ws.blocked;
         crate::bisection::tridiagonal_lowest_eigenvalues_into(&s.d, &s.e, s.d.len(), values);
+        tbmd_trace::add(tbmd_trace::Counter::SturmBisections, s.d.len() as u64);
         Ok(())
     } else {
         tridiagonal_values_ql_into(ws, values)
@@ -521,23 +538,31 @@ pub fn reduced_eigenvalues_into(
 /// Eigenvectors of the original matrix for the selected (ascending)
 /// eigenvalues `lambda`, given the reflector-packed output `a` of
 /// [`tridiagonalize_blocked_into`] run with the same workspace: inverse
-/// iteration on the tridiagonal factor followed by the blocked back-transform
-/// [`apply_q_blocked`]. On return `z` is `n × lambda.len()` with column `j`
-/// pairing `lambda[j]`.
+/// iteration on the tridiagonal factor — sharded over the caller's compute
+/// lease, see [`crate::inverse_iteration::tridiagonal_eigenvectors_into`] —
+/// followed by the blocked back-transform [`apply_q_blocked`]. On return `z`
+/// is `n × lambda.len()` with column `j` pairing `lambda[j]`.
 pub fn reduced_eigenvectors_into(
     a: &Matrix,
     lambda: &[f64],
     z: &mut Matrix,
     ws: &mut EighWorkspace,
 ) {
-    reduced_eigenvectors_offset_into(a, lambda, 0, z, ws);
+    crate::inverse_iteration::tridiagonal_eigenvectors_into(
+        &ws.blocked.d,
+        &ws.blocked.e,
+        lambda,
+        z,
+        &mut ws.inviter,
+    );
+    apply_q_blocked(a, ws, z);
 }
 
 /// Offset-aware form of [`reduced_eigenvectors_into`] for distributed
 /// spectrum slicing: `lambda` is a contiguous shard of the globally sorted
-/// spectrum starting at global eigenvalue index `seed_offset`. With shard
-/// boundaries snapped to cluster boundaries
-/// ([`crate::bisection::snap_range_to_clusters`] with
+/// spectrum starting at global eigenvalue index `seed_offset`, inverse-iterated
+/// as one shard on the calling thread. With shard boundaries snapped to
+/// cluster boundaries ([`crate::bisection::snap_range_to_clusters`] with
 /// [`crate::inverse_iteration::cluster_tolerance`]), the columns each rank
 /// produces are bitwise identical to the corresponding columns of a single
 /// full-window [`reduced_eigenvectors_into`] call.
@@ -692,6 +717,64 @@ mod tests {
             }
             let err = (&z - &reference).max_abs();
             assert!(err < 1e-13, "k={k}: strip sweep deviates by {err}");
+        }
+    }
+
+    #[test]
+    fn reduction_is_bitwise_independent_of_the_lease_width() {
+        // Sizes that are multiples of neither the 4-row matvec pass nor the
+        // panel width: (d, e), τ and the packed reflectors under a width-1
+        // lease and unconstrained.
+        for n in [131usize, 203] {
+            let a = symmetric_test_matrix(n, 300 + n as u64);
+            let reduce = || {
+                let mut packed = a.clone();
+                let mut ws = EighWorkspace::default();
+                tridiagonalize_blocked_into(&mut packed, &mut ws);
+                (packed, ws.blocked.d, ws.blocked.e, ws.blocked.tau)
+            };
+            let wide = reduce();
+            let narrow = crate::budget::ComputeLease::untracked(1).scoped(reduce);
+            assert_eq!(wide.1, narrow.1, "d, n={n}");
+            assert_eq!(wide.2, narrow.2, "e, n={n}");
+            assert_eq!(wide.3, narrow.3, "tau, n={n}");
+            for r in 2..n {
+                for c in 0..r - 1 {
+                    assert!(wide.0[(r, c)] == narrow.0[(r, c)], "reflector ({r},{c})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank2k_matches_one_axpy2_per_reflector_pair_bitwise() {
+        // Against the row loop this replaced — one `axpy2` per reflector,
+        // rows with both coefficients zero skipped — on a copy of the same
+        // matrix; an even and an odd panel width, one reflector zero below
+        // its head (τ = 0 leaves such a pair behind).
+        let (n, t0) = (75usize, 9usize);
+        for jb in [TRIDIAG_BLOCK, TRIDIAG_BLOCK - 1, 1] {
+            let saved = symmetric_test_matrix(n, 61);
+            let mut vpan =
+                Matrix::from_fn(TRIDIAG_BLOCK, n, |p, c| ((p * 13 + c * 7) as f64).sin());
+            let mut wpan =
+                Matrix::from_fn(TRIDIAG_BLOCK, n, |p, c| ((p * 5 + c * 11) as f64).cos());
+            vpan.row_mut(0)[t0 + 2..].fill(0.0);
+            wpan.row_mut(0).fill(0.0);
+            let mut reference = saved.clone();
+            for r in t0..n {
+                for p in 0..jb {
+                    let (vp, wp) = (vpan.row(p), wpan.row(p));
+                    if vp[r] == 0.0 && wp[r] == 0.0 {
+                        continue;
+                    }
+                    let row = reference.row_mut(r);
+                    kernels::axpy2(&mut row[t0..=r], -vp[r], &wp[t0..=r], -wp[r], &vp[t0..=r]);
+                }
+            }
+            let mut a = saved;
+            rank2k_lower(&mut a, t0, jb, &vpan, &wpan);
+            assert!(a == reference, "jb={jb}");
         }
     }
 

@@ -81,6 +81,16 @@ pub struct ComputeLease {
 }
 
 impl ComputeLease {
+    /// A lease of `threads` that was never debited from the budget — pins a
+    /// width in unit tests without touching the process-global counters.
+    #[cfg(test)]
+    pub(crate) fn untracked(threads: usize) -> Self {
+        ComputeLease {
+            threads,
+            tracked: false,
+        }
+    }
+
     /// The width this lease allows: 0 = unconstrained, 1 = serial,
     /// n ≥ 2 = may fan out.
     pub fn threads(&self) -> usize {
@@ -220,10 +230,7 @@ mod tests {
         let _g = lock();
         configure_budget(2);
         let outer = try_lease(2).expect("outer");
-        let serial = ComputeLease {
-            threads: 1,
-            tracked: false,
-        };
+        let serial = ComputeLease::untracked(1);
         outer.scoped(|| {
             assert_eq!(effective_width(), 2);
             assert!(parallel_allowed());

@@ -269,11 +269,36 @@ pub fn tridiagonalize_into(a: &mut Matrix, accumulate: bool, d: &mut [f64], e: &
 /// simultaneously applied to the columns of `z`, so passing the `Q` from
 /// [`tridiagonalize`] yields eigenvectors of the original matrix. Passing a
 /// `0×n` matrix skips the eigenvector work entirely.
+///
+/// **Scaling contract.** `(d, e)` is multiplied on entry by the power of two
+/// that brings its largest magnitude into `[1, 2)` and the spectrum is
+/// multiplied back on exit. Both are exact, so the rotations and the returned
+/// values are those of the unscaled iteration, and the rotation radii can be
+/// taken as `(f² + g²).sqrt()` without a `hypot`: the squares cannot
+/// overflow, and a radius that underflows to zero is below `2⁻⁵³⁷` of the
+/// matrix norm — the deflation branch treats it as the zero it is. A factor
+/// whose largest entry is zero, subnormal or not finite is iterated as given.
 pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError> {
     let n = d.len();
     if n <= 1 {
         return Ok(());
     }
+    let anorm = d.iter().chain(&e[1..]).fold(0.0f64, |m, x| m.max(x.abs()));
+    // The exponent field alone: 2^⌊log₂ anorm⌋ for a normal `anorm`.
+    let unit = f64::from_bits(anorm.to_bits() & f64::INFINITY.to_bits());
+    let unit = if unit.is_normal() { unit } else { 1.0 };
+    let inv_unit = 1.0 / unit;
+    d.iter_mut()
+        .chain(e.iter_mut())
+        .for_each(|x| *x *= inv_unit);
+    let result = tqli_unit(d, e, z);
+    d.iter_mut().for_each(|x| *x *= unit);
+    result
+}
+
+/// The QL iteration proper, on a factor of roughly unit max-norm.
+fn tqli_unit(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError> {
+    let n = d.len();
     // Renumber the subdiagonal to e[0..n-1] for convenient indexing.
     for i in 1..n {
         e[i - 1] = e[i];
@@ -304,7 +329,7 @@ pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError
             }
             // Wilkinson shift.
             let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
+            let mut r = (g * g + 1.0).sqrt();
             g = d[m] - d[l] + e[l] / (g + r.abs().copysign(if g >= 0.0 { 1.0 } else { -1.0 }));
             let (mut s, mut c) = (1.0f64, 1.0f64);
             let mut p = 0.0f64;
@@ -312,7 +337,7 @@ pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError
             for i in (l..m).rev() {
                 let mut f = s * e[i];
                 let b = c * e[i];
-                r = f.hypot(g);
+                r = (f * f + g * g).sqrt();
                 e[i + 1] = r;
                 if r == 0.0 {
                     // Found a zero off-diagonal: deflate and retry.
@@ -547,6 +572,49 @@ mod tests {
         for (got, want) in eig.values.iter().zip(&expected) {
             assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
         }
+    }
+
+    #[test]
+    fn tqli_spectrum_scales_with_the_factor() {
+        // Rotation radii are plain √(f² + g²): at 1e±150 the squares leave
+        // the f64 range unless the factor is brought to unit scale first.
+        let n = 40;
+        let mut a = symmetric_test_matrix(n, 17);
+        let (d, e) = tridiagonalize(&mut a, false);
+        let solve = |scale: f64| {
+            let mut ds: Vec<f64> = d.iter().map(|x| x * scale).collect();
+            let mut es: Vec<f64> = e.iter().map(|x| x * scale).collect();
+            let mut z = Matrix::identity(n);
+            tqli(&mut ds, &mut es, &mut z).unwrap();
+            sort_eigenpairs(&mut ds, &mut z, &mut Vec::new());
+            (ds, z)
+        };
+        let (reference, zref) = solve(1.0);
+        let norm = reference.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for scale in [1e150, 1e-150, 3.0] {
+            let (values, z) = solve(scale);
+            for (got, want) in values.iter().zip(&reference) {
+                assert!(
+                    (got / scale - want).abs() <= 1e-12 * norm,
+                    "scale {scale:e}: {} vs {want}",
+                    got / scale
+                );
+            }
+            assert!(orthogonality_defect(&z) < 1e-12 * n as f64);
+            assert!(
+                (&z - &zref).max_abs() < 1e-9,
+                "scale {scale:e}: vectors moved"
+            );
+        }
+        // A zero factor and a non-finite one are iterated as given.
+        let (mut dz, mut ez) = (vec![0.0; 5], vec![0.0; 5]);
+        tqli(&mut dz, &mut ez, &mut Matrix::zeros(0, 5)).unwrap();
+        assert_eq!(dz, vec![0.0; 5]);
+        let (mut dn, mut en) = (vec![1.0, f64::NAN, 2.0], vec![0.0, 0.5, 0.5]);
+        assert!(matches!(
+            tqli(&mut dn, &mut en, &mut Matrix::zeros(0, 3)),
+            Err(EigError::NoConvergence { .. })
+        ));
     }
 
     #[test]

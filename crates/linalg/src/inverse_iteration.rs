@@ -17,9 +17,18 @@
 //! a mixed basis would leak those differences into the density matrix.
 //!
 //! Total cost is `O(k · n)` per solve sweep plus `O(c³)` per cluster of size
-//! `c` — negligible next to the reduction — and all scratch lives in
-//! [`InverseIterScratch`], reused across MD steps.
+//! `c`, and all scratch lives in [`InverseIterScratch`], reused across MD
+//! steps. Clusters are independent of each other, so a full-window call
+//! ([`tridiagonal_eigenvectors_into`]) cuts `0..k` at cluster boundaries into
+//! as many shards as the caller's compute lease allows and runs them side by
+//! side. Every shard writes its own row band of the *one* `k × n` staging
+//! buffer and brings only `O(n)` private scratch (plus `c × n` for a cluster
+//! being rotated) — no second `n × k` buffer, no copy of `(d, e)` — and the
+//! start vectors are keyed on the global eigenvalue index, so the result is
+//! bitwise the one-shard result whatever the shard count.
 
+use crate::batched::batch_map;
+use crate::bisection::snap_range_to_clusters;
 use crate::eigh::{sort_eigenpairs, tqli, tridiagonalize_into};
 use crate::kernels;
 use crate::matrix::Matrix;
@@ -35,11 +44,23 @@ const MAX_SWEEPS: usize = 5;
 /// eigenvectors — so the threshold errs wide.
 const CLUSTER_RTOL: f64 = 1e-6;
 
-/// Reusable scratch of [`tridiagonal_eigenvectors_into`]: the `PLU` factor
-/// arrays, the iterate, the row-major eigenvector staging area and the
-/// per-cluster Rayleigh–Ritz buffers.
+/// Reusable scratch of [`tridiagonal_eigenvectors_into`]: the row-major
+/// eigenvector staging area all shards write into, and each shard's private
+/// buffers.
 #[derive(Debug, Default, Clone)]
 pub struct InverseIterScratch {
+    /// Finished eigenvectors, one *row* each (contiguous per vector for the
+    /// Gram–Schmidt sweeps); transposed into the caller's column layout at
+    /// the end. A shard owns the rows of its eigenvalue range.
+    zrows: Matrix,
+    /// One entry per shard of the widest call seen.
+    shards: Vec<ShardScratch>,
+}
+
+/// What one shard needs besides its band of `zrows`: the `PLU` factor
+/// arrays, the iterate and the per-cluster Rayleigh–Ritz buffers.
+#[derive(Debug, Default, Clone)]
+struct ShardScratch {
     /// Diagonal of `U`.
     du: Vec<f64>,
     /// First superdiagonal of `U`.
@@ -54,10 +75,6 @@ pub struct InverseIterScratch {
     x: Vec<f64>,
     /// `T · z` scratch for Rayleigh quotients.
     tz: Vec<f64>,
-    /// Finished eigenvectors, one *row* each (contiguous per vector for the
-    /// Gram–Schmidt sweeps); transposed into the caller's column layout at
-    /// the end.
-    zrows: Matrix,
     /// Cluster Gram matrix `Zᵀ T Z` / its eigenvector basis.
     cl_b: Matrix,
     /// Rotated cluster rows.
@@ -70,7 +87,7 @@ pub struct InverseIterScratch {
 /// Factor `T − shift·I = P L U` with partial pivoting (`gttrf` for a
 /// symmetric tridiagonal). `d`/`e` use the crate convention (`e[0]` unused,
 /// `e[i]` couples rows `i−1` and `i`).
-fn factor_shifted(d: &[f64], e: &[f64], shift: f64, tiny: f64, s: &mut InverseIterScratch) {
+fn factor_shifted(d: &[f64], e: &[f64], shift: f64, tiny: f64, s: &mut ShardScratch) {
     let n = d.len();
     s.du.clear();
     s.du.extend(d.iter().map(|&x| x - shift));
@@ -116,7 +133,7 @@ fn factor_shifted(d: &[f64], e: &[f64], shift: f64, tiny: f64, s: &mut InverseIt
 }
 
 /// Solve `(T − shift·I) x = b` in place using the current factorization.
-fn solve_in_place(s: &InverseIterScratch, x: &mut [f64]) {
+fn solve_in_place(s: &ShardScratch, x: &mut [f64]) {
     let n = x.len();
     for i in 0..n.saturating_sub(1) {
         if s.swapped[i] {
@@ -151,20 +168,19 @@ fn norm(x: &[f64]) -> f64 {
     kernels::dot(x, x).sqrt()
 }
 
-/// Rayleigh–Ritz rotation of the cluster rows `[r0, r1)` of `zrows`:
-/// diagonalize `B = Zᵀ T Z` in the cluster subspace and rotate the rows into
-/// the Ritz basis, recovering the true eigenvectors of near-degenerate (not
-/// exactly degenerate) levels from the arbitrary orthonormal basis inverse
-/// iteration produces.
-fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], r0: usize, r1: usize, s: &mut InverseIterScratch) {
-    let c = r1 - r0;
+/// Rayleigh–Ritz rotation of a finished cluster, given as its `c` rows of
+/// the staging buffer: diagonalize `B = Zᵀ T Z` in the cluster subspace and
+/// rotate the rows into the Ritz basis, recovering the true eigenvectors of
+/// near-degenerate (not exactly degenerate) levels from the arbitrary
+/// orthonormal basis inverse iteration produces.
+fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], cluster: &mut [f64], s: &mut ShardScratch) {
     let n = d.len();
+    let c = cluster.len() / n;
     if c < 2 {
         return;
     }
     s.cl_b.resize_zeroed(c, c);
-    for q in 0..c {
-        let zq = s.zrows.row(r0 + q);
+    for (q, zq) in cluster.chunks_exact(n).enumerate() {
         // tz = T z_q.
         s.tz.clear();
         s.tz.resize(n, 0.0);
@@ -178,8 +194,7 @@ fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], r0: usize, r1: usize, s: &mut Inve
             }
             s.tz[i] = acc;
         }
-        for p in 0..c {
-            let zp = s.zrows.row(r0 + p);
+        for (p, zp) in cluster.chunks_exact(n).enumerate() {
             s.cl_b[(p, q)] = kernels::dot(zp, &s.tz);
         }
     }
@@ -198,17 +213,15 @@ fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], r0: usize, r1: usize, s: &mut Inve
     // Rotate: new row p = Σ_q U[q, p] · old row q.
     s.cl_rot.resize_zeroed(c, n);
     for p in 0..c {
-        for q in 0..c {
+        for (q, zq) in cluster.chunks_exact(n).enumerate() {
             let u = s.cl_b[(q, p)];
             if u == 0.0 {
                 continue;
             }
-            kernels::axpy(s.cl_rot.row_mut(p), u, s.zrows.row(r0 + q));
+            kernels::axpy(s.cl_rot.row_mut(p), u, zq);
         }
     }
-    for p in 0..c {
-        s.zrows.row_mut(r0 + p).copy_from_slice(s.cl_rot.row(p));
-    }
+    cluster.copy_from_slice(s.cl_rot.as_slice());
 }
 
 /// The cluster-detection tolerance [`tridiagonal_eigenvectors_into`] uses
@@ -220,12 +233,17 @@ fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], r0: usize, r1: usize, s: &mut Inve
 /// [`crate::bisection::snap_range_to_clusters`]), guaranteeing each cluster
 /// a single owner rank.
 pub fn cluster_tolerance(d: &[f64], e: &[f64]) -> f64 {
+    CLUSTER_RTOL * scale_norm(d, e)
+}
+
+/// `max_i (|d_i| + |e_i| + |e_{i+1}|)`, floored at 1: the scale every
+/// tolerance of the iteration is relative to.
+fn scale_norm(d: &[f64], e: &[f64]) -> f64 {
     let n = d.len();
-    let tnorm = (0..n)
+    (0..n)
         .map(|i| d[i].abs() + e[i].abs() + if i + 1 < n { e[i + 1].abs() } else { 0.0 })
         .fold(0.0f64, f64::max)
-        .max(1.0);
-    CLUSTER_RTOL * tnorm
+        .max(1.0)
 }
 
 /// Eigenvectors of the symmetric tridiagonal matrix `(d, e)` for the
@@ -234,8 +252,14 @@ pub fn cluster_tolerance(d: &[f64], e: &[f64]) -> f64 {
 /// iteration with Gram–Schmidt reorthogonalization and Rayleigh–Ritz
 /// rotation inside clusters.
 ///
-/// `z` is reshaped with [`Matrix::resize_zeroed`]; after warmup no
-/// allocation survives in the hot path.
+/// The window is cut at cluster boundaries into as many shards as the
+/// calling thread's compute lease is wide
+/// ([`crate::budget::effective_width`]; every hardware thread when
+/// unconstrained) and the shards run side by side. A width-1 lease runs one
+/// shard on the calling thread; the columns are bitwise the same either way.
+///
+/// `z` is reshaped with [`Matrix::resize_zeroed`]; after warmup the
+/// numerical buffers no longer grow.
 ///
 /// # Panics
 /// Panics if `d.len() != e.len()`, `lambda.len() > d.len()` or `lambda` is
@@ -247,13 +271,19 @@ pub fn tridiagonal_eigenvectors_into(
     z: &mut Matrix,
     s: &mut InverseIterScratch,
 ) {
-    tridiagonal_eigenvectors_offset_into(d, e, lambda, 0, z, s);
+    let shards = match crate::budget::effective_width() {
+        0 => rayon::current_num_threads(),
+        width => width,
+    };
+    eigenvectors_sharded(d, e, lambda, 0, shards, z, s);
 }
 
 /// Offset-aware form of [`tridiagonal_eigenvectors_into`] for distributed
 /// spectrum slicing: `lambda` is a contiguous sub-slice of a globally sorted
 /// spectrum starting at global index `seed_offset`, and the deterministic
-/// start vectors are keyed on the *global* index `seed_offset + j`.
+/// start vectors are keyed on the *global* index `seed_offset + j`. A rank's
+/// slice is already one shard of the spectrum, so it runs as one shard on
+/// the calling thread.
 ///
 /// With shard boundaries snapped to cluster boundaries (so no cluster
 /// straddles ranks and the shift-separation perturbation never crosses a
@@ -266,6 +296,25 @@ pub fn tridiagonal_eigenvectors_offset_into(
     e: &[f64],
     lambda: &[f64],
     seed_offset: usize,
+    z: &mut Matrix,
+    s: &mut InverseIterScratch,
+) {
+    eigenvectors_sharded(d, e, lambda, seed_offset, 1, z, s);
+}
+
+/// Side of the square tiles of the final `zrows → z` transpose: 8 doubles
+/// are one cache line, so a tile reads 8 lines and writes 8 lines instead of
+/// striding through `z` one element per line.
+const TRANSPOSE_TILE: usize = 8;
+
+/// Both public entry points: `lambda` in at most `shards` cluster-snapped
+/// shards, then the transpose into `z`.
+fn eigenvectors_sharded(
+    d: &[f64],
+    e: &[f64],
+    lambda: &[f64],
+    seed_offset: usize,
+    shards: usize,
     z: &mut Matrix,
     s: &mut InverseIterScratch,
 ) {
@@ -285,17 +334,62 @@ pub fn tridiagonal_eigenvectors_offset_into(
         z[(0, 0)] = 1.0;
         return;
     }
-    let tnorm = (0..n)
-        .map(|i| d[i].abs() + e[i].abs() + if i + 1 < n { e[i + 1].abs() } else { 0.0 })
-        .fold(0.0f64, f64::max)
-        .max(1.0);
+    let tnorm = scale_norm(d, e);
+    let ctol = CLUSTER_RTOL * tnorm;
+    s.zrows.resize_zeroed(k, n);
+    if s.shards.len() < shards {
+        s.shards.resize_with(shards, ShardScratch::default);
+    }
+    // Equal eigenvalue counts, each cut moved up to the next cluster
+    // boundary; a shard that a wide cluster swallowed is empty.
+    let cut = |i: usize| snap_range_to_clusters(lambda, ctol, i * k / shards..k).start;
+    let mut rest = s.zrows.as_mut_slice();
+    let mut jobs = Vec::with_capacity(shards);
+    for (i, scratch) in s.shards.iter_mut().take(shards).enumerate() {
+        let range = cut(i)..cut(i + 1);
+        let (band, tail) = rest.split_at_mut(range.len() * n);
+        rest = tail;
+        jobs.push((range, band, scratch));
+    }
+    batch_map(shards > 1, &mut jobs, |_, (range, band, scratch)| {
+        let seed = seed_offset + range.start;
+        iterate_shard(d, e, &lambda[range.clone()], seed, tnorm, band, scratch);
+    });
+    // Transpose the row-staged vectors into the caller's column layout.
+    let (zr, zc) = (s.zrows.as_slice(), z.as_mut_slice());
+    for j0 in (0..k).step_by(TRANSPOSE_TILE) {
+        let j1 = (j0 + TRANSPOSE_TILE).min(k);
+        for i0 in (0..n).step_by(TRANSPOSE_TILE) {
+            for i in i0..(i0 + TRANSPOSE_TILE).min(n) {
+                for j in j0..j1 {
+                    zc[i * k + j] = zr[j * n + i];
+                }
+            }
+        }
+    }
+}
+
+/// Inverse iteration for one shard: the eigenvectors of `lambda` (global
+/// indices `seed..`) into the rows of `zrows` (`lambda.len() × n`).
+fn iterate_shard(
+    d: &[f64],
+    e: &[f64],
+    lambda: &[f64],
+    seed: usize,
+    tnorm: f64,
+    zrows: &mut [f64],
+    s: &mut ShardScratch,
+) {
+    let n = d.len();
+    let k = lambda.len();
     let tiny = f64::EPSILON * tnorm;
     let ctol = CLUSTER_RTOL * tnorm;
     let sep = 10.0 * f64::EPSILON * tnorm;
-
-    s.zrows.resize_zeroed(k, n);
-    s.x.clear();
-    s.x.resize(n, 0.0);
+    // The iterate is held outside the scratch so the factor arrays stay
+    // borrowable during the sweeps; it is handed back at the end.
+    let mut x = std::mem::take(&mut s.x);
+    x.clear();
+    x.resize(n, 0.0);
 
     let mut cluster_start = 0usize;
     let mut prev_shift = f64::NEG_INFINITY;
@@ -310,22 +404,18 @@ pub fn tridiagonal_eigenvectors_offset_into(
             cluster_start = j;
         }
         factor_shifted(d, e, shift, tiny, s);
-        for (pos, xv) in s.x.iter_mut().enumerate() {
-            *xv = seeded_entry(seed_offset + j, pos);
+        for (pos, xv) in x.iter_mut().enumerate() {
+            *xv = seeded_entry(seed + j, pos);
         }
-        let inv = 1.0 / norm(&s.x);
-        s.x.iter_mut().for_each(|v| *v *= inv);
-        // Inverse-iteration sweeps with in-cluster reorthogonalization. The
-        // iterate is moved out of the scratch so the factor arrays stay
-        // borrowable; it is moved back after the sweeps.
-        let mut x = std::mem::take(&mut s.x);
+        let inv = 1.0 / norm(&x);
+        x.iter_mut().for_each(|v| *v *= inv);
+        // Inverse-iteration sweeps with in-cluster reorthogonalization.
         let mut converged = false;
         for _sweep in 0..MAX_SWEEPS {
             solve_in_place(s, &mut x);
             let growth = norm(&x);
             // Orthogonalize against the finished members of this cluster.
-            for p in cluster_start..j {
-                let zp = s.zrows.row(p);
+            for zp in zrows[cluster_start * n..j * n].chunks_exact(n) {
                 let dot = kernels::dot(&x, zp);
                 kernels::axpy(&mut x, -dot, zp);
             }
@@ -333,7 +423,7 @@ pub fn tridiagonal_eigenvectors_offset_into(
             if nrm == 0.0 {
                 // Fully projected out: restart from fresh noise.
                 for (pos, xv) in x.iter_mut().enumerate() {
-                    *xv = seeded_entry((seed_offset + j).wrapping_add(0x5bd1), pos);
+                    *xv = seeded_entry((seed + j).wrapping_add(0x5bd1), pos);
                 }
                 let inv = 1.0 / norm(&x);
                 x.iter_mut().for_each(|v| *v *= inv);
@@ -351,19 +441,107 @@ pub fn tridiagonal_eigenvectors_offset_into(
                 converged = true;
             }
         }
-        s.zrows.row_mut(j).copy_from_slice(&x);
-        s.x = x;
+        zrows[j * n..(j + 1) * n].copy_from_slice(&x);
         // Cluster finished (next value far, or last index): rotate it.
         let cluster_ends = j + 1 == k || lambda[j + 1] - lambda[j] > ctol;
-        if cluster_ends && j > cluster_start {
-            rayleigh_ritz_rotate(d, e, cluster_start, j + 1, s);
+        if cluster_ends {
+            rayleigh_ritz_rotate(d, e, &mut zrows[cluster_start * n..(j + 1) * n], s);
         }
     }
-    // Transpose the row-staged vectors into the caller's column layout.
-    for j in 0..k {
-        let row = s.zrows.row(j);
-        for i in 0..n {
-            z[(i, j)] = row[i];
+    s.x = x;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blocked::{reduced_eigenvalues_into, tridiagonalize_blocked_into};
+    use crate::eigh::{eigh, EighWorkspace};
+
+    #[test]
+    fn sharded_matches_single_shard_bitwise_on_degenerate_clusters() {
+        // The spectrum of `partial_handles_degenerate_clusters`: per unit
+        // interval an exact triple, a 1e-9-split companion and a singleton.
+        // With k = 24 the raw cuts of 2, 3 and 4 shards (12; 8, 16; 6, 12,
+        // 18) all fall inside a four-member cluster and must move up to its
+        // end.
+        let n = 30;
+        let target: Vec<f64> = (0..n)
+            .map(|i| (i / 5) as f64 + [0.0, 0.0, 0.0, 1e-9, 0.4][i % 5])
+            .collect();
+        let mut seed = 4242u64;
+        let mut noise = Matrix::from_fn(n, n, |_, _| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        });
+        noise.symmetrize();
+        let q = eigh(noise).unwrap().vectors;
+        let mut a = q
+            .matmul(&Matrix::from_diagonal(&target))
+            .matmul(&q.transpose());
+        let mut ws = EighWorkspace::default();
+        tridiagonalize_blocked_into(&mut a, &mut ws);
+        let mut values = Vec::new();
+        reduced_eigenvalues_into(&mut ws, &mut values).unwrap();
+        let (d, e) = ws.tridiagonal_factor();
+        let k = 24;
+        let ctol = cluster_tolerance(d, e);
+        assert!(
+            values[12] - values[11] <= ctol && values[14] - values[13] > ctol,
+            "a cluster must straddle k/2"
+        );
+
+        let solve = |shards: usize| {
+            let mut z = Matrix::zeros(0, 0);
+            let mut s = InverseIterScratch::default();
+            eigenvectors_sharded(d, e, &values[..k], 0, shards, &mut z, &mut s);
+            z
+        };
+        let single = solve(1);
+        for shards in 2..=4 {
+            assert!(solve(shards) == single, "{shards} shards");
+        }
+        // The lease decides the shard count of the public entry point.
+        for width in 1..=4 {
+            let mut z = Matrix::zeros(0, 0);
+            crate::budget::ComputeLease::untracked(width).scoped(|| {
+                let mut s = InverseIterScratch::default();
+                tridiagonal_eigenvectors_into(d, e, &values[..k], &mut z, &mut s)
+            });
+            assert!(z == single, "lease width {width}");
+        }
+        // Orthonormal across the shard seams as well.
+        let gram = single.t_matmul(&single);
+        for i in 0..k {
+            for j in 0..k {
+                let target = if i == j { 1.0 } else { 0.0 };
+                assert!((gram[(i, j)] - target).abs() < 1e-10, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn shards_outnumbering_clusters_leave_empty_shards() {
+        // One cluster of three: every cut snaps to the end, so shards 1.. are
+        // empty and shard 0 does the lot; and a transpose that is not a
+        // multiple of the tile.
+        let d = [1.0, 1.0, 1.0, 5.0, 9.0, 2.0, 7.0, 3.0, 8.0, 4.0, 6.0];
+        let e = [0.0; 11];
+        let lambda = [1.0, 1.0, 1.0];
+        let mut s = InverseIterScratch::default();
+        let mut z = Matrix::zeros(0, 0);
+        eigenvectors_sharded(&d, &e, &lambda, 0, 4, &mut z, &mut s);
+        let mut reference = Matrix::zeros(0, 0);
+        eigenvectors_sharded(&d, &e, &lambda, 0, 1, &mut reference, &mut s);
+        assert!(z == reference);
+        for j in 0..3 {
+            let col = z.col(j);
+            let weight: f64 = col[..3].iter().map(|x| x * x).sum();
+            assert!(
+                (weight - 1.0).abs() < 1e-12,
+                "column {j} leaves the eigenspace"
+            );
         }
     }
 }

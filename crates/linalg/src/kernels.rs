@@ -222,6 +222,54 @@ pub fn axpy4<T: Scalar>(orow: &mut [T], a: [T; 4], b: [&[T]; 4]) {
     }
 }
 
+/// [`dot4`] and [`axpy4`] over the same four rows in one pass: returns
+/// `x·yj` and leaves `p += Σ_j a[j]·yj`, bit for bit what
+/// `dot4(x, y0, y1, y2, y3)` followed by `axpy4(p, a, y)` give, with every
+/// row element loaded once instead of twice. This is a four-row pass of the
+/// lower-triangle symmetric matvec ([`symv_lower`]): the rows' own dots and
+/// their transposed contributions while the rows are hot.
+///
+/// Written over `chunks_exact` so no bounds check sits between the stores
+/// to `p` — an indexed loop here compiles to scalar code.
+#[inline]
+pub fn dot4_axpy4<T: Scalar>(p: &mut [T], x: &[T], a: [T; 4], y: [&[T]; 4]) -> [T; 4] {
+    let n = p.len();
+    let mut acc = [[T::ZERO; DOT2_LANES]; 4];
+    let mut pc = p.chunks_exact_mut(DOT2_LANES);
+    let mut xc = x[..n].chunks_exact(DOT2_LANES);
+    let mut yc = y.map(|yj| yj[..n].chunks_exact(DOT2_LANES));
+    let [y0, y1, y2, y3] = &mut yc;
+    let rows = y0
+        .by_ref()
+        .zip(y1.by_ref())
+        .zip(y2.by_ref().zip(y3.by_ref()));
+    for ((pp, xx), ((b0, b1), (b2, b3))) in pc.by_ref().zip(xc.by_ref()).zip(rows) {
+        for l in 0..DOT2_LANES {
+            let xv = xx[l];
+            acc[0][l] += xv * b0[l];
+            acc[1][l] += xv * b1[l];
+            acc[2][l] += xv * b2[l];
+            acc[3][l] += xv * b3[l];
+            pp[l] = (((pp[l] + a[0] * b0[l]) + a[1] * b1[l]) + a[2] * b2[l]) + a[3] * b3[l];
+        }
+    }
+    let mut s = acc.map(|l| (l[0] + l[1]) + (l[2] + l[3]));
+    let tail = yc.map(|c| c.remainder());
+    for (i, (pv, &xv)) in pc
+        .into_remainder()
+        .iter_mut()
+        .zip(xc.remainder())
+        .enumerate()
+    {
+        let b = tail.map(|t| t[i]);
+        for j in 0..4 {
+            s[j] += xv * b[j];
+        }
+        *pv = (((*pv + a[0] * b[0]) + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3];
+    }
+    s
+}
+
 /// GEMM panel kernel: `out_row += Σ_p a_row[p] · b[p][..]` for
 /// `p ∈ [p0, p1)`, with `b` given as a row-major slice of row stride
 /// `ldb ≥ n`.
@@ -247,6 +295,51 @@ pub fn gemm_row<T: Scalar>(orow: &mut [T], arow: &[T], b: &[T], ldb: usize, p0: 
     while p < p1 {
         axpy(orow, arow[p], brow(p));
         p += 1;
+    }
+}
+
+/// Symmetric matrix–vector product on the trailing block `[lo, n)` of the
+/// row-major `n × n` matrix `a`, reading only its lower triangle:
+/// `p[lo..n] = A[lo..n, lo..n] · v[lo..n]` — the panel `A·v` of the blocked
+/// tridiagonalization.
+///
+/// Four rows per pass: over the columns `lo..r` that rows `r..r+4` share, one
+/// [`dot4_axpy4`] prices the four row dots and scatters the four transposed
+/// contributions, so a row element, `v` and `p` are each loaded once per
+/// four rows; the 4×4 triangle on the diagonal is scalar. The
+/// `(n − lo) mod 4` rows that do not fill a pass come *first*, where they
+/// share no column and are a diagonal triangle of their own. `p[i]` therefore
+/// sums: its [`dot4`] lane tree, its diagonal-triangle terms in ascending
+/// column order, then one [`axpy4`] term group per later pass — a fixed order
+/// that depends on `(lo, n)` alone.
+///
+/// # Panics
+/// Panics if `a` is shorter than `n × n` or `v`, `p` shorter than `n`.
+pub fn symv_lower<T: Scalar>(a: &[T], n: usize, lo: usize, v: &[T], p: &mut [T]) {
+    let row = |r: usize| &a[r * n..(r + 1) * n];
+    // Rows r0..r1 against columns r0..r1: the part of a pass on the diagonal.
+    let triangle = |p: &mut [T], r0: usize, r1: usize| {
+        for i in r0..r1 {
+            let ai = row(i);
+            for c in r0..i {
+                p[i] += ai[c] * v[c];
+                p[c] += ai[c] * v[i];
+            }
+            p[i] += ai[i] * v[i];
+        }
+    };
+    p[lo..n].fill(T::ZERO);
+    let head = lo + (n - lo) % 4;
+    triangle(p, lo, head);
+    for r in (head..n).step_by(4) {
+        let s = dot4_axpy4(
+            &mut p[lo..r],
+            &v[lo..r],
+            [v[r], v[r + 1], v[r + 2], v[r + 3]],
+            [row(r), row(r + 1), row(r + 2), row(r + 3)].map(|x| &x[lo..]),
+        );
+        p[r..r + 4].copy_from_slice(&s);
+        triangle(p, r, r + 4);
     }
 }
 
@@ -448,6 +541,64 @@ mod tests {
         }
         for j in 0..n {
             assert_eq!(out[j].to_bits(), reference[j].to_bits(), "col {j}");
+        }
+    }
+
+    #[test]
+    fn dot4_axpy4_is_dot4_then_axpy4_bitwise() {
+        for n in [0, 1, 3, 4, 7, 29, 64] {
+            let x = seq(n, 0.21, 1.0);
+            let y: [Vec<f64>; 4] = std::array::from_fn(|j| seq(n + j, 0.3 * j as f64 - 0.43, 0.5));
+            let y = [&y[0][..], &y[1][..], &y[2][..], &y[3][..]];
+            let a = [0.7, -1.1, 0.3, 2.9];
+            let mut fused = seq(n, -0.17, 0.9);
+            let mut reference = fused.clone();
+            let dots = dot4_axpy4(&mut fused, &x, a, y);
+            let want = dot4(&x, &y[0][..n], &y[1][..n], &y[2][..n], &y[3][..n]);
+            axpy4(&mut reference, a, y);
+            assert_eq!(dots.map(f64::to_bits), want.map(f64::to_bits), "n={n}");
+            assert_eq!(
+                fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn symv_lower_matches_row_at_a_time() {
+        // Trailing blocks of every length mod 4, including shorter than one
+        // pass; the upper triangle is poisoned to prove it is never read.
+        let n = 23;
+        let a: Vec<f64> = (0..n * n)
+            .map(|i| {
+                let (r, c) = (i / n, i % n);
+                if c > r {
+                    f64::NAN
+                } else {
+                    ((r * 31 + c * 17) as f64 * 0.37).sin()
+                }
+            })
+            .collect();
+        let v = seq(n, 0.13, -1.4);
+        for lo in [0, 1, 2, 3, 12, 19, 20, 21, 22] {
+            let mut p = vec![f64::NAN; n];
+            symv_lower(&a, n, lo, &v, &mut p);
+            let mut reference = vec![0.0; n];
+            for r in lo..n {
+                let row = &a[r * n..];
+                reference[r] += dot(&row[lo..=r], &v[lo..=r]);
+                axpy(&mut reference[lo..r], v[r], &row[lo..r]);
+            }
+            for i in lo..n {
+                assert!(
+                    (p[i] - reference[i]).abs() <= n as f64 * f64::EPSILON * 10.0,
+                    "lo={lo} i={i}: {} vs {}",
+                    p[i],
+                    reference[i]
+                );
+            }
+            assert!(p[..lo].iter().all(|x| x.is_nan()), "wrote above the block");
         }
     }
 

@@ -114,7 +114,6 @@ pub fn solve_occupied(
     if two_stage {
         tridiagonalize_blocked_into(&mut ws.h, &mut ws.eigh);
         reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
-        tbmd_trace::add(Counter::SturmBisections, ws.values.len() as u64);
     } else if solver == DenseSolver::ParallelJacobi {
         par_jacobi_eigh_into(
             &mut ws.h,

@@ -90,13 +90,19 @@ fn disabled_sink_md_is_bitwise_identical_and_allocation_free() {
     assert_eq!(x_off, x_on, "final positions differ with tracing on");
     // The scope observed exactly the run it did not perturb: one
     // neighbour-list update and one eigensolve per force evaluation
-    // (50 steps + the initial one), each Sturm-bisecting all 256 levels.
+    // (50 steps + the initial one), whose 256 levels are Sturm-bisected
+    // only where `reduced_eigenvalues_into` picks bisection over QL: from
+    // four hardware threads up.
     assert_eq!(
         delta.counter(Counter::NlRebuilds) + delta.counter(Counter::NlRefreshes),
         51,
         "neighbour-list activity"
     );
-    assert_eq!(delta.counter(Counter::SturmBisections), 51 * 256);
+    let bisects = std::thread::available_parallelism().is_ok_and(|t| t.get() >= 4);
+    assert_eq!(
+        delta.counter(Counter::SturmBisections),
+        if bisects { 51 * 256 } else { 0 }
+    );
     // Each phase span also fed its latency histogram: one sample per phase
     // per force evaluation, with ordered reconstructed quantiles.
     for hist in [
