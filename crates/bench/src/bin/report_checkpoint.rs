@@ -25,7 +25,7 @@ use std::time::Instant;
 use tbmd::trace::{Counter, JsonValue};
 use tbmd::{
     CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan, ResilienceOptions,
-    SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec, TraceSink, Vec3,
+    ScopedSink, SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec, Vec3,
 };
 use tbmd_bench::{check_gate, fmt_f, write_json, BenchArgs, ReportTable};
 
@@ -68,8 +68,8 @@ fn snapshot_cost(reps: usize) -> SnapshotCost {
     let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps }, 300.0, steps);
     config.perturb = 0.02;
 
-    tbmd::trace::install(TraceSink::collecting());
-    let before = tbmd::trace::snapshot();
+    let scope = ScopedSink::new("snapshot_cost");
+    let observing = scope.enter();
     let t0 = Instant::now();
     let summary = SessionBuilder::new(config)
         .checkpoint(&cfg)
@@ -78,8 +78,8 @@ fn snapshot_cost(reps: usize) -> SnapshotCost {
         .run()
         .expect("checkpointed run");
     let wall = t0.elapsed();
-    let delta = tbmd::trace::snapshot().since(&before);
-    tbmd::trace::install(TraceSink::disabled());
+    drop(observing);
+    let delta = scope.snapshot();
 
     let writes = delta.counter(Counter::CkptWrites).max(1);
     let store = CheckpointStore::open(&dir, 0).expect("store");

@@ -21,7 +21,7 @@
 //! Run: `cargo run --release -p tbmd-bench --bin report_phase_breakdown [-- max_reps]`
 
 use tbmd::linscale::LinearScalingTb;
-use tbmd::trace::{Counter, TraceSink};
+use tbmd::trace::{Counter, ScopedSink};
 use tbmd::{silicon_gsp, DistributedTb, ForceProvider, Species, TbCalculator, Workspace};
 use tbmd_bench::{fmt_f, fmt_ms, BenchArgs, Report, ReportTable};
 
@@ -30,9 +30,10 @@ fn main() {
     let max_reps = args.pos_usize(0, 3);
     let model = silicon_gsp();
     let calc = TbCalculator::new(&model);
-    // Collecting sink so the kernel-layer counters (kernel_flops,
+    // Observe the whole report so the kernel-layer counters (kernel_flops,
     // chebyshev_matvecs) land in the tables below.
-    tbmd::trace::install(TraceSink::collecting());
+    let scope = ScopedSink::new("phase_breakdown");
+    let _observing = scope.enter();
 
     let mut t1 = ReportTable::new(
         "T1: per-phase time per TBMD force evaluation, Si diamond supercells (serial, this host)",
@@ -59,13 +60,14 @@ fn main() {
         let n_samples = if s.n_atoms() <= 64 { 3 } else { 1 };
         let mut acc = tbmd::model::PhaseTimings::default();
         let mut eval = None;
-        let before = tbmd::trace::snapshot();
+        let before = scope.snapshot();
         for _ in 0..n_samples {
             let e = calc.evaluate_with(&s, &mut ws).expect("evaluation");
             acc.accumulate(&e.timings);
             eval = Some(e);
         }
-        let kernel_flops = tbmd::trace::snapshot()
+        let kernel_flops = scope
+            .snapshot()
             .since(&before)
             .counter(Counter::KernelFlops);
         // Equivalence check: the cold path must agree to 1e-10.
@@ -153,11 +155,11 @@ fn main() {
         let engine = LinearScalingTb::new(&model);
         let mut ws = Workspace::new();
         engine.evaluate_with(&s, &mut ws).expect("warmup");
-        let before = tbmd::trace::snapshot();
+        let before = scope.snapshot();
         let t0 = std::time::Instant::now();
         engine.evaluate_with(&s, &mut ws).expect("evaluation");
         let wall = t0.elapsed();
-        let delta = tbmd::trace::snapshot().since(&before);
+        let delta = scope.snapshot().since(&before);
         t1c.row(vec![
             fmt_ms(wall),
             delta.counter(Counter::ChebyshevMatvecs).to_string(),

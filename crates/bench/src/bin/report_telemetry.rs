@@ -2,12 +2,13 @@
 //! exactly free when off (ISSUE 9 acceptance bench).
 //!
 //! Sections:
-//! * `overhead` — interleaved Si-8 NVE runs with the disabled sink vs a
-//!   collecting sink (histograms live, scoped sink entered per step). The
-//!   min-of-N walls must stay within the overhead gate (default 2%,
+//! * `overhead` — interleaved Si-8 NVE runs nobody observes vs runs
+//!   observed the way a serve tenant is (a root scope entered around the
+//!   run, a tenant scope the session enters per step, histograms live).
+//!   The min-of-N walls must stay within the overhead gate (default 2%,
 //!   `--threshold` to override as a ratio), and every run's endpoint
 //!   energy must be bitwise identical across both modes.
-//! * `histograms` — the latency distributions the collecting run filled
+//! * `histograms` — the latency distributions the observed run filled
 //!   in: count, mean and p50/p90/p99 per non-empty histogram, plus a
 //!   sanity bound (step count ≥ MD steps, p50 ≤ p99 ≤ 2× max bucket).
 //! * `timeline` — a short run under the span-timeline recorder, exported
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use tbmd::trace::timeline;
 use tbmd::trace::{git_describe, Hist, HistogramSet, JsonValue, ScopedSink};
-use tbmd::{SessionBuilder, SessionStatus, SimulationConfig, SystemSpec, TraceSink};
+use tbmd::{SessionBuilder, SessionStatus, SimulationConfig, SystemSpec};
 use tbmd_bench::{check_gate, fmt_f, write_json, BenchArgs, ReportTable};
 
 const STEPS: usize = 32;
@@ -37,30 +38,29 @@ fn config() -> SimulationConfig {
     c
 }
 
-/// One full Si-8 session under the given sink mode. Returns the stepping
-/// wall time, the endpoint energy bits, and (for collecting runs) the
-/// global histograms the run filled in.
-fn run_once(collecting: bool) -> (Duration, u64, HistogramSet) {
-    if collecting {
-        tbmd::trace::install(TraceSink::collecting());
-    } else {
-        tbmd::trace::install(TraceSink::disabled());
-    }
-    // A per-tenant scope like the serve scheduler attaches, so the scoped
-    // fan-out cost is part of what the gate measures.
-    let scope = collecting.then(|| ScopedSink::new("bench"));
+/// One full Si-8 session, observed or not. Returns the stepping wall time,
+/// the endpoint energy bits, and the histograms the root scope collected
+/// (empty for an unobserved run).
+fn run_once(observed: bool) -> (Duration, u64, HistogramSet) {
+    // Root + tenant scope like the serve scheduler nests them, so the
+    // two-level fan-out cost is part of what the gate measures.
+    let root = ScopedSink::new("root");
     let mut builder = SessionBuilder::new(config());
-    if let Some(s) = &scope {
-        builder = builder.telemetry(s.clone());
+    if observed {
+        builder = builder.telemetry(ScopedSink::new("bench"));
     }
     let mut session = builder.build().expect("session");
+    let entered = observed.then(|| root.enter());
     let t0 = Instant::now();
     while session.step().expect("session step") != SessionStatus::Done {}
     let wall = t0.elapsed();
-    let hists = tbmd::trace::histograms();
-    tbmd::trace::install(TraceSink::disabled());
+    drop(entered);
     let summary = session.take_summary().expect("summary");
-    (wall, summary.final_total_energy.to_bits(), hists)
+    (
+        wall,
+        summary.final_total_energy.to_bits(),
+        root.histograms(),
+    )
 }
 
 /// Phase/step nesting check over the parsed chrome trace: every event
@@ -110,7 +110,7 @@ fn main() {
         .set("steps", STEPS)
         .set("reps", REPS);
 
-    // --- Overhead: interleaved disabled/collecting repeats.
+    // --- Overhead: interleaved unobserved/observed repeats.
     let mut off_walls = Vec::with_capacity(REPS);
     let mut on_walls = Vec::with_capacity(REPS);
     let mut energies = Vec::with_capacity(2 * REPS);
@@ -133,20 +133,20 @@ fn main() {
         format!("Telemetry overhead (Si-8 NVE, {STEPS} steps, min of {REPS})"),
         &["mode", "wall_ms", "ratio"],
     );
-    t.row(vec!["disabled".into(), fmt_f(off_ms, 3), fmt_f(1.0, 4)])
-        .row(vec!["collecting".into(), fmt_f(on_ms, 3), fmt_f(ratio, 4)]);
+    t.row(vec!["unobserved".into(), fmt_f(off_ms, 3), fmt_f(1.0, 4)])
+        .row(vec!["observed".into(), fmt_f(on_ms, 3), fmt_f(ratio, 4)]);
     t.print();
     let mut overhead = JsonValue::object();
     overhead
-        .set("disabled_ms", off_ms)
-        .set("collecting_ms", on_ms)
+        .set("unobserved_ms", off_ms)
+        .set("observed_ms", on_ms)
         .set("ratio", ratio)
         .set("bitwise_identical", bitwise);
     root.set("overhead", overhead);
 
-    // --- Histograms from the last collecting run.
+    // --- Histograms from the last observed run.
     let mut t = ReportTable::new(
-        "Latency histograms (collecting run)",
+        "Latency histograms (observed run)",
         &["hist", "count", "mean_ms", "p50_ms", "p90_ms", "p99_ms"],
     );
     let mut hist_rows = Vec::new();
@@ -183,13 +183,11 @@ fn main() {
 
     // --- Timeline: capture, export, parse back, check the nesting.
     timeline::enable(0);
-    tbmd::trace::install(TraceSink::collecting());
     let mut session = SessionBuilder::new(config()).build().expect("session");
     for _ in 0..6 {
         session.step().expect("session step");
     }
     let chrome = timeline::export_chrome().to_compact();
-    tbmd::trace::install(TraceSink::disabled());
     timeline::disable();
     drop(session);
     let parsed = JsonValue::parse(&chrome);

@@ -2,8 +2,7 @@
 //!
 //! Benchmark harness for the reproduction: shared CLI parsing, table
 //! formatting (text or JSON) and check-gate helpers used by the report
-//! binaries (one per experiment in DESIGN.md, `src/bin/report_*.rs`) and
-//! the Criterion benches (`benches/*.rs`).
+//! binaries (one per experiment in DESIGN.md, `src/bin/report_*.rs`).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -71,11 +70,8 @@ pub struct BenchArgs {
     pub check: bool,
     /// Mirror the report as JSON to this path.
     pub json: Option<PathBuf>,
-    /// Previous run's JSON artifact to diff against (`--prev <path>`).
-    /// Check mode treats a missing file as "first run": pass with a note.
-    pub prev: Option<PathBuf>,
-    /// Regression threshold for timing ratios (`--threshold <x>`): current
-    /// wall times may be at most `x` times the previous artifact's.
+    /// Gate threshold for a timing ratio (`--threshold <x>`), for the bins
+    /// whose gate is one (`report_telemetry`: observed / unobserved wall).
     pub threshold: Option<f64>,
 }
 
@@ -96,8 +92,6 @@ impl BenchArgs {
                 out.check = true;
             } else if a == "--json" {
                 out.json = iter.next().map(PathBuf::from);
-            } else if a == "--prev" {
-                out.prev = iter.next().map(PathBuf::from);
             } else if a == "--threshold" {
                 out.threshold = iter.next().and_then(|s| s.parse().ok());
             } else {
@@ -119,64 +113,6 @@ impl BenchArgs {
     pub fn threshold_or(&self, default: f64) -> f64 {
         self.threshold.unwrap_or(default)
     }
-}
-
-/// Diff a freshly generated baseline document against a previous CI
-/// artifact. Returns one human-readable violation per regression; an empty
-/// list means the gate passes.
-///
-/// Gates applied to each engine row of the `engines` section, matched by
-/// `(engine, n_atoms)`:
-/// * `total_ms` may grow to at most `time_ratio` × the previous value
-///   (loose — CI hosts are noisy);
-/// * `wire_bytes` must match within 1% (near-exact — communication volume
-///   is deterministic, so real growth is an algorithmic regression).
-///
-/// Rows present on only one side are ignored: adding an engine or a size
-/// to the bench must not fail the gate for unrelated history.
-pub fn compare_baselines(
-    current: &JsonValue,
-    previous: &JsonValue,
-    time_ratio: f64,
-) -> Vec<String> {
-    let rows = |doc: &JsonValue| -> Vec<(String, f64, f64, f64)> {
-        doc.get("engines")
-            .and_then(|e| e.as_array())
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|r| {
-                        let engine = r.get("engine")?.as_str()?.to_string();
-                        let n = r.get("n_atoms")?.as_f64()?;
-                        let total = r.get("total_ms")?.as_f64()?;
-                        let wire = r.get("wire_bytes")?.as_f64()?;
-                        Some((engine, n, total, wire))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let prev_rows = rows(previous);
-    let mut violations = Vec::new();
-    for (engine, n, total, wire) in rows(current) {
-        let Some((_, _, prev_total, prev_wire)) = prev_rows
-            .iter()
-            .find(|(e, pn, _, _)| *e == engine && *pn == n)
-        else {
-            continue;
-        };
-        if *prev_total > 0.0 && total > prev_total * time_ratio {
-            violations.push(format!(
-                "{engine}/N={n}: total {total:.3} ms exceeds {time_ratio:.2}x previous ({prev_total:.3} ms)"
-            ));
-        }
-        let wire_tol = (prev_wire * 0.01).max(1.0);
-        if (wire - prev_wire).abs() > wire_tol {
-            violations.push(format!(
-                "{engine}/N={n}: wire bytes {wire:.0} vs previous {prev_wire:.0} (>1% drift)"
-            ));
-        }
-    }
-    violations
 }
 
 /// One aligned table of a report, printable as era-style text or JSON.
@@ -383,55 +319,17 @@ mod tests {
         assert_eq!(args.pos_usize(0, 0), 4);
         assert_eq!(args.pos_usize(1, 0), 7);
         assert_eq!(args.pos_usize(2, 9), 9);
-        assert!(args.prev.is_none());
         assert_eq!(args.threshold_or(1.6), 1.6);
     }
 
     #[test]
-    fn args_parse_prev_and_threshold() {
+    fn args_parse_threshold() {
         let args = BenchArgs::from_args(
-            ["check", "--prev", "old.json", "--threshold", "1.4"]
+            ["check", "--threshold", "1.4"]
                 .into_iter()
                 .map(String::from),
         );
-        assert_eq!(args.prev.as_deref(), Some(Path::new("old.json")));
         assert_eq!(args.threshold_or(1.6), 1.4);
-    }
-
-    fn engines_doc(engine: &str, n_atoms: usize, total_ms: f64, wire: u64) -> JsonValue {
-        let mut row = JsonValue::object();
-        row.set("engine", engine)
-            .set("n_atoms", n_atoms)
-            .set("total_ms", total_ms)
-            .set("wire_bytes", wire);
-        let mut doc = JsonValue::object();
-        doc.set("engines", JsonValue::from(vec![row]));
-        doc
-    }
-
-    #[test]
-    fn baseline_diff_gates_time_and_wire() {
-        let prev = engines_doc("serial", 8, 10.0, 1000);
-
-        // Within the ratio and identical wire bytes: clean.
-        let ok = engines_doc("serial", 8, 14.0, 1000);
-        assert!(compare_baselines(&ok, &prev, 1.6).is_empty());
-
-        // 2x slower: timing violation.
-        let slow = engines_doc("serial", 8, 20.0, 1000);
-        let v = compare_baselines(&slow, &prev, 1.6);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("total"), "{v:?}");
-
-        // 5% more wire traffic: deterministic-volume violation.
-        let chatty = engines_doc("serial", 8, 10.0, 1050);
-        let v = compare_baselines(&chatty, &prev, 1.6);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("wire"), "{v:?}");
-
-        // Unmatched rows (new engine/size) never violate.
-        let new_row = engines_doc("shared", 64, 500.0, 9999);
-        assert!(compare_baselines(&new_row, &prev, 1.6).is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use tbmd::{
 use tbmd_md::RdfAccumulator;
 use tbmd_serve::{JobSpec, Multiplexer};
 use tbmd_structure::{apply_strain, Structure};
-use tbmd_trace::{Hist, HistSnapshot, ScopedSink, TraceSink};
+use tbmd_trace::{Hist, HistSnapshot, ScopedSink};
 
 /// Execution knobs for one campaign invocation.
 #[derive(Debug, Clone)]
@@ -87,11 +87,6 @@ pub fn endpoint_fingerprint(summary: &SimulationSummary) -> u64 {
 /// Run a campaign to completion (or to `stop_after`), reusing result files
 /// from `opts.dir` when their fingerprints match.
 pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignReport, String> {
-    // Step-latency percentiles need a collecting trace sink; installing one
-    // is idempotent across campaigns in a process.
-    if !tbmd_trace::enabled() {
-        tbmd_trace::install(TraceSink::collecting());
-    }
     if let Some(dir) = &opts.dir {
         std::fs::create_dir_all(cells_dir(dir)).map_err(|e| format!("campaign dir: {e}"))?;
     }

@@ -8,7 +8,7 @@
 //! ([`tbmd_md::derive_seed`]), so re-expanding the same spec always yields
 //! the same cells, bit for bit, no matter which subset already ran.
 
-use tbmd::{EngineKind, Protocol, SystemSpec};
+use tbmd::{EngineKind, Protocol, SimulationConfig, SystemSpec};
 use tbmd_md::{derive_seed, QuenchSchedule};
 use tbmd_structure::{
     apply_strain, displacement_disorder, insert_interstitial, make_vacancy, Structure,
@@ -183,35 +183,6 @@ fn int(v: &JsonValue, key: &str) -> Option<usize> {
     num(v, key).map(|x| x.max(0.0) as usize)
 }
 
-/// The campaign seed: a non-negative integral JSON number up to 2^53
-/// (the exact-integer range of the f64-backed parser), or — for the full
-/// u64 range — a string, decimal or `0x`-prefixed hex. Anything lossy is
-/// rejected rather than silently reseeding every cell.
-fn parse_seed(v: &JsonValue) -> Result<u64, String> {
-    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-    let Some(s) = v.get("seed") else {
-        return Ok(42);
-    };
-    if let Some(text) = s.as_str() {
-        let (radix, digits) = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-            Some(hex) => (16, hex),
-            None => (10, text),
-        };
-        return u64::from_str_radix(digits, radix)
-            .map_err(|_| format!("seed string {text:?} is not a u64"));
-    }
-    let x = s
-        .as_f64()
-        .ok_or_else(|| "seed must be an integer or a string".to_string())?;
-    if !(0.0..=MAX_EXACT).contains(&x) || x.fract() != 0.0 {
-        return Err(format!(
-            "seed {x} is not an exactly-representable non-negative integer; \
-             pass large seeds as a string (decimal or \"0x…\")"
-        ));
-    }
-    Ok(x as u64)
-}
-
 fn label(v: &JsonValue, fallback: &str) -> String {
     v.get("label")
         .and_then(|s| s.as_str())
@@ -235,14 +206,10 @@ fn vec3_field(v: &JsonValue, key: &str) -> Result<[f64; 3], String> {
 }
 
 fn parse_system(v: &JsonValue) -> Result<SystemSpec, String> {
-    let reps = int(v, "reps").unwrap_or(1).max(1);
-    match v.get("system").and_then(|s| s.as_str()).unwrap_or("si") {
-        "si" | "silicon" => Ok(SystemSpec::SiliconDiamond { reps }),
-        "c" | "carbon" => Ok(SystemSpec::CarbonDiamond { reps }),
-        "graphene" => Ok(SystemSpec::Graphene { nx: reps, ny: reps }),
-        "c60" => Ok(SystemSpec::C60),
-        other => Err(format!("unknown system {other:?}")),
-    }
+    SystemSpec::parse(
+        v.get("system").and_then(|s| s.as_str()).unwrap_or("si"),
+        int(v, "reps").unwrap_or(1),
+    )
 }
 
 fn parse_perturbation(v: &JsonValue) -> Result<Perturbation, String> {
@@ -317,7 +284,7 @@ impl CampaignSpec {
             .and_then(|s| s.as_str())
             .unwrap_or("campaign")
             .to_string();
-        let seed = parse_seed(&v)?;
+        let seed = SimulationConfig::parse_seed(v.get("seed"))?;
         let electronic_kt = num(&v, "electronic_kt").unwrap_or(0.1);
 
         let mut structures = Vec::new();

@@ -58,6 +58,4 @@ pub use tbmd_parallel::{
     FaultKind, FaultPlan, MachineProfile, RankControl, RecvTimeoutPolicy,
 };
 pub use tbmd_structure::{Cell, NeighborList, Species, Structure, VerletNeighborList};
-pub use tbmd_trace::{
-    Hist, HistogramSet, RunManifest, RunRecorder, ScopedSink, TraceSink, WatchdogStatus,
-};
+pub use tbmd_trace::{Hist, HistogramSet, RunManifest, RunRecorder, ScopedSink, WatchdogStatus};

@@ -39,9 +39,7 @@ use tbmd_model::{
     TbError, TbModel, Workspace,
 };
 use tbmd_parallel::{FaultPlan, RankControl};
-use tbmd_trace::{
-    Counter, Hist, JsonValue, RunRecorder, ScopedSink, StepRecord, TraceSink, TraceSnapshot,
-};
+use tbmd_trace::{Counter, Hist, JsonValue, RunRecorder, ScopedSink, StepRecord, TraceSnapshot};
 
 /// Map a checkpoint-subsystem error into the driver's error type.
 pub(crate) fn ckpt_err(e: CkptError) -> TbError {
@@ -308,9 +306,6 @@ struct Recording {
 
 impl Recording {
     fn new(config: &SimulationConfig, options: &RecorderConfig, scope: ScopedSink) -> Recording {
-        if !tbmd_trace::enabled() {
-            tbmd_trace::install(TraceSink::collecting());
-        }
         let probe_health = !matches!(
             config.engine,
             EngineKind::LinearScaling { .. } | EngineKind::DistributedLinearScaling { .. }
@@ -402,7 +397,7 @@ impl CkptCtx {
 
     /// Encode + atomically publish one snapshot, routing the receipt into
     /// the recorder's `ckpt` line (which also bumps the trace counters) or
-    /// straight into the trace registry when no recorder is attached.
+    /// straight into the entered scopes when no recorder is attached.
     fn write(&self, snap: &Snapshot, rec: &mut Rec<'_>) -> Result<(), TbError> {
         let started = Instant::now();
         let receipt = self.store.write(snap).map_err(ckpt_err)?;
@@ -967,10 +962,10 @@ impl<'r> SessionBuilder<'r> {
     /// Attribute this session's trace events to a labelled
     /// [`ScopedSink`]: every [`Session::step`] enters the scope, so the
     /// sink accumulates this session's counters, phase times and latency
-    /// histograms alongside the process-global registry — the per-tenant
-    /// view the serve scheduler reads for its `stats` verb, and where a
-    /// recorder takes its per-step `comm_bytes`/`alloc_events` from (a
-    /// recorded session without one makes its own).
+    /// histograms — the per-tenant view the serve scheduler reads for its
+    /// `stats` verb, and where a recorder takes its per-step
+    /// `comm_bytes`/`alloc_events` and its summary totals from (a recorded
+    /// session without one makes its own).
     pub fn telemetry(mut self, sink: ScopedSink) -> Self {
         self.telemetry = Some(sink);
         self
@@ -1198,7 +1193,7 @@ impl<'r> Session<'r> {
         // Telemetry: everything this step records lands in the session's
         // scoped sink too (the per-tenant view), the step wall time feeds
         // the Step histogram, and an armed timeline gets one "step"
-        // interval. With tracing disabled this whole block is one relaxed
+        // interval. With nobody listening this whole block is one relaxed
         // atomic load and two `None`s — no clocks are read.
         let _scope = self.telemetry.as_ref().map(|s| s.enter());
         let step_clock = tbmd_trace::active().then(Instant::now);
@@ -1364,8 +1359,11 @@ impl<'r> Session<'r> {
         self.report.final_ranks = active_ranks(&self.engine);
         let (summary, t_stats) = attempt.finish();
         if let Some(slot) = self.recorder.as_mut() {
-            slot.as_mut()
-                .set_observables(observables_json(&t_stats, &summary));
+            let recorder = slot.as_mut();
+            recorder.set_observables(observables_json(&t_stats, &summary));
+            if let Some(scope) = &self.telemetry {
+                recorder.set_counters(scope.snapshot());
+            }
         }
         self.outcome = Some(summary);
         self.done = true;

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use tbmd_linalg::Vec3;
 use tbmd_md::Trajectory;
 use tbmd_model::TbModel;
-use tbmd_trace::{git_describe, RunManifest};
+use tbmd_trace::{git_describe, JsonValue, RunManifest};
 
 /// What to do with the system.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,6 +68,41 @@ pub struct SimulationConfig {
 }
 
 impl SimulationConfig {
+    /// The seed a config gets when none is given.
+    pub const DEFAULT_SEED: u64 = 42;
+
+    /// Parse a request's `seed` field as the front ends accept it: absent
+    /// ([`SimulationConfig::DEFAULT_SEED`]), a non-negative integral JSON
+    /// number up to 2^53 (the exact-integer range of the f64-backed
+    /// parser), or — for the full u64 range — a string, decimal or
+    /// `0x`-prefixed hex. Anything lossy is rejected rather than silently
+    /// running a different seed.
+    pub fn parse_seed(value: Option<&JsonValue>) -> Result<u64, String> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        let Some(value) = value else {
+            return Ok(Self::DEFAULT_SEED);
+        };
+        if let Some(text) = value.as_str() {
+            let (radix, digits) = match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X"))
+            {
+                Some(hex) => (16, hex),
+                None => (10, text),
+            };
+            return u64::from_str_radix(digits, radix)
+                .map_err(|_| format!("seed string {text:?} is not a u64"));
+        }
+        let x = value
+            .as_f64()
+            .ok_or_else(|| "seed must be an integer or a string".to_string())?;
+        if !(0.0..=MAX_EXACT).contains(&x) || x.fract() != 0.0 {
+            return Err(format!(
+                "seed {x} is not an exactly-representable non-negative integer; \
+                 pass large seeds as a string (decimal or \"0x…\")"
+            ));
+        }
+        Ok(x as u64)
+    }
+
     /// A reasonable default NVE run for a system.
     pub fn nve(system: SystemSpec, temperature_k: f64, steps: usize) -> Self {
         SimulationConfig {
@@ -80,7 +115,7 @@ impl SimulationConfig {
             },
             electronic_kt: 0.1,
             perturb: 0.0,
-            seed: 42,
+            seed: Self::DEFAULT_SEED,
             record_stride: 0,
         }
     }

@@ -24,6 +24,20 @@ pub enum SystemSpec {
 }
 
 impl SystemSpec {
+    /// Parse a system name as the front ends spell it — `si` / `silicon`,
+    /// `c` / `carbon`, `graphene`, `c60` — with the supercell repeat count
+    /// (clamped to at least 1; graphene is `reps × reps`, C₆₀ ignores it).
+    pub fn parse(name: &str, reps: usize) -> Result<SystemSpec, String> {
+        let reps = reps.max(1);
+        match name {
+            "si" | "silicon" => Ok(SystemSpec::SiliconDiamond { reps }),
+            "c" | "carbon" => Ok(SystemSpec::CarbonDiamond { reps }),
+            "graphene" => Ok(SystemSpec::Graphene { nx: reps, ny: reps }),
+            "c60" => Ok(SystemSpec::C60),
+            other => Err(format!("unknown system {other:?}")),
+        }
+    }
+
     /// Build the structure, optionally displacing every atom by up to
     /// `perturb` Å with the given RNG seed (0 disables).
     pub fn build(&self, perturb: f64, seed: u64) -> Structure {

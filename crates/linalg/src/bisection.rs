@@ -192,45 +192,18 @@ pub fn tridiagonal_kth_eigenvalue(d: &[f64], e: &[f64], k: usize) -> f64 {
     kth_eigenvalue_bounded(d, e, k, lo, hi)
 }
 
-/// Spectrum slicing: the lowest `k` eigenvalues (ascending) of the
-/// tridiagonal matrix written into `out`, reusing its allocation.
-///
-/// The Gershgorin bracket is computed once and every index is isolated by an
-/// independent Sturm bisection, so the slice parallelizes over Rayon with no
-/// cross-index communication — the spectrum-slicing stage of the two-stage
-/// eigensolver (see [`crate::blocked`]). Each eigenvalue converges to
-/// machine precision regardless of clustering (the Sturm count handles
-/// multiplicities exactly).
-///
-/// # Panics
-/// Panics if `k > d.len()`.
-pub fn tridiagonal_lowest_eigenvalues_into(d: &[f64], e: &[f64], k: usize, out: &mut Vec<f64>) {
-    let n = d.len();
-    assert!(k <= n, "requested {k} eigenvalues of a size-{n} matrix");
-    out.clear();
-    out.resize(k, 0.0);
-    if k == 0 {
-        return;
-    }
-    let (lo, hi) = widened_bounds(d, e);
-    out.par_chunks_mut(STURM_LANES)
-        .enumerate()
-        .for_each(|(c, chunk)| {
-            kth_eigenvalues_batched(d, e, c * STURM_LANES, lo, hi, chunk);
-        });
-}
-
 /// Rank-shardable spectrum slicing: eigenvalues with (0-based, ascending)
 /// indices in `range` written into `out`, reusing its allocation.
 ///
-/// Each index is isolated by an independent Sturm bisection inside the same
-/// widened Gershgorin bracket, so disjoint ranges computed on different
-/// message-passing ranks concatenate to exactly the vector a single
-/// full-spectrum call would produce — the bisection is deterministic per
-/// index and carries no cross-index state. This is the distributed-slicing
-/// entry point: `partition_range(n, p, r)` hands each rank its index window
-/// and the concatenated `allgather` of the per-rank outputs is ascending by
-/// construction.
+/// The Gershgorin bracket is computed once and every index is isolated by an
+/// independent Sturm bisection inside it (fanned out over Rayon, no
+/// cross-index communication), converging to machine precision regardless
+/// of clustering — the Sturm count handles multiplicities exactly. Disjoint
+/// ranges computed on different message-passing ranks therefore concatenate
+/// to exactly the vector a single full-spectrum call would produce. This is
+/// the distributed-slicing entry point: `partition_range(n, p, r)` hands each
+/// rank its index window and the concatenated `allgather` of the per-rank
+/// outputs is ascending by construction.
 ///
 /// # Panics
 /// Panics if `range.end > d.len()`.
@@ -307,9 +280,9 @@ pub fn eigvalsh_partial(a: Matrix, k: usize) -> Result<Vec<f64>, EigError> {
     }
     let mut a = a;
     let (d, e) = tridiagonalize(&mut a, false);
-    Ok((0..k)
-        .map(|i| tridiagonal_kth_eigenvalue(&d, &e, i))
-        .collect())
+    let mut values = Vec::new();
+    tridiagonal_eigenvalues_range_into(&d, &e, 0..k, &mut values);
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -420,7 +393,7 @@ mod tests {
         let mut a = a;
         let (d, e) = tridiagonalize(&mut a, false);
         let mut full = Vec::new();
-        tridiagonal_lowest_eigenvalues_into(&d, &e, n, &mut full);
+        tridiagonal_eigenvalues_range_into(&d, &e, 0..n, &mut full);
         // Three disjoint ranges must reproduce the full call bitwise.
         let mut out = Vec::new();
         let mut concat = Vec::new();

@@ -432,35 +432,6 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
         .for_each(|strip| sweep_strip(a, tmat, strip));
 }
 
-/// All eigenvalues (ascending) of the tridiagonal factor currently held in
-/// the workspace, by implicit-shift QL on a scratch copy — `O(n²)` with a
-/// small constant, the fastest route on few cores. The `(d, e)` factor in
-/// the workspace is left intact for the eigenvector stage. The copy is
-/// iterated at unit scale and the spectrum scaled back, both exactly
-/// ([`tqli`]'s scaling contract), so the values are in the units of `(d, e)`
-/// whatever its magnitude.
-///
-/// # Errors
-/// [`EigError::NoConvergence`] on non-finite input.
-pub fn tridiagonal_values_ql_into(
-    ws: &mut EighWorkspace,
-    values: &mut Vec<f64>,
-) -> Result<(), EigError> {
-    let s = &mut ws.blocked;
-    let n = s.d.len();
-    s.dql.clear();
-    s.dql.extend_from_slice(&s.d);
-    s.eql.clear();
-    s.eql.extend_from_slice(&s.e);
-    let mut dummy = Matrix::zeros(0, n);
-    tqli(&mut s.dql, &mut s.eql, &mut dummy)?;
-    s.dql
-        .sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
-    values.clear();
-    values.extend_from_slice(&s.dql);
-    Ok(())
-}
-
 /// Full-spectrum eigendecomposition through the blocked reduction: a
 /// drop-in replacement for [`crate::eigh::eigh_into`] whose reduction and
 /// `Q` accumulation are blocked/parallel; only the tridiagonal QL iteration
@@ -509,30 +480,35 @@ pub fn eigh_blocked_into(
 }
 
 /// All `n` eigenvalues (ascending) of the tridiagonal factor currently in
-/// the workspace, choosing the cheaper kernel for the machine: implicit-QL
-/// on a scratch copy when few Rayon threads are available (its `O(n²)`
-/// constant is small but it is inherently serial), parallel Sturm-sequence
-/// spectrum slicing ([`crate::bisection::tridiagonal_lowest_eigenvalues_into`])
-/// otherwise. Either kernel returns the spectrum in the units of `(d, e)`:
-/// the QL kernel's internal scaling is exact and undone on exit, bisection
-/// never scales. Only the bisection kernel counts
-/// [`tbmd_trace::Counter::SturmBisections`].
+/// the workspace, by implicit-shift QL on a scratch copy — `O(n²)` with a
+/// small constant, serial, so the spectrum (and every bit downstream of it)
+/// is the same on every host, lease and thread count. The `(d, e)` factor
+/// in the workspace is left intact for the eigenvector stage. The copy is
+/// iterated at unit scale and the spectrum scaled back, both exactly
+/// ([`tqli`]'s scaling contract), so the values are in the units of `(d, e)`
+/// whatever its magnitude. (Rank-sharded Sturm bisection,
+/// [`crate::bisection::tridiagonal_eigenvalues_range_into`], is the
+/// distributed engine's eigenvalue stage, not this one's.)
 ///
 /// # Errors
-/// [`EigError::NoConvergence`] on non-finite input (QL kernel only; the
-/// bisection kernel cannot fail).
+/// [`EigError::NoConvergence`] on non-finite input.
 pub fn reduced_eigenvalues_into(
     ws: &mut EighWorkspace,
     values: &mut Vec<f64>,
 ) -> Result<(), EigError> {
-    if rayon::current_num_threads() >= 4 {
-        let s = &ws.blocked;
-        crate::bisection::tridiagonal_lowest_eigenvalues_into(&s.d, &s.e, s.d.len(), values);
-        tbmd_trace::add(tbmd_trace::Counter::SturmBisections, s.d.len() as u64);
-        Ok(())
-    } else {
-        tridiagonal_values_ql_into(ws, values)
-    }
+    let s = &mut ws.blocked;
+    let n = s.d.len();
+    s.dql.clear();
+    s.dql.extend_from_slice(&s.d);
+    s.eql.clear();
+    s.eql.extend_from_slice(&s.e);
+    let mut dummy = Matrix::zeros(0, n);
+    tqli(&mut s.dql, &mut s.eql, &mut dummy)?;
+    s.dql
+        .sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
+    values.clear();
+    values.extend_from_slice(&s.dql);
+    Ok(())
 }
 
 /// Eigenvectors of the original matrix for the selected (ascending)
@@ -840,7 +816,7 @@ mod tests {
             ds.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let mut vals = Vec::new();
             let mut ws2 = ws.clone();
-            tridiagonal_values_ql_into(&mut ws2, &mut vals).unwrap();
+            reduced_eigenvalues_into(&mut ws2, &mut vals).unwrap();
             for (x, y) in ds.iter().zip(&vals) {
                 assert!((x - y).abs() < 1e-12 * n as f64, "n={n}: {x} vs {y}");
             }

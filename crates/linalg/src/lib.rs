@@ -34,7 +34,7 @@ pub mod vec3;
 pub use batched::{batch_map, eigenvector_shards_batch, eigh_batch, EighJob, ShardJob};
 pub use bisection::{
     eigvalsh_partial, snap_range_to_clusters, sturm_count, tridiagonal_eigenvalues_range_into,
-    tridiagonal_kth_eigenvalue, tridiagonal_lowest_eigenvalues_into,
+    tridiagonal_kth_eigenvalue,
 };
 pub use blocked::{
     apply_q_blocked, eigh_blocked_into, eigh_partial_into, reduced_eigenvalues_into,

@@ -200,7 +200,7 @@ pub struct TbResult {
 }
 
 /// Matrix dimension below which [`DenseSolver::TwoStage`] falls back to the
-/// one-stage QL solve: the blocked reduction, Sturm/inverse-iteration and
+/// one-stage QL solve: the blocked reduction, inverse-iteration and
 /// back-transform stages carry fixed overheads that only amortize once the
 /// matrix outgrows the cache-friendly scalar path (measured crossover
 /// between n = 64 and n = 128 on the reference host; T4b table of
@@ -211,7 +211,7 @@ pub const TWO_STAGE_MIN_DIM: usize = 96;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseSolver {
     /// Two-stage blocked solver: blocked Householder reduction, full
-    /// tridiagonal spectrum (bisection or QL depending on core count), then
+    /// tridiagonal spectrum (eigenvalue-only QL), then
     /// eigenvectors by inverse iteration for the *occupied* states only,
     /// back-transformed with blocked compact-WY sweeps. The eigenvector
     /// count `k` comes from the occupations (`f > 10⁻¹²`), so the density

@@ -708,12 +708,12 @@ where
                 // cancellation token if this thread unwinds for any reason.
                 let _guard = WorkerGuard::new(rank.cancel.clone());
                 // Attribute everything this worker records (counters,
-                // local phase spans) to the launcher's scopes and to its
-                // rank's scoped sink; a no-op single atomic load when
-                // tracing is disabled.
+                // phase spans) to the launcher's scopes and to the
+                // innermost one's view of this rank; nothing to enter when
+                // the launcher is not observed.
                 let _inherited: Vec<tbmd_trace::ScopeGuard> =
                     launcher_scopes.iter().map(|s| s.enter()).collect();
-                let _telemetry = tbmd_trace::rank_scope(id);
+                let _telemetry = launcher_scopes.last().map(|s| s.rank(id).enter());
                 if let Some(fault) = fault {
                     if fault.rank == id {
                         match fault.kind {
@@ -771,11 +771,18 @@ where
             })
             .collect(),
     };
-    // Every wire byte the virtual machine moved lands in the global trace
-    // registry (no-op when tracing is disabled) — also for failed launches,
-    // where the traffic was still paid for.
+    // Every wire byte the virtual machine moved lands in the launcher's
+    // scopes, and each rank's share in its rank view — also for failed
+    // launches, where the traffic was still paid for.
     tbmd_trace::add(tbmd_trace::Counter::WireBytes, stats.total_bytes());
     tbmd_trace::add(tbmd_trace::Counter::WireMessages, stats.total_messages());
+    if let Some(innermost) = launcher_scopes.last() {
+        for (id, sent) in stats.ranks.iter().enumerate() {
+            let view = innermost.rank(id);
+            view.add(tbmd_trace::Counter::WireBytes, sent.bytes_sent);
+            view.add(tbmd_trace::Counter::WireMessages, sent.messages_sent);
+        }
+    }
     if !faults.is_empty() {
         faults.sort_by_key(|f| f.rank);
         let err = VmpError { faults };

@@ -23,15 +23,18 @@
 //!
 //! ## Telemetry
 //!
-//! Every tenant gets a labelled [`ScopedSink`]: its session enters the
-//! scope per MD step, so per-tenant counters, phase times and latency
-//! histograms (step wall time, quantum latency, admission wait) accumulate
-//! alongside the process totals. The whole picture is readable mid-run
-//! through a [`ServeStats`] handle — the `{"stats":true}` verb on the
-//! daemon socket returns its JSON form, `{"stats":"prometheus"}` a
-//! Prometheus-style text exposition — and the scheduler keeps the
-//! [`Gauge::QueueDepth`] / lease high-water gauges current in the global
-//! registry.
+//! A [`ServeStats`] handle owns one root [`ScopedSink`] that the scheduler
+//! enters around every submission and sweep, and every tenant gets a
+//! labelled scope of its own that its session enters per MD step below the
+//! root. Per-tenant counters, phase times and latency histograms (step wall
+//! time, quantum latency, admission wait) therefore accumulate alongside
+//! this multiplexer's totals — two multiplexers in one process share
+//! nothing — and a distributed tenant's rank views hang off its own scope.
+//! The whole picture is readable mid-run through the handle — the
+//! `{"stats":true}` verb on the daemon socket returns its JSON form,
+//! `{"stats":"prometheus"}` a Prometheus-style text exposition — and the
+//! scheduler keeps the [`Gauge::QueueDepth`] / lease high-water gauges
+//! current in the root scope.
 //!
 //! [`ComputeBudget`]: tbmd::configure_budget
 //! [`Gauge::QueueDepth`]: tbmd_trace::Gauge
@@ -155,14 +158,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .and_then(|s| s.as_str())
         .ok_or_else(|| "request needs a \"job\" name".to_string())?
         .to_string();
-    let reps = int(&v, "reps").unwrap_or(1).max(1);
-    let system = match v.get("system").and_then(|s| s.as_str()).unwrap_or("si") {
-        "si" | "silicon" => SystemSpec::SiliconDiamond { reps },
-        "c" | "carbon" => SystemSpec::CarbonDiamond { reps },
-        "graphene" => SystemSpec::Graphene { nx: reps, ny: reps },
-        "c60" => SystemSpec::C60,
-        other => return Err(format!("unknown system {other:?}")),
-    };
+    let system = SystemSpec::parse(
+        v.get("system").and_then(|s| s.as_str()).unwrap_or("si"),
+        int(&v, "reps").unwrap_or(1),
+    )?;
     let engine = EngineKind::parse(
         v.get("engine").and_then(|s| s.as_str()).unwrap_or("serial"),
         int(&v, "ranks"),
@@ -194,7 +193,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         protocol,
         electronic_kt: num(&v, "electronic_kt").unwrap_or(0.1),
         perturb: num(&v, "perturb").unwrap_or(0.0),
-        seed: num(&v, "seed").unwrap_or(42.0) as u64,
+        seed: SimulationConfig::parse_seed(v.get("seed"))?,
         record_stride: 0,
     };
     let mut spec = JobSpec::new(name, config);
@@ -270,6 +269,8 @@ impl TenantEntry {
 }
 
 struct StatsInner {
+    /// Everything the scheduler thread records, all tenants included.
+    root: ScopedSink,
     tenants: Mutex<Vec<Arc<TenantEntry>>>,
     queue_depth: AtomicUsize,
 }
@@ -293,6 +294,7 @@ impl Default for ServeStats {
 impl ServeStats {
     pub fn new() -> ServeStats {
         ServeStats(Arc::new(StatsInner {
+            root: ScopedSink::new("global"),
             tenants: Mutex::new(Vec::new()),
             queue_depth: AtomicUsize::new(0),
         }))
@@ -350,9 +352,10 @@ impl ServeStats {
         counts
     }
 
-    /// The live snapshot as one JSON object: queue/lease saturation plus
-    /// per-tenant state, admission wait, and latency histograms
-    /// (p50/p90/p99 per non-empty distribution).
+    /// The live snapshot as one JSON object: queue/lease saturation, this
+    /// multiplexer's totals (`global`), plus per-tenant state, admission
+    /// wait, latency histograms (p50/p90/p99 per non-empty distribution) and
+    /// the same per rank of a distributed tenant (`ranks`).
     pub fn to_json(&self) -> JsonValue {
         let (queued, active, retired) = self.counts();
         let mut out = JsonValue::object();
@@ -367,17 +370,16 @@ impl ServeStats {
             .set("leased", tbmd::linalg::budget::leased_threads() as f64)
             .set("high_water", tbmd::linalg::budget::high_water() as f64);
         out.set("budget", budget);
-        out.set("global", tbmd_trace::histograms().to_json());
-        let mut ranks = JsonValue::object();
-        for rank in tbmd_trace::rank_telemetry() {
-            ranks.set(rank.label(), rank.histograms().to_json());
-        }
-        out.set("ranks", ranks);
+        out.set("global", self.0.root.histograms().to_json());
         let mut tenants = Vec::new();
         if let Ok(entries) = self.0.tenants.lock() {
             for entry in entries.iter() {
                 let mut t = JsonValue::object();
                 let hists = entry.sink.histograms();
+                let mut ranks = JsonValue::object();
+                for rank in entry.sink.ranks() {
+                    ranks.set(rank.label(), rank.histograms().to_json());
+                }
                 t.set("name", entry.name.as_str())
                     .set("state", entry.state_name())
                     .set(
@@ -385,7 +387,8 @@ impl ServeStats {
                         entry.queue_wait_ns.load(Ordering::Relaxed) as f64 * 1e-6,
                     )
                     .set("steps", hists.hist(Hist::Step).count() as f64)
-                    .set("histograms", hists.to_json());
+                    .set("histograms", hists.to_json())
+                    .set("ranks", ranks);
                 tenants.push(t);
             }
         }
@@ -394,7 +397,8 @@ impl ServeStats {
     }
 
     /// Prometheus-style text exposition: gauges for saturation, one
-    /// summary family per latency histogram with per-tenant labels.
+    /// summary family per latency histogram labelled `scope="global"`,
+    /// `tenant=…`, or `tenant=…,rank=…`.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let (queued, active, retired) = self.counts();
@@ -421,7 +425,7 @@ impl ServeStats {
             "tbmd_budget_threads{{kind=\"high_water\"}} {}",
             tbmd::linalg::budget::high_water()
         );
-        let mut write_summary = |scope: &str, label: &str, hists: &tbmd_trace::HistogramSet| {
+        let mut write_summary = |labels: &str, hists: &tbmd_trace::HistogramSet| {
             for h in Hist::ALL {
                 let snap = hists.hist(h);
                 if snap.is_empty() {
@@ -431,32 +435,27 @@ impl ServeStats {
                 let _ = writeln!(out, "# TYPE {family} summary");
                 for (q, tag) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
                     if let Some(v) = snap.percentile_ns(q) {
-                        let _ = writeln!(
-                            out,
-                            "{family}{{{scope}=\"{label}\",quantile=\"{tag}\"}} {}",
-                            v * 1e-9
-                        );
+                        let _ =
+                            writeln!(out, "{family}{{{labels},quantile=\"{tag}\"}} {}", v * 1e-9);
                     }
                 }
                 let _ = writeln!(
                     out,
-                    "{family}_sum{{{scope}=\"{label}\"}} {}",
+                    "{family}_sum{{{labels}}} {}",
                     snap.sum_ns as f64 * 1e-9
                 );
-                let _ = writeln!(
-                    out,
-                    "{family}_count{{{scope}=\"{label}\"}} {}",
-                    snap.count()
-                );
+                let _ = writeln!(out, "{family}_count{{{labels}}} {}", snap.count());
             }
         };
-        write_summary("scope", "global", &tbmd_trace::histograms());
-        for rank in tbmd_trace::rank_telemetry() {
-            write_summary("rank", rank.label(), &rank.histograms());
-        }
+        write_summary("scope=\"global\"", &self.0.root.histograms());
         if let Ok(entries) = self.0.tenants.lock() {
             for entry in entries.iter() {
-                write_summary("tenant", &entry.name, &entry.sink.histograms());
+                let tenant = format!("tenant=\"{}\"", entry.name);
+                write_summary(&tenant, &entry.sink.histograms());
+                for rank in entry.sink.ranks() {
+                    let labels = format!("{tenant},rank=\"{}\"", rank.label());
+                    write_summary(&labels, &rank.histograms());
+                }
             }
         }
         out.push_str("# EOF\n");
@@ -532,6 +531,7 @@ impl Multiplexer {
     /// Queue a job; its JSONL record stream goes to `sink`. Admission (and
     /// the budget check) happens on the next [`Multiplexer::tick`].
     pub fn submit(&mut self, spec: JobSpec, sink: impl Write + Send + 'static) {
+        let _root = self.stats.0.root.enter();
         let sink = SharedSink(Arc::new(
             Mutex::new(Box::new(sink) as Box<dyn Write + Send>),
         ));
@@ -565,13 +565,12 @@ impl Multiplexer {
             };
             let waiting = self.waiting.pop_front().expect("front just probed");
             self.stats.set_queue_depth(self.waiting.len());
-            // The admission wait, attributed globally and to the tenant.
+            // The admission wait, attributed to the root scope (entered)
+            // and to the tenant (written directly: nobody has entered it).
             let wait = waiting.queued_at.elapsed();
             let wait_ns = wait.as_nanos() as u64;
             tbmd_trace::record_ns(Hist::AdmissionWait, wait_ns);
-            if tbmd_trace::active() {
-                waiting.entry.sink.record_ns(Hist::AdmissionWait, wait_ns);
-            }
+            waiting.entry.sink.record_ns(Hist::AdmissionWait, wait_ns);
             waiting
                 .entry
                 .queue_wait_ns
@@ -653,23 +652,22 @@ impl Multiplexer {
     /// active tenant one quantum of MD steps. Returns `true` while any job
     /// is active or queued.
     pub fn tick(&mut self) -> bool {
+        let _root = self.stats.0.root.enter();
         self.admit();
         let mut i = 0;
         while i < self.active.len() {
             let tenant = &mut self.active[i];
             let target = tenant.session.steps_done() + tenant.quantum;
             // Quantum latency: tenant-labelled timeline interval (the MD
-            // step spans nest under it) and one histogram sample, global
-            // and per-tenant.
+            // step spans nest under it) and one histogram sample, in the
+            // root scope and per tenant.
             let quantum_span =
                 timeline::is_enabled().then(|| timeline::span(timeline::label(&tenant.name)));
-            let quantum_clock = tbmd_trace::active().then(Instant::now);
+            let quantum_clock = Instant::now();
             let outcome = tenant.session.run_until(target);
-            if let Some(t0) = quantum_clock {
-                let ns = t0.elapsed().as_nanos() as u64;
-                tbmd_trace::record_ns(Hist::Quantum, ns);
-                tenant.entry.sink.record_ns(Hist::Quantum, ns);
-            }
+            let quantum_ns = quantum_clock.elapsed().as_nanos() as u64;
+            tbmd_trace::record_ns(Hist::Quantum, quantum_ns);
+            tenant.entry.sink.record_ns(Hist::Quantum, quantum_ns);
             if let Some(span) = quantum_span {
                 span.finish();
             }
@@ -863,8 +861,7 @@ mod tests {
         }
 
         // The stats ledger saw both jobs through to retirement, with
-        // per-tenant step-latency histograms (sessions install a
-        // collecting sink when recording, so telemetry was live).
+        // per-tenant step-latency histograms.
         let stats = mux.stats().to_json();
         assert_eq!(stats.get("retired").unwrap().as_f64(), Some(2.0));
         let tenants = stats.get("tenants").unwrap().as_array().unwrap();

@@ -7,7 +7,7 @@
 //! reconstructed percentile at 1/8 (12.5%) while keeping the whole table
 //! small enough to snapshot by `memcpy`. The layout is fixed at compile
 //! time, so the disabled-mode cost of a recording site stays the same one
-//! relaxed atomic load as the counters in [`crate::TraceSink`].
+//! relaxed atomic load as the counters in [`crate::ScopedSink`].
 //!
 //! [`HistSnapshot`] is the plain-data copy: it subtracts ([`HistSnapshot::since`]),
 //! merges ([`HistSnapshot::merge`]) and reconstructs percentiles

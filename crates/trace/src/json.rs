@@ -1,12 +1,13 @@
 //! Minimal self-contained JSON tree: enough to write JSONL run records and
-//! `BENCH_phase.json`, and to parse them back in tests and `check` gates.
+//! the report binaries' `--json` output, and to parse them back in tests and
+//! `check` gates.
 //! The workspace vendors no JSON crate, so this stays dependency-free.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value. Objects use a [`BTreeMap`] so serialization order is
-/// deterministic (stable diffs for `BENCH_phase.json` across runs).
+/// deterministic (stable diffs of recorded output across runs).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,

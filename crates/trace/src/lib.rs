@@ -1,6 +1,6 @@
 //! # tbmd-trace — unified observability for the tbmd workspace
 //!
-//! One registry for everything the paper's evaluation cares about:
+//! One vocabulary for everything the paper's evaluation cares about:
 //!
 //! - **Spans** ([`span`], [`PhaseSpan`]): RAII wall-clock guards keyed by
 //!   [`Phase`]. Engines open a span per phase; `finish()` returns the
@@ -10,7 +10,7 @@
 //! - **Counters** ([`Counter`]): monotonic event counts — wire bytes and
 //!   messages from the Vmp machine, workspace growth events, neighbour-list
 //!   rebuilds/refreshes, Sturm bisections, Chebyshev matvecs. Totals across
-//!   all threads and ranks of the process.
+//!   all threads and ranks that entered the scope.
 //! - **Gauges** ([`Gauge`]): last-written values — conserved-quantity
 //!   drift, eigensolver residual/orthogonality, instantaneous temperature,
 //!   plus scheduler saturation (admission-queue depth, lease high-water).
@@ -18,23 +18,27 @@
 //!   distributions — per-phase span durations, per-step wall time, serve
 //!   admission wait and quantum latency — with p50/p90/p99 reconstruction
 //!   and `since()` deltas ([`HistSnapshot`]).
-//! - **Scoped sinks** ([`ScopedSink`]): labelled per-tenant / per-rank
-//!   views fed through a thread-local sink stack, with or without a global
-//!   sink installed; `tbmd-serve` enters a tenant's scope per quantum,
-//!   `vmp_run_opts` re-enters the launcher's scopes plus a rank's scope
-//!   ([`rank_scope`]) per worker, and tests enter one of their own to watch
-//!   their run, so breakdowns fall out without engine changes.
+//! - **Scoped sinks** ([`ScopedSink`]): the only sink. A labelled block of
+//!   the above, fed through a thread-local stack while a thread holds the
+//!   scope's guard. A recorded `Session` creates its own, `tbmd-serve`
+//!   enters one root scope per `Multiplexer` and one per tenant,
+//!   `vmp_run_opts` workers re-enter their launcher's scopes plus the
+//!   innermost one's view of their rank ([`ScopedSink::rank`]), and report
+//!   sections and tests enter one of their own to watch their run, so
+//!   breakdowns fall out without engine changes and every run owns its
+//!   ledger.
 //! - **Timeline** ([`timeline`]): an opt-in hierarchical span recorder
 //!   (per-thread ring buffers) exporting Chrome `trace_event` JSON for
 //!   `chrome://tracing` / Perfetto.
 //!
-//! The global sink defaults to [`TraceSink::disabled()`]: with no scope
-//! entered either, every hot-path hook is a single relaxed atomic load and
-//! no allocation, so an MD
-//! run with tracing disabled is bitwise-identical to an uninstrumented one
-//! (pinned by `tests/trace_overhead.rs` at the workspace root).
+//! Nothing is installed process-wide: with no scope entered anywhere every
+//! hot-path hook is a single relaxed atomic load and no allocation, so an
+//! unobserved MD run is bitwise-identical to an uninstrumented one (pinned
+//! by `tests/trace_overhead.rs` at the workspace root). What does stay
+//! process-wide is the armed [`timeline`] and, in `tbmd-linalg`, the compute
+//! budget.
 //!
-//! On top of the registry sit the run records ([`RunRecorder`]): a JSONL
+//! On top of the scopes sit the run records ([`RunRecorder`]): a JSONL
 //! stream with one manifest line, one record per MD step (phase times, comm
 //! bytes, drift, temperature), warn lines from the physics watchdogs
 //! ([`DriftWatchdog`]), periodic eigensolver health lines, and a closing
@@ -57,8 +61,7 @@ pub use record::{
     git_describe, HealthRecord, RecorderSummary, RunManifest, RunRecorder, StepRecord,
 };
 pub use sink::{
-    active, add, add_phase_ns, enabled, entered_scopes, handle, histograms, install, rank_scope,
-    rank_telemetry, record_ns, reset_rank_telemetry, set_gauge, snapshot, span, PhaseSpan,
-    ScopeGuard, ScopedSink, TraceSink,
+    active, add, add_phase_ns, entered_scopes, record_ns, set_gauge, span, PhaseSpan, ScopeGuard,
+    ScopedSink,
 };
 pub use watchdog::{DriftWatchdog, WatchdogStatus};

@@ -43,8 +43,8 @@ impl Phase {
     }
 }
 
-/// Monotonic event counters. Totals over every thread and rank of the
-/// process since the sink was installed (or last [`reset`](crate::TraceSink::reset)).
+/// Monotonic event counters. Totals over every thread and rank that entered
+/// the scope since it was created (or last [`reset`](crate::ScopedSink::reset)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Payload bytes moved through `Vmp` point-to-point sends (collectives
@@ -215,25 +215,26 @@ impl TraceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceSink;
+    use crate::ScopedSink;
 
     #[test]
     fn since_across_a_reset_saturates_at_zero() {
-        let sink = TraceSink::collecting();
-        sink.add(Counter::NlRebuilds, 40);
-        sink.add_phase_ns(Phase::Forces, 9_000);
+        let sink = ScopedSink::new("reset");
+        let _guard = sink.enter();
+        crate::add(Counter::NlRebuilds, 40);
+        crate::add_phase_ns(Phase::Forces, 9_000);
         let before = sink.snapshot();
         sink.reset();
-        sink.add(Counter::NlRebuilds, 3);
-        sink.add_phase_ns(Phase::Forces, 100);
+        crate::add(Counter::NlRebuilds, 3);
+        crate::add_phase_ns(Phase::Forces, 100);
         let after = sink.snapshot();
-        // The registry went backwards across the reset; the delta must
+        // The scope went backwards across the reset; the delta must
         // clamp to zero instead of wrapping to ~u64::MAX.
         let delta = after.since(&before);
         assert_eq!(delta.counter(Counter::NlRebuilds), 0);
         assert_eq!(delta.phase_ns(Phase::Forces), 0);
         // Forward deltas still work after the reset.
-        sink.add(Counter::NlRebuilds, 5);
+        crate::add(Counter::NlRebuilds, 5);
         assert_eq!(
             sink.snapshot().since(&after).counter(Counter::NlRebuilds),
             5

@@ -4,7 +4,7 @@
 //! `type` field, so consumers can stream-filter with one parse per line.
 
 use crate::json::JsonValue;
-use crate::metrics::{Counter, Gauge, Phase};
+use crate::metrics::{Counter, Gauge, Phase, TraceSnapshot};
 use crate::sink;
 use crate::watchdog::{DriftWatchdog, WatchdogStatus};
 use std::fs::File;
@@ -160,6 +160,8 @@ pub struct RunRecorder {
     /// End-of-run observables attached via [`RunRecorder::set_observables`];
     /// folded into the closing summary line.
     observables: Option<JsonValue>,
+    /// The run's counter totals, attached via [`RunRecorder::set_counters`].
+    counters: TraceSnapshot,
 }
 
 /// Verdict returned by [`RunRecorder::finish`].
@@ -183,6 +185,7 @@ impl RunRecorder {
             steps: 0,
             warns: 0,
             observables: None,
+            counters: TraceSnapshot::default(),
         };
         rec.write_line(&manifest.to_json())?;
         Ok(rec)
@@ -240,7 +243,7 @@ impl RunRecorder {
     }
 
     /// Append one step record; runs the drift watchdog and mirrors drift +
-    /// temperature into the global gauges.
+    /// temperature into the gauges of the entered scopes.
     pub fn record_step(&mut self, record: &StepRecord) -> io::Result<()> {
         let trip = self.drift.observe(record.step, record.conserved_ev);
         let drift = self.drift.worst_drift();
@@ -281,7 +284,7 @@ impl RunRecorder {
     }
 
     /// Append a `ckpt` line: one snapshot published by the checkpoint
-    /// subsystem (also bumps the global ckpt counters).
+    /// subsystem (also bumps the ckpt counters of the entered scopes).
     pub fn record_ckpt(
         &mut self,
         step: usize,
@@ -323,6 +326,12 @@ impl RunRecorder {
         self.observables = Some(observables);
     }
 
+    /// Attach the run's own counter totals (a session hands over its
+    /// scope's) for the closing summary line; all zero until set.
+    pub fn set_counters(&mut self, totals: TraceSnapshot) {
+        self.counters = totals;
+    }
+
     /// Drift watchdog verdict so far.
     pub fn watchdog_status(&self) -> WatchdogStatus {
         self.drift.status()
@@ -332,7 +341,6 @@ impl RunRecorder {
     /// the captured lines for in-memory recorders).
     pub fn finish(mut self) -> io::Result<RecorderSummary> {
         let status = self.drift.status();
-        let snap = sink::snapshot();
         let mut v = JsonValue::object();
         v.set("type", "summary")
             .set("steps", self.steps)
@@ -340,7 +348,7 @@ impl RunRecorder {
             .set("watchdog", status.to_json());
         let mut counters = JsonValue::object();
         for c in Counter::ALL {
-            counters.set(c.name(), JsonValue::from(snap.counter(c)));
+            counters.set(c.name(), JsonValue::from(self.counters.counter(c)));
         }
         v.set("counters", counters);
         if let Some(observables) = self.observables.take() {

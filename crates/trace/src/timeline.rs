@@ -304,8 +304,8 @@ mod tests {
     use super::*;
 
     /// One test owns the global recorder state end to end — the trace
-    /// crate's unit tests run in one process, and the timeline, like the
-    /// sink registry, is process-global.
+    /// crate's unit tests run in one process, and the armed timeline is
+    /// process-global.
     #[test]
     fn capture_nests_exports_and_survives_disable() {
         enable(8);

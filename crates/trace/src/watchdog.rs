@@ -94,8 +94,7 @@ impl Default for DriftWatchdog {
     }
 }
 
-/// Final verdict of a drift watchdog, serializable into run summaries and
-/// `BENCH_phase.json`.
+/// Final verdict of a drift watchdog, serializable into run summaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogStatus {
     pub ok: bool,

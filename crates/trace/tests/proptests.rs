@@ -8,14 +8,20 @@
 
 use proptest::prelude::*;
 use tbmd_trace::hist::{bucket_index, bucket_lower, bucket_upper, HIST_BUCKETS};
-use tbmd_trace::{Hist, HistSnapshot, Histogram, HistogramSet};
+use tbmd_trace::{Hist, HistSnapshot, HistogramSet, ScopedSink};
+
+/// The `Hist::Step` distribution of a scope written directly — what the
+/// serve `stats` verb reads back.
+fn step_hist(sink: &ScopedSink) -> HistSnapshot {
+    sink.histograms().hist(Hist::Step).clone()
+}
 
 fn hist_of(samples: &[u64]) -> HistSnapshot {
-    let h = Histogram::default();
+    let sink = ScopedSink::new("prop");
     for &s in samples {
-        h.record(s);
+        sink.record_ns(Hist::Step, s);
     }
-    h.snapshot()
+    step_hist(&sink)
 }
 
 proptest! {
@@ -81,15 +87,15 @@ proptest! {
         first in prop::collection::vec(0u64..1 << 40, 0..50),
         second in prop::collection::vec(0u64..1 << 40, 0..50),
     ) {
-        let h = Histogram::default();
+        let sink = ScopedSink::new("prop");
         for &s in &first {
-            h.record(s);
+            sink.record_ns(Hist::Step, s);
         }
-        let early = h.snapshot();
+        let early = step_hist(&sink);
         for &s in &second {
-            h.record(s);
+            sink.record_ns(Hist::Step, s);
         }
-        let late = h.snapshot();
+        let late = step_hist(&sink);
         prop_assert_eq!(late.since(&early), hist_of(&second));
         let backwards = early.since(&late);
         prop_assert_eq!(backwards.count(), 0);
@@ -113,7 +119,7 @@ proptest! {
 
 #[test]
 fn histogram_set_since_and_merge_track_per_hist() {
-    let sink = tbmd_trace::TraceSink::collecting();
+    let sink = ScopedSink::new("direct");
     sink.record_ns(Hist::Step, 1_000);
     let early = sink.histograms();
     sink.record_ns(Hist::Step, 2_000);

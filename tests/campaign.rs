@@ -308,3 +308,67 @@ fn vacancy_formation_energy_matches_direct_reference() {
         "implausible formation energy {formation}"
     );
 }
+
+/// One grammar for `system` / `reps` / `seed` on both front ends: a serve
+/// job line and a campaign spec spelling the same values build the same
+/// `SystemSpec` and the same (root) seed, and the serve parser rejects the
+/// lossy seeds the campaign parser rejects instead of running another seed.
+#[test]
+fn serve_lines_and_campaign_specs_share_the_system_and_seed_grammar() {
+    let serve = |system: &str, reps: usize, seed: &str| {
+        let line = format!(r#"{{"job":"j","system":"{system}","reps":{reps},"seed":{seed}}}"#);
+        match tbmd_serve::parse_request(&line) {
+            Ok(tbmd_serve::Request::Job(spec)) => Ok(spec.config),
+            Ok(other) => panic!("{line}: parsed as {other:?}"),
+            Err(e) => Err(e),
+        }
+    };
+    let campaign = |system: &str, reps: usize, seed: &str| {
+        CampaignSpec::from_json(&format!(
+            r#"{{"seed": {seed},
+                "structures": [{{"system": "{system}", "reps": {reps}}}],
+                "protocols": [{{"kind": "nve"}}]}}"#
+        ))
+    };
+    for (system, reps, seed, expect) in [
+        ("si", 2, "7", 7u64),
+        ("silicon", 1, "9007199254740992", 1 << 53),
+        ("c", 3, r#""18446744073709551615""#, u64::MAX),
+        ("graphene", 2, r#""0xffffffffffffffff""#, u64::MAX),
+        ("c60", 0, "0", 0),
+    ] {
+        let config = serve(system, reps, seed).expect("serve line");
+        let spec = campaign(system, reps, seed).expect("campaign spec");
+        assert_eq!(config.seed, expect, "{system} {seed}");
+        assert_eq!(spec.seed, config.seed, "{system} {seed}");
+        assert_eq!(spec.structures[0].system, config.system, "{system} x{reps}");
+    }
+    for lossy in [
+        "-1",
+        "1.5",
+        "1e300",
+        "9007199254740994",
+        r#""seven""#,
+        "true",
+    ] {
+        assert!(
+            serve("si", 1, lossy).is_err(),
+            "serve accepted seed {lossy}"
+        );
+        assert!(
+            campaign("si", 1, lossy).is_err(),
+            "campaign accepted seed {lossy}"
+        );
+    }
+    assert!(serve("germanium", 1, "1").is_err());
+    assert!(campaign("germanium", 1, "1").is_err());
+    // Absent: both front ends fall back to the same default.
+    let Ok(tbmd_serve::Request::Job(bare)) = tbmd_serve::parse_request(r#"{"job":"j"}"#) else {
+        panic!("bare job line");
+    };
+    let bare_spec = CampaignSpec::from_json(
+        r#"{"structures": [{"system": "si"}], "protocols": [{"kind": "nve"}]}"#,
+    )
+    .expect("bare spec");
+    assert_eq!(bare.config.seed, bare_spec.seed);
+}

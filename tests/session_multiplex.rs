@@ -19,7 +19,7 @@ use tbmd::{
 
 /// `live_vmp_workers` is a process-wide census, so the tests that launch
 /// virtual ranks take turns.
-static RANKS_IN_USE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static VMP_IN_USE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn bits(v: &[Vec3]) -> Vec<u64> {
     v.iter()
@@ -91,7 +91,7 @@ fn interleaved_sessions_bitwise_match_standalone_runs() {
 /// worker census is zero — multiplexing must not strand rank threads.
 #[test]
 fn multiplexed_distributed_session_leaks_no_workers() {
-    let _ranks = RANKS_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
+    let _ranks = VMP_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
     let mut cd = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 6);
     cd.engine = EngineKind::Distributed { ranks: 2 };
     cd.seed = 21;
@@ -141,7 +141,7 @@ fn comm_bytes(recorder: &RunRecorder) -> Vec<u64> {
 /// wire bytes and the distributed tenant's equal its standalone stream.
 #[test]
 fn recorded_step_counters_are_per_session() {
-    let _ranks = RANKS_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
+    let _ranks = VMP_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
     let mut cs = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 4);
     cs.seed = 51;
     let mut cd = cs;
@@ -176,6 +176,59 @@ fn recorded_step_counters_are_per_session() {
     let distributed = comm_bytes(&sd.take_recorder().expect("owned recorder"));
     assert_eq!(serial, vec![0; 4], "the serial tenant sends nothing");
     assert_eq!(distributed, alone, "same job, same bytes, alone or not");
+}
+
+/// Rank views belong to whoever launched the ranks: two `distributed:2`
+/// sessions stepped alternately, each under its own scope, each get their
+/// own `rank0` / `rank1` holding exactly their own traffic, and a launch
+/// nobody observes creates no rank view anywhere.
+#[test]
+fn rank_views_belong_to_the_session_that_launched_them() {
+    use tbmd::trace::Counter;
+    let _ranks = VMP_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
+    let distributed = |steps: usize| {
+        let mut c = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, steps);
+        c.seed = 61;
+        c.engine = EngineKind::Distributed { ranks: 2 };
+        c
+    };
+    let (short, long) = (ScopedSink::new("short"), ScopedSink::new("long"));
+    let bystander = ScopedSink::new("bystander");
+    let mut ss = SessionBuilder::new(distributed(2))
+        .telemetry(short.clone())
+        .build()
+        .expect("short session");
+    let mut sl = SessionBuilder::new(distributed(5))
+        .telemetry(long.clone())
+        .build()
+        .expect("long session");
+    let mut unobserved = SessionBuilder::new(distributed(2))
+        .build()
+        .expect("unobserved session");
+    loop {
+        let a = ss.step().expect("short step");
+        let b = sl.step().expect("long step");
+        let c = unobserved.step().expect("unobserved step");
+        if [a, b, c] == [SessionStatus::Done; 3] {
+            break;
+        }
+    }
+    let wire = |scope: &ScopedSink| scope.snapshot().counter(Counter::WireBytes);
+    for scope in [&short, &long] {
+        let ranks = scope.ranks();
+        let labels: Vec<&str> = ranks.iter().map(ScopedSink::label).collect();
+        assert_eq!(labels, ["rank0", "rank1"], "{}", scope.label());
+        assert!(ranks.iter().all(|r| wire(r) > 0), "{}", scope.label());
+        assert_eq!(
+            ranks.iter().map(wire).sum::<u64>(),
+            wire(scope),
+            "{}: rank shares do not add up to the session's total",
+            scope.label()
+        );
+    }
+    assert!(wire(&long) > wire(&short), "five steps move more than two");
+    assert!(bystander.ranks().is_empty());
+    assert_eq!(bystander.snapshot(), Default::default());
 }
 
 /// Allocation-growth accounting is per session: a session's count is the
