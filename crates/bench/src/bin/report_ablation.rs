@@ -4,20 +4,16 @@
 //! * (a) occupation scheme: zero-temperature filling vs Fermi smearing —
 //!   smearing costs a tiny Mermin free-energy offset but keeps forces
 //!   continuous through level crossings (the reason it is the MD default);
-//! * (b) neighbour-list strategy: brute-force O(N²) vs linked-cell O(N);
-//! * (c) eigensolver within the shared-memory engine: Householder+QL vs
-//!   parallel-ordered Jacobi (serial cost of the parallel-friendly choice).
+//! * (b) neighbour-list strategy: brute-force O(N²) vs linked-cell O(N).
 //!
 //! Run: `cargo run --release -p tbmd-bench --bin report_ablation`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use tbmd::model::DenseSolver;
-use tbmd::parallel::shared_memory_tb;
 use tbmd::{
-    maxwell_boltzmann, silicon_gsp, ForceProvider, MdState, OccupationScheme, Species,
-    TbCalculator, VelocityVerlet,
+    maxwell_boltzmann, silicon_gsp, MdState, OccupationScheme, Species, TbCalculator,
+    VelocityVerlet,
 };
 use tbmd_bench::{fmt_e, fmt_ms, fmt_s, BenchArgs, Report, ReportTable};
 use tbmd_model::TbModel;
@@ -81,30 +77,5 @@ fn main() {
         ]);
     }
     report.table(nl_table);
-
-    // (c) eigensolver choice inside the shared-memory engine.
-    let mut solver_table = ReportTable::new(
-        "Ablation (c): eigensolver in the shared-memory engine, Si-64",
-        &["solver", "t/ms (serial host)", "energy/eV"],
-    );
-    let s = tbmd::structure::bulk_diamond(Species::Silicon, 2, 2, 2);
-    for (label, solver) in [
-        ("Householder+QL", DenseSolver::FullQl),
-        ("parallel Jacobi", DenseSolver::ParallelJacobi),
-    ] {
-        let mut engine = shared_memory_tb(&model);
-        engine.solver = solver;
-        let t0 = Instant::now();
-        let eval = engine.evaluate(&s).expect("evaluation");
-        let t = t0.elapsed();
-        solver_table.row(vec![
-            label.to_string(),
-            fmt_ms(t),
-            format!("{:.6}", eval.energy),
-        ]);
-    }
-    report.table(solver_table);
-    report.note("Reading (c): QL wins on one core; Jacobi's n/2-way rotation parallelism");
-    report.note("is why the distributed engine uses it anyway (see T2/T4).");
     report.emit(&args);
 }

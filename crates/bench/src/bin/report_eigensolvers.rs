@@ -1,16 +1,9 @@
-//! **Experiment T4** — eigensolver comparison: Householder+QL versus cyclic
-//! Jacobi versus parallel-ordered Jacobi versus the distributed ring Jacobi,
-//! on random symmetric matrices and on real TB Hamiltonians.
-//!
-//! Expected shape: QL is the fastest serial algorithm; Jacobi costs a small
-//! constant factor more but exposes n/2-way parallelism per round; the
-//! distributed version reproduces the same spectrum bit-for-bit to round-off
-//! while adding measurable ring traffic. Residuals all sit at round-off.
-//!
-//! The second table covers the two-stage blocked solver (ISSUE 2): blocked
-//! Householder reduction + compact-WY full solve, and the partial path
-//! (Sturm/QL values + inverse-iteration vectors for the lowest n/2 states)
-//! — each with residual and orthogonality columns.
+//! **Experiment T4b** — the two-stage blocked eigensolver against the
+//! one-stage Householder+QL reference, on random symmetric matrices and on
+//! real TB Hamiltonians: blocked Householder reduction + compact-WY full
+//! solve, and the partial path (QL values + inverse-iteration vectors for
+//! the lowest n/2 states) — each with residual and orthogonality columns,
+//! and the worst eigenvalue deviation from the QL spectrum.
 //!
 //! Run: `cargo run --release -p tbmd-bench --bin report_eigensolvers [-- max_n [check]]`
 //!
@@ -20,10 +13,9 @@
 
 use std::time::Instant;
 use tbmd::linalg::{
-    eig_residual, eigh, eigh_blocked_into, eigh_partial_into, jacobi_eigh, orthogonality_defect,
-    par_jacobi_eigh, EighWorkspace, Matrix, JACOBI_MAX_SWEEPS, JACOBI_TOL,
+    eig_residual, eigh, eigh_blocked_into, eigh_partial_into, orthogonality_defect, EighWorkspace,
+    Matrix,
 };
-use tbmd::parallel::ring_jacobi_eigh;
 use tbmd::{silicon_gsp, Species};
 use tbmd_bench::{check_gate, fmt_e, fmt_ms, BenchArgs, Report, ReportTable};
 use tbmd_model::{build_hamiltonian, OrbitalIndex, TbModel};
@@ -58,20 +50,6 @@ fn main() {
     let args = BenchArgs::parse();
     let max_n = args.pos_usize(0, 256);
     let mut check_worst = 0.0f64;
-    let mut t4 = ReportTable::new(
-        "T4: symmetric eigensolver comparison (vectors included)",
-        &[
-            "matrix",
-            "QL/ms",
-            "cycJac/ms",
-            "parJac/ms",
-            "ringJac(P=4)/ms",
-            "sweeps",
-            "QL residual",
-            "max |Δλ|",
-            "ring msgs",
-        ],
-    );
     let mut t4b = ReportTable::new(
         "T4b: two-stage blocked solver (full + partial spectrum)",
         &[
@@ -101,21 +79,6 @@ fn main() {
         let t0 = Instant::now();
         let ql = eigh(a.clone()).expect("QL");
         let t_ql = t0.elapsed();
-        // Cyclic Jacobi.
-        let t0 = Instant::now();
-        let (cyc, cyc_stats) =
-            jacobi_eigh(a.clone(), JACOBI_TOL, JACOBI_MAX_SWEEPS).expect("Jacobi");
-        let t_cyc = t0.elapsed();
-        // Parallel-ordered Jacobi.
-        let t0 = Instant::now();
-        let (par, _) =
-            par_jacobi_eigh(a.clone(), JACOBI_TOL, JACOBI_MAX_SWEEPS).expect("parallel Jacobi");
-        let t_par = t0.elapsed();
-        // Distributed ring Jacobi on 4 virtual ranks.
-        let t0 = Instant::now();
-        let (ring, ring_report) = ring_jacobi_eigh(a, 4, JACOBI_TOL, JACOBI_MAX_SWEEPS);
-        let t_ring = t0.elapsed();
-
         let max_dev = |other: &tbmd::linalg::Eigh| -> f64 {
             ql.values
                 .iter()
@@ -123,19 +86,8 @@ fn main() {
                 .map(|(x, y)| (x - y).abs())
                 .fold(0.0, f64::max)
         };
-        t4.row(vec![
-            label.clone(),
-            fmt_ms(t_ql),
-            fmt_ms(t_cyc),
-            fmt_ms(t_par),
-            fmt_ms(t_ring),
-            cyc_stats.sweeps.to_string(),
-            fmt_e(eig_residual(a, &ql)),
-            fmt_e(max_dev(&cyc).max(max_dev(&par)).max(max_dev(&ring))),
-            ring_report.stats.total_messages().to_string(),
-        ]);
 
-        // --- Two-stage blocked solver (full and partial spectrum). ---
+        // Two-stage blocked solver, full spectrum.
         let n = a.rows();
         let mut ws = EighWorkspace::default();
         let mut blk = a.clone();
@@ -199,10 +151,7 @@ fn main() {
     }
     let mut report = Report::new("eigensolvers");
     report
-        .table(t4)
         .table(t4b)
-        .note("Shape check: QL fastest serially; Jacobi ~6–10 sweeps; all solvers")
-        .note("agree to ≲1e-8; ring traffic present only in the distributed solver.")
         .note("Two-stage: partial path computes only the lowest k eigenvectors, so")
         .note("it undercuts every full solve; residuals/orthogonality at round-off.");
     report.emit(&args);

@@ -57,7 +57,7 @@ fn tenant_config(i: usize) -> SimulationConfig {
     c
 }
 
-/// A Vec<u8> sink whose contents survive the recorder (tenant JSONL
+/// A `Vec<u8>` sink whose contents survive the recorder (tenant JSONL
 /// streams land here instead of a socket).
 #[derive(Clone, Default)]
 struct Buf(Arc<Mutex<Vec<u8>>>);

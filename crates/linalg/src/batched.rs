@@ -1,11 +1,9 @@
-//! Batched solve entry points: one launch shape for every fan-out.
+//! The batched launch: one shape for every fan-out of independent jobs.
 //!
-//! The workspace has two places that launch many independent dense solves
-//! per MD step: the k-point calculator (one Hermitian embedding per
-//! k-point) and the sliced spectrum solvers (one inverse-iteration shard
-//! per rank or spectrum window). Before this module each site hand-rolled
-//! its own `par_iter_mut` cell vector; now both go through [`batch_map`],
-//! which pins the semantics every caller relies on:
+//! Two places launch many independent pieces of a dense solve per MD step:
+//! the k-point calculator (one Hermitian embedding per k-point) and the
+//! sharded inverse iteration (one spectrum shard per leased thread). Both
+//! go through [`batch_map`], which pins the semantics they rely on:
 //!
 //! * **Ordered**: results come back in job order regardless of the thread
 //!   partition.
@@ -14,14 +12,7 @@
 //!   so the parallel launch is bitwise identical to the serial one.
 //! * **Allocation-shape stable**: jobs borrow caller-owned workspaces;
 //!   the launcher allocates only the O(jobs) cell vector.
-//!
-//! The typed wrappers ([`eigh_batch`], [`eigenvector_shards_batch`]) keep
-//! the per-job numerics exactly what the scalar entry points produce —
-//! they exist to share the launch shape, not to change any math.
 
-use crate::blocked::reduced_eigenvectors_offset_into;
-use crate::eigh::{eigh_into, EigError, EighWorkspace};
-use crate::matrix::Matrix;
 use rayon::prelude::*;
 
 /// Run `f` once per job, optionally in parallel, returning results in job
@@ -69,62 +60,9 @@ where
         .collect()
 }
 
-/// One full eigendecomposition job: `a` is destroyed into its eigenvector
-/// matrix, `values` receives the ascending spectrum (the [`eigh_into`]
-/// contract).
-pub struct EighJob<'a> {
-    pub a: &'a mut Matrix,
-    pub values: &'a mut Vec<f64>,
-    pub ws: &'a mut EighWorkspace,
-}
-
-/// Solve a batch of independent full eigenproblems — the per-k launch of
-/// `KPointCalculator`. Fails with the first job's error if any job fails;
-/// successful jobs' outputs are still written.
-pub fn eigh_batch(parallel: bool, jobs: &mut [EighJob<'_>]) -> Result<(), EigError> {
-    batch_map(parallel, jobs, |_, j| eigh_into(j.a, j.values, j.ws))
-        .into_iter()
-        .collect()
-}
-
-/// One spectrum-shard eigenvector job over a shared tridiagonal factor:
-/// `lambda` is a contiguous shard of the globally sorted spectrum starting
-/// at global index `seed_offset`; `z` receives the shard's eigenvector
-/// columns (the [`reduced_eigenvectors_offset_into`] contract, including
-/// its bitwise offset-seeding guarantee).
-pub struct ShardJob<'a> {
-    pub lambda: &'a [f64],
-    pub seed_offset: usize,
-    pub z: &'a mut Matrix,
-    pub ws: &'a mut EighWorkspace,
-}
-
-/// Solve a batch of spectrum-shard eigenvector jobs against one reduced
-/// matrix `a` — the per-slice launch of the sliced/distributed solvers.
-/// Each job must carry a workspace holding the tridiagonal factor of `a`
-/// (i.e. `tridiagonalize_blocked_into(a-copy, ws)` already ran on it).
-pub fn eigenvector_shards_batch(parallel: bool, a: &Matrix, jobs: &mut [ShardJob<'_>]) {
-    batch_map(parallel, jobs, |_, j| {
-        reduced_eigenvectors_offset_into(a, j.lambda, j.seed_offset, j.z, j.ws)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocked::{reduced_eigenvalues_into, tridiagonalize_blocked_into};
-
-    fn test_matrix(n: usize, seed: u64) -> Matrix {
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut m = Matrix::from_fn(n, n, |_, _| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        });
-        m.symmetrize();
-        m
-    }
 
     #[test]
     fn batch_map_preserves_job_order() {
@@ -134,93 +72,5 @@ mod tests {
             idx * 3
         });
         assert_eq!(out, (0..17).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn eigh_batch_matches_scalar_calls_bitwise() {
-        let sizes = [5usize, 12, 20, 33];
-        let mut mats: Vec<Matrix> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| test_matrix(n, 100 + i as u64))
-            .collect();
-        let mut reference: Vec<(Matrix, Vec<f64>)> = mats
-            .iter()
-            .map(|m| {
-                let mut a = m.clone();
-                let mut v = Vec::new();
-                let mut ws = EighWorkspace::default();
-                eigh_into(&mut a, &mut v, &mut ws).unwrap();
-                (a, v)
-            })
-            .collect();
-        let mut values: Vec<Vec<f64>> = vec![Vec::new(); mats.len()];
-        let mut wss: Vec<EighWorkspace> =
-            (0..mats.len()).map(|_| EighWorkspace::default()).collect();
-        let mut jobs: Vec<EighJob<'_>> = mats
-            .iter_mut()
-            .zip(values.iter_mut())
-            .zip(wss.iter_mut())
-            .map(|((a, values), ws)| EighJob { a, values, ws })
-            .collect();
-        eigh_batch(true, &mut jobs).unwrap();
-        for ((m, v), (rm, rv)) in mats.iter().zip(&values).zip(reference.drain(..)) {
-            assert_eq!(*m, rm, "batched eigenvectors must be bitwise identical");
-            assert_eq!(*v, rv, "batched eigenvalues must be bitwise identical");
-        }
-    }
-
-    #[test]
-    fn shard_batch_matches_full_window() {
-        let n = 30;
-        let a = test_matrix(n, 7);
-        // Full window reference.
-        let mut af = a.clone();
-        let mut ws_full = EighWorkspace::default();
-        tridiagonalize_blocked_into(&mut af, &mut ws_full);
-        let mut values = Vec::new();
-        reduced_eigenvalues_into(&mut ws_full, &mut values).unwrap();
-        let mut z_full = Matrix::zeros(0, 0);
-        reduced_eigenvectors_offset_into(&af, &values, 0, &mut z_full, &mut ws_full);
-        // Two shards through the batched launcher. Shard boundaries sit on
-        // well-separated eigenvalues of a random matrix (no degeneracies),
-        // so the offset-seeding bitwise guarantee applies.
-        let mid = n / 2;
-        let mut states: Vec<(Matrix, EighWorkspace)> = (0..2)
-            .map(|_| {
-                let mut ws = EighWorkspace::default();
-                let mut ac = a.clone();
-                tridiagonalize_blocked_into(&mut ac, &mut ws);
-                (ac, ws)
-            })
-            .collect();
-        let (lo_states, hi_states) = states.split_at_mut(1);
-        let mut z0 = Matrix::zeros(0, 0);
-        let mut z1 = Matrix::zeros(0, 0);
-        let mut jobs = vec![
-            ShardJob {
-                lambda: &values[..mid],
-                seed_offset: 0,
-                z: &mut z0,
-                ws: &mut lo_states[0].1,
-            },
-            ShardJob {
-                lambda: &values[mid..],
-                seed_offset: mid,
-                z: &mut z1,
-                ws: &mut hi_states[0].1,
-            },
-        ];
-        eigenvector_shards_batch(true, &af, &mut jobs);
-        for j in 0..mid {
-            for i in 0..n {
-                assert_eq!(z0[(i, j)].to_bits(), z_full[(i, j)].to_bits());
-            }
-        }
-        for j in mid..n {
-            for i in 0..n {
-                assert_eq!(z1[(i, j - mid)].to_bits(), z_full[(i, j)].to_bits());
-            }
-        }
     }
 }

@@ -386,8 +386,8 @@ fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
 /// Apply the orthogonal factor `Q = H_0 H_1 ⋯` of a blocked tridiagonal
 /// reduction to the `n×k` matrix `z` in place (`z ← Q z`) by blocked
 /// compact-WY applications (`I − V T Vᵀ` per panel). One fan-out hands each
-/// thread column strips of `z` (at most [`STRIP_COLS`] wide, so a strip
-/// stays L2-resident) and [`sweep_strip`] walks all panels over a strip
+/// thread column strips of `z` (at most `STRIP_COLS` wide, so a strip
+/// stays L2-resident) and `sweep_strip` walks all panels over a strip
 /// before moving to the next; columns never interact, so the result is
 /// bitwise independent of strip width, thread count and of which columns
 /// share a call. `a` must be the reflector-packed output of

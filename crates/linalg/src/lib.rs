@@ -9,11 +9,14 @@
 //! * [`Vec3`] — 3-component vectors for positions/velocities/forces.
 //! * [`Matrix`] — dense row-major matrices with cache-blocked and
 //!   Rayon-parallel products.
-//! * [`eigh`]/[`eigvalsh`] — Householder + implicit-QL symmetric eigensolver
-//!   (the per-timestep O(n³) kernel of tight-binding MD).
-//! * [`jacobi_eigh`]/[`par_jacobi_eigh`] — cyclic and parallel-ordered Jacobi
-//!   eigensolvers; the parallel ordering is shared with the distributed
-//!   ring-Jacobi in `tbmd-parallel`.
+//! * [`eigh()`]/[`eigvalsh`] — one-stage Householder + implicit-QL symmetric
+//!   eigensolver: the small-matrix path and the reference the two-stage
+//!   solver is tested against.
+//! * [`tridiagonalize_blocked_into`] → [`reduced_eigenvalues_into`] →
+//!   [`reduced_eigenvectors_into`] — the two-stage solver (blocked
+//!   reduction, tridiagonal spectrum, inverse iteration + blocked
+//!   back-transform for a window of states): the per-timestep O(n³) kernel
+//!   of tight-binding MD.
 //! * [`eigvalsh_partial`] — Sturm-sequence bisection for the lowest k
 //!   eigenvalues (the era's "occupied states only" optimization).
 //! * [`Cholesky`]/[`generalized_eigh`] — SPD factorization and the
@@ -26,12 +29,11 @@ pub mod budget;
 pub mod cholesky;
 pub mod eigh;
 pub mod inverse_iteration;
-pub mod jacobi;
 pub mod kernels;
 pub mod matrix;
 pub mod vec3;
 
-pub use batched::{batch_map, eigenvector_shards_batch, eigh_batch, EighJob, ShardJob};
+pub use batched::batch_map;
 pub use bisection::{
     eigvalsh_partial, snap_range_to_clusters, sturm_count, tridiagonal_eigenvalues_range_into,
     tridiagonal_kth_eigenvalue,
@@ -55,10 +57,6 @@ pub use eigh::{
 };
 pub use inverse_iteration::{
     cluster_tolerance, tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
-};
-pub use jacobi::{
-    jacobi_eigh, jacobi_rotation, off_diagonal_norm, par_jacobi_eigh, par_jacobi_eigh_into,
-    round_robin_rounds, JacobiStats, JacobiWorkspace, JACOBI_MAX_SWEEPS, JACOBI_TOL,
 };
 pub use kernels::{Scalar, GEMM_UNROLL, KERNEL_MIN_DIM};
 pub use matrix::Matrix;

@@ -22,11 +22,11 @@ use crate::model::TbModel;
 use crate::occupations::{occupations, OccupationScheme, Occupations};
 use crate::stages::{
     bond_contraction, bond_density, dense_block, embedding, entropy_term, epilogue,
-    occupied_factor_into, prologue, solve_occupied, validate,
+    occupied_factor_into, prologue, solve_occupied, spectrum, validate,
 };
 use crate::workspace::{NeighborOutcome, Workspace};
 use std::time::Duration;
-use tbmd_linalg::{eigvalsh, EigError, Matrix, Vec3};
+use tbmd_linalg::{EigError, Matrix, Vec3};
 use tbmd_structure::{NeighborList, Species, Structure};
 
 /// Errors from a tight-binding calculation.
@@ -207,7 +207,11 @@ pub struct TbResult {
 /// `report_eigensolvers`).
 pub const TWO_STAGE_MIN_DIM: usize = 96;
 
-/// Which dense symmetric eigensolver [`solve_occupied`] runs.
+/// Which dense symmetric eigensolver [`spectrum`] and [`solve_occupied`] run.
+///
+/// Two values because one is the other's test reference: every engine a
+/// front end can build runs [`DenseSolver::TwoStage`], and no request line,
+/// campaign spec or `Engine::build` argument selects anything else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseSolver {
     /// Two-stage blocked solver: blocked Householder reduction, full
@@ -216,16 +220,15 @@ pub enum DenseSolver {
     /// back-transformed with blocked compact-WY sweeps. The eigenvector
     /// count `k` comes from the occupations (`f > 10⁻¹²`), so the density
     /// matrix is bit-for-bit complete; `k = n` degenerates to a full solve.
+    /// Below [`TWO_STAGE_MIN_DIM`] it is the one-stage solve.
     #[default]
     TwoStage,
-    /// Classic one-stage path: scalar Householder + implicit-QL with full
-    /// eigenvector accumulation ([`tbmd_linalg::eigh_into`]). Kept as the
-    /// reference implementation and for cross-checks.
+    /// Classic one-stage path at every size: scalar Householder +
+    /// implicit-QL with full eigenvector accumulation
+    /// ([`tbmd_linalg::eigh_into`]). The reference the equivalence tests
+    /// (`tests/solver_equivalence.rs`, the health probe's and the shared
+    /// engine's unit tests) compare the two-stage solver against.
     FullQl,
-    /// Parallel-ordered cyclic Jacobi ([`tbmd_linalg::par_jacobi_eigh_into`]):
-    /// slower serially, but every round exposes n/2 independent rotations —
-    /// the era reference experiment T4 compares against.
-    ParallelJacobi,
 }
 
 /// Assemble `H` into the buffer; `true` if it had to grow.
@@ -305,19 +308,23 @@ impl<'m> TbCalculator<'m> {
         self.model
     }
 
-    /// Potential energy only: eigenvalues without eigenvectors, no density
-    /// matrix, no forces — the line-search and finite-difference path of
-    /// every dense engine.
+    /// Potential energy only: the calculator's own front half — neighbours →
+    /// `H` → [`spectrum`] — on a fresh [`Workspace`], stopping before
+    /// eigenvectors, density matrix and forces. The same bits as the
+    /// `energy` of [`TbCalculator::compute`]; like the health probe it opens
+    /// no phase span, so a listener still sees one sample per phase per
+    /// force evaluation.
     pub fn energy(&self, s: &Structure) -> Result<f64, TbError> {
         validate(self.model, s)?;
-        let nl = NeighborList::build(s, self.model.cutoff());
+        let mut ws = Workspace::new();
+        ws.neighbors.update(s, self.model.cutoff());
+        let nl = ws.neighbors.list();
         let index = OrbitalIndex::new(s);
-        let mut h = Matrix::zeros(0, 0);
-        build_hamiltonian_into(s, &nl, self.model, &index, &mut h);
-        let eigenvalues = eigvalsh(h)?;
-        let occ = occupations(&eigenvalues, s.n_electrons(), self.occupation);
-        let band = occ.band_energy(&eigenvalues);
-        let (rep, _) = repulsive_energy_forces(s, &nl, self.model, false);
+        (self.stages.hamiltonian)(s, nl, self.model, &index, &mut ws.h);
+        let (rep, _) = repulsive_energy_forces(s, nl, self.model, false);
+        spectrum(&mut ws, self.solver)?;
+        let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
+        let band = occ.band_energy(&ws.values);
         Ok(band + rep + entropy_term(self.occupation, occ.entropy))
     }
 

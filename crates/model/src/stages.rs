@@ -10,9 +10,12 @@
 //!   place the `Neighbors` span is opened) and the end-of-evaluation
 //!   accounting (the only place off-thread phase clocks are fed to the
 //!   trace registry);
-//! * [`solve_occupied`] — the dense eigensolve for the occupied subspace
-//!   (the only place [`TWO_STAGE_MIN_DIM`] is consulted, the
-//!   [`DenseCache`] marker set and the `Diagonalize` span opened);
+//! * [`spectrum`] — `H` → eigenvalues, the dense solve's first half and all
+//!   of an energy-only evaluation (the only place [`TWO_STAGE_MIN_DIM`] is
+//!   consulted and [`DenseSolver`] matched);
+//! * [`solve_occupied`] — the dense eigensolve for the occupied subspace:
+//!   spectrum → occupations → occupied eigenvectors (the only place the
+//!   [`DenseCache`] marker is set and the `Diagonalize` span opened);
 //! * [`bond_density`] — `ρ` on the blocks the force and stress contractions
 //!   read: one per atom and one per neighbour-list pair
 //!   ([`for_each_bond_block`]);
@@ -20,7 +23,7 @@
 //! * [`embedding`] — the per-atom repulsive embedding pre-pass;
 //! * [`bond_contraction`] / [`bond_force`] — `ρ_ij : ∂B/∂d` for one bond and
 //!   the gather-form force on one atom, generic over how a 4×4 block of `ρ`
-//!   is read (dense matrix, flat replicated slice, local O(N) blocks).
+//!   is read (dense matrix, local O(N) blocks).
 //!
 //! [`crate::TbCalculator::compute_with`] strings them into the one dense
 //! Γ-point pipeline; the distributed and O(N) engines call the same leaves
@@ -36,8 +39,8 @@ use crate::slater_koster::sk_block_gradient;
 use crate::units::KB_EV;
 use crate::workspace::{DenseCache, Workspace};
 use tbmd_linalg::{
-    eigh_into, kernels, par_jacobi_eigh_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
-    tridiagonalize_blocked_into, Matrix, Vec3, JACOBI_MAX_SWEEPS, JACOBI_TOL,
+    eigh_into, kernels, reduced_eigenvalues_into, reduced_eigenvectors_into,
+    tridiagonalize_blocked_into, Matrix, Vec3,
 };
 use tbmd_structure::{Neighbor, NeighborList, Structure};
 use tbmd_trace::{Counter, Hist, Phase};
@@ -91,18 +94,39 @@ pub fn epilogue(grown: usize, timings: &PhaseTimings, unspanned: &[Phase]) {
     }
 }
 
+/// The spectrum stage of the dense solve: `ws.h` → `ws.values`, ascending.
+/// Returns whether the two-stage branch ran.
+///
+/// [`DenseSolver::TwoStage`] at `n ≥` [`TWO_STAGE_MIN_DIM`] reduces `ws.h`
+/// to tridiagonal form (the reflectors stay packed in it, the factor in
+/// `ws.eigh`) and takes the complete spectrum from the factor. Below the
+/// crossover, and for [`DenseSolver::FullQl`], the one-stage solve
+/// overwrites `ws.h` with all `n` eigenvectors. An energy-only evaluation
+/// ([`crate::TbCalculator::energy`]) stops here; [`solve_occupied`] goes on
+/// to the eigenvectors, so both read the same bits in `ws.values`.
+pub fn spectrum(ws: &mut Workspace, solver: DenseSolver) -> Result<bool, TbError> {
+    let two_stage = match solver {
+        DenseSolver::TwoStage => ws.h.rows() >= TWO_STAGE_MIN_DIM,
+        DenseSolver::FullQl => false,
+    };
+    if two_stage {
+        tridiagonalize_blocked_into(&mut ws.h, &mut ws.eigh);
+        reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
+    } else {
+        eigh_into(&mut ws.h, &mut ws.values, &mut ws.eigh)?;
+    }
+    Ok(two_stage)
+}
+
 /// Diagonalize `ws.h` for the occupied subspace under one `Diagonalize`
 /// span (returned as `timings.diagonalize`'s value).
 ///
-/// [`DenseSolver::TwoStage`] at `n ≥` [`TWO_STAGE_MIN_DIM`] reduces `ws.h`
-/// to tridiagonal form (reflectors stay packed in it), takes the complete
-/// spectrum from the tridiagonal factor, and inverse-iterates only the `k`
+/// After [`spectrum`], the two-stage branch inverse-iterates only the `k`
 /// states the occupations keep (`f > 10⁻¹²`, exactly the set the
 /// density-matrix filter keeps; `k = n` is simply a full solve) into
-/// `ws.c`. Below the crossover, and for the one-stage reference solvers,
-/// all `n` eigenvectors overwrite `ws.h` in place. Either way the spectrum
-/// lands in `ws.values`, `ws.dense_cache` says where the vectors are, and
-/// [`DenseCache::vectors`] hands them out.
+/// `ws.c`; the one-stage branch already left all `n` eigenvectors in
+/// `ws.h`. Either way the spectrum is in `ws.values`, `ws.dense_cache` says
+/// where the vectors are, and [`DenseCache::vectors`] hands them out.
 pub fn solve_occupied(
     ws: &mut Workspace,
     n_electrons: usize,
@@ -110,21 +134,7 @@ pub fn solve_occupied(
     solver: DenseSolver,
 ) -> Result<(Occupations, std::time::Duration), TbError> {
     let sp = tbmd_trace::span(Phase::Diagonalize);
-    let two_stage = solver == DenseSolver::TwoStage && ws.h.rows() >= TWO_STAGE_MIN_DIM;
-    if two_stage {
-        tridiagonalize_blocked_into(&mut ws.h, &mut ws.eigh);
-        reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
-    } else if solver == DenseSolver::ParallelJacobi {
-        par_jacobi_eigh_into(
-            &mut ws.h,
-            &mut ws.values,
-            &mut ws.jacobi,
-            JACOBI_TOL,
-            JACOBI_MAX_SWEEPS,
-        )?;
-    } else {
-        eigh_into(&mut ws.h, &mut ws.values, &mut ws.eigh)?;
-    }
+    let two_stage = spectrum(ws, solver)?;
     let occ = occupations(&ws.values, n_electrons, occupation);
     let occupied = occupied_count(&occ.f);
     ws.dense_cache = if two_stage {

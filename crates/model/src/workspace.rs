@@ -17,12 +17,13 @@
 //!   scaled-eigenvector factor `W` and the density matrix `ρ` are reused
 //!   across steps via [`Matrix::resize_zeroed`].
 //! * **eigensolver scratch** — subdiagonal and sort-permutation buffers for
-//!   [`tbmd_linalg::eigh_into`].
+//!   [`tbmd_linalg::eigh_into`], the tridiagonal factor, reduction panels
+//!   and inverse-iteration buffers of the two-stage solver.
 //!
 //! The workspace also keeps counters (rebuilds vs refreshes vs fallback
 //! builds, buffer-growth events) that the benchmark reports surface.
 
-use tbmd_linalg::{EighWorkspace, GeneralizedEighWorkspace, JacobiWorkspace, Matrix};
+use tbmd_linalg::{EighWorkspace, GeneralizedEighWorkspace, Matrix};
 use tbmd_structure::{NeighborList, Structure, VerletNeighborList};
 
 /// Where (if anywhere) the last evaluation left a consumable set of dense
@@ -215,9 +216,6 @@ pub struct Workspace {
     /// Eigensolver scratch (subdiagonal + sort permutation, blocked-reduction
     /// panels, inverse-iteration buffers).
     pub eigh: EighWorkspace,
-    /// Parallel-Jacobi scratch (double-buffered column stores, rotation
-    /// tables, round-robin schedule) for engines that select that solver.
-    pub jacobi: JacobiWorkspace,
     /// Overlap matrix buffer (non-orthogonal engine).
     pub overlap: Matrix,
     /// Energy-weighted density matrix `2 Σ_n f_n ε_n c_n c_nᵀ` for the Pulay

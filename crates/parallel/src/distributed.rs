@@ -23,11 +23,6 @@
 //! 5. **forces** — each rank computes forces for its block of atoms from the
 //!    replicated ρ; an allgather assembles the full force vector.
 //!
-//! The original ring-Jacobi eigensolver is kept as a selectable reference
-//! ([`DistributedSolver::RingJacobi`]); it rotates whole column pairs around
-//! a ring every sweep, an O(N²)-bytes-per-round pattern, and allreduces the
-//! full ρ.
-//!
 //! Wall-clock speedups are not the point on a single-core host (see
 //! DESIGN.md): the engine's value is numerical equivalence to the serial
 //! reference (pinned by tests) plus *measured* message/byte/flop counts that
@@ -35,46 +30,25 @@
 
 use crate::pool::RankWorkspacePool;
 use crate::ranks::{gather_forces, PhaseClock, RankControl, Replica};
-use crate::ring_jacobi::{initial_column_owners, ring_jacobi_worker};
 use crate::vmp::{partition_range, Rank, VmpStats};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use tbmd_linalg::{
-    cluster_tolerance, eigenvector_shards_batch, snap_range_to_clusters,
-    tridiagonal_eigenvalues_range_into, tridiagonalize_blocked_into, EighWorkspace, Matrix,
-    ShardJob, Vec3, JACOBI_MAX_SWEEPS, JACOBI_TOL,
+    cluster_tolerance, reduced_eigenvectors_offset_into, snap_range_to_clusters,
+    tridiagonal_eigenvalues_range_into, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
 };
 use tbmd_model::{
-    bond_density, bond_force, build_hamiltonian_into, embedding, entropy_term, for_each_bond_block,
-    occupations, occupied_count, sk_block, sk_transpose, validate, DenseCache, ForceEvaluation,
+    bond_density, bond_force, build_hamiltonian_into, dense_block, embedding, entropy_term,
+    for_each_bond_block, occupations, occupied_count, validate, DenseCache, ForceEvaluation,
     ForceProvider, OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbError, TbModel,
-    Workspace, OCCUPATION_DROP_TOL,
+    Workspace,
 };
 use tbmd_structure::{NeighborList, Structure};
-
-/// Which distributed eigensolver [`DistributedTb`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistributedSolver {
-    /// Two-stage solver with rank-sharded spectrum slicing: replicated
-    /// blocked tridiagonalization, `partition_range`-sharded Sturm bisection
-    /// and inverse iteration (clusters snapped to a single owner rank), and
-    /// a ρ allreduce. Communication is O(N) for the spectrum plus the O(N²)
-    /// ρ allreduce every path pays.
-    #[default]
-    TwoStageSliced,
-    /// The original distributed ring-Jacobi reference: column pairs rotate
-    /// around the rank ring every sweep (O(N²) bytes per round). Kept
-    /// selectable and pinned by equivalence tests.
-    RingJacobi,
-}
 
 /// Report of the most recent distributed evaluation.
 #[derive(Debug, Clone)]
 pub struct DistributedReport {
     /// Per-rank traffic and flop counters.
     pub stats: VmpStats,
-    /// Jacobi sweeps used by the diagonalization (0 for the sliced solver).
-    pub jacobi_sweeps: usize,
     /// Number of ranks.
     pub n_ranks: usize,
 }
@@ -115,16 +89,14 @@ impl AsMut<Replica> for DenseRankSlot {
     }
 }
 
-/// What rank 0 hands back: energy, forces, Jacobi sweeps.
-type RankResult = Option<((f64, Vec<Vec3>, usize), PhaseTimings)>;
+/// What rank 0 hands back: energy and forces.
+type RankResult = Option<((f64, Vec<Vec3>), PhaseTimings)>;
 
 /// Message-passing TBMD engine over the virtual machine.
 pub struct DistributedTb<'m> {
     model: &'m dyn TbModel,
     /// Occupation scheme (default 0.1 eV Fermi smearing).
     pub occupation: OccupationScheme,
-    /// Distributed eigensolver selection (default: two-stage sliced).
-    pub solver: DistributedSolver,
     /// Rank count, fault plans, failure-detection window, shrink/respawn.
     pub ranks: RankControl,
     last_report: Mutex<Option<DistributedReport>>,
@@ -138,7 +110,6 @@ impl<'m> DistributedTb<'m> {
         DistributedTb {
             model,
             occupation: OccupationScheme::Fermi { kt: 0.1 },
-            solver: DistributedSolver::default(),
             ranks: RankControl::new(n_ranks),
             last_report: Mutex::new(None),
             pool: Mutex::new(RankWorkspacePool::new()),
@@ -148,12 +119,6 @@ impl<'m> DistributedTb<'m> {
     /// Select the occupation scheme.
     pub fn with_occupation(mut self, occupation: OccupationScheme) -> Self {
         self.occupation = occupation;
-        self
-    }
-
-    /// Select the distributed eigensolver.
-    pub fn with_solver(mut self, solver: DistributedSolver) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -226,15 +191,8 @@ impl<'m> DistributedTb<'m> {
         let occ_vals = &slot.values[..k];
         let lo = snap_range_to_clusters(occ_vals, ctol, raw.start..k).start;
         let hi = snap_range_to_clusters(occ_vals, ctol, raw.end..k).start;
-        // One shard per rank, launched through the shared batched entry
-        // point (same shape as the per-k fan-out).
-        let mut shard = [ShardJob {
-            lambda: &slot.values[lo..hi],
-            seed_offset: lo,
-            z: &mut slot.vectors,
-            ws: &mut slot.eigh,
-        }];
-        eigenvector_shards_batch(false, &slot.h, &mut shard);
+        let (z, eigh) = (&mut slot.vectors, &mut slot.eigh);
+        reduced_eigenvectors_offset_into(&slot.h, &slot.values[lo..hi], lo, z, eigh);
         rank.count_flops(4 * ((hi - lo) * n_orb * n_orb) as u64);
         timings.diagonalize = clock.lap(&mut timings);
 
@@ -257,150 +215,17 @@ impl<'m> DistributedTb<'m> {
             model,
             nl,
             index,
-            slot.rho.as_slice(),
+            &slot.rho,
             &mut slot.forces_block,
         );
         timings.forces = clock.lap(&mut timings);
         let energy = band + e_rep + entropy_term(self.occupation, occ.entropy);
-        forces.map(|forces| ((energy, forces, 0), timings))
+        forces.map(|forces| ((energy, forces), timings))
     }
-
-    /// The ring-Jacobi reference on one rank: owned `H` columns, ring
-    /// rotation sweeps, per-column occupations, ρ allreduce, force block.
-    fn ring_rank(
-        &self,
-        s: &Structure,
-        index: &OrbitalIndex,
-        rank: &mut Rank,
-        slot: &mut DenseRankSlot,
-    ) -> RankResult {
-        let me = rank.id();
-        let model = self.model;
-        let n_orb = index.total();
-        let owner0 = initial_column_owners(n_orb, rank.size());
-        let mut timings = PhaseTimings::default();
-        // The ring rotation inside `ring_jacobi_worker` is point-to-point,
-        // not a collective, and stays inside `diagonalize`.
-        let mut clock = PhaseClock::start();
-
-        // ---- Phase 1: positions broadcast (geometry replication).
-        slot.replica
-            .refresh(rank, 100, s, model.cutoff(), &mut clock, &mut timings);
-        let (local, nl) = slot.replica.geometry();
-        timings.neighbors = clock.lap(&mut timings);
-
-        // ---- Phase 2: assemble owned H columns.
-        let mut cols: HashMap<usize, Vec<f64>> = HashMap::new();
-        let mut atom_cache: HashMap<usize, [Vec<f64>; 4]> = HashMap::new();
-        for c in (0..n_orb).filter(|&c| owner0[c] == me) {
-            let atom = c / 4;
-            let slab = atom_cache.entry(atom).or_insert_with(|| {
-                rank.count_flops(60 * nl.neighbors(atom).len() as u64 + 20);
-                build_atom_columns(local, nl, model, index, atom)
-            });
-            cols.insert(c, slab[c % 4].clone());
-        }
-        drop(atom_cache);
-        timings.hamiltonian = clock.lap(&mut timings);
-
-        // ---- Phase 3: distributed diagonalization.
-        let local_fro2: f64 = cols.values().flat_map(|c| c.iter()).map(|&x| x * x).sum();
-        let mut buf = vec![local_fro2];
-        clock.blocked(|| rank.allreduce_sum(101, &mut buf));
-        let fro = buf[0].sqrt();
-        let deig = ring_jacobi_worker(rank, n_orb, cols, fro, JACOBI_TOL, JACOBI_MAX_SWEEPS, 200);
-        timings.diagonalize = clock.lap(&mut timings);
-
-        // ---- Phase 4: occupations (replicated) + distributed ρ.
-        let mut order: Vec<usize> = (0..n_orb).collect();
-        order.sort_by(|&a, &b| {
-            deig.values_by_column[a]
-                .partial_cmp(&deig.values_by_column[b])
-                .expect("NaN eigenvalue")
-        });
-        let sorted: Vec<f64> = order.iter().map(|&c| deig.values_by_column[c]).collect();
-        let occ = occupations(&sorted, s.n_electrons(), self.occupation);
-        let band = occ.band_energy(&sorted);
-        // Occupation per column id.
-        let mut f_by_column = vec![0.0; n_orb];
-        for (state_idx, &col) in order.iter().enumerate() {
-            f_by_column[col] = occ.f[state_idx];
-        }
-        // Partial density matrix from owned eigenvector columns.
-        let mut rho_flat = vec![0.0; n_orb * n_orb];
-        for (&c, v) in &deig.owned_vectors {
-            let f = f_by_column[c];
-            if f <= OCCUPATION_DROP_TOL {
-                continue;
-            }
-            rank.count_flops(2 * (n_orb * n_orb) as u64);
-            for i in 0..n_orb {
-                let vi2f = 2.0 * f * v[i];
-                let row = &mut rho_flat[i * n_orb..(i + 1) * n_orb];
-                for (rj, &vj) in row.iter_mut().zip(v) {
-                    *rj += vi2f * vj;
-                }
-            }
-        }
-        clock.blocked(|| rank.allreduce_sum(102, &mut rho_flat));
-        timings.density = clock.lap(&mut timings);
-
-        // ---- Phase 5: forces for my atom block; allgather.
-        let (e_rep, forces) = force_phase(
-            rank,
-            &mut clock,
-            model,
-            nl,
-            index,
-            &rho_flat,
-            &mut slot.forces_block,
-        );
-        timings.forces = clock.lap(&mut timings);
-        let energy = band + e_rep + entropy_term(self.occupation, occ.entropy);
-        forces.map(|forces| ((energy, forces, deig.sweeps), timings))
-    }
-}
-
-/// Build one Hamiltonian *column block* (the 4 columns of atom `j`) from the
-/// replicated geometry. Returns a `n_orb × 4` slab in column-major order
-/// (i.e. 4 vectors of length `n_orb`). Used by the ring-Jacobi reference
-/// path, whose solver wants whole columns.
-fn build_atom_columns(
-    s: &Structure,
-    nl: &NeighborList,
-    model: &dyn TbModel,
-    index: &OrbitalIndex,
-    j: usize,
-) -> [Vec<f64>; 4] {
-    let n_orb = index.total();
-    let oj = index.offset(j);
-    let mut cols: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; n_orb]);
-    // On-site block.
-    let e = model.on_site(s.species(j));
-    for (k, &ek) in e.iter().enumerate() {
-        cols[k][oj + k] = ek;
-    }
-    // Neighbour blocks: H[rows of i, cols of j] = B(d_{i→j}) = B(−d_{j→i})
-    // = B(d_{j→i})ᵀ; self-image entries accumulate onto the diagonal block.
-    for nb in nl.neighbors(j) {
-        let v = model.hoppings(nb.dist);
-        if v.iter().all(|&x| x == 0.0) {
-            continue;
-        }
-        let b_ji = sk_block(nb.disp.to_array(), v); // block (j, i)
-        let b_ij = sk_transpose(&b_ji); // block (i, j): rows of i, cols of j
-        let oi = index.offset(nb.j);
-        for (mu, row) in b_ij.iter().enumerate() {
-            for (nu, &x) in row.iter().enumerate() {
-                cols[nu][oi + mu] += x;
-            }
-        }
-    }
-    cols
 }
 
 /// The bond blocks of `rho` ([`for_each_bond_block`] order, each row-major)
-/// one after another — the payload of the sliced solver's ρ allreduce.
+/// one after another — the payload of the ρ allreduce.
 fn pack_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, rho: &Matrix, packed: &mut Vec<f64>) {
     packed.clear();
     for_each_bond_block(nl, |i, j| {
@@ -427,31 +252,28 @@ fn unpack_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, packed: &[f64], r
     });
 }
 
-/// Phase 5 of both solver paths: gather-form forces ([`bond_force`]) for
-/// this rank's atom block from the replicated row-major ρ, the force allgather
-/// and the repulsive-energy allreduce. Returns the repulsive energy and, on
-/// rank 0, the assembled forces.
+/// Phase 5: gather-form forces ([`bond_force`]) for this rank's atom block
+/// from the replicated ρ, the force allgather and the repulsive-energy
+/// allreduce. Returns the repulsive energy and, on rank 0, the assembled
+/// forces.
 fn force_phase(
     rank: &mut Rank,
     clock: &mut PhaseClock,
     model: &dyn TbModel,
     nl: &NeighborList,
     index: &OrbitalIndex,
-    rho_flat: &[f64],
+    rho: &Matrix,
     block: &mut Vec<f64>,
 ) -> (f64, Option<Vec<Vec3>>) {
-    let (n_atoms, n_orb) = (nl.n_atoms(), index.total());
+    let n_atoms = nl.n_atoms();
     let my_atoms = partition_range(n_atoms, rank.size(), rank.id());
     let fx = embedding(model, nl, n_atoms);
     rank.count_flops(30 * n_atoms as u64);
     let my_rep_energy: f64 = my_atoms.clone().map(|i| fx[i].0).sum();
     block.clear();
     for i in my_atoms {
-        let row0 = index.offset(i) * n_orb;
-        let fi = bond_force(model, nl, i, &fx, |j| {
-            let at = row0 + index.offset(j);
-            move |mu: usize, nu: usize| rho_flat[at + mu * n_orb + nu]
-        });
+        let oi = index.offset(i);
+        let fi = bond_force(model, nl, i, &fx, |j| dense_block(rho, oi, index.offset(j)));
         rank.count_flops(400 * nl.neighbors(i).len() as u64);
         block.extend_from_slice(&fi.to_array());
     }
@@ -479,15 +301,11 @@ impl ForceProvider for DistributedTb<'_> {
             |slot| slot.grown,
             index.total(),
             ws,
-            |rank, slot| match self.solver {
-                DistributedSolver::TwoStageSliced => self.sliced_rank(s, &index, rank, slot),
-                DistributedSolver::RingJacobi => self.ring_rank(s, &index, rank, slot),
-            },
+            |rank, slot| self.sliced_rank(s, &index, rank, slot),
         )?;
-        let (energy, forces, jacobi_sweeps) = launch.result;
+        let (energy, forces) = launch.result;
         *self.last_report.lock() = Some(DistributedReport {
             stats: launch.stats,
-            jacobi_sweeps,
             n_ranks: launch.n_ranks,
         });
         Ok(ForceEvaluation {
@@ -563,42 +381,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(37);
         s.perturb(&mut rng, 0.03);
         assert_matches_serial(&s, &model, 3);
-    }
-
-    #[test]
-    fn ring_jacobi_reference_matches_sliced_default() {
-        // The reference variant stays pinned: both distributed solvers must
-        // agree with each other (and the serial engine) on the same system.
-        let model = silicon_gsp();
-        let mut s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let mut rng = StdRng::seed_from_u64(41);
-        s.perturb(&mut rng, 0.06);
-        for p in [2usize, 4] {
-            let sliced = DistributedTb::new(&model, p);
-            let ring = DistributedTb::new(&model, p).with_solver(DistributedSolver::RingJacobi);
-            assert_eq!(sliced.solver, DistributedSolver::TwoStageSliced);
-            let a = sliced.evaluate(&s).unwrap();
-            let b = ring.evaluate(&s).unwrap();
-            assert!(
-                (a.energy - b.energy).abs() < 1e-6,
-                "p={p}: {} vs {}",
-                a.energy,
-                b.energy
-            );
-            for (fa, fb) in a.forces.iter().zip(&b.forces) {
-                assert!((*fa - *fb).max_abs() < 1e-5, "p={p}");
-            }
-            // The sliced solver must move fewer bytes than the ring
-            // rotation on every system large enough to matter.
-            let ra = sliced.last_report().unwrap();
-            let rb = ring.last_report().unwrap();
-            assert!(
-                ra.stats.total_bytes() < rb.stats.total_bytes(),
-                "p={p}: sliced {} bytes vs ring {} bytes",
-                ra.stats.total_bytes(),
-                rb.stats.total_bytes()
-            );
-        }
     }
 
     #[test]

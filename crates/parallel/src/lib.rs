@@ -2,30 +2,25 @@
 //!
 //! The parallel-systems layer of the reproduction: a virtual
 //! distributed-memory machine ([`vmp`]) with counted message traffic, era
-//! machine cost models ([`cost_model`]), the distributed ring-Jacobi
-//! eigensolver ([`ring_jacobi`]), the rank-control and launch layer every
-//! replicated-data engine shares ([`ranks`]), and two parallel TBMD engines
-//! — the message-passing [`DistributedTb`] and the shared-memory fan-out
-//! stages of the dense calculator ([`shared_memory_tb`]) — both numerically
-//! pinned to the serial reference calculator by the test-suite.
+//! machine cost models ([`cost_model`]), the rank-control and launch layer
+//! every replicated-data engine shares ([`ranks`]), and two parallel TBMD
+//! engines — the message-passing [`DistributedTb`] and the shared-memory
+//! fan-out stages of the dense calculator ([`shared_memory_tb`]) — both
+//! numerically pinned to the serial reference calculator by the test-suite.
 
 pub mod cost_model;
 pub mod distributed;
 pub mod pool;
 pub mod ranks;
-pub mod ring_jacobi;
 pub mod shared;
 pub mod vmp;
 
 pub use cost_model::{
     estimate_cost, scaling, sliced_wire_bytes, CostEstimate, MachineProfile, Scaling,
 };
-pub use distributed::{DistributedReport, DistributedSolver, DistributedTb};
+pub use distributed::{DistributedReport, DistributedTb};
 pub use pool::RankWorkspacePool;
 pub use ranks::{gather_forces, Launch, PhaseClock, RankControl, Replica};
-pub use ring_jacobi::{
-    initial_column_owners, ring_jacobi_eigh, ring_jacobi_worker, DistributedEigh, RingJacobiReport,
-};
 pub use shared::{par_build_hamiltonian_into, par_forces, shared_memory_tb, FAN_OUT};
 // The process compute budget lives in `tbmd-linalg` (the lowest layer every
 // fan-out site can see); re-export it here so callers thinking in terms of

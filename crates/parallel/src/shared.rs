@@ -130,15 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_serial_on_silicon_jacobi() {
-        let model = silicon_gsp();
-        let mut s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let mut rng = StdRng::seed_from_u64(3);
-        s.perturb(&mut rng, 0.08);
-        assert_engines_agree(&s, &model, DenseSolver::ParallelJacobi);
-    }
-
-    #[test]
     fn matches_serial_on_carbon_cluster() {
         let model = carbon_xwch();
         let mut s = fullerene_c60(1.44);

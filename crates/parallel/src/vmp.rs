@@ -10,7 +10,7 @@
 //!
 //! Semantics follow early-MPI practice: ranked processes, blocking matched
 //! `send`/`recv` with tags, and collectives (barrier, broadcast, reduce,
-//! allreduce, gather, allgather, scatter) built from point-to-point messages
+//! allreduce, gather, allgather) built from point-to-point messages
 //! so that collective traffic is accounted at the same level the 1994 codes
 //! paid for it.
 
@@ -605,22 +605,6 @@ impl Rank {
     pub fn allgather_bytes(total: usize, root_chunk: usize, p: usize) -> u64 {
         8 * (total - root_chunk) as u64 + Self::broadcast_bytes(p + total, p)
     }
-
-    /// Scatter `chunks` (given on the root) so rank `r` receives chunk `r`.
-    pub fn scatter(&mut self, root: usize, tag: u64, chunks: Option<&[Vec<f64>]>) -> Vec<f64> {
-        if self.id == root {
-            let chunks = chunks.expect("root must supply chunks");
-            assert_eq!(chunks.len(), self.size);
-            for (r, c) in chunks.iter().enumerate() {
-                if r != root {
-                    self.send(r, tag, c);
-                }
-            }
-            chunks[root].clone()
-        } else {
-            self.recv(root, tag)
-        }
-    }
 }
 
 /// Lowest set bit of `v`, or `size.next_power_of_two()` for `v == 0`.
@@ -1177,21 +1161,6 @@ mod tests {
             let total = p * (p + 1) / 2;
             assert_eq!(stats.total_bytes(), Rank::allgather_bytes(total, 1, p));
         }
-    }
-
-    #[test]
-    fn scatter_distributes() {
-        let (results, _) = vmp_run(3, |mut rank| {
-            let chunks: Option<Vec<Vec<f64>>> = if rank.id() == 1 {
-                Some((0..3).map(|r| vec![r as f64 * 10.0]).collect())
-            } else {
-                None
-            };
-            rank.scatter(1, 70, chunks.as_deref())
-        });
-        assert_eq!(results[0], vec![0.0]);
-        assert_eq!(results[1], vec![10.0]);
-        assert_eq!(results[2], vec![20.0]);
     }
 
     #[test]

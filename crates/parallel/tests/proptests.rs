@@ -3,8 +3,7 @@
 //! roots and payloads.
 
 use proptest::prelude::*;
-use tbmd_linalg::{eigh, Matrix};
-use tbmd_parallel::{partition_range, ring_jacobi_eigh, vmp_run};
+use tbmd_parallel::{partition_range, vmp_run};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -76,27 +75,5 @@ proptest! {
             prop_assert!(len >= n / p && len <= n / p + 1);
         }
         prop_assert_eq!(next_start, n);
-    }
-
-    #[test]
-    fn ring_jacobi_matches_ql_random(n in 2usize..12, p in 1usize..5, seed in 0u64..50) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let v = next();
-                a[(i, j)] = v;
-                a[(j, i)] = v;
-            }
-        }
-        let reference = eigh(a.clone()).unwrap();
-        let (dist, _) = ring_jacobi_eigh(&a, p, 1e-12, 40);
-        for (x, y) in dist.values.iter().zip(&reference.values) {
-            prop_assert!((x - y).abs() < 1e-7, "n={} p={}: {} vs {}", n, p, x, y);
-        }
     }
 }

@@ -37,12 +37,32 @@ fn leased<T>(width: usize, f: impl FnOnce() -> T) -> T {
     lease.scoped(f)
 }
 
+/// The energy-only path against the full evaluation: the same bits where
+/// both run the calculator's own spectrum stage (serial, shared), within
+/// 1e-9 eV where `evaluate` is the rank-sharded spectrum and `energy_only`
+/// the serial calculator (distributed).
+fn assert_energy_only_is_the_evaluation(kind: EngineKind, engine: &Engine, s: &Structure, e: f64) {
+    let e_only = engine.energy_only(s).unwrap();
+    if matches!(kind, EngineKind::Distributed { .. }) {
+        let gap = (e_only - e).abs();
+        assert!(
+            gap <= 1e-9,
+            "{kind:?}: energy_only {e_only} vs evaluate {e}"
+        );
+    } else {
+        assert_eq!(e_only.to_bits(), e.to_bits(), "{kind:?}: {e_only} vs {e}");
+    }
+}
+
 /// Central differences on 3 atoms × 3 components, engine vs serial, and
-/// energy-only vs full evaluation, for the dense kinds on perturbed Si-64.
+/// energy-only vs full evaluation (also at Si-8, the one-stage side of the
+/// solver crossover), for the dense kinds on perturbed Si-64.
 #[test]
 fn dense_kinds_hold_their_contracts_at_si64() {
     let model = silicon_gsp();
     let s = perturbed_si64();
+    let mut si8 = bulk_diamond(Species::Silicon, 1, 1, 1);
+    si8.perturb(&mut StdRng::seed_from_u64(8), 0.05);
     let n = s.n_atoms() as f64;
     let reference = Engine::build(EngineKind::Serial, &model, KT)
         .evaluate(&s)
@@ -65,13 +85,12 @@ fn dense_kinds_hold_their_contracts_at_si64() {
             assert!(df <= 1e-6, "{kind:?}: force on atom {i} off by {df:.3e}");
         }
 
-        // Energy-only path vs the full evaluation.
-        let e_only = engine.energy_only(&s).unwrap();
-        assert!(
-            (e_only - eval.energy).abs() <= 1e-9,
-            "{kind:?}: energy_only {e_only} vs evaluate {}",
-            eval.energy
-        );
+        // Energy-only path vs the full evaluation, both sides of the
+        // crossover (a fresh engine: the Si-64 replicas stay untouched).
+        assert_energy_only_is_the_evaluation(kind, &engine, &s, eval.energy);
+        let small = Engine::build(kind, &model, KT);
+        let e8 = leased(width, || small.evaluate(&si8)).unwrap().energy;
+        assert_energy_only_is_the_evaluation(kind, &small, &si8, e8);
 
         // Forces are −∇E (tolerance as in `calculator.rs`).
         let h = 1e-5;

@@ -11,9 +11,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{
-    silicon_gsp, DenseSolver, ForceProvider, OccupationScheme, TbCalculator, Workspace,
+    bond_block_elements, silicon_gsp, DenseSolver, ForceProvider, NeighborWorkspace,
+    OccupationScheme, OrbitalIndex, TbCalculator, TbModel, Workspace,
 };
-use tbmd_parallel::{shared_memory_tb, DistributedSolver, DistributedTb};
+use tbmd_parallel::{shared_memory_tb, sliced_wire_bytes, DistributedTb};
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
 fn si64() -> Structure {
@@ -86,7 +87,7 @@ fn shared_two_stage_matches_full_ql_over_nve_trajectory() {
     assert_solver_trajectories_match(&sliced, &full, 20, 1e-8, 1e-7);
 }
 
-/// ISSUE 3 acceptance: the message-passing engine's default rank-sharded
+/// ISSUE 3 acceptance: the message-passing engine's rank-sharded
 /// two-stage solver (replicated tridiagonalization, Sturm-sliced occupied
 /// window, ρ allreduce) drives 20 NVE steps against the serial
 /// full-spectrum QL reference to < 1e-8 eV per-step energy agreement.
@@ -94,20 +95,33 @@ fn shared_two_stage_matches_full_ql_over_nve_trajectory() {
 fn distributed_sliced_matches_serial_full_over_nve_trajectory() {
     let model = silicon_gsp();
     let dist = DistributedTb::new(&model, 4);
-    // The sliced solver must be the default, not an opt-in.
-    assert_eq!(dist.solver, DistributedSolver::TwoStageSliced);
     let full = TbCalculator::with_solver(&model, DenseSolver::FullQl);
     assert_solver_trajectories_match(&dist, &full, 20, 1e-8, 1e-7);
 }
 
-/// The ring-Jacobi reference stays selectable and physically equivalent:
-/// a short NVE segment tracks the serial full solver too.
+/// One Si-64 evaluation moves exactly the bytes the cost model prices
+/// (positions broadcast, spectrum allgather, packed-ρ allreduce, force
+/// allgather, repulsive-energy allreduce) — also at P = 3, where the
+/// `partition_range` shards are uneven — and more of them on more ranks.
 #[test]
-fn distributed_ring_jacobi_reference_stays_selectable() {
+fn distributed_wire_bytes_equal_the_cost_model() {
     let model = silicon_gsp();
-    let ring = DistributedTb::new(&model, 2).with_solver(DistributedSolver::RingJacobi);
-    let full = TbCalculator::with_solver(&model, DenseSolver::FullQl);
-    assert_solver_trajectories_match(&ring, &full, 3, 1e-6, 1e-5);
+    let s = si64();
+    let index = OrbitalIndex::new(&s);
+    // The ρ payload: the bond blocks of the list every rank's replica holds.
+    let mut replica = NeighborWorkspace::default();
+    replica.update(&s, model.cutoff());
+    let rho_doubles = bond_block_elements(replica.list(), &index);
+    let mut totals = Vec::new();
+    for p in [2usize, 3, 4] {
+        let dist = DistributedTb::new(&model, p);
+        dist.evaluate(&s).unwrap();
+        let measured = dist.last_report().unwrap().stats.total_bytes();
+        let predicted = sliced_wire_bytes(s.n_atoms(), index.total(), rho_doubles, p);
+        assert_eq!(measured, predicted, "P = {p}");
+        totals.push(measured);
+    }
+    assert!(totals.windows(2).all(|w| w[0] < w[1]), "{totals:?}");
 }
 
 /// The sliced solver must reproduce the full solver's *spectrum* (all n
@@ -135,6 +149,9 @@ fn sliced_solver_reports_complete_spectrum() {
     }
     assert!((ra.energy - rb.energy).abs() < 1e-9);
     assert!((ra.occupations.fermi_level - rb.occupations.fermi_level).abs() < 1e-9);
+    // The energy-only path is each calculator's own spectrum stage.
+    assert_eq!(sliced.energy(&s).unwrap().to_bits(), ra.energy.to_bits());
+    assert_eq!(full.energy(&s).unwrap().to_bits(), rb.energy.to_bits());
 }
 
 /// Zero-temperature occupations cut the spectrum at exactly n_electrons/2
