@@ -16,7 +16,7 @@ pub enum EngineKind {
     /// one-stage QL below 96 orbitals).
     #[default]
     Serial,
-    /// The same dense pipeline with the Rayon fan-out `H`-assembly and
+    /// The same dense pipeline with the fan-out `H`-assembly and
     /// force stages.
     Shared,
     /// Message-passing engine on `ranks` virtual ranks.

@@ -19,7 +19,6 @@
 
 use crate::eigh::{tridiagonalize, EigError};
 use crate::matrix::Matrix;
-use rayon::prelude::*;
 
 /// Number of eigenvalues of the tridiagonal matrix `(d, e)` strictly below
 /// `x` (Sturm count). `e[0]` is unused; `e[i]` couples rows `i−1` and `i`,
@@ -196,7 +195,7 @@ pub fn tridiagonal_kth_eigenvalue(d: &[f64], e: &[f64], k: usize) -> f64 {
 /// indices in `range` written into `out`, reusing its allocation.
 ///
 /// The Gershgorin bracket is computed once and every index is isolated by an
-/// independent Sturm bisection inside it (fanned out over Rayon, no
+/// independent Sturm bisection inside it (fanned out over the team, no
 /// cross-index communication), converging to machine precision regardless
 /// of clustering — the Sturm count handles multiplicities exactly. Disjoint
 /// ranges computed on different message-passing ranks therefore concatenate
@@ -225,11 +224,9 @@ pub fn tridiagonal_eigenvalues_range_into(
     }
     let (lo, hi) = widened_bounds(d, e);
     let start = range.start;
-    out.par_chunks_mut(STURM_LANES)
-        .enumerate()
-        .for_each(|(c, chunk)| {
-            kth_eigenvalues_batched(d, e, start + c * STURM_LANES, lo, hi, chunk);
-        });
+    crate::team::chunks_for_each(crate::team::width(), out, STURM_LANES, |c, chunk| {
+        kth_eigenvalues_batched(d, e, start + c * STURM_LANES, lo, hi, chunk);
+    });
 }
 
 /// Snap an index `range` over the sorted eigenvalues `lambda` forward to

@@ -9,9 +9,10 @@
 //!
 //! 1. **Panel factorization** — `NB` Householder reflectors are generated per
 //!    panel; the trailing matrix is touched only through `NB` symmetric
-//!    matrix–vector products (serial, four rows of the lower triangle per
-//!    pass, one fixed summation order) whose corrections against the pending
-//!    panel (`V`, `W`) keep the panel numerically exact.
+//!    matrix–vector products (four rows of the lower triangle per pass,
+//!    large blocks in row bands over the thread team, one fixed summation
+//!    order either way) whose corrections against the pending panel (`V`,
+//!    `W`) keep the panel numerically exact.
 //! 2. **Rank-2k trailing update** — after each panel the trailing block
 //!    absorbs `A ← A − V Wᵀ − W Vᵀ` in one GEMM-shaped sweep over contiguous
 //!    rows (the SYR2K analogue of the SYRK density-matrix kernel), two
@@ -33,7 +34,8 @@
 use crate::eigh::{tqli, EigError, EighWorkspace};
 use crate::kernels;
 use crate::matrix::Matrix;
-use rayon::prelude::*;
+use crate::team;
+use std::sync::Mutex;
 
 /// Panel width of the blocked reduction and of the compact-WY application.
 /// 32 columns keep the panel (`2 · 32 · n` doubles) L2-resident at the
@@ -44,6 +46,32 @@ pub const TRIDIAG_BLOCK: usize = 32;
 /// panel over. `n × 96` doubles stay L2-resident up to n ≈ 2500, and the
 /// strip's `Vᵀ Z` block (`32 × 96` doubles, 24 KB) stays in L1.
 const STRIP_COLS: usize = 96;
+
+/// Row bands the panel matvec of a trailing block is cut into, and the
+/// fewest rows a block must have to be cut at all. Measured on the 2-vCPU
+/// reference host, reduction alone, min / median of 12: n = 640 unbanded
+/// 28.5–41 / 35–43 ms at either width; banded under a width-2 lease 27–29 /
+/// 30–36 (2 bands), 27.6–28 / 29–32 (4), 27–30 / 33 (8); n = 864 unbanded
+/// 77–90 / 81–101, banded 60–69 / 68–75 (2), 61–65 / 65–74 (4), 59–70 /
+/// 67–76 (8). Four divides evenly over 2 and 4 threads. Run inline (width 1)
+/// the partial vectors cost the matvec ≤ 5 % at n = 640 and nothing
+/// measurable at 864. Below 256 rows a column's matvec is ≈ 7 µs and half of
+/// it no longer pays for a hand-off; floors of 128 and 384 read the same as
+/// 256 within the noise.
+const SYMV_BANDS: usize = 4;
+const SYMV_BAND_FLOOR: usize = 256;
+
+/// Width of the two fan-outs that do not consult the lease yet:
+/// [`rank2k_lower`] and [`apply_q_blocked`] take the whole team, as they
+/// always took every hardware thread (`si216-serial-nve` holds a width-1
+/// lease and still reduces and back-transforms on both cores). Narrowing
+/// them to [`team::width`] is what is left of ROADMAP item 1; it reads as
+/// ≈ −25 % on that workload, so it waits for the width-2 dense Si-216
+/// workload of item 4 that can show the other side of the trade. A
+/// message-passing rank runs both inline whatever they ask for.
+fn whole_team() -> usize {
+    team::size()
+}
 
 /// Reusable scratch of the blocked reduction, the compact-WY application and
 /// the partial-spectrum path. Buffers grow to the largest size seen, then
@@ -68,6 +96,8 @@ pub struct BlockedScratch {
     /// Householder candidate column / symmetric matvec result.
     colbuf: Vec<f64>,
     pvec: Vec<f64>,
+    /// One partial matvec result per row band, `SYMV_BANDS × n`.
+    bands: Vec<f64>,
     /// Scratch tridiagonal copy for QL eigenvalue extraction.
     dql: Vec<f64>,
     eql: Vec<f64>,
@@ -146,6 +176,10 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     s.colbuf.resize(n, 0.0);
     s.pvec.clear();
     s.pvec.resize(n, 0.0);
+    if n > SYMV_BAND_FLOOR {
+        s.bands.clear();
+        s.bands.resize(SYMV_BANDS * n, 0.0);
+    }
 
     let mut j0 = 0usize;
     while j0 + 2 < n {
@@ -190,7 +224,7 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
             let v = s.vpan.row(jj);
             let p = &mut s.pvec;
             let lo = j + 1;
-            kernels::symv_lower(a.as_slice(), n, lo, v, p);
+            symv_banded(a.as_slice(), n, lo, v, p, &mut s.bands);
             for q in 0..jj {
                 let vq = s.vpan.row(q);
                 let wq = s.wpan.row(q);
@@ -221,6 +255,55 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     }
 }
 
+/// The panel matvec `p[lo..n] = A[lo..n, lo..n] · v[lo..n]`
+/// ([`kernels::symv_lower`]) — in one pass on the calling thread for a
+/// trailing block of fewer than [`SYMV_BAND_FLOOR`] rows, else in
+/// [`SYMV_BANDS`] row bands of equal area dealt over [`team::width`] threads:
+/// band `b` ends where the lower triangle reaches `(b + 1) / SYMV_BANDS` of
+/// its area, on a four-row pass boundary; each band fills its own partial
+/// vector ([`kernels::symv_lower_band`]) and the partials are added per
+/// element in band order. Whether a block is cut, where, and the order of
+/// every addition depend on `(lo, n)` alone, so `p` — and with it `(d, e)`,
+/// τ and the reflectors — is bitwise the same at every width, under every
+/// lease and on a rank thread, which runs the bands inline one after another.
+fn symv_banded(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64], bands: &mut [f64]) {
+    let m = n - lo;
+    if m < SYMV_BAND_FLOOR {
+        return kernels::symv_lower(a, n, lo, v, p);
+    }
+    let head = lo + m % 4;
+    let passes = (n - head) / 4;
+    // Rows `lo..r` hold (r − lo)² / 2 of the area: equal areas end at √ steps.
+    let bound = |b: usize| match b {
+        0 => lo,
+        b => head + 4 * ((passes as f64) * (b as f64 / SYMV_BANDS as f64).sqrt()).round() as usize,
+    };
+    {
+        // Straight on `team::run`, the partial vectors behind locks on the
+        // stack: this runs once per column, and the hands `chunks_for_each`
+        // would allocate for it left the heap too fragmented for the solver's
+        // `n × k` buffers to grow in place (+3 MB peak RSS on
+        // `cnt160-shared2-nvt`).
+        let mut parts = bands.chunks_exact_mut(n);
+        let parts: [_; SYMV_BANDS] =
+            std::array::from_fn(|_| Mutex::new(parts.next().expect("SYMV_BANDS × n")));
+        let width = team::width().min(SYMV_BANDS);
+        team::run(width, &|tid| {
+            for b in (tid..SYMV_BANDS).step_by(width) {
+                let mut part = parts[b].lock().expect("one thread per band");
+                kernels::symv_lower_band(a, n, lo, bound(b)..bound(b + 1), v, &mut part);
+            }
+        });
+    }
+    for (b, part) in bands.chunks_exact(n).enumerate() {
+        let (r0, r1) = (bound(b), bound(b + 1));
+        for (pv, &x) in p[lo..r0].iter_mut().zip(&part[lo..r0]) {
+            *pv += x;
+        }
+        p[r0..r1].copy_from_slice(&part[r0..r1]);
+    }
+}
+
 /// `A ← A − V Wᵀ − W Vᵀ` on the lower triangle of the trailing block
 /// `[t0, n)`, with `V`, `W` the first `jb` rows of `vpan`, `wpan` (one
 /// reflector per row). One fan-out over rows; a row folds two reflector pairs
@@ -230,26 +313,24 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
 /// the thread count.
 fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &Matrix) {
     let ncols = a.cols();
-    a.as_mut_slice()[t0 * ncols..]
-        .par_chunks_mut(ncols)
-        .enumerate()
-        .for_each(|(ri, row)| {
-            let r = t0 + ri;
-            let y = &mut row[t0..=r];
-            for p in (0..jb - jb % 2).step_by(2) {
-                let (v0, w0) = (vpan.row(p), wpan.row(p));
-                let (v1, w1) = (vpan.row(p + 1), wpan.row(p + 1));
-                kernels::axpy4(
-                    y,
-                    [-v0[r], -w0[r], -v1[r], -w1[r]],
-                    [&w0[t0..], &v0[t0..], &w1[t0..], &v1[t0..]],
-                );
-            }
-            if jb % 2 == 1 {
-                let (v, w) = (vpan.row(jb - 1), wpan.row(jb - 1));
-                kernels::axpy2(y, -v[r], &w[t0..=r], -w[r], &v[t0..=r]);
-            }
-        });
+    let trailing = &mut a.as_mut_slice()[t0 * ncols..];
+    team::chunks_for_each(whole_team(), trailing, ncols, |ri, row| {
+        let r = t0 + ri;
+        let y = &mut row[t0..=r];
+        for p in (0..jb - jb % 2).step_by(2) {
+            let (v0, w0) = (vpan.row(p), wpan.row(p));
+            let (v1, w1) = (vpan.row(p + 1), wpan.row(p + 1));
+            kernels::axpy4(
+                y,
+                [-v0[r], -w0[r], -v1[r], -w1[r]],
+                [&w0[t0..], &v0[t0..], &w1[t0..], &v1[t0..]],
+            );
+        }
+        if jb % 2 == 1 {
+            let (v, w) = (vpan.row(jb - 1), wpan.row(jb - 1));
+            kernels::axpy2(y, -v[r], &w[t0..=r], -w[r], &v[t0..=r]);
+        }
+    });
 }
 
 /// Row `r` of panel `[j0, j0+jb)`'s reflector matrix `V` (`n × jb`, column
@@ -414,9 +495,7 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
     // A strip count that is a multiple of the thread count keeps the static
     // partition even; widths are multiples of 8 for the vector loops (the
     // last strip takes what is left).
-    let nstrips = k
-        .div_ceil(STRIP_COLS)
-        .next_multiple_of(rayon::current_num_threads());
+    let nstrips = k.div_ceil(STRIP_COLS).next_multiple_of(whole_team());
     let width = k.div_ceil(nstrips).next_multiple_of(8).min(STRIP_COLS);
     // Strip `s` is rows `s·n..(s+1)·n` of this table of row segments.
     let mut segments: Vec<&mut [f64]> = Vec::new();
@@ -427,9 +506,9 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
         }
     }
     let tmat = &s.tmat;
-    segments
-        .par_chunks_mut(n)
-        .for_each(|strip| sweep_strip(a, tmat, strip));
+    team::chunks_for_each(whole_team(), &mut segments, n, |_, strip| {
+        sweep_strip(a, tmat, strip)
+    });
 }
 
 /// Full-spectrum eigendecomposition through the blocked reduction: a
@@ -602,6 +681,7 @@ pub fn eigh_partial_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::ComputeLease;
     use crate::eigh::{eig_residual, eigh, orthogonality_defect, tridiagonalize, Eigh};
 
     fn symmetric_test_matrix(n: usize, seed: u64) -> Matrix {
@@ -699,25 +779,76 @@ mod tests {
     #[test]
     fn reduction_is_bitwise_independent_of_the_lease_width() {
         // Sizes that are multiples of neither the 4-row matvec pass nor the
-        // panel width: (d, e), τ and the packed reflectors under a width-1
-        // lease and unconstrained.
-        for n in [131usize, 203] {
+        // panel width; 131 and 203 stay below the band floor, 523 cuts the
+        // matvec of its first eight panels into bands. (d, e), τ and the
+        // packed reflectors unconstrained (the whole team), under width-1
+        // and width-2 leases, and on a thread pinned inline as a
+        // message-passing rank is.
+        const { assert!(523 >= 2 * SYMV_BAND_FLOOR) };
+        for n in [131usize, 203, 523] {
             let a = symmetric_test_matrix(n, 300 + n as u64);
-            let reduce = || {
+            let reduce = move || {
                 let mut packed = a.clone();
                 let mut ws = EighWorkspace::default();
                 tridiagonalize_blocked_into(&mut packed, &mut ws);
                 (packed, ws.blocked.d, ws.blocked.e, ws.blocked.tau)
             };
             let wide = reduce();
-            let narrow = crate::budget::ComputeLease::untracked(1).scoped(reduce);
-            assert_eq!(wide.1, narrow.1, "d, n={n}");
-            assert_eq!(wide.2, narrow.2, "e, n={n}");
-            assert_eq!(wide.3, narrow.3, "tau, n={n}");
-            for r in 2..n {
-                for c in 0..r - 1 {
-                    assert!(wide.0[(r, c)] == narrow.0[(r, c)], "reflector ({r},{c})");
+            let rank = reduce.clone();
+            let others = [
+                ("width 1", ComputeLease::untracked(1).scoped(&reduce)),
+                ("width 2", ComputeLease::untracked(2).scoped(&reduce)),
+                (
+                    "rank",
+                    std::thread::spawn(move || {
+                        team::pin_inline();
+                        rank()
+                    })
+                    .join()
+                    .expect("pinned reduction"),
+                ),
+            ];
+            for (what, other) in &others {
+                assert_eq!(wide.1, other.1, "d, n={n}, {what}");
+                assert_eq!(wide.2, other.2, "e, n={n}, {what}");
+                assert_eq!(wide.3, other.3, "tau, n={n}, {what}");
+                for r in 2..n {
+                    for c in 0..r - 1 {
+                        assert!(
+                            wide.0[(r, c)] == other.0[(r, c)],
+                            "reflector ({r},{c}), n={n}, {what}"
+                        );
+                    }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn banded_matvec_matches_the_single_pass() {
+        // The same product in a different summation order: round-off apart,
+        // on blocks at the floor, one row short of it (single pass: bitwise)
+        // and of every length mod 4.
+        let n = SYMV_BAND_FLOOR + 40;
+        let a = symmetric_test_matrix(n, 17);
+        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut bands = vec![f64::NAN; SYMV_BANDS * n];
+        for lo in [0usize, 1, 2, 3, 39, 40, 41] {
+            let (mut banded, mut single) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            symv_banded(a.as_slice(), n, lo, &v, &mut banded, &mut bands);
+            kernels::symv_lower(a.as_slice(), n, lo, &v, &mut single);
+            assert!(
+                banded[..lo].iter().all(|x| x.is_nan()),
+                "wrote above the block"
+            );
+            let worst = (lo..n)
+                .map(|i| (banded[i] - single[i]).abs())
+                .fold(0.0, f64::max);
+            if n - lo < SYMV_BAND_FLOOR {
+                assert_eq!(worst, 0.0, "lo={lo}: below the floor is the single pass");
+            } else {
+                assert!(worst > 0.0, "lo={lo}: the bands did not engage");
+                assert!(worst <= n as f64 * f64::EPSILON * 10.0, "lo={lo}: {worst}");
             }
         }
     }

@@ -1,10 +1,10 @@
 //! Process-global compute budget with per-session leases.
 //!
-//! Every parallel launch in the workspace ultimately lands on one shared
-//! Rayon pool. That is fine for a single simulation, but the moment two
-//! sessions coexist in one process each one's per-k fan-out grabs the
-//! whole pool, and N sessions oversubscribe it N-fold. The budget turns
-//! the implicit pool grab into an explicit, accountable lease:
+//! Every fan-out in the workspace is a hand-off to the one thread team of
+//! the process ([`crate::team`]). That is fine for a single simulation, but
+//! when several sessions share a process somebody has to say how much of
+//! the team each may take. The budget makes that an explicit, accountable
+//! lease:
 //!
 //! * [`configure_budget`] sets the process-wide thread allowance once
 //!   (0 = unlimited, the single-run default — nothing changes for
@@ -14,16 +14,16 @@
 //!   what is left, and `None` means "budget exhausted, wait your turn"
 //!   (the serve admission queue's signal).
 //! * [`ComputeLease::scoped`] pins the lease's width into a thread-local
-//!   for the duration of a step, and every fan-out site consults
-//!   [`parallel_allowed`] before going wide. A width-1 lease therefore
-//!   runs the whole step serially — bitwise identical to the parallel
-//!   run, because every launch site pins serial ≡ parallel.
+//!   for the duration of a step, and that width *is* the team width:
+//!   every fan-out site asks [`crate::team::width`] how many threads to
+//!   take. A width-1 lease therefore runs the step on the calling thread —
+//!   bitwise identical to the wide run, because what a task computes never
+//!   depends on which thread runs it.
 //!
-//! The budget deliberately lives in `tbmd-linalg` (re-exported from
-//! `tbmd-parallel` and the `tbmd` facade): it must be visible from
-//! [`crate::batched::batch_map`] — the choke point all batched solves go
-//! through — and `tbmd-model` sits below `tbmd-parallel` in the crate
-//! DAG, so this is the lowest layer every consumer can see.
+//! The budget lives in `tbmd-linalg` beside the team (re-exported from
+//! `tbmd-parallel` and the `tbmd` facade): `tbmd-model` fans out too and
+//! sits below `tbmd-parallel` in the crate DAG, so this is the lowest layer
+//! every consumer can see.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -91,8 +91,8 @@ impl ComputeLease {
         }
     }
 
-    /// The width this lease allows: 0 = unconstrained, 1 = serial,
-    /// n ≥ 2 = may fan out.
+    /// The width this lease allows: 0 = unconstrained (the whole team),
+    /// 1 = serial, n ≥ 2 = fan-outs take n threads.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -163,15 +163,6 @@ pub fn effective_width() -> usize {
     EFFECTIVE_WIDTH.with(Cell::get)
 }
 
-/// Whether the current scope may launch a parallel fan-out. `false`
-/// exactly when a width-1 lease is pinned — the throttle every batched
-/// launch site consults. Serial and parallel launches are pinned bitwise
-/// identical everywhere, so flipping this never changes numerics, only
-/// scheduling.
-pub fn parallel_allowed() -> bool {
-    EFFECTIVE_WIDTH.with(Cell::get) != 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,10 +185,7 @@ mod tests {
         let lease = try_lease(8).expect("unlimited grant");
         assert_eq!(lease.threads(), 0);
         assert_eq!(leased_threads(), 0, "untracked lease must not debit");
-        lease.scoped(|| {
-            assert!(parallel_allowed());
-            assert_eq!(effective_width(), 0);
-        });
+        lease.scoped(|| assert_eq!(effective_width(), 0));
     }
 
     #[test]
@@ -233,10 +221,10 @@ mod tests {
         let serial = ComputeLease::untracked(1);
         outer.scoped(|| {
             assert_eq!(effective_width(), 2);
-            assert!(parallel_allowed());
+            assert_eq!(crate::team::width(), 2, "the lease width is the team width");
             serial.scoped(|| {
                 assert_eq!(effective_width(), 1);
-                assert!(!parallel_allowed(), "width-1 lease must force serial");
+                assert_eq!(crate::team::width(), 1, "width-1 lease must force serial");
             });
             // Inner scope restored the outer width on exit.
             assert_eq!(effective_width(), 2);

@@ -253,9 +253,9 @@ fn scale_norm(d: &[f64], e: &[f64]) -> f64 {
 /// rotation inside clusters.
 ///
 /// The window is cut at cluster boundaries into as many shards as the
-/// calling thread's compute lease is wide
-/// ([`crate::budget::effective_width`]; every hardware thread when
-/// unconstrained) and the shards run side by side. A width-1 lease runs one
+/// calling thread may take from the team ([`crate::team::width`]: the
+/// compute lease's width, every hardware thread when unconstrained) and the
+/// shards run side by side. A width-1 lease runs one
 /// shard on the calling thread; the columns are bitwise the same either way.
 ///
 /// `z` is reshaped with [`Matrix::resize_zeroed`]; after warmup the
@@ -271,11 +271,7 @@ pub fn tridiagonal_eigenvectors_into(
     z: &mut Matrix,
     s: &mut InverseIterScratch,
 ) {
-    let shards = match crate::budget::effective_width() {
-        0 => rayon::current_num_threads(),
-        width => width,
-    };
-    eigenvectors_sharded(d, e, lambda, 0, shards, z, s);
+    eigenvectors_sharded(d, e, lambda, 0, crate::team::width(), z, s);
 }
 
 /// Offset-aware form of [`tridiagonal_eigenvectors_into`] for distributed
@@ -351,7 +347,7 @@ fn eigenvectors_sharded(
         rest = tail;
         jobs.push((range, band, scratch));
     }
-    batch_map(shards > 1, &mut jobs, |_, (range, band, scratch)| {
+    batch_map(shards, &mut jobs, |_, (range, band, scratch)| {
         let seed = seed_offset + range.start;
         iterate_shard(d, e, &lambda[range.clone()], seed, tnorm, band, scratch);
     });

@@ -9,7 +9,7 @@
 //! intrinsics are used — the loops are shaped so LLVM's autovectorizer
 //! emits packed AVX/AVX-512 code — and rustc performs no FMA contraction
 //! or reassociation by default, so every kernel has a fixed, documented
-//! IEEE summation order. That makes the serial and Rayon-parallel callers
+//! IEEE summation order. That makes the serial and fanned-out callers
 //! bitwise identical by construction: each output element's accumulation
 //! order depends only on the inner index, never on the thread partition.
 //!
@@ -311,11 +311,37 @@ pub fn gemm_row<T: Scalar>(orow: &mut [T], arow: &[T], b: &[T], ldb: usize, p0: 
 /// share no column and are a diagonal triangle of their own. `p[i]` therefore
 /// sums: its [`dot4`] lane tree, its diagonal-triangle terms in ascending
 /// column order, then one [`axpy4`] term group per later pass — a fixed order
-/// that depends on `(lo, n)` alone.
+/// that depends on `(lo, n)` alone. This is [`symv_lower_band`] with the
+/// whole block as its one band.
 ///
 /// # Panics
 /// Panics if `a` is shorter than `n × n` or `v`, `p` shorter than `n`.
 pub fn symv_lower<T: Scalar>(a: &[T], n: usize, lo: usize, v: &[T], p: &mut [T]) {
+    symv_lower_band(a, n, lo, lo..n, v, p);
+}
+
+/// The share of [`symv_lower`] that rows `band` of the trailing block
+/// `[lo, n)` contribute, as a partial vector: `part[lo..band.end]` is
+/// overwritten with the rows' own dots (at `band`) and their transposed
+/// contributions (at `lo..band.end`), in the pass order of [`symv_lower`].
+/// Summing the partials of bands that tile `lo..n`, per element and in band
+/// order, gives `A·v`; each partial depends on `(lo, n, band)` alone, so the
+/// sum does not depend on which thread formed which band.
+///
+/// `band.start` must be `lo` or sit on a pass boundary (a multiple of four
+/// rows from `lo + (n − lo) mod 4`), `band.end` on a pass boundary.
+///
+/// # Panics
+/// Panics if `a` is shorter than `n × n` or `v`, `part` shorter than
+/// `band.end`.
+pub fn symv_lower_band<T: Scalar>(
+    a: &[T],
+    n: usize,
+    lo: usize,
+    band: std::ops::Range<usize>,
+    v: &[T],
+    part: &mut [T],
+) {
     let row = |r: usize| &a[r * n..(r + 1) * n];
     // Rows r0..r1 against columns r0..r1: the part of a pass on the diagonal.
     let triangle = |p: &mut [T], r0: usize, r1: usize| {
@@ -328,18 +354,24 @@ pub fn symv_lower<T: Scalar>(a: &[T], n: usize, lo: usize, v: &[T], p: &mut [T])
             p[i] += ai[i] * v[i];
         }
     };
-    p[lo..n].fill(T::ZERO);
     let head = lo + (n - lo) % 4;
-    triangle(p, lo, head);
-    for r in (head..n).step_by(4) {
+    debug_assert!(
+        band.start == lo || (band.start >= head && (band.start - head).is_multiple_of(4))
+    );
+    debug_assert!(band.end >= head && (band.end - head).is_multiple_of(4) && band.end <= n);
+    part[lo..band.end].fill(T::ZERO);
+    if band.start == lo {
+        triangle(part, lo, head);
+    }
+    for r in (band.start.max(head)..band.end).step_by(4) {
         let s = dot4_axpy4(
-            &mut p[lo..r],
+            &mut part[lo..r],
             &v[lo..r],
             [v[r], v[r + 1], v[r + 2], v[r + 3]],
             [row(r), row(r + 1), row(r + 2), row(r + 3)].map(|x| &x[lo..]),
         );
-        p[r..r + 4].copy_from_slice(&s);
-        triangle(p, r, r + 4);
+        part[r..r + 4].copy_from_slice(&s);
+        triangle(part, r, r + 4);
     }
 }
 
@@ -599,6 +631,28 @@ mod tests {
                 );
             }
             assert!(p[..lo].iter().all(|x| x.is_nan()), "wrote above the block");
+            // The same block as two bands cut on a pass boundary, their
+            // partial vectors added in band order.
+            let cut = lo + (n - lo) % 4 + 4 * ((n - lo) / 8);
+            let (mut upper, mut lower) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            symv_lower_band(&a, n, lo, lo..cut, &v, &mut upper);
+            symv_lower_band(&a, n, lo, cut..n, &v, &mut lower);
+            assert!(
+                upper[cut..].iter().all(|x| x.is_nan()),
+                "wrote below its band"
+            );
+            for i in lo..n {
+                let banded = if i < cut {
+                    upper[i] + lower[i]
+                } else {
+                    lower[i]
+                };
+                assert!(
+                    (banded - reference[i]).abs() <= n as f64 * f64::EPSILON * 10.0,
+                    "lo={lo} i={i}: banded {banded} vs {}",
+                    reference[i]
+                );
+            }
         }
     }
 

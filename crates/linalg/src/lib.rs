@@ -7,8 +7,11 @@
 //!
 //! Contents:
 //! * [`Vec3`] — 3-component vectors for positions/velocities/forces.
-//! * [`Matrix`] — dense row-major matrices with cache-blocked and
-//!   Rayon-parallel products.
+//! * [`Matrix`] — dense row-major matrices with cache-blocked products,
+//!   serial or fanned out over the thread team.
+//! * [`team`] — the process's persistent thread team: the one way any crate
+//!   of the workspace fans a loop out, as wide as the entered
+//!   [`ComputeLease`].
 //! * [`eigh()`]/[`eigvalsh`] — one-stage Householder + implicit-QL symmetric
 //!   eigensolver: the small-matrix path and the reference the two-stage
 //!   solver is tested against.
@@ -31,6 +34,7 @@ pub mod eigh;
 pub mod inverse_iteration;
 pub mod kernels;
 pub mod matrix;
+pub mod team;
 pub mod vec3;
 
 pub use batched::batch_map;
@@ -44,8 +48,8 @@ pub use blocked::{
     TRIDIAG_BLOCK,
 };
 pub use budget::{
-    budget_total, configure_budget, effective_width, high_water, leased_threads, parallel_allowed,
-    reset_high_water, try_lease, ComputeLease,
+    budget_total, configure_budget, effective_width, high_water, leased_threads, reset_high_water,
+    try_lease, ComputeLease,
 };
 pub use cholesky::{
     generalized_eigh, generalized_eigh_into, Cholesky, CholeskyError, GeneralizedEigError,

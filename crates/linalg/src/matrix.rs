@@ -4,10 +4,10 @@
 //! eigenvector sets and density matrices. It is intentionally small: the
 //! workspace only needs real square/rectangular `f64` matrices, symmetric
 //! eigensolvers, Cholesky and matrix products. Products are cache-blocked and
-//! optionally parallelized with Rayon (see [`Matrix::par_matmul`]).
+//! optionally fanned out over the thread team (see [`Matrix::par_matmul`]).
 
 use crate::kernels::{self, KERNEL_MIN_DIM};
-use rayon::prelude::*;
+use crate::team;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 
@@ -184,7 +184,7 @@ impl Matrix {
         out
     }
 
-    /// Cache-blocked matrix product with row-parallelism over Rayon.
+    /// Cache-blocked matrix product, row bands fanned out over the thread team.
     ///
     /// Produces bitwise-identical results to [`Matrix::matmul`]: each output
     /// row is accumulated by exactly one task in the same order as the serial
@@ -285,7 +285,7 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::syrk`] with row-parallelism over Rayon.
+    /// [`Matrix::syrk`], rows fanned out over the thread team.
     ///
     /// Bitwise identical to the serial variant: each output entry is one
     /// independent row-dot, so the partition cannot change any summation
@@ -351,9 +351,6 @@ impl Matrix {
 /// every dimension ≤ [`KERNEL_MIN_DIM`] skip the blocking machinery
 /// entirely (same accumulation order, none of the panel overhead).
 fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
-    // A width-1 compute-budget lease demotes the launch to the (bitwise
-    // identical) serial band walk.
-    let parallel = parallel && crate::budget::parallel_allowed();
     let (m, k, n) = (a.rows, a.cols, b.cols);
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 2 * (m * k * n) as u64);
     if m.max(k).max(n) <= KERNEL_MIN_DIM {
@@ -362,7 +359,7 @@ fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
         }
         return;
     }
-    let band = |(band_idx, out_band): (usize, &mut [f64])| {
+    let band = |band_idx: usize, out_band: &mut [f64]| {
         let i0 = band_idx * MATMUL_BLOCK;
         let i1 = (i0 + MATMUL_BLOCK).min(m);
         for p0 in (0..k).step_by(MATMUL_BLOCK) {
@@ -373,16 +370,16 @@ fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
             }
         }
     };
+    team::chunks_for_each(fan_width(parallel), &mut out.data, MATMUL_BLOCK * n, band);
+}
+
+/// Threads for a product: what the lease allows for the `par_` entry points,
+/// the calling thread alone for the serial ones.
+fn fan_width(parallel: bool) -> usize {
     if parallel {
-        out.data
-            .par_chunks_mut(MATMUL_BLOCK * n)
-            .enumerate()
-            .for_each(band);
+        team::width()
     } else {
-        out.data
-            .chunks_mut(MATMUL_BLOCK * n)
-            .enumerate()
-            .for_each(band);
+        1
     }
 }
 
@@ -399,26 +396,17 @@ impl Default for Matrix {
 /// independent row-dot with a fixed lane order, so the partition cannot
 /// change any summation order and serial/parallel agree bitwise. Tiny
 /// matrices (≤ [`KERNEL_MIN_DIM`]) run the same kernel serially — the
-/// row kernel has no panel setup to amortize, only the thread launch is
+/// row kernel has no panel setup to amortize, only the hand-off is
 /// skipped.
 fn syrk_into(a: &Matrix, out: &mut Matrix, parallel: bool) {
-    // Same budget demotion as `matmul_into`: scheduling only, not numerics.
-    let parallel = parallel && crate::budget::parallel_allowed();
     let n = a.rows;
     let k = a.cols;
     debug_assert_eq!((out.rows, out.cols), (n, n));
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, (n * (n + 1) * k) as u64);
-    let lower = |(i, orow): (usize, &mut [f64])| {
+    let width = fan_width(parallel && n > KERNEL_MIN_DIM);
+    team::chunks_for_each(width, &mut out.data, n.max(1), |i, orow| {
         kernels::syrk_row(orow, i, &a.data, k);
-    };
-    if parallel && n > KERNEL_MIN_DIM {
-        out.data
-            .par_chunks_mut(n.max(1))
-            .enumerate()
-            .for_each(lower);
-    } else {
-        out.data.chunks_mut(n.max(1)).enumerate().for_each(lower);
-    }
+    });
     // Mirror the strict lower triangle onto the upper one.
     for i in 1..n {
         for j in 0..i {

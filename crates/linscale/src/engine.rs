@@ -27,9 +27,8 @@
 use crate::chebyshev::{solve_mu, spectral_window, BlockRecurrence};
 use crate::sparse::{LocalRegion, SparseH};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use tbmd_linalg::kernels::Block4;
-use tbmd_linalg::Vec3;
+use tbmd_linalg::{team, Vec3};
 use tbmd_model::{
     bond_force, embedding, prologue, validate, ForceEvaluation, ForceProvider, OrbitalIndex,
     PhaseTimings, TbError, TbModel, Workspace,
@@ -245,40 +244,40 @@ impl ForceProvider for LinearScalingTb<'_> {
         // shift/scale chosen once (μ enters only through coefficients).
         let (shift, scale) = spectral_window(e_min, e_max);
         // Localization regions, one per atom (shared by its 4 columns).
-        let regions: Vec<AtomRegion> = (0..n_atoms)
-            .into_par_iter()
-            .map(|a| AtomRegion::build(s, &index, &h, a, self.r_loc))
-            .collect();
+        let width = team::width();
+        let regions: Vec<AtomRegion> = team::map(width, n_atoms, |a| {
+            AtomRegion::build(s, &index, &h, a, self.r_loc)
+        });
         timings.hamiltonian = sp.finish();
 
         // ---- Moment pass: diagonal Chebyshev moments M_k = Σ_j T_k(H̃)_jj,
         // then μ from them.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-        let moments = (0..n_atoms)
-            .into_par_iter()
-            .map(|a| {
-                let mut m = vec![0.0; order];
-                regions[a].add_moments(shift, scale, &mut m);
-                m
-            })
-            .reduce(
-                || vec![0.0; order],
-                |mut acc, m| {
-                    for (x, y) in acc.iter_mut().zip(&m) {
-                        *x += y;
-                    }
-                    acc
-                },
-            );
+        let atom_moments = |a: usize| {
+            let mut m = vec![0.0; order];
+            regions[a].add_moments(shift, scale, &mut m);
+            m
+        };
+        let moments = team::fold(
+            width,
+            n_atoms,
+            atom_moments,
+            vec![0.0; order],
+            |mut acc, m| {
+                for (x, y) in acc.iter_mut().zip(&m) {
+                    *x += y;
+                }
+                acc
+            },
+        );
         let fermi = solve_mu(&moments, shift, scale, self.kt, s.n_electrons() as f64);
         timings.diagonalize = sp.finish();
 
         // ---- Density pass: ρ columns, band energy, local ρ blocks.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
-        let densities: Vec<AtomDensity> = regions
-            .par_iter()
-            .map(|r| r.density(nl, &index, &fermi.coeffs, shift, scale))
-            .collect();
+        let densities: Vec<AtomDensity> = team::map(width, n_atoms, |a| {
+            regions[a].density(nl, &index, &fermi.coeffs, shift, scale)
+        });
         let band_energy: f64 = densities.iter().map(|d| d.band).sum();
         // order/2 moment steps + order − 1 density steps, one matvec per
         // orbital column each.
@@ -295,10 +294,9 @@ impl ForceProvider for LinearScalingTb<'_> {
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
         let fx = embedding(model, nl, n_atoms);
         let e_rep: f64 = fx.iter().map(|&(f, _)| f).sum();
-        let forces: Vec<Vec3> = (0..n_atoms)
-            .into_par_iter()
-            .map(|i| bond_force(model, nl, i, &fx, |j| densities[i].block(j)))
-            .collect();
+        let forces: Vec<Vec3> = team::map(width, n_atoms, |i| {
+            bond_force(model, nl, i, &fx, |j| densities[i].block(j))
+        });
         timings.forces = sp.finish();
 
         *self.last_report.lock() = Some(LinScaleReport {

@@ -132,7 +132,7 @@ fn embed_hermitian(a: &Matrix, b: &Matrix, m: &mut Matrix) -> bool {
 /// required: a shared chemical potential couples the k-points.
 ///
 /// The per-k solves and density/force builds are independent (each touches
-/// only its own [`KPointSlot`]), so they fan out across the Rayon pool by
+/// only its own [`KPointSlot`]), so they fan out across the thread team by
 /// default; energies and forces are reduced serially in grid order either
 /// way, making the parallel sweep bitwise identical to the serial one.
 pub struct KPointCalculator<'m> {
@@ -210,13 +210,13 @@ impl<'m> KPointCalculator<'m> {
     }
 }
 
-/// Run `f` over each (k-point, slot) pair — across the thread pool when
-/// `parallel`, serially in grid order otherwise — and hand the per-k
-/// outputs back in grid order either way. Each call owns its slot
-/// exclusively, so scheduling cannot change any result bit. The actual
-/// launch shape is the shared [`tbmd_linalg::batch_map`] used by every
-/// batched dense solve (per-k here, per-spectrum-slice in the distributed
-/// solver).
+/// Run `f` over each (k-point, slot) pair — across the thread team, as wide
+/// as the compute lease, when `parallel`, on the calling thread otherwise —
+/// and hand the per-k outputs back in grid order either way. Each call owns
+/// its slot exclusively, so scheduling cannot change any result bit. The
+/// actual launch shape is the shared [`tbmd_linalg::batch_map`] used by every
+/// batched dense solve (per-k here, per-spectrum-shard in inverse
+/// iteration).
 fn fan_out<T, F>(parallel: bool, kpoints: &[KPoint], slots: &mut [KPointSlot], f: F) -> Vec<T>
 where
     T: Send,
@@ -224,7 +224,12 @@ where
 {
     let mut jobs: Vec<(KPoint, &mut KPointSlot)> =
         kpoints.iter().copied().zip(slots.iter_mut()).collect();
-    tbmd_linalg::batch_map(parallel, &mut jobs, |_, (kp, slot)| f(kp, slot))
+    let width = if parallel {
+        tbmd_linalg::team::width()
+    } else {
+        1
+    };
+    tbmd_linalg::batch_map(width, &mut jobs, |_, (kp, slot)| f(kp, slot))
 }
 
 impl ForceProvider for KPointCalculator<'_> {

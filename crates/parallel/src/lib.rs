@@ -26,8 +26,8 @@ pub use shared::{par_build_hamiltonian_into, par_forces, shared_memory_tb, FAN_O
 // fan-out site can see); re-export it here so callers thinking in terms of
 // parallel execution find it next to the engines it throttles.
 pub use tbmd_linalg::budget::{
-    budget_total, configure_budget, effective_width, high_water, leased_threads, parallel_allowed,
-    reset_high_water, try_lease, ComputeLease,
+    budget_total, configure_budget, effective_width, high_water, leased_threads, reset_high_water,
+    try_lease, ComputeLease,
 };
 pub use vmp::{
     default_recv_timeout, live_vmp_workers, partition_range, vmp_run, vmp_run_opts, CancelToken,

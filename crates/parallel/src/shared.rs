@@ -1,18 +1,18 @@
-//! Shared-memory fan-out stages of the dense pipeline (Rayon).
+//! Shared-memory fan-out stages of the dense pipeline.
 //!
 //! The shared-memory engine is the dense calculator
 //! ([`tbmd_model::TbCalculator`]) with two stages swapped: `H` is assembled
-//! band by band across the pool (rows belonging to different atoms are
-//! disjoint, so the build is a `par_chunks_mut` over 4-row bands), and
-//! forces are an independent gather-form map over atoms against the shared
-//! density matrix. Neighbours, the two-stage eigensolve (threaded inside
+//! band by band across the thread team (rows belonging to different atoms
+//! are disjoint, so the build is a chunk loop over 4-row bands), and forces
+//! are an independent gather-form map over atoms against the shared density
+//! matrix. Neighbours, the two-stage eigensolve (threaded inside
 //! `tbmd-linalg`) and the serial bond-block density stage are the
 //! calculator's own.
-//! Both stages honour the compute budget: under a width-1 lease they walk
-//! the same per-band / per-atom bodies serially, bitwise identical.
+//! Both stages take [`team::width`] threads — the compute lease's width —
+//! and a band or an atom computes the same bits on whichever thread it
+//! lands, so the result does not depend on the lease.
 
-use rayon::prelude::*;
-use tbmd_linalg::{Matrix, Vec3};
+use tbmd_linalg::{team, Matrix, Vec3};
 use tbmd_model::{
     assemble_band, bond_force, build_hamiltonian_into, dense_block, embedding, DenseStages,
     OrbitalIndex, TbCalculator, TbModel,
@@ -37,8 +37,9 @@ pub fn shared_memory_tb(model: &dyn TbModel) -> TbCalculator<'_> {
 
 /// Parallel Hamiltonian assembly into a caller-owned buffer, reusing its
 /// allocation. Returns `true` if the buffer had to grow. Every atom's 4-row
-/// band is written by exactly one Rayon task running the serial build's own
-/// [`assemble_band`], so the budget-throttled serial walk is bitwise equal.
+/// band is written by exactly one task running the serial build's own
+/// [`assemble_band`], so the result is bitwise the serial build's at every
+/// width.
 pub fn par_build_hamiltonian_into(
     s: &Structure,
     nl: &NeighborList,
@@ -47,25 +48,22 @@ pub fn par_build_hamiltonian_into(
     h: &mut Matrix,
 ) -> bool {
     let n_orb = index.total();
-    if !tbmd_linalg::parallel_allowed() || n_orb == 0 {
+    if n_orb == 0 {
         return build_hamiltonian_into(s, nl, model, index, h);
     }
     let grew = h.resize_zeroed(n_orb, n_orb);
-    h.as_mut_slice()
-        .par_chunks_mut(4 * n_orb)
-        .enumerate()
-        .for_each(|(i, band)| {
-            let on_site = model.on_site(s.species(i));
-            assemble_band(nl, index, i, band, on_site, |r| model.hoppings(r))
-        });
+    team::chunks_for_each(team::width(), h.as_mut_slice(), 4 * n_orb, |i, band| {
+        let on_site = model.on_site(s.species(i));
+        assemble_band(nl, index, i, band, on_site, |r| model.hoppings(r))
+    });
     grew
 }
 
 /// Parallel electronic + repulsive forces in gather form: each atom's force
 /// ([`bond_force`]) reads the shared density matrix and the per-atom
 /// embedding derivatives, writing only its own entry — one task per atom
-/// with fixed-order arithmetic, so the budget-throttled serial map is
-/// bitwise equal. Returns the repulsive energy alongside.
+/// with fixed-order arithmetic, so the forces are bitwise the same at every
+/// width. Returns the repulsive energy alongside.
 pub fn par_forces(
     s: &Structure,
     nl: &NeighborList,
@@ -80,12 +78,7 @@ pub fn par_forces(
         let oi = index.offset(i);
         bond_force(model, nl, i, &fx, |j| dense_block(rho, oi, index.offset(j)))
     };
-    let forces: Vec<Vec3> = if tbmd_linalg::parallel_allowed() {
-        (0..n).into_par_iter().map(force_on).collect()
-    } else {
-        (0..n).map(force_on).collect()
-    };
-    (e_rep, forces)
+    (e_rep, team::map(team::width(), n, force_on))
 }
 
 #[cfg(test)]

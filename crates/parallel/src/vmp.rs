@@ -691,6 +691,10 @@ where
                 // Held for the worker's whole lifetime: census + latch the
                 // cancellation token if this thread unwinds for any reason.
                 let _guard = WorkerGuard::new(rank.cancel.clone());
+                // A rank is one thread: every team fan-out it reaches —
+                // rank-2k and back-transform included — runs inline, so P
+                // ranks on a width-P lease use P threads, not P × cores.
+                tbmd_linalg::team::pin_inline();
                 // Attribute everything this worker records (counters,
                 // phase spans) to the launcher's scopes and to the
                 // innermost one's view of this rank; nothing to enter when

@@ -9,12 +9,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tbmd_linalg::{team, tridiagonalize_blocked_into, EighWorkspace, Matrix};
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{
     bond_block_elements, silicon_gsp, DenseSolver, ForceProvider, NeighborWorkspace,
     OccupationScheme, OrbitalIndex, TbCalculator, TbModel, Workspace,
 };
-use tbmd_parallel::{shared_memory_tb, sliced_wire_bytes, DistributedTb};
+use tbmd_parallel::{shared_memory_tb, sliced_wire_bytes, vmp_run, DistributedTb};
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
 fn si64() -> Structure {
@@ -122,6 +123,48 @@ fn distributed_wire_bytes_equal_the_cost_model() {
         totals.push(measured);
     }
     assert!(totals.windows(2).all(|w| w[0] < w[1]), "{totals:?}");
+}
+
+/// A message-passing rank is one thread: the team gives it width 1 and
+/// runs every fan-out it reaches inline, the blocked reduction — banded
+/// panel matvec included, at a size that bands its first panels — comes out
+/// bitwise as on the main thread with the whole team, and the serial, shared
+/// and distributed engines agree at Si-64 to the bound of the trajectory
+/// tests above.
+#[test]
+fn a_rank_is_one_thread_and_computes_what_the_team_computes() {
+    let (widths, _) = vmp_run(2, |_| team::width());
+    assert_eq!(widths, [1, 1]);
+
+    let n = 523;
+    let a = Matrix::from_fn(n, n, |i, j| {
+        ((i.max(j) * 31 + i.min(j) * 17) as f64 * 0.37).sin()
+    });
+    let reduce = || {
+        let (mut packed, mut ws) = (a.clone(), EighWorkspace::default());
+        tridiagonalize_blocked_into(&mut packed, &mut ws);
+        let (d, e) = ws.tridiagonal_factor();
+        (packed, d.to_vec(), e.to_vec())
+    };
+    let on_main = reduce();
+    let (on_ranks, _) = vmp_run(2, |_| reduce());
+    for on_rank in &on_ranks {
+        assert!(*on_rank == on_main, "(d, e) and the packed reflectors");
+    }
+
+    let model = silicon_gsp();
+    let mut s = si64();
+    s.perturb(&mut StdRng::seed_from_u64(23), 0.05);
+    let serial = TbCalculator::new(&model).evaluate(&s).unwrap();
+    let shared = shared_memory_tb(&model).evaluate(&s).unwrap();
+    let dist = DistributedTb::new(&model, 2).evaluate(&s).unwrap();
+    for (name, other) in [("shared", &shared), ("distributed", &dist)] {
+        let de = (other.energy - serial.energy).abs();
+        assert!(de < 1e-8, "{name}: energy differs by {de:.3e}");
+        for (fa, fb) in other.forces.iter().zip(&serial.forces) {
+            assert!((*fa - *fb).max_abs() < 1e-7, "{name}: forces");
+        }
+    }
 }
 
 /// The sliced solver must reproduce the full solver's *spectrum* (all n
