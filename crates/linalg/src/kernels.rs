@@ -13,9 +13,12 @@
 //! bitwise identical by construction: each output element's accumulation
 //! order depends only on the inner index, never on the thread partition.
 //!
-//! The dense kernels are generic over [`Scalar`]; the block-sparse
-//! Chebyshev step ([`bsr4_chebyshev_step`]) is f64 only — four f64 columns
-//! already fill an AVX2 register.
+//! The dense kernels are generic over [`Scalar`] and keep multiply and add
+//! apart; the block-sparse Chebyshev step ([`bsr4_chebyshev_step`]) is f64
+//! only — four f64 columns already fill an AVX2 register — and is the one
+//! kernel that *asks* for fused multiply-adds, where the target has them
+//! (see `fmadd`): its order is as fixed as the others', its bits belong to
+//! the target features the crate was built for.
 
 /// Crossover below which the blocked/tiled entry points in `matrix.rs` take
 /// the short naive loop instead. Register tiling pays panel-setup and
@@ -435,60 +438,154 @@ pub type Block4 = [[f64; 4]; 4];
 /// a row is one AVX2 register.
 pub type Row4 = [f64; 4];
 
-/// One three-term Chebyshev step of a four-column block recurrence over a
-/// BSR operator `A` with 4×4 blocks:
+/// `a·b + c`: one fused instruction where the target has it (x86-64 built
+/// with the `fma` feature, which `target-cpu=native` turns on wherever the
+/// host has it, and every aarch64), a separate multiply and add elsewhere —
+/// `f64::mul_add` without the instruction is a libm call an order of
+/// magnitude slower than the two operations. Chosen when the crate is
+/// compiled; the two spellings round differently, so results are comparable
+/// bit for bit only between builds for the same target features.
+#[inline(always)]
+fn fmadd(a: f64, b: f64, c: f64) -> f64 {
+    if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// A square block-sparse operator with 4×4 blocks whose diagonal is held
+/// apart: block row `i` owns blocks `block_ptr[i]..block_ptr[i + 1]`, block
+/// `b` multiplies rows `4·block_col[b]..+4` of the operand, and row
+/// `4·i + r` has the diagonal entry `diag[i][r]` *in addition to* whatever
+/// the block list holds there. A tight-binding on-site block is diagonal, so
+/// it leaves the list altogether, and a spectral shift `A − σ` is a change
+/// of `diag` alone.
+#[derive(Debug, Clone, Copy)]
+pub struct Bsr4<'a> {
+    pub block_ptr: &'a [u32],
+    pub block_col: &'a [u32],
+    pub blocks: &'a [Block4],
+    pub diag: &'a [[f64; 4]],
+}
+
+/// What [`bsr4_chebyshev_step`] does with each finished block row of `out`
+/// while it is still in registers, in place of a second pass over the rows.
+#[derive(Debug)]
+pub enum StepTail<'a> {
+    /// Nothing.
+    None,
+    /// Overwrite with `[Σ_c ⟨out_c, out_c⟩, Σ_c ⟨out_c, x_c⟩]` over the four
+    /// columns `c` — the two products a doubled Chebyshev moment step needs.
+    /// Each column sums its rows in ascending order, one fused multiply-add
+    /// per row; the four columns are added last as `(c0 + c1) + (c2 + c3)`.
+    Dots(&'a mut [f64; 2]),
+    /// `rho += c · out`, row by row.
+    Axpy(f64, &'a mut [Row4]),
+}
+
+/// One three-term Chebyshev step of a four-column block recurrence over the
+/// operator `A` of a [`Bsr4`]:
 ///
 /// ```text
-/// out = factor · (A·x − shift·x) · inv_scale − prev
+/// out = gain · A·x − prev
 /// ```
 ///
-/// Block row `i` owns blocks `block_ptr[i]..block_ptr[i+1]`; block `b`
-/// multiplies rows `4·block_col[b]..+4` of `x`. `factor = 1` with a zero
-/// `prev` gives the first step `T₁ = H̃·T₀`, `factor = 2` every later one.
+/// For `H̃ = (H − shift)/scale` the caller takes `shift` off the diagonal
+/// once and passes `gain = 1/scale` with a zero `prev` for the first step
+/// `T₁ = H̃·T₀`, `gain = 2/scale` for every later one; `tail` consumes each
+/// block row of `out` as it is finished ([`StepTail`]) and leaves `out` the
+/// same bits whichever it is.
 ///
-/// Each of the 16 accumulators of a block row sums its products in block
-/// order, then inner index `k`, with a separate multiply and add (no
-/// `mul_add`), so an output entry depends only on its own row of `A` —
-/// never on how the caller partitions atoms over threads. The row loads of
-/// `x` are shared by the four output rows of a block and the four columns
-/// fill a vector register: 64 multiply-adds per 4 vector loads.
-#[allow(clippy::too_many_arguments)]
+/// Every product is a fused multiply-add where the target has one (`fmadd`
+/// above). Each of the 16 outputs of a block row sums its blocks in list
+/// order in two chains — inner indices `k = 0, 1`, and `k = 2, 3` on top of
+/// the diagonal term — joined once after the last block, before the scaling.
+/// The split keeps two independent multiply-add streams per output in
+/// flight; it is part of the summation order, not a tuning knob, so an output
+/// entry depends only on its own row of `A` — never on how the caller
+/// partitions atoms over threads. The row loads of `x` are shared by the four
+/// output rows of a block and the four columns fill a vector register: 64
+/// multiply-adds per 4 vector loads.
 pub fn bsr4_chebyshev_step(
-    block_ptr: &[u32],
-    block_col: &[u32],
-    blocks: &[Block4],
-    shift: f64,
-    inv_scale: f64,
-    factor: f64,
+    a: Bsr4<'_>,
+    gain: f64,
     x: &[Row4],
     prev: &[Row4],
     out: &mut [Row4],
+    tail: StepTail<'_>,
 ) {
-    debug_assert_eq!(block_col.len(), blocks.len());
-    assert_eq!(x.len(), 4 * (block_ptr.len() - 1));
-    assert!(prev.len() == x.len() && out.len() == x.len());
+    debug_assert_eq!(a.block_col.len(), a.blocks.len());
+    assert_eq!(x.len(), 4 * (a.block_ptr.len() - 1));
+    assert!(prev.len() == x.len() && out.len() == x.len() && 4 * a.diag.len() == x.len());
+    match tail {
+        StepTail::None => step_rows(a, gain, x, prev, out, |_, _, _| {}),
+        StepTail::Dots(dots) => {
+            let (mut sq, mut cross) = ([0.0; 4], [0.0; 4]);
+            step_rows(a, gain, x, prev, out, |_, o, xi| {
+                for r in 0..4 {
+                    for c in 0..4 {
+                        sq[c] = fmadd(o[r][c], o[r][c], sq[c]);
+                        cross[c] = fmadd(o[r][c], xi[r][c], cross[c]);
+                    }
+                }
+            });
+            *dots = [sq, cross].map(|s| (s[0] + s[1]) + (s[2] + s[3]));
+        }
+        StepTail::Axpy(coeff, rho) => {
+            assert_eq!(rho.len(), x.len());
+            step_rows(a, gain, x, prev, out, |i, o, _| {
+                for (rho_row, o_row) in rho[4 * i..4 * i + 4].iter_mut().zip(o) {
+                    for c in 0..4 {
+                        rho_row[c] = fmadd(coeff, o_row[c], rho_row[c]);
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// The body of [`bsr4_chebyshev_step`], compiled once per tail:
+/// `tail(i, out_i, x_i)` sees block row `i` of `out` and of `x`.
+#[inline(always)]
+fn step_rows(
+    a: Bsr4<'_>,
+    gain: f64,
+    x: &[Row4],
+    prev: &[Row4],
+    out: &mut [Row4],
+    mut tail: impl FnMut(usize, &[Row4; 4], &[Row4]),
+) {
     let rows = out
         .chunks_exact_mut(4)
         .zip(x.chunks_exact(4).zip(prev.chunks_exact(4)));
-    for ((o, (xi, pi)), w) in rows.zip(block_ptr.windows(2)) {
+    let operator = a.block_ptr.windows(2).zip(a.diag);
+    for (i, ((o, (xi, pi)), (w, d))) in rows.zip(operator).enumerate() {
         let (lo, hi) = (w[0] as usize, w[1] as usize);
-        let mut acc = [[0.0f64; 4]; 4];
-        for (a, &j) in blocks[lo..hi].iter().zip(&block_col[lo..hi]) {
+        let mut low = [[0.0f64; 4]; 4];
+        let mut high = [[0.0f64; 4]; 4];
+        for r in 0..4 {
+            for c in 0..4 {
+                high[r][c] = d[r] * xi[r][c];
+            }
+        }
+        for (blk, &j) in a.blocks[lo..hi].iter().zip(&a.block_col[lo..hi]) {
             let xb = &x[4 * j as usize..4 * j as usize + 4];
             for r in 0..4 {
-                for k in 0..4 {
-                    let ark = a[r][k];
-                    for c in 0..4 {
-                        acc[r][c] += ark * xb[k][c];
-                    }
+                for c in 0..4 {
+                    low[r][c] = fmadd(blk[r][1], xb[1][c], fmadd(blk[r][0], xb[0][c], low[r][c]));
+                    high[r][c] = fmadd(blk[r][3], xb[3][c], fmadd(blk[r][2], xb[2][c], high[r][c]));
                 }
             }
         }
+        let mut row = [[0.0f64; 4]; 4];
         for r in 0..4 {
             for c in 0..4 {
-                o[r][c] = factor * ((acc[r][c] - shift * xi[r][c]) * inv_scale) - pi[r][c];
+                row[r][c] = fmadd(gain, low[r][c] + high[r][c], -pi[r][c]);
             }
         }
+        o.copy_from_slice(&row);
+        tail(i, &row, xi);
     }
 }
 
@@ -666,49 +763,120 @@ mod tests {
         assert!((a - naive).abs() < 1e-13 * naive.abs().max(1.0));
     }
 
+    /// 3 block rows, an empty one in the middle, a non-zero diagonal beside
+    /// the blocks; `x` and `prev` to go with them.
+    struct Bsr4Fixture {
+        block_ptr: [u32; 4],
+        block_col: [u32; 4],
+        blocks: Vec<Block4>,
+        diag: [[f64; 4]; 3],
+        x: Vec<Row4>,
+        prev: Vec<Row4>,
+    }
+
+    const GAIN: f64 = 0.5;
+
+    impl Bsr4Fixture {
+        fn new() -> Self {
+            let blocks = (0..4)
+                .map(|b| {
+                    let mut a = [[0.0; 4]; 4];
+                    for (r, row) in a.iter_mut().enumerate() {
+                        for (k, v) in row.iter_mut().enumerate() {
+                            *v = ((b * 16 + r * 4 + k) as f64 * 0.37).sin();
+                        }
+                    }
+                    a
+                })
+                .collect();
+            Bsr4Fixture {
+                block_ptr: [0, 2, 2, 4],
+                block_col: [0, 2, 0, 1],
+                blocks,
+                diag: std::array::from_fn(|i| {
+                    std::array::from_fn(|r| 0.4 * i as f64 - 0.3 * r as f64)
+                }),
+                x: (0..12)
+                    .map(|i| std::array::from_fn(|c| ((i * 4 + c) as f64 * 0.21).cos()))
+                    .collect(),
+                prev: (0..12)
+                    .map(|i| std::array::from_fn(|c| (i as f64) * 0.1 - c as f64))
+                    .collect(),
+            }
+        }
+
+        fn step(&self, tail: StepTail<'_>) -> Vec<Row4> {
+            let a = Bsr4 {
+                block_ptr: &self.block_ptr,
+                block_col: &self.block_col,
+                blocks: &self.blocks,
+                diag: &self.diag,
+            };
+            let mut out = vec![[0.0; 4]; 12];
+            bsr4_chebyshev_step(a, GAIN, &self.x, &self.prev, &mut out, tail);
+            out
+        }
+    }
+
     #[test]
     fn bsr4_step_matches_dense_recurrence() {
-        // 3 block rows, an empty one in the middle, against the dense
-        // 12×12 operator applied column by column.
-        let block_ptr = [0u32, 2, 2, 4];
-        let block_col = [0u32, 2, 0, 1];
-        let blocks: Vec<Block4> = (0..4)
-            .map(|b| {
-                let mut a = [[0.0; 4]; 4];
-                for (r, row) in a.iter_mut().enumerate() {
-                    for (k, v) in row.iter_mut().enumerate() {
-                        *v = ((b * 16 + r * 4 + k) as f64 * 0.37).sin();
-                    }
-                }
-                a
-            })
-            .collect();
+        // Against the dense 12×12 operator applied column by column.
+        let fx = Bsr4Fixture::new();
         let mut dense = vec![[0.0f64; 12]; 12];
         for i in 0..3 {
-            for b in block_ptr[i] as usize..block_ptr[i + 1] as usize {
+            for b in fx.block_ptr[i] as usize..fx.block_ptr[i + 1] as usize {
                 for r in 0..4 {
                     for k in 0..4 {
-                        dense[4 * i + r][4 * block_col[b] as usize + k] = blocks[b][r][k];
+                        dense[4 * i + r][4 * fx.block_col[b] as usize + k] = fx.blocks[b][r][k];
                     }
                 }
             }
+            for r in 0..4 {
+                dense[4 * i + r][4 * i + r] += fx.diag[i][r];
+            }
         }
-        let x: Vec<Row4> = (0..12)
-            .map(|i| std::array::from_fn(|c| ((i * 4 + c) as f64 * 0.21).cos()))
+        let out = fx.step(StepTail::None);
+        for (i, row) in out.iter().enumerate() {
+            for (c, got) in row.iter().enumerate() {
+                let ax: f64 = (0..12).map(|j| dense[i][j] * fx.x[j][c]).sum();
+                let expect = GAIN * ax - fx.prev[i][c];
+                assert!((got - expect).abs() < 1e-13, "({i},{c})");
+            }
+        }
+    }
+
+    #[test]
+    fn bsr4_step_tails_match_a_second_pass() {
+        let fx = Bsr4Fixture::new();
+        let plain = fx.step(StepTail::None);
+        let bits = |v: &[Row4]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // `got` against `Σ terms`, to 1e-13 of the terms' size (the sum itself
+        // may cancel).
+        let close = |got: f64, terms: &[f64]| {
+            let (sum, size) = terms
+                .iter()
+                .fold((0.0, 0.0), |(s, a), t| (s + t, a + t.abs()));
+            assert!((got - sum).abs() <= 1e-13 * size, "{got} vs {sum}");
+        };
+
+        let mut dots = [f64::NAN; 2];
+        let out = fx.step(StepTail::Dots(&mut dots));
+        assert_eq!(bits(&out), bits(&plain), "dots tail moved `out`");
+        for (got, w) in [(dots[0], &plain), (dots[1], &fx.x)] {
+            let products = plain.iter().flatten().zip(w.iter().flatten());
+            close(got, &products.map(|(o, w)| o * w).collect::<Vec<_>>());
+        }
+
+        let coeff = -0.7;
+        let rho0: Vec<Row4> = (0..12)
+            .map(|i| std::array::from_fn(|c| (i as f64 - 1.5 * c as f64) * 0.3))
             .collect();
-        let prev: Vec<Row4> = (0..12)
-            .map(|i| std::array::from_fn(|c| (i as f64) * 0.1 - c as f64))
-            .collect();
-        let (shift, inv_scale, factor) = (0.3, 0.25, 2.0);
-        let mut out = vec![[0.0; 4]; 12];
-        bsr4_chebyshev_step(
-            &block_ptr, &block_col, &blocks, shift, inv_scale, factor, &x, &prev, &mut out,
-        );
-        for i in 0..12 {
+        let mut rho = rho0.clone();
+        let out = fx.step(StepTail::Axpy(coeff, &mut rho));
+        assert_eq!(bits(&out), bits(&plain), "ρ tail moved `out`");
+        for ((got, r0), o) in rho.iter().zip(&rho0).zip(&plain) {
             for c in 0..4 {
-                let ax: f64 = (0..12).map(|j| dense[i][j] * x[j][c]).sum();
-                let expect = factor * ((ax - shift * x[i][c]) * inv_scale) - prev[i][c];
-                assert!((out[i][c] - expect).abs() < 1e-13, "({i},{c})");
+                close(got[c], &[r0[c], coeff * o[c]]);
             }
         }
     }

@@ -16,7 +16,7 @@
 //! (1994) linear-scaling TBMD scheme this crate reproduces.
 
 use crate::sparse::LocalRegion;
-use tbmd_linalg::kernels::Row4;
+use tbmd_linalg::kernels::{bsr4_chebyshev_step, Bsr4, Row4, StepTail};
 
 /// The `2m` Chebyshev–Gauss nodes `θ_j = π(j + ½)/2m` of an order-`m`
 /// expansion with every `cos(kθ_j)` they need: `kθ_j` is a multiple of
@@ -232,7 +232,11 @@ pub fn solve_mu(moments: &[f64], shift: f64, scale: f64, kt: f64, n_electrons: f
 /// together as a row-major multivector.
 pub struct BlockRecurrence<'r> {
     region: &'r LocalRegion,
-    shift: f64,
+    /// The region's diagonal less the spectral shift: with the region's
+    /// blocks, `scale · H̃`.
+    on_site: Vec<[f64; 4]>,
+    /// Seed columns: `T₀` holds one unit entry in each.
+    n_cols: usize,
     scale: f64,
     /// `T_{k−1}`, `T_k` and the buffer the next step writes.
     prev: Vec<Row4>,
@@ -258,9 +262,11 @@ impl<'r> BlockRecurrence<'r> {
         for nu in 0..n_cols {
             cur[row0 + nu][nu] = 1.0;
         }
+        let shifted = |d: &[f64; 4]| d.map(|e| e - shift);
         BlockRecurrence {
             region,
-            shift,
+            on_site: region.operator().diag.iter().map(shifted).collect(),
+            n_cols,
             scale,
             prev: vec![[0.0; 4]; n],
             cur,
@@ -281,14 +287,18 @@ impl<'r> BlockRecurrence<'r> {
 
     /// Step `k → k + 1`.
     pub fn advance(&mut self) {
-        self.region.chebyshev_step(
-            self.shift,
-            self.scale,
-            self.factor,
-            &self.cur,
-            &self.prev,
-            &mut self.next,
-        );
+        self.step(StepTail::None);
+    }
+
+    /// Step `k → k + 1`, `tail` fed the rows of `T_{k+1}` (and of `T_k`) as
+    /// the kernel finishes them.
+    fn step(&mut self, tail: StepTail<'_>) {
+        let shifted = Bsr4 {
+            diag: &self.on_site,
+            ..self.region.operator()
+        };
+        let gain = self.factor / self.scale;
+        bsr4_chebyshev_step(shifted, gain, &self.cur, &self.prev, &mut self.next, tail);
         self.factor = 2.0;
         std::mem::swap(&mut self.prev, &mut self.cur);
         std::mem::swap(&mut self.cur, &mut self.next);
@@ -299,55 +309,39 @@ impl<'r> BlockRecurrence<'r> {
     /// `moments.len() − 1`: for the symmetric restricted operator
     /// `T_m T_n = ½(T_{m+n} + T_{|m−n|})` gives
     /// `T_{2k,νν} = 2⟨T_k e_ν, T_k e_ν⟩ − T_{0,νν}` and
-    /// `T_{2k−1,νν} = 2⟨T_k e_ν, T_{k−1} e_ν⟩ − T_{1,νν}`.
+    /// `T_{2k−1,νν} = 2⟨T_k e_ν, T_{k−1} e_ν⟩ − T_{1,νν}`. Both products
+    /// come out of the step itself ([`StepTail::Dots`]).
     pub fn diagonal_moments(mut self, moments: &mut [f64]) {
         let order = moments.len();
-        let m0 = column_dots(&self.cur, &self.cur);
+        let m0 = self.n_cols as f64;
         if order > 0 {
             moments[0] += m0;
         }
         let mut m1 = 0.0;
         for k in 1..=order / 2 {
-            self.advance();
-            let odd = column_dots(&self.cur, &self.prev);
+            let mut dots = [0.0; 2];
+            self.step(StepTail::Dots(&mut dots));
+            let [even, odd] = dots;
             if k == 1 {
                 m1 = odd;
             }
             moments[2 * k - 1] += 2.0 * odd - m1;
             if 2 * k < order {
-                moments[2 * k] += 2.0 * column_dots(&self.cur, &self.cur) - m0;
+                moments[2 * k] += 2.0 * even - m0;
             }
         }
     }
 
     /// The density-matrix columns `2(½c₀ T₀ + Σ_{k≥1} c_k T_k)` of the seed
-    /// (spin factor included), in `coeffs.len() − 1` steps.
+    /// (spin factor included), in `coeffs.len() − 1` steps, each adding its
+    /// term to ρ as it goes ([`StepTail::Axpy`]).
     pub fn density_columns(mut self, coeffs: &[f64]) -> Vec<Row4> {
-        let mut rho = vec![[0.0; 4]; self.cur.len()];
-        for (k, &ck) in coeffs.iter().enumerate() {
-            if k > 0 {
-                self.advance();
-            }
-            let c = if k == 0 { ck } else { 2.0 * ck };
-            for (r, t) in rho.iter_mut().zip(&self.cur) {
-                for nu in 0..4 {
-                    r[nu] += c * t[nu];
-                }
-            }
+        let mut rho: Vec<Row4> = self.cur.iter().map(|t| t.map(|v| coeffs[0] * v)).collect();
+        for &ck in &coeffs[1..] {
+            self.step(StepTail::Axpy(2.0 * ck, &mut rho));
         }
         rho
     }
-}
-
-/// `Σ_ν ⟨a_ν, b_ν⟩` over the four columns of two multivectors.
-fn column_dots(a: &[Row4], b: &[Row4]) -> f64 {
-    let mut acc = [0.0; 4];
-    for (x, y) in a.iter().zip(b) {
-        for nu in 0..4 {
-            acc[nu] += x[nu] * y[nu];
-        }
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! it to per-atom localization regions stored as 4×4 blocks, the operator
 //! the Chebyshev block recurrence consumes.
 
-use tbmd_linalg::kernels::{self, Block4, Row4};
+use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, StepTail};
 use tbmd_model::{sk_block, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
@@ -167,7 +167,7 @@ const OUTSIDE: usize = usize::MAX;
 
 /// A localization region: the orbitals of all atoms within `r_loc` of a
 /// centre atom, and the Hamiltonian restricted to them as flat 4×4 blocks
-/// (BSR).
+/// (BSR) beside its diagonal ([`Bsr4`]).
 ///
 /// Every atom of the region owns one *slot* — four consecutive rows of the
 /// padded local space — whatever its orbital count, so one block kernel
@@ -184,6 +184,11 @@ pub struct LocalRegion {
     /// Column slot of each block, ascending within a block row.
     block_col: Vec<u32>,
     blocks: Vec<Block4>,
+    /// Diagonal of the restricted Hamiltonian, `diag[slot][k]` for row
+    /// `4·slot + k`; the blocks hold zero there. An atom's own block is in
+    /// the list only if something is left in it — the atom couples to one of
+    /// its periodic images.
+    diag: Vec<[f64; 4]>,
 }
 
 impl LocalRegion {
@@ -217,6 +222,7 @@ impl LocalRegion {
             block_ptr: vec![0],
             block_col: Vec::new(),
             blocks: Vec::new(),
+            diag: Vec::new(),
         };
         let mut row_blocks: Vec<(u32, Block4)> = Vec::new();
         // Column spans `(first, width, e)` met along the rows of one atom:
@@ -226,9 +232,10 @@ impl LocalRegion {
         // and its rows meet (nearly) the same spans, so the ordered list
         // turns one search per entry into one per neighbour atom.
         let mut spans: Vec<(usize, usize, usize)> = Vec::new();
-        for locals in slot_orbitals {
+        for (slot, locals) in slot_orbitals.into_iter().enumerate() {
             row_blocks.clear();
             spans.clear();
+            let mut diag = [0.0; 4];
             for (r, l) in locals.enumerate() {
                 let mut next = 0;
                 let (mut first, mut width, mut e) = (0, 0, OUTSIDE);
@@ -242,11 +249,15 @@ impl LocalRegion {
                         }
                         (first, width, e) = spans[next];
                     }
-                    if e != OUTSIDE {
+                    if c == region.orbitals[l] {
+                        diag[r] = v;
+                    } else if e != OUTSIDE {
                         row_blocks[e].1[r][c - first] = v;
                     }
                 }
             }
+            region.diag.push(diag);
+            row_blocks.retain(|b| b.0 != slot as u32 || b.1 != [[0.0; 4]; 4]);
             row_blocks.sort_unstable_by_key(|b| b.0);
             for &(slot, block) in &row_blocks {
                 region.block_col.push(slot);
@@ -311,30 +322,24 @@ impl LocalRegion {
         Some(self.rows[l] as usize)
     }
 
-    /// One Chebyshev step of the shifted and scaled restricted operator on
-    /// a four-column multivector:
-    /// `out = factor·(P A Pᵀ − shift)/scale · x − prev`
-    /// ([`kernels::bsr4_chebyshev_step`]).
-    pub fn chebyshev_step(
-        &self,
-        shift: f64,
-        scale: f64,
-        factor: f64,
-        x: &[Row4],
-        prev: &[Row4],
-        out: &mut [Row4],
-    ) {
-        kernels::bsr4_chebyshev_step(
-            &self.block_ptr,
-            &self.block_col,
-            &self.blocks,
-            shift,
-            1.0 / scale,
-            factor,
-            x,
-            prev,
-            out,
-        );
+    /// The restricted Hamiltonian `P A Pᵀ` as the block kernel takes it.
+    pub(crate) fn operator(&self) -> Bsr4<'_> {
+        Bsr4 {
+            block_ptr: &self.block_ptr,
+            block_col: &self.block_col,
+            blocks: &self.blocks,
+            diag: &self.diag,
+        }
+    }
+
+    /// `P A Pᵀ x` for a four-column multivector of
+    /// [`padded_len`](Self::padded_len) rows: one raw step of the block
+    /// kernel (unit gain, nothing subtracted).
+    pub fn apply(&self, x: &[Row4]) -> Vec<Row4> {
+        let zero = vec![[0.0; 4]; x.len()];
+        let mut out = zero.clone();
+        kernels::bsr4_chebyshev_step(self.operator(), 1.0, x, &zero, &mut out, StepTail::None);
+        out
     }
 
     /// `Σ_ν (P A Pᵀ x)[row0 + ν][ν]` over the four columns of `x`, where
@@ -347,6 +352,9 @@ impl LocalRegion {
             self.block_ptr[slot + 1] as usize,
         );
         let mut acc = 0.0;
+        for (nu, d) in self.diag[slot].iter().enumerate() {
+            acc += d * x[row0 + nu][nu];
+        }
         for (a, &j) in self.blocks[lo..hi].iter().zip(&self.block_col[lo..hi]) {
             let xb = &x[4 * j as usize..4 * j as usize + 4];
             for nu in 0..4 {
@@ -358,12 +366,12 @@ impl LocalRegion {
         acc
     }
 
-    /// Stored entries of the block operator (16 per block, structural zeros
-    /// and padding included): the multiply-adds one column of one
-    /// recurrence step executes — the cost metric of the O(N) scaling
-    /// experiment.
+    /// Stored entries of the operator (16 per block, structural zeros and
+    /// padding included, plus the 4 diagonal entries of each slot): the
+    /// multiply-adds one column of one recurrence step executes — the cost
+    /// metric of the O(N) scaling experiment.
     pub fn nnz(&self) -> usize {
-        16 * self.blocks.len()
+        16 * self.blocks.len() + 4 * self.diag.len()
     }
 }
 
@@ -434,13 +442,10 @@ mod tests {
         assert!(eigs[eigs.len() - 1] <= hi + 1e-9);
     }
 
-    /// `(A − shift)/scale · x` through the block step, `x` in column 0.
-    fn apply(region: &LocalRegion, x: &[f64], shift: f64, scale: f64) -> Vec<f64> {
+    /// `P A Pᵀ x` through the block kernel, `x` in column 0.
+    fn apply(region: &LocalRegion, x: &[f64]) -> Vec<f64> {
         let xs: Vec<Row4> = x.iter().map(|&v| [v, 0.0, 0.0, 0.0]).collect();
-        let zero = vec![[0.0; 4]; xs.len()];
-        let mut out = zero.clone();
-        region.chebyshev_step(shift, scale, 1.0, &xs, &zero, &mut out);
-        out.iter().map(|r| r[0]).collect()
+        region.apply(&xs).iter().map(|r| r[0]).collect()
     }
 
     #[test]
@@ -451,10 +456,54 @@ mod tests {
         assert_eq!(region.padded_len(), sparse.n());
         let x: Vec<f64> = (0..sparse.n()).map(|i| (i as f64 * 0.11).cos()).collect();
         let y_full = sparse.matvec(&x);
-        let y_region = apply(&region, &x, 0.0, 1.0);
+        let y_region = apply(&region, &x);
         for (a, b) in y_full.iter().zip(&y_region) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    /// CSR of the non-zeros of a dense matrix.
+    fn from_dense(a: &Matrix) -> SparseH {
+        let mut h = SparseH {
+            n: a.rows(),
+            row_ptr: vec![0],
+            col_idx: Vec::new(),
+            values: Vec::new(),
+        };
+        for row in a.rows_iter() {
+            for (c, &v) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+                h.col_idx.push(c);
+                h.values.push(v);
+            }
+            h.row_ptr.push(h.col_idx.len());
+        }
+        h
+    }
+
+    #[test]
+    fn own_block_with_off_diagonal_entries_stays_in_the_list() {
+        // An on-site s–p_x coupling, planted by hand: the Slater–Koster
+        // terms of an atom's own images cancel off the diagonal in an
+        // orthorhombic cell, so no model builds one.
+        let (s, _, index, sparse, mut dense) = setup();
+        let atom = 3;
+        let o = index.offset(atom);
+        dense[(o, o + 1)] = 0.37;
+        dense[(o + 1, o)] = 0.37;
+        let planted = from_dense(&dense);
+        let plain = LocalRegion::build(&s, &index, &sparse, atom, 1e9);
+        let region = LocalRegion::build(&s, &index, &planted, atom, 1e9);
+        assert_eq!(region.nnz(), plain.nnz() + 16, "one more block");
+
+        let x: Vec<f64> = (0..dense.rows()).map(|i| (i as f64 * 0.11).cos()).collect();
+        let y_dense = dense.matvec(&x);
+        for (a, b) in apply(&region, &x).iter().zip(&y_dense) {
+            assert!((a - b).abs() < 1e-12);
+        }
+        // Column 1 holds x, so the trace picks row o + 1 of H·x.
+        let xs: Vec<Row4> = x.iter().map(|&v| [0.0, v, 0.0, 0.0]).collect();
+        let row0 = region.local_index(o).unwrap();
+        assert!((region.block_row_trace(row0, &xs) - y_dense[o + 1]).abs() < 1e-12);
     }
 
     #[test]
@@ -471,16 +520,19 @@ mod tests {
 
     #[test]
     fn scaled_step_shifts_spectrum() {
+        // The first step of the recurrence seeded at atom 1 (orbitals 4..8)
+        // is (H − 2)/4 applied to its unit columns.
         let (s, _, index, sparse, _) = setup();
         let region = LocalRegion::build(&s, &index, &sparse, 0, 1e9);
+        let mut rec = crate::BlockRecurrence::new(&region, 4, 4, 2.0, 4.0);
+        rec.advance();
         let x: Vec<f64> = (0..sparse.n())
             .map(|i| if i == 5 { 1.0 } else { 0.0 })
             .collect();
-        let y = apply(&region, &x, 2.0, 4.0);
         let y_raw = sparse.matvec(&x);
         for i in 0..sparse.n() {
             let expected = (y_raw[i] - 2.0 * x[i]) / 4.0;
-            assert!((y[i] - expected).abs() < 1e-12);
+            assert!((rec.current()[i][1] - expected).abs() < 1e-12);
         }
     }
 }

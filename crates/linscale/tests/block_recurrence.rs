@@ -3,6 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tbmd_linalg::kernels::Row4;
 use tbmd_linscale::chebyshev::{entropy_coefficients, spectral_window};
 use tbmd_linscale::{
     fermi_coefficients, solve_mu, BlockRecurrence, LinearScalingTb, LocalRegion, SparseH,
@@ -61,6 +62,46 @@ impl TbModel for AnySpecies {
     }
     fn hoppings_deriv(&self, r: f64) -> Hoppings {
         self.0.hoppings_deriv(r)
+    }
+    fn repulsion(&self, r: f64) -> (f64, f64) {
+        self.0.repulsion(r)
+    }
+    fn embedding(&self, x: f64) -> (f64, f64) {
+        self.0.embedding(x)
+    }
+}
+
+/// Silicon hoppings stretched to reach past the edge of a 1×1×1 cell
+/// (5.43 Å), so every atom couples to its own periodic images: a synthetic
+/// operator whose diagonal is not the on-site energies.
+struct LongReach(GspTbModel);
+
+impl LongReach {
+    const CUTOFF: f64 = 5.6;
+    /// Distance 5.6 Å is read off the silicon curves at 3.36 Å.
+    const SQUEEZE: f64 = 0.6;
+}
+
+impl TbModel for LongReach {
+    fn name(&self) -> &str {
+        "long-reach"
+    }
+    fn supports(&self, sp: Species) -> bool {
+        self.0.supports(sp)
+    }
+    fn cutoff(&self) -> f64 {
+        Self::CUTOFF
+    }
+    fn on_site(&self, sp: Species) -> [f64; 4] {
+        self.0.on_site(sp)
+    }
+    fn hoppings(&self, r: f64) -> Hoppings {
+        self.0.hoppings(Self::SQUEEZE * r)
+    }
+    fn hoppings_deriv(&self, r: f64) -> Hoppings {
+        self.0
+            .hoppings_deriv(Self::SQUEEZE * r)
+            .map(|d| Self::SQUEEZE * d)
     }
     fn repulsion(&self, r: f64) -> (f64, f64) {
         self.0.repulsion(r)
@@ -168,6 +209,41 @@ fn padded_one_orbital_atom_matches_scalar_reference() {
         let dev = blocked_vs_scalar(&su, atom, f64::INFINITY, 60);
         assert!(dev < 1e-12, "atom {atom}: {dev:e}");
     }
+}
+
+#[test]
+fn atom_coupled_to_its_own_image_steps_like_the_full_matvec() {
+    let model = LongReach(silicon_gsp());
+    let su = setup(perturbed(1, 6), &model);
+    let (atom, n) = (2, su.h.n());
+    let o = su.index.offset(atom);
+    // The images' ssσ sits on the diagonal of H, which the region holds
+    // apart from its blocks. (The images come in ± pairs and mirror pairs of
+    // an orthorhombic cell, so their s–p and p–p′ terms cancel: what the
+    // atom's own block gains is diagonal.)
+    let e_s = model.on_site(Species::Silicon)[0];
+    assert!((su.h.get(o, o) - e_s).abs() > 1e-3, "no self-image term");
+    let region = LocalRegion::build(&su.s, &su.index, &su.h, atom, f64::INFINITY);
+    assert_eq!((region.len(), region.padded_len()), (n, n));
+
+    let x: Vec<Row4> = (0..n)
+        .map(|i| std::array::from_fn(|c| ((4 * i + c) as f64 * 0.37).sin()))
+        .collect();
+    let out = region.apply(&x);
+    let mut trace = 0.0;
+    for c in 0..4 {
+        let column: Vec<f64> = x.iter().map(|row| row[c]).collect();
+        let hx = su.h.matvec(&column);
+        for (i, (got, want)) in out.iter().zip(&hx).enumerate() {
+            assert!((got[c] - want).abs() < 1e-12, "({i},{c})");
+        }
+        trace += hx[o + c];
+    }
+    let row0 = region.local_index(o).unwrap();
+    assert!((region.block_row_trace(row0, &x) - trace).abs() < 1e-12);
+
+    let dev = blocked_vs_scalar(&su, atom, f64::INFINITY, 60);
+    assert!(dev < 1e-12, "recurrence: {dev:e}");
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Physics contracts at the size the benchmark runs (ROADMAP needle 3), every
 //! engine built through `Engine::build`: forces are −∇E, the parallel kinds
 //! agree with the serial one, the energy-only path agrees with the full
-//! evaluation, the shared fan-out does not depend on the lease width, the
+//! evaluation, no fan-out (shared, O(N)) depends on the lease width, the
 //! stress tensor falls out of the pipeline's own ρ, and the rank-control
 //! block behaves the same on both distributed engines.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tbmd::model::{stress_from_density, OrbitalIndex, TbCalculator};
+use tbmd::model::{stress_from_density, ForceEvaluation, OrbitalIndex, TbCalculator};
 use tbmd::structure::{apply_strain, bulk_diamond};
 use tbmd::{
     configure_budget, silicon_gsp, stress_tensor, try_lease, Engine, EngineKind, FaultKind,
@@ -131,6 +131,16 @@ fn linear_scaling_energy_only_is_the_evaluation() {
     assert_eq!(full.to_bits(), only.to_bits());
 }
 
+fn assert_same_bits(a: &ForceEvaluation, b: &ForceEvaluation) {
+    assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+    for (fa, fb) in a.forces.iter().zip(&b.forces) {
+        assert_eq!(
+            fa.to_array().map(f64::to_bits),
+            fb.to_array().map(f64::to_bits)
+        );
+    }
+}
+
 /// The shared engine's fan-out stages run the serial per-band / per-atom
 /// bodies: a width-2 and a width-1 lease give the same bits.
 #[test]
@@ -140,12 +150,33 @@ fn shared_fan_out_is_bitwise_independent_of_the_lease_width() {
     let engine = Engine::build(EngineKind::Shared, &model, KT);
     let wide = leased(2, || engine.evaluate(&s)).unwrap();
     let narrow = leased(1, || engine.evaluate(&s)).unwrap();
-    assert_eq!(wide.energy.to_bits(), narrow.energy.to_bits());
-    for (a, b) in wide.forces.iter().zip(&narrow.forces) {
-        assert_eq!(
-            a.to_array().map(f64::to_bits),
-            b.to_array().map(f64::to_bits)
-        );
+    assert_same_bits(&wide, &narrow);
+}
+
+/// So do the O(N) engine's: an atom's recurrence sums in an order of its
+/// own and the atoms are combined in atom order, whichever thread ran them.
+/// The message-passing engine deals the atoms to ranks and allreduces the
+/// moments and the energy, and agrees to the 1e-12 its own tests hold it to.
+#[test]
+fn linear_scaling_is_bitwise_independent_of_the_lease_width() {
+    let model = silicon_gsp();
+    let s = perturbed_si64();
+    let (r_loc, order) = (6.0, 64);
+    let engine = Engine::build(EngineKind::LinearScaling { r_loc, order }, &model, 0.2);
+    let wide = leased(2, || engine.evaluate(&s)).unwrap();
+    let narrow = leased(1, || engine.evaluate(&s)).unwrap();
+    assert_same_bits(&wide, &narrow);
+
+    let ranks = 2;
+    let kind = EngineKind::DistributedLinearScaling {
+        ranks,
+        r_loc,
+        order,
+    };
+    let dist = leased(2, || Engine::build(kind, &model, 0.2).evaluate(&s)).unwrap();
+    assert!((dist.energy - wide.energy).abs() < 1e-12);
+    for (a, b) in dist.forces.iter().zip(&wide.forces) {
+        assert!((*a - *b).max_abs() < 1e-12);
     }
 }
 
