@@ -1,11 +1,11 @@
 //! Blocked Householder tridiagonalization and blocked reflector application —
 //! stage one of the two-stage symmetric eigensolver.
 //!
-//! The scalar EISPACK `tred2` reduction interleaves rank-2 updates with the
-//! trailing matrix one column at a time, so every flop is a memory-bound
-//! stride-n access, and its `tqli` companion then spends `O(n³)` more in
-//! per-rotation eigenvector column sweeps. The blocked pipeline here follows
-//! the LAPACK `sytrd`/`latrd` factorization instead:
+//! The scalar EISPACK `tred2` reduction interleaves a rank-2 update of the
+//! trailing matrix with every reflector, one level-2 pass per column, and
+//! its `tqli` companion then spends `O(n³)` more rotating all `n` vectors.
+//! The blocked pipeline here follows the LAPACK `sytrd`/`latrd`
+//! factorization instead:
 //!
 //! 1. **Panel factorization** — `NB` Householder reflectors are generated per
 //!    panel; the trailing matrix is touched only through `NB` symmetric
@@ -27,7 +27,7 @@
 //! plus a `tau` array, so stage two can back-transform any subset of
 //! tridiagonal eigenvectors with a blocked, GEMM-shaped compact-WY
 //! application (`I − V T Vᵀ` per panel, [`apply_q_blocked`]) instead of
-//! `tqli`'s per-rotation column sweeps. All matrix scratch lives in
+//! `tqli`'s per-rotation sweeps. All matrix scratch lives in
 //! [`BlockedScratch`] (embedded in [`crate::eigh::EighWorkspace`]), so
 //! repeated solves grow no buffer after warmup.
 
@@ -101,8 +101,6 @@ pub struct BlockedScratch {
     /// Scratch tridiagonal copy for QL eigenvalue extraction.
     dql: Vec<f64>,
     eql: Vec<f64>,
-    /// Full-spectrum fallback: accumulated Q buffer.
-    pub(crate) qbuf: Matrix,
 }
 
 impl BlockedScratch {
@@ -511,53 +509,6 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
     });
 }
 
-/// Full-spectrum eigendecomposition through the blocked reduction: a
-/// drop-in replacement for [`crate::eigh::eigh_into`] whose reduction and
-/// `Q` accumulation are blocked/parallel; only the tridiagonal QL iteration
-/// itself remains scalar. On success `a` holds the eigenvectors
-/// (column `k` pairs with `values[k]`, ascending).
-///
-/// # Errors
-/// Same contract as [`crate::eigh::eigh_into`].
-pub fn eigh_blocked_into(
-    a: &mut Matrix,
-    values: &mut Vec<f64>,
-    ws: &mut EighWorkspace,
-) -> Result<(), EigError> {
-    if !a.is_square() {
-        return Err(EigError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    values.clear();
-    if n == 0 {
-        return Ok(());
-    }
-    tridiagonalize_blocked_into(a, ws);
-    // Accumulate Q = H_0 ⋯ into the scratch buffer, then rotate with QL.
-    let mut q = std::mem::take(&mut ws.blocked.qbuf);
-    q.resize_zeroed(n, n);
-    for i in 0..n {
-        q[(i, i)] = 1.0;
-    }
-    apply_q_blocked(a, ws, &mut q);
-    values.extend_from_slice(&ws.blocked.d);
-    ws.e.clear();
-    ws.e.extend_from_slice(&ws.blocked.e);
-    let result = tqli(values, &mut ws.e, &mut q);
-    // Copy eigenvectors back into `a` and stash the buffer before `?` so a
-    // failure cannot leak the allocation.
-    if result.is_ok() {
-        a.as_mut_slice().copy_from_slice(q.as_slice());
-    }
-    ws.blocked.qbuf = q;
-    result?;
-    crate::eigh::sort_eigenpairs(values, a, &mut ws.order);
-    Ok(())
-}
-
 /// All `n` eigenvalues (ascending) of the tridiagonal factor currently in
 /// the workspace, by implicit-shift QL on a scratch copy — `O(n²)` with a
 /// small constant, serial, so the spectrum (and every bit downstream of it)
@@ -954,22 +905,23 @@ mod tests {
         }
     }
 
+    /// The full window (`k = n`) of [`eigh_partial_into`]: the blocked
+    /// reduction, inverse iteration and [`apply_q_blocked`] as one solve.
+    fn full_window(a: &Matrix, ws: &mut EighWorkspace) -> Eigh {
+        let (mut packed, mut values, mut vectors) = (a.clone(), Vec::new(), Matrix::default());
+        eigh_partial_into(&mut packed, a.rows(), &mut values, &mut vectors, ws).unwrap();
+        Eigh { values, vectors }
+    }
+
     #[test]
-    fn eigh_blocked_matches_eigh() {
+    fn full_window_matches_eigh() {
         for n in [1usize, 2, 7, 33, 64, 90] {
             let a = symmetric_test_matrix(n, 3 + n as u64);
             let reference = eigh(a.clone()).unwrap();
-            let mut vecs = a.clone();
-            let mut values = Vec::new();
-            let mut ws = EighWorkspace::default();
-            eigh_blocked_into(&mut vecs, &mut values, &mut ws).unwrap();
-            for (x, y) in values.iter().zip(&reference.values) {
+            let eig = full_window(&a, &mut EighWorkspace::default());
+            for (x, y) in eig.values.iter().zip(&reference.values) {
                 assert!((x - y).abs() < 1e-10, "n={n}: {x} vs {y}");
             }
-            let eig = Eigh {
-                values,
-                vectors: vecs,
-            };
             assert!(eig_residual(&a, &eig) < 1e-9 * n as f64, "residual n={n}");
             assert!(orthogonality_defect(&eig.vectors) < 1e-10 * n as f64);
         }
@@ -978,15 +930,9 @@ mod tests {
     #[test]
     fn workspace_reuse_across_sizes() {
         let mut ws = EighWorkspace::default();
-        let mut values = Vec::new();
         for &(n, seed) in &[(40usize, 1u64), (12, 2), (64, 3), (5, 4)] {
             let a = symmetric_test_matrix(n, seed);
-            let mut vecs = a.clone();
-            eigh_blocked_into(&mut vecs, &mut values, &mut ws).unwrap();
-            let eig = Eigh {
-                values: values.clone(),
-                vectors: vecs,
-            };
+            let eig = full_window(&a, &mut ws);
             assert!(eig_residual(&a, &eig) < 1e-9 * n as f64);
         }
     }
@@ -1086,13 +1032,10 @@ mod tests {
     #[test]
     fn empty_and_tiny() {
         let mut ws = EighWorkspace::default();
-        let mut values = Vec::new();
-        let mut a = Matrix::zeros(0, 0);
-        eigh_blocked_into(&mut a, &mut values, &mut ws).unwrap();
-        assert!(values.is_empty());
-        let mut a = Matrix::from_vec(1, 1, vec![4.0]);
-        eigh_blocked_into(&mut a, &mut values, &mut ws).unwrap();
-        assert_eq!(values, vec![4.0]);
-        assert!((a[(0, 0)].abs() - 1.0).abs() < 1e-15);
+        let eig = full_window(&Matrix::zeros(0, 0), &mut ws);
+        assert!(eig.values.is_empty());
+        let eig = full_window(&Matrix::from_vec(1, 1, vec![4.0]), &mut ws);
+        assert_eq!(eig.values, vec![4.0]);
+        assert!((eig.vectors[(0, 0)].abs() - 1.0).abs() < 1e-15);
     }
 }

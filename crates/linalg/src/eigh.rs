@@ -7,7 +7,32 @@
 //! orthogonal transformation) and the QL iteration `~3n³` in the eigenvector
 //! update, so the whole solve is O(n³) — the term that dominates a TBMD step
 //! and that the parallel engines in `tbmd-parallel` attack.
+//!
+//! **Row layout.** The textbook loops walk columns of a row-major matrix
+//! (`a[k][j]` over `k`, rotations of `z[k][i]` over `k`). Here every inner
+//! loop runs along a contiguous row, and every element still sees the
+//! textbook's multiplies and adds in the textbook's order — no FMA, no
+//! reassociation — so values and vectors are bit for bit EISPACK's:
+//!
+//! - the reduction forms `p = A·u` from the lower triangle a row at a time:
+//!   row `j`'s own part as one sequential dot (four rows' chains
+//!   interleaved to hide the add latency), the part below the diagonal as
+//!   an axpy of row `k` into the earlier entries, in ascending `k`;
+//! - the accumulation builds `Qᵀ` instead of `Q`: step `i` takes
+//!   `g_j = Qᵀ_j · u` and `Qᵀ_j −= g_j (u / h)` along each row `j`, four rows
+//!   sharing each `u_k / h`;
+//! - [`tqli`] rotates pairs of rows of `Qᵀ`, the sort permutes rows, and one
+//!   tiled in-place transpose hands [`eigh_into`]'s caller its columns.
+//!
+//! What that costs (2-vCPU host, warm, min of many calls): n = 32
+//! 58–68 µs (93–98 µs walking columns), of which ≈ 30 µs is the QL
+//! iteration's scalar recurrence, a latency chain the layout cannot touch;
+//! n = 256 12–17 ms (121–140 ms walking columns, where every column step
+//! missed cache). The remaining dot chains run at about one element per
+//! cycle; only a different summation order would go faster, and that moves
+//! bits.
 
+use crate::kernels;
 use crate::matrix::Matrix;
 
 /// Eigendecomposition of a real symmetric matrix.
@@ -123,6 +148,10 @@ impl EighWorkspace {
 /// is now a thin wrapper over this). Only `values` and the workspace grow,
 /// and only up to the largest `n` seen across calls.
 ///
+/// Internally the vectors are rows ([`tridiagonalize_into`] leaves `Qᵀ`,
+/// [`tqli`] rotates rows, the sort permutes rows) and one in-place
+/// transpose at the end hands back columns.
+///
 /// # Errors
 /// Same as [`eigh`].
 pub fn eigh_into(
@@ -147,15 +176,18 @@ pub fn eigh_into(
     tridiagonalize_into(a, true, values, &mut ws.e);
     tqli(values, &mut ws.e, a)?;
     sort_eigenpairs(values, a, &mut ws.order);
+    a.transpose_in_place();
     Ok(())
 }
 
 /// Householder reduction of a symmetric matrix to tridiagonal form
 /// (EISPACK `tred2`).
 ///
-/// On return `a` holds the accumulated orthogonal matrix `Q` such that
-/// `Qᵀ A Q = T` when `accumulate` is true (otherwise `a` is scratch). The
-/// diagonal of `T` is returned in `d`, the subdiagonal in `e[1..]`.
+/// On return `a` holds the transpose of the accumulated orthogonal matrix
+/// `Q` (`Qᵀ A Q = T`; row `k` of `a` is column `k` of `Q`) when
+/// `accumulate` is true, otherwise `a` is scratch. The diagonal of `T` is
+/// returned in `d`, the subdiagonal in `e[1..]`. Only the lower triangle of
+/// the input is read.
 pub fn tridiagonalize(a: &mut Matrix, accumulate: bool) -> (Vec<f64>, Vec<f64>) {
     let n = a.rows();
     let mut d = vec![0.0; n];
@@ -175,88 +207,178 @@ pub fn tridiagonalize_into(a: &mut Matrix, accumulate: bool, d: &mut [f64], e: &
         a[(0, 0)] = 1.0;
         return;
     }
+    let a = a.as_mut_slice();
     for i in (1..n).rev() {
         let l = i - 1;
+        // Rows 0..i are the block still to reduce; row i's first i entries
+        // become the Householder vector `u`.
+        let (lead, rest) = a.split_at_mut(i * n);
+        let u = &mut rest[..i];
         let mut h = 0.0;
         if l > 0 {
-            let scale: f64 = (0..=l).map(|k| a[(i, k)].abs()).sum();
+            let scale: f64 = u.iter().map(|x| x.abs()).sum();
             if scale == 0.0 {
-                e[i] = a[(i, l)];
+                e[i] = u[l];
             } else {
-                for k in 0..=l {
-                    a[(i, k)] /= scale;
-                    h += a[(i, k)] * a[(i, k)];
+                for x in u.iter_mut() {
+                    *x /= scale;
+                    h += *x * *x;
                 }
-                let mut f = a[(i, l)];
+                let f = u[l];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                a[(i, l)] = f - g;
-                f = 0.0;
-                for j in 0..=l {
-                    if accumulate {
-                        a[(j, i)] = a[(i, j)] / h;
-                    }
-                    // g = (A u)_j using the lower triangle only.
-                    let mut g = 0.0;
-                    for k in 0..=j {
-                        g += a[(j, k)] * a[(i, k)];
-                    }
-                    for k in (j + 1)..=l {
-                        g += a[(k, j)] * a[(i, k)];
-                    }
-                    e[j] = g / h;
-                    f += e[j] * a[(i, j)];
+                u[l] = f - g;
+                // p = A u / h in e[..i] (scratch until step j writes e[j]),
+                // then p ← p − (uᵀp / 2h) u.
+                let p = &mut e[..i];
+                lower_symv(lead, n, u, p);
+                let mut f = 0.0;
+                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *pj /= h;
+                    f += *pj * uj;
                 }
                 let hh = f / (h + h);
-                // Rank-2 update A ← A - u pᵀ - p uᵀ restricted to the
-                // leading (l+1)×(l+1) block.
-                for j in 0..=l {
-                    let fj = a[(i, j)];
-                    let gj = e[j] - hh * fj;
-                    e[j] = gj;
-                    for k in 0..=j {
-                        a[(j, k)] -= fj * e[k] + gj * a[(i, k)];
+                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *pj -= hh * uj;
+                }
+                // Rank-2 update A ← A − u pᵀ − p uᵀ on the lower triangle.
+                for (j, row) in lead.chunks_exact_mut(n).enumerate() {
+                    let (fj, gj) = (u[j], p[j]);
+                    for ((x, &pk), &uk) in row[..=j].iter_mut().zip(p.iter()).zip(u.iter()) {
+                        *x -= fj * pk + gj * uk;
                     }
                 }
             }
         } else {
-            e[i] = a[(i, l)];
+            e[i] = u[l];
         }
         d[i] = h;
     }
     d[0] = 0.0;
     e[0] = 0.0;
     if accumulate {
-        // Accumulate the product of Householder reflectors into `a`.
-        for i in 0..n {
-            if i > 0 {
-                let l = i;
-                if d[i] != 0.0 {
-                    for j in 0..l {
-                        let mut g = 0.0;
-                        for k in 0..l {
-                            g += a[(i, k)] * a[(k, j)];
-                        }
-                        for k in 0..l {
-                            let delta = g * a[(k, i)];
-                            a[(k, j)] -= delta;
-                        }
-                    }
-                }
-            }
-            d[i] = a[(i, i)];
-            a[(i, i)] = 1.0;
-            if i > 0 {
-                for j in 0..i {
-                    a[(j, i)] = 0.0;
-                    a[(i, j)] = 0.0;
-                }
+        accumulate_qt(a, n, d);
+    } else {
+        for (i, di) in d.iter_mut().enumerate() {
+            *di = a[i * n + i];
+        }
+    }
+}
+
+/// `p = A u` for the symmetric matrix stored in the lower triangle of the
+/// first `u.len()` rows of `a` (row stride `n`), in `tred2`'s order: entry
+/// `j` first takes row `j`'s own part `Σ_{k≤j} a[j,k]·u_k` as one
+/// sequential chain (four rows' chains interleaved), then `a[k,j]·u_k` for
+/// `k > j` in ascending `k`, added by row `k`'s axpy — four rows' axpys
+/// fused into one [`kernels::axpy4`] pass below the four rows.
+fn lower_symv(a: &[f64], n: usize, u: &[f64], p: &mut [f64]) {
+    let m = u.len();
+    let row = |r: usize| &a[r * n..=r * n + r];
+    let mut r = 0;
+    while r + 4 <= m {
+        let (a0, a1, a2, a3) = (row(r), row(r + 1), row(r + 2), row(r + 3));
+        let mut s = [0.0; 4];
+        for ((((&x0, &x1), &x2), &x3), &uc) in a0.iter().zip(a1).zip(a2).zip(a3).zip(u) {
+            s[0] += x0 * uc;
+            s[1] += x1 * uc;
+            s[2] += x2 * uc;
+            s[3] += x3 * uc;
+        }
+        // Rows r+1, r+2, r+3 finish their own parts past column r.
+        let quad = [a0, a1, a2, a3];
+        for t in 1..4 {
+            for c in r + 1..=r + t {
+                s[t] += quad[t][c] * u[c];
             }
         }
-    } else {
-        for i in 0..n {
-            d[i] = a[(i, i)];
+        p[r..r + 4].copy_from_slice(&s);
+        // Their transposed parts: left of the 4 × 4 diagonal block in one
+        // pass, then inside it.
+        kernels::axpy4(&mut p[..r], [u[r], u[r + 1], u[r + 2], u[r + 3]], quad);
+        for t in 1..4 {
+            for j in r..r + t {
+                p[j] += quad[t][j] * u[r + t];
+            }
+        }
+        r += 4;
+    }
+    for r in r..m {
+        let own = row(r);
+        p[r] = own.iter().zip(u).fold(0.0, |s, (&x, &uc)| s + x * uc);
+        kernels::axpy(&mut p[..r], u[r], &own[..r]);
+    }
+}
+
+/// Accumulate the Householder reflectors left by the reduction (`u` in row
+/// `i`'s first `i` entries, `h` in `d[i]`) into `Qᵀ`, in place, and move the
+/// diagonal of `T` into `d` — `tred2`'s accumulation with the roles of rows
+/// and columns exchanged, so step `i` updates rows of `Qᵀ`: `g_j = Σ_k
+/// Qᵀ[j,k]·u_k` (one sequential chain per row), then `Qᵀ[j,k] −= g_j·(u_k /
+/// h)`, the same products in the same order as the column form.
+fn accumulate_qt(a: &mut [f64], n: usize, d: &mut [f64]) {
+    // The strict upper triangle holds `Q`'s strict lower triangle, which
+    // the column form zeroes at step `k` before step `k + 1` first reads it.
+    for (r, row) in a.chunks_exact_mut(n).enumerate() {
+        row[r + 1..].fill(0.0);
+    }
+    for i in 0..n {
+        let (lead, rest) = a.split_at_mut(i * n);
+        let row_i = &mut rest[..n];
+        if i > 0 && d[i] != 0.0 {
+            reflect_rows(lead, n, &row_i[..i], d[i]);
+        }
+        d[i] = row_i[i];
+        row_i[i] = 1.0;
+        row_i[..i].fill(0.0);
+    }
+}
+
+/// One accumulation step on the rows of `lead` (stride `n`, first `u.len()`
+/// entries each): four rows at a time, so each `u_k / h` is formed once per
+/// four rows and the four dot chains overlap.
+fn reflect_rows(lead: &mut [f64], n: usize, u: &[f64], h: f64) {
+    /// `u_k / h` is formed this many entries at a time, on the stack.
+    const CHUNK: usize = 64;
+    let i = u.len();
+    let mut w = [0.0; CHUNK];
+    for block in lead.chunks_mut(4 * n) {
+        let m = block.len() / n;
+        let mut rows: [&mut [f64]; 4] = Default::default();
+        for (slot, row) in rows.iter_mut().zip(block.chunks_exact_mut(n)) {
+            *slot = &mut row[..i];
+        }
+        let mut g = [0.0; 4];
+        if m == 4 {
+            let [r0, r1, r2, r3] = &rows;
+            for ((((&x0, &x1), &x2), &x3), &uk) in r0
+                .iter()
+                .zip(r1.iter())
+                .zip(r2.iter())
+                .zip(r3.iter())
+                .zip(u)
+            {
+                g[0] += x0 * uk;
+                g[1] += x1 * uk;
+                g[2] += x2 * uk;
+                g[3] += x3 * uk;
+            }
+        } else {
+            for (gt, row) in g.iter_mut().zip(&rows[..m]) {
+                *gt = row.iter().zip(u).fold(0.0, |s, (&x, &uk)| s + x * uk);
+            }
+        }
+        for k0 in (0..i).step_by(CHUNK) {
+            let k1 = (k0 + CHUNK).min(i);
+            let w = &mut w[..k1 - k0];
+            for (wk, &uk) in w.iter_mut().zip(&u[k0..k1]) {
+                *wk = uk / h;
+            }
+            for (row, &gt) in rows[..m].iter_mut().zip(&g) {
+                for (x, &wk) in row[k0..k1].iter_mut().zip(w.iter()) {
+                    *x -= gt * wk;
+                }
+            }
         }
     }
 }
@@ -266,9 +388,10 @@ pub fn tridiagonalize_into(a: &mut Matrix, accumulate: bool, d: &mut [f64], e: &
 ///
 /// `d` holds the diagonal, `e[1..]` the subdiagonal on entry; on success `d`
 /// holds the (unsorted) eigenvalues. Every plane rotation applied to `T` is
-/// simultaneously applied to the columns of `z`, so passing the `Q` from
-/// [`tridiagonalize`] yields eigenvectors of the original matrix. Passing a
-/// `0×n` matrix skips the eigenvector work entirely.
+/// simultaneously applied to the *rows* of `z` (the vectors are rows, each
+/// of any length), so passing the `Qᵀ` from [`tridiagonalize`] yields the
+/// eigenvectors of the original matrix as rows. Passing a `0×n` matrix
+/// skips the eigenvector work entirely.
 ///
 /// **Scaling contract.** `(d, e)` is multiplied on entry by the power of two
 /// that brings its largest magnitude into `[1, 2)` and the spectrum is
@@ -280,6 +403,10 @@ pub fn tridiagonalize_into(a: &mut Matrix, accumulate: bool, d: &mut [f64], e: &
 /// whose largest entry is zero, subnormal or not finite is iterated as given.
 pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError> {
     let n = d.len();
+    assert!(
+        z.rows() == 0 || z.rows() == n,
+        "tqli: one vector row per eigenvalue"
+    );
     if n <= 1 {
         return Ok(());
     }
@@ -304,7 +431,8 @@ fn tqli_unit(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigErro
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
-    let zrows = z.rows();
+    let zcols = z.cols();
+    let z = z.as_mut_slice();
     for l in 0..n {
         let mut iter = 0;
         loop {
@@ -353,11 +481,15 @@ fn tqli_unit(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigErro
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Apply the rotation to eigenvector columns i and i+1.
-                for k in 0..zrows {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
+                // Apply the rotation to eigenvector rows i and i+1.
+                if !z.is_empty() {
+                    let (head, tail) = z.split_at_mut((i + 1) * zcols);
+                    let zi = &mut head[i * zcols..];
+                    for (x, y) in zi.iter_mut().zip(&mut tail[..zcols]) {
+                        f = *y;
+                        *y = s * *x + c * f;
+                        *x = c * *x - s * f;
+                    }
                 }
             }
             if underflow {
@@ -371,11 +503,11 @@ fn tqli_unit(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigErro
     Ok(())
 }
 
-/// Sort eigenvalues ascending and permute eigenvector columns to match,
-/// in place: the permutation is applied by cycle-following column swaps, so
-/// no copy of the (n²-sized) eigenvector matrix is made. `order` is reusable
-/// scratch.
-pub(crate) fn sort_eigenpairs(d: &mut [f64], z: &mut Matrix, order: &mut Vec<usize>) {
+/// Sort eigenvalues ascending and permute the eigenvector rows (the layout
+/// [`tqli`] rotates) to match, in place: the permutation is applied by
+/// cycle-following row swaps, so no copy of the (n²-sized) eigenvector
+/// matrix is made. `order` is reusable scratch.
+fn sort_eigenpairs(d: &mut [f64], z: &mut Matrix, order: &mut Vec<usize>) {
     let n = d.len();
     order.clear();
     order.extend(0..n);
@@ -389,7 +521,7 @@ pub(crate) fn sort_eigenpairs(d: &mut [f64], z: &mut Matrix, order: &mut Vec<usi
         }
         if src != i {
             d.swap(i, src);
-            z.swap_cols(i, src);
+            z.swap_rows(i, src);
         }
     }
 }

@@ -29,7 +29,7 @@
 
 use crate::batched::batch_map;
 use crate::bisection::snap_range_to_clusters;
-use crate::eigh::{sort_eigenpairs, tqli, tridiagonalize_into};
+use crate::eigh::{eigh_into, EighWorkspace};
 use crate::kernels;
 use crate::matrix::Matrix;
 
@@ -79,9 +79,9 @@ struct ShardScratch {
     cl_b: Matrix,
     /// Rotated cluster rows.
     cl_rot: Matrix,
-    cl_d: Vec<f64>,
-    cl_e: Vec<f64>,
-    cl_order: Vec<usize>,
+    /// Ritz values and the scratch of their [`eigh_into`] solve.
+    cl_values: Vec<f64>,
+    cl_eigh: EighWorkspace,
 }
 
 /// Factor `T − shift·I = P L U` with partial pivoting (`gttrf` for a
@@ -194,22 +194,18 @@ fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], cluster: &mut [f64], s: &mut Shard
             }
             s.tz[i] = acc;
         }
-        for (p, zp) in cluster.chunks_exact(n).enumerate() {
-            s.cl_b[(p, q)] = kernels::dot(zp, &s.tz);
+        // Row q holds z_p · T z_q = B[p, q]: Bᵀ, which the symmetrization
+        // below averages into the same bits as B.
+        for (b, zp) in s.cl_b.row_mut(q).iter_mut().zip(cluster.chunks_exact(n)) {
+            *b = kernels::dot(zp, &s.tz);
         }
     }
     s.cl_b.symmetrize();
-    // Small dense eigh of B: Householder + QL on the c×c cluster matrix.
-    s.cl_d.clear();
-    s.cl_d.resize(c, 0.0);
-    s.cl_e.clear();
-    s.cl_e.resize(c, 0.0);
-    tridiagonalize_into(&mut s.cl_b, true, &mut s.cl_d, &mut s.cl_e);
-    if tqli(&mut s.cl_d, &mut s.cl_e, &mut s.cl_b).is_err() {
+    // The one small dense solve: B = U diag(λ) Uᵀ.
+    if eigh_into(&mut s.cl_b, &mut s.cl_values, &mut s.cl_eigh).is_err() {
         // Non-finite cluster matrix: leave the MGS basis untouched.
         return;
     }
-    sort_eigenpairs(&mut s.cl_d, &mut s.cl_b, &mut s.cl_order);
     // Rotate: new row p = Σ_q U[q, p] · old row q.
     s.cl_rot.resize_zeroed(c, n);
     for p in 0..c {
@@ -451,7 +447,7 @@ fn iterate_shard(
 mod tests {
     use super::*;
     use crate::blocked::{reduced_eigenvalues_into, tridiagonalize_blocked_into};
-    use crate::eigh::{eigh, EighWorkspace};
+    use crate::eigh::eigh;
 
     #[test]
     fn sharded_matches_single_shard_bitwise_on_degenerate_clusters() {

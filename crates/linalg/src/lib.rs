@@ -43,9 +43,8 @@ pub use bisection::{
     tridiagonal_kth_eigenvalue,
 };
 pub use blocked::{
-    apply_q_blocked, eigh_blocked_into, eigh_partial_into, reduced_eigenvalues_into,
-    reduced_eigenvectors_into, reduced_eigenvectors_offset_into, tridiagonalize_blocked_into,
-    TRIDIAG_BLOCK,
+    apply_q_blocked, eigh_partial_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
+    reduced_eigenvectors_offset_into, tridiagonalize_blocked_into, TRIDIAG_BLOCK,
 };
 pub use budget::{
     budget_total, configure_budget, effective_width, high_water, leased_threads, reset_high_water,

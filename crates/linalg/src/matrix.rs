@@ -305,13 +305,37 @@ impl Matrix {
         grew
     }
 
-    /// Swap columns `i` and `j` in place.
-    pub fn swap_cols(&mut self, i: usize, j: usize) {
-        if i == j {
+    /// Swap rows `i` and `j` in place.
+    pub(crate) fn swap_rows(&mut self, i: usize, j: usize) {
+        let (lo, hi) = (i.min(j), i.max(j));
+        if lo == hi {
             return;
         }
-        for r in 0..self.rows {
-            self.data.swap(r * self.cols + i, r * self.cols + j);
+        let c = self.cols;
+        let (head, tail) = self.data.split_at_mut(hi * c);
+        head[lo * c..(lo + 1) * c].swap_with_slice(&mut tail[..c]);
+    }
+
+    /// Transpose a square matrix in place, swapping 8 × 8 tiles across the
+    /// diagonal (a cache line each way).
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
+    pub(crate) fn transpose_in_place(&mut self) {
+        const TILE: usize = 8;
+        assert!(
+            self.is_square(),
+            "in-place transpose of a non-square matrix"
+        );
+        let n = self.rows;
+        for i0 in (0..n).step_by(TILE) {
+            for j0 in (i0..n).step_by(TILE) {
+                for i in i0..(i0 + TILE).min(n) {
+                    for j in j0.max(i + 1)..(j0 + TILE).min(n) {
+                        self.data.swap(i * n + j, j * n + i);
+                    }
+                }
+            }
         }
     }
 

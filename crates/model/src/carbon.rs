@@ -24,7 +24,7 @@
 //! original model.
 
 use crate::model::{EmbeddingPolynomial, GspTbModel};
-use crate::scaling::{CutoffTail, GspScaling, RadialFunction};
+use crate::scaling::{CutoffTail, GspScaling, RadialFunction, RadialShape};
 use tbmd_structure::Species;
 
 /// Hopping reference distance of the fit (Å).
@@ -45,27 +45,26 @@ pub const C_REPULSION_SCALE: f64 = 1.0;
 /// Build the carbon model.
 pub fn carbon_xwch() -> GspTbModel {
     let tail = CutoffTail::new(C_TAIL_INNER, C_TAIL_OUTER);
-    let hop_scaling = GspScaling {
-        r0: C_R0,
-        n: 2.0,
-        rc: 2.18,
-        nc: 6.5,
-    };
-    let amplitudes = [-5.0, 4.7, 5.5, -1.55];
-    let hop = amplitudes.map(|a| RadialFunction {
-        amplitude: a,
-        scaling: hop_scaling,
-        tail,
-    });
-    let rep = RadialFunction {
-        amplitude: 8.18555,
+    let hop_shape = RadialShape {
         scaling: GspScaling {
-            r0: C_D0,
-            n: 3.30304,
-            rc: 2.1052,
-            nc: 8.6655,
+            r0: C_R0,
+            n: 2.0,
+            rc: 2.18,
+            nc: 6.5,
         },
         tail,
+    };
+    let rep = RadialFunction {
+        amplitude: 8.18555,
+        shape: RadialShape {
+            scaling: GspScaling {
+                r0: C_D0,
+                n: 3.30304,
+                rc: 2.1052,
+                nc: 8.6655,
+            },
+            tail,
+        },
     };
     let embed = EmbeddingPolynomial {
         coefficients: vec![
@@ -81,7 +80,8 @@ pub fn carbon_xwch() -> GspTbModel {
         species: Species::Carbon,
         e_s: -2.99,
         e_p: 3.71,
-        hop,
+        hop_amplitudes: [-5.0, 4.7, 5.5, -1.55],
+        hop_shape,
         rep,
         embed,
         repulsion_scale: C_REPULSION_SCALE,

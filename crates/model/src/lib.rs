@@ -49,7 +49,7 @@ pub use occupations::{
     occupations, occupied_count, OccupationScheme, Occupations, OCCUPATION_DROP_TOL,
 };
 pub use provider::{ForceEvaluation, ForceProvider};
-pub use scaling::{CutoffTail, GspScaling, RadialFunction};
+pub use scaling::{CutoffTail, GspScaling, RadialFunction, RadialShape};
 pub use silicon::silicon_gsp;
 pub use slater_koster::{sk_block, sk_block_gradient, sk_transpose, Hoppings, SkBlock};
 pub use stages::{

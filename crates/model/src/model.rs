@@ -12,7 +12,7 @@
 //! [`crate::carbon::carbon_xwch`] — share the Goodwin–Skinner–Pettifor
 //! functional form and are instances of [`GspTbModel`].
 
-use crate::scaling::RadialFunction;
+use crate::scaling::{RadialFunction, RadialShape};
 use crate::slater_koster::Hoppings;
 use tbmd_structure::Species;
 
@@ -76,8 +76,10 @@ pub struct GspTbModel {
     pub(crate) species: Species,
     pub(crate) e_s: f64,
     pub(crate) e_p: f64,
-    /// Radial hopping functions in Slater–Koster order.
-    pub(crate) hop: [RadialFunction; 4],
+    /// Hopping amplitudes `V_λ(r₀)` in Slater–Koster order.
+    pub(crate) hop_amplitudes: [f64; 4],
+    /// The one radial shape the four hoppings share.
+    pub(crate) hop_shape: RadialShape,
     /// Repulsive pair function φ(r).
     pub(crate) rep: RadialFunction,
     /// Embedding polynomial f(x).
@@ -112,10 +114,7 @@ impl TbModel for GspTbModel {
     }
 
     fn cutoff(&self) -> f64 {
-        self.hop
-            .iter()
-            .map(|h| h.cutoff())
-            .fold(self.rep.cutoff(), f64::max)
+        self.rep.cutoff().max(self.hop_shape.cutoff())
     }
 
     fn on_site(&self, sp: Species) -> [f64; 4] {
@@ -128,25 +127,21 @@ impl TbModel for GspTbModel {
     }
 
     fn hoppings(&self, r: f64) -> Hoppings {
-        [
-            self.hop[0].value(r),
-            self.hop[1].value(r),
-            self.hop[2].value(r),
-            self.hop[3].value(r),
-        ]
+        self.hop_shape
+            .factors(r)
+            .map_or([0.0; 4], |[s, t]| self.hop_amplitudes.map(|a| a * s * t))
     }
 
     fn hoppings_deriv(&self, r: f64) -> Hoppings {
-        [
-            self.hop[0].derivative(r),
-            self.hop[1].derivative(r),
-            self.hop[2].derivative(r),
-            self.hop[3].derivative(r),
-        ]
+        self.hop_shape
+            .factors_with_derivatives(r)
+            .map_or([0.0; 4], |[s, ds, t, dt]| {
+                self.hop_amplitudes.map(|a| a * (ds * t + s * dt))
+            })
     }
 
     fn repulsion(&self, r: f64) -> (f64, f64) {
-        (self.rep.value(r), self.rep.derivative(r))
+        self.rep.value_and_derivative(r)
     }
 
     fn embedding(&self, x: f64) -> (f64, f64) {

@@ -37,7 +37,11 @@ impl GspScaling {
 
     /// `ds/dr`, analytic: `s'(r) = s(r) · [ −n/r − n·nc/rc · (r/rc)^{nc−1} ]`.
     pub fn derivative(&self, r: f64) -> f64 {
-        let s = self.value(r);
+        self.derivative_from(self.value(r), r)
+    }
+
+    /// `s'(r)` given `s = s(r)` already evaluated.
+    fn derivative_from(&self, s: f64, r: f64) -> f64 {
         s * (-self.n / r - self.n * self.nc / self.rc * (r / self.rc).powf(self.nc - 1.0))
     }
 }
@@ -85,38 +89,79 @@ impl CutoffTail {
     }
 }
 
-/// A radial function `g(r) = A · s(r) · t(r)` — GSP scaling with amplitude
-/// and tail — plus its derivative. This is the shape of every hopping
+/// The amplitude-free radial shape `s(r) · t(r)`: GSP scaling times cutoff
+/// tail. Radial functions that differ only in amplitude — the four
+/// hoppings of a bundled model — share one, so `s` and `t` are evaluated
+/// once per distance for all of them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RadialShape {
+    pub scaling: GspScaling,
+    pub tail: CutoffTail,
+}
+
+impl RadialShape {
+    /// `[s(r), t(r)]`, or `None` at and beyond the outer cutoff, where every
+    /// function of this shape is exactly zero.
+    pub(crate) fn factors(&self, r: f64) -> Option<[f64; 2]> {
+        if r >= self.tail.r_outer {
+            return None;
+        }
+        Some([self.scaling.value(r), self.tail.value(r)])
+    }
+
+    /// `[s, s′, t, t′]` at `r`, `s′` taken from the same `s`; `None` at and
+    /// beyond the outer cutoff.
+    pub(crate) fn factors_with_derivatives(&self, r: f64) -> Option<[f64; 4]> {
+        let [s, t] = self.factors(r)?;
+        Some([
+            s,
+            self.scaling.derivative_from(s, r),
+            t,
+            self.tail.derivative(r),
+        ])
+    }
+
+    /// The radius beyond which the shape is identically zero.
+    pub(crate) fn cutoff(&self) -> f64 {
+        self.tail.r_outer
+    }
+}
+
+/// A radial function `g(r) = A · s(r) · t(r)` — a [`RadialShape`] with an
+/// amplitude — plus its derivative. This is the form of every hopping
 /// integral and pair repulsion in the bundled models.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadialFunction {
     pub amplitude: f64,
-    pub scaling: GspScaling,
-    pub tail: CutoffTail,
+    pub shape: RadialShape,
 }
 
 impl RadialFunction {
     /// `g(r)`; exactly zero at and beyond the outer cutoff.
     pub fn value(&self, r: f64) -> f64 {
-        if r >= self.tail.r_outer {
-            return 0.0;
-        }
-        self.amplitude * self.scaling.value(r) * self.tail.value(r)
+        self.shape
+            .factors(r)
+            .map_or(0.0, |[s, t]| self.amplitude * s * t)
     }
 
     /// `dg/dr` (product rule over scaling and tail).
     pub fn derivative(&self, r: f64) -> f64 {
-        if r >= self.tail.r_outer {
-            return 0.0;
-        }
-        self.amplitude
-            * (self.scaling.derivative(r) * self.tail.value(r)
-                + self.scaling.value(r) * self.tail.derivative(r))
+        self.value_and_derivative(r).1
+    }
+
+    /// `(g(r), g′(r))` from one evaluation of the shape.
+    pub fn value_and_derivative(&self, r: f64) -> (f64, f64) {
+        self.shape
+            .factors_with_derivatives(r)
+            .map_or((0.0, 0.0), |[s, ds, t, dt]| {
+                let a = self.amplitude;
+                (a * s * t, a * (ds * t + s * dt))
+            })
     }
 
     /// The radius beyond which the function is identically zero.
     pub fn cutoff(&self) -> f64 {
-        self.tail.r_outer
+        self.shape.cutoff()
     }
 }
 
@@ -203,8 +248,10 @@ mod tests {
     fn radial_function_zero_beyond_cutoff() {
         let g = RadialFunction {
             amplitude: -2.0,
-            scaling: si_like(),
-            tail: CutoffTail::new(3.6, 4.2),
+            shape: RadialShape {
+                scaling: si_like(),
+                tail: CutoffTail::new(3.6, 4.2),
+            },
         };
         assert_eq!(g.value(4.2), 0.0);
         assert_eq!(g.value(10.0), 0.0);
@@ -218,8 +265,10 @@ mod tests {
     fn radial_derivative_matches_finite_difference() {
         let g = RadialFunction {
             amplitude: 1.7,
-            scaling: si_like(),
-            tail: CutoffTail::new(3.6, 4.2),
+            shape: RadialShape {
+                scaling: si_like(),
+                tail: CutoffTail::new(3.6, 4.2),
+            },
         };
         let h = 1e-6;
         for &r in &[2.0, 2.36, 3.0, 3.7, 3.9, 4.1] {

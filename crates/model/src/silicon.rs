@@ -22,7 +22,7 @@
 //! above (see `calibration` test and EXPERIMENTS.md T5).
 
 use crate::model::{EmbeddingPolynomial, GspTbModel};
-use crate::scaling::{CutoffTail, GspScaling, RadialFunction};
+use crate::scaling::{CutoffTail, GspScaling, RadialFunction, RadialShape};
 use tbmd_structure::Species;
 
 /// Reference bond length of the fit (diamond Si first-neighbour distance).
@@ -45,27 +45,26 @@ pub const SI_REPULSION_SCALE: f64 = 1.124;
 /// Build the silicon model.
 pub fn silicon_gsp() -> GspTbModel {
     let tail = CutoffTail::new(SI_TAIL_INNER, SI_TAIL_OUTER);
-    let hop_scaling = GspScaling {
-        r0: SI_R0,
-        n: 2.0,
-        rc: 3.67,
-        nc: 6.48,
-    };
-    let amplitudes = [-2.038, 1.745, 2.75, -1.075];
-    let hop = amplitudes.map(|a| RadialFunction {
-        amplitude: a,
-        scaling: hop_scaling,
-        tail,
-    });
-    let rep = RadialFunction {
-        amplitude: 1.0,
+    let hop_shape = RadialShape {
         scaling: GspScaling {
             r0: SI_R0,
-            n: 6.8755,
-            rc: 3.66995,
-            nc: 13.017,
+            n: 2.0,
+            rc: 3.67,
+            nc: 6.48,
         },
         tail,
+    };
+    let rep = RadialFunction {
+        amplitude: 1.0,
+        shape: RadialShape {
+            scaling: GspScaling {
+                r0: SI_R0,
+                n: 6.8755,
+                rc: 3.66995,
+                nc: 13.017,
+            },
+            tail,
+        },
     };
     let embed = EmbeddingPolynomial {
         coefficients: vec![0.0, 2.1604385, -0.1384393, 5.8398423e-3, -8.0263577e-5],
@@ -75,7 +74,8 @@ pub fn silicon_gsp() -> GspTbModel {
         species: Species::Silicon,
         e_s: -5.25,
         e_p: 1.20,
-        hop,
+        hop_amplitudes: [-2.038, 1.745, 2.75, -1.075],
+        hop_shape,
         rep,
         embed,
         repulsion_scale: SI_REPULSION_SCALE,

@@ -1,0 +1,155 @@
+//! Bits pinned to the parent of PR 26: the row-walking one-stage solve and
+//! the one-shape radial evaluation must reproduce, bit for bit, what the
+//! column-walking solve and the per-hopping radial functions computed.
+//!
+//! Each constant is an FNV-1a hash over the `to_bits()` of every output,
+//! recorded by running this file against the parent commit. The model
+//! hashes go through `powf`/`exp` from the host's libm, so like every other
+//! bitwise pin in the repository they belong to the host's feature set.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::hint::black_box;
+use tbmd_linalg::{eigh_into, eigh_partial_into, EighWorkspace, Matrix};
+use tbmd_model::{build_hamiltonian, carbon_xwch, silicon_gsp, OrbitalIndex, TbModel};
+use tbmd_structure::{bulk_diamond, NeighborList, Species};
+
+/// FNV-1a over the little-endian bytes of each value's bit pattern.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(mut self, x: f64) -> Fnv {
+        for byte in x.to_bits().to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    fn extend<'a>(self, xs: impl IntoIterator<Item = &'a f64>) -> Fnv {
+        xs.into_iter().fold(self, |h, &x| h.add(x))
+    }
+}
+
+/// Hash of `eigh_into`'s values, then its vectors row by row.
+fn eigh_hash(a: &Matrix) -> u64 {
+    let (mut vectors, mut values) = (a.clone(), Vec::new());
+    eigh_into(&mut vectors, &mut values, &mut EighWorkspace::default()).unwrap();
+    Fnv::new().extend(&values).extend(vectors.as_slice()).0
+}
+
+fn random_symmetric(n: usize, seed: u64) -> Matrix {
+    let mut state = seed;
+    let mut a = Matrix::from_fn(n, n, |_, _| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+    });
+    a.symmetrize();
+    a
+}
+
+/// Two random symmetric 12 × 12 blocks on the diagonal of a 24 × 24.
+fn two_blocks() -> Matrix {
+    let (a, b) = (random_symmetric(12, 12), random_symmetric(12, 24));
+    Matrix::from_fn(24, 24, |i, j| match (i < 12, j < 12) {
+        (true, true) => a[(i, j)],
+        (false, false) => b[(i - 12, j - 12)],
+        _ => 0.0,
+    })
+}
+
+/// `H` of a perturbed silicon diamond supercell.
+fn silicon_h(reps: usize, seed: u64) -> Matrix {
+    let model = silicon_gsp();
+    let mut s = bulk_diamond(Species::Silicon, reps, reps, reps);
+    s.perturb(&mut StdRng::seed_from_u64(seed), 0.1);
+    let nl = NeighborList::build(&s, model.cutoff());
+    build_hamiltonian(&s, &nl, &model, &OrbitalIndex::new(&s))
+}
+
+#[test]
+fn eigh_into_reproduces_the_parent_bits() {
+    let cases = [
+        (
+            "random 32",
+            random_symmetric(32, 2026),
+            0x53818bceb50b9c12u64,
+        ),
+        // Two uncoupled blocks: row 12 is zero left of the diagonal, so its
+        // reduction step takes the `scale == 0` branch and its accumulation
+        // step is skipped.
+        ("two blocks", two_blocks(), 0xe013533de124f7bb),
+        ("Si-8 H", silicon_h(1, 8), 0x506b6cbda32a15a3),
+        ("Si-64 H", silicon_h(2, 64), 0x49d42a696be8330c),
+    ];
+    let moved: Vec<String> = cases
+        .iter()
+        .map(|(what, a, want)| (what, a.rows(), eigh_hash(a), want))
+        .filter(|(.., got, want)| got != *want)
+        .map(|(what, n, got, _)| format!("{what} (n = {n}): {got:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "bits moved: {moved:?}");
+}
+
+#[test]
+fn cluster_rayleigh_ritz_reproduces_the_parent_bits() {
+    // Per unit interval an exact triple, a 1e-9-split companion and a
+    // singleton: every cluster of the two-stage eigenvector stage goes
+    // through the small dense solve of its Rayleigh–Ritz rotation.
+    let n = 40;
+    let target: Vec<f64> = (0..n)
+        .map(|i| (i / 5) as f64 + [0.0, 0.0, 0.0, 1e-9, 0.4][i % 5])
+        .collect();
+    let (mut q, mut values) = (random_symmetric(n, 4242), Vec::new());
+    eigh_into(&mut q, &mut values, &mut EighWorkspace::default()).unwrap();
+    let mut a = q
+        .matmul(&Matrix::from_diagonal(&target))
+        .matmul(&q.transpose());
+    let mut vectors = Matrix::default();
+    let mut ws = EighWorkspace::default();
+    eigh_partial_into(&mut a, 32, &mut values, &mut vectors, &mut ws).unwrap();
+    let got = Fnv::new().extend(&values).extend(vectors.as_slice()).0;
+    assert_eq!(got, 0x6a8b1fbc781b2f7e, "bits moved: {got:#018x}");
+}
+
+/// Hash of `hoppings`, `hoppings_deriv` and `repulsion` on 4 000 distances
+/// from 0.8 Å to 0.2 Å past the cutoff: the bare power law, the tail window
+/// and the zeros beyond it.
+fn radial_hash(model: &dyn TbModel) -> u64 {
+    let (lo, hi) = (0.8, model.cutoff() + 0.2);
+    (0..4000)
+        .fold(Fnv::new(), |h, i| {
+            let r = lo + (hi - lo) * i as f64 / 3999.0;
+            let (phi, dphi) = model.repulsion(r);
+            h.extend(&model.hoppings(r))
+                .extend(&model.hoppings_deriv(r))
+                .add(phi)
+                .add(dphi)
+        })
+        .0
+}
+
+#[test]
+fn radial_functions_reproduce_the_parent_bits() {
+    // Through `dyn` and `black_box`, as the engines call them: nothing about
+    // the parameters is known at compile time.
+    let si = black_box(silicon_gsp());
+    let c = black_box(carbon_xwch());
+    let moved: Vec<String> = [
+        (&si as &dyn TbModel, 0x9b4cdf59fb06964fu64),
+        (&c, 0xd1ef1e62f47537f6),
+    ]
+    .into_iter()
+    .map(|(model, want)| (model.name().to_string(), radial_hash(model), want))
+    .filter(|(_, got, want)| got != want)
+    .map(|(name, got, _)| format!("{name}: {got:#018x}"))
+    .collect();
+    assert!(moved.is_empty(), "bits moved: {moved:?}");
+}

@@ -221,12 +221,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 struct SharedSink(Arc<Mutex<Box<dyn Write + Send>>>);
 
 impl SharedSink {
-    fn line(&self, text: &str) {
-        if let Ok(mut w) = self.0.lock() {
-            let _ = w.write_all(text.as_bytes());
-            let _ = w.write_all(b"\n");
-            let _ = w.flush();
-        }
+    /// Write one line and hand it to the client now.
+    fn line(&self, text: &str) -> std::io::Result<()> {
+        let mut w = self
+            .0
+            .lock()
+            .map_err(|_| std::io::Error::other("sink poisoned"))?;
+        w.write_all(text.as_bytes())?;
+        w.write_all(b"\n")?;
+        w.flush()
     }
 }
 
@@ -581,10 +584,10 @@ impl Multiplexer {
                     tenant.entry.state.store(STATE_ACTIVE, Ordering::Relaxed);
                     self.active.push(tenant);
                 }
-                Err(report) => {
-                    if let Err(detail) = &report.outcome {
-                        sink.line(&error_line(&report.name, detail, report.queue_wait));
-                    }
+                Err(mut report) => {
+                    let (name, outcome) = (&report.name, report.outcome);
+                    report.outcome =
+                        outcome.map_err(|detail| stream_error(&sink, name, detail, wait));
                     self.reports.push(*report);
                 }
             }
@@ -687,7 +690,9 @@ impl Multiplexer {
     }
 
     /// Finalize one tenant: emit the summary (or error) line, refund the
-    /// lease, file the report.
+    /// lease, file the report. A tenant whose stream failed — a step line
+    /// (the session's error) or the closing summary — retires with an error
+    /// status, like one whose engine failed.
     fn retire(&mut self, mut tenant: Tenant, error: Option<String>) {
         let steps = tenant.session.steps_done();
         let evaluations = tenant.session.evaluations();
@@ -697,30 +702,20 @@ impl Multiplexer {
         // Refund before the recorder flushes, so a queued job can be
         // admitted on the very next sweep.
         drop(tenant.session.take_lease());
+        // Only a finished run closes its stream with the summary line; a
+        // failed one drops the recorder unfinished (buffered lines still
+        // flush), so no misleading success summary goes out.
+        let recorder = tenant.session.take_recorder();
         let outcome = match (error, summary) {
-            (Some(detail), _) => {
-                tenant
-                    .sink
-                    .line(&error_line(&tenant.name, &detail, tenant.queue_wait));
-                // Drop (not finish) the recorder: buffered lines still
-                // flush, but no misleading success summary is emitted.
-                drop(tenant.session.take_recorder());
-                Err(detail)
-            }
-            (None, Some(summary)) => {
-                if let Some(recorder) = tenant.session.take_recorder() {
-                    if let Err(e) = recorder.finish() {
-                        tenant.sink.line(&error_line(
-                            &tenant.name,
-                            &e.to_string(),
-                            tenant.queue_wait,
-                        ));
-                    }
-                }
-                Ok(summary)
-            }
+            (Some(detail), _) => Err(detail),
+            (None, Some(summary)) => match recorder.map(RunRecorder::finish) {
+                Some(Err(e)) => Err(format!("recorder: {e}")),
+                _ => Ok(summary),
+            },
             (None, None) => Err("session finished without a summary".to_string()),
         };
+        let outcome = outcome
+            .map_err(|detail| stream_error(&tenant.sink, &tenant.name, detail, tenant.queue_wait));
         self.reports.push(TenantReport {
             name: tenant.name,
             steps,
@@ -745,6 +740,15 @@ impl Multiplexer {
     /// off completed ones while other jobs are still running.
     pub fn take_reports(&mut self) -> Vec<TenantReport> {
         std::mem::take(&mut self.reports)
+    }
+}
+
+/// Stream `detail` to the job's client as an error line and return it for
+/// the report — noting there when the client could not be reached either.
+fn stream_error(sink: &SharedSink, job: &str, detail: String, queue_wait: Duration) -> String {
+    match sink.line(&error_line(job, &detail, queue_wait)) {
+        Ok(()) => detail,
+        Err(e) => format!("{detail} (error line not delivered: {e})"),
     }
 }
 

@@ -211,9 +211,9 @@ mod unix {
                         }
                         StatsFormat::Prometheus => stats.to_prometheus(),
                     };
-                    let mut w = &stream;
-                    let _ = w.write_all(body.as_bytes());
-                    let _ = w.flush();
+                    if !reply(&stream, "stats", &body) {
+                        break;
+                    }
                 }
                 Ok(Request::Shutdown) => {
                     shutdown.store(true, Ordering::SeqCst);
@@ -222,11 +222,24 @@ mod unix {
                 Err(detail) => {
                     let mut line = tbmd_trace::JsonValue::object();
                     line.set("type", "error").set("detail", detail.as_str());
-                    let mut w = &stream;
-                    let _ = w.write_all(line.to_compact().as_bytes());
-                    let _ = w.write_all(b"\n");
-                    let _ = w.flush();
+                    let body = line.to_compact() + "\n";
+                    if !reply(&stream, "error", &body) {
+                        break;
+                    }
                 }
+            }
+        }
+    }
+
+    /// Answer a client on its connection; a client that cannot be answered
+    /// has gone, which is reported on stderr (`false`: stop reading it).
+    fn reply(stream: &UnixStream, what: &str, body: &str) -> bool {
+        let mut w = stream;
+        match w.write_all(body.as_bytes()).and_then(|()| w.flush()) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("tbmd-serve: {what} reply not delivered: {e}");
+                false
             }
         }
     }
