@@ -1,7 +1,6 @@
 //! Engine selection: one enum over every force engine in the workspace,
 //! and the one parser of engine names both front ends share.
 
-use serde::{Deserialize, Serialize};
 use tbmd_linscale::{DistributedLinearScalingTb, LinearScalingTb};
 use tbmd_model::{
     ForceEvaluation, ForceProvider, OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
@@ -10,7 +9,7 @@ use tbmd_parallel::{shared_memory_tb, DistributedTb, RankControl};
 use tbmd_structure::Structure;
 
 /// Which engine evaluates energies and forces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EngineKind {
     /// The dense Γ-point calculator on one thread (two-stage eigensolver,
     /// one-stage QL below 96 orbitals).

@@ -50,8 +50,8 @@ pub use tbmd_md::{
     TemperatureRamp, Trajectory, VelocityVerlet,
 };
 pub use tbmd_model::{
-    band_structure, carbon_xwch, pressure, silicon_gsp, silicon_nonortho_demo, stress_tensor,
-    ForceProvider, NonOrthoCalculator, OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
+    band_structure, carbon_xwch, pressure, silicon_gsp, stress_tensor, ForceProvider,
+    OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
 };
 pub use tbmd_parallel::{
     default_recv_timeout, live_vmp_workers, shared_memory_tb, DistributedTb, FaultKind, FaultPlan,

@@ -7,7 +7,6 @@
 
 use crate::engine::EngineKind;
 use crate::system::SystemSpec;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use tbmd_linalg::Vec3;
 use tbmd_md::Trajectory;
@@ -15,7 +14,7 @@ use tbmd_model::TbModel;
 use tbmd_trace::{git_describe, JsonValue, RunManifest};
 
 /// What to do with the system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Protocol {
     /// Microcanonical dynamics from a Maxwell–Boltzmann start.
     Nve {
@@ -49,7 +48,7 @@ pub enum Protocol {
 }
 
 /// Full simulation request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
     /// Which structure/model to simulate.
     pub system: SystemSpec,
@@ -227,7 +226,7 @@ pub fn run_manifest(config: &SimulationConfig) -> RunManifest {
 }
 
 /// What a resilient session does with the rank set after a failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReshardPolicy {
     /// Re-spawn the failed ranks and retry at the configured width.
     /// Virtual ranks are threads, so respawning is free, and the retried

@@ -2,13 +2,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tbmd_model::{carbon_xwch, silicon_gsp, GspTbModel};
 use tbmd_structure::{bulk_diamond, fullerene_c60, graphene_sheet, nanotube, Species, Structure};
 
 /// A system specification that can be materialized into a structure and its
 /// matching tight-binding model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SystemSpec {
     /// Periodic silicon diamond supercell of `reps³` conventional cells
     /// (8·reps³ atoms) — the canonical TBMD benchmark series.

@@ -1,10 +1,9 @@
 //! The batched launch: one shape for every fan-out of independent jobs that
 //! own mutable state.
 //!
-//! Two places launch many independent pieces of a dense solve per MD step:
-//! the k-point calculator (one Hermitian embedding per k-point) and the
-//! sharded inverse iteration (one spectrum shard per leased thread). Both
-//! go through [`batch_map`], which pins the semantics they rely on:
+//! The sharded inverse iteration launches many independent pieces of a dense
+//! solve per MD step (one spectrum shard per leased thread). It goes through
+//! [`batch_map`], which pins the semantics it relies on:
 //!
 //! * **Ordered**: results come back in job order regardless of the thread
 //!   partition.

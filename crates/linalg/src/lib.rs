@@ -22,14 +22,11 @@
 //!   of tight-binding MD.
 //! * [`eigvalsh_partial`] — Sturm-sequence bisection for the lowest k
 //!   eigenvalues (the era's "occupied states only" optimization).
-//! * [`Cholesky`]/[`generalized_eigh`] — SPD factorization and the
-//!   `H c = ε S c` reduction used by non-orthogonal tight binding.
 
 pub mod batched;
 pub mod bisection;
 pub mod blocked;
 pub mod budget;
-pub mod cholesky;
 pub mod eigh;
 pub mod inverse_iteration;
 pub mod kernels;
@@ -49,10 +46,6 @@ pub use blocked::{
 pub use budget::{
     budget_total, configure_budget, effective_width, high_water, leased_threads, reset_high_water,
     try_lease, ComputeLease,
-};
-pub use cholesky::{
-    generalized_eigh, generalized_eigh_into, Cholesky, CholeskyError, GeneralizedEigError,
-    GeneralizedEighWorkspace,
 };
 pub use eigh::{
     eig_residual, eigh, eigh_into, eigvalsh, orthogonality_defect, tqli, tridiagonalize,

@@ -1,10 +1,10 @@
 //! Dense row-major matrices.
 //!
-//! This is the storage type for tight-binding Hamiltonians, overlap matrices,
-//! eigenvector sets and density matrices. It is intentionally small: the
-//! workspace only needs real square/rectangular `f64` matrices, symmetric
-//! eigensolvers, Cholesky and matrix products. Products are cache-blocked and
-//! optionally fanned out over the thread team (see [`Matrix::par_matmul`]).
+//! This is the storage type for tight-binding Hamiltonians, eigenvector sets
+//! and density matrices. It is intentionally small: the workspace only needs
+//! real square/rectangular `f64` matrices, symmetric eigensolvers and matrix
+//! products. Products are cache-blocked and optionally fanned out over the
+//! thread team (see [`Matrix::par_matmul`]).
 
 use crate::kernels::{self, KERNEL_MIN_DIM};
 use crate::team;

@@ -5,14 +5,13 @@
 //! higher-level containers store `Vec<Vec3>` which is layout-compatible with
 //! a flat `[f64]` of length `3n` (guaranteed by `#[repr(C)]`).
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{
     Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
 };
 
 /// A 3-vector of `f64` components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Vec3 {
     pub x: f64,

@@ -37,28 +37,9 @@ pub fn bloch_hamiltonian(
     index: &OrbitalIndex,
     k: Vec3,
 ) -> (Matrix, Matrix) {
-    let mut a = Matrix::zeros(0, 0);
-    let mut b = Matrix::zeros(0, 0);
-    bloch_hamiltonian_into(s, nl, model, index, k, &mut a, &mut b);
-    (a, b)
-}
-
-/// [`bloch_hamiltonian`] into caller-owned buffers, reusing their
-/// allocations when the capacity suffices. Returns `true` if either buffer
-/// had to grow.
-#[allow(clippy::too_many_arguments)]
-pub fn bloch_hamiltonian_into(
-    s: &Structure,
-    nl: &NeighborList,
-    model: &dyn TbModel,
-    index: &OrbitalIndex,
-    k: Vec3,
-    a: &mut Matrix,
-    b: &mut Matrix,
-) -> bool {
     let n = index.total();
-    let grew_a = a.resize_zeroed(n, n);
-    let grew_b = b.resize_zeroed(n, n);
+    let mut a = Matrix::zeros(n, n);
+    let mut b = Matrix::zeros(n, n);
     for i in 0..s.n_atoms() {
         let e = model.on_site(s.species(i));
         let o = index.offset(i);
@@ -92,7 +73,7 @@ pub fn bloch_hamiltonian_into(
             }
         }
     }
-    grew_a || grew_b
+    (a, b)
 }
 
 /// Eigenvalues of the complex Hermitian `A + iB` via the real `2n×2n`

@@ -37,9 +37,6 @@ pub enum TbError {
     /// The eigensolver failed (non-finite geometry, usually from an MD
     /// blow-up upstream).
     Eigensolver(EigError),
-    /// A non-orthogonal calculation found an overlap matrix that is not
-    /// positive definite (basis collapse — atoms unphysically close).
-    OverlapNotPositiveDefinite,
     /// The structure has no atoms.
     EmptyStructure,
     /// A run recorder failed to write its JSONL stream (I/O error text).
@@ -69,12 +66,6 @@ impl std::fmt::Display for TbError {
                 write!(f, "species {species} is not parametrized by model {model}")
             }
             TbError::Eigensolver(e) => write!(f, "eigensolver failure: {e}"),
-            TbError::OverlapNotPositiveDefinite => {
-                write!(
-                    f,
-                    "overlap matrix is not positive definite (basis collapse)"
-                )
-            }
             TbError::EmptyStructure => write!(f, "structure contains no atoms"),
             TbError::Recorder(msg) => write!(f, "run recorder I/O failure: {msg}"),
             TbError::RankFailure { detail, .. } => {
@@ -410,8 +401,7 @@ impl<'m> TbCalculator<'m> {
 /// triangle is computed and mirrored — half the flops of a general matmul
 /// and no materialized transpose, with results matching it to round-off.
 /// This is the full matrix: the reference the Γ-point pipeline's
-/// [`bond_density`] (bond blocks only) is tested against, and the builder of
-/// the k-point and non-orthogonal engines.
+/// [`bond_density`] (bond blocks only) is tested against.
 pub fn density_matrix(vectors: &Matrix, f: &[f64]) -> Matrix {
     let mut w = Matrix::zeros(0, 0);
     let mut rho = Matrix::zeros(0, 0);
@@ -692,6 +682,14 @@ mod tests {
         let r = calc.compute(&s).unwrap();
         assert!(r.timings.total() > Duration::ZERO);
         assert!(r.timings.diagonalize > Duration::ZERO);
+    }
+
+    /// A recorded run on this engine has phase histograms.
+    #[test]
+    fn evaluation_feeds_the_trace_registry() {
+        let model = silicon_gsp();
+        let s = bulk_diamond(Species::Silicon, 1, 1, 1);
+        crate::stages::assert_feeds_trace_registry(&TbCalculator::new(&model), &s);
     }
 
     #[test]

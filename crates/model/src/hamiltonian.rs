@@ -81,8 +81,8 @@ pub fn build_hamiltonian_into(
 }
 
 /// Size `m` to the orbital count and fill it band by band
-/// ([`assemble_band`]) — the Hamiltonian from `(on_site, hoppings)`, the
-/// overlap matrix from `(1, overlaps)`. Returns `true` if `m` had to grow.
+/// ([`assemble_band`]) from the per-atom on-site energies and the
+/// two-centre hoppings. Returns `true` if `m` had to grow.
 pub fn assemble_bands(
     nl: &NeighborList,
     index: &OrbitalIndex,

@@ -107,8 +107,7 @@ pub fn eigensolver_health(
 ///
 /// Returns `Ok(None)` when the workspace holds no consumable eigenpairs —
 /// a fresh workspace, or a last evaluation by an engine that solves in
-/// per-rank/embedded buffers (distributed, k-sampled, non-orthogonal,
-/// O(N)). Callers fall back to the strided [`eigensolver_health`] probe.
+/// per-rank or per-region buffers (distributed, O(N)). Callers fall back to the strided [`eigensolver_health`] probe.
 pub fn cached_eigensolver_health(
     model: &dyn TbModel,
     s: &Structure,

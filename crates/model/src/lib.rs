@@ -13,9 +13,7 @@ pub mod calculator;
 pub mod carbon;
 pub mod hamiltonian;
 pub mod health;
-pub mod kpoints;
 pub mod model;
-pub mod nonortho;
 pub mod occupations;
 pub mod provider;
 pub mod scaling;
@@ -27,8 +25,8 @@ pub mod units;
 pub mod workspace;
 
 pub use bands::{
-    band_energies, band_gap, band_structure, bloch_hamiltonian, bloch_hamiltonian_into,
-    density_of_states, hermitian_eigenvalues, k_path,
+    band_energies, band_gap, band_structure, bloch_hamiltonian, density_of_states,
+    hermitian_eigenvalues, k_path,
 };
 pub use calculator::{
     density_matrix, density_matrix_into, electronic_forces, repulsive_energy_forces, DenseSolver,
@@ -39,12 +37,7 @@ pub use hamiltonian::{
     assemble_band, assemble_bands, build_hamiltonian, build_hamiltonian_into, OrbitalIndex,
 };
 pub use health::{cached_eigensolver_health, eigensolver_health};
-pub use kpoints::{folding_grid, monkhorst_pack, KPoint, KPointCalculator};
 pub use model::{EmbeddingPolynomial, GspTbModel, TbModel};
-pub use nonortho::{
-    build_overlap, build_overlap_into, silicon_nonortho_demo, NonOrthoCalculator,
-    NonOrthogonalTbModel, SiliconNonOrthoDemo,
-};
 pub use occupations::{
     occupations, occupied_count, OccupationScheme, Occupations, OCCUPATION_DROP_TOL,
 };
@@ -59,6 +52,5 @@ pub use stages::{
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};
 pub use workspace::{
-    DenseCache, KPointSlot, KPointWorkspace, NeighborOutcome, NeighborStats, NeighborWorkspace,
-    Workspace, DEFAULT_SKIN,
+    DenseCache, NeighborOutcome, NeighborStats, NeighborWorkspace, Workspace, DEFAULT_SKIN,
 };

@@ -4,8 +4,8 @@
 //! The MD integrators, relaxers and benchmark harness are generic over
 //! [`ForceProvider`], so the dense calculator (serial or with the
 //! shared-memory fan-out stages), the message-passing engine in
-//! `tbmd-parallel`, the O(N) engines in `tbmd-linscale` and the k-sampled
-//! and non-orthogonal calculators are all drop-in interchangeable.
+//! `tbmd-parallel` and the O(N) engines in `tbmd-linscale` are all drop-in
+//! interchangeable.
 
 use crate::calculator::{PhaseTimings, TbCalculator, TbError, TbResult};
 use crate::workspace::Workspace;

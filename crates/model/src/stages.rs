@@ -2,7 +2,7 @@
 //!
 //! Every engine in the workspace runs the same step — neighbours → `H` →
 //! solve → `ρ` → forces — and differs only in *where* the solve happens
-//! (one thread, a rank shard, a localization region, a k-point). The parts
+//! (one thread, a rank shard, a localization region). The parts
 //! that do not depend on that choice live here as plain functions:
 //!
 //! * [`validate`] — reject empty structures and unparametrized species;
@@ -79,7 +79,7 @@ pub fn prologue(
 
 /// Evaluation epilogue: surface `grown` large-buffer growth events, and feed
 /// the registry the `unspanned` phases of `timings` — the ones clocked per
-/// rank or per k-point, where a span would add up time-shared threads — as
+/// rank, where a span would add up time-shared threads — as
 /// one `phase_ns` add and one histogram sample each. Span-timed phases fed
 /// themselves on `finish` and must not be listed.
 pub fn epilogue(grown: usize, timings: &PhaseTimings, unspanned: &[Phase]) {

@@ -23,16 +23,16 @@
 //! The workspace also keeps counters (rebuilds vs refreshes vs fallback
 //! builds, buffer-growth events) that the benchmark reports surface.
 
-use tbmd_linalg::{EighWorkspace, GeneralizedEighWorkspace, Matrix};
+use tbmd_linalg::{EighWorkspace, Matrix};
 use tbmd_structure::{NeighborList, Structure, VerletNeighborList};
 
 /// Where (if anywhere) the last evaluation left a consumable set of dense
 /// eigenpairs in this workspace. The incremental health probe
 /// (`crate::health::cached_eigensolver_health`) reads this marker to verify
 /// `‖Hv − λv‖∞` on the production solve's own output without re-solving.
-/// Engines that don't leave dense eigenvectors behind (k-sampled,
-/// non-orthogonal, O(N), distributed) reset it to [`DenseCache::None`] so a
-/// stale marker from an earlier engine can never be misread.
+/// Engines that don't leave dense eigenvectors behind (O(N), distributed)
+/// reset it to [`DenseCache::None`] so a stale marker from an earlier engine
+/// can never be misread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseCache {
     /// No cached eigenpairs (fresh workspace, or last engine left none).
@@ -208,25 +208,13 @@ pub struct Workspace {
     /// Density matrix `ρ = W·Wᵀ`. The dense Γ-point pipeline fills only
     /// the bond blocks of the neighbour list — every atom's diagonal block
     /// and both blocks of every listed pair (`crate::stages::bond_density`)
-    /// — and leaves every other element zero; the non-orthogonal engine
-    /// fills all of it.
+    /// — and leaves every other element zero.
     pub rho: Matrix,
     /// Eigenvalues of the last evaluation (ascending).
     pub values: Vec<f64>,
     /// Eigensolver scratch (subdiagonal + sort permutation, blocked-reduction
     /// panels, inverse-iteration buffers).
     pub eigh: EighWorkspace,
-    /// Overlap matrix buffer (non-orthogonal engine).
-    pub overlap: Matrix,
-    /// Energy-weighted density matrix `2 Σ_n f_n ε_n c_n c_nᵀ` for the Pulay
-    /// force term (non-orthogonal engine).
-    pub wrho: Matrix,
-    /// Generalized-eigenproblem scratch: the Cholesky factor of the overlap
-    /// and the congruence-reduced matrix (non-orthogonal engine).
-    pub geneigh: GeneralizedEighWorkspace,
-    /// Complex-Hermitian sub-workspace: per-k Bloch/embedding/eigenvector
-    /// buffers plus shared density scratch (k-point engine).
-    pub kspace: KPointWorkspace,
     /// Which eigenpairs (if any) the last evaluation left behind for the
     /// incremental health probe.
     pub dense_cache: DenseCache,
@@ -236,51 +224,6 @@ pub struct Workspace {
     /// Count of large-buffer capacity growths (see
     /// [`Workspace::large_alloc_events`]).
     pub grown: usize,
-}
-
-/// Per-k persistent buffers of the k-sampled engine: the Bloch Hamiltonian
-/// parts, the `2n×2n` real Hermitian embedding (overwritten in place with
-/// its eigenvectors by the solve), the physical spectrum/occupations, and
-/// all per-k solve/density scratch. Every buffer a k-point's work touches
-/// lives in its own slot, so the engine can fan the per-k solves out across
-/// threads with no shared mutable state (and bitwise-identical results to
-/// the serial sweep).
-#[derive(Default)]
-pub struct KPointSlot {
-    /// Re H(k).
-    pub a: Matrix,
-    /// Im H(k).
-    pub b: Matrix,
-    /// Real embedding `[[A,−B],[B,A]]`; holds the embedded eigenvectors
-    /// after the solve.
-    pub m: Matrix,
-    /// All `2n` embedded eigenvalues (ascending, physical states doubled).
-    pub values2: Vec<f64>,
-    /// Physical spectrum (every second embedded value).
-    pub values: Vec<f64>,
-    /// Per-state occupations at the shared Fermi level.
-    pub f: Vec<f64>,
-    /// Eigensolver scratch.
-    pub eigh: EighWorkspace,
-    /// Scaled embedded-eigenvector factor (`2n × n_occ`).
-    pub w: Matrix,
-    /// Real projector `W·Wᵀ` (`2n×2n`).
-    pub p: Matrix,
-    /// Re ρ(k) extracted from the projector.
-    pub re: Matrix,
-    /// Im ρ(k) extracted from the projector.
-    pub im: Matrix,
-    /// This k-point's electronic force contribution (one entry per atom).
-    pub force: Vec<tbmd_linalg::Vec3>,
-}
-
-/// Complex-Hermitian sub-workspace of [`Workspace`]: one self-contained
-/// [`KPointSlot`] per k-point. Lets the k-sampled engine run a single
-/// embedded eigen-solve per k per step with zero steady-state allocations.
-#[derive(Default)]
-pub struct KPointWorkspace {
-    /// Per-k slots, grown to the grid size on first use.
-    pub slots: Vec<KPointSlot>,
 }
 
 impl Workspace {

@@ -12,13 +12,12 @@
 //! builders), the standard MD restriction.
 
 use crate::vec3ext::wrap_component;
-use serde::{Deserialize, Serialize};
 use tbmd_linalg::Vec3;
 
 /// A simulation cell: box lengths along x/y/z plus a periodicity mask.
 ///
 /// A zero-length axis is only meaningful when that axis is aperiodic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Box edge lengths in Å. Ignored on aperiodic axes.
     pub lengths: Vec3,

@@ -6,10 +6,8 @@
 //! dopants in the application literature, so they carry masses and valence
 //! counts here even though the bundled TB models parametrize only Si and C.
 
-use serde::{Deserialize, Serialize};
-
 /// A chemical element handled by the structure and model layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Species {
     Hydrogen,
     Boron,

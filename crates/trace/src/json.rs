@@ -119,6 +119,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -213,9 +214,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a bound one short line of `[` from a
+/// client overflows the stack and aborts the process; every document the
+/// workspace writes nests under ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -256,8 +265,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -442,5 +462,26 @@ mod tests {
             Some(3)
         );
         assert_eq!(v.get("c").and_then(|c| c.as_str()), Some("x\ny"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A default-stack thread, as a daemon's client thread is: before the
+        // depth bound, 10 000 `[` overflowed it and aborted the process.
+        std::thread::spawn(|| {
+            for open in ["[", "{\"a\":"] {
+                let err = JsonValue::parse(&open.repeat(100_000)).unwrap_err();
+                assert!(err.message.contains("nesting deeper than"), "{err}");
+            }
+        })
+        .join()
+        .expect("deep nesting must not abort the parsing thread");
+
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&nested(127)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(127) + "1" + &"}".repeat(127);
+        assert!(JsonValue::parse(&objects).is_ok());
     }
 }

@@ -1,36 +1,40 @@
 //! Integration tests for the electronic-structure extensions: band
-//! structures, k-point sampling, stress, non-orthogonal TB and phonons used
-//! together through the public API.
+//! structures, band folding and stress used together through the public
+//! API.
 
-use tbmd::model::{
-    band_energies, band_gap, folding_grid, monkhorst_pack, stress_tensor, KPointCalculator,
-    NonOrthoCalculator,
-};
-use tbmd::{
-    normal_modes, pressure, silicon_gsp, silicon_nonortho_demo, ForceProvider, OccupationScheme,
-    Species, TbCalculator, Vec3,
-};
+use tbmd::linalg::eigvalsh;
+use tbmd::model::{band_energies, band_gap, build_hamiltonian, stress_tensor, OrbitalIndex};
+use tbmd::{pressure, silicon_gsp, NeighborList, OccupationScheme, Species, TbModel, Vec3};
 
-/// The k-sampled calculator, the Γ supercell calculator and the band-energy
-/// API must tell one consistent story about the same crystal.
+/// Band folding: the Γ-point spectrum of the 2×2×2 supercell is the union
+/// of the primitive cell's bands at the eight k-points the supercell folds
+/// onto Γ, k = (2π/a)·(i, j, l)/2 with i, j, l ∈ {0, 1}. This is why a
+/// Γ-point supercell samples the Brillouin zone at all.
 #[test]
-fn kpoints_bands_and_supercells_agree() {
+fn bands_fold_onto_the_gamma_supercell() {
     let model = silicon_gsp();
     let primitive = tbmd::structure::bulk_diamond(Species::Silicon, 1, 1, 1);
-    // Folding identity via the public facade.
-    let grid = folding_grid(&primitive, [2, 2, 2]);
-    let e_k = KPointCalculator::new(&model, grid, 0.1)
-        .evaluate(&primitive)
-        .unwrap()
-        .energy
-        / 8.0;
+    let half = std::f64::consts::PI / primitive.cell().lengths.x;
+    let mut folded = Vec::new();
+    for i in 0..2 {
+        for j in 0..2 {
+            for l in 0..2 {
+                let k = Vec3::new(i as f64, j as f64, l as f64) * half;
+                folded.extend(band_energies(&primitive, &model, k).unwrap());
+            }
+        }
+    }
+    folded.sort_by(f64::total_cmp);
+
     let supercell = tbmd::structure::bulk_diamond(Species::Silicon, 2, 2, 2);
-    let e_g = TbCalculator::with_occupation(&model, OccupationScheme::Fermi { kt: 0.1 })
-        .evaluate(&supercell)
-        .unwrap()
-        .energy
-        / 64.0;
-    assert!((e_k - e_g).abs() < 1e-7, "folding identity: {e_k} vs {e_g}");
+    let nl = NeighborList::build(&supercell, model.cutoff());
+    let index = OrbitalIndex::new(&supercell);
+    let gamma = eigvalsh(build_hamiltonian(&supercell, &nl, &model, &index)).unwrap();
+    assert_eq!(gamma.len(), 256);
+    assert_eq!(folded.len(), gamma.len());
+    for (n, (a, b)) in folded.iter().zip(&gamma).enumerate() {
+        assert!((a - b).abs() < 1e-9, "state {n}: folded {a} vs Γ {b} eV");
+    }
 
     // The occupied bandwidth from band_energies at Γ matches the supercell
     // spectrum's span.
@@ -75,38 +79,4 @@ fn stress_signs_through_facade() {
     let stretched = tbmd::structure::bulk_diamond_with_bond(Species::Silicon, 2.45, 1, 1, 1);
     assert!(pressure(&stress_tensor(&squeezed, &model, kt).unwrap()) > 0.0);
     assert!(pressure(&stress_tensor(&stretched, &model, kt).unwrap()) < 0.0);
-}
-
-/// The non-orthogonal calculator drives relaxation like any other engine.
-#[test]
-fn nonortho_engine_relaxes_dimer() {
-    let model = silicon_nonortho_demo();
-    let calc = NonOrthoCalculator::new(&model);
-    let mut s = tbmd::structure::dimer(Species::Silicon, 2.9);
-    let opts = tbmd::RelaxOptions {
-        force_tolerance: 5e-3,
-        ..Default::default()
-    };
-    let result = tbmd::md::relax(&mut s, &calc, &opts).unwrap();
-    assert!(result.converged);
-    let d = s.distance(0, 1);
-    assert!(d > 2.0 && d < 2.8, "non-ortho dimer relaxed to {d} Å");
-}
-
-/// Phonons of a k-point-converged structure: the MP-sampled calculator can
-/// feed the normal-mode machinery (any ForceProvider works).
-#[test]
-fn phonons_from_kpoint_calculator() {
-    let model = silicon_gsp();
-    let s = tbmd::structure::bulk_diamond(Species::Silicon, 1, 1, 1);
-    let kcalc = KPointCalculator::new(&model, monkhorst_pack(&s, [2, 2, 2]), 0.1);
-    let modes = normal_modes(&s, &kcalc, 1e-3).unwrap();
-    assert_eq!(modes.frequencies_thz.len(), 24);
-    assert_eq!(
-        modes.n_zero_modes(0.8),
-        3,
-        "{:?}",
-        &modes.frequencies_thz[..5]
-    );
-    assert!(modes.is_stable(1e-2));
 }

@@ -1,0 +1,110 @@
+//! Request fuzzing: whatever a client sends, `tbmd_serve::parse_request`
+//! and `CampaignSpec::from_json` answer `Ok` or `Err`. They never panic, and
+//! never overflow the stack of the thread that parses (the daemon parses
+//! every request line on a default-stack client thread, and a stack
+//! overflow aborts the whole process, every tenant included).
+
+use proptest::prelude::*;
+use tbmd_campaign::CampaignSpec;
+use tbmd_serve::parse_request;
+
+/// A job line that sets every field `parse_request` reads.
+const JOB_LINE: &str = r#"{"job":"a","system":"si","reps":1,"engine":"distributed","ranks":2,"protocol":"nvt","temperature_k":300,"steps":12,"dt_fs":1,"tau_fs":40,"electronic_kt":0.1,"perturb":0.05,"seed":"0x2a","quantum":4,"threads":1,"health_stride":5,"checkpoint_interval":3,"retain":2}"#;
+
+/// The campaign spec `report_campaign` runs: 1 structure × 2 perturbations ×
+/// 2 protocols × 2 engines.
+const CAMPAIGN_SPEC: &str = r#"{
+    "name": "bench-matrix",
+    "seed": 29,
+    "structures": [{"label": "si1", "system": "si", "reps": 1}],
+    "perturbations": [
+        {"label": "pristine", "kind": "pristine"},
+        {"label": "vac0", "kind": "vacancy", "site": 0}
+    ],
+    "protocols": [
+        {"label": "nve", "kind": "nve", "temperature_k": 300, "steps": 6},
+        {"label": "quench", "kind": "quench", "from_k": 600, "to_k": 300,
+         "segments": 2, "rate_k_per_fs": 25, "hold_steps": 2}
+    ],
+    "engines": ["serial", "shared"]
+}"#;
+
+/// Both parsers on one input; a panic fails the test with the input shown.
+fn parse_both(text: &str) -> (bool, bool) {
+    let outcome = std::panic::catch_unwind(|| {
+        (
+            parse_request(text).is_ok(),
+            CampaignSpec::from_json(text).is_ok(),
+        )
+    });
+    let shown: String = text.chars().take(200).collect();
+    outcome.unwrap_or_else(|_| panic!("a parser panicked on {shown:?} ({} bytes)", text.len()))
+}
+
+/// Both parsers on a fresh default-stack thread, as the daemon's client
+/// threads run them: a stack overflow there aborts this test binary.
+fn parse_both_on_a_client_thread(text: String) -> (bool, bool) {
+    std::thread::spawn(move || parse_both(&text))
+        .join()
+        .expect("parser thread")
+}
+
+/// A truncated line is what a client that dies mid-write leaves behind.
+/// Every strict prefix of a JSON object is unterminated, so every one is an
+/// error; the whole documents parse.
+#[test]
+fn every_prefix_is_an_error() {
+    assert!(parse_request(JOB_LINE).is_ok());
+    assert!(CampaignSpec::from_json(CAMPAIGN_SPEC).is_ok());
+    for doc in [JOB_LINE, CAMPAIGN_SPEC] {
+        for (cut, _) in doc.char_indices() {
+            assert_eq!(parse_both(&doc[..cut]), (false, false), "prefix {cut}");
+        }
+    }
+}
+
+/// `depth` openers, `[` or `{"a":` as `seed` picks, around a `1`, with the
+/// innermost `closed` of them closed again (so some inputs are well-formed
+/// and only too deep), behind `lead`: a position where a client's value
+/// goes.
+fn nested(depth: usize, seed: u64, closed: usize, lead: &str) -> String {
+    let mut state = seed | 1;
+    let mut opens = Vec::with_capacity(depth);
+    let mut text = String::from(lead);
+    for _ in 0..depth {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let array = state >> 63 == 0;
+        text.push_str(if array { "[" } else { "{\"a\":" });
+        opens.push(array);
+    }
+    text.push('1');
+    for &array in opens.iter().rev().take(closed) {
+        text.push(if array { ']' } else { '}' });
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..512)) {
+        parse_both(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_on_a_client_thread(
+        depth in 0usize..=100_000,
+        seed in 0u64..1_000_000,
+        closed_frac in 0.0f64..=1.0,
+        lead in 0usize..3,
+    ) {
+        let lead = ["", "{\"job\":\"x\",\"system\":", "{\"structures\":"][lead];
+        let closed = (depth as f64 * closed_frac) as usize;
+        let text = nested(depth, seed, closed, lead);
+        let answers = parse_both_on_a_client_thread(text);
+        if depth > 128 {
+            prop_assert_eq!(answers, (false, false), "depth {}", depth);
+        }
+    }
+}

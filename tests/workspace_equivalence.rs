@@ -11,10 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
-use tbmd_model::{
-    monkhorst_pack, silicon_gsp, silicon_nonortho_demo, ForceProvider, KPointCalculator,
-    NonOrthoCalculator, OccupationScheme, TbCalculator, Workspace,
-};
+use tbmd_model::{silicon_gsp, ForceProvider, OccupationScheme, TbCalculator, Workspace};
 use tbmd_parallel::{shared_memory_tb, DistributedTb};
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
@@ -177,26 +174,4 @@ fn distributed_engine_workspace_allocates_once() {
     let dist = DistributedTb::new(&model, 3);
     let cold = DistributedTb::new(&model, 3);
     assert_engine_allocates_once(&dist, &cold, si64(), 5, 10);
-}
-
-/// Same guarantee for the k-sampled engine: per-k Bloch/embedding slots and
-/// the shared density scratch reach steady state and stay there.
-#[test]
-fn kpoint_engine_workspace_allocates_once() {
-    let model = silicon_gsp();
-    let s = bulk_diamond(Species::Silicon, 1, 1, 1);
-    let grid = monkhorst_pack(&s, [2, 2, 2]);
-    let kcalc = KPointCalculator::new(&model, grid.clone(), 0.1);
-    let cold = KPointCalculator::new(&model, grid, 0.1);
-    assert_engine_allocates_once(&kcalc, &cold, s, 5, 10);
-}
-
-/// Same guarantee for the non-orthogonal engine: H, S, the generalized
-/// (Cholesky) sub-workspace and both density matrices are reused in place.
-#[test]
-fn nonortho_engine_workspace_allocates_once() {
-    let model = silicon_nonortho_demo();
-    let calc = NonOrthoCalculator::new(&model);
-    let cold = NonOrthoCalculator::new(&model);
-    assert_engine_allocates_once(&calc, &cold, si64(), 5, 10);
 }
