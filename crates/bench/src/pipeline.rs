@@ -1,0 +1,442 @@
+//! Inside the dense step: where a force evaluation spends its time (T1),
+//! the two eigensolvers (T4b) and the kernels under them (K1).
+
+use std::time::Duration;
+
+use tbmd::linalg::kernels::{axpy, dot, symv_lower};
+use tbmd::linalg::{
+    apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect,
+    tridiagonalize_blocked_into, Eigh, EighWorkspace, Matrix, TRIDIAG_BLOCK,
+};
+use tbmd::linscale::chebyshev::spectral_window;
+use tbmd::linscale::{BlockRecurrence, LinearScalingTb, LocalRegion, SparseH};
+use tbmd::model::{
+    bond_block_elements, bond_density, build_hamiltonian, OrbitalIndex, PhaseTimings, TbModel,
+};
+use tbmd::structure::{bulk_diamond, NeighborList};
+use tbmd::trace::{Counter, ScopedSink};
+use tbmd::{silicon_gsp, DistributedTb, ForceProvider, Species, TbCalculator, Workspace};
+
+use crate::report::{best_of, fmt_e, fmt_f, fmt_ms, random_matrix, Report, Table};
+
+/// T1: per-phase time of one warm force evaluation of Si diamond cells up
+/// to `size`³ (default 3), serial, distributed and O(N).
+pub fn phase_breakdown(size: Option<usize>) -> Report {
+    let max_reps = size.unwrap_or(3);
+    let model = silicon_gsp();
+    let calc = TbCalculator::new(&model);
+    // Observe the whole report so the kernel-layer counters (kernel_flops,
+    // chebyshev_matvecs) land in the tables below.
+    let scope = ScopedSink::new("phase_breakdown");
+    let _observing = scope.enter();
+
+    let mut t1 = Table::new(
+        "T1: per-phase time per force evaluation, Si diamond cells (serial, warm workspace, this host)",
+        &[
+            "N",
+            "orbitals",
+            "nbrs/ms",
+            "H/ms",
+            "diag/ms",
+            "density/ms",
+            "forces/ms",
+            "total/ms",
+            "diag share",
+            "kern GF/s",
+            "nl",
+        ],
+    );
+    for reps in 1..=max_reps {
+        let s = bulk_diamond(Species::Silicon, reps, reps, reps);
+        // Warm once, then average steps through the same workspace — the
+        // steady state an MD loop sees.
+        let mut ws = Workspace::new();
+        calc.evaluate_with(&s, &mut ws).expect("evaluation");
+        let n_samples: u32 = if s.n_atoms() <= 64 { 3 } else { 1 };
+        let mut acc = PhaseTimings::default();
+        let before = scope.snapshot();
+        for _ in 0..n_samples {
+            acc.accumulate(&calc.evaluate_with(&s, &mut ws).expect("evaluation").timings);
+        }
+        let kernel_flops = scope
+            .snapshot()
+            .since(&before)
+            .counter(Counter::KernelFlops);
+        let t = |d: Duration| fmt_ms(d / n_samples);
+        t1.row(vec![
+            s.n_atoms().to_string(),
+            s.n_orbitals().to_string(),
+            t(acc.neighbors),
+            t(acc.hamiltonian),
+            t(acc.diagonalize),
+            t(acc.density),
+            t(acc.forces),
+            t(acc.total()),
+            format!("{}%", fmt_f(100.0 * share(acc.diagonalize, acc.total()), 1)),
+            fmt_f(kernel_flops as f64 / 1e9 / acc.total().as_secs_f64(), 2),
+            format!("{}r/{}f", acc.nl_rebuilds, acc.nl_refreshes),
+        ]);
+    }
+
+    let mut t1b = Table::new(
+        "T1b: per-phase time, distributed engine (rank 0 wall clock, all ranks time-sharing this host)",
+        &[
+            "N",
+            "P",
+            "nbrs/ms",
+            "H/ms",
+            "diag/ms",
+            "density/ms",
+            "forces/ms",
+            "comm/ms",
+            "total/ms",
+            "diag share",
+        ],
+    );
+    for reps in 1..=max_reps.min(2) {
+        let s = bulk_diamond(Species::Silicon, reps, reps, reps);
+        for p in [2usize, 4] {
+            let mut ws = Workspace::new();
+            let dist = DistributedTb::new(&model, p);
+            dist.evaluate_with(&s, &mut ws).expect("warm-up evaluation");
+            let t = dist.evaluate_with(&s, &mut ws).expect("evaluation").timings;
+            t1b.row(vec![
+                s.n_atoms().to_string(),
+                p.to_string(),
+                fmt_ms(t.neighbors),
+                fmt_ms(t.hamiltonian),
+                fmt_ms(t.diagonalize),
+                fmt_ms(t.density),
+                fmt_ms(t.forces),
+                fmt_ms(t.communication),
+                fmt_ms(t.total()),
+                format!("{}%", fmt_f(100.0 * share(t.diagonalize, t.total()), 1)),
+            ]);
+        }
+    }
+
+    let mut t1c = Table::new(
+        "T1c: linear-scaling engine (Si-64, warm, order 350, untruncated)",
+        &["eval/ms", "matvecs", "GFLOP/s"],
+    );
+    let s = bulk_diamond(Species::Silicon, 2, 2, 2);
+    let engine = LinearScalingTb::new(&model);
+    let mut ws = Workspace::new();
+    engine
+        .evaluate_with(&s, &mut ws)
+        .expect("warm-up evaluation");
+    let before = scope.snapshot();
+    let (wall, _) = best_of(1, || engine.evaluate_with(&s, &mut ws).expect("evaluation"));
+    let delta = scope.snapshot().since(&before);
+    t1c.row(vec![
+        fmt_f(wall * 1e3, 3),
+        delta.counter(Counter::ChebyshevMatvecs).to_string(),
+        fmt_f(delta.counter(Counter::KernelFlops) as f64 / wall / 1e9, 2),
+    ]);
+
+    let mut report = Report::default();
+    report
+        .table(t1)
+        .table(t1b)
+        .table(t1c)
+        .note("`nl` counts neighbour-list rebuilds / refreshes over the measured samples (static atoms: all refreshes).");
+    report
+}
+
+fn share(part: Duration, whole: Duration) -> f64 {
+    part.as_secs_f64() / whole.as_secs_f64()
+}
+
+/// Si diamond `reps`³ and its tight-binding Hamiltonian.
+fn si_hamiltonian(reps: usize) -> Matrix {
+    let s = bulk_diamond(Species::Silicon, reps, reps, reps);
+    let model = silicon_gsp();
+    let nl = NeighborList::build(&s, model.cutoff());
+    build_hamiltonian(&s, &nl, &model, &OrbitalIndex::new(&s))
+}
+
+/// T4b: the one-stage QL solve against the two-stage partial solve on
+/// random symmetric matrices up to order `size` (default 256) and on two
+/// real Hamiltonians, timed warm: one untimed call, then the best of 7 on a
+/// reused workspace.
+pub fn eigensolvers(size: Option<usize>) -> Report {
+    let max_n = size.unwrap_or(256);
+    let mut t4b = Table::new(
+        "T4b: one-stage QL vs two-stage partial solve (warm, min of 7 calls)",
+        &[
+            "matrix",
+            "QL/ms",
+            "partial/ms",
+            "k",
+            "QL resid",
+            "QL orth",
+            "part resid",
+            "part orth",
+            "max |Δλ|",
+        ],
+    );
+    // 64, 96 (either side of the crossover), then doubling from 128.
+    let doubling = std::iter::successors(Some(128usize), |n| Some(2 * n));
+    let mut matrices: Vec<(String, Matrix)> = [64usize, 96]
+        .into_iter()
+        .chain(doubling)
+        .take_while(|&n| n <= max_n)
+        .map(|n| {
+            let mut a = random_matrix(n, n, n as u64);
+            a.symmetrize();
+            (format!("random {n}"), a)
+        })
+        .collect();
+    matrices.push(("Si-8 H (32)".into(), si_hamiltonian(1)));
+    matrices.push(("Si-64 H (256)".into(), si_hamiltonian(2)));
+
+    for (label, a) in &matrices {
+        let n = a.rows();
+        let mut ws = EighWorkspace::default();
+        let mut ql = Eigh {
+            values: Vec::new(),
+            vectors: a.clone(),
+        };
+        let mut full = || {
+            ql.vectors.as_mut_slice().copy_from_slice(a.as_slice());
+            eigh_into(&mut ql.vectors, &mut ql.values, &mut ws).expect("QL");
+        };
+        full();
+        let (t_ql, _) = best_of(7, full);
+
+        // Half filling: the occupied window of a TBMD step.
+        let k = (n / 2).max(1);
+        let mut part_a = a.clone();
+        let (mut values, mut vectors) = (Vec::new(), Matrix::default());
+        let mut partial = || {
+            part_a.as_mut_slice().copy_from_slice(a.as_slice());
+            eigh_partial_into(&mut part_a, k, &mut values, &mut vectors, &mut ws)
+                .expect("partial solve");
+        };
+        partial();
+        let (t_part, _) = best_of(7, partial);
+        let part = Eigh {
+            values: values[..k].to_vec(),
+            vectors,
+        };
+        let dev = (ql.values.iter().zip(&values))
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max);
+        t4b.row(vec![
+            label.clone(),
+            fmt_f(t_ql * 1e3, 3),
+            fmt_f(t_part * 1e3, 3),
+            k.to_string(),
+            fmt_e(eig_residual(a, &ql)),
+            fmt_e(orthogonality_defect(&ql.vectors)),
+            fmt_e(eig_residual(a, &part)),
+            fmt_e(orthogonality_defect(&part.vectors)),
+            fmt_e(dev),
+        ]);
+    }
+    let mut report = Report::default();
+    report.table(t4b).note(
+        "The one-stage solve computes every eigenvector, the partial path only the lowest k; \
+         `TWO_STAGE_MIN_DIM` is where their times cross.",
+    );
+    report
+}
+
+/// Naive i-k-j GEMM: the summation order the tiled kernel reproduces.
+fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    Matrix::from_fn(m, n, |i, j| {
+        (0..k).fold(0.0, |acc, p| acc + a[(i, p)] * b[(p, j)])
+    })
+}
+
+/// Naive lower-triangle SYRK (W·Wᵀ) with the same ascending-k order.
+fn naive_syrk(w: &Matrix) -> Matrix {
+    let (m, k) = (w.rows(), w.cols());
+    let mut out = Matrix::zeros(m, m);
+    for i in 0..m {
+        for j in 0..=i {
+            let acc = (0..k).fold(0.0, |acc, p| acc + w[(i, p)] * w[(j, p)]);
+            out[(i, j)] = acc;
+            out[(j, i)] = acc;
+        }
+    }
+    out
+}
+
+/// The lower-triangle symmetric matvec one row at a time — the reference
+/// [`symv_lower`] replaced.
+fn symv_by_rows(a: &Matrix, v: &[f64], p: &mut [f64]) {
+    p.fill(0.0);
+    for (r, row) in a.rows_iter().enumerate() {
+        p[r] += dot(&row[..=r], &v[..=r]);
+        axpy(&mut p[..r], v[r], &row[..r]);
+    }
+}
+
+/// Best-of wall times of the naive and the tiled GEMM at order `n`, in
+/// seconds — the K1a row and the `check` gate.
+pub fn gemm_times(n: usize) -> (f64, f64) {
+    let a = random_matrix(n, n, n as u64);
+    let b = random_matrix(n, n, n as u64 + 1);
+    let reps = (256 / n).max(2);
+    let (t_naive, _) = best_of(reps, || naive_matmul(&a, &b));
+    let (t_tiled, _) = best_of(reps, || a.matmul(&b));
+    (t_naive, t_tiled)
+}
+
+/// K1: the tiled kernels against the textbook loops up to order `size`
+/// (default 256), the block Chebyshev step on a real region, and the two
+/// eigenvectors → ρ stages of the dense step.
+pub fn kernels(size: Option<usize>) -> Report {
+    let max_n = size.unwrap_or(256).max(64);
+    let mut k1a = Table::new(
+        "K1a: tiled vs naive dense kernels (f64)",
+        &["kernel", "n", "naive GFLOP/s", "tiled GFLOP/s", "speedup"],
+    );
+    let mut row = |kernel: &str, n: usize, flops: f64, naive: f64, tiled: f64| {
+        k1a.row(vec![
+            kernel.into(),
+            n.to_string(),
+            fmt_f(flops / naive / 1e9, 2),
+            fmt_f(flops / tiled / 1e9, 2),
+            fmt_f(naive / tiled, 2),
+        ]);
+    };
+    let mut gemm_gflops = 0.0;
+    let mut n = 64usize;
+    while n <= max_n {
+        let reps = (256 / n).max(2);
+        let flops = 2.0 * (n as f64).powi(3);
+        let (t_naive, t_tiled) = gemm_times(n);
+        gemm_gflops = flops / t_tiled / 1e9;
+        row("GEMM", n, flops, t_naive, t_tiled);
+
+        let w = random_matrix(n, n / 2, n as u64 + 2);
+        let (t_naive, _) = best_of(reps, || naive_syrk(&w));
+        let (t_tiled, _) = best_of(reps, || w.syrk());
+        row("SYRK", n, (n * (n + 1) * (n / 2)) as f64, t_naive, t_tiled);
+
+        let mut sym = random_matrix(n, n, n as u64 + 3);
+        sym.symmetrize();
+        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut p = vec![0.0; n];
+        let (t_naive, _) = best_of(50 * reps, || symv_by_rows(&sym, &v, &mut p));
+        let (t_tiled, _) = best_of(50 * reps, || symv_lower(sym.as_slice(), n, 0, &v, &mut p));
+        // 4 flops per element of the lower triangle.
+        row("SYMV", n, (2 * n * (n + 1)) as f64, t_naive, t_tiled);
+        n *= 2;
+    }
+
+    // The benchmark's region: Si-216 at r_loc 6.0 Å (≈ 47 atoms), bare and
+    // as the engine's two passes run it — with the moment dots, with the ρ
+    // update.
+    let s = bulk_diamond(Species::Silicon, 3, 3, 3);
+    let model = silicon_gsp();
+    let index = OrbitalIndex::new(&s);
+    let h = SparseH::build(&s, &NeighborList::build(&s, model.cutoff()), &model, &index);
+    let (e_min, e_max) = h.gershgorin_bounds();
+    let (shift, scale) = spectral_window(e_min, e_max);
+    let region = LocalRegion::build(&s, &index, &h, 0, 6.0);
+    let row0 = region.local_index(index.offset(0)).expect("centre");
+    let recurrence = || BlockRecurrence::new(&region, row0, 4, shift, scale);
+    let steps = 2000usize;
+    let coeffs: Vec<f64> = (0..=steps).map(|k| 1.0 / (1 + k) as f64).collect();
+    let passes: [(&str, &dyn Fn() -> f64); 3] = [
+        ("plain", &|| {
+            let mut rec = recurrence();
+            (0..steps).for_each(|_| rec.advance());
+            rec.current()[row0][0]
+        }),
+        ("moment (dots tail)", &|| {
+            let mut moments = vec![0.0; 2 * steps];
+            recurrence().diagonal_moments(&mut moments);
+            moments[2 * steps - 1]
+        }),
+        ("density (ρ tail)", &|| {
+            recurrence().density_columns(&coeffs)[row0][0]
+        }),
+    ];
+    let mut k1b = Table::new(
+        "K1b: four-column block Chebyshev step, Si-216 region at r_loc 6.0 Å",
+        &[
+            "step",
+            "orbitals",
+            "stored nnz",
+            "ns/step",
+            "GFLOP/s",
+            "of tiled GEMM",
+        ],
+    );
+    let step_flops = 2.0 * 4.0 * region.nnz() as f64;
+    for (name, pass) in passes {
+        let (t_pass, _) = best_of(8, pass);
+        let gflops = step_flops * steps as f64 / t_pass / 1e9;
+        k1b.row(vec![
+            name.into(),
+            region.len().to_string(),
+            region.nnz().to_string(),
+            fmt_f(t_pass / steps as f64 * 1e9, 1),
+            fmt_f(gflops, 2),
+            fmt_f(gflops / gemm_gflops, 2),
+        ]);
+    }
+
+    // Eigenvectors → ρ at n = max_n, 70 % of the states kept: the
+    // back-transform on a random reduction, the bond-block density on the
+    // largest diamond crystal with at most n orbitals whose 2^e cells split
+    // over the axes (the e doublings dealt to them in turn).
+    let (n, k) = (max_n, 7 * max_n / 10);
+    let mut packed = random_matrix(n, n, 77);
+    packed.symmetrize();
+    let mut ws = EighWorkspace::default();
+    tridiagonalize_blocked_into(&mut packed, &mut ws);
+    let z0 = random_matrix(n, k, 78);
+    let (t_back, _) = best_of(5, || {
+        let mut z = z0.clone();
+        apply_q_blocked(&packed, &mut ws, &mut z);
+    });
+    // Panel [j0, j0+jb) works on rows j0+1..n: 4 flops per row, reflector
+    // and column.
+    let back_flops: usize = (0..n - 2)
+        .step_by(TRIDIAG_BLOCK)
+        .map(|j0| 4 * TRIDIAG_BLOCK.min(n - 2 - j0) * (n - j0 - 1) * k)
+        .sum();
+    let doublings = (n / 32).ilog2() as usize;
+    let reps: [usize; 3] = std::array::from_fn(|a| 1 << ((doublings + 2 - a) / 3));
+    let crystal = bulk_diamond(Species::Silicon, reps[0], reps[1], reps[2]);
+    let index = OrbitalIndex::new(&crystal);
+    let (n_bond, k_bond) = (index.total(), 7 * index.total() / 10);
+    let vectors = random_matrix(n_bond, k_bond, 79);
+    let nl = NeighborList::build(&crystal, model.cutoff() + 0.5);
+    let (mut w, mut rho) = (Matrix::default(), Matrix::default());
+    let (t_bond, _) = best_of(5, || {
+        bond_density(&nl, &index, &vectors, &vec![1.0; k_bond], &mut w, &mut rho)
+    });
+    let bond_flops = 2 * bond_block_elements(&nl, &index) * k_bond;
+    let mut k1c = Table::new(
+        "K1c: eigenvectors → ρ stages (the back-transform fans out over the host's threads)",
+        &["stage", "n", "k", "ms", "GFLOP/s", "of tiled GEMM"],
+    );
+    for (stage, n, k, seconds, flops) in [
+        ("compact-WY back-transform", n, k, t_back, back_flops),
+        ("bond-block density", n_bond, k_bond, t_bond, bond_flops),
+    ] {
+        let gflops = flops as f64 / seconds / 1e9;
+        k1c.row(vec![
+            stage.into(),
+            n.to_string(),
+            k.to_string(),
+            fmt_f(seconds * 1e3, 3),
+            fmt_f(gflops, 2),
+            fmt_f(gflops / gemm_gflops, 2),
+        ]);
+    }
+
+    let mut report = Report::default();
+    report.table(k1a).table(k1b).table(k1c).note(format!(
+        "`of tiled GEMM` is the rate over tiled GEMM's at n = {max_n}: {} GFLOP/s.",
+        fmt_f(gemm_gflops, 2)
+    ));
+    report
+}

@@ -407,20 +407,40 @@ mod tests {
 
     #[test]
     fn cost_scales_linearly_at_fixed_radius() {
-        // Ops per atom must be (nearly) size-independent — the O(N) claim.
+        // Ops per atom must be (nearly) size-independent — the O(N) claim —
+        // also at the benchmark's radius from Si-64 (whose 6 Å regions wrap
+        // onto themselves) to Si-512. Ops are ∝ order, so a short expansion
+        // gives the same ratio.
         let model = silicon_gsp();
-        let engine = |s: &Structure| -> f64 {
-            let e = LinearScalingTb::new(&model).with_order(32).with_r_loc(4.0);
-            e.evaluate(s).unwrap();
+        let per_atom = |r_loc: f64, reps: usize| -> f64 {
+            let s = bulk_diamond(Species::Silicon, reps, reps, reps);
+            let e = LinearScalingTb::new(&model)
+                .with_order(32)
+                .with_r_loc(r_loc);
+            e.evaluate(&s).unwrap();
             e.last_report().unwrap().total_matvec_ops as f64 / s.n_atoms() as f64
         };
-        let per_atom_small = engine(&bulk_diamond(Species::Silicon, 2, 2, 2));
-        let per_atom_large = engine(&bulk_diamond(Species::Silicon, 3, 3, 3));
-        let ratio = per_atom_large / per_atom_small;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "per-atom cost not flat: {per_atom_small} vs {per_atom_large}"
-        );
+        for (r_loc, large) in [(4.0, 3), (6.0, 4)] {
+            let (small, large) = (per_atom(r_loc, 2), per_atom(r_loc, large));
+            assert!(
+                (0.8..1.25).contains(&(large / small)),
+                "per-atom cost not flat at r_loc {r_loc}: {small} vs {large}"
+            );
+        }
+    }
+
+    #[test]
+    fn benchmark_settings_stay_within_20_mev_per_atom_of_dense_at_si216() {
+        // Order 350, r_loc 6.0 Å, kT 0.2 eV: the `si216-linscale-nve`
+        // workload, whose gate is 20 meV/atom (≈ 12.5 measured).
+        let model = silicon_gsp();
+        let mut s = bulk_diamond(Species::Silicon, 3, 3, 3);
+        s.perturb(&mut StdRng::seed_from_u64(7), 0.02);
+        let engine = LinearScalingTb::new(&model).with_r_loc(6.0);
+        assert_eq!((engine.order, engine.kt), (350, 0.2));
+        let (e_ref, _) = dense_reference(&s, &model, engine.kt);
+        let err = (engine.evaluate(&s).unwrap().energy - e_ref).abs() / s.n_atoms() as f64;
+        assert!(err <= 0.020, "{:.2} meV/atom", err * 1e3);
     }
 
     #[test]

@@ -194,7 +194,7 @@ pub struct TbResult {
 /// one-stage QL solve: the blocked reduction, inverse-iteration and
 /// back-transform stages carry fixed overheads that only amortize once the
 /// matrix outgrows the row-walking scalar path. Measured warm on the
-/// reference host (T4b table of `report_eigensolvers`, min of 7 calls on a
+/// reference host (experiment T4b of `tbmd-report`, min of 7 calls on a
 /// reused workspace, three runs): QL vs partial 0.29–0.42 vs 0.39–0.52 ms
 /// at n = 64, 0.81–1.26 vs 0.89–1.16 ms at n = 96, 2.2–3.0 vs 1.6–2.2 ms
 /// at n = 128 — the two cross at about 96.

@@ -11,7 +11,8 @@
 //! file) and runs the scheduling loop. The `tbmd-serve` binary wraps it in
 //! a Unix-domain-socket daemon speaking newline-delimited JSON.
 //!
-//! Scheduling invariants (asserted by the `report_serve` benchmark gate):
+//! Scheduling invariants (asserted by `multiplexed_tenants_match_standalone_runs`
+//! below and by `tests/telemetry_serve.rs` at the workspace root):
 //!
 //! - every tenant's trajectory is bitwise the one a standalone
 //!   session of the same config produces — multiplexing changes

@@ -4,8 +4,8 @@
 //!
 //! 1. **Cell = session.** Every cell of an expanded matrix reproduces,
 //!    bit for bit, the standalone [`tbmd::Session`] built from the same
-//!    config and initial state — the campaign layer adds bookkeeping,
-//!    never physics.
+//!    config and initial state — the campaign layer adds bookkeeping
+//!    (step-latency percentiles among it), never physics.
 //! 2. **Kill + resume = uninterrupted.** A campaign stopped mid-run and
 //!    re-invoked against the same directory reuses every completed cell's
 //!    fingerprinted result file and produces the same report as a single
@@ -78,6 +78,13 @@ fn matrix_cells_match_standalone_sessions_bitwise() {
         );
         assert_eq!(row.seed, cell.seed);
         assert!(row.steps > 0 && row.converged);
+        // Every cell times its own steps: one latency sample per MD step.
+        assert_eq!(row.step_samples, row.steps as u64, "{}", cell.name);
+        assert!(
+            row.step_p95_ns.is_some_and(|p| p.is_finite() && p > 0.0),
+            "{}: no step-latency percentile",
+            cell.name
+        );
     }
     // Pristine and vacancy cells must NOT coincide (the perturbation and
     // the per-cell seed both bite).

@@ -11,8 +11,8 @@ use tbmd_serve::parse_request;
 /// A job line that sets every field `parse_request` reads.
 const JOB_LINE: &str = r#"{"job":"a","system":"si","reps":1,"engine":"distributed","ranks":2,"protocol":"nvt","temperature_k":300,"steps":12,"dt_fs":1,"tau_fs":40,"electronic_kt":0.1,"perturb":0.05,"seed":"0x2a","quantum":4,"threads":1,"health_stride":5,"checkpoint_interval":3,"retain":2}"#;
 
-/// The campaign spec `report_campaign` runs: 1 structure × 2 perturbations ×
-/// 2 protocols × 2 engines.
+/// The campaign spec experiment S4 of `tbmd-report` runs: 1 structure ×
+/// 2 perturbations × 2 protocols × 2 engines.
 const CAMPAIGN_SPEC: &str = r#"{
     "name": "bench-matrix",
     "seed": 29,
