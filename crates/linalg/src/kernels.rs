@@ -35,9 +35,9 @@ pub const KERNEL_MIN_DIM: usize = 16;
 /// adds/cycle throughput.
 const DOT_LANES: usize = 8;
 
-/// Accumulator lanes in the shared-operand dots ([`dot2`], [`dot4`]) and
-/// the sparse gather dot — fewer lanes per output keeps the register
-/// budget bounded when several dots run in one pass.
+/// Accumulator lanes in the shared-operand dots ([`dot2`], [`dot4`]) —
+/// fewer lanes per output keeps the register budget bounded when several
+/// dots run in one pass.
 const DOT2_LANES: usize = 4;
 
 /// Scalar element type of a kernel (f64 in production).
@@ -408,29 +408,6 @@ pub fn syrk_row<T: Scalar>(orow: &mut [T], i: usize, a: &[T], lda: usize) {
     }
 }
 
-/// Gathered sparse dot over split index/value slices (CSR row layout):
-/// `Σ vals[p]·x[idx[p]]`.
-///
-/// Four accumulator lanes hide the gather latency of `x[c]`; the tail is
-/// added last in list order.
-#[inline]
-pub fn sparse_dot_csr<T: Scalar>(idx: &[usize], vals: &[T], x: &[T]) -> T {
-    debug_assert_eq!(idx.len(), vals.len());
-    let mut acc = [T::ZERO; DOT2_LANES];
-    let mut ic = idx.chunks_exact(DOT2_LANES);
-    let mut vc = vals.chunks_exact(DOT2_LANES);
-    for (ci, cv) in ic.by_ref().zip(vc.by_ref()) {
-        for l in 0..DOT2_LANES {
-            acc[l] += cv[l] * x[ci[l]];
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (&i, &v) in ic.remainder().iter().zip(vc.remainder()) {
-        s += v * x[i];
-    }
-    s
-}
-
 /// Dense row-major 4×4 block of a block-sparse (BSR) operator.
 pub type Block4 = [[f64; 4]; 4];
 
@@ -751,16 +728,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sparse_dot_csr_matches_naive() {
-        let x = seq(50, 0.13, -0.7);
-        let idx: Vec<usize> = (0..23).map(|i| i * 2 + 1).collect();
-        let vals: Vec<f64> = (0..23).map(|i| (i as f64) * 0.3 - 2.0).collect();
-        let a = sparse_dot_csr(&idx, &vals, &x);
-        let naive: f64 = idx.iter().zip(&vals).map(|(&c, &v)| v * x[c]).sum();
-        assert!((a - naive).abs() < 1e-13 * naive.abs().max(1.0));
     }
 
     /// 3 block rows, an empty one in the middle, a non-zero diagonal beside

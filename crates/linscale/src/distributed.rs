@@ -14,7 +14,7 @@
 use crate::chebyshev::{solve_mu, spectral_window};
 use crate::engine::{AtomRegion, LinearScalingTb};
 use crate::sparse::SparseH;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use tbmd_model::{
     bond_force, embedding, validate, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
     TbError, TbModel, Workspace,
@@ -109,7 +109,10 @@ impl<'m> DistributedLinearScalingTb<'m> {
 
     /// Traffic report of the most recent evaluation.
     pub fn last_report(&self) -> Option<DistributedLinScaleReport> {
-        self.last_report.lock().clone()
+        self.last_report
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The matching shared-memory engine (for equivalence tests).
@@ -212,7 +215,10 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
         )?;
 
         let (energy, forces, mu) = launch.result;
-        *self.last_report.lock() = Some(DistributedLinScaleReport {
+        *self
+            .last_report
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(DistributedLinScaleReport {
             stats: launch.stats,
             mu,
             n_ranks: launch.n_ranks,

@@ -26,7 +26,7 @@
 
 use crate::chebyshev::{solve_mu, spectral_window, BlockRecurrence};
 use crate::sparse::{LocalRegion, SparseH};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use tbmd_linalg::kernels::Block4;
 use tbmd_linalg::{team, Vec3};
 use tbmd_model::{
@@ -100,7 +100,10 @@ impl<'m> LinearScalingTb<'m> {
 
     /// Diagnostics of the most recent evaluation.
     pub fn last_report(&self) -> Option<LinScaleReport> {
-        self.last_report.lock().clone()
+        self.last_report
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -299,7 +302,10 @@ impl ForceProvider for LinearScalingTb<'_> {
         });
         timings.forces = sp.finish();
 
-        *self.last_report.lock() = Some(LinScaleReport {
+        *self
+            .last_report
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(LinScaleReport {
             mu: fermi.mu,
             electron_count: fermi.electron_count,
             entropy_term: fermi.entropy_term,
@@ -446,11 +452,27 @@ mod tests {
     #[test]
     fn rejects_unsupported_and_empty() {
         let model = silicon_gsp();
-        let engine = LinearScalingTb::new(&model);
-        assert!(matches!(
-            engine.evaluate(&tbmd_structure::dimer(Species::Carbon, 1.4)),
-            Err(TbError::UnsupportedSpecies { .. })
-        ));
+        let carbon = tbmd_structure::dimer(Species::Carbon, 1.4);
+        let empty =
+            Structure::homogeneous(Species::Silicon, vec![], tbmd_structure::Cell::cluster());
+        let engines: [&dyn ForceProvider; 2] = [
+            &LinearScalingTb::new(&model),
+            &crate::DistributedLinearScalingTb::new(&model, 2),
+        ];
+        for engine in engines {
+            let name = engine.provider_name();
+            assert!(
+                matches!(
+                    engine.evaluate(&carbon),
+                    Err(TbError::UnsupportedSpecies { .. })
+                ),
+                "{name}"
+            );
+            assert!(
+                matches!(engine.evaluate(&empty), Err(TbError::EmptyStructure)),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # tbmd-linscale
 //!
-//! Linear-scaling O(N) tight binding: sparse CSR Hamiltonians, Chebyshev
-//! expansion of the Fermi operator, localization-region truncation of the
-//! density matrix (block-sparse regions, one four-column block recurrence),
+//! Linear-scaling O(N) tight binding: Hamiltonians built as 4×4 atom
+//! blocks, Chebyshev expansion of the Fermi operator, localization-region
+//! truncation of the density matrix (regions copy the blocks of their atoms;
+//! one four-column block recurrence),
 //! and the [`LinearScalingTb`] engine implementing
 //! [`tbmd_model::ForceProvider`] — the Goedecker–Colombo (1994) class of
 //! method that let TBMD escape O(N³) diagonalization.

@@ -3,167 +3,182 @@
 //! A short-ranged tight-binding Hamiltonian has O(1) non-zeros per row, so
 //! the dense `n²` storage and O(n³) diagonalization are pure waste for large
 //! systems — the insight behind the 1994 linear-scaling TBMD methods. This
-//! module builds the CSR matrix straight from a neighbour list and restricts
-//! it to per-atom localization regions stored as 4×4 blocks, the operator
-//! the Chebyshev block recurrence consumes.
+//! module builds the matrix straight from a neighbour list as 4×4 blocks,
+//! one per coupled atom pair, beside the on-site diagonal — the layout the
+//! Chebyshev block recurrence consumes — and restricts it to per-atom
+//! localization regions by copying the blocks whose atoms lie inside.
 
 use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, StepTail};
 use tbmd_model::{sk_block, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
-/// Symmetric sparse matrix in CSR format.
+/// Block rows over padded four-row slots, one slot per atom, with the
+/// diagonal held apart: the storage of [`SparseH`] and of every
+/// [`LocalRegion`], and what the block kernel reads ([`Bsr4`]).
+///
+/// Rows `4·slot + k` with `k ≥ n_orbitals` of the slot's atom are
+/// identically zero, so one block kernel serves every species.
+#[derive(Debug, Clone)]
+struct BlockRows {
+    /// Blocks of slot `i` are `block_ptr[i]..block_ptr[i + 1]`.
+    block_ptr: Vec<u32>,
+    /// Column slot of each block, ascending within a block row.
+    block_col: Vec<u32>,
+    blocks: Vec<Block4>,
+    /// `diag[slot][k]` for row `4·slot + k`; the blocks hold zero there. A
+    /// slot's own block is in the list only if something is left in it off
+    /// the diagonal — the atom couples to one of its periodic images.
+    diag: Vec<[f64; 4]>,
+}
+
+impl BlockRows {
+    fn new() -> Self {
+        BlockRows {
+            block_ptr: vec![0],
+            block_col: Vec::new(),
+            blocks: Vec::new(),
+            diag: Vec::new(),
+        }
+    }
+
+    /// Append the block row of the next slot: its diagonal and its
+    /// `(column slot, block)` pairs in ascending column order.
+    fn push(&mut self, diag: [f64; 4], blocks: impl IntoIterator<Item = (u32, Block4)>) {
+        for (col, block) in blocks {
+            self.block_col.push(col);
+            self.blocks.push(block);
+        }
+        self.block_ptr.push(self.blocks.len() as u32);
+        self.diag.push(diag);
+    }
+
+    /// The blocks of slot `i` with their column slots, ascending.
+    fn row(&self, i: usize) -> impl Iterator<Item = (usize, &Block4)> {
+        let range = self.block_ptr[i] as usize..self.block_ptr[i + 1] as usize;
+        let cols = self.block_col[range.clone()].iter().map(|&c| c as usize);
+        cols.zip(&self.blocks[range])
+    }
+
+    /// Stored entries: 16 per block, structural zeros and padding included,
+    /// plus the 4 diagonal entries of each slot.
+    fn nnz(&self) -> usize {
+        16 * self.blocks.len() + 4 * self.diag.len()
+    }
+}
+
+/// The Γ-point tight-binding Hamiltonian in the block layout of its
+/// localization regions: one padded slot per atom, one 4×4 block per
+/// neighbour atom with non-zero hoppings, the on-site diagonal beside them.
 #[derive(Debug, Clone)]
 pub struct SparseH {
-    n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
+    index: OrbitalIndex,
+    h: BlockRows,
 }
 
 impl SparseH {
-    /// Assemble the Γ-point tight-binding Hamiltonian in CSR form.
+    /// Assemble the Hamiltonian block by block. Each atom's on-site
+    /// energies come first, then every neighbour image's Slater–Koster block
+    /// is added in list order, so each entry is summed in the order the
+    /// dense assembly sums it.
     pub fn build(
         s: &Structure,
         nl: &NeighborList,
         model: &dyn TbModel,
         index: &OrbitalIndex,
     ) -> Self {
-        let n_atoms = s.n_atoms();
-        let n = index.total();
-        // Accumulate per-row maps first (blocks of different images of the
-        // same pair must sum), then flatten to CSR.
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for i in 0..n_atoms {
-            let oi = index.offset(i);
-            let ni = s.species(i).n_orbitals();
-            let e = model.on_site(s.species(i));
-            for (k, &ek) in e.iter().enumerate().take(ni) {
-                push_add(&mut rows[oi + k], oi + k, ek);
-            }
+        let mut h = BlockRows::new();
+        let mut row: Vec<(u32, Block4)> = Vec::new();
+        for i in 0..s.n_atoms() {
+            let ni = index.n_orbitals(i);
+            let mut diag = [0.0; 4];
+            diag[..ni].copy_from_slice(&model.on_site(s.species(i))[..ni]);
+            row.clear();
             for nb in nl.neighbors(i) {
                 let v = model.hoppings(nb.dist);
                 if v.iter().all(|&x| x == 0.0) {
                     continue;
                 }
                 let b = sk_block(nb.disp.to_array(), v);
-                let oj = index.offset(nb.j);
-                let nj = s.species(nb.j).n_orbitals();
-                for (mu, row) in b.iter().enumerate().take(ni) {
-                    for (nu, &x) in row.iter().enumerate().take(nj) {
-                        push_add(&mut rows[oi + mu], oj + nu, x);
+                let e = match row.iter().position(|r| r.0 as usize == nb.j) {
+                    Some(e) => e,
+                    None => {
+                        row.push((nb.j as u32, [[0.0; 4]; 4]));
+                        row.len() - 1
+                    }
+                };
+                let nj = index.n_orbitals(nb.j);
+                for (mu, (b_row, h_row)) in b.iter().zip(&mut row[e].1).enumerate().take(ni) {
+                    for (nu, (&x, y)) in b_row.iter().zip(h_row).enumerate().take(nj) {
+                        if nb.j == i && mu == nu {
+                            diag[mu] += x;
+                        } else {
+                            *y += x;
+                        }
                     }
                 }
             }
-        }
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for row in &mut rows {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in row.iter() {
-                col_idx.push(c);
-                values.push(v);
-            }
-            row_ptr.push(col_idx.len());
+            row.retain(|&(j, b)| j as usize != i || b != [[0.0; 4]; 4]);
+            row.sort_unstable_by_key(|r| r.0);
+            h.push(diag, row.iter().copied());
         }
         SparseH {
-            n,
-            row_ptr,
-            col_idx,
-            values,
+            index: index.clone(),
+            h,
         }
     }
 
     /// Dimension.
     pub fn n(&self) -> usize {
-        self.n
+        self.index.total()
     }
 
-    /// Stored non-zeros.
+    /// Stored entries (see [`LocalRegion::nnz`]).
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.h.nnz()
     }
 
-    /// Dense `y = A x` (four-lane gathered dot per CSR row).
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        let mut y = vec![0.0; self.n];
-        for (i, yo) in y.iter_mut().enumerate() {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            *yo = kernels::sparse_dot_csr(&self.col_idx[lo..hi], &self.values[lo..hi], x);
-        }
-        y
-    }
-
-    /// Entry `(i, j)` (O(log nnz_row)).
+    /// Entry `(i, j)` (O(atoms): a lookup for tests and diagnostics).
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        match self.col_idx[lo..hi].binary_search(&j) {
-            Ok(k) => self.values[lo + k],
-            Err(_) => 0.0,
+        let atom_of = |orbital: usize| {
+            let mut atoms = (0..self.h.diag.len()).rev();
+            let a = atoms.find(|&a| self.index.offset(a) <= orbital).unwrap();
+            (a, orbital - self.index.offset(a))
+        };
+        let ((a, mu), (b, nu)) = (atom_of(i), atom_of(j));
+        if i == j {
+            return self.h.diag[a][mu];
         }
+        let mut blocks = self.h.row(a);
+        blocks
+            .find(|&(c, _)| c == b)
+            .map_or(0.0, |(_, block)| block[mu][nu])
     }
 
-    /// Row non-zeros as `(column, value)` pairs.
-    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        self.col_idx[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.values[lo..hi].iter().copied())
-    }
-
-    /// Gershgorin bounds `(min, max)` on the spectrum.
+    /// Gershgorin bounds `(min, max)` on the spectrum. Each row's radius sums
+    /// its off-diagonal entries in ascending column order (the zeros the
+    /// blocks hold on the diagonal add nothing); padded rows and columns are
+    /// no part of the matrix and are skipped.
     pub fn gershgorin_bounds(&self) -> (f64, f64) {
+        if self.h.diag.is_empty() {
+            return (0.0, 0.0);
+        }
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for i in 0..self.n {
-            let mut diag = 0.0;
-            let mut radius = 0.0;
-            for (j, v) in self.row(i) {
-                if j == i {
-                    diag = v;
-                } else {
-                    radius += v.abs();
+        for (a, diag) in self.h.diag.iter().enumerate() {
+            for (mu, &d) in diag.iter().enumerate().take(self.index.n_orbitals(a)) {
+                let mut radius = 0.0;
+                for (c, block) in self.h.row(a) {
+                    for &x in &block[mu][..self.index.n_orbitals(c)] {
+                        radius += x.abs();
+                    }
                 }
-            }
-            lo = lo.min(diag - radius);
-            hi = hi.max(diag + radius);
-        }
-        if self.n == 0 {
-            (0.0, 0.0)
-        } else {
-            (lo, hi)
-        }
-    }
-
-    /// Largest absolute asymmetry (diagnostic; the TB Hamiltonian must be
-    /// symmetric).
-    pub fn asymmetry(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for i in 0..self.n {
-            for (j, v) in self.row(i) {
-                worst = worst.max((v - self.get(j, i)).abs());
+                lo = lo.min(d - radius);
+                hi = hi.max(d + radius);
             }
         }
-        worst
+        (lo, hi)
     }
 }
-
-fn push_add(row: &mut Vec<(usize, f64)>, col: usize, v: f64) {
-    if let Some(entry) = row.iter_mut().find(|(c, _)| *c == col) {
-        entry.1 += v;
-    } else {
-        row.push((col, v));
-    }
-}
-
-/// Block index marking a column span outside the region during
-/// [`LocalRegion::build`].
-const OUTSIDE: usize = usize::MAX;
 
 /// A localization region: the orbitals of all atoms within `r_loc` of a
 /// centre atom, and the Hamiltonian restricted to them as flat 4×4 blocks
@@ -179,21 +194,14 @@ pub struct LocalRegion {
     pub orbitals: Vec<usize>,
     /// Padded local row `4·slot + k` of each entry of `orbitals`.
     rows: Vec<u32>,
-    /// Blocks of slot `i` are `block_ptr[i]..block_ptr[i + 1]`.
-    block_ptr: Vec<u32>,
-    /// Column slot of each block, ascending within a block row.
-    block_col: Vec<u32>,
-    blocks: Vec<Block4>,
-    /// Diagonal of the restricted Hamiltonian, `diag[slot][k]` for row
-    /// `4·slot + k`; the blocks hold zero there. An atom's own block is in
-    /// the list only if something is left in it — the atom couples to one of
-    /// its periodic images.
-    diag: Vec<[f64; 4]>,
+    h: BlockRows,
 }
 
 impl LocalRegion {
     /// Build the region of atoms within `r_loc` (minimum-image distance) of
     /// `center_atom`. An infinite/huge radius reproduces the full system.
+    /// Each member atom's block row is copied from `h`, keeping the blocks
+    /// whose column atom is a member.
     pub fn build(
         s: &Structure,
         index: &OrbitalIndex,
@@ -201,103 +209,27 @@ impl LocalRegion {
         center_atom: usize,
         r_loc: f64,
     ) -> Self {
-        // Atoms ascend, and so do their orbital offsets.
-        let mut orbitals = Vec::new();
-        let mut rows = Vec::new();
-        let mut slot_orbitals = Vec::new();
-        for a in 0..s.n_atoms() {
-            if a == center_atom || s.distance(center_atom, a) <= r_loc {
-                let first = orbitals.len();
-                let base = 4 * slot_orbitals.len() as u32;
-                for k in 0..s.species(a).n_orbitals() {
-                    orbitals.push(index.offset(a) + k);
-                    rows.push(base + k as u32);
-                }
-                slot_orbitals.push(first..orbitals.len());
-            }
-        }
+        // Atoms ascend, and so do their orbital offsets and slots.
+        let members: Vec<usize> = (0..s.n_atoms())
+            .filter(|&a| a == center_atom || s.distance(center_atom, a) <= r_loc)
+            .collect();
         let mut region = LocalRegion {
-            orbitals,
-            rows,
-            block_ptr: vec![0],
-            block_col: Vec::new(),
-            blocks: Vec::new(),
-            diag: Vec::new(),
+            orbitals: Vec::new(),
+            rows: Vec::new(),
+            h: BlockRows::new(),
         };
-        let mut row_blocks: Vec<(u32, Block4)> = Vec::new();
-        // Column spans `(first, width, e)` met along the rows of one atom:
-        // global columns `first..first + width` are block `e` of
-        // `row_blocks`, or lie outside the region when `e == OUTSIDE`.
-        // Columns ascend along a CSR row, an atom's orbitals are contiguous
-        // and its rows meet (nearly) the same spans, so the ordered list
-        // turns one search per entry into one per neighbour atom.
-        let mut spans: Vec<(usize, usize, usize)> = Vec::new();
-        for (slot, locals) in slot_orbitals.into_iter().enumerate() {
-            row_blocks.clear();
-            spans.clear();
-            let mut diag = [0.0; 4];
-            for (r, l) in locals.enumerate() {
-                let mut next = 0;
-                let (mut first, mut width, mut e) = (0, 0, OUTSIDE);
-                for (c, v) in h.row(region.orbitals[l]) {
-                    if c.wrapping_sub(first) >= width {
-                        while next < spans.len() && spans[next].0 + spans[next].1 <= c {
-                            next += 1;
-                        }
-                        if next == spans.len() || c < spans[next].0 {
-                            spans.insert(next, region.span_of(c, &mut row_blocks));
-                        }
-                        (first, width, e) = spans[next];
-                    }
-                    if c == region.orbitals[l] {
-                        diag[r] = v;
-                    } else if e != OUTSIDE {
-                        row_blocks[e].1[r][c - first] = v;
-                    }
-                }
+        for (slot, &a) in members.iter().enumerate() {
+            for k in 0..index.n_orbitals(a) {
+                region.orbitals.push(index.offset(a) + k);
+                region.rows.push((4 * slot + k) as u32);
             }
-            region.diag.push(diag);
-            row_blocks.retain(|b| b.0 != slot as u32 || b.1 != [[0.0; 4]; 4]);
-            row_blocks.sort_unstable_by_key(|b| b.0);
-            for &(slot, block) in &row_blocks {
-                region.block_col.push(slot);
-                region.blocks.push(block);
-            }
-            region.block_ptr.push(region.blocks.len() as u32);
+            let inside = h.h.row(a).filter_map(|(c, block)| {
+                let slot = members.binary_search(&c).ok()?;
+                Some((slot as u32, *block))
+            });
+            region.h.push(h.h.diag[a], inside);
         }
         region
-    }
-
-    /// The span of global column `c` (see `build`): the orbitals of its atom
-    /// with their block in `row_blocks` (added if new), or the gap between
-    /// two region orbitals.
-    fn span_of(&self, c: usize, row_blocks: &mut Vec<(u32, Block4)>) -> (usize, usize, usize) {
-        match self.orbitals.binary_search(&c) {
-            Ok(lc) => {
-                let (slot, k) = (self.rows[lc] / 4, (self.rows[lc] % 4) as usize);
-                let width = self.rows[lc - k..]
-                    .iter()
-                    .take_while(|&&row| row / 4 == slot)
-                    .count();
-                let e = match row_blocks.iter().position(|b| b.0 == slot) {
-                    Some(e) => e,
-                    None => {
-                        row_blocks.push((slot, [[0.0; 4]; 4]));
-                        row_blocks.len() - 1
-                    }
-                };
-                (c - k, width, e)
-            }
-            Err(at) => {
-                let first = if at == 0 {
-                    0
-                } else {
-                    self.orbitals[at - 1] + 1
-                };
-                let end = self.orbitals.get(at).map_or(usize::MAX, |&o| o);
-                (first, end - first, OUTSIDE)
-            }
-        }
     }
 
     /// Number of orbitals in the region.
@@ -313,7 +245,7 @@ impl LocalRegion {
     /// Rows of the padded local space (four per atom): the length of every
     /// multivector the region operator acts on.
     pub fn padded_len(&self) -> usize {
-        4 * (self.block_ptr.len() - 1)
+        4 * self.h.diag.len()
     }
 
     /// Padded local row of a global orbital, if inside.
@@ -325,10 +257,10 @@ impl LocalRegion {
     /// The restricted Hamiltonian `P A Pᵀ` as the block kernel takes it.
     pub(crate) fn operator(&self) -> Bsr4<'_> {
         Bsr4 {
-            block_ptr: &self.block_ptr,
-            block_col: &self.block_col,
-            blocks: &self.blocks,
-            diag: &self.diag,
+            block_ptr: &self.h.block_ptr,
+            block_col: &self.h.block_col,
+            blocks: &self.h.blocks,
+            diag: &self.h.diag,
         }
     }
 
@@ -347,16 +279,12 @@ impl LocalRegion {
     /// columns this is its share of the band energy `Tr ρH`.
     pub fn block_row_trace(&self, row0: usize, x: &[Row4]) -> f64 {
         let slot = row0 / 4;
-        let (lo, hi) = (
-            self.block_ptr[slot] as usize,
-            self.block_ptr[slot + 1] as usize,
-        );
         let mut acc = 0.0;
-        for (nu, d) in self.diag[slot].iter().enumerate() {
+        for (nu, d) in self.h.diag[slot].iter().enumerate() {
             acc += d * x[row0 + nu][nu];
         }
-        for (a, &j) in self.blocks[lo..hi].iter().zip(&self.block_col[lo..hi]) {
-            let xb = &x[4 * j as usize..4 * j as usize + 4];
+        for (j, a) in self.h.row(slot) {
+            let xb = &x[4 * j..4 * j + 4];
             for nu in 0..4 {
                 for k in 0..4 {
                     acc += a[nu][k] * xb[k][nu];
@@ -371,7 +299,7 @@ impl LocalRegion {
     /// multiply-adds one column of one recurrence step executes — the cost
     /// metric of the O(N) scaling experiment.
     pub fn nnz(&self) -> usize {
-        16 * self.blocks.len() + 4 * self.diag.len()
+        self.h.nnz()
     }
 }
 
@@ -404,33 +332,22 @@ mod tests {
         assert_eq!(sparse.n(), dense.rows());
         for i in 0..sparse.n() {
             for j in 0..sparse.n() {
-                assert!(
-                    (sparse.get(i, j) - dense[(i, j)]).abs() < 1e-14,
-                    "entry ({i},{j})"
-                );
+                assert_eq!(sparse.get(i, j), dense[(i, j)], "entry ({i},{j})");
             }
-        }
-    }
-
-    #[test]
-    fn matvec_matches_dense() {
-        let (_, _, _, sparse, dense) = setup();
-        let x: Vec<f64> = (0..sparse.n()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let ys = sparse.matvec(&x);
-        let yd = dense.matvec(&x);
-        for (a, b) in ys.iter().zip(&yd) {
-            assert!((a - b).abs() < 1e-12);
         }
     }
 
     #[test]
     fn symmetric_and_sparse() {
         let (_, _, _, sparse, _) = setup();
-        assert!(sparse.asymmetry() < 1e-12);
-        // 64 atoms × 4 orbitals = 256; each atom couples to itself + 4
-        // neighbours → ≤ 5 blocks of 16 per atom row-block.
-        assert!(sparse.nnz() <= 64 * 5 * 16);
-        assert!(sparse.nnz() >= 64 * 4 * 16);
+        for i in 0..sparse.n() {
+            for j in 0..i {
+                assert!((sparse.get(i, j) - sparse.get(j, i)).abs() < 1e-12);
+            }
+        }
+        // 64 atoms × 4 orbitals = 256; each atom couples to 4 neighbours →
+        // 4 blocks of 16 beside its 4 diagonal entries, its own block empty.
+        assert_eq!(sparse.nnz(), 64 * (4 * 16 + 4));
     }
 
     #[test]
@@ -450,34 +367,41 @@ mod tests {
 
     #[test]
     fn full_region_reproduces_matvec() {
-        let (s, _, index, sparse, _) = setup();
+        let (s, _, index, sparse, dense) = setup();
         let region = LocalRegion::build(&s, &index, &sparse, 0, 1e9);
         assert_eq!(region.len(), sparse.n());
         assert_eq!(region.padded_len(), sparse.n());
+        assert_eq!(region.nnz(), sparse.nnz());
         let x: Vec<f64> = (0..sparse.n()).map(|i| (i as f64 * 0.11).cos()).collect();
-        let y_full = sparse.matvec(&x);
+        let y_full = dense.matvec(&x);
         let y_region = apply(&region, &x);
         for (a, b) in y_full.iter().zip(&y_region) {
             assert!((a - b).abs() < 1e-12);
         }
     }
 
-    /// CSR of the non-zeros of a dense matrix.
-    fn from_dense(a: &Matrix) -> SparseH {
-        let mut h = SparseH {
-            n: a.rows(),
-            row_ptr: vec![0],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        };
-        for row in a.rows_iter() {
-            for (c, &v) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
-                h.col_idx.push(c);
-                h.values.push(v);
-            }
-            h.row_ptr.push(h.col_idx.len());
+    /// The non-zero 4×4 blocks of a dense matrix over four-orbital atoms.
+    fn from_dense(a: &Matrix, index: &OrbitalIndex) -> SparseH {
+        let mut h = BlockRows::new();
+        for i in 0..a.rows() / 4 {
+            let entry = |j: usize, mu: usize, nu: usize| match (i, mu) == (j, nu) {
+                true => 0.0,
+                false => a[(4 * i + mu, 4 * j + nu)],
+            };
+            let blocks = (0..a.rows() / 4)
+                .map(|j| {
+                    (
+                        j as u32,
+                        std::array::from_fn(|mu| std::array::from_fn(|nu| entry(j, mu, nu))),
+                    )
+                })
+                .filter(|(_, b)| *b != [[0.0; 4]; 4]);
+            h.push(std::array::from_fn(|k| a[(4 * i + k, 4 * i + k)]), blocks);
         }
-        h
+        SparseH {
+            index: index.clone(),
+            h,
+        }
     }
 
     #[test]
@@ -490,7 +414,7 @@ mod tests {
         let o = index.offset(atom);
         dense[(o, o + 1)] = 0.37;
         dense[(o + 1, o)] = 0.37;
-        let planted = from_dense(&dense);
+        let planted = from_dense(&dense, &index);
         let plain = LocalRegion::build(&s, &index, &sparse, atom, 1e9);
         let region = LocalRegion::build(&s, &index, &planted, atom, 1e9);
         assert_eq!(region.nnz(), plain.nnz() + 16, "one more block");
@@ -522,14 +446,14 @@ mod tests {
     fn scaled_step_shifts_spectrum() {
         // The first step of the recurrence seeded at atom 1 (orbitals 4..8)
         // is (H − 2)/4 applied to its unit columns.
-        let (s, _, index, sparse, _) = setup();
+        let (s, _, index, sparse, dense) = setup();
         let region = LocalRegion::build(&s, &index, &sparse, 0, 1e9);
         let mut rec = crate::BlockRecurrence::new(&region, 4, 4, 2.0, 4.0);
         rec.advance();
         let x: Vec<f64> = (0..sparse.n())
             .map(|i| if i == 5 { 1.0 } else { 0.0 })
             .collect();
-        let y_raw = sparse.matvec(&x);
+        let y_raw = dense.matvec(&x);
         for i in 0..sparse.n() {
             let expected = (y_raw[i] - 2.0 * x[i]) / 4.0;
             assert!((rec.current()[i][1] - expected).abs() < 1e-12);

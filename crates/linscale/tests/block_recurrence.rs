@@ -9,8 +9,11 @@ use tbmd_linscale::{
     fermi_coefficients, solve_mu, BlockRecurrence, LinearScalingTb, LocalRegion, SparseH,
 };
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
-use tbmd_model::{silicon_gsp, GspTbModel, Hoppings, OrbitalIndex, TbModel};
-use tbmd_structure::{bulk_diamond, NeighborList, Species, Structure};
+use tbmd_model::{
+    build_hamiltonian, carbon_xwch, silicon_gsp, sk_block, GspTbModel, Hoppings, OrbitalIndex,
+    TbModel,
+};
+use tbmd_structure::{bulk_diamond, nanotube, NeighborList, Species, Structure};
 
 /// The restriction of `h` to a region's orbitals, dense.
 fn dense_restriction(h: &SparseH, orbitals: &[usize]) -> Vec<Vec<f64>> {
@@ -115,6 +118,91 @@ fn perturbed(reps: usize, seed: u64) -> Structure {
     let mut s = bulk_diamond(Species::Silicon, reps, reps, reps);
     s.perturb(&mut StdRng::seed_from_u64(seed), 0.05);
     s
+}
+
+/// The dense Hamiltonian as rows: [`build_hamiltonian`] where every atom
+/// has four orbitals, otherwise the same assembly written out with each
+/// atom's own orbital count (`build_hamiltonian` lays out four per atom) —
+/// on-site energies first, then each neighbour image's Slater–Koster block
+/// in list order.
+fn dense_hamiltonian(
+    s: &Structure,
+    nl: &NeighborList,
+    model: &dyn TbModel,
+    index: &OrbitalIndex,
+) -> Vec<Vec<f64>> {
+    let n = index.total();
+    if n == 4 * s.n_atoms() {
+        let h = build_hamiltonian(s, nl, model, index);
+        return h.rows_iter().map(<[f64]>::to_vec).collect();
+    }
+    let mut h = vec![vec![0.0; n]; n];
+    for i in 0..s.n_atoms() {
+        let (oi, ni) = (index.offset(i), index.n_orbitals(i));
+        let e = model.on_site(s.species(i));
+        for k in 0..ni {
+            h[oi + k][oi + k] = e[k];
+        }
+        for nb in nl.neighbors(i) {
+            let v = model.hoppings(nb.dist);
+            if v.iter().all(|&x| x == 0.0) {
+                continue;
+            }
+            let b = sk_block(nb.disp.to_array(), v);
+            let oj = index.offset(nb.j);
+            for mu in 0..ni {
+                for nu in 0..index.n_orbitals(nb.j) {
+                    h[oi + mu][oj + nu] += b[mu][nu];
+                }
+            }
+        }
+    }
+    h
+}
+
+/// `SparseH` holds exactly the dense Hamiltonian, and its Gershgorin bounds
+/// are the scalar ones over the dense rows, bit for bit: on perturbed Si-64,
+/// on an Si-8 cell whose atoms couple to their own images, on the carbon
+/// (10,0) tube and on a cell with a one-orbital (padded) atom.
+#[test]
+fn block_layout_holds_the_dense_hamiltonian_exactly() {
+    let (si, carbon) = (silicon_gsp(), carbon_xwch());
+    let (long_reach, any) = (LongReach(silicon_gsp()), AnySpecies(silicon_gsp()));
+    let mut tube = nanotube(10, 0, 2, 1.42);
+    tube.perturb(&mut StdRng::seed_from_u64(5), 0.05);
+    let mut hydrogen = perturbed(1, 4);
+    hydrogen.substitute(3, Species::Hydrogen);
+    let cases: [(&str, Structure, &dyn TbModel); 4] = [
+        ("Si-64", perturbed(2, 11), &si),
+        ("Si-8 with self-images", perturbed(1, 6), &long_reach),
+        ("(10,0) tube", tube, &carbon),
+        ("padded hydrogen", hydrogen, &any),
+    ];
+    for (name, s, model) in cases {
+        let nl = NeighborList::build(&s, model.cutoff());
+        let index = OrbitalIndex::new(&s);
+        let h = SparseH::build(&s, &nl, model, &index);
+        let dense = dense_hamiltonian(&s, &nl, model, &index);
+        assert_eq!(h.n(), dense.len(), "{name}");
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, row) in dense.iter().enumerate() {
+            let mut radius = 0.0;
+            for (j, &x) in row.iter().enumerate() {
+                assert_eq!(h.get(i, j), x, "{name}: entry ({i},{j})");
+                if j != i {
+                    radius += x.abs();
+                }
+            }
+            lo = lo.min(row[i] - radius);
+            hi = hi.max(row[i] + radius);
+        }
+        let (g_lo, g_hi) = h.gershgorin_bounds();
+        assert_eq!(
+            (g_lo.to_bits(), g_hi.to_bits()),
+            (lo.to_bits(), hi.to_bits()),
+            "{name}: ({g_lo}, {g_hi}) vs ({lo}, {hi})"
+        );
+    }
 }
 
 struct Setup {
@@ -230,10 +318,13 @@ fn atom_coupled_to_its_own_image_steps_like_the_full_matvec() {
         .map(|i| std::array::from_fn(|c| ((4 * i + c) as f64 * 0.37).sin()))
         .collect();
     let out = region.apply(&x);
+    let dense = dense_restriction(&su.h, &region.orbitals);
     let mut trace = 0.0;
     for c in 0..4 {
-        let column: Vec<f64> = x.iter().map(|row| row[c]).collect();
-        let hx = su.h.matvec(&column);
+        let hx: Vec<f64> = dense
+            .iter()
+            .map(|row| row.iter().zip(&x).map(|(a, xr)| a * xr[c]).sum())
+            .collect();
         for (i, (got, want)) in out.iter().zip(&hx).enumerate() {
             assert!((got[c] - want).abs() < 1e-12, "({i},{c})");
         }

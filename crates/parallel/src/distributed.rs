@@ -28,10 +28,10 @@
 //! reference (pinned by tests) plus *measured* message/byte/flop counts that
 //! the era cost model converts into Delta/Paragon/CM-5 scaling estimates.
 
-use crate::pool::RankWorkspacePool;
+use crate::pool::{lock, RankWorkspacePool};
 use crate::ranks::{gather_forces, PhaseClock, RankControl, Replica};
 use crate::vmp::{partition_range, Rank, VmpStats};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use tbmd_linalg::{
     cluster_tolerance, reduced_eigenvectors_offset_into, snap_range_to_clusters,
     tridiagonal_eigenvalues_range_into, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
@@ -124,7 +124,7 @@ impl<'m> DistributedTb<'m> {
 
     /// Traffic/flop report of the most recent [`ForceProvider::evaluate`].
     pub fn last_report(&self) -> Option<DistributedReport> {
-        self.last_report.lock().clone()
+        lock(&self.last_report).clone()
     }
 
     /// The two-stage sliced solve on one rank: replicated `H` and blocked
@@ -304,7 +304,7 @@ impl ForceProvider for DistributedTb<'_> {
             |rank, slot| self.sliced_rank(s, &index, rank, slot),
         )?;
         let (energy, forces) = launch.result;
-        *self.last_report.lock() = Some(DistributedReport {
+        *lock(&self.last_report) = Some(DistributedReport {
             stats: launch.stats,
             n_ranks: launch.n_ranks,
         });

@@ -10,7 +10,14 @@
 //! to its slot through an inner per-slot lock — the closure is `Fn` + `Sync`
 //! across ranks, but each rank only ever touches its own slot.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, poisoned or not. A rank killed by an injected fault unwinds
+/// while it holds its pool slot; the slot is reset or rewritten before it
+/// is read again, so the data behind a poisoned lock is still good.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A pool of per-rank workspace slots, indexed by rank id.
 ///
@@ -72,14 +79,14 @@ impl<S: Default> RankWorkspacePool<S> {
     /// Visit every slot mutably (e.g. to reset state no rank may keep after
     /// a failed launch). Locks each slot briefly; call outside the Vmp run.
     pub fn for_each(&self, f: impl Fn(&mut S)) {
-        self.slots.iter().for_each(|m| f(&mut m.lock()));
+        self.slots.iter().for_each(|m| f(&mut lock(m)));
     }
 
     /// Fold a metric over all slots (e.g. summing per-slot buffer-growth
     /// counters after a run). Locks each slot briefly; call outside the
     /// Vmp run.
     pub fn total<F: Fn(&S) -> usize>(&self, f: F) -> usize {
-        self.slots.iter().map(|m| f(&m.lock())).sum()
+        self.slots.iter().map(|m| f(&lock(m))).sum()
     }
 }
 
@@ -110,11 +117,11 @@ mod tests {
     fn slots_persist_state_across_uses() {
         let mut pool: RankWorkspacePool<Slot> = RankWorkspacePool::new();
         pool.ensure(2);
-        pool.slot(0).lock().hits += 1;
-        pool.slot(0).lock().hits += 1;
-        pool.slot(1).lock().hits += 1;
+        lock(pool.slot(0)).hits += 1;
+        lock(pool.slot(0)).hits += 1;
+        lock(pool.slot(1)).hits += 1;
         assert_eq!(pool.total(|s| s.hits), 3);
-        assert_eq!(pool.slot(0).lock().hits, 2);
+        assert_eq!(lock(pool.slot(0)).hits, 2);
     }
 
     #[test]
@@ -123,7 +130,7 @@ mod tests {
         pool.ensure(4);
         let pool_ref = &pool;
         crate::vmp::vmp_run(4, |rank| {
-            pool_ref.slot(rank.id()).lock().hits += 1;
+            lock(pool_ref.slot(rank.id())).hits += 1;
         });
         assert_eq!(pool_ref.total(|s| s.hits), 4);
     }

@@ -6,12 +6,12 @@
 //! [`crate::DistributedTb`] and `tbmd-linscale`'s distributed O(N) engine
 //! are both written on top of these.
 
-use crate::pool::RankWorkspacePool;
+use crate::pool::{lock, RankWorkspacePool};
 use crate::vmp::{
     vmp_run_opts, FaultPlan, Rank, RecvTimeoutPolicy, VmpFault, VmpOptions, VmpStats,
 };
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tbmd_linalg::Vec3;
 use tbmd_model::{epilogue, NeighborWorkspace, PhaseTimings, TbError, Workspace};
@@ -67,19 +67,19 @@ impl RankControl {
     /// armed; it fires exactly once.
     pub fn arm(&self, plan: FaultPlan) {
         assert!(plan.rank < self.n_ranks, "fault rank out of range");
-        *self.fault_plan.lock() = Some(plan);
+        *lock(&self.fault_plan) = Some(plan);
     }
 
     /// Set the failure-detection policy. With `Fixed(window)` a *real*
     /// stalled or dead rank is presumed dead after `window` of collective
     /// silence instead of the size-scaled `Auto` default.
     pub fn set_recv_timeout(&self, policy: RecvTimeoutPolicy) {
-        *self.recv_timeout.lock() = policy;
+        *lock(&self.recv_timeout) = policy;
     }
 
     /// Current failure-detection policy.
     pub fn recv_timeout_policy(&self) -> RecvTimeoutPolicy {
-        *self.recv_timeout.lock()
+        *lock(&self.recv_timeout)
     }
 
     /// Ranks the next evaluation will launch (≤ `n_ranks` after a shrink).
@@ -118,7 +118,7 @@ impl RankControl {
     /// engine shrank below it) is consumed without firing.
     fn take_due_fault(&self, active: usize) -> Option<VmpFault> {
         let eval_no = self.evals.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut armed = self.fault_plan.lock();
+        let mut armed = lock(&self.fault_plan);
         let plan = armed.take_if(|plan| eval_no >= plan.at_evaluation)?;
         (plan.rank < active).then_some(VmpFault {
             rank: plan.rank,
@@ -156,7 +156,7 @@ impl RankControl {
                 .resolve(n_orb, n_ranks, fault.is_some()),
             fault,
         };
-        let mut pool = pool.lock();
+        let mut pool = lock(pool);
         pool.ensure(n_ranks);
         if self.replicas_apart.swap(false, Ordering::SeqCst) {
             pool.for_each(|slot| *slot.as_mut() = Replica::default());
@@ -164,7 +164,7 @@ impl RankControl {
         let alloc_before = pool.created() + pool.total(grown);
         let pool_ref = &*pool;
         let (mut results, stats) = vmp_run_opts(n_ranks, opts, |mut rank| {
-            let mut slot = pool_ref.slot(rank.id()).lock();
+            let mut slot = lock(pool_ref.slot(rank.id()));
             f(&mut rank, &mut slot)
         })
         .map_err(|e| {
