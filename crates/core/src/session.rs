@@ -1154,12 +1154,6 @@ impl<'r> Session<'r> {
         self.telemetry.as_ref()
     }
 
-    /// Attach (or replace) a compute-budget lease mid-run — what the serve
-    /// scheduler does when an admitted tenant's lease is granted.
-    pub fn set_lease(&mut self, lease: ComputeLease) {
-        self.lease = Some(lease);
-    }
-
     /// Release the session's lease back to the budget.
     pub fn take_lease(&mut self) -> Option<ComputeLease> {
         self.lease.take()
@@ -1191,17 +1185,12 @@ impl<'r> Session<'r> {
             return Ok(SessionStatus::Done);
         }
         // Telemetry: everything this step records lands in the session's
-        // scoped sink too (the per-tenant view), the step wall time feeds
-        // the Step histogram, and an armed timeline gets one "step"
-        // interval. With nobody listening this whole block is one relaxed
-        // atomic load and two `None`s — no clocks are read.
+        // scoped sink too (the per-tenant view), and one "step" span feeds
+        // the Step histogram and any entered timeline. With nobody
+        // listening this whole block is one relaxed atomic load and two
+        // `None`s — no clocks are read.
         let _scope = self.telemetry.as_ref().map(|s| s.enter());
-        let step_clock = tbmd_trace::active().then(Instant::now);
-        let step_span = if tbmd_trace::timeline::is_enabled() {
-            Some(tbmd_trace::timeline::span("step"))
-        } else {
-            None
-        };
+        let step_span = tbmd_trace::active().then(|| tbmd_trace::interval(Hist::Step, "step"));
         // Hold the lease outside `self` while its scope wraps the advance,
         // so the closure can borrow `self` mutably.
         let lease = self.lease.take();
@@ -1235,12 +1224,7 @@ impl<'r> Session<'r> {
             }
         };
         self.lease = lease;
-        if let Some(t0) = step_clock {
-            tbmd_trace::record_ns(Hist::Step, t0.elapsed().as_nanos() as u64);
-        }
-        if let Some(span) = step_span {
-            span.finish();
-        }
+        drop(step_span);
         result
     }
 

@@ -626,8 +626,8 @@ mod tests {
             other => panic!("expected RankFailure, got {other:?}"),
         }
         // Production (no armed fault) Auto policy resolves to a generous,
-        // finite window — never None.
+        // finite window.
         let auto = RecvTimeoutPolicy::Auto.resolve(128, 2, false);
-        assert!(auto.expect("auto must detect real faults") >= Duration::from_secs(2));
+        assert!(auto >= Duration::from_secs(2));
     }
 }

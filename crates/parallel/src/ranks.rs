@@ -151,9 +151,10 @@ impl RankControl {
         let n_ranks = self.active_ranks();
         let fault = self.take_due_fault(n_ranks);
         let opts = VmpOptions {
-            recv_timeout: self
-                .recv_timeout_policy()
-                .resolve(n_orb, n_ranks, fault.is_some()),
+            recv_timeout: Some(
+                self.recv_timeout_policy()
+                    .resolve(n_orb, n_ranks, fault.is_some()),
+            ),
             fault,
         };
         let mut pool = lock(pool);

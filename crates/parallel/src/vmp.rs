@@ -180,21 +180,16 @@ pub enum RecvTimeoutPolicy {
     Auto,
     /// Fixed window regardless of problem size.
     Fixed(Duration),
-    /// No failure detection: a blocking receive waits forever. (A launch
-    /// with an injected fault still forces the default window on, or the
-    /// healthy ranks could never report the failure.)
-    Disabled,
 }
 
 impl RecvTimeoutPolicy {
     /// Concrete window for a launch of `ranks` ranks over an `n`-dimensional
     /// problem, with or without an armed injected fault.
-    pub fn resolve(self, n: usize, ranks: usize, fault_armed: bool) -> Option<Duration> {
+    pub fn resolve(self, n: usize, ranks: usize, fault_armed: bool) -> Duration {
         match self {
-            RecvTimeoutPolicy::Auto if fault_armed => Some(DEFAULT_FAULT_RECV_TIMEOUT),
-            RecvTimeoutPolicy::Auto => Some(default_recv_timeout(n, ranks)),
-            RecvTimeoutPolicy::Fixed(d) => Some(d),
-            RecvTimeoutPolicy::Disabled => None,
+            RecvTimeoutPolicy::Auto if fault_armed => DEFAULT_FAULT_RECV_TIMEOUT,
+            RecvTimeoutPolicy::Auto => default_recv_timeout(n, ranks),
+            RecvTimeoutPolicy::Fixed(d) => d,
         }
     }
 }

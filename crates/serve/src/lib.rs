@@ -35,7 +35,10 @@
 //! `{"stats":true}` verb on the daemon socket returns its JSON form,
 //! `{"stats":"prometheus"}` a Prometheus-style text exposition — and the
 //! scheduler keeps the [`Gauge::QueueDepth`] / lease high-water gauges
-//! current in the root scope.
+//! current in the root scope. A handle made by [`ServeStats::with_timeline`]
+//! also keeps the root scope's span timeline — one span per tenant quantum,
+//! named after the tenant, with its steps and phases nested inside — which
+//! [`ServeStats::export_chrome`] writes out.
 //!
 //! [`ComputeBudget`]: tbmd::configure_budget
 //! [`Gauge::QueueDepth`]: tbmd_trace::Gauge
@@ -49,7 +52,7 @@ use tbmd::{
     run_manifest, try_lease, CheckpointStore, EngineKind, InitialState, Protocol, RecorderConfig,
     Session, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary, SystemSpec,
 };
-use tbmd_trace::{timeline, Gauge, Hist, JsonValue, RunRecorder, ScopedSink};
+use tbmd_trace::{Gauge, Hist, JsonValue, RunRecorder, ScopedSink};
 
 /// One trajectory job as submitted by a client.
 #[derive(Debug, Clone)]
@@ -297,11 +300,28 @@ impl Default for ServeStats {
 
 impl ServeStats {
     pub fn new() -> ServeStats {
+        ServeStats::with_root(ScopedSink::new("global"))
+    }
+
+    /// A handle whose root scope also records a span timeline: every tenant
+    /// quantum of the multiplexer it is given to, with the step and phase
+    /// spans nested inside, read back with [`ServeStats::export_chrome`].
+    pub fn with_timeline() -> ServeStats {
+        ServeStats::with_root(ScopedSink::with_timeline("global"))
+    }
+
+    fn with_root(root: ScopedSink) -> ServeStats {
         ServeStats(Arc::new(StatsInner {
-            root: ScopedSink::new("global"),
+            root,
             tenants: Mutex::new(Vec::new()),
             queue_depth: AtomicUsize::new(0),
         }))
+    }
+
+    /// The root scope's timeline as Chrome `trace_event` JSON (no events
+    /// unless made by [`ServeStats::with_timeline`]).
+    pub fn export_chrome(&self) -> JsonValue {
+        self.0.root.export_chrome()
     }
 
     fn register(&self, name: &str) -> Arc<TenantEntry> {
@@ -662,19 +682,13 @@ impl Multiplexer {
         while i < self.active.len() {
             let tenant = &mut self.active[i];
             let target = tenant.session.steps_done() + tenant.quantum;
-            // Quantum latency: tenant-labelled timeline interval (the MD
-            // step spans nest under it) and one histogram sample, in the
-            // root scope and per tenant.
-            let quantum_span =
-                timeline::is_enabled().then(|| timeline::span(timeline::label(&tenant.name)));
-            let quantum_clock = Instant::now();
+            // Quantum latency: one span named after the tenant's scope (the
+            // MD step spans nest under it in a timeline) feeds the root
+            // scope's histogram; the tenant's scope gets the same sample.
+            let quantum = tbmd_trace::interval(Hist::Quantum, &tenant.entry.sink);
             let outcome = tenant.session.run_until(target);
-            let quantum_ns = quantum_clock.elapsed().as_nanos() as u64;
-            tbmd_trace::record_ns(Hist::Quantum, quantum_ns);
+            let quantum_ns = quantum.finish().as_nanos() as u64;
             tenant.entry.sink.record_ns(Hist::Quantum, quantum_ns);
-            if let Some(span) = quantum_span {
-                span.finish();
-            }
             match outcome {
                 Ok(SessionStatus::Running) => i += 1,
                 Ok(SessionStatus::Done) => {

@@ -79,8 +79,9 @@ mod unix {
                          telemetry snapshot ({{\"stats\":\"prometheus\"}} for the\n\
                          text exposition).\n\
                          --budget 0 (default) leaves the compute pool uncapped.\n\
-                         --timeline FILE records a span timeline and writes it as\n\
-                         Chrome trace_event JSON on shutdown (open in Perfetto)."
+                         --timeline FILE records the scheduler's span timeline (tenant\n\
+                         quanta, steps, phases) and writes it as Chrome trace_event\n\
+                         JSON on shutdown (open in Perfetto)."
                     );
                     std::process::exit(0);
                 }
@@ -93,9 +94,6 @@ mod unix {
     pub fn run() -> Result<(), String> {
         let args = parse_args()?;
         tbmd::configure_budget(args.budget);
-        if args.timeline.is_some() {
-            tbmd_trace::timeline::enable(0);
-        }
         // A stale socket file from a previous run refuses the bind.
         let _ = std::fs::remove_file(&args.socket);
         let listener =
@@ -115,7 +113,11 @@ mod unix {
 
         let (jobs_tx, jobs_rx) = mpsc::channel::<(JobSpec, UnixStream)>();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = ServeStats::new();
+        let stats = if args.timeline.is_some() {
+            ServeStats::with_timeline()
+        } else {
+            ServeStats::new()
+        };
 
         // Accept loop on its own thread: it only parses lines and forwards
         // jobs; all sessions live on the scheduler thread below. Stats
@@ -146,7 +148,7 @@ mod unix {
 
         // Scheduler loop: drain submissions, give every tenant a quantum,
         // exit once a shutdown request arrives and the queues are empty.
-        let mut mux = Multiplexer::with_stats(stats);
+        let mut mux = Multiplexer::with_stats(stats.clone());
         loop {
             while let Ok((spec, stream)) = jobs_rx.try_recv() {
                 mux.submit(spec, stream);
@@ -166,7 +168,7 @@ mod unix {
         }
         let _ = acceptor.join();
         if let Some(path) = &args.timeline {
-            let trace = tbmd_trace::timeline::export_chrome().to_compact();
+            let trace = stats.export_chrome().to_compact();
             match std::fs::write(path, trace) {
                 Ok(()) => eprintln!("tbmd-serve: timeline written to {path:?}"),
                 Err(e) => eprintln!("tbmd-serve: timeline write {path:?}: {e}"),

@@ -2,11 +2,13 @@
 //!
 //! One vocabulary for everything the paper's evaluation cares about:
 //!
-//! - **Spans** ([`span`], [`PhaseSpan`]): RAII wall-clock guards keyed by
-//!   [`Phase`]. Engines open a span per phase; `finish()` returns the
-//!   measured [`std::time::Duration`] (so `PhaseTimings` stays a plain
-//!   value type — it is now a *view* over span measurements) and feeds the
-//!   monotonic per-phase nanosecond accumulators of whoever is listening.
+//! - **Spans** ([`span`], [`interval`], [`Span`]): RAII wall-clock guards.
+//!   Engines open a span per [`Phase`]; `finish()` returns the measured
+//!   [`std::time::Duration`] (so `PhaseTimings` stays a plain value type —
+//!   it is now a *view* over span measurements) and feeds the monotonic
+//!   per-phase nanosecond accumulators of whoever is listening. The same
+//!   type times labelled intervals that are not phases: a session's MD
+//!   step, a serve tenant's quantum.
 //! - **Counters** ([`Counter`]): monotonic event counts — wire bytes and
 //!   messages from the Vmp machine, workspace growth events, neighbour-list
 //!   rebuilds/refreshes, Sturm bisections, Chebyshev matvecs. Totals across
@@ -27,16 +29,18 @@
 //!   sections and tests enter one of their own to watch their run, so
 //!   breakdowns fall out without engine changes and every run owns its
 //!   ledger.
-//! - **Timeline** ([`timeline`]): an opt-in hierarchical span recorder
-//!   (per-thread ring buffers) exporting Chrome `trace_event` JSON for
-//!   `chrome://tracing` / Perfetto.
+//! - **Timelines** ([`ScopedSink::with_timeline`]): a scope can also keep
+//!   the interval of every span that closes inside it (per-thread ring
+//!   buffers in the scope) and export them as Chrome `trace_event` JSON for
+//!   `chrome://tracing` / Perfetto ([`ScopedSink::export_chrome`]). The
+//!   capture belongs to that scope, like its counters: `tbmd-serve
+//!   --timeline` arms its `Multiplexer`'s root scope, a test its own.
 //!
 //! Nothing is installed process-wide: with no scope entered anywhere every
 //! hot-path hook is a single relaxed atomic load and no allocation, so an
 //! unobserved MD run is bitwise-identical to an uninstrumented one (pinned
 //! by `tests/trace_overhead.rs` at the workspace root). What does stay
-//! process-wide is the armed [`timeline`] and, in `tbmd-linalg`, the compute
-//! budget.
+//! process-wide is, in `tbmd-linalg`, the compute budget.
 //!
 //! On top of the scopes sit the run records ([`RunRecorder`]): a JSONL
 //! stream with one manifest line, one record per MD step (phase times, comm
@@ -51,7 +55,7 @@ pub mod json;
 mod metrics;
 mod record;
 mod sink;
-pub mod timeline;
+mod timeline;
 mod watchdog;
 
 pub use hist::{Hist, HistSnapshot, Histogram, HistogramSet};
@@ -61,7 +65,8 @@ pub use record::{
     git_describe, HealthRecord, RecorderSummary, RunManifest, RunRecorder, StepRecord,
 };
 pub use sink::{
-    active, add, add_phase_ns, entered_scopes, record_ns, set_gauge, span, PhaseSpan, ScopeGuard,
-    ScopedSink,
+    active, add, add_phase_ns, entered_scopes, interval, record_ns, set_gauge, span, ScopeGuard,
+    ScopedSink, Span,
 };
+pub use timeline::{SpanEvent, SpanName};
 pub use watchdog::{DriftWatchdog, WatchdogStatus};

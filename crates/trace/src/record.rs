@@ -153,8 +153,6 @@ enum Output {
 pub struct RunRecorder {
     out: Output,
     drift: DriftWatchdog,
-    /// ‖Hv − λv‖∞ above this emits a warn line (eV).
-    eig_residual_budget: f64,
     steps: usize,
     warns: usize,
     /// End-of-run observables attached via [`RunRecorder::set_observables`];
@@ -175,13 +173,13 @@ pub struct RecorderSummary {
 }
 
 impl RunRecorder {
+    /// ‖Hv − λv‖∞ above this emits a warn line (eV).
     const DEFAULT_EIG_RESIDUAL_BUDGET: f64 = 1e-6;
 
     fn new(out: Output, manifest: &RunManifest) -> io::Result<RunRecorder> {
         let mut rec = RunRecorder {
             out,
             drift: DriftWatchdog::default(),
-            eig_residual_budget: RunRecorder::DEFAULT_EIG_RESIDUAL_BUDGET,
             steps: 0,
             warns: 0,
             observables: None,
@@ -216,12 +214,6 @@ impl RunRecorder {
     /// Replace the drift tripwire budget (eV per 1000 steps).
     pub fn with_drift_budget(mut self, budget_ev_per_1k: f64) -> RunRecorder {
         self.drift = DriftWatchdog::new(budget_ev_per_1k);
-        self
-    }
-
-    /// Replace the eigensolver residual warn threshold (eV).
-    pub fn with_eig_residual_budget(mut self, budget: f64) -> RunRecorder {
-        self.eig_residual_budget = budget;
         self
     }
 
@@ -270,13 +262,13 @@ impl RunRecorder {
         sink::set_gauge(Gauge::EigResidual, health.residual_inf);
         sink::set_gauge(Gauge::EigOrthogonality, health.orthogonality);
         self.write_line(&health.to_json())?;
-        if health.residual_inf > self.eig_residual_budget {
+        if health.residual_inf > RunRecorder::DEFAULT_EIG_RESIDUAL_BUDGET {
             let mut warn = JsonValue::object();
             warn.set("type", "warn")
                 .set("watchdog", "eig_health")
                 .set("step", health.step)
                 .set("residual_inf", health.residual_inf)
-                .set("allowed", self.eig_residual_budget);
+                .set("allowed", RunRecorder::DEFAULT_EIG_RESIDUAL_BUDGET);
             self.warns += 1;
             self.write_line(&warn)?;
         }

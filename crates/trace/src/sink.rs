@@ -11,7 +11,10 @@
 //! session's recorder, a serve tenant, a report section, a test — creates a
 //! scope, enters it on the thread that drives the run and reads it back
 //! ([`ScopedSink::snapshot`], [`ScopedSink::histograms`]); nothing is
-//! installed and nothing outlives the scope.
+//! installed and nothing outlives the scope. A scope made with
+//! [`ScopedSink::with_timeline`] also keeps the interval of every [`Span`]
+//! that closes inside it, so two captures in one process never see each
+//! other's spans.
 //!
 //! Layout follows the `log`-crate pattern: one relaxed load of the `LIVE`
 //! word (entered scopes over all threads) guards every hook, so with no
@@ -31,6 +34,8 @@
 
 use crate::hist::{Hist, Histogram, HistogramSet};
 use crate::metrics::{Counter, Gauge, Phase, TraceSnapshot};
+use crate::timeline::{self, SpanEvent, SpanName, Timeline};
+use crate::JsonValue;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,21 +58,22 @@ struct Shared {
     hists: [Histogram; Hist::COUNT],
     /// Per-rank child views, indexed by rank id ([`ScopedSink::rank`]).
     ranks: Mutex<Vec<ScopedSink>>,
+    /// The span capture, for a scope made with [`ScopedSink::with_timeline`].
+    timeline: Option<Timeline>,
 }
 
-impl Default for Shared {
-    fn default() -> Shared {
+impl Shared {
+    fn new(timeline: Option<Timeline>) -> Shared {
         Shared {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| Histogram::default()),
             ranks: Mutex::new(Vec::new()),
+            timeline,
         }
     }
-}
 
-impl Shared {
     fn snapshot(&self) -> TraceSnapshot {
         let mut snap = TraceSnapshot::default();
         for (slot, atom) in snap.counters.iter_mut().zip(&self.counters) {
@@ -99,6 +105,9 @@ impl Shared {
             hist.reset();
         }
         self.ranks.lock().expect(RANKS_POISONED).clear();
+        if let Some(timeline) = &self.timeline {
+            timeline.clear();
+        }
     }
 }
 
@@ -118,7 +127,18 @@ impl ScopedSink {
     pub fn new(label: &str) -> ScopedSink {
         ScopedSink {
             label: Arc::from(label),
-            shared: Arc::new(Shared::default()),
+            shared: Arc::new(Shared::new(None)),
+        }
+    }
+
+    /// A fresh scope that also records a span timeline: the interval of
+    /// every [`Span`] that closes on a thread while it has this scope
+    /// entered, read back with [`ScopedSink::events`] or
+    /// [`ScopedSink::export_chrome`]. Timestamp zero is now.
+    pub fn with_timeline(label: &str) -> ScopedSink {
+        ScopedSink {
+            label: Arc::from(label),
+            shared: Arc::new(Shared::new(Some(Timeline::new()))),
         }
     }
 
@@ -179,10 +199,41 @@ impl ScopedSink {
         self.shared.counters[counter.index()].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Zero this scope's storage and drop its rank views. Snapshot deltas
-    /// across a reset saturate at zero; callers own that coordination.
+    /// The captured timeline: `(tid, events)` per recording thread (tids
+    /// in order of first event), events in start order. Empty for a scope
+    /// made without one.
+    pub fn events(&self) -> Vec<(usize, Vec<SpanEvent>)> {
+        self.shared
+            .timeline
+            .as_ref()
+            .map_or_else(Vec::new, Timeline::events)
+    }
+
+    /// Timeline events evicted from full per-thread rings (0 = complete).
+    pub fn dropped_events(&self) -> u64 {
+        self.shared.timeline.as_ref().map_or(0, Timeline::dropped)
+    }
+
+    /// The captured timeline as Chrome `trace_event` JSON: write the
+    /// compact form to a file and open it in `chrome://tracing` or
+    /// Perfetto.
+    pub fn export_chrome(&self) -> JsonValue {
+        timeline::chrome_trace(self.events())
+    }
+
+    /// Zero this scope's storage (timeline included) and drop its rank
+    /// views. Snapshot deltas across a reset saturate at zero; callers own
+    /// that coordination.
     pub fn reset(&self) {
         self.shared.reset();
+    }
+}
+
+/// A span named after a scope: how a scheduler labels a tenant's quantum
+/// with the tenant scope's label without copying it.
+impl From<&ScopedSink> for SpanName {
+    fn from(scope: &ScopedSink) -> SpanName {
+        SpanName::Shared(Arc::clone(&scope.label))
     }
 }
 
@@ -265,7 +316,8 @@ pub fn record_ns(hist: Hist, ns: u64) {
     });
 }
 
-/// RAII span over one phase. Engines time a phase as
+/// RAII span over one phase or one labelled interval. Engines time a
+/// phase as
 ///
 /// ```ignore
 /// let sp = tbmd_trace::span(Phase::Diagonalize);
@@ -273,34 +325,48 @@ pub fn record_ns(hist: Hist, ns: u64) {
 /// timings.diagonalize = sp.finish(); // Duration back to the caller
 /// ```
 ///
-/// `finish()` (or drop) adds the elapsed wall time to the monotonic phase
-/// timer and the phase's latency histogram of every scope this thread has
-/// entered; the returned [`Duration`] is measured either way, so
+/// `finish()` (or drop) adds the elapsed wall time to the latency histogram
+/// (and, for a phase, the monotonic phase timer) of every scope this thread
+/// has entered, and deposits the interval into each of those scopes that
+/// records a timeline; the returned [`Duration`] is measured either way, so
 /// `PhaseTimings` keeps its exact pre-trace values when nobody listens. A
 /// rank thread's spans reach its launcher's scopes and its own rank view,
-/// which is how per-rank breakdowns see phase time. When the
-/// [`crate::timeline`] recorder is armed, every span also emits a
-/// timestamped interval into the per-thread ring buffer.
+/// which is how per-rank breakdowns see phase time.
 #[derive(Debug)]
-pub struct PhaseSpan {
-    phase: Phase,
+pub struct Span {
+    name: SpanName,
+    phase: Option<Phase>,
+    hist: Hist,
     start: Instant,
     armed: bool,
-    timeline: Option<u16>,
 }
 
 /// Open a span on `phase`, clocked from now.
 #[inline]
-pub fn span(phase: Phase) -> PhaseSpan {
-    PhaseSpan {
-        phase,
+pub fn span(phase: Phase) -> Span {
+    Span {
+        name: SpanName::Static(phase.name()),
+        phase: Some(phase),
+        hist: Hist::for_phase(phase),
         start: Instant::now(),
         armed: true,
-        timeline: crate::timeline::open(),
     }
 }
 
-impl PhaseSpan {
+/// Open a labelled interval that is not a phase — an MD step, a tenant's
+/// scheduler quantum — recorded into `hist` and, in a timeline, as `name`.
+#[inline]
+pub fn interval(hist: Hist, name: impl Into<SpanName>) -> Span {
+    Span {
+        name: name.into(),
+        phase: None,
+        hist,
+        start: Instant::now(),
+        armed: true,
+    }
+}
+
+impl Span {
     /// Elapsed time so far without closing the span.
     #[inline]
     pub fn elapsed(&self) -> Duration {
@@ -312,14 +378,15 @@ impl PhaseSpan {
         self.armed = false;
         let d = self.start.elapsed();
         let ns = d.as_nanos() as u64;
-        let (phase, hist) = (self.phase, Hist::for_phase(self.phase));
         dispatch(|s| {
-            s.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
-            s.hists[hist.index()].record(ns);
+            if let Some(phase) = self.phase {
+                s.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
+            }
+            s.hists[self.hist.index()].record(ns);
+            if let Some(timeline) = &s.timeline {
+                timeline.record(&self.name, self.start, ns);
+            }
         });
-        if let Some(depth) = self.timeline.take() {
-            crate::timeline::close(self.phase.name(), self.start, d, depth);
-        }
         d
     }
 
@@ -331,7 +398,7 @@ impl PhaseSpan {
     }
 }
 
-impl Drop for PhaseSpan {
+impl Drop for Span {
     fn drop(&mut self) {
         if self.armed {
             self.close();

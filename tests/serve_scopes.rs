@@ -1,9 +1,11 @@
 //! A `Multiplexer` owns its telemetry: one root scope per `ServeStats`, one
 //! scope per tenant, nothing shared with another multiplexer in the same
-//! process and nothing that depends on who happened to be listening.
+//! process and nothing that depends on who happened to be listening — its
+//! span timeline included.
 
+use tbmd::trace::JsonValue;
 use tbmd::{EngineKind, Hist, SimulationConfig, SystemSpec};
-use tbmd_serve::{JobSpec, Multiplexer};
+use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 
 fn job(name: &str, steps: usize, quantum: usize) -> JobSpec {
     let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, steps);
@@ -80,4 +82,61 @@ fn two_multiplexers_share_no_totals() {
         "{prom}"
     );
     assert!(!left.stats().to_prometheus().contains("rank="));
+}
+
+/// Two multiplexers with a timeline each, ticked alternately on one thread:
+/// each export holds exactly its own tenants' quanta, and every step and
+/// phase span in it belongs to one of those quanta — nothing of the other
+/// multiplexer's run leaks in.
+#[test]
+fn two_timelines_hold_only_their_own_tenants() {
+    let mut left = Multiplexer::with_stats(ServeStats::with_timeline());
+    let mut right = Multiplexer::with_stats(ServeStats::with_timeline());
+    left.submit(job("l1", 6, 2), std::io::sink());
+    left.submit(job("l2", 4, 2), std::io::sink());
+    right.submit(job("r1", 9, 3), std::io::sink());
+    while left.tick() | right.tick() {}
+
+    let check = |mux: &Multiplexer, tenants: &[(&str, usize)], steps: usize| {
+        let chrome = mux.stats().export_chrome().to_compact();
+        let parsed = JsonValue::parse(&chrome).expect("chrome trace parses");
+        let events = parsed
+            .get("traceEvents")
+            .and_then(|v| v.as_array())
+            .unwrap();
+        let field = |e: &JsonValue, k: &str| e.get(k).and_then(|v| v.as_f64()).unwrap();
+        let name = |e: &JsonValue| e.get("name").and_then(|n| n.as_str()).unwrap().to_string();
+        let span = |e: &JsonValue| {
+            let ts = field(e, "ts");
+            (ts, ts + field(e, "dur"))
+        };
+        // One recording thread: the one that ticked.
+        assert!(events.iter().all(|e| field(e, "tid") == 0.0));
+        let quanta: Vec<_> = events
+            .iter()
+            .filter(|e| name(e).starts_with(['l', 'r']))
+            .collect();
+        for (tenant, count) in tenants {
+            let n = quanta.iter().filter(|q| name(q) == *tenant).count();
+            assert_eq!(n, *count, "quanta of {tenant}");
+        }
+        assert_eq!(quanta.len(), tenants.iter().map(|t| t.1).sum::<usize>());
+        let in_a_quantum = |e: &JsonValue| {
+            let (s0, s1) = span(e);
+            quanta.iter().any(|q| {
+                let (q0, q1) = span(q);
+                q0 <= s0 + 1e-3 && s1 <= q1 + 1e-3
+            })
+        };
+        let step_spans: Vec<_> = events.iter().filter(|e| name(e) == "step").collect();
+        assert_eq!(step_spans.len(), steps);
+        assert!(step_spans.iter().all(|s| in_a_quantum(s)));
+        // Forces once per step plus each tenant's initial evaluation, which
+        // runs on its first step: all inside a quantum.
+        let forces: Vec<_> = events.iter().filter(|e| name(e) == "forces").collect();
+        assert_eq!(forces.len(), steps + tenants.len());
+        assert!(forces.iter().all(|f| in_a_quantum(f)));
+    };
+    check(&left, &[("l1", 3), ("l2", 2)], 10);
+    check(&right, &[("r1", 3)], 9);
 }

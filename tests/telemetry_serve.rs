@@ -8,13 +8,14 @@
 //! ledger shows all three tenants retired.
 //!
 //! Counters, gauges and histograms are observed through a [`ScopedSink`]
-//! entered on the test's own thread (the scheduler ticks on it), not the
-//! process-global sink. The test still owns the process-global budget and
-//! timeline, so it lives in its own integration binary (one process).
+//! entered on the test's own thread (the scheduler ticks on it), and the
+//! span timeline is the multiplexer's own (its root scope's capture, as
+//! `tbmd-serve --timeline` arms it). The test owns the process-wide compute
+//! budget, so it lives in its own integration binary (one process).
 
-use tbmd::trace::{timeline, Gauge, JsonValue};
+use tbmd::trace::{Gauge, JsonValue};
 use tbmd::{configure_budget, ScopedSink, SimulationConfig, SystemSpec};
-use tbmd_serve::{JobSpec, Multiplexer, Request, StatsFormat};
+use tbmd_serve::{JobSpec, Multiplexer, Request, ServeStats, StatsFormat};
 
 const STEPS: usize = 12;
 const QUANTUM: usize = 4;
@@ -33,11 +34,10 @@ fn tenant_config(i: usize) -> SimulationConfig {
 fn three_tenants_answer_stats_mid_run() {
     let scope = ScopedSink::new("telemetry-test");
     let _observing = scope.enter();
-    timeline::enable(0);
     configure_budget(2);
     tbmd::parallel::reset_high_water();
 
-    let mut mux = Multiplexer::new();
+    let mut mux = Multiplexer::with_stats(ServeStats::with_timeline());
     for i in 0..3 {
         let mut spec = JobSpec::new(format!("tenant-{i}"), tenant_config(i));
         spec.quantum = QUANTUM;
@@ -125,7 +125,7 @@ fn three_tenants_answer_stats_mid_run() {
 
     // The timeline captured tenant-labelled quantum intervals with the MD
     // step spans nested inside them, and the export round-trips.
-    let chrome = timeline::export_chrome().to_compact();
+    let chrome = stats.export_chrome().to_compact();
     let parsed = JsonValue::parse(&chrome).expect("chrome trace parses");
     let events = parsed
         .get("traceEvents")
@@ -141,8 +141,8 @@ fn three_tenants_answer_stats_mid_run() {
         .filter(|e| name(e).starts_with("tenant-"))
         .collect();
     let steps: Vec<_> = events.iter().filter(|e| name(e) == "step").collect();
-    assert!(!quanta.is_empty(), "no tenant quantum spans captured");
-    assert!(!steps.is_empty(), "no step spans captured");
+    assert_eq!(quanta.len(), 3 * STEPS / QUANTUM, "one span per quantum");
+    assert_eq!(steps.len(), 3 * STEPS, "one span per step");
     // Every step interval nests inside some tenant quantum (µs rounding
     // slack at both edges).
     for s in &steps {
@@ -156,6 +156,5 @@ fn three_tenants_answer_stats_mid_run() {
         );
     }
 
-    timeline::disable();
     configure_budget(0);
 }

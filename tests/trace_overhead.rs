@@ -122,22 +122,20 @@ fn disabled_sink_md_is_bitwise_identical_and_allocation_free() {
     );
 }
 
-/// The span-timeline recorder captures the same MD run as nested
+/// A scope that records a timeline captures the same MD run as nested
 /// intervals, and the Chrome `trace_event` export parses back through the
-/// in-tree JSON parser with phase spans contained in the capture window.
+/// in-tree JSON parser. The capture is this scope's alone, so the counts are
+/// exact: one `forces` and one `diagonalize` span per step plus the initial
+/// evaluation.
 #[test]
 fn timeline_capture_exports_nested_chrome_trace() {
-    tbmd::trace::timeline::enable(0);
-    let scope = ScopedSink::new("overhead-test");
+    let scope = ScopedSink::with_timeline("overhead-test");
     {
         let _guard = scope.enter();
         let _ = trajectory_bits(5);
     }
-    let chrome = tbmd::trace::timeline::export_chrome().to_compact();
-    tbmd::trace::timeline::disable();
-
-    // The scoped sink mirrored the phase histograms of exactly this run
-    // (5 steps + the initial evaluation).
+    let chrome = scope.export_chrome().to_compact();
+    assert_eq!(scope.dropped_events(), 0);
     assert_eq!(
         scope.histograms().hist(Hist::Forces).count(),
         6,
@@ -149,23 +147,15 @@ fn timeline_capture_exports_nested_chrome_trace() {
         .get("traceEvents")
         .and_then(|v| v.as_array())
         .expect("traceEvents array");
-    // This test's own spans are the phase names; other tests in this
-    // binary may interleave, so filter to the phases we know we emitted.
-    let mine: Vec<_> = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.get("name").and_then(|n| n.as_str()),
-                Some("diagonalize") | Some("forces")
-            )
-        })
-        .collect();
-    assert!(
-        mine.len() >= 10,
-        "expected >= 10 phase spans in the capture, got {}",
-        mine.len()
-    );
-    for ev in mine {
+    let named = |phase: &str| {
+        events
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(phase))
+            .count()
+    };
+    assert_eq!(named("forces"), 6);
+    assert_eq!(named("diagonalize"), 6);
+    for ev in events {
         assert_eq!(ev.get("ph").and_then(|p| p.as_str()), Some("X"));
         let ts = ev.get("ts").and_then(|v| v.as_f64()).expect("ts");
         let dur = ev.get("dur").and_then(|v| v.as_f64()).expect("dur");
