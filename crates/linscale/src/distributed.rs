@@ -19,9 +19,7 @@ use tbmd_model::{
     bond_force, embedding, validate, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
     TbError, TbModel, Workspace,
 };
-use tbmd_parallel::{
-    gather_forces, partition_range, PhaseClock, RankControl, RankWorkspacePool, Replica, VmpStats,
-};
+use tbmd_parallel::{gather_forces, partition_range, PhaseClock, RankControl, Replica, VmpStats};
 use tbmd_structure::Structure;
 
 /// Report of the most recent distributed O(N) evaluation.
@@ -62,13 +60,13 @@ pub struct DistributedLinearScalingTb<'m> {
     pub order: usize,
     /// Localization radius (Å).
     pub r_loc: f64,
-    /// Rank count, fault plans, failure-detection window, shrink/respawn;
+    /// Rank count, fault plans, shrink/respawn;
     /// the per-atom `partition_range` decomposition follows the active
     /// rank count each evaluation.
     pub ranks: RankControl,
     last_report: Mutex<Option<DistributedLinScaleReport>>,
-    /// Per-rank workspace slots, persisted across steps.
-    pool: Mutex<RankWorkspacePool<LinScaleRankSlot>>,
+    /// One workspace slot per rank, persisted across steps.
+    slots: Mutex<Vec<LinScaleRankSlot>>,
 }
 
 impl<'m> DistributedLinearScalingTb<'m> {
@@ -82,7 +80,7 @@ impl<'m> DistributedLinearScalingTb<'m> {
             r_loc: f64::INFINITY,
             ranks: RankControl::new(n_ranks),
             last_report: Mutex::new(None),
-            pool: Mutex::new(RankWorkspacePool::new()),
+            slots: Mutex::new(Vec::new()),
         }
     }
 
@@ -138,12 +136,12 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
         let n_atoms = s.n_atoms();
         let (kt, order, r_loc) = (self.kt, self.order, self.r_loc);
 
-        // The Auto failure-detection window scales on the orbital count
-        // like the dense engine's; for the O(N) engine this overestimates
+        // The failure-detection window scales on the orbital count like the
+        // dense engine's; for the O(N) engine this overestimates
         // the skew (conservative = slower detection of real faults, never
         // false positives), and it is capped either way.
         let launch = self.ranks.launch(
-            &self.pool,
+            &self.slots,
             |_| 0,
             4 * n_atoms,
             ws,

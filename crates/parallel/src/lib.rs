@@ -10,7 +10,6 @@
 
 pub mod cost_model;
 pub mod distributed;
-pub mod pool;
 pub mod ranks;
 pub mod shared;
 pub mod vmp;
@@ -19,7 +18,6 @@ pub use cost_model::{
     estimate_cost, scaling, sliced_wire_bytes, CostEstimate, MachineProfile, Scaling,
 };
 pub use distributed::{DistributedReport, DistributedTb};
-pub use pool::RankWorkspacePool;
 pub use ranks::{gather_forces, Launch, PhaseClock, RankControl, Replica};
 pub use shared::{par_build_hamiltonian_into, par_forces, shared_memory_tb, FAN_OUT};
 // The process compute budget lives in `tbmd-linalg` (the lowest layer every
@@ -30,7 +28,6 @@ pub use tbmd_linalg::budget::{
     try_lease, ComputeLease,
 };
 pub use vmp::{
-    default_recv_timeout, live_vmp_workers, partition_range, vmp_run, vmp_run_opts, CancelToken,
-    FaultKind, FaultPlan, Rank, RankFault, RankStats, RecvTimeoutPolicy, VmpError, VmpFault,
-    VmpOptions, VmpStats,
+    default_recv_timeout, partition_range, vmp_run, FaultKind, FaultPlan, Rank, RankFault,
+    RankStats, VmpError, VmpStats,
 };

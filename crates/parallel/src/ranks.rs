@@ -1,27 +1,33 @@
 //! What every replicated-data engine on the virtual machine needs besides
-//! its solve: the rank-control block (fault plans, failure-detection
-//! window, shrink/respawn), the launch bookkeeping around
-//! [`vmp_run_opts`], the per-rank geometry replica, the phase clock that
-//! carves collective waits out of compute phases, and the force gather.
-//! [`crate::DistributedTb`] and `tbmd-linscale`'s distributed O(N) engine
-//! are both written on top of these.
+//! its solve: the rank-control block (fault plans, shrink/respawn), the
+//! launch bookkeeping around a virtual-machine run (failure-detection
+//! window, per-rank slots), the per-rank geometry replica, the phase clock
+//! that carves collective waits out of compute phases, and the force
+//! gather. [`crate::DistributedTb`] and `tbmd-linscale`'s distributed O(N)
+//! engine are both written on top of these.
 
-use crate::pool::{lock, RankWorkspacePool};
 use crate::vmp::{
-    vmp_run_opts, FaultPlan, Rank, RecvTimeoutPolicy, VmpFault, VmpOptions, VmpStats,
+    default_recv_timeout, vmp_run_opts, FaultPlan, Rank, VmpFault, VmpOptions, VmpStats,
+    DEFAULT_FAULT_RECV_TIMEOUT,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tbmd_linalg::Vec3;
 use tbmd_model::{epilogue, NeighborWorkspace, PhaseTimings, TbError, Workspace};
 use tbmd_structure::{NeighborList, Structure};
 use tbmd_trace::Phase;
 
+/// Lock `m`, poisoned or not: whatever a panicking holder left behind is
+/// reset or rewritten before it is read again.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Rank-control block of a distributed engine: how many ranks the next
-/// evaluation launches, which fault (if any) it injects, and how long a
-/// silent peer is waited for. Everything is settable through `&self`, so a
-/// driver can steer an engine it has already handed to an integrator.
+/// evaluation launches and which fault (if any) it injects. Everything is
+/// settable through `&self`, so a driver can steer an engine it has already
+/// handed to an integrator.
 #[derive(Debug)]
 pub struct RankControl {
     /// Configured rank count ([`RankControl::respawn_full_ranks`] restores it).
@@ -30,15 +36,13 @@ pub struct RankControl {
     fault_plan: Mutex<Option<FaultPlan>>,
     /// Evaluations launched so far (plans are 1-based against this).
     evals: AtomicU64,
-    /// Failure-detection window policy (default: size-scaled `Auto`).
-    recv_timeout: Mutex<RecvTimeoutPolicy>,
     /// Currently active rank count: starts at `n_ranks`, shrinks when a
     /// resilient driver re-shards over the survivors after a rank failure.
     /// Engines compute every `partition_range` slice boundary from the
     /// launch's rank count, so a shrunken engine redistributes the dead
     /// rank's shards automatically.
     active: AtomicUsize,
-    /// Set by whatever can leave the pool's [`Replica`]s updated apart: a
+    /// Set by whatever can leave the slots' [`Replica`]s updated apart: a
     /// failed launch (a killed rank never saw the positions its survivors
     /// updated at) and a change of the active set (a rank outside it sleeps
     /// through rebuilds). The next launch starts every replica over, so the
@@ -55,7 +59,6 @@ impl RankControl {
             n_ranks,
             fault_plan: Mutex::new(None),
             evals: AtomicU64::new(0),
-            recv_timeout: Mutex::new(RecvTimeoutPolicy::Auto),
             active: AtomicUsize::new(n_ranks),
             replicas_apart: AtomicBool::new(false),
         }
@@ -68,18 +71,6 @@ impl RankControl {
     pub fn arm(&self, plan: FaultPlan) {
         assert!(plan.rank < self.n_ranks, "fault rank out of range");
         *lock(&self.fault_plan) = Some(plan);
-    }
-
-    /// Set the failure-detection policy. With `Fixed(window)` a *real*
-    /// stalled or dead rank is presumed dead after `window` of collective
-    /// silence instead of the size-scaled `Auto` default.
-    pub fn set_recv_timeout(&self, policy: RecvTimeoutPolicy) {
-        *lock(&self.recv_timeout) = policy;
-    }
-
-    /// Current failure-detection policy.
-    pub fn recv_timeout_policy(&self) -> RecvTimeoutPolicy {
-        *lock(&self.recv_timeout)
     }
 
     /// Ranks the next evaluation will launch (≤ `n_ranks` after a shrink).
@@ -127,18 +118,20 @@ impl RankControl {
     }
 
     /// Launch one evaluation over the active ranks: take the due fault,
-    /// resolve the failure-detection window for an `n_orb`-dimensional
-    /// problem, hand every rank its locked pool slot — replicas reset first
-    /// if an earlier failure or re-shard may have left them apart — and map a
-    /// failed launch to [`TbError::RankFailure`]. Rank 0 returns the assembled
-    /// result and its per-phase clocks — the canonical wall-clock view
-    /// (per-rank spans would add up time-shared threads), fed to the trace
-    /// registry here, once. Pool growth (slot creation plus `grown` per
-    /// slot) lands in `ws.grown`, so the O(1)-allocation guarantee stays
-    /// observable through the uniform `Workspace::large_alloc_events`.
+    /// choose the failure-detection window — [`DEFAULT_FAULT_RECV_TIMEOUT`]
+    /// when a fault fires, else [`default_recv_timeout`] for an
+    /// `n_orb`-dimensional problem — hand rank `i` `&mut slots[i]` (grown to
+    /// the active count; replicas reset first if an earlier failure or
+    /// re-shard may have left them apart) and map a failed launch to
+    /// [`TbError::RankFailure`]. Rank 0 returns the assembled result and its
+    /// per-phase clocks — the canonical wall-clock view (per-rank spans
+    /// would add up time-shared threads), fed to the trace registry here,
+    /// once. Slot growth (new slots plus `grown` per slot) lands in
+    /// `ws.grown`, so the O(1)-allocation guarantee stays observable through
+    /// the uniform `Workspace::large_alloc_events`.
     pub fn launch<S, T>(
         &self,
-        pool: &Mutex<RankWorkspacePool<S>>,
+        slots: &Mutex<Vec<S>>,
         grown: fn(&S) -> usize,
         n_orb: usize,
         ws: &mut Workspace,
@@ -151,31 +144,34 @@ impl RankControl {
         let n_ranks = self.active_ranks();
         let fault = self.take_due_fault(n_ranks);
         let opts = VmpOptions {
-            recv_timeout: Some(
-                self.recv_timeout_policy()
-                    .resolve(n_orb, n_ranks, fault.is_some()),
-            ),
+            recv_timeout: match fault {
+                Some(_) => DEFAULT_FAULT_RECV_TIMEOUT,
+                None => default_recv_timeout(n_orb, n_ranks),
+            },
             fault,
         };
-        let mut pool = lock(pool);
-        pool.ensure(n_ranks);
-        if self.replicas_apart.swap(false, Ordering::SeqCst) {
-            pool.for_each(|slot| *slot.as_mut() = Replica::default());
+        let mut slots = lock(slots);
+        let allocated = |slots: &[S]| slots.len() + slots.iter().map(grown).sum::<usize>();
+        let alloc_before = allocated(&slots);
+        if slots.len() < n_ranks {
+            slots.resize_with(n_ranks, S::default);
         }
-        let alloc_before = pool.created() + pool.total(grown);
-        let pool_ref = &*pool;
-        let (mut results, stats) = vmp_run_opts(n_ranks, opts, |mut rank| {
-            let mut slot = lock(pool_ref.slot(rank.id()));
-            f(&mut rank, &mut slot)
-        })
-        .map_err(|e| {
+        if self.replicas_apart.swap(false, Ordering::SeqCst) {
+            for slot in slots.iter_mut() {
+                *slot.as_mut() = Replica::default();
+            }
+        }
+        let run = vmp_run_opts(&mut slots[..n_ranks], opts, |mut rank, slot| {
+            f(&mut rank, slot)
+        });
+        let (mut results, stats) = run.map_err(|e| {
             self.replicas_apart.store(true, Ordering::SeqCst);
             TbError::RankFailure {
                 failed_ranks: e.failed_ranks(),
                 detail: e.to_string(),
             }
         })?;
-        let grew = pool.created() + pool.total(grown) - alloc_before;
+        let grew = allocated(&slots) - alloc_before;
         ws.grown += grew;
         let (result, timings) = results
             .swap_remove(0)

@@ -9,85 +9,57 @@
 //! and is reproduced exactly; only the wire is simulated.
 //!
 //! Semantics follow early-MPI practice: ranked processes, blocking matched
-//! `send`/`recv` with tags, and collectives (barrier, broadcast, reduce,
-//! allreduce, gather, allgather) built from point-to-point messages
-//! so that collective traffic is accounted at the same level the 1994 codes
-//! paid for it.
+//! `send`/`recv` with tags, and collectives (broadcast, reduce, allreduce,
+//! allgather) built from point-to-point messages so that collective traffic
+//! is accounted at the same level the 1994 codes paid for it.
+//!
+//! A launch is a [`std::thread::scope`] with one thread per rank and one
+//! [`std::sync::mpsc`] channel into each rank; it cannot return while any
+//! of its ranks is still alive.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Shared cancellation flag of one [`vmp_run_opts`] launch.
-///
-/// Set by the first rank that detects a failure (receive timeout, hung-up
-/// peer, or its own unwinding) and observed by every blocked receive and
-/// every injected stall, so the surviving workers drain within one polling
-/// tick instead of each waiting out its own full window — or, with no
-/// window configured, blocking until process exit.
+/// Shared cancellation flag of one launch: set by the first rank that
+/// detects a failure (receive timeout, hung-up peer, or its own unwinding)
+/// and observed by every blocked receive and every injected stall, so the
+/// surviving ranks drain within one polling tick instead of each waiting
+/// out its own full window.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
-    pub fn new() -> Self {
-        CancelToken(Arc::new(AtomicBool::new(false)))
-    }
-
     /// Latch the token; idempotent.
-    pub fn cancel(&self) {
+    fn cancel(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
 
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
 }
 
-/// Process-wide census of live Vmp worker threads. [`vmp_run_opts`] joins
-/// every worker before returning, so outside a launch this returns to its
-/// prior value — the invariant the chaos gates assert (no leaked stalled
-/// workers across recoveries).
-static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+/// Held by each rank thread for its whole lifetime: if the rank unwinds for
+/// any reason — including a panic in user code that never reaches a typed
+/// failure site — it latches the launch's cancellation token so the
+/// survivors drain.
+struct CancelOnUnwind(CancelToken);
 
-/// Number of Vmp worker threads currently alive in this process.
-pub fn live_vmp_workers() -> usize {
-    LIVE_WORKERS.load(Ordering::SeqCst)
-}
-
-/// Census + cancellation guard held by each worker for its whole lifetime:
-/// registers the thread on construction and, on drop, deregisters it and —
-/// if the worker is unwinding — latches the launch's cancellation token so
-/// the survivors drain. Catches every exit path, including panics in user
-/// closures that never reach a typed failure site.
-struct WorkerGuard {
-    cancel: CancelToken,
-}
-
-impl WorkerGuard {
-    fn new(cancel: CancelToken) -> Self {
-        LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
-        WorkerGuard { cancel }
-    }
-}
-
-impl Drop for WorkerGuard {
+impl Drop for CancelOnUnwind {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.cancel.cancel();
+            self.0.cancel();
         }
-        LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Polling tick for cancellation checks while blocked in a windowed
-/// receive: small enough that survivors drain promptly after a peer
-/// failure, large enough that idle wakeups stay negligible.
+/// Polling tick for cancellation checks while blocked in a receive: small
+/// enough that survivors drain promptly after a peer failure, large enough
+/// that idle wakeups stay negligible.
 const CANCEL_POLL: Duration = Duration::from_millis(20);
-/// Tick while waiting with no window configured (classic infinite wait —
-/// only cancellation can interrupt it, so poll lazily).
-const CANCEL_POLL_IDLE: Duration = Duration::from_millis(100);
 /// Tick between cancellation checks inside an injected stall.
 const STALL_POLL: Duration = Duration::from_millis(10);
 
@@ -122,38 +94,39 @@ pub struct FaultPlan {
     pub kind: FaultKind,
 }
 
-/// One fault to inject into a single [`vmp_run_opts`] launch.
+/// One fault to inject into a single launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VmpFault {
+pub(crate) struct VmpFault {
     pub rank: usize,
     pub kind: FaultKind,
 }
 
-/// Failure-detection and fault-injection knobs of [`vmp_run_opts`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VmpOptions {
-    /// Collective-level failure detection: a blocking receive that sees no
-    /// matching message within this window panics (with a typed payload the
-    /// driver converts into [`VmpError`]) instead of hanging forever.
-    /// `None` keeps the classic infinite wait.
-    pub recv_timeout: Option<Duration>,
+/// Failure-detection window and fault injection of one [`vmp_run_opts`]
+/// launch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VmpOptions {
+    /// A blocking receive that sees no message within this window panics
+    /// (with a typed payload the driver converts into [`VmpError`]) instead
+    /// of hanging the collective.
+    pub recv_timeout: Duration,
     /// Inject this fault into the launch.
     pub fault: Option<VmpFault>,
 }
 
-/// Receive window applied when a fault is injected without an explicit
-/// timeout: long enough for real Si-scale collectives between healthy ranks,
-/// short enough that tests detect the dead rank quickly.
+/// Receive window of a launch with an injected fault: long enough for real
+/// Si-scale collectives between healthy ranks, short enough that tests
+/// detect the dead rank quickly.
 pub const DEFAULT_FAULT_RECV_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Size-scaled failure-detection window for production (non-fault-injected)
-/// distributed runs: a 2 s floor covering scheduler hiccups plus a term
-/// proportional to the worst-case compute skew between ranks. The skew term
-/// scales as the replicated O(n³) dense work times the rank count, because
-/// the virtual ranks time-share physical cores and the slowest rank may run
-/// an entire evaluation's compute after its peers posted their receives.
-/// Since any arriving message restarts a rank's window, the window only has
-/// to outlast one compute+communication gap, not a whole evaluation chain.
+/// Size-scaled failure-detection window of a launch without an injected
+/// fault: a 2 s floor covering scheduler hiccups plus a term proportional
+/// to the worst-case compute skew between ranks, capped at 10 min. The skew
+/// term scales as the replicated O(n³) dense work times the rank count,
+/// because the virtual ranks time-share physical cores and the slowest rank
+/// may run an entire evaluation's compute after its peers posted their
+/// receives. Since any arriving message restarts a rank's window, the
+/// window only has to outlast one compute+communication gap, not a whole
+/// evaluation chain.
 pub fn default_recv_timeout(n: usize, ranks: usize) -> Duration {
     const FLOOR: Duration = Duration::from_secs(2);
     // ~2 ns per dense flop of skew budget, times the oversubscription factor.
@@ -165,33 +138,6 @@ pub fn default_recv_timeout(n: usize, ranks: usize) -> Duration {
         .saturating_mul(2)
         .min(600_000_000_000); // cap at 10 min
     FLOOR + Duration::from_nanos(skew_ns)
-}
-
-/// Failure-detection window policy of a distributed engine. Resolved to a
-/// concrete [`VmpOptions::recv_timeout`] per launch, so the window can track
-/// the problem size and the active rank count across re-shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecvTimeoutPolicy {
-    /// Size-scaled default window from [`default_recv_timeout`]. When a
-    /// fault plan is armed, the short [`DEFAULT_FAULT_RECV_TIMEOUT`]
-    /// applies instead: injected faults are test/bench scenarios that want
-    /// fast detection, while production runs keep the generous window.
-    #[default]
-    Auto,
-    /// Fixed window regardless of problem size.
-    Fixed(Duration),
-}
-
-impl RecvTimeoutPolicy {
-    /// Concrete window for a launch of `ranks` ranks over an `n`-dimensional
-    /// problem, with or without an armed injected fault.
-    pub fn resolve(self, n: usize, ranks: usize, fault_armed: bool) -> Duration {
-        match self {
-            RecvTimeoutPolicy::Auto if fault_armed => DEFAULT_FAULT_RECV_TIMEOUT,
-            RecvTimeoutPolicy::Auto => default_recv_timeout(n, ranks),
-            RecvTimeoutPolicy::Fixed(d) => d,
-        }
-    }
 }
 
 /// Typed panic payload raised inside a rank when it (or a peer) fails; the
@@ -321,7 +267,7 @@ impl VmpStats {
     }
 }
 
-/// A rank's handle onto the virtual machine. One per spawned worker.
+/// A rank's handle onto the virtual machine. One per rank thread.
 pub struct Rank {
     id: usize,
     size: usize,
@@ -330,8 +276,8 @@ pub struct Rank {
     /// Out-of-order messages parked until a matching recv.
     stash: VecDeque<Message>,
     counters: Arc<Vec<RankCounters>>,
-    /// Failure-detection window for blocking receives (None = wait forever).
-    recv_timeout: Option<Duration>,
+    /// Failure-detection window for blocking receives.
+    recv_timeout: Duration,
     /// Launch-wide cancellation flag; latched by the first failure.
     cancel: CancelToken,
 }
@@ -395,13 +341,11 @@ impl Rank {
         }
     }
 
-    /// Blocking tagged receive from a specific source rank. With a
-    /// failure-detection window configured ([`VmpOptions::recv_timeout`]),
-    /// an expired wait unwinds with a typed [`RankFault`] instead of
-    /// hanging the collective forever. The wait is chunked into short
-    /// polling ticks so a launch-wide cancellation (a peer's detected
-    /// failure) drains this rank within one tick — even with no window
-    /// configured, where the wait is otherwise unbounded.
+    /// Blocking tagged receive from a specific source rank. A wait that
+    /// outlasts the launch's failure-detection window unwinds with a typed
+    /// [`RankFault`] instead of hanging the collective. The wait is chunked
+    /// into short polling ticks so a launch-wide cancellation (a peer's
+    /// detected failure) drains this rank within one tick.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         // Check the stash for an already-arrived match.
         if let Some(pos) = self
@@ -411,6 +355,7 @@ impl Rank {
         {
             return self.stash.remove(pos).expect("position valid").payload;
         }
+        let window = self.recv_timeout;
         let mut waited = Duration::ZERO;
         loop {
             if self.cancel.is_cancelled() {
@@ -419,12 +364,9 @@ impl Rank {
                      draining"
                 ));
             }
-            let tick = match self.recv_timeout {
-                None => CANCEL_POLL_IDLE,
-                Some(window) => CANCEL_POLL
-                    .min(window.saturating_sub(waited))
-                    .max(Duration::from_millis(1)),
-            };
+            let tick = CANCEL_POLL
+                .min(window.saturating_sub(waited))
+                .max(Duration::from_millis(1));
             match self.receiver.recv_timeout(tick) {
                 Ok(m) => {
                     if m.from == from && m.tag == tag {
@@ -432,31 +374,28 @@ impl Rank {
                     }
                     self.stash.push_back(m);
                     // Any arriving message restarts the failure-detection
-                    // window, matching the pre-cancellation semantics where
-                    // each blocking receive call got a fresh window.
+                    // window.
                     waited = Duration::ZERO;
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     waited += tick;
-                    if let Some(window) = self.recv_timeout {
-                        if waited >= window {
-                            // If another rank already detected a failure,
-                            // this expiry is a downstream casualty of that
-                            // one — drain without issuing a second blame.
-                            if self.cancel.is_cancelled() {
-                                self.drain(format!(
-                                    "recv from rank {from} (tag {tag}) cancelled at window \
-                                     expiry: peer failure already detected, draining"
-                                ));
-                            }
-                            self.fail(
-                                format!(
-                                    "recv from rank {from} (tag {tag}) timed out after \
-                                     {window:?} (peer presumed dead)"
-                                ),
-                                Some(from),
-                            );
+                    if waited >= window {
+                        // If another rank already detected a failure, this
+                        // expiry is a downstream casualty of that one —
+                        // drain without issuing a second blame.
+                        if self.cancel.is_cancelled() {
+                            self.drain(format!(
+                                "recv from rank {from} (tag {tag}) cancelled at window \
+                                 expiry: peer failure already detected, draining"
+                            ));
                         }
+                        self.fail(
+                            format!(
+                                "recv from rank {from} (tag {tag}) timed out after \
+                                 {window:?} (peer presumed dead)"
+                            ),
+                            Some(from),
+                        );
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -466,21 +405,6 @@ impl Rank {
                     );
                 }
             }
-        }
-    }
-
-    /// Barrier: linear gather to rank 0 followed by a broadcast.
-    pub fn barrier(&mut self, tag: u64) {
-        if self.id == 0 {
-            for r in 1..self.size {
-                let _ = self.recv(r, tag);
-            }
-            for r in 1..self.size {
-                self.send(r, tag, &[]);
-            }
-        } else {
-            self.send(0, tag, &[]);
-            let _ = self.recv(0, tag);
         }
     }
 
@@ -554,7 +478,7 @@ impl Rank {
 
     /// Gather variable-length chunks to `root`; returns all chunks in rank
     /// order on the root, `None` elsewhere.
-    pub fn gather(&mut self, root: usize, tag: u64, chunk: &[f64]) -> Option<Vec<Vec<f64>>> {
+    fn gather(&mut self, root: usize, tag: u64, chunk: &[f64]) -> Option<Vec<Vec<f64>>> {
         if self.id == root {
             let mut all: Vec<Vec<f64>> = vec![Vec::new(); self.size];
             all[root] = chunk.to_vec();
@@ -612,30 +536,37 @@ fn lowest_set_bit_or_size(v: usize, size: usize) -> usize {
 }
 
 /// Run `f` on `n_ranks` virtual ranks (one OS thread each) and collect the
-/// per-rank return values plus the traffic statistics. Panics if any rank
-/// fails; [`vmp_run_opts`] is the fallible variant with failure detection.
+/// per-rank return values plus the traffic statistics. Every receive waits
+/// at most the capped [`default_recv_timeout`]; panics if any rank fails.
 pub fn vmp_run<T, F>(n_ranks: usize, f: F) -> (Vec<T>, VmpStats)
 where
     T: Send,
     F: Fn(Rank) -> T + Sync,
 {
-    vmp_run_opts(n_ranks, VmpOptions::default(), f).unwrap_or_else(|e| panic!("{e}"))
+    let opts = VmpOptions {
+        recv_timeout: default_recv_timeout(usize::MAX, n_ranks),
+        fault: None,
+    };
+    vmp_run_opts(&mut vec![(); n_ranks], opts, |rank, _| f(rank)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`vmp_run`] with collective-level failure detection and optional fault
-/// injection. A rank that unwinds — killed by an injected fault, timed out
-/// waiting on a dead peer, or victim of a real bug — is collected at join
-/// time and reported as a typed [`VmpError`] instead of poisoning the whole
-/// process, so a driver can recover (e.g. resume from a checkpoint).
-pub fn vmp_run_opts<T, F>(
-    n_ranks: usize,
+/// One rank per slot: rank `i` runs `f` with `&mut slots[i]`, under the
+/// launch's failure-detection window and optional injected fault. A rank
+/// that unwinds — killed by an injected fault, timed out waiting on a dead
+/// peer, or victim of a real bug — is collected at join time and reported
+/// as a typed [`VmpError`] instead of poisoning the whole process, so a
+/// driver can recover (e.g. resume from a checkpoint).
+pub(crate) fn vmp_run_opts<S, T, F>(
+    slots: &mut [S],
     opts: VmpOptions,
     f: F,
 ) -> Result<(Vec<T>, VmpStats), VmpError>
 where
+    S: Send,
     T: Send,
-    F: Fn(Rank) -> T + Sync,
+    F: Fn(Rank, &mut S) -> T + Sync,
 {
+    let n_ranks = slots.len();
     assert!(n_ranks >= 1, "need at least one rank");
     if let Some(fault) = &opts.fault {
         assert!(
@@ -644,106 +575,61 @@ where
             fault.rank
         );
     }
-    // Injecting a fault without a receive window would hang the healthy
-    // ranks forever — force failure detection on.
-    let recv_timeout = match (&opts.fault, opts.recv_timeout) {
-        (Some(_), None) => Some(DEFAULT_FAULT_RECV_TIMEOUT),
-        _ => opts.recv_timeout,
-    };
     let counters: Arc<Vec<RankCounters>> =
         Arc::new((0..n_ranks).map(|_| RankCounters::default()).collect());
-    let mut senders = Vec::with_capacity(n_ranks);
-    let mut receivers = Vec::with_capacity(n_ranks);
-    for _ in 0..n_ranks {
-        let (s, r) = unbounded::<Message>();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let mut results: Vec<Option<T>> = (0..n_ranks).map(|_| None).collect();
-    let mut faults: Vec<RankFault> = Vec::new();
-    let cancel = CancelToken::new();
-    // Workers re-enter the launching thread's scoped sinks, so whoever is
-    // watching the launcher (a tenant's view, a test's own scope) also sees
-    // what its ranks record. Empty, and free, when nobody is.
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_ranks).map(|_| mpsc::channel()).unzip();
+    let cancel = CancelToken::default();
+    // Rank threads re-enter the launching thread's scoped sinks, so whoever
+    // is watching the launcher (a tenant's view, a test's own scope) also
+    // sees what its ranks record. Empty, and free, when nobody is.
     let launcher_scopes = tbmd_trace::entered_scopes();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_ranks);
-        for (id, receiver) in receivers.into_iter().enumerate() {
-            let rank = Rank {
-                id,
-                size: n_ranks,
-                senders: senders.clone(),
-                receiver,
-                stash: VecDeque::new(),
-                counters: Arc::clone(&counters),
-                recv_timeout,
-                cancel: cancel.clone(),
-            };
-            let fref = &f;
-            let fault = opts.fault;
-            let launcher_scopes = &launcher_scopes;
-            handles.push(scope.spawn(move |_| {
-                // Held for the worker's whole lifetime: census + latch the
-                // cancellation token if this thread unwinds for any reason.
-                let _guard = WorkerGuard::new(rank.cancel.clone());
-                // A rank is one thread: every team fan-out it reaches —
-                // rank-2k and back-transform included — runs inline, so P
-                // ranks on a width-P lease use P threads, not P × cores.
-                tbmd_linalg::team::pin_inline();
-                // Attribute everything this worker records (counters,
-                // phase spans) to the launcher's scopes and to the
-                // innermost one's view of this rank; nothing to enter when
-                // the launcher is not observed.
-                let _inherited: Vec<tbmd_trace::ScopeGuard> =
-                    launcher_scopes.iter().map(|s| s.enter()).collect();
-                let _telemetry = launcher_scopes.last().map(|s| s.rank(id).enter());
-                if let Some(fault) = fault {
-                    if fault.rank == id {
-                        match fault.kind {
-                            FaultKind::Kill => {
-                                rank_panic(id, "injected fault: killed".to_string(), Some(id))
-                            }
-                            FaultKind::Stall { ms } => {
-                                // Sleep in short ticks so a peer-side
-                                // timeout reclaims this worker promptly
-                                // instead of blocking the join for the full
-                                // stall duration.
-                                let total = Duration::from_millis(ms);
-                                let mut slept = Duration::ZERO;
-                                while slept < total {
-                                    if rank.cancel.is_cancelled() {
-                                        tbmd_trace::add(
-                                            tbmd_trace::Counter::WorkerCancellations,
-                                            1,
-                                        );
-                                        rank_panic(
-                                            id,
-                                            format!(
-                                                "injected stall cancelled after {slept:?} \
-                                                 (peers detected the freeze)"
-                                            ),
-                                            Some(id),
-                                        );
-                                    }
-                                    let tick = STALL_POLL.min(total - slept);
-                                    std::thread::sleep(tick);
-                                    slept += tick;
-                                }
-                            }
-                        }
+    let joined: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = slots
+            .iter_mut()
+            .zip(receivers)
+            .enumerate()
+            .map(|(id, (slot, receiver))| {
+                let rank = Rank {
+                    id,
+                    size: n_ranks,
+                    senders: senders.clone(),
+                    receiver,
+                    stash: VecDeque::new(),
+                    counters: Arc::clone(&counters),
+                    recv_timeout: opts.recv_timeout,
+                    cancel: cancel.clone(),
+                };
+                let (f, launcher_scopes) = (&f, &launcher_scopes);
+                scope.spawn(move || {
+                    let _cancel_on_unwind = CancelOnUnwind(rank.cancel.clone());
+                    // A rank is one thread: every team fan-out it reaches —
+                    // rank-2k and back-transform included — runs inline, so
+                    // P ranks on a width-P lease use P threads, not P × cores.
+                    tbmd_linalg::team::pin_inline();
+                    // Attribute everything this rank records (counters,
+                    // phase spans) to the launcher's scopes and to the
+                    // innermost one's view of this rank; nothing to enter
+                    // when the launcher is not observed.
+                    let _inherited: Vec<tbmd_trace::ScopeGuard> =
+                        launcher_scopes.iter().map(|s| s.enter()).collect();
+                    let _telemetry = launcher_scopes.last().map(|s| s.rank(id).enter());
+                    if let Some(fault) = opts.fault.filter(|fault| fault.rank == id) {
+                        inject(fault.kind, id, &rank.cancel);
                     }
-                }
-                fref(rank)
-            }));
+                    f(rank, slot)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut results = Vec::with_capacity(n_ranks);
+    let mut faults: Vec<RankFault> = Vec::new();
+    for (id, joined) in joined.into_iter().enumerate() {
+        match joined {
+            Ok(value) => results.push(value),
+            Err(payload) => faults.push(classify_panic(id, payload)),
         }
-        for (id, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(value) => results[id] = Some(value),
-                Err(payload) => faults.push(classify_panic(id, payload)),
-            }
-        }
-    })
-    .expect("vmp scope failed");
+    }
     let stats = VmpStats {
         ranks: counters
             .iter()
@@ -767,7 +653,7 @@ where
         }
     }
     if !faults.is_empty() {
-        faults.sort_by_key(|f| f.rank);
+        // Joined in rank order, so `faults` is sorted by rank already.
         let err = VmpError { faults };
         tbmd_trace::add(
             tbmd_trace::Counter::RankFailures,
@@ -775,13 +661,35 @@ where
         );
         return Err(err);
     }
-    Ok((
-        results
-            .into_iter()
-            .map(|r| r.expect("rank result"))
-            .collect(),
-        stats,
-    ))
+    Ok((results, stats))
+}
+
+/// Fire an injected fault on rank `id` before its closure runs: die at
+/// once, or freeze — in short ticks, so a peer-side timeout reclaims the
+/// rank promptly instead of blocking the join for the full stall.
+fn inject(kind: FaultKind, id: usize, cancel: &CancelToken) {
+    match kind {
+        FaultKind::Kill => rank_panic(id, "injected fault: killed".to_string(), Some(id)),
+        FaultKind::Stall { ms } => {
+            let total = Duration::from_millis(ms);
+            let mut slept = Duration::ZERO;
+            while slept < total {
+                if cancel.is_cancelled() {
+                    tbmd_trace::add(tbmd_trace::Counter::WorkerCancellations, 1);
+                    rank_panic(
+                        id,
+                        format!(
+                            "injected stall cancelled after {slept:?} (peers detected the freeze)"
+                        ),
+                        Some(id),
+                    );
+                }
+                let tick = STALL_POLL.min(total - slept);
+                std::thread::sleep(tick);
+                slept += tick;
+            }
+        }
+    }
 }
 
 /// Turn a joined thread's panic payload into a [`RankFault`], preserving
@@ -977,13 +885,13 @@ mod tests {
         // blocking forever.
         let started = std::time::Instant::now();
         let opts = VmpOptions {
-            recv_timeout: Some(Duration::from_millis(100)),
+            recv_timeout: Duration::from_millis(100),
             fault: Some(VmpFault {
                 rank: 1,
                 kind: FaultKind::Kill,
             }),
         };
-        let err = vmp_run_opts(2, opts, |mut rank| {
+        let err = vmp_run_opts(&mut [(); 2], opts, |mut rank, _| {
             let mut data = vec![rank.id() as f64];
             rank.allreduce_sum(7, &mut data);
             data[0]
@@ -1000,13 +908,13 @@ mod tests {
     #[test]
     fn stalled_rank_trips_peer_timeouts() {
         let opts = VmpOptions {
-            recv_timeout: Some(Duration::from_millis(60)),
+            recv_timeout: Duration::from_millis(60),
             fault: Some(VmpFault {
                 rank: 0,
                 kind: FaultKind::Stall { ms: 250 },
             }),
         };
-        let err = vmp_run_opts(3, opts, |mut rank| {
+        let err = vmp_run_opts(&mut [(); 3], opts, |mut rank, _| {
             let mut data = vec![1.0];
             rank.allreduce_sum(9, &mut data);
             data[0]
@@ -1030,13 +938,13 @@ mod tests {
         // instead of blocking for the full stall.
         let started = std::time::Instant::now();
         let opts = VmpOptions {
-            recv_timeout: Some(Duration::from_millis(80)),
+            recv_timeout: Duration::from_millis(80),
             fault: Some(VmpFault {
                 rank: 2,
                 kind: FaultKind::Stall { ms: 30_000 },
             }),
         };
-        let err = vmp_run_opts(3, opts, |mut rank| {
+        let err = vmp_run_opts(&mut [(); 3], opts, |mut rank, _| {
             let mut data = vec![1.0];
             rank.allreduce_sum(13, &mut data);
             data[0]
@@ -1057,15 +965,16 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_drains_unwindowed_waiters() {
-        // Rank 1 dies from a real (untyped) panic while its peers wait with
-        // NO receive window configured — the classic infinite wait. The
-        // unwinding worker's guard latches the cancellation token, so the
-        // survivors must drain instead of hanging forever. (An injected
-        // Kill cannot exercise this path: fault + no window forces the
-        // default window on.)
+    fn cancellation_drains_waiters_before_their_window() {
+        // Rank 1 dies from a real (untyped) panic while its peers wait in a
+        // 10 s window. The unwinding rank latches the cancellation token, so
+        // the survivors must drain long before their window expires.
         let started = std::time::Instant::now();
-        let err = vmp_run_opts(3, VmpOptions::default(), |mut rank| {
+        let opts = VmpOptions {
+            recv_timeout: Duration::from_secs(10),
+            fault: None,
+        };
+        let err = vmp_run_opts(&mut [(); 3], opts, |mut rank, _| {
             if rank.id() == 1 {
                 panic!("synthetic rank bug");
             }
@@ -1076,7 +985,7 @@ mod tests {
         .expect_err("dead rank must fail the launch");
         assert!(
             started.elapsed() < Duration::from_secs(5),
-            "unwindowed waiters hung for {:?}",
+            "waiters were not drained: {:?}",
             started.elapsed()
         );
         assert_eq!(err.failed_ranks(), vec![1], "{err}");
@@ -1091,13 +1000,13 @@ mod tests {
     #[test]
     fn kill_blames_only_the_killed_rank() {
         let opts = VmpOptions {
-            recv_timeout: Some(Duration::from_millis(100)),
+            recv_timeout: Duration::from_millis(100),
             fault: Some(VmpFault {
                 rank: 1,
                 kind: FaultKind::Kill,
             }),
         };
-        let err = vmp_run_opts(3, opts, |mut rank| {
+        let err = vmp_run_opts(&mut [(); 3], opts, |mut rank, _| {
             let mut data = vec![1.0];
             rank.allreduce_sum(19, &mut data);
             data[0]
@@ -1122,10 +1031,10 @@ mod tests {
     #[test]
     fn timeout_alone_does_not_perturb_healthy_runs() {
         let opts = VmpOptions {
-            recv_timeout: Some(Duration::from_secs(10)),
+            recv_timeout: Duration::from_secs(10),
             fault: None,
         };
-        let (results, _) = vmp_run_opts(4, opts, |mut rank| {
+        let (results, _) = vmp_run_opts(&mut [(); 4], opts, |mut rank, _| {
             let mut data = vec![rank.id() as f64];
             rank.allreduce_sum(11, &mut data);
             data[0]
@@ -1163,13 +1072,30 @@ mod tests {
     }
 
     #[test]
-    fn barrier_completes() {
-        let (results, _) = vmp_run(5, |mut rank| {
-            rank.barrier(80);
-            rank.barrier(81);
-            rank.id()
-        });
-        assert_eq!(results, vec![0, 1, 2, 3, 4]);
+    fn each_rank_writes_only_its_own_slot() {
+        let mut slots = vec![Vec::new(); 3];
+        let healthy = VmpOptions {
+            recv_timeout: Duration::from_secs(10),
+            fault: None,
+        };
+        vmp_run_opts(&mut slots, healthy, |rank, slot: &mut Vec<usize>| {
+            slot.push(rank.id())
+        })
+        .expect("healthy run");
+        assert_eq!(slots, [vec![0], vec![1], vec![2]]);
+        // A killed rank never reaches its slot; the others keep what they
+        // wrote, and the launch still fails.
+        let kill = VmpOptions {
+            fault: Some(VmpFault {
+                rank: 1,
+                kind: FaultKind::Kill,
+            }),
+            ..healthy
+        };
+        let err = vmp_run_opts(&mut slots, kill, |rank, slot| slot.push(10 + rank.id()))
+            .expect_err("killed rank must fail the launch");
+        assert_eq!(err.failed_ranks(), vec![1], "{err}");
+        assert_eq!(slots, [vec![0, 10], vec![1], vec![2, 12]]);
     }
 
     #[test]
@@ -1185,7 +1111,6 @@ mod tests {
     #[test]
     fn single_rank_no_traffic() {
         let (results, stats) = vmp_run(1, |mut rank| {
-            rank.barrier(1);
             let mut d = vec![5.0];
             rank.allreduce_sum(2, &mut d);
             let ag = rank.allgather(3, &[7.0]);

