@@ -123,7 +123,8 @@ const REGISTRY: &[Experiment] = &[
     Experiment {
         id: "F6",
         name: "applications",
-        expected: "The dense engines agree to round-off; the O(N) per-atom error is far larger \
+        expected: "The dense engine gives the same energy at both lease widths and the \
+                   distributed one agrees to round-off; the O(N) per-atom error is far larger \
                    than for gapped Si — near-metallic π systems are the domain boundary of \
                    Fermi-operator truncation.",
         run: linscale::applications,

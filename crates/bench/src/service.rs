@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use tbmd::parallel::high_water;
+use tbmd::linalg::budget::{high_water, reset_high_water};
 use tbmd::trace::{Counter, Hist, HistogramSet};
 use tbmd::{
     configure_budget, CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan,
@@ -195,7 +195,7 @@ pub fn serve(size: Option<usize>) -> Report {
     // With one thread per job and a budget of two, at most two tenants hold
     // leases at once; the rest wait in the admission queue.
     configure_budget(BUDGET);
-    tbmd::parallel::reset_high_water();
+    reset_high_water();
     let mut mux = Multiplexer::new();
     for (i, c) in configs.iter().enumerate() {
         let mut spec = JobSpec::new(format!("tenant-{i}"), *c);

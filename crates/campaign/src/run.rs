@@ -13,9 +13,10 @@
 //! endpoint via [`InitialState`] — scheduling order never touches the
 //! dynamics.
 //!
-//! With a campaign directory set, each finished cell writes a fingerprinted
-//! result file; a re-run (after a kill, or to extend the matrix) reuses
-//! every file whose fingerprint still matches and executes only the rest.
+//! With a campaign directory set, each cell writes a fingerprinted result
+//! file the moment it finishes, on both paths; a re-run (after a kill, a
+//! failed cell, or to extend the matrix) reuses every file whose fingerprint
+//! still matches and executes only the rest.
 
 use crate::report::{CampaignReport, CellRow};
 use crate::spec::{CampaignSpec, CellPlan};
@@ -101,27 +102,19 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignRe
     let budget = opts.stop_after.unwrap_or(pending.len()).min(pending.len());
     let complete = budget == pending.len();
     let to_run = &pending[..budget];
-    let new_rows = if opts.multiplex {
-        run_cells_multiplexed(to_run, opts)?
-    } else {
-        to_run
-            .iter()
-            .map(|cell| run_cell_inline(cell, opts))
-            .collect::<Result<Vec<_>, _>>()?
+    let publish = |cell: &CellPlan, row: &CellRow| match &opts.dir {
+        Some(dir) => write_result(dir, cell, row).map_err(|e| format!("{}: {e}", cell.name)),
+        None => Ok(()),
     };
-    if let Some(dir) = &opts.dir {
-        // Multiplexed cells retire in completion order, not matrix order —
-        // pair every row with its cell by matrix index, never by position.
-        let by_index: HashMap<usize, &CellPlan> =
-            to_run.iter().map(|cell| (cell.index, cell)).collect();
-        for row in &new_rows {
-            let cell = by_index
-                .get(&row.index)
-                .ok_or_else(|| format!("result row {:?} matches no scheduled cell", row.name))?;
-            write_result(dir, cell, row).map_err(|e| format!("{}: {e}", cell.name))?;
+    if opts.multiplex {
+        rows.extend(run_cells_multiplexed(to_run, opts, &publish)?);
+    } else {
+        for cell in to_run {
+            let row = run_cell_inline(cell, opts)?;
+            publish(cell, &row)?;
+            rows.push(row);
         }
     }
-    rows.extend(new_rows);
     Ok(CampaignReport::build(&spec.name, rows, complete))
 }
 
@@ -280,7 +273,7 @@ fn build_row(cell: &CellPlan, chain: SegmentChain, step_hist: &HistSnapshot) -> 
 fn run_cell_inline(cell: &CellPlan, opts: &RunOptions) -> Result<CellRow, String> {
     let sink = ScopedSink::new(&cell.name);
     let strain = cell.protocol.inter_segment_strain();
-    let mut chain = SegmentChain::new(cell.build_initial());
+    let mut chain = SegmentChain::new(cell.build_initial()?);
     let mut lease = try_lease(opts.threads_per_cell.max(1));
     for (i, protocol) in cell.protocol.segments().into_iter().enumerate() {
         if i > 0 && strain != [0.0; 3] {
@@ -309,8 +302,14 @@ fn run_cell_inline(cell: &CellPlan, opts: &RunOptions) -> Result<CellRow, String
 /// Run a batch of cells through the serve [`Multiplexer`]: every cell's
 /// first segment is submitted up front; each retiring segment triggers the
 /// submission of its successor (with the endpoint carried and the
-/// inter-segment strain applied) until all chains finish.
-fn run_cells_multiplexed(cells: &[CellPlan], opts: &RunOptions) -> Result<Vec<CellRow>, String> {
+/// inter-segment strain applied) until all chains finish. Cells retire in
+/// completion order, and each is handed to `publish` with its own plan as
+/// it does.
+fn run_cells_multiplexed(
+    cells: &[CellPlan],
+    opts: &RunOptions,
+    publish: &dyn Fn(&CellPlan, &CellRow) -> Result<(), String>,
+) -> Result<Vec<CellRow>, String> {
     struct Pending {
         cell: CellPlan,
         segments: Vec<tbmd::Protocol>,
@@ -339,7 +338,7 @@ fn run_cells_multiplexed(cells: &[CellPlan], opts: &RunOptions) -> Result<Vec<Ce
 
     for cell in cells {
         let segments = cell.protocol.segments();
-        let mut chain = SegmentChain::new(cell.build_initial());
+        let mut chain = SegmentChain::new(cell.build_initial()?);
         submit(&mut mux, cell, 0, segments[0], chain.initial_state());
         pending.insert(
             cell.name.clone(),
@@ -387,7 +386,9 @@ fn run_cells_multiplexed(cells: &[CellPlan], opts: &RunOptions) -> Result<Vec<Ce
                 submit(&mut mux, &cell, seg, protocol, initial);
             } else {
                 let done = pending.remove(&base).expect("entry just updated");
-                rows.push(build_row(&done.cell, done.chain, &done.step_hist));
+                let row = build_row(&done.cell, done.chain, &done.step_hist);
+                publish(&done.cell, &row)?;
+                rows.push(row);
             }
         }
     }

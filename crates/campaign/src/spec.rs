@@ -40,11 +40,18 @@ pub enum Perturbation {
 }
 
 impl Perturbation {
-    /// Apply in place. `seed` pins the stochastic variant (disorder).
-    pub fn apply(&self, s: &mut Structure, seed: u64) {
+    /// Apply in place. `seed` pins the stochastic variant (disorder). A
+    /// vacancy at a site the structure does not have is an error.
+    pub fn apply(&self, s: &mut Structure, seed: u64) -> Result<(), String> {
         match *self {
             Perturbation::Pristine => {}
             Perturbation::Vacancy { site } => {
+                if site >= s.n_atoms() {
+                    return Err(format!(
+                        "vacancy site {site} is not an atom of a {}-atom structure",
+                        s.n_atoms()
+                    ));
+                }
                 make_vacancy(s, site);
             }
             Perturbation::Interstitial { frac } => {
@@ -54,6 +61,7 @@ impl Perturbation {
             Perturbation::Disorder { max_disp } => displacement_disorder(s, max_disp, seed),
             Perturbation::Strain { strain } => apply_strain(s, strain),
         }
+        Ok(())
     }
 
     pub fn is_pristine(&self) -> bool {
@@ -435,11 +443,14 @@ impl CellPlan {
         self.perturbation.is_pristine()
     }
 
-    /// Build the starting structure: generate, then perturb.
-    pub fn build_initial(&self) -> Structure {
+    /// Build the starting structure: generate, then perturb. The error
+    /// names the cell.
+    pub fn build_initial(&self) -> Result<Structure, String> {
         let mut s = self.system.build(0.0, self.seed);
-        self.perturbation.apply(&mut s, self.seed);
-        s
+        self.perturbation
+            .apply(&mut s, self.seed)
+            .map_err(|e| format!("{}: {e}", self.name))?;
+        Ok(s)
     }
 }
 
@@ -505,8 +516,8 @@ mod tests {
         let pristine = cells.iter().find(|c| c.is_pristine()).unwrap();
         let vacancy = cells.iter().find(|c| !c.is_pristine()).unwrap();
         assert_eq!(
-            vacancy.build_initial().n_atoms() + 1,
-            pristine.build_initial().n_atoms()
+            vacancy.build_initial().unwrap().n_atoms() + 1,
+            pristine.build_initial().unwrap().n_atoms()
         );
     }
 

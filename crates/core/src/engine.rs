@@ -5,18 +5,20 @@ use tbmd_linscale::{DistributedLinearScalingTb, LinearScalingTb};
 use tbmd_model::{
     ForceEvaluation, ForceProvider, OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
 };
-use tbmd_parallel::{shared_memory_tb, DistributedTb, RankControl};
+use tbmd_parallel::{DistributedTb, RankControl};
 use tbmd_structure::Structure;
 
 /// Which engine evaluates energies and forces.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EngineKind {
-    /// The dense Γ-point calculator on one thread (two-stage eigensolver,
-    /// one-stage QL below 96 orbitals).
+    /// The dense Γ-point calculator (two-stage eigensolver, one-stage QL
+    /// below 96 orbitals), its fan-outs as wide as the compute lease it
+    /// runs under.
     #[default]
     Serial,
-    /// The same dense pipeline with the fan-out `H`-assembly and
-    /// force stages.
+    /// An alias of [`EngineKind::Serial`]: it builds the same engine. Kept
+    /// because the benchmark package constructs it and compares parsed
+    /// configs with it.
     Shared,
     /// Message-passing engine on `ranks` virtual ranks.
     Distributed { ranks: usize },
@@ -57,7 +59,7 @@ impl EngineKind {
 
 /// A constructed engine borrowing its model.
 pub enum Engine<'m> {
-    /// The dense pipeline, with the serial or the fan-out stages.
+    /// The dense pipeline.
     Dense(TbCalculator<'m>),
     Distributed(DistributedTb<'m>),
     LinearScaling(LinearScalingTb<'m>),
@@ -79,11 +81,8 @@ impl<'m> Engine<'m> {
             OccupationScheme::ZeroTemperature
         };
         match kind {
-            EngineKind::Serial => Engine::Dense(TbCalculator::with_occupation(model, occ)),
-            EngineKind::Shared => {
-                let mut calc = shared_memory_tb(model);
-                calc.occupation = occ;
-                Engine::Dense(calc)
+            EngineKind::Serial | EngineKind::Shared => {
+                Engine::Dense(TbCalculator::with_occupation(model, occ))
             }
             EngineKind::Distributed { ranks } => {
                 Engine::Distributed(DistributedTb::new(model, ranks).with_occupation(occ))
@@ -252,7 +251,11 @@ mod tests {
         let model = silicon_gsp();
         assert_eq!(
             Engine::build(EngineKind::Serial, &model, 0.1).provider_name(),
-            "serial-tb"
+            "dense-tb"
+        );
+        assert_eq!(
+            Engine::build(EngineKind::Shared, &model, 0.1).provider_name(),
+            "dense-tb"
         );
         assert_eq!(
             Engine::build(EngineKind::Distributed { ranks: 2 }, &model, 0.1).provider_name(),

@@ -54,8 +54,7 @@ pub use tbmd_model::{
     OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
 };
 pub use tbmd_parallel::{
-    default_recv_timeout, shared_memory_tb, DistributedTb, FaultKind, FaultPlan, MachineProfile,
-    RankControl,
+    default_recv_timeout, DistributedTb, FaultKind, FaultPlan, MachineProfile, RankControl,
 };
 pub use tbmd_structure::{Cell, NeighborList, Species, Structure, VerletNeighborList};
 pub use tbmd_trace::{Hist, HistogramSet, RunManifest, RunRecorder, ScopedSink, WatchdogStatus};

@@ -12,45 +12,9 @@
 //! follows from the signs of the recurrence `q_1 = d_1 − x`,
 //! `q_i = d_i − x − e_i²/q_{i−1}`, and bisection on σ isolates any
 //! eigenvalue to machine precision in ~60 iterations, independent of the
-//! others. Combined with [`crate::eigh::tridiagonalize`] this yields
-//! `eigvalsh_partial`, an O(n³) → O(n³/3 + k·n) eigenvalue path (the
-//! reduction still dominates, but the QL iteration and its eigenvector
-//! updates are skipped entirely).
-
-use crate::eigh::{tridiagonalize, EigError};
-use crate::matrix::Matrix;
-
-/// Number of eigenvalues of the tridiagonal matrix `(d, e)` strictly below
-/// `x` (Sturm count). `e[0]` is unused; `e[i]` couples rows `i−1` and `i`,
-/// matching the output convention of [`tridiagonalize`].
-pub fn sturm_count(d: &[f64], e: &[f64], x: f64) -> usize {
-    let n = d.len();
-    if n == 0 {
-        return 0;
-    }
-    let mut count = 0usize;
-    let mut q = d[0] - x;
-    if q < 0.0 {
-        count += 1;
-    }
-    for i in 1..n {
-        let ei2 = e[i] * e[i];
-        // Safeguarded division: if q underflows to ~0 the standard trick
-        // replaces it with a tiny number of the same sign.
-        let denom = if q.abs() < f64::MIN_POSITIVE.sqrt() {
-            f64::MIN_POSITIVE
-                .sqrt()
-                .copysign(if q < 0.0 { -1.0 } else { 1.0 })
-        } else {
-            q
-        };
-        q = d[i] - x - ei2 / denom;
-        if q < 0.0 {
-            count += 1;
-        }
-    }
-    count
-}
+//! others. [`tridiagonal_eigenvalues_range_into`] runs it for a window of
+//! indices, eight shifts per pass over `(d, e)`: the distributed solver's
+//! spectrum slice.
 
 /// Gershgorin bounds of the tridiagonal matrix.
 fn tridiagonal_bounds(d: &[f64], e: &[f64]) -> (f64, f64) {
@@ -69,33 +33,18 @@ fn tridiagonal_bounds(d: &[f64], e: &[f64]) -> (f64, f64) {
     }
 }
 
-/// Bisection for the `k`-th eigenvalue inside pre-widened bounds — the
-/// kernel shared by the single-index and sliced entry points.
-fn kth_eigenvalue_bounded(d: &[f64], e: &[f64], k: usize, mut lo: f64, mut hi: f64) -> f64 {
-    for _ in 0..120 {
-        let mid = 0.5 * (lo + hi);
-        if sturm_count(d, e, mid) <= k {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        if hi - lo <= f64::EPSILON * (lo.abs() + hi.abs() + 1.0) {
-            break;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 /// Shift lanes of the multi-shift Sturm pass: the recurrence is strictly
 /// sequential in the matrix index but embarrassingly parallel across
 /// shifts, so evaluating 8 shifts per sweep turns the latency-bound
 /// scalar division chain into one vector division per element.
 const STURM_LANES: usize = 8;
 
-/// Sturm counts for `STURM_LANES` shifts in one pass over `(d, e)`. Each
-/// lane performs exactly the arithmetic of [`sturm_count`] on its own
-/// shift (branchless select for the underflow safeguard, same operand
-/// order), so per-lane results never depend on what the other lanes hold.
+/// Sturm counts — eigenvalues of the tridiagonal matrix `(d, e)` strictly
+/// below each shift — for `STURM_LANES` shifts in one pass over `(d, e)`.
+/// `e[0]` is unused; `e[i]` couples rows `i−1` and `i`, the output
+/// convention of [`crate::eigh::tridiagonalize`]. When `q` underflows the
+/// division uses a tiny number of the same sign instead, a branchless
+/// select, so a lane's count never depends on what the other lanes hold.
 fn sturm_count_multi(d: &[f64], e: &[f64], x: &[f64; STURM_LANES]) -> [usize; STURM_LANES] {
     let n = d.len();
     let mut counts = [0usize; STURM_LANES];
@@ -182,15 +131,6 @@ fn widened_bounds(d: &[f64], e: &[f64]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// The `k`-th (0-based, ascending) eigenvalue of the tridiagonal matrix,
-/// found by bisection on the Sturm count.
-pub fn tridiagonal_kth_eigenvalue(d: &[f64], e: &[f64], k: usize) -> f64 {
-    let n = d.len();
-    assert!(k < n, "eigenvalue index {k} out of range for size {n}");
-    let (lo, hi) = widened_bounds(d, e);
-    kth_eigenvalue_bounded(d, e, k, lo, hi)
-}
-
 /// Rank-shardable spectrum slicing: eigenvalues with (0-based, ascending)
 /// indices in `range` written into `out`, reusing its allocation.
 ///
@@ -257,35 +197,11 @@ pub fn snap_range_to_clusters(
     start..end
 }
 
-/// The lowest `k` eigenvalues (ascending) of a symmetric matrix, via
-/// Householder reduction + Sturm bisection — the "occupied states only"
-/// path of the era's TBMD band-energy computations.
-///
-/// # Errors
-/// [`EigError::NotSquare`] for rectangular input.
-pub fn eigvalsh_partial(a: Matrix, k: usize) -> Result<Vec<f64>, EigError> {
-    if !a.is_square() {
-        return Err(EigError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    let k = k.min(n);
-    if k == 0 || n == 0 {
-        return Ok(vec![]);
-    }
-    let mut a = a;
-    let (d, e) = tridiagonalize(&mut a, false);
-    let mut values = Vec::new();
-    tridiagonal_eigenvalues_range_into(&d, &e, 0..k, &mut values);
-    Ok(values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eigh::eigvalsh;
+    use crate::eigh::{eigvalsh, tridiagonalize};
+    use crate::matrix::Matrix;
 
     fn symmetric_test_matrix(n: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -306,39 +222,46 @@ mod tests {
         a
     }
 
+    /// The lowest `k` eigenvalues of `a` through the Householder reduction
+    /// and [`tridiagonal_eigenvalues_range_into`].
+    fn lowest(mut a: Matrix, k: usize) -> Vec<f64> {
+        let (d, e) = tridiagonalize(&mut a, false);
+        let mut values = Vec::new();
+        tridiagonal_eigenvalues_range_into(&d, &e, 0..k, &mut values);
+        values
+    }
+
     #[test]
-    fn sturm_count_on_diagonal_matrix() {
+    fn sturm_counts_on_diagonal_matrix() {
         let d = [1.0, 3.0, 5.0];
         let e = [0.0, 0.0, 0.0];
-        assert_eq!(sturm_count(&d, &e, 0.0), 0);
-        assert_eq!(sturm_count(&d, &e, 2.0), 1);
-        assert_eq!(sturm_count(&d, &e, 4.0), 2);
-        assert_eq!(sturm_count(&d, &e, 6.0), 3);
+        let x = [0.0, 2.0, 4.0, 6.0, -1.0, 1.5, 3.5, 9.0];
+        assert_eq!(sturm_count_multi(&d, &e, &x), [0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
-    fn sturm_count_monotone() {
+    fn sturm_counts_are_monotone() {
         let d = [0.5, -1.0, 2.0, 0.0, 1.5];
         let e = [0.0, 0.7, -0.3, 0.9, 0.2];
-        let mut prev = 0;
-        for k in -40..40 {
-            let x = k as f64 * 0.25;
-            let c = sturm_count(&d, &e, x);
-            assert!(c >= prev, "Sturm count not monotone at x={x}");
-            prev = c;
-        }
-        assert_eq!(prev, 5);
+        let shifts: Vec<f64> = (-40..40).map(|k| k as f64 * 0.25).collect();
+        let counts: Vec<usize> = shifts
+            .chunks_exact(STURM_LANES)
+            .flat_map(|x| sturm_count_multi(&d, &e, x.try_into().unwrap()))
+            .collect();
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
+        assert_eq!(counts.last(), Some(&5));
     }
 
     #[test]
-    fn kth_eigenvalue_matches_ql_toeplitz() {
+    fn range_matches_analytic_toeplitz() {
         // Tridiagonal Toeplitz: analytic eigenvalues 2 − 2cos(kπ/(n+1)).
         let n = 14;
         let d = vec![2.0; n];
         let mut e = vec![-1.0; n];
         e[0] = 0.0;
-        for k in 0..n {
-            let found = tridiagonal_kth_eigenvalue(&d, &e, k);
+        let mut found = Vec::new();
+        tridiagonal_eigenvalues_range_into(&d, &e, 0..n, &mut found);
+        for (k, found) in found.iter().enumerate() {
             let expect =
                 2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert!((found - expect).abs() < 1e-10, "k={k}: {found} vs {expect}");
@@ -346,12 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn partial_matches_full_spectrum() {
-        for n in [3usize, 8, 20, 33] {
+    fn lowest_window_matches_full_spectrum() {
+        for n in [3usize, 8, 20, 24, 33] {
             let a = symmetric_test_matrix(n, 17 + n as u64);
             let full = eigvalsh(a.clone()).unwrap();
             let k = n / 2 + 1;
-            let partial = eigvalsh_partial(a, k).unwrap();
+            let partial = lowest(a, k);
             assert_eq!(partial.len(), k);
             for (i, (p, f)) in partial.iter().zip(&full).enumerate() {
                 assert!((p - f).abs() < 1e-9, "n={n}, λ_{i}: {p} vs {f}");
@@ -360,27 +283,12 @@ mod tests {
     }
 
     #[test]
-    fn partial_handles_degeneracies() {
+    fn range_handles_degeneracies() {
         // diag(1,1,1,4) — triple eigenvalue.
-        let a = Matrix::from_diagonal(&[4.0, 1.0, 1.0, 1.0]);
-        let vals = eigvalsh_partial(a, 4).unwrap();
-        assert!((vals[0] - 1.0).abs() < 1e-10);
-        assert!((vals[1] - 1.0).abs() < 1e-10);
-        assert!((vals[2] - 1.0).abs() < 1e-10);
-        assert!((vals[3] - 4.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn partial_edge_cases() {
-        assert!(eigvalsh_partial(Matrix::zeros(0, 0), 3).unwrap().is_empty());
-        assert!(eigvalsh_partial(Matrix::identity(4), 0).unwrap().is_empty());
-        // k larger than n clamps.
-        let vals = eigvalsh_partial(Matrix::from_diagonal(&[2.0, 1.0]), 10).unwrap();
-        assert_eq!(vals.len(), 2);
-        assert!(matches!(
-            eigvalsh_partial(Matrix::zeros(2, 3), 1),
-            Err(EigError::NotSquare { .. })
-        ));
+        let vals = lowest(Matrix::from_diagonal(&[4.0, 1.0, 1.0, 1.0]), 4);
+        for (got, want) in vals.iter().zip([1.0, 1.0, 1.0, 4.0]) {
+            assert!((got - want).abs() < 1e-10, "{vals:?}");
+        }
     }
 
     #[test]
@@ -426,19 +334,5 @@ mod tests {
         for w in cuts.windows(2) {
             assert!(w[0] <= w[1]);
         }
-    }
-
-    #[test]
-    fn band_energy_from_partial_spectrum() {
-        // The TBMD use-case: lowest n/2 states of a Hamiltonian-like matrix
-        // summed with occupation 2 must match the full-solver answer.
-        let n = 24;
-        let a = symmetric_test_matrix(n, 99);
-        let full = eigvalsh(a.clone()).unwrap();
-        let occ = n / 2;
-        let partial = eigvalsh_partial(a, occ).unwrap();
-        let e_full: f64 = full[..occ].iter().sum::<f64>() * 2.0;
-        let e_partial: f64 = partial.iter().sum::<f64>() * 2.0;
-        assert!((e_full - e_partial).abs() < 1e-8);
     }
 }

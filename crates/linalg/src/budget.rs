@@ -20,10 +20,10 @@
 //!   bitwise identical to the wide run, because what a task computes never
 //!   depends on which thread runs it.
 //!
-//! The budget lives in `tbmd-linalg` beside the team (re-exported from
-//! `tbmd-parallel` and the `tbmd` facade): `tbmd-model` fans out too and
-//! sits below `tbmd-parallel` in the crate DAG, so this is the lowest layer
-//! every consumer can see.
+//! The budget lives in `tbmd-linalg` beside the team (the `tbmd` facade
+//! re-exports [`configure_budget`], [`try_lease`] and [`ComputeLease`]):
+//! `tbmd-model` fans out too, so this is the lowest layer every consumer
+//! can see.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

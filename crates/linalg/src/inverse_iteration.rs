@@ -27,7 +27,6 @@
 //! start vectors are keyed on the global eigenvalue index, so the result is
 //! bitwise the one-shard result whatever the shard count.
 
-use crate::batched::batch_map;
 use crate::bisection::snap_range_to_clusters;
 use crate::eigh::{eigh_into, EighWorkspace};
 use crate::kernels;
@@ -343,7 +342,9 @@ fn eigenvectors_sharded(
         rest = tail;
         jobs.push((range, band, scratch));
     }
-    batch_map(shards, &mut jobs, |_, (range, band, scratch)| {
+    // One shard per task; a shard's result does not depend on the thread.
+    crate::team::chunks_for_each(shards, &mut jobs, 1, |_, job| {
+        let (range, band, scratch) = &mut job[0];
         let seed = seed_offset + range.start;
         iterate_shard(d, e, &lambda[range.clone()], seed, tnorm, band, scratch);
     });

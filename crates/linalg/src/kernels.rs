@@ -13,10 +13,9 @@
 //! bitwise identical by construction: each output element's accumulation
 //! order depends only on the inner index, never on the thread partition.
 //!
-//! The dense kernels are generic over [`Scalar`] and keep multiply and add
-//! apart; the block-sparse Chebyshev step ([`bsr4_chebyshev_step`]) is f64
-//! only — four f64 columns already fill an AVX2 register — and is the one
-//! kernel that *asks* for fused multiply-adds, where the target has them
+//! The dense kernels keep multiply and add apart; the block-sparse
+//! Chebyshev step ([`bsr4_chebyshev_step`]) is the one kernel that *asks*
+//! for fused multiply-adds, where the target has them
 //! (see `fmadd`): its order is as fixed as the others', its bits belong to
 //! the target features the crate was built for.
 
@@ -40,49 +39,6 @@ const DOT_LANES: usize = 8;
 /// dots run in one pass.
 const DOT2_LANES: usize = 4;
 
-/// Scalar element type of a kernel (f64 in production).
-pub trait Scalar:
-    Copy
-    + Send
-    + Sync
-    + PartialEq
-    + PartialOrd
-    + std::fmt::Debug
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::AddAssign
-    + std::ops::SubAssign
-{
-    const ZERO: Self;
-    fn from_f64(x: f64) -> Self;
-    fn to_f64(self) -> f64;
-}
-
-impl Scalar for f64 {
-    const ZERO: f64 = 0.0;
-    #[inline(always)]
-    fn from_f64(x: f64) -> f64 {
-        x
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-impl Scalar for f32 {
-    const ZERO: f32 = 0.0;
-    #[inline(always)]
-    fn from_f64(x: f64) -> f32 {
-        x as f32
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-}
-
 /// Eight-lane dot product of two contiguous slices.
 ///
 /// Lane `l` accumulates elements `l, l+8, l+16, …`; the lanes are reduced
@@ -92,9 +48,9 @@ impl Scalar for f32 {
 /// *different* fixed order than a single-accumulator loop, so replacing a
 /// naive dot with this one is a round-off-level (≤ ~n·ε relative) change.
 #[inline]
-pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
+pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    let mut acc = [T::ZERO; DOT_LANES];
+    let mut acc = [0.0; DOT_LANES];
     let mut xc = x.chunks_exact(DOT_LANES);
     let mut yc = y.chunks_exact(DOT_LANES);
     for (cx, cy) in xc.by_ref().zip(yc.by_ref()) {
@@ -116,11 +72,11 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
 /// panel corrections in the blocked tridiagonalization — halving the loads
 /// of the shared operand.
 #[inline]
-pub fn dot2<T: Scalar>(x: &[T], y: &[T], z: &[T]) -> (T, T) {
+pub fn dot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), z.len());
-    let mut ay = [T::ZERO; DOT2_LANES];
-    let mut az = [T::ZERO; DOT2_LANES];
+    let mut ay = [0.0; DOT2_LANES];
+    let mut az = [0.0; DOT2_LANES];
     let n = x.len();
     let whole = n - n % DOT2_LANES;
     let mut i = 0;
@@ -148,13 +104,13 @@ pub fn dot2<T: Scalar>(x: &[T], y: &[T], z: &[T]) -> (T, T) {
 /// over a row, so each element of `x` is loaded once per four entries
 /// instead of once per entry.
 #[inline]
-pub fn dot4<T: Scalar>(x: &[T], y0: &[T], y1: &[T], y2: &[T], y3: &[T]) -> [T; 4] {
+pub fn dot4(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> [f64; 4] {
     let n = x.len();
     debug_assert!(y0.len() == n && y1.len() == n && y2.len() == n && y3.len() == n);
-    let mut a0 = [T::ZERO; DOT2_LANES];
-    let mut a1 = [T::ZERO; DOT2_LANES];
-    let mut a2 = [T::ZERO; DOT2_LANES];
-    let mut a3 = [T::ZERO; DOT2_LANES];
+    let mut a0 = [0.0; DOT2_LANES];
+    let mut a1 = [0.0; DOT2_LANES];
+    let mut a2 = [0.0; DOT2_LANES];
+    let mut a3 = [0.0; DOT2_LANES];
     let whole = n - n % DOT2_LANES;
     let mut i = 0;
     while i < whole {
@@ -187,7 +143,7 @@ pub fn dot4<T: Scalar>(x: &[T], y0: &[T], y1: &[T], y2: &[T], y3: &[T]) -> [T; 4
 /// `y += a * x`. A plain streaming update the autovectorizer already
 /// handles; exposed so call sites share one spelling (and one flop count).
 #[inline]
-pub fn axpy<T: Scalar>(y: &mut [T], a: T, x: &[T]) {
+pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     debug_assert_eq!(y.len(), x.len());
     for (yv, &xv) in y.iter_mut().zip(x) {
         *yv += a * xv;
@@ -199,7 +155,7 @@ pub fn axpy<T: Scalar>(y: &mut [T], a: T, x: &[T]) {
 /// blocked tridiagonalization; fusing the two AXPYs halves the traffic on
 /// `y`.
 #[inline]
-pub fn axpy2<T: Scalar>(y: &mut [T], a: T, x: &[T], b: T, w: &[T]) {
+pub fn axpy2(y: &mut [f64], a: f64, x: &[f64], b: f64, w: &[f64]) {
     debug_assert_eq!(y.len(), x.len());
     debug_assert_eq!(y.len(), w.len());
     for i in 0..y.len() {
@@ -217,7 +173,7 @@ pub const GEMM_UNROLL: usize = 4;
 /// i.e. four [`axpy`] calls in order, with the output row loaded and stored
 /// once.
 #[inline]
-pub fn axpy4<T: Scalar>(orow: &mut [T], a: [T; 4], b: [&[T]; 4]) {
+pub fn axpy4(orow: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
     let n = orow.len();
     let [b0, b1, b2, b3] = [&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]];
     for j in 0..n {
@@ -235,9 +191,9 @@ pub fn axpy4<T: Scalar>(orow: &mut [T], a: [T; 4], b: [&[T]; 4]) {
 /// Written over `chunks_exact` so no bounds check sits between the stores
 /// to `p` — an indexed loop here compiles to scalar code.
 #[inline]
-pub fn dot4_axpy4<T: Scalar>(p: &mut [T], x: &[T], a: [T; 4], y: [&[T]; 4]) -> [T; 4] {
+pub fn dot4_axpy4(p: &mut [f64], x: &[f64], a: [f64; 4], y: [&[f64]; 4]) -> [f64; 4] {
     let n = p.len();
-    let mut acc = [[T::ZERO; DOT2_LANES]; 4];
+    let mut acc = [[0.0; DOT2_LANES]; 4];
     let mut pc = p.chunks_exact_mut(DOT2_LANES);
     let mut xc = x[..n].chunks_exact(DOT2_LANES);
     let mut yc = y.map(|yj| yj[..n].chunks_exact(DOT2_LANES));
@@ -283,7 +239,7 @@ pub fn dot4_axpy4<T: Scalar>(p: &mut [T], x: &[T], a: [T; 4], y: [&[T]; 4]) -> [
 /// the result is bitwise identical to that reference order regardless of how
 /// callers band the output rows.
 #[inline]
-pub fn gemm_row<T: Scalar>(orow: &mut [T], arow: &[T], b: &[T], ldb: usize, p0: usize, p1: usize) {
+pub fn gemm_row(orow: &mut [f64], arow: &[f64], b: &[f64], ldb: usize, p0: usize, p1: usize) {
     let n = orow.len();
     let brow = |p: usize| &b[p * ldb..p * ldb + n];
     let mut p = p0;
@@ -319,7 +275,7 @@ pub fn gemm_row<T: Scalar>(orow: &mut [T], arow: &[T], b: &[T], ldb: usize, p0: 
 ///
 /// # Panics
 /// Panics if `a` is shorter than `n × n` or `v`, `p` shorter than `n`.
-pub fn symv_lower<T: Scalar>(a: &[T], n: usize, lo: usize, v: &[T], p: &mut [T]) {
+pub fn symv_lower(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64]) {
     symv_lower_band(a, n, lo, lo..n, v, p);
 }
 
@@ -337,17 +293,17 @@ pub fn symv_lower<T: Scalar>(a: &[T], n: usize, lo: usize, v: &[T], p: &mut [T])
 /// # Panics
 /// Panics if `a` is shorter than `n × n` or `v`, `part` shorter than
 /// `band.end`.
-pub fn symv_lower_band<T: Scalar>(
-    a: &[T],
+pub fn symv_lower_band(
+    a: &[f64],
     n: usize,
     lo: usize,
     band: std::ops::Range<usize>,
-    v: &[T],
-    part: &mut [T],
+    v: &[f64],
+    part: &mut [f64],
 ) {
     let row = |r: usize| &a[r * n..(r + 1) * n];
     // Rows r0..r1 against columns r0..r1: the part of a pass on the diagonal.
-    let triangle = |p: &mut [T], r0: usize, r1: usize| {
+    let triangle = |p: &mut [f64], r0: usize, r1: usize| {
         for i in r0..r1 {
             let ai = row(i);
             for c in r0..i {
@@ -362,7 +318,7 @@ pub fn symv_lower_band<T: Scalar>(
         band.start == lo || (band.start >= head && (band.start - head).is_multiple_of(4))
     );
     debug_assert!(band.end >= head && (band.end - head).is_multiple_of(4) && band.end <= n);
-    part[lo..band.end].fill(T::ZERO);
+    part[lo..band.end].fill(0.0);
     if band.start == lo {
         triangle(part, lo, head);
     }
@@ -385,7 +341,7 @@ pub fn symv_lower_band<T: Scalar>(
 /// Each entry's accumulation order depends only on the inner index, so the
 /// serial and row-parallel callers agree bitwise.
 #[inline]
-pub fn syrk_row<T: Scalar>(orow: &mut [T], i: usize, a: &[T], lda: usize) {
+pub fn syrk_row(orow: &mut [f64], i: usize, a: &[f64], lda: usize) {
     let arow = &a[i * lda..i * lda + lda];
     let mut j = 0;
     while j + 4 <= i + 1 {
@@ -563,15 +519,6 @@ fn step_rows(
         }
         o.copy_from_slice(&row);
         tail(i, &row, xi);
-    }
-}
-
-/// Dense row-major matrix–vector product `y = A·x` via [`dot`] per row.
-#[inline]
-pub fn matvec_rows<T: Scalar>(a: &[T], cols: usize, x: &[T], y: &mut [T]) {
-    debug_assert_eq!(x.len(), cols);
-    for (i, yv) in y.iter_mut().enumerate() {
-        *yv = dot(&a[i * cols..(i + 1) * cols], x);
     }
 }
 
@@ -846,17 +793,6 @@ mod tests {
                 close(got[c], &[r0[c], coeff * o[c]]);
             }
         }
-    }
-
-    #[test]
-    fn f32_instantiation_tracks_f64() {
-        let x = seq(40, 0.17, -1.0);
-        let y = seq(40, -0.29, 0.6);
-        let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-        let yf: Vec<f32> = y.iter().map(|&v| v as f32).collect();
-        let d64 = dot(&x, &y);
-        let d32 = dot(&xf, &yf) as f64;
-        assert!((d64 - d32).abs() < 1e-4 * d64.abs().max(1.0));
     }
 
     #[test]

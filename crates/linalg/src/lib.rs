@@ -20,10 +20,9 @@
 //!   reduction, tridiagonal spectrum, inverse iteration + blocked
 //!   back-transform for a window of states): the per-timestep O(n³) kernel
 //!   of tight-binding MD.
-//! * [`eigvalsh_partial`] — Sturm-sequence bisection for the lowest k
-//!   eigenvalues (the era's "occupied states only" optimization).
+//! * [`tridiagonal_eigenvalues_range_into`] — Sturm-sequence bisection for
+//!   a window of eigenvalues, the distributed solver's spectrum slice.
 
-pub mod batched;
 pub mod bisection;
 pub mod blocked;
 pub mod budget;
@@ -34,11 +33,7 @@ pub mod matrix;
 pub mod team;
 pub mod vec3;
 
-pub use batched::batch_map;
-pub use bisection::{
-    eigvalsh_partial, snap_range_to_clusters, sturm_count, tridiagonal_eigenvalues_range_into,
-    tridiagonal_kth_eigenvalue,
-};
+pub use bisection::{snap_range_to_clusters, tridiagonal_eigenvalues_range_into};
 pub use blocked::{
     apply_q_blocked, eigh_partial_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
     reduced_eigenvectors_offset_into, tridiagonalize_blocked_into, TRIDIAG_BLOCK,
@@ -54,6 +49,6 @@ pub use eigh::{
 pub use inverse_iteration::{
     cluster_tolerance, tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
 };
-pub use kernels::{Scalar, GEMM_UNROLL, KERNEL_MIN_DIM};
+pub use kernels::{GEMM_UNROLL, KERNEL_MIN_DIM};
 pub use matrix::Matrix;
 pub use vec3::Vec3;

@@ -3,8 +3,8 @@
 //! This is the storage type for tight-binding Hamiltonians, eigenvector sets
 //! and density matrices. It is intentionally small: the workspace only needs
 //! real square/rectangular `f64` matrices, symmetric eigensolvers and matrix
-//! products. Products are cache-blocked and optionally fanned out over the
-//! thread team (see [`Matrix::par_matmul`]).
+//! products. Products are cache-blocked; the symmetric rank-k product can
+//! fan out over the thread team (see [`Matrix::par_syrk`]).
 
 use crate::kernels::{self, KERNEL_MIN_DIM};
 use crate::team;
@@ -125,14 +125,6 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Overwrite column `j` with `v`.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) {
-        assert_eq!(v.len(), self.rows);
-        for i in 0..self.rows {
-            self[(i, j)] = v[i];
-        }
-    }
-
     /// Iterate over rows as slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols)
@@ -160,19 +152,6 @@ impl Matrix {
         self.rows_iter().map(|row| kernels::dot(row, x)).collect()
     }
 
-    /// Transposed matrix–vector product `selfᵀ * x`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        let mut y = vec![0.0; self.cols];
-        for (i, row) in self.rows_iter().enumerate() {
-            let xi = x[i];
-            for (yj, &a) in y.iter_mut().zip(row) {
-                *yj += a * xi;
-            }
-        }
-        y
-    }
-
     /// Cache-blocked serial matrix product `self * other`.
     ///
     /// # Panics
@@ -180,19 +159,7 @@ impl Matrix {
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_into(self, other, &mut out, false);
-        out
-    }
-
-    /// Cache-blocked matrix product, row bands fanned out over the thread team.
-    ///
-    /// Produces bitwise-identical results to [`Matrix::matmul`]: each output
-    /// row is accumulated by exactly one task in the same order as the serial
-    /// kernel.
-    pub fn par_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_into(self, other, &mut out, true);
+        matmul_into(self, other, &mut out);
         out
     }
 
@@ -352,29 +319,18 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
         self.data.capacity() != cap
     }
-
-    /// Quadratic form `xᵀ A y`.
-    pub fn quadratic_form(&self, x: &[f64], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.rows);
-        assert_eq!(y.len(), self.cols);
-        self.rows_iter()
-            .zip(x)
-            .map(|(row, &xi)| xi * kernels::dot(row, y))
-            .sum()
-    }
 }
 
-/// Blocked GEMM kernel shared by the serial and parallel entry points.
+/// Blocked GEMM kernel of [`Matrix::matmul`].
 ///
 /// Splits the output into `MATMUL_BLOCK`-row bands; each band walks the inner
 /// dimension in blocks so that the working set of `a`, `b` and `out` stays
 /// cache-resident, and each row band runs the unrolled
 /// [`kernels::gemm_row`] panel kernel. Every output element accumulates in
-/// ascending inner-index order regardless of banding or threading, so the
-/// serial and parallel entry points are bitwise identical. Products with
-/// every dimension ≤ [`KERNEL_MIN_DIM`] skip the blocking machinery
-/// entirely (same accumulation order, none of the panel overhead).
-fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
+/// ascending inner-index order regardless of banding. Products with every
+/// dimension ≤ [`KERNEL_MIN_DIM`] skip the blocking machinery entirely (same
+/// accumulation order, none of the panel overhead).
+fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 2 * (m * k * n) as u64);
     if m.max(k).max(n) <= KERNEL_MIN_DIM {
@@ -383,7 +339,7 @@ fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
         }
         return;
     }
-    let band = |band_idx: usize, out_band: &mut [f64]| {
+    for (band_idx, out_band) in out.data.chunks_mut(MATMUL_BLOCK * n).enumerate() {
         let i0 = band_idx * MATMUL_BLOCK;
         let i1 = (i0 + MATMUL_BLOCK).min(m);
         for p0 in (0..k).step_by(MATMUL_BLOCK) {
@@ -393,17 +349,6 @@ fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
                 kernels::gemm_row(orow, a.row(i), &b.data, n, p0, p1);
             }
         }
-    };
-    team::chunks_for_each(fan_width(parallel), &mut out.data, MATMUL_BLOCK * n, band);
-}
-
-/// Threads for a product: what the lease allows for the `par_` entry points,
-/// the calling thread alone for the serial ones.
-fn fan_width(parallel: bool) -> usize {
-    if parallel {
-        team::width()
-    } else {
-        1
     }
 }
 
@@ -427,7 +372,11 @@ fn syrk_into(a: &Matrix, out: &mut Matrix, parallel: bool) {
     let k = a.cols;
     debug_assert_eq!((out.rows, out.cols), (n, n));
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, (n * (n + 1) * k) as u64);
-    let width = fan_width(parallel && n > KERNEL_MIN_DIM);
+    let width = if parallel && n > KERNEL_MIN_DIM {
+        team::width()
+    } else {
+        1
+    };
     team::chunks_for_each(width, &mut out.data, n.max(1), |i, orow| {
         kernels::syrk_row(orow, i, &a.data, k);
     });
@@ -587,15 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn par_matmul_matches_serial() {
-        let a = test_matrix(97, 83, 5);
-        let b = test_matrix(83, 101, 7);
-        let s = a.matmul(&b);
-        let p = a.par_matmul(&b);
-        assert_eq!(s, p, "parallel product must be bitwise identical");
-    }
-
-    #[test]
     fn t_matmul_matches_explicit_transpose() {
         let a = test_matrix(40, 31, 13);
         let b = test_matrix(40, 29, 17);
@@ -613,17 +553,6 @@ mod tests {
         let via_mv = a.matvec(&x);
         for i in 0..12 {
             assert!((via_mm[(i, 0)] - via_mv[i]).abs() < 1e-13);
-        }
-    }
-
-    #[test]
-    fn matvec_t_matches_transpose() {
-        let a = test_matrix(12, 9, 19);
-        let x: Vec<f64> = (0..12).map(|i| (i as f64) * 0.1 - 0.5).collect();
-        let direct = a.matvec_t(&x);
-        let via_t = a.transpose().matvec(&x);
-        for (d, t) in direct.iter().zip(&via_t) {
-            assert!((d - t).abs() < 1e-13);
         }
     }
 
@@ -647,25 +576,6 @@ mod tests {
         assert!(a.asymmetry() > 0.0);
         a.symmetrize();
         assert_eq!(a.asymmetry(), 0.0);
-    }
-
-    #[test]
-    fn quadratic_form_matches_products() {
-        let a = test_matrix(8, 8, 37);
-        let x: Vec<f64> = (0..8).map(|i| i as f64 * 0.2).collect();
-        let y: Vec<f64> = (0..8).map(|i| 1.0 - i as f64 * 0.1).collect();
-        let q = a.quadratic_form(&x, &y);
-        let ay = a.matvec(&y);
-        let manual: f64 = x.iter().zip(&ay).map(|(a, b)| a * b).sum();
-        assert!((q - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn col_roundtrip() {
-        let mut a = Matrix::zeros(4, 3);
-        a.set_col(1, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.col(1), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.col(0), vec![0.0; 4]);
     }
 
     #[test]

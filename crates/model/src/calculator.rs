@@ -1,18 +1,24 @@
 //! The dense Γ-point tight-binding calculator: energies, Hellmann–Feynman
-//! forces and per-phase timings — the one pipeline behind the serial and
-//! the shared-memory engines, the stress tensor and the health probe.
+//! forces and per-phase timings — the one dense pipeline, as wide as the
+//! compute lease it runs under, behind the stress tensor and the health
+//! probe too.
 //!
 //! A TBMD step decomposes into the five phases every 1990s systems paper
 //! reports (experiment T1):
 //!
 //! 1. **neighbours** — O(N) linked-cell list build;
-//! 2. **hamiltonian** — O(N·z) Slater–Koster assembly;
+//! 2. **hamiltonian** — O(N·z) Slater–Koster assembly, one atom's band per
+//!    task ([`build_hamiltonian_into`]);
 //! 3. **diagonalize** — O(N³) symmetric eigensolve;
 //! 4. **density** — `ρ = 2 C f Cᵀ` on the blocks the forces read:
 //!    O(N·z·N_occ) ([`crate::stages::bond_density`]; the full matrix,
 //!    [`density_matrix_into`], is O(N²·N_occ));
 //! 5. **forces** — O(N·z) contraction of `ρ` with `∂H/∂R` plus the
-//!    repulsive-potential forces.
+//!    repulsive-potential forces, one atom per task ([`dense_forces`]).
+//!
+//! Both fan-outs take [`tbmd_linalg::team::width`] threads, and an atom's
+//! band or force is the same bits on whichever thread runs it, so a
+//! width-1 lease and a wide one give the same result.
 //!
 //! The same phase structure is what `tbmd-parallel` distributes; the stages
 //! themselves live in [`crate::stages`].
@@ -21,7 +27,7 @@ use crate::hamiltonian::{build_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
 use crate::occupations::{occupations, OccupationScheme, Occupations};
 use crate::stages::{
-    bond_contraction, bond_density, dense_block, embedding, entropy_term, epilogue,
+    bond_contraction, bond_density, dense_block, dense_forces, embedding, entropy_term, epilogue,
     occupied_factor_into, prologue, solve_occupied, spectrum, validate,
 };
 use crate::workspace::{NeighborOutcome, Workspace};
@@ -95,8 +101,8 @@ pub struct PhaseTimings {
     pub density: Duration,
     pub forces: Duration,
     /// Time blocked in collectives (broadcast/allreduce/allgather) on the
-    /// distributed engines. The compute phases above exclude it; serial and
-    /// shared-memory engines leave it zero.
+    /// distributed engines. The compute phases above exclude it; the dense
+    /// and O(N) engines leave it zero.
     pub communication: Duration,
     /// Full neighbour-list builds: Verlet skin rebuilds plus per-step
     /// fallback builds (every cold evaluation counts one).
@@ -219,37 +225,9 @@ pub enum DenseSolver {
     /// Classic one-stage path at every size: scalar Householder +
     /// implicit-QL with full eigenvector accumulation
     /// ([`tbmd_linalg::eigh_into`]). The reference the equivalence tests
-    /// (`tests/solver_equivalence.rs`, the health probe's and the shared
-    /// engine's unit tests) compare the two-stage solver against.
+    /// (`tests/solver_equivalence.rs`, the health probe's unit tests)
+    /// compare the two-stage solver against.
     FullQl,
-}
-
-/// Assemble `H` into the buffer; `true` if it had to grow.
-pub type HamiltonianStage =
-    fn(&Structure, &NeighborList, &dyn TbModel, &OrbitalIndex, &mut Matrix) -> bool;
-/// Repulsive energy and total (electronic + repulsive) forces from `ρ`.
-pub type ForceStage =
-    fn(&Structure, &NeighborList, &dyn TbModel, &OrbitalIndex, &Matrix) -> (f64, Vec<Vec3>);
-
-/// The two stages of the dense pipeline that differ between the serial and
-/// the shared-memory engine: how `H` is assembled and how `ρ` is contracted
-/// into forces. Plain function pointers — called once per evaluation.
-#[derive(Clone, Copy)]
-pub struct DenseStages {
-    pub hamiltonian: HamiltonianStage,
-    pub forces: ForceStage,
-    /// Engine name for logs and benchmark tables.
-    pub name: &'static str,
-}
-
-impl DenseStages {
-    /// The serial stages: one thread assembles `H` band by band, forces in
-    /// scatter form ([`electronic_forces`] + [`repulsive_energy_forces`]).
-    pub const SERIAL: DenseStages = DenseStages {
-        hamiltonian: build_hamiltonian_into,
-        forces: scatter_forces,
-        name: "serial-tb",
-    };
 }
 
 /// Dense Γ-point tight-binding calculator.
@@ -264,9 +242,6 @@ pub struct TbCalculator<'m> {
     /// Dense eigensolver selection; defaults to the two-stage blocked
     /// solver with occupied-subspace spectrum slicing.
     pub solver: DenseSolver,
-    /// `H`-assembly and force stages; serial by default, the fan-out pair
-    /// for the shared-memory engine (`tbmd_parallel::shared_memory_tb`).
-    pub stages: DenseStages,
 }
 
 impl<'m> TbCalculator<'m> {
@@ -276,7 +251,6 @@ impl<'m> TbCalculator<'m> {
             model,
             occupation: OccupationScheme::Fermi { kt: 0.1 },
             solver: DenseSolver::default(),
-            stages: DenseStages::SERIAL,
         }
     }
 
@@ -313,7 +287,7 @@ impl<'m> TbCalculator<'m> {
         ws.neighbors.update(s, self.model.cutoff());
         let nl = ws.neighbors.list();
         let index = OrbitalIndex::new(s);
-        (self.stages.hamiltonian)(s, nl, self.model, &index, &mut ws.h);
+        build_hamiltonian_into(s, nl, self.model, &index, &mut ws.h);
         let (rep, _) = repulsive_energy_forces(s, nl, self.model, false);
         spectrum(&mut ws, self.solver)?;
         let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
@@ -346,8 +320,8 @@ impl<'m> TbCalculator<'m> {
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
         let index = OrbitalIndex::new(s);
-        ws.grown += (self.stages.hamiltonian)(s, ws.neighbors.list(), self.model, &index, &mut ws.h)
-            as usize;
+        ws.grown +=
+            build_hamiltonian_into(s, ws.neighbors.list(), self.model, &index, &mut ws.h) as usize;
         timings.hamiltonian = sp.finish();
 
         let (occ, diagonalize) = solve_occupied(ws, s.n_electrons(), self.occupation, self.solver)?;
@@ -376,8 +350,7 @@ impl<'m> TbCalculator<'m> {
         let band = occ.band_energy(&ws.values);
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let (rep, forces) =
-            (self.stages.forces)(s, ws.neighbors.list(), self.model, &index, &ws.rho);
+        let (rep, forces) = dense_forces(s, ws.neighbors.list(), self.model, &index, &ws.rho);
         timings.forces = sp.finish();
 
         epilogue(ws.grown - grown_before, &timings, &[]);
@@ -417,6 +390,8 @@ pub fn density_matrix_into(vectors: &Matrix, f: &[f64], w: &mut Matrix, rho: &mu
 }
 
 /// Band-structure (electronic) forces: `F_i = 2 Σ_{j∈nb(i)} ρ_ij : ∂B/∂d`.
+/// With [`repulsive_energy_forces`] this is the scatter-form reference the
+/// pipeline's gather-form [`dense_forces`] is tested against.
 ///
 /// Self-image entries (`j == i`) carry no force: their bond vector is a
 /// fixed lattice translation, independent of the atomic coordinates.
@@ -481,23 +456,6 @@ pub fn repulsive_energy_forces(
         }
     }
     (energy, Some(forces))
-}
-
-/// The serial force stage: electronic forces plus the scatter-form
-/// repulsive forces, and the repulsive energy.
-fn scatter_forces(
-    s: &Structure,
-    nl: &NeighborList,
-    model: &dyn TbModel,
-    index: &OrbitalIndex,
-    rho: &Matrix,
-) -> (f64, Vec<Vec3>) {
-    let mut forces = electronic_forces(s, nl, model, index, rho);
-    let (rep, rep_forces) = repulsive_energy_forces(s, nl, model, true);
-    for (f, rf) in forces.iter_mut().zip(rep_forces.expect("forces requested")) {
-        *f += rf;
-    }
-    (rep, forces)
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! diagonal block, which is what makes small supercells come out right).
 
 use crate::model::TbModel;
-use crate::slater_koster::{sk_block, Hoppings};
-use tbmd_linalg::Matrix;
+use crate::slater_koster::sk_block;
+use tbmd_linalg::{team, Matrix};
 use tbmd_structure::{NeighborList, Structure};
 
 /// Maps atoms to rows/columns of the Hamiltonian.
@@ -69,6 +69,12 @@ pub fn build_hamiltonian(
 
 /// [`build_hamiltonian`] into a caller-owned buffer, reusing its allocation
 /// when the capacity suffices. Returns `true` if the buffer had to grow.
+///
+/// Each atom's band of 4 rows (`assemble_band`) is one task of a
+/// [`team::chunks_for_each`] over [`team::width`] threads — the compute
+/// lease's width, 1 on a rank thread. Bands are disjoint and a band's
+/// arithmetic does not depend on the thread that runs it, so `H` is the same
+/// bits at every width.
 pub fn build_hamiltonian_into(
     s: &Structure,
     nl: &NeighborList,
@@ -76,43 +82,27 @@ pub fn build_hamiltonian_into(
     index: &OrbitalIndex,
     h: &mut Matrix,
 ) -> bool {
-    let on_site = |i| model.on_site(s.species(i));
-    assemble_bands(nl, index, h, on_site, |r| model.hoppings(r))
-}
-
-/// Size `m` to the orbital count and fill it band by band
-/// ([`assemble_band`]) from the per-atom on-site energies and the
-/// two-centre hoppings. Returns `true` if `m` had to grow.
-pub fn assemble_bands(
-    nl: &NeighborList,
-    index: &OrbitalIndex,
-    m: &mut Matrix,
-    on_site: impl Fn(usize) -> [f64; 4],
-    two_center: impl Fn(f64) -> Hoppings,
-) -> bool {
     let n = index.total();
-    let grew = m.resize_zeroed(n, n);
+    let grew = h.resize_zeroed(n, n);
     if n > 0 {
-        for (i, band) in m.as_mut_slice().chunks_mut(4 * n).enumerate() {
-            assemble_band(nl, index, i, band, on_site(i), &two_center);
-        }
+        team::chunks_for_each(team::width(), h.as_mut_slice(), 4 * n, |i, band| {
+            assemble_band(s, nl, model, index, i, band)
+        });
     }
     grew
 }
 
-/// Assemble atom `i`'s band of a two-center matrix — its 4 rows, zeroed on
-/// entry, as one row-major slice: `on_site` on the diagonal, then one
-/// Slater–Koster block of `two_center(r)` per directed neighbour entry in
-/// list order (self-image entries accumulate on the diagonal block). Bands
-/// are disjoint, so they can be filled in any order or in parallel with
-/// bitwise-identical results.
-pub fn assemble_band(
+/// Assemble atom `i`'s band of `H` — its 4 rows, zeroed on entry, as one
+/// row-major slice: the on-site energies on the diagonal, then one
+/// Slater–Koster block per directed neighbour entry in list order
+/// (self-image entries accumulate on the diagonal block).
+fn assemble_band(
+    s: &Structure,
     nl: &NeighborList,
+    model: &dyn TbModel,
     index: &OrbitalIndex,
     i: usize,
     band: &mut [f64],
-    on_site: [f64; 4],
-    two_center: impl Fn(f64) -> Hoppings,
 ) {
     let n = index.total();
     let oi = index.offset(i);
@@ -123,11 +113,11 @@ pub fn assemble_band(
         (4 * i, 4 * n),
         "band assembly assumes 4 orbitals per atom"
     );
-    for (k, &ek) in on_site.iter().enumerate() {
+    for (k, &ek) in model.on_site(s.species(i)).iter().enumerate() {
         band[k * n + oi + k] = ek;
     }
     for nb in nl.neighbors(i) {
-        let v = two_center(nb.dist);
+        let v = model.hoppings(nb.dist);
         if v.iter().all(|&x| x == 0.0) {
             continue;
         }

@@ -30,12 +30,10 @@ pub use bands::{
 };
 pub use calculator::{
     density_matrix, density_matrix_into, electronic_forces, repulsive_energy_forces, DenseSolver,
-    DenseStages, PhaseTimings, TbCalculator, TbError, TbResult, TWO_STAGE_MIN_DIM,
+    PhaseTimings, TbCalculator, TbError, TbResult, TWO_STAGE_MIN_DIM,
 };
 pub use carbon::carbon_xwch;
-pub use hamiltonian::{
-    assemble_band, assemble_bands, build_hamiltonian, build_hamiltonian_into, OrbitalIndex,
-};
+pub use hamiltonian::{build_hamiltonian, build_hamiltonian_into, OrbitalIndex};
 pub use health::{cached_eigensolver_health, eigensolver_health};
 pub use model::{EmbeddingPolynomial, GspTbModel, TbModel};
 pub use occupations::{
@@ -46,8 +44,8 @@ pub use scaling::{CutoffTail, GspScaling, RadialFunction, RadialShape};
 pub use silicon::silicon_gsp;
 pub use slater_koster::{sk_block, sk_block_gradient, sk_transpose, Hoppings, SkBlock};
 pub use stages::{
-    bond_block_elements, bond_contraction, bond_density, bond_force, dense_block, embedding,
-    entropy_term, epilogue, for_each_bond_block, prologue, solve_occupied, validate,
+    bond_block_elements, bond_contraction, bond_density, bond_force, dense_block, dense_forces,
+    embedding, entropy_term, epilogue, for_each_bond_block, prologue, solve_occupied, validate,
 };
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};

@@ -2,10 +2,9 @@
 //! and forces.
 //!
 //! The MD integrators, relaxers and benchmark harness are generic over
-//! [`ForceProvider`], so the dense calculator (serial or with the
-//! shared-memory fan-out stages), the message-passing engine in
-//! `tbmd-parallel` and the O(N) engines in `tbmd-linscale` are all drop-in
-//! interchangeable.
+//! [`ForceProvider`], so the dense calculator (on as many threads as the
+//! compute lease allows), the message-passing engine in `tbmd-parallel` and
+//! the O(N) engines in `tbmd-linscale` are all drop-in interchangeable.
 
 use crate::calculator::{PhaseTimings, TbCalculator, TbError, TbResult};
 use crate::workspace::Workspace;
@@ -75,7 +74,7 @@ impl ForceProvider for TbCalculator<'_> {
     }
 
     fn provider_name(&self) -> &str {
-        self.stages.name
+        "dense-tb"
     }
 }
 
@@ -94,7 +93,7 @@ mod tests {
         assert_eq!(eval.forces.len(), 2);
         let e = calc.energy_only(&s).unwrap();
         assert!((e - eval.energy).abs() < 1e-10);
-        assert_eq!(calc.provider_name(), "serial-tb");
+        assert_eq!(calc.provider_name(), "dense-tb");
         // Dimer forces: equal and opposite along the bond.
         assert!((eval.forces[0] + eval.forces[1]).norm() < 1e-10);
     }

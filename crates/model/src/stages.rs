@@ -23,7 +23,8 @@
 //! * [`embedding`] — the per-atom repulsive embedding pre-pass;
 //! * [`bond_contraction`] / [`bond_force`] — `ρ_ij : ∂B/∂d` for one bond and
 //!   the gather-form force on one atom, generic over how a 4×4 block of `ρ`
-//!   is read (dense matrix, local O(N) blocks).
+//!   is read (dense matrix, local O(N) blocks); [`dense_forces`] maps it over
+//!   the atoms of a dense `ρ`.
 //!
 //! [`crate::TbCalculator::compute_with`] strings them into the one dense
 //! Γ-point pipeline; the distributed and O(N) engines call the same leaves
@@ -39,7 +40,7 @@ use crate::slater_koster::sk_block_gradient;
 use crate::units::KB_EV;
 use crate::workspace::{DenseCache, Workspace};
 use tbmd_linalg::{
-    eigh_into, kernels, reduced_eigenvalues_into, reduced_eigenvectors_into,
+    eigh_into, kernels, reduced_eigenvalues_into, reduced_eigenvectors_into, team,
     tridiagonalize_blocked_into, Matrix, Vec3,
 };
 use tbmd_structure::{Neighbor, NeighborList, Structure};
@@ -79,18 +80,16 @@ pub fn prologue(
 
 /// Evaluation epilogue: surface `grown` large-buffer growth events, and feed
 /// the registry the `unspanned` phases of `timings` — the ones clocked per
-/// rank, where a span would add up time-shared threads — as
-/// one `phase_ns` add and one histogram sample each. Span-timed phases fed
-/// themselves on `finish` and must not be listed.
+/// rank, where a span would add up time-shared threads — as one histogram
+/// sample each. Span-timed phases fed themselves on `finish` and must not
+/// be listed.
 pub fn epilogue(grown: usize, timings: &PhaseTimings, unspanned: &[Phase]) {
     tbmd_trace::add(Counter::AllocGrowth, grown as u64);
     if !tbmd_trace::active() {
         return;
     }
     for &p in unspanned {
-        let ns = timings.phase(p).as_nanos() as u64;
-        tbmd_trace::add_phase_ns(p, ns);
-        tbmd_trace::record_ns(Hist::for_phase(p), ns);
+        tbmd_trace::record_ns(Hist::for_phase(p), timings.phase(p).as_nanos() as u64);
     }
 }
 
@@ -315,6 +314,33 @@ pub fn bond_force<R: Fn(usize, usize) -> f64>(
         }
     }
     fi
+}
+
+/// The force stage of the dense pipeline: every atom's [`bond_force`]
+/// against the dense `rho`, one task per atom over [`team::width`] threads,
+/// and the repulsive energy `Σ_i f(x_i)` summed in atom order. A task
+/// writes only its own atom's force in a fixed order, so the forces are the
+/// same bits at every width.
+pub fn dense_forces(
+    s: &Structure,
+    nl: &NeighborList,
+    model: &dyn TbModel,
+    index: &OrbitalIndex,
+    rho: &Matrix,
+) -> (f64, Vec<Vec3>) {
+    let n = s.n_atoms();
+    // The forces outlive the step and the embedding does not: allocated in
+    // that order, freeing the embedding leaves no hole below the forces at
+    // the top of the heap (a hole there keeps glibc from trimming it, which
+    // showed as 6 MB more peak RSS on a Si-216 session).
+    let mut forces = vec![Vec3::ZERO; n];
+    let fx = embedding(model, nl, n);
+    let e_rep = fx.iter().map(|&(f, _)| f).sum();
+    team::chunks_for_each(team::width(), &mut forces, 1, |i, f| {
+        let oi = index.offset(i);
+        f[0] = bond_force(model, nl, i, &fx, |j| dense_block(rho, oi, index.offset(j)));
+    });
+    (e_rep, forces)
 }
 
 /// The `(μ, ν)` reader of the block between atoms at orbital offsets `oi`

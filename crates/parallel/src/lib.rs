@@ -1,17 +1,17 @@
 //! # tbmd-parallel
 //!
-//! The parallel-systems layer of the reproduction: a virtual
+//! The message-passing layer of the reproduction: a virtual
 //! distributed-memory machine ([`vmp`]) with counted message traffic, era
 //! machine cost models ([`cost_model`]), the rank-control and launch layer
-//! every replicated-data engine shares ([`ranks`]), and two parallel TBMD
-//! engines — the message-passing [`DistributedTb`] and the shared-memory
-//! fan-out stages of the dense calculator ([`shared_memory_tb`]) — both
-//! numerically pinned to the serial reference calculator by the test-suite.
+//! every replicated-data engine shares ([`ranks`]), and the message-passing
+//! TBMD engine [`DistributedTb`], numerically pinned to the dense calculator
+//! by the test-suite. Shared-memory parallelism is not here: the dense
+//! calculator (`tbmd_model::TbCalculator`) fans its own stages out over the
+//! thread team, as wide as the compute lease.
 
 pub mod cost_model;
 pub mod distributed;
 pub mod ranks;
-pub mod shared;
 pub mod vmp;
 
 pub use cost_model::{
@@ -19,14 +19,9 @@ pub use cost_model::{
 };
 pub use distributed::{DistributedReport, DistributedTb};
 pub use ranks::{gather_forces, Launch, PhaseClock, RankControl, Replica};
-pub use shared::{par_build_hamiltonian_into, par_forces, shared_memory_tb, FAN_OUT};
-// The process compute budget lives in `tbmd-linalg` (the lowest layer every
-// fan-out site can see); re-export it here so callers thinking in terms of
-// parallel execution find it next to the engines it throttles.
-pub use tbmd_linalg::budget::{
-    budget_total, configure_budget, effective_width, high_water, leased_threads, reset_high_water,
-    try_lease, ComputeLease,
-};
+/// The dense pipeline's force stage under the name the benchmark package
+/// calls it by.
+pub use tbmd_model::dense_forces as par_forces;
 pub use vmp::{
     default_recv_timeout, partition_range, vmp_run, FaultKind, FaultPlan, Rank, RankFault,
     RankStats, VmpError, VmpStats,

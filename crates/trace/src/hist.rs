@@ -165,6 +165,11 @@ impl Histogram {
         }
     }
 
+    /// Total nanoseconds recorded.
+    pub fn sum_ns(&self) -> u64 {
+        self.sum_ns.load(Ordering::Relaxed)
+    }
+
     /// Zero every cell.
     pub fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);

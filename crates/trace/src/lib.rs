@@ -5,8 +5,9 @@
 //! - **Spans** ([`span`], [`interval`], [`Span`]): RAII wall-clock guards.
 //!   Engines open a span per [`Phase`]; `finish()` returns the measured
 //!   [`std::time::Duration`] (so `PhaseTimings` stays a plain value type —
-//!   it is now a *view* over span measurements) and feeds the monotonic
-//!   per-phase nanosecond accumulators of whoever is listening. The same
+//!   it is now a *view* over span measurements) and feeds the phase's
+//!   histogram of whoever is listening, whose sum is the phase's total
+//!   ([`TraceSnapshot::phase_ns`]). The same
 //!   type times labelled intervals that are not phases: a session's MD
 //!   step, a serve tenant's quantum.
 //! - **Counters** ([`Counter`]): monotonic event counts — wire bytes and
@@ -65,8 +66,7 @@ pub use record::{
     git_describe, HealthRecord, RecorderSummary, RunManifest, RunRecorder, StepRecord,
 };
 pub use sink::{
-    active, add, add_phase_ns, entered_scopes, interval, record_ns, set_gauge, span, ScopeGuard,
-    ScopedSink, Span,
+    active, add, entered_scopes, interval, record_ns, set_gauge, span, ScopeGuard, ScopedSink, Span,
 };
 pub use timeline::{SpanEvent, SpanName};
 pub use watchdog::{DriftWatchdog, WatchdogStatus};

@@ -215,18 +215,18 @@ impl TraceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScopedSink;
+    use crate::{Hist, ScopedSink};
 
     #[test]
     fn since_across_a_reset_saturates_at_zero() {
         let sink = ScopedSink::new("reset");
         let _guard = sink.enter();
         crate::add(Counter::NlRebuilds, 40);
-        crate::add_phase_ns(Phase::Forces, 9_000);
+        crate::record_ns(Hist::Forces, 9_000);
         let before = sink.snapshot();
         sink.reset();
         crate::add(Counter::NlRebuilds, 3);
-        crate::add_phase_ns(Phase::Forces, 100);
+        crate::record_ns(Hist::Forces, 100);
         let after = sink.snapshot();
         // The scope went backwards across the reset; the delta must
         // clamp to zero instead of wrapping to ~u64::MAX.

@@ -21,7 +21,7 @@ pub struct RunManifest {
     /// `serial/TwoStage`.
     pub engine: String,
     pub n_atoms: usize,
-    /// Vmp ranks (1 on serial/shared-memory engines).
+    /// Vmp ranks (1 on the dense and O(N) engines).
     pub n_ranks: usize,
     /// MD protocol, e.g. `Nve { steps: 50, dt_fs: 1.0 }`.
     pub protocol: String,

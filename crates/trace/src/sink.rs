@@ -1,6 +1,6 @@
-//! The trace sink: labelled blocks of atomic counters, per-phase nanosecond
-//! accumulators, gauges and latency [`Histogram`]s, the thread-local stack
-//! that routes events into them, and the RAII span guard.
+//! The trace sink: labelled blocks of atomic counters, gauges and latency
+//! [`Histogram`]s (a phase's total time is its histogram's sum), the
+//! thread-local stack that routes events into them, and the RAII span guard.
 //!
 //! A [`ScopedSink`] is the only sink there is. While a thread holds its
 //! [`ScopeGuard`] (from [`ScopedSink::enter`]) every event that thread
@@ -52,7 +52,6 @@ thread_local! {
 
 struct Shared {
     counters: [AtomicU64; Counter::COUNT],
-    phase_ns: [AtomicU64; Phase::COUNT],
     /// f64 bit patterns; last write wins.
     gauges: [AtomicU64; Gauge::COUNT],
     hists: [Histogram; Hist::COUNT],
@@ -66,7 +65,6 @@ impl Shared {
     fn new(timeline: Option<Timeline>) -> Shared {
         Shared {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| Histogram::default()),
             ranks: Mutex::new(Vec::new()),
@@ -79,8 +77,8 @@ impl Shared {
         for (slot, atom) in snap.counters.iter_mut().zip(&self.counters) {
             *slot = atom.load(Ordering::Relaxed);
         }
-        for (slot, atom) in snap.phase_ns.iter_mut().zip(&self.phase_ns) {
-            *slot = atom.load(Ordering::Relaxed);
+        for p in Phase::ALL {
+            snap.phase_ns[p.index()] = self.hists[Hist::for_phase(p).index()].sum_ns();
         }
         for (slot, atom) in snap.gauges.iter_mut().zip(&self.gauges) {
             *slot = f64::from_bits(atom.load(Ordering::Relaxed));
@@ -95,7 +93,7 @@ impl Shared {
     }
 
     fn reset(&self) {
-        for atom in self.counters.iter().chain(&self.phase_ns) {
+        for atom in &self.counters {
             atom.store(0, Ordering::Relaxed);
         }
         for atom in &self.gauges {
@@ -291,14 +289,6 @@ pub fn add(counter: Counter, n: u64) {
     });
 }
 
-/// Add nanoseconds to a phase timer (no-op when nobody listens).
-#[inline]
-pub fn add_phase_ns(phase: Phase, ns: u64) {
-    dispatch(|s| {
-        s.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
-    });
-}
-
 /// Overwrite a gauge (no-op when nobody listens).
 #[inline]
 pub fn set_gauge(gauge: Gauge, value: f64) {
@@ -326,16 +316,15 @@ pub fn record_ns(hist: Hist, ns: u64) {
 /// ```
 ///
 /// `finish()` (or drop) adds the elapsed wall time to the latency histogram
-/// (and, for a phase, the monotonic phase timer) of every scope this thread
-/// has entered, and deposits the interval into each of those scopes that
-/// records a timeline; the returned [`Duration`] is measured either way, so
+/// of every scope this thread has entered (for a phase, its histogram's sum
+/// is the phase's total time), and deposits the interval into each of those
+/// scopes that records a timeline; the returned [`Duration`] is measured either way, so
 /// `PhaseTimings` keeps its exact pre-trace values when nobody listens. A
 /// rank thread's spans reach its launcher's scopes and its own rank view,
 /// which is how per-rank breakdowns see phase time.
 #[derive(Debug)]
 pub struct Span {
     name: SpanName,
-    phase: Option<Phase>,
     hist: Hist,
     start: Instant,
     armed: bool,
@@ -346,7 +335,6 @@ pub struct Span {
 pub fn span(phase: Phase) -> Span {
     Span {
         name: SpanName::Static(phase.name()),
-        phase: Some(phase),
         hist: Hist::for_phase(phase),
         start: Instant::now(),
         armed: true,
@@ -359,7 +347,6 @@ pub fn span(phase: Phase) -> Span {
 pub fn interval(hist: Hist, name: impl Into<SpanName>) -> Span {
     Span {
         name: name.into(),
-        phase: None,
         hist,
         start: Instant::now(),
         armed: true,
@@ -379,9 +366,6 @@ impl Span {
         let d = self.start.elapsed();
         let ns = d.as_nanos() as u64;
         dispatch(|s| {
-            if let Some(phase) = self.phase {
-                s.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
-            }
             s.hists[self.hist.index()].record(ns);
             if let Some(timeline) = &s.timeline {
                 timeline.record(&self.name, self.start, ns);
@@ -416,7 +400,7 @@ mod tests {
         let _guard = scope.enter();
         add(Counter::WireBytes, 128);
         add(Counter::WireBytes, 72);
-        add_phase_ns(Phase::Communication, 1_000);
+        record_ns(Hist::Communication, 1_000);
         set_gauge(Gauge::Temperature, 300.5);
         let snap = scope.snapshot();
         assert_eq!(snap.counter(Counter::WireBytes), 200);

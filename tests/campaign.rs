@@ -53,7 +53,9 @@ fn standalone_endpoint(cell: &CellPlan) -> u64 {
         record_stride: 0,
     };
     let mut session = tbmd::SessionBuilder::new(config)
-        .initial_state(tbmd::InitialState::from_structure(cell.build_initial()))
+        .initial_state(tbmd::InitialState::from_structure(
+            cell.build_initial().unwrap(),
+        ))
         .build()
         .expect("build");
     let summary = session.run().expect("run");
@@ -289,7 +291,9 @@ fn vacancy_formation_energy_matches_direct_reference() {
             record_stride: 0,
         };
         let mut session = tbmd::SessionBuilder::new(config)
-            .initial_state(tbmd::InitialState::from_structure(cell.build_initial()))
+            .initial_state(tbmd::InitialState::from_structure(
+                cell.build_initial().unwrap(),
+            ))
             .build()
             .expect("build");
         let summary = session.run().expect("relax");
@@ -378,4 +382,45 @@ fn serve_lines_and_campaign_specs_share_the_system_and_seed_grammar() {
     )
     .expect("bare spec");
     assert_eq!(bare.config.seed, bare_spec.seed);
+}
+
+/// A vacancy at a site the structure does not have fails its own cell, by
+/// name, without losing the cell that finished before it: that cell's result
+/// file is on disk, and a re-run without the bad perturbation reuses it.
+#[test]
+fn a_bad_cell_keeps_the_finished_ones() {
+    let spec_with = |perturbations: &str| {
+        CampaignSpec::from_json(&format!(
+            r#"{{"name": "bad-cell", "seed": 3,
+                "structures": [{{"label": "si1", "system": "si", "reps": 1}}],
+                "perturbations": [{perturbations}],
+                "protocols": [{{"label": "nve", "kind": "nve", "steps": 2}}]}}"#
+        ))
+        .expect("parse")
+    };
+    let pristine = r#"{"label": "pristine", "kind": "pristine"}"#;
+    let dir = scratch_dir("bad_cell");
+    let opts = RunOptions {
+        dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+
+    let bad = spec_with(&format!(
+        r#"{pristine}, {{"label": "vac99", "kind": "vacancy", "site": 99}}"#
+    ));
+    let err = run_campaign(&bad, &opts).expect_err("site 99 of an 8-atom cell");
+    assert!(err.contains("si1/vac99/nve/serial"), "{err}");
+    let files: Vec<PathBuf> = std::fs::read_dir(dir.join("cells"))
+        .expect("cells dir")
+        .map(|entry| entry.expect("entry").path())
+        .collect();
+    assert_eq!(files.len(), 1, "{files:?}");
+    let text = std::fs::read_to_string(&files[0]).expect("result file");
+    let row = tbmd_campaign::CellRow::from_json(&tbmd::trace::JsonValue::parse(&text).unwrap())
+        .expect("row");
+    assert_eq!(row.name, "si1/pristine/nve/serial");
+
+    let good = run_campaign(&spec_with(pristine), &opts).expect("pristine only");
+    assert_eq!((good.reused, good.executed), (1, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,17 @@
 //! Physics contracts at the size the benchmark runs (ROADMAP needle 3), every
 //! engine built through `Engine::build`: forces are −∇E, the parallel kinds
 //! agree with the serial one, the energy-only path agrees with the full
-//! evaluation, no fan-out (shared, O(N)) depends on the lease width, the
+//! evaluation, no fan-out (dense, O(N)) depends on the lease width, the
 //! stress tensor falls out of the pipeline's own ρ, and the rank-control
 //! block behaves the same on both distributed engines.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tbmd::model::{stress_from_density, ForceEvaluation, OrbitalIndex, TbCalculator};
+use std::sync::{Mutex, PoisonError};
+use tbmd::model::{
+    electronic_forces, repulsive_energy_forces, stress_from_density, ForceEvaluation, OrbitalIndex,
+    TbCalculator,
+};
 use tbmd::structure::{apply_strain, bulk_diamond};
 use tbmd::{
     configure_budget, silicon_gsp, stress_tensor, try_lease, Engine, EngineKind, FaultKind,
@@ -25,15 +29,15 @@ fn perturbed_si64() -> Structure {
 /// Run `f` under a lease of exactly `width` threads (the budget is this
 /// test binary's own: every test here configures the same total).
 fn leased<T>(width: usize, f: impl FnOnce() -> T) -> T {
+    // Sibling tests take leases too, and a partial grant is not what was
+    // asked for. They queue for the whole budget instead of polling for it:
+    // two tests that each take one thread, see a partial grant and retry in
+    // step can starve each other indefinitely.
+    static BUDGET: Mutex<()> = Mutex::new(());
+    let _turn = BUDGET.lock().unwrap_or_else(PoisonError::into_inner);
     configure_budget(2);
-    // Sibling tests hold leases too, and a partial grant is not what was
-    // asked for: wait for the full width instead of racing them.
-    let lease = loop {
-        match try_lease(width) {
-            Some(lease) if lease.threads() == width => break lease,
-            _ => std::thread::sleep(std::time::Duration::from_millis(5)),
-        }
-    };
+    let lease = try_lease(width).expect("the whole budget is free");
+    assert_eq!(lease.threads(), width);
     lease.scoped(f)
 }
 
@@ -141,17 +145,65 @@ fn assert_same_bits(a: &ForceEvaluation, b: &ForceEvaluation) {
     }
 }
 
-/// The shared engine's fan-out stages run the serial per-band / per-atom
-/// bodies: a width-2 and a width-1 lease give the same bits.
-#[test]
-fn shared_fan_out_is_bitwise_independent_of_the_lease_width() {
-    let model = silicon_gsp();
-    let s = perturbed_si64();
-    let engine = Engine::build(EngineKind::Shared, &model, KT);
-    let wide = leased(2, || engine.evaluate(&s)).unwrap();
-    let narrow = leased(1, || engine.evaluate(&s)).unwrap();
-    assert_same_bits(&wide, &narrow);
+/// FNV-1a over the little-endian bytes of each value's bit pattern.
+fn fnv(values: impl IntoIterator<Item = f64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits().to_le_bytes().iter().fold(h, |h, &byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
 }
+
+/// The dense kinds are one pipeline: `Serial` and `Shared` under leases of
+/// width 1 and 2 give the same bits, on perturbed Si-64 and on Si-8 (the
+/// one-stage side of the solver crossover). The energies are the bits the
+/// scatter-form pipeline of the parent commit computed, and the gather-form
+/// forces are within 1e-12 eV/Å of the scatter-form reference
+/// (`electronic_forces` + `repulsive_energy_forces`) on the same ρ.
+#[test]
+fn dense_kinds_are_one_pipeline_at_every_lease_width() {
+    let model = silicon_gsp();
+    let mut si8 = bulk_diamond(Species::Silicon, 1, 1, 1);
+    si8.perturb(&mut StdRng::seed_from_u64(8), 0.05);
+    let mut energies = Vec::new();
+    for s in [perturbed_si64(), si8] {
+        let runs = [
+            (EngineKind::Serial, 1),
+            (EngineKind::Serial, 2),
+            (EngineKind::Shared, 1),
+            (EngineKind::Shared, 2),
+        ];
+        let evals = runs.map(|(kind, width)| {
+            leased(width, || Engine::build(kind, &model, KT).evaluate(&s)).unwrap()
+        });
+        for eval in &evals[1..] {
+            assert_same_bits(&evals[0], eval);
+        }
+        energies.push(evals[0].energy);
+
+        let mut ws = Workspace::new();
+        TbCalculator::with_occupation(&model, OccupationScheme::Fermi { kt: KT })
+            .compute_with(&s, &mut ws)
+            .unwrap();
+        let nl = ws.neighbors.list();
+        let electronic = electronic_forces(&s, nl, &model, &OrbitalIndex::new(&s), &ws.rho);
+        let (_, repulsive) = repulsive_energy_forces(&s, nl, &model, true);
+        let scatter = electronic
+            .iter()
+            .zip(repulsive.unwrap())
+            .map(|(&e, r)| e + r);
+        for (i, (gather, scatter)) in evals[0].forces.iter().zip(scatter).enumerate() {
+            let df = (*gather - scatter).max_abs();
+            assert!(df <= 1e-12, "atom {i} of {}: off by {df:.3e}", s.n_atoms());
+        }
+    }
+    let got = fnv(energies);
+    assert_eq!(got, PARENT_ENERGY_BITS, "energy bits moved: {got:#018x}");
+}
+
+/// [`fnv`] of the Si-64 and Si-8 energies above, recorded at the parent
+/// commit, where the serial kind ran the scatter-form force stage.
+const PARENT_ENERGY_BITS: u64 = 0xefc6_36a0_e375_57d6;
 
 /// So do the O(N) engine's: an atom's recurrence sums in an order of its
 /// own and the atoms are combined in atom order, whichever thread ran them.

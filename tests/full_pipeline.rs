@@ -5,10 +5,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd::md::{RdfAccumulator, RunningStats};
 use tbmd::{
-    maxwell_boltzmann, shared_memory_tb, silicon_gsp, DistributedTb, Engine, EngineKind,
-    ForceProvider, LinearScalingTb, MdState, NoseHoover, Protocol, SessionBuilder,
-    SimulationConfig, SimulationSummary, Species, SystemSpec, TbCalculator, TemperatureRamp,
-    VelocityVerlet, Workspace,
+    maxwell_boltzmann, silicon_gsp, DistributedTb, Engine, EngineKind, ForceProvider,
+    LinearScalingTb, MdState, NoseHoover, Protocol, SessionBuilder, SimulationConfig,
+    SimulationSummary, Species, SystemSpec, TbCalculator, TemperatureRamp, VelocityVerlet,
+    Workspace,
 };
 
 /// A plain session of `config`, driven to completion.
@@ -26,7 +26,7 @@ fn engines_produce_identical_trajectories() {
     let v = maxwell_boltzmann(&s, 400.0, &mut rng);
 
     let serial = TbCalculator::new(&model);
-    let shared = shared_memory_tb(&model);
+    let shared = Engine::build(EngineKind::Shared, &model, 0.1);
     let distributed = DistributedTb::new(&model, 2);
 
     let run = |engine: &dyn ForceProvider| -> Vec<tbmd::Vec3> {
@@ -44,7 +44,7 @@ fn engines_produce_identical_trajectories() {
     for i in 0..s.n_atoms() {
         assert!(
             (p_serial[i] - p_shared[i]).max_abs() < 1e-8,
-            "shared-memory trajectory diverged at atom {i}"
+            "shared-kind trajectory diverged at atom {i}"
         );
         assert!(
             (p_serial[i] - p_distributed[i]).max_abs() < 1e-7,

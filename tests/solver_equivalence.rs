@@ -9,13 +9,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tbmd::{Engine, EngineKind};
 use tbmd_linalg::{team, tridiagonalize_blocked_into, EighWorkspace, Matrix};
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{
     bond_block_elements, silicon_gsp, DenseSolver, ForceProvider, NeighborWorkspace,
     OccupationScheme, OrbitalIndex, TbCalculator, TbModel, Workspace,
 };
-use tbmd_parallel::{shared_memory_tb, sliced_wire_bytes, vmp_run, DistributedTb};
+use tbmd_parallel::{sliced_wire_bytes, vmp_run, DistributedTb};
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
 fn si64() -> Structure {
@@ -77,13 +78,15 @@ fn serial_two_stage_matches_full_ql_over_nve_trajectory() {
     assert_solver_trajectories_match(&sliced, &full, 20, 1e-8, 1e-7);
 }
 
-/// Same acceptance for the shared-memory engine's sliced eigensolver.
+/// Same acceptance for the engine `EngineKind::Shared` builds.
 #[test]
 fn shared_two_stage_matches_full_ql_over_nve_trajectory() {
     let model = silicon_gsp();
-    let sliced = shared_memory_tb(&model);
+    let Engine::Dense(sliced) = Engine::build(EngineKind::Shared, &model, 0.1) else {
+        panic!("the shared kind is the dense calculator");
+    };
     assert_eq!(sliced.solver, DenseSolver::TwoStage);
-    let mut full = shared_memory_tb(&model);
+    let mut full = TbCalculator::with_occupation(&model, sliced.occupation);
     full.solver = DenseSolver::FullQl;
     assert_solver_trajectories_match(&sliced, &full, 20, 1e-8, 1e-7);
 }
@@ -156,7 +159,9 @@ fn a_rank_is_one_thread_and_computes_what_the_team_computes() {
     let mut s = si64();
     s.perturb(&mut StdRng::seed_from_u64(23), 0.05);
     let serial = TbCalculator::new(&model).evaluate(&s).unwrap();
-    let shared = shared_memory_tb(&model).evaluate(&s).unwrap();
+    let shared = Engine::build(EngineKind::Shared, &model, 0.1)
+        .evaluate(&s)
+        .unwrap();
     let dist = DistributedTb::new(&model, 2).evaluate(&s).unwrap();
     for (name, other) in [("shared", &shared), ("distributed", &dist)] {
         let de = (other.energy - serial.energy).abs();

@@ -35,7 +35,7 @@ fn three_tenants_answer_stats_mid_run() {
     let scope = ScopedSink::new("telemetry-test");
     let _observing = scope.enter();
     configure_budget(2);
-    tbmd::parallel::reset_high_water();
+    tbmd::linalg::budget::reset_high_water();
 
     let mut mux = Multiplexer::with_stats(ServeStats::with_timeline());
     for i in 0..3 {

@@ -6,13 +6,15 @@
 //! must not notice: a trajectory driven through one persistent workspace has
 //! to match the cold path (a fresh workspace — and hence a fresh neighbor
 //! list and fresh buffers — on every step) to 1e-10 in energies, forces and
-//! positions, on both the serial and the shared-memory engines.
+//! positions, on the dense engine (built directly and as `EngineKind::Shared`)
+//! and on the message-passing one.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tbmd::{Engine, EngineKind};
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{silicon_gsp, ForceProvider, OccupationScheme, TbCalculator, Workspace};
-use tbmd_parallel::{shared_memory_tb, DistributedTb};
+use tbmd_parallel::DistributedTb;
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
 /// 2×2×2 Si diamond: 64 atoms, L/2 = 5.43 Å > cutoff + skin ≈ 4.66 Å, so
@@ -77,8 +79,7 @@ fn serial_engine_workspace_trajectory_matches_cold_path() {
 #[test]
 fn shared_engine_workspace_trajectory_matches_cold_path() {
     let model = silicon_gsp();
-    let mut shared = shared_memory_tb(&model);
-    shared.occupation = OccupationScheme::Fermi { kt: 0.1 };
+    let shared = Engine::build(EngineKind::Shared, &model, 0.1);
     assert_trajectories_match(&shared, 20);
 }
 
