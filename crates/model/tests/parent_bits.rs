@@ -1,6 +1,8 @@
-//! Bits pinned to the parent of PR 26: the row-walking one-stage solve and
-//! the one-shape radial evaluation must reproduce, bit for bit, what the
-//! column-walking solve and the per-hopping radial functions computed.
+//! Bits pinned to the code each rewrite replaced: the row-walking one-stage
+//! solve and the one-shape radial evaluation must reproduce, bit for bit,
+//! what the column-walking solve and the per-hopping radial functions
+//! computed; the lane-batched inverse iteration and the 4×4 bond-block
+//! density kernel what one vector and one `dot4` row at a time computed.
 //!
 //! Each constant is an FNV-1a hash over the `to_bits()` of every output,
 //! recorded by running this file against the parent commit. The model
@@ -10,9 +12,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use tbmd_linalg::{eigh_into, eigh_partial_into, EighWorkspace, Matrix};
-use tbmd_model::{build_hamiltonian, carbon_xwch, silicon_gsp, OrbitalIndex, TbModel};
-use tbmd_structure::{bulk_diamond, NeighborList, Species};
+use tbmd_linalg::{
+    cluster_tolerance, configure_budget, eigh_into, eigh_partial_into, reduced_eigenvalues_into,
+    snap_range_to_clusters, tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
+    tridiagonalize_blocked_into, try_lease, EighWorkspace, Matrix,
+};
+use tbmd_model::{
+    build_hamiltonian, carbon_xwch, density_matrix, silicon_gsp, OrbitalIndex, PhaseTimings,
+    TbCalculator, TbModel, Workspace,
+};
+use tbmd_structure::{bulk_diamond, nanotube, NeighborList, Species, Structure};
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 #[derive(Clone, Copy)]
@@ -65,11 +74,17 @@ fn two_blocks() -> Matrix {
     })
 }
 
+/// A silicon diamond supercell, perturbed by 0.1 Å.
+fn perturbed_silicon(reps: usize, seed: u64) -> Structure {
+    let mut s = bulk_diamond(Species::Silicon, reps, reps, reps);
+    s.perturb(&mut StdRng::seed_from_u64(seed), 0.1);
+    s
+}
+
 /// `H` of a perturbed silicon diamond supercell.
 fn silicon_h(reps: usize, seed: u64) -> Matrix {
     let model = silicon_gsp();
-    let mut s = bulk_diamond(Species::Silicon, reps, reps, reps);
-    s.perturb(&mut StdRng::seed_from_u64(seed), 0.1);
+    let s = perturbed_silicon(reps, seed);
     let nl = NeighborList::build(&s, model.cutoff());
     build_hamiltonian(&s, &nl, &model, &OrbitalIndex::new(&s))
 }
@@ -150,6 +165,89 @@ fn radial_functions_reproduce_the_parent_bits() {
     .map(|(model, want)| (model.name().to_string(), radial_hash(model), want))
     .filter(|(_, got, want)| got != want)
     .map(|(name, got, _)| format!("{name}: {got:#018x}"))
+    .collect();
+    assert!(moved.is_empty(), "bits moved: {moved:?}");
+}
+
+/// `f` under a compute lease of `width` threads.
+fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
+    configure_budget(64);
+    try_lease(width).expect("budget left").scoped(f)
+}
+
+#[test]
+fn inverse_iteration_reproduces_the_parent_bits_on_si64() {
+    // The factor of the perturbed Si-64 `H` (n = 256) and k = 133 states,
+    // not a multiple of the lane count: the full window at lease widths 1
+    // and 2, then three cluster-snapped offset shards that must agree with
+    // it column for column.
+    let k = 133;
+    let (mut packed, mut ws, mut values) = (silicon_h(2, 64), EighWorkspace::default(), Vec::new());
+    tridiagonalize_blocked_into(&mut packed, &mut ws);
+    reduced_eigenvalues_into(&mut ws, &mut values).unwrap();
+    let (d, e) = ws.tridiagonal_factor();
+    let full = |width| {
+        at_width(width, || {
+            let mut z = Matrix::default();
+            tridiagonal_eigenvectors_into(d, e, &values[..k], &mut z, &mut Default::default());
+            z
+        })
+    };
+    let z = full(1);
+    assert!(full(2) == z, "width 2 differs from width 1");
+    let ctol = cluster_tolerance(d, e);
+    let snap = |raw: usize| snap_range_to_clusters(&values[..k], ctol, raw..k).start;
+    let bounds = [0, snap(40), snap(97), k];
+    let mut scratch = Default::default();
+    for shard in bounds.windows(2) {
+        let (lo, hi) = (shard[0], shard[1]);
+        let mut part = Matrix::default();
+        tridiagonal_eigenvectors_offset_into(d, e, &values[lo..hi], lo, &mut part, &mut scratch);
+        for i in 0..d.len() {
+            assert!(part.row(i) == &z.row(i)[lo..hi], "shard {lo}..{hi} row {i}");
+        }
+    }
+    let got = Fnv::new().extend(z.as_slice()).0;
+    assert_eq!(got, 0xd2d22d8fb3dce952, "bits moved: {got:#018x}");
+}
+
+/// Hash of the dense pipeline's bond-block `ρ` on `s`, then of the SYRK
+/// reference density built from the same eigenvectors.
+fn density_hash(model: &dyn TbModel, s: &Structure) -> u64 {
+    let mut ws = Workspace::new();
+    let (_, occ) = TbCalculator::new(model)
+        .density_with(s, &mut ws, &mut PhaseTimings::default())
+        .unwrap();
+    let (vectors, k) = ws.dense_cache.vectors(&ws.h, &ws.c).unwrap();
+    let reference = density_matrix(vectors, &occ.f[..k]);
+    Fnv::new()
+        .extend(ws.rho.as_slice())
+        .extend(reference.as_slice())
+        .0
+}
+
+#[test]
+fn bond_density_reproduces_the_parent_bits() {
+    // Both through the two-stage solve (n = 256 and 160): perturbed Si-64
+    // and the (10,0) tube of one cell, the carbon cell the anneal runs four
+    // of.
+    let si = black_box(silicon_gsp());
+    let c = black_box(carbon_xwch());
+    let mut tube = nanotube(10, 0, 1, 1.42);
+    tube.perturb(&mut StdRng::seed_from_u64(160), 0.02);
+    let moved: Vec<String> = [
+        (
+            "Si-64",
+            &si as &dyn TbModel,
+            perturbed_silicon(2, 64),
+            0x5595803774816d7cu64,
+        ),
+        ("(10,0)x1", &c, tube, 0xa6b521c236784ff5),
+    ]
+    .into_iter()
+    .map(|(what, model, s, want)| (what, density_hash(model, &s), want))
+    .filter(|(_, got, want)| got != want)
+    .map(|(what, got, _)| format!("{what}: {got:#018x}"))
     .collect();
     assert!(moved.is_empty(), "bits moved: {moved:?}");
 }
