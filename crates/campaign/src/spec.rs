@@ -355,6 +355,11 @@ impl CampaignSpec {
         if structures.is_empty() || protocols.is_empty() {
             return Err("campaign needs at least one structure and one protocol".to_string());
         }
+        for case in &structures {
+            for (_, engine) in &engines {
+                engine.check_ranks(case.system.n_atoms())?;
+            }
+        }
         Ok(CampaignSpec {
             name,
             seed,

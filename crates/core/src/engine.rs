@@ -55,6 +55,22 @@ impl EngineKind {
             _ => Err(format!("unknown engine {name:?}")),
         }
     }
+
+    /// Refuse more ranks than the system has `atoms`: each rank is a thread
+    /// of every evaluation, and a rank gets at least one atom.
+    pub fn check_ranks(&self, atoms: usize) -> Result<(), String> {
+        match *self {
+            EngineKind::Distributed { ranks }
+            | EngineKind::DistributedLinearScaling { ranks, .. }
+                if ranks > atoms =>
+            {
+                Err(format!(
+                    "{ranks} ranks exceed the limit of one rank per atom ({atoms} atoms)"
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A constructed engine borrowing its model.

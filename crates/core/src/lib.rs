@@ -26,7 +26,7 @@ pub use simulation::{
     run_manifest, CheckpointConfig, Protocol, RecorderConfig, RecoveryReport, ReshardPolicy,
     ResilienceOptions, SimulationConfig, SimulationSummary,
 };
-pub use system::SystemSpec;
+pub use system::{SystemSpec, MAX_ATOMS};
 
 // Re-export the component crates under stable names.
 pub use tbmd_linalg as linalg;

@@ -3,7 +3,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd_model::{carbon_xwch, silicon_gsp, GspTbModel};
-use tbmd_structure::{bulk_diamond, fullerene_c60, graphene_sheet, nanotube, Species, Structure};
+use tbmd_structure::{
+    bulk_diamond, fullerene_c60, graphene_sheet, nanotube, nanotube_geometry, Species, Structure,
+};
+
+/// The most atoms a front end builds from a request (a `tbmd-serve` job line,
+/// a campaign spec): 4096, the size ROADMAP item 1 targets. Past it a
+/// request is refused before anything is built — `"reps": 1000` asks for
+/// 8·10⁹ atoms, and the failed allocation would abort the process with every
+/// tenant in it.
+pub const MAX_ATOMS: usize = 4096;
 
 /// A system specification that can be materialized into a structure and its
 /// matching tight-binding model.
@@ -26,14 +35,44 @@ impl SystemSpec {
     /// Parse a system name as the front ends spell it — `si` / `silicon`,
     /// `c` / `carbon`, `graphene`, `c60` — with the supercell repeat count
     /// (clamped to at least 1; graphene is `reps × reps`, C₆₀ ignores it).
+    /// A system of more than [`MAX_ATOMS`] atoms is an error.
     pub fn parse(name: &str, reps: usize) -> Result<SystemSpec, String> {
         let reps = reps.max(1);
-        match name {
-            "si" | "silicon" => Ok(SystemSpec::SiliconDiamond { reps }),
-            "c" | "carbon" => Ok(SystemSpec::CarbonDiamond { reps }),
-            "graphene" => Ok(SystemSpec::Graphene { nx: reps, ny: reps }),
-            "c60" => Ok(SystemSpec::C60),
-            other => Err(format!("unknown system {other:?}")),
+        let spec = match name {
+            "si" | "silicon" => SystemSpec::SiliconDiamond { reps },
+            "c" | "carbon" => SystemSpec::CarbonDiamond { reps },
+            "graphene" => SystemSpec::Graphene { nx: reps, ny: reps },
+            "c60" => SystemSpec::C60,
+            other => return Err(format!("unknown system {other:?}")),
+        };
+        spec.check_size()?;
+        Ok(spec)
+    }
+
+    /// Atoms [`SystemSpec::build`] makes, in closed form (saturating, so any
+    /// repeat count answers).
+    pub fn n_atoms(&self) -> usize {
+        let times = |a: usize, b: usize| a.saturating_mul(b);
+        match *self {
+            SystemSpec::SiliconDiamond { reps } | SystemSpec::CarbonDiamond { reps } => {
+                times(times(times(8, reps), reps), reps)
+            }
+            SystemSpec::Graphene { nx, ny } => times(times(4, nx), ny),
+            SystemSpec::Nanotube { n, m, cells } => {
+                times(nanotube_geometry(n, m, 1.42).atoms_per_cell, cells)
+            }
+            SystemSpec::C60 => 60,
+        }
+    }
+
+    /// The atom count, or an error naming the limit past [`MAX_ATOMS`].
+    pub fn check_size(&self) -> Result<usize, String> {
+        match self.n_atoms() {
+            atoms if atoms <= MAX_ATOMS => Ok(atoms),
+            _ => Err(format!(
+                "{} exceeds the limit of {MAX_ATOMS} atoms",
+                self.label()
+            )),
         }
     }
 
@@ -78,6 +117,29 @@ impl SystemSpec {
 mod tests {
     use super::*;
     use tbmd_model::TbModel;
+
+    #[test]
+    fn atom_count_is_the_built_count() {
+        let specs = [
+            SystemSpec::SiliconDiamond { reps: 2 },
+            SystemSpec::CarbonDiamond { reps: 1 },
+            SystemSpec::Graphene { nx: 3, ny: 2 },
+            SystemSpec::Nanotube {
+                n: 8,
+                m: 4,
+                cells: 1,
+            },
+            SystemSpec::C60,
+        ];
+        for spec in specs {
+            assert_eq!(spec.n_atoms(), spec.build(0.0, 0).n_atoms(), "{spec:?}");
+        }
+        let huge = SystemSpec::SiliconDiamond { reps: usize::MAX };
+        assert_eq!(huge.n_atoms(), usize::MAX);
+        assert!(huge.check_size().is_err());
+        assert_eq!(SystemSpec::parse("si", 8).unwrap().n_atoms(), MAX_ATOMS);
+        assert!(SystemSpec::parse("graphene", 33).is_err());
+    }
 
     #[test]
     fn builds_expected_sizes() {

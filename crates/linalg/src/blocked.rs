@@ -65,10 +65,10 @@ const SYMV_BAND_FLOOR: usize = 256;
 /// [`rank2k_lower`] and [`apply_q_blocked`] take the whole team, as they
 /// always took every hardware thread (`si216-serial-nve` holds a width-1
 /// lease and still reduces and back-transforms on both cores). Narrowing
-/// them to [`team::width`] is what is left of ROADMAP item 1; it reads as
-/// ≈ −25 % on that workload, so it waits for the width-2 dense Si-216
-/// workload of item 4 that can show the other side of the trade. A
-/// message-passing rank runs both inline whatever they ask for.
+/// them to [`team::width`] is ROADMAP item 7(e); it reads as ≈ −25 % on
+/// that workload, so it waits for the width-2 dense Si-216 workload of
+/// item 7(d) that can show the other side of the trade. A message-passing
+/// rank runs both inline whatever they ask for.
 fn whole_team() -> usize {
     team::size()
 }

@@ -18,7 +18,22 @@
 //!
 //! Total cost is `O(k · n)` per solve sweep plus `O(c³)` per cluster of size
 //! `c`, and all scratch lives in [`InverseIterScratch`], reused across MD
-//! steps. Clusters are independent of each other, so a full-window call
+//! steps.
+//!
+//! The factor and the solve are one serial chain per vector with a divide
+//! on every row, so one vector at a time leaves the core waiting on
+//! latency. They are written once, generic over a lane count `L`, on rows
+//! of `[f64; L]`: an eigenvalue alone in its cluster (after any real
+//! perturbation, every state of a tight-binding cell) needs no
+//! orthogonalization, so up to eight such vectors are factored and solved
+//! side by side, one per SIMD lane, while cluster members run at `L = 1`.
+//! Each lane does what the scalar code did, operation for operation: the
+//! pivot branch is a select of the numerator and the denominator ahead of
+//! one division, the row swap a select, each lane's norm
+//! [`kernels::dot`]'s accumulator tree, and each lane keeps its own sweep
+//! count and convergence test. A column's bits therefore depend on its
+//! shift, its global index and its cluster alone — not on which vectors
+//! shared its lanes — and are the one-vector-at-a-time bits. Clusters are independent of each other, so a full-window call
 //! ([`tridiagonal_eigenvectors_into`]) cuts `0..k` at cluster boundaries into
 //! as many shards as the caller's compute lease allows and runs them side by
 //! side. Every shard writes its own row band of the *one* `k × n` staging
@@ -43,6 +58,14 @@ const MAX_SWEEPS: usize = 5;
 /// eigenvectors — so the threshold errs wide.
 const CLUSTER_RTOL: f64 = 1e-6;
 
+/// Singleton eigenvectors factored and solved side by side, one per lane of
+/// the interleaved rows: eight f64 lanes are one AVX-512 register (two AVX2
+/// ones), so each row of a sweep is one vector divide for eight vectors.
+const LANES: usize = 8;
+
+/// Accumulator lanes of [`norms`]: [`kernels::dot`]'s eight.
+const NORM_ACCUMULATORS: usize = 8;
+
 /// Reusable scratch of [`tridiagonal_eigenvectors_into`]: the row-major
 /// eigenvector staging area all shards write into, and each shard's private
 /// buffers.
@@ -56,21 +79,13 @@ pub struct InverseIterScratch {
     shards: Vec<ShardScratch>,
 }
 
-/// What one shard needs besides its band of `zrows`: the `PLU` factor
-/// arrays, the iterate and the per-cluster Rayleigh–Ritz buffers.
+/// What one shard needs besides its band of `zrows`: the lane-interleaved
+/// `PLU` factors and iterates, and the per-cluster Rayleigh–Ritz buffers.
 #[derive(Debug, Default, Clone)]
 struct ShardScratch {
-    /// Diagonal of `U`.
-    du: Vec<f64>,
-    /// First superdiagonal of `U`.
-    u1: Vec<f64>,
-    /// Second superdiagonal of `U` (filled in by row swaps).
-    u2: Vec<f64>,
-    /// Elimination multipliers.
-    lmul: Vec<f64>,
-    /// Row-swap flags of the partial pivoting.
-    swapped: Vec<bool>,
-    /// Current iterate.
+    /// The factors of up to [`LANES`] shifted matrices.
+    factor: LaneFactor,
+    /// Up to [`LANES`] iterates, row-interleaved as the factors are.
     x: Vec<f64>,
     /// `T · z` scratch for Rayleigh quotients.
     tz: Vec<f64>,
@@ -83,69 +98,129 @@ struct ShardScratch {
     cl_eigh: EighWorkspace,
 }
 
-/// Factor `T − shift·I = P L U` with partial pivoting (`gttrf` for a
-/// symmetric tridiagonal). `d`/`e` use the crate convention (`e[0]` unused,
-/// `e[i]` couples rows `i−1` and `i`).
-fn factor_shifted(d: &[f64], e: &[f64], shift: f64, tiny: f64, s: &mut ShardScratch) {
-    let n = d.len();
-    s.du.clear();
-    s.du.extend(d.iter().map(|&x| x - shift));
-    s.u1.clear();
-    s.u1.resize(n, 0.0);
-    s.u2.clear();
-    s.u2.resize(n, 0.0);
-    s.lmul.clear();
-    s.lmul.resize(n, 0.0);
-    s.swapped.clear();
-    s.swapped.resize(n, false);
-    let m = n.saturating_sub(1);
-    if m > 0 {
-        s.u1[..m].copy_from_slice(&e[1..n]);
-    }
-    for i in 0..m {
-        let b = e[i + 1];
-        if s.du[i].abs() >= b.abs() {
-            // No swap; guard an exactly-singular pivot.
-            if s.du[i] == 0.0 {
-                s.du[i] = tiny;
-            }
-            let l = b / s.du[i];
-            s.lmul[i] = l;
-            s.du[i + 1] -= l * s.u1[i];
-            s.u1[i + 1] -= l * s.u2[i];
-        } else {
-            // Swap rows i and i+1 (|b| > |du[i]| ≥ 0, so b ≠ 0).
-            s.swapped[i] = true;
-            let (odd, ou1, ou2) = (s.du[i], s.u1[i], s.u2[i]);
-            let l = odd / b;
-            s.lmul[i] = l;
-            s.du[i] = b;
-            s.u1[i] = s.du[i + 1];
-            s.u2[i] = s.u1[i + 1];
-            s.du[i + 1] = ou1 - l * s.u1[i];
-            s.u1[i + 1] = ou2 - l * s.u2[i];
-        }
-    }
-    if s.du[n - 1] == 0.0 {
-        s.du[n - 1] = tiny;
+/// `T − shift_l·I = P_l L_l U_l` with partial pivoting (`gttrf` for a
+/// symmetric tridiagonal) for `L ≤` [`LANES`] shifts at once, row `i` of
+/// lane `l` at `[i·L + l]` of each array. Every buffer holds `n ·` [`LANES`]
+/// entries whatever `L` is, so a call at `L = 1` and one at `L = 8` share it.
+#[derive(Debug, Default, Clone)]
+struct LaneFactor {
+    /// Diagonal of `U`.
+    du: Vec<f64>,
+    /// First superdiagonal of `U`.
+    u1: Vec<f64>,
+    /// Second superdiagonal of `U` (filled in by row swaps).
+    u2: Vec<f64>,
+    /// Elimination multipliers.
+    lmul: Vec<f64>,
+    /// Row-swap flags of the partial pivoting.
+    swapped: Vec<bool>,
+}
+
+/// Size `v` to `len` entries, allocating exactly that once: the buffers of a
+/// shard keep their size from step to step, and an amortized doubling would
+/// leave a block the size of the old buffer behind in the heap.
+fn size_exactly<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() != len {
+        v.clear();
+        v.reserve_exact(len);
+        v.resize(len, fill);
     }
 }
 
-/// Solve `(T − shift·I) x = b` in place using the current factorization.
-fn solve_in_place(s: &ShardScratch, x: &mut [f64]) {
-    let n = x.len();
-    for i in 0..n.saturating_sub(1) {
-        if s.swapped[i] {
-            x.swap(i, i + 1);
+impl LaneFactor {
+    fn size_for(&mut self, n: usize) {
+        for v in [&mut self.du, &mut self.u1, &mut self.u2, &mut self.lmul] {
+            size_exactly(v, n * LANES, 0.0);
         }
-        x[i + 1] -= s.lmul[i] * x[i];
+        size_exactly(&mut self.swapped, n * LANES, false);
     }
-    x[n - 1] /= s.du[n - 1];
-    if n >= 2 {
-        x[n - 2] = (x[n - 2] - s.u1[n - 2] * x[n - 1]) / s.du[n - 2];
+
+    /// Factor `T − shift[l]·I` into lane `l` (`n ≥ 2`). `d`/`e` use the
+    /// crate convention (`e[0]` unused, `e[i]` couples rows `i−1` and `i`).
+    ///
+    /// Each lane does the scalar elimination's IEEE operations in its order:
+    /// the pivot choice is a select, the multiplier one division of the
+    /// selected numerator by the selected denominator, and the next row is
+    /// updated from the selected pairs. `u2[i]` is still zero when row `i`
+    /// is eliminated (only a swap at row `i` fills it), so it enters as the
+    /// literal it would be read as.
+    fn factor<const L: usize>(&mut self, d: &[f64], e: &[f64], shift: [f64; L], tiny: f64) {
+        let n = d.len();
+        let du = self.du[..n * L].as_chunks_mut::<L>().0;
+        let u1 = self.u1[..n * L].as_chunks_mut::<L>().0;
+        let u2 = self.u2[..n * L].as_chunks_mut::<L>().0;
+        let lmul = self.lmul[..n * L].as_chunks_mut::<L>().0;
+        let swapped = self.swapped[..n * L].as_chunks_mut::<L>().0;
+        let guard = |x: f64| if x == 0.0 { tiny } else { x };
+        // Row i of U as it stands when row i is eliminated.
+        let mut di = shift.map(|s| d[0] - s);
+        let mut ui = [e[1]; L];
+        for i in 0..n - 1 {
+            let b = e[i + 1];
+            let dn = shift.map(|s| d[i + 1] - s);
+            let un = if i + 2 < n { e[i + 2] } else { 0.0 };
+            for l in 0..L {
+                let keep = di[l].abs() >= b.abs();
+                let dz = guard(di[l]);
+                let m = (if keep { b } else { di[l] }) / (if keep { dz } else { b });
+                let (p, q) = if keep { (dn[l], ui[l]) } else { (ui[l], dn[l]) };
+                let (p2, q2) = if keep { (un, 0.0) } else { (0.0, un) };
+                du[i][l] = if keep { dz } else { b };
+                u1[i][l] = if keep { ui[l] } else { dn[l] };
+                u2[i][l] = if keep { 0.0 } else { un };
+                lmul[i][l] = m;
+                swapped[i][l] = !keep;
+                di[l] = p - m * q;
+                ui[l] = p2 - m * q2;
+            }
+        }
+        du[n - 1] = di.map(guard);
+        u1[n - 1] = ui;
+        u2[n - 1] = [0.0; L];
     }
-    for i in (0..n.saturating_sub(2)).rev() {
-        x[i] = (x[i] - s.u1[i] * x[i + 1] - s.u2[i] * x[i + 2]) / s.du[i];
+
+    /// Solve `(T − shift[l]·I) x_l = b_l` in place for every lane, `x` row
+    /// `i` holding the lanes' entries `i`.
+    fn solve<const L: usize>(&self, x: &mut [[f64; L]]) {
+        let n = x.len();
+        let du = self.du[..n * L].as_chunks::<L>().0;
+        let u1 = self.u1[..n * L].as_chunks::<L>().0;
+        let u2 = self.u2[..n * L].as_chunks::<L>().0;
+        let lmul = self.lmul[..n * L].as_chunks::<L>().0;
+        let swapped = self.swapped[..n * L].as_chunks::<L>().0;
+        // Forward: apply the row swaps and multipliers, row i+1 carried.
+        let mut next = x[0];
+        for i in 0..n - 1 {
+            let below = x[i + 1];
+            for l in 0..L {
+                let sw = swapped[i][l];
+                let top = if sw { below[l] } else { next[l] };
+                let rest = if sw { next[l] } else { below[l] };
+                x[i][l] = top;
+                next[l] = rest - lmul[i][l] * top;
+            }
+        }
+        // Back substitution through the two superdiagonals, rows i+1 and
+        // i+2 carried.
+        let mut x1 = [0.0; L];
+        let mut x2 = [0.0; L];
+        for l in 0..L {
+            x1[l] = next[l] / du[n - 1][l];
+        }
+        x[n - 1] = x1;
+        for i in (0..n - 1).rev() {
+            let mut xi = [0.0; L];
+            for l in 0..L {
+                xi[l] = if i + 2 < n {
+                    (x[i][l] - u1[i][l] * x1[l] - u2[i][l] * x2[l]) / du[i][l]
+                } else {
+                    (x[i][l] - u1[i][l] * x1[l]) / du[i][l]
+                };
+            }
+            x[i] = xi;
+            x2 = x1;
+            x1 = xi;
+        }
     }
 }
 
@@ -162,9 +237,51 @@ fn seeded_entry(idx: usize, pos: usize) -> f64 {
     ((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5
 }
 
-#[inline]
-fn norm(x: &[f64]) -> f64 {
-    kernels::dot(x, x).sqrt()
+/// The Euclidean norm of every lane, each summed in [`kernels::dot`]'s
+/// order: eight accumulators over the rows `q, q+8, q+16, …`, reduced
+/// pairwise, then the tail rows in ascending order.
+fn norms<const L: usize>(x: &[[f64; L]]) -> [f64; L] {
+    let mut acc = [[0.0; L]; NORM_ACCUMULATORS];
+    let mut rows = x.chunks_exact(NORM_ACCUMULATORS);
+    for chunk in rows.by_ref() {
+        for (a, r) in acc.iter_mut().zip(chunk) {
+            for l in 0..L {
+                a[l] += r[l] * r[l];
+            }
+        }
+    }
+    let mut s = [0.0; L];
+    for l in 0..L {
+        let a = |q: usize| acc[q][l];
+        s[l] = ((a(0) + a(1)) + (a(2) + a(3))) + ((a(4) + a(5)) + (a(6) + a(7)));
+    }
+    for r in rows.remainder() {
+        for l in 0..L {
+            s[l] += r[l] * r[l];
+        }
+    }
+    s.map(f64::sqrt)
+}
+
+/// Scale every lane of `x` by `1 / nrm` of that lane.
+fn normalize<const L: usize>(x: &mut [[f64; L]], nrm: [f64; L]) {
+    let inv = nrm.map(|v| 1.0 / v);
+    for r in x.iter_mut() {
+        for l in 0..L {
+            r[l] *= inv[l];
+        }
+    }
+}
+
+/// Lane `l` of `x` starts from the seeded vector of global index `idx[l]`,
+/// normalized.
+fn seed_lanes<const L: usize>(x: &mut [[f64; L]], idx: [usize; L]) {
+    for (pos, r) in x.iter_mut().enumerate() {
+        for l in 0..L {
+            r[l] = seeded_entry(idx[l], pos);
+        }
+    }
+    normalize(x, norms(x));
 }
 
 /// Rayleigh–Ritz rotation of a finished cluster, given as its `c` rows of
@@ -364,6 +481,13 @@ fn eigenvectors_sharded(
 
 /// Inverse iteration for one shard: the eigenvectors of `lambda` (global
 /// indices `seed..`) into the rows of `zrows` (`lambda.len() × n`).
+///
+/// The shifts follow one chain over the shard (coincident eigenvalues are
+/// pushed apart by `10ε·‖T‖`) and the cluster boundaries come from the gaps.
+/// Cluster members run one at a time ([`iterate_one`]); singletons are
+/// collected and run [`LANES`] at a time ([`iterate_lanes`]). A vector's bits
+/// depend only on its shift, its global index and its cluster, so the
+/// grouping changes none of them.
 fn iterate_shard(
     d: &[f64],
     e: &[f64],
@@ -375,15 +499,18 @@ fn iterate_shard(
 ) {
     let n = d.len();
     let k = lambda.len();
-    let tiny = f64::EPSILON * tnorm;
+    let it = Iteration {
+        d,
+        e,
+        seed,
+        tiny: f64::EPSILON * tnorm,
+    };
     let ctol = CLUSTER_RTOL * tnorm;
     let sep = 10.0 * f64::EPSILON * tnorm;
-    // The iterate is held outside the scratch so the factor arrays stay
-    // borrowable during the sweeps; it is handed back at the end.
-    let mut x = std::mem::take(&mut s.x);
-    x.clear();
-    x.resize(n, 0.0);
+    s.factor.size_for(n);
+    size_exactly(&mut s.x, n * LANES, 0.0);
 
+    let mut batch = Batch::default();
     let mut cluster_start = 0usize;
     let mut prev_shift = f64::NEG_INFINITY;
     for j in 0..k {
@@ -396,52 +523,156 @@ fn iterate_shard(
         if j > 0 && lambda[j] - lambda[j - 1] > ctol {
             cluster_start = j;
         }
-        factor_shifted(d, e, shift, tiny, s);
-        for (pos, xv) in x.iter_mut().enumerate() {
-            *xv = seeded_entry(seed + j, pos);
-        }
-        let inv = 1.0 / norm(&x);
-        x.iter_mut().for_each(|v| *v *= inv);
-        // Inverse-iteration sweeps with in-cluster reorthogonalization.
-        let mut converged = false;
-        for _sweep in 0..MAX_SWEEPS {
-            solve_in_place(s, &mut x);
-            let growth = norm(&x);
-            // Orthogonalize against the finished members of this cluster.
-            for zp in zrows[cluster_start * n..j * n].chunks_exact(n) {
-                let dot = kernels::dot(&x, zp);
-                kernels::axpy(&mut x, -dot, zp);
-            }
-            let nrm = norm(&x);
-            if nrm == 0.0 {
-                // Fully projected out: restart from fresh noise.
-                for (pos, xv) in x.iter_mut().enumerate() {
-                    *xv = seeded_entry((seed + j).wrapping_add(0x5bd1), pos);
-                }
-                let inv = 1.0 / norm(&x);
-                x.iter_mut().for_each(|v| *v *= inv);
-                continue;
-            }
-            let inv = 1.0 / nrm;
-            x.iter_mut().for_each(|v| *v *= inv);
-            if converged {
-                break;
-            }
-            // One solve amplifies the target component by ~1/|λ−shift|;
-            // once the growth hits the shift accuracy floor, do one final
-            // polish sweep and stop.
-            if growth >= 0.01 / tiny {
-                converged = true;
-            }
-        }
-        zrows[j * n..(j + 1) * n].copy_from_slice(&x);
-        // Cluster finished (next value far, or last index): rotate it.
+        // Cluster finished (next value far, or last index).
         let cluster_ends = j + 1 == k || lambda[j + 1] - lambda[j] > ctol;
+        if cluster_start == j && cluster_ends {
+            batch.push(j, shift);
+            if batch.len == LANES {
+                it.iterate_lanes(&mut batch, zrows, s);
+            }
+            continue;
+        }
+        it.iterate_one(j, shift, cluster_start, zrows, s);
         if cluster_ends {
             rayleigh_ritz_rotate(d, e, &mut zrows[cluster_start * n..(j + 1) * n], s);
         }
     }
-    s.x = x;
+    if batch.len > 0 {
+        it.iterate_lanes(&mut batch, zrows, s);
+    }
+}
+
+/// Singletons waiting for a lane: shard-local index and shift.
+#[derive(Default)]
+struct Batch {
+    len: usize,
+    j: [usize; LANES],
+    shift: [f64; LANES],
+}
+
+impl Batch {
+    fn push(&mut self, j: usize, shift: f64) {
+        self.j[self.len] = j;
+        self.shift[self.len] = shift;
+        self.len += 1;
+    }
+}
+
+/// What every vector of a shard shares: the matrix, the global index of the
+/// shard's first vector and the singular-pivot guard `ε·‖T‖`.
+struct Iteration<'a> {
+    d: &'a [f64],
+    e: &'a [f64],
+    seed: usize,
+    tiny: f64,
+}
+
+impl Iteration<'_> {
+    /// Whether a solve's growth says the shift has reached its accuracy
+    /// floor: one solve amplifies the target component by `~1/|λ−shift|`.
+    fn converged(&self, growth: f64) -> bool {
+        growth >= 0.01 / self.tiny
+    }
+
+    /// Vector `j` (shard-local) of the cluster that began at
+    /// `cluster_start`, one at a time: sweeps with Gram–Schmidt against the
+    /// cluster's finished members, a restart from fresh noise if they
+    /// project the iterate out, and one polish sweep after convergence.
+    fn iterate_one(
+        &self,
+        j: usize,
+        shift: f64,
+        cluster_start: usize,
+        zrows: &mut [f64],
+        s: &mut ShardScratch,
+    ) {
+        let n = self.d.len();
+        s.factor.factor(self.d, self.e, [shift], self.tiny);
+        let x = s.x[..n].as_chunks_mut::<1>().0;
+        seed_lanes(x, [self.seed + j]);
+        let mut converged = false;
+        for _sweep in 0..MAX_SWEEPS {
+            s.factor.solve(x);
+            let [growth] = norms(x);
+            // Orthogonalize against the finished members of this cluster.
+            for zp in zrows[cluster_start * n..j * n].chunks_exact(n) {
+                let dot = kernels::dot(x.as_flattened(), zp);
+                kernels::axpy(x.as_flattened_mut(), -dot, zp);
+            }
+            let nrm = norms(x);
+            if nrm == [0.0] {
+                // Fully projected out: restart from fresh noise.
+                seed_lanes(x, [(self.seed + j).wrapping_add(0x5bd1)]);
+                continue;
+            }
+            normalize(x, nrm);
+            if converged {
+                break;
+            }
+            // Once the growth hits the floor, one final polish sweep.
+            converged = self.converged(growth);
+        }
+        zrows[j * n..(j + 1) * n].copy_from_slice(x.as_flattened());
+    }
+
+    /// The singletons of `batch`, one per lane, then the batch emptied. A
+    /// singleton has no cluster to orthogonalize against, so a lane is
+    /// [`Iteration::iterate_one`] without the projection: each lane sweeps
+    /// until its own polish sweep or [`MAX_SWEEPS`], is written to its row
+    /// of `zrows` and rides along unread after that. Lanes past
+    /// `batch.len` repeat the first. A lane whose solve comes out zero goes
+    /// back through [`Iteration::iterate_one`], which restarts it.
+    fn iterate_lanes(&self, batch: &mut Batch, zrows: &mut [f64], s: &mut ShardScratch) {
+        let n = self.d.len();
+        let used = std::mem::take(&mut batch.len);
+        for l in used..LANES {
+            (batch.j[l], batch.shift[l]) = (batch.j[0], batch.shift[0]);
+        }
+        let (lane_j, shift) = (batch.j, batch.shift);
+        s.factor.factor(self.d, self.e, shift, self.tiny);
+        let x = s.x[..n * LANES].as_chunks_mut::<LANES>().0;
+        seed_lanes(x, lane_j.map(|j| self.seed + j));
+        let mut active: [bool; LANES] = std::array::from_fn(|l| l < used);
+        let mut redo = [false; LANES];
+        let mut converged = [false; LANES];
+        for _sweep in 0..MAX_SWEEPS {
+            s.factor.solve(x);
+            let growth = norms(x);
+            normalize(x, growth);
+            for l in 0..LANES {
+                if !active[l] {
+                    continue;
+                }
+                if growth[l] == 0.0 {
+                    (redo[l], active[l]) = (true, false);
+                } else if converged[l] {
+                    active[l] = false;
+                    write_lane(x, l, &mut zrows[lane_j[l] * n..(lane_j[l] + 1) * n]);
+                } else {
+                    converged[l] = self.converged(growth[l]);
+                }
+            }
+            if !active.contains(&true) {
+                break;
+            }
+        }
+        for l in 0..LANES {
+            if active[l] {
+                write_lane(x, l, &mut zrows[lane_j[l] * n..(lane_j[l] + 1) * n]);
+            }
+        }
+        for l in (0..LANES).filter(|&l| redo[l]) {
+            let j = lane_j[l];
+            self.iterate_one(j, shift[l], j, zrows, s);
+        }
+    }
+}
+
+/// Copy lane `l` of the interleaved `x` into the contiguous `row`.
+fn write_lane<const L: usize>(x: &[[f64; L]], l: usize, row: &mut [f64]) {
+    for (z, r) in row.iter_mut().zip(x) {
+        *z = r[l];
+    }
 }
 
 #[cfg(test)]

@@ -7,11 +7,22 @@
 //! kernel unrolls the inner dimension so output rows are loaded and stored
 //! once per 4 rank-1 updates instead of once per update. No explicit SIMD
 //! intrinsics are used — the loops are shaped so LLVM's autovectorizer
-//! emits packed AVX/AVX-512 code — and rustc performs no FMA contraction
-//! or reassociation by default, so every kernel has a fixed, documented
-//! IEEE summation order. That makes the serial and fanned-out callers
-//! bitwise identical by construction: each output element's accumulation
-//! order depends only on the inner index, never on the thread partition.
+//! emits packed AVX/AVX-512 code.
+//!
+//! The shape that vectorizes is a loop over `chunks_exact` / `as_chunks`
+//! slices cut to one length first. An indexed loop over several slices
+//! (`y0[i + l]`, `y1[i + l]`, …) keeps a bounds check per access and
+//! compiles to scalar code: [`dot2`] and [`dot4`] were written that way and
+//! ran at 1.9 and 2.9 GF/s at length 607 on a 2-vCPU AVX-512 Xeon; over
+//! chunks the same summation order runs at 4.6 and 11.8 GF/s there, and the
+//! 4×4 block [`dot4x4`] forms the bond blocks of a Si-216 density in
+//! 2.2 ms where four `dot4` calls per block took 5.8 ms.
+//!
+//! rustc performs no FMA contraction or reassociation by default, so every
+//! kernel has a fixed, documented IEEE summation order. That makes the
+//! serial and fanned-out callers bitwise identical by construction: each
+//! output element's accumulation order depends only on the inner index,
+//! never on the thread partition.
 //!
 //! The dense kernels keep multiply and add apart; the block-sparse
 //! Chebyshev step ([`bsr4_chebyshev_step`]) is the one kernel that *asks*
@@ -75,26 +86,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 pub fn dot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), z.len());
-    let mut ay = [0.0; DOT2_LANES];
-    let mut az = [0.0; DOT2_LANES];
-    let n = x.len();
-    let whole = n - n % DOT2_LANES;
-    let mut i = 0;
-    while i < whole {
-        for l in 0..DOT2_LANES {
-            let xv = x[i + l];
-            ay[l] += xv * y[i + l];
-            az[l] += xv * z[i + l];
-        }
-        i += DOT2_LANES;
-    }
-    let mut sy = (ay[0] + ay[1]) + (ay[2] + ay[3]);
-    let mut sz = (az[0] + az[1]) + (az[2] + az[3]);
-    while i < n {
-        sy += x[i] * y[i];
-        sz += x[i] * z[i];
-        i += 1;
-    }
+    let [[sy, sz]] = dot_block([x], [y, z]);
     (sy, sz)
 }
 
@@ -107,35 +99,48 @@ pub fn dot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
 pub fn dot4(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> [f64; 4] {
     let n = x.len();
     debug_assert!(y0.len() == n && y1.len() == n && y2.len() == n && y3.len() == n);
-    let mut a0 = [0.0; DOT2_LANES];
-    let mut a1 = [0.0; DOT2_LANES];
-    let mut a2 = [0.0; DOT2_LANES];
-    let mut a3 = [0.0; DOT2_LANES];
-    let whole = n - n % DOT2_LANES;
-    let mut i = 0;
-    while i < whole {
-        for l in 0..DOT2_LANES {
-            let xv = x[i + l];
-            a0[l] += xv * y0[i + l];
-            a1[l] += xv * y1[i + l];
-            a2[l] += xv * y2[i + l];
-            a3[l] += xv * y3[i + l];
+    dot_block([x], [y0, y1, y2, y3])[0]
+}
+
+/// The 4×4 block of dots `x[i]·y[j]`: entry `[i][j]` is bit for bit
+/// `dot4(x[i], y[0], y[1], y[2], y[3])[j]`, with every row loaded once per
+/// block instead of once per row of `x`. This is the bond-block density
+/// kernel: `ρ_IJ` between two four-orbital atoms is the dots of their four
+/// rows of the scaled eigenvector factor.
+#[inline]
+pub fn dot4x4(x: [&[f64]; 4], y: [&[f64]; 4]) -> [[f64; 4]; 4] {
+    dot_block(x, y)
+}
+
+/// `x[i]·y[j]` for every pair, the length that of `x[0]`, each entry in the
+/// shared-operand order: [`DOT2_LANES`] accumulators over the elements
+/// `l, l+4, …`, reduced `(a0 + a1) + (a2 + a3)`, then the tail in ascending
+/// order. Over `as_chunks` slices of one length, so the chunk loop has no
+/// bounds check and vectorizes.
+#[inline(always)]
+fn dot_block<const R: usize, const C: usize>(x: [&[f64]; R], y: [&[f64]; C]) -> [[f64; C]; R] {
+    let n = x[0].len();
+    let xs = x.map(|r| r[..n].as_chunks::<DOT2_LANES>());
+    let ys = y.map(|r| r[..n].as_chunks::<DOT2_LANES>());
+    let mut acc = [[[0.0; DOT2_LANES]; C]; R];
+    for c in 0..n / DOT2_LANES {
+        for (acc_i, xi) in acc.iter_mut().zip(&xs) {
+            let xv = &xi.0[c];
+            for (a, yj) in acc_i.iter_mut().zip(&ys) {
+                let yv = &yj.0[c];
+                for l in 0..DOT2_LANES {
+                    a[l] += xv[l] * yv[l];
+                }
+            }
         }
-        i += DOT2_LANES;
     }
-    let mut s = [
-        (a0[0] + a0[1]) + (a0[2] + a0[3]),
-        (a1[0] + a1[1]) + (a1[2] + a1[3]),
-        (a2[0] + a2[1]) + (a2[2] + a2[3]),
-        (a3[0] + a3[1]) + (a3[2] + a3[3]),
-    ];
-    while i < n {
-        let xv = x[i];
-        s[0] += xv * y0[i];
-        s[1] += xv * y1[i];
-        s[2] += xv * y2[i];
-        s[3] += xv * y3[i];
-        i += 1;
+    let mut s = acc.map(|row| row.map(|a| (a[0] + a[1]) + (a[2] + a[3])));
+    for t in 0..n % DOT2_LANES {
+        for (s_i, xi) in s.iter_mut().zip(&xs) {
+            for (sv, yj) in s_i.iter_mut().zip(&ys) {
+                *sv += xi.1[t] * yj.1[t];
+            }
+        }
     }
     s
 }
@@ -572,6 +577,27 @@ mod tests {
             let (dw, dx) = dot2(&x, &w, &x);
             assert_eq!(dw.to_bits(), s[2].to_bits());
             assert_eq!(dx.to_bits(), s[3].to_bits());
+        }
+    }
+
+    #[test]
+    fn dot4x4_entries_are_dot4_lanes_bitwise() {
+        // Every tail length, a vector-long row, and an x block that repeats
+        // its last row the way a short atom's block does.
+        for n in (0..=9).chain([607]) {
+            let rows: [Vec<f64>; 8] =
+                std::array::from_fn(|r| seq(n, 0.13 * r as f64 - 0.41, 0.7 - 0.2 * r as f64));
+            let x = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[2][..]];
+            let y = [&rows[4][..], &rows[5][..], &rows[6][..], &rows[7][..]];
+            let block = dot4x4(x, y);
+            for (i, xi) in x.iter().enumerate() {
+                let want = dot4(xi, y[0], y[1], y[2], y[3]);
+                assert_eq!(
+                    block[i].map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "n={n} row {i}"
+                );
+            }
         }
     }
 

@@ -148,15 +148,26 @@ pub fn solve_occupied(
 /// The scaled eigenvector factor `W = C·diag(√(2 f))` restricted to the
 /// columns the occupation filter keeps, so that `ρ = W Wᵀ`. Returns whether
 /// `w` had to grow.
+///
+/// Each column's `√(2 f)` is taken once: the first row of `w` holds the
+/// scales while the other rows are formed, then is scaled itself.
 pub(crate) fn occupied_factor_into(vectors: &Matrix, f: &[f64], w: &mut Matrix) -> bool {
     let kept = || (0..f.len()).filter(|&k| f[k] > OCCUPATION_DROP_TOL);
     let cols = kept().count();
     let grew = w.resize_zeroed(vectors.rows(), cols);
-    if cols > 0 {
-        for (wrow, crow) in w.as_mut_slice().chunks_mut(cols).zip(vectors.rows_iter()) {
-            for (wv, k) in wrow.iter_mut().zip(kept()) {
-                *wv = (2.0 * f[k]).sqrt() * crow[k];
+    if cols > 0 && vectors.rows() > 0 {
+        let (scale, rest) = w.as_mut_slice().split_at_mut(cols);
+        for (sv, k) in scale.iter_mut().zip(kept()) {
+            *sv = (2.0 * f[k]).sqrt();
+        }
+        for (wrow, crow) in rest.chunks_mut(cols).zip(vectors.rows_iter().skip(1)) {
+            for ((wv, &sv), k) in wrow.iter_mut().zip(&*scale).zip(kept()) {
+                *wv = sv * crow[k];
             }
+        }
+        let c0 = vectors.row(0);
+        for (sv, k) in scale.iter_mut().zip(kept()) {
+            *sv *= c0[k];
         }
     }
     grew
@@ -200,9 +211,10 @@ pub fn bond_block_elements(nl: &NeighborList, index: &OrbitalIndex) -> usize {
 ///
 /// On return `rho` is `n × n`, holds `ρ` on every bond block and its
 /// transpose (`ρ_JI = ρ_IJᵀ` bitwise) and is **zero everywhere else**; `w`
-/// holds the scaled factor. Each element is one [`kernels::dot4`] lane of
-/// two rows of `w`, so it depends on nothing but those rows. Returns the
-/// number of buffers that had to grow.
+/// holds the scaled factor. A bond block is one [`kernels::dot4x4`] of the
+/// two atoms' rows of `w`, and each element is a dot of two rows in
+/// [`kernels::dot4`]'s order, so it depends on nothing but those rows.
+/// Returns the number of buffers that had to grow.
 pub fn bond_density(
     nl: &NeighborList,
     index: &OrbitalIndex,
@@ -218,11 +230,11 @@ pub fn bond_density(
         let (oi, ni) = (index.offset(i), index.n_orbitals(i));
         let (oj, nj) = (index.offset(j), index.n_orbitals(j));
         elements += ni * nj;
-        // Four columns per pass; an atom with fewer orbitals repeats its
-        // last row and the surplus lanes are dropped.
-        let [w0, w1, w2, w3] = std::array::from_fn(|nu| w.row(oj + nu.min(nj - 1)));
-        for mu in 0..ni {
-            let dots = kernels::dot4(w.row(oi + mu), w0, w1, w2, w3);
+        // One 4×4 block; an atom with fewer orbitals repeats its last row
+        // and the surplus entries are dropped.
+        let rows = |o: usize, no: usize| std::array::from_fn(|m| w.row(o + m.min(no - 1)));
+        let block = kernels::dot4x4(rows(oi, ni), rows(oj, nj));
+        for (mu, dots) in block.iter().enumerate().take(ni) {
             for (nu, &d) in dots.iter().enumerate().take(nj) {
                 rho[(oi + mu, oj + nu)] = d;
                 rho[(oj + nu, oi + mu)] = d;

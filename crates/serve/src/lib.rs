@@ -170,6 +170,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         v.get("engine").and_then(|s| s.as_str()).unwrap_or("serial"),
         int(&v, "ranks"),
     )?;
+    engine.check_ranks(system.n_atoms())?;
     let temperature_k = num(&v, "temperature_k").unwrap_or(300.0);
     let steps = int(&v, "steps").unwrap_or(100);
     let dt_fs = num(&v, "dt_fs").unwrap_or(1.0);
@@ -634,6 +635,15 @@ impl Multiplexer {
                 outcome: Err(detail),
             })
         };
+        // A spec built in code has not been through `parse_request`.
+        if spec.initial.is_none() {
+            let config = &spec.config;
+            config
+                .system
+                .check_size()
+                .and_then(|atoms| config.engine.check_ranks(atoms))
+                .map_err(|detail| fail(&spec.name, detail))?;
+        }
         let mut manifest = run_manifest(&spec.config);
         if let Some(initial) = spec.initial.as_ref() {
             // The manifest advertises what actually runs, not what the

@@ -5,8 +5,9 @@
 //! overflow aborts the whole process, every tenant included).
 
 use proptest::prelude::*;
+use tbmd::{EngineKind, SimulationConfig, SystemSpec};
 use tbmd_campaign::CampaignSpec;
-use tbmd_serve::parse_request;
+use tbmd_serve::{parse_request, JobSpec, Multiplexer, TenantReport};
 
 /// A job line that sets every field `parse_request` reads.
 const JOB_LINE: &str = r#"{"job":"a","system":"si","reps":1,"engine":"distributed","ranks":2,"protocol":"nvt","temperature_k":300,"steps":12,"dt_fs":1,"tau_fs":40,"electronic_kt":0.1,"perturb":0.05,"seed":"0x2a","quantum":4,"threads":1,"health_stride":5,"checkpoint_interval":3,"retain":2}"#;
@@ -61,6 +62,86 @@ fn every_prefix_is_an_error() {
             assert_eq!(parse_both(&doc[..cut]), (false, false), "prefix {cut}");
         }
     }
+}
+
+/// Job lines that ask for more than a front end builds: 8·10⁹ atoms, a
+/// repeat count that saturates to `usize::MAX`, and 100 000 ranks (a thread
+/// each, every evaluation) for eight atoms.
+const OVERSIZED_JOBS: [&str; 3] = [
+    r#"{"job":"x","reps":1000}"#,
+    r#"{"job":"x","reps":1e300}"#,
+    r#"{"job":"x","engine":"distributed","ranks":100000}"#,
+];
+
+/// The same three as campaign specs.
+const OVERSIZED_CAMPAIGNS: [&str; 3] = [
+    r#"{"structures":[{"system":"si","reps":1000}],"protocols":[{"kind":"nve"}]}"#,
+    r#"{"structures":[{"system":"si","reps":1e300}],"protocols":[{"kind":"nve"}]}"#,
+    r#"{"structures":[{"system":"si"}],"protocols":[{"kind":"nve"}],"engines":["distributed:100000"]}"#,
+];
+
+/// Each is refused while it is parsed, with an error that names the limit.
+#[test]
+fn oversized_requests_are_errors_naming_the_limit() {
+    for line in OVERSIZED_JOBS {
+        let err = parse_request(line).expect_err(line);
+        assert!(err.contains("limit"), "{line}: {err}");
+        assert_eq!(parse_both(line), (false, false), "{line}");
+    }
+    for spec in OVERSIZED_CAMPAIGNS {
+        let err = CampaignSpec::from_json(spec).expect_err(spec);
+        assert!(err.contains("limit"), "{spec}: {err}");
+    }
+    // The limits themselves are reachable.
+    assert!(parse_request(r#"{"job":"x","reps":8}"#).is_ok());
+    assert!(parse_request(r#"{"job":"x","engine":"distributed","ranks":8}"#).is_ok());
+}
+
+/// A spec built in code skips the parser; the multiplexer refuses it as it
+/// admits it, and the tenants around it run to the same bits as without it.
+#[test]
+fn a_multiplexer_refuses_oversized_tenants_and_serves_the_rest_bitwise() {
+    let job = |name: &str, system, engine| {
+        let mut config = SimulationConfig::nve(system, 300.0, 4);
+        config.engine = engine;
+        config.seed = 36;
+        JobSpec::new(name, config)
+    };
+    let si8 = SystemSpec::SiliconDiamond { reps: 1 };
+    let run = |hostile: bool| {
+        let mut mux = Multiplexer::new();
+        mux.submit(job("a", si8, EngineKind::Serial), std::io::sink());
+        if hostile {
+            let huge = SystemSpec::SiliconDiamond { reps: 1000 };
+            mux.submit(job("huge", huge, EngineKind::Serial), std::io::sink());
+            let ranks = EngineKind::Distributed { ranks: 100_000 };
+            mux.submit(job("ranks", si8, ranks), std::io::sink());
+        }
+        mux.submit(job("b", si8, EngineKind::Serial), std::io::sink());
+        mux.drain()
+    };
+    let endpoint = |r: &TenantReport| {
+        let summary = r.outcome.as_ref().expect("a served tenant");
+        let positions = summary.final_structure.positions().iter();
+        let velocities = summary.final_velocities.iter();
+        let vectors = positions.chain(velocities).flat_map(|v| v.to_array());
+        let mut bits: Vec<u64> = vectors.map(f64::to_bits).collect();
+        bits.push(summary.final_total_energy.to_bits());
+        (r.name.clone(), bits)
+    };
+    let calm: Vec<_> = run(false).iter().map(endpoint).collect();
+    let reports = run(true);
+    let (refused, served): (Vec<&TenantReport>, Vec<&TenantReport>) = reports
+        .iter()
+        .partition(|r| r.name == "huge" || r.name == "ranks");
+    assert_eq!(refused.len(), 2);
+    for r in refused {
+        let err = r.outcome.as_ref().expect_err("refused");
+        assert!(err.contains("limit"), "{}: {err}", r.name);
+        assert_eq!(r.steps, 0);
+    }
+    let served: Vec<_> = served.into_iter().map(endpoint).collect();
+    assert!(served == calm, "the other tenants moved");
 }
 
 /// `depth` openers, `[` or `{"a":` as `seed` picks, around a `1`, with the
