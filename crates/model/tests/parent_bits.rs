@@ -2,7 +2,9 @@
 //! solve and the one-shape radial evaluation must reproduce, bit for bit,
 //! what the column-walking solve and the per-hopping radial functions
 //! computed; the lane-batched inverse iteration and the 4×4 bond-block
-//! density kernel what one vector and one `dot4` row at a time computed.
+//! density kernel what one vector and one `dot4` row at a time computed;
+//! the blocked reduction of the anneal's tube what the column-at-a-time
+//! panel computed.
 //!
 //! Each constant is an FNV-1a hash over the `to_bits()` of every output,
 //! recorded by running this file against the parent commit. The model
@@ -13,9 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use tbmd_linalg::{
-    cluster_tolerance, configure_budget, eigh_into, eigh_partial_into, reduced_eigenvalues_into,
-    snap_range_to_clusters, tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
-    tridiagonalize_blocked_into, try_lease, EighWorkspace, Matrix,
+    apply_q_blocked, cluster_tolerance, configure_budget, eigh_into, eigh_partial_into,
+    reduced_eigenvalues_into, snap_range_to_clusters, team, tridiagonal_eigenvectors_into,
+    tridiagonal_eigenvectors_offset_into, tridiagonalize_blocked_into, try_lease, EighWorkspace,
+    Matrix,
 };
 use tbmd_model::{
     build_hamiltonian, carbon_xwch, density_matrix, silicon_gsp, OrbitalIndex, PhaseTimings,
@@ -250,4 +253,56 @@ fn bond_density_reproduces_the_parent_bits() {
     .map(|(what, got, _)| format!("{what}: {got:#018x}"))
     .collect();
     assert!(moved.is_empty(), "bits moved: {moved:?}");
+}
+
+/// Hash of the blocked reduction of `a`: (d, e), the reflectors where they
+/// are stored (below the subdiagonal), then — for τ — the back-transform of
+/// an `n × 13` block.
+fn reduction_hash(a: &Matrix) -> u64 {
+    let n = a.rows();
+    let (mut packed, mut ws) = (a.clone(), EighWorkspace::default());
+    tridiagonalize_blocked_into(&mut packed, &mut ws);
+    let (d, e) = ws.tridiagonal_factor();
+    let mut h = Fnv::new().extend(d).extend(e);
+    for r in 2..n {
+        h = h.extend(&packed.row(r)[..r - 1]);
+    }
+    let mut z = Matrix::from_fn(n, 13, |i, j| ((i * 13 + j) as f64 * 0.37).sin());
+    apply_q_blocked(&packed, &mut ws, &mut z);
+    h.extend(z.as_slice()).0
+}
+
+#[test]
+fn tube_reduction_reproduces_the_parent_bits() {
+    // `H` of the anneal's (10,0)×4 tube at its 0.02 Å, seed-42 start
+    // (n = 640): the panel matvec of the first panels is cut into row bands
+    // and every later panel applies up to 31 pending corrections. Under
+    // width-1 and width-2 leases and on a thread pinned inline, as a
+    // message-passing rank is.
+    let model = black_box(carbon_xwch());
+    let mut tube = nanotube(10, 0, 4, 1.42);
+    tube.perturb(&mut StdRng::seed_from_u64(42), 0.02);
+    let nl = NeighborList::build(&tube, model.cutoff());
+    let h = build_hamiltonian(&tube, &nl, &model, &OrbitalIndex::new(&tube));
+    assert_eq!(h.rows(), 640);
+    let rank = {
+        let h = h.clone();
+        std::thread::spawn(move || {
+            team::pin_inline();
+            reduction_hash(&h)
+        })
+        .join()
+        .expect("pinned reduction")
+    };
+    let got = [
+        at_width(1, || reduction_hash(&h)),
+        at_width(2, || reduction_hash(&h)),
+        rank,
+    ];
+    let want = 0x225f6e147897453eu64;
+    assert!(
+        got.iter().all(|&g| g == want),
+        "bits moved: {:?}",
+        got.map(|g| format!("{g:#018x}"))
+    );
 }
