@@ -12,7 +12,9 @@
 //!    matrix–vector products (four rows of the lower triangle per pass,
 //!    large blocks in row bands over the thread team, one fixed summation
 //!    order either way) whose corrections against the pending panel (`V`,
-//!    `W`) keep the panel numerically exact.
+//!    `W`, two reflectors per pass) keep the panel numerically exact. The
+//!    panel's columns leave `a` once, at panel start, as contiguous rows of
+//!    the panel buffer, and come back as reflectors once, at panel end.
 //! 2. **Rank-2k trailing update** — after each panel the trailing block
 //!    absorbs `A ← A − V Wᵀ − W Vᵀ` in one GEMM-shaped sweep over contiguous
 //!    rows (the SYR2K analogue of the SYRK density-matrix kernel), two
@@ -49,15 +51,16 @@ const STRIP_COLS: usize = 96;
 
 /// Row bands the panel matvec of a trailing block is cut into, and the
 /// fewest rows a block must have to be cut at all. Measured on the 2-vCPU
-/// reference host, reduction alone, min / median of 12: n = 640 unbanded
-/// 28.5–41 / 35–43 ms at either width; banded under a width-2 lease 27–29 /
-/// 30–36 (2 bands), 27.6–28 / 29–32 (4), 27–30 / 33 (8); n = 864 unbanded
-/// 77–90 / 81–101, banded 60–69 / 68–75 (2), 61–65 / 65–74 (4), 59–70 /
-/// 67–76 (8). Four divides evenly over 2 and 4 threads. Run inline (width 1)
-/// the partial vectors cost the matvec ≤ 5 % at n = 640 and nothing
-/// measurable at 864. Below 256 rows a column's matvec is ≈ 7 µs and half of
-/// it no longer pays for a hand-off; floors of 128 and 384 read the same as
-/// 256 within the noise.
+/// reference host with the shuffle-free `dot4_axpy4`, reduction alone, the
+/// medians of 3–4 alternated runs of 6–12 reductions each, under a width-2
+/// lease: n = 640 unbanded 42–52 ms, 2 bands 34–45, 4 bands 33–48, 8 bands
+/// 35–39; n = 864 unbanded 95–115, banded 70–82 (2), 67–74 (4), 71–80 (8).
+/// Two, four and eight bands read the same; four divides evenly over 2 and 4
+/// threads. Run inline (width 1) banded and unbanded read the same within
+/// the host's noise (n = 640: 41–58 vs 44–47 ms). Below 256 rows a column's
+/// matvec is a few µs and half of it no longer pays for a hand-off; floors
+/// of 128 and 384 read the same as 256 within the noise (measured before the
+/// kernel rewrite).
 const SYMV_BANDS: usize = 4;
 const SYMV_BAND_FLOOR: usize = 256;
 
@@ -86,15 +89,20 @@ pub struct BlockedScratch {
     pub(crate) e: Vec<f64>,
     /// Householder scales, `tau[j]` for the reflector stored in column `j`.
     pub(crate) tau: Vec<f64>,
-    /// Panel reflectors, one *row* per reflector (length-n, explicit unit).
+    /// The panel buffer, `NB × n`, one *row* per panel column: at panel start
+    /// row `c` is column `j0 + c` of `a` over rows `j0..n` (its lower
+    /// triangle), copied in one row segment of `a` per row; each row is
+    /// corrected and turned into its reflector `V` in place (explicit unit,
+    /// zeros from `j0` up to it) and written back into `a` at panel end, so
+    /// the reduction touches a panel column of `a` twice, not once per
+    /// element read and once per element written.
     vpan: Matrix,
     /// Panel update vectors `W`, one row per reflector.
     wpan: Matrix,
     /// Negated compact-WY triangular factors `−T`, one `NB`-row band per
     /// panel.
     tmat: Matrix,
-    /// Householder candidate column / symmetric matvec result.
-    colbuf: Vec<f64>,
+    /// The panel matvec's result.
     pvec: Vec<f64>,
     /// One partial matvec result per row band, `SYMV_BANDS × n`.
     bands: Vec<f64>,
@@ -170,8 +178,6 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 4 * (n as u64).pow(3) / 3);
     s.vpan.resize_zeroed(TRIDIAG_BLOCK, n);
     s.wpan.resize_zeroed(TRIDIAG_BLOCK, n);
-    s.colbuf.clear();
-    s.colbuf.resize(n, 0.0);
     s.pvec.clear();
     s.pvec.resize(n, 0.0);
     if n > SYMV_BAND_FLOOR {
@@ -182,35 +188,36 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     let mut j0 = 0usize;
     while j0 + 2 < n {
         let jb = TRIDIAG_BLOCK.min(n - 2 - j0);
+        // Panel start: columns j0..j0+jb of rows j0..n (lower triangle) into
+        // rows 0..jb of `vpan`, one row segment of `a` per row. Each row is
+        // corrected, turned into its reflector in place, and written back
+        // into `a` at panel end: nothing reads a panel column of `a` before
+        // then (the matvec reads columns past the reflector's own).
+        for r in j0..n {
+            let seg = &a.row(r)[j0..j0 + jb.min(r - j0 + 1)];
+            for (c, &x) in seg.iter().enumerate() {
+                s.vpan[(c, r)] = x;
+            }
+        }
         for jj in 0..jb {
             let j = j0 + jj;
             // --- 1. column j with the pending panel updates applied -------
-            let x = &mut s.colbuf;
-            for (r, xr) in x.iter_mut().enumerate().take(n).skip(j) {
-                *xr = a[(r, j)];
+            // x −= Σ_p (w_p[j] v_p + v_p[j] w_p), two reflectors per pass.
+            let (done, x) = s.vpan.as_mut_slice().split_at_mut(jj * n);
+            let x = &mut x[..n];
+            let mut coef = [[0.0; 2]; TRIDIAG_BLOCK];
+            for (p, c) in coef[..jj].iter_mut().enumerate() {
+                *c = [s.wpan[(p, j)], done[p * n + j]];
             }
-            for p in 0..jj {
-                let vp = s.vpan.row(p);
-                let wp = s.wpan.row(p);
-                let (wj, vj) = (wp[j], vp[j]);
-                kernels::axpy2(&mut x[j..n], -wj, &vp[j..n], -vj, &wp[j..n]);
-            }
+            subtract_reflectors(&mut x[j..], done, s.wpan.as_slice(), n, &coef[..jj]);
             s.d[j] = x[j];
             // --- 2. Householder reflector annihilating x[j+2..] -----------
             let (head, tail) = x[j + 1..].split_first_mut().expect("j + 1 < n");
             let (tau, beta) = householder(*head, tail);
+            *head = 1.0;
+            x[j0..=j].fill(0.0);
             s.tau[j] = tau;
             s.e[j + 1] = beta;
-            // Pack v into a's column j (unit entry implicit) and the panel.
-            {
-                let vrow = s.vpan.row_mut(jj);
-                vrow[..=j].fill(0.0);
-                vrow[j + 1] = 1.0;
-                for r in j + 2..n {
-                    vrow[r] = x[r];
-                    a[(r, j)] = x[r];
-                }
-            }
             if tau == 0.0 {
                 s.wpan.row_mut(jj).fill(0.0);
                 continue;
@@ -223,12 +230,7 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
             let p = &mut s.pvec;
             let lo = j + 1;
             symv_banded(a.as_slice(), n, lo, v, p, &mut s.bands);
-            for q in 0..jj {
-                let vq = s.vpan.row(q);
-                let wq = s.wpan.row(q);
-                let (wv, vv) = kernels::dot2(&v[lo..n], &wq[lo..n], &vq[lo..n]);
-                kernels::axpy2(&mut p[lo..n], -wv, &vq[lo..n], -vv, &wq[lo..n]);
-            }
+            panel_correction(&mut p[lo..n], &v[lo..n], &s.vpan, &s.wpan, jj);
             for pv in p[lo..n].iter_mut() {
                 *pv *= tau;
             }
@@ -238,6 +240,13 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
             wrow[..lo].fill(0.0);
             for r in lo..n {
                 wrow[r] = p[r] + gamma * v[r];
+            }
+        }
+        // Panel end: the reflectors into a's columns, below the subdiagonal.
+        for r in j0 + 2..n {
+            let seg = &mut a.row_mut(r)[j0..j0 + jb.min(r - j0 - 1)];
+            for (c, x) in seg.iter_mut().enumerate() {
+                *x = s.vpan[(c, r)];
             }
         }
         // --- 4. rank-2k trailing update (SYR2K, lower triangle) -----------
@@ -250,6 +259,79 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
         s.d[n - 2] = a[(n - 2, n - 2)];
         s.d[n - 1] = a[(n - 1, n - 1)];
         s.e[n - 1] = a[(n - 1, n - 2)];
+    }
+}
+
+/// `y −= Σ_q (c_q[0]·v_q + c_q[1]·w_q)` in ascending `q`, with `v_q`, `w_q`
+/// rows `q` of the row-major panels `v`, `w` (row length `n`) and `y` their
+/// columns `n − y.len()..n`: per element `((y − c₀[0]·v₀) − c₀[1]·w₀) − …`,
+/// the order of one [`kernels::axpy2`] per reflector, with two reflectors per
+/// [`kernels::axpy4`] pass over `y`.
+fn subtract_reflectors(y: &mut [f64], v: &[f64], w: &[f64], n: usize, coef: &[[f64; 2]]) {
+    let lo = n - y.len();
+    let vw = |q: usize| (&v[q * n + lo..(q + 1) * n], &w[q * n + lo..(q + 1) * n]);
+    let mut pairs = coef.chunks_exact(2);
+    for (i, c) in pairs.by_ref().enumerate() {
+        let ((v0, w0), (v1, w1)) = (vw(2 * i), vw(2 * i + 1));
+        kernels::axpy4(
+            y,
+            [-c[0][0], -c[0][1], -c[1][0], -c[1][1]],
+            [v0, w0, v1, w1],
+        );
+    }
+    if let [c] = pairs.remainder() {
+        let (v0, w0) = vw(coef.len() - 1);
+        kernels::axpy2(y, -c[0], v0, -c[1], w0);
+    }
+}
+
+/// The panel corrections of the matvec `p = A·v`: `p −= V (Wᵀv) + W (Vᵀv)`
+/// over the first `jj` reflectors (rows) of `vpan`, `wpan`, with `p`, `v` and
+/// the rows read over the last `p.len()` columns. Bit for bit `jj` rounds of
+/// `(wv, vv) = dot2(v, w_q, v_q)` then `axpy2(p, −wv, v_q, −vv, w_q)`: the
+/// dots of four reflectors are formed in one shared-operand pass
+/// ([`kernels::dot8`], each in `dot2`'s lane order) and applied two
+/// reflectors per pass over `p` ([`subtract_reflectors`]).
+fn panel_correction(p: &mut [f64], v: &[f64], vpan: &Matrix, wpan: &Matrix, jj: usize) {
+    let n = vpan.cols();
+    let lo = n - p.len();
+    let (vr, wr) = (|q| &vpan.row(q)[lo..], |q| &wpan.row(q)[lo..]);
+    let mut q = 0;
+    while q < jj {
+        let mut coef = [[0.0; 2]; 4];
+        let k = match jj - q {
+            1 => {
+                let (wv, vv) = kernels::dot2(v, wr(q), vr(q));
+                coef[0] = [wv, vv];
+                1
+            }
+            2 | 3 => {
+                let d = kernels::dot4(v, wr(q), vr(q), wr(q + 1), vr(q + 1));
+                coef[0] = [d[0], d[1]];
+                coef[1] = [d[2], d[3]];
+                2
+            }
+            _ => {
+                let d = kernels::dot8(
+                    v,
+                    [
+                        wr(q),
+                        vr(q),
+                        wr(q + 1),
+                        vr(q + 1),
+                        wr(q + 2),
+                        vr(q + 2),
+                        wr(q + 3),
+                        vr(q + 3),
+                    ],
+                );
+                coef = std::array::from_fn(|i| [d[2 * i], d[2 * i + 1]]);
+                4
+            }
+        };
+        let (vs, ws) = (&vpan.as_slice()[q * n..], &wpan.as_slice()[q * n..]);
+        subtract_reflectors(p, vs, ws, n, &coef[..k]);
+        q += k;
     }
 }
 
@@ -833,6 +915,33 @@ mod tests {
             let mut a = saved;
             rank2k_lower(&mut a, t0, jb, &vpan, &wpan);
             assert!(a == reference, "jb={jb}");
+        }
+    }
+
+    #[test]
+    fn panel_correction_matches_one_dot2_and_axpy2_per_reflector_bitwise() {
+        // Against the loop it replaced, for every reflector count up to past
+        // one panel: groups of four, then a pair and a single left over. The
+        // block is columns 9..75, so every dot has a tail.
+        let (n, lo, rows) = (75usize, 9usize, 34usize);
+        let vpan = Matrix::from_fn(rows, n, |q, c| ((q * 13 + c * 7) as f64 * 0.31).sin());
+        let wpan = Matrix::from_fn(rows, n, |q, c| ((q * 5 + c * 11) as f64 * 0.17).cos());
+        let v: Vec<f64> = (0..n).map(|c| (c as f64 * 0.37).sin()).collect();
+        let p0: Vec<f64> = (0..n).map(|c| (c as f64 * 0.23).cos()).collect();
+        for jj in 0..=33 {
+            let mut reference = p0[lo..].to_vec();
+            for q in 0..jj {
+                let (vq, wq) = (&vpan.row(q)[lo..], &wpan.row(q)[lo..]);
+                let (wv, vv) = kernels::dot2(&v[lo..], wq, vq);
+                kernels::axpy2(&mut reference, -wv, vq, -vv, wq);
+            }
+            let mut p = p0[lo..].to_vec();
+            panel_correction(&mut p, &v[lo..], &vpan, &wpan, jj);
+            assert_eq!(
+                p.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "jj={jj}"
+            );
         }
     }
 

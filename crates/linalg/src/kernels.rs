@@ -18,6 +18,27 @@
 //! 4×4 block [`dot4x4`] forms the bond blocks of a Si-216 density in
 //! 2.2 ms where four `dot4` calls per block took 5.8 ms.
 //!
+//! A loop that vectorizes may still do so along the wrong axis. Per-row
+//! accumulators that feed a per-row reduction — `R` rows of `[f64; 4]`
+//! lanes, each summed `(a0 + a1) + (a2 + a3)` after the loop — can be packed
+//! by LLVM's SLP vectorizer *across* rows (lane = row), because the final
+//! reductions then look like vector adds; every chunk loaded in the loop is
+//! then transposed into that layout. [`dot4_axpy4`] compiled that way: each
+//! 4-column chunk carried 14 shuffle-class instructions (4 `vpermt2pd`,
+//! 5 `vblendpd`, 2 `vbroadcastsd`, `vpunpcklqdq`, `vinsertf32x4`,
+//! `vinsertf128`) and 7 vector loads beside its 8 `vmulpd` and 8 `vaddpd`.
+//! Passed through `std::hint::black_box` before the reduction, the
+//! accumulators stay one vector per row (lane = column mod 4, the lane
+//! assignment the summation order defines) and the chunk is 5 loads, 8
+//! `vmulpd`, 8 `vaddpd` (one with the load of `p` folded in) and 1 store,
+//! no shuffle: the panel matvec of the blocked tridiagonalization runs
+//! ≈ 1.3× faster on the same bits. The rule: keep such a reduction opaque
+//! and, after touching a loop of this kind, count the shuffles in the
+//! loop of the binary that runs it (`objdump -d`). The chunk loop of
+//! `dot_block` reads shuffle-free as it is where it was checked ([`dot4x4`]
+//! in the bond-density stage, [`dot8`] in the panel corrections): its
+//! transposes sit after the loop.
+//!
 //! rustc performs no FMA contraction or reassociation by default, so every
 //! kernel has a fixed, documented IEEE summation order. That makes the
 //! serial and fanned-out callers bitwise identical by construction: each
@@ -100,6 +121,15 @@ pub fn dot4(x: &[f64], y0: &[f64], y1: &[f64], y2: &[f64], y3: &[f64]) -> [f64; 
     let n = x.len();
     debug_assert!(y0.len() == n && y1.len() == n && y2.len() == n && y3.len() == n);
     dot_block([x], [y0, y1, y2, y3])[0]
+}
+
+/// Eight dots sharing the left operand, each bit for bit the [`dot2`] /
+/// [`dot4`] value of its pair: the panel corrections of the blocked
+/// tridiagonalization dot one reflector against four `(w, v)` pairs per pass.
+#[inline]
+pub fn dot8(x: &[f64], y: [&[f64]; 8]) -> [f64; 8] {
+    debug_assert!(y.iter().all(|yj| yj.len() == x.len()));
+    dot_block([x], y)[0]
 }
 
 /// The 4×4 block of dots `x[i]·y[j]`: entry `[i][j]` is bit for bit
@@ -194,7 +224,8 @@ pub fn axpy4(orow: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
 /// their transposed contributions while the rows are hot.
 ///
 /// Written over `chunks_exact` so no bounds check sits between the stores
-/// to `p` — an indexed loop here compiles to scalar code.
+/// to `p`, and with the four accumulators hidden from the final reduction
+/// (`black_box`) so each row's lanes stay one vector — see the module doc.
 #[inline]
 pub fn dot4_axpy4(p: &mut [f64], x: &[f64], a: [f64; 4], y: [&[f64]; 4]) -> [f64; 4] {
     let n = p.len();
@@ -217,7 +248,7 @@ pub fn dot4_axpy4(p: &mut [f64], x: &[f64], a: [f64; 4], y: [&[f64]; 4]) -> [f64
             pp[l] = (((pp[l] + a[0] * b0[l]) + a[1] * b1[l]) + a[2] * b2[l]) + a[3] * b3[l];
         }
     }
-    let mut s = acc.map(|l| (l[0] + l[1]) + (l[2] + l[3]));
+    let mut s = std::hint::black_box(acc).map(|l| (l[0] + l[1]) + (l[2] + l[3]));
     let tail = yc.map(|c| c.remainder());
     for (i, (pv, &xv)) in pc
         .into_remainder()
@@ -623,24 +654,67 @@ mod tests {
         }
     }
 
+    /// `seq(n, scale, shift)` in a buffer of its own, starting `skew`
+    /// elements past a 32-byte boundary: `buf[start..]`.
+    fn skewed(n: usize, skew: usize, scale: f64, shift: f64) -> (Vec<f64>, usize) {
+        let mut buf = vec![f64::NAN; n + 8];
+        let start = buf.as_ptr().align_offset(32) + skew;
+        buf[start..start + n].copy_from_slice(&seq(n, scale, shift));
+        (buf, start)
+    }
+
     #[test]
     fn dot4_axpy4_is_dot4_then_axpy4_bitwise() {
-        for n in [0, 1, 3, 4, 7, 29, 64] {
+        // Every tail length and a vector-long row; every operand starts 0–3
+        // elements past a 32-byte boundary, as the `[lo..]` slices
+        // `symv_lower_band` hands the kernel do, each operand skewed
+        // differently.
+        for n in (0..=9).chain([607]) {
+            for skew in 0..4 {
+                let (xb, x0) = skewed(n, skew, 0.21, 1.0);
+                let yb: [_; 4] = std::array::from_fn(|j| {
+                    skewed(n + j, (skew + j + 1) % 4, 0.3 * j as f64 - 0.43, 0.5)
+                });
+                let x = &xb[x0..x0 + n];
+                let y: [&[f64]; 4] = std::array::from_fn(|j| &yb[j].0[yb[j].1..yb[j].1 + n + j]);
+                let a = [0.7, -1.1, 0.3, 2.9];
+                let (mut pb, p0) = skewed(n, (skew + 2) % 4, -0.17, 0.9);
+                let mut reference = pb[p0..p0 + n].to_vec();
+                let fused = &mut pb[p0..p0 + n];
+                let dots = dot4_axpy4(fused, x, a, y);
+                let want = dot4(x, &y[0][..n], &y[1][..n], &y[2][..n], &y[3][..n]);
+                axpy4(&mut reference, a, y);
+                assert_eq!(
+                    dots.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "n={n} skew={skew}"
+                );
+                assert_eq!(
+                    fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "n={n} skew={skew}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dot8_entries_are_dot2_pairs_bitwise() {
+        for n in (0..=9).chain([607]) {
             let x = seq(n, 0.21, 1.0);
-            let y: [Vec<f64>; 4] = std::array::from_fn(|j| seq(n + j, 0.3 * j as f64 - 0.43, 0.5));
-            let y = [&y[0][..], &y[1][..], &y[2][..], &y[3][..]];
-            let a = [0.7, -1.1, 0.3, 2.9];
-            let mut fused = seq(n, -0.17, 0.9);
-            let mut reference = fused.clone();
-            let dots = dot4_axpy4(&mut fused, &x, a, y);
-            let want = dot4(&x, &y[0][..n], &y[1][..n], &y[2][..n], &y[3][..n]);
-            axpy4(&mut reference, a, y);
-            assert_eq!(dots.map(f64::to_bits), want.map(f64::to_bits), "n={n}");
-            assert_eq!(
-                fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
+            let rows: [Vec<f64>; 8] =
+                std::array::from_fn(|r| seq(n, 0.13 * r as f64 - 0.41, 0.7 - 0.2 * r as f64));
+            let got = dot8(&x, std::array::from_fn(|r| &rows[r][..]));
+            for q in 0..4 {
+                let (a, b) = dot2(&x, &rows[2 * q], &rows[2 * q + 1]);
+                assert_eq!(got[2 * q].to_bits(), a.to_bits(), "n={n} entry {}", 2 * q);
+                assert_eq!(
+                    got[2 * q + 1].to_bits(),
+                    b.to_bits(),
+                    "n={n} entry {}",
+                    2 * q + 1
+                );
+            }
         }
     }
 
