@@ -594,9 +594,9 @@ mod tests {
 
     #[test]
     fn dot2_and_dot4_match_separate_dots_bitwise() {
-        // dot2/dot4 use the same 4-lane order as each other, and must be
+        // dot2/dot4/dot8 use the same 4-lane order as each other, and must be
         // exactly the order-stable value a 4-lane single dot would give.
-        for n in [3, 4, 12, 29, 64] {
+        for n in [0, 3, 4, 12, 29, 64, 607] {
             let x = seq(n, 0.21, 1.0);
             let y = seq(n, -0.43, 0.5);
             let z = seq(n, 0.77, -2.0);
@@ -608,6 +608,11 @@ mod tests {
             let (dw, dx) = dot2(&x, &w, &x);
             assert_eq!(dw.to_bits(), s[2].to_bits());
             assert_eq!(dx.to_bits(), s[3].to_bits());
+            let e = dot8(&x, [&w, &x, &y, &z, &y, &z, &w, &x]);
+            assert_eq!(
+                e.map(f64::to_bits),
+                [dw, dx, dy, dz, dy, dz, dw, dx].map(f64::to_bits)
+            );
         }
     }
 
@@ -693,26 +698,6 @@ mod tests {
                     fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "n={n} skew={skew}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dot8_entries_are_dot2_pairs_bitwise() {
-        for n in (0..=9).chain([607]) {
-            let x = seq(n, 0.21, 1.0);
-            let rows: [Vec<f64>; 8] =
-                std::array::from_fn(|r| seq(n, 0.13 * r as f64 - 0.41, 0.7 - 0.2 * r as f64));
-            let got = dot8(&x, std::array::from_fn(|r| &rows[r][..]));
-            for q in 0..4 {
-                let (a, b) = dot2(&x, &rows[2 * q], &rows[2 * q + 1]);
-                assert_eq!(got[2 * q].to_bits(), a.to_bits(), "n={n} entry {}", 2 * q);
-                assert_eq!(
-                    got[2 * q + 1].to_bits(),
-                    b.to_bits(),
-                    "n={n} entry {}",
-                    2 * q + 1
                 );
             }
         }
