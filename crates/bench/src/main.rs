@@ -178,8 +178,9 @@ const REGISTRY: &[Experiment] = &[
     Experiment {
         id: "S2",
         name: "serve",
-        expected: "Multiplexing changes when steps run, not how fast: round-robin and the \
-                   service keep about the sequential rate, and the service never admits more \
+        expected: "Interleaving changes when steps run, not how fast: round-robin keeps about \
+                   the sequential rate. The service runs its admitted tenants side by side, so \
+                   with two free cores it beats the sequential wall, and it never admits more \
                    tenants than its budget.",
         run: service::serve,
     },

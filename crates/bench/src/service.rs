@@ -155,7 +155,8 @@ pub fn checkpoint(size: Option<usize>) -> Report {
 
 /// S2: `size` (default 4) Si-8 NVE tenants of 24 steps run one after
 /// another, round-robin one step at a time over raw sessions, and through
-/// the `Multiplexer` under a two-thread budget.
+/// the `Multiplexer` (admitted tenants side by side) under a two-thread
+/// budget.
 pub fn serve(size: Option<usize>) -> Report {
     const STEPS: usize = 24;
     const BUDGET: usize = 2;

@@ -5,7 +5,8 @@
 //! * **inline** (default) — cells run sequentially, each as a chain of
 //!   [`tbmd::Session`]s under a [`tbmd::ComputeLease`];
 //! * **multiplexed** — cells fan out through the `tbmd-serve`
-//!   [`Multiplexer`], sharing the process compute budget round-robin.
+//!   [`Multiplexer`], sharing the process compute budget, the quanta of a
+//!   sweep side by side on the thread team.
 //!   Follow-up quench segments are submitted as their predecessors retire.
 //!
 //! Determinism holds across both because every velocity draw is pinned by

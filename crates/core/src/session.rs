@@ -1101,6 +1101,14 @@ pub struct Session<'r> {
     initial: Option<InitialState>,
 }
 
+// A session moves between threads: `tbmd-serve` runs each tenant's quantum
+// on whichever thread of the team claims it. A field that is not `Send`
+// must fail to build here, not inside the scheduler.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Session<'static>>();
+};
+
 impl<'r> Session<'r> {
     /// The configuration this session runs.
     pub fn config(&self) -> &SimulationConfig {

@@ -98,15 +98,23 @@ impl ComputeLease {
     }
 
     /// Run `f` with this lease's width pinned as the calling thread's
-    /// effective fan-out limit; the previous limit is restored afterwards
-    /// (scopes nest — an inner lease temporarily shadows an outer one).
+    /// effective fan-out limit; the previous limit is restored afterwards,
+    /// also when `f` unwinds (scopes nest — an inner lease temporarily
+    /// shadows an outer one).
     pub fn scoped<T>(&self, f: impl FnOnce() -> T) -> T {
-        EFFECTIVE_WIDTH.with(|w| {
-            let prev = w.replace(self.threads);
-            let out = f();
-            w.set(prev);
-            out
-        })
+        let _restore = RestoreWidth(EFFECTIVE_WIDTH.replace(self.threads));
+        f()
+    }
+}
+
+/// Puts back the width a [`ComputeLease::scoped`] call found, on return and
+/// on unwind alike: a caught panic must not leave a reused thread (a team
+/// worker, the serve scheduler) pinned to the panicked caller's width.
+struct RestoreWidth(usize);
+
+impl Drop for RestoreWidth {
+    fn drop(&mut self) {
+        EFFECTIVE_WIDTH.set(self.0);
     }
 }
 
@@ -232,5 +240,20 @@ mod tests {
         assert_eq!(effective_width(), 0);
         drop(outer);
         configure_budget(0);
+    }
+
+    #[test]
+    fn a_panic_inside_a_scope_restores_the_width_it_found() {
+        let (outer, inner) = (ComputeLease::untracked(3), ComputeLease::untracked(1));
+        let panics = |lease: &ComputeLease| {
+            std::panic::catch_unwind(|| lease.scoped(|| panic!("tenant gave up"))).is_err()
+        };
+        assert!(panics(&inner));
+        assert_eq!(effective_width(), 0, "unwound out of a single scope");
+        outer.scoped(|| {
+            assert!(panics(&inner));
+            assert_eq!(effective_width(), 3, "unwound out of a nested scope");
+        });
+        assert_eq!(effective_width(), 0);
     }
 }

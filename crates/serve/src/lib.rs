@@ -2,9 +2,9 @@
 //!
 //! A multiplexed trajectory service over the session pipeline: many tenants
 //! (trajectory jobs) share one process and one [`ComputeBudget`] — each
-//! tenant is a [`tbmd::Session`] advanced round-robin in quanta of MD
-//! steps, streaming its JSONL step records back to the submitter as they
-//! are produced.
+//! tenant is a [`tbmd::Session`] advanced in quanta of MD steps, the quanta
+//! of one sweep side by side on the process thread team, streaming its
+//! JSONL step records back to the submitter as they are produced.
 //!
 //! The library half is transport-agnostic: [`Multiplexer`] takes parsed
 //! [`JobSpec`]s plus any `Write + Send` sink (a socket, a shared buffer, a
@@ -20,34 +20,50 @@
 //! - admitted tenants hold a [`tbmd::ComputeLease`]; when
 //!   [`tbmd::configure_budget`] caps the process, jobs past the cap wait in
 //!   the admission queue until a running tenant finishes and refunds its
-//!   lease, so the pool's high-water mark never exceeds the budget.
+//!   lease, so the pool's high-water mark never exceeds the budget;
+//! - the quanta of one sweep run concurrently, one task per admitted tenant
+//!   on the thread team (`tbmd::linalg::team`), so how many run at once is
+//!   what the budget admits. A lone tenant runs on the scheduler thread at
+//!   its lease's width; beside another, a wide tenant's fan-outs run inline
+//!   on its task's thread (the team's inline rule), with the same bits.
+//!   Reports and retirements follow admission order whatever thread ran
+//!   what;
+//! - a panic inside a quantum retires that tenant alone, with an error
+//!   report and an error line, and its lease is refunded; the others run on.
 //!
 //! ## Telemetry
 //!
 //! A [`ServeStats`] handle owns one root [`ScopedSink`] that the scheduler
-//! enters around every submission and sweep, and every tenant gets a
-//! labelled scope of its own that its session enters per MD step below the
-//! root. Per-tenant counters, phase times and latency histograms (step wall
-//! time, quantum latency, admission wait) therefore accumulate alongside
-//! this multiplexer's totals — two multiplexers in one process share
-//! nothing — and a distributed tenant's rank views hang off its own scope.
+//! enters around every submission, admission and retirement, and that every
+//! quantum enters on the thread that runs it — the scheduler thread holds no
+//! root guard while the quanta run, so each event reaches the root exactly
+//! once. Every tenant gets a labelled scope of its own that its session
+//! enters per MD step below the root. Per-tenant counters, phase times and
+//! latency histograms (step wall time, quantum latency, admission wait)
+//! therefore accumulate alongside this multiplexer's totals — two
+//! multiplexers in one process share nothing — and a distributed tenant's
+//! rank views hang off its own scope.
 //! The whole picture is readable mid-run through the handle — the
 //! `{"stats":true}` verb on the daemon socket returns its JSON form,
 //! `{"stats":"prometheus"}` a Prometheus-style text exposition — and the
 //! scheduler keeps the [`Gauge::QueueDepth`] / lease high-water gauges
 //! current in the root scope. A handle made by [`ServeStats::with_timeline`]
 //! also keeps the root scope's span timeline — one span per tenant quantum,
-//! named after the tenant, with its steps and phases nested inside — which
-//! [`ServeStats::export_chrome`] writes out.
+//! named after the tenant, with its steps and phases nested inside, on the
+//! `tid` of the thread that ran it — which [`ServeStats::export_chrome`]
+//! writes out.
 //!
 //! [`ComputeBudget`]: tbmd::configure_budget
 //! [`Gauge::QueueDepth`]: tbmd_trace::Gauge
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use tbmd::linalg::team;
 use tbmd::{
     run_manifest, try_lease, CheckpointStore, EngineKind, InitialState, Protocol, RecorderConfig,
     Session, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary, SystemSpec,
@@ -61,7 +77,7 @@ pub struct JobSpec {
     pub name: String,
     /// The simulation to run.
     pub config: SimulationConfig,
-    /// MD steps granted per scheduler visit (round-robin quantum).
+    /// MD steps granted per scheduler sweep (the quantum).
     pub quantum: usize,
     /// Worker threads this job leases from the process budget.
     pub threads: usize,
@@ -488,8 +504,8 @@ impl ServeStats {
     }
 }
 
-/// One admitted job: its session, its stream, its quantum, and its
-/// telemetry ledger entry.
+/// One admitted job: its session, its stream, its quantum, its telemetry
+/// ledger entry, and how its last quantum ended.
 struct Tenant {
     name: String,
     session: Session<'static>,
@@ -497,6 +513,43 @@ struct Tenant {
     sink: SharedSink,
     entry: Arc<TenantEntry>,
     queue_wait: Duration,
+    /// `Ok(Running)` until a quantum finishes the run or fails it.
+    status: Result<SessionStatus, String>,
+}
+
+impl Tenant {
+    /// One quantum of MD steps, on whichever thread runs it: the root
+    /// scope is entered here, around this quantum alone, so its events
+    /// reach the root once wherever it runs. A panic ends the quantum like
+    /// an error does and leaves the other tenants alone.
+    fn run_quantum(&mut self, root: &ScopedSink) {
+        let _root = root.enter();
+        let target = self.session.steps_done() + self.quantum;
+        // Quantum latency: one span named after the tenant's scope (the MD
+        // step spans nest under it in a timeline) feeds the root scope's
+        // histogram; the tenant's scope gets the same sample.
+        let quantum = tbmd_trace::interval(Hist::Quantum, &self.entry.sink);
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.session.run_until(target)));
+        let quantum_ns = quantum.finish().as_nanos() as u64;
+        self.entry.sink.record_ns(Hist::Quantum, quantum_ns);
+        self.status = match outcome {
+            Ok(status) => status.map_err(|e| e.to_string()),
+            Err(payload) => Err(format!("tenant panicked: {}", panic_message(&*payload))),
+        };
+    }
+}
+
+/// Why a tenant's lock is never poisoned: no panic leaves a quantum.
+const QUANTUM_CATCHES: &str = "a quantum catches its own panics";
+
+/// The text of a panic payload (`panic!` makes a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => text,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("(no message)", String::as_str),
+    }
 }
 
 /// One queued job: the spec, its stream, and its admission stopwatch.
@@ -523,12 +576,17 @@ pub struct TenantReport {
     pub outcome: Result<SimulationSummary, String>,
 }
 
-/// Round-robin scheduler over many [`tbmd::Session`]s under the process
-/// compute budget. Submissions past the budget wait in an admission queue;
+/// Scheduler over many [`tbmd::Session`]s under the process compute budget:
+/// every sweep runs one quantum of each admitted tenant, side by side on the
+/// thread team. Submissions past the budget wait in an admission queue;
 /// each finished tenant refunds its lease, letting the queue drain.
 #[derive(Default)]
 pub struct Multiplexer {
-    active: Vec<Tenant>,
+    /// Admitted tenants in admission order, each behind a lock of its own:
+    /// the team task that runs a tenant's quantum takes it, nobody else
+    /// contends for it, and nothing is allocated per sweep to hand the
+    /// tenants out.
+    active: Vec<Mutex<Tenant>>,
     waiting: VecDeque<Waiting>,
     reports: Vec<TenantReport>,
     stats: ServeStats,
@@ -604,7 +662,7 @@ impl Multiplexer {
             match Self::build_tenant(waiting, wait, lease) {
                 Ok(tenant) => {
                     tenant.entry.state.store(STATE_ACTIVE, Ordering::Relaxed);
-                    self.active.push(tenant);
+                    self.active.push(Mutex::new(tenant));
                 }
                 Err(mut report) => {
                     let (name, outcome) = (&report.name, report.outcome);
@@ -679,77 +737,38 @@ impl Multiplexer {
             sink,
             entry,
             queue_wait,
+            status: Ok(SessionStatus::Running),
         })
     }
 
     /// One scheduler sweep: admit what the budget allows, then give every
-    /// active tenant one quantum of MD steps. Returns `true` while any job
-    /// is active or queued.
+    /// active tenant one quantum of MD steps, all at once — one task per
+    /// tenant on the thread team — and retire the finished ones in
+    /// admission order. Returns `true` while any job is active or queued.
+    ///
+    /// A lone tenant runs on the calling thread with its lease's width, so a
+    /// lone wide tenant still fans out. Beside another tenant a task is a
+    /// parallel region, so a wide tenant's fan-outs run inline on its
+    /// task's thread (the team's inline rule): the same bits, one thread.
     pub fn tick(&mut self) -> bool {
-        let _root = self.stats.0.root.enter();
-        self.admit();
-        let mut i = 0;
-        while i < self.active.len() {
-            let tenant = &mut self.active[i];
-            let target = tenant.session.steps_done() + tenant.quantum;
-            // Quantum latency: one span named after the tenant's scope (the
-            // MD step spans nest under it in a timeline) feeds the root
-            // scope's histogram; the tenant's scope gets the same sample.
-            let quantum = tbmd_trace::interval(Hist::Quantum, &tenant.entry.sink);
-            let outcome = tenant.session.run_until(target);
-            let quantum_ns = quantum.finish().as_nanos() as u64;
-            tenant.entry.sink.record_ns(Hist::Quantum, quantum_ns);
-            match outcome {
-                Ok(SessionStatus::Running) => i += 1,
-                Ok(SessionStatus::Done) => {
-                    let tenant = self.active.remove(i);
-                    self.retire(tenant, None);
-                }
-                Err(e) => {
-                    let tenant = self.active.remove(i);
-                    self.retire(tenant, Some(e.to_string()));
-                }
-            }
+        {
+            let _root = self.stats.0.root.enter();
+            self.admit();
         }
-        !self.active.is_empty() || !self.waiting.is_empty()
-    }
-
-    /// Finalize one tenant: emit the summary (or error) line, refund the
-    /// lease, file the report. A tenant whose stream failed — a step line
-    /// (the session's error) or the closing summary — retires with an error
-    /// status, like one whose engine failed.
-    fn retire(&mut self, mut tenant: Tenant, error: Option<String>) {
-        let steps = tenant.session.steps_done();
-        let evaluations = tenant.session.evaluations();
-        let alloc_events = tenant.session.large_alloc_events();
-        let summary = tenant.session.take_summary();
-        tenant.entry.state.store(STATE_RETIRED, Ordering::Relaxed);
-        // Refund before the recorder flushes, so a queued job can be
-        // admitted on the very next sweep.
-        drop(tenant.session.take_lease());
-        // Only a finished run closes its stream with the summary line; a
-        // failed one drops the recorder unfinished (buffered lines still
-        // flush), so no misleading success summary goes out.
-        let recorder = tenant.session.take_recorder();
-        let outcome = match (error, summary) {
-            (Some(detail), _) => Err(detail),
-            (None, Some(summary)) => match recorder.map(RunRecorder::finish) {
-                Some(Err(e)) => Err(format!("recorder: {e}")),
-                _ => Ok(summary),
-            },
-            (None, None) => Err("session finished without a summary".to_string()),
-        };
-        let outcome = outcome
-            .map_err(|detail| stream_error(&tenant.sink, &tenant.name, detail, tenant.queue_wait));
-        self.reports.push(TenantReport {
-            name: tenant.name,
-            steps,
-            evaluations,
-            alloc_events,
-            queue_wait: tenant.queue_wait,
-            outcome,
+        // No root guard on this thread while the quanta run: each quantum
+        // enters the root itself, and this thread runs quanta too.
+        let (active, root) = (&self.active, &self.stats.0.root);
+        team::run(active.len(), &|i| {
+            active[i].lock().expect(QUANTUM_CATCHES).run_quantum(root);
         });
-        drop(tenant.session);
+        let _root = self.stats.0.root.enter();
+        let finished = self.active.extract_if(.., |tenant| {
+            let status = &tenant.get_mut().expect(QUANTUM_CATCHES).status;
+            !matches!(status, Ok(SessionStatus::Running))
+        });
+        self.reports
+            .extend(finished.map(|tenant| retire(tenant.into_inner().expect(QUANTUM_CATCHES))));
+        !self.active.is_empty() || !self.waiting.is_empty()
     }
 
     /// Run the scheduling loop until every submitted job has finished, then
@@ -765,6 +784,44 @@ impl Multiplexer {
     /// off completed ones while other jobs are still running.
     pub fn take_reports(&mut self) -> Vec<TenantReport> {
         std::mem::take(&mut self.reports)
+    }
+}
+
+/// Finalize one tenant: emit the summary (or error) line, refund the
+/// lease, make the report. A tenant whose stream failed — a step line
+/// (the session's error) or the closing summary — retires with an error
+/// status, like one whose engine failed or panicked.
+fn retire(mut tenant: Tenant) -> TenantReport {
+    let error = tenant.status.err();
+    let steps = tenant.session.steps_done();
+    let evaluations = tenant.session.evaluations();
+    let alloc_events = tenant.session.large_alloc_events();
+    let summary = tenant.session.take_summary();
+    tenant.entry.state.store(STATE_RETIRED, Ordering::Relaxed);
+    // Refund before the recorder flushes, so a queued job can be
+    // admitted on the very next sweep.
+    drop(tenant.session.take_lease());
+    // Only a finished run closes its stream with the summary line; a
+    // failed one drops the recorder unfinished (buffered lines still
+    // flush), so no misleading success summary goes out.
+    let recorder = tenant.session.take_recorder();
+    let outcome = match (error, summary) {
+        (Some(detail), _) => Err(detail),
+        (None, Some(summary)) => match recorder.map(RunRecorder::finish) {
+            Some(Err(e)) => Err(format!("recorder: {e}")),
+            _ => Ok(summary),
+        },
+        (None, None) => Err("session finished without a summary".to_string()),
+    };
+    let outcome = outcome
+        .map_err(|detail| stream_error(&tenant.sink, &tenant.name, detail, tenant.queue_wait));
+    TenantReport {
+        name: tenant.name,
+        steps,
+        evaluations,
+        alloc_events,
+        queue_wait: tenant.queue_wait,
+        outcome,
     }
 }
 

@@ -120,7 +120,8 @@ mod unix {
         };
 
         // Accept loop on its own thread: it only parses lines and forwards
-        // jobs; all sessions live on the scheduler thread below. Stats
+        // jobs; the scheduler loop below owns every session and runs each
+        // sweep's quanta side by side on the thread team. Stats
         // requests are answered right on the client threads — the shared
         // handle reads the same atomics the scheduler writes.
         let acceptor = {
@@ -146,8 +147,9 @@ mod unix {
             })
         };
 
-        // Scheduler loop: drain submissions, give every tenant a quantum,
-        // exit once a shutdown request arrives and the queues are empty.
+        // Scheduler loop: drain submissions, give every tenant a quantum
+        // (all at once), exit once a shutdown request arrives and the
+        // queues are empty.
         let mut mux = Multiplexer::with_stats(stats.clone());
         loop {
             while let Ok((spec, stream)) = jobs_rx.try_recv() {

@@ -33,6 +33,45 @@ fn every_tenant_holds_its_admission_wait_and_quanta() {
     }
 }
 
+/// The quanta of a sweep run side by side, each on whichever thread of the
+/// team claims it, the scheduler's own included; every event still reaches
+/// the root scope exactly once. The root's step count is the tenants' total,
+/// each tenant scope counts its own steps, and the quantum histograms count
+/// the quanta that ran.
+#[test]
+fn side_by_side_quanta_reach_the_root_scope_once() {
+    // (name, steps, quantum): 3 + 3 + 3 + 1 quanta.
+    let jobs = [("a", 7, 3), ("b", 12, 4), ("c", 5, 2), ("d", 9, 9)];
+    let mut mux = Multiplexer::new();
+    for (name, steps, quantum) in jobs {
+        mux.submit(job(name, steps, quantum), std::io::sink());
+    }
+    let reports = mux.drain();
+    assert!(reports.iter().all(|r| r.outcome.is_ok()), "{reports:?}");
+    let stats = mux.stats();
+    let mut total = (0, 0);
+    for (name, steps, quantum) in jobs {
+        let hists = stats.tenant_sink(name).expect("registered").histograms();
+        let quanta = steps.div_ceil(quantum);
+        assert_eq!(
+            hists.hist(Hist::Step).count(),
+            steps as u64,
+            "tenant {name}"
+        );
+        assert_eq!(
+            hists.hist(Hist::Quantum).count(),
+            quanta as u64,
+            "tenant {name}"
+        );
+        total = (total.0 + steps, total.1 + quanta);
+    }
+    let global = stats.to_json();
+    let global = global.get("global").expect("global block");
+    let count = |hist: &str| global.get(hist).and_then(|h| h.get("count")?.as_f64());
+    assert_eq!(count("step"), Some(total.0 as f64), "root steps");
+    assert_eq!(count("quantum"), Some(total.1 as f64), "root quanta");
+}
+
 /// Two multiplexers ticked alternately on one thread: the `global` block of
 /// each stats answer counts its own tenants' steps and nobody else's, and a
 /// distributed tenant's rank views are listed under that tenant alone.
@@ -110,8 +149,14 @@ fn two_timelines_hold_only_their_own_tenants() {
             let ts = field(e, "ts");
             (ts, ts + field(e, "dur"))
         };
-        // One recording thread: the one that ticked.
-        assert!(events.iter().all(|e| field(e, "tid") == 0.0));
+        // Quanta of one sweep run side by side, so a timeline has a `tid`
+        // per thread that ran one — never more than the team has.
+        let threads = events
+            .iter()
+            .map(|e| field(e, "tid") as usize)
+            .max()
+            .map_or(0, |t| t + 1);
+        assert!(threads <= tbmd::linalg::team::size(), "{threads} tids");
         let quanta: Vec<_> = events
             .iter()
             .filter(|e| name(e).starts_with(['l', 'r']))
@@ -121,11 +166,12 @@ fn two_timelines_hold_only_their_own_tenants() {
             assert_eq!(n, *count, "quanta of {tenant}");
         }
         assert_eq!(quanta.len(), tenants.iter().map(|t| t.1).sum::<usize>());
+        // Nested: inside a quantum recorded on the same thread.
         let in_a_quantum = |e: &JsonValue| {
             let (s0, s1) = span(e);
             quanta.iter().any(|q| {
                 let (q0, q1) = span(q);
-                q0 <= s0 + 1e-3 && s1 <= q1 + 1e-3
+                field(q, "tid") == field(e, "tid") && q0 <= s0 + 1e-3 && s1 <= q1 + 1e-3
             })
         };
         let step_spans: Vec<_> = events.iter().filter(|e| name(e) == "step").collect();
