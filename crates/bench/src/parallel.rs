@@ -159,7 +159,7 @@ pub fn comm_model(size: Option<usize>) -> Report {
         bytes.row(vec![
             p.to_string(),
             stats.total_bytes().to_string(),
-            sliced_wire_bytes(s.n_atoms(), index.total(), rho_doubles, p).to_string(),
+            sliced_wire_bytes(s.n_atoms(), rho_doubles, p).to_string(),
         ]);
     }
     let mut report = Report::default();

@@ -333,9 +333,13 @@ impl CampaignSpec {
             .iter()
             .enumerate()
         {
+            let protocol = parse_protocol(p)?;
+            for segment in protocol.segments() {
+                segment.validate()?;
+            }
             protocols.push(ProtocolCase {
                 label: label(p, &format!("proto{i}")),
-                protocol: parse_protocol(p)?,
+                protocol,
             });
         }
 

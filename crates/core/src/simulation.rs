@@ -47,6 +47,62 @@ pub enum Protocol {
     },
 }
 
+impl Protocol {
+    /// Refuse a protocol the MD kernels would assert on, naming the field:
+    /// every float must be finite, `dt_fs`, `tau_fs` and the ramp rate
+    /// positive, temperatures non-negative. Both front ends and
+    /// [`SessionBuilder::build`](crate::session::SessionBuilder::build) call
+    /// it, so no run starts on such a value.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |field: &str, x: f64, ok: bool, rule: &str| {
+            if x.is_finite() && ok {
+                Ok(())
+            } else {
+                Err(format!("protocol field {field} must be {rule} (got {x})"))
+            }
+        };
+        let positive = |field, x: f64| check(field, x, x > 0.0, "finite and > 0");
+        let temperature = |field, x: f64| check(field, x, x >= 0.0, "finite and >= 0");
+        match *self {
+            Protocol::Nve {
+                temperature_k,
+                dt_fs,
+                ..
+            } => {
+                temperature("temperature_k", temperature_k)?;
+                positive("dt_fs", dt_fs)
+            }
+            Protocol::Nvt {
+                temperature_k,
+                dt_fs,
+                tau_fs,
+                ..
+            } => {
+                temperature("temperature_k", temperature_k)?;
+                positive("dt_fs", dt_fs)?;
+                positive("tau_fs", tau_fs)
+            }
+            Protocol::NvtRamp {
+                from_k,
+                to_k,
+                rate_k_per_fs,
+                dt_fs,
+                tau_fs,
+                ..
+            } => {
+                temperature("from_k", from_k)?;
+                temperature("to_k", to_k)?;
+                positive("rate_k_per_fs", rate_k_per_fs)?;
+                positive("dt_fs", dt_fs)?;
+                positive("tau_fs", tau_fs)
+            }
+            Protocol::Relax {
+                force_tolerance, ..
+            } => check("force_tolerance", force_tolerance, true, "finite"),
+        }
+    }
+}
+
 /// Full simulation request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
@@ -236,9 +292,9 @@ pub enum ReshardPolicy {
     #[default]
     Respawn,
     /// Continue on the survivors: the next evaluation recomputes every
-    /// spectrum-slice boundary over P − f ranks via the same Sturm
-    /// partitioner, so the dead rank's shards are redistributed
-    /// automatically. The continued trajectory agrees with the
+    /// shard boundary (occupied eigenvectors, force blocks) over P − f
+    /// ranks with the same `partition_range`, so the dead rank's shards are
+    /// redistributed automatically. The continued trajectory agrees with the
     /// uninterrupted one only to summation accuracy (the allreduce
     /// grouping changes with the rank count, and float addition is not
     /// associative).

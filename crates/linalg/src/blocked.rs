@@ -85,7 +85,7 @@ pub struct BlockedScratch {
     /// [`tridiagonalize_blocked_into`]).
     pub(crate) d: Vec<f64>,
     /// Subdiagonal: `e[0] = 0`, `e[i]` couples rows `i−1` and `i` — the same
-    /// convention as [`crate::eigh::tridiagonalize`] and the Sturm kernels.
+    /// convention as [`crate::eigh::tridiagonalize`].
     pub(crate) e: Vec<f64>,
     /// Householder scales, `tau[j]` for the reflector stored in column `j`.
     pub(crate) tau: Vec<f64>,
@@ -598,9 +598,8 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
 /// in the workspace is left intact for the eigenvector stage. The copy is
 /// iterated at unit scale and the spectrum scaled back, both exactly
 /// ([`tqli`]'s scaling contract), so the values are in the units of `(d, e)`
-/// whatever its magnitude. (Rank-sharded Sturm bisection,
-/// [`crate::bisection::tridiagonal_eigenvalues_range_into`], is the
-/// distributed engine's eigenvalue stage, not this one's.)
+/// whatever its magnitude. This is the one eigenvalue stage of every dense
+/// engine: each distributed rank calls it on its replicated factor too.
 ///
 /// # Errors
 /// [`EigError::NoConvergence`] on non-finite input.
@@ -650,7 +649,7 @@ pub fn reduced_eigenvectors_into(
 /// spectrum slicing: `lambda` is a contiguous shard of the globally sorted
 /// spectrum starting at global eigenvalue index `seed_offset`, inverse-iterated
 /// as one shard on the calling thread. With shard boundaries snapped to
-/// cluster boundaries ([`crate::bisection::snap_range_to_clusters`] with
+/// cluster boundaries ([`crate::inverse_iteration::snap_range_to_clusters`] with
 /// [`crate::inverse_iteration::cluster_tolerance`]), the columns each rank
 /// produces are bitwise identical to the corresponding columns of a single
 /// full-window [`reduced_eigenvectors_into`] call.
@@ -965,7 +964,7 @@ mod tests {
                 ws.blocked.subdiagonal(),
             );
             let snap = |raw: usize| {
-                crate::bisection::snap_range_to_clusters(&values[..k], ctol, raw..k).start
+                crate::inverse_iteration::snap_range_to_clusters(&values[..k], ctol, raw..k).start
             };
             let bounds = [0, snap(cuts[0]), snap(cuts[1]), k];
             for shard in bounds.windows(2) {

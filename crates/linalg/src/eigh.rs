@@ -133,9 +133,9 @@ impl EighWorkspace {
     /// [`crate::blocked::tridiagonalize_blocked_into`] (`e[0]` unused,
     /// `e[i]` couples rows `i−1` and `i`).
     ///
-    /// Distributed spectrum slicing needs this to run the rank-shardable
-    /// bisection ([`crate::bisection::tridiagonal_eigenvalues_range_into`])
-    /// and cluster snapping directly on the factor.
+    /// The distributed solver reads it for the cluster tolerance
+    /// ([`crate::inverse_iteration::cluster_tolerance`]) its ranks snap their
+    /// eigenvector shards with.
     pub fn tridiagonal_factor(&self) -> (&[f64], &[f64]) {
         (&self.blocked.d, &self.blocked.e)
     }

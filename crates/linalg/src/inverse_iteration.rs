@@ -1,8 +1,8 @@
 //! Inverse iteration for selected eigenvectors of a symmetric tridiagonal
 //! matrix — stage two of the two-stage eigensolver.
 //!
-//! Given eigenvalues isolated to machine precision (Sturm bisection or QL on
-//! the tridiagonal factor, see [`crate::bisection`] and [`crate::blocked`]),
+//! Given eigenvalues isolated to machine precision (QL on the tridiagonal
+//! factor, [`crate::blocked::reduced_eigenvalues_into`], on every engine),
 //! each eigenvector follows from a handful of `O(n)` solves against the
 //! shifted matrix `T − λI`, factored once per eigenvalue as `PLU` with
 //! partial pivoting (LAPACK `stein`/`gttrf` style). Members of a *cluster*
@@ -42,7 +42,6 @@
 //! start vectors are keyed on the global eigenvalue index, so the result is
 //! bitwise the one-shard result whatever the shard count.
 
-use crate::bisection::snap_range_to_clusters;
 use crate::eigh::{eigh_into, EighWorkspace};
 use crate::kernels;
 use crate::matrix::Matrix;
@@ -342,10 +341,37 @@ fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], cluster: &mut [f64], s: &mut Shard
 ///
 /// Exposed so distributed callers can snap their eigenvalue-index shards to
 /// the *same* cluster boundaries the inverse iteration will see (via
-/// [`crate::bisection::snap_range_to_clusters`]), guaranteeing each cluster
-/// a single owner rank.
+/// [`snap_range_to_clusters`]), guaranteeing each cluster a single owner
+/// rank.
 pub fn cluster_tolerance(d: &[f64], e: &[f64]) -> f64 {
     CLUSTER_RTOL * scale_norm(d, e)
+}
+
+/// Snap an index `range` over the sorted eigenvalues `lambda` forward to
+/// cluster boundaries: both endpoints move up to the first index whose gap
+/// from its predecessor exceeds `ctol`, so no cluster of near-degenerate
+/// eigenvalues straddles a range boundary.
+///
+/// Used to assign each degenerate cluster to exactly one owner — a shard of
+/// [`tridiagonal_eigenvectors_into`], or a rank of the distributed solver —
+/// so the per-cluster Gram–Schmidt and Rayleigh–Ritz work stays with it.
+/// Applying this to every boundary of a `partition_range` tiling yields
+/// ranges that still tile `0..lambda.len()` exactly (snapping is monotone
+/// and depends only on the boundary index, not on the rank).
+pub fn snap_range_to_clusters(
+    lambda: &[f64],
+    ctol: f64,
+    range: std::ops::Range<usize>,
+) -> std::ops::Range<usize> {
+    let snap = |mut i: usize| {
+        while i > 0 && i < lambda.len() && lambda[i] - lambda[i - 1] <= ctol {
+            i += 1;
+        }
+        i.min(lambda.len())
+    };
+    let start = snap(range.start);
+    let end = snap(range.end.max(start));
+    start..end
 }
 
 /// `max_i (|d_i| + |e_i| + |e_{i+1}|)`, floored at 1: the scale every
@@ -766,6 +792,27 @@ mod tests {
                 (weight - 1.0).abs() < 1e-12,
                 "column {j} leaves the eigenspace"
             );
+        }
+    }
+
+    #[test]
+    fn snapping_keeps_clusters_whole() {
+        let lambda = [0.0, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 2.0, 3.0];
+        let ctol = 1e-6;
+        // Boundary inside the triple cluster at 1.0 moves past it.
+        assert_eq!(snap_range_to_clusters(&lambda, ctol, 0..2), 0..4);
+        assert_eq!(snap_range_to_clusters(&lambda, ctol, 2..5), 4..5);
+        assert_eq!(snap_range_to_clusters(&lambda, ctol, 3..6), 4..6);
+        // Boundaries on gaps are untouched.
+        assert_eq!(snap_range_to_clusters(&lambda, ctol, 1..5), 1..5);
+        // Snapped partition_range-style tiling still tiles exactly.
+        let cuts: Vec<usize> = [0usize, 2, 4, 6]
+            .iter()
+            .map(|&c| snap_range_to_clusters(&lambda, ctol, c..lambda.len()).start)
+            .collect();
+        assert_eq!(cuts.last(), Some(&lambda.len()));
+        for w in cuts.windows(2) {
+            assert!(w[0] <= w[1]);
         }
     }
 }

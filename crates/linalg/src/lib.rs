@@ -17,13 +17,13 @@
 //!   solver is tested against.
 //! * [`tridiagonalize_blocked_into`] → [`reduced_eigenvalues_into`] →
 //!   [`reduced_eigenvectors_into`] — the two-stage solver (blocked
-//!   reduction, tridiagonal spectrum, inverse iteration + blocked
-//!   back-transform for a window of states): the per-timestep O(n³) kernel
-//!   of tight-binding MD.
-//! * [`tridiagonal_eigenvalues_range_into`] — Sturm-sequence bisection for
-//!   a window of eigenvalues, the distributed solver's spectrum slice.
+//!   reduction, QL spectrum of the tridiagonal factor, inverse iteration +
+//!   blocked back-transform for a window of states): the per-timestep O(n³)
+//!   kernel of tight-binding MD, on every dense engine. A distributed rank
+//!   takes the whole spectrum from its replicated factor and
+//!   inverse-iterates a cluster-snapped shard of it
+//!   ([`reduced_eigenvectors_offset_into`], [`snap_range_to_clusters`]).
 
-pub mod bisection;
 pub mod blocked;
 pub mod budget;
 pub mod eigh;
@@ -33,7 +33,6 @@ pub mod matrix;
 pub mod team;
 pub mod vec3;
 
-pub use bisection::{snap_range_to_clusters, tridiagonal_eigenvalues_range_into};
 pub use blocked::{
     apply_q_blocked, eigh_partial_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
     reduced_eigenvectors_offset_into, tridiagonalize_blocked_into, TRIDIAG_BLOCK,
@@ -47,7 +46,8 @@ pub use eigh::{
     tridiagonalize_into, EigError, Eigh, EighWorkspace,
 };
 pub use inverse_iteration::{
-    cluster_tolerance, tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
+    cluster_tolerance, snap_range_to_clusters, tridiagonal_eigenvectors_into,
+    tridiagonal_eigenvectors_offset_into,
 };
 pub use kernels::{GEMM_UNROLL, KERNEL_MIN_DIM};
 pub use matrix::Matrix;

@@ -208,7 +208,7 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 timings.forces = clock.lap(&mut timings);
 
                 let energy = energy_parts[0] + energy_parts[1] + fermi.entropy_term;
-                forces.map(|forces| ((energy, forces, fermi.mu), timings))
+                Ok(forces.map(|forces| ((energy, forces, fermi.mu), timings)))
             },
         )?;
 

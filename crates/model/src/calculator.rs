@@ -40,11 +40,17 @@ use tbmd_structure::{NeighborList, Species, Structure};
 pub enum TbError {
     /// The structure contains a species the model does not parametrize.
     UnsupportedSpecies { species: Species, model: String },
-    /// The eigensolver failed (non-finite geometry, usually from an MD
-    /// blow-up upstream).
+    /// The eigensolver failed: QL did not converge on the tridiagonal
+    /// factor, e.g. of an `H` with a non-finite model parameter in it.
+    /// (Non-finite geometry never gets this far: it is
+    /// [`TbError::NonFinitePosition`].)
     Eigensolver(EigError),
     /// The structure has no atoms.
     EmptyStructure,
+    /// An atom has a non-finite coordinate (usually an MD blow-up
+    /// upstream). A NaN distance is never inside the cutoff, so the atom
+    /// would silently lose every neighbour; every engine refuses it first.
+    NonFinitePosition { atom: usize },
     /// A run recorder failed to write its JSONL stream (I/O error text).
     Recorder(String),
     /// One or more ranks of a distributed engine died or timed out
@@ -73,6 +79,9 @@ impl std::fmt::Display for TbError {
             }
             TbError::Eigensolver(e) => write!(f, "eigensolver failure: {e}"),
             TbError::EmptyStructure => write!(f, "structure contains no atoms"),
+            TbError::NonFinitePosition { atom } => {
+                write!(f, "atom {atom} has a non-finite position")
+            }
             TbError::Recorder(msg) => write!(f, "run recorder I/O failure: {msg}"),
             TbError::RankFailure { detail, .. } => {
                 write!(f, "distributed rank failure: {detail}")

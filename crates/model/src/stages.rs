@@ -46,10 +46,14 @@ use tbmd_linalg::{
 use tbmd_structure::{Neighbor, NeighborList, Structure};
 use tbmd_trace::{Counter, Hist, Phase};
 
-/// Reject empty structures and species the model does not parametrize.
+/// Reject empty structures, non-finite coordinates and species the model
+/// does not parametrize: the one check every engine runs first.
 pub fn validate(model: &dyn TbModel, s: &Structure) -> Result<(), TbError> {
     if s.n_atoms() == 0 {
         return Err(TbError::EmptyStructure);
+    }
+    if let Some(atom) = s.positions().iter().position(|r| !r.is_finite()) {
+        return Err(TbError::NonFinitePosition { atom });
     }
     for i in 0..s.n_atoms() {
         let species = s.species(i);

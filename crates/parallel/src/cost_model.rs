@@ -124,15 +124,15 @@ pub fn estimate_cost(profile: &MachineProfile, stats: &VmpStats) -> CostEstimate
 }
 
 /// Wire bytes (summed over ranks) of one evaluation of the two-stage sliced
-/// engine ([`crate::DistributedTb`]) on `p` ranks, for `n_atoms` atoms,
-/// `n_orb` orbitals and `rho_doubles` values in the packed bond blocks of ρ:
-/// positions broadcast, spectrum allgather, ρ allreduce, force allgather,
-/// repulsive-energy allreduce, each at its collective's own count — the ρ
-/// term is the only one above O(N).
-pub fn sliced_wire_bytes(n_atoms: usize, n_orb: usize, rho_doubles: usize, p: usize) -> u64 {
+/// engine ([`crate::DistributedTb`]) on `p` ranks, for `n_atoms` atoms and
+/// `rho_doubles` values in the packed bond blocks of ρ: positions
+/// broadcast, ρ allreduce, force allgather, repulsive-energy allreduce,
+/// each at its collective's own count — the ρ term is the only one above
+/// O(N). The spectrum moves no bytes: every rank computes all of it from its
+/// replicated tridiagonal factor.
+pub fn sliced_wire_bytes(n_atoms: usize, rho_doubles: usize, p: usize) -> u64 {
     let my_atoms = partition_range(n_atoms, p, 0).len();
     Rank::broadcast_bytes(3 * n_atoms, p)
-        + Rank::allgather_bytes(n_orb, partition_range(n_orb, p, 0).len(), p)
         + Rank::allreduce_bytes(rho_doubles, p)
         + Rank::allgather_bytes(3 * n_atoms, 3 * my_atoms, p)
         + Rank::allreduce_bytes(1, p)

@@ -8,13 +8,12 @@
 //! 2. **H build** — every rank assembles the full Hamiltonian from the
 //!    replicated geometry (0 extra wire bytes; broadcasting a rank-0
 //!    reduction would move `(n² + 3n)·8` bytes instead, see DESIGN.md);
-//! 3. **diagonalize** — each rank runs the blocked tridiagonalization on its
-//!    replica, then Sturm-bisects only its `partition_range` shard of the
-//!    eigenvalue indices (independent per index) and inverse-iterates only
-//!    its shard of the occupied window, with shard boundaries snapped to
-//!    degenerate-cluster boundaries so the Gram–Schmidt/Rayleigh–Ritz work
-//!    of a cluster stays on one rank. An eigenvalue allgather (O(N) wire
-//!    bytes) replicates the spectrum for occupations;
+//! 3. **diagonalize** — each rank runs the serial engine's spectrum stage on
+//!    its replica (blocked tridiagonalization, then QL on the factor for the
+//!    whole spectrum: 0 wire bytes), and inverse-iterates only its
+//!    `partition_range` shard of the occupied window, with shard boundaries
+//!    snapped to degenerate-cluster boundaries so the
+//!    Gram–Schmidt/Rayleigh–Ritz work of a cluster stays on one rank;
 //! 4. **density matrix** — each rank forms its owned eigenvectors' share of
 //!    ρ on the bond blocks of the replicated neighbour list
 //!    ([`bond_density`]), then a sum-allreduce of the packed blocks
@@ -33,8 +32,8 @@ use crate::ranks::{gather_forces, lock, PhaseClock, RankControl, Replica};
 use crate::vmp::{partition_range, Rank, VmpStats};
 use std::sync::Mutex;
 use tbmd_linalg::{
-    cluster_tolerance, reduced_eigenvectors_offset_into, snap_range_to_clusters,
-    tridiagonal_eigenvalues_range_into, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
+    cluster_tolerance, reduced_eigenvalues_into, reduced_eigenvectors_offset_into,
+    snap_range_to_clusters, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
 };
 use tbmd_model::{
     bond_density, bond_force, build_hamiltonian_into, dense_block, embedding, entropy_term,
@@ -64,9 +63,7 @@ struct DenseRankSlot {
     h: Matrix,
     /// Eigensolver scratch (blocked panels, inverse-iteration buffers).
     eigh: EighWorkspace,
-    /// This rank's shard of the eigenvalue spectrum.
-    evals_mine: Vec<f64>,
-    /// Full replicated spectrum after the allgather.
+    /// The whole spectrum, ascending (every rank computes the same bits).
     values: Vec<f64>,
     /// Owned occupied eigenvector columns.
     vectors: Matrix,
@@ -89,8 +86,9 @@ impl AsMut<Replica> for DenseRankSlot {
     }
 }
 
-/// What rank 0 hands back: energy and forces.
-type RankResult = Option<((f64, Vec<Vec3>), PhaseTimings)>;
+/// What a rank hands back: on rank 0 energy and forces, or the eigensolver
+/// failure every rank meets together on the same replicated factor.
+type RankResult = Result<Option<((f64, Vec<Vec3>), PhaseTimings)>, TbError>;
 
 /// Message-passing TBMD engine over the virtual machine.
 pub struct DistributedTb<'m> {
@@ -127,8 +125,8 @@ impl<'m> DistributedTb<'m> {
         lock(&self.last_report).clone()
     }
 
-    /// The two-stage sliced solve on one rank: replicated `H` and blocked
-    /// tridiagonalization, sharded spectrum and occupied eigenvectors, ρ
+    /// The two-stage sliced solve on one rank: replicated `H`, blocked
+    /// tridiagonalization and spectrum, sharded occupied eigenvectors, ρ
     /// allreduce, force block.
     fn sliced_rank(
         &self,
@@ -155,27 +153,15 @@ impl<'m> DistributedTb<'m> {
         rank.count_flops(60 * nl.n_entries() as u64 + 20 * s.n_atoms() as u64);
         timings.hamiltonian = clock.lap(&mut timings);
 
-        // ---- Phase 3: replicated blocked tridiagonalization +
-        // rank-sharded Sturm bisection of the full spectrum.
+        // ---- Phase 3: the serial engine's spectrum stage on the replica.
+        // Every rank holds the same factor, so every rank gets the same
+        // spectrum — or the same error, before the next collective.
         tridiagonalize_blocked_into(&mut slot.h, &mut slot.eigh);
-        rank.count_flops(4 * (n_orb as u64).pow(3) / 3);
-        let my_idx = partition_range(n_orb, psize, me);
-        let ctol;
-        {
-            let (d, e) = slot.eigh.tridiagonal_factor();
-            tridiagonal_eigenvalues_range_into(d, e, my_idx.clone(), &mut slot.evals_mine);
-            // ~120 bisection iterations × ~5 flops/row per Sturm count.
-            rank.count_flops(600 * (n_orb * my_idx.len()) as u64);
-            ctol = cluster_tolerance(d, e);
-        }
-        tbmd_trace::add(tbmd_trace::Counter::SturmBisections, my_idx.len() as u64);
-        // Deterministic per-index bisection ⇒ the concatenation of the rank
-        // shards is the ascending full spectrum, identical on every rank.
-        let parts = clock.blocked(|| rank.allgather(101, &slot.evals_mine));
-        slot.values.clear();
-        for part in &parts {
-            slot.values.extend_from_slice(part);
-        }
+        reduced_eigenvalues_into(&mut slot.eigh, &mut slot.values)?;
+        // The reduction, then QL's ≈ 30 n² for the eigenvalues alone.
+        rank.count_flops(4 * (n_orb as u64).pow(3) / 3 + 30 * (n_orb as u64).pow(2));
+        let (d, e) = slot.eigh.tridiagonal_factor();
+        let ctol = cluster_tolerance(d, e);
 
         // ---- Phase 4a: replicated occupations from the full spectrum
         // (needed for the Fermi level before the occupied window is known).
@@ -220,7 +206,7 @@ impl<'m> DistributedTb<'m> {
         );
         timings.forces = clock.lap(&mut timings);
         let energy = band + e_rep + entropy_term(self.occupation, occ.entropy);
-        forces.map(|forces| ((energy, forces), timings))
+        Ok(forces.map(|forces| ((energy, forces), timings)))
     }
 }
 
@@ -341,7 +327,7 @@ mod tests {
         let a = serial.evaluate(s).unwrap();
         let b = dist.evaluate(s).unwrap();
         assert!(
-            (a.energy - b.energy).abs() < 1e-6,
+            (a.energy - b.energy).abs() < 1e-10,
             "p={p}: energy {} vs {}",
             a.energy,
             b.energy
@@ -349,7 +335,7 @@ mod tests {
         assert_eq!(a.forces.len(), b.forces.len());
         for (i, (fa, fb)) in a.forces.iter().zip(&b.forces).enumerate() {
             assert!(
-                (*fa - *fb).max_abs() < 1e-5,
+                (*fa - *fb).max_abs() < 1e-10,
                 "p={p}: force mismatch atom {i}: {fa:?} vs {fb:?}"
             );
         }
@@ -380,6 +366,53 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(37);
         s.perturb(&mut rng, 0.03);
         assert_matches_serial(&s, &model, 3);
+    }
+
+    /// Silicon with NaN on-site energies: a finite geometry whose `H` the
+    /// QL iteration cannot converge on.
+    struct NanOnSite(tbmd_model::GspTbModel);
+
+    impl TbModel for NanOnSite {
+        fn name(&self) -> &str {
+            "nan-on-site"
+        }
+        fn supports(&self, sp: Species) -> bool {
+            self.0.supports(sp)
+        }
+        fn cutoff(&self) -> f64 {
+            self.0.cutoff()
+        }
+        fn on_site(&self, _: Species) -> [f64; 4] {
+            [f64::NAN; 4]
+        }
+        fn hoppings(&self, r: f64) -> tbmd_model::Hoppings {
+            self.0.hoppings(r)
+        }
+        fn hoppings_deriv(&self, r: f64) -> tbmd_model::Hoppings {
+            self.0.hoppings_deriv(r)
+        }
+        fn repulsion(&self, r: f64) -> (f64, f64) {
+            self.0.repulsion(r)
+        }
+        fn embedding(&self, x: f64) -> (f64, f64) {
+            self.0.embedding(x)
+        }
+    }
+
+    #[test]
+    fn an_eigensolver_failure_on_the_ranks_is_an_error_not_a_panic() {
+        // Every rank meets the failure on the same factor, so it comes back
+        // as the serial engine's error, evaluation after evaluation.
+        let model = NanOnSite(silicon_gsp());
+        let s = bulk_diamond(Species::Silicon, 2, 2, 2);
+        let serial = TbCalculator::new(&model).evaluate(&s).unwrap_err();
+        assert!(matches!(serial, TbError::Eigensolver(_)), "{serial:?}");
+        for p in [1usize, 2, 3] {
+            let dist = DistributedTb::new(&model, p);
+            let err = dist.evaluate(&s).unwrap_err();
+            assert!(matches!(err, TbError::Eigensolver(_)), "p={p}: {err:?}");
+            assert!(matches!(dist.evaluate(&s), Err(TbError::Eigensolver(_))));
+        }
     }
 
     #[test]

@@ -126,7 +126,9 @@ impl RankControl {
     /// [`TbError::RankFailure`]. Rank 0 returns the assembled result and its
     /// per-phase clocks — the canonical wall-clock view (per-rank spans
     /// would add up time-shared threads), fed to the trace registry here,
-    /// once. Slot growth (new slots plus `grown` per slot) lands in
+    /// once — or the error it met computing them, which is returned as is
+    /// (a rank that fails must do so together with rank 0, before the next
+    /// collective, or its peers wait out the window). Slot growth (new slots plus `grown` per slot) lands in
     /// `ws.grown`, so the O(1)-allocation guarantee stays observable through
     /// the uniform `Workspace::large_alloc_events`.
     pub fn launch<S, T>(
@@ -135,7 +137,7 @@ impl RankControl {
         grown: fn(&S) -> usize,
         n_orb: usize,
         ws: &mut Workspace,
-        f: impl Fn(&mut Rank, &mut S) -> Option<(T, PhaseTimings)> + Sync,
+        f: impl Fn(&mut Rank, &mut S) -> Result<Option<(T, PhaseTimings)>, TbError> + Sync,
     ) -> Result<Launch<T>, TbError>
     where
         S: Default + Send + AsMut<Replica>,
@@ -174,7 +176,7 @@ impl RankControl {
         let grew = allocated(&slots) - alloc_before;
         ws.grown += grew;
         let (result, timings) = results
-            .swap_remove(0)
+            .swap_remove(0)?
             .expect("rank 0 returns the assembled result");
         epilogue(grew, &timings, &Phase::ALL);
         Ok(Launch {

@@ -208,6 +208,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         },
         other => return Err(format!("unknown protocol {other:?}")),
     };
+    protocol.validate()?;
     let config = SimulationConfig {
         system,
         engine,

@@ -12,8 +12,9 @@
 //!   step, a serve tenant's quantum.
 //! - **Counters** ([`Counter`]): monotonic event counts — wire bytes and
 //!   messages from the Vmp machine, workspace growth events, neighbour-list
-//!   rebuilds/refreshes, Sturm bisections, Chebyshev matvecs. Totals across
-//!   all threads and ranks that entered the scope.
+//!   rebuilds/refreshes, Chebyshev matvecs, checkpoint and recovery
+//!   events, kernel flops. Totals across all threads and ranks that
+//!   entered the scope.
 //! - **Gauges** ([`Gauge`]): last-written values — conserved-quantity
 //!   drift, eigensolver residual/orthogonality, instantaneous temperature,
 //!   plus scheduler saturation (admission-queue depth, lease high-water).

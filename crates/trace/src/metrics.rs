@@ -58,8 +58,6 @@ pub enum Counter {
     NlRebuilds,
     /// O(entries) Verlet displacement refreshes.
     NlRefreshes,
-    /// Eigenvalues extracted by Sturm bisection (two-stage sliced solvers).
-    SturmBisections,
     /// Sparse H·v products in the Chebyshev Fermi-operator engines.
     ChebyshevMatvecs,
     /// Snapshots written by the checkpoint subsystem.
@@ -85,14 +83,13 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::WireBytes,
         Counter::WireMessages,
         Counter::AllocGrowth,
         Counter::NlRebuilds,
         Counter::NlRefreshes,
-        Counter::SturmBisections,
         Counter::ChebyshevMatvecs,
         Counter::CkptWrites,
         Counter::CkptBytes,
@@ -116,7 +113,6 @@ impl Counter {
             Counter::AllocGrowth => "alloc_growth",
             Counter::NlRebuilds => "nl_rebuilds",
             Counter::NlRefreshes => "nl_refreshes",
-            Counter::SturmBisections => "sturm_bisections",
             Counter::ChebyshevMatvecs => "chebyshev_matvecs",
             Counter::CkptWrites => "ckpt_writes",
             Counter::CkptBytes => "ckpt_bytes",

@@ -325,3 +325,33 @@ fn rank_control_is_the_same_on_both_distributed_engines() {
         .rank_control()
         .is_none());
 }
+
+/// A NaN coordinate is refused by every engine, naming the atom: the check
+/// runs before any neighbour search, where a NaN distance is never inside
+/// the cutoff and the atom would quietly lose every neighbour.
+#[test]
+fn every_engine_refuses_a_non_finite_position() {
+    let model = silicon_gsp();
+    let mut s = bulk_diamond(Species::Silicon, 1, 1, 1);
+    s.positions_mut()[1].y = f64::NAN;
+    let kinds = [
+        EngineKind::Serial,
+        EngineKind::Distributed { ranks: 2 },
+        EngineKind::LinearScaling {
+            r_loc: 4.0,
+            order: 32,
+        },
+        EngineKind::DistributedLinearScaling {
+            ranks: 2,
+            r_loc: 4.0,
+            order: 32,
+        },
+    ];
+    for kind in kinds {
+        let engine = Engine::build(kind, &model, KT);
+        match engine.evaluate(&s) {
+            Err(TbError::NonFinitePosition { atom: 1 }) => {}
+            other => panic!("{kind:?}: expected a non-finite position, got {other:?}"),
+        }
+    }
+}

@@ -334,3 +334,23 @@ fn rdf_after_dynamics_peaks_at_bond_length() {
         "first RDF peak at {r_peak} Å after dynamics"
     );
 }
+
+/// A timestep of 1e200 fs passes the protocol check (finite, positive) but
+/// blows the atoms out of any finite position within a step or two; the
+/// session stops there with an error instead of summarising a run whose
+/// energy is infinite.
+#[test]
+fn a_session_that_blows_up_is_an_error() {
+    let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 4);
+    config.protocol = Protocol::Nve {
+        temperature_k: 300.0,
+        steps: 4,
+        dt_fs: 1e200,
+    };
+    let outcome = SessionBuilder::new(config).build().unwrap().run();
+    assert!(
+        matches!(outcome, Err(tbmd::TbError::NonFinitePosition { .. })),
+        "{:?}",
+        outcome.map(|summary| summary.final_total_energy)
+    );
+}

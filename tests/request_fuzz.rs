@@ -5,7 +5,7 @@
 //! overflow aborts the whole process, every tenant included).
 
 use proptest::prelude::*;
-use tbmd::{EngineKind, SimulationConfig, SystemSpec};
+use tbmd::{EngineKind, Protocol, SessionBuilder, SimulationConfig, SystemSpec, TbError};
 use tbmd_campaign::CampaignSpec;
 use tbmd_serve::{parse_request, JobSpec, Multiplexer, TenantReport};
 
@@ -95,6 +95,44 @@ fn oversized_requests_are_errors_naming_the_limit() {
     // The limits themselves are reachable.
     assert!(parse_request(r#"{"job":"x","reps":8}"#).is_ok());
     assert!(parse_request(r#"{"job":"x","engine":"distributed","ranks":8}"#).is_ok());
+}
+
+/// Protocol values an MD kernel asserts on, each with the field its error
+/// must name: a zero thermostat period, a zero and a negative timestep, a
+/// negative temperature.
+const BAD_PROTOCOL_JOBS: [(&str, &str); 4] = [
+    (r#"{"job":"x","protocol":"nvt","tau_fs":0}"#, "tau_fs"),
+    (r#"{"job":"x","dt_fs":0}"#, "dt_fs"),
+    (r#"{"job":"x","dt_fs":-1}"#, "dt_fs"),
+    (
+        r#"{"job":"x","protocol":"nvt","temperature_k":-5}"#,
+        "temperature_k",
+    ),
+];
+
+/// Each is refused while it is parsed; so is the campaign form of the
+/// first, and a config built in code is refused by the session builder
+/// before anything runs.
+#[test]
+fn protocol_values_the_kernels_assert_on_are_errors_naming_the_field() {
+    for (line, field) in BAD_PROTOCOL_JOBS {
+        let err = parse_request(line).expect_err(line);
+        assert!(err.contains(field), "{line}: {err}");
+    }
+    let spec = r#"{"structures":[{"system":"si"}],"protocols":[{"kind":"nvt","tau_fs":0}]}"#;
+    let err = CampaignSpec::from_json(spec).expect_err(spec);
+    assert!(err.contains("tau_fs"), "{err}");
+    let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 4);
+    config.protocol = Protocol::Nvt {
+        temperature_k: 300.0,
+        steps: 4,
+        dt_fs: 1.0,
+        tau_fs: 0.0,
+    };
+    let Err(TbError::Config(err)) = SessionBuilder::new(config).build() else {
+        panic!("the session builder accepted tau_fs = 0");
+    };
+    assert!(err.contains("tau_fs"), "{err}");
 }
 
 /// A spec built in code skips the parser; the multiplexer refuses it as it

@@ -14,7 +14,7 @@ use tbmd_linalg::{team, tridiagonalize_blocked_into, EighWorkspace, Matrix};
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{
     bond_block_elements, silicon_gsp, DenseSolver, ForceProvider, NeighborWorkspace,
-    OccupationScheme, OrbitalIndex, TbCalculator, TbModel, Workspace,
+    OccupationScheme, OrbitalIndex, TbCalculator, TbModel, Workspace, TWO_STAGE_MIN_DIM,
 };
 use tbmd_parallel::{sliced_wire_bytes, vmp_run, DistributedTb};
 use tbmd_structure::{bulk_diamond, Species, Structure};
@@ -91,9 +91,9 @@ fn shared_two_stage_matches_full_ql_over_nve_trajectory() {
     assert_solver_trajectories_match(&sliced, &full, 20, 1e-8, 1e-7);
 }
 
-/// ISSUE 3 acceptance: the message-passing engine's rank-sharded
-/// two-stage solver (replicated tridiagonalization, Sturm-sliced occupied
-/// window, ρ allreduce) drives 20 NVE steps against the serial
+/// The message-passing engine's rank-sharded two-stage solver (replicated
+/// tridiagonalization and QL spectrum, cluster-snapped shards of the
+/// occupied window, ρ allreduce) drives 20 NVE steps against the serial
 /// full-spectrum QL reference to < 1e-8 eV per-step energy agreement.
 #[test]
 fn distributed_sliced_matches_serial_full_over_nve_trajectory() {
@@ -104,9 +104,10 @@ fn distributed_sliced_matches_serial_full_over_nve_trajectory() {
 }
 
 /// One Si-64 evaluation moves exactly the bytes the cost model prices
-/// (positions broadcast, spectrum allgather, packed-ρ allreduce, force
-/// allgather, repulsive-energy allreduce) — also at P = 3, where the
-/// `partition_range` shards are uneven — and more of them on more ranks.
+/// (positions broadcast, packed-ρ allreduce, force allgather,
+/// repulsive-energy allreduce; the spectrum moves none) — also at P = 3,
+/// where the `partition_range` shards are uneven — and more of them on
+/// more ranks.
 #[test]
 fn distributed_wire_bytes_equal_the_cost_model() {
     let model = silicon_gsp();
@@ -121,11 +122,33 @@ fn distributed_wire_bytes_equal_the_cost_model() {
         let dist = DistributedTb::new(&model, p);
         dist.evaluate(&s).unwrap();
         let measured = dist.last_report().unwrap().stats.total_bytes();
-        let predicted = sliced_wire_bytes(s.n_atoms(), index.total(), rho_doubles, p);
+        let predicted = sliced_wire_bytes(s.n_atoms(), rho_doubles, p);
         assert_eq!(measured, predicted, "P = {p}");
         totals.push(measured);
     }
     assert!(totals.windows(2).all(|w| w[0] < w[1]), "{totals:?}");
+}
+
+/// On one rank, above the two-stage crossover, the distributed engine is
+/// the serial engine: the same spectrum stage, the same eigenvector window,
+/// the same density and force stages — energy and every force component
+/// bitwise equal.
+#[test]
+fn distributed_engine_on_one_rank_is_the_serial_engine() {
+    let model = silicon_gsp();
+    let mut s = si64();
+    assert!(4 * s.n_atoms() >= TWO_STAGE_MIN_DIM);
+    s.perturb(&mut StdRng::seed_from_u64(31), 0.05);
+    let serial = TbCalculator::new(&model).evaluate(&s).unwrap();
+    let dist = DistributedTb::new(&model, 1).evaluate(&s).unwrap();
+    assert_eq!(serial.energy.to_bits(), dist.energy.to_bits(), "energy");
+    for (i, (fa, fb)) in serial.forces.iter().zip(&dist.forces).enumerate() {
+        assert_eq!(
+            fa.to_array().map(f64::to_bits),
+            fb.to_array().map(f64::to_bits),
+            "atom {i}"
+        );
+    }
 }
 
 /// A message-passing rank is one thread: the team gives it width 1 and
