@@ -41,7 +41,9 @@ pub struct RunOptions {
     /// mid-campaign kill for resume tests; completed cells keep their
     /// result files.
     pub stop_after: Option<usize>,
-    /// Threads each cell leases from the process compute budget.
+    /// The most threads each cell leases from the process compute budget: a
+    /// dense cell below the two-stage floor leases one
+    /// ([`tbmd::EngineKind::useful_threads`]).
     pub threads_per_cell: usize,
     /// In-memory snapshot interval per session (0 disables checkpointing).
     pub checkpoint_interval: usize,
@@ -270,12 +272,18 @@ fn build_row(cell: &CellPlan, chain: SegmentChain, step_hist: &HistSnapshot) -> 
 }
 
 /// Run one cell inline: its protocol segments back to back, under one
-/// compute lease and one scoped telemetry sink.
+/// compute lease — as wide as the cell's starting structure can use — and
+/// one scoped telemetry sink.
 fn run_cell_inline(cell: &CellPlan, opts: &RunOptions) -> Result<CellRow, String> {
     let sink = ScopedSink::new(&cell.name);
     let strain = cell.protocol.inter_segment_strain();
     let mut chain = SegmentChain::new(cell.build_initial()?);
-    let mut lease = try_lease(opts.threads_per_cell.max(1));
+    let width = cell.engine.useful_threads(
+        &cell.system,
+        Some(&chain.structure),
+        opts.threads_per_cell.max(1),
+    );
+    let mut lease = try_lease(width);
     for (i, protocol) in cell.protocol.segments().into_iter().enumerate() {
         if i > 0 && strain != [0.0; 3] {
             apply_strain(&mut chain.structure, strain);

@@ -187,10 +187,6 @@ fn num(v: &JsonValue, key: &str) -> Option<f64> {
     v.get(key).and_then(|x| x.as_f64())
 }
 
-fn int(v: &JsonValue, key: &str) -> Option<usize> {
-    num(v, key).map(|x| x.max(0.0) as usize)
-}
-
 fn label(v: &JsonValue, fallback: &str) -> String {
     v.get("label")
         .and_then(|s| s.as_str())
@@ -216,7 +212,7 @@ fn vec3_field(v: &JsonValue, key: &str) -> Result<[f64; 3], String> {
 fn parse_system(v: &JsonValue) -> Result<SystemSpec, String> {
     SystemSpec::parse(
         v.get("system").and_then(|s| s.as_str()).unwrap_or("si"),
-        int(v, "reps").unwrap_or(1),
+        SimulationConfig::parse_count(v, "reps")?.unwrap_or(1),
     )
 }
 
@@ -224,7 +220,7 @@ fn parse_perturbation(v: &JsonValue) -> Result<Perturbation, String> {
     match v.get("kind").and_then(|s| s.as_str()).unwrap_or("pristine") {
         "pristine" => Ok(Perturbation::Pristine),
         "vacancy" => Ok(Perturbation::Vacancy {
-            site: int(v, "site").unwrap_or(0),
+            site: SimulationConfig::parse_count(v, "site")?.unwrap_or(0),
         }),
         "interstitial" => Ok(Perturbation::Interstitial {
             frac: vec3_field(v, "frac")?,
@@ -247,25 +243,27 @@ fn parse_protocol(v: &JsonValue) -> Result<ProtocolSpec, String> {
     match v.get("kind").and_then(|s| s.as_str()).unwrap_or("nve") {
         "relax" => Ok(ProtocolSpec::Relax {
             force_tolerance: num(v, "force_tolerance").unwrap_or(1e-3),
-            max_iterations: int(v, "max_iterations").unwrap_or(200),
+            max_iterations: SimulationConfig::parse_count(v, "max_iterations")?.unwrap_or(200),
         }),
         "nve" => Ok(ProtocolSpec::Nve {
             temperature_k: num(v, "temperature_k").unwrap_or(300.0),
-            steps: int(v, "steps").unwrap_or(10),
+            steps: SimulationConfig::parse_count(v, "steps")?.unwrap_or(10),
             dt_fs,
         }),
         "nvt" => Ok(ProtocolSpec::Nvt {
             temperature_k: num(v, "temperature_k").unwrap_or(300.0),
-            steps: int(v, "steps").unwrap_or(10),
+            steps: SimulationConfig::parse_count(v, "steps")?.unwrap_or(10),
             dt_fs,
             tau_fs,
         }),
         "quench" => {
             let from_k = num(v, "from_k").unwrap_or(800.0);
             let to_k = num(v, "to_k").unwrap_or(200.0);
-            let segments = int(v, "segments").unwrap_or(2).max(1);
+            let segments = SimulationConfig::parse_count(v, "segments")?
+                .unwrap_or(2)
+                .max(1);
             let rate = num(v, "rate_k_per_fs").unwrap_or(10.0);
-            let hold = int(v, "hold_steps").unwrap_or(5);
+            let hold = SimulationConfig::parse_count(v, "hold_steps")?.unwrap_or(5);
             let schedule =
                 QuenchSchedule::staircase(from_k, to_k, segments, rate, hold, dt_fs, tau_fs);
             schedule.validate()?;
@@ -294,6 +292,7 @@ impl CampaignSpec {
             .to_string();
         let seed = SimulationConfig::parse_seed(v.get("seed"))?;
         let electronic_kt = num(&v, "electronic_kt").unwrap_or(0.1);
+        SimulationConfig::check_non_negative("electronic_kt", electronic_kt)?;
 
         let mut structures = Vec::new();
         for (i, s) in v

@@ -1,9 +1,11 @@
 //! Engine selection: one enum over every force engine in the workspace,
 //! and the one parser of engine names both front ends share.
 
+use crate::system::SystemSpec;
 use tbmd_linscale::{DistributedLinearScalingTb, LinearScalingTb};
 use tbmd_model::{
     ForceEvaluation, ForceProvider, OccupationScheme, TbCalculator, TbError, TbModel, Workspace,
+    TWO_STAGE_MIN_DIM,
 };
 use tbmd_parallel::{DistributedTb, RankControl};
 use tbmd_structure::Structure;
@@ -69,6 +71,30 @@ impl EngineKind {
                 ))
             }
             _ => Ok(()),
+        }
+    }
+
+    /// The threads a session of this engine leases when a front end asks
+    /// for `requested`: one for a dense engine ([`EngineKind::Serial`],
+    /// [`EngineKind::Shared`]) on fewer than [`TWO_STAGE_MIN_DIM`] orbitals,
+    /// `requested` otherwise. Below that order the step's dominant stage is
+    /// the serial one-stage eigensolver and the per-atom fan-outs of the H
+    /// build and the forces save nothing, so a second thread would idle for
+    /// the whole run; the dense pipeline is bitwise the same at every width.
+    /// The orbitals are counted on `initial` when the session starts from it,
+    /// else on `system`.
+    pub fn useful_threads(
+        &self,
+        system: &SystemSpec,
+        initial: Option<&Structure>,
+        requested: usize,
+    ) -> usize {
+        let orbitals = initial.map_or_else(|| system.n_orbitals(), Structure::n_orbitals);
+        match self {
+            EngineKind::Serial | EngineKind::Shared if orbitals < TWO_STAGE_MIN_DIM => {
+                requested.min(1)
+            }
+            _ => requested,
         }
     }
 }
@@ -254,6 +280,35 @@ mod tests {
         for gone in ["shared-jacobi", "serial:2", "Serial", ""] {
             let err = parse(gone, None).unwrap_err();
             assert!(err.contains("unknown engine"), "{gone:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn dense_engines_below_the_two_stage_floor_use_one_thread() {
+        let si8 = SystemSpec::SiliconDiamond { reps: 1 };
+        let si64 = SystemSpec::SiliconDiamond { reps: 2 };
+        for dense in [EngineKind::Serial, EngineKind::Shared] {
+            assert_eq!(dense.useful_threads(&si8, None, 2), 1);
+            assert_eq!(dense.useful_threads(&si8, None, 1), 1);
+            assert_eq!(dense.useful_threads(&si64, None, 2), 2);
+            assert_eq!(dense.useful_threads(&SystemSpec::C60, None, 2), 2);
+            // The starting state decides: a 24-atom cell (96 orbitals) is
+            // at the floor, a 23-atom one below it, whatever the config says.
+            let cell = bulk_diamond(Species::Silicon, 3, 1, 1);
+            assert_eq!(dense.useful_threads(&si8, Some(&cell), 2), 2);
+            let mut vacancy = cell.clone();
+            tbmd_structure::make_vacancy(&mut vacancy, 0);
+            assert_eq!(dense.useful_threads(&si64, Some(&vacancy), 2), 1);
+        }
+        let others = [
+            EngineKind::Distributed { ranks: 2 },
+            EngineKind::LinearScaling {
+                r_loc: 5.0,
+                order: 64,
+            },
+        ];
+        for kind in others {
+            assert_eq!(kind.useful_threads(&si8, None, 2), 2, "{kind:?}");
         }
     }
 

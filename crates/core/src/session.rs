@@ -982,13 +982,13 @@ impl<'r> SessionBuilder<'r> {
         self
     }
 
-    /// Resolve the attachments and build the engine. Fails on a protocol
-    /// value [`Protocol::validate`] refuses, an unusable checkpoint store or
-    /// a failed required-resume load; engine construction itself is
+    /// Resolve the attachments and build the engine. Fails on a config
+    /// [`SimulationConfig::validate`] refuses, an unusable checkpoint store
+    /// or a failed required-resume load; engine construction itself is
     /// infallible.
     pub fn build(self) -> Result<Session<'r>, TbError> {
         let config = self.config;
-        config.protocol.validate().map_err(TbError::Config)?;
+        config.validate().map_err(TbError::Config)?;
         if let Some(init) = self.initial.as_ref() {
             if let Some(v) = init.velocities.as_ref() {
                 if v.len() != init.structure.n_atoms() {

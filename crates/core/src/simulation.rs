@@ -13,6 +13,10 @@ use tbmd_md::Trajectory;
 use tbmd_model::TbModel;
 use tbmd_trace::{git_describe, JsonValue, RunManifest};
 
+/// 2^53: every integer up to it is exactly an f64, so it bounds the integers
+/// a JSON number carries without loss.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
 /// What to do with the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Protocol {
@@ -52,7 +56,8 @@ impl Protocol {
     /// every float must be finite, `dt_fs`, `tau_fs` and the ramp rate
     /// positive, temperatures non-negative. Both front ends and
     /// [`SessionBuilder::build`](crate::session::SessionBuilder::build) call
-    /// it, so no run starts on such a value.
+    /// it (the serve parser and the builder through
+    /// [`SimulationConfig::validate`]), so no run starts on such a value.
     pub fn validate(&self) -> Result<(), String> {
         let check = |field: &str, x: f64, ok: bool, rule: &str| {
             if x.is_finite() && ok {
@@ -133,7 +138,6 @@ impl SimulationConfig {
     /// `0x`-prefixed hex. Anything lossy is rejected rather than silently
     /// running a different seed.
     pub fn parse_seed(value: Option<&JsonValue>) -> Result<u64, String> {
-        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         let Some(value) = value else {
             return Ok(Self::DEFAULT_SEED);
         };
@@ -156,6 +160,50 @@ impl SimulationConfig {
             ));
         }
         Ok(x as u64)
+    }
+
+    /// Read the count `field` (`steps`, `reps`, `threads`, …) of a request
+    /// object as both front ends accept it: absent (`None`: the caller's
+    /// default) or a non-negative integral JSON number up to 2^53. A
+    /// fraction, a negative or larger number, or a value that is no number
+    /// is an error naming the field, never a silently truncated count.
+    pub fn parse_count(request: &JsonValue, field: &str) -> Result<Option<usize>, String> {
+        let Some(value) = request.get(field) else {
+            return Ok(None);
+        };
+        let x = value
+            .as_f64()
+            .ok_or_else(|| format!("{field} must be a number"))?;
+        if !(0.0..=MAX_EXACT).contains(&x) || x.fract() != 0.0 {
+            return Err(format!(
+                "{field} must be a whole number from 0 up to the limit of 2^53 (got {x})"
+            ));
+        }
+        Ok(Some(x as usize))
+    }
+
+    /// Refuse `x` unless it is finite and `>= 0`, naming `field`: the rule
+    /// [`SimulationConfig::validate`] applies to `electronic_kt` and
+    /// `perturb`, and the campaign front end to its shared smearing.
+    pub fn check_non_negative(field: &str, x: f64) -> Result<(), String> {
+        if x.is_finite() && x >= 0.0 {
+            Ok(())
+        } else {
+            Err(format!("{field} must be finite and >= 0 (got {x})"))
+        }
+    }
+
+    /// Refuse a config no run may start on, naming the field: a protocol
+    /// value [`Protocol::validate`] refuses, or an `electronic_kt` or
+    /// `perturb` that is negative or not finite (an infinite smearing
+    /// reports null energies; a negative or NaN one would silently run
+    /// zero-temperature filling). Both front ends and
+    /// [`SessionBuilder::build`](crate::session::SessionBuilder::build) call
+    /// it.
+    pub fn validate(&self) -> Result<(), String> {
+        self.protocol.validate()?;
+        Self::check_non_negative("electronic_kt", self.electronic_kt)?;
+        Self::check_non_negative("perturb", self.perturb)
     }
 
     /// A reasonable default NVE run for a system.
@@ -342,6 +390,51 @@ mod tests {
 
     fn run(config: &SimulationConfig) -> SimulationSummary {
         SessionBuilder::new(*config).build().unwrap().run().unwrap()
+    }
+
+    #[test]
+    fn counts_are_exact_or_errors_naming_the_field() {
+        let read = |text: &str| {
+            let request = JsonValue::parse(text).unwrap();
+            SimulationConfig::parse_count(&request, "steps")
+        };
+        assert_eq!(read("{}"), Ok(None));
+        assert_eq!(read(r#"{"steps":0}"#), Ok(Some(0)));
+        assert_eq!(read(r#"{"steps":12}"#), Ok(Some(12)));
+        assert_eq!(read(r#"{"steps":2e3}"#), Ok(Some(2000)));
+        assert_eq!(read(r#"{"steps":9007199254740992}"#), Ok(Some(1 << 53)));
+        for bad in ["2.7", "-1", "1e30", "1e400", "\"12\"", "null", "true"] {
+            let err = read(&format!(r#"{{"steps":{bad}}}"#)).unwrap_err();
+            assert!(err.contains("steps"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn smearing_and_displacement_must_be_finite_and_non_negative() {
+        let base = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 2);
+        assert_eq!(base.validate(), Ok(()));
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            let err = SimulationConfig {
+                electronic_kt: bad,
+                ..base
+            }
+            .validate()
+            .unwrap_err();
+            assert!(err.contains("electronic_kt"), "{bad}: {err}");
+            let err = SimulationConfig {
+                perturb: bad,
+                ..base
+            }
+            .validate()
+            .unwrap_err();
+            assert!(err.contains("perturb"), "{bad}: {err}");
+        }
+        let zero = SimulationConfig {
+            electronic_kt: 0.0,
+            perturb: 0.0,
+            ..base
+        };
+        assert_eq!(zero.validate(), Ok(()));
     }
 
     #[test]

@@ -65,6 +65,17 @@ impl SystemSpec {
         }
     }
 
+    /// Orbitals of the structure [`SystemSpec::build`] makes — the order of
+    /// its Hamiltonian — in closed form (saturating, like
+    /// [`SystemSpec::n_atoms`]).
+    pub fn n_orbitals(&self) -> usize {
+        let species = match self {
+            SystemSpec::SiliconDiamond { .. } => Species::Silicon,
+            _ => Species::Carbon,
+        };
+        self.n_atoms().saturating_mul(species.n_orbitals())
+    }
+
     /// The atom count, or an error naming the limit past [`MAX_ATOMS`].
     pub fn check_size(&self) -> Result<usize, String> {
         match self.n_atoms() {
@@ -132,7 +143,9 @@ mod tests {
             SystemSpec::C60,
         ];
         for spec in specs {
-            assert_eq!(spec.n_atoms(), spec.build(0.0, 0).n_atoms(), "{spec:?}");
+            let built = spec.build(0.0, 0);
+            assert_eq!(spec.n_atoms(), built.n_atoms(), "{spec:?}");
+            assert_eq!(spec.n_orbitals(), built.n_orbitals(), "{spec:?}");
         }
         let huge = SystemSpec::SiliconDiamond { reps: usize::MAX };
         assert_eq!(huge.n_atoms(), usize::MAX);

@@ -21,6 +21,12 @@
 //!   [`tbmd::configure_budget`] caps the process, jobs past the cap wait in
 //!   the admission queue until a running tenant finishes and refunds its
 //!   lease, so the pool's high-water mark never exceeds the budget;
+//! - a tenant leases the width its system can use, not more: a dense job
+//!   (`serial` / `shared`) below the two-stage floor
+//!   ([`tbmd::model::TWO_STAGE_MIN_DIM`], 96 orbitals) asks the budget for
+//!   one thread whatever its `threads` says, every other job for `threads`
+//!   ([`EngineKind::useful_threads`]). A second thread would idle for the
+//!   whole run there, and the bits are the same at every width;
 //! - the quanta of one sweep run concurrently, one task per admitted tenant
 //!   on the thread team (`tbmd::linalg::team`), so how many run at once is
 //!   what the budget admits. A lone tenant runs on the scheduler thread at
@@ -79,7 +85,10 @@ pub struct JobSpec {
     pub config: SimulationConfig,
     /// MD steps granted per scheduler sweep (the quantum).
     pub quantum: usize,
-    /// Worker threads this job leases from the process budget.
+    /// The most threads this job may lease from the process budget: a dense
+    /// job below the two-stage floor ([`tbmd::model::TWO_STAGE_MIN_DIM`],
+    /// 96 orbitals) leases one, all it can use
+    /// ([`EngineKind::useful_threads`]).
     pub threads: usize,
     /// Eigensolver health-probe stride (0 — the service default — skips
     /// the probes; they cost an extra dense solve).
@@ -145,10 +154,6 @@ fn num(v: &JsonValue, key: &str) -> Option<f64> {
     v.get(key).and_then(|x| x.as_f64())
 }
 
-fn int(v: &JsonValue, key: &str) -> Option<usize> {
-    num(v, key).map(|x| x.max(0.0) as usize)
-}
-
 /// Parse one newline-delimited JSON request line.
 ///
 /// Job lines look like
@@ -159,6 +164,7 @@ fn int(v: &JsonValue, key: &str) -> Option<usize> {
 /// exit.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = JsonValue::parse(line).map_err(|e| e.to_string())?;
+    let count = |key| SimulationConfig::parse_count(&v, key);
     if v.get("shutdown").and_then(|b| b.as_bool()) == Some(true) {
         return Ok(Request::Shutdown);
     }
@@ -180,15 +186,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .to_string();
     let system = SystemSpec::parse(
         v.get("system").and_then(|s| s.as_str()).unwrap_or("si"),
-        int(&v, "reps").unwrap_or(1),
+        count("reps")?.unwrap_or(1),
     )?;
     let engine = EngineKind::parse(
         v.get("engine").and_then(|s| s.as_str()).unwrap_or("serial"),
-        int(&v, "ranks"),
+        count("ranks")?,
     )?;
     engine.check_ranks(system.n_atoms())?;
     let temperature_k = num(&v, "temperature_k").unwrap_or(300.0);
-    let steps = int(&v, "steps").unwrap_or(100);
+    let steps = count("steps")?.unwrap_or(100);
     let dt_fs = num(&v, "dt_fs").unwrap_or(1.0);
     let protocol = match v.get("protocol").and_then(|s| s.as_str()).unwrap_or("nve") {
         "nve" => Protocol::Nve {
@@ -204,11 +210,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         },
         "relax" => Protocol::Relax {
             force_tolerance: num(&v, "force_tolerance").unwrap_or(2e-2),
-            max_iterations: int(&v, "max_iterations").unwrap_or(200),
+            max_iterations: count("max_iterations")?.unwrap_or(200),
         },
         other => return Err(format!("unknown protocol {other:?}")),
     };
-    protocol.validate()?;
     let config = SimulationConfig {
         system,
         engine,
@@ -218,20 +223,21 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         seed: SimulationConfig::parse_seed(v.get("seed"))?,
         record_stride: 0,
     };
+    config.validate()?;
     let mut spec = JobSpec::new(name, config);
-    if let Some(q) = int(&v, "quantum") {
+    if let Some(q) = count("quantum")? {
         spec.quantum = q.max(1);
     }
-    if let Some(t) = int(&v, "threads") {
+    if let Some(t) = count("threads")? {
         spec.threads = t.max(1);
     }
-    if let Some(h) = int(&v, "health_stride") {
+    if let Some(h) = count("health_stride")? {
         spec.health_stride = h;
     }
-    if let Some(c) = int(&v, "checkpoint_interval") {
+    if let Some(c) = count("checkpoint_interval")? {
         spec.checkpoint_interval = c;
     }
-    if let Some(r) = int(&v, "retain") {
+    if let Some(r) = count("retain")? {
         spec.retain = r;
     }
     Ok(Request::Job(Box::new(spec)))
@@ -281,6 +287,11 @@ struct TenantEntry {
     sink: ScopedSink,
     state: AtomicU8,
     queue_wait_ns: AtomicU64,
+    /// The job's `threads`.
+    threads_requested: usize,
+    /// The width of the lease admission granted (0 while queued, and for a
+    /// lease of the unlimited budget, which is unconstrained).
+    threads_leased: AtomicUsize,
 }
 
 impl TenantEntry {
@@ -342,12 +353,14 @@ impl ServeStats {
         self.0.root.export_chrome()
     }
 
-    fn register(&self, name: &str) -> Arc<TenantEntry> {
+    fn register(&self, spec: &JobSpec) -> Arc<TenantEntry> {
         let entry = Arc::new(TenantEntry {
-            name: name.to_string(),
-            sink: ScopedSink::new(name),
+            name: spec.name.clone(),
+            sink: ScopedSink::new(&spec.name),
             state: AtomicU8::new(STATE_QUEUED),
             queue_wait_ns: AtomicU64::new(0),
+            threads_requested: spec.threads,
+            threads_leased: AtomicUsize::new(0),
         });
         if let Ok(mut tenants) = self.0.tenants.lock() {
             tenants.push(Arc::clone(&entry));
@@ -396,8 +409,11 @@ impl ServeStats {
 
     /// The live snapshot as one JSON object: queue/lease saturation, this
     /// multiplexer's totals (`global`), plus per-tenant state, admission
-    /// wait, latency histograms (p50/p90/p99 per non-empty distribution) and
-    /// the same per rank of a distributed tenant (`ranks`).
+    /// wait, the threads the job asked for and the width its lease got
+    /// (`threads_requested`, `threads_leased`: 0 while queued and under the
+    /// unlimited budget), latency histograms (p50/p90/p99 per non-empty
+    /// distribution) and the same per rank of a distributed tenant
+    /// (`ranks`).
     pub fn to_json(&self) -> JsonValue {
         let (queued, active, retired) = self.counts();
         let mut out = JsonValue::object();
@@ -428,6 +444,11 @@ impl ServeStats {
                         "queue_wait_ms",
                         entry.queue_wait_ns.load(Ordering::Relaxed) as f64 * 1e-6,
                     )
+                    .set("threads_requested", entry.threads_requested as f64)
+                    .set(
+                        "threads_leased",
+                        entry.threads_leased.load(Ordering::Relaxed) as f64,
+                    )
                     .set("steps", hists.hist(Hist::Step).count() as f64)
                     .set("histograms", hists.to_json())
                     .set("ranks", ranks);
@@ -438,7 +459,8 @@ impl ServeStats {
         out
     }
 
-    /// Prometheus-style text exposition: gauges for saturation, one
+    /// Prometheus-style text exposition: gauges for saturation, the
+    /// per-tenant thread gauge (`kind="requested"` / `kind="leased"`), one
     /// summary family per latency histogram labelled `scope="global"`,
     /// `tenant=…`, or `tenant=…,rank=…`.
     pub fn to_prometheus(&self) -> String {
@@ -467,6 +489,19 @@ impl ServeStats {
             "tbmd_budget_threads{{kind=\"high_water\"}} {}",
             tbmd::linalg::budget::high_water()
         );
+        if let Ok(entries) = self.0.tenants.lock() {
+            let _ = writeln!(out, "# TYPE tbmd_tenant_threads gauge");
+            for entry in entries.iter() {
+                let leased = entry.threads_leased.load(Ordering::Relaxed);
+                for (kind, n) in [("requested", entry.threads_requested), ("leased", leased)] {
+                    let tenant = &entry.name;
+                    let _ = writeln!(
+                        out,
+                        "tbmd_tenant_threads{{tenant=\"{tenant}\",kind=\"{kind}\"}} {n}"
+                    );
+                }
+            }
+        }
         let mut write_summary = |labels: &str, hists: &tbmd_trace::HistogramSet| {
             for h in Hist::ALL {
                 let snap = hists.hist(h);
@@ -619,7 +654,7 @@ impl Multiplexer {
         let sink = SharedSink(Arc::new(
             Mutex::new(Box::new(sink) as Box<dyn Write + Send>),
         ));
-        let entry = self.stats.register(&spec.name);
+        let entry = self.stats.register(&spec);
         self.waiting.push_back(Waiting {
             spec,
             sink,
@@ -641,10 +676,21 @@ impl Multiplexer {
 
     /// Admit queued jobs while the budget grants leases, in submission
     /// order (no overtaking: one oversized job at the head blocks the
-    /// queue rather than starving forever).
+    /// queue rather than starving forever). Each asks for the width its
+    /// system can use ([`EngineKind::useful_threads`]).
     fn admit(&mut self) {
         while let Some(waiting) = self.waiting.front() {
-            let Some(lease) = try_lease(waiting.spec.threads) else {
+            let JobSpec {
+                config,
+                initial,
+                threads,
+                ..
+            } = &waiting.spec;
+            let initial = initial.as_ref().map(|state| &state.structure);
+            let width = config
+                .engine
+                .useful_threads(&config.system, initial, *threads);
+            let Some(lease) = try_lease(width) else {
                 break;
             };
             let waiting = self.waiting.pop_front().expect("front just probed");
@@ -659,6 +705,10 @@ impl Multiplexer {
                 .entry
                 .queue_wait_ns
                 .store(wait_ns, Ordering::Relaxed);
+            waiting
+                .entry
+                .threads_leased
+                .store(lease.threads(), Ordering::Relaxed);
             let sink = waiting.sink.clone();
             match Self::build_tenant(waiting, wait, lease) {
                 Ok(tenant) => {

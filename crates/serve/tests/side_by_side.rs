@@ -52,9 +52,11 @@ fn tenants_side_by_side_match_standalone_runs() {
         .into_iter()
         .map(|(_, config, _, _)| SessionBuilder::new(config).build().unwrap().run().unwrap())
         .collect();
-    // Budget 4: the distributed tenant waits for the first retirement.
-    // Unlimited: all four run in the first sweep.
-    for budget in [4, 0] {
+    // Budget 3: the three dense tenants fill it (the shared one at one
+    // thread, Si-8 being below the two-stage floor) and the distributed
+    // tenant waits for the first retirement. Unlimited: all four run in the
+    // first sweep.
+    for budget in [3, 0] {
         configure_budget(budget);
         let mut mux = Multiplexer::new();
         for (name, config, threads, quantum) in tenants() {

@@ -424,3 +424,55 @@ fn a_bad_cell_keeps_the_finished_ones() {
     assert_eq!((good.reused, good.executed), (1, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Vacancy cells (seven atoms, 28 orbitals: below the two-stage floor) that
+/// ask for two threads each lease one under a two-thread budget, inline and
+/// multiplexed alike, so the multiplexer runs two of them per sweep; every
+/// row is still bitwise the inline run's, quench chains included. The
+/// budget is process-wide: the other tests of this binary may see their
+/// leases granted later meanwhile, never different bits.
+#[test]
+fn narrow_cells_share_sweeps_and_match_the_inline_run_bitwise() {
+    let spec = CampaignSpec::from_json(
+        r#"{
+        "name": "vacancy-width",
+        "seed": 13,
+        "structures": [{"label": "si1", "system": "si", "reps": 1}],
+        "perturbations": [
+            {"label": "vac0", "kind": "vacancy", "site": 0},
+            {"label": "vac3", "kind": "vacancy", "site": 3}
+        ],
+        "protocols": [
+            {"label": "nve", "kind": "nve", "temperature_k": 300, "steps": 6},
+            {"label": "quench", "kind": "quench", "from_k": 600, "to_k": 300,
+             "segments": 2, "rate_k_per_fs": 25, "hold_steps": 2}
+        ],
+        "engines": ["serial", "shared"]
+    }"#,
+    )
+    .expect("parse");
+    tbmd::configure_budget(2);
+    let run = |multiplex| {
+        let opts = RunOptions {
+            threads_per_cell: 2,
+            multiplex,
+            quantum: 3,
+            ..RunOptions::default()
+        };
+        run_campaign(&spec, &opts).expect("campaign")
+    };
+    let (inline, multiplexed) = (run(false), run(true));
+    tbmd::configure_budget(0);
+    assert_eq!(inline.rows.len(), 8);
+    assert_eq!(multiplexed.rows.len(), 8);
+    for row in &inline.rows {
+        assert_eq!(row.n_atoms, 7, "{}", row.name);
+        let other = multiplexed.row(&row.name).expect("multiplexed row");
+        assert_eq!(
+            row.deterministic_key(),
+            other.deterministic_key(),
+            "{}: the multiplexed cell diverged from the inline one",
+            row.name
+        );
+    }
+}

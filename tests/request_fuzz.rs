@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use tbmd::{EngineKind, Protocol, SessionBuilder, SimulationConfig, SystemSpec, TbError};
 use tbmd_campaign::CampaignSpec;
-use tbmd_serve::{parse_request, JobSpec, Multiplexer, TenantReport};
+use tbmd_serve::{parse_request, JobSpec, Multiplexer, Request, TenantReport};
 
 /// A job line that sets every field `parse_request` reads.
 const JOB_LINE: &str = r#"{"job":"a","system":"si","reps":1,"engine":"distributed","ranks":2,"protocol":"nvt","temperature_k":300,"steps":12,"dt_fs":1,"tau_fs":40,"electronic_kt":0.1,"perturb":0.05,"seed":"0x2a","quantum":4,"threads":1,"health_stride":5,"checkpoint_interval":3,"retain":2}"#;
@@ -133,6 +133,126 @@ fn protocol_values_the_kernels_assert_on_are_errors_naming_the_field() {
         panic!("the session builder accepted tau_fs = 0");
     };
     assert!(err.contains("tau_fs"), "{err}");
+}
+
+/// Smearings and displacement amplitudes no run may start on, each with the
+/// field its error must name: an infinite smearing (which used to retire Ok
+/// with null energies), a negative one (which used to run zero-temperature
+/// filling), and the same two displacements.
+const BAD_CONFIG_JOBS: [(&str, &str); 4] = [
+    (r#"{"job":"x","electronic_kt":1e400}"#, "electronic_kt"),
+    (r#"{"job":"x","electronic_kt":-0.1}"#, "electronic_kt"),
+    (r#"{"job":"x","perturb":1e400}"#, "perturb"),
+    (r#"{"job":"x","perturb":-0.05}"#, "perturb"),
+];
+
+/// Each is refused while it is parsed; so is a campaign smearing, and a
+/// config built in code is refused by the session builder, NaN included.
+#[test]
+fn smearing_and_displacement_values_are_errors_naming_the_field() {
+    for (line, field) in BAD_CONFIG_JOBS {
+        let err = parse_request(line).expect_err(line);
+        assert!(err.contains(field), "{line}: {err}");
+    }
+    for kt in ["1e400", "-0.1"] {
+        let spec = format!(
+            r#"{{"electronic_kt":{kt},"structures":[{{"system":"si"}}],"protocols":[{{"kind":"nve"}}]}}"#
+        );
+        let err = CampaignSpec::from_json(&spec).expect_err(&spec);
+        assert!(err.contains("electronic_kt"), "{spec}: {err}");
+    }
+    let config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, 4);
+    let cases = [
+        (
+            "electronic_kt",
+            SimulationConfig {
+                electronic_kt: f64::NAN,
+                ..config
+            },
+        ),
+        (
+            "electronic_kt",
+            SimulationConfig {
+                electronic_kt: -0.1,
+                ..config
+            },
+        ),
+        (
+            "perturb",
+            SimulationConfig {
+                perturb: f64::INFINITY,
+                ..config
+            },
+        ),
+    ];
+    for (field, bad) in cases {
+        let Err(TbError::Config(err)) = SessionBuilder::new(bad).build() else {
+            panic!("the session builder accepted {field} of {bad:?}");
+        };
+        assert!(err.contains(field), "{err}");
+    }
+}
+
+/// Count fields a front end used to truncate or saturate: 2.7 steps ran 2,
+/// 1.9 repeats built Si-8, 2.5 threads leased 2, and 10³⁰ steps became
+/// `usize::MAX`. Each with the field its error must name.
+const LOSSY_COUNT_JOBS: [(&str, &str); 6] = [
+    (r#"{"job":"x","steps":2.7}"#, "steps"),
+    (r#"{"job":"x","reps":1.9}"#, "reps"),
+    (r#"{"job":"x","threads":2.5}"#, "threads"),
+    (r#"{"job":"x","steps":1e30}"#, "steps"),
+    (r#"{"job":"x","quantum":-1}"#, "quantum"),
+    (r#"{"job":"x","engine":"distributed","ranks":"2"}"#, "ranks"),
+];
+
+/// The campaign forms: a fractional repeat count, step count and vacancy
+/// site, a negative hold, and a saturating segment count.
+const LOSSY_COUNT_CAMPAIGNS: [(&str, &str); 5] = [
+    (
+        r#"{"structures":[{"system":"si","reps":1.9}],"protocols":[{"kind":"nve"}]}"#,
+        "reps",
+    ),
+    (
+        r#"{"structures":[{"system":"si"}],"protocols":[{"kind":"nve","steps":2.7}]}"#,
+        "steps",
+    ),
+    (
+        r#"{"structures":[{"system":"si"}],"perturbations":[{"kind":"vacancy","site":0.5}],"protocols":[{"kind":"nve"}]}"#,
+        "site",
+    ),
+    (
+        r#"{"structures":[{"system":"si"}],"protocols":[{"kind":"quench","hold_steps":-2}]}"#,
+        "hold_steps",
+    ),
+    (
+        r#"{"structures":[{"system":"si"}],"protocols":[{"kind":"quench","segments":1e30}]}"#,
+        "segments",
+    ),
+];
+
+/// Every one is refused while it is parsed, naming the field; the whole
+/// job line and campaign spec above still parse, and so do counts written
+/// as integral floats.
+#[test]
+fn lossy_counts_are_errors_naming_the_field() {
+    for (line, field) in LOSSY_COUNT_JOBS {
+        let err = parse_request(line).expect_err(line);
+        assert!(err.contains(field), "{line}: {err}");
+    }
+    for (spec, field) in LOSSY_COUNT_CAMPAIGNS {
+        let err = CampaignSpec::from_json(spec).expect_err(spec);
+        assert!(err.contains(field), "{spec}: {err}");
+    }
+    assert!(parse_request(JOB_LINE).is_ok());
+    assert!(CampaignSpec::from_json(CAMPAIGN_SPEC).is_ok());
+    let Ok(Request::Job(spec)) = parse_request(r#"{"job":"x","steps":3.0,"threads":2e0}"#) else {
+        panic!("integral floats are counts");
+    };
+    assert!(matches!(
+        spec.config.protocol,
+        Protocol::Nve { steps: 3, .. }
+    ));
+    assert_eq!(spec.threads, 2);
 }
 
 /// A spec built in code skips the parser; the multiplexer refuses it as it

@@ -1,11 +1,13 @@
 //! Live telemetry on a multiplexed serve run (ISSUE 9 acceptance).
 //!
-//! Three Si-8 tenants under a two-thread compute budget: the third job
-//! must wait in the admission queue, and a `stats` snapshot taken mid-run
-//! must already show per-tenant step-latency histograms (non-empty
-//! p50/p99), the queue-depth gauge, and the lease high-water mark. After
-//! the drain, every report carries its admission wait and the stats
-//! ledger shows all three tenants retired.
+//! Three Si-8 tenants under a two-thread compute budget, the first asking
+//! for two threads: a Si-8 system is below the two-stage floor, so it
+//! leases one and the second job is admitted beside it. The third job must
+//! wait in the admission queue, and a `stats` snapshot taken mid-run must
+//! already show each tenant's requested and leased threads, per-tenant
+//! step-latency histograms (non-empty p50/p99), the queue-depth gauge, and
+//! the lease high-water mark. After the drain, every report carries its
+//! admission wait and the stats ledger shows all three tenants retired.
 //!
 //! Counters, gauges and histograms are observed through a [`ScopedSink`]
 //! entered on the test's own thread (the scheduler ticks on it), and the
@@ -41,7 +43,7 @@ fn three_tenants_answer_stats_mid_run() {
     for i in 0..3 {
         let mut spec = JobSpec::new(format!("tenant-{i}"), tenant_config(i));
         spec.quantum = QUANTUM;
-        spec.threads = 1;
+        spec.threads = if i == 0 { 2 } else { 1 };
         mux.submit(spec, std::io::sink());
     }
     let stats = mux.stats();
@@ -80,6 +82,15 @@ fn three_tenants_answer_stats_mid_run() {
     }
     assert_eq!(tenants[2].get("state").unwrap().as_str(), Some("queued"));
     assert_eq!(tenants[2].get("steps").unwrap().as_f64(), Some(0.0));
+    // The width each asked for and the width its lease got: the two-thread
+    // Si-8 tenant runs on one; the queued one holds no lease yet.
+    let threads = |t: &JsonValue| {
+        let read = |key| t.get(key).unwrap().as_f64().unwrap();
+        (read("threads_requested"), read("threads_leased"))
+    };
+    assert_eq!(threads(&tenants[0]), (2.0, 1.0));
+    assert_eq!(threads(&tenants[1]), (1.0, 1.0));
+    assert_eq!(threads(&tenants[2]), (1.0, 0.0));
 
     // The gauges the scheduler maintains, as this thread's scope saw them.
     let gauges = scope.snapshot();
@@ -95,6 +106,18 @@ fn three_tenants_answer_stats_mid_run() {
     assert!(prom.contains("tbmd_queue_depth 1"));
     assert!(prom.contains("tbmd_tenants{state=\"active\"} 2"));
     assert!(prom.contains("tbmd_step_seconds{tenant=\"tenant-0\",quantile=\"0.99\"}"));
+    for (tenant, requested, leased) in [(0, 2, 1), (1, 1, 1)] {
+        let gauge =
+            |kind| format!("tbmd_tenant_threads{{tenant=\"tenant-{tenant}\",kind=\"{kind}\"}}");
+        assert!(
+            prom.contains(&format!("{} {requested}\n", gauge("requested"))),
+            "{prom}"
+        );
+        assert!(
+            prom.contains(&format!("{} {leased}\n", gauge("leased"))),
+            "{prom}"
+        );
+    }
 
     // Drain: every tenant finishes, the late one with a real queue wait.
     let mut reports = mux.drain();
