@@ -5,8 +5,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd::structure::{bulk_diamond, fullerene_c60, nanotube};
 use tbmd::{
-    carbon_xwch, configure_budget, silicon_gsp, try_lease, DistributedTb, ForceProvider,
-    LinearScalingTb, OccupationScheme, Species, Structure, TbCalculator, Vec3,
+    carbon_xwch, silicon_gsp, Budget, DistributedTb, ForceProvider, LinearScalingTb,
+    OccupationScheme, Species, Structure, TbCalculator, Vec3,
 };
 
 use crate::report::{best_of, fmt_e, fmt_f, Report, Table};
@@ -117,15 +117,12 @@ pub fn linear_scaling(size: Option<usize>) -> Report {
     report
 }
 
-/// `f` under a lease of `width` threads from a budget of 2, restored to the
-/// unlimited default afterwards.
+/// `f` under a lease of `width` threads from a budget of 2.
 fn leased<T>(width: usize, f: impl FnOnce() -> T) -> T {
-    configure_budget(2);
-    let out = try_lease(width)
-        .expect("nothing else holds a lease")
-        .scoped(f);
-    configure_budget(0);
-    out
+    Budget::new(2)
+        .lease(width)
+        .expect("a new budget is free")
+        .scoped(f)
 }
 
 /// F6: one cold force evaluation of C₆₀ and a (10,0) tube by every engine,

@@ -6,14 +6,13 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use tbmd::linalg::budget::{high_water, reset_high_water};
 use tbmd::trace::{Counter, Hist, HistogramSet};
 use tbmd::{
-    configure_budget, CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan,
-    ResilienceOptions, ScopedSink, SessionBuilder, SessionStatus, SimulationConfig, SystemSpec,
+    Budget, CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan, ResilienceOptions,
+    ScopedSink, SessionBuilder, SessionStatus, SimulationConfig, SystemSpec,
 };
 use tbmd_campaign::{run_campaign, CampaignSpec, RunOptions};
-use tbmd_serve::{JobSpec, Multiplexer};
+use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 
 use crate::report::{fmt_f, Report, Table};
 
@@ -195,9 +194,8 @@ pub fn serve(size: Option<usize>) -> Report {
 
     // With one thread per job and a budget of two, at most two tenants hold
     // leases at once; the rest wait in the admission queue.
-    configure_budget(BUDGET);
-    reset_high_water();
-    let mut mux = Multiplexer::new();
+    let budget = Budget::new(BUDGET);
+    let mut mux = Multiplexer::with_stats(ServeStats::new(budget.clone()));
     for (i, c) in configs.iter().enumerate() {
         let mut spec = JobSpec::new(format!("tenant-{i}"), *c);
         spec.quantum = 6;
@@ -212,8 +210,7 @@ pub fn serve(size: Option<usize>) -> Report {
     }
     let service = t0.elapsed();
     let finished = mux.drain().iter().filter(|r| r.outcome.is_ok()).count();
-    let hw = high_water();
-    configure_budget(0);
+    let hw = budget.high_water();
 
     let total_steps = (k * STEPS) as f64;
     let mut table = Table::new(
@@ -359,14 +356,14 @@ const CAMPAIGN: &str = r#"{
     "engines": ["serial", "shared"]
 }"#;
 
-/// S4: one inline run of an 8-cell Si-8 campaign.
+/// S4: one run of an 8-cell Si-8 campaign.
 pub fn campaign(_: Option<usize>) -> Report {
     let spec = CampaignSpec::from_json(CAMPAIGN).expect("campaign spec");
     let t0 = Instant::now();
     let result = run_campaign(&spec, &RunOptions::default()).expect("campaign");
     let wall = t0.elapsed();
     let mut table = Table::new(
-        format!("S4: campaign `{}`, inline", spec.name),
+        format!("S4: campaign `{}`", spec.name),
         &[
             "cell",
             "atoms",

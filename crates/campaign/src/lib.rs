@@ -22,16 +22,15 @@
 //!
 //! [`CampaignSpec::expand`] lays the matrix out as deterministic
 //! [`CellPlan`]s — each with a SplitMix64-derived seed pinning its velocity
-//! draws and stochastic perturbations — and [`run_campaign`] executes them
-//! through [`tbmd::SessionBuilder`] (inline, or fanned out through the
-//! `tbmd-serve` multiplexer), skipping any cell whose fingerprinted result
-//! file already exists. The [`CampaignReport`] compares cells: formation
-//! energies against the pristine reference, conserved-energy drift, RDF
-//! first peaks, and step-latency percentiles.
+//! draws and stochastic perturbations — and [`run_campaign`] runs them as
+//! [`tbmd::Session`]s through a `tbmd-serve` multiplexer, skipping any cell
+//! whose fingerprinted result file already exists. The [`CampaignReport`]
+//! compares cells: formation energies against the pristine reference,
+//! conserved-energy drift, RDF first peaks, and step-latency percentiles.
 //!
 //! Determinism contract: re-running a campaign — same spec, any
-//! interleaving of kills and resumes, inline or multiplexed — reproduces
-//! every deterministic observable bit for bit. Wall-clock latency fields
+//! interleaving of kills and resumes, any schedule — reproduces every
+//! deterministic observable bit for bit. Wall-clock latency fields
 //! are reported alongside but never fingerprinted.
 
 pub mod report;

@@ -1,35 +1,33 @@
 //! Campaign execution: expand, skip completed cells, run the rest.
 //!
-//! Two execution paths produce bitwise-identical physics:
+//! Every cell runs as a chain of [`tbmd::Session`]s through the `tbmd-serve`
+//! [`Multiplexer`], the quanta of a sweep side by side on the thread team.
+//! The multiplexer leases from a [`Budget`] of its own, one thread per
+//! hardware thread ([`team::size`]): a cell below the two-stage floor leases
+//! one thread, so that many run at once, and a larger one the whole team.
+//! Follow-up quench segments are submitted as their predecessors retire.
 //!
-//! * **inline** (default) — cells run sequentially, each as a chain of
-//!   [`tbmd::Session`]s under a [`tbmd::ComputeLease`];
-//! * **multiplexed** — cells fan out through the `tbmd-serve`
-//!   [`Multiplexer`], sharing the process compute budget, the quanta of a
-//!   sweep side by side on the thread team.
-//!   Follow-up quench segments are submitted as their predecessors retire.
+//! Determinism holds whatever the schedule because every velocity draw is
+//! pinned by the cell seed and every segment boundary carries the exact
+//! phase-space endpoint via [`InitialState`] — scheduling order never
+//! touches the dynamics.
 //!
-//! Determinism holds across both because every velocity draw is pinned by
-//! the cell seed and every segment boundary carries the exact phase-space
-//! endpoint via [`InitialState`] — scheduling order never touches the
-//! dynamics.
-//!
-//! With a campaign directory set, each cell writes a fingerprinted result
-//! file the moment it finishes, on both paths; a re-run (after a kill, a
-//! failed cell, or to extend the matrix) reuses every file whose fingerprint
-//! still matches and executes only the rest.
+//! A cell whose build or run fails retires alone: every other cell runs to
+//! completion. With a campaign directory set, each cell writes a
+//! fingerprinted result file the moment it finishes; a re-run (after a
+//! kill, a failed cell, or to extend the matrix) reuses every file whose
+//! fingerprint still matches and executes only the rest.
 
 use crate::report::{CampaignReport, CellRow};
 use crate::spec::{CampaignSpec, CellPlan};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use tbmd::{
-    try_lease, CheckpointStore, InitialState, SessionBuilder, SimulationConfig, SimulationSummary,
-};
+use tbmd::linalg::team;
+use tbmd::{Budget, InitialState, SimulationConfig, SimulationSummary};
 use tbmd_md::RdfAccumulator;
-use tbmd_serve::{JobSpec, Multiplexer};
+use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 use tbmd_structure::{apply_strain, Structure};
-use tbmd_trace::{Hist, HistSnapshot, ScopedSink};
+use tbmd_trace::{Hist, HistSnapshot};
 
 /// Execution knobs for one campaign invocation.
 #[derive(Debug, Clone)]
@@ -41,16 +39,13 @@ pub struct RunOptions {
     /// mid-campaign kill for resume tests; completed cells keep their
     /// result files.
     pub stop_after: Option<usize>,
-    /// The most threads each cell leases from the process compute budget: a
-    /// dense cell below the two-stage floor leases one
-    /// ([`tbmd::EngineKind::useful_threads`]).
+    /// The most threads each cell leases from the campaign's compute
+    /// budget, by default all of them ([`team::size`]): a dense cell below
+    /// the two-stage floor leases one ([`tbmd::EngineKind::useful_threads`]).
     pub threads_per_cell: usize,
     /// In-memory snapshot interval per session (0 disables checkpointing).
     pub checkpoint_interval: usize,
-    /// Fan cells out through the serve [`Multiplexer`] instead of running
-    /// them sequentially.
-    pub multiplex: bool,
-    /// Scheduler quantum (MD steps per visit) in multiplexed mode.
+    /// Scheduler quantum (MD steps per visit).
     pub quantum: usize,
 }
 
@@ -59,9 +54,8 @@ impl Default for RunOptions {
         RunOptions {
             dir: None,
             stop_after: None,
-            threads_per_cell: 1,
+            threads_per_cell: team::size(),
             checkpoint_interval: 0,
-            multiplex: false,
             quantum: 8,
         }
     }
@@ -89,7 +83,9 @@ pub fn endpoint_fingerprint(summary: &SimulationSummary) -> u64 {
 }
 
 /// Run a campaign to completion (or to `stop_after`), reusing result files
-/// from `opts.dir` when their fingerprints match.
+/// from `opts.dir` when their fingerprints match. If cells fail, the others
+/// still run and publish, and the error is the failure of the earliest
+/// failed cell in matrix order, naming it.
 pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignReport, String> {
     if let Some(dir) = &opts.dir {
         std::fs::create_dir_all(cells_dir(dir)).map_err(|e| format!("campaign dir: {e}"))?;
@@ -102,22 +98,14 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignRe
             None => pending.push(cell),
         }
     }
-    let budget = opts.stop_after.unwrap_or(pending.len()).min(pending.len());
-    let complete = budget == pending.len();
-    let to_run = &pending[..budget];
+    let take = opts.stop_after.unwrap_or(pending.len()).min(pending.len());
+    let complete = take == pending.len();
+    let to_run = &pending[..take];
     let publish = |cell: &CellPlan, row: &CellRow| match &opts.dir {
         Some(dir) => write_result(dir, cell, row).map_err(|e| format!("{}: {e}", cell.name)),
         None => Ok(()),
     };
-    if opts.multiplex {
-        rows.extend(run_cells_multiplexed(to_run, opts, &publish)?);
-    } else {
-        for cell in to_run {
-            let row = run_cell_inline(cell, opts)?;
-            publish(cell, &row)?;
-            rows.push(row);
-        }
-    }
+    rows.extend(run_cells(to_run, opts, &publish)?);
     Ok(CampaignReport::build(&spec.name, rows, complete))
 }
 
@@ -271,111 +259,75 @@ fn build_row(cell: &CellPlan, chain: SegmentChain, step_hist: &HistSnapshot) -> 
     }
 }
 
-/// Run one cell inline: its protocol segments back to back, under one
-/// compute lease — as wide as the cell's starting structure can use — and
-/// one scoped telemetry sink.
-fn run_cell_inline(cell: &CellPlan, opts: &RunOptions) -> Result<CellRow, String> {
-    let sink = ScopedSink::new(&cell.name);
-    let strain = cell.protocol.inter_segment_strain();
-    let mut chain = SegmentChain::new(cell.build_initial()?);
-    let width = cell.engine.useful_threads(
-        &cell.system,
-        Some(&chain.structure),
-        opts.threads_per_cell.max(1),
-    );
-    let mut lease = try_lease(width);
-    for (i, protocol) in cell.protocol.segments().into_iter().enumerate() {
-        if i > 0 && strain != [0.0; 3] {
-            apply_strain(&mut chain.structure, strain);
-        }
-        let mut builder = SessionBuilder::new(segment_config(cell, protocol))
-            .initial_state(chain.initial_state())
-            .telemetry(sink.clone());
-        if let Some(granted) = lease.take() {
-            builder = builder.lease(granted);
-        }
-        if opts.checkpoint_interval > 0 {
-            builder =
-                builder.checkpoint_store(CheckpointStore::in_memory(3), opts.checkpoint_interval);
-        }
-        let mut session = builder.build().map_err(|e| format!("{}: {e}", cell.name))?;
-        let summary = session.run().map_err(|e| format!("{}: {e}", cell.name))?;
-        lease = session.take_lease();
-        chain.absorb(summary);
-    }
-    drop(lease);
-    let step_hist = sink.histograms().hist(Hist::Step).clone();
-    Ok(build_row(cell, chain, &step_hist))
-}
-
-/// Run a batch of cells through the serve [`Multiplexer`]: every cell's
-/// first segment is submitted up front; each retiring segment triggers the
+/// Run a batch of cells through a [`Multiplexer`]: every cell's first
+/// segment is submitted up front; each retiring segment triggers the
 /// submission of its successor (with the endpoint carried and the
 /// inter-segment strain applied) until all chains finish. Cells retire in
 /// completion order, and each is handed to `publish` with its own plan as
-/// it does.
-fn run_cells_multiplexed(
+/// it does. A cell that fails to build, run or publish drops out alone; the
+/// error of the earliest one in matrix order comes back once the rest are
+/// done.
+fn run_cells(
     cells: &[CellPlan],
     opts: &RunOptions,
     publish: &dyn Fn(&CellPlan, &CellRow) -> Result<(), String>,
 ) -> Result<Vec<CellRow>, String> {
-    struct Pending {
-        cell: CellPlan,
+    struct Pending<'a> {
+        cell: &'a CellPlan,
         segments: Vec<tbmd::Protocol>,
         seg: usize,
         chain: SegmentChain,
         step_hist: HistSnapshot,
     }
 
-    let mut mux = Multiplexer::new();
-    let stats = mux.stats();
+    let stats = ServeStats::new(Budget::new(team::size()));
+    let mut mux = Multiplexer::with_stats(stats.clone());
+    // Keyed by the job name of the segment each cell is running. Labels may
+    // repeat across a matrix, so the name leads with the cell's index.
     let mut pending: HashMap<String, Pending> = HashMap::new();
-    let job_name = |cell: &CellPlan, seg: usize| format!("{}#s{seg}", cell.name);
+    let mut failures = Vec::new();
 
-    let submit = |mux: &mut Multiplexer,
-                  cell: &CellPlan,
-                  seg: usize,
-                  protocol: tbmd::Protocol,
-                  initial: InitialState| {
-        let mut job =
-            JobSpec::new(job_name(cell, seg), segment_config(cell, protocol)).with_initial(initial);
+    let submit = |mux: &mut Multiplexer, entry: &mut Pending<'_>| {
+        let name = format!("{}#{}#s{}", entry.cell.index, entry.cell.name, entry.seg);
+        let config = segment_config(entry.cell, entry.segments[entry.seg]);
+        let mut job = JobSpec::new(name.clone(), config).with_initial(entry.chain.initial_state());
         job.quantum = opts.quantum.max(1);
         job.threads = opts.threads_per_cell.max(1);
         job.checkpoint_interval = opts.checkpoint_interval;
         mux.submit(job, std::io::sink());
+        name
     };
 
     for cell in cells {
-        let segments = cell.protocol.segments();
-        let mut chain = SegmentChain::new(cell.build_initial()?);
-        submit(&mut mux, cell, 0, segments[0], chain.initial_state());
-        pending.insert(
-            cell.name.clone(),
-            Pending {
-                cell: cell.clone(),
-                segments,
-                seg: 0,
-                chain,
-                step_hist: HistSnapshot::default(),
-            },
-        );
+        match cell.build_initial() {
+            Ok(structure) => {
+                let mut entry = Pending {
+                    cell,
+                    segments: cell.protocol.segments(),
+                    seg: 0,
+                    chain: SegmentChain::new(structure),
+                    step_hist: HistSnapshot::default(),
+                };
+                pending.insert(submit(&mut mux, &mut entry), entry);
+            }
+            Err(e) => failures.push((cell.index, e)),
+        }
     }
 
     let mut rows = Vec::new();
     while !pending.is_empty() {
         mux.tick();
         for report in mux.take_reports() {
-            let base = report
-                .name
-                .rsplit_once("#s")
-                .map(|(b, _)| b.to_string())
-                .unwrap_or_else(|| report.name.clone());
-            let summary = report
-                .outcome
-                .map_err(|detail| format!("{}: {detail}", report.name))?;
-            let entry = pending
-                .get_mut(&base)
-                .ok_or_else(|| format!("report for unknown cell {base:?}"))?;
+            let mut entry = pending
+                .remove(&report.name)
+                .expect("every job is a pending cell's segment");
+            let summary = match report.outcome {
+                Ok(summary) => summary,
+                Err(detail) => {
+                    failures.push((entry.cell.index, format!("{}: {detail}", entry.cell.name)));
+                    continue;
+                }
+            };
             // Fold this segment's step-latency histogram into the cell's.
             if let Some(seg_sink) = stats.tenant_sink(&report.name) {
                 entry.step_hist = entry
@@ -389,19 +341,20 @@ fn run_cells_multiplexed(
                 if strain != [0.0; 3] {
                     apply_strain(&mut entry.chain.structure, strain);
                 }
-                let initial = entry.chain.initial_state();
-                let (cell, seg, protocol) =
-                    (entry.cell.clone(), entry.seg, entry.segments[entry.seg]);
-                submit(&mut mux, &cell, seg, protocol, initial);
+                pending.insert(submit(&mut mux, &mut entry), entry);
             } else {
-                let done = pending.remove(&base).expect("entry just updated");
-                let row = build_row(&done.cell, done.chain, &done.step_hist);
-                publish(&done.cell, &row)?;
-                rows.push(row);
+                let row = build_row(entry.cell, entry.chain, &entry.step_hist);
+                match publish(entry.cell, &row) {
+                    Ok(()) => rows.push(row),
+                    Err(e) => failures.push((entry.cell.index, e)),
+                }
             }
         }
     }
-    Ok(rows)
+    match failures.into_iter().min_by_key(|(index, _)| *index) {
+        Some((_, error)) => Err(error),
+        None => Ok(rows),
+    }
 }
 
 #[cfg(test)]

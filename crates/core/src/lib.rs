@@ -42,7 +42,7 @@ pub use tbmd_ckpt::{
     CheckpointStore, CkptError, FsBackend, MemoryBackend, RampSnapshot, Snapshot, SnapshotBackend,
     StatsSnapshot, ThermostatSnapshot, WriteReceipt,
 };
-pub use tbmd_linalg::budget::{configure_budget, try_lease, ComputeLease};
+pub use tbmd_linalg::budget::{configure_budget, try_lease, Budget, ComputeLease};
 pub use tbmd_linalg::{Matrix, Vec3};
 pub use tbmd_linscale::{DistributedLinearScalingTb, LinearScalingTb};
 pub use tbmd_md::{

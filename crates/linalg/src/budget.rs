@@ -1,18 +1,19 @@
-//! Process-global compute budget with per-session leases.
+//! Compute budgets with per-session leases.
 //!
 //! Every fan-out in the workspace is a hand-off to the one thread team of
 //! the process ([`crate::team`]). That is fine for a single simulation, but
 //! when several sessions share a process somebody has to say how much of
-//! the team each may take. The budget makes that an explicit, accountable
+//! the team each may take. A [`Budget`] makes that an explicit, accountable
 //! lease:
 //!
-//! * [`configure_budget`] sets the process-wide thread allowance once
-//!   (0 = unlimited, the single-run default — nothing changes for
-//!   existing callers).
-//! * A session calls [`try_lease`] for the width it wants and holds the
+//! * Whoever schedules sessions owns a [`Budget::new`] handle (0 threads =
+//!   unlimited) — each serve multiplexer, each campaign — and two handles
+//!   share nothing.
+//! * A session asks [`Budget::lease`] for the width it wants and holds the
 //!   returned [`ComputeLease`] for its lifetime; the grant is clamped to
-//!   what is left, and `None` means "budget exhausted, wait your turn"
-//!   (the serve admission queue's signal).
+//!   what is left, `None` means "budget exhausted, wait your turn" (the
+//!   serve admission queue's signal), and the lease refunds its budget on
+//!   drop.
 //! * [`ComputeLease::scoped`] pins the lease's width into a thread-local
 //!   for the duration of a step, and that width *is* the team width:
 //!   every fan-out site asks [`crate::team::width`] how many threads to
@@ -20,74 +21,129 @@
 //!   bitwise identical to the wide run, because what a task computes never
 //!   depends on which thread runs it.
 //!
-//! The budget lives in `tbmd-linalg` beside the team (the `tbmd` facade
-//! re-exports [`configure_budget`], [`try_lease`] and [`ComputeLease`]):
-//! `tbmd-model` fans out too, so this is the lowest layer every consumer
-//! can see.
+//! [`configure_budget`] and [`try_lease`] drive the process-default handle
+//! ([`Budget::process_default`]) for the standalone benchmark package. The
+//! budget lives in `tbmd-linalg` beside the team: `tbmd-model` fans out
+//! too, so this is the lowest layer every consumer can see.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Total thread allowance for the process. 0 = unlimited (default).
-static TOTAL: AtomicUsize = AtomicUsize::new(0);
-/// Threads currently out on leases.
-static LEASED: AtomicUsize = AtomicUsize::new(0);
-/// Highest `LEASED` ever observed since the last [`reset_high_water`].
-static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     /// Width the current scope may fan out to. 0 = unconstrained.
     static EFFECTIVE_WIDTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Set the process-wide thread allowance. 0 restores the unlimited
-/// single-run default. Takes effect for leases granted after the call;
-/// outstanding leases keep their grants.
+/// The counters behind one [`Budget`] handle and its leases.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// The thread allowance. 0 = unlimited.
+    total: AtomicUsize,
+    /// Threads currently out on leases.
+    leased: AtomicUsize,
+    /// The highest `leased` ever reached.
+    high_water: AtomicUsize,
+}
+
+/// A thread allowance and the leases drawn on it. Cloning the handle shares
+/// the allowance; [`Budget::new`] makes an independent one.
+#[derive(Debug, Clone)]
+pub struct Budget(Arc<Ledger>);
+
+impl Budget {
+    /// A budget of `total` threads (0 = unlimited), none of them leased.
+    pub fn new(total: usize) -> Budget {
+        let ledger = Ledger::default();
+        ledger.total.store(total, Ordering::SeqCst);
+        Budget(Arc::new(ledger))
+    }
+
+    /// The handle [`configure_budget`] caps and [`try_lease`] leases from:
+    /// unlimited until configured.
+    pub fn process_default() -> Budget {
+        static DEFAULT: OnceLock<Budget> = OnceLock::new();
+        DEFAULT.get_or_init(|| Budget::new(0)).clone()
+    }
+
+    /// The allowance (0 = unlimited).
+    pub fn total(&self) -> usize {
+        self.0.total.load(Ordering::SeqCst)
+    }
+
+    /// Threads held by live leases of this budget.
+    pub fn leased(&self) -> usize {
+        self.0.leased.load(Ordering::SeqCst)
+    }
+
+    /// The peak concurrent lease total of this budget — what the serve
+    /// bench asserts never exceeds [`Budget::total`].
+    pub fn high_water(&self) -> usize {
+        self.0.high_water.load(Ordering::SeqCst)
+    }
+
+    /// Request up to `want` threads.
+    ///
+    /// * Unlimited budget (total = 0): always grants an untracked,
+    ///   unconstrained lease — the single-run fast path changes nothing.
+    /// * Finite budget: grants `min(want, remaining)` (at least 1), or
+    ///   `None` if nothing remains — callers must back off and retry (the
+    ///   serve scheduler parks the tenant in its admission queue).
+    pub fn lease(&self, want: usize) -> Option<ComputeLease> {
+        let ledger = &self.0;
+        let total = ledger.total.load(Ordering::SeqCst);
+        if total == 0 {
+            return Some(ComputeLease {
+                threads: 0,
+                ledger: None,
+            });
+        }
+        let grant = |leased: usize| want.max(1).min(total - leased);
+        let leased = (ledger.leased)
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |leased| {
+                (leased < total).then(|| leased + grant(leased))
+            })
+            .ok()?;
+        let now = leased + grant(leased);
+        let peak = ledger.high_water.fetch_max(now, Ordering::SeqCst).max(now);
+        tbmd_trace::set_gauge(tbmd_trace::Gauge::LeaseHighWater, peak as f64);
+        Some(ComputeLease {
+            threads: grant(leased),
+            ledger: Some(Arc::clone(ledger)),
+        })
+    }
+}
+
+/// Cap the process-default budget ([`Budget::process_default`]) at
+/// `total_threads`; 0 restores unlimited. Takes effect for leases granted
+/// after the call; outstanding leases keep their grants.
 pub fn configure_budget(total_threads: usize) {
-    TOTAL.store(total_threads, Ordering::SeqCst);
+    let ledger = &Budget::process_default().0;
+    ledger.total.store(total_threads, Ordering::SeqCst);
 }
 
-/// The configured allowance (0 = unlimited).
-pub fn budget_total() -> usize {
-    TOTAL.load(Ordering::SeqCst)
+/// [`Budget::lease`] on the process-default budget.
+pub fn try_lease(want: usize) -> Option<ComputeLease> {
+    Budget::process_default().lease(want)
 }
 
-/// Threads currently held by live leases.
-pub fn leased_threads() -> usize {
-    LEASED.load(Ordering::SeqCst)
-}
-
-/// The peak concurrent lease total since the last [`reset_high_water`] —
-/// what the serve bench asserts never exceeds [`budget_total`].
-pub fn high_water() -> usize {
-    HIGH_WATER.load(Ordering::SeqCst)
-}
-
-/// Reset the high-water mark (the serve bench calls this between runs).
-pub fn reset_high_water() {
-    let now = LEASED.load(Ordering::SeqCst);
-    HIGH_WATER.store(now, Ordering::SeqCst);
-    tbmd_trace::set_gauge(tbmd_trace::Gauge::LeaseHighWater, now as f64);
-}
-
-/// A granted slice of the process compute budget. Dropping it returns the
-/// threads to the pool.
+/// A granted slice of a [`Budget`]. Dropping it returns the threads to the
+/// budget it came from.
 #[derive(Debug)]
 pub struct ComputeLease {
     threads: usize,
-    /// Whether the grant was debited from a finite budget (and so must be
-    /// credited back on drop).
-    tracked: bool,
+    /// The finite budget the grant was debited from, to credit back on drop.
+    ledger: Option<Arc<Ledger>>,
 }
 
 impl ComputeLease {
-    /// A lease of `threads` that was never debited from the budget — pins a
-    /// width in unit tests without touching the process-global counters.
+    /// A lease of `threads` that was never debited from a budget — pins a
+    /// width in unit tests.
     #[cfg(test)]
     pub(crate) fn untracked(threads: usize) -> Self {
         ComputeLease {
             threads,
-            tracked: false,
+            ledger: None,
         }
     }
 
@@ -120,48 +176,8 @@ impl Drop for RestoreWidth {
 
 impl Drop for ComputeLease {
     fn drop(&mut self) {
-        if self.tracked {
-            LEASED.fetch_sub(self.threads, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Request up to `want` threads from the budget.
-///
-/// * Unlimited budget (total = 0): always grants an untracked,
-///   unconstrained lease — the single-run fast path costs two atomic
-///   loads and changes nothing.
-/// * Finite budget: grants `min(want, remaining)` (at least 1), or
-///   `None` if nothing remains — callers must back off and retry (the
-///   serve scheduler parks the tenant in its admission queue).
-pub fn try_lease(want: usize) -> Option<ComputeLease> {
-    let total = TOTAL.load(Ordering::SeqCst);
-    if total == 0 {
-        return Some(ComputeLease {
-            threads: 0,
-            tracked: false,
-        });
-    }
-    let want = want.max(1);
-    loop {
-        let leased = LEASED.load(Ordering::SeqCst);
-        if leased >= total {
-            return None;
-        }
-        let grant = want.min(total - leased);
-        if LEASED
-            .compare_exchange(leased, leased + grant, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            let peak = HIGH_WATER.fetch_max(leased + grant, Ordering::SeqCst);
-            tbmd_trace::set_gauge(
-                tbmd_trace::Gauge::LeaseHighWater,
-                peak.max(leased + grant) as f64,
-            );
-            return Some(ComputeLease {
-                threads: grant,
-                tracked: true,
-            });
+        if let Some(ledger) = &self.ledger {
+            ledger.leased.fetch_sub(self.threads, Ordering::SeqCst);
         }
     }
 }
@@ -174,58 +190,53 @@ pub fn effective_width() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, OnceLock};
-
-    /// The budget is process-global state; tests touching it serialize
-    /// here so `cargo test`'s parallel harness can't interleave them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-        GUARD
-            .get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn unlimited_budget_grants_unconstrained_untracked_leases() {
-        let _g = lock();
-        configure_budget(0);
-        let lease = try_lease(8).expect("unlimited grant");
+        let budget = Budget::new(0);
+        let lease = budget.lease(8).expect("unlimited grant");
         assert_eq!(lease.threads(), 0);
-        assert_eq!(leased_threads(), 0, "untracked lease must not debit");
+        assert_eq!(budget.leased(), 0, "untracked lease must not debit");
         lease.scoped(|| assert_eq!(effective_width(), 0));
     }
 
     #[test]
     fn finite_budget_clamps_exhausts_and_refunds() {
-        let _g = lock();
-        configure_budget(4);
-        reset_high_water();
-        let a = try_lease(3).expect("first grant");
+        let budget = Budget::new(4);
+        let a = budget.lease(3).expect("first grant");
         assert_eq!(a.threads(), 3);
         // Only 1 left: the want is clamped, not refused.
-        let b = try_lease(4).expect("clamped grant");
+        let b = budget.lease(4).expect("clamped grant");
         assert_eq!(b.threads(), 1);
-        assert_eq!(leased_threads(), 4);
-        assert_eq!(high_water(), 4);
-        // Exhausted: the next tenant must wait.
-        assert!(try_lease(1).is_none());
+        assert_eq!(budget.leased(), 4);
+        assert_eq!(budget.high_water(), 4);
+        // Exhausted: the next tenant must wait — on this budget only.
+        assert!(budget.lease(1).is_none());
+        assert_eq!(Budget::new(4).lease(4).map(|l| l.threads()), Some(4));
         drop(b);
-        assert_eq!(leased_threads(), 3);
-        let c = try_lease(1).expect("refunded grant");
+        assert_eq!(budget.leased(), 3);
+        let c = budget.lease(1).expect("refunded grant");
         assert_eq!(c.threads(), 1);
         drop(c);
         drop(a);
-        assert_eq!(leased_threads(), 0);
-        assert_eq!(high_water(), 4, "high water survives refunds");
+        assert_eq!(budget.leased(), 0);
+        assert_eq!(budget.high_water(), 4, "high water survives refunds");
+    }
+
+    #[test]
+    fn the_process_default_is_capped_by_configure_budget() {
+        configure_budget(1);
+        let lease = try_lease(2).expect("one thread left");
+        assert_eq!(lease.threads(), 1);
+        assert_eq!(Budget::process_default().leased(), 1);
+        drop(lease);
         configure_budget(0);
+        assert_eq!(try_lease(2).map(|l| l.threads()), Some(0));
     }
 
     #[test]
     fn width_one_lease_pins_serial_and_scopes_nest() {
-        let _g = lock();
-        configure_budget(2);
-        let outer = try_lease(2).expect("outer");
+        let outer = Budget::new(2).lease(2).expect("outer");
         let serial = ComputeLease::untracked(1);
         outer.scoped(|| {
             assert_eq!(effective_width(), 2);
@@ -238,8 +249,6 @@ mod tests {
             assert_eq!(effective_width(), 2);
         });
         assert_eq!(effective_width(), 0);
-        drop(outer);
-        configure_budget(0);
     }
 
     #[test]

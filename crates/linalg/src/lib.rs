@@ -37,10 +37,7 @@ pub use blocked::{
     apply_q_blocked, eigh_partial_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
     reduced_eigenvectors_offset_into, tridiagonalize_blocked_into, TRIDIAG_BLOCK,
 };
-pub use budget::{
-    budget_total, configure_budget, effective_width, high_water, leased_threads, reset_high_water,
-    try_lease, ComputeLease,
-};
+pub use budget::{configure_budget, effective_width, try_lease, Budget, ComputeLease};
 pub use eigh::{
     eig_residual, eigh, eigh_into, eigvalsh, orthogonality_defect, tqli, tridiagonalize,
     tridiagonalize_into, EigError, Eigh, EighWorkspace,

@@ -9,9 +9,9 @@
 //! `crates/model/tests/parent_bits.rs`, beside the Hamiltonian builder.
 
 use tbmd_linalg::{
-    apply_q_blocked, cluster_tolerance, configure_budget, eigh, reduced_eigenvalues_into,
-    snap_range_to_clusters, tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
-    tridiagonalize_blocked_into, try_lease, EighWorkspace, Matrix,
+    apply_q_blocked, cluster_tolerance, eigh, reduced_eigenvalues_into, snap_range_to_clusters,
+    tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
+    tridiagonalize_blocked_into, Budget, EighWorkspace, Matrix,
 };
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
@@ -54,10 +54,12 @@ fn random_symmetric(n: usize, seed: u64) -> Matrix {
     a
 }
 
-/// `f` under a compute lease of `width` threads.
+/// `f` under a compute lease of `width` threads, from a budget of its own.
 fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
-    configure_budget(64);
-    try_lease(width).expect("budget left").scoped(f)
+    Budget::new(width)
+        .lease(width)
+        .expect("a new budget is free")
+        .scoped(f)
 }
 
 /// Hash of the eigenvector columns of the tridiagonal factor of `ws` for

@@ -15,9 +15,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use tbmd_linalg::{
-    apply_q_blocked, cluster_tolerance, configure_budget, eigh_into, eigh_partial_into,
-    reduced_eigenvalues_into, snap_range_to_clusters, team, tridiagonal_eigenvectors_into,
-    tridiagonal_eigenvectors_offset_into, tridiagonalize_blocked_into, try_lease, EighWorkspace,
+    apply_q_blocked, cluster_tolerance, eigh_into, eigh_partial_into, reduced_eigenvalues_into,
+    snap_range_to_clusters, team, tridiagonal_eigenvectors_into,
+    tridiagonal_eigenvectors_offset_into, tridiagonalize_blocked_into, Budget, EighWorkspace,
     Matrix,
 };
 use tbmd_model::{
@@ -172,10 +172,12 @@ fn radial_functions_reproduce_the_parent_bits() {
     assert!(moved.is_empty(), "bits moved: {moved:?}");
 }
 
-/// `f` under a compute lease of `width` threads.
+/// `f` under a compute lease of `width` threads, from a budget of its own.
 fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
-    configure_budget(64);
-    try_lease(width).expect("budget left").scoped(f)
+    Budget::new(width)
+        .lease(width)
+        .expect("a new budget is free")
+        .scoped(f)
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! # tbmd-serve
 //!
 //! A multiplexed trajectory service over the session pipeline: many tenants
-//! (trajectory jobs) share one process and one [`ComputeBudget`] — each
+//! (trajectory jobs) share one process and one [`Budget`] — each
 //! tenant is a [`tbmd::Session`] advanced in quanta of MD steps, the quanta
 //! of one sweep side by side on the process thread team, streaming its
 //! JSONL step records back to the submitter as they are produced.
@@ -17,10 +17,10 @@
 //! - every tenant's trajectory is bitwise the one a standalone
 //!   session of the same config produces — multiplexing changes
 //!   *when* steps run, never *what* they compute;
-//! - admitted tenants hold a [`tbmd::ComputeLease`]; when
-//!   [`tbmd::configure_budget`] caps the process, jobs past the cap wait in
-//!   the admission queue until a running tenant finishes and refunds its
-//!   lease, so the pool's high-water mark never exceeds the budget;
+//! - admitted tenants hold a [`tbmd::ComputeLease`] of the multiplexer's own
+//!   [`Budget`]; when it is finite, jobs past it wait in the admission queue
+//!   until a running tenant finishes and refunds its lease, so the budget's
+//!   high-water mark never exceeds its total;
 //! - a tenant leases the width its system can use, not more: a dense job
 //!   (`serial` / `shared`) below the two-stage floor
 //!   ([`tbmd::model::TWO_STAGE_MIN_DIM`], 96 orbitals) asks the budget for
@@ -51,15 +51,14 @@
 //! rank views hang off its own scope.
 //! The whole picture is readable mid-run through the handle — the
 //! `{"stats":true}` verb on the daemon socket returns its JSON form,
-//! `{"stats":"prometheus"}` a Prometheus-style text exposition — and the
-//! scheduler keeps the [`Gauge::QueueDepth`] / lease high-water gauges
-//! current in the root scope. A handle made by [`ServeStats::with_timeline`]
-//! also keeps the root scope's span timeline — one span per tenant quantum,
-//! named after the tenant, with its steps and phases nested inside, on the
-//! `tid` of the thread that ran it — which [`ServeStats::export_chrome`]
-//! writes out.
+//! `{"stats":"prometheus"}` a Prometheus-style text exposition, its `budget`
+//! block read from the multiplexer's [`Budget`] — and the scheduler keeps
+//! the [`Gauge::QueueDepth`] / lease high-water gauges current in the root
+//! scope. A handle made by [`ServeStats::with_timeline`] also keeps the root
+//! scope's span timeline — one span per tenant quantum, named after the
+//! tenant, with its steps and phases nested inside, on the `tid` of the
+//! thread that ran it — which [`ServeStats::export_chrome`] writes out.
 //!
-//! [`ComputeBudget`]: tbmd::configure_budget
 //! [`Gauge::QueueDepth`]: tbmd_trace::Gauge
 
 use std::any::Any;
@@ -71,7 +70,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tbmd::linalg::team;
 use tbmd::{
-    run_manifest, try_lease, CheckpointStore, EngineKind, InitialState, Protocol, RecorderConfig,
+    run_manifest, Budget, CheckpointStore, EngineKind, InitialState, Protocol, RecorderConfig,
     Session, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary, SystemSpec,
 };
 use tbmd_trace::{Gauge, Hist, JsonValue, RunRecorder, ScopedSink};
@@ -85,8 +84,8 @@ pub struct JobSpec {
     pub config: SimulationConfig,
     /// MD steps granted per scheduler sweep (the quantum).
     pub quantum: usize,
-    /// The most threads this job may lease from the process budget: a dense
-    /// job below the two-stage floor ([`tbmd::model::TWO_STAGE_MIN_DIM`],
+    /// The most threads this job may lease from the multiplexer's budget: a
+    /// dense job below the two-stage floor ([`tbmd::model::TWO_STAGE_MIN_DIM`],
     /// 96 orbitals) leases one, all it can use
     /// ([`EngineKind::useful_threads`]).
     pub threads: usize,
@@ -309,6 +308,8 @@ struct StatsInner {
     root: ScopedSink,
     tenants: Mutex<Vec<Arc<TenantEntry>>>,
     queue_depth: AtomicUsize,
+    /// The budget the multiplexer serving this handle leases from.
+    budget: Budget,
 }
 
 /// Cloneable live-telemetry handle over one [`Multiplexer`]. Any thread
@@ -321,29 +322,26 @@ struct StatsInner {
 #[derive(Clone)]
 pub struct ServeStats(Arc<StatsInner>);
 
-impl Default for ServeStats {
-    fn default() -> ServeStats {
-        ServeStats::new()
-    }
-}
-
 impl ServeStats {
-    pub fn new() -> ServeStats {
-        ServeStats::with_root(ScopedSink::new("global"))
+    /// A handle over `budget`: the multiplexer it is given to leases from
+    /// it, and the `budget` block of the stats verb reads it.
+    pub fn new(budget: Budget) -> ServeStats {
+        ServeStats::with_root(ScopedSink::new("global"), budget)
     }
 
     /// A handle whose root scope also records a span timeline: every tenant
     /// quantum of the multiplexer it is given to, with the step and phase
     /// spans nested inside, read back with [`ServeStats::export_chrome`].
-    pub fn with_timeline() -> ServeStats {
-        ServeStats::with_root(ScopedSink::with_timeline("global"))
+    pub fn with_timeline(budget: Budget) -> ServeStats {
+        ServeStats::with_root(ScopedSink::with_timeline("global"), budget)
     }
 
-    fn with_root(root: ScopedSink) -> ServeStats {
+    fn with_root(root: ScopedSink, budget: Budget) -> ServeStats {
         ServeStats(Arc::new(StatsInner {
             root,
             tenants: Mutex::new(Vec::new()),
             queue_depth: AtomicUsize::new(0),
+            budget,
         }))
     }
 
@@ -391,6 +389,16 @@ impl ServeStats {
         self.0.queue_depth.load(Ordering::Relaxed)
     }
 
+    /// The budget's total, leased threads and high-water mark.
+    fn budget_threads(&self) -> [(&'static str, usize); 3] {
+        let budget = &self.0.budget;
+        [
+            ("total", budget.total()),
+            ("leased", budget.leased()),
+            ("high_water", budget.high_water()),
+        ]
+    }
+
     fn counts(&self) -> (usize, usize, usize) {
         let tenants = match self.0.tenants.lock() {
             Ok(t) => t,
@@ -423,10 +431,9 @@ impl ServeStats {
             .set("active", active as f64)
             .set("retired", retired as f64);
         let mut budget = JsonValue::object();
-        budget
-            .set("total", tbmd::linalg::budget::budget_total() as f64)
-            .set("leased", tbmd::linalg::budget::leased_threads() as f64)
-            .set("high_water", tbmd::linalg::budget::high_water() as f64);
+        for (kind, n) in self.budget_threads() {
+            budget.set(kind, n as f64);
+        }
         out.set("budget", budget);
         out.set("global", self.0.root.histograms().to_json());
         let mut tenants = Vec::new();
@@ -474,21 +481,9 @@ impl ServeStats {
         let _ = writeln!(out, "tbmd_tenants{{state=\"active\"}} {active}");
         let _ = writeln!(out, "tbmd_tenants{{state=\"retired\"}} {retired}");
         let _ = writeln!(out, "# TYPE tbmd_budget_threads gauge");
-        let _ = writeln!(
-            out,
-            "tbmd_budget_threads{{kind=\"total\"}} {}",
-            tbmd::linalg::budget::budget_total()
-        );
-        let _ = writeln!(
-            out,
-            "tbmd_budget_threads{{kind=\"leased\"}} {}",
-            tbmd::linalg::budget::leased_threads()
-        );
-        let _ = writeln!(
-            out,
-            "tbmd_budget_threads{{kind=\"high_water\"}} {}",
-            tbmd::linalg::budget::high_water()
-        );
+        for (kind, n) in self.budget_threads() {
+            let _ = writeln!(out, "tbmd_budget_threads{{kind=\"{kind}\"}} {n}");
+        }
         if let Ok(entries) = self.0.tenants.lock() {
             let _ = writeln!(out, "# TYPE tbmd_tenant_threads gauge");
             for entry in entries.iter() {
@@ -612,11 +607,10 @@ pub struct TenantReport {
     pub outcome: Result<SimulationSummary, String>,
 }
 
-/// Scheduler over many [`tbmd::Session`]s under the process compute budget:
+/// Scheduler over many [`tbmd::Session`]s under one compute [`Budget`]:
 /// every sweep runs one quantum of each admitted tenant, side by side on the
 /// thread team. Submissions past the budget wait in an admission queue;
 /// each finished tenant refunds its lease, letting the queue drain.
-#[derive(Default)]
 pub struct Multiplexer {
     /// Admitted tenants in admission order, each behind a lock of its own:
     /// the team task that runs a tenant's quantum takes it, nobody else
@@ -628,17 +622,28 @@ pub struct Multiplexer {
     stats: ServeStats,
 }
 
+impl Default for Multiplexer {
+    fn default() -> Multiplexer {
+        Multiplexer::new()
+    }
+}
+
 impl Multiplexer {
+    /// A multiplexer leasing from the process-default budget
+    /// ([`Budget::process_default`]).
     pub fn new() -> Multiplexer {
-        Multiplexer::default()
+        Multiplexer::with_stats(ServeStats::new(Budget::process_default()))
     }
 
-    /// A multiplexer sharing a caller-held [`ServeStats`] handle — what
-    /// the daemon uses so client threads can answer the `stats` verb.
+    /// A multiplexer leasing from the budget of a caller-held [`ServeStats`]
+    /// handle and reporting through it — what the daemon uses so client
+    /// threads can answer the `stats` verb.
     pub fn with_stats(stats: ServeStats) -> Multiplexer {
         Multiplexer {
+            active: Vec::new(),
+            waiting: VecDeque::new(),
+            reports: Vec::new(),
             stats,
-            ..Multiplexer::default()
         }
     }
 
@@ -690,7 +695,7 @@ impl Multiplexer {
             let width = config
                 .engine
                 .useful_threads(&config.system, initial, *threads);
-            let Some(lease) = try_lease(width) else {
+            let Some(lease) = self.stats.0.budget.lease(width) else {
                 break;
             };
             let waiting = self.waiting.pop_front().expect("front just probed");

@@ -3,8 +3,8 @@
 //! Clients connect and send one newline-delimited JSON request per line;
 //! each job streams its JSONL records (manifest, step, ckpt, summary) back
 //! on the same connection as they are produced. All jobs share the
-//! process-wide compute budget: submissions past `--budget` wait in the
-//! admission queue.
+//! daemon's compute budget of `--budget` threads: submissions past it wait
+//! in the admission queue.
 //!
 //! ```text
 //! tbmd-serve --socket /tmp/tbmd.sock --budget 4
@@ -93,7 +93,6 @@ mod unix {
 
     pub fn run() -> Result<(), String> {
         let args = parse_args()?;
-        tbmd::configure_budget(args.budget);
         // A stale socket file from a previous run refuses the bind.
         let _ = std::fs::remove_file(&args.socket);
         let listener =
@@ -113,10 +112,11 @@ mod unix {
 
         let (jobs_tx, jobs_rx) = mpsc::channel::<(JobSpec, UnixStream)>();
         let shutdown = Arc::new(AtomicBool::new(false));
+        let budget = tbmd::Budget::new(args.budget);
         let stats = if args.timeline.is_some() {
-            ServeStats::with_timeline()
+            ServeStats::with_timeline(budget)
         } else {
-            ServeStats::new()
+            ServeStats::new(budget)
         };
 
         // Accept loop on its own thread: it only parses lines and forwards

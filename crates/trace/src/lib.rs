@@ -41,8 +41,7 @@
 //! Nothing is installed process-wide: with no scope entered anywhere every
 //! hot-path hook is a single relaxed atomic load and no allocation, so an
 //! unobserved MD run is bitwise-identical to an uninstrumented one (pinned
-//! by `tests/trace_overhead.rs` at the workspace root). What does stay
-//! process-wide is, in `tbmd-linalg`, the compute budget.
+//! by `tests/trace_overhead.rs` at the workspace root).
 //!
 //! On top of the scopes sit the run records ([`RunRecorder`]): a JSONL
 //! stream with one manifest line, one record per MD step (phase times, comm

@@ -162,6 +162,29 @@ fn killed_campaign_resumes_skipping_completed_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// FNV-1a over a row's `deterministic_key` — endpoint, energies, drift,
+/// mean temperature, RDF peak, steps and atom count in one number.
+fn key_hash(row: &tbmd_campaign::CellRow) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in row.deterministic_key().as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// Assert that `row`'s [`key_hash`] is the one pinned for its cell. The pins
+/// were taken from the campaign runner's earlier inline path (cells one
+/// after another, each under one lease): the bits every schedule must
+/// reproduce. Like every bitwise pin here, they hold for this build host's
+/// CPU feature set.
+fn assert_pinned(pins: &[(&str, u64)], row: &tbmd_campaign::CellRow) {
+    match pins.iter().find(|(cell, _)| *cell == row.name) {
+        Some(&(_, bits)) => assert_eq!(key_hash(row), bits, "{}: row moved", row.name),
+        None => panic!("no pinned row for {}", row.name),
+    }
+}
+
 /// Mixed segment counts: the 1-segment NVE cells retire from the
 /// multiplexer before the 2-segment quenches, so rows come back in
 /// completion order, not matrix order.
@@ -181,23 +204,30 @@ const MIXED_SPEC: &str = r#"{
     "engines": ["serial"]
 }"#;
 
+/// [`MIXED_SPEC`]'s rows, pinned (see [`assert_pinned`]).
+const MIXED_ROWS: [(&str, u64); 4] = [
+    ("si1/pristine/nve/serial", 0x6531_e89c_3a6b_d9bf),
+    ("si1/pristine/q/serial", 0xd066_86fd_7198_6ab3),
+    ("si1/vac0/nve/serial", 0x7eea_11fb_8245_3f3c),
+    ("si1/vac0/q/serial", 0xd70b_930b_9e02_7809),
+];
+
+/// Every result file holds the row of the cell it is named for, each row is
+/// the pinned one, and a resume reuses them all.
 #[test]
 fn multiplexed_result_files_pair_rows_with_their_cells() {
     let spec = CampaignSpec::from_json(MIXED_SPEC).expect("parse");
     let dir = scratch_dir("mux_resume");
-    let reference = run_campaign(&spec, &RunOptions::default()).expect("inline reference");
-
-    let mux = run_campaign(
-        &spec,
-        &RunOptions {
-            dir: Some(dir.clone()),
-            multiplex: true,
-            ..RunOptions::default()
-        },
-    )
-    .expect("multiplexed run");
+    let opts = RunOptions {
+        dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let mux = run_campaign(&spec, &opts).expect("multiplexed run");
     assert!(mux.complete);
     assert_eq!(mux.executed, 4);
+    for row in &mux.rows {
+        assert_pinned(&MIXED_ROWS, row);
+    }
 
     // Each result file must hold the row of the cell it is named for. A
     // misfiled bijection would survive a *full* resume (rows carry their
@@ -233,18 +263,11 @@ fn multiplexed_result_files_pair_rows_with_their_cells() {
     }
     assert_eq!(files, 4, "one result file per cell");
 
-    // And a resume reuses every file, reproducing the inline reference.
-    let resumed = run_campaign(
-        &spec,
-        &RunOptions {
-            dir: Some(dir.clone()),
-            ..RunOptions::default()
-        },
-    )
-    .expect("resume from multiplexed result files");
+    // And a resume reuses every file, reproducing the run that wrote them.
+    let resumed = run_campaign(&spec, &opts).expect("resume from multiplexed result files");
     assert_eq!(resumed.reused, 4, "every multiplexed cell must be reusable");
     assert_eq!(resumed.executed, 0);
-    for (a, b) in reference.rows.iter().zip(&resumed.rows) {
+    for (a, b) in mux.rows.iter().zip(&resumed.rows) {
         assert_eq!(
             a.deterministic_key(),
             b.deterministic_key(),
@@ -426,11 +449,9 @@ fn a_bad_cell_keeps_the_finished_ones() {
 }
 
 /// Vacancy cells (seven atoms, 28 orbitals: below the two-stage floor) that
-/// ask for two threads each lease one under a two-thread budget, inline and
-/// multiplexed alike, so the multiplexer runs two of them per sweep; every
-/// row is still bitwise the inline run's, quench chains included. The
-/// budget is process-wide: the other tests of this binary may see their
-/// leases granted later meanwhile, never different bits.
+/// ask for two threads each lease one, so the campaign's budget — one
+/// thread per hardware thread — runs as many of them per sweep as the host
+/// has threads. Every row is still the pinned one, quench chains included.
 #[test]
 fn narrow_cells_share_sweeps_and_match_the_inline_run_bitwise() {
     let spec = CampaignSpec::from_json(
@@ -451,28 +472,115 @@ fn narrow_cells_share_sweeps_and_match_the_inline_run_bitwise() {
     }"#,
     )
     .expect("parse");
-    tbmd::configure_budget(2);
-    let run = |multiplex| {
-        let opts = RunOptions {
-            threads_per_cell: 2,
-            multiplex,
-            quantum: 3,
-            ..RunOptions::default()
-        };
-        run_campaign(&spec, &opts).expect("campaign")
+    let opts = RunOptions {
+        threads_per_cell: 2,
+        quantum: 3,
+        ..RunOptions::default()
     };
-    let (inline, multiplexed) = (run(false), run(true));
-    tbmd::configure_budget(0);
-    assert_eq!(inline.rows.len(), 8);
-    assert_eq!(multiplexed.rows.len(), 8);
-    for row in &inline.rows {
+    let report = run_campaign(&spec, &opts).expect("campaign");
+    assert_eq!(report.rows.len(), 8);
+    for row in &report.rows {
         assert_eq!(row.n_atoms, 7, "{}", row.name);
-        let other = multiplexed.row(&row.name).expect("multiplexed row");
-        assert_eq!(
-            row.deterministic_key(),
-            other.deterministic_key(),
-            "{}: the multiplexed cell diverged from the inline one",
-            row.name
-        );
+        assert_pinned(&NARROW_ROWS, row);
     }
+}
+
+/// The vacancy-width rows, pinned (see [`assert_pinned`]).
+const NARROW_ROWS: [(&str, u64); 8] = [
+    ("si1/vac0/nve/serial", 0x0798_10fe_3218_20ec),
+    ("si1/vac0/nve/shared", 0x13a0_bae5_f887_b04c),
+    ("si1/vac0/quench/serial", 0x21f9_a695_309e_66f0),
+    ("si1/vac0/quench/shared", 0x40bb_161e_1c8d_eea1),
+    ("si1/vac3/nve/serial", 0x26d3_6db6_8135_6ca1),
+    ("si1/vac3/nve/shared", 0x4d6f_c02a_5bdc_725f),
+    ("si1/vac3/quench/serial", 0x590b_ff00_a458_ec97),
+    ("si1/vac3/quench/shared", 0xd792_d4d9_342c_02aa),
+];
+
+/// A cell that fails at run time (its time step blows the positions up)
+/// fails by name and alone: every cell beside it runs to completion and
+/// publishes its result file. A re-run with the step mended reuses them all
+/// and runs only the cells that failed. (Dropping the failing protocol
+/// instead would renumber the cells after it, and a cell's seed derives from
+/// its index.)
+#[test]
+fn a_failing_cell_keeps_the_cells_beside_it() {
+    let spec_with = |dt_fs: f64| {
+        CampaignSpec::from_json(&format!(
+            r#"{{"name": "failing-cell", "seed": 9,
+                "structures": [{{"label": "si1", "system": "si", "reps": 1}}],
+                "perturbations": [
+                    {{"label": "pristine", "kind": "pristine"}},
+                    {{"label": "vac0", "kind": "vacancy", "site": 0}}
+                ],
+                "protocols": [
+                    {{"label": "boom", "kind": "nve", "steps": 4, "dt_fs": {dt_fs:e}}},
+                    {{"label": "nve", "kind": "nve", "steps": 3}}
+                ],
+                "engines": ["serial", "shared"]}}"#
+        ))
+        .expect("parse")
+    };
+    let dir = scratch_dir("failing_cell");
+    let opts = RunOptions {
+        dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+
+    let err = run_campaign(&spec_with(1e200), &opts).expect_err("a 1e200 fs step cannot finish");
+    assert!(err.contains("si1/pristine/boom/serial"), "{err}");
+    let mut stored: Vec<String> = std::fs::read_dir(dir.join("cells"))
+        .expect("cells dir")
+        .map(|entry| {
+            let text = std::fs::read_to_string(entry.expect("entry").path()).expect("read");
+            let v = tbmd::trace::JsonValue::parse(&text).expect("result json");
+            tbmd_campaign::CellRow::from_json(&v).expect("row").name
+        })
+        .collect();
+    stored.sort();
+    let beside: Vec<String> = ["pristine", "vac0"]
+        .iter()
+        .flat_map(|p| ["serial", "shared"].map(|e| format!("si1/{p}/nve/{e}")))
+        .collect();
+    assert_eq!(
+        stored, beside,
+        "every cell beside the failing ones published"
+    );
+
+    let mended = run_campaign(&spec_with(1.0), &opts).expect("the step mended");
+    assert_eq!((mended.reused, mended.executed), (4, 4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Labels may repeat across a matrix: two protocols both labelled `a` make
+/// two cells of one name, which still run as two cells, each row carrying
+/// its own index and its own protocol's steps, and a re-run over their
+/// shared result file reproduces both.
+#[test]
+fn repeated_labels_run_as_distinct_cells() {
+    let spec = CampaignSpec::from_json(
+        r#"{"name": "repeated", "seed": 4,
+            "structures": [{"label": "si1", "system": "si", "reps": 1}],
+            "protocols": [
+                {"label": "a", "kind": "nve", "steps": 2},
+                {"label": "a", "kind": "nve", "steps": 3}
+            ]}"#,
+    )
+    .expect("parse");
+    let dir = scratch_dir("repeated_labels");
+    let opts = RunOptions {
+        dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let first = run_campaign(&spec, &opts).expect("repeated labels");
+    let shape: Vec<(usize, usize)> = first.rows.iter().map(|r| (r.index, r.steps)).collect();
+    assert_eq!(shape, [(0, 2), (1, 3)]);
+    assert!(first.rows.iter().all(|r| r.name == "si1/pristine/a/serial"));
+
+    let again = run_campaign(&spec, &opts).expect("re-run");
+    assert_eq!(again.reused + again.executed, 2);
+    for (a, b) in first.rows.iter().zip(&again.rows) {
+        assert_eq!(a.deterministic_key(), b.deterministic_key());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,15 +7,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, PoisonError};
 use tbmd::model::{
     electronic_forces, repulsive_energy_forces, stress_from_density, ForceEvaluation, OrbitalIndex,
     TbCalculator,
 };
 use tbmd::structure::{apply_strain, bulk_diamond};
 use tbmd::{
-    configure_budget, silicon_gsp, stress_tensor, try_lease, Engine, EngineKind, FaultKind,
-    FaultPlan, ForceProvider, OccupationScheme, Species, Structure, TbError, Workspace,
+    silicon_gsp, stress_tensor, Budget, Engine, EngineKind, FaultKind, FaultPlan, ForceProvider,
+    OccupationScheme, Species, Structure, TbError, Workspace,
 };
 
 const KT: f64 = 0.1;
@@ -26,17 +25,12 @@ fn perturbed_si64() -> Structure {
     s
 }
 
-/// Run `f` under a lease of exactly `width` threads (the budget is this
-/// test binary's own: every test here configures the same total).
+/// Run `f` under a lease of exactly `width` threads, from a budget of its
+/// own.
 fn leased<T>(width: usize, f: impl FnOnce() -> T) -> T {
-    // Sibling tests take leases too, and a partial grant is not what was
-    // asked for. They queue for the whole budget instead of polling for it:
-    // two tests that each take one thread, see a partial grant and retry in
-    // step can starve each other indefinitely.
-    static BUDGET: Mutex<()> = Mutex::new(());
-    let _turn = BUDGET.lock().unwrap_or_else(PoisonError::into_inner);
-    configure_budget(2);
-    let lease = try_lease(width).expect("the whole budget is free");
+    let lease = Budget::new(width)
+        .lease(width)
+        .expect("a new budget is free");
     assert_eq!(lease.threads(), width);
     lease.scoped(f)
 }

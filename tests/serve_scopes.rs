@@ -4,7 +4,7 @@
 //! span timeline included.
 
 use tbmd::trace::JsonValue;
-use tbmd::{EngineKind, Hist, SimulationConfig, SystemSpec};
+use tbmd::{Budget, EngineKind, Hist, SimulationConfig, SystemSpec};
 use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 
 fn job(name: &str, steps: usize, quantum: usize) -> JobSpec {
@@ -72,18 +72,33 @@ fn side_by_side_quanta_reach_the_root_scope_once() {
     assert_eq!(count("quantum"), Some(total.1 as f64), "root quanta");
 }
 
-/// Two multiplexers ticked alternately on one thread: the `global` block of
-/// each stats answer counts its own tenants' steps and nobody else's, and a
-/// distributed tenant's rank views are listed under that tenant alone.
+/// Two multiplexers ticked alternately on one thread: each leases from its
+/// own budget, whose `budget` block shows none of the other's leases, the
+/// `global` block of each stats answer counts its own tenants' steps and
+/// nobody else's, and a distributed tenant's rank views are listed under
+/// that tenant alone.
 #[test]
 fn two_multiplexers_share_no_totals() {
-    let (mut left, mut right) = (Multiplexer::new(), Multiplexer::new());
+    let multiplexer = || Multiplexer::with_stats(ServeStats::new(Budget::new(2)));
+    let (mut left, mut right) = (multiplexer(), multiplexer());
     left.submit(job("l1", 6, 2), std::io::sink());
     left.submit(job("l2", 4, 2), std::io::sink());
     let mut r1 = job("r1", 9, 3);
     r1.config.engine = EngineKind::Distributed { ranks: 2 };
     right.submit(r1, std::io::sink());
+    let leased = |mux: &Multiplexer| {
+        let stats = mux.stats().to_json();
+        stats.get("budget").and_then(|b| b.get("leased")?.as_f64())
+    };
+    assert!(left.tick());
+    assert_eq!(leased(&left), Some(2.0), "l1 and l2 hold a thread each");
+    assert_eq!(
+        leased(&right),
+        Some(0.0),
+        "the left leases are not the right's"
+    );
     while left.tick() | right.tick() {}
+    assert_eq!((leased(&left), leased(&right)), (Some(0.0), Some(0.0)));
     let global_count = |mux: &Multiplexer, hist: &str| {
         let stats = mux.stats().to_json();
         let global = stats.get("global").expect("global block");
@@ -129,8 +144,8 @@ fn two_multiplexers_share_no_totals() {
 /// multiplexer's run leaks in.
 #[test]
 fn two_timelines_hold_only_their_own_tenants() {
-    let mut left = Multiplexer::with_stats(ServeStats::with_timeline());
-    let mut right = Multiplexer::with_stats(ServeStats::with_timeline());
+    let mut left = Multiplexer::with_stats(ServeStats::with_timeline(Budget::new(0)));
+    let mut right = Multiplexer::with_stats(ServeStats::with_timeline(Budget::new(0)));
     left.submit(job("l1", 6, 2), std::io::sink());
     left.submit(job("l2", 4, 2), std::io::sink());
     right.submit(job("r1", 9, 3), std::io::sink());

@@ -12,11 +12,11 @@
 //! Counters, gauges and histograms are observed through a [`ScopedSink`]
 //! entered on the test's own thread (the scheduler ticks on it), and the
 //! span timeline is the multiplexer's own (its root scope's capture, as
-//! `tbmd-serve --timeline` arms it). The test owns the process-wide compute
-//! budget, so it lives in its own integration binary (one process).
+//! `tbmd-serve --timeline` arms it), as is the two-thread budget it leases
+//! from.
 
 use tbmd::trace::{Gauge, JsonValue};
-use tbmd::{configure_budget, ScopedSink, SimulationConfig, SystemSpec};
+use tbmd::{Budget, ScopedSink, SimulationConfig, SystemSpec};
 use tbmd_serve::{JobSpec, Multiplexer, Request, ServeStats, StatsFormat};
 
 const STEPS: usize = 12;
@@ -36,10 +36,8 @@ fn tenant_config(i: usize) -> SimulationConfig {
 fn three_tenants_answer_stats_mid_run() {
     let scope = ScopedSink::new("telemetry-test");
     let _observing = scope.enter();
-    configure_budget(2);
-    tbmd::linalg::budget::reset_high_water();
 
-    let mut mux = Multiplexer::with_stats(ServeStats::with_timeline());
+    let mut mux = Multiplexer::with_stats(ServeStats::with_timeline(Budget::new(2)));
     for i in 0..3 {
         let mut spec = JobSpec::new(format!("tenant-{i}"), tenant_config(i));
         spec.quantum = QUANTUM;
@@ -178,6 +176,4 @@ fn three_tenants_answer_stats_mid_run() {
             "step span at {s0}µs not contained in any tenant quantum"
         );
     }
-
-    configure_budget(0);
 }
