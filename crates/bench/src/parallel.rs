@@ -8,8 +8,8 @@ use tbmd::model::{bond_block_elements, NeighborWorkspace, OrbitalIndex, TbModel}
 use tbmd::parallel::{estimate_cost, scaling, sliced_wire_bytes, CostEstimate, MachineProfile};
 use tbmd::structure::bulk_diamond;
 use tbmd::{
-    silicon_gsp, DistributedLinearScalingTb, DistributedTb, ForceProvider, Species, Structure,
-    TbCalculator,
+    silicon_gsp, DistributedLinearScalingTb, DistributedTb, ForceProvider, LinearScalingTb,
+    Species, Structure, TbCalculator,
 };
 
 use crate::report::{fmt_e, fmt_f, Report, Table};
@@ -191,10 +191,13 @@ pub fn on_scaling(_: Option<usize>) -> Report {
     );
     for (p, s) in isogranular() {
         let dense = dense_cost(&s, p, &machine);
-        let on = DistributedLinearScalingTb::new(&model, p)
-            .with_kt(0.3)
-            .with_order(150)
-            .with_r_loc(5.0);
+        let on = DistributedLinearScalingTb::new(
+            LinearScalingTb::new(&model)
+                .with_kt(0.3)
+                .with_order(150)
+                .with_r_loc(5.0),
+            p,
+        );
         on.evaluate(&s).expect("O(N) evaluation");
         let on = estimate_cost(&machine, &on.last_report().expect("report").stats);
         table.row(vec![

@@ -11,7 +11,7 @@ use tbmd::{
     Budget, CheckpointConfig, CheckpointStore, EngineKind, FaultKind, FaultPlan, ResilienceOptions,
     ScopedSink, SessionBuilder, SessionStatus, SimulationConfig, SystemSpec,
 };
-use tbmd_campaign::{run_campaign, CampaignSpec, RunOptions};
+use tbmd_campaign::{run_campaign, CampaignSpec};
 use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 
 use crate::report::{fmt_f, Report, Table};
@@ -360,7 +360,7 @@ const CAMPAIGN: &str = r#"{
 pub fn campaign(_: Option<usize>) -> Report {
     let spec = CampaignSpec::from_json(CAMPAIGN).expect("campaign spec");
     let t0 = Instant::now();
-    let result = run_campaign(&spec, &RunOptions::default()).expect("campaign");
+    let result = run_campaign(&spec, None).expect("campaign");
     let wall = t0.elapsed();
     let mut table = Table::new(
         format!("S4: campaign `{}`", spec.name),

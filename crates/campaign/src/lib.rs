@@ -20,11 +20,14 @@
 //!  "engines":       ["serial"]}
 //! ```
 //!
+//! Each protocol parses to a chain of core [`tbmd::Protocol`]s: `relax`,
+//! `nve` and `nvt` to one segment, a `quench` to a staircase of `NvtRamp`s.
 //! [`CampaignSpec::expand`] lays the matrix out as deterministic
 //! [`CellPlan`]s — each with a SplitMix64-derived seed pinning its velocity
 //! draws and stochastic perturbations — and [`run_campaign`] runs them as
-//! [`tbmd::Session`]s through a `tbmd-serve` multiplexer, skipping any cell
-//! whose fingerprinted result file already exists. The [`CampaignReport`]
+//! [`tbmd::Session`]s through a `tbmd-serve` multiplexer. Its one input
+//! besides the spec is an optional campaign directory: with one, any cell
+//! whose fingerprinted result file already exists is skipped. The [`CampaignReport`]
 //! compares cells: formation energies against the pristine reference,
 //! conserved-energy drift, RDF first peaks, and step-latency percentiles.
 //!
@@ -38,8 +41,7 @@ pub mod run;
 pub mod spec;
 
 pub use report::{CampaignReport, CellRow};
-pub use run::{endpoint_fingerprint, run_campaign, RunOptions};
+pub use run::{endpoint_fingerprint, run_campaign};
 pub use spec::{
-    CampaignSpec, CellPlan, Perturbation, PerturbationCase, ProtocolCase, ProtocolSpec,
-    StructureCase,
+    CampaignSpec, CellPlan, Perturbation, PerturbationCase, ProtocolCase, StructureCase,
 };

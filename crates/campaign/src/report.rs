@@ -8,8 +8,6 @@
 //! determinism checks and resume fingerprints.
 
 use std::collections::HashMap;
-use std::io;
-use std::path::Path;
 use tbmd_trace::JsonValue;
 
 /// One cell's results.
@@ -167,8 +165,6 @@ pub struct CampaignReport {
     pub name: String,
     /// Rows in matrix order.
     pub rows: Vec<CellRow>,
-    /// `false` when the run stopped early (`stop_after`) with cells left.
-    pub complete: bool,
     /// Cells executed by this invocation.
     pub executed: usize,
     /// Cells reused from result files of a previous invocation.
@@ -180,7 +176,7 @@ impl CampaignReport {
     /// for each defect row, `E_f = E_defect − (N_defect / N_ref) · E_ref`
     /// against the pristine row running the same structure, protocol and
     /// engine.
-    pub fn build(name: &str, mut rows: Vec<CellRow>, complete: bool) -> CampaignReport {
+    pub fn build(name: &str, mut rows: Vec<CellRow>) -> CampaignReport {
         rows.sort_by_key(|r| r.index);
         let executed = rows.iter().filter(|r| !r.skipped).count();
         let reused = rows.len() - executed;
@@ -210,7 +206,6 @@ impl CampaignReport {
         CampaignReport {
             name: name.to_string(),
             rows,
-            complete,
             executed,
             reused,
         }
@@ -229,8 +224,7 @@ impl CampaignReport {
             .set("name", self.name.as_str())
             .set("cells", self.rows.len())
             .set("executed", self.executed)
-            .set("reused", self.reused)
-            .set("complete", self.complete);
+            .set("reused", self.reused);
         out.push_str(&header.to_compact());
         out.push('\n');
         for row in &self.rows {
@@ -242,11 +236,6 @@ impl CampaignReport {
         out
     }
 
-    /// Write the JSONL artifact to `path`.
-    pub fn write_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
     /// A fixed-width comparison table over the matrix.
     pub fn render_table(&self) -> String {
         let fmt_opt = |x: Option<f64>, digits: usize| match x {
@@ -254,12 +243,11 @@ impl CampaignReport {
             None => "-".to_string(),
         };
         let mut out = format!(
-            "campaign {} — {} cells ({} executed, {} reused{})\n",
+            "campaign {} — {} cells ({} executed, {} reused)\n",
             self.name,
             self.rows.len(),
             self.executed,
             self.reused,
-            if self.complete { "" } else { ", INCOMPLETE" }
         );
         out.push_str(&format!(
             "{:<34} {:>5} {:>14} {:>10} {:>10} {:>8} {:>8} {:>9}\n",
@@ -320,7 +308,6 @@ mod tests {
         let report = CampaignReport::build(
             "t",
             vec![row(0, "a", true, 8, -40.0), row(1, "b", false, 7, -34.0)],
-            true,
         );
         // E_f = -34 - 7·(-40/8) = -34 + 35 = 1.
         let e = report.row("b").unwrap().formation_ev.unwrap();
@@ -344,7 +331,6 @@ mod tests {
         let report = CampaignReport::build(
             "t",
             vec![row(0, "a", true, 8, -40.0), row(1, "b", false, 7, -34.0)],
-            true,
         );
         let table = report.render_table();
         assert!(table.contains("a") && table.contains("b"));

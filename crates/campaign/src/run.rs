@@ -1,11 +1,13 @@
 //! Campaign execution: expand, skip completed cells, run the rest.
 //!
-//! Every cell runs as a chain of [`tbmd::Session`]s through the `tbmd-serve`
-//! [`Multiplexer`], the quanta of a sweep side by side on the thread team.
-//! The multiplexer leases from a [`Budget`] of its own, one thread per
-//! hardware thread ([`team::size`]): a cell below the two-stage floor leases
-//! one thread, so that many run at once, and a larger one the whole team.
-//! Follow-up quench segments are submitted as their predecessors retire.
+//! Every cell runs its chain of protocol segments as [`tbmd::Session`]s
+//! through the `tbmd-serve` [`Multiplexer`], the quanta of a sweep side by
+//! side on the thread team. Each segment is a job at [`JobSpec`]'s defaults
+//! (an 8-step quantum, no checkpoints) that may lease the whole team; the
+//! multiplexer leases from a [`Budget`] of its own, one thread per hardware
+//! thread ([`team::size`]), so a cell below the two-stage floor leases one
+//! thread ([`tbmd::EngineKind::useful_threads`]) and that many run at once.
+//! A cell's next segment is submitted as its predecessor retires.
 //!
 //! Determinism holds whatever the schedule because every velocity draw is
 //! pinned by the cell seed and every segment boundary carries the exact
@@ -13,10 +15,10 @@
 //! touches the dynamics.
 //!
 //! A cell whose build or run fails retires alone: every other cell runs to
-//! completion. With a campaign directory set, each cell writes a
-//! fingerprinted result file the moment it finishes; a re-run (after a
-//! kill, a failed cell, or to extend the matrix) reuses every file whose
-//! fingerprint still matches and executes only the rest.
+//! completion. With a campaign directory, each cell writes a fingerprinted
+//! result file the moment it finishes; a re-run (after a kill, a failed
+//! cell, or to extend the matrix) reuses every file whose fingerprint still
+//! matches and executes only the rest.
 
 use crate::report::{CampaignReport, CellRow};
 use crate::spec::{CampaignSpec, CellPlan};
@@ -28,38 +30,6 @@ use tbmd_md::RdfAccumulator;
 use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 use tbmd_structure::{apply_strain, Structure};
 use tbmd_trace::{Hist, HistSnapshot};
-
-/// Execution knobs for one campaign invocation.
-#[derive(Debug, Clone)]
-pub struct RunOptions {
-    /// Campaign directory for resumable per-cell result files (`None`
-    /// disables resume).
-    pub dir: Option<PathBuf>,
-    /// Stop after executing this many *new* cells — a simulated
-    /// mid-campaign kill for resume tests; completed cells keep their
-    /// result files.
-    pub stop_after: Option<usize>,
-    /// The most threads each cell leases from the campaign's compute
-    /// budget, by default all of them ([`team::size`]): a dense cell below
-    /// the two-stage floor leases one ([`tbmd::EngineKind::useful_threads`]).
-    pub threads_per_cell: usize,
-    /// In-memory snapshot interval per session (0 disables checkpointing).
-    pub checkpoint_interval: usize,
-    /// Scheduler quantum (MD steps per visit).
-    pub quantum: usize,
-}
-
-impl Default for RunOptions {
-    fn default() -> RunOptions {
-        RunOptions {
-            dir: None,
-            stop_after: None,
-            threads_per_cell: team::size(),
-            checkpoint_interval: 0,
-            quantum: 8,
-        }
-    }
-}
 
 /// Fingerprint over the bit patterns of a summary's final positions,
 /// velocities and total energy — equal iff the trajectory endpoints are
@@ -82,31 +52,28 @@ pub fn endpoint_fingerprint(summary: &SimulationSummary) -> u64 {
     tbmd_ckpt::fingerprint(&bytes)
 }
 
-/// Run a campaign to completion (or to `stop_after`), reusing result files
-/// from `opts.dir` when their fingerprints match. If cells fail, the others
-/// still run and publish, and the error is the failure of the earliest
-/// failed cell in matrix order, naming it.
-pub fn run_campaign(spec: &CampaignSpec, opts: &RunOptions) -> Result<CampaignReport, String> {
-    if let Some(dir) = &opts.dir {
+/// Run a campaign to completion, reusing result files from `dir` when their
+/// fingerprints match (`None` runs every cell and writes nothing). If cells
+/// fail, the others still run and publish, and the error is the failure of
+/// the earliest failed cell in matrix order, naming it.
+pub fn run_campaign(spec: &CampaignSpec, dir: Option<&Path>) -> Result<CampaignReport, String> {
+    if let Some(dir) = dir {
         std::fs::create_dir_all(cells_dir(dir)).map_err(|e| format!("campaign dir: {e}"))?;
     }
     let mut rows = Vec::new();
     let mut pending = Vec::new();
     for cell in spec.expand() {
-        match opts.dir.as_ref().and_then(|dir| load_cached(dir, &cell)) {
+        match dir.and_then(|dir| load_cached(dir, &cell)) {
             Some(row) => rows.push(row),
             None => pending.push(cell),
         }
     }
-    let take = opts.stop_after.unwrap_or(pending.len()).min(pending.len());
-    let complete = take == pending.len();
-    let to_run = &pending[..take];
-    let publish = |cell: &CellPlan, row: &CellRow| match &opts.dir {
+    let publish = |cell: &CellPlan, row: &CellRow| match dir {
         Some(dir) => write_result(dir, cell, row).map_err(|e| format!("{}: {e}", cell.name)),
         None => Ok(()),
     };
-    rows.extend(run_cells(to_run, opts, &publish)?);
-    Ok(CampaignReport::build(&spec.name, rows, complete))
+    rows.extend(run_cells(&pending, &publish)?);
+    Ok(CampaignReport::build(&spec.name, rows))
 }
 
 fn cells_dir(dir: &Path) -> PathBuf {
@@ -221,16 +188,7 @@ fn segment_config(cell: &CellPlan, protocol: tbmd::Protocol) -> SimulationConfig
 fn build_row(cell: &CellPlan, chain: SegmentChain, step_hist: &HistSnapshot) -> CellRow {
     let summary = chain.last.expect("cell ran at least one segment");
     let s = &summary.final_structure;
-    // Same binning rule as the core observables: half the shortest
-    // periodic edge (minimum-image validity), 5 Å for clusters.
-    let r_max = s
-        .cell()
-        .min_periodic_edge()
-        .map_or(5.0, |edge| 0.5 * edge)
-        .max(1.0);
-    let mut rdf = RdfAccumulator::new(r_max, 64);
-    rdf.accumulate(s);
-    let peak = rdf.first_peak();
+    let peak = RdfAccumulator::of_structure(s).first_peak();
     CellRow {
         index: cell.index,
         name: cell.name.clone(),
@@ -269,12 +227,10 @@ fn build_row(cell: &CellPlan, chain: SegmentChain, step_hist: &HistSnapshot) -> 
 /// done.
 fn run_cells(
     cells: &[CellPlan],
-    opts: &RunOptions,
     publish: &dyn Fn(&CellPlan, &CellRow) -> Result<(), String>,
 ) -> Result<Vec<CellRow>, String> {
     struct Pending<'a> {
         cell: &'a CellPlan,
-        segments: Vec<tbmd::Protocol>,
         seg: usize,
         chain: SegmentChain,
         step_hist: HistSnapshot,
@@ -289,11 +245,9 @@ fn run_cells(
 
     let submit = |mux: &mut Multiplexer, entry: &mut Pending<'_>| {
         let name = format!("{}#{}#s{}", entry.cell.index, entry.cell.name, entry.seg);
-        let config = segment_config(entry.cell, entry.segments[entry.seg]);
+        let config = segment_config(entry.cell, entry.cell.segments[entry.seg]);
         let mut job = JobSpec::new(name.clone(), config).with_initial(entry.chain.initial_state());
-        job.quantum = opts.quantum.max(1);
-        job.threads = opts.threads_per_cell.max(1);
-        job.checkpoint_interval = opts.checkpoint_interval;
+        job.threads = team::size();
         mux.submit(job, std::io::sink());
         name
     };
@@ -303,7 +257,6 @@ fn run_cells(
             Ok(structure) => {
                 let mut entry = Pending {
                     cell,
-                    segments: cell.protocol.segments(),
                     seg: 0,
                     chain: SegmentChain::new(structure),
                     step_hist: HistSnapshot::default(),
@@ -336,8 +289,8 @@ fn run_cells(
             }
             entry.chain.absorb(summary);
             entry.seg += 1;
-            if entry.seg < entry.segments.len() {
-                let strain = entry.cell.protocol.inter_segment_strain();
+            if entry.seg < entry.cell.segments.len() {
+                let strain = entry.cell.strain_per_segment;
                 if strain != [0.0; 3] {
                     apply_strain(&mut entry.chain.structure, strain);
                 }

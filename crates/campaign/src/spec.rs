@@ -9,7 +9,7 @@
 //! the same cells, bit for bit, no matter which subset already ran.
 
 use tbmd::{EngineKind, Protocol, SimulationConfig, SystemSpec};
-use tbmd_md::{derive_seed, QuenchSchedule};
+use tbmd_md::derive_seed;
 use tbmd_structure::{
     apply_strain, displacement_disorder, insert_interstitial, make_vacancy, Structure,
 };
@@ -76,96 +76,16 @@ pub struct PerturbationCase {
     pub perturbation: Perturbation,
 }
 
-/// A protocol program: either one core [`Protocol`] or a multi-segment
-/// quench schedule chained through [`tbmd::InitialState`].
-#[derive(Debug, Clone)]
-pub enum ProtocolSpec {
-    Relax {
-        force_tolerance: f64,
-        max_iterations: usize,
-    },
-    Nve {
-        temperature_k: f64,
-        steps: usize,
-        dt_fs: f64,
-    },
-    Nvt {
-        temperature_k: f64,
-        steps: usize,
-        dt_fs: f64,
-        tau_fs: f64,
-    },
-    /// Piecewise quench: one NVT-ramp session per segment, the phase-space
-    /// endpoint carried across boundaries, `strain_per_segment` re-applied
-    /// between consecutive segments.
-    Quench {
-        schedule: QuenchSchedule,
-        strain_per_segment: [f64; 3],
-    },
-}
-
-impl ProtocolSpec {
-    /// The chain of core protocols this program runs, in order.
-    pub fn segments(&self) -> Vec<Protocol> {
-        match self {
-            ProtocolSpec::Relax {
-                force_tolerance,
-                max_iterations,
-            } => vec![Protocol::Relax {
-                force_tolerance: *force_tolerance,
-                max_iterations: *max_iterations,
-            }],
-            ProtocolSpec::Nve {
-                temperature_k,
-                steps,
-                dt_fs,
-            } => vec![Protocol::Nve {
-                temperature_k: *temperature_k,
-                steps: *steps,
-                dt_fs: *dt_fs,
-            }],
-            ProtocolSpec::Nvt {
-                temperature_k,
-                steps,
-                dt_fs,
-                tau_fs,
-            } => vec![Protocol::Nvt {
-                temperature_k: *temperature_k,
-                steps: *steps,
-                dt_fs: *dt_fs,
-                tau_fs: *tau_fs,
-            }],
-            ProtocolSpec::Quench { schedule, .. } => schedule
-                .segments
-                .iter()
-                .map(|seg| Protocol::NvtRamp {
-                    from_k: seg.from_k,
-                    to_k: seg.to_k,
-                    rate_k_per_fs: seg.rate_k_per_fs,
-                    hold_steps: seg.hold_steps,
-                    dt_fs: schedule.dt_fs,
-                    tau_fs: schedule.tau_fs,
-                })
-                .collect(),
-        }
-    }
-
-    /// The strain increment applied between consecutive segments.
-    pub fn inter_segment_strain(&self) -> [f64; 3] {
-        match self {
-            ProtocolSpec::Quench {
-                strain_per_segment, ..
-            } => *strain_per_segment,
-            _ => [0.0; 3],
-        }
-    }
-}
-
-/// One labelled protocol of the matrix.
+/// One labelled protocol of the matrix: the chain of core [`Protocol`]s a
+/// cell runs back to back, each segment starting from the exact phase-space
+/// endpoint of the one before ([`tbmd::InitialState`]). A `relax`, `nve` or
+/// `nvt` case is one segment; a `quench` is a staircase of `NvtRamp`s.
 #[derive(Debug, Clone)]
 pub struct ProtocolCase {
     pub label: String,
-    pub protocol: ProtocolSpec,
+    pub segments: Vec<Protocol>,
+    /// Diagonal strain re-applied between consecutive segments.
+    pub strain_per_segment: [f64; 3],
 }
 
 /// The declarative campaign: a name, a root seed, and the four matrix axes.
@@ -237,47 +157,56 @@ fn parse_perturbation(v: &JsonValue) -> Result<Perturbation, String> {
     }
 }
 
-fn parse_protocol(v: &JsonValue) -> Result<ProtocolSpec, String> {
+/// A protocol case's segment chain and its inter-segment strain. A quench
+/// from `from_k` to `to_k` in `n` segments is `n` contiguous `NvtRamp`s of
+/// equal span, each holding `hold_steps` at its target.
+fn parse_protocol(v: &JsonValue) -> Result<(Vec<Protocol>, [f64; 3]), String> {
     let dt_fs = num(v, "dt_fs").unwrap_or(1.0);
     let tau_fs = num(v, "tau_fs").unwrap_or(50.0);
-    match v.get("kind").and_then(|s| s.as_str()).unwrap_or("nve") {
-        "relax" => Ok(ProtocolSpec::Relax {
+    let single = match v.get("kind").and_then(|s| s.as_str()).unwrap_or("nve") {
+        "relax" => Protocol::Relax {
             force_tolerance: num(v, "force_tolerance").unwrap_or(1e-3),
             max_iterations: SimulationConfig::parse_count(v, "max_iterations")?.unwrap_or(200),
-        }),
-        "nve" => Ok(ProtocolSpec::Nve {
+        },
+        "nve" => Protocol::Nve {
             temperature_k: num(v, "temperature_k").unwrap_or(300.0),
             steps: SimulationConfig::parse_count(v, "steps")?.unwrap_or(10),
             dt_fs,
-        }),
-        "nvt" => Ok(ProtocolSpec::Nvt {
+        },
+        "nvt" => Protocol::Nvt {
             temperature_k: num(v, "temperature_k").unwrap_or(300.0),
             steps: SimulationConfig::parse_count(v, "steps")?.unwrap_or(10),
             dt_fs,
             tau_fs,
-        }),
+        },
         "quench" => {
             let from_k = num(v, "from_k").unwrap_or(800.0);
             let to_k = num(v, "to_k").unwrap_or(200.0);
-            let segments = SimulationConfig::parse_count(v, "segments")?
+            let n = SimulationConfig::parse_count(v, "segments")?
                 .unwrap_or(2)
                 .max(1);
-            let rate = num(v, "rate_k_per_fs").unwrap_or(10.0);
-            let hold = SimulationConfig::parse_count(v, "hold_steps")?.unwrap_or(5);
-            let schedule =
-                QuenchSchedule::staircase(from_k, to_k, segments, rate, hold, dt_fs, tau_fs);
-            schedule.validate()?;
+            let rate_k_per_fs = num(v, "rate_k_per_fs").unwrap_or(10.0);
+            let hold_steps = SimulationConfig::parse_count(v, "hold_steps")?.unwrap_or(5);
+            let span = (to_k - from_k) / n as f64;
+            let segments = (0..n)
+                .map(|i| Protocol::NvtRamp {
+                    from_k: from_k + span * i as f64,
+                    to_k: from_k + span * (i + 1) as f64,
+                    rate_k_per_fs,
+                    hold_steps,
+                    dt_fs,
+                    tau_fs,
+                })
+                .collect();
             let strain_per_segment = match v.get("strain_per_segment") {
                 Some(_) => vec3_field(v, "strain_per_segment")?,
                 None => [0.0; 3],
             };
-            Ok(ProtocolSpec::Quench {
-                schedule,
-                strain_per_segment,
-            })
+            return Ok((segments, strain_per_segment));
         }
-        other => Err(format!("unknown protocol kind {other:?}")),
-    }
+        other => return Err(format!("unknown protocol kind {other:?}")),
+    };
+    Ok((vec![single], [0.0; 3]))
 }
 
 impl CampaignSpec {
@@ -332,13 +261,14 @@ impl CampaignSpec {
             .iter()
             .enumerate()
         {
-            let protocol = parse_protocol(p)?;
-            for segment in protocol.segments() {
+            let (segments, strain_per_segment) = parse_protocol(p)?;
+            for segment in &segments {
                 segment.validate()?;
             }
             protocols.push(ProtocolCase {
                 label: label(p, &format!("proto{i}")),
-                protocol,
+                segments,
+                strain_per_segment,
             });
         }
 
@@ -395,7 +325,8 @@ impl CampaignSpec {
                             engine_label: engine_label.clone(),
                             system: sc.system,
                             perturbation: pc.perturbation,
-                            protocol: proto.protocol.clone(),
+                            segments: proto.segments.clone(),
+                            strain_per_segment: proto.strain_per_segment,
                             engine: *engine,
                             electronic_kt: self.electronic_kt,
                             seed: derive_seed(self.seed, index as u64),
@@ -421,7 +352,9 @@ pub struct CellPlan {
     pub engine_label: String,
     pub system: SystemSpec,
     pub perturbation: Perturbation,
-    pub protocol: ProtocolSpec,
+    /// The protocol case's segment chain and inter-segment strain.
+    pub segments: Vec<Protocol>,
+    pub strain_per_segment: [f64; 3],
     pub engine: EngineKind,
     pub electronic_kt: f64,
     /// Per-cell derived seed: velocities and stochastic perturbations.
@@ -434,11 +367,12 @@ impl CellPlan {
     /// resume. Wall-clock observables are deliberately outside it.
     pub fn fingerprint(&self) -> u64 {
         let canonical = format!(
-            "{}|{:?}|{:?}|{:?}|{:?}|{}|{}",
+            "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}",
             self.name,
             self.system,
             self.perturbation,
-            self.protocol,
+            self.segments,
+            self.strain_per_segment,
             self.engine,
             self.electronic_kt,
             self.seed
@@ -509,12 +443,48 @@ mod tests {
             .iter()
             .find(|c| c.protocol_label == "q")
             .expect("quench cell");
-        let segments = quench.protocol.segments();
-        assert_eq!(segments.len(), 2);
+        assert_eq!(quench.segments.len(), 2);
         assert!(matches!(
-            segments[0],
+            quench.segments[0],
             Protocol::NvtRamp { from_k, .. } if (from_k - 600.0).abs() < 1e-9
         ));
+
+        // An 800 → 300 K staircase in four segments: contiguous ramps of
+        // equal span, each boundary `from_k + span·i` bit for bit.
+        let staircase = CampaignSpec::from_json(
+            r#"{"structures": [{"system": "si"}],
+                "protocols": [{"kind": "quench", "from_k": 800, "to_k": 300,
+                               "segments": 4, "rate_k_per_fs": 2.5,
+                               "hold_steps": 10, "tau_fs": 40}]}"#,
+        )
+        .expect("parse");
+        let case = &staircase.protocols[0];
+        assert_eq!(case.segments.len(), 4);
+        assert_eq!(case.strain_per_segment, [0.0; 3]);
+        let span = (300.0 - 800.0) / 4.0;
+        let mut previous_to = 800.0f64;
+        for (i, segment) in case.segments.iter().enumerate() {
+            let Protocol::NvtRamp {
+                from_k,
+                to_k,
+                rate_k_per_fs,
+                hold_steps,
+                dt_fs,
+                tau_fs,
+            } = *segment
+            else {
+                panic!("segment {i} is {segment:?}");
+            };
+            assert_eq!(from_k.to_bits(), (800.0 + span * i as f64).to_bits());
+            assert_eq!(to_k.to_bits(), (800.0 + span * (i + 1) as f64).to_bits());
+            assert_eq!(from_k.to_bits(), previous_to.to_bits(), "segment {i}");
+            assert_eq!(
+                (rate_k_per_fs, hold_steps, dt_fs, tau_fs),
+                (2.5, 10, 1.0, 40.0)
+            );
+            previous_to = to_k;
+        }
+        assert_eq!(previous_to, 300.0);
     }
 
     #[test]

@@ -122,6 +122,12 @@ impl<'m> Engine<'m> {
         } else {
             OccupationScheme::ZeroTemperature
         };
+        let linear_scaling = |r_loc, order| {
+            LinearScalingTb::new(model)
+                .with_r_loc(r_loc)
+                .with_order(order)
+                .with_kt(kt.max(0.05))
+        };
         match kind {
             EngineKind::Serial | EngineKind::Shared => {
                 Engine::Dense(TbCalculator::with_occupation(model, occ))
@@ -129,22 +135,17 @@ impl<'m> Engine<'m> {
             EngineKind::Distributed { ranks } => {
                 Engine::Distributed(DistributedTb::new(model, ranks).with_occupation(occ))
             }
-            EngineKind::LinearScaling { r_loc, order } => Engine::LinearScaling(
-                LinearScalingTb::new(model)
-                    .with_r_loc(r_loc)
-                    .with_order(order)
-                    .with_kt(kt.max(0.05)),
-            ),
+            EngineKind::LinearScaling { r_loc, order } => {
+                Engine::LinearScaling(linear_scaling(r_loc, order))
+            }
             EngineKind::DistributedLinearScaling {
                 ranks,
                 r_loc,
                 order,
-            } => Engine::DistributedLinearScaling(
-                DistributedLinearScalingTb::new(model, ranks)
-                    .with_r_loc(r_loc)
-                    .with_order(order)
-                    .with_kt(kt.max(0.05)),
-            ),
+            } => Engine::DistributedLinearScaling(DistributedLinearScalingTb::new(
+                linear_scaling(r_loc, order),
+                ranks,
+            )),
         }
     }
 

@@ -192,19 +192,9 @@ fn observables_json(t_stats: &RunningStats, summary: &SimulationSummary) -> Json
         .set("potential_ev", summary.final_potential_energy)
         .set("total_ev", summary.final_total_energy)
         .set("drift_ev", summary.conserved_drift);
-    let s = &summary.final_structure;
-    // Bins stop at half the shortest periodic edge (the minimum-image
-    // validity bound); clusters get a fixed 5 Å window.
-    let r_max = s
-        .cell()
-        .min_periodic_edge()
-        .map_or(5.0, |edge| 0.5 * edge)
-        .max(1.0);
-    let n_bins = 64usize;
-    let mut rdf = RdfAccumulator::new(r_max, n_bins);
-    rdf.accumulate(s);
+    let rdf = RdfAccumulator::of_structure(&summary.final_structure);
     let mut rj = JsonValue::object();
-    rj.set("r_max", r_max).set("n_bins", n_bins);
+    rj.set("r_max", rdf.r_max()).set("n_bins", rdf.n_bins());
     if let Some((r, g)) = rdf.first_peak() {
         rj.set("first_peak_r", r).set("first_peak_g", g);
     }

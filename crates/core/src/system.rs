@@ -1,10 +1,9 @@
 //! Named benchmark systems: the workloads the evaluation section runs.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use tbmd_model::{carbon_xwch, silicon_gsp, GspTbModel};
 use tbmd_structure::{
-    bulk_diamond, fullerene_c60, graphene_sheet, nanotube, nanotube_geometry, Species, Structure,
+    bulk_diamond, displacement_disorder, fullerene_c60, graphene_sheet, nanotube,
+    nanotube_geometry, Species, Structure,
 };
 
 /// The most atoms a front end builds from a request (a `tbmd-serve` job line,
@@ -88,7 +87,8 @@ impl SystemSpec {
     }
 
     /// Build the structure, optionally displacing every atom by up to
-    /// `perturb` Å with the given RNG seed (0 disables).
+    /// `perturb` Å with the given RNG seed ([`displacement_disorder`]; 0
+    /// disables).
     pub fn build(&self, perturb: f64, seed: u64) -> Structure {
         let mut s = match *self {
             SystemSpec::SiliconDiamond { reps } => bulk_diamond(Species::Silicon, reps, reps, reps),
@@ -97,10 +97,7 @@ impl SystemSpec {
             SystemSpec::Nanotube { n, m, cells } => nanotube(n, m, cells, 1.42),
             SystemSpec::C60 => fullerene_c60(1.44),
         };
-        if perturb > 0.0 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            s.perturb(&mut rng, perturb);
-        }
+        displacement_disorder(&mut s, perturb, seed);
         s
     }
 

@@ -17,7 +17,7 @@ use crate::sparse::SparseH;
 use std::sync::{Mutex, PoisonError};
 use tbmd_model::{
     bond_force, embedding, validate, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
-    TbError, TbModel, Workspace,
+    TbError, Workspace,
 };
 use tbmd_parallel::{gather_forces, partition_range, PhaseClock, RankControl, Replica, VmpStats};
 use tbmd_structure::Structure;
@@ -51,15 +51,10 @@ impl AsMut<Replica> for LinScaleRankSlot {
     }
 }
 
-/// Message-passing O(N) TBMD engine.
+/// Message-passing O(N) TBMD engine: a [`LinearScalingTb`] — its model,
+/// `kt`, `order` and `r_loc` — with its atoms sharded over ranks.
 pub struct DistributedLinearScalingTb<'m> {
-    model: &'m dyn TbModel,
-    /// Electronic temperature (eV).
-    pub kt: f64,
-    /// Chebyshev order.
-    pub order: usize,
-    /// Localization radius (Å).
-    pub r_loc: f64,
+    engine: LinearScalingTb<'m>,
     /// Rank count, fault plans, shrink/respawn;
     /// the per-atom `partition_range` decomposition follows the active
     /// rank count each evaluation.
@@ -70,39 +65,14 @@ pub struct DistributedLinearScalingTb<'m> {
 }
 
 impl<'m> DistributedLinearScalingTb<'m> {
-    /// Engine with the same defaults as the shared-memory
-    /// [`LinearScalingTb`].
-    pub fn new(model: &'m dyn TbModel, n_ranks: usize) -> Self {
+    /// Distribute `engine` over `n_ranks` ranks.
+    pub fn new(engine: LinearScalingTb<'m>, n_ranks: usize) -> Self {
         DistributedLinearScalingTb {
-            model,
-            kt: 0.2,
-            order: 350,
-            r_loc: f64::INFINITY,
+            engine,
             ranks: RankControl::new(n_ranks),
             last_report: Mutex::new(None),
             slots: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Set the localization radius (Å).
-    pub fn with_r_loc(mut self, r_loc: f64) -> Self {
-        assert!(r_loc > 0.0);
-        self.r_loc = r_loc;
-        self
-    }
-
-    /// Set the Chebyshev order.
-    pub fn with_order(mut self, order: usize) -> Self {
-        assert!(order >= 8);
-        self.order = order;
-        self
-    }
-
-    /// Set the electronic temperature (eV).
-    pub fn with_kt(mut self, kt: f64) -> Self {
-        assert!(kt > 0.0);
-        self.kt = kt;
-        self
     }
 
     /// Traffic report of the most recent evaluation.
@@ -112,14 +82,6 @@ impl<'m> DistributedLinearScalingTb<'m> {
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
-
-    /// The matching shared-memory engine (for equivalence tests).
-    pub fn shared_memory_equivalent(&self) -> LinearScalingTb<'m> {
-        LinearScalingTb::new(self.model)
-            .with_kt(self.kt)
-            .with_order(self.order)
-            .with_r_loc(self.r_loc)
-    }
 }
 
 impl ForceProvider for DistributedLinearScalingTb<'_> {
@@ -128,13 +90,18 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
     }
 
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        validate(self.model, s)?;
+        let LinearScalingTb {
+            model,
+            kt,
+            order,
+            r_loc,
+            ..
+        } = self.engine;
+        validate(model, s)?;
         // Per-rank workspaces hold the solve state; the caller's workspace
         // only carries growth accounting, never dense eigenpairs.
         ws.dense_cache = tbmd_model::DenseCache::None;
-        let model = self.model;
         let n_atoms = s.n_atoms();
-        let (kt, order, r_loc) = (self.kt, self.order, self.r_loc);
 
         // The failure-detection window scales on the orbital count like the
         // dense engine's; for the O(N) engine this overestimates
@@ -238,8 +205,16 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tbmd_model::silicon_gsp;
+    use tbmd_model::{silicon_gsp, TbModel};
     use tbmd_structure::{bulk_diamond, Species};
+
+    /// The engine the tests distribute: kT 0.3 eV.
+    fn engine(model: &dyn TbModel, order: usize, r_loc: f64) -> LinearScalingTb<'_> {
+        LinearScalingTb::new(model)
+            .with_kt(0.3)
+            .with_order(order)
+            .with_r_loc(r_loc)
+    }
 
     #[test]
     fn matches_shared_memory_engine() {
@@ -248,11 +223,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         s.perturb(&mut rng, 0.04);
         for p in [1usize, 3] {
-            let dist = DistributedLinearScalingTb::new(&model, p)
-                .with_kt(0.3)
-                .with_order(120)
-                .with_r_loc(5.0);
-            let shared = dist.shared_memory_equivalent();
+            let dist = DistributedLinearScalingTb::new(engine(&model, 120, 5.0), p);
+            let shared = engine(&model, 120, 5.0);
             let a = shared.evaluate(&s).unwrap();
             let b = dist.evaluate(&s).unwrap();
             assert!(
@@ -274,10 +246,7 @@ mod tests {
         let model = silicon_gsp();
         let traffic = |reps: usize| -> u64 {
             let s = bulk_diamond(Species::Silicon, reps, reps, reps);
-            let dist = DistributedLinearScalingTb::new(&model, 4)
-                .with_kt(0.3)
-                .with_order(60)
-                .with_r_loc(4.0);
+            let dist = DistributedLinearScalingTb::new(engine(&model, 60, 4.0), 4);
             dist.evaluate(&s).unwrap();
             dist.last_report().unwrap().stats.total_bytes()
         };
@@ -294,10 +263,7 @@ mod tests {
     fn flops_balance() {
         let model = silicon_gsp();
         let s = bulk_diamond(Species::Silicon, 2, 2, 2);
-        let dist = DistributedLinearScalingTb::new(&model, 4)
-            .with_kt(0.3)
-            .with_order(60)
-            .with_r_loc(4.0);
+        let dist = DistributedLinearScalingTb::new(engine(&model, 60, 4.0), 4);
         dist.evaluate(&s).unwrap();
         let flops: Vec<u64> = dist
             .last_report()
@@ -321,11 +287,8 @@ mod tests {
         let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
         let mut rng = StdRng::seed_from_u64(12);
         s.perturb(&mut rng, 0.03);
-        let dist = DistributedLinearScalingTb::new(&model, 3)
-            .with_kt(0.3)
-            .with_order(120)
-            .with_r_loc(5.0);
-        let reference = dist.shared_memory_equivalent().evaluate(&s).unwrap();
+        let dist = DistributedLinearScalingTb::new(engine(&model, 120, 5.0), 3);
+        let reference = engine(&model, 120, 5.0).evaluate(&s).unwrap();
         dist.evaluate(&s).unwrap();
         assert_eq!(dist.ranks.shrink_ranks(1), 2);
         let shrunk = dist.evaluate(&s).unwrap();
@@ -343,9 +306,7 @@ mod tests {
     fn single_rank_silent() {
         let model = silicon_gsp();
         let s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let dist = DistributedLinearScalingTb::new(&model, 1)
-            .with_kt(0.3)
-            .with_order(60);
+        let dist = DistributedLinearScalingTb::new(engine(&model, 60, f64::INFINITY), 1);
         dist.evaluate(&s).unwrap();
         assert_eq!(dist.last_report().unwrap().stats.total_messages(), 0);
     }

@@ -53,7 +53,7 @@ pub struct LinScaleReport {
 
 /// O(N) Chebyshev Fermi-operator TBMD engine.
 pub struct LinearScalingTb<'m> {
-    model: &'m dyn TbModel,
+    pub(crate) model: &'m dyn TbModel,
     /// Electronic temperature (eV); must be positive — the expansion cannot
     /// represent a step function.
     pub kt: f64,
@@ -457,7 +457,7 @@ mod tests {
             Structure::homogeneous(Species::Silicon, vec![], tbmd_structure::Cell::cluster());
         let engines: [&dyn ForceProvider; 2] = [
             &LinearScalingTb::new(&model),
-            &crate::DistributedLinearScalingTb::new(&model, 2),
+            &crate::DistributedLinearScalingTb::new(LinearScalingTb::new(&model), 2),
         ];
         for engine in engines {
             let name = engine.provider_name();

@@ -71,9 +71,12 @@ fn linear_scaling_engine_reproduces_the_parent_bits() {
 fn distributed_engine_at_three_ranks_reproduces_the_parent_bits() {
     let model = silicon_gsp();
     let model: &dyn TbModel = black_box(&model);
-    let engine = DistributedLinearScalingTb::new(model, 3)
-        .with_r_loc(R_LOC)
-        .with_order(ORDER);
+    let engine = DistributedLinearScalingTb::new(
+        LinearScalingTb::new(model)
+            .with_r_loc(R_LOC)
+            .with_order(ORDER),
+        3,
+    );
     let hash = evaluation_hash(&engine.evaluate(&si64()).unwrap());
     assert_eq!(hash, 0xf16f_9a72_8b25_12c5, "{hash:#018x}");
 }

@@ -3,8 +3,8 @@
 //! The molecular-dynamics layer: Maxwell–Boltzmann initialization,
 //! velocity-Verlet NVE integration, Nosé–Hoover NVT dynamics with the
 //! extended-system conserved quantity, temperature ramps,
-//! conjugate-gradient structural relaxation, and observables (running
-//! statistics, RDF, MSD, VACF) with trajectory capture.
+//! conjugate-gradient structural relaxation, normal modes, and observables
+//! (running statistics, the RDF) with in-memory trajectory capture.
 //!
 //! Everything is generic over [`tbmd_model::ForceProvider`], so the same
 //! integrators drive the serial calculator, the parallel engines and the
@@ -13,7 +13,6 @@
 pub mod nose_hoover;
 pub mod observables;
 pub mod phonons;
-pub mod quench;
 pub mod relax;
 pub mod state;
 pub mod trajectory;
@@ -21,11 +20,8 @@ pub mod velocities;
 pub mod verlet;
 
 pub use nose_hoover::{NoseHoover, TemperatureRamp};
-pub use observables::{
-    diffusion_coefficient, mean_square_displacement, RdfAccumulator, RunningStats, VacfAccumulator,
-};
+pub use observables::{RdfAccumulator, RunningStats};
 pub use phonons::{normal_modes, vibrational_dos, NormalModes};
-pub use quench::{QuenchSchedule, QuenchSegment};
 pub use relax::{max_force_component, relax, RelaxOptions, RelaxResult};
 pub use state::MdState;
 pub use trajectory::{Frame, Trajectory};

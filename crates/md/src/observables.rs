@@ -1,7 +1,5 @@
-//! Observables: running statistics, radial distribution functions,
-//! mean-square displacement and velocity autocorrelation.
+//! Observables: running statistics and radial distribution functions.
 
-use tbmd_linalg::Vec3;
 use tbmd_structure::Structure;
 
 /// Numerically stable running mean/variance (Welford's algorithm).
@@ -123,6 +121,31 @@ impl RdfAccumulator {
         }
     }
 
+    /// g(r) of one configuration on the standard window: out to half the
+    /// shortest periodic edge (the minimum-image bound), 5 Å for a cluster,
+    /// never under 1 Å, in 64 bins. Session observables and campaign rows
+    /// both read their RDF from this.
+    pub fn of_structure(s: &Structure) -> Self {
+        let r_max = s
+            .cell()
+            .min_periodic_edge()
+            .map_or(5.0, |edge| 0.5 * edge)
+            .max(1.0);
+        let mut rdf = RdfAccumulator::new(r_max, 64);
+        rdf.accumulate(s);
+        rdf
+    }
+
+    /// Histogram range (Å).
+    pub fn r_max(&self) -> f64 {
+        self.r_max
+    }
+
+    /// Number of bins.
+    pub fn n_bins(&self) -> usize {
+        self.bins.len()
+    }
+
     /// Bin width.
     pub fn dr(&self) -> f64 {
         self.r_max / self.bins.len() as f64
@@ -191,117 +214,6 @@ impl RdfAccumulator {
         }
         None
     }
-
-    /// Position and height of the highest g(r) peak.
-    pub fn highest_peak(&self) -> Option<(f64, f64)> {
-        self.finish()
-            .into_iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-    }
-}
-
-/// Mean-square displacement relative to a reference configuration
-/// (unwrapped coordinates assumed — callers must not re-wrap positions
-/// between measurements).
-pub fn mean_square_displacement(reference: &[Vec3], current: &[Vec3]) -> f64 {
-    assert_eq!(reference.len(), current.len());
-    if reference.is_empty() {
-        return 0.0;
-    }
-    reference
-        .iter()
-        .zip(current)
-        .map(|(a, b)| (*b - *a).norm_sq())
-        .sum::<f64>()
-        / reference.len() as f64
-}
-
-/// Self-diffusion coefficient from an MSD time series via the Einstein
-/// relation `MSD(t) = 6 D t + c`: least-squares slope over the supplied
-/// `(time_fs, msd_Å²)` samples divided by 6, in Å²/fs.
-///
-/// Callers should pass only the diffusive (late-time) part of the series;
-/// the ballistic regime at short times biases the fit upward.
-pub fn diffusion_coefficient(series: &[(f64, f64)]) -> Option<f64> {
-    if series.len() < 2 {
-        return None;
-    }
-    let n = series.len() as f64;
-    let (st, sm): (f64, f64) = series
-        .iter()
-        .fold((0.0, 0.0), |(a, b), &(t, m)| (a + t, b + m));
-    let (tbar, mbar) = (st / n, sm / n);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for &(t, m) in series {
-        num += (t - tbar) * (m - mbar);
-        den += (t - tbar) * (t - tbar);
-    }
-    (den > 0.0).then(|| num / den / 6.0)
-}
-
-/// Velocity autocorrelation accumulator: stores velocity snapshots and
-/// produces the normalized VACF `C(t) = ⟨v(0)·v(t)⟩ / ⟨v(0)·v(0)⟩`.
-#[derive(Debug, Clone, Default)]
-pub struct VacfAccumulator {
-    snapshots: Vec<Vec<Vec3>>,
-}
-
-impl VacfAccumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a velocity snapshot.
-    pub fn record(&mut self, velocities: &[Vec3]) {
-        self.snapshots.push(velocities.to_vec());
-    }
-
-    /// Number of recorded snapshots.
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
-
-    /// Normalized VACF using every snapshot as a time origin.
-    pub fn finish(&self, max_lag: usize) -> Vec<f64> {
-        let m = self.snapshots.len();
-        if m == 0 {
-            return vec![];
-        }
-        let lags = max_lag.min(m - 1) + 1;
-        let mut c = vec![0.0; lags];
-        let mut counts = vec![0usize; lags];
-        for t0 in 0..m {
-            for lag in 0..lags {
-                let Some(later) = self.snapshots.get(t0 + lag) else {
-                    break;
-                };
-                let dot: f64 = self.snapshots[t0]
-                    .iter()
-                    .zip(later)
-                    .map(|(a, b)| a.dot(*b))
-                    .sum();
-                c[lag] += dot;
-                counts[lag] += 1;
-            }
-        }
-        for (ck, &n) in c.iter_mut().zip(&counts) {
-            *ck /= n.max(1) as f64;
-        }
-        let c0 = c[0];
-        if c0.abs() > 0.0 {
-            for ck in &mut c {
-                *ck /= c0;
-            }
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -336,6 +248,21 @@ mod tests {
     }
 
     #[test]
+    fn standard_window_follows_the_cell() {
+        let crystal = RdfAccumulator::of_structure(&bulk_diamond(Species::Silicon, 1, 1, 1));
+        let edge = bulk_diamond(Species::Silicon, 1, 1, 1)
+            .cell()
+            .min_periodic_edge()
+            .unwrap();
+        assert_eq!((crystal.r_max(), crystal.n_bins()), (0.5 * edge, 64));
+        let dimer = RdfAccumulator::of_structure(&tbmd_structure::dimer(Species::Silicon, 2.3));
+        assert_eq!(dimer.r_max(), 5.0);
+        assert!(dimer
+            .first_peak()
+            .is_some_and(|(r, _)| (r - 2.3).abs() < dimer.dr()));
+    }
+
+    #[test]
     fn rdf_periodic_normalization_reasonable() {
         // In a perfect crystal the normalized peak is far above 1; far from
         // peaks g ≈ 0.
@@ -352,67 +279,5 @@ mod tests {
             .map(|x| x.1)
             .fold(0.0, f64::max);
         assert!(valley < 0.2, "valley {valley}");
-    }
-
-    #[test]
-    fn msd_of_uniform_translation() {
-        let a = vec![Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0)];
-        let b: Vec<Vec3> = a.iter().map(|&r| r + Vec3::new(0.0, 2.0, 0.0)).collect();
-        assert!((mean_square_displacement(&a, &b) - 4.0).abs() < 1e-14);
-        assert_eq!(mean_square_displacement(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn diffusion_coefficient_recovers_slope() {
-        // MSD = 6·0.25·t + 1.0 → D = 0.25.
-        let series: Vec<(f64, f64)> = (0..20)
-            .map(|i| (i as f64 * 2.0, 6.0 * 0.25 * i as f64 * 2.0 + 1.0))
-            .collect();
-        let d = diffusion_coefficient(&series).unwrap();
-        assert!((d - 0.25).abs() < 1e-12);
-        // Flat series → zero diffusion.
-        let frozen: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0)).collect();
-        assert!(diffusion_coefficient(&frozen).unwrap().abs() < 1e-12);
-        assert!(diffusion_coefficient(&[]).is_none());
-        assert!(diffusion_coefficient(&[(0.0, 0.0)]).is_none());
-    }
-
-    #[test]
-    fn vacf_of_constant_velocities_is_one() {
-        let mut acc = VacfAccumulator::new();
-        let v = vec![Vec3::new(0.1, 0.0, 0.0); 5];
-        for _ in 0..10 {
-            acc.record(&v);
-        }
-        let c = acc.finish(5);
-        assert_eq!(c.len(), 6);
-        for &x in &c {
-            assert!((x - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn vacf_of_alternating_velocities() {
-        let mut acc = VacfAccumulator::new();
-        let vp = vec![Vec3::new(1.0, 0.0, 0.0); 3];
-        let vm = vec![Vec3::new(-1.0, 0.0, 0.0); 3];
-        for k in 0..20 {
-            acc.record(if k % 2 == 0 { &vp } else { &vm });
-        }
-        let c = acc.finish(2);
-        assert!((c[0] - 1.0).abs() < 1e-12);
-        assert!(
-            (c[1] + 1.0).abs() < 1e-12,
-            "lag-1 should be −1, got {}",
-            c[1]
-        );
-        assert!((c[2] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vacf_empty() {
-        let acc = VacfAccumulator::new();
-        assert!(acc.is_empty());
-        assert!(acc.finish(3).is_empty());
     }
 }

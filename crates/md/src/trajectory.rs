@@ -1,7 +1,7 @@
-//! Trajectory recording: in-memory frame capture with optional XYZ export.
+//! Trajectory recording: in-memory frame capture.
 
 use crate::state::MdState;
-use tbmd_structure::{format_xyz_frame, Structure};
+use tbmd_structure::Structure;
 
 /// One recorded snapshot.
 #[derive(Debug, Clone)]
@@ -65,22 +65,6 @@ impl Trajectory {
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
-
-    /// Concatenated multi-frame XYZ text.
-    pub fn to_xyz(&self) -> String {
-        self.frames
-            .iter()
-            .map(|f| {
-                format_xyz_frame(
-                    &f.structure,
-                    &format!(
-                        "t={:.1} fs  E_pot={:.6} eV  T={:.1} K",
-                        f.time_fs, f.potential_energy, f.temperature
-                    ),
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -102,20 +86,5 @@ mod tests {
         }
         assert_eq!(traj.len(), 4); // steps 0, 3, 6, 9
         assert!(!traj.is_empty());
-    }
-
-    #[test]
-    fn xyz_export_has_all_frames() {
-        let model = silicon_gsp();
-        let calc = TbCalculator::new(&model);
-        let s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let state = MdState::new(s, vec![Vec3::ZERO; 8], &calc).unwrap();
-        let mut traj = Trajectory::new(1);
-        traj.observe(&state);
-        traj.observe(&state);
-        let xyz = traj.to_xyz();
-        // 2 frames × (2 header lines + 8 atoms).
-        assert_eq!(xyz.lines().count(), 20);
-        assert!(xyz.contains("E_pot="));
     }
 }

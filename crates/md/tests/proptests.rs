@@ -8,8 +8,7 @@ use rand::SeedableRng;
 use tbmd_linalg::Vec3;
 use tbmd_md::{
     dof_with_com_removed, instantaneous_temperature, kinetic_energy, maxwell_boltzmann,
-    mean_square_displacement, remove_com_velocity, rescale_to_temperature, RdfAccumulator,
-    RunningStats,
+    remove_com_velocity, rescale_to_temperature, RdfAccumulator, RunningStats,
 };
 use tbmd_structure::{bulk_diamond, Species};
 
@@ -81,17 +80,6 @@ proptest! {
         prop_assert!((st.variance() - var).abs() < 1e-8 * (1.0 + var));
         prop_assert_eq!(st.count(), xs.len() as u64);
         prop_assert!(st.min() <= mean + 1e-12 && st.max() >= mean - 1e-12);
-    }
-
-    #[test]
-    fn msd_translation_and_zero(dx in -3.0f64..3.0, dy in -3.0f64..3.0, dz in -3.0f64..3.0) {
-        let reference: Vec<Vec3> =
-            (0..10).map(|i| Vec3::new(i as f64, -(i as f64), 0.5 * i as f64)).collect();
-        prop_assert_eq!(mean_square_displacement(&reference, &reference), 0.0);
-        let t = Vec3::new(dx, dy, dz);
-        let moved: Vec<Vec3> = reference.iter().map(|&r| r + t).collect();
-        let expect = t.norm_sq();
-        prop_assert!((mean_square_displacement(&reference, &moved) - expect).abs() < 1e-10);
     }
 
     #[test]

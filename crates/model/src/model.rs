@@ -95,13 +95,6 @@ impl GspTbModel {
     pub fn species(&self) -> Species {
         self.species
     }
-
-    /// Replace the repulsion scale (returns the modified model; used by the
-    /// equation-of-state calibration tooling).
-    pub fn with_repulsion_scale(mut self, scale: f64) -> Self {
-        self.repulsion_scale = scale;
-        self
-    }
 }
 
 impl TbModel for GspTbModel {

@@ -100,35 +100,14 @@ enum NeighborMode {
 }
 
 /// Amortized neighbour-list state: a Verlet skin list when the cell permits
-/// it, a per-step plain build otherwise.
+/// it, a per-step plain build otherwise. The skin is [`DEFAULT_SKIN`].
+#[derive(Default)]
 pub struct NeighborWorkspace {
-    skin: f64,
     mode: Option<NeighborMode>,
     stats: NeighborStats,
 }
 
-impl Default for NeighborWorkspace {
-    fn default() -> Self {
-        NeighborWorkspace {
-            skin: DEFAULT_SKIN,
-            mode: None,
-            stats: NeighborStats::default(),
-        }
-    }
-}
-
 impl NeighborWorkspace {
-    /// Workspace with a custom skin width (Å). `skin = 0` degenerates to a
-    /// rebuild every step.
-    pub fn with_skin(skin: f64) -> Self {
-        assert!(skin >= 0.0);
-        NeighborWorkspace {
-            skin,
-            mode: None,
-            stats: NeighborStats::default(),
-        }
-    }
-
     /// Bring the list up to date with `s` at the given interaction cutoff.
     ///
     /// Reuses the existing Verlet list when possible (same cutoff and atom
@@ -147,9 +126,11 @@ impl NeighborWorkspace {
                 };
             }
         }
-        if s.cell().supports_cutoff(cutoff + self.skin) {
+        if s.cell().supports_cutoff(cutoff + DEFAULT_SKIN) {
             self.mode = Some(NeighborMode::Verlet(VerletNeighborList::new(
-                s, cutoff, self.skin,
+                s,
+                cutoff,
+                DEFAULT_SKIN,
             )));
             self.stats.rebuilds += 1;
             NeighborOutcome::Rebuilt
@@ -230,14 +211,6 @@ impl Workspace {
     /// Fresh workspace with the default Verlet skin.
     pub fn new() -> Self {
         Workspace::default()
-    }
-
-    /// Fresh workspace with a custom Verlet skin (Å).
-    pub fn with_skin(skin: f64) -> Self {
-        Workspace {
-            neighbors: NeighborWorkspace::with_skin(skin),
-            ..Workspace::default()
-        }
     }
 
     /// Number of times any of the `n_orb²`-sized buffers had to grow its

@@ -38,9 +38,10 @@ pub fn insert_interstitial(s: &mut Structure, sp: Species, frac: [f64; 3]) -> us
 /// Displace every atom by a uniform random vector of amplitude `max_disp`
 /// per component, drawn from an explicit seed — [`Structure::perturb`] with
 /// the RNG pinned, so equal `(structure, max_disp, seed)` always produce
-/// the same disordered configuration.
+/// the same disordered configuration. A NaN or non-positive amplitude
+/// displaces nothing.
 pub fn displacement_disorder(s: &mut Structure, max_disp: f64, seed: u64) {
-    if max_disp <= 0.0 {
+    if max_disp.is_nan() || max_disp <= 0.0 {
         return;
     }
     let mut rng = StdRng::seed_from_u64(seed);

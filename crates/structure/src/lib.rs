@@ -14,7 +14,6 @@ pub mod species;
 pub mod structure;
 pub mod vec3ext;
 pub mod verlet_list;
-pub mod xyz;
 
 pub use builders::{
     bulk_diamond, bulk_diamond_with_bond, diamond_lattice_constant, dimer, fullerene_c60,
@@ -26,4 +25,3 @@ pub use neighbors::{Neighbor, NeighborList};
 pub use species::Species;
 pub use structure::Structure;
 pub use verlet_list::VerletNeighborList;
-pub use xyz::{format_xyz_frame, write_xyz_frame};

@@ -6,16 +6,16 @@
 //!    bit for bit, the standalone [`tbmd::Session`] built from the same
 //!    config and initial state — the campaign layer adds bookkeeping
 //!    (step-latency percentiles among it), never physics.
-//! 2. **Kill + resume = uninterrupted.** A campaign stopped mid-run and
-//!    re-invoked against the same directory reuses every completed cell's
-//!    fingerprinted result file and produces the same report as a single
-//!    uninterrupted run.
+//! 2. **Kill + resume = uninterrupted.** A campaign killed mid-run leaves
+//!    the result files of the cells it finished; re-invoked against the same
+//!    directory, it reuses every one of those fingerprinted files and
+//!    produces the same report as a single uninterrupted run.
 //! 3. **Formation energy.** The report's vacancy formation energy equals
 //!    the directly computed `E_vac − (N_vac / N_ref) · E_ref` from two
 //!    hand-built relaxations.
 
 use std::path::PathBuf;
-use tbmd_campaign::{run_campaign, CampaignSpec, CellPlan, RunOptions};
+use tbmd_campaign::{run_campaign, CampaignSpec, CellPlan};
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tbmd_campaign_{}_{}", name, std::process::id()));
@@ -42,7 +42,7 @@ const MATRIX_SPEC: &str = r#"{
 /// Run one cell as a bare standalone session — the reference the campaign
 /// row must match bitwise.
 fn standalone_endpoint(cell: &CellPlan) -> u64 {
-    let protocol = cell.protocol.segments()[0];
+    let protocol = cell.segments[0];
     let config = tbmd::SimulationConfig {
         system: cell.system,
         engine: cell.engine,
@@ -67,8 +67,7 @@ fn matrix_cells_match_standalone_sessions_bitwise() {
     let spec = CampaignSpec::from_json(MATRIX_SPEC).expect("parse");
     let cells = spec.expand();
     assert_eq!(cells.len(), 8, "2×2×2 matrix");
-    let report = run_campaign(&spec, &RunOptions::default()).expect("campaign");
-    assert!(report.complete);
+    let report = run_campaign(&spec, None).expect("campaign");
     assert_eq!(report.rows.len(), 8);
     for cell in &cells {
         let row = report.row(&cell.name).expect("row for every cell");
@@ -103,35 +102,31 @@ fn killed_campaign_resumes_skipping_completed_cells() {
     let dir = scratch_dir("resume");
 
     // Uninterrupted reference, no result directory involved.
-    let reference = run_campaign(&spec, &RunOptions::default()).expect("reference");
+    let reference = run_campaign(&spec, None).expect("reference");
 
-    // Kill after 3 cells.
-    let killed = run_campaign(
-        &spec,
-        &RunOptions {
-            dir: Some(dir.clone()),
-            stop_after: Some(3),
-            ..RunOptions::default()
-        },
-    )
-    .expect("partial run");
-    assert!(!killed.complete);
-    assert_eq!(killed.rows.len(), 3);
-    assert_eq!(killed.executed, 3);
+    // A kill after three cells leaves exactly their result files: each cell
+    // publishes its own the moment it finishes. Run the matrix, then take
+    // away the files of the five cells the kill would have cut short.
+    let full = run_campaign(&spec, Some(&dir)).expect("first run");
+    assert_eq!(full.executed, 8);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("cells"))
+        .expect("cells dir")
+        .map(|entry| entry.expect("entry").path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 8, "one result file per cell");
+    for file in &files[3..] {
+        std::fs::remove_file(file).expect("remove result file");
+    }
 
     // Resume: the 3 completed cells come from their result files.
-    let resumed = run_campaign(
-        &spec,
-        &RunOptions {
-            dir: Some(dir.clone()),
-            ..RunOptions::default()
-        },
-    )
-    .expect("resumed run");
-    assert!(resumed.complete);
+    let resumed = run_campaign(&spec, Some(&dir)).expect("resumed run");
     assert_eq!(resumed.rows.len(), 8);
-    assert_eq!(resumed.reused, 3, "completed cells must not re-run");
-    assert_eq!(resumed.executed, 5);
+    assert_eq!(
+        (resumed.reused, resumed.executed),
+        (3, 5),
+        "completed cells must not re-run"
+    );
 
     // The stitched report equals the uninterrupted one on every
     // deterministic observable (wall-clock latency excluded by design).
@@ -149,16 +144,8 @@ fn killed_campaign_resumes_skipping_completed_cells() {
     }
 
     // A third invocation reuses everything.
-    let cached = run_campaign(
-        &spec,
-        &RunOptions {
-            dir: Some(dir.clone()),
-            ..RunOptions::default()
-        },
-    )
-    .expect("cached run");
-    assert_eq!(cached.reused, 8);
-    assert_eq!(cached.executed, 0);
+    let cached = run_campaign(&spec, Some(&dir)).expect("cached run");
+    assert_eq!((cached.reused, cached.executed), (8, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -218,12 +205,7 @@ const MIXED_ROWS: [(&str, u64); 4] = [
 fn multiplexed_result_files_pair_rows_with_their_cells() {
     let spec = CampaignSpec::from_json(MIXED_SPEC).expect("parse");
     let dir = scratch_dir("mux_resume");
-    let opts = RunOptions {
-        dir: Some(dir.clone()),
-        ..RunOptions::default()
-    };
-    let mux = run_campaign(&spec, &opts).expect("multiplexed run");
-    assert!(mux.complete);
+    let mux = run_campaign(&spec, Some(&dir)).expect("multiplexed run");
     assert_eq!(mux.executed, 4);
     for row in &mux.rows {
         assert_pinned(&MIXED_ROWS, row);
@@ -264,7 +246,7 @@ fn multiplexed_result_files_pair_rows_with_their_cells() {
     assert_eq!(files, 4, "one result file per cell");
 
     // And a resume reuses every file, reproducing the run that wrote them.
-    let resumed = run_campaign(&spec, &opts).expect("resume from multiplexed result files");
+    let resumed = run_campaign(&spec, Some(&dir)).expect("resume from multiplexed result files");
     assert_eq!(resumed.reused, 4, "every multiplexed cell must be reusable");
     assert_eq!(resumed.executed, 0);
     for (a, b) in mux.rows.iter().zip(&resumed.rows) {
@@ -295,7 +277,7 @@ const VACANCY_SPEC: &str = r#"{
 #[test]
 fn vacancy_formation_energy_matches_direct_reference() {
     let spec = CampaignSpec::from_json(VACANCY_SPEC).expect("parse");
-    let report = run_campaign(&spec, &RunOptions::default()).expect("campaign");
+    let report = run_campaign(&spec, None).expect("campaign");
     let cells = spec.expand();
 
     // Direct reference: relax both cells by hand through the same session
@@ -423,15 +405,11 @@ fn a_bad_cell_keeps_the_finished_ones() {
     };
     let pristine = r#"{"label": "pristine", "kind": "pristine"}"#;
     let dir = scratch_dir("bad_cell");
-    let opts = RunOptions {
-        dir: Some(dir.clone()),
-        ..RunOptions::default()
-    };
 
     let bad = spec_with(&format!(
         r#"{pristine}, {{"label": "vac99", "kind": "vacancy", "site": 99}}"#
     ));
-    let err = run_campaign(&bad, &opts).expect_err("site 99 of an 8-atom cell");
+    let err = run_campaign(&bad, Some(&dir)).expect_err("site 99 of an 8-atom cell");
     assert!(err.contains("si1/vac99/nve/serial"), "{err}");
     let files: Vec<PathBuf> = std::fs::read_dir(dir.join("cells"))
         .expect("cells dir")
@@ -443,15 +421,16 @@ fn a_bad_cell_keeps_the_finished_ones() {
         .expect("row");
     assert_eq!(row.name, "si1/pristine/nve/serial");
 
-    let good = run_campaign(&spec_with(pristine), &opts).expect("pristine only");
+    let good = run_campaign(&spec_with(pristine), Some(&dir)).expect("pristine only");
     assert_eq!((good.reused, good.executed), (1, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Vacancy cells (seven atoms, 28 orbitals: below the two-stage floor) that
-/// ask for two threads each lease one, so the campaign's budget — one
-/// thread per hardware thread — runs as many of them per sweep as the host
-/// has threads. Every row is still the pinned one, quench chains included.
+/// Vacancy cells (seven atoms, 28 orbitals: below the two-stage floor) may
+/// lease the whole team but each leases one thread, so the campaign's
+/// budget — one thread per hardware thread — runs as many of them per sweep
+/// as the host has threads. Every row is still the pinned one, quench
+/// chains included.
 #[test]
 fn narrow_cells_share_sweeps_and_match_the_inline_run_bitwise() {
     let spec = CampaignSpec::from_json(
@@ -472,12 +451,7 @@ fn narrow_cells_share_sweeps_and_match_the_inline_run_bitwise() {
     }"#,
     )
     .expect("parse");
-    let opts = RunOptions {
-        threads_per_cell: 2,
-        quantum: 3,
-        ..RunOptions::default()
-    };
-    let report = run_campaign(&spec, &opts).expect("campaign");
+    let report = run_campaign(&spec, None).expect("campaign");
     assert_eq!(report.rows.len(), 8);
     for row in &report.rows {
         assert_eq!(row.n_atoms, 7, "{}", row.name);
@@ -522,12 +496,9 @@ fn a_failing_cell_keeps_the_cells_beside_it() {
         .expect("parse")
     };
     let dir = scratch_dir("failing_cell");
-    let opts = RunOptions {
-        dir: Some(dir.clone()),
-        ..RunOptions::default()
-    };
 
-    let err = run_campaign(&spec_with(1e200), &opts).expect_err("a 1e200 fs step cannot finish");
+    let err =
+        run_campaign(&spec_with(1e200), Some(&dir)).expect_err("a 1e200 fs step cannot finish");
     assert!(err.contains("si1/pristine/boom/serial"), "{err}");
     let mut stored: Vec<String> = std::fs::read_dir(dir.join("cells"))
         .expect("cells dir")
@@ -547,7 +518,7 @@ fn a_failing_cell_keeps_the_cells_beside_it() {
         "every cell beside the failing ones published"
     );
 
-    let mended = run_campaign(&spec_with(1.0), &opts).expect("the step mended");
+    let mended = run_campaign(&spec_with(1.0), Some(&dir)).expect("the step mended");
     assert_eq!((mended.reused, mended.executed), (4, 4));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -568,16 +539,12 @@ fn repeated_labels_run_as_distinct_cells() {
     )
     .expect("parse");
     let dir = scratch_dir("repeated_labels");
-    let opts = RunOptions {
-        dir: Some(dir.clone()),
-        ..RunOptions::default()
-    };
-    let first = run_campaign(&spec, &opts).expect("repeated labels");
+    let first = run_campaign(&spec, Some(&dir)).expect("repeated labels");
     let shape: Vec<(usize, usize)> = first.rows.iter().map(|r| (r.index, r.steps)).collect();
     assert_eq!(shape, [(0, 2), (1, 3)]);
     assert!(first.rows.iter().all(|r| r.name == "si1/pristine/a/serial"));
 
-    let again = run_campaign(&spec, &opts).expect("re-run");
+    let again = run_campaign(&spec, Some(&dir)).expect("re-run");
     assert_eq!(again.reused + again.executed, 2);
     for (a, b) in first.rows.iter().zip(&again.rows) {
         assert_eq!(a.deterministic_key(), b.deterministic_key());
