@@ -11,10 +11,10 @@ use tbmd::model::{
     electronic_forces, repulsive_energy_forces, stress_from_density, ForceEvaluation, OrbitalIndex,
     TbCalculator,
 };
-use tbmd::structure::{apply_strain, bulk_diamond};
+use tbmd::structure::{apply_strain, bulk_diamond, nanotube};
 use tbmd::{
-    silicon_gsp, stress_tensor, Budget, Engine, EngineKind, FaultKind, FaultPlan, ForceProvider,
-    OccupationScheme, Species, Structure, TbError, Workspace,
+    carbon_xwch, silicon_gsp, stress_tensor, Budget, Engine, EngineKind, FaultKind, FaultPlan,
+    ForceProvider, OccupationScheme, Species, Structure, TbError, TbModel, Workspace,
 };
 
 const KT: f64 = 0.1;
@@ -198,6 +198,80 @@ fn dense_kinds_are_one_pipeline_at_every_lease_width() {
 /// [`fnv`] of the Si-64 and Si-8 energies above, recorded at the parent
 /// commit, where the serial kind ran the scatter-form force stage.
 const PARENT_ENERGY_BITS: u64 = 0xefc6_36a0_e375_57d6;
+
+/// [`fnv`] of an evaluation's energy and every force component.
+fn evaluation_bits(eval: &ForceEvaluation) -> u64 {
+    let forces = eval.forces.iter().flat_map(|f| f.to_array());
+    fnv(std::iter::once(eval.energy).chain(forces))
+}
+
+/// Energy, force and stress bits of every engine kind against those the
+/// parent commit of the bond table computed: dense Si-8 (one-stage solve)
+/// and perturbed Si-64 (two-stage) at lease widths 1 and 2, the (10,0)×2
+/// tube on XWCH carbon, two ranks on Si-64, the O(N) engine on Si-64 alone
+/// and on two ranks, and the stress tensor of strained Si-64.
+#[test]
+fn forces_and_stress_are_the_parent_bits() {
+    let (si, carbon) = (silicon_gsp(), carbon_xwch());
+    let mut si8 = bulk_diamond(Species::Silicon, 1, 1, 1);
+    si8.perturb(&mut StdRng::seed_from_u64(8), 0.05);
+    let si64 = perturbed_si64();
+    let mut tube = nanotube(10, 0, 2, 1.42);
+    tube.perturb(&mut StdRng::seed_from_u64(10), 0.03);
+    let linscale = EngineKind::LinearScaling {
+        r_loc: 6.0,
+        order: 64,
+    };
+    let dist_linscale = EngineKind::DistributedLinearScaling {
+        ranks: 2,
+        r_loc: 6.0,
+        order: 64,
+    };
+    let dist2 = EngineKind::Distributed { ranks: 2 };
+    let runs: [(&str, EngineKind, &dyn TbModel, f64, &Structure, usize); 9] = [
+        ("si8 w1", EngineKind::Serial, &si, KT, &si8, 1),
+        ("si8 w2", EngineKind::Serial, &si, KT, &si8, 2),
+        ("si64 w1", EngineKind::Serial, &si, KT, &si64, 1),
+        ("si64 w2", EngineKind::Serial, &si, KT, &si64, 2),
+        ("tube", EngineKind::Shared, &carbon, KT, &tube, 2),
+        ("dist2", dist2, &si, KT, &si64, 1),
+        ("linscale", linscale, &si, 0.2, &si64, 2),
+        ("dist linscale", dist_linscale, &si, 0.2, &si64, 1),
+        ("stress", EngineKind::Serial, &si, KT, &si64, 1),
+    ];
+    let got: Vec<(&str, u64)> = runs
+        .into_iter()
+        .map(|(name, kind, model, kt, s, width)| {
+            let bits = if name == "stress" {
+                let mut strained = s.clone();
+                apply_strain(&mut strained, [0.02, -0.01, 0.0]);
+                let occupation = OccupationScheme::Fermi { kt };
+                let sigma = leased(width, || stress_tensor(&strained, model, occupation));
+                fnv(sigma.unwrap().into_iter().flatten())
+            } else {
+                let eval = leased(width, || Engine::build(kind, model, kt).evaluate(s));
+                evaluation_bits(&eval.unwrap())
+            };
+            (name, bits)
+        })
+        .collect();
+    assert_eq!(got, PARENT_FORCE_BITS, "force or stress bits moved");
+}
+
+/// [`evaluation_bits`] (the stress: [`fnv`] of its nine components, row by
+/// row) of each run above, recorded at the parent commit of the bond table,
+/// where every stage evaluated its own radial functions per distance.
+const PARENT_FORCE_BITS: [(&str, u64); 9] = [
+    ("si8 w1", 0x06b6_669a_79bc_6eca),
+    ("si8 w2", 0x06b6_669a_79bc_6eca),
+    ("si64 w1", 0x1462_dfe4_a534_e51f),
+    ("si64 w2", 0x1462_dfe4_a534_e51f),
+    ("tube", 0x559f_3869_a137_6de2),
+    ("dist2", 0x3af7_9098_731b_b032),
+    ("linscale", 0xe3d6_732c_37b0_3a90),
+    ("dist linscale", 0x47b4_4b50_ebba_b8af),
+    ("stress", 0x0a23_5072_33b5_f054),
+];
 
 /// So do the O(N) engine's: an atom's recurrence sums in an order of its
 /// own and the atoms are combined in atom order, whichever thread ran them.
