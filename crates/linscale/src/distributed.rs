@@ -16,7 +16,7 @@ use crate::engine::{AtomRegion, LinearScalingTb};
 use crate::sparse::SparseH;
 use std::sync::{Mutex, PoisonError};
 use tbmd_model::{
-    bond_force, embedding, validate, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
+    bond_force, validate, BondTable, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
     TbError, Workspace,
 };
 use tbmd_parallel::{gather_forces, partition_range, PhaseClock, RankControl, Replica, VmpStats};
@@ -39,6 +39,8 @@ pub struct DistributedLinScaleReport {
 #[derive(Default)]
 struct LinScaleRankSlot {
     replica: Replica,
+    /// The radial terms of the replica's list and every atom's embedding.
+    bonds: BondTable,
     /// Chebyshev moments μ_m = Σ_owned ⟨g|T_m|g⟩ before the allreduce.
     moments: Vec<f64>,
     /// This rank's force block.
@@ -122,7 +124,8 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 timings.neighbors = clock.lap(&mut timings);
 
                 let index = OrbitalIndex::new(local);
-                let h = SparseH::build(local, nl, model, &index);
+                slot.bonds.fill(model, nl);
+                let h = SparseH::assemble(local, nl, model, &slot.bonds, &index);
                 let (e_min, e_max) = h.gershgorin_bounds();
                 let my_atoms = partition_range(n_atoms, rank.size(), rank.id());
                 timings.hamiltonian = clock.lap(&mut timings);
@@ -149,7 +152,6 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 timings.diagonalize = clock.lap(&mut timings);
 
                 // ---- Density + forces for my atoms.
-                let fx = embedding(model, nl, n_atoms);
                 let mut band_partial = 0.0;
                 let mut rep_partial = 0.0;
                 slot.forces_block.clear();
@@ -157,8 +159,8 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                     let density = region.density(nl, &index, &fermi.coeffs, shift, scale);
                     rank.count_flops(2 * region.step_ops(order.saturating_sub(1)));
                     band_partial += density.band;
-                    rep_partial += fx[a].0;
-                    let fi = bond_force(model, nl, a, &fx, |j| density.block(j));
+                    rep_partial += slot.bonds.embedding(a).0;
+                    let fi = bond_force(nl, &slot.bonds, a, |j| density.block(j));
                     rank.count_flops(400 * nl.neighbors(a).len() as u64);
                     slot.forces_block.extend_from_slice(&fi.to_array());
                 }

@@ -30,8 +30,8 @@ use std::sync::{Mutex, PoisonError};
 use tbmd_linalg::kernels::Block4;
 use tbmd_linalg::{team, Vec3};
 use tbmd_model::{
-    bond_force, embedding, prologue, validate, ForceEvaluation, ForceProvider, OrbitalIndex,
-    PhaseTimings, TbError, TbModel, Workspace,
+    bond_force, prologue, validate, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
+    TbError, TbModel, Workspace,
 };
 use tbmd_structure::{NeighborList, Structure};
 
@@ -242,7 +242,8 @@ impl ForceProvider for LinearScalingTb<'_> {
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
         let index = OrbitalIndex::new(s);
-        let h = SparseH::build(s, nl, model, &index);
+        ws.bonds.fill(model, nl);
+        let h = SparseH::assemble(s, nl, model, &ws.bonds, &index);
         let (e_min, e_max) = h.gershgorin_bounds();
         // shift/scale chosen once (μ enters only through coefficients).
         let (shift, scale) = spectral_window(e_min, e_max);
@@ -295,10 +296,10 @@ impl ForceProvider for LinearScalingTb<'_> {
 
         // ---- Forces: electronic from local ρ blocks + repulsive gather.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let fx = embedding(model, nl, n_atoms);
-        let e_rep: f64 = fx.iter().map(|&(f, _)| f).sum();
+        let bonds = &ws.bonds;
+        let e_rep = bonds.repulsive_energy();
         let forces: Vec<Vec3> = team::map(width, n_atoms, |i| {
-            bond_force(model, nl, i, &fx, |j| densities[i].block(j))
+            bond_force(nl, bonds, i, |j| densities[i].block(j))
         });
         timings.forces = sp.finish();
 

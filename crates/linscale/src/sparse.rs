@@ -9,7 +9,7 @@
 //! localization regions by copying the blocks whose atoms lie inside.
 
 use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, StepTail};
-use tbmd_model::{sk_block, OrbitalIndex, TbModel};
+use tbmd_model::{sk_block, BondTable, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
 /// Block rows over padded four-row slots, one slot per atom, with the
@@ -76,14 +76,29 @@ pub struct SparseH {
 }
 
 impl SparseH {
-    /// Assemble the Hamiltonian block by block. Each atom's on-site
-    /// energies come first, then every neighbour image's Slater–Koster block
-    /// is added in list order, so each entry is summed in the order the
-    /// dense assembly sums it.
+    /// [`SparseH::assemble`] on a bond table of its own: the signature the
+    /// standalone benchmark package calls.
     pub fn build(
         s: &Structure,
         nl: &NeighborList,
         model: &dyn TbModel,
+        index: &OrbitalIndex,
+    ) -> Self {
+        let mut bonds = BondTable::default();
+        bonds.fill(model, nl);
+        SparseH::assemble(s, nl, model, &bonds, index)
+    }
+
+    /// Assemble the Hamiltonian block by block from the hoppings of `bonds`
+    /// (filled for `nl`) and the model's on-site energies. Each atom's
+    /// on-site energies come first, then every neighbour image's
+    /// Slater–Koster block is added in list order, so each entry is summed
+    /// in the order the dense assembly sums it.
+    pub fn assemble(
+        s: &Structure,
+        nl: &NeighborList,
+        model: &dyn TbModel,
+        bonds: &BondTable,
         index: &OrbitalIndex,
     ) -> Self {
         let mut h = BlockRows::new();
@@ -93,12 +108,11 @@ impl SparseH {
             let mut diag = [0.0; 4];
             diag[..ni].copy_from_slice(&model.on_site(s.species(i))[..ni]);
             row.clear();
-            for nb in nl.neighbors(i) {
-                let v = model.hoppings(nb.dist);
-                if v.iter().all(|&x| x == 0.0) {
+            for (nb, t) in bonds.bonds(nl, i) {
+                if t.v.iter().all(|&x| x == 0.0) {
                     continue;
                 }
-                let b = sk_block(nb.disp.to_array(), v);
+                let b = sk_block(nb.disp.to_array(), t.v);
                 let e = match row.iter().position(|r| r.0 as usize == nb.j) {
                     Some(e) => e,
                     None => {

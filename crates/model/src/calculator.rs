@@ -7,27 +7,31 @@
 //! reports (experiment T1):
 //!
 //! 1. **neighbours** — O(N) linked-cell list build;
-//! 2. **hamiltonian** — O(N·z) Slater–Koster assembly, one atom's band per
-//!    task ([`build_hamiltonian_into`]);
+//! 2. **hamiltonian** — O(N·z): the bond table — one model call per
+//!    neighbour-list entry for every radial term the step needs, plus each
+//!    atom's embedding ([`crate::stages::BondTable`]) — then Slater–Koster
+//!    assembly from it, one atom's band per task
+//!    ([`assemble_hamiltonian_into`]);
 //! 3. **diagonalize** — O(N³) symmetric eigensolve;
 //! 4. **density** — `ρ = 2 C f Cᵀ` on the blocks the forces read:
 //!    O(N·z·N_occ) ([`crate::stages::bond_density`]; the full matrix,
 //!    [`density_matrix_into`], is O(N²·N_occ));
 //! 5. **forces** — O(N·z) contraction of `ρ` with `∂H/∂R` plus the
-//!    repulsive-potential forces, one atom per task ([`dense_forces`]).
+//!    repulsive-potential forces, one atom per task, from the same table
+//!    ([`dense_forces`]).
 //!
-//! Both fan-outs take [`tbmd_linalg::team::width`] threads, and an atom's
-//! band or force is the same bits on whichever thread runs it, so a
-//! width-1 lease and a wide one give the same result.
+//! The fan-outs take [`tbmd_linalg::team::width`] threads, and an atom's
+//! table row, band or force is the same bits on whichever thread runs it,
+//! so a width-1 lease and a wide one give the same result.
 //!
 //! The same phase structure is what `tbmd-parallel` distributes; the stages
 //! themselves live in [`crate::stages`].
 
-use crate::hamiltonian::{build_hamiltonian_into, OrbitalIndex};
+use crate::hamiltonian::{assemble_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
 use crate::occupations::{occupations, OccupationScheme, Occupations};
 use crate::stages::{
-    bond_contraction, bond_density, dense_block, dense_forces, embedding, entropy_term, epilogue,
+    bond_contraction, bond_density, dense_block, dense_forces, entropy_term, epilogue,
     occupied_factor_into, prologue, solve_occupied, spectrum, validate,
 };
 use crate::workspace::{NeighborOutcome, Workspace};
@@ -296,8 +300,9 @@ impl<'m> TbCalculator<'m> {
         ws.neighbors.update(s, self.model.cutoff());
         let nl = ws.neighbors.list();
         let index = OrbitalIndex::new(s);
-        build_hamiltonian_into(s, nl, self.model, &index, &mut ws.h);
-        let (rep, _) = repulsive_energy_forces(s, nl, self.model, false);
+        ws.bonds.fill(self.model, nl);
+        assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h);
+        let rep = ws.bonds.repulsive_energy();
         spectrum(&mut ws, self.solver)?;
         let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
         let band = occ.band_energy(&ws.values);
@@ -312,12 +317,13 @@ impl<'m> TbCalculator<'m> {
         self.compute_with(s, &mut Workspace::new())
     }
 
-    /// The front half of the pipeline — neighbours → `H` → solve → `ρ` —
-    /// through a persistent [`Workspace`]. Leaves `ρ` on the bond blocks of
-    /// the neighbour list in `ws.rho` ([`bond_density`]; zero elsewhere),
-    /// the spectrum in `ws.values`, the neighbour list in `ws.neighbors` and
-    /// the eigenvectors where `ws.dense_cache` says; everything downstream
-    /// (forces, stress, the health probe) reads those.
+    /// The front half of the pipeline — neighbours → bond table and `H` →
+    /// solve → `ρ` — through a persistent [`Workspace`]. Leaves `ρ` on the
+    /// bond blocks of the neighbour list in `ws.rho` ([`bond_density`]; zero
+    /// elsewhere), the spectrum in `ws.values`, the neighbour list in
+    /// `ws.neighbors`, its radial terms in `ws.bonds` and the eigenvectors
+    /// where `ws.dense_cache` says; everything downstream (forces, stress,
+    /// the health probe) reads those.
     pub fn density_with(
         &self,
         s: &Structure,
@@ -329,8 +335,10 @@ impl<'m> TbCalculator<'m> {
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
         let index = OrbitalIndex::new(s);
+        let nl = ws.neighbors.list();
+        ws.bonds.fill(self.model, nl);
         ws.grown +=
-            build_hamiltonian_into(s, ws.neighbors.list(), self.model, &index, &mut ws.h) as usize;
+            assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h) as usize;
         timings.hamiltonian = sp.finish();
 
         let (occ, diagonalize) = solve_occupied(ws, s.n_electrons(), self.occupation, self.solver)?;
@@ -359,7 +367,7 @@ impl<'m> TbCalculator<'m> {
         let band = occ.band_energy(&ws.values);
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let (rep, forces) = dense_forces(s, ws.neighbors.list(), self.model, &index, &ws.rho);
+        let (rep, forces) = dense_forces(ws.neighbors.list(), &ws.bonds, &index, &ws.rho);
         timings.forces = sp.finish();
 
         epilogue(ws.grown - grown_before, &timings, &[]);
@@ -400,7 +408,9 @@ pub fn density_matrix_into(vectors: &Matrix, f: &[f64], w: &mut Matrix, rho: &mu
 
 /// Band-structure (electronic) forces: `F_i = 2 Σ_{j∈nb(i)} ρ_ij : ∂B/∂d`.
 /// With [`repulsive_energy_forces`] this is the scatter-form reference the
-/// pipeline's gather-form [`dense_forces`] is tested against.
+/// pipeline's gather-form [`dense_forces`] is tested against; both evaluate
+/// the model per distance rather than through a
+/// [`crate::stages::BondTable`], so they share no radial code with it.
 ///
 /// Self-image entries (`j == i`) carry no force: their bond vector is a
 /// fixed lattice translation, independent of the atomic coordinates.
@@ -416,8 +426,9 @@ pub fn electronic_forces(
             let oi = index.offset(i);
             let mut fi = Vec3::ZERO;
             for nb in nl.neighbors(i).iter().filter(|nb| nb.j != i) {
+                let (v, dv) = (model.hoppings(nb.dist), model.hoppings_deriv(nb.dist));
                 let block = dense_block(rho, oi, index.offset(nb.j));
-                if let Some(acc) = bond_contraction(model, nb, block) {
+                if let Some(acc) = bond_contraction(nb, v, dv, block) {
                     fi += acc * 2.0;
                 }
             }
@@ -438,7 +449,12 @@ pub fn repulsive_energy_forces(
     want_forces: bool,
 ) -> (f64, Option<Vec<Vec3>>) {
     let n = s.n_atoms();
-    let fx = embedding(model, nl, n);
+    let fx: Vec<(f64, f64)> = (0..n)
+        .map(|i| {
+            let x = nl.neighbors(i).iter().map(|nb| model.repulsion(nb.dist).0);
+            model.embedding(x.sum())
+        })
+        .collect();
     let mut energy = 0.0;
     for &(f, _) in &fx {
         energy += f;

@@ -46,23 +46,13 @@ pub const C_REPULSION_SCALE: f64 = 1.0;
 pub fn carbon_xwch() -> GspTbModel {
     let tail = CutoffTail::new(C_TAIL_INNER, C_TAIL_OUTER);
     let hop_shape = RadialShape {
-        scaling: GspScaling {
-            r0: C_R0,
-            n: 2.0,
-            rc: 2.18,
-            nc: 6.5,
-        },
+        scaling: GspScaling::new(C_R0, 2.0, 2.18, 6.5),
         tail,
     };
     let rep = RadialFunction {
         amplitude: 8.18555,
         shape: RadialShape {
-            scaling: GspScaling {
-                r0: C_D0,
-                n: 3.30304,
-                rc: 2.1052,
-                nc: 8.6655,
-            },
+            scaling: GspScaling::new(C_D0, 3.30304, 2.1052, 8.6655),
             tail,
         },
     };

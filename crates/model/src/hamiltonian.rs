@@ -10,6 +10,7 @@
 
 use crate::model::TbModel;
 use crate::slater_koster::sk_block;
+use crate::stages::BondTable;
 use tbmd_linalg::{team, Matrix};
 use tbmd_structure::{NeighborList, Structure};
 
@@ -68,13 +69,10 @@ pub fn build_hamiltonian(
 }
 
 /// [`build_hamiltonian`] into a caller-owned buffer, reusing its allocation
-/// when the capacity suffices. Returns `true` if the buffer had to grow.
-///
-/// Each atom's band of 4 rows (`assemble_band`) is one task of a
-/// [`team::chunks_for_each`] over [`team::width`] threads — the compute
-/// lease's width, 1 on a rank thread. Bands are disjoint and a band's
-/// arithmetic does not depend on the thread that runs it, so `H` is the same
-/// bits at every width.
+/// when the capacity suffices, on a [`BondTable`] of its own. Returns `true`
+/// if the buffer had to grow. The standalone benchmark package calls the
+/// H build by this signature; the engines fill their table once per
+/// evaluation and call [`assemble_hamiltonian_into`].
 pub fn build_hamiltonian_into(
     s: &Structure,
     nl: &NeighborList,
@@ -82,11 +80,33 @@ pub fn build_hamiltonian_into(
     index: &OrbitalIndex,
     h: &mut Matrix,
 ) -> bool {
+    let mut bonds = BondTable::default();
+    bonds.fill(model, nl);
+    assemble_hamiltonian_into(s, nl, model, &bonds, index, h)
+}
+
+/// The H stage: the dense Γ-point Hamiltonian in eV from the hoppings of
+/// `bonds` (filled for `nl`) and the model's on-site energies, into a
+/// caller-owned buffer. Returns `true` if the buffer had to grow.
+///
+/// Each atom's band of 4 rows (`assemble_band`) is one task of a
+/// [`team::chunks_for_each`] over [`team::width`] threads — the compute
+/// lease's width, 1 on a rank thread. Bands are disjoint and a band's
+/// arithmetic does not depend on the thread that runs it, so `H` is the same
+/// bits at every width.
+pub fn assemble_hamiltonian_into(
+    s: &Structure,
+    nl: &NeighborList,
+    model: &dyn TbModel,
+    bonds: &BondTable,
+    index: &OrbitalIndex,
+    h: &mut Matrix,
+) -> bool {
     let n = index.total();
     let grew = h.resize_zeroed(n, n);
     if n > 0 {
         team::chunks_for_each(team::width(), h.as_mut_slice(), 4 * n, |i, band| {
-            assemble_band(s, nl, model, index, i, band)
+            assemble_band(s, nl, model, bonds, index, i, band)
         });
     }
     grew
@@ -100,6 +120,7 @@ fn assemble_band(
     s: &Structure,
     nl: &NeighborList,
     model: &dyn TbModel,
+    bonds: &BondTable,
     index: &OrbitalIndex,
     i: usize,
     band: &mut [f64],
@@ -116,12 +137,11 @@ fn assemble_band(
     for (k, &ek) in model.on_site(s.species(i)).iter().enumerate() {
         band[k * n + oi + k] = ek;
     }
-    for nb in nl.neighbors(i) {
-        let v = model.hoppings(nb.dist);
-        if v.iter().all(|&x| x == 0.0) {
+    for (nb, t) in bonds.bonds(nl, i) {
+        if t.v.iter().all(|&x| x == 0.0) {
             continue;
         }
-        let b = sk_block(nb.disp.to_array(), v);
+        let b = sk_block(nb.disp.to_array(), t.v);
         let oj = index.offset(nb.j);
         for (mu, row) in b.iter().enumerate() {
             for (nu, &x) in row.iter().enumerate() {

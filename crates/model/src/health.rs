@@ -12,7 +12,7 @@
 //! `RecorderConfig` in `tbmd-core`), not every step.
 
 use crate::calculator::{DenseSolver, TbError};
-use crate::hamiltonian::{build_hamiltonian_into, OrbitalIndex};
+use crate::hamiltonian::{assemble_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
 use crate::occupations::OccupationScheme;
 use crate::stages::solve_occupied;
@@ -81,7 +81,9 @@ pub fn eigensolver_health(
     let mut ws = Workspace::new();
     ws.neighbors.update(s, model.cutoff());
     let index = OrbitalIndex::new(s);
-    build_hamiltonian_into(s, ws.neighbors.list(), model, &index, &mut ws.h);
+    let nl = ws.neighbors.list();
+    ws.bonds.fill(model, nl);
+    assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut ws.h);
     // Pristine copy: the solvers overwrite their input in place.
     let h0 = ws.h.clone();
     solve_occupied(&mut ws, s.n_electrons(), occupation, solver)?;
@@ -100,7 +102,7 @@ pub fn eigensolver_health(
 /// Where [`eigensolver_health`] pays for an independent full solve, this
 /// checks the production solve's own output: it rebuilds a pristine `H`
 /// into the [`Workspace::health_h`] scratch (one `O(n²)` assembly, reusing
-/// the workspace's current neighbour list) and measures `‖Hv − λv‖∞` plus
+/// the workspace's current neighbour list and bond table) and measures `‖Hv − λv‖∞` plus
 /// an orthogonality spot-check on a sampled occupied eigenpair left behind
 /// by the last `evaluate_with`. No eigensolve happens, so the cost is a
 /// Hamiltonian build and one matvec.
@@ -134,10 +136,11 @@ pub fn cached_eigensolver_health(
     {
         return Ok(None);
     }
-    // The last evaluation updated `ws.neighbors` for exactly these
-    // positions; skin entries beyond the cutoff contribute nothing to `H`.
-    ws.grown +=
-        build_hamiltonian_into(s, ws.neighbors.list(), model, &index, &mut ws.health_h) as usize;
+    // The last evaluation updated `ws.neighbors` and `ws.bonds` for exactly
+    // these positions; skin entries beyond the cutoff contribute nothing to
+    // `H`.
+    let (nl, bonds) = (ws.neighbors.list(), &ws.bonds);
+    ws.grown += assemble_hamiltonian_into(s, nl, model, bonds, &index, &mut ws.health_h) as usize;
     // Middle of the occupied window, as in the full probe.
     let sampled = occupied.max(1).min(k) / 2;
     Ok(Some(probe(

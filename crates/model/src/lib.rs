@@ -33,9 +33,11 @@ pub use calculator::{
     PhaseTimings, TbCalculator, TbError, TbResult, TWO_STAGE_MIN_DIM,
 };
 pub use carbon::carbon_xwch;
-pub use hamiltonian::{build_hamiltonian, build_hamiltonian_into, OrbitalIndex};
+pub use hamiltonian::{
+    assemble_hamiltonian_into, build_hamiltonian, build_hamiltonian_into, OrbitalIndex,
+};
 pub use health::{cached_eigensolver_health, eigensolver_health};
-pub use model::{EmbeddingPolynomial, GspTbModel, TbModel};
+pub use model::{BondTerms, EmbeddingPolynomial, GspTbModel, TbModel};
 pub use occupations::{
     occupations, occupied_count, OccupationScheme, Occupations, OCCUPATION_DROP_TOL,
 };
@@ -45,7 +47,7 @@ pub use silicon::silicon_gsp;
 pub use slater_koster::{sk_block, sk_block_gradient, sk_transpose, Hoppings, SkBlock};
 pub use stages::{
     bond_block_elements, bond_contraction, bond_density, bond_force, dense_block, dense_forces,
-    embedding, entropy_term, epilogue, for_each_bond_block, prologue, solve_occupied, validate,
+    entropy_term, epilogue, for_each_bond_block, prologue, solve_occupied, validate, BondTable,
 };
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};

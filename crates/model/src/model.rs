@@ -44,9 +44,38 @@ pub trait TbModel: Send + Sync {
     /// Repulsive pair function `φ(r)` and its derivative `φ'(r)`.
     fn repulsion(&self, r: f64) -> (f64, f64);
 
+    /// Every radial term of a bond of length `r` at once: what the
+    /// evaluation stages read, through the [`crate::BondTable`]. The default
+    /// composes [`TbModel::hoppings`], [`TbModel::hoppings_deriv`] and
+    /// [`TbModel::repulsion`]; a model whose radial functions share work
+    /// overrides it with the same bits.
+    fn bond(&self, r: f64) -> BondTerms {
+        let (phi, dphi) = self.repulsion(r);
+        BondTerms {
+            v: self.hoppings(r),
+            dv: self.hoppings_deriv(r),
+            phi,
+            dphi,
+        }
+    }
+
     /// Embedding function `f(x)` and `f'(x)` applied to each atom's summed
     /// pair repulsion.
     fn embedding(&self, x: f64) -> (f64, f64);
+}
+
+/// The radial terms of one bond: the hoppings and their derivatives, the
+/// pair repulsion and its derivative, all at the bond's length.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BondTerms {
+    /// Hopping integrals `[V_ssσ, V_spσ, V_ppσ, V_ppπ]`.
+    pub v: Hoppings,
+    /// Their radial derivatives.
+    pub dv: Hoppings,
+    /// Pair repulsion `φ(r)`.
+    pub phi: f64,
+    /// Its derivative `φ′(r)`.
+    pub dphi: f64,
 }
 
 /// Polynomial embedding `f(x) = Σ_k c_k x^k` (Horner evaluation).
@@ -135,6 +164,20 @@ impl TbModel for GspTbModel {
 
     fn repulsion(&self, r: f64) -> (f64, f64) {
         self.rep.value_and_derivative(r)
+    }
+
+    /// One evaluation of each radial shape: the same expressions as the
+    /// per-distance methods, so the same bits.
+    fn bond(&self, r: f64) -> BondTerms {
+        let a = self.hop_amplitudes;
+        let (v, dv) = self
+            .hop_shape
+            .factors_with_derivatives(r)
+            .map_or(([0.0; 4], [0.0; 4]), |[s, ds, t, dt]| {
+                (a.map(|a| a * s * t), a.map(|a| a * (ds * t + s * dt)))
+            });
+        let (phi, dphi) = self.rep.value_and_derivative(r);
+        BondTerms { v, dv, phi, dphi }
     }
 
     fn embedding(&self, x: f64) -> (f64, f64) {

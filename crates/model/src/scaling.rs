@@ -17,21 +17,35 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GspScaling {
     /// Reference distance `r0` (Å) where `s(r0) = 1`.
-    pub r0: f64,
+    r0: f64,
     /// Power-law exponent `n`.
-    pub n: f64,
+    n: f64,
     /// Cutoff-softening length `rc` (Å).
-    pub rc: f64,
+    rc: f64,
     /// Cutoff-softening exponent `nc`.
-    pub nc: f64,
+    nc: f64,
+    /// `(r0/rc)^nc`, the distance-independent term of the exponent.
+    offset: f64,
 }
 
 impl GspScaling {
+    /// The scaling with reference distance `r0` (Å), power-law exponent `n`,
+    /// cutoff-softening length `rc` (Å) and exponent `nc`.
+    pub fn new(r0: f64, n: f64, rc: f64, nc: f64) -> Self {
+        GspScaling {
+            r0,
+            n,
+            rc,
+            nc,
+            offset: (r0 / rc).powf(nc),
+        }
+    }
+
     /// `s(r)`.
     pub fn value(&self, r: f64) -> f64 {
         debug_assert!(r > 0.0);
         let pw = (self.r0 / r).powf(self.n);
-        let ex = self.n * (-(r / self.rc).powf(self.nc) + (self.r0 / self.rc).powf(self.nc));
+        let ex = self.n * (-(r / self.rc).powf(self.nc) + self.offset);
         pw * ex.exp()
     }
 
@@ -170,18 +184,13 @@ mod tests {
     use super::*;
 
     fn si_like() -> GspScaling {
-        GspScaling {
-            r0: 2.360352,
-            n: 2.0,
-            rc: 3.67,
-            nc: 6.48,
-        }
+        GspScaling::new(2.360352, 2.0, 3.67, 6.48)
     }
 
     #[test]
     fn unity_at_reference_distance() {
         let s = si_like();
-        assert!((s.value(s.r0) - 1.0).abs() < 1e-14);
+        assert!((s.value(2.360352) - 1.0).abs() < 1e-14);
     }
 
     #[test]

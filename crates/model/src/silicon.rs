@@ -46,23 +46,13 @@ pub const SI_REPULSION_SCALE: f64 = 1.124;
 pub fn silicon_gsp() -> GspTbModel {
     let tail = CutoffTail::new(SI_TAIL_INNER, SI_TAIL_OUTER);
     let hop_shape = RadialShape {
-        scaling: GspScaling {
-            r0: SI_R0,
-            n: 2.0,
-            rc: 3.67,
-            nc: 6.48,
-        },
+        scaling: GspScaling::new(SI_R0, 2.0, 3.67, 6.48),
         tail,
     };
     let rep = RadialFunction {
         amplitude: 1.0,
         shape: RadialShape {
-            scaling: GspScaling {
-                r0: SI_R0,
-                n: 6.8755,
-                rc: 3.66995,
-                nc: 13.017,
-            },
+            scaling: GspScaling::new(SI_R0, 6.8755, 3.66995, 13.017),
             tail,
         },
     };

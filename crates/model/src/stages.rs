@@ -19,12 +19,15 @@
 //! * [`bond_density`] — `ρ` on the blocks the force and stress contractions
 //!   read: one per atom and one per neighbour-list pair
 //!   ([`for_each_bond_block`]);
+//! * [`BondTable::fill`] — every radial term of every neighbour-list entry
+//!   (one [`TbModel::bond`] each) and, folded into the same pass, each
+//!   atom's repulsive embedding; run once per evaluation in the
+//!   `Hamiltonian` phase, read by the H build, the forces and the stress;
 //! * [`entropy_term`] — the Mermin `−T_e S` correction;
-//! * [`embedding`] — the per-atom repulsive embedding pre-pass;
 //! * [`bond_contraction`] / [`bond_force`] — `ρ_ij : ∂B/∂d` for one bond and
-//!   the gather-form force on one atom, generic over how a 4×4 block of `ρ`
-//!   is read (dense matrix, local O(N) blocks); [`dense_forces`] maps it over
-//!   the atoms of a dense `ρ`.
+//!   the gather-form force on one atom from the bond table, generic over how
+//!   a 4×4 block of `ρ` is read (dense matrix, local O(N) blocks);
+//!   [`dense_forces`] maps it over the atoms of a dense `ρ`.
 //!
 //! [`crate::TbCalculator::compute_with`] strings them into the one dense
 //! Γ-point pipeline; the distributed and O(N) engines call the same leaves
@@ -32,11 +35,11 @@
 
 use crate::calculator::{DenseSolver, PhaseTimings, TbError, TWO_STAGE_MIN_DIM};
 use crate::hamiltonian::OrbitalIndex;
-use crate::model::TbModel;
+use crate::model::{BondTerms, TbModel};
 use crate::occupations::{
     occupations, occupied_count, OccupationScheme, Occupations, OCCUPATION_DROP_TOL,
 };
-use crate::slater_koster::sk_block_gradient;
+use crate::slater_koster::{sk_block_gradient, Hoppings};
 use crate::units::KB_EV;
 use crate::workspace::{DenseCache, Workspace};
 use tbmd_linalg::{
@@ -258,34 +261,76 @@ pub fn entropy_term(occupation: OccupationScheme, entropy: f64) -> f64 {
     }
 }
 
-/// Embedding value and derivative `(f(x_i), f'(x_i))` of every atom's summed
-/// pair repulsion `x_i = Σ_j φ(r_ij)` (self-images included: their bonds are
-/// constant lattice vectors, but they do count towards `x_i`).
-pub fn embedding(model: &dyn TbModel, nl: &NeighborList, n_atoms: usize) -> Vec<(f64, f64)> {
-    (0..n_atoms)
-        .map(|i| {
-            let x = nl
-                .neighbors(i)
-                .iter()
-                .map(|nb| model.repulsion(nb.dist).0)
-                .sum();
-            model.embedding(x)
-        })
-        .collect()
+/// The radial terms of every entry of a neighbour list — one
+/// [`TbModel::bond`] per entry, in list order — and every atom's embedding
+/// `(f(x_i), f'(x_i))` of its summed pair repulsion `x_i = Σ_j φ(r_ij)`
+/// (self-images included: their bonds are constant lattice vectors, but
+/// they do count towards `x_i`). Every stage after the neighbour list reads
+/// its radial functions here, so an evaluation calls the model once per
+/// entry. The rows keep their allocations from one fill to the next.
+#[derive(Debug, Default)]
+pub struct BondTable {
+    atoms: Vec<AtomBonds>,
 }
 
-/// `ρ_ij : ∂B/∂d` for one directed bond: the Cartesian vector with components
+/// One atom's row of a [`BondTable`].
+#[derive(Debug, Default)]
+struct AtomBonds {
+    terms: Vec<BondTerms>,
+    embedding: (f64, f64),
+}
+
+impl BondTable {
+    /// Fill the table for `nl`, one task per atom over [`team::width`]
+    /// threads. A row depends on nothing but its atom's entries, so the
+    /// table is the same bits at every width.
+    pub fn fill(&mut self, model: &dyn TbModel, nl: &NeighborList) {
+        self.atoms.resize_with(nl.n_atoms(), AtomBonds::default);
+        team::chunks_for_each(team::width(), &mut self.atoms, 1, |i, row| {
+            let row = &mut row[0];
+            row.terms.clear();
+            row.terms
+                .extend(nl.neighbors(i).iter().map(|nb| model.bond(nb.dist)));
+            let x: f64 = row.terms.iter().map(|t| t.phi).sum();
+            row.embedding = model.embedding(x);
+        });
+    }
+
+    /// Atom `i`'s entries of `nl`, the list the table was filled for, each
+    /// with its radial terms.
+    pub fn bonds<'a>(
+        &'a self,
+        nl: &'a NeighborList,
+        i: usize,
+    ) -> impl Iterator<Item = (&'a Neighbor, &'a BondTerms)> {
+        let (entries, terms) = (nl.neighbors(i), &self.atoms[i].terms);
+        assert_eq!(entries.len(), terms.len(), "table filled for another list");
+        entries.iter().zip(terms)
+    }
+
+    /// `(f(x_i), f'(x_i))` of atom `i`.
+    pub fn embedding(&self, i: usize) -> (f64, f64) {
+        self.atoms[i].embedding
+    }
+
+    /// The repulsive energy `Σ_i f(x_i)`, summed in atom order.
+    pub fn repulsive_energy(&self) -> f64 {
+        self.atoms.iter().map(|a| a.embedding.0).sum()
+    }
+}
+
+/// `ρ_ij : ∂B/∂d` for one directed bond with hoppings `v` and their
+/// derivatives `dv` at its length: the Cartesian vector with components
 /// `Σ_{μν} ρ(μ,ν) ∂B_{μν}/∂d_γ`, with `rho(μ, ν)` reading the 4×4 block of
 /// the density matrix between the bond's atoms. `None` beyond the hopping
 /// cutoff (skin entries), where the block gradient vanishes identically.
 #[inline]
 pub fn bond_contraction(
-    model: &dyn TbModel,
     nb: &Neighbor,
+    v: Hoppings,
+    dv: Hoppings,
     rho: impl Fn(usize, usize) -> f64,
 ) -> Option<Vec3> {
-    let v = model.hoppings(nb.dist);
-    let dv = model.hoppings_deriv(nb.dist);
     if v.iter().all(|&x| x == 0.0) && dv.iter().all(|&x| x == 0.0) {
         return None;
     }
@@ -302,31 +347,30 @@ pub fn bond_contraction(
 }
 
 /// Force on atom `i` in gather form: electronic `2 ρ_ij : ∂B/∂d` plus
-/// repulsive `(f'(x_i) + f'(x_j)) φ'(r) d̂` over its neighbours, writing
-/// nothing but the returned value — so atoms can be mapped in any order, on
-/// any thread or rank. `rho_ij(j)` yields the `(μ, ν)` reader of the block
-/// between `i` and neighbour atom `j`. Self-image entries carry no force:
-/// their bond vector is a fixed lattice translation.
+/// repulsive `(f'(x_i) + f'(x_j)) φ'(r) d̂` over its neighbours, the radial
+/// terms read from `bonds` (filled for `nl`), writing nothing but the
+/// returned value — so atoms can be mapped in any order, on any thread or
+/// rank. `rho_ij(j)` yields the `(μ, ν)` reader of the block between `i`
+/// and neighbour atom `j`. Self-image entries carry no force: their bond
+/// vector is a fixed lattice translation.
 #[inline]
 pub fn bond_force<R: Fn(usize, usize) -> f64>(
-    model: &dyn TbModel,
     nl: &NeighborList,
+    bonds: &BondTable,
     i: usize,
-    fx: &[(f64, f64)],
     rho_ij: impl Fn(usize) -> R,
 ) -> Vec3 {
     let mut fi = Vec3::ZERO;
-    for nb in nl.neighbors(i) {
+    for (nb, t) in bonds.bonds(nl, i) {
         if nb.j == i {
             continue;
         }
-        if let Some(acc) = bond_contraction(model, nb, rho_ij(nb.j)) {
+        if let Some(acc) = bond_contraction(nb, t.v, t.dv, rho_ij(nb.j)) {
             fi += acc * 2.0;
         }
-        let (_, dphi) = model.repulsion(nb.dist);
-        if dphi != 0.0 {
+        if t.dphi != 0.0 {
             let unit = nb.disp / nb.dist;
-            fi += unit * ((fx[i].1 + fx[nb.j].1) * dphi);
+            fi += unit * ((bonds.embedding(i).1 + bonds.embedding(nb.j).1) * t.dphi);
         }
     }
     fi
@@ -334,29 +378,21 @@ pub fn bond_force<R: Fn(usize, usize) -> f64>(
 
 /// The force stage of the dense pipeline: every atom's [`bond_force`]
 /// against the dense `rho`, one task per atom over [`team::width`] threads,
-/// and the repulsive energy `Σ_i f(x_i)` summed in atom order. A task
-/// writes only its own atom's force in a fixed order, so the forces are the
-/// same bits at every width.
+/// and the repulsive energy [`BondTable::repulsive_energy`]. A task writes
+/// only its own atom's force in a fixed order, so the forces are the same
+/// bits at every width.
 pub fn dense_forces(
-    s: &Structure,
     nl: &NeighborList,
-    model: &dyn TbModel,
+    bonds: &BondTable,
     index: &OrbitalIndex,
     rho: &Matrix,
 ) -> (f64, Vec<Vec3>) {
-    let n = s.n_atoms();
-    // The forces outlive the step and the embedding does not: allocated in
-    // that order, freeing the embedding leaves no hole below the forces at
-    // the top of the heap (a hole there keeps glibc from trimming it, which
-    // showed as 6 MB more peak RSS on a Si-216 session).
-    let mut forces = vec![Vec3::ZERO; n];
-    let fx = embedding(model, nl, n);
-    let e_rep = fx.iter().map(|&(f, _)| f).sum();
+    let mut forces = vec![Vec3::ZERO; nl.n_atoms()];
     team::chunks_for_each(team::width(), &mut forces, 1, |i, f| {
         let oi = index.offset(i);
-        f[0] = bond_force(model, nl, i, &fx, |j| dense_block(rho, oi, index.offset(j)));
+        f[0] = bond_force(nl, bonds, i, |j| dense_block(rho, oi, index.offset(j)));
     });
-    (e_rep, forces)
+    (bonds.repulsive_energy(), forces)
 }
 
 /// The `(μ, ν)` reader of the block between atoms at orbital offsets `oi`

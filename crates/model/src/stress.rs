@@ -21,7 +21,7 @@ use crate::calculator::{PhaseTimings, TbCalculator, TbError};
 use crate::hamiltonian::OrbitalIndex;
 use crate::model::TbModel;
 use crate::occupations::OccupationScheme;
-use crate::stages::{bond_contraction, dense_block, embedding};
+use crate::stages::{bond_contraction, dense_block, BondTable};
 use crate::workspace::Workspace;
 use tbmd_linalg::Matrix;
 use tbmd_structure::{NeighborList, Structure};
@@ -58,38 +58,34 @@ pub fn stress_tensor(
         .volume()
         .expect("stress tensor requires a fully periodic cell");
     Ok(stress_from_density(
-        s,
         ws.neighbors.list(),
-        model,
+        &ws.bonds,
         &index,
         &ws.rho,
         volume,
     ))
 }
 
-/// Stress from a precomputed density matrix (shared by engines that already
-/// hold ρ).
+/// Stress from a precomputed density matrix and the bond table of the same
+/// evaluation (filled for `nl`), for engines that already hold both.
 pub fn stress_from_density(
-    s: &Structure,
     nl: &NeighborList,
-    model: &dyn TbModel,
+    bonds: &BondTable,
     index: &OrbitalIndex,
     rho: &Matrix,
     volume: f64,
 ) -> StressTensor {
     let mut sigma = [[0.0; 3]; 3];
-    // Embedding derivatives for the repulsive part.
-    let fx = embedding(model, nl, s.n_atoms());
-
-    for (i, &(_, dfdx_i)) in fx.iter().enumerate() {
+    for i in 0..nl.n_atoms() {
         let oi = index.offset(i);
-        for nb in nl.neighbors(i) {
+        let dfdx_i = bonds.embedding(i).1;
+        for (nb, t) in bonds.bonds(nl, i) {
             let d = nb.disp;
             // Electronic part: (∂E/∂d_a) = ρ_ij : G_a summed over the block
             // (the directed double-count is absorbed by the ½ of the pair
             // sum — see module docs). Self-image entries included.
             let block = dense_block(rho, oi, index.offset(nb.j));
-            if let Some(de_dd) = bond_contraction(model, nb, block) {
+            if let Some(de_dd) = bond_contraction(nb, t.v, t.dv, block) {
                 for a in 0..3 {
                     for b in 0..3 {
                         sigma[a][b] += de_dd[a] * d[b];
@@ -97,9 +93,8 @@ pub fn stress_from_density(
                 }
             }
             // Repulsive part: f'(x_i) φ'(r) d̂_a d_b per directed entry.
-            let (_, dphi) = model.repulsion(nb.dist);
-            if dphi != 0.0 {
-                let scale = dfdx_i * dphi / nb.dist;
+            if t.dphi != 0.0 {
+                let scale = dfdx_i * t.dphi / nb.dist;
                 for (a, srow) in sigma.iter_mut().enumerate() {
                     for (sv, db) in srow.iter_mut().zip(d.to_array()) {
                         *sv += scale * d[a] * db;

@@ -13,6 +13,9 @@
 //!   When the cell is too small for the unique-image condition at
 //!   `cutoff + skin` (e.g. the 8-atom Si cell), the workspace transparently
 //!   falls back to a per-step [`NeighborList::build`].
+//! * **bond table** — the radial terms of every neighbour-list entry and
+//!   every atom's embedding ([`BondTable`]), refilled in place each
+//!   evaluation.
 //! * **matrices** — the H/eigenvector buffer (diagonalized in place), the
 //!   scaled-eigenvector factor `W` and the density matrix `ρ` are reused
 //!   across steps via [`Matrix::resize_zeroed`].
@@ -23,6 +26,7 @@
 //! The workspace also keeps counters (rebuilds vs refreshes vs fallback
 //! builds, buffer-growth events) that the benchmark reports surface.
 
+use crate::stages::BondTable;
 use tbmd_linalg::{EighWorkspace, Matrix};
 use tbmd_structure::{NeighborList, Structure, VerletNeighborList};
 
@@ -177,6 +181,10 @@ impl NeighborWorkspace {
 pub struct Workspace {
     /// Amortized neighbour lists.
     pub neighbors: NeighborWorkspace,
+    /// The radial terms of every entry of the neighbour list and every
+    /// atom's embedding, filled once per evaluation in the Hamiltonian
+    /// phase; the H build, the forces and the stress read them.
+    pub bonds: BondTable,
     /// Hamiltonian buffer. The full-QL path overwrites it in place with the
     /// eigenvector matrix; the two-stage path leaves the packed Householder
     /// reflectors of the blocked reduction in it.

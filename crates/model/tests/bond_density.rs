@@ -8,8 +8,8 @@ use rand::SeedableRng;
 use tbmd_linalg::{eigh, Matrix};
 use tbmd_model::{
     bond_density, bond_force, carbon_xwch, dense_block, density_matrix, electronic_forces,
-    embedding, occupations, silicon_gsp, sk_block, stress_from_density, DenseCache, GspTbModel,
-    Hoppings, OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbModel, Workspace,
+    occupations, silicon_gsp, sk_block, stress_from_density, DenseCache, GspTbModel, Hoppings,
+    OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbModel, Workspace,
 };
 use tbmd_structure::{
     bulk_diamond, bulk_diamond_with_bond, fullerene_c60, NeighborList, Species, Structure,
@@ -67,10 +67,10 @@ fn check_pipeline(s: &Structure, model: &dyn TbModel, sliced: bool) {
     assert!((ws.rho.trace() - s.n_electrons() as f64).abs() < 1e-9);
 
     let scatter = |rho| electronic_forces(s, nl, model, &index, rho);
-    let fx = embedding(model, nl, s.n_atoms());
+    let bonds = &ws.bonds;
     let gather = |rho, i: usize| {
         let oi = index.offset(i);
-        bond_force(model, nl, i, &fx, |j| dense_block(rho, oi, index.offset(j)))
+        bond_force(nl, bonds, i, |j| dense_block(rho, oi, index.offset(j)))
     };
     for (i, (fb, ff)) in scatter(&ws.rho).iter().zip(scatter(&full)).enumerate() {
         let tol = 1e-12 * (1.0 + ff.max_abs());
@@ -79,7 +79,7 @@ fn check_pipeline(s: &Structure, model: &dyn TbModel, sliced: bool) {
         assert!(gap <= tol, "gather force on atom {i}: {gap}");
     }
     if let Some(volume) = s.cell().volume() {
-        let stress = |rho| stress_from_density(s, nl, model, &index, rho, volume);
+        let stress = |rho| stress_from_density(nl, bonds, &index, rho, volume);
         let (sb, sf) = (stress(&ws.rho), stress(&full));
         for a in 0..3 {
             for b in 0..3 {

@@ -5,9 +5,11 @@
 //! codes, with a rank-sharded two-stage eigensolver):
 //!
 //! 1. **positions broadcast** — rank 0 broadcasts the 3N coordinates;
-//! 2. **H build** — every rank assembles the full Hamiltonian from the
-//!    replicated geometry (0 extra wire bytes; broadcasting a rank-0
-//!    reduction would move `(n² + 3n)·8` bytes instead, see DESIGN.md);
+//! 2. **H build** — every rank fills its own bond table (the radial terms of
+//!    every neighbour-list entry and every atom's embedding) and assembles
+//!    the full Hamiltonian from it and the replicated geometry (0 extra wire
+//!    bytes; broadcasting a rank-0 reduction would move `(n² + 3n)·8` bytes
+//!    instead, see DESIGN.md);
 //! 3. **diagonalize** — each rank runs the serial engine's spectrum stage on
 //!    its replica (blocked tridiagonalization, then QL on the factor for the
 //!    whole spectrum: 0 wire bytes), and inverse-iterates only its
@@ -20,7 +22,8 @@
 //!    replicates them: O(N·neighbours) wire bytes, still the dominant volume,
 //!    where the full matrix the era papers fought is O(N²);
 //! 5. **forces** — each rank computes forces for its block of atoms from the
-//!    replicated ρ; an allgather assembles the full force vector.
+//!    replicated ρ and its bond table; an allgather assembles the full force
+//!    vector.
 //!
 //! Wall-clock speedups are not the point on a 2-vCPU host whose ranks
 //! time-share its cores (see DESIGN.md): the engine's value is numerical
@@ -36,10 +39,10 @@ use tbmd_linalg::{
     snap_range_to_clusters, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
 };
 use tbmd_model::{
-    bond_density, bond_force, build_hamiltonian_into, dense_block, embedding, entropy_term,
-    for_each_bond_block, occupations, occupied_count, validate, DenseCache, ForceEvaluation,
-    ForceProvider, OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbError, TbModel,
-    Workspace,
+    assemble_hamiltonian_into, bond_density, bond_force, dense_block, entropy_term,
+    for_each_bond_block, occupations, occupied_count, validate, BondTable, DenseCache,
+    ForceEvaluation, ForceProvider, OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator,
+    TbError, TbModel, Workspace,
 };
 use tbmd_structure::{NeighborList, Structure};
 
@@ -58,6 +61,8 @@ pub struct DistributedReport {
 struct DenseRankSlot {
     /// Replicated geometry and its amortized neighbour list.
     replica: Replica,
+    /// The radial terms of the replica's list and every atom's embedding.
+    bonds: BondTable,
     /// Full replicated Hamiltonian; holds the packed Householder reflectors
     /// after the blocked reduction.
     h: Matrix,
@@ -147,10 +152,13 @@ impl<'m> DistributedTb<'m> {
         let (local, nl) = slot.replica.geometry();
         timings.neighbors = clock.lap(&mut timings);
 
-        // ---- Phase 2: full replicated H (0 wire bytes; cheaper than
-        // broadcasting a rank-0 reduction, see DESIGN.md).
-        slot.grown += build_hamiltonian_into(local, nl, model, index, &mut slot.h) as usize;
-        rank.count_flops(60 * nl.n_entries() as u64 + 20 * s.n_atoms() as u64);
+        // ---- Phase 2: the rank's bond table, then the full replicated H
+        // (0 wire bytes; cheaper than broadcasting a rank-0 reduction, see
+        // DESIGN.md).
+        slot.bonds.fill(model, nl);
+        slot.grown +=
+            assemble_hamiltonian_into(local, nl, model, &slot.bonds, index, &mut slot.h) as usize;
+        rank.count_flops(60 * nl.n_entries() as u64 + 50 * s.n_atoms() as u64);
         timings.hamiltonian = clock.lap(&mut timings);
 
         // ---- Phase 3: the serial engine's spectrum stage on the replica.
@@ -198,8 +206,8 @@ impl<'m> DistributedTb<'m> {
         let (e_rep, forces) = force_phase(
             rank,
             &mut clock,
-            model,
             nl,
+            &slot.bonds,
             index,
             &slot.rho,
             &mut slot.forces_block,
@@ -239,27 +247,24 @@ fn unpack_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, packed: &[f64], r
 }
 
 /// Phase 5: gather-form forces ([`bond_force`]) for this rank's atom block
-/// from the replicated ρ, the force allgather and the repulsive-energy
+/// from the replicated ρ and the rank's bond table, the force allgather and the repulsive-energy
 /// allreduce. Returns the repulsive energy and, on rank 0, the assembled
 /// forces.
 fn force_phase(
     rank: &mut Rank,
     clock: &mut PhaseClock,
-    model: &dyn TbModel,
     nl: &NeighborList,
+    bonds: &BondTable,
     index: &OrbitalIndex,
     rho: &Matrix,
     block: &mut Vec<f64>,
 ) -> (f64, Option<Vec<Vec3>>) {
-    let n_atoms = nl.n_atoms();
-    let my_atoms = partition_range(n_atoms, rank.size(), rank.id());
-    let fx = embedding(model, nl, n_atoms);
-    rank.count_flops(30 * n_atoms as u64);
-    let my_rep_energy: f64 = my_atoms.clone().map(|i| fx[i].0).sum();
+    let my_atoms = partition_range(nl.n_atoms(), rank.size(), rank.id());
+    let my_rep_energy: f64 = my_atoms.clone().map(|i| bonds.embedding(i).0).sum();
     block.clear();
     for i in my_atoms {
         let oi = index.offset(i);
-        let fi = bond_force(model, nl, i, &fx, |j| dense_block(rho, oi, index.offset(j)));
+        let fi = bond_force(nl, bonds, i, |j| dense_block(rho, oi, index.offset(j)));
         rank.count_flops(400 * nl.neighbors(i).len() as u64);
         block.extend_from_slice(&fi.to_array());
     }

@@ -19,9 +19,29 @@ pub use cost_model::{
 };
 pub use distributed::{DistributedReport, DistributedTb};
 pub use ranks::{gather_forces, Launch, PhaseClock, RankControl, Replica};
-/// The dense pipeline's force stage under the name the benchmark package
-/// calls it by.
-pub use tbmd_model::dense_forces as par_forces;
+use tbmd_linalg::{Matrix, Vec3};
+use tbmd_model::{dense_forces, BondTable, OrbitalIndex, TbModel};
+use tbmd_structure::{NeighborList, Structure};
+
+/// The dense pipeline's force stage ([`dense_forces`]) on a bond table of
+/// its own, under the name and signature the standalone benchmark package
+/// calls it by. Returns the repulsive energy and the forces.
+pub fn par_forces(
+    s: &Structure,
+    nl: &NeighborList,
+    model: &dyn TbModel,
+    index: &OrbitalIndex,
+    rho: &Matrix,
+) -> (f64, Vec<Vec3>) {
+    assert_eq!(
+        s.n_atoms(),
+        nl.n_atoms(),
+        "list built for another structure"
+    );
+    let mut bonds = BondTable::default();
+    bonds.fill(model, nl);
+    dense_forces(nl, &bonds, index, rho)
+}
 pub use vmp::{
     default_recv_timeout, partition_range, vmp_run, FaultKind, FaultPlan, Rank, RankFault,
     RankStats, VmpError, VmpStats,

@@ -2,14 +2,17 @@
 //! engine built through `Engine::build`: forces are −∇E, the parallel kinds
 //! agree with the serial one, the energy-only path agrees with the full
 //! evaluation, no fan-out (dense, O(N)) depends on the lease width, the
-//! stress tensor falls out of the pipeline's own ρ, and the rank-control
-//! block behaves the same on both distributed engines.
+//! stress tensor falls out of the pipeline's own ρ, every engine evaluates
+//! each bond's radial terms once, the energy, force and stress bits are
+//! pinned, and the rank-control block behaves the same on both distributed
+//! engines.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tbmd::model::{
-    electronic_forces, repulsive_energy_forces, stress_from_density, ForceEvaluation, OrbitalIndex,
-    TbCalculator,
+    electronic_forces, repulsive_energy_forces, stress_from_density, BondTerms, ForceEvaluation,
+    GspTbModel, Hoppings, OrbitalIndex, TbCalculator,
 };
 use tbmd::structure::{apply_strain, bulk_diamond, nanotube};
 use tbmd::{
@@ -273,6 +276,103 @@ const PARENT_FORCE_BITS: [(&str, u64); 9] = [
     ("stress", 0x0a23_5072_33b5_f054),
 ];
 
+/// Silicon that counts its radial calls: [`TbModel::bond`] apart from the
+/// per-distance methods.
+struct CountingModel {
+    model: GspTbModel,
+    bonds: AtomicUsize,
+    per_distance: AtomicUsize,
+}
+
+impl CountingModel {
+    /// `(bond calls, per-distance calls)` since the last take.
+    fn take(&self) -> (usize, usize) {
+        let bonds = self.bonds.swap(0, Ordering::Relaxed);
+        (bonds, self.per_distance.swap(0, Ordering::Relaxed))
+    }
+}
+
+impl TbModel for CountingModel {
+    fn name(&self) -> &str {
+        "counting"
+    }
+    fn supports(&self, sp: Species) -> bool {
+        self.model.supports(sp)
+    }
+    fn cutoff(&self) -> f64 {
+        self.model.cutoff()
+    }
+    fn on_site(&self, sp: Species) -> [f64; 4] {
+        self.model.on_site(sp)
+    }
+    fn hoppings(&self, r: f64) -> Hoppings {
+        self.per_distance.fetch_add(1, Ordering::Relaxed);
+        self.model.hoppings(r)
+    }
+    fn hoppings_deriv(&self, r: f64) -> Hoppings {
+        self.per_distance.fetch_add(1, Ordering::Relaxed);
+        self.model.hoppings_deriv(r)
+    }
+    fn repulsion(&self, r: f64) -> (f64, f64) {
+        self.per_distance.fetch_add(1, Ordering::Relaxed);
+        self.model.repulsion(r)
+    }
+    fn bond(&self, r: f64) -> BondTerms {
+        self.bonds.fetch_add(1, Ordering::Relaxed);
+        self.model.bond(r)
+    }
+    fn embedding(&self, x: f64) -> (f64, f64) {
+        self.model.embedding(x)
+    }
+}
+
+/// One evaluation calls the model once per neighbour-list entry per
+/// replica, through `bond`, and never per distance: the dense kind on Si-8
+/// and Si-64, two ranks, the O(N) engine alone and on two ranks, and the
+/// stress tensor.
+#[test]
+fn every_bond_is_evaluated_once_per_evaluation() {
+    let model = CountingModel {
+        model: silicon_gsp(),
+        bonds: AtomicUsize::new(0),
+        per_distance: AtomicUsize::new(0),
+    };
+    let si8 = bulk_diamond(Species::Silicon, 1, 1, 1);
+    let si64 = perturbed_si64();
+    let entries = |s: &Structure| {
+        let mut ws = Workspace::new();
+        ws.neighbors.update(s, model.cutoff());
+        ws.neighbors.list().n_entries()
+    };
+    let (r_loc, order) = (6.0, 32);
+    let runs = [
+        (EngineKind::Serial, &si8, 1),
+        (EngineKind::Serial, &si64, 1),
+        (EngineKind::Distributed { ranks: 2 }, &si64, 2),
+        (EngineKind::LinearScaling { r_loc, order }, &si64, 1),
+        (
+            EngineKind::DistributedLinearScaling {
+                ranks: 2,
+                r_loc,
+                order,
+            },
+            &si64,
+            2,
+        ),
+    ];
+    for (kind, s, replicas) in runs {
+        let engine = Engine::build(kind, &model, KT);
+        model.take();
+        for _ in 0..2 {
+            leased(2, || engine.evaluate(s)).unwrap();
+            assert_eq!(model.take(), (replicas * entries(s), 0), "{kind:?}");
+        }
+    }
+    let occupation = OccupationScheme::Fermi { kt: KT };
+    stress_tensor(&si64, &model, occupation).unwrap();
+    assert_eq!(model.take(), (entries(&si64), 0), "stress tensor");
+}
+
 /// So do the O(N) engine's: an atom's recurrence sums in an order of its
 /// own and the atoms are combined in atom order, whichever thread ran them.
 /// The message-passing engine deals the atoms to ranks and allreduces the
@@ -332,9 +432,8 @@ fn stress_tensor_falls_out_of_the_pipeline_density() {
     let mut ws = Workspace::new();
     calc.compute_with(&s, &mut ws).unwrap();
     let from_ws = stress_from_density(
-        &s,
         ws.neighbors.list(),
-        &model,
+        &ws.bonds,
         &OrbitalIndex::new(&s),
         &ws.rho,
         volume,
