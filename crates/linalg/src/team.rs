@@ -337,9 +337,15 @@ impl Team {
             .into_iter()
             .map(Mutex::new)
             .collect();
+        // A hand is drained where it runs but its buffer is freed here, by
+        // the thread that allocated it: a small buffer freed on a worker
+        // lands in that worker's allocator cache, where it stays in use as
+        // far as the caller's heap can tell and can keep the heap from
+        // shrinking when the large buffers around it are freed (+6 MB peak
+        // RSS on a Si-216 run).
         self.run(width, &|tid| {
-            let hand = std::mem::take(&mut *hands[tid].lock().expect("one thread per hand"));
-            hand.into_iter().for_each(|(i, c)| f(i, c));
+            let mut hand = hands[tid].lock().expect("one thread per hand");
+            hand.drain(..).for_each(|(i, c)| f(i, c));
         });
     }
 

@@ -108,7 +108,7 @@ impl SparseH {
             let mut diag = [0.0; 4];
             diag[..ni].copy_from_slice(&model.on_site(s.species(i))[..ni]);
             row.clear();
-            for (nb, t) in bonds.bonds(nl, i) {
+            for (nb, t) in bonds.entries(nl, i) {
                 if t.v.iter().all(|&x| x == 0.0) {
                     continue;
                 }

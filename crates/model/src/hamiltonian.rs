@@ -137,7 +137,7 @@ fn assemble_band(
     for (k, &ek) in model.on_site(s.species(i)).iter().enumerate() {
         band[k * n + oi + k] = ek;
     }
-    for (nb, t) in bonds.bonds(nl, i) {
+    for (nb, t) in bonds.entries(nl, i) {
         if t.v.iter().all(|&x| x == 0.0) {
             continue;
         }

@@ -298,7 +298,7 @@ impl BondTable {
 
     /// Atom `i`'s entries of `nl`, the list the table was filled for, each
     /// with its radial terms.
-    pub fn bonds<'a>(
+    pub fn entries<'a>(
         &'a self,
         nl: &'a NeighborList,
         i: usize,
@@ -361,7 +361,7 @@ pub fn bond_force<R: Fn(usize, usize) -> f64>(
     rho_ij: impl Fn(usize) -> R,
 ) -> Vec3 {
     let mut fi = Vec3::ZERO;
-    for (nb, t) in bonds.bonds(nl, i) {
+    for (nb, t) in bonds.entries(nl, i) {
         if nb.j == i {
             continue;
         }

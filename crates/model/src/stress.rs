@@ -79,7 +79,7 @@ pub fn stress_from_density(
     for i in 0..nl.n_atoms() {
         let oi = index.offset(i);
         let dfdx_i = bonds.embedding(i).1;
-        for (nb, t) in bonds.bonds(nl, i) {
+        for (nb, t) in bonds.entries(nl, i) {
             let d = nb.disp;
             // Electronic part: (∂E/∂d_a) = ρ_ij : G_a summed over the block
             // (the directed double-count is absorbed by the ½ of the pair
