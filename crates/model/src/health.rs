@@ -102,9 +102,9 @@ pub fn eigensolver_health(
 /// Where [`eigensolver_health`] pays for an independent full solve, this
 /// checks the production solve's own output: it rebuilds a pristine `H`
 /// into the [`Workspace::health_h`] scratch (one `O(n²)` assembly, reusing
-/// the workspace's current neighbour list and bond table) and measures `‖Hv − λv‖∞` plus
-/// an orthogonality spot-check on a sampled occupied eigenpair left behind
-/// by the last `evaluate_with`. No eigensolve happens, so the cost is a
+/// the workspace's current neighbour list and bond table) and measures
+/// `‖Hv − λv‖∞` plus an orthogonality spot-check on a sampled occupied
+/// eigenpair left behind by the last `evaluate_with`. No eigensolve happens, so the cost is a
 /// Hamiltonian build and one matvec.
 ///
 /// Returns `Ok(None)` when the workspace holds no consumable eigenpairs —

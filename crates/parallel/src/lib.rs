@@ -19,6 +19,11 @@ pub use cost_model::{
 };
 pub use distributed::{DistributedReport, DistributedTb};
 pub use ranks::{gather_forces, Launch, PhaseClock, RankControl, Replica};
+pub use vmp::{
+    default_recv_timeout, partition_range, vmp_run, FaultKind, FaultPlan, Rank, RankFault,
+    RankStats, VmpError, VmpStats,
+};
+
 use tbmd_linalg::{Matrix, Vec3};
 use tbmd_model::{dense_forces, BondTable, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
@@ -42,7 +47,3 @@ pub fn par_forces(
     bonds.fill(model, nl);
     dense_forces(nl, &bonds, index, rho)
 }
-pub use vmp::{
-    default_recv_timeout, partition_range, vmp_run, FaultKind, FaultPlan, Rank, RankFault,
-    RankStats, VmpError, VmpStats,
-};
