@@ -181,7 +181,9 @@ const REGISTRY: &[Experiment] = &[
         expected: "Interleaving changes when steps run, not how fast: round-robin keeps about \
                    the sequential rate. The service runs its admitted tenants side by side, so \
                    with two free cores it beats the sequential wall, and it never admits more \
-                   tenants than its budget.",
+                   tenants than its budget. Small jobs behind a large one take turns on the \
+                   thread the large one leaves free, in time slices: they finish within 2× of \
+                   their time alone, before the large one.",
         run: service::serve,
     },
     Experiment {

@@ -152,10 +152,50 @@ pub fn checkpoint(size: Option<usize>) -> Report {
     report
 }
 
+/// Wall time until the three 200-step Si-8 jobs of the mixed-size probe
+/// retire from a `Multiplexer` under a two-thread budget, submitted alone or
+/// behind one 24-step Si-64 job; with the Si-64 job, also until it retires.
+fn mixed_sizes(behind_si64: bool) -> (Duration, Option<Duration>) {
+    let nve = |reps, steps, seed| {
+        let mut c = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps }, 300.0, steps);
+        c.seed = seed;
+        c
+    };
+    let mut mux = Multiplexer::with_stats(ServeStats::new(Budget::new(2)));
+    if behind_si64 {
+        mux.submit(JobSpec::new("si64", nve(2, 24, 60)), std::io::sink());
+    }
+    for i in 0..3 {
+        let config = nve(1, 200, 61 + i);
+        mux.submit(JobSpec::new(format!("si8-{i}"), config), std::io::sink());
+    }
+    let t0 = Instant::now();
+    let (mut small, mut large) = (Duration::ZERO, None);
+    loop {
+        let busy = mux.tick();
+        for report in mux.take_reports() {
+            assert!(
+                report.outcome.is_ok(),
+                "{}: {:?}",
+                report.name,
+                report.outcome
+            );
+            match report.name.as_str() {
+                "si64" => large = Some(t0.elapsed()),
+                _ => small = t0.elapsed(),
+            }
+        }
+        if !busy {
+            return (small, large);
+        }
+    }
+}
+
 /// S2: `size` (default 4) Si-8 NVE tenants of 24 steps run one after
 /// another, round-robin one step at a time over raw sessions, and through
 /// the `Multiplexer` (admitted tenants side by side) under a two-thread
-/// budget.
+/// budget. S2b: the mixed-size probe ([`mixed_sizes`]), medians of nine
+/// alternating runs.
 pub fn serve(size: Option<usize>) -> Report {
     const STEPS: usize = 24;
     const BUDGET: usize = 2;
@@ -198,7 +238,6 @@ pub fn serve(size: Option<usize>) -> Report {
     let mut mux = Multiplexer::with_stats(ServeStats::new(budget.clone()));
     for (i, c) in configs.iter().enumerate() {
         let mut spec = JobSpec::new(format!("tenant-{i}"), *c);
-        spec.quantum = 6;
         spec.threads = 1;
         spec.checkpoint_interval = 8;
         mux.submit(spec, std::io::sink());
@@ -256,10 +295,41 @@ pub fn serve(size: Option<usize>) -> Report {
             max_active.to_string(),
             hw.to_string(),
         ]);
+
+    let (mut alone, mut behind, mut si64) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..9 {
+        alone.push(ms(mixed_sizes(false).0));
+        let (small, large) = mixed_sizes(true);
+        behind.push(ms(small));
+        si64.push(ms(large.expect("the Si-64 job reported")));
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (alone, behind, si64) = (median(&mut alone), median(&mut behind), median(&mut si64));
+    let mut mixed = Table::new(
+        "S2b: 3 Si-8 jobs × 200 steps, alone and behind 1 Si-64 job × 24 steps (budget 2 threads)",
+        &[
+            "mode",
+            "Si-8 jobs wall/ms",
+            "Si-64 job wall/ms",
+            "Si-8 behind/alone",
+        ],
+    );
+    mixed
+        .row(vec!["alone".into(), fmt_f(alone, 1), dash(), dash()])
+        .row(vec![
+            "behind Si-64".into(),
+            fmt_f(behind, 1),
+            fmt_f(si64, 1),
+            fmt_f(behind / alone, 2),
+        ]);
     let mut report = Report::default();
     report
         .table(table)
-        .note(format!("{finished} of {k} service tenants finished."));
+        .note(format!("{finished} of {k} S2 service tenants finished."))
+        .table(mixed);
     report
 }
 

@@ -1,9 +1,9 @@
 //! Campaign execution: expand, skip completed cells, run the rest.
 //!
 //! Every cell runs its chain of protocol segments as [`tbmd::Session`]s
-//! through the `tbmd-serve` [`Multiplexer`], the quanta of a sweep side by
-//! side on the thread team. Each segment is a job at [`JobSpec`]'s defaults
-//! (an 8-step quantum, no checkpoints) that may lease the whole team; the
+//! through the `tbmd-serve` [`Multiplexer`], whose team threads run the
+//! admitted cells side by side. Each segment is a job at [`JobSpec`]'s
+//! defaults (no checkpoints) that may lease the whole team; the
 //! multiplexer leases from a [`Budget`] of its own, one thread per hardware
 //! thread ([`team::size`]), so a cell below the two-stage floor leases one
 //! thread ([`tbmd::EngineKind::useful_threads`]) and that many run at once.

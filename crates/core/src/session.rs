@@ -5,9 +5,9 @@
 //! recorder/checkpoint attachments, and the rewind loop of a resilient run.
 //! [`Session::run`] drives it to completion; callers that want to
 //! interleave many simulations in one process instead hold several
-//! sessions and pump [`Session::step`] (or [`Session::run_until`])
-//! round-robin — each call advances exactly one MD step, bitwise identical
-//! to the step `run` would have taken.
+//! sessions and pump [`Session::step`] in any order — each call advances
+//! exactly one MD step, bitwise identical to the step `run` would have
+//! taken.
 //!
 //! Construction goes through [`SessionBuilder`]:
 //!
@@ -842,7 +842,7 @@ enum CkptRequest {
     },
 }
 
-/// Result of one [`Session::step`] / [`Session::run_until`] call.
+/// Result of one [`Session::step`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionStatus {
     /// The protocol has more steps to run.
@@ -1093,9 +1093,9 @@ pub struct Session<'r> {
     initial: Option<InitialState>,
 }
 
-// A session moves between threads: `tbmd-serve` runs each tenant's quantum
-// on whichever thread of the team claims it. A field that is not `Send`
-// must fail to build here, not inside the scheduler.
+// A session moves between threads: `tbmd-serve` runs each slice of a tenant
+// on whichever thread of the team takes it from the run queue. A field that
+// is not `Send` must fail to build here, not inside the scheduler.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Session<'static>>();
@@ -1233,20 +1233,6 @@ impl<'r> Session<'r> {
         while self.step()? == SessionStatus::Running {}
         self.take_summary()
             .ok_or_else(|| TbError::Checkpoint("session already ran to completion".into()))
-    }
-
-    /// Step until the session has executed at least `target_steps` MD steps
-    /// (or finished) — the quantum a round-robin scheduler hands each
-    /// tenant.
-    pub fn run_until(&mut self, target_steps: usize) -> Result<SessionStatus, TbError> {
-        while !self.done && self.steps_done < target_steps {
-            self.step()?;
-        }
-        Ok(if self.done {
-            SessionStatus::Done
-        } else {
-            SessionStatus::Running
-        })
     }
 
     /// Ensure an attempt exists, then advance it one step.
@@ -1433,19 +1419,5 @@ mod tests {
             sb.final_total_energy.to_bits(),
             rb.final_total_energy.to_bits()
         );
-    }
-
-    #[test]
-    fn run_until_paces_in_quanta() {
-        let config = nve_config(31, 10);
-        let mut session = SessionBuilder::new(config).build().expect("build");
-        assert_eq!(
-            session.run_until(4).expect("quantum"),
-            SessionStatus::Running
-        );
-        assert_eq!(session.steps_done(), 4);
-        assert_eq!(session.run_until(100).expect("rest"), SessionStatus::Done);
-        assert_eq!(session.steps_done(), 10);
-        assert!(session.take_summary().is_some());
     }
 }

@@ -1,77 +1,72 @@
 //! # tbmd-serve
 //!
 //! A multiplexed trajectory service over the session pipeline: many tenants
-//! (trajectory jobs) share one process and one [`Budget`] — each
-//! tenant is a [`tbmd::Session`] advanced in quanta of MD steps, the quanta
-//! of one sweep side by side on the process thread team, streaming its
-//! JSONL step records back to the submitter as they are produced.
+//! (trajectory jobs) share one process and one [`Budget`] — each tenant is a
+//! [`tbmd::Session`] streaming its JSONL step records back to the submitter
+//! as they are produced.
 //!
 //! The library half is transport-agnostic: [`Multiplexer`] takes parsed
 //! [`JobSpec`]s plus any `Write + Send` sink (a socket, a shared buffer, a
 //! file) and runs the scheduling loop. The `tbmd-serve` binary wraps it in
 //! a Unix-domain-socket daemon speaking newline-delimited JSON.
 //!
-//! Scheduling invariants (asserted by `multiplexed_tenants_match_standalone_runs`
-//! below and by `tests/telemetry_serve.rs` at the workspace root):
+//! **Scheduling** is one run queue. In a [`Multiplexer::tick`] each team
+//! thread (`tbmd::linalg::team`), one per runnable tenant at most, takes the
+//! next tenant — admitting a waiting job first when the budget grants it a
+//! lease — runs it for a time slice of whole MD steps, and puts it back, or
+//! retires it and refunds its lease. A tick lasts one slice; past that a
+//! thread takes another only while a peer is inside a slice begun earlier,
+//! so none idles behind a long step. Invariants (pinned by the serve
+//! tests here and at the workspace root):
 //!
-//! - every tenant's trajectory is bitwise the one a standalone
-//!   session of the same config produces — multiplexing changes
-//!   *when* steps run, never *what* they compute;
+//! - every tenant's trajectory is bitwise the one a standalone session of
+//!   the same config produces: multiplexing changes *when* steps run, never
+//!   *what* they compute. Reports come in completion order;
 //! - admitted tenants hold a [`tbmd::ComputeLease`] of the multiplexer's own
 //!   [`Budget`]; when it is finite, jobs past it wait in the admission queue
 //!   until a running tenant finishes and refunds its lease, so the budget's
 //!   high-water mark never exceeds its total;
 //! - a tenant leases the width its system can use, not more: a dense job
 //!   (`serial` / `shared`) below the two-stage floor
-//!   ([`tbmd::model::TWO_STAGE_MIN_DIM`], 96 orbitals) asks the budget for
-//!   one thread whatever its `threads` says, every other job for `threads`
-//!   ([`EngineKind::useful_threads`]). A second thread would idle for the
-//!   whole run there, and the bits are the same at every width;
-//! - the quanta of one sweep run concurrently, one task per admitted tenant
-//!   on the thread team (`tbmd::linalg::team`), so how many run at once is
-//!   what the budget admits. A lone tenant runs on the scheduler thread at
-//!   its lease's width; beside another, a wide tenant's fan-outs run inline
-//!   on its task's thread (the team's inline rule), with the same bits.
-//!   Reports and retirements follow admission order whatever thread ran
-//!   what;
-//! - a panic inside a quantum retires that tenant alone, with an error
-//!   report and an error line, and its lease is refunded; the others run on.
+//!   ([`tbmd::model::TWO_STAGE_MIN_DIM`], 96 orbitals) asks for one thread
+//!   whatever its `threads` says, every other job for `threads`
+//!   ([`EngineKind::useful_threads`]); the bits are the same at every width;
+//! - a lone runnable tenant runs on the calling thread at its lease's width;
+//!   beside another, a wide tenant's fan-outs run inline on the thread that
+//!   runs its slice (the team's inline rule);
+//! - a panic inside a slice retires that tenant alone, with an error
+//!   report and an error line, and its lease is refunded.
 //!
-//! ## Telemetry
-//!
-//! A [`ServeStats`] handle owns one root [`ScopedSink`] that the scheduler
-//! enters around every submission, admission and retirement, and that every
-//! quantum enters on the thread that runs it — the scheduler thread holds no
-//! root guard while the quanta run, so each event reaches the root exactly
-//! once. Every tenant gets a labelled scope of its own that its session
-//! enters per MD step below the root. Per-tenant counters, phase times and
-//! latency histograms (step wall time, quantum latency, admission wait)
-//! therefore accumulate alongside this multiplexer's totals — two
-//! multiplexers in one process share nothing — and a distributed tenant's
-//! rank views hang off its own scope.
-//! The whole picture is readable mid-run through the handle — the
-//! `{"stats":true}` verb on the daemon socket returns its JSON form,
-//! `{"stats":"prometheus"}` a Prometheus-style text exposition, its `budget`
-//! block read from the multiplexer's [`Budget`] — and the scheduler keeps
-//! the [`Gauge::QueueDepth`] / lease high-water gauges current in the root
-//! scope. A handle made by [`ServeStats::with_timeline`] also keeps the root
-//! scope's span timeline — one span per tenant quantum, named after the
-//! tenant, with its steps and phases nested inside, on the `tid` of the
-//! thread that ran it — which [`ServeStats::export_chrome`] writes out.
+//! **Telemetry.** A [`ServeStats`] handle owns one root [`ScopedSink`] that
+//! every thread serving a tick enters (the caller holds no root guard while
+//! the team runs, so each event reaches the root once). Every tenant's
+//! session enters a labelled scope of its own per MD step below it, so
+//! per-tenant counters, phase times and latency histograms (step, admission
+//! wait, and slice under the name `quantum`) accumulate beside this multiplexer's
+//! totals, and a distributed tenant's rank views hang off its scope; two
+//! multiplexers share nothing. The handle reads it all mid-run: the
+//! `{"stats":true}` verb returns its JSON form, `{"stats":"prometheus"}` a
+//! text exposition, with a `budget` block read from the multiplexer's
+//! [`Budget`] and the [`Gauge::QueueDepth`] / lease high-water gauges. A
+//! handle made by [`ServeStats::with_timeline`] also keeps a span timeline —
+//! one span per tenant slice, named after the tenant, its steps and phases
+//! nested inside, on the `tid` of the thread that ran it — which
+//! [`ServeStats::export_chrome`] writes out.
 //!
 //! [`Gauge::QueueDepth`]: tbmd_trace::Gauge
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tbmd::linalg::team;
 use tbmd::{
-    run_manifest, Budget, CheckpointStore, EngineKind, InitialState, Protocol, RecorderConfig,
-    Session, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary, SystemSpec,
+    run_manifest, Budget, CheckpointStore, ComputeLease, EngineKind, InitialState, Protocol,
+    RecorderConfig, Session, SessionBuilder, SessionStatus, SimulationConfig, SimulationSummary,
+    SystemSpec,
 };
 use tbmd_trace::{Gauge, Hist, JsonValue, RunRecorder, ScopedSink};
 
@@ -82,7 +77,9 @@ pub struct JobSpec {
     pub name: String,
     /// The simulation to run.
     pub config: SimulationConfig,
-    /// MD steps granted per scheduler sweep (the quantum).
+    /// Parsed and validated from the wire field `quantum`, then ignored: the
+    /// scheduler runs tenants in time slices. Kept for the frozen benchmark
+    /// until ROADMAP item 7.
     pub quantum: usize,
     /// The most threads this job may lease from the multiplexer's budget: a
     /// dense job below the two-stage floor ([`tbmd::model::TWO_STAGE_MIN_DIM`],
@@ -106,8 +103,8 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job with the service defaults: 8-step quantum, one leased thread,
-    /// no health probes, no checkpointing.
+    /// A job with the service defaults: one leased thread, no health probes,
+    /// no checkpointing.
     pub fn new(name: impl Into<String>, config: SimulationConfig) -> JobSpec {
         JobSpec {
             name: name.into(),
@@ -248,12 +245,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 struct SharedSink(Arc<Mutex<Box<dyn Write + Send>>>);
 
 impl SharedSink {
+    fn lock(&self) -> io::Result<MutexGuard<'_, Box<dyn Write + Send>>> {
+        self.0.lock().map_err(|_| io::Error::other("sink poisoned"))
+    }
+
     /// Write one line and hand it to the client now.
-    fn line(&self, text: &str) -> std::io::Result<()> {
-        let mut w = self
-            .0
-            .lock()
-            .map_err(|_| std::io::Error::other("sink poisoned"))?;
+    fn line(&self, text: &str) -> io::Result<()> {
+        let mut w = self.lock()?;
         w.write_all(text.as_bytes())?;
         w.write_all(b"\n")?;
         w.flush()
@@ -261,22 +259,17 @@ impl SharedSink {
 }
 
 impl Write for SharedSink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .map_err(|_| std::io::Error::other("sink poisoned"))?
-            .write(buf)
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.lock()?.write(buf)
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.0
-            .lock()
-            .map_err(|_| std::io::Error::other("sink poisoned"))?
-            .flush()
+    fn flush(&mut self) -> io::Result<()> {
+        self.lock()?.flush()
     }
 }
 
-/// Lifecycle of one tenant in the [`ServeStats`] ledger.
+/// Lifecycle of one tenant in the [`ServeStats`] ledger: queued until it
+/// holds a lease, active until it retires.
 const STATE_QUEUED: u8 = 0;
 const STATE_ACTIVE: u8 = 1;
 const STATE_RETIRED: u8 = 2;
@@ -307,7 +300,6 @@ struct StatsInner {
     /// Everything the scheduler thread records, all tenants included.
     root: ScopedSink,
     tenants: Mutex<Vec<Arc<TenantEntry>>>,
-    queue_depth: AtomicUsize,
     /// The budget the multiplexer serving this handle leases from.
     budget: Budget,
 }
@@ -330,7 +322,7 @@ impl ServeStats {
     }
 
     /// A handle whose root scope also records a span timeline: every tenant
-    /// quantum of the multiplexer it is given to, with the step and phase
+    /// slice of the multiplexer it is given to, with the step and phase
     /// spans nested inside, read back with [`ServeStats::export_chrome`].
     pub fn with_timeline(budget: Budget) -> ServeStats {
         ServeStats::with_root(ScopedSink::with_timeline("global"), budget)
@@ -340,7 +332,6 @@ impl ServeStats {
         ServeStats(Arc::new(StatsInner {
             root,
             tenants: Mutex::new(Vec::new()),
-            queue_depth: AtomicUsize::new(0),
             budget,
         }))
     }
@@ -379,14 +370,9 @@ impl ServeStats {
             .map(|t| t.sink.clone())
     }
 
-    fn set_queue_depth(&self, depth: usize) {
-        self.0.queue_depth.store(depth, Ordering::Relaxed);
-        tbmd_trace::set_gauge(Gauge::QueueDepth, depth as f64);
-    }
-
     /// Jobs currently waiting for admission.
     pub fn queue_depth(&self) -> usize {
-        self.0.queue_depth.load(Ordering::Relaxed)
+        self.counts()[0]
     }
 
     /// The budget's total, leased threads and high-water mark.
@@ -399,17 +385,12 @@ impl ServeStats {
         ]
     }
 
-    fn counts(&self) -> (usize, usize, usize) {
-        let tenants = match self.0.tenants.lock() {
-            Ok(t) => t,
-            Err(_) => return (0, 0, 0),
-        };
-        let mut counts = (0, 0, 0);
-        for t in tenants.iter() {
-            match t.state.load(Ordering::Relaxed) {
-                STATE_QUEUED => counts.0 += 1,
-                STATE_ACTIVE => counts.1 += 1,
-                _ => counts.2 += 1,
+    /// Tenants queued, active and retired.
+    fn counts(&self) -> [usize; 3] {
+        let mut counts = [0; 3];
+        if let Ok(tenants) = self.0.tenants.lock() {
+            for t in tenants.iter() {
+                counts[usize::from(t.state.load(Ordering::Relaxed))] += 1;
             }
         }
         counts
@@ -423,10 +404,10 @@ impl ServeStats {
     /// distribution) and the same per rank of a distributed tenant
     /// (`ranks`).
     pub fn to_json(&self) -> JsonValue {
-        let (queued, active, retired) = self.counts();
+        let [queued, active, retired] = self.counts();
         let mut out = JsonValue::object();
         out.set("type", "stats")
-            .set("queue_depth", self.queue_depth() as f64)
+            .set("queue_depth", queued as f64)
             .set("queued", queued as f64)
             .set("active", active as f64)
             .set("retired", retired as f64);
@@ -472,14 +453,14 @@ impl ServeStats {
     /// `tenant=…`, or `tenant=…,rank=…`.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
-        let (queued, active, retired) = self.counts();
+        let counts = self.counts();
         let mut out = String::new();
         let _ = writeln!(out, "# TYPE tbmd_queue_depth gauge");
-        let _ = writeln!(out, "tbmd_queue_depth {}", self.queue_depth());
+        let _ = writeln!(out, "tbmd_queue_depth {}", counts[0]);
         let _ = writeln!(out, "# TYPE tbmd_tenants gauge");
-        let _ = writeln!(out, "tbmd_tenants{{state=\"queued\"}} {queued}");
-        let _ = writeln!(out, "tbmd_tenants{{state=\"active\"}} {active}");
-        let _ = writeln!(out, "tbmd_tenants{{state=\"retired\"}} {retired}");
+        for (state, n) in ["queued", "active", "retired"].iter().zip(counts) {
+            let _ = writeln!(out, "tbmd_tenants{{state=\"{state}\"}} {n}");
+        }
         let _ = writeln!(out, "# TYPE tbmd_budget_threads gauge");
         for (kind, n) in self.budget_threads() {
             let _ = writeln!(out, "tbmd_budget_threads{{kind=\"{kind}\"}} {n}");
@@ -535,52 +516,55 @@ impl ServeStats {
     }
 }
 
-/// One admitted job: its session, its stream, its quantum, its telemetry
-/// ledger entry, and how its last quantum ended.
+/// How long a thread runs one tenant before it takes the next: whole
+/// [`Session::step`]s until this much wall time has passed, at least one.
+/// It is the wall time of the 8-step quantum it replaced at the ≈ 100 µs of
+/// core time per Si-8 step of `si8-serve-mix` in a fast hour of a 2-vCPU KVM
+/// host (19–20 k steps/s on two threads), which keeps that mix's time to
+/// first progress level; 1.1 ms (8 steps in a slow hour) read 1.3× there.
+const SLICE: Duration = Duration::from_micros(800);
+
+/// One admitted job: its session, its stream, its telemetry ledger entry,
+/// and how its last slice ended (`Ok(Running)` until one ends the run).
 struct Tenant {
     name: String,
     session: Session<'static>,
-    quantum: usize,
     sink: SharedSink,
     entry: Arc<TenantEntry>,
     queue_wait: Duration,
-    /// `Ok(Running)` until a quantum finishes the run or fails it.
     status: Result<SessionStatus, String>,
 }
 
 impl Tenant {
-    /// One quantum of MD steps, on whichever thread runs it: the root
-    /// scope is entered here, around this quantum alone, so its events
-    /// reach the root once wherever it runs. A panic ends the quantum like
-    /// an error does and leaves the other tenants alone.
-    fn run_quantum(&mut self, root: &ScopedSink) {
-        let _root = root.enter();
-        let target = self.session.steps_done() + self.quantum;
-        // Quantum latency: one span named after the tenant's scope (the MD
-        // step spans nest under it in a timeline) feeds the root scope's
-        // histogram; the tenant's scope gets the same sample.
-        let quantum = tbmd_trace::interval(Hist::Quantum, &self.entry.sink);
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.session.run_until(target)));
-        let quantum_ns = quantum.finish().as_nanos() as u64;
-        self.entry.sink.record_ns(Hist::Quantum, quantum_ns);
-        self.status = match outcome {
-            Ok(status) => status.map_err(|e| e.to_string()),
-            Err(payload) => Err(format!("tenant panicked: {}", panic_message(&*payload))),
-        };
+    /// Whole MD steps (at least one) until [`SLICE`] has passed since the
+    /// slice `began` — a build of the session included — or the run ends. A
+    /// `late` slice, begun after its tick's deadline, also ends once no slice
+    /// begun before the deadline is running (`early` counts them). A panic
+    /// ends the slice like an error does.
+    fn run_slice(&mut self, began: Instant, late: bool, early: &AtomicUsize) {
+        // One span named after the tenant's scope (its steps nest under it
+        // in a timeline) feeds the root's histogram; the tenant's gets the
+        // same sample.
+        let slice = tbmd_trace::interval(Hist::Quantum, &self.entry.sink);
+        let session = &mut self.session;
+        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
+            let status = session.step();
+            let over = began.elapsed() >= SLICE || late && early.load(Ordering::Acquire) == 0;
+            if over || !matches!(status, Ok(SessionStatus::Running)) {
+                return status.map_err(|e| e.to_string());
+            }
+        }));
+        let slice_ns = slice.finish().as_nanos() as u64;
+        self.entry.sink.record_ns(Hist::Quantum, slice_ns);
+        self.status = outcome.unwrap_or_else(|payload| Err(panicked(&*payload)));
     }
 }
 
-/// Why a tenant's lock is never poisoned: no panic leaves a quantum.
-const QUANTUM_CATCHES: &str = "a quantum catches its own panics";
-
-/// The text of a panic payload (`panic!` makes a `&str` or a `String`).
-fn panic_message(payload: &(dyn Any + Send)) -> &str {
-    match payload.downcast_ref::<&str>() {
-        Some(text) => text,
-        None => payload
-            .downcast_ref::<String>()
-            .map_or("(no message)", String::as_str),
-    }
+/// The error text of a caught panic (`panic!` makes a `&str` or a `String`).
+fn panicked(payload: &(dyn Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or(payload.downcast_ref::<&str>().copied());
+    format!("tenant panicked: {}", text.unwrap_or("(no message)"))
 }
 
 /// One queued job: the spec, its stream, and its admission stopwatch.
@@ -589,6 +573,121 @@ struct Waiting {
     sink: SharedSink,
     entry: Arc<TenantEntry>,
     queued_at: Instant,
+}
+
+impl Waiting {
+    /// The job's session, with its stream, telemetry scope and lease. A
+    /// failed or panicking build, or a spec built in code past the size
+    /// limits `parse_request` enforces, makes the job's report instead.
+    fn build(self: Box<Self>, lease: ComputeLease) -> Result<Box<Tenant>, Box<TenantReport>> {
+        let waiting = *self;
+        let (spec, sink, entry) = (waiting.spec, waiting.sink, waiting.entry);
+        let name = spec.name.clone();
+        let queue_wait = Duration::from_nanos(entry.queue_wait_ns.load(Ordering::Relaxed));
+        let build = || {
+            if spec.initial.is_none() {
+                let atoms = spec.config.system.check_size()?;
+                spec.config.engine.check_ranks(atoms)?;
+            }
+            let mut manifest = run_manifest(&spec.config);
+            if let Some(initial) = spec.initial.as_ref() {
+                // The manifest advertises what actually runs, not what the
+                // config would have built.
+                manifest.n_atoms = initial.structure.n_atoms();
+            }
+            let recorder = RunRecorder::to_writer(sink.clone(), &manifest)
+                .map_err(|e| format!("recorder: {e}"))?;
+            let options = RecorderConfig {
+                health_stride: spec.health_stride,
+                checkpoint: None,
+            };
+            let mut builder = SessionBuilder::new(spec.config)
+                .record_owned(recorder, options)
+                .telemetry(entry.sink.clone())
+                .lease(lease);
+            if let Some(initial) = spec.initial {
+                builder = builder.initial_state(initial);
+            }
+            if spec.checkpoint_interval > 0 {
+                let store = CheckpointStore::in_memory(spec.retain);
+                builder = builder.checkpoint_store(store, spec.checkpoint_interval);
+            }
+            builder.build().map_err(|e| e.to_string())
+        };
+        match catch_unwind(AssertUnwindSafe(build)).unwrap_or_else(|p| Err(panicked(&*p))) {
+            Ok(session) => Ok(Box::new(Tenant {
+                name,
+                session,
+                sink,
+                entry,
+                queue_wait,
+                status: Ok(SessionStatus::Running),
+            })),
+            Err(detail) => {
+                entry.state.store(STATE_RETIRED, Ordering::Relaxed);
+                Err(Box::new(TenantReport {
+                    outcome: Err(stream_error(&sink, &name, detail, queue_wait)),
+                    name,
+                    steps: 0,
+                    evaluations: 0,
+                    alloc_events: 0,
+                    queue_wait,
+                }))
+            }
+        }
+    }
+}
+
+/// An entry of the run queue: a leased job with no session yet, or a tenant.
+enum Ready {
+    Admitted(Box<Waiting>, ComputeLease),
+    Built(Box<Tenant>),
+}
+
+/// Everything behind the run queue's lock.
+#[derive(Default)]
+struct Queue {
+    /// Jobs waiting for a lease, in submission order.
+    waiting: VecDeque<Waiting>,
+    /// The run queue: admitted jobs in admission order, then built tenants.
+    ready: VecDeque<Ready>,
+    reports: Vec<TenantReport>,
+}
+
+impl Queue {
+    /// Admit waiting jobs while the budget grants leases, in submission
+    /// order (no overtaking: one oversized job at the head blocks the queue
+    /// rather than starving forever), each leasing the width its system can
+    /// use ([`EngineKind::useful_threads`]) and running before any built
+    /// tenant. Returns the length of the run queue.
+    fn admit(&mut self, stats: &ServeStats) -> usize {
+        while let Some(Waiting { spec, .. }) = self.waiting.front() {
+            let (config, initial) = (&spec.config, spec.initial.as_ref());
+            let initial = initial.map(|state| &state.structure);
+            let width = config
+                .engine
+                .useful_threads(&config.system, initial, spec.threads);
+            let Some(lease) = stats.0.budget.lease(width) else {
+                break;
+            };
+            let waiting = self.waiting.pop_front().expect("front just probed");
+            tbmd_trace::set_gauge(Gauge::QueueDepth, self.waiting.len() as f64);
+            // The admission wait, attributed to the root scope (entered)
+            // and to the tenant (written directly: nobody has entered it).
+            let (entry, wait_ns) = (&waiting.entry, waiting.queued_at.elapsed().as_nanos());
+            tbmd_trace::record_ns(Hist::AdmissionWait, wait_ns as u64);
+            entry.sink.record_ns(Hist::AdmissionWait, wait_ns as u64);
+            entry.queue_wait_ns.store(wait_ns as u64, Ordering::Relaxed);
+            let threads = lease.threads();
+            entry.threads_leased.store(threads, Ordering::Relaxed);
+            entry.state.store(STATE_ACTIVE, Ordering::Relaxed);
+            let built = self.ready.iter().position(|r| matches!(r, Ready::Built(_)));
+            let at = built.unwrap_or(self.ready.len());
+            self.ready
+                .insert(at, Ready::Admitted(Box::new(waiting), lease));
+        }
+        self.ready.len()
+    }
 }
 
 /// How one job ended.
@@ -607,18 +706,11 @@ pub struct TenantReport {
     pub outcome: Result<SimulationSummary, String>,
 }
 
-/// Scheduler over many [`tbmd::Session`]s under one compute [`Budget`]:
-/// every sweep runs one quantum of each admitted tenant, side by side on the
-/// thread team. Submissions past the budget wait in an admission queue;
-/// each finished tenant refunds its lease, letting the queue drain.
+/// Scheduler over many [`tbmd::Session`]s under one compute [`Budget`],
+/// through one run queue (see the crate docs). Submissions past the budget
+/// wait for a lease; each retiring tenant refunds its own.
 pub struct Multiplexer {
-    /// Admitted tenants in admission order, each behind a lock of its own:
-    /// the team task that runs a tenant's quantum takes it, nobody else
-    /// contends for it, and nothing is allocated per sweep to hand the
-    /// tenants out.
-    active: Vec<Mutex<Tenant>>,
-    waiting: VecDeque<Waiting>,
-    reports: Vec<TenantReport>,
+    queue: Mutex<Queue>,
     stats: ServeStats,
 }
 
@@ -640,9 +732,7 @@ impl Multiplexer {
     /// threads can answer the `stats` verb.
     pub fn with_stats(stats: ServeStats) -> Multiplexer {
         Multiplexer {
-            active: Vec::new(),
-            waiting: VecDeque::new(),
-            reports: Vec::new(),
+            queue: Mutex::default(),
             stats,
         }
     }
@@ -652,194 +742,117 @@ impl Multiplexer {
         self.stats.clone()
     }
 
+    /// The queue's lock, held only to move jobs and leases — never across a
+    /// build, a step or a write, so no panic can poison it.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Queue a job; its JSONL record stream goes to `sink`. Admission (and
-    /// the budget check) happens on the next [`Multiplexer::tick`].
+    /// the budget check) happens in the next [`Multiplexer::tick`].
     pub fn submit(&mut self, spec: JobSpec, sink: impl Write + Send + 'static) {
         let _root = self.stats.0.root.enter();
         let sink = SharedSink(Arc::new(
             Mutex::new(Box::new(sink) as Box<dyn Write + Send>),
         ));
         let entry = self.stats.register(&spec);
-        self.waiting.push_back(Waiting {
+        let mut queue = self.queue();
+        queue.waiting.push_back(Waiting {
             spec,
             sink,
             entry,
             queued_at: Instant::now(),
         });
-        self.stats.set_queue_depth(self.waiting.len());
+        tbmd_trace::set_gauge(Gauge::QueueDepth, queue.waiting.len() as f64);
     }
 
-    /// Jobs currently running.
+    /// Jobs holding a lease.
     pub fn active(&self) -> usize {
-        self.active.len()
+        self.queue().ready.len()
     }
 
     /// Jobs waiting for a lease.
     pub fn queued(&self) -> usize {
-        self.waiting.len()
+        self.queue().waiting.len()
     }
 
-    /// Admit queued jobs while the budget grants leases, in submission
-    /// order (no overtaking: one oversized job at the head blocks the
-    /// queue rather than starving forever). Each asks for the width its
-    /// system can use ([`EngineKind::useful_threads`]).
-    fn admit(&mut self) {
-        while let Some(waiting) = self.waiting.front() {
-            let JobSpec {
-                config,
-                initial,
-                threads,
-                ..
-            } = &waiting.spec;
-            let initial = initial.as_ref().map(|state| &state.structure);
-            let width = config
-                .engine
-                .useful_threads(&config.system, initial, *threads);
-            let Some(lease) = self.stats.0.budget.lease(width) else {
-                break;
+    /// Serve one time slice: admit what the budget allows, then let up to
+    /// one team thread per runnable tenant take tenants from the run queue
+    /// until the tick is over — a lone tenant on the calling thread, outside
+    /// a parallel region, so that it fans out at its lease's width. Returns
+    /// `true` while any job is active or queued.
+    pub fn tick(&mut self) -> bool {
+        let deadline = Instant::now() + SLICE;
+        let root = self.stats.0.root.enter();
+        let ready = self.queue().admit(&self.stats);
+        drop(root);
+        // No root guard on this thread while the team serves: each serving
+        // thread enters the root itself, this one included.
+        let (this, early) = (&*self, AtomicUsize::new(0));
+        match ready.min(team::size()) {
+            0 | 1 => this.serve(deadline, &early),
+            threads => team::run(threads, &|_| this.serve(deadline, &early)),
+        }
+        self.active() + self.queued() > 0
+    }
+
+    /// One thread's share of a tick: take the next tenant (building its
+    /// session if it has none), run a slice of it, put it back or retire it,
+    /// until the queue is empty or the tick is over — at `deadline`, unless a
+    /// peer is still inside a slice begun before it (`early` counts those).
+    /// Only the pop and the push hold the queue's lock.
+    fn serve(&self, deadline: Instant, early: &AtomicUsize) {
+        let _root = self.stats.0.root.enter();
+        loop {
+            let (next, began) = {
+                let mut queue = self.queue();
+                queue.admit(&self.stats);
+                let Some(next) = queue.ready.pop_front() else {
+                    return;
+                };
+                let began = Instant::now();
+                early.fetch_add(usize::from(began < deadline), Ordering::AcqRel);
+                (next, began)
             };
-            let waiting = self.waiting.pop_front().expect("front just probed");
-            self.stats.set_queue_depth(self.waiting.len());
-            // The admission wait, attributed to the root scope (entered)
-            // and to the tenant (written directly: nobody has entered it).
-            let wait = waiting.queued_at.elapsed();
-            let wait_ns = wait.as_nanos() as u64;
-            tbmd_trace::record_ns(Hist::AdmissionWait, wait_ns);
-            waiting.entry.sink.record_ns(Hist::AdmissionWait, wait_ns);
-            waiting
-                .entry
-                .queue_wait_ns
-                .store(wait_ns, Ordering::Relaxed);
-            waiting
-                .entry
-                .threads_leased
-                .store(lease.threads(), Ordering::Relaxed);
-            let sink = waiting.sink.clone();
-            match Self::build_tenant(waiting, wait, lease) {
+            let late = began >= deadline;
+            let mut tenant = match next {
+                Ready::Admitted(waiting, lease) => waiting.build(lease),
+                Ready::Built(tenant) => Ok(tenant),
+            };
+            if let Ok(tenant) = &mut tenant {
+                tenant.run_slice(began, late, early);
+            }
+            early.fetch_sub(usize::from(!late), Ordering::AcqRel);
+            match tenant {
+                Ok(tenant) if matches!(tenant.status, Ok(SessionStatus::Running)) => {
+                    self.queue().ready.push_back(Ready::Built(tenant));
+                }
                 Ok(tenant) => {
-                    tenant.entry.state.store(STATE_ACTIVE, Ordering::Relaxed);
-                    self.active.push(Mutex::new(tenant));
+                    let report = retire(*tenant);
+                    self.queue().reports.push(report);
                 }
-                Err(mut report) => {
-                    let (name, outcome) = (&report.name, report.outcome);
-                    report.outcome =
-                        outcome.map_err(|detail| stream_error(&sink, name, detail, wait));
-                    self.reports.push(*report);
-                }
+                Err(report) => self.queue().reports.push(*report),
+            }
+            if Instant::now() >= deadline && early.load(Ordering::Acquire) == 0 {
+                return;
             }
         }
-    }
-
-    fn build_tenant(
-        waiting: Waiting,
-        queue_wait: Duration,
-        lease: tbmd::ComputeLease,
-    ) -> Result<Tenant, Box<TenantReport>> {
-        let Waiting {
-            spec, sink, entry, ..
-        } = waiting;
-        let fail = |name: &str, detail: String| {
-            entry.state.store(STATE_RETIRED, Ordering::Relaxed);
-            Box::new(TenantReport {
-                name: name.to_string(),
-                steps: 0,
-                evaluations: 0,
-                alloc_events: 0,
-                queue_wait,
-                outcome: Err(detail),
-            })
-        };
-        // A spec built in code has not been through `parse_request`.
-        if spec.initial.is_none() {
-            let config = &spec.config;
-            config
-                .system
-                .check_size()
-                .and_then(|atoms| config.engine.check_ranks(atoms))
-                .map_err(|detail| fail(&spec.name, detail))?;
-        }
-        let mut manifest = run_manifest(&spec.config);
-        if let Some(initial) = spec.initial.as_ref() {
-            // The manifest advertises what actually runs, not what the
-            // config would have built.
-            manifest.n_atoms = initial.structure.n_atoms();
-        }
-        let recorder = RunRecorder::to_writer(sink.clone(), &manifest)
-            .map_err(|e| fail(&spec.name, format!("recorder: {e}")))?;
-        let options = RecorderConfig {
-            health_stride: spec.health_stride,
-            checkpoint: None,
-        };
-        let mut builder = SessionBuilder::new(spec.config)
-            .record_owned(recorder, options)
-            .telemetry(entry.sink.clone())
-            .lease(lease);
-        if let Some(initial) = spec.initial {
-            builder = builder.initial_state(initial);
-        }
-        if spec.checkpoint_interval > 0 {
-            builder = builder.checkpoint_store(
-                CheckpointStore::in_memory(spec.retain),
-                spec.checkpoint_interval,
-            );
-        }
-        let session = builder
-            .build()
-            .map_err(|e| fail(&spec.name, e.to_string()))?;
-        Ok(Tenant {
-            name: spec.name,
-            session,
-            quantum: spec.quantum,
-            sink,
-            entry,
-            queue_wait,
-            status: Ok(SessionStatus::Running),
-        })
-    }
-
-    /// One scheduler sweep: admit what the budget allows, then give every
-    /// active tenant one quantum of MD steps, all at once — one task per
-    /// tenant on the thread team — and retire the finished ones in
-    /// admission order. Returns `true` while any job is active or queued.
-    ///
-    /// A lone tenant runs on the calling thread with its lease's width, so a
-    /// lone wide tenant still fans out. Beside another tenant a task is a
-    /// parallel region, so a wide tenant's fan-outs run inline on its
-    /// task's thread (the team's inline rule): the same bits, one thread.
-    pub fn tick(&mut self) -> bool {
-        {
-            let _root = self.stats.0.root.enter();
-            self.admit();
-        }
-        // No root guard on this thread while the quanta run: each quantum
-        // enters the root itself, and this thread runs quanta too.
-        let (active, root) = (&self.active, &self.stats.0.root);
-        team::run(active.len(), &|i| {
-            active[i].lock().expect(QUANTUM_CATCHES).run_quantum(root);
-        });
-        let _root = self.stats.0.root.enter();
-        let finished = self.active.extract_if(.., |tenant| {
-            let status = &tenant.get_mut().expect(QUANTUM_CATCHES).status;
-            !matches!(status, Ok(SessionStatus::Running))
-        });
-        self.reports
-            .extend(finished.map(|tenant| retire(tenant.into_inner().expect(QUANTUM_CATCHES))));
-        !self.active.is_empty() || !self.waiting.is_empty()
     }
 
     /// Run the scheduling loop until every submitted job has finished, then
     /// hand back the reports.
     pub fn drain(&mut self) -> Vec<TenantReport> {
         while self.tick() {}
-        std::mem::take(&mut self.reports)
+        self.take_reports()
     }
 
-    /// Hand back the reports of jobs finished so far without waiting for
-    /// the rest — what an incremental driver polls between [`Multiplexer::tick`]
-    /// calls to chain follow-up submissions (e.g. the next quench segment)
-    /// off completed ones while other jobs are still running.
+    /// Hand back the reports of jobs finished so far, in completion order,
+    /// without waiting for the rest — what an incremental driver polls
+    /// between [`Multiplexer::tick`] calls to chain follow-up submissions
+    /// (e.g. the next quench segment) off completed ones while other jobs
+    /// are still running.
     pub fn take_reports(&mut self) -> Vec<TenantReport> {
-        std::mem::take(&mut self.reports)
+        std::mem::take(&mut self.queue().reports)
     }
 }
 
@@ -848,14 +861,13 @@ impl Multiplexer {
 /// (the session's error) or the closing summary — retires with an error
 /// status, like one whose engine failed or panicked.
 fn retire(mut tenant: Tenant) -> TenantReport {
-    let error = tenant.status.err();
-    let steps = tenant.session.steps_done();
-    let evaluations = tenant.session.evaluations();
-    let alloc_events = tenant.session.large_alloc_events();
-    let summary = tenant.session.take_summary();
+    let (error, session) = (tenant.status.err(), &mut tenant.session);
+    let (steps, evaluations) = (session.steps_done(), session.evaluations());
+    let alloc_events = session.large_alloc_events();
+    let summary = session.take_summary();
     tenant.entry.state.store(STATE_RETIRED, Ordering::Relaxed);
     // Refund before the recorder flushes, so a queued job can be
-    // admitted on the very next sweep.
+    // admitted by the next thread to reach the queue.
     drop(tenant.session.take_lease());
     // Only a finished run closes its stream with the summary line; a
     // failed one drops the recorder unfinished (buffered lines still
@@ -869,15 +881,14 @@ fn retire(mut tenant: Tenant) -> TenantReport {
         },
         (None, None) => Err("session finished without a summary".to_string()),
     };
-    let outcome = outcome
-        .map_err(|detail| stream_error(&tenant.sink, &tenant.name, detail, tenant.queue_wait));
+    let stream = |detail| stream_error(&tenant.sink, &tenant.name, detail, tenant.queue_wait);
     TenantReport {
+        outcome: outcome.map_err(stream),
         name: tenant.name,
         steps,
         evaluations,
         alloc_events,
         queue_wait: tenant.queue_wait,
-        outcome,
     }
 }
 
@@ -965,12 +976,8 @@ mod tests {
 
         let (ba, bb) = (Buf::default(), Buf::default());
         let mut mux = Multiplexer::new();
-        let mut sa = JobSpec::new("a", ca);
-        sa.quantum = 3;
-        let mut sb = JobSpec::new("b", cb);
-        sb.quantum = 5;
-        mux.submit(sa, ba.clone());
-        mux.submit(sb, bb.clone());
+        mux.submit(JobSpec::new("a", ca), ba.clone());
+        mux.submit(JobSpec::new("b", cb), bb.clone());
         let mut reports = mux.drain();
         reports.sort_by(|x, y| x.name.cmp(&y.name));
         assert_eq!(reports.len(), 2);

@@ -80,7 +80,7 @@ mod unix {
                          text exposition).\n\
                          --budget 0 (default) leaves the compute pool uncapped.\n\
                          --timeline FILE records the scheduler's span timeline (tenant\n\
-                         quanta, steps, phases) and writes it as Chrome trace_event\n\
+                         slices, steps, phases) and writes it as Chrome trace_event\n\
                          JSON on shutdown (open in Perfetto)."
                     );
                     std::process::exit(0);
@@ -100,15 +100,9 @@ mod unix {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("nonblocking listener: {e}"))?;
-        eprintln!(
-            "tbmd-serve listening on {:?} (budget: {})",
-            args.socket,
-            if args.budget == 0 {
-                "uncapped".to_string()
-            } else {
-                args.budget.to_string()
-            }
-        );
+        let cap = (args.budget > 0).then(|| args.budget.to_string());
+        let cap = cap.as_deref().unwrap_or("uncapped");
+        eprintln!("tbmd-serve listening on {:?} (budget: {cap})", args.socket);
 
         let (jobs_tx, jobs_rx) = mpsc::channel::<(JobSpec, UnixStream)>();
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -120,8 +114,7 @@ mod unix {
         };
 
         // Accept loop on its own thread: it only parses lines and forwards
-        // jobs; the scheduler loop below owns every session and runs each
-        // sweep's quanta side by side on the thread team. Stats
+        // jobs to the scheduler loop below, which owns every session. Stats
         // requests are answered right on the client threads — the shared
         // handle reads the same atomics the scheduler writes.
         let acceptor = {
@@ -147,9 +140,9 @@ mod unix {
             })
         };
 
-        // Scheduler loop: drain submissions, give every tenant a quantum
-        // (all at once), exit once a shutdown request arrives and the
-        // queues are empty.
+        // Scheduler loop: take new submissions between ticks (a tick lasts
+        // one time slice of the run queue), exit once a shutdown request
+        // arrives and the queues are empty.
         let mut mux = Multiplexer::with_stats(stats.clone());
         loop {
             while let Ok((spec, stream)) = jobs_rx.try_recv() {

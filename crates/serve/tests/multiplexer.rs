@@ -4,12 +4,14 @@
 //! - admission leases a tenant the width its system can use: a dense job
 //!   below the two-stage floor asks the budget for one thread whatever its
 //!   `threads` says, and one above it for `threads`;
-//! - quanta of a sweep run side by side on the thread team: every tenant —
-//!   serial, shared and distributed (whose rank launch then starts from a
-//!   team task) — still lands bitwise on its standalone trajectory, under a
+//! - a job submitted beside a long-running one is admitted and stepped in
+//!   the next tick: a tick lasts one time slice;
+//! - tenants run side by side on the thread team: every tenant — serial,
+//!   shared and distributed (whose rank launch then starts from a team
+//!   task) — still lands bitwise on its standalone trajectory, under a
 //!   finite budget and under the unlimited one;
-//! - a tenant whose quantum panics — here its client sink, on a step line
-//!   the recorder writes from inside the quantum — retires alone: an error
+//! - a tenant whose slice panics — here its client sink, on a step line
+//!   the recorder writes from inside the slice — retires alone: an error
 //!   report, its lease refunded, while the other tenants run to the end,
 //!   bitwise equal to standalone sessions;
 //! - a client whose reader goes away mid-stream: its tenant retires on the
@@ -19,6 +21,7 @@
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
+use tbmd::trace::JsonValue;
 use tbmd::{Budget, EngineKind, SessionBuilder, SimulationConfig, SimulationSummary, SystemSpec};
 use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 
@@ -35,7 +38,6 @@ fn config(temperature_k: f64, steps: usize, seed: u64, engine: EngineKind) -> Si
 
 fn job(name: &str, config: SimulationConfig, threads: usize) -> JobSpec {
     let mut spec = JobSpec::new(name, config);
-    spec.quantum = 3;
     spec.threads = threads;
     spec
 }
@@ -78,15 +80,45 @@ fn lines(buf: &Buf) -> Vec<String> {
         .collect()
 }
 
-/// The `threads_leased` of the tenant named `name` in the stats answer.
-fn leased(mux: &Multiplexer, name: &str) -> f64 {
+/// The tenant named `name` in the stats answer.
+fn tenant(mux: &Multiplexer, name: &str) -> JsonValue {
     let stats = mux.stats().to_json();
     let tenants = stats.get("tenants").unwrap().as_array().unwrap();
     let tenant = tenants
         .iter()
-        .find(|t| t.get("name").unwrap().as_str() == Some(name))
-        .unwrap();
+        .find(|t| t.get("name").unwrap().as_str() == Some(name));
+    tenant.unwrap().clone()
+}
+
+/// The `threads_leased` of the tenant named `name` in the stats answer.
+fn leased(mux: &Multiplexer, name: &str) -> f64 {
+    let tenant = tenant(mux, name);
     tenant.get("threads_leased").unwrap().as_f64().unwrap()
+}
+
+/// A tick lasts one time slice, however long the running tenants still
+/// have to go: a Si-8 job submitted while a long Si-64 job runs is admitted
+/// and stepped in the very next tick — also on a team of one thread, where
+/// a job just admitted runs before the tenants already built.
+#[test]
+fn a_submission_is_admitted_promptly() {
+    let mut mux = multiplexer(&Budget::new(2));
+    let mut long = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 2 }, 300.0, 1000);
+    long.seed = 5;
+    mux.submit(job("si64", long, 1), io::sink());
+    assert!(mux.tick());
+    mux.submit(
+        job("si8", config(300.0, 200, 6, EngineKind::Serial), 1),
+        io::sink(),
+    );
+    assert!(mux.tick());
+    let si8 = tenant(&mux, "si8");
+    assert_eq!(si8.get("state").unwrap().as_str(), Some("active"));
+    let step = si8.get("histograms").unwrap().get("step").unwrap();
+    assert!(
+        step.get("count").unwrap().as_f64().unwrap() >= 1.0,
+        "{si8:?}"
+    );
 }
 
 #[test]
@@ -94,20 +126,21 @@ fn narrow_tenants_lease_one_thread_and_wide_ones_what_they_ask() {
     let sized = |name, reps, engine, threads| {
         let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps }, 300.0, 2);
         config.engine = engine;
-        let mut spec = job(name, config, threads);
-        spec.quantum = 1;
-        spec
+        job(name, config, threads)
     };
 
     // Si-8 (32 orbitals) asking for two threads, then a one-thread job:
-    // both are admitted in the first sweep, one thread each.
+    // both are admitted in the first tick, one thread each.
     let budget = Budget::new(2);
     let mut mux = multiplexer(&budget);
     mux.submit(sized("si8-wide", 1, EngineKind::Shared, 2), io::sink());
     mux.submit(sized("si8", 1, EngineKind::Serial, 1), io::sink());
-    assert!(mux.tick());
-    assert_eq!(mux.active(), 2, "both Si-8 tenants run in the first sweep");
-    assert_eq!(mux.queued(), 0);
+    mux.tick();
+    assert_eq!(
+        mux.queued(),
+        0,
+        "both Si-8 tenants admitted in the first tick"
+    );
     assert_eq!(leased(&mux, "si8-wide"), 1.0);
     assert_eq!(leased(&mux, "si8"), 1.0);
     let reports = mux.drain();
@@ -136,18 +169,17 @@ fn narrow_tenants_lease_one_thread_and_wide_ones_what_they_ask() {
 }
 
 /// Two serial tenants, a shared one and a distributed one over two ranks,
-/// with different lengths and quanta so that they retire in different
-/// sweeps: (name, config, threads, quantum).
-fn side_by_side_tenants() -> Vec<(&'static str, SimulationConfig, usize, usize)> {
+/// with different lengths so that they retire at different times:
+/// (name, config, threads).
+fn side_by_side_tenants() -> Vec<(&'static str, SimulationConfig, usize)> {
     vec![
-        ("serial-a", config(300.0, 10, 31, EngineKind::Serial), 1, 3),
-        ("serial-b", config(450.0, 14, 32, EngineKind::Serial), 1, 4),
-        ("shared", config(350.0, 9, 33, EngineKind::Shared), 2, 2),
+        ("serial-a", config(300.0, 10, 31, EngineKind::Serial), 1),
+        ("serial-b", config(450.0, 14, 32, EngineKind::Serial), 1),
+        ("shared", config(350.0, 9, 33, EngineKind::Shared), 2),
         (
             "distributed",
             config(400.0, 8, 34, EngineKind::Distributed { ranks: 2 }),
             1,
-            3,
         ),
     ]
 }
@@ -156,19 +188,17 @@ fn side_by_side_tenants() -> Vec<(&'static str, SimulationConfig, usize, usize)>
 fn tenants_side_by_side_match_standalone_runs() {
     let references: Vec<_> = side_by_side_tenants()
         .into_iter()
-        .map(|(_, config, _, _)| standalone(config))
+        .map(|(_, config, _)| standalone(config))
         .collect();
     // Budget 3: the three dense tenants fill it (the shared one at one
     // thread, Si-8 being below the two-stage floor) and the distributed
     // tenant waits for the first retirement. Unlimited: all four run in the
-    // first sweep.
+    // first tick.
     for total in [3, 0] {
         let budget = Budget::new(total);
         let mut mux = multiplexer(&budget);
-        for (name, config, threads, quantum) in side_by_side_tenants() {
-            let mut spec = job(name, config, threads);
-            spec.quantum = quantum;
-            mux.submit(spec, io::sink());
+        for (name, config, threads) in side_by_side_tenants() {
+            mux.submit(job(name, config, threads), io::sink());
         }
         let reports = mux.drain();
         assert_eq!(budget.leased(), 0, "budget {total}: every lease refunded");
@@ -211,8 +241,7 @@ fn a_panicking_tenant_retires_alone_and_refunds_its_lease() {
     ];
     let mut mux = multiplexer(&budget);
     // The manifest is two writes (line, newline) at admission; every step
-    // line is two more. The ninth write is the fourth step's line, in the
-    // second quantum, beside the serial tenant's.
+    // line is two more. The ninth write is the fourth step's line.
     let doomed_config = config(300.0, STEPS, 7, EngineKind::Serial);
     mux.submit(job("doomed", doomed_config, 1), PanicsOnWrite { n: 9 });
     for &(name, config, threads) in &good {
@@ -228,7 +257,7 @@ fn a_panicking_tenant_retires_alone_and_refunds_its_lease() {
     let detail = doomed.outcome.as_ref().expect_err("an error status");
     assert!(detail.contains("panicked: sink gave up"), "{detail}");
     assert!(detail.contains("sink poisoned"), "{detail}");
-    assert_eq!(doomed.steps, 3, "one quantum done before the panic");
+    assert_eq!(doomed.steps, 3, "three steps done before the panic");
 
     for &(name, config, _) in &good {
         let report = reports.iter().find(|r| r.name == name).unwrap();
@@ -249,7 +278,7 @@ fn a_panicking_tenant_retires_alone_and_refunds_its_lease() {
         assert_eq!(velocities(summary), velocities(&reference), "{name}");
     }
 
-    // A lone tenant's quantum runs on the scheduler's own thread: caught
+    // A lone tenant's slice runs on the scheduler's own thread: caught
     // there the same way, and that thread keeps ticking.
     let mut mux = multiplexer(&budget);
     mux.submit(job("alone", doomed_config, 2), PanicsOnWrite { n: 9 });
@@ -320,7 +349,7 @@ fn a_gone_reader_retires_its_tenant_and_spares_the_others() {
     let seen = Buf::default();
     let (b, c) = (Buf::default(), Buf::default());
     let others = [("b", serial(420.0, 8), &b), ("c", serial(250.0, 9), &c)];
-    // One thread for each of the four tenants: all run from the first sweep.
+    // One thread for each of the four tenants: all admitted in the first tick.
     let budget = Budget::new(4);
     let mut mux = multiplexer(&budget);
     mux.submit(

@@ -84,7 +84,8 @@ pub enum Hist {
     Step,
     /// Time a serve job waited in the admission queue before its lease.
     AdmissionWait,
-    /// Wall time of one scheduler quantum (`Session::run_until` burst).
+    /// Wall time of one serve time slice: the `Session::step`s a scheduler
+    /// thread runs of one tenant before it takes the next.
     Quantum,
 }
 

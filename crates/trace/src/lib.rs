@@ -9,7 +9,7 @@
 //!   histogram of whoever is listening, whose sum is the phase's total
 //!   ([`TraceSnapshot::phase_ns`]). The same
 //!   type times labelled intervals that are not phases: a session's MD
-//!   step, a serve tenant's quantum.
+//!   step, a serve tenant's time slice.
 //! - **Counters** ([`Counter`]): monotonic event counts — wire bytes and
 //!   messages from the Vmp machine, workspace growth events, neighbour-list
 //!   rebuilds/refreshes, Chebyshev matvecs, checkpoint and recovery
@@ -20,7 +20,7 @@
 //!   plus scheduler saturation (admission-queue depth, lease high-water).
 //! - **Histograms** ([`Hist`], [`hist`]): fixed-size log-bucketed latency
 //!   distributions — per-phase span durations, per-step wall time, serve
-//!   admission wait and quantum latency — with p50/p90/p99 reconstruction
+//!   admission wait and time-slice latency — with p50/p90/p99 reconstruction
 //!   and `since()` deltas ([`HistSnapshot`]).
 //! - **Scoped sinks** ([`ScopedSink`]): the only sink. A labelled block of
 //!   the above, fed through a thread-local stack while a thread holds the

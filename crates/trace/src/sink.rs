@@ -227,7 +227,7 @@ impl ScopedSink {
     }
 }
 
-/// A span named after a scope: how a scheduler labels a tenant's quantum
+/// A span named after a scope: how a scheduler labels a tenant's time slice
 /// with the tenant scope's label without copying it.
 impl From<&ScopedSink> for SpanName {
     fn from(scope: &ScopedSink) -> SpanName {
@@ -342,7 +342,7 @@ pub fn span(phase: Phase) -> Span {
 }
 
 /// Open a labelled interval that is not a phase — an MD step, a tenant's
-/// scheduler quantum — recorded into `hist` and, in a timeline, as `name`.
+/// time slice — recorded into `hist` and, in a timeline, as `name`.
 #[inline]
 pub fn interval(hist: Hist, name: impl Into<SpanName>) -> Span {
     Span {

@@ -428,7 +428,7 @@ fn a_bad_cell_keeps_the_finished_ones() {
 
 /// Vacancy cells (seven atoms, 28 orbitals: below the two-stage floor) may
 /// lease the whole team but each leases one thread, so the campaign's
-/// budget — one thread per hardware thread — runs as many of them per sweep
+/// budget — one thread per hardware thread — runs as many of them at once
 /// as the host has threads. Every row is still the pinned one, quench
 /// chains included.
 #[test]

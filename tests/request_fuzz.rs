@@ -287,7 +287,12 @@ fn a_multiplexer_refuses_oversized_tenants_and_serves_the_rest_bitwise() {
         bits.push(summary.final_total_energy.to_bits());
         (r.name.clone(), bits)
     };
-    let calm: Vec<_> = run(false).iter().map(endpoint).collect();
+    // Reports come in completion order; tenants are known by name.
+    let by_name = |mut v: Vec<(String, Vec<u64>)>| {
+        v.sort();
+        v
+    };
+    let calm = by_name(run(false).iter().map(endpoint).collect());
     let reports = run(true);
     let (refused, served): (Vec<&TenantReport>, Vec<&TenantReport>) = reports
         .iter()
@@ -298,7 +303,7 @@ fn a_multiplexer_refuses_oversized_tenants_and_serves_the_rest_bitwise() {
         assert!(err.contains("limit"), "{}: {err}", r.name);
         assert_eq!(r.steps, 0);
     }
-    let served: Vec<_> = served.into_iter().map(endpoint).collect();
+    let served = by_name(served.into_iter().map(endpoint).collect());
     assert!(served == calm, "the other tenants moved");
 }
 

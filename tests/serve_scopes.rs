@@ -7,12 +7,22 @@ use tbmd::trace::JsonValue;
 use tbmd::{Budget, EngineKind, Hist, SimulationConfig, SystemSpec};
 use tbmd_serve::{JobSpec, Multiplexer, ServeStats};
 
-fn job(name: &str, steps: usize, quantum: usize) -> JobSpec {
+fn job(name: &str, steps: usize) -> JobSpec {
     let mut config = SimulationConfig::nve(SystemSpec::SiliconDiamond { reps: 1 }, 300.0, steps);
     config.seed = 70 + steps as u64;
-    let mut spec = JobSpec::new(name, config);
-    spec.quantum = quantum;
-    spec
+    JobSpec::new(name, config)
+}
+
+/// Time slices of the tenant `name` that ran: at least one, and no more
+/// than its `steps` (a slice runs one step at least).
+fn slices(stats: &ServeStats, name: &str, steps: usize) -> u64 {
+    let hists = stats.tenant_sink(name).expect("registered").histograms();
+    let slices = hists.hist(Hist::Quantum).count();
+    assert!(
+        (1..=steps as u64).contains(&slices),
+        "tenant {name}: {slices} slices"
+    );
+    slices
 }
 
 /// Every tenant has a sink from the moment it is queued, so the first one
@@ -20,56 +30,52 @@ fn job(name: &str, steps: usize, quantum: usize) -> JobSpec {
 #[test]
 fn every_tenant_holds_its_admission_wait_and_quanta() {
     let mut mux = Multiplexer::new();
-    mux.submit(job("a", 6, 3), std::io::sink());
-    mux.submit(job("b", 6, 3), std::io::sink());
+    mux.submit(job("a", 6), std::io::sink());
+    mux.submit(job("b", 6), std::io::sink());
     let reports = mux.drain();
     assert!(reports.iter().all(|r| r.outcome.is_ok()), "{reports:?}");
     let stats = mux.stats();
     for name in ["a", "b"] {
         let hists = stats.tenant_sink(name).expect("registered").histograms();
         assert_eq!(hists.hist(Hist::AdmissionWait).count(), 1, "tenant {name}");
-        assert_eq!(hists.hist(Hist::Quantum).count(), 2, "tenant {name}");
+        slices(&stats, name, 6);
         assert_eq!(hists.hist(Hist::Step).count(), 6, "tenant {name}");
     }
 }
 
-/// The quanta of a sweep run side by side, each on whichever thread of the
-/// team claims it, the scheduler's own included; every event still reaches
-/// the root scope exactly once. The root's step count is the tenants' total,
-/// each tenant scope counts its own steps, and the quantum histograms count
-/// the quanta that ran.
+/// Tenants run side by side, each slice on whichever thread of the team
+/// took the tenant from the run queue, the scheduler's own included; every
+/// event still reaches the root scope exactly once. The root's step count is
+/// the tenants' total, each tenant scope counts its own steps, and the root's
+/// slice histogram (`quantum`) counts the slices every tenant's counted.
 #[test]
 fn side_by_side_quanta_reach_the_root_scope_once() {
-    // (name, steps, quantum): 3 + 3 + 3 + 1 quanta.
-    let jobs = [("a", 7, 3), ("b", 12, 4), ("c", 5, 2), ("d", 9, 9)];
+    let jobs = [("a", 7), ("b", 12), ("c", 5), ("d", 9)];
     let mut mux = Multiplexer::new();
-    for (name, steps, quantum) in jobs {
-        mux.submit(job(name, steps, quantum), std::io::sink());
+    for (name, steps) in jobs {
+        mux.submit(job(name, steps), std::io::sink());
     }
     let reports = mux.drain();
     assert!(reports.iter().all(|r| r.outcome.is_ok()), "{reports:?}");
     let stats = mux.stats();
     let mut total = (0, 0);
-    for (name, steps, quantum) in jobs {
+    for (name, steps) in jobs {
         let hists = stats.tenant_sink(name).expect("registered").histograms();
-        let quanta = steps.div_ceil(quantum);
         assert_eq!(
             hists.hist(Hist::Step).count(),
             steps as u64,
             "tenant {name}"
         );
-        assert_eq!(
-            hists.hist(Hist::Quantum).count(),
-            quanta as u64,
-            "tenant {name}"
+        total = (
+            total.0 + steps,
+            total.1 + slices(&stats, name, steps) as usize,
         );
-        total = (total.0 + steps, total.1 + quanta);
     }
     let global = stats.to_json();
     let global = global.get("global").expect("global block");
     let count = |hist: &str| global.get(hist).and_then(|h| h.get("count")?.as_f64());
     assert_eq!(count("step"), Some(total.0 as f64), "root steps");
-    assert_eq!(count("quantum"), Some(total.1 as f64), "root quanta");
+    assert_eq!(count("quantum"), Some(total.1 as f64), "root slices");
 }
 
 /// Two multiplexers ticked alternately on one thread: each leases from its
@@ -81,23 +87,25 @@ fn side_by_side_quanta_reach_the_root_scope_once() {
 fn two_multiplexers_share_no_totals() {
     let multiplexer = || Multiplexer::with_stats(ServeStats::new(Budget::new(2)));
     let (mut left, mut right) = (multiplexer(), multiplexer());
-    left.submit(job("l1", 6, 2), std::io::sink());
-    left.submit(job("l2", 4, 2), std::io::sink());
-    let mut r1 = job("r1", 9, 3);
+    left.submit(job("l1", 6), std::io::sink());
+    left.submit(job("l2", 4), std::io::sink());
+    let mut r1 = job("r1", 9);
     r1.config.engine = EngineKind::Distributed { ranks: 2 };
     right.submit(r1, std::io::sink());
-    let leased = |mux: &Multiplexer| {
+    let budget = |mux: &Multiplexer, kind: &str| {
         let stats = mux.stats().to_json();
-        stats.get("budget").and_then(|b| b.get("leased")?.as_f64())
+        stats.get("budget").and_then(|b| b.get(kind)?.as_f64())
     };
-    assert!(left.tick());
-    assert_eq!(leased(&left), Some(2.0), "l1 and l2 hold a thread each");
+    left.tick();
+    let high_water = |mux: &Multiplexer| budget(mux, "high_water");
+    assert_eq!(high_water(&left), Some(2.0), "l1 and l2 held a thread each");
     assert_eq!(
-        leased(&right),
+        high_water(&right),
         Some(0.0),
         "the left leases are not the right's"
     );
     while left.tick() | right.tick() {}
+    let leased = |mux: &Multiplexer| budget(mux, "leased");
     assert_eq!((leased(&left), leased(&right)), (Some(0.0), Some(0.0)));
     let global_count = |mux: &Multiplexer, hist: &str| {
         let stats = mux.stats().to_json();
@@ -139,19 +147,19 @@ fn two_multiplexers_share_no_totals() {
 }
 
 /// Two multiplexers with a timeline each, ticked alternately on one thread:
-/// each export holds exactly its own tenants' quanta, and every step and
-/// phase span in it belongs to one of those quanta — nothing of the other
+/// each export holds exactly its own tenants' slices, and every step and
+/// phase span in it belongs to one of those slices — nothing of the other
 /// multiplexer's run leaks in.
 #[test]
 fn two_timelines_hold_only_their_own_tenants() {
     let mut left = Multiplexer::with_stats(ServeStats::with_timeline(Budget::new(0)));
     let mut right = Multiplexer::with_stats(ServeStats::with_timeline(Budget::new(0)));
-    left.submit(job("l1", 6, 2), std::io::sink());
-    left.submit(job("l2", 4, 2), std::io::sink());
-    right.submit(job("r1", 9, 3), std::io::sink());
+    left.submit(job("l1", 6), std::io::sink());
+    left.submit(job("l2", 4), std::io::sink());
+    right.submit(job("r1", 9), std::io::sink());
     while left.tick() | right.tick() {}
 
-    let check = |mux: &Multiplexer, tenants: &[(&str, usize)], steps: usize| {
+    let check = |mux: &Multiplexer, tenants: &[(&str, usize)]| {
         let chrome = mux.stats().export_chrome().to_compact();
         let parsed = JsonValue::parse(&chrome).expect("chrome trace parses");
         let events = parsed
@@ -164,40 +172,48 @@ fn two_timelines_hold_only_their_own_tenants() {
             let ts = field(e, "ts");
             (ts, ts + field(e, "dur"))
         };
-        // Quanta of one sweep run side by side, so a timeline has a `tid`
-        // per thread that ran one — never more than the team has.
+        // Slices run side by side, so a timeline has a `tid` per thread that
+        // ran one — never more than the team has.
         let threads = events
             .iter()
             .map(|e| field(e, "tid") as usize)
             .max()
             .map_or(0, |t| t + 1);
         assert!(threads <= tbmd::linalg::team::size(), "{threads} tids");
-        let quanta: Vec<_> = events
+        let slice_spans: Vec<_> = events
             .iter()
             .filter(|e| name(e).starts_with(['l', 'r']))
             .collect();
-        for (tenant, count) in tenants {
-            let n = quanta.iter().filter(|q| name(q) == *tenant).count();
-            assert_eq!(n, *count, "quanta of {tenant}");
+        let stats = mux.stats();
+        let mut counted = 0;
+        for &(tenant, steps) in tenants {
+            let n = slice_spans.iter().filter(|q| name(q) == tenant).count();
+            assert_eq!(
+                n as u64,
+                slices(&stats, tenant, steps),
+                "slices of {tenant}"
+            );
+            counted += n;
         }
-        assert_eq!(quanta.len(), tenants.iter().map(|t| t.1).sum::<usize>());
-        // Nested: inside a quantum recorded on the same thread.
-        let in_a_quantum = |e: &JsonValue| {
+        assert_eq!(slice_spans.len(), counted);
+        let steps = tenants.iter().map(|t| t.1).sum::<usize>();
+        // Nested: inside a slice recorded on the same thread.
+        let in_a_slice = |e: &JsonValue| {
             let (s0, s1) = span(e);
-            quanta.iter().any(|q| {
+            slice_spans.iter().any(|q| {
                 let (q0, q1) = span(q);
                 field(q, "tid") == field(e, "tid") && q0 <= s0 + 1e-3 && s1 <= q1 + 1e-3
             })
         };
         let step_spans: Vec<_> = events.iter().filter(|e| name(e) == "step").collect();
         assert_eq!(step_spans.len(), steps);
-        assert!(step_spans.iter().all(|s| in_a_quantum(s)));
+        assert!(step_spans.iter().all(|s| in_a_slice(s)));
         // Forces once per step plus each tenant's initial evaluation, which
-        // runs on its first step: all inside a quantum.
+        // runs on its first step: all inside a slice.
         let forces: Vec<_> = events.iter().filter(|e| name(e) == "forces").collect();
         assert_eq!(forces.len(), steps + tenants.len());
-        assert!(forces.iter().all(|f| in_a_quantum(f)));
+        assert!(forces.iter().all(|f| in_a_slice(f)));
     };
-    check(&left, &[("l1", 3), ("l2", 2)], 10);
-    check(&right, &[("r1", 3)], 9);
+    check(&left, &[("l1", 6), ("l2", 4)]);
+    check(&right, &[("r1", 9)]);
 }

@@ -9,18 +9,20 @@
 //! the lease high-water mark. After the drain, every report carries its
 //! admission wait and the stats ledger shows all three tenants retired.
 //!
-//! Counters, gauges and histograms are observed through a [`ScopedSink`]
-//! entered on the test's own thread (the scheduler ticks on it), and the
-//! span timeline is the multiplexer's own (its root scope's capture, as
-//! `tbmd-serve --timeline` arms it), as is the two-thread budget it leases
-//! from.
+//! The gauges are observed through a [`ScopedSink`] entered on the test's
+//! own thread (the scheduler ticks and admits on it), the histograms through
+//! the stats handle (any thread serving a tick may run a slice or admit a
+//! job), and the span timeline is the multiplexer's own (its root scope's
+//! capture, as `tbmd-serve --timeline` arms it), as is the two-thread budget
+//! it leases from.
 
 use tbmd::trace::{Gauge, JsonValue};
 use tbmd::{Budget, ScopedSink, SimulationConfig, SystemSpec};
 use tbmd_serve::{JobSpec, Multiplexer, Request, ServeStats, StatsFormat};
 
-const STEPS: usize = 12;
-const QUANTUM: usize = 4;
+/// More steps than any tenant can run in the few ticks before the mid-run
+/// snapshot, at any build profile.
+const STEPS: usize = 40;
 
 fn tenant_config(i: usize) -> SimulationConfig {
     let mut c = SimulationConfig::nve(
@@ -40,16 +42,27 @@ fn three_tenants_answer_stats_mid_run() {
     let mut mux = Multiplexer::with_stats(ServeStats::with_timeline(Budget::new(2)));
     for i in 0..3 {
         let mut spec = JobSpec::new(format!("tenant-{i}"), tenant_config(i));
-        spec.quantum = QUANTUM;
         spec.threads = if i == 0 { 2 } else { 1 };
         mux.submit(spec, std::io::sink());
     }
     let stats = mux.stats();
     assert_eq!(stats.queue_depth(), 3, "all jobs queued before any tick");
 
-    // One sweep: the budget admits two tenants; the third keeps waiting.
-    assert!(mux.tick(), "jobs still pending after one quantum");
-    let snap = stats.to_json();
+    // The first tick admits two tenants; the third keeps waiting. On a team
+    // of two both run a slice in it; on one thread they take turns, a tick
+    // each, the one admitted second first in the second tick.
+    let steps_of = |snap: &JsonValue, i: usize| {
+        let tenants = snap.get("tenants").unwrap().as_array().unwrap();
+        tenants[i].get("steps").unwrap().as_f64().unwrap()
+    };
+    let mut snap = stats.to_json();
+    for _ in 0..2 {
+        if steps_of(&snap, 0) > 0.0 && steps_of(&snap, 1) > 0.0 {
+            break;
+        }
+        assert!(mux.tick(), "jobs still pending after a slice");
+        snap = stats.to_json();
+    }
     assert_eq!(snap.get("type").unwrap().as_str(), Some("stats"));
     assert_eq!(snap.get("queue_depth").unwrap().as_f64(), Some(1.0));
     assert_eq!(snap.get("active").unwrap().as_f64(), Some(2.0));
@@ -59,24 +72,26 @@ fn three_tenants_answer_stats_mid_run() {
     assert_eq!(budget.get("total").unwrap().as_f64(), Some(2.0));
     assert_eq!(budget.get("high_water").unwrap().as_f64(), Some(2.0));
 
-    // Mid-run per-tenant histograms: the two admitted tenants each ran one
-    // quantum of steps and have a live latency distribution; the queued
-    // one has none yet.
+    // Mid-run per-tenant histograms: the two admitted tenants each ran a
+    // slice or two of steps and have a live latency distribution; the
+    // queued one has none yet.
     let tenants = snap.get("tenants").unwrap().as_array().unwrap();
     assert_eq!(tenants.len(), 3);
     for t in &tenants[..2] {
         assert_eq!(t.get("state").unwrap().as_str(), Some("active"));
-        assert_eq!(t.get("steps").unwrap().as_f64(), Some(QUANTUM as f64));
+        let steps = t.get("steps").unwrap().as_f64().unwrap();
+        assert!(0.0 < steps && steps < STEPS as f64, "{steps} steps mid-run");
         let step = t.get("histograms").unwrap().get("step").unwrap();
-        assert_eq!(step.get("count").unwrap().as_f64(), Some(QUANTUM as f64));
+        assert_eq!(step.get("count").unwrap().as_f64(), Some(steps));
         let p50 = step.get("p50_ms").unwrap().as_f64().unwrap();
         let p99 = step.get("p99_ms").unwrap().as_f64().unwrap();
         assert!(
             0.0 < p50 && p50 <= p99,
             "mid-run step percentiles unordered: {p50} {p99}"
         );
-        let quantum = t.get("histograms").unwrap().get("quantum").unwrap();
-        assert_eq!(quantum.get("count").unwrap().as_f64(), Some(1.0));
+        let slices = t.get("histograms").unwrap().get("quantum").unwrap();
+        let slices = slices.get("count").unwrap().as_f64().unwrap();
+        assert!(1.0 <= slices && slices <= steps, "{slices} slices mid-run");
     }
     assert_eq!(tenants[2].get("state").unwrap().as_str(), Some("queued"));
     assert_eq!(tenants[2].get("steps").unwrap().as_f64(), Some(0.0));
@@ -140,11 +155,23 @@ fn three_tenants_answer_stats_mid_run() {
         assert_eq!(t.get("state").unwrap().as_str(), Some("retired"));
         assert_eq!(t.get("steps").unwrap().as_f64(), Some(STEPS as f64));
     }
-    // The admission-wait histogram saw all three admissions.
-    let waits = scope.histograms();
-    assert_eq!(waits.hist(tbmd::Hist::AdmissionWait).count(), 3);
+    // The admission-wait histogram saw all three admissions, and the slice
+    // histogram (`quantum`) every slice the tenants counted.
+    let global = done.get("global").unwrap();
+    let count = |hist: &str| {
+        let hist = global.get(hist).unwrap();
+        hist.get("count").unwrap().as_f64().unwrap() as usize
+    };
+    assert_eq!(count("admission_wait"), 3);
+    let tenant_slices: usize = (0..3)
+        .map(|i| {
+            let sink = stats.tenant_sink(&format!("tenant-{i}")).unwrap();
+            sink.histograms().hist(tbmd::Hist::Quantum).count() as usize
+        })
+        .sum();
+    assert_eq!(count("quantum"), tenant_slices);
 
-    // The timeline captured tenant-labelled quantum intervals with the MD
+    // The timeline captured tenant-labelled slice intervals with the MD
     // step spans nested inside them, and the export round-trips.
     let chrome = stats.export_chrome().to_compact();
     let parsed = JsonValue::parse(&chrome).expect("chrome trace parses");
@@ -157,23 +184,23 @@ fn three_tenants_answer_stats_mid_run() {
         (ts, ts + e.get("dur").unwrap().as_f64().unwrap())
     };
     let name = |e: &JsonValue| e.get("name").unwrap().as_str().unwrap().to_string();
-    let quanta: Vec<_> = events
+    let slices: Vec<_> = events
         .iter()
         .filter(|e| name(e).starts_with("tenant-"))
         .collect();
     let steps: Vec<_> = events.iter().filter(|e| name(e) == "step").collect();
-    assert_eq!(quanta.len(), 3 * STEPS / QUANTUM, "one span per quantum");
+    assert_eq!(slices.len(), tenant_slices, "one span per slice");
     assert_eq!(steps.len(), 3 * STEPS, "one span per step");
-    // Every step interval nests inside some tenant quantum (µs rounding
+    // Every step interval nests inside some tenant slice (µs rounding
     // slack at both edges).
     for s in &steps {
         let (s0, s1) = interval(s);
         assert!(
-            quanta.iter().any(|q| {
+            slices.iter().any(|q| {
                 let (q0, q1) = interval(q);
                 q0 <= s0 + 1e-3 && s1 <= q1 + 1e-3
             }),
-            "step span at {s0}µs not contained in any tenant quantum"
+            "step span at {s0}µs not contained in any tenant slice"
         );
     }
 }
