@@ -5,13 +5,14 @@ use std::time::Duration;
 
 use tbmd::linalg::kernels::{axpy, dot, symv_lower};
 use tbmd::linalg::{
-    apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect,
+    apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect, team,
     tridiagonalize_blocked_into, Eigh, EighWorkspace, Matrix, TRIDIAG_BLOCK,
 };
 use tbmd::linscale::chebyshev::spectral_window;
 use tbmd::linscale::{BlockRecurrence, LinearScalingTb, LocalRegion, SparseH};
 use tbmd::model::{
-    bond_block_elements, bond_density, build_hamiltonian, OrbitalIndex, PhaseTimings, TbModel,
+    bond_block_elements, bond_density, build_hamiltonian, OrbitalIndex, PhaseTimings, RhoBlocks,
+    TbModel,
 };
 use tbmd::structure::{bulk_diamond, NeighborList};
 use tbmd::trace::{Counter, ScopedSink};
@@ -383,18 +384,31 @@ pub fn kernels(size: Option<usize>) -> Report {
     }
 
     // Eigenvectors → ρ at n = max_n, 70 % of the states kept: the
-    // back-transform on a random reduction, the bond-block density on the
-    // largest diamond crystal with at most n orbitals whose 2^e cells split
-    // over the axes (the e doublings dealt to them in turn).
+    // back-transform on a random reduction, across the team and on one
+    // thread pinned inline (as a message-passing rank runs it), then the
+    // bond-block density on the largest diamond crystal with at most n
+    // orbitals whose 2^e cells split over the axes (the e doublings dealt to
+    // them in turn).
     let (n, k) = (max_n, 7 * max_n / 10);
     let mut packed = random_matrix(n, n, 77);
     packed.symmetrize();
     let mut ws = EighWorkspace::default();
     tridiagonalize_blocked_into(&mut packed, &mut ws);
     let z0 = random_matrix(n, k, 78);
-    let (t_back, _) = best_of(5, || {
-        let mut z = z0.clone();
-        apply_q_blocked(&packed, &mut ws, &mut z);
+    let mut back_transform = || {
+        best_of(5, || {
+            let mut z = z0.clone();
+            apply_q_blocked(&packed, &mut ws, &mut z);
+        })
+        .0
+    };
+    let t_back = back_transform();
+    let t_back_pinned = std::thread::scope(|scope| {
+        let pinned = scope.spawn(|| {
+            team::pin_inline();
+            back_transform()
+        });
+        pinned.join().expect("pinned back-transform")
     });
     // Panel [j0, j0+jb) works on rows j0+1..n: 4 flops per row, reflector
     // and column.
@@ -409,20 +423,46 @@ pub fn kernels(size: Option<usize>) -> Report {
     let (n_bond, k_bond) = (index.total(), 7 * index.total() / 10);
     let vectors = random_matrix(n_bond, k_bond, 79);
     let nl = NeighborList::build(&crystal, model.cutoff() + 0.5);
-    let (mut w, mut rho) = (Matrix::default(), Matrix::default());
+    let mut rho = RhoBlocks::default();
     let (t_bond, _) = best_of(5, || {
-        bond_density(&nl, &index, &vectors, &vec![1.0; k_bond], &mut w, &mut rho)
+        bond_density(&nl, &index, &vectors, &vec![1.0; k_bond], &mut rho)
     });
     let bond_flops = 2 * bond_block_elements(&nl, &index) * k_bond;
+    let mb = |doubles: usize| fmt_f(doubles as f64 * 8.0 / 1e6, 3);
     let mut k1c = Table::new(
-        "K1c: eigenvectors → ρ stages (the back-transform fans out over the host's threads)",
-        &["stage", "n", "k", "ms", "GFLOP/s", "of tiled GEMM"],
+        "K1c: eigenvectors → ρ stages (the back-transform across the host's threads and on one pinned thread)",
+        &[
+            "stage",
+            "n",
+            "k",
+            "ms",
+            "GFLOP/s",
+            "of tiled GEMM",
+            "ρ held, MB",
+            "n×n ρ + n×k W, MB",
+        ],
     );
-    for (stage, n, k, seconds, flops) in [
-        ("compact-WY back-transform", n, k, t_back, back_flops),
-        ("bond-block density", n_bond, k_bond, t_bond, bond_flops),
+    for (stage, n, k, seconds, flops, held) in [
+        ("compact-WY back-transform", n, k, t_back, back_flops, None),
+        (
+            "compact-WY back-transform, one thread",
+            n,
+            k,
+            t_back_pinned,
+            back_flops,
+            None,
+        ),
+        (
+            "bond-block density",
+            n_bond,
+            k_bond,
+            t_bond,
+            bond_flops,
+            Some(rho.as_slice().len()),
+        ),
     ] {
         let gflops = flops as f64 / seconds / 1e9;
+        let dash = || "—".to_string();
         k1c.row(vec![
             stage.into(),
             n.to_string(),
@@ -430,6 +470,8 @@ pub fn kernels(size: Option<usize>) -> Report {
             fmt_f(seconds * 1e3, 3),
             fmt_f(gflops, 2),
             fmt_f(gflops / gemm_gflops, 2),
+            held.map_or_else(dash, mb),
+            held.map_or_else(dash, |_| mb(n * n + n * k)),
         ]);
     }
 

@@ -105,6 +105,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Elements the backing allocation holds room for.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Immutable view of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

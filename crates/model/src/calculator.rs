@@ -31,8 +31,8 @@ use crate::hamiltonian::{assemble_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
 use crate::occupations::{occupations, OccupationScheme, Occupations};
 use crate::stages::{
-    bond_contraction, bond_density, dense_block, dense_forces, entropy_term, epilogue,
-    occupied_factor_into, prologue, solve_occupied, spectrum, validate,
+    bond_contraction, bond_density, dense_forces, entropy_term, epilogue, occupied_factor_into,
+    prologue, solve_occupied, spectrum, validate,
 };
 use crate::workspace::{NeighborOutcome, Workspace};
 use std::time::Duration;
@@ -319,8 +319,8 @@ impl<'m> TbCalculator<'m> {
 
     /// The front half of the pipeline — neighbours → bond table and `H` →
     /// solve → `ρ` — through a persistent [`Workspace`]. Leaves `ρ` on the
-    /// bond blocks of the neighbour list in `ws.rho` ([`bond_density`]; zero
-    /// elsewhere), the spectrum in `ws.values`, the neighbour list in
+    /// bond blocks of the neighbour list in [`Workspace::rho_blocks`]
+    /// ([`bond_density`]), the spectrum in `ws.values`, the neighbour list in
     /// `ws.neighbors`, its radial terms in `ws.bonds` and the eigenvectors
     /// where `ws.dense_cache` says; everything downstream (forces, stress,
     /// the health probe) reads those.
@@ -350,7 +350,7 @@ impl<'m> TbCalculator<'m> {
             .vectors(&ws.h, &ws.c)
             .expect("solve_occupied leaves eigenvectors");
         let nl = ws.neighbors.list();
-        ws.grown += bond_density(nl, &index, vectors, &occ.f[..k], &mut ws.w, &mut ws.rho);
+        bond_density(nl, &index, vectors, &occ.f[..k], &mut ws.rho_blocks);
         timings.density = sp.finish();
         Ok((index, occ))
     }
@@ -363,11 +363,11 @@ impl<'m> TbCalculator<'m> {
     pub fn compute_with(&self, s: &Structure, ws: &mut Workspace) -> Result<TbResult, TbError> {
         let mut timings = PhaseTimings::default();
         let grown_before = ws.grown;
-        let (index, occ) = self.density_with(s, ws, &mut timings)?;
+        let (_, occ) = self.density_with(s, ws, &mut timings)?;
         let band = occ.band_energy(&ws.values);
 
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let (rep, forces) = dense_forces(ws.neighbors.list(), &ws.bonds, &index, &ws.rho);
+        let (rep, forces) = dense_forces(ws.neighbors.list(), &ws.bonds, &ws.rho_blocks);
         timings.forces = sp.finish();
 
         epilogue(ws.grown - grown_before, &timings, &[]);
@@ -427,8 +427,8 @@ pub fn electronic_forces(
             let mut fi = Vec3::ZERO;
             for nb in nl.neighbors(i).iter().filter(|nb| nb.j != i) {
                 let (v, dv) = (model.hoppings(nb.dist), model.hoppings_deriv(nb.dist));
-                let block = dense_block(rho, oi, index.offset(nb.j));
-                if let Some(acc) = bond_contraction(nb, v, dv, block) {
+                let oj = index.offset(nb.j);
+                if let Some(acc) = bond_contraction(nb, v, dv, |mu, nu| rho[(oi + mu, oj + nu)]) {
                     fi += acc * 2.0;
                 }
             }

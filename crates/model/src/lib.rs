@@ -46,8 +46,8 @@ pub use scaling::{CutoffTail, GspScaling, RadialFunction, RadialShape};
 pub use silicon::silicon_gsp;
 pub use slater_koster::{sk_block, sk_block_gradient, sk_transpose, Hoppings, SkBlock};
 pub use stages::{
-    bond_block_elements, bond_contraction, bond_density, bond_force, dense_block, dense_forces,
-    entropy_term, epilogue, for_each_bond_block, prologue, solve_occupied, validate, BondTable,
+    bond_block_elements, bond_contraction, bond_density, bond_force, dense_forces, entropy_term,
+    epilogue, for_each_bond_block, prologue, solve_occupied, validate, BondTable, RhoBlocks,
 };
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};

@@ -17,8 +17,8 @@
 //!   spectrum → occupations → occupied eigenvectors (the only place the
 //!   [`DenseCache`] marker is set and the `Diagonalize` span opened);
 //! * [`bond_density`] — `ρ` on the blocks the force and stress contractions
-//!   read: one per atom and one per neighbour-list pair
-//!   ([`for_each_bond_block`]);
+//!   read, into the only store of `ρ` an engine keeps ([`RhoBlocks`]): one
+//!   block per atom and one per neighbour-list pair ([`for_each_bond_block`]);
 //! * [`BondTable::fill`] — every radial term of every neighbour-list entry
 //!   (one [`TbModel::bond`] each) and, folded into the same pass, each
 //!   atom's repulsive embedding; run once per evaluation in the
@@ -26,8 +26,8 @@
 //! * [`entropy_term`] — the Mermin `−T_e S` correction;
 //! * [`bond_contraction`] / [`bond_force`] — `ρ_ij : ∂B/∂d` for one bond and
 //!   the gather-form force on one atom from the bond table, generic over how
-//!   a 4×4 block of `ρ` is read (dense matrix, local O(N) blocks);
-//!   [`dense_forces`] maps it over the atoms of a dense `ρ`.
+//!   a 4×4 block of `ρ` is read (bond blocks, dense reference matrix, local
+//!   O(N) blocks); [`dense_forces`] maps it over the atoms.
 //!
 //! [`crate::TbCalculator::compute_with`] strings them into the one dense
 //! Γ-point pipeline; the distributed and O(N) engines call the same leaves
@@ -210,46 +210,181 @@ pub fn bond_block_elements(nl: &NeighborList, index: &OrbitalIndex) -> usize {
     elements
 }
 
+/// `ρ` on the bond blocks of a neighbour list and nowhere else: every block
+/// [`for_each_bond_block`] visits, row-major, one after another (the payload
+/// of the distributed ρ allreduce), indexed per atom so that `ρ_ij` and
+/// `ρ_ji = ρ_ijᵀ` read the same doubles. Filled by [`bond_density`], read
+/// through [`RhoBlocks::block`].
+#[derive(Debug, Default)]
+pub struct RhoBlocks {
+    values: Vec<f64>,
+    /// Every block from both atoms' sides, ascending by `(i, j)`; atom `i`'s
+    /// are `partners[starts[i]..starts[i + 1]]`.
+    partners: Vec<Partner>,
+    starts: Vec<usize>,
+    /// The kept columns' `√(2f)`, then two atoms' four rows of `w = √(2f)·c`.
+    scratch: Vec<f64>,
+}
+
+/// Atom `i`'s side of the block stored at `at`, the block `(min, max)` of
+/// the pair, row-major with rows `len` long.
+#[derive(Debug, Clone, Copy)]
+struct Partner {
+    i: usize,
+    j: usize,
+    at: usize,
+    len: usize,
+}
+
+impl Partner {
+    /// Element `(μ, ν)` of `ρ_ij` sits at `at + μ·row + ν·col`.
+    fn strides(self) -> (usize, usize) {
+        if self.i <= self.j {
+            (self.len, 1)
+        } else {
+            (1, self.len)
+        }
+    }
+}
+
+impl RhoBlocks {
+    /// Lay the store out for `nl`, one zeroed double per bond-block element.
+    fn lay_out(&mut self, nl: &NeighborList, index: &OrbitalIndex) {
+        let (partners, mut at) = (&mut self.partners, 0);
+        partners.clear();
+        for_each_bond_block(nl, |i, j| {
+            let len = index.n_orbitals(j);
+            let sides = [(i, j), (j, i)].into_iter().take(1 + usize::from(j != i));
+            partners.extend(sides.map(|(i, j)| Partner { i, j, at, len }));
+            at += index.n_orbitals(i) * len;
+        });
+        partners.sort_unstable_by_key(|p| (p.i, p.j));
+        let starts = (0..=nl.n_atoms()).map(|a| partners.partition_point(|p| p.i < a));
+        self.starts.clear();
+        self.starts.extend(starts);
+        self.values.clear();
+        self.values.resize(at, 0.0);
+    }
+
+    /// Every element of every block from both sides: its place in the store
+    /// and in the `n × n` matrix.
+    fn elements<'a>(
+        &'a self,
+        index: &'a OrbitalIndex,
+    ) -> impl Iterator<Item = (usize, (usize, usize))> + 'a {
+        self.partners.iter().flat_map(move |p| {
+            let (oi, oj, nj) = (index.offset(p.i), index.offset(p.j), index.n_orbitals(p.j));
+            let (row, col) = p.strides();
+            (0..index.n_orbitals(p.i) * nj).map(move |e| {
+                let (mu, nu) = (e / nj, e % nj);
+                (p.at + mu * row + nu * col, (oi + mu, oj + nu))
+            })
+        })
+    }
+
+    /// The store of a symmetric dense `rho`'s bond blocks.
+    pub fn from_dense(nl: &NeighborList, index: &OrbitalIndex, rho: &Matrix) -> Self {
+        let mut out = RhoBlocks::default();
+        out.lay_out(nl, index);
+        let mut values = std::mem::take(&mut out.values);
+        for (at, element) in out.elements(index) {
+            values[at] = rho[element];
+        }
+        out.values = values;
+        out
+    }
+
+    /// The `n × n` matrix of these blocks and their transposes, zero
+    /// elsewhere: a dense view for the full-matrix references.
+    pub fn to_dense(&self, index: &OrbitalIndex) -> Matrix {
+        let mut rho = Matrix::zeros(index.total(), index.total());
+        for (at, element) in self.elements(index) {
+            rho[element] = self.values[at];
+        }
+        rho
+    }
+
+    /// The `(μ, ν)` reader of `ρ_ij`, for `j = i` or a bond partner of `i`
+    /// in the list the store was filled for.
+    #[inline]
+    pub fn block(&self, i: usize, j: usize) -> impl Fn(usize, usize) -> f64 + '_ {
+        let atom = &self.partners[self.starts[i]..self.starts[i + 1]];
+        let p = atom[atom
+            .binary_search_by_key(&j, |p| p.j)
+            .expect("no bond block between the atoms")];
+        let (row, col) = p.strides();
+        move |mu, nu| self.values[p.at + mu * row + nu * col]
+    }
+
+    /// The packed blocks, in [`for_each_bond_block`] order.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The packed blocks, for a collective that replaces them with as many.
+    pub fn values_mut(&mut self) -> &mut Vec<f64> {
+        &mut self.values
+    }
+}
+
 /// The density stage of the dense pipeline: `ρ_IJ = Σ_n 2 f_n c_In c_Jnᵀ` on
-/// the bond blocks of `nl` only, from the eigenvector block `vectors`
-/// (`n × f.len()`) and its occupations — `O(N·neighbours·k)` instead of the
-/// `O(N²·k)` full matrix ([`crate::calculator::density_matrix_into`], the
-/// reference), which the force and stress contractions never read elsewhere.
+/// the bond blocks of `nl` only, into `rho`, from the eigenvector block
+/// `vectors` (`n × f.len()`) and its occupations — `O(N·neighbours·k)`
+/// instead of the `O(N²·k)` full matrix
+/// ([`crate::calculator::density_matrix_into`], the reference), which the
+/// force and stress contractions never read elsewhere.
 ///
-/// On return `rho` is `n × n`, holds `ρ` on every bond block and its
-/// transpose (`ρ_JI = ρ_IJᵀ` bitwise) and is **zero everywhere else**; `w`
-/// holds the scaled factor. A bond block is one [`kernels::dot4x4`] of the
-/// two atoms' rows of `w`, and each element is a dot of two rows in
-/// [`kernels::dot4`]'s order, so it depends on nothing but those rows.
-/// Returns the number of buffers that had to grow.
+/// The kept columns are the leading ones with `f > 10⁻¹²` (occupations of
+/// an ascending spectrum never increase). A bond block is one
+/// [`kernels::dot4x4`] of the two atoms' rows of `w_ik = √(2f_k)·c_ik`,
+/// formed per block in the store's scratch and rounded as
+/// `occupied_factor_into` rounds them, so each element depends on nothing
+/// but those rows. Returns the number of kept columns.
 pub fn bond_density(
     nl: &NeighborList,
     index: &OrbitalIndex,
     vectors: &Matrix,
     f: &[f64],
-    w: &mut Matrix,
-    rho: &mut Matrix,
+    rho: &mut RhoBlocks,
 ) -> usize {
-    let n = index.total();
-    let grown = occupied_factor_into(vectors, f, w) as usize + rho.resize_zeroed(n, n) as usize;
-    let mut elements = 0;
+    let cols = f.iter().take_while(|&&fk| fk > OCCUPATION_DROP_TOL).count();
+    assert!(
+        f[cols..].iter().all(|&fk| fk <= OCCUPATION_DROP_TOL),
+        "occupations must not increase"
+    );
+    rho.lay_out(nl, index);
+    rho.scratch.resize(9 * cols, 0.0);
+    let (scale, w) = rho.scratch.split_at_mut(cols);
+    for (sv, &fk) in scale.iter_mut().zip(f) {
+        *sv = (2.0 * fk).sqrt();
+    }
+    let (wi, wj) = w.split_at_mut(4 * cols);
+    fn rows(w: &[f64]) -> [&[f64]; 4] {
+        let cols = w.len() / 4;
+        std::array::from_fn(|m| &w[m * cols..(m + 1) * cols])
+    }
+    let mut values = rho.values.iter_mut();
     for_each_bond_block(nl, |i, j| {
-        let (oi, ni) = (index.offset(i), index.n_orbitals(i));
-        let (oj, nj) = (index.offset(j), index.n_orbitals(j));
-        elements += ni * nj;
-        // One 4×4 block; an atom with fewer orbitals repeats its last row
+        // Atom j's four rows of `w`, into `wi` at its own diagonal block
+        // (visited first); an atom with fewer orbitals repeats its last row
         // and the surplus entries are dropped.
-        let rows = |o: usize, no: usize| std::array::from_fn(|m| w.row(o + m.min(no - 1)));
-        let block = kernels::dot4x4(rows(oi, ni), rows(oj, nj));
-        for (mu, dots) in block.iter().enumerate().take(ni) {
-            for (nu, &d) in dots.iter().enumerate().take(nj) {
-                rho[(oi + mu, oj + nu)] = d;
-                rho[(oj + nu, oi + mu)] = d;
+        let out = if j == i { &mut *wi } else { &mut *wj };
+        for m in 0..4 {
+            let c = vectors.row(index.offset(j) + m.min(index.n_orbitals(j) - 1));
+            let w = &mut out[m * cols..(m + 1) * cols];
+            for ((wv, &sv), &cv) in w.iter_mut().zip(&*scale).zip(&c[..cols]) {
+                *wv = sv * cv;
+            }
+        }
+        let block = kernels::dot4x4(rows(wi), rows(if j == i { wi } else { wj }));
+        for dots in block.iter().take(index.n_orbitals(i)) {
+            for &d in dots.iter().take(index.n_orbitals(j)) {
+                *values.next().expect("laid out for nl") = d;
             }
         }
     });
-    tbmd_trace::add(Counter::KernelFlops, 2 * (elements * w.cols()) as u64);
-    grown
+    tbmd_trace::add(Counter::KernelFlops, 2 * (rho.values.len() * cols) as u64);
+    cols
 }
 
 /// The Mermin correction `−T_e S` for an electronic entropy `S` (eV/K):
@@ -377,29 +512,16 @@ pub fn bond_force<R: Fn(usize, usize) -> f64>(
 }
 
 /// The force stage of the dense pipeline: every atom's [`bond_force`]
-/// against the dense `rho`, one task per atom over [`team::width`] threads,
-/// and the repulsive energy [`BondTable::repulsive_energy`]. A task writes
-/// only its own atom's force in a fixed order, so the forces are the same
-/// bits at every width.
-pub fn dense_forces(
-    nl: &NeighborList,
-    bonds: &BondTable,
-    index: &OrbitalIndex,
-    rho: &Matrix,
-) -> (f64, Vec<Vec3>) {
+/// against the bond-block `rho`, one task per atom over [`team::width`]
+/// threads, and the repulsive energy [`BondTable::repulsive_energy`]. A task
+/// writes only its own atom's force in a fixed order, so the forces are the
+/// same bits at every width.
+pub fn dense_forces(nl: &NeighborList, bonds: &BondTable, rho: &RhoBlocks) -> (f64, Vec<Vec3>) {
     let mut forces = vec![Vec3::ZERO; nl.n_atoms()];
     team::chunks_for_each(team::width(), &mut forces, 1, |i, f| {
-        let oi = index.offset(i);
-        f[0] = bond_force(nl, bonds, i, |j| dense_block(rho, oi, index.offset(j)));
+        f[0] = bond_force(nl, bonds, i, |j| rho.block(i, j));
     });
     (bonds.repulsive_energy(), forces)
-}
-
-/// The `(μ, ν)` reader of the block between atoms at orbital offsets `oi`
-/// and `oj` of a dense density matrix.
-#[inline]
-pub fn dense_block(rho: &Matrix, oi: usize, oj: usize) -> impl Fn(usize, usize) -> f64 + '_ {
-    move |mu, nu| rho[(oi + mu, oj + nu)]
 }
 
 /// Test helper for the engines clocked through [`prologue`]/[`epilogue`]:

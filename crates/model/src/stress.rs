@@ -18,12 +18,10 @@
 //! lattice constant has `σ ≈ 0`.
 
 use crate::calculator::{PhaseTimings, TbCalculator, TbError};
-use crate::hamiltonian::OrbitalIndex;
 use crate::model::TbModel;
 use crate::occupations::OccupationScheme;
-use crate::stages::{bond_contraction, dense_block, BondTable};
+use crate::stages::{bond_contraction, BondTable, RhoBlocks};
 use crate::workspace::Workspace;
-use tbmd_linalg::Matrix;
 use tbmd_structure::{NeighborList, Structure};
 
 /// Symmetric 3×3 stress tensor in eV/Å³.
@@ -52,7 +50,7 @@ pub fn stress_tensor(
 ) -> Result<StressTensor, TbError> {
     let mut ws = Workspace::new();
     let calc = TbCalculator::with_occupation(model, occupation);
-    let (index, _) = calc.density_with(s, &mut ws, &mut PhaseTimings::default())?;
+    calc.density_with(s, &mut ws, &mut PhaseTimings::default())?;
     let volume = s
         .cell()
         .volume()
@@ -60,32 +58,28 @@ pub fn stress_tensor(
     Ok(stress_from_density(
         ws.neighbors.list(),
         &ws.bonds,
-        &index,
-        &ws.rho,
+        ws.rho_blocks(),
         volume,
     ))
 }
 
-/// Stress from a precomputed density matrix and the bond table of the same
-/// evaluation (filled for `nl`), for engines that already hold both.
+/// Stress from the bond-block `ρ` and the bond table of the same evaluation
+/// (both filled for `nl`), for engines that already hold both.
 pub fn stress_from_density(
     nl: &NeighborList,
     bonds: &BondTable,
-    index: &OrbitalIndex,
-    rho: &Matrix,
+    rho: &RhoBlocks,
     volume: f64,
 ) -> StressTensor {
     let mut sigma = [[0.0; 3]; 3];
     for i in 0..nl.n_atoms() {
-        let oi = index.offset(i);
         let dfdx_i = bonds.embedding(i).1;
         for (nb, t) in bonds.entries(nl, i) {
             let d = nb.disp;
             // Electronic part: (∂E/∂d_a) = ρ_ij : G_a summed over the block
             // (the directed double-count is absorbed by the ½ of the pair
             // sum — see module docs). Self-image entries included.
-            let block = dense_block(rho, oi, index.offset(nb.j));
-            if let Some(de_dd) = bond_contraction(nb, t.v, t.dv, block) {
+            if let Some(de_dd) = bond_contraction(nb, t.v, t.dv, rho.block(i, nb.j)) {
                 for a in 0..3 {
                     for b in 0..3 {
                         sigma[a][b] += de_dd[a] * d[b];

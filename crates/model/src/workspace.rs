@@ -16,9 +16,9 @@
 //! * **bond table** — the radial terms of every neighbour-list entry and
 //!   every atom's embedding ([`BondTable`]), refilled in place each
 //!   evaluation.
-//! * **matrices** — the H/eigenvector buffer (diagonalized in place), the
-//!   scaled-eigenvector factor `W` and the density matrix `ρ` are reused
-//!   across steps via [`Matrix::resize_zeroed`].
+//! * **matrices** — the H/eigenvector buffer (diagonalized in place) is
+//!   reused across steps via [`Matrix::resize_zeroed`], and `ρ`, kept on
+//!   the bond blocks alone ([`RhoBlocks`]), is refilled in place.
 //! * **eigensolver scratch** — subdiagonal and sort-permutation buffers for
 //!   [`tbmd_linalg::eigh_into`], the tridiagonal factor, reduction panels
 //!   and inverse-iteration buffers of the two-stage solver.
@@ -26,7 +26,7 @@
 //! The workspace also keeps counters (rebuilds vs refreshes vs fallback
 //! builds, buffer-growth events) that the benchmark reports surface.
 
-use crate::stages::BondTable;
+use crate::stages::{BondTable, RhoBlocks};
 use tbmd_linalg::{EighWorkspace, Matrix};
 use tbmd_structure::{NeighborList, Structure, VerletNeighborList};
 
@@ -174,8 +174,8 @@ impl NeighborWorkspace {
 }
 
 /// Persistent evaluation state for the dense engines: neighbour machinery,
-/// all `n_orb²`-sized matrix buffers and eigensolver scratch. Construct once
-/// per MD run and thread it through
+/// matrix buffers, the bond-block `ρ` and eigensolver scratch. Construct
+/// once per MD run and thread it through
 /// [`crate::provider::ForceProvider::evaluate_with`].
 #[derive(Default)]
 pub struct Workspace {
@@ -192,13 +192,14 @@ pub struct Workspace {
     /// Occupied-subspace eigenvector block (`n_orb × k`) produced by the
     /// two-stage solver's inverse-iteration + back-transform stage.
     pub c: Matrix,
-    /// Scaled-eigenvector factor `W = C·diag(√(2f))`, occupied columns only.
+    /// `W = C·diag(√(2f))` and the full `ρ = W·Wᵀ` of the reference
+    /// [`crate::density_matrix_into`]: no engine touches them; they serve the
+    /// frozen benchmark's twin and leave with ROADMAP item 7 (g).
     pub w: Matrix,
-    /// Density matrix `ρ = W·Wᵀ`. The dense Γ-point pipeline fills only
-    /// the bond blocks of the neighbour list — every atom's diagonal block
-    /// and both blocks of every listed pair (`crate::stages::bond_density`)
-    /// — and leaves every other element zero.
+    /// See `w`.
     pub rho: Matrix,
+    /// `ρ` on the bond blocks, as the dense pipeline leaves it.
+    pub(crate) rho_blocks: RhoBlocks,
     /// Eigenvalues of the last evaluation (ascending).
     pub values: Vec<f64>,
     /// Eigensolver scratch (subdiagonal + sort permutation, blocked-reduction
@@ -221,11 +222,17 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Number of times any of the `n_orb²`-sized buffers had to grow its
-    /// allocation. Stays constant after the first evaluation of the largest
-    /// system seen — the O(1)-allocations guarantee the MD loop relies on.
+    /// Number of times an `n_orb²`-sized buffer (`H`, the health probe's
+    /// `H`) had to grow its allocation. Stays constant after the first
+    /// evaluation of the largest system seen — the O(1)-allocations guarantee the MD loop relies on.
     pub fn large_alloc_events(&self) -> usize {
         self.grown
+    }
+
+    /// `ρ` on the bond blocks of the last dense evaluation's neighbour list
+    /// ([`crate::stages::bond_density`]).
+    pub fn rho_blocks(&self) -> &RhoBlocks {
+        &self.rho_blocks
     }
 }
 

@@ -1,24 +1,39 @@
 //! The bond-block density stage against the full-matrix reference: on every
 //! block the force and stress contractions can read it is the SYRK density
-//! matrix, everywhere else it is zero, and forces and stress do not notice
-//! the difference.
+//! matrix, its dense view is zero everywhere else, and forces and stress do
+//! not notice the difference.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd_linalg::{eigh, Matrix};
 use tbmd_model::{
-    bond_density, bond_force, carbon_xwch, dense_block, density_matrix, electronic_forces,
+    bond_block_elements, bond_density, bond_force, carbon_xwch, density_matrix, electronic_forces,
     occupations, silicon_gsp, sk_block, stress_from_density, DenseCache, GspTbModel, Hoppings,
-    OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator, TbModel, Workspace,
+    OccupationScheme, OrbitalIndex, PhaseTimings, RhoBlocks, TbCalculator, TbModel, Workspace,
 };
 use tbmd_structure::{
     bulk_diamond, bulk_diamond_with_bond, fullerene_c60, NeighborList, Species, Structure,
 };
 
-/// The `ws.rho` invariant: `bond` equals `full` to 1e-13 on every atom's
-/// diagonal block and on both blocks of every pair with a list entry, is
-/// exactly zero on every other element, and is bitwise symmetric.
-fn assert_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, bond: &Matrix, full: &Matrix) {
+/// The store invariant: it holds one double per bond-block element; read
+/// through it, `ρ_ij` of every atom's diagonal block and of both blocks of
+/// every pair with a list entry equals `full` to 1e-13, and `ρ_ji` is
+/// bitwise `ρ_ijᵀ`. Its dense view is exactly zero on every other element.
+fn assert_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, rho: &RhoBlocks, full: &Matrix) {
+    assert_eq!(rho.as_slice().len(), bond_block_elements(nl, index));
+    for i in 0..nl.n_atoms() {
+        for j in nl.neighbors(i).iter().map(|nb| nb.j).chain([i]) {
+            let (ij, ji) = (rho.block(i, j), rho.block(j, i));
+            for mu in 0..index.n_orbitals(i) {
+                for nu in 0..index.n_orbitals(j) {
+                    assert_eq!(ij(mu, nu).to_bits(), ji(nu, mu).to_bits(), "{i},{j}");
+                    let err = ij(mu, nu) - full[(index.offset(i) + mu, index.offset(j) + nu)];
+                    assert!(err.abs() <= 1e-13, "block ({i},{j}) off by {err}");
+                }
+            }
+        }
+    }
+    let bond = rho.to_dense(index);
     let n = index.total();
     assert_eq!((bond.rows(), bond.cols()), (n, n));
     let mut listed = vec![false; n * n];
@@ -62,25 +77,33 @@ fn check_pipeline(s: &Structure, model: &dyn TbModel, sliced: bool) {
     );
     let (vectors, k) = ws.dense_cache.vectors(&ws.h, &ws.c).unwrap();
     let full = density_matrix(vectors, &occ.f[..k]);
-    let nl = ws.neighbors.list();
-    assert_bond_blocks(nl, &index, &ws.rho, &full);
-    assert!((ws.rho.trace() - s.n_electrons() as f64).abs() < 1e-9);
+    let (nl, rho) = (ws.neighbors.list(), ws.rho_blocks());
+    assert_bond_blocks(nl, &index, rho, &full);
+    let dense = rho.to_dense(&index);
+    assert!((dense.trace() - s.n_electrons() as f64).abs() < 1e-9);
 
     let scatter = |rho| electronic_forces(s, nl, model, &index, rho);
     let bonds = &ws.bonds;
-    let gather = |rho, i: usize| {
-        let oi = index.offset(i);
-        bond_force(nl, bonds, i, |j| dense_block(rho, oi, index.offset(j)))
+    let gather_full = |i: usize| {
+        let (oi, full) = (index.offset(i), &full);
+        bond_force(nl, bonds, i, |j| {
+            let oj = index.offset(j);
+            move |mu, nu| full[(oi + mu, oj + nu)]
+        })
     };
-    for (i, (fb, ff)) in scatter(&ws.rho).iter().zip(scatter(&full)).enumerate() {
+    for (i, (fb, ff)) in scatter(&dense).iter().zip(scatter(&full)).enumerate() {
         let tol = 1e-12 * (1.0 + ff.max_abs());
         assert!((*fb - ff).max_abs() <= tol, "scatter force on atom {i}");
-        let gap = (gather(&ws.rho, i) - gather(&full, i)).max_abs();
+        let gather = bond_force(nl, bonds, i, |j| rho.block(i, j));
+        let gap = (gather - gather_full(i)).max_abs();
         assert!(gap <= tol, "gather force on atom {i}: {gap}");
     }
     if let Some(volume) = s.cell().volume() {
-        let stress = |rho| stress_from_density(nl, bonds, &index, rho, volume);
-        let (sb, sf) = (stress(&ws.rho), stress(&full));
+        let stress = |rho| stress_from_density(nl, bonds, rho, volume);
+        let (sb, sf) = (
+            stress(rho),
+            stress(&RhoBlocks::from_dense(nl, &index, &full)),
+        );
         for a in 0..3 {
             for b in 0..3 {
                 let tol = 1e-12 * (1.0 + sf[a][b].abs());
@@ -190,8 +213,8 @@ fn one_orbital_atom_gets_rectangular_blocks() {
         OccupationScheme::Fermi { kt: 0.1 },
     );
 
-    let (mut w, mut rho) = (Matrix::default(), Matrix::default());
-    bond_density(&nl, &index, &eig.vectors, &occ.f, &mut w, &mut rho);
+    let mut rho = RhoBlocks::default();
+    bond_density(&nl, &index, &eig.vectors, &occ.f, &mut rho);
     assert_bond_blocks(&nl, &index, &rho, &density_matrix(&eig.vectors, &occ.f));
-    assert!((rho.trace() - s.n_electrons() as f64).abs() < 1e-9);
+    assert!((rho.to_dense(&index).trace() - s.n_electrons() as f64).abs() < 1e-9);
 }

@@ -216,17 +216,19 @@ fn inverse_iteration_reproduces_the_parent_bits_on_si64() {
     assert_eq!(got, 0xd2d22d8fb3dce952, "bits moved: {got:#018x}");
 }
 
-/// Hash of the dense pipeline's bond-block `ρ` on `s`, then of the SYRK
-/// reference density built from the same eigenvectors.
+/// Hash of the dense pipeline's bond-block `ρ` on `s`, in its `n × n` dense
+/// view (blocks, their transposes, zero elsewhere: the layout the pin was
+/// recorded in), then of the SYRK reference density built from the same
+/// eigenvectors.
 fn density_hash(model: &dyn TbModel, s: &Structure) -> u64 {
     let mut ws = Workspace::new();
-    let (_, occ) = TbCalculator::new(model)
+    let (index, occ) = TbCalculator::new(model)
         .density_with(s, &mut ws, &mut PhaseTimings::default())
         .unwrap();
     let (vectors, k) = ws.dense_cache.vectors(&ws.h, &ws.c).unwrap();
     let reference = density_matrix(vectors, &occ.f[..k]);
     Fnv::new()
-        .extend(ws.rho.as_slice())
+        .extend(ws.rho_blocks().to_dense(&index).as_slice())
         .extend(reference.as_slice())
         .0
 }

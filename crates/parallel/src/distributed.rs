@@ -18,9 +18,10 @@
 //!    Gram–Schmidt/Rayleigh–Ritz work of a cluster stays on one rank;
 //! 4. **density matrix** — each rank forms its owned eigenvectors' share of
 //!    ρ on the bond blocks of the replicated neighbour list
-//!    ([`bond_density`]), then a sum-allreduce of the packed blocks
-//!    replicates them: O(N·neighbours) wire bytes, still the dominant volume,
-//!    where the full matrix the era papers fought is O(N²);
+//!    ([`bond_density`], straight into the packed store [`RhoBlocks`]), then
+//!    a sum-allreduce of the store replicates it: O(N·neighbours) wire bytes,
+//!    still the dominant volume, where the full matrix the era papers fought
+//!    is O(N²);
 //! 5. **forces** — each rank computes forces for its block of atoms from the
 //!    replicated ρ and its bond table; an allgather assembles the full force
 //!    vector.
@@ -39,10 +40,9 @@ use tbmd_linalg::{
     snap_range_to_clusters, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
 };
 use tbmd_model::{
-    assemble_hamiltonian_into, bond_density, bond_force, dense_block, entropy_term,
-    for_each_bond_block, occupations, occupied_count, validate, BondTable, DenseCache,
-    ForceEvaluation, ForceProvider, OccupationScheme, OrbitalIndex, PhaseTimings, TbCalculator,
-    TbError, TbModel, Workspace,
+    assemble_hamiltonian_into, bond_density, bond_force, entropy_term, occupations, occupied_count,
+    validate, BondTable, DenseCache, ForceEvaluation, ForceProvider, OccupationScheme,
+    OrbitalIndex, PhaseTimings, RhoBlocks, TbCalculator, TbError, TbModel, Workspace,
 };
 use tbmd_structure::{NeighborList, Structure};
 
@@ -72,13 +72,9 @@ struct DenseRankSlot {
     values: Vec<f64>,
     /// Owned occupied eigenvector columns.
     vectors: Matrix,
-    /// Scaled eigenvector factor `W` of the owned columns.
-    w: Matrix,
-    /// ρ on the bond blocks: the owned columns' share before the allreduce,
-    /// the replicated ρ after it.
-    rho: Matrix,
-    /// The bond blocks of `rho`, packed for the allreduce.
-    rho_packed: Vec<f64>,
+    /// ρ on the bond blocks, the allreduce payload: the owned columns' share
+    /// before the allreduce, the replicated ρ after it.
+    rho: RhoBlocks,
     /// This rank's force block (3 components per owned atom).
     forces_block: Vec<f64>,
     /// Buffer-growth events in this slot (O(1) after warmup).
@@ -192,14 +188,11 @@ impl<'m> DistributedTb<'m> {
 
         // ---- Phase 4c: the owned columns' share of ρ on the bond blocks
         // (the serial engine's density stage), then the allreduce of the
-        // packed blocks — every rank packs in the order of the same list
+        // store — every rank lays it out by the same list
         // (`RankControl::launch` never lets replicas updated apart meet).
-        let (f_mine, w, rho) = (&occ.f[lo..hi], &mut slot.w, &mut slot.rho);
-        slot.grown += bond_density(nl, index, &slot.vectors, f_mine, w, rho);
-        pack_bond_blocks(nl, index, rho, &mut slot.rho_packed);
-        rank.count_flops(2 * (slot.rho_packed.len() * w.cols()) as u64);
-        clock.blocked(|| rank.allreduce_sum(102, &mut slot.rho_packed));
-        unpack_bond_blocks(nl, index, &slot.rho_packed, rho);
+        let kept = bond_density(nl, index, &slot.vectors, &occ.f[lo..hi], &mut slot.rho);
+        rank.count_flops(2 * (slot.rho.as_slice().len() * kept) as u64);
+        clock.blocked(|| rank.allreduce_sum(102, slot.rho.values_mut()));
         timings.density = clock.lap(&mut timings);
 
         // ---- Phase 5: forces for my atom block; allgather.
@@ -208,7 +201,6 @@ impl<'m> DistributedTb<'m> {
             &mut clock,
             nl,
             &slot.bonds,
-            index,
             &slot.rho,
             &mut slot.forces_block,
         );
@@ -218,53 +210,23 @@ impl<'m> DistributedTb<'m> {
     }
 }
 
-/// The bond blocks of `rho` ([`for_each_bond_block`] order, each row-major)
-/// one after another — the payload of the ρ allreduce.
-fn pack_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, rho: &Matrix, packed: &mut Vec<f64>) {
-    packed.clear();
-    for_each_bond_block(nl, |i, j| {
-        let (oj, nj) = (index.offset(j), index.n_orbitals(j));
-        for mu in 0..index.n_orbitals(i) {
-            packed.extend_from_slice(&rho.row(index.offset(i) + mu)[oj..oj + nj]);
-        }
-    });
-}
-
-/// Inverse of [`pack_bond_blocks`]: write every packed block and its
-/// transpose back into `rho`.
-fn unpack_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, packed: &[f64], rho: &mut Matrix) {
-    let mut values = packed.iter();
-    for_each_bond_block(nl, |i, j| {
-        let (oi, oj) = (index.offset(i), index.offset(j));
-        for mu in 0..index.n_orbitals(i) {
-            for nu in 0..index.n_orbitals(j) {
-                let v = *values.next().expect("packed by pack_bond_blocks");
-                rho[(oi + mu, oj + nu)] = v;
-                rho[(oj + nu, oi + mu)] = v;
-            }
-        }
-    });
-}
-
 /// Phase 5: gather-form forces ([`bond_force`]) for this rank's atom block
-/// from the replicated ρ and the rank's bond table, the force allgather and the repulsive-energy
-/// allreduce. Returns the repulsive energy and, on rank 0, the assembled
-/// forces.
+/// from the replicated ρ and the rank's bond table, the force allgather and
+/// the repulsive-energy allreduce. Returns the repulsive energy and, on rank
+/// 0, the assembled forces.
 fn force_phase(
     rank: &mut Rank,
     clock: &mut PhaseClock,
     nl: &NeighborList,
     bonds: &BondTable,
-    index: &OrbitalIndex,
-    rho: &Matrix,
+    rho: &RhoBlocks,
     block: &mut Vec<f64>,
 ) -> (f64, Option<Vec<Vec3>>) {
     let my_atoms = partition_range(nl.n_atoms(), rank.size(), rank.id());
     let my_rep_energy: f64 = my_atoms.clone().map(|i| bonds.embedding(i).0).sum();
     block.clear();
     for i in my_atoms {
-        let oi = index.offset(i);
-        let fi = bond_force(nl, bonds, i, |j| dense_block(rho, oi, index.offset(j)));
+        let fi = bond_force(nl, bonds, i, |j| rho.block(i, j));
         rank.count_flops(400 * nl.neighbors(i).len() as u64);
         block.extend_from_slice(&fi.to_array());
     }
@@ -323,7 +285,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::{Duration, Instant};
-    use tbmd_model::{carbon_xwch, silicon_gsp, TbCalculator};
+    use tbmd_model::{bond_block_elements, carbon_xwch, silicon_gsp, TbCalculator};
     use tbmd_structure::{bulk_diamond, fullerene_c60, Species};
 
     fn assert_matches_serial(s: &Structure, model: &dyn TbModel, p: usize) {
@@ -418,6 +380,29 @@ mod tests {
             assert!(matches!(err, TbError::Eigensolver(_)), "p={p}: {err:?}");
             assert!(matches!(dist.evaluate(&s), Err(TbError::Eigensolver(_))));
         }
+    }
+
+    #[test]
+    fn a_rank_slot_keeps_rho_on_the_bond_blocks_alone() {
+        // A rank's ρ is the allreduce payload itself, one double per
+        // bond-block element; beside `H` its only dense buffer is its own
+        // shard of the occupied eigenvectors, unscaled.
+        let model = silicon_gsp();
+        let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
+        s.perturb(&mut StdRng::seed_from_u64(64), 0.05);
+        let dist = DistributedTb::new(&model, 2);
+        dist.evaluate(&s).unwrap();
+        let index = OrbitalIndex::new(&s);
+        let slots = lock(&dist.slots);
+        let occ = occupations(&slots[0].values, s.n_electrons(), dist.occupation);
+        let mut columns = 0;
+        for slot in slots.iter() {
+            let nl = slot.replica.geometry().1;
+            assert_eq!(slot.rho.as_slice().len(), bond_block_elements(nl, &index));
+            assert_eq!(slot.vectors.rows(), index.total());
+            columns += slot.vectors.cols();
+        }
+        assert_eq!(columns, occupied_count(&occ.f));
     }
 
     #[test]

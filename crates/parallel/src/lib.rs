@@ -25,12 +25,13 @@ pub use vmp::{
 };
 
 use tbmd_linalg::{Matrix, Vec3};
-use tbmd_model::{dense_forces, BondTable, OrbitalIndex, TbModel};
+use tbmd_model::{dense_forces, BondTable, OrbitalIndex, RhoBlocks, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
-/// The dense pipeline's force stage ([`dense_forces`]) on a bond table of
-/// its own, under the name and signature the standalone benchmark package
-/// calls it by. Returns the repulsive energy and the forces.
+/// The dense pipeline's force stage ([`dense_forces`]) on a bond table and
+/// a bond-block store of `rho` of its own, under the name and signature the
+/// standalone benchmark package calls it by. Returns the repulsive energy
+/// and the forces.
 pub fn par_forces(
     s: &Structure,
     nl: &NeighborList,
@@ -45,5 +46,5 @@ pub fn par_forces(
     );
     let mut bonds = BondTable::default();
     bonds.fill(model, nl);
-    dense_forces(nl, &bonds, index, rho)
+    dense_forces(nl, &bonds, &RhoBlocks::from_dense(nl, index, rho))
 }

@@ -2,17 +2,18 @@
 //! engine built through `Engine::build`: forces are −∇E, the parallel kinds
 //! agree with the serial one, the energy-only path agrees with the full
 //! evaluation, no fan-out (dense, O(N)) depends on the lease width, the
-//! stress tensor falls out of the pipeline's own ρ, every engine evaluates
-//! each bond's radial terms once, the energy, force and stress bits are
-//! pinned, and the rank-control block behaves the same on both distributed
-//! engines.
+//! dense engines keep ρ on the bond blocks alone, the stress tensor falls
+//! out of the pipeline's own ρ, every engine evaluates each bond's radial
+//! terms once, the energy, force and stress bits are pinned, and the
+//! rank-control block behaves the same on both distributed engines.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tbmd::model::{
-    electronic_forces, repulsive_energy_forces, stress_from_density, BondTerms, ForceEvaluation,
-    GspTbModel, Hoppings, OrbitalIndex, TbCalculator,
+    bond_block_elements, density_matrix, electronic_forces, occupations, repulsive_energy_forces,
+    stress_from_density, BondTerms, DenseCache, ForceEvaluation, GspTbModel, Hoppings,
+    OrbitalIndex, TbCalculator,
 };
 use tbmd::structure::{apply_strain, bulk_diamond, nanotube};
 use tbmd::{
@@ -183,7 +184,9 @@ fn dense_kinds_are_one_pipeline_at_every_lease_width() {
             .compute_with(&s, &mut ws)
             .unwrap();
         let nl = ws.neighbors.list();
-        let electronic = electronic_forces(&s, nl, &model, &OrbitalIndex::new(&s), &ws.rho);
+        let index = OrbitalIndex::new(&s);
+        let rho = ws.rho_blocks().to_dense(&index);
+        let electronic = electronic_forces(&s, nl, &model, &index, &rho);
         let (_, repulsive) = repulsive_energy_forces(&s, nl, &model, true);
         let scatter = electronic
             .iter()
@@ -431,17 +434,68 @@ fn stress_tensor_falls_out_of_the_pipeline_density() {
 
     let mut ws = Workspace::new();
     calc.compute_with(&s, &mut ws).unwrap();
-    let from_ws = stress_from_density(
-        ws.neighbors.list(),
-        &ws.bonds,
-        &OrbitalIndex::new(&s),
-        &ws.rho,
-        volume,
-    );
+    let from_ws = stress_from_density(ws.neighbors.list(), &ws.bonds, ws.rho_blocks(), volume);
     assert_eq!(
         sigma.map(|row| row.map(f64::to_bits)),
         from_ws.map(|row| row.map(f64::to_bits))
     );
+}
+
+/// The dense engines keep ρ on the bond blocks alone: after one evaluation
+/// of Si-8 (one-stage), perturbed Si-64 (two-stage, width 1) and the
+/// (10,0)×2 tube (shared, width 2) the store holds one double per bond-block
+/// element and the full-matrix buffers `ws.rho` and `ws.w` were never
+/// allocated. Read through the store, `ρ_ji` is bitwise `ρ_ijᵀ` and every
+/// block is the full reference density to 1e-12.
+#[test]
+fn dense_engines_keep_rho_on_the_bond_blocks_alone() {
+    let (si, carbon) = (silicon_gsp(), carbon_xwch());
+    let mut si8 = bulk_diamond(Species::Silicon, 1, 1, 1);
+    si8.perturb(&mut StdRng::seed_from_u64(8), 0.05);
+    let mut tube = nanotube(10, 0, 2, 1.42);
+    tube.perturb(&mut StdRng::seed_from_u64(10), 0.03);
+    let runs: [(&str, EngineKind, &dyn TbModel, Structure, usize, bool); 3] = [
+        ("si8", EngineKind::Serial, &si, si8, 1, false),
+        ("si64", EngineKind::Serial, &si, perturbed_si64(), 1, true),
+        ("tube", EngineKind::Shared, &carbon, tube, 2, true),
+    ];
+    for (name, kind, model, s, width, sliced) in runs {
+        let mut ws = Workspace::new();
+        leased(width, || {
+            Engine::build(kind, model, KT).evaluate_with(&s, &mut ws)
+        })
+        .unwrap();
+        let sliced_solve = matches!(ws.dense_cache, DenseCache::Sliced { .. });
+        assert_eq!(sliced_solve, sliced, "{name}");
+        let (nl, index, rho) = (ws.neighbors.list(), OrbitalIndex::new(&s), ws.rho_blocks());
+        assert_eq!(
+            rho.as_slice().len(),
+            bond_block_elements(nl, &index),
+            "{name}"
+        );
+        assert_eq!((ws.rho.capacity(), ws.w.capacity()), (0, 0), "{name}");
+
+        let occ = occupations(
+            &ws.values,
+            s.n_electrons(),
+            OccupationScheme::Fermi { kt: KT },
+        );
+        let (vectors, k) = ws.dense_cache.vectors(&ws.h, &ws.c).unwrap();
+        let full = density_matrix(vectors, &occ.f[..k]);
+        for i in 0..s.n_atoms() {
+            for j in nl.neighbors(i).iter().map(|nb| nb.j).chain([i]) {
+                let (ij, ji) = (rho.block(i, j), rho.block(j, i));
+                for mu in 0..4 {
+                    for nu in 0..4 {
+                        assert_eq!(ij(mu, nu).to_bits(), ji(nu, mu).to_bits(), "{name}");
+                        let reference = full[(index.offset(i) + mu, index.offset(j) + nu)];
+                        let err = (ij(mu, nu) - reference).abs();
+                        assert!(err <= 1e-12, "{name} block ({i},{j}) off by {err:.3e}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// One rank-control block serves both distributed engines: a due plan fires

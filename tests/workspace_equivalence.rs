@@ -85,7 +85,8 @@ fn shared_engine_workspace_trajectory_matches_cold_path() {
 
 /// Acceptance criterion: a 64-atom Si NVE run of ≥100 steps performs O(1)
 /// allocations of n_orb²-sized buffers after warmup. `Workspace` counts
-/// every capacity growth of its H/W/ρ buffers in `large_alloc_events()`.
+/// every capacity growth of its `n_orb²`-sized buffers in
+/// `large_alloc_events()`.
 #[test]
 fn hundred_step_nve_run_allocates_once() {
     let model = silicon_gsp();
