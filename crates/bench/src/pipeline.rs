@@ -3,7 +3,8 @@
 
 use std::time::Duration;
 
-use tbmd::linalg::kernels::{axpy, dot, symv_lower};
+use tbmd::linalg::blocked::{build_t_factors, rank2k_lower};
+use tbmd::linalg::kernels::{axpy, dot, rank1_tile, symv_lower};
 use tbmd::linalg::{
     apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect, team,
     tridiagonalize_blocked_into, Eigh, EighWorkspace, Matrix, TRIDIAG_BLOCK,
@@ -286,6 +287,111 @@ pub fn gemm_times(n: usize) -> (f64, f64) {
     (t_naive, t_tiled)
 }
 
+/// The host's multiply-then-add peak for one thread, as `16 × 4` independent
+/// `x = x·m + c` chains (a multiply, then an add) over plain arrays: no load
+/// or store in the loop. Its disassembly was checked in the `tbmd-report`
+/// binary: eight packed 512-bit `vmulpd` and eight `vaddpd` per iteration,
+/// four iterations unrolled, nothing scalar. Returns GF/s, a multiply and an
+/// add counting one flop each.
+#[inline(never)]
+fn mul_add_peak(iters: usize) -> f64 {
+    let (m, c) = std::hint::black_box((0.5f64, 1.0f64));
+    let mut x: [[f64; 4]; 16] =
+        std::array::from_fn(|i| std::array::from_fn(|l| (4 * i + l) as f64));
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        for row in x.iter_mut() {
+            for v in row.iter_mut() {
+                *v = *v * m + c;
+            }
+        }
+    }
+    let seconds = start.elapsed().as_secs_f64();
+    std::hint::black_box(x);
+    (iters * 64 * 2) as f64 / seconds / 1e9
+}
+
+/// [`rank1_tile`] on four rows of 64 columns and 48 terms whose right
+/// factors (24 KB) stay in L1, every row on a cache line of its own: GF/s.
+fn tile_in_l1() -> f64 {
+    const COLS: usize = 64;
+    const NQ: usize = 48;
+    #[repr(align(64))]
+    struct Rows<const R: usize>([[f64; COLS]; R]);
+    let calls = 4000;
+    let b = Rows::<NQ>(std::array::from_fn(|q| {
+        std::array::from_fn(|c| ((q * COLS + c) as f64 * 0.37).sin())
+    }));
+    let coef: [[f64; 4]; NQ] = std::array::from_fn(|q| [1e-3 * q as f64; 4]);
+    let mut out = Rows::<4>([[0.5; COLS]; 4]);
+    let (seconds, _) = best_of(5, || {
+        for _ in 0..calls {
+            let rows = out.0.each_mut().map(|row| &mut row[..]);
+            rank1_tile::<4>(rows, NQ, |q| coef[q], |q| &b.0[q]);
+            std::hint::black_box(&mut out);
+        }
+    });
+    (calls * NQ * 4 * COLS * 2) as f64 / seconds / 1e9
+}
+
+/// K1d: the GEMM-shaped half of the two-stage solver at `n`, on the whole
+/// team (`threads` = 2 on the reference host) or on one thread pinned inline:
+/// the rank-2k sweeps of a whole reduction (random panels), the compact-WY
+/// T factors, and the back-transform of `0.7 n` vectors (T factors + strip
+/// sweeps), the sweeps alone as the difference. `(stage, seconds, flops)`
+/// rows; the Gram matrix counts as the full square the tiles form.
+fn gemm_half(n: usize) -> Vec<(&'static str, f64, usize)> {
+    let k = 7 * n / 10;
+    let mut a = random_matrix(n, n, 80);
+    a.symmetrize();
+    let vpan = random_matrix(TRIDIAG_BLOCK, n, 81);
+    let wpan = random_matrix(TRIDIAG_BLOCK, n, 82);
+    let panels: Vec<(usize, usize)> = (0..n - 2)
+        .step_by(TRIDIAG_BLOCK)
+        .map(|j0| (j0, TRIDIAG_BLOCK.min(n - 2 - j0)))
+        .collect();
+    let mut sweep = a.clone();
+    let (t_rank2k, _) = best_of(3, || {
+        for &(j0, jb) in &panels {
+            rank2k_lower(&mut sweep, j0 + jb, jb, &vpan, &wpan);
+        }
+    });
+    let rank2k_flops: usize = panels
+        .iter()
+        .map(|&(j0, jb)| 2 * jb * (n - j0 - jb) * (n - j0 - jb + 1))
+        .sum();
+    let mut ws = EighWorkspace::default();
+    tridiagonalize_blocked_into(&mut a, &mut ws);
+    let (t_factors, _) = best_of(5, || build_t_factors(&a, &mut ws));
+    let gram_flops: usize = panels
+        .iter()
+        .map(|&(j0, jb)| 2 * jb * jb * (n - j0 - 1))
+        .sum();
+    let z0 = random_matrix(n, k, 83);
+    let (t_back, _) = best_of(3, || {
+        let mut z = z0.clone();
+        apply_q_blocked(&a, &mut ws, &mut z);
+    });
+    let sweep_flops: usize = panels
+        .iter()
+        .map(|&(j0, jb)| 4 * jb * (n - j0 - 1) * k)
+        .sum();
+    vec![
+        ("rank-2k sweeps of a reduction", t_rank2k, rank2k_flops),
+        ("compact-WY T factors", t_factors, gram_flops),
+        (
+            "back-transform (T factors + sweeps)",
+            t_back,
+            gram_flops + sweep_flops,
+        ),
+        (
+            "compact-WY sweeps (back-transform − T)",
+            t_back - t_factors,
+            sweep_flops,
+        ),
+    ]
+}
+
 /// K1: the tiled kernels against the textbook loops up to order `size`
 /// (default 256), the block Chebyshev step on a real region, and the two
 /// eigenvectors → ρ stages of the dense step.
@@ -475,10 +581,70 @@ pub fn kernels(size: Option<usize>) -> Report {
         ]);
     }
 
+    let peak = (0..5).map(|_| mul_add_peak(2_000_000)).fold(0.0, f64::max);
+    let tile = tile_in_l1();
+    let mut k1d = Table::new(
+        "K1d: the solver's GEMM-shaped half (rank-1 tiles) against the host's multiply-then-add peak",
+        &["stage", "n", "threads", "ms", "GFLOP/s", "of peak"],
+    );
+    let dash = || "—".to_string();
+    k1d.row(vec![
+        "multiply-then-add peak (registers)".into(),
+        dash(),
+        "1".into(),
+        dash(),
+        fmt_f(peak, 2),
+        "1.00".into(),
+    ]);
+    k1d.row(vec![
+        "rank1_tile 4×16, in L1".into(),
+        dash(),
+        "1".into(),
+        dash(),
+        fmt_f(tile, 2),
+        fmt_f(tile / peak, 2),
+    ]);
+    for n in [640, 864] {
+        for pinned in [true, false] {
+            let rows = if pinned {
+                std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| {
+                            team::pin_inline();
+                            gemm_half(n)
+                        })
+                        .join()
+                        .expect("pinned stages")
+                })
+            } else {
+                gemm_half(n)
+            };
+            let threads = if pinned { 1 } else { team::size() };
+            for (stage, seconds, flops) in rows {
+                let gflops = flops as f64 / seconds / 1e9;
+                k1d.row(vec![
+                    stage.into(),
+                    n.to_string(),
+                    threads.to_string(),
+                    fmt_f(seconds * 1e3, 2),
+                    fmt_f(gflops, 2),
+                    fmt_f(gflops / (peak * threads as f64), 2),
+                ]);
+            }
+        }
+    }
+
     let mut report = Report::default();
-    report.table(k1a).table(k1b).table(k1c).note(format!(
-        "`of tiled GEMM` is the rate over tiled GEMM's at n = {max_n}: {} GFLOP/s.",
-        fmt_f(gemm_gflops, 2)
-    ));
+    report
+        .table(k1a)
+        .table(k1b)
+        .table(k1c)
+        .table(k1d)
+        .note(format!(
+            "`of tiled GEMM` is the rate over tiled GEMM's at n = {max_n}: {} GFLOP/s. \
+         K1d's `of peak` is the rate over `threads` × the multiply-then-add peak; \
+         its `threads` = 1 rows run on a thread pinned inline.",
+            fmt_f(gemm_gflops, 2)
+        ));
     report
 }

@@ -17,12 +17,16 @@
 //!    the panel buffer, and come back as reflectors once, at panel end.
 //! 2. **Rank-2k trailing update** — after each panel the trailing block
 //!    absorbs `A ← A − V Wᵀ − W Vᵀ` in one GEMM-shaped sweep over contiguous
-//!    rows (the SYR2K analogue of the SYRK density-matrix kernel), two
-//!    reflector pairs per pass over a row. Only the lower triangle exists:
+//!    rows (the SYR2K analogue of the SYRK density-matrix kernel), four rows
+//!    at a time through [`kernels::rank1_tile`], every term of the panel
+//!    applied while a row tile sits in registers. Only the lower triangle exists:
 //!    the panel matvec ([`kernels::symv_lower`]) reads nothing else. Rows are
 //!    independent and dealt round-robin over the threads, so both halves of
 //!    the triangle's area get done at once and each row is written by
 //!    exactly one task.
+//!
+//! The back-transform, its T factors and [`Matrix::matmul`] go through the
+//! same tile, so the GEMM-shaped half of the solver is one micro-kernel.
 //!
 //! The reflectors stay packed in the reduced matrix (LAPACK convention:
 //! column `j` holds `v_j` below the subdiagonal, `v_j[j+1] = 1` implicit)
@@ -386,55 +390,143 @@ fn symv_banded(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64], bands: 
 
 /// `A ← A − V Wᵀ − W Vᵀ` on the lower triangle of the trailing block
 /// `[t0, n)`, with `V`, `W` the first `jb` rows of `vpan`, `wpan` (one
-/// reflector per row). One fan-out over rows; a row folds two reflector pairs
-/// per pass — per element `(((y − v₀w₀) − w₀v₀) − v₁w₁) − w₁v₁`, the order of
-/// one [`kernels::axpy2`] per pair in ascending pair order, with `y` loaded
-/// and stored half as often — so an element's arithmetic does not depend on
-/// the thread count.
-fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &Matrix) {
+/// reflector per row): per element `(((y − v₀w₀) − w₀v₀) − v₁w₁) − w₁v₁ …`,
+/// the order of one [`kernels::axpy2`] per pair in ascending pair order. One
+/// fan-out over four-row groups, dealt round-robin: a group's shared columns
+/// `t0..=r` go through one [`kernels::rank1_tile`] whose `2·jb` terms are the
+/// panel rows `w₀, v₀, w₁, …` read in place, the six elements of the
+/// triangle past them one term at a time. An element's arithmetic does not
+/// depend on the thread count. Public so that the kernel table can time it.
+pub fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &Matrix) {
     let ncols = a.cols();
+    let nq = 2 * jb;
+    let b: [&[f64]; 2 * TRIDIAG_BLOCK] = std::array::from_fn(|q| {
+        let pan = if q % 2 == 0 { wpan } else { vpan };
+        &pan.row(q / 2)[t0..]
+    });
     let trailing = &mut a.as_mut_slice()[t0 * ncols..];
-    team::chunks_for_each(whole_team(), trailing, ncols, |ri, row| {
-        let r = t0 + ri;
-        let y = &mut row[t0..=r];
-        for p in (0..jb - jb % 2).step_by(2) {
-            let (v0, w0) = (vpan.row(p), wpan.row(p));
-            let (v1, w1) = (vpan.row(p + 1), wpan.row(p + 1));
-            kernels::axpy4(
-                y,
-                [-v0[r], -w0[r], -v1[r], -w1[r]],
-                [&w0[t0..], &v0[t0..], &w1[t0..], &v1[t0..]],
-            );
+    team::chunks_for_each(whole_team(), trailing, 4 * ncols, |g, rows| {
+        let r = t0 + 4 * g;
+        // Term q's coefficient for row r + i: −v_p[r+i] for q = 2p, −w_p[r+i]
+        // for q = 2p + 1.
+        let mut coef = [[0.0; 4]; 2 * TRIDIAG_BLOCK];
+        for (q, c) in coef[..nq].iter_mut().enumerate() {
+            let pan = if q % 2 == 0 { vpan } else { wpan };
+            let col = &pan.row(q / 2)[r..];
+            for (i, ci) in c.iter_mut().enumerate().take(rows.len() / ncols) {
+                *ci = -col[i];
+            }
         }
-        if jb % 2 == 1 {
-            let (v, w) = (vpan.row(jb - 1), wpan.row(jb - 1));
-            kernels::axpy2(y, -v[r], &w[t0..=r], -w[r], &v[t0..=r]);
+        if rows.len() < 4 * ncols {
+            // The last group may hold fewer than four rows: one at a time.
+            for (i, y) in rows.chunks_exact_mut(ncols).enumerate() {
+                let y = &mut y[t0..=r + i];
+                kernels::rank1_tile::<1>([y], nq, |q| [coef[q][i]], |q| b[q]);
+            }
+            return;
+        }
+        let mut ys: [&mut [f64]; 4] = {
+            let mut rows = rows.chunks_exact_mut(ncols);
+            std::array::from_fn(|_| rows.next().expect("four rows"))
+        };
+        kernels::rank1_tile::<4>(
+            ys.each_mut().map(|y| &mut y[t0..=r]),
+            nq,
+            |q| coef[q],
+            |q| b[q],
+        );
+        // Rows r+1..r+3 past the shared columns: (r+1, r+1), (r+2, r+1..=r+2),
+        // (r+3, r+1..=r+3).
+        const TRIANGLE: [(usize, usize); 6] = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)];
+        let mut acc = TRIANGLE.map(|(i, c)| ys[i][r + c]);
+        for (cq, bq) in coef[..nq].iter().zip(&b) {
+            for (x, &(i, c)) in acc.iter_mut().zip(&TRIANGLE) {
+                *x += cq[i] * bq[r + c - t0];
+            }
+        }
+        for (x, (i, c)) in acc.into_iter().zip(TRIANGLE) {
+            ys[i][r + c] = x;
         }
     });
 }
 
-/// Row `r` of panel `[j0, j0+jb)`'s reflector matrix `V` (`n × jb`, column
-/// `p` = `v_{j0+p}`): the contiguous slice `a.row(r)[j0..j0+jb]` of the
-/// packed reduction, except on the panel's first `jb` rows, where the implicit
-/// unit entry of reflector `r − j0 − 1` and the zeros above it are written
-/// out into `head`.
-#[inline]
-fn reflector_row<'a>(
-    a: &'a Matrix,
-    j0: usize,
-    jb: usize,
-    r: usize,
-    head: &'a mut [f64; TRIDIAG_BLOCK],
-) -> &'a [f64] {
-    let packed = &a.row(r)[j0..j0 + jb];
-    let unit = r - j0 - 1;
-    if unit >= jb {
-        return packed;
+/// A block of rows of panel `[j0, j0+jb)`'s reflector matrix `V` (`n × jb`,
+/// column `p` = `v_{j0+p}`, rows `j0+1..n`), packed: row `i` is `V`'s row
+/// `rows.start + i`, the reduction's segment `a.row(r)[j0..j0+jb]` — on the
+/// panel's first `jb` rows with the implicit unit entry of reflector
+/// `r − j0 − 1` and the zeros past it written out. The tiles read a block
+/// from 8 KB of the stack instead of one page of `a` per row.
+struct VBlock {
+    rows: std::ops::Range<usize>,
+    v: [[f64; TRIDIAG_BLOCK]; TRIDIAG_BLOCK],
+}
+
+/// Panel `[j0, j0+jb)`'s `V` as [`VBlock`]s in ascending row order: the
+/// panel's first `jb` rows, then `NB` rows at a time.
+fn panel_blocks(a: &Matrix, j0: usize, jb: usize) -> impl Iterator<Item = VBlock> + '_ {
+    let (n, split) = (a.rows(), j0 + 1 + jb);
+    let below = (split..n).step_by(TRIDIAG_BLOCK);
+    let blocks =
+        std::iter::once(j0 + 1..split).chain(below.map(move |r| r..n.min(r + TRIDIAG_BLOCK)));
+    blocks.map(move |rows| {
+        let mut v = [[0.0; TRIDIAG_BLOCK]; TRIDIAG_BLOCK];
+        for (vr, r) in v.iter_mut().zip(rows.clone()) {
+            let unit = r - j0 - 1;
+            let packed = unit.min(jb);
+            vr[..packed].copy_from_slice(&a.row(r)[j0..j0 + packed]);
+            if unit < jb {
+                vr[unit] = 1.0;
+            }
+        }
+        VBlock { rows, v }
+    })
+}
+
+impl VBlock {
+    /// `x[p] += Σ_r V[r][p] · z(r)` over the block's rows `r` in ascending
+    /// order, for the first `jb` rows of `x` (row stride `stride`, the first
+    /// `width` columns): four rows of `x` per [`kernels::rank1_tile`].
+    #[inline(always)]
+    fn vt_times<'z>(
+        &self,
+        x: &mut [f64],
+        (jb, stride, width): (usize, usize, usize),
+        z: impl Fn(usize) -> &'z [f64],
+    ) {
+        let (r0, nq) = (self.rows.start, self.rows.len());
+        let mut groups = x[..jb * stride].chunks_exact_mut(4 * stride);
+        for (g, group) in groups.by_ref().enumerate() {
+            let mut rows = group.chunks_exact_mut(stride).map(|row| &mut row[..width]);
+            let out = std::array::from_fn(|_| rows.next().expect("four rows"));
+            let coef = |q: usize| self.v[q][4 * g..4 * g + 4].try_into().expect("four");
+            kernels::rank1_tile::<4>(out, nq, coef, |q| z(r0 + q));
+        }
+        let rest = groups.into_remainder().chunks_exact_mut(stride);
+        for (p, row) in (jb - jb % 4..).zip(rest) {
+            kernels::rank1_tile::<1>([&mut row[..width]], nq, |q| [self.v[q][p]], |q| z(r0 + q));
+        }
     }
-    head[..unit].copy_from_slice(&packed[..unit]);
-    head[unit] = 1.0;
-    head[unit + 1..jb].fill(0.0);
-    &head[..jb]
+
+    /// `z[i] += Σ_p V[rows.start + i][p] · x(p)` over the first `jb`
+    /// reflectors in ascending order, for the block's rows `z` of `Z`: four
+    /// rows per [`kernels::rank1_tile`].
+    #[inline(always)]
+    fn times<'x>(&self, z: &mut [&mut [f64]], jb: usize, x: impl Fn(usize) -> &'x [f64]) {
+        let done = z.len() - z.len() % 4;
+        let mut groups = z.chunks_exact_mut(4);
+        for (g, group) in groups.by_ref().enumerate() {
+            let [z0, z1, z2, z3] = group else {
+                unreachable!("chunks of four")
+            };
+            let v = &self.v[4 * g..4 * g + 4];
+            let out = [&mut **z0, &mut **z1, &mut **z2, &mut **z3];
+            let coef = |q: usize| [v[0][q], v[1][q], v[2][q], v[3][q]];
+            kernels::rank1_tile::<4>(out, jb, coef, &x);
+        }
+        for (row, zrow) in self.v[done..].iter().zip(groups.into_remainder()) {
+            kernels::rank1_tile::<1>([&mut **zrow], jb, |q| [row[q]], &x);
+        }
+    }
 }
 
 /// Panels of the `n − 2` reflectors packed in an `n × n` reduction, as
@@ -449,13 +541,16 @@ fn panels_rev(n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
 }
 
 /// The negated compact-WY factor `−T` of every panel (forward, columnwise —
-/// LAPACK `dlarft`), panel `p` in rows `p·NB..` of `tmat`:
-/// `H_{j0} ⋯ H_{j0+jb−1} = I − V T Vᵀ`. The Gram matrix `Vᵀ V` a panel needs
-/// is accumulated row by row of `V`, so the reflectors are read where they
-/// are packed.
-fn build_t_factors(a: &Matrix, tau: &[f64], tmat: &mut Matrix) {
+/// LAPACK `dlarft`) into the workspace, panel `p` in rows `p·NB..` of its
+/// T-factor buffer: `H_{j0} ⋯ H_{j0+jb−1} = I − V T Vᵀ`. The Gram matrix
+/// `Vᵀ V` a panel needs is summed 32 rows of `V` at a time, each block
+/// against its own rows through [`kernels::rank1_tile`], so each entry adds
+/// its rows of `V` in ascending order; only its upper triangle is kept. `a`
+/// and `ws` as [`apply_q_blocked`] takes them (`a` at least 3 × 3), whose
+/// first half this is; public so that the kernel table can time it.
+pub fn build_t_factors(a: &Matrix, ws: &mut EighWorkspace) {
     let n = a.rows();
-    let mut head = [0.0; TRIDIAG_BLOCK];
+    let (tau, tmat) = (&ws.blocked.tau, &mut ws.blocked.tmat);
     tmat.resize_zeroed(
         (n - 2).div_ceil(TRIDIAG_BLOCK) * TRIDIAG_BLOCK,
         TRIDIAG_BLOCK,
@@ -463,12 +558,14 @@ fn build_t_factors(a: &Matrix, tau: &[f64], tmat: &mut Matrix) {
     for (panel, j0, jb) in panels_rev(n) {
         let t = &mut tmat.as_mut_slice()[panel * TRIDIAG_BLOCK * TRIDIAG_BLOCK..];
         let at = |p: usize, q: usize| p * TRIDIAG_BLOCK + q;
-        // Upper triangle of VᵀV.
-        for r in j0 + 1..n {
-            let v = reflector_row(a, j0, jb, r, &mut head);
-            for p in 0..jb {
-                kernels::axpy(&mut t[at(p, p)..at(p, jb)], v[p], &v[p..]);
-            }
+        // The whole square (its two triangles are the same bits: the products
+        // commute), then the strict lower triangle back to zero.
+        for block in panel_blocks(a, j0, jb) {
+            let r0 = block.rows.start;
+            block.vt_times(t, (jb, TRIDIAG_BLOCK, jb), |r| &block.v[r - r0]);
+        }
+        for p in 1..jb {
+            t[at(p, 0)..at(p, p)].fill(0.0);
         }
         // −T[0..i, i] = −T[0..i, 0..i] · (−τ_i · VᵀV[0..i, i]), in place. Row
         // p reads column i only at q ≥ p, so the forward sweep never reads an
@@ -487,11 +584,12 @@ fn build_t_factors(a: &Matrix, tau: &[f64], tmat: &mut Matrix) {
 }
 
 /// Apply every panel to one column strip of `Z`, given as its row segments.
-/// Per panel: `X = Vᵀ Z` (four rows of `Z` per pass, [`kernels::axpy4`]),
-/// `X ← −T X` in place, `Z += V X` ([`kernels::gemm_row`]). Every element
-/// accumulates in ascending row (resp. reflector) order, one multiply and one
-/// add at a time, so a column's arithmetic does not depend on which strip it
-/// is in.
+/// Per panel, block by block of `V` ([`VBlock`]): `X = Vᵀ Z`, a block of `Z`'s
+/// rows staying in L1 across the four-row groups of `X`; `X ← −T X` in place,
+/// one row at a time; `Z += V X`. All three go through
+/// [`kernels::rank1_tile`]. Every element accumulates in ascending row (resp.
+/// reflector) order, one multiply and one add at a time, so a column's
+/// arithmetic does not depend on which strip it is in.
 fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
     let n = a.rows();
     let w = strip[0].len();
@@ -503,43 +601,24 @@ fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
     #[repr(align(64))]
     struct XBlock([f64; TRIDIAG_BLOCK * STRIP_COLS]);
     let mut xblock = XBlock([0.0; TRIDIAG_BLOCK * STRIP_COLS]);
-    let mut heads = [[0.0; TRIDIAG_BLOCK]; kernels::GEMM_UNROLL];
     for (panel, j0, jb) in panels_rev(n) {
-        let lo = j0 + 1;
         let x = &mut xblock.0[..jb * w];
         x.fill(0.0);
-        let fused = n - (n - lo) % kernels::GEMM_UNROLL;
-        for r in (lo..fused).step_by(kernels::GEMM_UNROLL) {
-            let [h0, h1, h2, h3] = &mut heads;
-            let v = [
-                reflector_row(a, j0, jb, r, h0),
-                reflector_row(a, j0, jb, r + 1, h1),
-                reflector_row(a, j0, jb, r + 2, h2),
-                reflector_row(a, j0, jb, r + 3, h3),
-            ];
-            let z: [&[f64]; 4] = std::array::from_fn(|i| &*strip[r + i]);
-            for (p, xrow) in x.chunks_exact_mut(w).enumerate() {
-                kernels::axpy4(xrow, [v[0][p], v[1][p], v[2][p], v[3][p]], z);
-            }
-        }
-        for (r, zrow) in strip.iter().enumerate().skip(fused) {
-            let v = reflector_row(a, j0, jb, r, &mut heads[0]);
-            for (xrow, &vp) in x.chunks_exact_mut(w).zip(v) {
-                kernels::axpy(xrow, vp, zrow);
-            }
+        for block in panel_blocks(a, j0, jb) {
+            block.vt_times(x, (jb, w, w), |r| &*strip[r]);
         }
         for p in 0..jb {
-            let trow = &tmat.row(panel * TRIDIAG_BLOCK + p)[..jb];
+            let trow = &tmat.row(panel * TRIDIAG_BLOCK + p)[p..jb];
             let (done, below) = x.split_at_mut((p + 1) * w);
             let xrow = &mut done[p * w..];
             for xv in xrow.iter_mut() {
-                *xv *= trow[p];
+                *xv *= trow[0];
             }
-            kernels::gemm_row(xrow, &trow[p + 1..], below, w, 0, jb - p - 1);
+            kernels::rank1_tile::<1>([xrow], jb - p - 1, |q| [trow[q + 1]], |q| &below[q * w..]);
         }
-        for (r, zrow) in strip.iter_mut().enumerate().skip(lo) {
-            let v = reflector_row(a, j0, jb, r, &mut heads[0]);
-            kernels::gemm_row(zrow, v, x, w, 0, jb);
+        let x = &*x;
+        for block in panel_blocks(a, j0, jb) {
+            block.times(&mut strip[block.rows.clone()], jb, |p| &x[p * w..]);
         }
     }
 }
@@ -563,8 +642,7 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
     if n < 3 || k == 0 {
         return;
     }
-    let s = &mut ws.blocked;
-    build_t_factors(a, &s.tau, &mut s.tmat);
+    build_t_factors(a, ws);
     // Panel [j0, j0+jb) touches rows j0+1..n: 2·jb·(n−j0−1)·k flops in each
     // of `Vᵀ Z` and `Z += V X`.
     let panel_rows: usize = panels_rev(n).map(|(_, j0, jb)| jb * (n - j0 - 1)).sum();
@@ -585,7 +663,7 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
             segments[s * n + r] = segment;
         }
     }
-    let tmat = &s.tmat;
+    let tmat = &ws.blocked.tmat;
     team::chunks_for_each(whole_team(), &mut segments, n, |_, strip| {
         sweep_strip(a, tmat, strip)
     });
@@ -914,6 +992,51 @@ mod tests {
             let mut a = saved;
             rank2k_lower(&mut a, t0, jb, &vpan, &wpan);
             assert!(a == reference, "jb={jb}");
+        }
+    }
+
+    #[test]
+    fn t_factors_match_the_row_by_row_gram_bitwise() {
+        // Against the accumulation the tiles replaced: the upper triangle of
+        // VᵀV summed one row of V at a time (one `axpy` per reflector), then
+        // the same in-place recursion. Full panels only (n = 34, 66), and a
+        // last panel of 9 (75) or 1 (35) reflectors; n = 203 spans seven
+        // blocks of V below the head.
+        for n in [34usize, 35, 66, 75, 203] {
+            let mut packed = symmetric_test_matrix(n, 500 + n as u64);
+            let mut ws = EighWorkspace::default();
+            tridiagonalize_blocked_into(&mut packed, &mut ws);
+            build_t_factors(&packed, &mut ws);
+            let (tau, tiled) = (&ws.blocked.tau, &ws.blocked.tmat);
+            let mut reference = Matrix::zeros(tiled.rows(), TRIDIAG_BLOCK);
+            for (panel, j0, jb) in panels_rev(n) {
+                let t = &mut reference.as_mut_slice()[panel * TRIDIAG_BLOCK * TRIDIAG_BLOCK..];
+                let at = |p: usize, q: usize| p * TRIDIAG_BLOCK + q;
+                for r in j0 + 1..n {
+                    let v: Vec<f64> = (0..jb)
+                        .map(|p| match (r - j0 - 1).cmp(&p) {
+                            std::cmp::Ordering::Less => 0.0,
+                            std::cmp::Ordering::Equal => 1.0,
+                            std::cmp::Ordering::Greater => packed[(r, j0 + p)],
+                        })
+                        .collect();
+                    for p in 0..jb {
+                        kernels::axpy(&mut t[at(p, p)..at(p, jb)], v[p], &v[p..]);
+                    }
+                }
+                for i in 0..jb {
+                    let ti = tau[j0 + i];
+                    t[at(i, i)] = -ti;
+                    for p in 0..i {
+                        t[at(p, i)] *= -ti;
+                    }
+                    for p in 0..i {
+                        t[at(p, i)] = (p..i).map(|q| t[at(p, q)] * t[at(q, i)]).sum();
+                    }
+                }
+            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(tiled), bits(&reference), "n={n}");
         }
     }
 

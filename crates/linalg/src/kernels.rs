@@ -3,9 +3,10 @@
 //! Every routine here is written for autovectorization on a single core:
 //! fixed-width accumulator lanes break the latency chain of naive
 //! `acc += x*y` reductions (one add per 4–5 cycles) into independent
-//! streams the compiler can keep in vector registers, and the GEMM panel
-//! kernel unrolls the inner dimension so output rows are loaded and stored
-//! once per 4 rank-1 updates instead of once per update. No explicit SIMD
+//! streams the compiler can keep in vector registers, and the one GEMM
+//! micro-kernel, [`rank1_tile`], holds a `4 × 16` tile of the output in
+//! registers across every rank-1 term, so an output element is loaded and
+//! stored once per call instead of once per update. No explicit SIMD
 //! intrinsics are used — the loops are shaped so LLVM's autovectorizer
 //! emits packed AVX/AVX-512 code.
 //!
@@ -39,6 +40,22 @@
 //! in the bond-density stage, [`dot8`] in the panel corrections): its
 //! transposes sit after the loop.
 //!
+//! An outer product has two axes for the same trap. [`rank1_tile`] written
+//! row loop outside, column loop inside, compiled lane = row: a vector of
+//! four coefficients times a broadcast of `b`, the accumulators gathered and
+//! scattered through memory every term, and the back-transform ran ≈ 7×
+//! slower than the `axpy4` chains it replaced. With the column loop outside
+//! each row's 16 columns are four `ymm` accumulators and a term is 4 loads,
+//! 4 broadcasts, 16 `vmulpd` and 16 `vaddpd`, no spill. The tile shape is a
+//! rule too. An earlier probe of such loops over plain `[f64; C]` arrays
+//! found `R × C` = 4×24, 4×32, 8×16 and 2×32 compiled to scalar code
+//! (1.9–3.8 GF/s) where 4×16, 6×16 and 8×8 ran at 19–25 GF/s in L1; with
+//! the nesting here `--emit asm` shows packed code for all of them but
+//! 8×16, whose 32 accumulators spill. 4×16 keeps 16 accumulators, 4
+//! operands and the broadcasts inside the 32 vector registers. After
+//! touching the tile, count `gather`, `vmulpd` and stack accesses in the
+//! loops of the binary that runs it.
+//!
 //! rustc performs no FMA contraction or reassociation by default, so every
 //! kernel has a fixed, documented IEEE summation order. That makes the
 //! serial and fanned-out callers bitwise identical by construction: each
@@ -51,14 +68,13 @@
 //! (see `fmadd`): its order is as fixed as the others', its bits belong to
 //! the target features the crate was built for.
 
-/// Crossover below which the blocked/tiled entry points in `matrix.rs` take
-/// the short naive loop instead. Register tiling pays panel-setup and
-/// remainder-handling overhead that a ≤16×16 product (tiny test cells,
-/// 4-orbital blocks) never amortizes — the same reasoning as
+/// Crossover below which the SYRK in `matrix.rs` stays on the calling
+/// thread. A fan-out pays hand-off overhead that a ≤16×16 product (tiny
+/// test cells, 4-orbital blocks) never amortizes — the same reasoning as
 /// `TWO_STAGE_MIN_DIM` in `tbmd-model`, which keeps small systems on the
 /// one-stage eigensolver. 16 keeps every matrix that fits in two cache
-/// lines per row on the naive path while letting real Hamiltonians
-/// (N ≥ 32) hit the tiled kernels.
+/// lines per row on one thread while letting real Hamiltonians (N ≥ 32)
+/// fan out.
 pub const KERNEL_MIN_DIM: usize = 16;
 
 /// Accumulator lanes in [`dot`]. Eight f64 lanes fill one AVX-512 register
@@ -198,15 +214,9 @@ pub fn axpy2(y: &mut [f64], a: f64, x: &[f64], b: f64, w: &[f64]) {
     }
 }
 
-/// How many `(p, j)` rank-1 updates the GEMM panel kernel fuses per pass
-/// over an output row: output rows are loaded/stored once per
-/// `GEMM_UNROLL` inner-index steps.
-pub const GEMM_UNROLL: usize = 4;
-
-/// Four fused rank-1 updates of one output row — the body of the GEMM panel
-/// kernel. Each element receives `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`,
-/// i.e. four [`axpy`] calls in order, with the output row loaded and stored
-/// once.
+/// Four fused rank-1 updates of one output row: each element receives
+/// `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`, i.e. four [`axpy`] calls in
+/// order, with the output row loaded and stored once.
 #[inline]
 pub fn axpy4(orow: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
     let n = orow.len();
@@ -265,31 +275,78 @@ pub fn dot4_axpy4(p: &mut [f64], x: &[f64], a: [f64; 4], y: [&[f64]; 4]) -> [f64
     s
 }
 
-/// GEMM panel kernel: `out_row += Σ_p a_row[p] · b[p][..]` for
-/// `p ∈ [p0, p1)`, with `b` given as a row-major slice of row stride
-/// `ldb ≥ n`.
+/// Columns of an output row [`rank1_tile`] holds in registers: two 512-bit
+/// vectors, or four 256-bit ones, per row.
+const TILE_COLS: usize = 16;
+
+/// The one GEMM micro-kernel: `out[i] += Σ_q a(q)[i] · b(q)` over `q` in
+/// `0..nq`, for `R` output rows of one length and rank-1 terms whose right
+/// factors `b(q)` are at least that long. Each `R × 16` tile of the output is
+/// held in registers across every term, so an output element is loaded and
+/// stored once per call instead of once per few terms; its arithmetic is
+/// `(…((o + a(0)[i]·b(0)) + a(1)[i]·b(1)) + …)` in ascending `q`, one
+/// multiply and one add per term — bit for bit one [`axpy`] per term, however
+/// the caller cuts the rows, the columns or the terms into calls. The
+/// `len mod 16` columns past the last tile go through 8-, 4- and 1-wide
+/// tiles of the same code.
 ///
-/// The inner dimension is unrolled by [`GEMM_UNROLL`] ([`axpy4`]): each
-/// output element receives `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`, i.e. the
-/// adds land in ascending-`p` order exactly as in a naive `i-k-j` loop, so
-/// the result is bitwise identical to that reference order regardless of how
-/// callers band the output rows.
-#[inline]
-pub fn gemm_row(orow: &mut [f64], arow: &[f64], b: &[f64], ldb: usize, p0: usize, p1: usize) {
-    let n = orow.len();
-    let brow = |p: usize| &b[p * ldb..p * ldb + n];
-    let mut p = p0;
-    while p + GEMM_UNROLL <= p1 {
-        axpy4(
-            orow,
-            [arow[p], arow[p + 1], arow[p + 2], arow[p + 3]],
-            [brow(p), brow(p + 1), brow(p + 2), brow(p + 3)],
-        );
-        p += GEMM_UNROLL;
+/// `a(q)` and `b(q)` are asked for once per term and column tile: they should
+/// be a few loads, with any head of a panel that needs rewriting packed by
+/// the caller beforehand.
+#[inline(always)]
+pub fn rank1_tile<'b, const R: usize>(
+    mut out: [&mut [f64]; R],
+    nq: usize,
+    a: impl Fn(usize) -> [f64; R],
+    b: impl Fn(usize) -> &'b [f64],
+) {
+    let len = out[0].len();
+    debug_assert!(out.iter().all(|o| o.len() == len));
+    let mut c = 0;
+    while c + TILE_COLS <= len {
+        tile::<R, TILE_COLS>(&mut out, c, nq, &a, &b);
+        c += TILE_COLS;
     }
-    while p < p1 {
-        axpy(orow, arow[p], brow(p));
-        p += 1;
+    if c + 8 <= len {
+        tile::<R, 8>(&mut out, c, nq, &a, &b);
+        c += 8;
+    }
+    if c + 4 <= len {
+        tile::<R, 4>(&mut out, c, nq, &a, &b);
+        c += 4;
+    }
+    for c in c..len {
+        tile::<R, 1>(&mut out, c, nq, &a, &b);
+    }
+}
+
+/// Columns `c..c + C` of [`rank1_tile`]: the `R × C` block in plain arrays,
+/// every term applied to it in ascending `q`, then stored.
+#[inline(always)]
+fn tile<'b, const R: usize, const C: usize>(
+    out: &mut [&mut [f64]; R],
+    c: usize,
+    nq: usize,
+    a: &impl Fn(usize) -> [f64; R],
+    b: &impl Fn(usize) -> &'b [f64],
+) {
+    let mut acc = [[0.0; C]; R];
+    for (acc_i, o) in acc.iter_mut().zip(out.iter()) {
+        acc_i.copy_from_slice(&o[c..c + C]);
+    }
+    for q in 0..nq {
+        let aq = a(q);
+        let bq: &[f64; C] = b(q)[c..c + C].try_into().expect("C columns");
+        // Column outside, row inside: the other nesting lets LLVM's SLP
+        // vectorizer pack lanes across rows (see the module doc).
+        for (l, &bv) in bq.iter().enumerate() {
+            for (acc_i, &ai) in acc.iter_mut().zip(&aq) {
+                acc_i[l] += ai * bv;
+            }
+        }
+    }
+    for (acc_i, o) in acc.iter().zip(out.iter_mut()) {
+        o[c..c + C].copy_from_slice(acc_i);
     }
 }
 
@@ -638,24 +695,63 @@ mod tests {
     }
 
     #[test]
-    fn gemm_row_is_bitwise_ascending_p() {
-        // The unrolled kernel must match the naive i-k-j accumulation
-        // exactly (same add order per element).
-        let (k, n) = (13, 9);
-        let a = seq(k, 0.3, -1.0);
-        let b: Vec<f64> = (0..k * n)
-            .map(|i| ((i * 37 % 101) as f64) * 0.01 - 0.5)
-            .collect();
-        let mut out = seq(n, 0.0, 0.25);
-        let mut reference = out.clone();
-        gemm_row(&mut out, &a, &b, n, 0, k);
-        for p in 0..k {
+    fn matmul_is_bitwise_ascending_p() {
+        // The tiled product must match the naive i-k-j accumulation exactly
+        // (same add order per element), on a tile's worth of rows and columns
+        // and the remainders past it.
+        let (m, k, n) = (6, 13, 21);
+        let a = crate::Matrix::from_fn(m, k, |i, p| (i * k + p) as f64 * 0.3 - 1.0);
+        let b = crate::Matrix::from_fn(k, n, |p, j| ((p * n + j) * 37 % 101) as f64 * 0.01 - 0.5);
+        let out = a.matmul(&b);
+        for i in 0..m {
+            let mut reference = vec![0.0; n];
+            for p in 0..k {
+                for j in 0..n {
+                    reference[j] += a[(i, p)] * b[(p, j)];
+                }
+            }
             for j in 0..n {
-                reference[j] += a[p] * b[p * n + j];
+                assert_eq!(out[(i, j)].to_bits(), reference[j].to_bits(), "({i},{j})");
             }
         }
-        for j in 0..n {
-            assert_eq!(out[j].to_bits(), reference[j].to_bits(), "col {j}");
+    }
+
+    #[test]
+    fn rank1_tile_is_one_axpy_per_term_bitwise() {
+        // Every output length up to 40 (each remainder below 16, before and
+        // after a full tile) and term counts from none to 70, against one
+        // `axpy` per (term, row); the right factors are longer than the rows.
+        for len in 0..=40 {
+            for nq in 0..=70 {
+                let b: Vec<Vec<f64>> = (0..nq)
+                    .map(|q| seq(len + 3, 0.07 * q as f64 - 0.9, 0.3 - 0.01 * q as f64))
+                    .collect();
+                let coef =
+                    |q: usize| std::array::from_fn(|i| ((q * 5 + i * 3) as f64 * 0.41).sin());
+                let rows: [Vec<f64>; 4] =
+                    std::array::from_fn(|i| seq(len, -0.13 * i as f64, 0.2 + i as f64));
+                let mut reference = rows.clone();
+                for (q, bq) in b.iter().enumerate() {
+                    let aq: [f64; 4] = coef(q);
+                    for (r, &ai) in reference.iter_mut().zip(&aq) {
+                        axpy(r, ai, &bq[..len]);
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let mut four = rows.clone();
+                let [r0, r1, r2, r3] = &mut four;
+                rank1_tile::<4>([r0, r1, r2, r3], nq, coef, |q| &b[q]);
+                let mut one = rows[2].clone();
+                rank1_tile::<1>([&mut one], nq, |q| [coef(q)[2]], |q| &b[q]);
+                for i in 0..4 {
+                    assert_eq!(
+                        bits(&four[i]),
+                        bits(&reference[i]),
+                        "len={len} nq={nq} row {i}"
+                    );
+                }
+                assert_eq!(bits(&one), bits(&reference[2]), "len={len} nq={nq} R = 1");
+            }
         }
     }
 

@@ -46,6 +46,6 @@ pub use inverse_iteration::{
     cluster_tolerance, snap_range_to_clusters, tridiagonal_eigenvectors_into,
     tridiagonal_eigenvectors_offset_into,
 };
-pub use kernels::{GEMM_UNROLL, KERNEL_MIN_DIM};
+pub use kernels::KERNEL_MIN_DIM;
 pub use matrix::Matrix;
 pub use vec3::Vec3;

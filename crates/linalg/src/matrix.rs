@@ -330,28 +330,34 @@ impl Matrix {
 ///
 /// Splits the output into `MATMUL_BLOCK`-row bands; each band walks the inner
 /// dimension in blocks so that the working set of `a`, `b` and `out` stays
-/// cache-resident, and each row band runs the unrolled
-/// [`kernels::gemm_row`] panel kernel. Every output element accumulates in
-/// ascending inner-index order regardless of banding. Products with every
-/// dimension ≤ [`KERNEL_MIN_DIM`] skip the blocking machinery entirely (same
-/// accumulation order, none of the panel overhead).
+/// cache-resident, and four output rows at a time go through
+/// [`kernels::rank1_tile`] (the `m mod 4` rows left over one at a time).
+/// Every output element accumulates in ascending inner-index order
+/// regardless of banding, bit for bit the naive `i-k-j` loop.
 fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k, n) = (a.rows, a.cols, b.cols);
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 2 * (m * k * n) as u64);
-    if m.max(k).max(n) <= KERNEL_MIN_DIM {
-        for i in 0..m {
-            kernels::gemm_row(out.row_mut(i), a.row(i), &b.data, n, 0, k);
-        }
+    if n == 0 {
         return;
     }
+    let brow = |p: usize| &b.data[p * n..(p + 1) * n];
     for (band_idx, out_band) in out.data.chunks_mut(MATMUL_BLOCK * n).enumerate() {
         let i0 = band_idx * MATMUL_BLOCK;
-        let i1 = (i0 + MATMUL_BLOCK).min(m);
         for p0 in (0..k).step_by(MATMUL_BLOCK) {
-            let p1 = (p0 + MATMUL_BLOCK).min(k);
-            for i in i0..i1 {
-                let orow = &mut out_band[(i - i0) * n..(i - i0 + 1) * n];
-                kernels::gemm_row(orow, a.row(i), &b.data, n, p0, p1);
+            let nq = MATMUL_BLOCK.min(k - p0);
+            let b = |q: usize| brow(p0 + q);
+            let i_rest = i0 + out_band.len() / (4 * n) * 4;
+            let mut quads = out_band.chunks_exact_mut(4 * n);
+            for (g, quad) in quads.by_ref().enumerate() {
+                let i = i0 + 4 * g;
+                let rows: [&[f64]; 4] = std::array::from_fn(|r| &a.row(i + r)[p0..p0 + nq]);
+                let mut out_rows = quad.chunks_exact_mut(n);
+                let out_rows = std::array::from_fn(|_| out_rows.next().expect("four rows"));
+                kernels::rank1_tile::<4>(out_rows, nq, |q| rows.map(|r| r[q]), b);
+            }
+            for (r, orow) in quads.into_remainder().chunks_exact_mut(n).enumerate() {
+                let arow = &a.row(i_rest + r)[p0..p0 + nq];
+                kernels::rank1_tile::<1>([orow], nq, |q| [arow[q]], b);
             }
         }
     }

@@ -150,10 +150,10 @@ proptest! {
 // The register-tiled microkernels claim two different equivalence levels
 // against the textbook loops, and both are properties worth fuzzing:
 //
-//  * `matmul` routes every row through `gemm_row`, whose per-element
+//  * `matmul` routes every row through `rank1_tile`, whose per-element
 //    accumulation order is strictly ascending in the inner index — the
 //    same order as the naive i-k-j triple loop. Equivalence is therefore
-//    *bitwise*, across the KERNEL_MIN_DIM crossover and the 64-row
+//    *bitwise*, across the tile's row and column remainders and the 64-row
 //    blocking boundary alike.
 //  * `dot`/`matvec` reduce through 8 independent lanes, a genuinely
 //    different (pairwise) summation order: equivalence is to roundoff,
