@@ -163,8 +163,9 @@ const REGISTRY: &[Experiment] = &[
         id: "K1",
         name: "kernels",
         expected: "The tiled kernels beat the textbook loops at every size, GEMM by an order of \
-                   magnitude; the block Chebyshev step and the back-transform run at tiled-GEMM \
-                   rates, the bond-block density below them.",
+                   magnitude; the back-transform runs at tiled-GEMM rates, the bond-block \
+                   density below them; the block Chebyshev step reads a fraction of one \
+                   thread's fused multiply-add peak.",
         run: pipeline::kernels,
     },
     Experiment {

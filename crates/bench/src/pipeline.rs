@@ -290,11 +290,28 @@ pub fn gemm_times(n: usize) -> (f64, f64) {
 /// The host's multiply-then-add peak for one thread, as `16 × 4` independent
 /// `x = x·m + c` chains (a multiply, then an add) over plain arrays: no load
 /// or store in the loop. Its disassembly was checked in the `tbmd-report`
-/// binary: eight packed 512-bit `vmulpd` and eight `vaddpd` per iteration,
-/// four iterations unrolled, nothing scalar. Returns GF/s, a multiply and an
-/// add counting one flop each.
+/// binary built at 512 bits: eight `vmulpd zmm` and eight `vaddpd zmm` per
+/// iteration, four iterations unrolled, nothing scalar. Returns GF/s, a
+/// multiply and an add counting one flop each.
 #[inline(never)]
 fn mul_add_peak(iters: usize) -> f64 {
+    peak(iters, |x, m, c| x * m + c)
+}
+
+/// The host's fused multiply-add peak for one thread: the chains of
+/// [`mul_add_peak`] as `x = fma(x, m, c)`, the operation the block Chebyshev
+/// step is built from. In the binary built at 512 bits its loop is eight
+/// `vfmadd213pd zmm` per iteration, five iterations unrolled, and nothing
+/// else; where the target has no `fma` feature it is a libm call. GF/s, a
+/// fused multiply-add counting two.
+#[inline(never)]
+fn fma_peak(iters: usize) -> f64 {
+    peak(iters, f64::mul_add)
+}
+
+/// `iters` rounds of `op` on `16 × 4` independent chains: GF/s.
+#[inline(always)]
+fn peak(iters: usize, op: impl Fn(f64, f64, f64) -> f64) -> f64 {
     let (m, c) = std::hint::black_box((0.5f64, 1.0f64));
     let mut x: [[f64; 4]; 16] =
         std::array::from_fn(|i| std::array::from_fn(|l| (4 * i + l) as f64));
@@ -302,7 +319,7 @@ fn mul_add_peak(iters: usize) -> f64 {
     for _ in 0..iters {
         for row in x.iter_mut() {
             for v in row.iter_mut() {
-                *v = *v * m + c;
+                *v = op(*v, m, c);
             }
         }
     }
@@ -449,6 +466,8 @@ pub fn kernels(size: Option<usize>) -> Report {
     let recurrence = || BlockRecurrence::new(&region, row0, 4, shift, scale);
     let steps = 2000usize;
     let coeffs: Vec<f64> = (0..=steps).map(|k| 1.0 / (1 + k) as f64).collect();
+    let peak = (0..5).map(|_| mul_add_peak(2_000_000)).fold(0.0, f64::max);
+    let fma = (0..5).map(|_| fma_peak(2_000_000)).fold(0.0, f64::max);
     let passes: [(&str, &dyn Fn() -> f64); 3] = [
         ("plain", &|| {
             let mut rec = recurrence();
@@ -472,7 +491,7 @@ pub fn kernels(size: Option<usize>) -> Report {
             "stored nnz",
             "ns/step",
             "GFLOP/s",
-            "of tiled GEMM",
+            "of FMA peak",
         ],
     );
     let step_flops = 2.0 * 4.0 * region.nnz() as f64;
@@ -485,7 +504,7 @@ pub fn kernels(size: Option<usize>) -> Report {
             region.nnz().to_string(),
             fmt_f(t_pass / steps as f64 * 1e9, 1),
             fmt_f(gflops, 2),
-            fmt_f(gflops / gemm_gflops, 2),
+            fmt_f(gflops / fma, 2),
         ]);
     }
 
@@ -581,7 +600,6 @@ pub fn kernels(size: Option<usize>) -> Report {
         ]);
     }
 
-    let peak = (0..5).map(|_| mul_add_peak(2_000_000)).fold(0.0, f64::max);
     let tile = tile_in_l1();
     let mut k1d = Table::new(
         "K1d: the solver's GEMM-shaped half (rank-1 tiles) against the host's multiply-then-add peak",
@@ -595,6 +613,14 @@ pub fn kernels(size: Option<usize>) -> Report {
         dash(),
         fmt_f(peak, 2),
         "1.00".into(),
+    ]);
+    k1d.row(vec![
+        "fused multiply-add peak (registers)".into(),
+        dash(),
+        "1".into(),
+        dash(),
+        fmt_f(fma, 2),
+        fmt_f(fma / peak, 2),
     ]);
     k1d.row(vec![
         "rank1_tile 4×16, in L1".into(),
@@ -642,9 +668,11 @@ pub fn kernels(size: Option<usize>) -> Report {
         .table(k1d)
         .note(format!(
             "`of tiled GEMM` is the rate over tiled GEMM's at n = {max_n}: {} GFLOP/s. \
-         K1d's `of peak` is the rate over `threads` × the multiply-then-add peak; \
-         its `threads` = 1 rows run on a thread pinned inline.",
-            fmt_f(gemm_gflops, 2)
+         K1b's `of FMA peak` is the rate over one thread's fused multiply-add peak \
+         (K1d): {} GFLOP/s. K1d's `of peak` is the rate over `threads` × the \
+         multiply-then-add peak; its `threads` = 1 rows run on a thread pinned inline.",
+            fmt_f(gemm_gflops, 2),
+            fmt_f(fma, 2)
         ));
     report
 }

@@ -464,6 +464,99 @@ pub type Block4 = [[f64; 4]; 4];
 /// a row is one AVX2 register.
 pub type Row4 = [f64; 4];
 
+/// Rows of four doubles whose first row starts on a 64-byte boundary: the
+/// storage of what [`bsr4_chebyshev_step`] streams. A `Vec<Row4>` is only
+/// 16-byte aligned, so half of its 256-bit row loads and every 512-bit
+/// row-pair access may split a cache line. A [`Block4`] is four consecutive
+/// rows ([`Rows64::blocks`]).
+#[derive(Debug, Default)]
+pub struct Rows64 {
+    /// Zeros around the rows: row `r` is `buf[start + 4r..start + 4r + 4]`.
+    buf: Vec<f64>,
+    start: usize,
+    len: usize,
+}
+
+impl Rows64 {
+    /// `len` rows of zeros.
+    pub fn zeroed(len: usize) -> Self {
+        let mut rows = Rows64::with_capacity(len);
+        rows.len = len;
+        rows
+    }
+
+    /// Room for `len + extra` rows, at least twice the rows held.
+    fn grow(&mut self, extra: usize) {
+        let need = 4 * (self.len + extra);
+        if self.start + need > self.buf.len() {
+            self.move_to(need.max(8 * self.len));
+        }
+    }
+
+    /// Move the rows to a buffer with room for `doubles` past a 64-byte
+    /// boundary.
+    fn move_to(&mut self, doubles: usize) {
+        let mut buf = vec![0.0; doubles + 7];
+        let start = (buf.as_ptr() as usize).wrapping_neg() % 64 / 8;
+        buf[start..start + 4 * self.len].copy_from_slice(self.rows().as_flattened());
+        (self.buf, self.start) = (buf, start);
+    }
+
+    /// No rows yet, room for `rows` of them.
+    pub fn with_capacity(rows: usize) -> Self {
+        let mut out = Rows64::default();
+        out.move_to(4 * rows);
+        out
+    }
+
+    /// The rows.
+    pub fn rows(&self) -> &[Row4] {
+        self.buf[self.start..self.start + 4 * self.len]
+            .as_chunks()
+            .0
+    }
+
+    /// The rows, writable.
+    pub fn rows_mut(&mut self) -> &mut [Row4] {
+        self.buf[self.start..self.start + 4 * self.len]
+            .as_chunks_mut()
+            .0
+    }
+
+    /// The rows as 4×4 blocks.
+    pub fn blocks(&self) -> &[Block4] {
+        self.rows().as_chunks().0
+    }
+}
+
+impl Extend<Row4> for Rows64 {
+    fn extend<I: IntoIterator<Item = Row4>>(&mut self, rows: I) {
+        for row in rows {
+            self.grow(1);
+            let at = self.start + 4 * self.len;
+            self.buf[at..at + 4].copy_from_slice(&row);
+            self.len += 1;
+        }
+    }
+}
+
+impl FromIterator<Row4> for Rows64 {
+    fn from_iter<I: IntoIterator<Item = Row4>>(rows: I) -> Self {
+        let mut out = Rows64::default();
+        out.extend(rows);
+        out
+    }
+}
+
+impl Clone for Rows64 {
+    /// A copy on a boundary of its own.
+    fn clone(&self) -> Self {
+        let mut rows = Rows64::zeroed(self.len);
+        rows.rows_mut().copy_from_slice(self.rows());
+        rows
+    }
+}
+
 /// `a·b + c`: one fused instruction where the target has it (x86-64 built
 /// with the `fma` feature, which `target-cpu=native` turns on wherever the
 /// host has it, and every aarch64), a separate multiply and add elsewhere —
@@ -533,6 +626,23 @@ pub enum StepTail<'a> {
 /// partitions atoms over threads. The row loads of `x` are shared by the four
 /// output rows of a block and the four columns fill a vector register: 64
 /// multiply-adds per 4 vector loads.
+///
+/// At 512 bits (the workspace build) a block of the `tbmd-benchmark` binary's
+/// loop is two 512-bit loads of row pairs, four `vbroadcastf64x4` of `x`
+/// rows, eight `vpermpd` (each puts `A[r][k]` and `A[r+1][k]` into the two
+/// halves of a row pair, behind a zeroing `vpxor`) and eight `vfmadd213pd`;
+/// at 256 bits, four row loads and sixteen `vfmadd231pd` with `{1to4}`
+/// broadcasts. Either way a block costs ≈ 8 cycles, and each accumulator
+/// takes two dependent fused multiply-adds per block. Shuffle-free 512-bit
+/// layouts were measured on the Si-216 region, and each was slower per step
+/// than this loop. One stored the blocks transposed, read by 128-bit
+/// broadcasts, against an iterate with every column written twice (8
+/// `vbroadcastf64x2`, 4 loads and 8 `vfmadd213pd` per block). One stored the
+/// blocks pair-expanded against 128-bit broadcasts of `x`. The third was the
+/// first with two block rows interleaved. They need 12 operand loads per
+/// block, and on the 2-vCPU Emerald Rapids host these figures come from,
+/// 512-bit broadcast loads sustain ≈ 1.3 per cycle (plain loads ≈ 1.7).
+/// What pays instead is alignment ([`Rows64`]).
 pub fn bsr4_chebyshev_step(
     a: Bsr4<'_>,
     gain: f64,
@@ -618,6 +728,7 @@ fn step_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn seq(n: usize, scale: f64, shift: f64) -> Vec<f64> {
         (0..n).map(|i| (i as f64) * scale + shift).collect()
@@ -974,6 +1085,150 @@ mod tests {
                 close(got[c], &[r0[c], coeff * o[c]]);
             }
         }
+    }
+
+    /// A random operator of `slots` block rows of 0–6 blocks each, ascending
+    /// distinct columns; slot 1 is a one-orbital atom (rows and columns 1–3
+    /// of its slot zero in the operator and in every iterate).
+    fn random_bsr4(rng: &mut StdRng, slots: usize) -> (Vec<u32>, Vec<u32>, Vec<Block4>, Vec<Row4>) {
+        let live = |slot: usize, k: usize| slot != 1 || k == 0;
+        let (mut ptr, mut cols, mut blocks) = (vec![0u32], Vec::new(), Vec::new());
+        for i in 0..slots {
+            let mut row: Vec<u32> = (0..rng.gen_range(0..=6))
+                .map(|_| rng.gen_range(0..slots as u32))
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            for &j in &row {
+                blocks.push(std::array::from_fn(|r| {
+                    std::array::from_fn(|k| {
+                        let v = rng.gen_range(-1.0..1.0);
+                        if live(i, r) && live(j as usize, k) {
+                            v
+                        } else {
+                            0.0
+                        }
+                    })
+                }));
+            }
+            cols.extend(row);
+            ptr.push(cols.len() as u32);
+        }
+        let diag = (0..slots)
+            .map(|i| {
+                std::array::from_fn(|r| {
+                    if live(i, r) {
+                        rng.gen_range(-2.0..2.0)
+                    } else {
+                        0.0
+                    }
+                })
+            })
+            .collect();
+        (ptr, cols, blocks, diag)
+    }
+
+    #[test]
+    fn bsr4_step_is_one_fmadd_per_term_bitwise() {
+        let mut rng = StdRng::seed_from_u64(50);
+        let slots = 9;
+        let (block_ptr, block_col, blocks, diag) = random_bsr4(&mut rng, slots);
+        let a = Bsr4 {
+            block_ptr: &block_ptr,
+            block_col: &block_col,
+            blocks: &blocks,
+            diag: &diag,
+        };
+        let multivector = |rng: &mut StdRng| -> Vec<Row4> {
+            (0..4 * slots)
+                .map(|row| {
+                    std::array::from_fn(|_| {
+                        if row / 4 != 1 || row % 4 == 0 {
+                            rng.gen_range(-1.0..1.0)
+                        } else {
+                            0.0
+                        }
+                    })
+                })
+                .collect()
+        };
+        let (x, prev, rho0) = (
+            multivector(&mut rng),
+            multivector(&mut rng),
+            multivector(&mut rng),
+        );
+        let scale = 3.7;
+        for gain in [1.0 / scale, 2.0 / scale] {
+            // The documented order, one term at a time: per output, the k = 0, 1
+            // chain from zero and the k = 2, 3 chain from the diagonal term,
+            // each over the blocks in list order, joined, then the gain step.
+            let mut want = vec![[0.0; 4]; 4 * slots];
+            for i in 0..slots {
+                for r in 0..4 {
+                    for c in 0..4 {
+                        let (mut low, mut high) = (0.0, diag[i][r] * x[4 * i + r][c]);
+                        for b in block_ptr[i] as usize..block_ptr[i + 1] as usize {
+                            let (blk, j) = (&blocks[b], 4 * block_col[b] as usize);
+                            low = fmadd(blk[r][0], x[j][c], low);
+                            low = fmadd(blk[r][1], x[j + 1][c], low);
+                            high = fmadd(blk[r][2], x[j + 2][c], high);
+                            high = fmadd(blk[r][3], x[j + 3][c], high);
+                        }
+                        want[4 * i + r][c] = fmadd(gain, low + high, -prev[4 * i + r][c]);
+                    }
+                }
+            }
+            let mut sums = [[0.0; 4]; 2];
+            for (o, xr) in want.iter().zip(&x) {
+                for c in 0..4 {
+                    sums[0][c] = fmadd(o[c], o[c], sums[0][c]);
+                    sums[1][c] = fmadd(o[c], xr[c], sums[1][c]);
+                }
+            }
+            let want_dots = sums.map(|s| (s[0] + s[1]) + (s[2] + s[3]));
+            let mut want_rho = rho0.clone();
+            for (r, o) in want_rho.iter_mut().zip(&want) {
+                for c in 0..4 {
+                    r[c] = fmadd(-0.7, o[c], r[c]);
+                }
+            }
+
+            let bits = |v: &[Row4]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut out = vec![[f64::NAN; 4]; 4 * slots];
+            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, StepTail::None);
+            assert_eq!(bits(&out), bits(&want), "gain {gain}: no tail");
+            let mut dots = [f64::NAN; 2];
+            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, StepTail::Dots(&mut dots));
+            assert_eq!(bits(&out), bits(&want), "gain {gain}: dots tail");
+            assert_eq!(
+                dots.map(f64::to_bits),
+                want_dots.map(f64::to_bits),
+                "gain {gain}: dots"
+            );
+            let mut rho = rho0.clone();
+            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, StepTail::Axpy(-0.7, &mut rho));
+            assert_eq!(bits(&out), bits(&want), "gain {gain}: ρ tail");
+            assert_eq!(bits(&rho), bits(&want_rho), "gain {gain}: ρ");
+        }
+    }
+
+    #[test]
+    fn rows64_start_on_a_cache_line_and_keep_their_rows() {
+        let mut rows = Rows64::default();
+        for i in 0..100 {
+            rows.extend([[i as f64; 4]]);
+            assert_eq!(rows.rows().as_ptr() as usize % 64, 0);
+        }
+        let copy = rows.clone();
+        assert_eq!(copy.rows().as_ptr() as usize % 64, 0);
+        assert_eq!(copy.rows(), rows.rows());
+        assert_eq!(copy.blocks().len(), 25);
+        let mut exact = Rows64::with_capacity(3);
+        exact.extend([[1.0; 4], [2.0; 4], [3.0; 4]]);
+        assert_eq!(exact.rows().as_ptr() as usize % 64, 0);
+        assert_eq!(exact.buf.len(), 12 + 7);
+        assert!((0..100).all(|i| rows.rows()[i] == [i as f64; 4]));
+        assert_eq!(Rows64::zeroed(7).rows(), &[[0.0; 4]; 7]);
     }
 
     #[test]

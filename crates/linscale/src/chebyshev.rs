@@ -16,7 +16,7 @@
 //! (1994) linear-scaling TBMD scheme this crate reproduces.
 
 use crate::sparse::LocalRegion;
-use tbmd_linalg::kernels::{bsr4_chebyshev_step, Bsr4, Row4, StepTail};
+use tbmd_linalg::kernels::{bsr4_chebyshev_step, Bsr4, Row4, Rows64, StepTail};
 
 /// The `2m` Chebyshev–Gauss nodes `θ_j = π(j + ½)/2m` of an order-`m`
 /// expansion with every `cos(kθ_j)` they need: `kθ_j` is a multiple of
@@ -234,14 +234,14 @@ pub struct BlockRecurrence<'r> {
     region: &'r LocalRegion,
     /// The region's diagonal less the spectral shift: with the region's
     /// blocks, `scale · H̃`.
-    on_site: Vec<[f64; 4]>,
+    on_site: Rows64,
     /// Seed columns: `T₀` holds one unit entry in each.
     n_cols: usize,
     scale: f64,
     /// `T_{k−1}`, `T_k` and the buffer the next step writes.
-    prev: Vec<Row4>,
-    cur: Vec<Row4>,
-    next: Vec<Row4>,
+    prev: Rows64,
+    cur: Rows64,
+    next: Rows64,
     /// 1 for the first step (`T₁ = H̃ T₀` against a zero `T₋₁`), then 2.
     factor: f64,
 }
@@ -258,9 +258,9 @@ impl<'r> BlockRecurrence<'r> {
         scale: f64,
     ) -> Self {
         let n = region.padded_len();
-        let mut cur = vec![[0.0; 4]; n];
+        let mut cur = Rows64::zeroed(n);
         for nu in 0..n_cols {
-            cur[row0 + nu][nu] = 1.0;
+            cur.rows_mut()[row0 + nu][nu] = 1.0;
         }
         let shifted = |d: &[f64; 4]| d.map(|e| e - shift);
         BlockRecurrence {
@@ -268,21 +268,21 @@ impl<'r> BlockRecurrence<'r> {
             on_site: region.operator().diag.iter().map(shifted).collect(),
             n_cols,
             scale,
-            prev: vec![[0.0; 4]; n],
+            prev: Rows64::zeroed(n),
             cur,
-            next: vec![[0.0; 4]; n],
+            next: Rows64::zeroed(n),
             factor: 1.0,
         }
     }
 
     /// `T_k` (after `k` calls of [`advance`](Self::advance)).
     pub fn current(&self) -> &[Row4] {
-        &self.cur
+        self.cur.rows()
     }
 
     /// `T_{k−1}` (zero before the first step).
     pub fn previous(&self) -> &[Row4] {
-        &self.prev
+        self.prev.rows()
     }
 
     /// Step `k → k + 1`.
@@ -294,11 +294,12 @@ impl<'r> BlockRecurrence<'r> {
     /// the kernel finishes them.
     fn step(&mut self, tail: StepTail<'_>) {
         let shifted = Bsr4 {
-            diag: &self.on_site,
+            diag: self.on_site.rows(),
             ..self.region.operator()
         };
         let gain = self.factor / self.scale;
-        bsr4_chebyshev_step(shifted, gain, &self.cur, &self.prev, &mut self.next, tail);
+        let (x, prev) = (self.cur.rows(), self.prev.rows());
+        bsr4_chebyshev_step(shifted, gain, x, prev, self.next.rows_mut(), tail);
         self.factor = 2.0;
         std::mem::swap(&mut self.prev, &mut self.cur);
         std::mem::swap(&mut self.cur, &mut self.next);
@@ -336,7 +337,11 @@ impl<'r> BlockRecurrence<'r> {
     /// (spin factor included), in `coeffs.len() − 1` steps, each adding its
     /// term to ρ as it goes ([`StepTail::Axpy`]).
     pub fn density_columns(mut self, coeffs: &[f64]) -> Vec<Row4> {
-        let mut rho: Vec<Row4> = self.cur.iter().map(|t| t.map(|v| coeffs[0] * v)).collect();
+        let mut rho: Vec<Row4> = self
+            .current()
+            .iter()
+            .map(|t| t.map(|v| coeffs[0] * v))
+            .collect();
         for &ck in &coeffs[1..] {
             self.step(StepTail::Axpy(2.0 * ck, &mut rho));
         }

@@ -8,7 +8,7 @@
 //! Chebyshev block recurrence consumes — and restricts it to per-atom
 //! localization regions by copying the blocks whose atoms lie inside.
 
-use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, StepTail};
+use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, Rows64, StepTail};
 use tbmd_model::{sk_block, BondTable, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
@@ -24,20 +24,22 @@ struct BlockRows {
     block_ptr: Vec<u32>,
     /// Column slot of each block, ascending within a block row.
     block_col: Vec<u32>,
-    blocks: Vec<Block4>,
+    /// The blocks, four rows each.
+    blocks: Rows64,
     /// `diag[slot][k]` for row `4·slot + k`; the blocks hold zero there. A
     /// slot's own block is in the list only if something is left in it off
     /// the diagonal — the atom couples to one of its periodic images.
-    diag: Vec<[f64; 4]>,
+    diag: Rows64,
 }
 
 impl BlockRows {
-    fn new() -> Self {
+    /// No block rows yet, room for `slots` of them and `blocks` blocks.
+    fn with_capacity(slots: usize, blocks: usize) -> Self {
         BlockRows {
             block_ptr: vec![0],
-            block_col: Vec::new(),
-            blocks: Vec::new(),
-            diag: Vec::new(),
+            block_col: Vec::with_capacity(blocks),
+            blocks: Rows64::with_capacity(4 * blocks),
+            diag: Rows64::with_capacity(slots),
         }
     }
 
@@ -46,23 +48,28 @@ impl BlockRows {
     fn push(&mut self, diag: [f64; 4], blocks: impl IntoIterator<Item = (u32, Block4)>) {
         for (col, block) in blocks {
             self.block_col.push(col);
-            self.blocks.push(block);
+            self.blocks.extend(block);
         }
-        self.block_ptr.push(self.blocks.len() as u32);
-        self.diag.push(diag);
+        self.block_ptr.push(self.block_col.len() as u32);
+        self.diag.extend([diag]);
     }
 
     /// The blocks of slot `i` with their column slots, ascending.
     fn row(&self, i: usize) -> impl Iterator<Item = (usize, &Block4)> {
         let range = self.block_ptr[i] as usize..self.block_ptr[i + 1] as usize;
         let cols = self.block_col[range.clone()].iter().map(|&c| c as usize);
-        cols.zip(&self.blocks[range])
+        cols.zip(&self.blocks.blocks()[range])
+    }
+
+    /// The diagonal of each slot.
+    fn diag(&self) -> &[[f64; 4]] {
+        self.diag.rows()
     }
 
     /// Stored entries: 16 per block, structural zeros and padding included,
     /// plus the 4 diagonal entries of each slot.
     fn nnz(&self) -> usize {
-        16 * self.blocks.len() + 4 * self.diag.len()
+        16 * self.block_col.len() + 4 * self.diag().len()
     }
 }
 
@@ -101,7 +108,7 @@ impl SparseH {
         bonds: &BondTable,
         index: &OrbitalIndex,
     ) -> Self {
-        let mut h = BlockRows::new();
+        let mut h = BlockRows::with_capacity(s.n_atoms(), 0);
         let mut row: Vec<(u32, Block4)> = Vec::new();
         for i in 0..s.n_atoms() {
             let ni = index.n_orbitals(i);
@@ -154,13 +161,13 @@ impl SparseH {
     /// Entry `(i, j)` (O(atoms): a lookup for tests and diagnostics).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let atom_of = |orbital: usize| {
-            let mut atoms = (0..self.h.diag.len()).rev();
+            let mut atoms = (0..self.h.diag().len()).rev();
             let a = atoms.find(|&a| self.index.offset(a) <= orbital).unwrap();
             (a, orbital - self.index.offset(a))
         };
         let ((a, mu), (b, nu)) = (atom_of(i), atom_of(j));
         if i == j {
-            return self.h.diag[a][mu];
+            return self.h.diag()[a][mu];
         }
         let mut blocks = self.h.row(a);
         blocks
@@ -173,12 +180,12 @@ impl SparseH {
     /// blocks hold on the diagonal add nothing); padded rows and columns are
     /// no part of the matrix and are skipped.
     pub fn gershgorin_bounds(&self) -> (f64, f64) {
-        if self.h.diag.is_empty() {
+        if self.h.diag().is_empty() {
             return (0.0, 0.0);
         }
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for (a, diag) in self.h.diag.iter().enumerate() {
+        for (a, diag) in self.h.diag().iter().enumerate() {
             for (mu, &d) in diag.iter().enumerate().take(self.index.n_orbitals(a)) {
                 let mut radius = 0.0;
                 for (c, block) in self.h.row(a) {
@@ -227,21 +234,26 @@ impl LocalRegion {
         let members: Vec<usize> = (0..s.n_atoms())
             .filter(|&a| a == center_atom || s.distance(center_atom, a) <= r_loc)
             .collect();
+        // The blocks whose column atom is a member, counted first so the
+        // region's rows are allocated once, exactly.
+        let inside = |a: usize| {
+            let members = &members;
+            h.h.row(a).filter_map(move |(c, block)| {
+                Some((members.binary_search(&c).ok()? as u32, *block))
+            })
+        };
+        let n_blocks = members.iter().map(|&a| inside(a).count()).sum();
         let mut region = LocalRegion {
             orbitals: Vec::new(),
             rows: Vec::new(),
-            h: BlockRows::new(),
+            h: BlockRows::with_capacity(members.len(), n_blocks),
         };
         for (slot, &a) in members.iter().enumerate() {
             for k in 0..index.n_orbitals(a) {
                 region.orbitals.push(index.offset(a) + k);
                 region.rows.push((4 * slot + k) as u32);
             }
-            let inside = h.h.row(a).filter_map(|(c, block)| {
-                let slot = members.binary_search(&c).ok()?;
-                Some((slot as u32, *block))
-            });
-            region.h.push(h.h.diag[a], inside);
+            region.h.push(h.h.diag()[a], inside(a));
         }
         region
     }
@@ -259,7 +271,7 @@ impl LocalRegion {
     /// Rows of the padded local space (four per atom): the length of every
     /// multivector the region operator acts on.
     pub fn padded_len(&self) -> usize {
-        4 * self.h.diag.len()
+        4 * self.h.diag().len()
     }
 
     /// Padded local row of a global orbital, if inside.
@@ -273,8 +285,8 @@ impl LocalRegion {
         Bsr4 {
             block_ptr: &self.h.block_ptr,
             block_col: &self.h.block_col,
-            blocks: &self.h.blocks,
-            diag: &self.h.diag,
+            blocks: self.h.blocks.blocks(),
+            diag: self.h.diag(),
         }
     }
 
@@ -294,7 +306,7 @@ impl LocalRegion {
     pub fn block_row_trace(&self, row0: usize, x: &[Row4]) -> f64 {
         let slot = row0 / 4;
         let mut acc = 0.0;
-        for (nu, d) in self.h.diag[slot].iter().enumerate() {
+        for (nu, d) in self.h.diag()[slot].iter().enumerate() {
             acc += d * x[row0 + nu][nu];
         }
         for (j, a) in self.h.row(slot) {
@@ -396,7 +408,7 @@ mod tests {
 
     /// The non-zero 4×4 blocks of a dense matrix over four-orbital atoms.
     fn from_dense(a: &Matrix, index: &OrbitalIndex) -> SparseH {
-        let mut h = BlockRows::new();
+        let mut h = BlockRows::with_capacity(a.rows() / 4, 0);
         for i in 0..a.rows() / 4 {
             let entry = |j: usize, mu: usize, nu: usize| match (i, mu) == (j, nu) {
                 true => 0.0,
