@@ -15,7 +15,7 @@
 //! its atom makes the whole density matrix O(N): the Goedecker–Colombo
 //! (1994) linear-scaling TBMD scheme this crate reproduces.
 
-use crate::sparse::LocalRegion;
+use crate::sparse::{LocalRegion, SparseH};
 use tbmd_linalg::kernels::{bsr4_chebyshev_step, Bsr4, Row4, Rows64, StepTail};
 
 /// The `2m` Chebyshev–Gauss nodes `θ_j = π(j + ½)/2m` of an order-`m`
@@ -108,12 +108,85 @@ pub fn fermi_function(eps: f64, mu: f64, kt: f64) -> f64 {
 /// Map a spectrum window `[e_min, e_max]` onto `[−1, 1]`: returns
 /// `(shift, scale)` with `H̃ = (H − shift)/scale`. The window is padded by
 /// 5% so Chebyshev's edge oscillations stay outside the actual spectrum.
+/// The engines pass it Lanczos bounds widened by [`LANCZOS_MARGIN`]
+/// ([`window`]), or Gershgorin bounds when the guard trips.
 pub fn spectral_window(e_min: f64, e_max: f64) -> (f64, f64) {
     assert!(e_max > e_min);
     let pad = 0.05 * (e_max - e_min).max(1e-6);
     let lo = e_min - pad;
     let hi = e_max + pad;
     (0.5 * (hi + lo), 0.5 * (hi - lo))
+}
+
+/// Margin (eV) added to each Lanczos bound before [`spectral_window`]'s pad.
+pub const LANCZOS_MARGIN: f64 = 0.5;
+
+/// Chebyshev steps per `scale/(π·kT)`, the decay length of the Fermi
+/// coefficients: 350 on Si-216's Gershgorin window at kT 0.2 eV, 174 on its spectrum.
+pub const STEPS_PER_DECAY: f64 = 9.3;
+
+/// The map `H̃ = (H − shift)/scale` an O(N) evaluation runs on, and its
+/// Chebyshev order: `order` moments, `order − 1` density steps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    pub shift: f64,
+    pub scale: f64,
+    pub order: usize,
+}
+
+impl Window {
+    /// [`spectral_window`] of `[e_min, e_max]` at `order` steps.
+    fn on(e_min: f64, e_max: f64, order: usize) -> Self {
+        let (shift, scale) = spectral_window(e_min, e_max);
+        Window {
+            shift,
+            scale,
+            order,
+        }
+    }
+
+    /// The Gershgorin window at the ceiling order: the guard's fallback.
+    pub(crate) fn gershgorin(h: &SparseH, order_cap: usize) -> Self {
+        let (e_min, e_max) = h.gershgorin_bounds();
+        Window::on(e_min, e_max, order_cap)
+    }
+
+    /// `[shift − scale, shift + scale]` (eV).
+    pub fn bounds(&self) -> (f64, f64) {
+        (self.shift - self.scale, self.shift + self.scale)
+    }
+
+    /// The moments `pass` computes on this window, guarded: inside it
+    /// `|T_{2k}| ≤ 1` on `h` and on every region (a principal submatrix), so
+    /// an even moment above the orbital count `h.n()` means the window missed
+    /// part of the spectrum; the pass then reruns on [`Window::gershgorin`].
+    pub(crate) fn guarded(
+        self,
+        h: &SparseH,
+        order_cap: usize,
+        mut pass: impl FnMut(Window) -> Vec<f64>,
+    ) -> (Window, Vec<f64>) {
+        let moments = pass(self);
+        let bound = h.n() as f64 * (1.0 + 1e-9);
+        if moments.iter().step_by(2).all(|m| m.abs() <= bound) {
+            return (self, moments);
+        }
+        let fallback = Window::gershgorin(h, order_cap);
+        (fallback, pass(fallback))
+    }
+}
+
+/// The window both O(N) engines run on: [`SparseH::lanczos_bounds`] plus
+/// [`LANCZOS_MARGIN`], at `min(order_cap, ⌈c·scale/(π·kT)⌉)` steps (`c` =
+/// [`STEPS_PER_DECAY`]); the Gershgorin window if Lanczos fails.
+pub fn window(h: &SparseH, kt: f64, order_cap: usize) -> Window {
+    let Some((lo, hi)) = h.lanczos_bounds() else {
+        return Window::gershgorin(h, order_cap);
+    };
+    let mut w = Window::on(lo - LANCZOS_MARGIN, hi + LANCZOS_MARGIN, order_cap);
+    let derived = (STEPS_PER_DECAY * w.scale / (std::f64::consts::PI * kt)).ceil();
+    w.order = (derived as usize).clamp(2, order_cap.max(2));
+    w
 }
 
 /// Coefficients of the Fermi operator on the [`spectral_window`] of

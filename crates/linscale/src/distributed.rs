@@ -11,7 +11,7 @@
 //! all independent of the O(N³) wall that throttled the dense engine's
 //! scaled speedup (experiments F1 vs F8).
 
-use crate::chebyshev::{solve_mu, spectral_window};
+use crate::chebyshev::{solve_mu, Window};
 use crate::engine::{AtomRegion, LinearScalingTb};
 use crate::sparse::SparseH;
 use std::sync::{Mutex, PoisonError};
@@ -31,18 +31,18 @@ pub struct DistributedLinScaleReport {
     pub mu: f64,
     /// Ranks used.
     pub n_ranks: usize,
+    /// The window and the Chebyshev order the evaluation ran.
+    pub window: Window,
 }
 
 /// Per-rank persistent buffers of the O(N) engine: the replicated geometry
-/// with its amortized neighbour list, and the moment/force accumulators
-/// (slot creation covers the warmup allocation burst).
+/// with its amortized neighbour list, and the force accumulator (slot
+/// creation covers the warmup allocation burst).
 #[derive(Default)]
 struct LinScaleRankSlot {
     replica: Replica,
     /// The radial terms of the replica's list and every atom's embedding.
     bonds: BondTable,
-    /// Chebyshev moments μ_m = Σ_owned ⟨g|T_m|g⟩ before the allreduce.
-    moments: Vec<f64>,
     /// This rank's force block.
     forces_block: Vec<f64>,
 }
@@ -97,6 +97,7 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
             kt,
             order,
             r_loc,
+            window,
             ..
         } = self.engine;
         validate(model, s)?;
@@ -126,29 +127,30 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 let index = OrbitalIndex::new(local);
                 slot.bonds.fill(model, nl);
                 let h = SparseH::assemble(local, nl, model, &slot.bonds, &index);
-                let (e_min, e_max) = h.gershgorin_bounds();
+                let first = window(&h, kt, order);
                 let my_atoms = partition_range(n_atoms, rank.size(), rank.id());
                 timings.hamiltonian = clock.lap(&mut timings);
 
-                // Spectrum mapping shared by all ranks.
-                let (shift, scale) = spectral_window(e_min, e_max);
-
-                // ---- Moment pass over my atoms.
+                // ---- Moment pass over my atoms, guarded after the allreduce
+                // (every rank sees the same global moments and decides alike).
                 let regions: Vec<AtomRegion> = my_atoms
                     .clone()
                     .map(|a| AtomRegion::build(local, &index, &h, a, r_loc))
                     .collect();
-                slot.moments.clear();
-                slot.moments.resize(order, 0.0);
-                for region in &regions {
-                    region.add_moments(shift, scale, &mut slot.moments);
-                    rank.count_flops(2 * region.step_ops(order / 2));
-                }
-                clock.blocked(|| rank.allreduce_sum(301, &mut slot.moments));
+                let (win, moments) = first.guarded(&h, order, |w| {
+                    let mut moments = vec![0.0; w.order];
+                    for region in &regions {
+                        region.add_moments(w, &mut moments);
+                        rank.count_flops(2 * region.step_ops(w.order / 2));
+                    }
+                    clock.blocked(|| rank.allreduce_sum(301, &mut moments));
+                    moments
+                });
 
                 // ---- μ bisection on the replicated global moments
                 // (identical on every rank, so no further communication).
-                let fermi = solve_mu(&slot.moments, shift, scale, kt, local.n_electrons() as f64);
+                let n_electrons = local.n_electrons() as f64;
+                let fermi = solve_mu(&moments, win.shift, win.scale, kt, n_electrons);
                 timings.diagonalize = clock.lap(&mut timings);
 
                 // ---- Density + forces for my atoms.
@@ -156,8 +158,8 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 let mut rep_partial = 0.0;
                 slot.forces_block.clear();
                 for (region, a) in regions.iter().zip(my_atoms.clone()) {
-                    let density = region.density(nl, &index, &fermi.coeffs, shift, scale);
-                    rank.count_flops(2 * region.step_ops(order.saturating_sub(1)));
+                    let density = region.density(nl, &index, &fermi.coeffs, win);
+                    rank.count_flops(2 * region.step_ops(win.order - 1));
                     band_partial += density.band;
                     rep_partial += slot.bonds.embedding(a).0;
                     let fi = bond_force(nl, &slot.bonds, a, |j| density.block(j));
@@ -169,7 +171,7 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 let my_orbitals: usize = my_atoms.map(|a| local.species(a).n_orbitals()).sum();
                 tbmd_trace::add(
                     tbmd_trace::Counter::ChebyshevMatvecs,
-                    (my_orbitals * (order / 2 + order.saturating_sub(1))) as u64,
+                    (my_orbitals * (win.order / 2 + win.order - 1)) as u64,
                 );
                 let mut energy_parts = vec![band_partial, rep_partial];
                 clock.blocked(|| rank.allreduce_sum(302, &mut energy_parts));
@@ -177,11 +179,11 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 timings.forces = clock.lap(&mut timings);
 
                 let energy = energy_parts[0] + energy_parts[1] + fermi.entropy_term;
-                Ok(forces.map(|forces| ((energy, forces, fermi.mu), timings)))
+                Ok(forces.map(|forces| ((energy, forces, fermi.mu, win), timings)))
             },
         )?;
 
-        let (energy, forces, mu) = launch.result;
+        let (energy, forces, mu, win) = launch.result;
         *self
             .last_report
             .lock()
@@ -189,6 +191,7 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
             stats: launch.stats,
             mu,
             n_ranks: launch.n_ranks,
+            window: win,
         });
         Ok(ForceEvaluation {
             energy,

@@ -11,10 +11,13 @@
 //! [`solve_mu`]), and forces come from the same local ρ blocks via the
 //! standard Hellmann–Feynman contraction.
 //!
-//! Accuracy knobs: `order` controls the Fermi-function resolution
-//! (`order ≳ spectrum width / kT`), `r_loc` the density-matrix truncation
-//! (exponentially convergent for gapped systems — Si diamond is the
-//! friendly case, metals are not; that is the method's physics, not a bug).
+//! Accuracy knobs: `order` is a ceiling. On the window of a 30-step Lanczos
+//! estimate of the spectrum ([`window`]) the engine runs
+//! `K = min(order, ⌈c·scale/(π·kT)⌉)` steps, ≈ 175 at Si-216 and kT 0.2 eV;
+//! if an even moment then exceeds the orbital count, the moment pass reruns
+//! on the Gershgorin window at `order`. `r_loc` sets the density-matrix
+//! truncation (exponentially convergent for gapped systems — Si diamond is
+//! the friendly case, metals are not; that is the method's physics).
 //!
 //! Like the dense engines, the reported energy includes the Mermin
 //! electronic-entropy term `−T_e S`: the entropy is a spectral trace
@@ -24,7 +27,7 @@
 //! quantity the Hellmann–Feynman forces conserve, and NVE trajectories show
 //! a spurious drift proportional to the variation of `T_e S`.
 
-use crate::chebyshev::{solve_mu, spectral_window, BlockRecurrence};
+use crate::chebyshev::{solve_mu, window, BlockRecurrence, Window};
 use crate::sparse::{LocalRegion, SparseH};
 use std::sync::{Mutex, PoisonError};
 use tbmd_linalg::kernels::Block4;
@@ -49,6 +52,8 @@ pub struct LinScaleReport {
     /// Multiply-adds executed by the block recurrence in the moment and
     /// density passes together — the O(N) cost metric.
     pub total_matvec_ops: u64,
+    /// The window and the Chebyshev order the evaluation ran.
+    pub window: Window,
 }
 
 /// O(N) Chebyshev Fermi-operator TBMD engine.
@@ -57,10 +62,13 @@ pub struct LinearScalingTb<'m> {
     /// Electronic temperature (eV); must be positive — the expansion cannot
     /// represent a step function.
     pub kt: f64,
-    /// Chebyshev order.
+    /// Ceiling on the Chebyshev order ([`window`]; all of it on the
+    /// Gershgorin window if the moment guard trips).
     pub order: usize,
     /// Localization radius (Å); `f64::INFINITY` disables truncation.
     pub r_loc: f64,
+    /// [`window`]: a crate test plants a narrower one to trip the guard.
+    pub(crate) window: fn(&SparseH, f64, usize) -> Window,
     last_report: Mutex<Option<LinScaleReport>>,
 }
 
@@ -73,6 +81,7 @@ impl<'m> LinearScalingTb<'m> {
             kt: 0.2,
             order: 350,
             r_loc: f64::INFINITY,
+            window,
             last_report: Mutex::new(None),
         }
     }
@@ -84,7 +93,7 @@ impl<'m> LinearScalingTb<'m> {
         self
     }
 
-    /// Set the Chebyshev order.
+    /// Set the ceiling on the Chebyshev order.
     pub fn with_order(mut self, order: usize) -> Self {
         assert!(order >= 8);
         self.order = order;
@@ -148,14 +157,14 @@ impl AtomRegion {
         (4 * self.region.nnz() * steps) as u64
     }
 
-    fn recurrence(&self, shift: f64, scale: f64) -> BlockRecurrence<'_> {
-        BlockRecurrence::new(&self.region, self.row0, self.n_orbitals, shift, scale)
+    fn recurrence(&self, w: Window) -> BlockRecurrence<'_> {
+        BlockRecurrence::new(&self.region, self.row0, self.n_orbitals, w.shift, w.scale)
     }
 
     /// Moment pass (`moments.len() / 2` steps): add this atom's diagonal
     /// samples `Σ_ν T_k(H̃)_νν` into `moments`.
-    pub(crate) fn add_moments(&self, shift: f64, scale: f64, moments: &mut [f64]) {
-        self.recurrence(shift, scale).diagonal_moments(moments);
+    pub(crate) fn add_moments(&self, w: Window, moments: &mut [f64]) {
+        self.recurrence(w).diagonal_moments(moments);
     }
 
     /// Density pass (`coeffs.len() − 1` steps): band-energy contribution and
@@ -165,10 +174,9 @@ impl AtomRegion {
         nl: &NeighborList,
         index: &OrbitalIndex,
         coeffs: &[f64],
-        shift: f64,
-        scale: f64,
+        w: Window,
     ) -> AtomDensity {
-        let rho = self.recurrence(shift, scale).density_columns(coeffs);
+        let rho = self.recurrence(w).density_columns(coeffs);
         // Distinct neighbour atoms (images of a pair share a block).
         let mut neighbor_atoms: Vec<usize> = nl
             .neighbors(self.atom)
@@ -235,7 +243,6 @@ impl ForceProvider for LinearScalingTb<'_> {
         let mut timings = PhaseTimings::default();
         let model = self.model;
         let n_atoms = s.n_atoms();
-        let order = self.order;
 
         prologue(model, s, ws, &mut timings);
         let nl = ws.neighbors.list();
@@ -244,9 +251,8 @@ impl ForceProvider for LinearScalingTb<'_> {
         let index = OrbitalIndex::new(s);
         ws.bonds.fill(model, nl);
         let h = SparseH::assemble(s, nl, model, &ws.bonds, &index);
-        let (e_min, e_max) = h.gershgorin_bounds();
-        // shift/scale chosen once (μ enters only through coefficients).
-        let (shift, scale) = spectral_window(e_min, e_max);
+        // The window is chosen once (μ enters only through coefficients).
+        let first = (self.window)(&h, self.kt, self.order);
         // Localization regions, one per atom (shared by its 4 columns).
         let width = team::width();
         let regions: Vec<AtomRegion> = team::map(width, n_atoms, |a| {
@@ -257,35 +263,32 @@ impl ForceProvider for LinearScalingTb<'_> {
         // ---- Moment pass: diagonal Chebyshev moments M_k = Σ_j T_k(H̃)_jj,
         // then μ from them.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-        let atom_moments = |a: usize| {
-            let mut m = vec![0.0; order];
-            regions[a].add_moments(shift, scale, &mut m);
-            m
-        };
-        let moments = team::fold(
-            width,
-            n_atoms,
-            atom_moments,
-            vec![0.0; order],
-            |mut acc, m| {
-                for (x, y) in acc.iter_mut().zip(&m) {
-                    *x += y;
-                }
+        let moment_pass = |w: Window| {
+            let atom_moments = |a: usize| {
+                let mut m = vec![0.0; w.order];
+                regions[a].add_moments(w, &mut m);
+                m
+            };
+            let add = |mut acc: Vec<f64>, m: Vec<f64>| {
+                acc.iter_mut().zip(&m).for_each(|(x, y)| *x += y);
                 acc
-            },
-        );
-        let fermi = solve_mu(&moments, shift, scale, self.kt, s.n_electrons() as f64);
+            };
+            team::fold(width, n_atoms, atom_moments, vec![0.0; w.order], add)
+        };
+        let (win, moments) = first.guarded(&h, self.order, moment_pass);
+        let n_electrons = s.n_electrons() as f64;
+        let fermi = solve_mu(&moments, win.shift, win.scale, self.kt, n_electrons);
         timings.diagonalize = sp.finish();
 
         // ---- Density pass: ρ columns, band energy, local ρ blocks.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
         let densities: Vec<AtomDensity> = team::map(width, n_atoms, |a| {
-            regions[a].density(nl, &index, &fermi.coeffs, shift, scale)
+            regions[a].density(nl, &index, &fermi.coeffs, win)
         });
         let band_energy: f64 = densities.iter().map(|d| d.band).sum();
         // order/2 moment steps + order − 1 density steps, one matvec per
         // orbital column each.
-        let steps = order / 2 + order.saturating_sub(1);
+        let steps = win.order / 2 + win.order - 1;
         let total_matvec_ops: u64 = regions.iter().map(|r| r.step_ops(steps)).sum();
         tbmd_trace::add(
             tbmd_trace::Counter::ChebyshevMatvecs,
@@ -312,6 +315,7 @@ impl ForceProvider for LinearScalingTb<'_> {
             entropy_term: fermi.entropy_term,
             total_region_orbitals: regions.iter().map(AtomRegion::len).sum(),
             total_matvec_ops,
+            window: win,
         });
         Ok(ForceEvaluation {
             energy: band_energy + e_rep + fermi.entropy_term,
@@ -448,6 +452,55 @@ mod tests {
         let (e_ref, _) = dense_reference(&s, &model, engine.kt);
         let err = (engine.evaluate(&s).unwrap().energy - e_ref).abs() / s.n_atoms() as f64;
         assert!(err <= 0.020, "{:.2} meV/atom", err * 1e3);
+    }
+
+    #[test]
+    fn a_window_that_misses_the_spectrum_falls_back_to_gershgorin() {
+        // The window with its lower end 1 eV above the lowest Lanczos bound
+        // (past the margin and the pad) leaves the lowest states outside:
+        // the even moments blow up, and both engines rerun the moment pass
+        // on the Gershgorin window at the ceiling order.
+        let model = silicon_gsp();
+        let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
+        s.perturb(&mut StdRng::seed_from_u64(31), 0.05);
+        let with_window = |window: fn(&SparseH, f64, usize) -> Window| {
+            let mut engine = LinearScalingTb::new(&model).with_r_loc(6.0);
+            engine.window = window;
+            engine
+        };
+        let shrunk = with_window(|h, kt, cap| {
+            let (w, lo) = (window(h, kt, cap), h.lanczos_bounds().unwrap().0 + 1.0);
+            let hi = w.bounds().1;
+            let (shift, scale) = (0.5 * (hi + lo), 0.5 * (hi - lo));
+            Window { shift, scale, ..w }
+        });
+        let gershgorin = with_window(|h, _, cap| Window::gershgorin(h, cap));
+        let lanczos = with_window(window);
+        let tripped = shrunk.evaluate(&s).unwrap();
+        let fallback = gershgorin.evaluate(&s).unwrap();
+        let reference = lanczos.evaluate(&s).unwrap();
+        assert_eq!(tripped.energy.to_bits(), fallback.energy.to_bits());
+        for (a, b) in tripped.forces.iter().zip(&fallback.forces) {
+            assert_eq!(
+                a.to_array().map(f64::to_bits),
+                b.to_array().map(f64::to_bits)
+            );
+        }
+        let (report, gersh) = (shrunk.last_report().unwrap(), gershgorin.last_report());
+        assert_eq!(report.window, gersh.unwrap().window);
+        assert_eq!(report.window.order, 350);
+        let ran = lanczos.last_report().unwrap().window.order;
+        assert!(ran < 200, "the Lanczos window runs {ran} steps");
+        let gap = (tripped.energy - reference.energy).abs() / s.n_atoms() as f64;
+        assert!(gap < 1e-4, "{:.4} meV/atom from the reference", gap * 1e3);
+
+        let dist = crate::DistributedLinearScalingTb::new(shrunk, 2);
+        let on_ranks = dist.evaluate(&s).unwrap();
+        assert_eq!(dist.last_report().unwrap().window.order, 350);
+        assert!((on_ranks.energy - fallback.energy).abs() < 1e-12);
+        for (a, b) in on_ranks.forces.iter().zip(&fallback.forces) {
+            assert!((*a - *b).max_abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! localization regions by copying the blocks whose atoms lie inside.
 
 use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, Rows64, StepTail};
+use tbmd_linalg::{tqli, Matrix};
 use tbmd_model::{sk_block, BondTable, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
@@ -70,6 +71,28 @@ impl BlockRows {
     /// plus the 4 diagonal entries of each slot.
     fn nnz(&self) -> usize {
         16 * self.block_col.len() + 4 * self.diag().len()
+    }
+
+    /// The operator as the block kernel takes it.
+    fn operator(&self) -> Bsr4<'_> {
+        Bsr4 {
+            block_ptr: &self.block_ptr,
+            block_col: &self.block_col,
+            blocks: self.blocks.blocks(),
+            diag: self.diag(),
+        }
+    }
+}
+
+/// `Σ_r x[r][c]·y[r][c]` for each column `c`.
+fn column_dots(x: &[Row4], y: &[Row4]) -> [f64; 4] {
+    std::array::from_fn(|c| x.iter().zip(y).map(|(a, b)| a[c] * b[c]).sum())
+}
+
+/// `x[r][c] *= f[c]`.
+fn scale_columns(x: &mut [Row4], f: [f64; 4]) {
+    for r in x {
+        *r = std::array::from_fn(|c| r[c] * f[c]);
     }
 }
 
@@ -199,6 +222,62 @@ impl SparseH {
         }
         (lo, hi)
     }
+
+    /// Bounds `(min, max)` on the spectrum: the extreme Ritz values of four
+    /// 30-step Lanczos chains without reorthogonalisation (one per column of
+    /// a fixed pseudo-random start, zero on padded rows), each widened by its
+    /// residual `β_k·|z_{i,k−1}|`. `None` if QL fails.
+    pub fn lanczos_bounds(&self) -> Option<(f64, f64)> {
+        let a = self.h.operator();
+        let n = 4 * a.diag.len();
+        let (mut cur, mut state) = (Rows64::zeroed(n), 0x9e37_79b9_7f4a_7c15u64);
+        for (r, row) in cur.rows_mut().iter_mut().enumerate() {
+            if r % 4 < self.index.n_orbitals(r / 4) {
+                for x in row {
+                    state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
+                    *x = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                }
+            }
+        }
+        let (mut prev, mut next) = (Rows64::zeroed(n), Rows64::zeroed(n));
+        let (mut alphas, mut betas) = (Vec::new(), Vec::new());
+        let mut beta = column_dots(cur.rows(), cur.rows()).map(f64::sqrt);
+        for _ in 0..30 {
+            // v_j = w_j/β_j, then w_{j+1} = A·v_j − β_j·v_{j−1} − α_j·v_j.
+            scale_columns(cur.rows_mut(), beta.map(|b| 1.0 / b));
+            scale_columns(prev.rows_mut(), beta);
+            let (v, w) = (cur.rows(), next.rows_mut());
+            kernels::bsr4_chebyshev_step(a, 1.0, v, prev.rows(), w, StepTail::None);
+            let alpha = column_dots(w, v);
+            for (w, v) in w.iter_mut().zip(v) {
+                (0..4).for_each(|c| w[c] -= alpha[c] * v[c]);
+            }
+            let next_beta = column_dots(w, w).map(f64::sqrt);
+            alphas.push(alpha);
+            betas.push(next_beta);
+            // A chain whose Krylov space is exhausted ends them all.
+            if (0..4).any(|c| next_beta[c] <= 1e-9 * (alpha[c].abs() + beta[c])) {
+                break;
+            }
+            beta = next_beta;
+            (prev, cur, next) = (cur, next, prev);
+        }
+        let k = alphas.len();
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for c in 0..4 {
+            let mut d: Vec<f64> = alphas.iter().map(|a| a[c]).collect();
+            let sub = betas[..k - 1].iter().map(|b| b[c]);
+            let mut e: Vec<f64> = std::iter::once(0.0).chain(sub).collect();
+            let mut z = Matrix::identity(k);
+            tqli(&mut d, &mut e, &mut z).ok()?;
+            let residual = |i: usize| betas[k - 1][c] * z[(i, k - 1)].abs();
+            let low = (0..k).min_by(|&i, &j| d[i].total_cmp(&d[j]))?;
+            let high = (0..k).max_by(|&i, &j| d[i].total_cmp(&d[j]))?;
+            lo = lo.min(d[low] - residual(low));
+            hi = hi.max(d[high] + residual(high));
+        }
+        Some((lo, hi))
+    }
 }
 
 /// A localization region: the orbitals of all atoms within `r_loc` of a
@@ -282,12 +361,7 @@ impl LocalRegion {
 
     /// The restricted Hamiltonian `P A Pᵀ` as the block kernel takes it.
     pub(crate) fn operator(&self) -> Bsr4<'_> {
-        Bsr4 {
-            block_ptr: &self.h.block_ptr,
-            block_col: &self.h.block_col,
-            blocks: self.h.blocks.blocks(),
-            diag: self.h.diag(),
-        }
+        self.h.operator()
     }
 
     /// `P A Pᵀ x` for a four-column multivector of

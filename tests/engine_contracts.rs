@@ -4,18 +4,21 @@
 //! evaluation, no fan-out (dense, O(N)) depends on the lease width, the
 //! dense engines keep ρ on the bond blocks alone, the stress tensor falls
 //! out of the pipeline's own ρ, every engine evaluates each bond's radial
-//! terms once, the energy, force and stress bits are pinned, and the
-//! rank-control block behaves the same on both distributed engines.
+//! terms once, the energy, force and stress bits are pinned, the rank-control
+//! block behaves the same on both distributed engines, and the O(N) engines'
+//! Lanczos window contains the spectrum.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tbmd::linalg::eigvalsh;
+use tbmd::linscale::{chebyshev::window, SparseH};
 use tbmd::model::{
-    bond_block_elements, density_matrix, electronic_forces, occupations, repulsive_energy_forces,
-    stress_from_density, BondTerms, DenseCache, ForceEvaluation, GspTbModel, Hoppings,
-    OrbitalIndex, TbCalculator,
+    bond_block_elements, build_hamiltonian, density_matrix, electronic_forces, occupations,
+    repulsive_energy_forces, stress_from_density, BondTerms, DenseCache, ForceEvaluation,
+    GspTbModel, Hoppings, OrbitalIndex, TbCalculator,
 };
-use tbmd::structure::{apply_strain, bulk_diamond, nanotube};
+use tbmd::structure::{apply_strain, bulk_diamond, nanotube, NeighborList};
 use tbmd::{
     carbon_xwch, silicon_gsp, stress_tensor, Budget, Engine, EngineKind, FaultKind, FaultPlan,
     ForceProvider, OccupationScheme, Species, Structure, TbError, TbModel, Workspace,
@@ -266,7 +269,9 @@ fn forces_and_stress_are_the_parent_bits() {
 
 /// [`evaluation_bits`] (the stress: [`fnv`] of its nine components, row by
 /// row) of each run above, recorded at the parent commit of the bond table,
-/// where every stage evaluated its own radial functions per distance.
+/// where every stage evaluated its own radial functions per distance. The
+/// two O(N) entries were re-recorded when both O(N) engines moved from the
+/// Gershgorin window to the Lanczos window (`chebyshev::window`).
 const PARENT_FORCE_BITS: [(&str, u64); 9] = [
     ("si8 w1", 0x06b6_669a_79bc_6eca),
     ("si8 w2", 0x06b6_669a_79bc_6eca),
@@ -274,8 +279,8 @@ const PARENT_FORCE_BITS: [(&str, u64); 9] = [
     ("si64 w2", 0x1462_dfe4_a534_e51f),
     ("tube", 0x559f_3869_a137_6de2),
     ("dist2", 0x3af7_9098_731b_b032),
-    ("linscale", 0xe3d6_732c_37b0_3a90),
-    ("dist linscale", 0x47b4_4b50_ebba_b8af),
+    ("linscale", 0xddaf_171f_5e5d_4bd2),
+    ("dist linscale", 0xf006_1659_fa67_83de),
     ("stress", 0x0a23_5072_33b5_f054),
 ];
 
@@ -400,6 +405,39 @@ fn linear_scaling_is_bitwise_independent_of_the_lease_width() {
     assert!((dist.energy - wide.energy).abs() < 1e-12);
     for (a, b) in dist.forces.iter().zip(&wide.forces) {
         assert!((*a - *b).max_abs() < 1e-12);
+    }
+}
+
+/// The window both O(N) engines run on, from 30 Lanczos steps, contains
+/// the dense spectrum of disordered Si-64 and of a disordered (10,0) tube at
+/// three seeds, and is well inside the Gershgorin bounds it replaces.
+#[test]
+fn the_lanczos_window_contains_the_spectrum() {
+    let (si, carbon) = (silicon_gsp(), carbon_xwch());
+    for seed in [1, 2, 3] {
+        let mut si64 = bulk_diamond(Species::Silicon, 2, 2, 2);
+        si64.perturb(&mut StdRng::seed_from_u64(seed), 0.2);
+        let mut tube = nanotube(10, 0, 2, 1.42);
+        tube.perturb(&mut StdRng::seed_from_u64(seed), 0.2);
+        let cases: [(&str, Structure, &dyn TbModel); 2] =
+            [("si64", si64, &si), ("tube", tube, &carbon)];
+        for (name, s, model) in cases {
+            let nl = NeighborList::build(&s, model.cutoff());
+            let index = OrbitalIndex::new(&s);
+            let h = SparseH::build(&s, &nl, model, &index);
+            let (lo, hi) = window(&h, 0.2, 350).bounds();
+            let spectrum = eigvalsh(build_hamiltonian(&s, &nl, model, &index)).unwrap();
+            let (e_min, e_max) = (spectrum[0], spectrum[spectrum.len() - 1]);
+            assert!(
+                lo < e_min && e_max < hi,
+                "{name} seed {seed}: [{lo}, {hi}] vs [{e_min}, {e_max}]"
+            );
+            let (g_lo, g_hi) = h.gershgorin_bounds();
+            assert!(
+                hi - lo < 0.6 * (g_hi - g_lo),
+                "{name} seed {seed}: no tighter than Gershgorin"
+            );
+        }
     }
 }
 
