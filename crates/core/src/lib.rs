@@ -56,5 +56,5 @@ pub use tbmd_model::{
 pub use tbmd_parallel::{
     default_recv_timeout, DistributedTb, FaultKind, FaultPlan, MachineProfile, RankControl,
 };
-pub use tbmd_structure::{Cell, NeighborList, Species, Structure, VerletNeighborList};
+pub use tbmd_structure::{Cell, NeighborList, Species, Structure};
 pub use tbmd_trace::{Hist, HistogramSet, RunManifest, RunRecorder, ScopedSink, WatchdogStatus};

@@ -234,8 +234,8 @@ impl ForceProvider for LinearScalingTb<'_> {
 
     /// Workspace-threaded evaluation. Only the neighbour machinery is
     /// amortized here (the Chebyshev recurrence buffers are per-atom and
-    /// per-thread); skin entries beyond the cutoff are dropped by the
-    /// sparse-Hamiltonian build, so results are identical to the cold path.
+    /// per-thread); the kept list is bit for bit a fresh build, so results
+    /// are identical to the cold path.
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
         validate(self.model, s)?;
         // O(N) path: no dense eigenpairs ever land in this workspace.

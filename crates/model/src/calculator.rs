@@ -117,10 +117,9 @@ pub struct PhaseTimings {
     /// distributed engines. The compute phases above exclude it; the dense
     /// and O(N) engines leave it zero.
     pub communication: Duration,
-    /// Full neighbour-list builds: Verlet skin rebuilds plus per-step
-    /// fallback builds (every cold evaluation counts one).
+    /// Full neighbour-list builds (every cold evaluation counts one).
     pub nl_rebuilds: usize,
-    /// O(entries) Verlet displacement refreshes — the amortized path that
+    /// O(entries) refreshes of the kept list — the amortized path that
     /// skips the spatial search entirely.
     pub nl_refreshes: usize,
 }
@@ -152,7 +151,7 @@ impl PhaseTimings {
     /// the trace registry when anyone is listening).
     pub fn note_neighbors(&mut self, outcome: NeighborOutcome) {
         match outcome {
-            NeighborOutcome::Rebuilt | NeighborOutcome::Fallback => {
+            NeighborOutcome::Rebuilt => {
                 self.nl_rebuilds += 1;
                 tbmd_trace::add(tbmd_trace::Counter::NlRebuilds, 1);
             }
@@ -357,9 +356,8 @@ impl<'m> TbCalculator<'m> {
 
     /// Full evaluation through a persistent [`Workspace`]: amortized
     /// neighbour lists, reused matrix buffers, in-place eigensolve.
-    /// Numerically identical to [`TbCalculator::compute`] (the neighbour
-    /// list differs only by skin entries beyond the cutoff, where every
-    /// model term vanishes).
+    /// Bit for bit [`TbCalculator::compute`]: the kept neighbour list is
+    /// a fresh build's.
     pub fn compute_with(&self, s: &Structure, ws: &mut Workspace) -> Result<TbResult, TbError> {
         let mut timings = PhaseTimings::default();
         let grown_before = ws.grown;

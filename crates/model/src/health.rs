@@ -137,8 +137,7 @@ pub fn cached_eigensolver_health(
         return Ok(None);
     }
     // The last evaluation updated `ws.neighbors` and `ws.bonds` for exactly
-    // these positions; skin entries beyond the cutoff contribute nothing to
-    // `H`.
+    // these positions.
     let (nl, bonds) = (ws.neighbors.list(), &ws.bonds);
     ws.grown += assemble_hamiltonian_into(s, nl, model, bonds, &index, &mut ws.health_h) as usize;
     // Middle of the occupied window, as in the full probe.

@@ -458,7 +458,7 @@ impl BondTable {
 /// derivatives `dv` at its length: the Cartesian vector with components
 /// `Σ_{μν} ρ(μ,ν) ∂B_{μν}/∂d_γ`, with `rho(μ, ν)` reading the 4×4 block of
 /// the density matrix between the bond's atoms. `None` beyond the hopping
-/// cutoff (skin entries), where the block gradient vanishes identically.
+/// cutoff, where the block gradient vanishes identically.
 #[inline]
 pub fn bond_contraction(
     nb: &Neighbor,

@@ -7,12 +7,11 @@
 //! through [`crate::provider::ForceProvider::evaluate_with`], so a
 //! 1000-step MD run performs O(1) large allocations after the first step:
 //!
-//! * **neighbours** — a Verlet skin list built at `cutoff + skin` is kept as
-//!   long as no atom has moved more than `skin/2`; between rebuilds only the
-//!   cached displacements are refreshed (O(entries), no spatial search).
-//!   When the cell is too small for the unique-image condition at
-//!   `cutoff + skin` (e.g. the 8-atom Si cell), the workspace transparently
-//!   falls back to a per-step [`NeighborList::build`].
+//! * **neighbours** — one candidate list built at `cutoff + skin`, in any
+//!   cell, is kept as long as no atom has moved more than `skin/2`; each
+//!   evaluation recomputes its entries and keeps those within the cutoff
+//!   (O(entries), no spatial search), which is bit for bit a fresh
+//!   [`NeighborList::build`].
 //! * **bond table** — the radial terms of every neighbour-list entry and
 //!   every atom's embedding ([`BondTable`]), refilled in place each
 //!   evaluation.
@@ -23,12 +22,12 @@
 //!   [`tbmd_linalg::eigh_into`], the tridiagonal factor, reduction panels
 //!   and inverse-iteration buffers of the two-stage solver.
 //!
-//! The workspace also keeps counters (rebuilds vs refreshes vs fallback
-//! builds, buffer-growth events) that the benchmark reports surface.
+//! The workspace also keeps counters (rebuilds vs refreshes, buffer-growth
+//! events) that the benchmark reports surface.
 
 use crate::stages::{BondTable, RhoBlocks};
-use tbmd_linalg::{EighWorkspace, Matrix};
-use tbmd_structure::{NeighborList, Structure, VerletNeighborList};
+use tbmd_linalg::{EighWorkspace, Matrix, Vec3};
+use tbmd_structure::{Cell, NeighborList, Structure};
 
 /// Where (if anywhere) the last evaluation left a consumable set of dense
 /// eigenpairs in this workspace. The incremental health probe
@@ -70,104 +69,82 @@ impl DenseCache {
     }
 }
 
-/// Default Verlet skin in Å. Half an ångström keeps the list valid for many
-/// steps of near-melting silicon MD while adding only ~40% more candidate
-/// pairs (all beyond the radial cutoff, where the model terms vanish).
+/// Neighbour-list skin in Å. Half an ångström keeps the list valid for many
+/// steps of near-melting silicon MD.
 pub const DEFAULT_SKIN: f64 = 0.5;
 
 /// What [`NeighborWorkspace::update`] did for one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborOutcome {
-    /// Full spatial (re)build of the skin list.
+    /// Full spatial (re)build of the candidate list.
     Rebuilt,
-    /// Skin intact: only cached displacements were recomputed.
+    /// Skin intact: only the entries were recomputed.
     Refreshed,
-    /// Unique-image condition failed at `cutoff + skin`; a plain per-step
-    /// list was built at the bare cutoff.
-    Fallback,
 }
 
 /// Cumulative neighbour-list accounting across a workspace's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NeighborStats {
-    /// Full skin-list builds (including the initial one).
+    /// Full candidate-list builds (including the initial one).
     pub rebuilds: usize,
-    /// O(entries) displacement refreshes.
+    /// O(entries) refreshes.
     pub refreshes: usize,
-    /// Per-step plain builds taken on the fallback path.
+    /// Always 0: no evaluation builds a list outside the kept one. Read by
+    /// the frozen benchmark; leaves with ROADMAP item 7.
     pub fallback_builds: usize,
 }
 
-enum NeighborMode {
-    Verlet(VerletNeighborList),
-    PerStep(NeighborList),
-}
-
-/// Amortized neighbour-list state: a Verlet skin list when the cell permits
-/// it, a per-step plain build otherwise. The skin is [`DEFAULT_SKIN`].
+/// Amortized neighbour-list state: the candidates within
+/// `cutoff + `[`DEFAULT_SKIN`] at the reference positions, and the view
+/// within the cutoff at the latest positions.
 #[derive(Default)]
 pub struct NeighborWorkspace {
-    mode: Option<NeighborMode>,
+    candidates: NeighborList,
+    cell: Option<Cell>,
+    reference: Vec<Vec3>,
+    view: NeighborList,
     stats: NeighborStats,
 }
 
 impl NeighborWorkspace {
     /// Bring the list up to date with `s` at the given interaction cutoff.
     ///
-    /// Reuses the existing Verlet list when possible (same cutoff and atom
-    /// count, no atom moved beyond `skin/2`); otherwise rebuilds, preferring
-    /// the skin list whenever `cutoff + skin` satisfies the cell's
-    /// unique-image condition.
+    /// Rebuilds the candidates when the atom count, the cell or the cutoff
+    /// changed, or when some atom's raw coordinates moved more than
+    /// `skin/2` from the reference (entries are in caller coordinates, so a
+    /// wrapped coordinate reads as a long move). Either way [`Self::list`]
+    /// is then bit for bit `NeighborList::build(s, cutoff)`.
     pub fn update(&mut self, s: &Structure, cutoff: f64) -> NeighborOutcome {
-        if let Some(NeighborMode::Verlet(vl)) = &mut self.mode {
-            if vl.cutoff() == cutoff && vl.as_neighbor_list().n_atoms() == s.n_atoms() {
-                return if vl.update(s) {
-                    self.stats.rebuilds += 1;
-                    NeighborOutcome::Rebuilt
-                } else {
-                    self.stats.refreshes += 1;
-                    NeighborOutcome::Refreshed
-                };
-            }
-        }
-        if s.cell().supports_cutoff(cutoff + DEFAULT_SKIN) {
-            self.mode = Some(NeighborMode::Verlet(VerletNeighborList::new(
-                s,
-                cutoff,
-                DEFAULT_SKIN,
-            )));
+        let half_skin_sq = 0.25 * DEFAULT_SKIN * DEFAULT_SKIN;
+        let kept = self.view.cutoff() == cutoff
+            && self.cell == Some(*s.cell())
+            && self.reference.len() == s.n_atoms()
+            && s.positions()
+                .iter()
+                .zip(&self.reference)
+                .all(|(&now, &then)| (now - then).norm_sq() <= half_skin_sq);
+        let outcome = if kept {
+            self.stats.refreshes += 1;
+            NeighborOutcome::Refreshed
+        } else {
+            self.candidates = NeighborList::build(s, cutoff + DEFAULT_SKIN);
+            self.cell = Some(*s.cell());
+            self.reference.clear();
+            self.reference.extend_from_slice(s.positions());
             self.stats.rebuilds += 1;
             NeighborOutcome::Rebuilt
-        } else {
-            self.mode = Some(NeighborMode::PerStep(NeighborList::build(s, cutoff)));
-            self.stats.fallback_builds += 1;
-            NeighborOutcome::Fallback
-        }
+        };
+        self.candidates.within_into(s, cutoff, &mut self.view);
+        outcome
     }
 
-    /// The current list. Entries may extend into the skin; the tight-binding
-    /// radial functions vanish beyond the cutoff, so consumers need no
-    /// explicit filter.
-    ///
-    /// # Panics
-    /// Panics if [`NeighborWorkspace::update`] has never been called.
+    /// The entries within the cutoff at the positions of the last
+    /// [`NeighborWorkspace::update`] (empty before the first).
     pub fn list(&self) -> &NeighborList {
-        match self
-            .mode
-            .as_ref()
-            .expect("NeighborWorkspace::update not called")
-        {
-            NeighborMode::Verlet(vl) => vl.as_neighbor_list(),
-            NeighborMode::PerStep(nl) => nl,
-        }
+        &self.view
     }
 
-    /// Whether the Verlet path is currently active (vs per-step fallback).
-    pub fn is_verlet(&self) -> bool {
-        matches!(self.mode, Some(NeighborMode::Verlet(_)))
-    }
-
-    /// Cumulative rebuild/refresh/fallback counts.
+    /// Cumulative rebuild/refresh counts.
     pub fn stats(&self) -> NeighborStats {
         self.stats
     }
@@ -217,7 +194,7 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Fresh workspace with the default Verlet skin.
+    /// Fresh, empty workspace.
     pub fn new() -> Self {
         Workspace::default()
     }
@@ -241,49 +218,69 @@ mod tests {
     use super::*;
     use tbmd_structure::{bulk_diamond, Species};
 
+    /// `(j, shift, [disp, dist] bits)` of one entry.
+    type EntryBits = (usize, [i32; 3], [u64; 4]);
+
+    /// Entries as raw bits, for bitwise comparison of lists.
+    fn bits(nl: &NeighborList) -> Vec<Vec<EntryBits>> {
+        (0..nl.n_atoms())
+            .map(|i| {
+                nl.neighbors(i)
+                    .iter()
+                    .map(|nb| {
+                        let d = nb.disp;
+                        let b = [d.x, d.y, d.z, nb.dist].map(f64::to_bits);
+                        (nb.j, nb.shift, b)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn verlet_path_engages_in_large_cell() {
-        let s = bulk_diamond(Species::Silicon, 2, 2, 2);
+    fn kept_list_refreshes_in_every_cell() {
+        // Si-8 (L/2 = 2.715 Å, several images per pair) and Si-64.
+        for reps in [1, 2] {
+            let mut s = bulk_diamond(Species::Silicon, reps, reps, reps);
+            let mut nw = NeighborWorkspace::default();
+            assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Rebuilt);
+            s.positions_mut()[1] += Vec3::new(0.2, -0.1, 0.05);
+            assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Refreshed);
+            assert_eq!(bits(nw.list()), bits(&NeighborList::build(&s, 4.16)));
+            assert_eq!(
+                nw.stats(),
+                NeighborStats {
+                    rebuilds: 1,
+                    refreshes: 1,
+                    fallback_builds: 0
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_long_move_or_a_wrapped_coordinate_rebuilds() {
+        let mut s = bulk_diamond(Species::Silicon, 1, 1, 1);
         let mut nw = NeighborWorkspace::default();
-        // silicon_gsp-like cutoff: 4.16 + 0.5 < L/2 = 5.43.
+        nw.update(&s, 4.16);
+        s.positions_mut()[3] += Vec3::new(0.3, 0.0, 0.0); // > skin/2
         assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Rebuilt);
-        assert!(nw.is_verlet());
-        assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Refreshed);
-        assert_eq!(
-            nw.stats(),
-            NeighborStats {
-                rebuilds: 1,
-                refreshes: 1,
-                fallback_builds: 0
-            }
-        );
+        // The same point one cell edge away: same physics, new labels.
+        let edge = s.cell().lengths.x;
+        s.positions_mut()[3] -= Vec3::new(edge, 0.0, 0.0);
+        assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Rebuilt);
+        assert_eq!(bits(nw.list()), bits(&NeighborList::build(&s, 4.16)));
     }
 
     #[test]
-    fn fallback_in_small_cell() {
-        let s = bulk_diamond(Species::Silicon, 1, 1, 1); // L/2 = 2.715
-        let mut nw = NeighborWorkspace::default();
-        assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Fallback);
-        assert!(!nw.is_verlet());
-        assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Fallback);
-        assert_eq!(nw.stats().fallback_builds, 2);
-    }
-
-    #[test]
-    fn cutoff_change_forces_rebuild() {
+    fn cutoff_or_cell_change_forces_rebuild() {
         let s = bulk_diamond(Species::Silicon, 2, 2, 2);
         let mut nw = NeighborWorkspace::default();
         assert_eq!(nw.update(&s, 3.0), NeighborOutcome::Rebuilt);
         assert_eq!(nw.update(&s, 4.0), NeighborOutcome::Rebuilt);
-        assert_eq!(nw.stats().rebuilds, 2);
-    }
-
-    #[test]
-    fn fallback_list_matches_plain_build() {
-        let s = bulk_diamond(Species::Silicon, 1, 1, 1);
-        let mut nw = NeighborWorkspace::default();
-        nw.update(&s, 4.16);
-        let plain = NeighborList::build(&s, 4.16);
-        assert_eq!(nw.list().n_entries(), plain.n_entries());
+        let mut strained = s.clone();
+        tbmd_structure::apply_strain(&mut strained, [1e-3, 0.0, 0.0]);
+        assert_eq!(nw.update(&strained, 4.0), NeighborOutcome::Rebuilt);
+        assert_eq!(nw.stats().rebuilds, 3);
     }
 }

@@ -237,7 +237,9 @@ fn density_hash(model: &dyn TbModel, s: &Structure) -> u64 {
 fn bond_density_reproduces_the_parent_bits() {
     // Both through the two-stage solve (n = 256 and 160): perturbed Si-64
     // and the (10,0) tube of one cell, the carbon cell the anneal runs four
-    // of.
+    // of. The Si-64 hash was re-recorded when the neighbour list stopped
+    // carrying skin entries: it is the parent's dense view with the blocks
+    // of pairs beyond the cutoff zeroed, so no ρ value moved.
     let si = black_box(silicon_gsp());
     let c = black_box(carbon_xwch());
     let mut tube = nanotube(10, 0, 1, 1.42);
@@ -247,7 +249,7 @@ fn bond_density_reproduces_the_parent_bits() {
             "Si-64",
             &si as &dyn TbModel,
             perturbed_silicon(2, 64),
-            0x5595803774816d7cu64,
+            0x160ef5177bc3619cu64,
         ),
         ("(10,0)x1", &c, tube, 0xa6b521c236784ff5),
     ]
@@ -282,7 +284,11 @@ fn tube_reduction_reproduces_the_parent_bits() {
     // (n = 640): the panel matvec of the first panels is cut into row bands
     // and every later panel applies up to 31 pending corrections. Under
     // width-1 and width-2 leases and on a thread pinned inline, as a
-    // message-passing rank is.
+    // message-passing rank is. Re-recorded when the linked-cell builder
+    // took the image sum's displacement expression (caller coordinates,
+    // not wrapped ones; six of the tube's atoms lie below z = 0): the value
+    // is what the parent's reduction computes from the parent's image-sum
+    // list.
     let model = black_box(carbon_xwch());
     let mut tube = nanotube(10, 0, 4, 1.42);
     tube.perturb(&mut StdRng::seed_from_u64(42), 0.02);
@@ -303,7 +309,7 @@ fn tube_reduction_reproduces_the_parent_bits() {
         at_width(2, || reduction_hash(&h)),
         rank,
     ];
-    let want = 0x225f6e147897453eu64;
+    let want = 0x2dd333ad29b6073fu64;
     assert!(
         got.iter().all(|&g| g == want),
         "bits moved: {:?}",

@@ -541,12 +541,12 @@ mod tests {
         assert_eq!(dist.last_report().unwrap().n_ranks, 1);
     }
 
-    /// Si-64 (Verlet skin lists) at three positions of atom 0 along the line
-    /// to a third-shell neighbour (4.50 Å, outside the 4.3 Å list radius):
-    /// `[0]` the crystal, `[1]` 0.30 Å along — past skin/2, so a rank that
-    /// sees it rebuilds, with the neighbour (now at 4.20 Å) in the list —
-    /// and `[2]` 0.10 Å along, within skin/2 of both, so a list built at
-    /// `[0]` and one built at `[1]` are both kept and differ in that pair.
+    /// Si-64 at three positions of atom 0 along the line to a third-shell
+    /// neighbour (4.50 Å, outside the 4.3 Å candidate radius): `[0]` the
+    /// crystal, `[1]` 0.30 Å along — past skin/2, so a rank that sees it
+    /// rebuilds, with the neighbour (now at 4.20 Å) among the candidates —
+    /// and `[2]` 0.10 Å along, within skin/2 of both, so candidates built at
+    /// `[0]` and at `[1]` are both kept and differ in that pair.
     fn skin_crossing_positions(model: &dyn TbModel) -> [Structure; 3] {
         let base = bulk_diamond(Species::Silicon, 2, 2, 2);
         let radius = model.cutoff() + tbmd_model::DEFAULT_SKIN;

@@ -45,9 +45,10 @@ pub struct RankControl {
     /// Set by whatever can leave the slots' [`Replica`]s updated apart: a
     /// failed launch (a killed rank never saw the positions its survivors
     /// updated at) and a change of the active set (a rank outside it sleeps
-    /// through rebuilds). The next launch starts every replica over, so the
-    /// lists that meet in one launch are always the same list — engines
-    /// exchange data laid out by it.
+    /// through rebuilds). The next launch starts every replica over. The
+    /// lists that meet in one launch are the same list anyway (each is a
+    /// fresh build at the broadcast positions, whatever the replica kept —
+    /// engines exchange data laid out by it); the reset is fault recovery.
     replicas_apart: AtomicBool,
 }
 
@@ -237,7 +238,7 @@ impl PhaseClock {
 
 /// One rank's replica of the geometry: the structure (topology re-cloned
 /// only when the caller's structure changes shape) and its amortized
-/// neighbour list (Verlet skin when the cell allows).
+/// neighbour list.
 #[derive(Default)]
 pub struct Replica {
     local: Option<Structure>,

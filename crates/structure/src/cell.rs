@@ -5,11 +5,10 @@
 //! periodic along a subset of axes (nanotubes: periodic along z only,
 //! graphene sheets: periodic along x and y).
 //!
-//! Displacements between atoms are always computed through
-//! [`Cell::displacement`], which applies the minimum-image convention on the
-//! periodic axes. The implementation requires interaction cutoffs to be at
-//! most half the shortest periodic box edge (asserted by the neighbor-list
-//! builders), the standard MD restriction.
+//! [`Cell::displacement`] applies the minimum-image convention on the
+//! periodic axes, exact for distances below half the shortest periodic
+//! edge. Neighbour lists do not use it: they label every periodic image
+//! explicitly ([`crate::NeighborList`]), so any cutoff works in any cell.
 
 use crate::vec3ext::wrap_component;
 use tbmd_linalg::Vec3;
@@ -123,14 +122,6 @@ impl Cell {
             .map(|a| self.lengths[a])
             .fold(None, |acc, l| Some(acc.map_or(l, |m: f64| m.min(l))))
     }
-
-    /// Check that `cutoff` is compatible with the minimum-image convention.
-    pub fn supports_cutoff(&self, cutoff: f64) -> bool {
-        match self.min_periodic_edge() {
-            None => true,
-            Some(edge) => cutoff <= 0.5 * edge + 1e-12,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +137,6 @@ mod tests {
         assert!(c.is_cluster());
         assert_eq!(c.volume(), None);
         assert_eq!(c.min_periodic_edge(), None);
-        assert!(c.supports_cutoff(1e9));
     }
 
     #[test]
@@ -223,13 +213,6 @@ mod tests {
         assert!((d.x - 0.2).abs() < 1e-12);
         assert!((d.y - 0.2).abs() < 1e-12);
         assert!((d.z - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cutoff_support() {
-        let c = Cell::cubic(10.0);
-        assert!(c.supports_cutoff(5.0));
-        assert!(!c.supports_cutoff(5.5));
     }
 
     #[test]

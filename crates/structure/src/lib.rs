@@ -13,7 +13,6 @@ pub mod neighbors;
 pub mod species;
 pub mod structure;
 pub mod vec3ext;
-pub mod verlet_list;
 
 pub use builders::{
     bulk_diamond, bulk_diamond_with_bond, diamond_lattice_constant, dimer, fullerene_c60,
@@ -24,4 +23,3 @@ pub use defects::{apply_strain, displacement_disorder, insert_interstitial, make
 pub use neighbors::{Neighbor, NeighborList};
 pub use species::Species;
 pub use structure::Structure;
-pub use verlet_list::VerletNeighborList;

@@ -8,9 +8,13 @@
 //! the 8-atom Si cell — require *multiple* periodic images of the same
 //! neighbour, which a minimum-image search would miss).
 //!
-//! Entries store the actual displacement vector at build time; TBMD rebuilds
-//! the list every step (the O(N³) diagonalization dwarfs the list cost), so
-//! no skin/staleness machinery is needed on the quantum path.
+//! A list is a pure function of the positions and the cutoff: both searches
+//! label each entry by its image `shift` in the caller's coordinates (atoms
+//! may sit outside `[0, L)`), compute `disp = (r_j + L·shift) − r_i`, and
+//! leave each atom's entries in ascending `(j, shift)`. So the two builders
+//! agree bit for bit, and a list kept across steps
+//! ([`NeighborList::within_into`] of a list built at a larger radius) is bit
+//! for bit a fresh build.
 
 use crate::cell::Cell;
 use crate::structure::Structure;
@@ -26,13 +30,37 @@ pub struct Neighbor {
     pub disp: Vec3,
     /// `disp.norm()`, cached.
     pub dist: f64,
-    /// Periodic image shift in units of the cell edges (all zero for the
-    /// primary image or cluster geometries).
+    /// Periodic image shift of atom `j`'s caller coordinates, in units of
+    /// the cell edges (all zero for the primary image or cluster
+    /// geometries).
     pub shift: [i32; 3],
 }
 
+impl Neighbor {
+    /// The entry for image `shift` of atom `j` (at `rj`) seen from `ri`: the
+    /// one expression every list computes its entries with.
+    #[inline]
+    fn new(cell: &Cell, ri: Vec3, rj: Vec3, j: usize, shift: [i32; 3]) -> Self {
+        let disp = rj + shift_vector(cell, shift) - ri;
+        Neighbor {
+            j,
+            disp,
+            dist: disp.norm(),
+            shift,
+        }
+    }
+
+    /// Whether this entry is a neighbour within `cutoff`. An entry at zero
+    /// distance is none: it is the atom itself (shift 0), or, in a blown-up
+    /// trajectory, an image of it lost to rounding.
+    #[inline]
+    fn within(&self, cutoff: f64) -> bool {
+        0.0 < self.dist && self.dist <= cutoff
+    }
+}
+
 /// Per-atom neighbour lists within a cutoff radius.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NeighborList {
     cutoff: f64,
     lists: Vec<Vec<Neighbor>>,
@@ -41,7 +69,7 @@ pub struct NeighborList {
 impl NeighborList {
     /// Build a neighbour list, choosing linked cells when the geometry
     /// permits (≥3 bins along every periodic axis) and the exhaustive image
-    /// sum otherwise.
+    /// sum otherwise. Both give the same list, bit for bit.
     pub fn build(s: &Structure, cutoff: f64) -> Self {
         assert!(cutoff > 0.0, "cutoff must be positive");
         if linked_cell_applicable(s.cell(), cutoff, s.n_atoms()) {
@@ -52,32 +80,27 @@ impl NeighborList {
     }
 
     /// Exhaustive O(N²·images) builder; reference implementation and small-
-    /// cell fallback.
+    /// cell search.
     pub fn build_brute_force(s: &Structure, cutoff: f64) -> Self {
         let n = s.n_atoms();
         let cell = s.cell();
-        let mut lists = vec![Vec::new(); n];
+        let positions = s.positions();
+        let offsets: Vec<[i32; 3]> = positions.iter().map(|&r| image_of(cell, r).0).collect();
         let ranges = image_ranges(cell, cutoff);
+        let mut lists = vec![Vec::new(); n];
         for (i, list) in lists.iter_mut().enumerate() {
-            let ri = s.position(i);
-            for j in 0..n {
-                let rj = s.position(j);
+            let ri = positions[i];
+            for (j, &rj) in positions.iter().enumerate() {
+                // Scan the images around the one that puts `j` in `i`'s
+                // primary cell.
+                let base: [i32; 3] = std::array::from_fn(|a| offsets[i][a] - offsets[j][a]);
                 for sx in -ranges[0]..=ranges[0] {
                     for sy in -ranges[1]..=ranges[1] {
                         for sz in -ranges[2]..=ranges[2] {
-                            if i == j && sx == 0 && sy == 0 && sz == 0 {
-                                continue;
-                            }
-                            let shift = [sx, sy, sz];
-                            let d = rj + shift_vector(cell, shift) - ri;
-                            let dist = d.norm();
-                            if dist <= cutoff {
-                                list.push(Neighbor {
-                                    j,
-                                    disp: d,
-                                    dist,
-                                    shift,
-                                });
+                            let shift = [base[0] + sx, base[1] + sy, base[2] + sz];
+                            let nb = Neighbor::new(cell, ri, rj, j, shift);
+                            if nb.within(cutoff) {
+                                list.push(nb);
                             }
                         }
                     }
@@ -97,10 +120,11 @@ impl NeighborList {
             linked_cell_applicable(cell, cutoff, n),
             "linked-cell builder not applicable; use build() or build_brute_force()"
         );
-        // Wrapped positions for binning; the wrap offset must be folded into
-        // the recorded image shift so displacements refer to the caller's
+        // Bin on positions in the primary cell; the image offsets fold back
+        // into each recorded shift, so entries refer to the caller's
         // coordinates.
-        let wrapped: Vec<Vec3> = s.positions().iter().map(|&r| cell.wrap(r)).collect();
+        let (offsets, wrapped): (Vec<[i32; 3]>, Vec<Vec3>) =
+            s.positions().iter().map(|&r| image_of(cell, r)).unzip();
 
         // Bin geometry. Aperiodic axes bin over the bounding box.
         let mut lo = Vec3::splat(f64::INFINITY);
@@ -142,13 +166,13 @@ impl NeighborList {
         }
 
         let mut lists = vec![Vec::new(); n];
-        for i in 0..n {
-            let ri = wrapped[i];
-            let bi = bin_index(ri);
+        for (i, list) in lists.iter_mut().enumerate() {
+            let ri = s.position(i);
+            let bi = bin_index(wrapped[i]);
             for dx in -1i32..=1 {
                 for dy in -1i32..=1 {
                     for dz in -1i32..=1 {
-                        let mut shift = [0i32; 3];
+                        let mut bin_shift = [0i32; 3];
                         let mut bj = [0usize; 3];
                         let mut valid = true;
                         for (a, d) in [dx, dy, dz].into_iter().enumerate() {
@@ -163,7 +187,7 @@ impl NeighborList {
                                     (raw, 0)
                                 };
                                 bj[a] = wrapped_bin as usize;
-                                shift[a] = s;
+                                bin_shift[a] = s;
                             } else {
                                 if raw < 0 || raw >= nbins[a] as i32 {
                                     valid = false;
@@ -175,27 +199,42 @@ impl NeighborList {
                         if !valid {
                             continue;
                         }
-                        let sv = shift_vector(cell, shift);
                         for &j in &bins[flat(bj)] {
-                            if i == j && shift == [0, 0, 0] {
-                                continue;
-                            }
-                            let d = wrapped[j] + sv - ri;
-                            let dist = d.norm();
-                            if dist <= cutoff {
-                                lists[i].push(Neighbor {
-                                    j,
-                                    disp: d,
-                                    dist,
-                                    shift,
-                                });
+                            let shift: [i32; 3] = std::array::from_fn(|a| {
+                                bin_shift[a] + offsets[i][a] - offsets[j][a]
+                            });
+                            let nb = Neighbor::new(cell, ri, s.position(j), j, shift);
+                            if nb.within(cutoff) {
+                                list.push(nb);
                             }
                         }
                     }
                 }
             }
+            list.sort_unstable_by_key(|nb| (nb.j, nb.shift));
         }
         NeighborList { cutoff, lists }
+    }
+
+    /// Refill `view` with the entries of this list that lie within `cutoff`
+    /// at the positions of `s`, each recomputed as the builders compute it
+    /// (`view`'s buffers are reused). While this list holds every pair
+    /// within `cutoff` at `s` — a list built at `cutoff + skin` does until
+    /// an atom moves `skin/2` — `view` is bit for bit
+    /// `NeighborList::build(s, cutoff)`.
+    pub fn within_into(&self, s: &Structure, cutoff: f64, view: &mut NeighborList) {
+        let (cell, positions) = (s.cell(), s.positions());
+        view.cutoff = cutoff;
+        view.lists.resize_with(self.lists.len(), Vec::new);
+        for ((candidates, list), &ri) in self.lists.iter().zip(&mut view.lists).zip(positions) {
+            list.clear();
+            list.extend(
+                candidates
+                    .iter()
+                    .map(|c| Neighbor::new(cell, ri, positions[c.j], c.j, c.shift)),
+            );
+            list.retain(|nb| nb.within(cutoff));
+        }
     }
 
     /// The cutoff this list was built with.
@@ -207,13 +246,6 @@ impl NeighborList {
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[Neighbor] {
         &self.lists[i]
-    }
-
-    /// Mutable entries of atom `i` (used by the Verlet skin list to refresh
-    /// cached displacements; the pair topology itself is immutable).
-    #[inline]
-    pub(crate) fn neighbors_mut(&mut self, i: usize) -> &mut [Neighbor] {
-        &mut self.lists[i]
     }
 
     /// Number of atoms covered.
@@ -252,7 +284,26 @@ fn shift_vector(cell: &Cell, shift: [i32; 3]) -> Vec3 {
     )
 }
 
-/// How many periodic images per axis the brute-force builder must scan.
+/// `r` as its image offset `w` (in cell edges) and the position
+/// `r − L·w` in the primary cell, on the periodic axes. `w` is clamped to
+/// ±2²⁹ so that shift arithmetic cannot overflow: atoms that far out (a
+/// blown-up trajectory) have no neighbours to find.
+fn image_of(cell: &Cell, r: Vec3) -> ([i32; 3], Vec3) {
+    const LIMIT: f64 = (1 << 29) as f64;
+    let mut w = [0i32; 3];
+    let mut wrapped = r;
+    for a in 0..3 {
+        if cell.periodic[a] {
+            let l = cell.lengths[a];
+            w[a] = (r[a] / l).floor().clamp(-LIMIT, LIMIT) as i32;
+            wrapped[a] = r[a] - w[a] as f64 * l;
+        }
+    }
+    (w, wrapped)
+}
+
+/// How many periodic images per axis the brute-force builder must scan
+/// around the primary one.
 fn image_ranges(cell: &Cell, cutoff: f64) -> [i32; 3] {
     let mut r = [0i32; 3];
     for (a, ra) in r.iter_mut().enumerate() {

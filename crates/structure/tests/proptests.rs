@@ -1,10 +1,30 @@
 //! Property-based tests for cells, builders and neighbor lists.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use tbmd_linalg::Vec3;
 use tbmd_structure::{
     bulk_diamond, nanotube, nanotube_geometry, Cell, NeighborList, Species, Structure,
 };
+
+/// Every entry of `nl` — atom, image, displacement and distance bits — in
+/// list order.
+fn entry_bits(nl: &NeighborList) -> Vec<(usize, usize, [i32; 3], [u64; 4])> {
+    (0..nl.n_atoms())
+        .flat_map(|i| {
+            nl.neighbors(i).iter().map(move |nb| {
+                let d = nb.disp;
+                (
+                    i,
+                    nb.j,
+                    nb.shift,
+                    [d.x, d.y, d.z, nb.dist].map(f64::to_bits),
+                )
+            })
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -41,14 +61,12 @@ proptest! {
     }
 
     #[test]
-    fn neighbor_list_consistent_with_brute(cutoff in 1.5f64..4.5) {
+    fn neighbor_list_consistent_with_brute(cutoff in 1.5f64..3.6) {
+        // Si-64 (L = 10.86 Å): linked cells apply up to L/3.
         let s = bulk_diamond(Species::Silicon, 2, 2, 2);
         let brute = NeighborList::build_brute_force(&s, cutoff);
-        let auto = NeighborList::build(&s, cutoff);
-        prop_assert_eq!(brute.n_entries(), auto.n_entries());
-        for i in 0..s.n_atoms() {
-            prop_assert_eq!(brute.neighbors(i).len(), auto.neighbors(i).len());
-        }
+        prop_assert_eq!(entry_bits(&brute), entry_bits(&NeighborList::build_linked_cell(&s, cutoff)));
+        prop_assert_eq!(entry_bits(&brute), entry_bits(&NeighborList::build(&s, cutoff)));
     }
 
     #[test]
@@ -97,5 +115,32 @@ proptest! {
         }
         let c1 = s.center_of_mass();
         prop_assert!((c1 - (c0 + t)).norm() < 1e-10);
+    }
+}
+
+proptest! {
+    // An Si-216 image sum per case.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn builders_agree_bitwise_outside_the_primary_cell(
+        seed in 0u64..1000,
+        tx in 2.0f64..20.0, ty in -20.0f64..-2.0, tz in -20.0f64..20.0,
+        cutoff in 2.0f64..5.4,
+    ) {
+        // Perturbed Si-216 (L = 16.29 Å) moved by up to more than a cell
+        // edge: atoms sit on both sides of [0, L) (x past L, y below 0), so
+        // the image offsets fold into every recorded shift.
+        let mut s = bulk_diamond(Species::Silicon, 3, 3, 3);
+        s.perturb(&mut StdRng::seed_from_u64(seed), 0.3);
+        for r in s.positions_mut() {
+            *r += Vec3::new(tx, ty, tz);
+        }
+        let edge = s.cell().lengths.x;
+        prop_assert!(s.positions().iter().any(|r| r.x >= edge));
+        prop_assert!(s.positions().iter().any(|r| r.y < 0.0));
+        let brute = NeighborList::build_brute_force(&s, cutoff);
+        prop_assert_eq!(entry_bits(&brute), entry_bits(&NeighborList::build_linked_cell(&s, cutoff)));
+        prop_assert!(brute.n_entries() > 0);
     }
 }

@@ -54,9 +54,9 @@ pub enum Counter {
     WireMessages,
     /// Workspace large-allocation growth events (buffer (re)allocations).
     AllocGrowth,
-    /// Full neighbour-list builds (Verlet rebuilds + fallback builds).
+    /// Full neighbour-list builds.
     NlRebuilds,
-    /// O(entries) Verlet displacement refreshes.
+    /// O(entries) refreshes of a kept neighbour list.
     NlRefreshes,
     /// Sparse H·v products in the Chebyshev Fermi-operator engines.
     ChebyshevMatvecs,

@@ -8,9 +8,11 @@
 //! the distributed engine under an injected mid-run rank kill driven through
 //! the resilient session's recovery loop.
 //!
-//! All tests use Si-8, whose cell is too small for the Verlet skin: every
-//! step rebuilds the neighbour list from positions alone, so the trajectory
-//! is a pure function of the restored state.
+//! The neighbour list an evaluation reads is a pure function of the
+//! positions, whether the workspace kept its candidates or rebuilt them, so
+//! a resumed run (fresh workspace) computes what the uninterrupted one did.
+//! The serial NVE contract is tested on Si-8 and on Si-64, where the kept
+//! list refreshes across the resume point; the others use Si-8.
 
 use std::path::PathBuf;
 use tbmd::{
@@ -83,8 +85,13 @@ fn assert_bitwise_equal(a: &SimulationSummary, b: &SimulationSummary, what: &str
 }
 
 fn si8_nve(steps: usize) -> SimulationConfig {
+    si_nve(1, steps)
+}
+
+/// Perturbed `reps³` Si diamond cells under serial NVE at 300 K.
+fn si_nve(reps: usize, steps: usize) -> SimulationConfig {
     SimulationConfig {
-        system: SystemSpec::SiliconDiamond { reps: 1 },
+        system: SystemSpec::SiliconDiamond { reps },
         engine: EngineKind::Serial,
         protocol: Protocol::Nve {
             temperature_k: 300.0,
@@ -98,31 +105,40 @@ fn si8_nve(steps: usize) -> SimulationConfig {
     }
 }
 
-/// Kill-and-resume, serial NVE: run 20 steps clean; separately run the same
-/// config truncated to 12 steps with snapshots every 5 (the "kill" lands
-/// between snapshots, so resume rewinds to step 10 and recomputes 11–20).
+/// Kill-and-resume, serial NVE on Si-8 and Si-64: run 20 steps clean;
+/// separately run the same config truncated to 12 steps with snapshots
+/// every 5 (the "kill" lands between snapshots, so resume rewinds to step
+/// 10 and recomputes 11–20).
 #[test]
 fn serial_nve_kill_and_resume_is_bitwise_identical() {
-    let dir = scratch_dir("nve");
-    let ckpt = CheckpointConfig {
-        dir: dir.clone(),
-        interval: 5,
-        retain: 3,
-    };
+    for reps in [1, 2] {
+        let dir = scratch_dir(&format!("nve{reps}"));
+        let ckpt = CheckpointConfig {
+            dir: dir.clone(),
+            interval: 5,
+            retain: 3,
+        };
 
-    let clean = run(SessionBuilder::new(si8_nve(20))).unwrap();
+        let clean = run(SessionBuilder::new(si_nve(reps, 20))).unwrap();
 
-    // Interrupted run: dies after step 12; newest usable snapshot is step 10.
-    run(SessionBuilder::new(si8_nve(12)).checkpoint(&ckpt)).unwrap();
-    let store = CheckpointStore::open(&dir, 0).unwrap();
-    assert_eq!(store.latest().unwrap().unwrap().step, 10);
+        // Interrupted run: dies after step 12; newest usable snapshot is
+        // step 10.
+        run(SessionBuilder::new(si_nve(reps, 12)).checkpoint(&ckpt)).unwrap();
+        let store = CheckpointStore::open(&dir, 0).unwrap();
+        assert_eq!(store.latest().unwrap().unwrap().step, 10);
 
-    // Resume into the *longer* 20-step request (step counts are outside the
-    // config fingerprint) and land bit-for-bit on the uninterrupted endpoint.
-    let resumed = run(SessionBuilder::new(si8_nve(20)).checkpoint(&ckpt).resume()).unwrap();
-    assert_bitwise_equal(&clean, &resumed, "serial NVE");
+        // Resume into the *longer* 20-step request (step counts are outside
+        // the config fingerprint) and land bit-for-bit on the uninterrupted
+        // endpoint.
+        let resumed = SessionBuilder::new(si_nve(reps, 20))
+            .checkpoint(&ckpt)
+            .resume();
+        let resumed = run(resumed).unwrap();
+        let what = format!("serial NVE, Si-{}", 8 * reps * reps * reps);
+        assert_bitwise_equal(&clean, &resumed, &what);
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Same contract under Nosé–Hoover: the thermostat internals (ξ, η, Q,

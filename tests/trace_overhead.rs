@@ -22,8 +22,8 @@ use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{silicon_gsp, OccupationScheme, TbCalculator, Workspace};
 use tbmd_structure::{bulk_diamond, Species, Structure};
 
-/// 2×2×2 Si diamond, as in `workspace_equivalence`: large enough for the
-/// Verlet skin path, small enough for a 50-step run in test time.
+/// 2×2×2 Si diamond, as in `workspace_equivalence`: small enough for a
+/// 50-step run in test time.
 fn si64() -> Structure {
     bulk_diamond(Species::Silicon, 2, 2, 2)
 }
