@@ -119,7 +119,7 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
 
     let mut t1c = Table::new(
         "T1c: linear-scaling engine (Si-64, warm, order 350, untruncated)",
-        &["eval/ms", "matvecs", "GFLOP/s"],
+        &["eval/ms", "matvecs", "GFLOP/s", "region KB/atom"],
     );
     let s = bulk_diamond(Species::Silicon, 2, 2, 2);
     let engine = LinearScalingTb::new(&model);
@@ -130,10 +130,13 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
     let before = scope.snapshot();
     let (wall, _) = best_of(1, || engine.evaluate_with(&s, &mut ws).expect("evaluation"));
     let delta = scope.snapshot().since(&before);
+    let region_bytes = engine.last_report().expect("report").region_bytes;
+    let region_kb_per_atom = region_bytes as f64 / s.n_atoms() as f64 / 1024.0;
     t1c.row(vec![
         fmt_f(wall * 1e3, 3),
         delta.counter(Counter::ChebyshevMatvecs).to_string(),
         fmt_f(delta.counter(Counter::KernelFlops) as f64 / wall / 1e9, 2),
+        fmt_f(region_kb_per_atom, 2),
     ]);
 
     let mut report = Report::default();
@@ -409,6 +412,54 @@ fn gemm_half(n: usize) -> Vec<(&'static str, f64, usize)> {
     ]
 }
 
+/// The three block steps [`block_steps`] times, as K1b labels them.
+const BLOCK_STEPS: [&str; 3] = ["plain", "moment (dots tail)", "density (ρ tail)"];
+
+/// The block Chebyshev step on the benchmark's region — Si-216 at r_loc
+/// 6.0 Å (≈ 47 atoms), on the Gershgorin window — bare and as the engine's
+/// two passes run it: with the moment dots, and with the ρ update on the
+/// centre's bond rows. Returns the region's orbitals and stored entries and,
+/// per step of [`BLOCK_STEPS`], the ns per step of `reps` passes of `steps`
+/// steps each. Each repetition runs the three passes once, in turn, so a
+/// swing of the host's speed lands on every row alike rather than on one.
+pub fn block_steps(reps: usize, steps: usize) -> (usize, usize, [Vec<f64>; 3]) {
+    let s = bulk_diamond(Species::Silicon, 3, 3, 3);
+    let model = silicon_gsp();
+    let index = OrbitalIndex::new(&s);
+    let nl = NeighborList::build(&s, model.cutoff());
+    let h = SparseH::build(&s, &nl, &model, &index);
+    let (e_min, e_max) = h.gershgorin_bounds();
+    let (shift, scale) = spectral_window(e_min, e_max);
+    let region = LocalRegion::build(&s, &index, &h, 0, 6.0);
+    let row0 = region.local_index(index.offset(0)).expect("centre");
+    let mut bond_rows = vec![false; region.padded_len() / 4];
+    for j in nl.neighbors(0).iter().map(|nb| nb.j).chain([0]) {
+        bond_rows[region.local_index(index.offset(j)).expect("bonded") / 4] = true;
+    }
+    let recurrence = || BlockRecurrence::new(&region, row0, 4, shift, scale);
+    let coeffs: Vec<f64> = (0..=steps).map(|k| 1.0 / (1 + k) as f64).collect();
+    let passes: [&dyn Fn() -> f64; 3] = [
+        &|| {
+            let mut rec = recurrence();
+            (0..steps).for_each(|_| rec.advance());
+            rec.current()[row0][0]
+        },
+        &|| {
+            let mut moments = vec![0.0; 2 * steps];
+            recurrence().diagonal_moments(&mut moments);
+            moments[2 * steps - 1]
+        },
+        &|| recurrence().density_columns(&coeffs, &bond_rows)[row0][0],
+    ];
+    let mut ns = [vec![0.0; reps], vec![0.0; reps], vec![0.0; reps]];
+    for rep in 0..reps {
+        for (row, pass) in ns.iter_mut().zip(&passes) {
+            row[rep] = best_of(1, pass).0 / steps as f64 * 1e9;
+        }
+    }
+    (region.len(), region.nnz(), ns)
+}
+
 /// K1: the tiled kernels against the textbook loops up to order `size`
 /// (default 256), the block Chebyshev step on a real region, and the two
 /// eigenvectors → ρ stages of the dense step.
@@ -452,40 +503,13 @@ pub fn kernels(size: Option<usize>) -> Report {
         n *= 2;
     }
 
-    // The benchmark's region: Si-216 at r_loc 6.0 Å (≈ 47 atoms), bare and
-    // as the engine's two passes run it — with the moment dots, with the ρ
-    // update.
-    let s = bulk_diamond(Species::Silicon, 3, 3, 3);
-    let model = silicon_gsp();
-    let index = OrbitalIndex::new(&s);
-    let h = SparseH::build(&s, &NeighborList::build(&s, model.cutoff()), &model, &index);
-    let (e_min, e_max) = h.gershgorin_bounds();
-    let (shift, scale) = spectral_window(e_min, e_max);
-    let region = LocalRegion::build(&s, &index, &h, 0, 6.0);
-    let row0 = region.local_index(index.offset(0)).expect("centre");
-    let recurrence = || BlockRecurrence::new(&region, row0, 4, shift, scale);
-    let steps = 2000usize;
-    let coeffs: Vec<f64> = (0..=steps).map(|k| 1.0 / (1 + k) as f64).collect();
     let peak = (0..5).map(|_| mul_add_peak(2_000_000)).fold(0.0, f64::max);
     let fma = (0..5).map(|_| fma_peak(2_000_000)).fold(0.0, f64::max);
-    let passes: [(&str, &dyn Fn() -> f64); 3] = [
-        ("plain", &|| {
-            let mut rec = recurrence();
-            (0..steps).for_each(|_| rec.advance());
-            rec.current()[row0][0]
-        }),
-        ("moment (dots tail)", &|| {
-            let mut moments = vec![0.0; 2 * steps];
-            recurrence().diagonal_moments(&mut moments);
-            moments[2 * steps - 1]
-        }),
-        ("density (ρ tail)", &|| {
-            recurrence().density_columns(&coeffs)[row0][0]
-        }),
-    ];
+    let (region_orbitals, region_nnz, mut ns_per_step) = block_steps(9, 2000);
     let mut k1b = Table::new(
         "K1b: four-column block Chebyshev step, Si-216 region at r_loc 6.0 Å \
-         (Gershgorin window), median of 9 interleaved repetitions",
+         (Gershgorin window; ρ tail on the centre's bond rows), median of 9 interleaved \
+         repetitions",
         &[
             "step",
             "orbitals",
@@ -496,22 +520,14 @@ pub fn kernels(size: Option<usize>) -> Report {
             "of FMA peak",
         ],
     );
-    // Each repetition runs the three passes once, in turn, so a swing of the
-    // host's speed lands on every row alike rather than on one.
-    let mut ns_per_step = [[0.0; 9]; 3];
-    for rep in 0..9 {
-        for (row, (_, pass)) in ns_per_step.iter_mut().zip(&passes) {
-            row[rep] = best_of(1, pass).0 / steps as f64 * 1e9;
-        }
-    }
-    let step_flops = 2.0 * 4.0 * region.nnz() as f64;
-    for ((name, _), ns) in passes.iter().zip(&mut ns_per_step) {
+    let step_flops = 2.0 * 4.0 * region_nnz as f64;
+    for (name, ns) in BLOCK_STEPS.iter().zip(&mut ns_per_step) {
         ns.sort_by(f64::total_cmp);
         let gflops = step_flops / ns[4];
         k1b.row(vec![
             name.to_string(),
-            region.len().to_string(),
-            region.nnz().to_string(),
+            region_orbitals.to_string(),
+            region_nnz.to_string(),
             fmt_f(ns[4], 1),
             format!("{}–{}", fmt_f(ns[0], 0), fmt_f(ns[8], 0)),
             fmt_f(gflops, 2),
@@ -558,7 +574,7 @@ pub fn kernels(size: Option<usize>) -> Report {
     let index = OrbitalIndex::new(&crystal);
     let (n_bond, k_bond) = (index.total(), 7 * index.total() / 10);
     let vectors = random_matrix(n_bond, k_bond, 79);
-    let nl = NeighborList::build(&crystal, model.cutoff() + 0.5);
+    let nl = NeighborList::build(&crystal, silicon_gsp().cutoff() + 0.5);
     let mut rho = RhoBlocks::default();
     let (t_bond, _) = best_of(5, || {
         bond_density(&nl, &index, &vectors, &vec![1.0; k_bond], &mut rho)

@@ -599,8 +599,9 @@ pub enum StepTail<'a> {
     /// Each column sums its rows in ascending order, one fused multiply-add
     /// per row; the four columns are added last as `(c0 + c1) + (c2 + c3)`.
     Dots(&'a mut [f64; 2]),
-    /// `rho += c · out`, row by row.
-    Axpy(f64, &'a mut [Row4]),
+    /// `rho += c · out`, row by row, on the block rows `i` with `rows[i]`
+    /// set; the other rows of `rho` are left as they are.
+    Axpy(f64, &'a mut [Row4], &'a [bool]),
 }
 
 /// One three-term Chebyshev step of a four-column block recurrence over the
@@ -668,9 +669,12 @@ pub fn bsr4_chebyshev_step(
             });
             *dots = [sq, cross].map(|s| (s[0] + s[1]) + (s[2] + s[3]));
         }
-        StepTail::Axpy(coeff, rho) => {
-            assert_eq!(rho.len(), x.len());
+        StepTail::Axpy(coeff, rho, rows) => {
+            assert!(rho.len() == x.len() && 4 * rows.len() == x.len());
             step_rows(a, gain, x, prev, out, |i, o, _| {
+                if !rows[i] {
+                    return;
+                }
                 for (rho_row, o_row) in rho[4 * i..4 * i + 4].iter_mut().zip(o) {
                     for c in 0..4 {
                         rho_row[c] = fmadd(coeff, o_row[c], rho_row[c]);
@@ -1078,7 +1082,7 @@ mod tests {
             .map(|i| std::array::from_fn(|c| (i as f64 - 1.5 * c as f64) * 0.3))
             .collect();
         let mut rho = rho0.clone();
-        let out = fx.step(StepTail::Axpy(coeff, &mut rho));
+        let out = fx.step(StepTail::Axpy(coeff, &mut rho, &[true; 3]));
         assert_eq!(bits(&out), bits(&plain), "ρ tail moved `out`");
         for ((got, r0), o) in rho.iter().zip(&rho0).zip(&plain) {
             for c in 0..4 {
@@ -1206,9 +1210,22 @@ mod tests {
                 "gain {gain}: dots"
             );
             let mut rho = rho0.clone();
-            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, StepTail::Axpy(-0.7, &mut rho));
+            let every = vec![true; slots];
+            let tail = StepTail::Axpy(-0.7, &mut rho, &every);
+            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, tail);
             assert_eq!(bits(&out), bits(&want), "gain {gain}: ρ tail");
             assert_eq!(bits(&rho), bits(&want_rho), "gain {gain}: ρ");
+            // A mask leaves its rows the full tail's bits and the others as
+            // they were.
+            let rows: Vec<bool> = (0..slots).map(|i| i % 3 != 1).collect();
+            let mut masked = rho0.clone();
+            let tail = StepTail::Axpy(-0.7, &mut masked, &rows);
+            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, tail);
+            assert_eq!(bits(&out), bits(&want), "gain {gain}: masked ρ tail");
+            for (r, row) in masked.iter().enumerate() {
+                let expect = if rows[r / 4] { want_rho[r] } else { rho0[r] };
+                assert_eq!(row.map(f64::to_bits), expect.map(f64::to_bits), "row {r}");
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 //! (1994) linear-scaling TBMD scheme this crate reproduces.
 
 use crate::sparse::{LocalRegion, SparseH};
-use tbmd_linalg::kernels::{bsr4_chebyshev_step, Bsr4, Row4, Rows64, StepTail};
+use tbmd_linalg::kernels::{bsr4_chebyshev_step, Row4, Rows64, StepTail};
 
 /// The `2m` Chebyshev–Gauss nodes `θ_j = π(j + ½)/2m` of an order-`m`
 /// expansion with every `cos(kθ_j)` they need: `kθ_j` is a multiple of
@@ -304,9 +304,12 @@ pub fn solve_mu(moments: &[f64], shift: f64, scale: f64, kt: f64, n_electrons: f
 /// localization region, advancing the four orbital columns of one atom
 /// together as a row-major multivector.
 pub struct BlockRecurrence<'r> {
-    region: &'r LocalRegion,
-    /// The region's diagonal less the spectral shift: with the region's
-    /// blocks, `scale · H̃`.
+    region: &'r LocalRegion<'r>,
+    /// The region's blocks, gathered from its `SparseH` when the recurrence
+    /// starts ([`LocalRegion::gather`]).
+    blocks: Rows64,
+    /// The region's diagonal less the spectral shift: with the blocks,
+    /// `scale · H̃`.
     on_site: Rows64,
     /// Seed columns: `T₀` holds one unit entry in each.
     n_cols: usize,
@@ -324,7 +327,7 @@ impl<'r> BlockRecurrence<'r> {
     /// whose first padded row is `row0` (column ν starts at row `row0 + ν`;
     /// columns beyond `n_cols` stay zero).
     pub fn new(
-        region: &'r LocalRegion,
+        region: &'r LocalRegion<'r>,
         row0: usize,
         n_cols: usize,
         shift: f64,
@@ -335,10 +338,11 @@ impl<'r> BlockRecurrence<'r> {
         for nu in 0..n_cols {
             cur.rows_mut()[row0 + nu][nu] = 1.0;
         }
-        let shifted = |d: &[f64; 4]| d.map(|e| e - shift);
+        let (blocks, on_site) = region.gather(shift);
         BlockRecurrence {
             region,
-            on_site: region.operator().diag.iter().map(shifted).collect(),
+            blocks,
+            on_site,
             n_cols,
             scale,
             prev: Rows64::zeroed(n),
@@ -366,10 +370,7 @@ impl<'r> BlockRecurrence<'r> {
     /// Step `k → k + 1`, `tail` fed the rows of `T_{k+1}` (and of `T_k`) as
     /// the kernel finishes them.
     fn step(&mut self, tail: StepTail<'_>) {
-        let shifted = Bsr4 {
-            diag: self.on_site.rows(),
-            ..self.region.operator()
-        };
+        let shifted = self.region.operator(&self.blocks, self.on_site.rows());
         let gain = self.factor / self.scale;
         let (x, prev) = (self.cur.rows(), self.prev.rows());
         bsr4_chebyshev_step(shifted, gain, x, prev, self.next.rows_mut(), tail);
@@ -407,16 +408,17 @@ impl<'r> BlockRecurrence<'r> {
     }
 
     /// The density-matrix columns `2(½c₀ T₀ + Σ_{k≥1} c_k T_k)` of the seed
-    /// (spin factor included), in `coeffs.len() − 1` steps, each adding its
-    /// term to ρ as it goes ([`StepTail::Axpy`]).
-    pub fn density_columns(mut self, coeffs: &[f64]) -> Vec<Row4> {
+    /// (spin factor included) on the block rows `i` with `rows[i]` set, in
+    /// `coeffs.len() − 1` steps, each adding its term to ρ as it goes
+    /// ([`StepTail::Axpy`]). The other rows keep `c₀ T₀`.
+    pub fn density_columns(mut self, coeffs: &[f64], rows: &[bool]) -> Vec<Row4> {
         let mut rho: Vec<Row4> = self
             .current()
             .iter()
             .map(|t| t.map(|v| coeffs[0] * v))
             .collect();
         for &ck in &coeffs[1..] {
-            self.step(StepTail::Axpy(2.0 * ck, &mut rho));
+            self.step(StepTail::Axpy(2.0 * ck, &mut rho, rows));
         }
         rho
     }

@@ -16,8 +16,8 @@ use crate::engine::{AtomRegion, LinearScalingTb};
 use crate::sparse::SparseH;
 use std::sync::{Mutex, PoisonError};
 use tbmd_model::{
-    bond_force, validate, BondTable, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
-    TbError, Workspace,
+    bond_force, validate, BondTable, ForceEvaluation, ForceProvider, KeptCandidates, OrbitalIndex,
+    PhaseTimings, TbError, Workspace,
 };
 use tbmd_parallel::{gather_forces, partition_range, PhaseClock, RankControl, Replica, VmpStats};
 use tbmd_structure::Structure;
@@ -43,6 +43,8 @@ struct LinScaleRankSlot {
     replica: Replica,
     /// The radial terms of the replica's list and every atom's embedding.
     bonds: BondTable,
+    /// Region candidates of the replica.
+    regions: KeptCandidates,
     /// This rank's force block.
     forces_block: Vec<f64>,
 }
@@ -133,9 +135,10 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
 
                 // ---- Moment pass over my atoms, guarded after the allreduce
                 // (every rank sees the same global moments and decides alike).
+                slot.regions.update(local, r_loc);
                 let regions: Vec<AtomRegion> = my_atoms
                     .clone()
-                    .map(|a| AtomRegion::build(local, &index, &h, a, r_loc))
+                    .map(|a| AtomRegion::new(local, &h, &slot.regions, a, r_loc))
                     .collect();
                 let (win, moments) = first.guarded(&h, order, |w| {
                     let mut moments = vec![0.0; w.order];
@@ -158,7 +161,7 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 let mut rep_partial = 0.0;
                 slot.forces_block.clear();
                 for (region, a) in regions.iter().zip(my_atoms.clone()) {
-                    let density = region.density(nl, &index, &fermi.coeffs, win);
+                    let density = region.density(nl, &fermi.coeffs, win);
                     rank.count_flops(2 * region.step_ops(win.order - 1));
                     band_partial += density.band;
                     rep_partial += slot.bonds.embedding(a).0;

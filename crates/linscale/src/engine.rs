@@ -13,9 +13,10 @@
 //!
 //! Accuracy knobs: `order` is a ceiling. On the window of a 30-step Lanczos
 //! estimate of the spectrum ([`window`]) the engine runs
-//! `K = min(order, ⌈c·scale/(π·kT)⌉)` steps, ≈ 175 at Si-216 and kT 0.2 eV;
-//! if an even moment then exceeds the orbital count, the moment pass reruns
-//! on the Gershgorin window at `order`. `r_loc` sets the density-matrix
+//! `K = min(order, ⌈c·scale/(π·kT)⌉)` steps, ≈ 175 at Si-216 and kT 0.2 eV,
+//! so raising `order` past K changes nothing; if an even moment then exceeds
+//! the orbital count, the moment pass reruns on the Gershgorin window at
+//! `order`. `r_loc` sets the density-matrix
 //! truncation (exponentially convergent for gapped systems — Si diamond is
 //! the friendly case, metals are not; that is the method's physics).
 //!
@@ -33,8 +34,8 @@ use std::sync::{Mutex, PoisonError};
 use tbmd_linalg::kernels::Block4;
 use tbmd_linalg::{team, Vec3};
 use tbmd_model::{
-    bond_force, prologue, validate, ForceEvaluation, ForceProvider, OrbitalIndex, PhaseTimings,
-    TbError, TbModel, Workspace,
+    bond_force, prologue, validate, ForceEvaluation, ForceProvider, KeptCandidates, OrbitalIndex,
+    PhaseTimings, TbError, TbModel, Workspace,
 };
 use tbmd_structure::{NeighborList, Structure};
 
@@ -47,8 +48,10 @@ pub struct LinScaleReport {
     pub electron_count: f64,
     /// Mermin correction `−T_e S` included in the reported energy (eV).
     pub entropy_term: f64,
-    /// Sum of localization-region orbital counts (the memory footprint).
+    /// Sum of localization-region orbital counts.
     pub total_region_orbitals: usize,
+    /// Heap bytes of the regions' index views (they hold no block values).
+    pub region_bytes: usize,
     /// Multiply-adds executed by the block recurrence in the moment and
     /// density passes together — the O(N) cost metric.
     pub total_matvec_ops: u64,
@@ -62,13 +65,17 @@ pub struct LinearScalingTb<'m> {
     /// Electronic temperature (eV); must be positive — the expansion cannot
     /// represent a step function.
     pub kt: f64,
-    /// Ceiling on the Chebyshev order ([`window`]; all of it on the
-    /// Gershgorin window if the moment guard trips).
+    /// Ceiling on the Chebyshev order: an evaluation runs the order its
+    /// [`window`] derives, and raising the ceiling past that changes
+    /// nothing (all of it runs on the Gershgorin window if the moment guard
+    /// trips).
     pub order: usize,
     /// Localization radius (Å); `f64::INFINITY` disables truncation.
     pub r_loc: f64,
     /// [`window`]: a crate test plants a narrower one to trip the guard.
     pub(crate) window: fn(&SparseH, f64, usize) -> Window,
+    /// Region candidates kept across evaluations.
+    regions: Mutex<KeptCandidates>,
     last_report: Mutex<Option<LinScaleReport>>,
 }
 
@@ -82,6 +89,7 @@ impl<'m> LinearScalingTb<'m> {
             order: 350,
             r_loc: f64::INFINITY,
             window,
+            regions: Mutex::default(),
             last_report: Mutex::new(None),
         }
     }
@@ -93,7 +101,8 @@ impl<'m> LinearScalingTb<'m> {
         self
     }
 
-    /// Set the ceiling on the Chebyshev order.
+    /// Set the ceiling on the Chebyshev order ([`LinearScalingTb::order`]):
+    /// past the order the window derives it changes nothing.
     pub fn with_order(mut self, order: usize) -> Self {
         assert!(order >= 8);
         self.order = order;
@@ -116,39 +125,43 @@ impl<'m> LinearScalingTb<'m> {
     }
 }
 
+/// The members of `center`'s region at the positions of `s`, ascending: the
+/// centre, and those of its `candidates` (kept at `r_loc`) within `r_loc` of
+/// it at the minimum-image distance.
+pub(crate) fn members(s: &Structure, c: &KeptCandidates, center: usize, r_loc: f64) -> Vec<u32> {
+    let every = || (0..s.n_atoms() as u32).collect();
+    let mut members: Vec<u32> = c.of(center).map_or_else(every, <[u32]>::to_vec);
+    members.retain(|&a| a as usize == center || s.distance(center, a as usize) <= r_loc);
+    members
+}
+
 /// One atom's localization region with the recurrence seeded at its
 /// orbitals — the unit of work both engines distribute.
-pub(crate) struct AtomRegion {
-    region: LocalRegion,
+pub(crate) struct AtomRegion<'h> {
+    region: LocalRegion<'h>,
     /// The centre atom, its first padded row and its orbital count.
     atom: usize,
     row0: usize,
     n_orbitals: usize,
 }
 
-impl AtomRegion {
-    pub(crate) fn build(
+impl<'h> AtomRegion<'h> {
+    /// The region of `atom` over the members `candidates` picks at `s`.
+    pub(crate) fn new(
         s: &Structure,
-        index: &OrbitalIndex,
-        h: &SparseH,
+        h: &'h SparseH,
+        candidates: &KeptCandidates,
         atom: usize,
         r_loc: f64,
     ) -> Self {
-        let region = LocalRegion::build(s, index, h, atom, r_loc);
-        let row0 = region
-            .local_index(index.offset(atom))
-            .expect("centre inside its region");
+        let region = LocalRegion::new(h, members(s, candidates, atom, r_loc));
+        let row0 = 4 * region.slot(atom).expect("centre inside its region");
         AtomRegion {
             region,
             atom,
             row0,
             n_orbitals: s.species(atom).n_orbitals(),
         }
-    }
-
-    /// Orbitals in the region.
-    pub(crate) fn len(&self) -> usize {
-        self.region.len()
     }
 
     /// Multiply-adds of `steps` recurrence steps: all four columns run,
@@ -168,15 +181,9 @@ impl AtomRegion {
     }
 
     /// Density pass (`coeffs.len() − 1` steps): band-energy contribution and
-    /// local ρ blocks from this atom's Chebyshev ρ columns.
-    pub(crate) fn density(
-        &self,
-        nl: &NeighborList,
-        index: &OrbitalIndex,
-        coeffs: &[f64],
-        w: Window,
-    ) -> AtomDensity {
-        let rho = self.recurrence(w).density_columns(coeffs);
+    /// local ρ blocks from this atom's Chebyshev ρ columns, accumulated only
+    /// on the block rows read here: the centre's and its neighbours'.
+    pub(crate) fn density(&self, nl: &NeighborList, coeffs: &[f64], w: Window) -> AtomDensity {
         // Distinct neighbour atoms (images of a pair share a block).
         let mut neighbor_atoms: Vec<usize> = nl
             .neighbors(self.atom)
@@ -186,12 +193,22 @@ impl AtomRegion {
             .collect();
         neighbor_atoms.sort_unstable();
         neighbor_atoms.dedup();
+        // The centre's block row has no column outside these.
+        let slots: Vec<_> = neighbor_atoms
+            .iter()
+            .map(|&j| self.region.slot(j))
+            .collect();
+        let mut rows = vec![false; self.region.padded_len() / 4];
+        for &slot in slots.iter().flatten().chain([&(self.row0 / 4)]) {
+            rows[slot] = true;
+        }
+        let rho = self.recurrence(w).density_columns(coeffs, &rows);
         // Padded row `r_j + β`, column ν of `rho` is ρ[o_j+β, o_a+ν]; a
         // neighbour outside the region has no density.
-        let blocks = neighbor_atoms
+        let blocks = slots
             .iter()
-            .map(|&j| match self.region.local_index(index.offset(j)) {
-                Some(rj) => [rho[rj], rho[rj + 1], rho[rj + 2], rho[rj + 3]],
+            .map(|slot| match slot {
+                Some(sj) => std::array::from_fn(|beta| rho[4 * sj + beta]),
                 None => [[0.0; 4]; 4],
             })
             .collect();
@@ -233,9 +250,10 @@ impl ForceProvider for LinearScalingTb<'_> {
     }
 
     /// Workspace-threaded evaluation. Only the neighbour machinery is
-    /// amortized here (the Chebyshev recurrence buffers are per-atom and
-    /// per-thread); the kept list is bit for bit a fresh build, so results
-    /// are identical to the cold path.
+    /// amortized here, with the engine's region candidates (the Chebyshev
+    /// recurrence buffers are per-atom and per-thread); the kept list is bit
+    /// for bit a fresh build and the members are picked by the same rule,
+    /// so results are identical to the cold path.
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
         validate(self.model, s)?;
         // O(N) path: no dense eigenpairs ever land in this workspace.
@@ -255,9 +273,13 @@ impl ForceProvider for LinearScalingTb<'_> {
         let first = (self.window)(&h, self.kt, self.order);
         // Localization regions, one per atom (shared by its 4 columns).
         let width = team::width();
+        // An update cut short leaves the previous candidates and reference.
+        let mut candidates = self.regions.lock().unwrap_or_else(PoisonError::into_inner);
+        candidates.update(s, self.r_loc);
         let regions: Vec<AtomRegion> = team::map(width, n_atoms, |a| {
-            AtomRegion::build(s, &index, &h, a, self.r_loc)
+            AtomRegion::new(s, &h, &candidates, a, self.r_loc)
         });
+        drop(candidates);
         timings.hamiltonian = sp.finish();
 
         // ---- Moment pass: diagonal Chebyshev moments M_k = Σ_j T_k(H̃)_jj,
@@ -283,7 +305,7 @@ impl ForceProvider for LinearScalingTb<'_> {
         // ---- Density pass: ρ columns, band energy, local ρ blocks.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
         let densities: Vec<AtomDensity> = team::map(width, n_atoms, |a| {
-            regions[a].density(nl, &index, &fermi.coeffs, win)
+            regions[a].density(nl, &fermi.coeffs, win)
         });
         let band_energy: f64 = densities.iter().map(|d| d.band).sum();
         // order/2 moment steps + order − 1 density steps, one matvec per
@@ -313,7 +335,8 @@ impl ForceProvider for LinearScalingTb<'_> {
             mu: fermi.mu,
             electron_count: fermi.electron_count,
             entropy_term: fermi.entropy_term,
-            total_region_orbitals: regions.iter().map(AtomRegion::len).sum(),
+            total_region_orbitals: regions.iter().map(|r| r.region.len()).sum(),
+            region_bytes: regions.iter().map(|r| r.region.bytes()).sum(),
             total_matvec_ops,
             window: win,
         });
@@ -500,6 +523,34 @@ mod tests {
         assert!((on_ranks.energy - fallback.energy).abs() < 1e-12);
         for (a, b) in on_ranks.forces.iter().zip(&fallback.forces) {
             assert!((*a - *b).max_abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn the_density_pass_keeps_the_full_tail_bits_on_the_bond_rows() {
+        let model = silicon_gsp();
+        let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
+        s.perturb(&mut StdRng::seed_from_u64(23), 0.05);
+        let nl = NeighborList::build(&s, model.cutoff());
+        let index = OrbitalIndex::new(&s);
+        let h = SparseH::build(&s, &nl, &model, &index);
+        let w = window(&h, 0.2, 120);
+        let coeffs: Vec<f64> = (0..w.order).map(|k| 1.0 / (1 + k) as f64).collect();
+        let mut candidates = KeptCandidates::default();
+        candidates.update(&s, 6.0);
+        let bits = |b: &Block4| b.map(|r| r.map(f64::to_bits));
+        for atom in [0, 17, 63] {
+            let region = AtomRegion::new(&s, &h, &candidates, atom, 6.0);
+            let every = vec![true; region.region.padded_len() / 4];
+            let full = region.recurrence(w).density_columns(&coeffs, &every);
+            let masked = region.density(&nl, &coeffs, w);
+            let band = region.region.block_row_trace(region.row0, &full);
+            assert_eq!(masked.band.to_bits(), band.to_bits(), "atom {atom}");
+            for (e, &j) in masked.neighbor_atoms.iter().enumerate() {
+                let rj = region.region.local_index(index.offset(j)).unwrap();
+                let want: Block4 = std::array::from_fn(|beta| full[rj + beta]);
+                assert_eq!(bits(&masked.blocks[e]), bits(&want), "atom {atom}, {j}");
+            }
         }
     }
 

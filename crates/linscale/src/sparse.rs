@@ -6,21 +6,43 @@
 //! module builds the matrix straight from a neighbour list as 4×4 blocks,
 //! one per coupled atom pair, beside the on-site diagonal — the layout the
 //! Chebyshev block recurrence consumes — and restricts it to per-atom
-//! localization regions by copying the blocks whose atoms lie inside.
+//! localization regions as index views into that one matrix.
+//!
+//! A region holds no copy of H (copies held 33× the entries of the
+//! `SparseH` at Si-216, r_loc 6 Å: 4.45 MB). A recurrence gathers its
+//! region's blocks into a buffer of its own, so one region's blocks are
+//! live per thread. Reading them through the index inside the kernel gave
+//! the same bits 5–8 % slower per step on that region (moment step 956 →
+//! 1006 ns, density step 816 → 888 ns), so the gather stays.
 
+use crate::engine::members;
+use std::cell::RefCell;
 use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, Rows64, StepTail};
 use tbmd_linalg::{tqli, Matrix};
-use tbmd_model::{sk_block, BondTable, OrbitalIndex, TbModel};
+use tbmd_model::{sk_block, BondTable, KeptCandidates, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
 
-/// Block rows over padded four-row slots, one slot per atom, with the
-/// diagonal held apart: the storage of [`SparseH`] and of every
-/// [`LocalRegion`], and what the block kernel reads ([`Bsr4`]).
-///
+/// `Σ_r x[r][c]·y[r][c]` for each column `c`.
+fn column_dots(x: &[Row4], y: &[Row4]) -> [f64; 4] {
+    std::array::from_fn(|c| x.iter().zip(y).map(|(a, b)| a[c] * b[c]).sum())
+}
+
+/// `x[r][c] *= f[c]`.
+fn scale_columns(x: &mut [Row4], f: [f64; 4]) {
+    for r in x {
+        *r = std::array::from_fn(|c| r[c] * f[c]);
+    }
+}
+
+/// The Γ-point tight-binding Hamiltonian in the block layout of its
+/// localization regions: block rows over padded four-row slots, one slot per
+/// atom, one 4×4 block per neighbour atom with non-zero hoppings, the
+/// on-site diagonal held apart — what the block kernel reads ([`Bsr4`]).
 /// Rows `4·slot + k` with `k ≥ n_orbitals` of the slot's atom are
 /// identically zero, so one block kernel serves every species.
 #[derive(Debug, Clone)]
-struct BlockRows {
+pub struct SparseH {
+    index: OrbitalIndex,
     /// Blocks of slot `i` are `block_ptr[i]..block_ptr[i + 1]`.
     block_ptr: Vec<u32>,
     /// Column slot of each block, ascending within a block row.
@@ -33,14 +55,15 @@ struct BlockRows {
     diag: Rows64,
 }
 
-impl BlockRows {
-    /// No block rows yet, room for `slots` of them and `blocks` blocks.
-    fn with_capacity(slots: usize, blocks: usize) -> Self {
-        BlockRows {
+impl SparseH {
+    /// No block rows yet.
+    fn empty(index: &OrbitalIndex) -> Self {
+        SparseH {
+            index: index.clone(),
             block_ptr: vec![0],
-            block_col: Vec::with_capacity(blocks),
-            blocks: Rows64::with_capacity(4 * blocks),
-            diag: Rows64::with_capacity(slots),
+            block_col: Vec::new(),
+            blocks: Rows64::default(),
+            diag: Rows64::default(),
         }
     }
 
@@ -67,45 +90,6 @@ impl BlockRows {
         self.diag.rows()
     }
 
-    /// Stored entries: 16 per block, structural zeros and padding included,
-    /// plus the 4 diagonal entries of each slot.
-    fn nnz(&self) -> usize {
-        16 * self.block_col.len() + 4 * self.diag().len()
-    }
-
-    /// The operator as the block kernel takes it.
-    fn operator(&self) -> Bsr4<'_> {
-        Bsr4 {
-            block_ptr: &self.block_ptr,
-            block_col: &self.block_col,
-            blocks: self.blocks.blocks(),
-            diag: self.diag(),
-        }
-    }
-}
-
-/// `Σ_r x[r][c]·y[r][c]` for each column `c`.
-fn column_dots(x: &[Row4], y: &[Row4]) -> [f64; 4] {
-    std::array::from_fn(|c| x.iter().zip(y).map(|(a, b)| a[c] * b[c]).sum())
-}
-
-/// `x[r][c] *= f[c]`.
-fn scale_columns(x: &mut [Row4], f: [f64; 4]) {
-    for r in x {
-        *r = std::array::from_fn(|c| r[c] * f[c]);
-    }
-}
-
-/// The Γ-point tight-binding Hamiltonian in the block layout of its
-/// localization regions: one padded slot per atom, one 4×4 block per
-/// neighbour atom with non-zero hoppings, the on-site diagonal beside them.
-#[derive(Debug, Clone)]
-pub struct SparseH {
-    index: OrbitalIndex,
-    h: BlockRows,
-}
-
-impl SparseH {
     /// [`SparseH::assemble`] on a bond table of its own: the signature the
     /// standalone benchmark package calls.
     pub fn build(
@@ -131,7 +115,7 @@ impl SparseH {
         bonds: &BondTable,
         index: &OrbitalIndex,
     ) -> Self {
-        let mut h = BlockRows::with_capacity(s.n_atoms(), 0);
+        let mut h = SparseH::empty(index);
         let mut row: Vec<(u32, Block4)> = Vec::new();
         for i in 0..s.n_atoms() {
             let ni = index.n_orbitals(i);
@@ -165,10 +149,7 @@ impl SparseH {
             row.sort_unstable_by_key(|r| r.0);
             h.push(diag, row.iter().copied());
         }
-        SparseH {
-            index: index.clone(),
-            h,
-        }
+        h
     }
 
     /// Dimension.
@@ -178,21 +159,21 @@ impl SparseH {
 
     /// Stored entries (see [`LocalRegion::nnz`]).
     pub fn nnz(&self) -> usize {
-        self.h.nnz()
+        16 * self.block_col.len() + 4 * self.diag().len()
     }
 
     /// Entry `(i, j)` (O(atoms): a lookup for tests and diagnostics).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let atom_of = |orbital: usize| {
-            let mut atoms = (0..self.h.diag().len()).rev();
+            let mut atoms = (0..self.diag().len()).rev();
             let a = atoms.find(|&a| self.index.offset(a) <= orbital).unwrap();
             (a, orbital - self.index.offset(a))
         };
         let ((a, mu), (b, nu)) = (atom_of(i), atom_of(j));
         if i == j {
-            return self.h.diag()[a][mu];
+            return self.diag()[a][mu];
         }
-        let mut blocks = self.h.row(a);
+        let mut blocks = self.row(a);
         blocks
             .find(|&(c, _)| c == b)
             .map_or(0.0, |(_, block)| block[mu][nu])
@@ -203,15 +184,15 @@ impl SparseH {
     /// blocks hold on the diagonal add nothing); padded rows and columns are
     /// no part of the matrix and are skipped.
     pub fn gershgorin_bounds(&self) -> (f64, f64) {
-        if self.h.diag().is_empty() {
+        if self.diag().is_empty() {
             return (0.0, 0.0);
         }
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for (a, diag) in self.h.diag().iter().enumerate() {
+        for (a, diag) in self.diag().iter().enumerate() {
             for (mu, &d) in diag.iter().enumerate().take(self.index.n_orbitals(a)) {
                 let mut radius = 0.0;
-                for (c, block) in self.h.row(a) {
+                for (c, block) in self.row(a) {
                     for &x in &block[mu][..self.index.n_orbitals(c)] {
                         radius += x.abs();
                     }
@@ -228,7 +209,12 @@ impl SparseH {
     /// a fixed pseudo-random start, zero on padded rows), each widened by its
     /// residual `β_k·|z_{i,k−1}|`. `None` if QL fails.
     pub fn lanczos_bounds(&self) -> Option<(f64, f64)> {
-        let a = self.h.operator();
+        let a = Bsr4 {
+            block_ptr: &self.block_ptr,
+            block_col: &self.block_col,
+            blocks: self.blocks.blocks(),
+            diag: self.diag(),
+        };
         let n = 4 * a.diag.len();
         let (mut cur, mut state) = (Rows64::zeroed(n), 0x9e37_79b9_7f4a_7c15u64);
         for (r, row) in cur.rows_mut().iter_mut().enumerate() {
@@ -280,88 +266,151 @@ impl SparseH {
     }
 }
 
-/// A localization region: the orbitals of all atoms within `r_loc` of a
-/// centre atom, and the Hamiltonian restricted to them as flat 4×4 blocks
-/// (BSR) beside its diagonal ([`Bsr4`]).
-///
-/// Every atom of the region owns one *slot* — four consecutive rows of the
-/// padded local space — whatever its orbital count, so one block kernel
-/// serves every species: rows `4·slot + k` with `k ≥ n_orbitals` are
-/// identically zero in the operator and stay zero in every iterate.
-#[derive(Debug, Clone)]
-pub struct LocalRegion {
-    /// Global orbital indices inside the region, ascending.
-    pub orbitals: Vec<usize>,
-    /// Padded local row `4·slot + k` of each entry of `orbitals`.
-    rows: Vec<u32>,
-    h: BlockRows,
+thread_local! {
+    /// The slot of each atom in the region [`LocalRegion::new`] is building
+    /// on this thread, `u32::MAX` for every atom outside it (and for all of
+    /// them between builds): one lookup per block instead of a search.
+    static SLOTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
 
-impl LocalRegion {
-    /// Build the region of atoms within `r_loc` (minimum-image distance) of
-    /// `center_atom`. An infinite/huge radius reproduces the full system.
-    /// Each member atom's block row is copied from `h`, keeping the blocks
-    /// whose column atom is a member.
+/// A localization region: the atoms within `r_loc` of a centre atom
+/// (minimum-image distance), and an index view of the Hamiltonian restricted to
+/// them. It holds no block values, only the `(local column slot, SparseH
+/// block)` pairs of each member's blocks whose column atom is a member; a
+/// recurrence gathers the blocks into buffers of its own
+/// ([`BlockRecurrence`](crate::BlockRecurrence)).
+///
+/// Every member owns one *slot* — four consecutive rows of the padded local
+/// space — whatever its orbital count, so one block kernel serves every
+/// species: rows `4·slot + k` with `k ≥ n_orbitals` are identically zero in
+/// the operator and stay zero in every iterate.
+#[derive(Debug, Clone)]
+pub struct LocalRegion<'h> {
+    h: &'h SparseH,
+    /// The atom of each slot (whose diagonal the slot takes), ascending.
+    atoms: Vec<u32>,
+    /// Blocks of slot `i` are `block_ptr[i]..block_ptr[i + 1]`.
+    block_ptr: Vec<u32>,
+    /// Column slot of each block, ascending within a block row.
+    block_col: Vec<u32>,
+    /// Index of each block in `h`.
+    block_src: Vec<u32>,
+}
+
+impl<'h> LocalRegion<'h> {
+    /// The region of `center_atom` over the atoms a scan of every atom
+    /// finds within `r_loc`; an infinite radius gives the full system. The
+    /// engines pick members from kept candidates (`LocalRegion::new`); this
+    /// is the signature the standalone benchmark package calls.
     pub fn build(
         s: &Structure,
-        index: &OrbitalIndex,
-        h: &SparseH,
+        _index: &OrbitalIndex,
+        h: &'h SparseH,
         center_atom: usize,
         r_loc: f64,
     ) -> Self {
-        // Atoms ascend, and so do their orbital offsets and slots.
-        let members: Vec<usize> = (0..s.n_atoms())
-            .filter(|&a| a == center_atom || s.distance(center_atom, a) <= r_loc)
-            .collect();
-        // The blocks whose column atom is a member, counted first so the
-        // region's rows are allocated once, exactly.
-        let inside = |a: usize| {
-            let members = &members;
-            h.h.row(a).filter_map(move |(c, block)| {
-                Some((members.binary_search(&c).ok()? as u32, *block))
-            })
-        };
-        let n_blocks = members.iter().map(|&a| inside(a).count()).sum();
-        let mut region = LocalRegion {
-            orbitals: Vec::new(),
-            rows: Vec::new(),
-            h: BlockRows::with_capacity(members.len(), n_blocks),
-        };
-        for (slot, &a) in members.iter().enumerate() {
-            for k in 0..index.n_orbitals(a) {
-                region.orbitals.push(index.offset(a) + k);
-                region.rows.push((4 * slot + k) as u32);
+        let every_atom = KeptCandidates::default();
+        LocalRegion::new(h, members(s, &every_atom, center_atom, r_loc))
+    }
+
+    /// The view of `h` over the member atoms `atoms` (ascending): each
+    /// member's blocks whose column atom is a member, found through the
+    /// thread's slot map ([`SLOTS`]).
+    pub(crate) fn new(h: &'h SparseH, atoms: Vec<u32>) -> Self {
+        let row = |a: u32| h.block_ptr[a as usize]..h.block_ptr[a as usize + 1];
+        let most = atoms.iter().map(|&a| row(a).len()).sum();
+        let (mut block_ptr, mut k) = (Vec::with_capacity(atoms.len() + 1), 0);
+        let (mut block_col, mut block_src) = (vec![0; most], vec![0; most]);
+        block_ptr.push(0);
+        SLOTS.with_borrow_mut(|slots| {
+            slots.resize(h.diag().len(), u32::MAX);
+            for (slot, &a) in atoms.iter().enumerate() {
+                slots[a as usize] = slot as u32;
             }
-            region.h.push(h.h.diag()[a], inside(a));
+            // Branch-free: every block is written, and the count moves past
+            // the members' blocks only.
+            for &a in &atoms {
+                for b in row(a) {
+                    (block_col[k], block_src[k]) = (slots[h.block_col[b as usize] as usize], b);
+                    k += (block_col[k] != u32::MAX) as usize;
+                }
+                block_ptr.push(k as u32);
+            }
+            atoms.iter().for_each(|&a| slots[a as usize] = u32::MAX);
+        });
+        block_col.truncate(k);
+        block_src.truncate(k);
+        LocalRegion {
+            h,
+            atoms,
+            block_ptr,
+            block_col,
+            block_src,
         }
-        region
+    }
+
+    /// Global orbital indices inside the region, ascending.
+    pub fn orbitals(&self) -> Vec<usize> {
+        let (index, atoms) = (&self.h.index, self.atoms.iter().map(|&a| a as usize));
+        atoms
+            .flat_map(|a| index.offset(a)..index.offset(a) + index.n_orbitals(a))
+            .collect()
     }
 
     /// Number of orbitals in the region.
     pub fn len(&self) -> usize {
-        self.orbitals.len()
+        self.atoms
+            .iter()
+            .map(|&a| self.h.index.n_orbitals(a as usize))
+            .sum()
     }
 
     /// True for an empty region (never happens for a valid centre).
     pub fn is_empty(&self) -> bool {
-        self.orbitals.is_empty()
+        self.atoms.is_empty()
     }
 
     /// Rows of the padded local space (four per atom): the length of every
     /// multivector the region operator acts on.
     pub fn padded_len(&self) -> usize {
-        4 * self.h.diag().len()
+        4 * self.atoms.len()
+    }
+
+    /// The slot of a member atom.
+    pub(crate) fn slot(&self, atom: usize) -> Option<usize> {
+        self.atoms.binary_search(&(atom as u32)).ok()
     }
 
     /// Padded local row of a global orbital, if inside.
     pub fn local_index(&self, global: usize) -> Option<usize> {
-        let l = self.orbitals.binary_search(&global).ok()?;
-        Some(self.rows[l] as usize)
+        let index = &self.h.index;
+        let slot = self
+            .atoms
+            .partition_point(|&a| index.offset(a as usize) <= global)
+            .checked_sub(1)?;
+        let k = global - index.offset(self.atoms[slot] as usize);
+        (k < index.n_orbitals(self.atoms[slot] as usize)).then_some(4 * slot + k)
     }
 
-    /// The restricted Hamiltonian `P A Pᵀ` as the block kernel takes it.
-    pub(crate) fn operator(&self) -> Bsr4<'_> {
-        self.h.operator()
+    /// The region's blocks and the diagonal of each slot less `shift`,
+    /// gathered from its [`SparseH`] into buffers of their own.
+    pub(crate) fn gather(&self, shift: f64) -> (Rows64, Rows64) {
+        let mut blocks = Rows64::with_capacity(4 * self.block_src.len());
+        let all = self.h.blocks.blocks();
+        blocks.extend(self.block_src.iter().flat_map(|&b| all[b as usize]));
+        let diag = self.atoms.iter().map(|&a| self.h.diag()[a as usize]);
+        (blocks, diag.map(|d| d.map(|e| e - shift)).collect())
+    }
+
+    /// The restricted Hamiltonian `P A Pᵀ` as the block kernel takes it, on
+    /// the `blocks` of [`LocalRegion::gather`] and a slot diagonal `diag`.
+    pub(crate) fn operator<'a>(&'a self, blocks: &'a Rows64, diag: &'a [[f64; 4]]) -> Bsr4<'a> {
+        Bsr4 {
+            block_ptr: &self.block_ptr,
+            block_col: &self.block_col,
+            blocks: blocks.blocks(),
+            diag,
+        }
     }
 
     /// `P A Pᵀ x` for a four-column multivector of
@@ -370,21 +419,28 @@ impl LocalRegion {
     pub fn apply(&self, x: &[Row4]) -> Vec<Row4> {
         let zero = vec![[0.0; 4]; x.len()];
         let mut out = zero.clone();
-        kernels::bsr4_chebyshev_step(self.operator(), 1.0, x, &zero, &mut out, StepTail::None);
+        let (blocks, diag) = self.gather(0.0);
+        let a = self.operator(&blocks, diag.rows());
+        kernels::bsr4_chebyshev_step(a, 1.0, x, &zero, &mut out, StepTail::None);
         out
     }
 
     /// `Σ_ν (P A Pᵀ x)[row0 + ν][ν]` over the four columns of `x`, where
     /// `row0` is the first padded row of an atom: with `x` that atom's ρ
-    /// columns this is its share of the band energy `Tr ρH`.
+    /// columns this is its share of the band energy `Tr ρH`. Reads the
+    /// block row straight from the [`SparseH`].
     pub fn block_row_trace(&self, row0: usize, x: &[Row4]) -> f64 {
         let slot = row0 / 4;
         let mut acc = 0.0;
-        for (nu, d) in self.h.diag()[slot].iter().enumerate() {
+        for (nu, d) in self.h.diag()[self.atoms[slot] as usize].iter().enumerate() {
             acc += d * x[row0 + nu][nu];
         }
-        for (j, a) in self.h.row(slot) {
-            let xb = &x[4 * j..4 * j + 4];
+        let range = self.block_ptr[slot] as usize..self.block_ptr[slot + 1] as usize;
+        for (&j, &b) in self.block_col[range.clone()]
+            .iter()
+            .zip(&self.block_src[range])
+        {
+            let (a, xb) = (&self.h.blocks.blocks()[b as usize], &x[4 * j as usize..]);
             for nu in 0..4 {
                 for k in 0..4 {
                     acc += a[nu][k] * xb[k][nu];
@@ -399,7 +455,13 @@ impl LocalRegion {
     /// multiply-adds one column of one recurrence step executes — the cost
     /// metric of the O(N) scaling experiment.
     pub fn nnz(&self) -> usize {
-        self.h.nnz()
+        16 * self.block_col.len() + 4 * self.atoms.len()
+    }
+
+    /// Heap bytes the view holds.
+    pub(crate) fn bytes(&self) -> usize {
+        let words = self.atoms.capacity() + self.block_ptr.capacity();
+        4 * (words + self.block_col.capacity() + self.block_src.capacity())
     }
 }
 
@@ -407,6 +469,7 @@ impl LocalRegion {
 mod tests {
     use super::*;
     use tbmd_linalg::Matrix;
+    use tbmd_linalg::Vec3;
     use tbmd_model::{build_hamiltonian, silicon_gsp, TbModel};
     use tbmd_structure::{bulk_diamond, NeighborList, Species};
 
@@ -482,7 +545,7 @@ mod tests {
 
     /// The non-zero 4×4 blocks of a dense matrix over four-orbital atoms.
     fn from_dense(a: &Matrix, index: &OrbitalIndex) -> SparseH {
-        let mut h = BlockRows::with_capacity(a.rows() / 4, 0);
+        let mut h = SparseH::empty(index);
         for i in 0..a.rows() / 4 {
             let entry = |j: usize, mu: usize, nu: usize| match (i, mu) == (j, nu) {
                 true => 0.0,
@@ -498,10 +561,7 @@ mod tests {
                 .filter(|(_, b)| *b != [[0.0; 4]; 4]);
             h.push(std::array::from_fn(|k| a[(4 * i + k, 4 * i + k)]), blocks);
         }
-        SparseH {
-            index: index.clone(),
-            h,
-        }
+        h
     }
 
     #[test]
@@ -540,6 +600,92 @@ mod tests {
         // Centre orbitals map to valid local indices.
         assert!(region.local_index(index.offset(0)).is_some());
         assert!(region.nnz() < sparse.nnz());
+    }
+
+    /// The region as the copying build made it: the members of a scan of
+    /// every atom, then each member's diagonal, column slots and blocks
+    /// copied out of `h`.
+    type Copied = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<Block4>, Vec<[f64; 4]>);
+    fn copied(s: &Structure, h: &SparseH, center: usize, r_loc: f64) -> Copied {
+        let members: Vec<usize> = (0..s.n_atoms())
+            .filter(|&a| a == center || s.distance(center, a) <= r_loc)
+            .collect();
+        let (mut ptr, mut cols, mut blocks, mut diag) = (vec![0], vec![], vec![], vec![]);
+        for &a in &members {
+            for (c, block) in h.row(a) {
+                if let Ok(slot) = members.binary_search(&c) {
+                    cols.push(slot as u32);
+                    blocks.push(*block);
+                }
+            }
+            ptr.push(cols.len() as u32);
+            diag.push(h.diag()[a]);
+        }
+        let atoms = members.iter().map(|&a| a as u32).collect();
+        (atoms, ptr, cols, blocks, diag)
+    }
+
+    /// What the view gathers, in the same layout.
+    fn gathered(region: &LocalRegion) -> Copied {
+        let (blocks, diag) = region.gather(0.0);
+        let (blocks, diag) = (blocks.blocks().to_vec(), diag.rows().to_vec());
+        let (ptr, cols) = (region.block_ptr.clone(), region.block_col.clone());
+        (region.atoms.clone(), ptr, cols, blocks, diag)
+    }
+
+    fn bits(c: &Copied) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>) {
+        let values = c.3.iter().flatten().flatten().chain(c.4.iter().flatten());
+        (
+            c.0.clone(),
+            c.1.clone(),
+            c.2.clone(),
+            values.map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn views_gather_the_copying_build_bitwise() {
+        use crate::engine::members;
+        use rand::{rngs::StdRng, SeedableRng};
+        use tbmd_model::KeptCandidates;
+        let model = silicon_gsp();
+        for reps in [2, 3] {
+            let mut s = bulk_diamond(Species::Silicon, reps, reps, reps);
+            s.perturb(&mut StdRng::seed_from_u64(reps as u64), 0.05);
+            let l = s.cell().lengths;
+            let index = OrbitalIndex::new(&s);
+            let mut candidates = KeptCandidates::default();
+            for r_loc in [6.0, f64::INFINITY] {
+                // Kept candidates across moves past the cell faces: atom 0
+                // steps out of the cell (kept), atom 1 is wrapped a period
+                // away (rebuilt); the view holds the copies' bits throughout.
+                let mut moved = s.clone();
+                for step in 0..3 {
+                    match step {
+                        1 => moved.positions_mut()[0] -= Vec3::new(0.2, 0.1, 0.0),
+                        2 => moved.positions_mut()[1] += Vec3::new(l.x, 0.0, -l.z),
+                        _ => {}
+                    }
+                    let nl = NeighborList::build(&moved, model.cutoff());
+                    let h = SparseH::build(&moved, &nl, &model, &index);
+                    candidates.update(&moved, r_loc);
+                    let stride = if r_loc.is_finite() { 1 } else { 5 };
+                    for center in (0..moved.n_atoms()).step_by(stride) {
+                        let view =
+                            LocalRegion::new(&h, members(&moved, &candidates, center, r_loc));
+                        let scan = LocalRegion::build(&moved, &index, &h, center, r_loc);
+                        let want = bits(&copied(&moved, &h, center, r_loc));
+                        assert_eq!(
+                            bits(&gathered(&view)),
+                            want,
+                            "Si-{}, atom {center}",
+                            8 * reps.pow(3)
+                        );
+                        assert_eq!(bits(&gathered(&scan)), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use tbmd_linscale::{
 };
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
 use tbmd_model::{
-    build_hamiltonian, carbon_xwch, silicon_gsp, sk_block, GspTbModel, Hoppings, OrbitalIndex,
-    TbModel,
+    build_hamiltonian, carbon_xwch, silicon_gsp, sk_block, ForceEvaluation, ForceProvider,
+    GspTbModel, Hoppings, OrbitalIndex, TbModel, Workspace,
 };
 use tbmd_structure::{bulk_diamond, nanotube, NeighborList, Species, Structure};
 
@@ -233,15 +233,15 @@ fn blocked_vs_scalar(su: &Setup, atom: usize, r_loc: f64, order: usize) -> f64 {
     let row0 = region.local_index(su.index.offset(atom)).unwrap();
     let n_orb = su.s.species(atom).n_orbitals();
     let rows: Vec<usize> = region
-        .orbitals
+        .orbitals()
         .iter()
         .map(|&g| region.local_index(g).unwrap())
         .collect();
-    let dense = dense_restriction(&su.h, &region.orbitals);
+    let dense = dense_restriction(&su.h, &region.orbitals());
     let reference: Vec<_> = (0..n_orb)
         .map(|nu| {
             let j = region
-                .orbitals
+                .orbitals()
                 .binary_search(&(su.index.offset(atom) + nu))
                 .unwrap();
             scalar_columns(&dense, j, su.window, order)
@@ -318,7 +318,7 @@ fn atom_coupled_to_its_own_image_steps_like_the_full_matvec() {
         .map(|i| std::array::from_fn(|c| ((4 * i + c) as f64 * 0.37).sin()))
         .collect();
     let out = region.apply(&x);
-    let dense = dense_restriction(&su.h, &region.orbitals);
+    let dense = dense_restriction(&su.h, &region.orbitals());
     let mut trace = 0.0;
     for c in 0..4 {
         let hx: Vec<f64> = dense
@@ -344,12 +344,12 @@ fn doubled_moments_match_direct_diagonal() {
     let atom = 5;
     let region = LocalRegion::build(&su.s, &su.index, &su.h, atom, 6.0);
     let row0 = region.local_index(su.index.offset(atom)).unwrap();
-    let dense = dense_restriction(&su.h, &region.orbitals);
+    let dense = dense_restriction(&su.h, &region.orbitals());
     for order in [60usize, 61] {
         let mut direct = vec![0.0; order];
         for nu in 0..4 {
             let j = region
-                .orbitals
+                .orbitals()
                 .binary_search(&(su.index.offset(atom) + nu))
                 .unwrap();
             let t = scalar_columns(&dense, j, su.window, order);
@@ -439,4 +439,44 @@ fn nve_drift_within_benchmark_limit() {
     }
     let per_atom = drift / 64.0;
     assert!(per_atom <= 1.8e-2, "drift {per_atom:e} eV/atom");
+}
+
+/// A 200-step O(N) Si-64 NVE run from 3000 K through one workspace and one
+/// engine, whose region candidates are kept across steps and rebuilt as atoms
+/// move: every step's energy and forces are bit for bit those of a cold
+/// evaluation by a fresh engine, while the regions' membership changes.
+#[test]
+fn a_hot_run_keeps_the_cold_evaluation_bits_at_every_step() {
+    let model = silicon_gsp();
+    let engine = |order| {
+        LinearScalingTb::new(&model)
+            .with_r_loc(6.0)
+            .with_order(order)
+    };
+    let run = engine(16);
+    let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
+    let mut rng = StdRng::seed_from_u64(3000);
+    s.perturb(&mut rng, 0.02);
+    let v = maxwell_boltzmann(&s, 3000.0, &mut rng);
+    let mut ws = Workspace::new();
+    let mut state = MdState::new_with(s, v, &run, &mut ws).unwrap();
+    let vv = VelocityVerlet::new(1.0);
+    let bits = |e: &ForceEvaluation| {
+        let forces = e.forces.iter().flat_map(|f| f.to_array());
+        std::iter::once(e.energy)
+            .chain(forces)
+            .map(f64::to_bits)
+            .collect::<Vec<_>>()
+    };
+    let mut sizes = std::collections::BTreeSet::new();
+    for step in 0..200 {
+        vv.step_with(&mut state, &run, &mut ws).unwrap();
+        let cold = engine(16).evaluate(&state.structure).unwrap();
+        let mut warm = cold.clone();
+        warm.energy = state.potential_energy;
+        warm.forces.clone_from(&state.forces);
+        assert_eq!(bits(&warm), bits(&cold), "step {step}");
+        sizes.insert(run.last_report().unwrap().total_region_orbitals);
+    }
+    assert!(sizes.len() > 1, "membership never changed: {sizes:?}");
 }

@@ -52,5 +52,6 @@ pub use stages::{
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};
 pub use workspace::{
-    DenseCache, NeighborOutcome, NeighborStats, NeighborWorkspace, Workspace, DEFAULT_SKIN,
+    DenseCache, KeptCandidates, KeptSkin, NeighborOutcome, NeighborStats, NeighborWorkspace,
+    Workspace, DEFAULT_SKIN,
 };

@@ -26,6 +26,7 @@
 //! events) that the benchmark reports surface.
 
 use crate::stages::{BondTable, RhoBlocks};
+use std::collections::BTreeSet;
 use tbmd_linalg::{EighWorkspace, Matrix, Vec3};
 use tbmd_structure::{Cell, NeighborList, Structure};
 
@@ -94,14 +95,89 @@ pub struct NeighborStats {
     pub fallback_builds: usize,
 }
 
+/// The reference positions of a list kept across steps: a list built at
+/// `radius + `[`DEFAULT_SKIN`] at them holds every pair within `radius`
+/// until some atom's raw coordinates move more than `skin/2` (entries are
+/// in caller coordinates, so a wrapped coordinate reads as a long move).
+#[derive(Default)]
+pub struct KeptSkin {
+    radius: f64,
+    cell: Option<Cell>,
+    reference: Vec<Vec3>,
+}
+
+impl KeptSkin {
+    /// Whether a list built at the reference still holds at `s` and
+    /// `radius`: same atom count, cell and radius, and no atom moved past
+    /// `skin/2`.
+    pub fn holds(&self, s: &Structure, radius: f64) -> bool {
+        let half_skin_sq = 0.25 * DEFAULT_SKIN * DEFAULT_SKIN;
+        self.radius == radius
+            && self.cell == Some(*s.cell())
+            && self.reference.len() == s.n_atoms()
+            && s.positions()
+                .iter()
+                .zip(&self.reference)
+                .all(|(&now, &then)| (now - then).norm_sq() <= half_skin_sq)
+    }
+
+    /// Take `s` as the reference of a list just built at `radius + skin`.
+    pub fn reset(&mut self, s: &Structure, radius: f64) {
+        (self.radius, self.cell) = (radius, Some(*s.cell()));
+        self.reference.clear();
+        self.reference.extend_from_slice(s.positions());
+    }
+}
+
+/// For each atom, the atoms within `radius + `[`DEFAULT_SKIN`] of it at the
+/// reference positions (itself included), kept across steps while they
+/// hold ([`KeptSkin`]): until then they include every atom within `radius`
+/// of it at the minimum-image distance. Where `radius + skin` reaches past a
+/// periodic edge (or is infinite) there are no lists, and every atom is a
+/// candidate.
+#[derive(Default)]
+pub struct KeptCandidates {
+    skin: KeptSkin,
+    /// Candidates of atom `i` are `atoms[ptr[i]..ptr[i + 1]]`, ascending.
+    ptr: Vec<usize>,
+    atoms: Vec<u32>,
+}
+
+impl KeptCandidates {
+    /// Bring the candidates up to date with `s` at `radius`.
+    pub fn update(&mut self, s: &Structure, radius: f64) {
+        if self.skin.holds(s, radius) {
+            return;
+        }
+        let (reach, cell) = (radius + DEFAULT_SKIN, s.cell());
+        let (mut ptr, mut atoms) = (Vec::new(), Vec::new());
+        if reach.is_finite() && (0..3).all(|a| !cell.periodic[a] || reach <= cell.lengths[a]) {
+            let nl = NeighborList::build(s, reach);
+            ptr.push(0);
+            for i in 0..s.n_atoms() {
+                let near = nl.neighbors(i).iter().map(|nb| nb.j as u32);
+                atoms.extend(near.chain([i as u32]).collect::<BTreeSet<_>>());
+                ptr.push(atoms.len());
+            }
+        }
+        (self.ptr, self.atoms) = (ptr, atoms);
+        self.skin.reset(s, radius);
+    }
+
+    /// The candidates of atom `i`, ascending; `None`: every atom.
+    pub fn of(&self, i: usize) -> Option<&[u32]> {
+        let range = self.ptr.get(i..i + 2)?;
+        Some(&self.atoms[range[0]..range[1]])
+    }
+}
+
 /// Amortized neighbour-list state: the candidates within
 /// `cutoff + `[`DEFAULT_SKIN`] at the reference positions, and the view
 /// within the cutoff at the latest positions.
 #[derive(Default)]
 pub struct NeighborWorkspace {
     candidates: NeighborList,
-    cell: Option<Cell>,
-    reference: Vec<Vec3>,
+    skin: KeptSkin,
     view: NeighborList,
     stats: NeighborStats,
 }
@@ -109,28 +185,16 @@ pub struct NeighborWorkspace {
 impl NeighborWorkspace {
     /// Bring the list up to date with `s` at the given interaction cutoff.
     ///
-    /// Rebuilds the candidates when the atom count, the cell or the cutoff
-    /// changed, or when some atom's raw coordinates moved more than
-    /// `skin/2` from the reference (entries are in caller coordinates, so a
-    /// wrapped coordinate reads as a long move). Either way [`Self::list`]
-    /// is then bit for bit `NeighborList::build(s, cutoff)`.
+    /// Rebuilds the candidates unless they still hold ([`KeptSkin`]).
+    /// Either way [`Self::list`] is then bit for bit
+    /// `NeighborList::build(s, cutoff)`.
     pub fn update(&mut self, s: &Structure, cutoff: f64) -> NeighborOutcome {
-        let half_skin_sq = 0.25 * DEFAULT_SKIN * DEFAULT_SKIN;
-        let kept = self.view.cutoff() == cutoff
-            && self.cell == Some(*s.cell())
-            && self.reference.len() == s.n_atoms()
-            && s.positions()
-                .iter()
-                .zip(&self.reference)
-                .all(|(&now, &then)| (now - then).norm_sq() <= half_skin_sq);
-        let outcome = if kept {
+        let outcome = if self.skin.holds(s, cutoff) {
             self.stats.refreshes += 1;
             NeighborOutcome::Refreshed
         } else {
             self.candidates = NeighborList::build(s, cutoff + DEFAULT_SKIN);
-            self.cell = Some(*s.cell());
-            self.reference.clear();
-            self.reference.extend_from_slice(s.positions());
+            self.skin.reset(s, cutoff);
             self.stats.rebuilds += 1;
             NeighborOutcome::Rebuilt
         };
