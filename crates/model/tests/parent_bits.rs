@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use tbmd_linalg::{
     apply_q_blocked, cluster_tolerance, eigh_into, eigh_partial_into, reduced_eigenvalues_into,
-    snap_range_to_clusters, team, tridiagonal_eigenvectors_into,
+    reduced_eigenvectors_into, snap_range_to_clusters, team, tridiagonal_eigenvectors_into,
     tridiagonal_eigenvectors_offset_into, tridiagonalize_blocked_into, Budget, EighWorkspace,
     Matrix,
 };
@@ -214,6 +214,56 @@ fn inverse_iteration_reproduces_the_parent_bits_on_si64() {
     }
     let got = Fnv::new().extend(z.as_slice()).0;
     assert_eq!(got, 0xd2d22d8fb3dce952, "bits moved: {got:#018x}");
+}
+
+/// Hash of `reduced_eigenvectors_into`'s `k` columns for `h` (inverse
+/// iteration, then the back-transform) under a lease of `width` threads,
+/// and the widest cluster of near-equal eigenvalues among them.
+fn reduced_vectors_hash(h: &Matrix, k: usize, width: usize) -> (u64, usize) {
+    at_width(width, || {
+        let (mut packed, mut ws, mut values) = (h.clone(), EighWorkspace::default(), Vec::new());
+        tridiagonalize_blocked_into(&mut packed, &mut ws);
+        reduced_eigenvalues_into(&mut ws, &mut values).unwrap();
+        let (d, e) = ws.tridiagonal_factor();
+        let ctol = cluster_tolerance(d, e);
+        let mut widest = 0;
+        let mut start = 0;
+        while start < k {
+            let end = snap_range_to_clusters(&values[..k], ctol, start + 1..k).start;
+            widest = widest.max(end - start);
+            start = end;
+        }
+        let mut z = Matrix::default();
+        reduced_eigenvectors_into(&packed, &values[..k], &mut z, &mut ws);
+        (Fnv::new().extend(z.as_slice()).0, widest)
+    })
+}
+
+#[test]
+fn reduced_eigenvectors_reproduce_the_parent_bits_on_si64() {
+    // The eigenvector stage of the dense engines end to end, on perturbed
+    // Si-64 (k = 133) at lease widths 1 and 2, and on the unperturbed
+    // crystal (k = 136), whose degenerate clusters are wider than a narrow
+    // strip of the inverse iteration.
+    let si = silicon_gsp();
+    let crystal = bulk_diamond(Species::Silicon, 2, 2, 2);
+    let nl = NeighborList::build(&crystal, si.cutoff());
+    let pristine = build_hamiltonian(&crystal, &nl, &si, &OrbitalIndex::new(&crystal));
+    let perturbed = silicon_h(2, 64);
+    let (one, _) = reduced_vectors_hash(&perturbed, 133, 1);
+    let (two, _) = reduced_vectors_hash(&perturbed, 133, 2);
+    let (wide, widest) = reduced_vectors_hash(&pristine, 136, 2);
+    assert!(
+        widest > 8,
+        "the crystal's widest cluster has {widest} members"
+    );
+    let got = [one, two, wide].map(|g| format!("{g:#018x}"));
+    let want = [
+        "0xa011181b4f4df5c0",
+        "0xa011181b4f4df5c0",
+        "0x83fc9e0305ed4b1a",
+    ];
+    assert_eq!(got, want, "bits moved");
 }
 
 /// Hash of the dense pipeline's bond-block `ρ` on `s`, in its `n × n` dense
