@@ -48,6 +48,19 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
             "nl",
         ],
     );
+    let mut t1d = Table::new(
+        "T1d: dense workspace buffers after those evaluations, MB (serial engine, whole team)",
+        &[
+            "N",
+            "k",
+            "H",
+            "C (n × k)",
+            "eigensolver",
+            "bonds",
+            "ρ blocks",
+            "total",
+        ],
+    );
     for reps in 1..=max_reps {
         let s = bulk_diamond(Species::Silicon, reps, reps, reps);
         // Warm once, then average steps through the same workspace — the
@@ -78,6 +91,21 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
             fmt_f(kernel_flops as f64 / 1e9 / acc.total().as_secs_f64(), 2),
             format!("{}r/{}f", acc.nl_rebuilds, acc.nl_refreshes),
         ]);
+        if reps >= 2 {
+            let b = ws.bytes();
+            let mb = |bytes: usize| fmt_f(bytes as f64 / (1024.0 * 1024.0), 2);
+            let total = b.h + b.c + b.eigensolver + b.bonds + b.rho_blocks;
+            t1d.row(vec![
+                s.n_atoms().to_string(),
+                ws.c.cols().to_string(),
+                mb(b.h),
+                mb(b.c),
+                mb(b.eigensolver),
+                mb(b.bonds),
+                mb(b.rho_blocks),
+                mb(total),
+            ]);
+        }
     }
 
     let mut t1b = Table::new(
@@ -142,9 +170,11 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
     let mut report = Report::default();
     report
         .table(t1)
+        .table(t1d)
         .table(t1b)
         .table(t1c)
-        .note("`nl` counts neighbour-list rebuilds / refreshes over the measured samples (static atoms: all refreshes).");
+        .note("`nl` counts neighbour-list rebuilds / refreshes over the measured samples (static atoms: all refreshes).")
+        .note("T1d: `C` is the part of the eigenvector block a solve writes; its storage is reserved for n × n when first sized for n, so a wider window never moves it, and the pages past n × k are never written. `eigensolver` is the reduction's panels and factors plus each thread's inverse-iteration buffers and L2-sized staging band (the back-transform borrows the bands).");
     report
 }
 

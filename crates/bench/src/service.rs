@@ -361,30 +361,57 @@ fn run_observed(observed: bool) -> (Duration, HistogramSet) {
     (wall, root.histograms())
 }
 
-/// Best of 7 interleaved unobserved / observed runs, in ms, and the
-/// histograms of the last observed one.
-pub fn observer_overhead() -> (f64, f64, HistogramSet) {
-    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+/// Unobserved / observed run pairs [`observer_overhead`] times: enough
+/// that the median of their ratios sits still between runs of the gate.
+pub const OBSERVER_PAIRS: usize = 21;
+
+/// What observing costs, from `pairs` interleaved pairs of one unobserved
+/// and one observed run (which goes first alternates from pair to pair):
+/// the median unobserved and observed walls in ms, the median of the
+/// per-pair observed / unobserved ratios, and the histograms of the last
+/// observed run. A ratio taken within a pair sees the host at one speed;
+/// two minima taken apart let one lucky run set the verdict.
+pub fn observer_overhead(pairs: usize) -> ([f64; 3], HistogramSet) {
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
     let mut hists = HistogramSet::default();
-    for _ in 0..7 {
-        off = off.min(ms(run_observed(false).0));
-        let (wall, h) = run_observed(true);
-        on = on.min(ms(wall));
-        hists = h;
+    let mut walls = Vec::with_capacity(pairs);
+    for pair in 0..pairs {
+        let mut observed = |on: bool| {
+            let (wall, h) = run_observed(on);
+            if on {
+                hists = h;
+            }
+            ms(wall)
+        };
+        walls.push(if pair % 2 == 0 {
+            let off = observed(false);
+            [off, observed(true)]
+        } else {
+            let on = observed(true);
+            [observed(false), on]
+        });
     }
-    (off, on, hists)
+    let ratios = walls.iter().map(|[off, on]| on / off).collect();
+    let [off, on] = [0, 1].map(|i| median(walls.iter().map(|w| w[i]).collect()));
+    ([off, on, median(ratios)], hists)
 }
 
 /// S3: what observing a session costs, and the latency histograms it fills.
 pub fn telemetry(_: Option<usize>) -> Report {
-    let (off, on, hists) = observer_overhead();
+    let ([off, on, ratio], hists) = observer_overhead(OBSERVER_PAIRS);
     let mut overhead = Table::new(
-        format!("S3a: observer overhead (Si-8 NVE, {OBSERVED_STEPS} steps, best of 7)"),
+        format!(
+            "S3a: observer overhead (Si-8 NVE, {OBSERVED_STEPS} steps, medians of \
+             {OBSERVER_PAIRS} interleaved pairs; ratio: median of the per-pair ratios)"
+        ),
         &["mode", "wall/ms", "ratio"],
     );
     overhead
         .row(vec!["unobserved".into(), fmt_f(off, 3), fmt_f(1.0, 4)])
-        .row(vec!["observed".into(), fmt_f(on, 3), fmt_f(on / off, 4)]);
+        .row(vec!["observed".into(), fmt_f(on, 3), fmt_f(ratio, 4)]);
     let mut histograms = Table::new(
         "S3b: latency histograms of the last observed run",
         &["hist", "count", "mean/ms", "p50/ms", "p90/ms", "p99/ms"],

@@ -38,8 +38,9 @@
 //! repeated solves grow no buffer after warmup.
 
 use crate::eigh::{tqli, EigError, EighWorkspace};
+use crate::inverse_iteration::staging;
 use crate::kernels;
-use crate::matrix::Matrix;
+use crate::matrix::{held, Matrix};
 use crate::team;
 use std::sync::Mutex;
 
@@ -51,7 +52,7 @@ pub const TRIDIAG_BLOCK: usize = 32;
 /// Widest column strip of `Z` one task of [`apply_q_blocked`] sweeps every
 /// panel over. `n × 96` doubles stay L2-resident up to n ≈ 2500, and the
 /// strip's `Vᵀ Z` block (`32 × 96` doubles, 24 KB) stays in L1.
-const STRIP_COLS: usize = 96;
+pub(crate) const STRIP_COLS: usize = 96;
 
 /// Row bands the panel matvec of a trailing block is cut into, and the
 /// fewest rows a block must have to be cut at all. Measured on the 2-vCPU
@@ -74,10 +75,15 @@ const SYMV_BAND_FLOOR: usize = 256;
 /// lease and still reduces and back-transforms on both cores). Narrowing
 /// them to [`team::width`] is ROADMAP item 7(e); it reads as ≈ −25 % on
 /// that workload, so it waits for the width-2 dense Si-216 workload of
-/// item 7(d) that can show the other side of the trade. A message-passing
-/// rank runs both inline whatever they ask for.
+/// item 7(d) that can show the other side of the trade. Inside a parallel
+/// region (a message-passing rank, a tenant on a team worker) both run
+/// inline, so they ask for one thread and stage one band.
 fn whole_team() -> usize {
-    team::size()
+    if team::in_region() {
+        1
+    } else {
+        team::size()
+    }
 }
 
 /// Reusable scratch of the blocked reduction, the compact-WY application and
@@ -124,6 +130,13 @@ impl BlockedScratch {
     /// Subdiagonal of the most recent tridiagonal factor (`e[0] = 0`).
     pub fn subdiagonal(&self) -> &[f64] {
         &self.e
+    }
+
+    /// Bytes of the reduction's panels, factors and QL copies.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let factor = held(&[&self.d, &self.e, &self.tau, &self.dql, &self.eql]);
+        let panels = [&self.vpan, &self.wpan, &self.tmat].map(Matrix::heap_bytes);
+        factor + held(&[&self.pvec, &self.bands]) + panels.iter().sum::<usize>()
     }
 }
 
@@ -508,23 +521,24 @@ impl VBlock {
     }
 
     /// `z[i] += Σ_p V[rows.start + i][p] · x(p)` over the first `jb`
-    /// reflectors in ascending order, for the block's rows `z` of `Z`: four
-    /// rows per [`kernels::rank1_tile`].
+    /// reflectors in ascending order, for the block's rows of `Z`, `w`
+    /// entries each in `z`: four rows per [`kernels::rank1_tile`].
     #[inline(always)]
-    fn times<'x>(&self, z: &mut [&mut [f64]], jb: usize, x: impl Fn(usize) -> &'x [f64]) {
-        let done = z.len() - z.len() % 4;
-        let mut groups = z.chunks_exact_mut(4);
+    fn times<'x>(&self, z: &mut [f64], w: usize, jb: usize, x: impl Fn(usize) -> &'x [f64]) {
+        let mut groups = z.chunks_exact_mut(4 * w);
         for (g, group) in groups.by_ref().enumerate() {
-            let [z0, z1, z2, z3] = group else {
-                unreachable!("chunks of four")
-            };
+            let mut rows = group.chunks_exact_mut(w);
+            let out = std::array::from_fn(|_| rows.next().expect("four rows"));
             let v = &self.v[4 * g..4 * g + 4];
-            let out = [&mut **z0, &mut **z1, &mut **z2, &mut **z3];
             let coef = |q: usize| [v[0][q], v[1][q], v[2][q], v[3][q]];
             kernels::rank1_tile::<4>(out, jb, coef, &x);
         }
-        for (row, zrow) in self.v[done..].iter().zip(groups.into_remainder()) {
-            kernels::rank1_tile::<1>([&mut **zrow], jb, |q| [row[q]], &x);
+        let done = self.rows.len() - self.rows.len() % 4;
+        for (row, zrow) in self.v[done..]
+            .iter()
+            .zip(groups.into_remainder().chunks_exact_mut(w))
+        {
+            kernels::rank1_tile::<1>([zrow], jb, |q| [row[q]], &x);
         }
     }
 }
@@ -583,16 +597,15 @@ pub fn build_t_factors(a: &Matrix, ws: &mut EighWorkspace) {
     }
 }
 
-/// Apply every panel to one column strip of `Z`, given as its row segments.
-/// Per panel, block by block of `V` ([`VBlock`]): `X = Vᵀ Z`, a block of `Z`'s
-/// rows staying in L1 across the four-row groups of `X`; `X ← −T X` in place,
-/// one row at a time; `Z += V X`. All three go through
-/// [`kernels::rank1_tile`]. Every element accumulates in ascending row (resp.
-/// reflector) order, one multiply and one add at a time, so a column's
-/// arithmetic does not depend on which strip it is in.
-fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
+/// Apply every panel to one column strip of `Z`, its rows `w` wide in
+/// `strip`. Per panel, block by block of `V` ([`VBlock`]):
+/// `X = Vᵀ Z`, a block of `Z`'s rows staying in L1 across the four-row
+/// groups of `X`; `X ← −T X` in place, one row at a time; `Z += V X`. All
+/// three go through [`kernels::rank1_tile`]. Every element accumulates in
+/// ascending row (resp. reflector) order, one multiply and one add at a
+/// time, so a column's arithmetic does not depend on which strip it is in.
+fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [f64], w: usize) {
     let n = a.rows();
-    let w = strip[0].len();
     // Cache-line aligned: strip widths are multiples of 8, so no vector
     // access to a row of `X` straddles two lines, wherever the frame lands.
     // Measured at n = 864, k = 610, two threads (alternating binaries, median
@@ -605,7 +618,7 @@ fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
         let x = &mut xblock.0[..jb * w];
         x.fill(0.0);
         for block in panel_blocks(a, j0, jb) {
-            block.vt_times(x, (jb, w, w), |r| &*strip[r]);
+            block.vt_times(x, (jb, w, w), |r| &strip[r * w..(r + 1) * w]);
         }
         for p in 0..jb {
             let trow = &tmat.row(panel * TRIDIAG_BLOCK + p)[p..jb];
@@ -618,20 +631,22 @@ fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [&mut [f64]]) {
         }
         let x = &*x;
         for block in panel_blocks(a, j0, jb) {
-            block.times(&mut strip[block.rows.clone()], jb, |p| &x[p * w..]);
+            let rows = &mut strip[block.rows.start * w..block.rows.end * w];
+            block.times(rows, w, jb, |p| &x[p * w..]);
         }
     }
 }
 
 /// Apply the orthogonal factor `Q = H_0 H_1 ⋯` of a blocked tridiagonal
 /// reduction to the `n×k` matrix `z` in place (`z ← Q z`) by blocked
-/// compact-WY applications (`I − V T Vᵀ` per panel). One fan-out hands each
-/// thread column strips of `z` (at most `STRIP_COLS` wide, so a strip
-/// stays L2-resident) and `sweep_strip` walks all panels over a strip
-/// before moving to the next; columns never interact, so the result is
-/// bitwise independent of strip width, thread count and of which columns
-/// share a call. `a` must be the reflector-packed output of
-/// [`tridiagonalize_blocked_into`] run with the same workspace.
+/// compact-WY applications (`I − V T Vᵀ` per panel). The threads of one
+/// fan-out take column strips of `z` (at most `STRIP_COLS` wide, so a strip
+/// stays L2-resident) one after another, copy each into the staging band
+/// the inverse iteration left them (rows on 64-byte boundaries), walk all
+/// panels over it with `sweep_strip` and copy it back; columns never
+/// interact, so the result is bitwise independent of strip width, thread
+/// count and of which columns share a call. `a` must be the reflector-packed
+/// output of [`tridiagonalize_blocked_into`] run with the same workspace.
 ///
 /// # Panics
 /// Panics if `z.rows()` differs from `a.rows()`.
@@ -650,23 +665,29 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
         tbmd_trace::Counter::KernelFlops,
         4 * (panel_rows * k) as u64,
     );
-    // A strip count that is a multiple of the thread count keeps the static
-    // partition even; widths are multiples of 8 for the vector loops (the
-    // last strip takes what is left).
+    // A strip count that is a multiple of the thread count keeps the
+    // threads even; widths are multiples of 8 for the vector loops (the
+    // last strip takes what is left, padded to 8 in the band with columns
+    // that ride along unread).
     let nstrips = k.div_ceil(STRIP_COLS).next_multiple_of(whole_team());
     let width = k.div_ceil(nstrips).next_multiple_of(8).min(STRIP_COLS);
-    // Strip `s` is rows `s·n..(s+1)·n` of this table of row segments.
-    let mut segments: Vec<&mut [f64]> = Vec::new();
-    segments.resize_with(k.div_ceil(width) * n, Default::default);
-    for (r, row) in z.as_mut_slice().chunks_mut(k).enumerate() {
-        for (s, segment) in row.chunks_mut(width).enumerate() {
-            segments[s * n + r] = segment;
-        }
-    }
-    let tmat = &ws.blocked.tmat;
-    team::chunks_for_each(whole_team(), &mut segments, n, |_, strip| {
-        sweep_strip(a, tmat, strip)
-    });
+    let (tmat, out) = (&ws.blocked.tmat, Mutex::new(z));
+    ws.inviter
+        .for_each_strip(whole_team(), n, k.div_ceil(width), |i, scratch| {
+            let cols = i * width..k.min((i + 1) * width);
+            let w = cols.len().next_multiple_of(8);
+            let (strip, _) = staging(&mut scratch.band, n * w, n);
+            let z = out.lock().expect("a strip panicked outside the lock");
+            for (r, row) in strip.chunks_exact_mut(w).enumerate() {
+                row[..cols.len()].copy_from_slice(&z.row(r)[cols.clone()]);
+            }
+            drop(z);
+            sweep_strip(a, tmat, strip, w);
+            let mut z = out.lock().expect("a strip panicked outside the lock");
+            for (r, row) in strip.chunks_exact(w).enumerate() {
+                z.row_mut(r)[cols.clone()].copy_from_slice(&row[..cols.len()]);
+            }
+        });
 }
 
 /// All `n` eigenvalues (ascending) of the tridiagonal factor currently in

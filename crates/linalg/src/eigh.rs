@@ -139,6 +139,19 @@ impl EighWorkspace {
     pub fn tridiagonal_factor(&self) -> (&[f64], &[f64]) {
         (&self.blocked.d, &self.blocked.e)
     }
+
+    /// Times the two-stage solver's eigenvector stage had to grow its
+    /// output or a staging band.
+    pub fn large_alloc_events(&self) -> usize {
+        self.inviter.grown
+    }
+
+    /// Bytes of scratch held: the reduction's panels and factors, and each
+    /// thread's inverse-iteration buffers and staging band.
+    pub fn heap_bytes(&self) -> usize {
+        let own = 8 * (self.e.capacity() + self.order.capacity());
+        own + self.blocked.heap_bytes() + self.inviter.heap_bytes()
+    }
 }
 
 /// Allocation-free eigendecomposition.

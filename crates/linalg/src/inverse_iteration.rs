@@ -35,16 +35,20 @@
 //! shift, its global index and its cluster alone — not on which vectors
 //! shared its lanes — and are the one-vector-at-a-time bits. Clusters are independent of each other, so a full-window call
 //! ([`tridiagonal_eigenvectors_into`]) cuts `0..k` at cluster boundaries into
-//! as many shards as the caller's compute lease allows and runs them side by
-//! side. Every shard writes its own row band of the *one* `k × n` staging
-//! buffer and brings only `O(n)` private scratch (plus `c × n` for a cluster
-//! being rotated) — no second `n × k` buffer, no copy of `(d, e)` — and the
-//! start vectors are keyed on the global eigenvalue index, so the result is
-//! bitwise the one-shard result whatever the shard count.
+//! strips of at most `STRIP_COLS` (96) vectors, which the threads of the
+//! caller's compute lease take one after another. Each strip is iterated
+//! into its thread's `strip × n` staging band and transposed straight into
+//! its columns of `z`, the one `n × k` buffer; the rest is `O(n)` per thread
+//! (plus `c × n` for a cluster being rotated). The start vectors are keyed
+//! on the global eigenvalue index, so the result is bitwise the one-strip
+//! result whatever the strip width and the thread count.
 
+use crate::blocked::STRIP_COLS;
 use crate::eigh::{eigh_into, EighWorkspace};
 use crate::kernels;
-use crate::matrix::Matrix;
+use crate::matrix::{held, Matrix};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Maximum inverse-iteration sweeps per eigenvector. With shifts accurate to
 /// machine precision one solve usually suffices; degenerate-cluster members
@@ -65,23 +69,62 @@ const LANES: usize = 8;
 /// Accumulator lanes of [`norms`]: [`kernels::dot`]'s eight.
 const NORM_ACCUMULATORS: usize = 8;
 
-/// Reusable scratch of [`tridiagonal_eigenvectors_into`]: the row-major
-/// eigenvector staging area all shards write into, and each shard's private
-/// buffers.
+/// Reusable scratch of [`tridiagonal_eigenvectors_into`]: each thread's
+/// private buffers, and how often the output or a staging band had to grow.
 #[derive(Debug, Default, Clone)]
 pub struct InverseIterScratch {
-    /// Finished eigenvectors, one *row* each (contiguous per vector for the
-    /// Gram–Schmidt sweeps); transposed into the caller's column layout at
-    /// the end. A shard owns the rows of its eigenvalue range.
-    zrows: Matrix,
-    /// One entry per shard of the widest call seen.
-    shards: Vec<ShardScratch>,
+    threads: Vec<ThreadScratch>,
+    pub(crate) grown: usize,
 }
 
-/// What one shard needs besides its band of `zrows`: the lane-interleaved
-/// `PLU` factors and iterates, and the per-cluster Rayleigh–Ritz buffers.
+impl InverseIterScratch {
+    /// Bytes held by every thread's buffers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let thread = |t: &ThreadScratch| {
+            let (f, rr) = (&t.factor, t.cl_b.heap_bytes() + t.cl_rot.heap_bytes());
+            let lanes = held(&[&f.du, &f.u1, &f.u2, &f.lmul]) + f.swapped.capacity();
+            held(&[&t.band, &t.x, &t.tz, &t.cl_values]) + lanes + rr + t.cl_eigh.heap_bytes()
+        };
+        self.threads.iter().map(thread).sum()
+    }
+
+    /// `f(i, scratch)` for every strip `i` in `0..strips`, handed out one
+    /// at a time to up to `threads` threads, each with its own scratch (the
+    /// back-transform borrows the bands). The bands of all `threads` are
+    /// sized for vectors of length `n` first, here on the caller, whichever
+    /// threads the fan-out reaches.
+    pub(crate) fn for_each_strip<F>(&mut self, threads: usize, n: usize, strips: usize, f: F)
+    where
+        F: Fn(usize, &mut ThreadScratch) + Sync,
+    {
+        if self.threads.len() < threads {
+            self.threads.resize_with(threads, ThreadScratch::default);
+        }
+        for t in &mut self.threads[..threads] {
+            self.grown += usize::from(staging(&mut t.band, 0, n).1);
+        }
+        let (next, crew) = (AtomicUsize::new(0), threads.min(strips));
+        crate::team::chunks_for_each(crew, &mut self.threads[..crew], 1, |_, scratch| loop {
+            // Relaxed: the counter only hands out indices; results travel
+            // through the caller's lock.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= strips {
+                break;
+            }
+            f(i, &mut scratch[0]);
+        });
+    }
+}
+
+/// What one thread needs: the staging band of its strip, the
+/// lane-interleaved `PLU` factors and iterates, and the per-cluster
+/// Rayleigh–Ritz buffers.
 #[derive(Debug, Default, Clone)]
-struct ShardScratch {
+pub(crate) struct ThreadScratch {
+    /// The strip being worked on ([`staging`]): here one *row* per vector
+    /// (contiguous for the Gram–Schmidt sweeps), in the back-transform its
+    /// rows of `z`.
+    pub(crate) band: Vec<f64>,
     /// The factors of up to [`LANES`] shifted matrices.
     factor: LaneFactor,
     /// Up to [`LANES`] iterates, row-interleaved as the factors are.
@@ -95,6 +138,19 @@ struct ShardScratch {
     /// Ritz values and the scratch of their [`eigh_into`] solve.
     cl_values: Vec<f64>,
     cl_eigh: EighWorkspace,
+}
+
+/// `len` doubles of a thread's staging `band` from a 64-byte boundary on,
+/// and whether it had to grow: to a full strip of length-`n` vectors at
+/// least, so only a strip that a wide cluster widened grows it again.
+pub(crate) fn staging(band: &mut Vec<f64>, len: usize, n: usize) -> (&mut [f64], bool) {
+    let grew = band.len() < len + 7;
+    if grew {
+        *band = Vec::new();
+        *band = vec![0.0; len.max(STRIP_COLS * n) + 7];
+    }
+    let start = (band.as_ptr() as usize).wrapping_neg() % 64 / 8;
+    (&mut band[start..start + len], grew)
 }
 
 /// `T − shift_l·I = P_l L_l U_l` with partial pivoting (`gttrf` for a
@@ -116,7 +172,7 @@ struct LaneFactor {
 }
 
 /// Size `v` to `len` entries, allocating exactly that once: the buffers of a
-/// shard keep their size from step to step, and an amortized doubling would
+/// thread keep their size from step to step, and an amortized doubling would
 /// leave a block the size of the old buffer behind in the heap.
 fn size_exactly<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) {
     if v.len() != len {
@@ -288,7 +344,7 @@ fn seed_lanes<const L: usize>(x: &mut [[f64; L]], idx: [usize; L]) {
 /// rotate the rows into the Ritz basis, recovering the true eigenvectors of
 /// near-degenerate (not exactly degenerate) levels from the arbitrary
 /// orthonormal basis inverse iteration produces.
-fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], cluster: &mut [f64], s: &mut ShardScratch) {
+fn rayleigh_ritz_rotate(d: &[f64], e: &[f64], cluster: &mut [f64], s: &mut ThreadScratch) {
     let n = d.len();
     let c = cluster.len() / n;
     if c < 2 {
@@ -390,14 +446,14 @@ fn scale_norm(d: &[f64], e: &[f64]) -> f64 {
 /// iteration with Gram–Schmidt reorthogonalization and Rayleigh–Ritz
 /// rotation inside clusters.
 ///
-/// The window is cut at cluster boundaries into as many shards as the
-/// calling thread may take from the team ([`crate::team::width`]: the
-/// compute lease's width, every hardware thread when unconstrained) and the
-/// shards run side by side. A width-1 lease runs one
-/// shard on the calling thread; the columns are bitwise the same either way.
+/// The strips of the window run on as many threads as the caller may take
+/// from the team ([`crate::team::width`]: the compute lease's width, every
+/// hardware thread when unconstrained); the columns are bitwise the same at
+/// any width.
 ///
-/// `z` is reshaped with [`Matrix::resize_zeroed`]; after warmup the
-/// numerical buffers no longer grow.
+/// `z` is reshaped in storage of `n × n` elements, allocated when it is
+/// first sized for `n`: the window `k ≤ n` can widen from step to step
+/// without moving it, and the pages past `n × k` are never written.
 ///
 /// # Panics
 /// Panics if `d.len() != e.len()`, `lambda.len() > d.len()` or `lambda` is
@@ -409,15 +465,15 @@ pub fn tridiagonal_eigenvectors_into(
     z: &mut Matrix,
     s: &mut InverseIterScratch,
 ) {
-    eigenvectors_sharded(d, e, lambda, 0, crate::team::width(), z, s);
+    eigenvectors_in_strips(d, e, lambda, 0, (crate::team::width(), STRIP_COLS), z, s);
 }
 
 /// Offset-aware form of [`tridiagonal_eigenvectors_into`] for distributed
 /// spectrum slicing: `lambda` is a contiguous sub-slice of a globally sorted
 /// spectrum starting at global index `seed_offset`, and the deterministic
 /// start vectors are keyed on the *global* index `seed_offset + j`. A rank's
-/// slice is already one shard of the spectrum, so it runs as one shard on
-/// the calling thread.
+/// slice is already one shard of the spectrum, so its strips run on the
+/// calling thread.
 ///
 /// With shard boundaries snapped to cluster boundaries (so no cluster
 /// straddles ranks and the shift-separation perturbation never crosses a
@@ -433,22 +489,17 @@ pub fn tridiagonal_eigenvectors_offset_into(
     z: &mut Matrix,
     s: &mut InverseIterScratch,
 ) {
-    eigenvectors_sharded(d, e, lambda, seed_offset, 1, z, s);
+    eigenvectors_in_strips(d, e, lambda, seed_offset, (1, STRIP_COLS), z, s);
 }
 
-/// Side of the square tiles of the final `zrows → z` transpose: 8 doubles
-/// are one cache line, so a tile reads 8 lines and writes 8 lines instead of
-/// striding through `z` one element per line.
-const TRANSPOSE_TILE: usize = 8;
-
-/// Both public entry points: `lambda` in at most `shards` cluster-snapped
-/// shards, then the transpose into `z`.
-fn eigenvectors_sharded(
+/// Both public entry points: `lambda` in cluster-snapped strips of at most
+/// `strip_cols` vectors, worked through by `threads` threads.
+fn eigenvectors_in_strips(
     d: &[f64],
     e: &[f64],
     lambda: &[f64],
     seed_offset: usize,
-    shards: usize,
+    (threads, strip_cols): (usize, usize),
     z: &mut Matrix,
     s: &mut InverseIterScratch,
 ) {
@@ -460,7 +511,7 @@ fn eigenvectors_sharded(
         lambda.windows(2).all(|w| w[0] <= w[1]),
         "eigenvalues must be sorted ascending"
     );
-    z.resize_zeroed(n, k);
+    s.grown += usize::from(z.resize_zeroed_within(n, k, n * n));
     if n == 0 || k == 0 {
         return;
     }
@@ -470,58 +521,49 @@ fn eigenvectors_sharded(
     }
     let tnorm = scale_norm(d, e);
     let ctol = CLUSTER_RTOL * tnorm;
-    s.zrows.resize_zeroed(k, n);
-    if s.shards.len() < shards {
-        s.shards.resize_with(shards, ShardScratch::default);
-    }
-    // Equal eigenvalue counts, each cut moved up to the next cluster
-    // boundary; a shard that a wide cluster swallowed is empty.
-    let cut = |i: usize| snap_range_to_clusters(lambda, ctol, i * k / shards..k).start;
-    let mut rest = s.zrows.as_mut_slice();
-    let mut jobs = Vec::with_capacity(shards);
-    for (i, scratch) in s.shards.iter_mut().take(shards).enumerate() {
+    // Strip `i` is `cut(i)..cut(i + 1)`: each cut moved up to the next
+    // cluster boundary, so a strip that a wide cluster swallowed is empty.
+    let cut = |i: usize| snap_range_to_clusters(lambda, ctol, (i * strip_cols).min(k)..k).start;
+    let (grown, out) = (AtomicUsize::new(0), Mutex::new(z));
+    s.for_each_strip(threads, n, k.div_ceil(strip_cols), |i, scratch| {
         let range = cut(i)..cut(i + 1);
-        let (band, tail) = rest.split_at_mut(range.len() * n);
-        rest = tail;
-        jobs.push((range, band, scratch));
-    }
-    // One shard per task; a shard's result does not depend on the thread.
-    crate::team::chunks_for_each(shards, &mut jobs, 1, |_, job| {
-        let (range, band, scratch) = &mut job[0];
+        if range.is_empty() {
+            return;
+        }
+        let mut band = std::mem::take(&mut scratch.band);
+        let (rows, grew) = staging(&mut band, range.len() * n, n);
+        grown.fetch_add(usize::from(grew), Ordering::Relaxed);
         let seed = seed_offset + range.start;
-        iterate_shard(d, e, &lambda[range.clone()], seed, tnorm, band, scratch);
-    });
-    // Transpose the row-staged vectors into the caller's column layout.
-    let (zr, zc) = (s.zrows.as_slice(), z.as_mut_slice());
-    for j0 in (0..k).step_by(TRANSPOSE_TILE) {
-        let j1 = (j0 + TRANSPOSE_TILE).min(k);
-        for i0 in (0..n).step_by(TRANSPOSE_TILE) {
-            for i in i0..(i0 + TRANSPOSE_TILE).min(n) {
-                for j in j0..j1 {
-                    zc[i * k + j] = zr[j * n + i];
-                }
+        iterate_strip(d, e, &lambda[range.clone()], seed, tnorm, rows, scratch);
+        let mut z = out.lock().expect("a strip panicked outside the lock");
+        for (j, vector) in range.zip(rows.chunks_exact(n)) {
+            for (zi, &v) in z.as_mut_slice()[j..].iter_mut().step_by(k).zip(vector) {
+                *zi = v;
             }
         }
-    }
+        drop(z);
+        scratch.band = band;
+    });
+    s.grown += grown.into_inner();
 }
 
-/// Inverse iteration for one shard: the eigenvectors of `lambda` (global
-/// indices `seed..`) into the rows of `zrows` (`lambda.len() × n`).
+/// Inverse iteration for one strip: the eigenvectors of `lambda` (global
+/// indices `seed..`) into the rows of `rows` (`lambda.len() × n`).
 ///
-/// The shifts follow one chain over the shard (coincident eigenvalues are
+/// The shifts follow one chain over the strip (coincident eigenvalues are
 /// pushed apart by `10ε·‖T‖`) and the cluster boundaries come from the gaps.
 /// Cluster members run one at a time ([`iterate_one`]); singletons are
 /// collected and run [`LANES`] at a time ([`iterate_lanes`]). A vector's bits
 /// depend only on its shift, its global index and its cluster, so the
 /// grouping changes none of them.
-fn iterate_shard(
+fn iterate_strip(
     d: &[f64],
     e: &[f64],
     lambda: &[f64],
     seed: usize,
     tnorm: f64,
-    zrows: &mut [f64],
-    s: &mut ShardScratch,
+    rows: &mut [f64],
+    s: &mut ThreadScratch,
 ) {
     let n = d.len();
     let k = lambda.len();
@@ -554,21 +596,21 @@ fn iterate_shard(
         if cluster_start == j && cluster_ends {
             batch.push(j, shift);
             if batch.len == LANES {
-                it.iterate_lanes(&mut batch, zrows, s);
+                it.iterate_lanes(&mut batch, rows, s);
             }
             continue;
         }
-        it.iterate_one(j, shift, cluster_start, zrows, s);
+        it.iterate_one(j, shift, cluster_start, rows, s);
         if cluster_ends {
-            rayleigh_ritz_rotate(d, e, &mut zrows[cluster_start * n..(j + 1) * n], s);
+            rayleigh_ritz_rotate(d, e, &mut rows[cluster_start * n..(j + 1) * n], s);
         }
     }
     if batch.len > 0 {
-        it.iterate_lanes(&mut batch, zrows, s);
+        it.iterate_lanes(&mut batch, rows, s);
     }
 }
 
-/// Singletons waiting for a lane: shard-local index and shift.
+/// Singletons waiting for a lane: strip-local index and shift.
 #[derive(Default)]
 struct Batch {
     len: usize,
@@ -584,8 +626,8 @@ impl Batch {
     }
 }
 
-/// What every vector of a shard shares: the matrix, the global index of the
-/// shard's first vector and the singular-pivot guard `ε·‖T‖`.
+/// What every vector of a strip shares: the matrix, the global index of the
+/// strip's first vector and the singular-pivot guard `ε·‖T‖`.
 struct Iteration<'a> {
     d: &'a [f64],
     e: &'a [f64],
@@ -600,7 +642,7 @@ impl Iteration<'_> {
         growth >= 0.01 / self.tiny
     }
 
-    /// Vector `j` (shard-local) of the cluster that began at
+    /// Vector `j` (strip-local) of the cluster that began at
     /// `cluster_start`, one at a time: sweeps with Gram–Schmidt against the
     /// cluster's finished members, a restart from fresh noise if they
     /// project the iterate out, and one polish sweep after convergence.
@@ -609,8 +651,8 @@ impl Iteration<'_> {
         j: usize,
         shift: f64,
         cluster_start: usize,
-        zrows: &mut [f64],
-        s: &mut ShardScratch,
+        rows: &mut [f64],
+        s: &mut ThreadScratch,
     ) {
         let n = self.d.len();
         s.factor.factor(self.d, self.e, [shift], self.tiny);
@@ -621,7 +663,7 @@ impl Iteration<'_> {
             s.factor.solve(x);
             let [growth] = norms(x);
             // Orthogonalize against the finished members of this cluster.
-            for zp in zrows[cluster_start * n..j * n].chunks_exact(n) {
+            for zp in rows[cluster_start * n..j * n].chunks_exact(n) {
                 let dot = kernels::dot(x.as_flattened(), zp);
                 kernels::axpy(x.as_flattened_mut(), -dot, zp);
             }
@@ -638,17 +680,17 @@ impl Iteration<'_> {
             // Once the growth hits the floor, one final polish sweep.
             converged = self.converged(growth);
         }
-        zrows[j * n..(j + 1) * n].copy_from_slice(x.as_flattened());
+        rows[j * n..(j + 1) * n].copy_from_slice(x.as_flattened());
     }
 
     /// The singletons of `batch`, one per lane, then the batch emptied. A
     /// singleton has no cluster to orthogonalize against, so a lane is
     /// [`Iteration::iterate_one`] without the projection: each lane sweeps
     /// until its own polish sweep or [`MAX_SWEEPS`], is written to its row
-    /// of `zrows` and rides along unread after that. Lanes past
+    /// of `rows` and rides along unread after that. Lanes past
     /// `batch.len` repeat the first. A lane whose solve comes out zero goes
     /// back through [`Iteration::iterate_one`], which restarts it.
-    fn iterate_lanes(&self, batch: &mut Batch, zrows: &mut [f64], s: &mut ShardScratch) {
+    fn iterate_lanes(&self, batch: &mut Batch, rows: &mut [f64], s: &mut ThreadScratch) {
         let n = self.d.len();
         let used = std::mem::take(&mut batch.len);
         for l in used..LANES {
@@ -673,7 +715,7 @@ impl Iteration<'_> {
                     (redo[l], active[l]) = (true, false);
                 } else if converged[l] {
                     active[l] = false;
-                    write_lane(x, l, &mut zrows[lane_j[l] * n..(lane_j[l] + 1) * n]);
+                    write_lane(x, l, &mut rows[lane_j[l] * n..(lane_j[l] + 1) * n]);
                 } else {
                     converged[l] = self.converged(growth[l]);
                 }
@@ -684,12 +726,12 @@ impl Iteration<'_> {
         }
         for l in 0..LANES {
             if active[l] {
-                write_lane(x, l, &mut zrows[lane_j[l] * n..(lane_j[l] + 1) * n]);
+                write_lane(x, l, &mut rows[lane_j[l] * n..(lane_j[l] + 1) * n]);
             }
         }
         for l in (0..LANES).filter(|&l| redo[l]) {
             let j = lane_j[l];
-            self.iterate_one(j, shift[l], j, zrows, s);
+            self.iterate_one(j, shift[l], j, rows, s);
         }
     }
 }
@@ -708,12 +750,12 @@ mod tests {
     use crate::eigh::eigh;
 
     #[test]
-    fn sharded_matches_single_shard_bitwise_on_degenerate_clusters() {
+    fn strip_widths_and_thread_counts_give_the_same_bits_on_degenerate_clusters() {
         // The spectrum of `partial_handles_degenerate_clusters`: per unit
         // interval an exact triple, a 1e-9-split companion and a singleton.
-        // With k = 24 the raw cuts of 2, 3 and 4 shards (12; 8, 16; 6, 12,
-        // 18) all fall inside a four-member cluster and must move up to its
-        // end.
+        // With k = 24, cuts every 1 or 8 vectors fall inside four-member
+        // clusters and must move up to their ends; the window ends on a
+        // cluster boundary past the last full cut.
         let n = 30;
         let target: Vec<f64> = (0..n)
             .map(|i| (i / 5) as f64 + [0.0, 0.0, 0.0, 1e-9, 0.4][i % 5])
@@ -738,21 +780,25 @@ mod tests {
         let k = 24;
         let ctol = cluster_tolerance(d, e);
         assert!(
-            values[12] - values[11] <= ctol && values[14] - values[13] > ctol,
-            "a cluster must straddle k/2"
+            values[8] - values[7] <= ctol && values[14] - values[13] > ctol,
+            "a cluster must straddle the cut at 8"
         );
 
-        let solve = |shards: usize| {
+        let solve = |threads: usize, strip_cols: usize| {
             let mut z = Matrix::zeros(0, 0);
             let mut s = InverseIterScratch::default();
-            eigenvectors_sharded(d, e, &values[..k], 0, shards, &mut z, &mut s);
+            let fan = (threads, strip_cols);
+            eigenvectors_in_strips(d, e, &values[..k], 0, fan, &mut z, &mut s);
             z
         };
-        let single = solve(1);
-        for shards in 2..=4 {
-            assert!(solve(shards) == single, "{shards} shards");
+        let single = solve(1, STRIP_COLS);
+        for strip_cols in [1, 8, STRIP_COLS] {
+            for threads in 1..=4 {
+                let z = solve(threads, strip_cols);
+                assert!(z == single, "{threads} threads, strips of {strip_cols}");
+            }
         }
-        // The lease decides the shard count of the public entry point.
+        // The lease decides the thread count of the public entry point.
         for width in 1..=4 {
             let mut z = Matrix::zeros(0, 0);
             crate::budget::ComputeLease::untracked(width).scoped(|| {
@@ -761,7 +807,7 @@ mod tests {
             });
             assert!(z == single, "lease width {width}");
         }
-        // Orthonormal across the shard seams as well.
+        // Orthonormal across the strip seams as well.
         let gram = single.t_matmul(&single);
         for i in 0..k {
             for j in 0..k {
@@ -772,18 +818,20 @@ mod tests {
     }
 
     #[test]
-    fn shards_outnumbering_clusters_leave_empty_shards() {
-        // One cluster of three: every cut snaps to the end, so shards 1.. are
-        // empty and shard 0 does the lot; and a transpose that is not a
-        // multiple of the tile.
+    fn a_cluster_wider_than_a_strip_widens_it() {
+        // One cluster of three in strips of one: every later cut snaps to
+        // the end, so strips 1.. are empty and strip 0 does the lot. The
+        // first call sizes the output and its four threads' bands; a
+        // narrower window grows none of them.
         let d = [1.0, 1.0, 1.0, 5.0, 9.0, 2.0, 7.0, 3.0, 8.0, 4.0, 6.0];
         let e = [0.0; 11];
         let lambda = [1.0, 1.0, 1.0];
         let mut s = InverseIterScratch::default();
         let mut z = Matrix::zeros(0, 0);
-        eigenvectors_sharded(&d, &e, &lambda, 0, 4, &mut z, &mut s);
+        eigenvectors_in_strips(&d, &e, &lambda, 0, (4, 1), &mut z, &mut s);
+        assert_eq!(s.grown, 5, "the output and four threads' bands");
         let mut reference = Matrix::zeros(0, 0);
-        eigenvectors_sharded(&d, &e, &lambda, 0, 1, &mut reference, &mut s);
+        eigenvectors_in_strips(&d, &e, &lambda, 0, (1, STRIP_COLS), &mut reference, &mut s);
         assert!(z == reference);
         for j in 0..3 {
             let col = z.col(j);
@@ -793,6 +841,9 @@ mod tests {
                 "column {j} leaves the eigenspace"
             );
         }
+        let grown = s.grown;
+        eigenvectors_in_strips(&d, &e, &lambda[..2], 0, (1, 1), &mut z, &mut s);
+        assert_eq!(s.grown, grown, "a narrower window grew a buffer");
     }
 
     #[test]

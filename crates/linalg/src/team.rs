@@ -421,6 +421,12 @@ pub fn width() -> usize {
     }
 }
 
+/// Whether the calling thread is inside a parallel region, where every
+/// [`run`] runs inline.
+pub(crate) fn in_region() -> bool {
+    IN_REGION.get()
+}
+
 /// Declare the calling thread a parallel region of its own for the rest of
 /// its life: every [`run`] it reaches runs inline and [`width`] is 1. A
 /// message-passing rank calls this first thing — P ranks are P threads.

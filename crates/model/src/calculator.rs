@@ -360,7 +360,7 @@ impl<'m> TbCalculator<'m> {
     /// a fresh build's.
     pub fn compute_with(&self, s: &Structure, ws: &mut Workspace) -> Result<TbResult, TbError> {
         let mut timings = PhaseTimings::default();
-        let grown_before = ws.grown;
+        let grown_before = ws.large_alloc_events();
         let (_, occ) = self.density_with(s, ws, &mut timings)?;
         let band = occ.band_energy(&ws.values);
 
@@ -368,7 +368,7 @@ impl<'m> TbCalculator<'m> {
         let (rep, forces) = dense_forces(ws.neighbors.list(), &ws.bonds, &ws.rho_blocks);
         timings.forces = sp.finish();
 
-        epilogue(ws.grown - grown_before, &timings, &[]);
+        epilogue(ws.large_alloc_events() - grown_before, &timings, &[]);
         let entropy_term = entropy_term(self.occupation, occ.entropy);
         Ok(TbResult {
             energy: band + rep + entropy_term,

@@ -53,5 +53,5 @@ pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_
 pub use units::{ACCEL_CONV, KB_EV};
 pub use workspace::{
     DenseCache, KeptCandidates, KeptSkin, NeighborOutcome, NeighborStats, NeighborWorkspace,
-    Workspace, DEFAULT_SKIN,
+    Workspace, WorkspaceBytes, DEFAULT_SKIN,
 };

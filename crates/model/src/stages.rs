@@ -248,6 +248,13 @@ impl Partner {
 }
 
 impl RhoBlocks {
+    /// Bytes of the store, its block index and its scratch.
+    pub fn heap_bytes(&self) -> usize {
+        let doubles = self.values.capacity() + self.scratch.capacity();
+        let index = self.partners.capacity() * std::mem::size_of::<Partner>();
+        8 * (doubles + self.starts.capacity()) + index
+    }
+
     /// Lay the store out for `nl`, one zeroed double per bond-block element.
     fn lay_out(&mut self, nl: &NeighborList, index: &OrbitalIndex) {
         let (partners, mut at) = (&mut self.partners, 0);
@@ -451,6 +458,13 @@ impl BondTable {
     /// The repulsive energy `Σ_i f(x_i)`, summed in atom order.
     pub fn repulsive_energy(&self) -> f64 {
         self.atoms.iter().map(|a| a.embedding.0).sum()
+    }
+
+    /// Bytes of the table's allocations.
+    pub fn heap_bytes(&self) -> usize {
+        let rows = self.atoms.capacity() * std::mem::size_of::<AtomBonds>();
+        let terms = self.atoms.iter().map(|a| a.terms.capacity());
+        rows + terms.sum::<usize>() * std::mem::size_of::<BondTerms>()
     }
 }
 

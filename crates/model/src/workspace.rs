@@ -18,6 +18,16 @@
 //! * **matrices** — the H/eigenvector buffer (diagonalized in place) is
 //!   reused across steps via [`Matrix::resize_zeroed`], and `ρ`, kept on
 //!   the bond blocks alone ([`RhoBlocks`]), is refilled in place.
+//! * **sized once** — the occupied window `k` moves by a state or two
+//!   during MD, so the `n × k` eigenvector block `c` is allocated for
+//!   `n × n` when first sized for `n` and never moves (the pages past
+//!   `n × k` are never written, so they are never resident). A block that
+//!   regrew by `Vec` doubling left its old 4.2 MB block resident at Si-216:
+//!   once glibc has freed a 4–6 MB mmapped block it raises its mmap and trim
+//!   thresholds, so a session built after another one is dropped gets its
+//!   large blocks from the heap, and one Si-216 session peaked at 27.5 MB
+//!   there against 19.4 MB in a fresh process. The fix is in the sizing,
+//!   not in allocator tuning; [`Workspace::bytes`] reports each buffer.
 //! * **eigensolver scratch** — subdiagonal and sort-permutation buffers for
 //!   [`tbmd_linalg::eigh_into`], the tridiagonal factor, reduction panels
 //!   and inverse-iteration buffers of the two-stage solver.
@@ -231,7 +241,8 @@ pub struct Workspace {
     /// reflectors of the blocked reduction in it.
     pub h: Matrix,
     /// Occupied-subspace eigenvector block (`n_orb × k`) produced by the
-    /// two-stage solver's inverse-iteration + back-transform stage.
+    /// two-stage solver's inverse-iteration + back-transform stage, in
+    /// storage for `n_orb × n_orb` (see the module doc: sized once).
     pub c: Matrix,
     /// `W = C·diag(√(2f))` and the full `ρ = W·Wᵀ` of the reference
     /// [`crate::density_matrix_into`]: no engine touches them; they serve the
@@ -263,11 +274,14 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Number of times an `n_orb²`-sized buffer (`H`, the health probe's
-    /// `H`) had to grow its allocation. Stays constant after the first
-    /// evaluation of the largest system seen — the O(1)-allocations guarantee the MD loop relies on.
+    /// Number of times an `n_orb`-sized buffer had to grow its allocation:
+    /// `H`, the health probe's `H` (both counted in `grown`), the
+    /// eigenvector block `c` and the inverse iteration's staging bands
+    /// ([`EighWorkspace::large_alloc_events`]). Stays constant after the
+    /// first evaluation of the largest system seen — the O(1)-allocations
+    /// guarantee the MD loop relies on.
     pub fn large_alloc_events(&self) -> usize {
-        self.grown
+        self.grown + self.eigh.large_alloc_events()
     }
 
     /// `ρ` on the bond blocks of the last dense evaluation's neighbour list
@@ -275,6 +289,36 @@ impl Workspace {
     pub fn rho_blocks(&self) -> &RhoBlocks {
         &self.rho_blocks
     }
+
+    /// The bytes the dense pipeline's buffers hold, by buffer.
+    pub fn bytes(&self) -> WorkspaceBytes {
+        WorkspaceBytes {
+            h: self.h.heap_bytes(),
+            c: 8 * self.c.rows() * self.c.cols(),
+            eigensolver: self.eigh.heap_bytes(),
+            bonds: self.bonds.heap_bytes(),
+            rho_blocks: self.rho_blocks.heap_bytes(),
+        }
+    }
+}
+
+/// The bytes of a [`Workspace`]'s dense buffers ([`Workspace::bytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkspaceBytes {
+    /// The Hamiltonian buffer `h` (`n × n`; eigenvectors or packed
+    /// reflectors after a solve).
+    pub h: usize,
+    /// The part of the eigenvector block `c` the last solve wrote (`n × k`).
+    /// Its storage is reserved for `n × n` when first sized for `n`, but the
+    /// pages past `n × k` are never written, so they are never resident.
+    pub c: usize,
+    /// Eigensolver scratch: reduction panels and factors, inverse-iteration
+    /// buffers and the per-thread staging bands.
+    pub eigensolver: usize,
+    /// The bond table's radial terms.
+    pub bonds: usize,
+    /// `ρ` on the bond blocks, with its block index.
+    pub rho_blocks: usize,
 }
 
 #[cfg(test)]

@@ -251,7 +251,7 @@ impl ForceProvider for DistributedTb<'_> {
         let index = OrbitalIndex::new(s);
         let launch = self.ranks.launch(
             &self.slots,
-            |slot| slot.grown,
+            |slot| slot.grown + slot.eigh.large_alloc_events(),
             index.total(),
             ws,
             |rank, slot| self.sliced_rank(s, &index, rank, slot),

@@ -15,7 +15,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd::{Engine, EngineKind};
 use tbmd_md::{maxwell_boltzmann, MdState, VelocityVerlet};
-use tbmd_model::{silicon_gsp, ForceProvider, OccupationScheme, TbCalculator, TbModel, Workspace};
+use tbmd_model::{
+    silicon_gsp, DenseCache, ForceProvider, OccupationScheme, TbCalculator, TbModel, Workspace,
+};
 use tbmd_parallel::DistributedTb;
 use tbmd_structure::{bulk_diamond, NeighborList, Species, Structure};
 
@@ -140,6 +142,46 @@ fn hundred_step_nve_run_allocates_once() {
         stats.rebuilds
     );
     assert_eq!(stats.rebuilds + stats.refreshes, 101);
+}
+
+/// The occupied window `k` (states with `f > 10⁻¹²`) widens and narrows as
+/// levels cross during hot MD, and the eigenvector block `c` is sized for
+/// it: a Si-64 NVE run from 1500 K must see `k` change and still never grow
+/// a buffer after the first evaluation — `c` and the inverse iteration's
+/// staging bands included. At kT = 0.05 eV the window's edge sits where
+/// levels cross it within the run (147 → 148 → 147); at 0.1 eV it reads
+/// 178 on all 30 steps.
+#[test]
+fn hot_run_moves_the_occupied_window_without_regrowing_a_buffer() {
+    let model = silicon_gsp();
+    let calc = TbCalculator::with_occupation(&model, OccupationScheme::Fermi { kt: 0.05 });
+    let s = si64();
+    let v = maxwell_boltzmann(&s, 1500.0, &mut StdRng::seed_from_u64(1500));
+    let occupied = |ws: &Workspace| match ws.dense_cache {
+        DenseCache::Sliced { occupied } => occupied,
+        other => panic!("Si-64 runs the two-stage solve, not {other:?}"),
+    };
+
+    let mut ws = Workspace::new();
+    let mut state = MdState::new_with(s, v, &calc, &mut ws).unwrap();
+    let after_first = ws.large_alloc_events();
+    assert!(
+        ws.eigh.large_alloc_events() > 0,
+        "the eigenvector block's first sizing must be counted"
+    );
+    let mut windows = vec![occupied(&ws)];
+    let vv = VelocityVerlet::new(1.0);
+    for step in 0..30 {
+        vv.step_with(&mut state, &calc, &mut ws).unwrap();
+        windows.push(occupied(&ws));
+        assert_eq!(
+            ws.large_alloc_events(),
+            after_first,
+            "step {step}: a buffer grew (windows so far {windows:?})"
+        );
+    }
+    windows.dedup();
+    assert!(windows.len() > 1, "k never changed: {windows:?}");
 }
 
 /// Drive `warm_in` MD steps so every persistent buffer reaches its
