@@ -9,7 +9,7 @@ use tbmd::linalg::{
     apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect, team,
     tridiagonalize_blocked_into, Eigh, EighWorkspace, Matrix, TRIDIAG_BLOCK,
 };
-use tbmd::linscale::chebyshev::spectral_window;
+use tbmd::linscale::chebyshev::{spectral_window, Expansion, Window};
 use tbmd::linscale::{BlockRecurrence, LinearScalingTb, LocalRegion, SparseH};
 use tbmd::model::{
     bond_block_elements, bond_density, build_hamiltonian, OrbitalIndex, PhaseTimings, RhoBlocks,
@@ -442,17 +442,18 @@ fn gemm_half(n: usize) -> Vec<(&'static str, f64, usize)> {
     ]
 }
 
-/// The three block steps [`block_steps`] times, as K1b labels them.
-const BLOCK_STEPS: [&str; 3] = ["plain", "moment (dots tail)", "density (ρ tail)"];
+/// The two block steps [`block_steps`] times, as K1b labels them.
+const BLOCK_STEPS: [&str; 2] = ["plain", "one pass (ρ sets on the bond rows + diagonal)"];
 
 /// The block Chebyshev step on the benchmark's region — Si-216 at r_loc
 /// 6.0 Å (≈ 47 atoms), on the Gershgorin window — bare and as the engine's
-/// two passes run it: with the moment dots, and with the ρ update on the
-/// centre's bond rows. Returns the region's orbitals and stored entries and,
-/// per step of [`BLOCK_STEPS`], the ns per step of `reps` passes of `steps`
-/// steps each. Each repetition runs the three passes once, in turn, so a
-/// swing of the host's speed lands on every row alike rather than on one.
-pub fn block_steps(reps: usize, steps: usize) -> (usize, usize, [Vec<f64>; 3]) {
+/// one pass runs it: the centre's diagonal read into the moments and every
+/// ρ set of an expansion added on the centre's bond rows. Returns the
+/// region's orbitals and stored entries and, per step of [`BLOCK_STEPS`],
+/// the ns per step of `reps` passes of `steps` steps each. Each repetition
+/// runs both once, in turn, so a swing of the host's speed lands
+/// on every row alike rather than on one.
+pub fn block_steps(reps: usize, steps: usize) -> (usize, usize, [Vec<f64>; 2]) {
     let s = bulk_diamond(Species::Silicon, 3, 3, 3);
     let model = silicon_gsp();
     let index = OrbitalIndex::new(&s);
@@ -467,21 +468,25 @@ pub fn block_steps(reps: usize, steps: usize) -> (usize, usize, [Vec<f64>; 3]) {
         bond_rows[region.local_index(index.offset(j)).expect("bonded") / 4] = true;
     }
     let recurrence = || BlockRecurrence::new(&region, row0, 4, shift, scale);
-    let coeffs: Vec<f64> = (0..=steps).map(|k| 1.0 / (1 + k) as f64).collect();
-    let passes: [&dyn Fn() -> f64; 3] = [
+    let window = Window {
+        shift,
+        scale,
+        order: steps + 1,
+    };
+    let expansion = Expansion::new(window, shift, 0.2);
+    let passes: [&dyn Fn() -> f64; 2] = [
         &|| {
             let mut rec = recurrence();
             (0..steps).for_each(|_| rec.advance());
             rec.current()[row0][0]
         },
         &|| {
-            let mut moments = vec![0.0; 2 * steps];
-            recurrence().diagonal_moments(&mut moments);
-            moments[2 * steps - 1]
+            let mut moments = vec![0.0; steps + 1];
+            let rho = recurrence().pass(&mut moments, Some((&expansion, &bond_rows)));
+            rho.map_or(0.0, |rho| rho[0][0]) + moments[steps]
         },
-        &|| recurrence().density_columns(&coeffs, &bond_rows)[row0][0],
     ];
-    let mut ns = [vec![0.0; reps], vec![0.0; reps], vec![0.0; reps]];
+    let mut ns = [vec![0.0; reps], vec![0.0; reps]];
     for rep in 0..reps {
         for (row, pass) in ns.iter_mut().zip(&passes) {
             row[rep] = best_of(1, pass).0 / steps as f64 * 1e9;
@@ -538,7 +543,7 @@ pub fn kernels(size: Option<usize>) -> Report {
     let (region_orbitals, region_nnz, mut ns_per_step) = block_steps(9, 2000);
     let mut k1b = Table::new(
         "K1b: four-column block Chebyshev step, Si-216 region at r_loc 6.0 Å \
-         (Gershgorin window; ρ tail on the centre's bond rows), median of 9 interleaved \
+         (Gershgorin window; ρ sets on the centre's bond rows), median of 9 interleaved \
          repetitions",
         &[
             "step",

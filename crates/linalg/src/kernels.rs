@@ -588,22 +588,6 @@ pub struct Bsr4<'a> {
     pub diag: &'a [[f64; 4]],
 }
 
-/// What [`bsr4_chebyshev_step`] does with each finished block row of `out`
-/// while it is still in registers, in place of a second pass over the rows.
-#[derive(Debug)]
-pub enum StepTail<'a> {
-    /// Nothing.
-    None,
-    /// Overwrite with `[Σ_c ⟨out_c, out_c⟩, Σ_c ⟨out_c, x_c⟩]` over the four
-    /// columns `c` — the two products a doubled Chebyshev moment step needs.
-    /// Each column sums its rows in ascending order, one fused multiply-add
-    /// per row; the four columns are added last as `(c0 + c1) + (c2 + c3)`.
-    Dots(&'a mut [f64; 2]),
-    /// `rho += c · out`, row by row, on the block rows `i` with `rows[i]`
-    /// set; the other rows of `rho` are left as they are.
-    Axpy(f64, &'a mut [Row4], &'a [bool]),
-}
-
 /// One three-term Chebyshev step of a four-column block recurrence over the
 /// operator `A` of a [`Bsr4`]:
 ///
@@ -613,9 +597,7 @@ pub enum StepTail<'a> {
 ///
 /// For `H̃ = (H − shift)/scale` the caller takes `shift` off the diagonal
 /// once and passes `gain = 1/scale` with a zero `prev` for the first step
-/// `T₁ = H̃·T₀`, `gain = 2/scale` for every later one; `tail` consumes each
-/// block row of `out` as it is finished ([`StepTail`]) and leaves `out` the
-/// same bits whichever it is.
+/// `T₁ = H̃·T₀`, `gain = 2/scale` for every later one.
 ///
 /// Every product is a fused multiply-add where the target has one (`fmadd`
 /// above). Each of the 16 outputs of a block row sums its blocks in list
@@ -644,63 +626,15 @@ pub enum StepTail<'a> {
 /// block, and on the 2-vCPU Emerald Rapids host these figures come from,
 /// 512-bit broadcast loads sustain ≈ 1.3 per cycle (plain loads ≈ 1.7).
 /// What pays instead is alignment ([`Rows64`]).
-pub fn bsr4_chebyshev_step(
-    a: Bsr4<'_>,
-    gain: f64,
-    x: &[Row4],
-    prev: &[Row4],
-    out: &mut [Row4],
-    tail: StepTail<'_>,
-) {
+pub fn bsr4_chebyshev_step(a: Bsr4<'_>, gain: f64, x: &[Row4], prev: &[Row4], out: &mut [Row4]) {
     debug_assert_eq!(a.block_col.len(), a.blocks.len());
     assert_eq!(x.len(), 4 * (a.block_ptr.len() - 1));
     assert!(prev.len() == x.len() && out.len() == x.len() && 4 * a.diag.len() == x.len());
-    match tail {
-        StepTail::None => step_rows(a, gain, x, prev, out, |_, _, _| {}),
-        StepTail::Dots(dots) => {
-            let (mut sq, mut cross) = ([0.0; 4], [0.0; 4]);
-            step_rows(a, gain, x, prev, out, |_, o, xi| {
-                for r in 0..4 {
-                    for c in 0..4 {
-                        sq[c] = fmadd(o[r][c], o[r][c], sq[c]);
-                        cross[c] = fmadd(o[r][c], xi[r][c], cross[c]);
-                    }
-                }
-            });
-            *dots = [sq, cross].map(|s| (s[0] + s[1]) + (s[2] + s[3]));
-        }
-        StepTail::Axpy(coeff, rho, rows) => {
-            assert!(rho.len() == x.len() && 4 * rows.len() == x.len());
-            step_rows(a, gain, x, prev, out, |i, o, _| {
-                if !rows[i] {
-                    return;
-                }
-                for (rho_row, o_row) in rho[4 * i..4 * i + 4].iter_mut().zip(o) {
-                    for c in 0..4 {
-                        rho_row[c] = fmadd(coeff, o_row[c], rho_row[c]);
-                    }
-                }
-            });
-        }
-    }
-}
-
-/// The body of [`bsr4_chebyshev_step`], compiled once per tail:
-/// `tail(i, out_i, x_i)` sees block row `i` of `out` and of `x`.
-#[inline(always)]
-fn step_rows(
-    a: Bsr4<'_>,
-    gain: f64,
-    x: &[Row4],
-    prev: &[Row4],
-    out: &mut [Row4],
-    mut tail: impl FnMut(usize, &[Row4; 4], &[Row4]),
-) {
     let rows = out
         .chunks_exact_mut(4)
         .zip(x.chunks_exact(4).zip(prev.chunks_exact(4)));
     let operator = a.block_ptr.windows(2).zip(a.diag);
-    for (i, ((o, (xi, pi)), (w, d))) in rows.zip(operator).enumerate() {
+    for ((o, (xi, pi)), (w, d)) in rows.zip(operator) {
         let (lo, hi) = (w[0] as usize, w[1] as usize);
         let mut low = [[0.0f64; 4]; 4];
         let mut high = [[0.0f64; 4]; 4];
@@ -725,7 +659,30 @@ fn step_rows(
             }
         }
         o.copy_from_slice(&row);
-        tail(i, &row, xi);
+    }
+}
+
+/// The ρ tails of a Chebyshev pass, a block of steps at a time: for each of
+/// the `m` rows `b` of the `S` series `sums` (one after another, `m` rows
+/// each), `sums_s[b] += Σ_k coeffs[k][s] · iterates[k·m + b]` over the
+/// buffered iterates `k` in ascending order, one fused multiply-add per
+/// term. The order is that of adding each iterate as it comes, so the bits
+/// do not depend on how the steps are blocked; blocking keeps a row's `S`
+/// accumulators in registers across the block instead of loading and
+/// storing them at every step.
+pub fn row_series<const S: usize>(sums: &mut [Row4], iterates: &[Row4], coeffs: &[[f64; S]]) {
+    let m = sums.len() / S;
+    assert!(sums.len() == S * m && iterates.len() == coeffs.len() * m);
+    for b in 0..m {
+        let mut acc: [Row4; S] = std::array::from_fn(|s| sums[s * m + b]);
+        for (c, t) in coeffs.iter().zip(iterates[b..].iter().step_by(m)) {
+            for (acc, &c) in acc.iter_mut().zip(c) {
+                *acc = std::array::from_fn(|col| fmadd(c, t[col], acc[col]));
+            }
+        }
+        for (s, acc) in acc.into_iter().enumerate() {
+            sums[s * m + b] = acc;
+        }
     }
 }
 
@@ -1015,7 +972,7 @@ mod tests {
             }
         }
 
-        fn step(&self, tail: StepTail<'_>) -> Vec<Row4> {
+        fn step(&self) -> Vec<Row4> {
             let a = Bsr4 {
                 block_ptr: &self.block_ptr,
                 block_col: &self.block_col,
@@ -1023,7 +980,7 @@ mod tests {
                 diag: &self.diag,
             };
             let mut out = vec![[0.0; 4]; 12];
-            bsr4_chebyshev_step(a, GAIN, &self.x, &self.prev, &mut out, tail);
+            bsr4_chebyshev_step(a, GAIN, &self.x, &self.prev, &mut out);
             out
         }
     }
@@ -1045,7 +1002,7 @@ mod tests {
                 dense[4 * i + r][4 * i + r] += fx.diag[i][r];
             }
         }
-        let out = fx.step(StepTail::None);
+        let out = fx.step();
         for (i, row) in out.iter().enumerate() {
             for (c, got) in row.iter().enumerate() {
                 let ax: f64 = (0..12).map(|j| dense[i][j] * fx.x[j][c]).sum();
@@ -1056,38 +1013,37 @@ mod tests {
     }
 
     #[test]
-    fn bsr4_step_tails_match_a_second_pass() {
-        let fx = Bsr4Fixture::new();
-        let plain = fx.step(StepTail::None);
-        let bits = |v: &[Row4]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // `got` against `Σ terms`, to 1e-13 of the terms' size (the sum itself
-        // may cancel).
-        let close = |got: f64, terms: &[f64]| {
-            let (sum, size) = terms
-                .iter()
-                .fold((0.0, 0.0), |(s, a), t| (s + t, a + t.abs()));
-            assert!((got - sum).abs() <= 1e-13 * size, "{got} vs {sum}");
+    fn row_series_adds_one_iterate_at_a_time_however_blocked() {
+        // Three series over five rows, from eleven iterates of those rows:
+        // each term one fused multiply-add in iterate order, whether the
+        // iterates come one at a time, in blocks of four, or all at once.
+        let mut rng = StdRng::seed_from_u64(57);
+        let m = 5;
+        let mut random = |len: usize| -> Vec<Row4> {
+            (0..len)
+                .map(|_| std::array::from_fn(|_| rng.gen_range(-1.0..1.0)))
+                .collect()
         };
-
-        let mut dots = [f64::NAN; 2];
-        let out = fx.step(StepTail::Dots(&mut dots));
-        assert_eq!(bits(&out), bits(&plain), "dots tail moved `out`");
-        for (got, w) in [(dots[0], &plain), (dots[1], &fx.x)] {
-            let products = plain.iter().flatten().zip(w.iter().flatten());
-            close(got, &products.map(|(o, w)| o * w).collect::<Vec<_>>());
-        }
-
-        let coeff = -0.7;
-        let rho0: Vec<Row4> = (0..12)
-            .map(|i| std::array::from_fn(|c| (i as f64 - 1.5 * c as f64) * 0.3))
+        let (sums0, iterates) = (random(3 * m), random(11 * m));
+        let coeffs: Vec<[f64; 3]> = (0..11)
+            .map(|k| std::array::from_fn(|s| (k as f64 - 2.0 * s as f64) * 0.37))
             .collect();
-        let mut rho = rho0.clone();
-        let out = fx.step(StepTail::Axpy(coeff, &mut rho, &[true; 3]));
-        assert_eq!(bits(&out), bits(&plain), "ρ tail moved `out`");
-        for ((got, r0), o) in rho.iter().zip(&rho0).zip(&plain) {
-            for c in 0..4 {
-                close(got[c], &[r0[c], coeff * o[c]]);
+        let mut want = sums0.clone();
+        for (k, c) in coeffs.iter().enumerate() {
+            for b in 0..m {
+                for (s, &c) in c.iter().enumerate() {
+                    let (t, acc) = (iterates[k * m + b], &mut want[s * m + b]);
+                    *acc = std::array::from_fn(|col| fmadd(c, t[col], acc[col]));
+                }
             }
+        }
+        let bits = |v: &[Row4]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for block in [1, 4, 11] {
+            let mut sums = sums0.clone();
+            for (c, t) in coeffs.chunks(block).zip(iterates.chunks(block * m)) {
+                row_series(&mut sums, t, c);
+            }
+            assert_eq!(bits(&sums), bits(&want), "blocks of {block}");
         }
     }
 
@@ -1156,11 +1112,7 @@ mod tests {
                 })
                 .collect()
         };
-        let (x, prev, rho0) = (
-            multivector(&mut rng),
-            multivector(&mut rng),
-            multivector(&mut rng),
-        );
+        let (x, prev) = (multivector(&mut rng), multivector(&mut rng));
         let scale = 3.7;
         for gain in [1.0 / scale, 2.0 / scale] {
             // The documented order, one term at a time: per output, the k = 0, 1
@@ -1182,50 +1134,10 @@ mod tests {
                     }
                 }
             }
-            let mut sums = [[0.0; 4]; 2];
-            for (o, xr) in want.iter().zip(&x) {
-                for c in 0..4 {
-                    sums[0][c] = fmadd(o[c], o[c], sums[0][c]);
-                    sums[1][c] = fmadd(o[c], xr[c], sums[1][c]);
-                }
-            }
-            let want_dots = sums.map(|s| (s[0] + s[1]) + (s[2] + s[3]));
-            let mut want_rho = rho0.clone();
-            for (r, o) in want_rho.iter_mut().zip(&want) {
-                for c in 0..4 {
-                    r[c] = fmadd(-0.7, o[c], r[c]);
-                }
-            }
-
             let bits = |v: &[Row4]| v.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
             let mut out = vec![[f64::NAN; 4]; 4 * slots];
-            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, StepTail::None);
-            assert_eq!(bits(&out), bits(&want), "gain {gain}: no tail");
-            let mut dots = [f64::NAN; 2];
-            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, StepTail::Dots(&mut dots));
-            assert_eq!(bits(&out), bits(&want), "gain {gain}: dots tail");
-            assert_eq!(
-                dots.map(f64::to_bits),
-                want_dots.map(f64::to_bits),
-                "gain {gain}: dots"
-            );
-            let mut rho = rho0.clone();
-            let every = vec![true; slots];
-            let tail = StepTail::Axpy(-0.7, &mut rho, &every);
-            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, tail);
-            assert_eq!(bits(&out), bits(&want), "gain {gain}: ρ tail");
-            assert_eq!(bits(&rho), bits(&want_rho), "gain {gain}: ρ");
-            // A mask leaves its rows the full tail's bits and the others as
-            // they were.
-            let rows: Vec<bool> = (0..slots).map(|i| i % 3 != 1).collect();
-            let mut masked = rho0.clone();
-            let tail = StepTail::Axpy(-0.7, &mut masked, &rows);
-            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out, tail);
-            assert_eq!(bits(&out), bits(&want), "gain {gain}: masked ρ tail");
-            for (r, row) in masked.iter().enumerate() {
-                let expect = if rows[r / 4] { want_rho[r] } else { rho0[r] };
-                assert_eq!(row.map(f64::to_bits), expect.map(f64::to_bits), "row {r}");
-            }
+            bsr4_chebyshev_step(a, gain, &x, &prev, &mut out);
+            assert_eq!(bits(&out), bits(&want), "gain {gain}");
         }
     }
 

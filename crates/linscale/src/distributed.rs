@@ -6,13 +6,13 @@
 //! density-matrix columns of its own atoms on their localization regions
 //! (built locally from the replicated geometry — no halo exchange needed
 //! because the region Hamiltonian only requires positions). Communication is
-//! one positions broadcast, an `order`-length moment allreduce for the
-//! chemical potential, scalar energy allreduces, and the force allgather —
+//! one positions broadcast, an `order`-length moment allreduce per pass for
+//! the chemical potential, scalar energy allreduces, and the force allgather —
 //! all independent of the O(N³) wall that throttled the dense engine's
 //! scaled speedup (experiments F1 vs F8).
 
-use crate::chebyshev::{solve_mu, Window};
-use crate::engine::{AtomRegion, LinearScalingTb};
+use crate::chebyshev::{grid_point, settle, Expansion, Window};
+use crate::engine::{AtomPass, AtomRegion, LinearScalingTb};
 use crate::sparse::SparseH;
 use std::sync::{Mutex, PoisonError};
 use tbmd_model::{
@@ -107,6 +107,8 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
         // only carries growth accounting, never dense eigenpairs.
         ws.dense_cache = tbmd_model::DenseCache::None;
         let n_atoms = s.n_atoms();
+        // The last evaluation's grid point, the same on every rank.
+        let hint = self.last_report().map(|r| grid_point(r.mu, kt));
 
         // The failure-detection window scales on the orbital count like the
         // dense engine's; for the O(N) engine this overestimates
@@ -133,48 +135,57 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
                 let my_atoms = partition_range(n_atoms, rank.size(), rank.id());
                 timings.hamiltonian = clock.lap(&mut timings);
 
-                // ---- Moment pass over my atoms, guarded after the allreduce
-                // (every rank sees the same global moments and decides alike).
+                // ---- One pass over my atoms, settled after the moment
+                // allreduce (every rank sees the same global moments and
+                // decides alike), then ρ corrected to μ and my forces.
                 slot.regions.update(local, r_loc);
                 let regions: Vec<AtomRegion> = my_atoms
                     .clone()
                     .map(|a| AtomRegion::new(local, &h, &slot.regions, a, r_loc))
                     .collect();
-                let (win, moments) = first.guarded(&h, order, |w| {
-                    let mut moments = vec![0.0; w.order];
-                    for region in &regions {
-                        region.add_moments(w, &mut moments);
-                        rank.count_flops(2 * region.step_ops(w.order / 2));
-                    }
-                    clock.blocked(|| rank.allreduce_sum(301, &mut moments));
-                    moments
-                });
-
-                // ---- μ bisection on the replicated global moments
-                // (identical on every rank, so no further communication).
                 let n_electrons = local.n_electrons() as f64;
-                let fermi = solve_mu(&moments, win.shift, win.scale, kt, n_electrons);
-                timings.diagonalize = clock.lap(&mut timings);
+                let (mut next, mut passes) = ((first, hint), 0);
+                let (win, g, fermi, mut atoms) = loop {
+                    let lap = clock.lap(&mut timings);
+                    timings.diagonalize += lap;
+                    let (w, g) = next;
+                    let e = g.map(|g| Expansion::new(w, g, kt));
+                    let mut moments = vec![0.0; w.order];
+                    let atoms: Vec<AtomPass> = regions
+                        .iter()
+                        .map(|region| {
+                            let atom = region.pass(nl, w, e.as_ref(), &mut moments);
+                            rank.count_flops(2 * region.step_ops(w.order - 1));
+                            atom
+                        })
+                        .collect();
+                    passes += 1;
+                    let lap = clock.lap(&mut timings);
+                    timings.density += lap;
+                    clock.blocked(|| rank.allreduce_sum(301, &mut moments));
+                    match settle(w, g, &moments, &h, order, kt, n_electrons) {
+                        Ok(fermi) => break (w, g.expect("settled at a grid point"), fermi, atoms),
+                        Err(rerun) => next = rerun,
+                    }
+                };
+                let band_partial: f64 = atoms.iter_mut().map(|a| a.at(fermi.mu - g)).sum();
+                let lap = clock.lap(&mut timings);
+                timings.diagonalize += lap;
 
-                // ---- Density + forces for my atoms.
-                let mut band_partial = 0.0;
                 let mut rep_partial = 0.0;
                 slot.forces_block.clear();
-                for (region, a) in regions.iter().zip(my_atoms.clone()) {
-                    let density = region.density(nl, &fermi.coeffs, win);
-                    rank.count_flops(2 * region.step_ops(win.order - 1));
-                    band_partial += density.band;
+                for (atom, a) in atoms.iter().zip(my_atoms.clone()) {
                     rep_partial += slot.bonds.embedding(a).0;
-                    let fi = bond_force(nl, &slot.bonds, a, |j| density.block(j));
+                    let fi = bond_force(nl, &slot.bonds, a, |j| atom.block(j));
                     rank.count_flops(400 * nl.neighbors(a).len() as u64);
                     slot.forces_block.extend_from_slice(&fi.to_array());
                 }
-                // order/2 moment steps + order − 1 density steps, one matvec
-                // per owned orbital column each.
+                // `passes` passes of order − 1 steps, one matvec per owned
+                // orbital column each.
                 let my_orbitals: usize = my_atoms.map(|a| local.species(a).n_orbitals()).sum();
                 tbmd_trace::add(
                     tbmd_trace::Counter::ChebyshevMatvecs,
-                    (my_orbitals * (win.order / 2 + win.order - 1)) as u64,
+                    (my_orbitals * passes * (win.order - 1)) as u64,
                 );
                 let mut energy_parts = vec![band_partial, rep_partial];
                 clock.blocked(|| rank.allreduce_sum(302, &mut energy_parts));

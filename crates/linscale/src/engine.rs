@@ -5,17 +5,26 @@
 //! truncated to a localization region of radius `r_loc` — the four columns
 //! advance together through one block recurrence
 //! ([`BlockRecurrence`]), cost O(order · region_nnz) per column, hence
-//! **O(N) total** at fixed radius and order. The chemical potential is found
-//! by bisection on the Chebyshev *moments* (computed once, in half the steps
-//! via the product identity; re-pricing a μ candidate costs O(order), see
-//! [`solve_mu`]), and forces come from the same local ρ blocks via the
-//! standard Hellmann–Feynman contraction.
+//! **O(N) total** at fixed radius and order.
+//!
+//! One pass per atom does everything: it reads the centre's diagonal of
+//! every iterate into the Chebyshev *moments*, and it sums the ρ columns on
+//! the bond rows as a Taylor series in μ about an expansion point `g`
+//! ([`Expansion`]). The chemical potential then comes from the moments by
+//! bisection ([`solve_mu`](crate::solve_mu): re-pricing a candidate costs
+//! O(order)), and each atom's ρ is carried from `g` to μ. `g` is μ rounded to
+//! a grid of spacing kT/2 ([`grid_point`]); the engine starts at the last
+//! evaluation's grid point, and runs the pass again at μ's if that was not
+//! it. The moments do not depend on `g`, so the pass whose
+//! ρ is kept — at `grid_point(μ)` — is a function of the positions alone: a
+//! hot evaluation is bit for bit a cold one. Forces come from the corrected
+//! ρ blocks via the standard Hellmann–Feynman contraction.
 //!
 //! Accuracy knobs: `order` is a ceiling. On the window of a 30-step Lanczos
 //! estimate of the spectrum ([`window`]) the engine runs
 //! `K = min(order, ⌈c·scale/(π·kT)⌉)` steps, ≈ 175 at Si-216 and kT 0.2 eV,
 //! so raising `order` past K changes nothing; if an even moment then exceeds
-//! the orbital count, the moment pass reruns on the Gershgorin window at
+//! the orbital count, the pass reruns on the Gershgorin window at
 //! `order`. `r_loc` sets the density-matrix
 //! truncation (exponentially convergent for gapped systems — Si diamond is
 //! the friendly case, metals are not; that is the method's physics).
@@ -28,7 +37,7 @@
 //! quantity the Hellmann–Feynman forces conserve, and NVE trajectories show
 //! a spurious drift proportional to the variation of `T_e S`.
 
-use crate::chebyshev::{solve_mu, window, BlockRecurrence, Window};
+use crate::chebyshev::{grid_point, settle, window, BlockRecurrence, Expansion, Window, SETS};
 use crate::sparse::{LocalRegion, SparseH};
 use std::sync::{Mutex, PoisonError};
 use tbmd_linalg::kernels::Block4;
@@ -52,9 +61,13 @@ pub struct LinScaleReport {
     pub total_region_orbitals: usize,
     /// Heap bytes of the regions' index views (they hold no block values).
     pub region_bytes: usize,
-    /// Multiply-adds executed by the block recurrence in the moment and
-    /// density passes together — the O(N) cost metric.
+    /// Multiply-adds executed by the block recurrence in every pass the
+    /// evaluation ran (`passes` of them) — the O(N) cost metric.
     pub total_matvec_ops: u64,
+    /// Passes run: one when the last evaluation's grid point was μ's, two
+    /// when it was not (always on a cold engine), one more when the window
+    /// missed the spectrum.
+    pub passes: usize,
     /// The window and the Chebyshev order the evaluation ran.
     pub window: Window,
 }
@@ -135,6 +148,11 @@ pub(crate) fn members(s: &Structure, c: &KeptCandidates, center: usize, r_loc: f
     members
 }
 
+/// Atoms whose moments one task sums before the sum joins the total, so the
+/// order of the additions, and their bits, do not depend on the team's
+/// width.
+const MOMENT_CHUNK: usize = 8;
+
 /// One atom's localization region with the recurrence seeded at its
 /// orbitals — the unit of work both engines distribute.
 pub(crate) struct AtomRegion<'h> {
@@ -174,16 +192,18 @@ impl<'h> AtomRegion<'h> {
         BlockRecurrence::new(&self.region, self.row0, self.n_orbitals, w.shift, w.scale)
     }
 
-    /// Moment pass (`moments.len() / 2` steps): add this atom's diagonal
-    /// samples `Σ_ν T_k(H̃)_νν` into `moments`.
-    pub(crate) fn add_moments(&self, w: Window, moments: &mut [f64]) {
-        self.recurrence(w).diagonal_moments(moments);
-    }
-
-    /// Density pass (`coeffs.len() − 1` steps): band-energy contribution and
-    /// local ρ blocks from this atom's Chebyshev ρ columns, accumulated only
-    /// on the block rows read here: the centre's and its neighbours'.
-    pub(crate) fn density(&self, nl: &NeighborList, coeffs: &[f64], w: Window) -> AtomDensity {
+    /// The one pass (`w.order − 1` steps): add this atom's diagonal samples
+    /// `Σ_ν T_k(H̃)_νν`, `k < w.order`, into `moments`, and with an expansion
+    /// return its ρ columns' sets ([`BlockRecurrence::pass`]) on the block
+    /// rows read here — the centre's and its neighbours' — as bond blocks
+    /// and band terms.
+    pub(crate) fn pass(
+        &self,
+        nl: &NeighborList,
+        w: Window,
+        e: Option<&Expansion>,
+        moments: &mut [f64],
+    ) -> AtomPass {
         // Distinct neighbour atoms (images of a pair share a block).
         let mut neighbor_atoms: Vec<usize> = nl
             .neighbors(self.atom)
@@ -202,35 +222,67 @@ impl<'h> AtomRegion<'h> {
         for &slot in slots.iter().flatten().chain([&(self.row0 / 4)]) {
             rows[slot] = true;
         }
-        let rho = self.recurrence(w).density_columns(coeffs, &rows);
-        // Padded row `r_j + β`, column ν of `rho` is ρ[o_j+β, o_a+ν]; a
-        // neighbour outside the region has no density.
+        let rho = self.recurrence(w).pass(moments, e.map(|e| (e, &rows[..])));
+        let Some(rho) = rho else {
+            return AtomPass::default();
+        };
+        // Rows `4p + β` of a set hold ρ_s[o_j+β, o_a+ν] in column ν for the
+        // p-th kept slot, the slot of atom j; a neighbour outside the region
+        // has no density.
+        let kept: Vec<usize> = (0..rows.len()).filter(|&i| rows[i]).collect();
+        let set = |s: usize| &rho[s * 4 * kept.len()..][..4 * kept.len()];
+        let at = |slot: usize| 4 * kept.binary_search(&slot).expect("a kept slot");
         let blocks = slots
             .iter()
-            .map(|slot| match slot {
-                Some(sj) => std::array::from_fn(|beta| rho[4 * sj + beta]),
-                None => [[0.0; 4]; 4],
+            .map(|slot| {
+                std::array::from_fn(|s| match slot {
+                    Some(sj) => std::array::from_fn(|beta| set(s)[at(*sj) + beta]),
+                    None => [[0.0; 4]; 4],
+                })
             })
             .collect();
-        AtomDensity {
-            band: self.region.block_row_trace(self.row0, &rho),
+        // The band term reads the centre's block row, whose columns are kept.
+        let mut x = vec![[0.0; 4]; self.region.padded_len()];
+        let band = std::array::from_fn(|s| {
+            for (p, &slot) in kept.iter().enumerate() {
+                x[4 * slot..4 * slot + 4].copy_from_slice(&set(s)[4 * p..4 * p + 4]);
+            }
+            self.region.block_row_trace(self.row0, &x)
+        });
+        AtomPass {
+            band,
             neighbor_atoms,
             blocks,
         }
     }
 }
 
-/// Per-atom output of the density pass.
-pub(crate) struct AtomDensity {
-    /// Band-energy contribution Σ_ν (ρ column_ν · H column_ν).
-    pub(crate) band: f64,
+/// Per-atom output of a pass with an expansion about `g`: the [`SETS`]
+/// sets `∂ˢρ/∂μˢ / s!` at `g` of its band term and bond blocks, until
+/// [`AtomPass::at`] folds them into the first.
+#[derive(Default)]
+pub(crate) struct AtomPass {
+    /// Band-energy contribution Σ_ν (ρ column_ν · H column_ν) of each set.
+    band: [f64; SETS],
     /// Distinct neighbour atoms, ascending, and for the e-th of them
-    /// `blocks[e][beta][alpha] = ρ[o_j+β, o_i+α]`.
+    /// `blocks[e][s][beta][alpha] = ρ_s[o_j+β, o_i+α]`.
     neighbor_atoms: Vec<usize>,
-    blocks: Vec<Block4>,
+    blocks: Vec<[Block4; SETS]>,
 }
 
-impl AtomDensity {
+impl AtomPass {
+    /// ρ at `μ = g + delta` (Horner in `delta`), into the first set; returns
+    /// this atom's band term there.
+    pub(crate) fn at(&mut self, delta: f64) -> f64 {
+        let series = |x: [f64; SETS]| x.iter().rev().fold(0.0, |acc, &x| acc * delta + x);
+        for sets in &mut self.blocks {
+            let entry = |r: usize, c: usize| series(std::array::from_fn(|s| sets[s][r][c]));
+            sets[0] = std::array::from_fn(|r| std::array::from_fn(|c| entry(r, c)));
+        }
+        self.band[0] = series(self.band);
+        self.band[0]
+    }
+
     /// The `(μ, ν)` reader of `ρ_ij` for neighbour atom `j` of this atom
     /// `i`: `ρ_ij[μ][ν] = block[ν][μ]` (atom i's columns hold
     /// `ρ[o_j+β, o_i+α]`) — what [`bond_force`] contracts.
@@ -239,7 +291,7 @@ impl AtomDensity {
             .neighbor_atoms
             .binary_search(&j)
             .expect("neighbour present");
-        let block = &self.blocks[e];
+        let block = &self.blocks[e][0];
         move |mu, nu| block[nu][mu]
     }
 }
@@ -272,59 +324,68 @@ impl ForceProvider for LinearScalingTb<'_> {
         // The window is chosen once (μ enters only through coefficients).
         let first = (self.window)(&h, self.kt, self.order);
         // Localization regions, one per atom (shared by its 4 columns).
-        let width = team::width();
         // An update cut short leaves the previous candidates and reference.
         let mut candidates = self.regions.lock().unwrap_or_else(PoisonError::into_inner);
         candidates.update(s, self.r_loc);
-        let regions: Vec<AtomRegion> = team::map(width, n_atoms, |a| {
-            AtomRegion::new(s, &h, &candidates, a, self.r_loc)
-        });
+        let regions: Vec<AtomRegion> = (0..n_atoms)
+            .map(|a| AtomRegion::new(s, &h, &candidates, a, self.r_loc))
+            .collect();
         drop(candidates);
         timings.hamiltonian = sp.finish();
 
-        // ---- Moment pass: diagonal Chebyshev moments M_k = Σ_j T_k(H̃)_jj,
-        // then μ from them.
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-        let moment_pass = |w: Window| {
-            let atom_moments = |a: usize| {
-                let mut m = vec![0.0; w.order];
-                regions[a].add_moments(w, &mut m);
-                m
-            };
-            let add = |mut acc: Vec<f64>, m: Vec<f64>| {
-                acc.iter_mut().zip(&m).for_each(|(x, y)| *x += y);
-                acc
-            };
-            team::fold(width, n_atoms, atom_moments, vec![0.0; w.order], add)
-        };
-        let (win, moments) = first.guarded(&h, self.order, moment_pass);
+        // ---- One pass per atom at the last evaluation's grid point, again
+        // at μ's if that was not it (see `settle`): moments, then μ from
+        // them, then ρ corrected from the expansion point to μ.
+        let width = team::width();
         let n_electrons = s.n_electrons() as f64;
-        let fermi = solve_mu(&moments, win.shift, win.scale, self.kt, n_electrons);
-        timings.diagonalize = sp.finish();
-
-        // ---- Density pass: ρ columns, band energy, local ρ blocks.
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
-        let densities: Vec<AtomDensity> = team::map(width, n_atoms, |a| {
-            regions[a].density(nl, &fermi.coeffs, win)
-        });
-        let band_energy: f64 = densities.iter().map(|d| d.band).sum();
-        // order/2 moment steps + order − 1 density steps, one matvec per
-        // orbital column each.
-        let steps = win.order / 2 + win.order - 1;
+        let hint = self.last_report().map(|r| grid_point(r.mu, self.kt));
+        let (mut next, mut passes) = ((first, hint), 0);
+        let (win, g, fermi, mut atoms) = loop {
+            let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
+            let (w, g) = next;
+            let e = g.map(|g| Expansion::new(w, g, self.kt));
+            let chunks = team::map(width, n_atoms.div_ceil(MOMENT_CHUNK), |c| {
+                let mut moments = vec![0.0; w.order];
+                let chunk = c * MOMENT_CHUNK..((c + 1) * MOMENT_CHUNK).min(n_atoms);
+                let atoms: Vec<AtomPass> = chunk
+                    .map(|a| regions[a].pass(nl, w, e.as_ref(), &mut moments))
+                    .collect();
+                (moments, atoms)
+            });
+            passes += 1;
+            timings.density += sp.finish();
+            let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
+            let (mut moments, mut atoms) = (vec![0.0; w.order], Vec::with_capacity(n_atoms));
+            for (m, chunk) in chunks {
+                moments.iter_mut().zip(&m).for_each(|(x, y)| *x += y);
+                atoms.extend(chunk);
+            }
+            let settled = settle(w, g, &moments, &h, self.order, self.kt, n_electrons);
+            timings.diagonalize += sp.finish();
+            match settled {
+                Ok(fermi) => break (w, g.expect("settled at a grid point"), fermi, atoms),
+                Err(rerun) => next = rerun,
+            }
+        };
+        let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
+        let band_energy: f64 = atoms.iter_mut().map(|a| a.at(fermi.mu - g)).sum();
+        timings.diagonalize += sp.finish();
+        // `passes` passes of order − 1 steps, one matvec per orbital column
+        // each.
+        let steps = passes * (win.order - 1);
         let total_matvec_ops: u64 = regions.iter().map(|r| r.step_ops(steps)).sum();
         tbmd_trace::add(
             tbmd_trace::Counter::ChebyshevMatvecs,
             (index.total() * steps) as u64,
         );
         tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 2 * total_matvec_ops);
-        timings.density = sp.finish();
 
         // ---- Forces: electronic from local ρ blocks + repulsive gather.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
         let bonds = &ws.bonds;
         let e_rep = bonds.repulsive_energy();
         let forces: Vec<Vec3> = team::map(width, n_atoms, |i| {
-            bond_force(nl, bonds, i, |j| densities[i].block(j))
+            bond_force(nl, bonds, i, |j| atoms[i].block(j))
         });
         timings.forces = sp.finish();
 
@@ -338,6 +399,7 @@ impl ForceProvider for LinearScalingTb<'_> {
             total_region_orbitals: regions.iter().map(|r| r.region.len()).sum(),
             region_bytes: regions.iter().map(|r| r.region.bytes()).sum(),
             total_matvec_ops,
+            passes,
             window: win,
         });
         Ok(ForceEvaluation {
@@ -527,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn the_density_pass_keeps_the_full_tail_bits_on_the_bond_rows() {
+    fn the_pass_keeps_the_full_tail_bits_on_the_bond_rows_and_the_moments_at_any_g() {
         let model = silicon_gsp();
         let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
         s.perturb(&mut StdRng::seed_from_u64(23), 0.05);
@@ -535,21 +597,34 @@ mod tests {
         let index = OrbitalIndex::new(&s);
         let h = SparseH::build(&s, &nl, &model, &index);
         let w = window(&h, 0.2, 120);
-        let coeffs: Vec<f64> = (0..w.order).map(|k| 1.0 / (1 + k) as f64).collect();
+        let mut e = Expansion::new(w, 0.0, 0.2);
+        e.weights = (0..w.order)
+            .map(|k| std::array::from_fn(|s| (1.0 - 0.4 * s as f64) / (1 + k) as f64))
+            .collect();
         let mut candidates = KeptCandidates::default();
         candidates.update(&s, 6.0);
         let bits = |b: &Block4| b.map(|r| r.map(f64::to_bits));
+        let moment_bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for atom in [0, 17, 63] {
             let region = AtomRegion::new(&s, &h, &candidates, atom, 6.0);
             let every = vec![true; region.region.padded_len() / 4];
-            let full = region.recurrence(w).density_columns(&coeffs, &every);
-            let masked = region.density(&nl, &coeffs, w);
-            let band = region.region.block_row_trace(region.row0, &full);
-            assert_eq!(masked.band.to_bits(), band.to_bits(), "atom {atom}");
-            for (e, &j) in masked.neighbor_atoms.iter().enumerate() {
-                let rj = region.region.local_index(index.offset(j)).unwrap();
-                let want: Block4 = std::array::from_fn(|beta| full[rj + beta]);
-                assert_eq!(bits(&masked.blocks[e]), bits(&want), "atom {atom}, {j}");
+            let mut moments = [0, 1, 2].map(|_| vec![0.0; w.order]);
+            let [full_m, masked_m, plain_m] = &mut moments;
+            let full = region.recurrence(w).pass(full_m, Some((&e, &every[..])));
+            let masked = region.pass(&nl, w, Some(&e), masked_m);
+            region.pass(&nl, w, None, plain_m);
+            assert_eq!(moment_bits(masked_m), moment_bits(full_m));
+            assert_eq!(moment_bits(plain_m), moment_bits(full_m));
+            let full = full.unwrap();
+            for (set, full) in full.chunks(region.region.padded_len()).enumerate() {
+                let band = region.region.block_row_trace(region.row0, full);
+                assert_eq!(masked.band[set].to_bits(), band.to_bits(), "atom {atom}");
+                for (e, &j) in masked.neighbor_atoms.iter().enumerate() {
+                    let rj = region.region.local_index(index.offset(j)).unwrap();
+                    let want: Block4 = std::array::from_fn(|beta| full[rj + beta]);
+                    let got = &masked.blocks[e][set];
+                    assert_eq!(bits(got), bits(&want), "atom {atom}, {j}, set {set}");
+                }
             }
         }
     }

@@ -17,7 +17,7 @@
 
 use crate::engine::members;
 use std::cell::RefCell;
-use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, Rows64, StepTail};
+use tbmd_linalg::kernels::{self, Block4, Bsr4, Row4, Rows64};
 use tbmd_linalg::{tqli, Matrix};
 use tbmd_model::{sk_block, BondTable, KeptCandidates, OrbitalIndex, TbModel};
 use tbmd_structure::{NeighborList, Structure};
@@ -233,7 +233,7 @@ impl SparseH {
             scale_columns(cur.rows_mut(), beta.map(|b| 1.0 / b));
             scale_columns(prev.rows_mut(), beta);
             let (v, w) = (cur.rows(), next.rows_mut());
-            kernels::bsr4_chebyshev_step(a, 1.0, v, prev.rows(), w, StepTail::None);
+            kernels::bsr4_chebyshev_step(a, 1.0, v, prev.rows(), w);
             let alpha = column_dots(w, v);
             for (w, v) in w.iter_mut().zip(v) {
                 (0..4).for_each(|c| w[c] -= alpha[c] * v[c]);
@@ -421,7 +421,7 @@ impl<'h> LocalRegion<'h> {
         let mut out = zero.clone();
         let (blocks, diag) = self.gather(0.0);
         let a = self.operator(&blocks, diag.rows());
-        kernels::bsr4_chebyshev_step(a, 1.0, x, &zero, &mut out, StepTail::None);
+        kernels::bsr4_chebyshev_step(a, 1.0, x, &zero, &mut out);
         out
     }
 

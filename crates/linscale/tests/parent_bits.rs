@@ -4,9 +4,13 @@
 //!
 //! Each constant is an FNV-1a hash over the `to_bits()` of the energy and
 //! then every force component, recorded by running this file against the
-//! parent commit. They were re-recorded once, when both engines moved from
-//! the Gershgorin window to the Lanczos window (`chebyshev::window`): order
-//! 64 is below the derived order, so only the window moved. The block
+//! parent commit. They were re-recorded twice: when both engines moved from
+//! the Gershgorin window to the Lanczos window (`chebyshev::window`; order
+//! 64 is below the derived order, so only the window moved), and when the
+//! moment pass and the density pass became one pass expanded about a μ grid
+//! point (the moments are read off the diagonal, and ρ is corrected from the
+//! grid point to μ). The matvec count is that of a cold evaluation: a
+//! moments-only pass and the pass at μ's grid point. The block
 //! recurrence fuses its multiply-adds where the target has FMA, and the
 //! model goes through `powf`/`exp` from the host's libm, so like every
 //! other bitwise pin in the repository these belong to the host's feature
@@ -64,10 +68,10 @@ fn linear_scaling_engine_reproduces_the_parent_bits() {
     let report = engine.last_report().unwrap();
     assert_eq!(
         (report.total_matvec_ops, report.total_region_orbitals),
-        (81_827_680, 11_208),
+        (108_529_344, 11_208),
         "per-layer counts"
     );
-    assert_eq!(hash, 0xdbe2_d3db_6f58_2608, "{hash:#018x}");
+    assert_eq!(hash, 0x05d2_e192_355d_bda4, "{hash:#018x}");
 }
 
 #[test]
@@ -81,5 +85,5 @@ fn distributed_engine_at_three_ranks_reproduces_the_parent_bits() {
         3,
     );
     let hash = evaluation_hash(&engine.evaluate(&si64()).unwrap());
-    assert_eq!(hash, 0xd326_8e54_4276_e783, "{hash:#018x}");
+    assert_eq!(hash, 0xeb9e_ef42_30f4_bb42, "{hash:#018x}");
 }

@@ -271,7 +271,9 @@ fn forces_and_stress_are_the_parent_bits() {
 /// row) of each run above, recorded at the parent commit of the bond table,
 /// where every stage evaluated its own radial functions per distance. The
 /// two O(N) entries were re-recorded when both O(N) engines moved from the
-/// Gershgorin window to the Lanczos window (`chebyshev::window`).
+/// Gershgorin window to the Lanczos window (`chebyshev::window`), and again
+/// when their moment and density passes became one pass expanded about a μ
+/// grid point.
 const PARENT_FORCE_BITS: [(&str, u64); 9] = [
     ("si8 w1", 0x06b6_669a_79bc_6eca),
     ("si8 w2", 0x06b6_669a_79bc_6eca),
@@ -279,8 +281,8 @@ const PARENT_FORCE_BITS: [(&str, u64); 9] = [
     ("si64 w2", 0x1462_dfe4_a534_e51f),
     ("tube", 0x559f_3869_a137_6de2),
     ("dist2", 0x3af7_9098_731b_b032),
-    ("linscale", 0xddaf_171f_5e5d_4bd2),
-    ("dist linscale", 0xf006_1659_fa67_83de),
+    ("linscale", 0x09cf_e017_391d_c48f),
+    ("dist linscale", 0x8270_6043_c157_d0b3),
     ("stress", 0x0a23_5072_33b5_f054),
 ];
 
