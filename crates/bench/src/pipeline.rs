@@ -463,10 +463,11 @@ pub fn block_steps(reps: usize, steps: usize) -> (usize, usize, [Vec<f64>; 2]) {
     let (shift, scale) = spectral_window(e_min, e_max);
     let region = LocalRegion::build(&s, &index, &h, 0, 6.0);
     let row0 = region.local_index(index.offset(0)).expect("centre");
-    let mut bond_rows = vec![false; region.padded_len() / 4];
-    for j in nl.neighbors(0).iter().map(|nb| nb.j).chain([0]) {
-        bond_rows[region.local_index(index.offset(j)).expect("bonded") / 4] = true;
-    }
+    let mut bond_slots: Vec<usize> = (nl.neighbors(0).iter().map(|nb| nb.j).chain([0]))
+        .map(|j| region.local_index(index.offset(j)).expect("bonded") / 4)
+        .collect();
+    bond_slots.sort_unstable();
+    bond_slots.dedup();
     let recurrence = || BlockRecurrence::new(&region, row0, 4, shift, scale);
     let window = Window {
         shift,
@@ -482,7 +483,7 @@ pub fn block_steps(reps: usize, steps: usize) -> (usize, usize, [Vec<f64>; 2]) {
         },
         &|| {
             let mut moments = vec![0.0; steps + 1];
-            let rho = recurrence().pass(&mut moments, Some((&expansion, &bond_rows)));
+            let rho = recurrence().pass(&mut moments, Some((&expansion, &bond_slots)));
             rho.map_or(0.0, |rho| rho[0][0]) + moments[steps]
         },
     ];

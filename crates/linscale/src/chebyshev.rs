@@ -317,7 +317,8 @@ pub fn solve_mu(moments: &[f64], shift: f64, scale: f64, kt: f64, n_electrons: f
         mu,
         electron_count: trace(fermi_function, mu),
         entropy_term: kt * trace(entropy_density, mu),
-        coeffs: (nodes.coefficients(eps.iter().map(|&e| [fermi_function(e, mu, kt)])))
+        coeffs: nodes
+            .coefficients(eps.iter().map(|&e| [fermi_function(e, mu, kt)]))
             .into_iter()
             .map(|[ck]| ck)
             .collect(),
@@ -482,23 +483,22 @@ impl<'r> BlockRecurrence<'r> {
     /// moments `Σ_ν T_k(H̃)_νν`, `k < moments.len()`, into `moments` as it
     /// goes. With an expansion (as long as `moments`) it also returns its
     /// [`SETS`] density-matrix column sets `ρ_s = Σ_k weights[k][s]·T_k` on
-    /// the block rows `i` with `rows[i]` set, ascending, one set after
+    /// the block rows (slots) `kept`, in their order, one set after
     /// another. The iterates' rows are buffered and added sixteen steps at a
     /// time ([`row_series`]).
     pub fn pass(
         mut self,
         moments: &mut [f64],
-        rho: Option<(&Expansion, &[bool])>,
+        rho: Option<(&Expansion, &[usize])>,
     ) -> Option<Vec<Row4>> {
         moments[0] += self.diagonal();
-        let Some((e, rows)) = rho else {
+        let Some((e, kept)) = rho else {
             for m in &mut moments[1..] {
                 self.advance();
                 *m += self.diagonal();
             }
             return None;
         };
-        let kept: Vec<usize> = (0..rows.len()).filter(|&i| rows[i]).collect();
         let rows_of = |t: &[Row4]| -> Vec<Row4> {
             kept.iter()
                 .flat_map(|&i| t[4 * i..4 * i + 4].iter().copied())
@@ -514,7 +514,7 @@ impl<'r> BlockRecurrence<'r> {
             self.advance();
             moments[k] += self.diagonal();
             let cur = self.current();
-            for &i in &kept {
+            for &i in kept {
                 buffer.extend_from_slice(&cur[4 * i..4 * i + 4]);
             }
             if k + 1 - first == TAIL_BLOCK || k + 1 == moments.len() {

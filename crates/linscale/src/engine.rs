@@ -218,18 +218,16 @@ impl<'h> AtomRegion<'h> {
             .iter()
             .map(|&j| self.region.slot(j))
             .collect();
-        let mut rows = vec![false; self.region.padded_len() / 4];
-        for &slot in slots.iter().flatten().chain([&(self.row0 / 4)]) {
-            rows[slot] = true;
-        }
-        let rho = self.recurrence(w).pass(moments, e.map(|e| (e, &rows[..])));
+        let mut kept: Vec<usize> = slots.iter().flatten().copied().collect();
+        kept.push(self.row0 / 4);
+        kept.sort_unstable();
+        let rho = self.recurrence(w).pass(moments, e.map(|e| (e, &kept[..])));
         let Some(rho) = rho else {
             return AtomPass::default();
         };
         // Rows `4p + β` of a set hold ρ_s[o_j+β, o_a+ν] in column ν for the
         // p-th kept slot, the slot of atom j; a neighbour outside the region
         // has no density.
-        let kept: Vec<usize> = (0..rows.len()).filter(|&i| rows[i]).collect();
         let set = |s: usize| &rho[s * 4 * kept.len()..][..4 * kept.len()];
         let at = |slot: usize| 4 * kept.binary_search(&slot).expect("a kept slot");
         let blocks = slots
@@ -607,7 +605,7 @@ mod tests {
         let moment_bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for atom in [0, 17, 63] {
             let region = AtomRegion::new(&s, &h, &candidates, atom, 6.0);
-            let every = vec![true; region.region.padded_len() / 4];
+            let every: Vec<usize> = (0..region.region.padded_len() / 4).collect();
             let mut moments = [0, 1, 2].map(|_| vec![0.0; w.order]);
             let [full_m, masked_m, plain_m] = &mut moments;
             let full = region.recurrence(w).pass(full_m, Some((&e, &every[..])));
