@@ -13,7 +13,7 @@ const OBSERVER_RATIO_MAX: f64 = 1.05;
 /// on K1b's region inside one interleaved loop: it guards the ρ tails, the
 /// buffered bond rows and the centre's diagonal read that ride on every
 /// step. On the 2-vCPU AVX-512 host 20 runs of `check` read it at
-/// 1.136–1.170× pinned to one CPU (`taskset -c 0`) and 1.128–1.190×
+/// 1.096–1.128× pinned to one CPU (`taskset -c 0`) and 1.091–1.130×
 /// unpinned; the same seven ρ sets added inside the kernel's block loop, one
 /// step at a time, took 1.45× the plain step on the same region.
 const TAIL_RATIO_MAX: f64 = 1.35;
