@@ -12,8 +12,8 @@ use tbmd::linalg::{
 use tbmd::linscale::chebyshev::{spectral_window, Expansion, Window};
 use tbmd::linscale::{BlockRecurrence, LinearScalingTb, LocalRegion, SparseH};
 use tbmd::model::{
-    bond_block_elements, bond_density, build_hamiltonian, OrbitalIndex, PhaseTimings, RhoBlocks,
-    TbModel,
+    bond_block_elements, bond_density, build_hamiltonian, DenseCache, OrbitalIndex, PhaseTimings,
+    RhoBlocks, TbModel,
 };
 use tbmd::structure::{bulk_diamond, NeighborList};
 use tbmd::trace::{Counter, ScopedSink};
@@ -54,7 +54,7 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
             "N",
             "k",
             "H",
-            "C (n × k)",
+            "strip bands",
             "eigensolver",
             "bonds",
             "ρ blocks",
@@ -94,16 +94,20 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
         if reps >= 2 {
             let b = ws.bytes();
             let mb = |bytes: usize| fmt_f(bytes as f64 / (1024.0 * 1024.0), 2);
-            let total = b.h + b.c + b.eigensolver + b.bonds + b.rho_blocks;
+            let (DenseCache::Sliced { occupied: k } | DenseCache::Full { occupied: k }) =
+                ws.dense_cache
+            else {
+                unreachable!("a dense evaluation leaves its window")
+            };
             t1d.row(vec![
                 s.n_atoms().to_string(),
-                ws.c.cols().to_string(),
+                k.to_string(),
                 mb(b.h),
-                mb(b.c),
+                mb(b.strips),
                 mb(b.eigensolver),
                 mb(b.bonds),
                 mb(b.rho_blocks),
-                mb(total),
+                mb(b.total()),
             ]);
         }
     }
@@ -174,7 +178,7 @@ pub fn phase_breakdown(size: Option<usize>) -> Report {
         .table(t1b)
         .table(t1c)
         .note("`nl` counts neighbour-list rebuilds / refreshes over the measured samples (static atoms: all refreshes).")
-        .note("T1d: `C` is the part of the eigenvector block a solve writes; its storage is reserved for n × n when first sized for n, so a wider window never moves it, and the pages past n × k are never written. `eigensolver` is the reduction's panels and factors plus each thread's inverse-iteration buffers and L2-sized staging band (the back-transform borrows the bands).");
+        .note("T1d: no buffer holds the n × k eigenvector block: `strip bands` is one L2-sized staging band per thread, which each strip of ≤ 96 eigenvectors passes through from inverse iteration to ρ (the unperturbed crystal's degenerate clusters widen some strips) and which the reduction's panels borrow before that. `eigensolver` is the rest: T factors, tridiagonal factor and each thread's inverse-iteration buffers.");
     report
 }
 

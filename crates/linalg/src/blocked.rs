@@ -38,7 +38,7 @@
 //! repeated solves grow no buffer after warmup.
 
 use crate::eigh::{tqli, EigError, EighWorkspace};
-use crate::inverse_iteration::staging;
+use crate::inverse_iteration::{staging, stream_eigenvectors, Strip};
 use crate::kernels;
 use crate::matrix::{held, Matrix};
 use crate::team;
@@ -70,9 +70,9 @@ const SYMV_BANDS: usize = 4;
 const SYMV_BAND_FLOOR: usize = 256;
 
 /// Width of the two fan-outs that do not consult the lease yet:
-/// [`rank2k_lower`] and [`apply_q_blocked`] take the whole team, as they
-/// always took every hardware thread (`si216-serial-nve` holds a width-1
-/// lease and still reduces and back-transforms on both cores). Narrowing
+/// [`rank2k_lower`] and the strip stream of the eigenvector stage take the
+/// whole team (`si216-serial-nve` holds a width-1 lease and still reduces,
+/// inverse-iterates and back-transforms on both cores). Narrowing
 /// them to [`team::width`] is ROADMAP item 7(e); it reads as ≈ −25 % on
 /// that workload, so it waits for the width-2 dense Si-216 workload of
 /// item 7(d) that can show the other side of the trade. Inside a parallel
@@ -177,7 +177,7 @@ fn householder(alpha: f64, rest: &mut [f64]) -> (f64, f64) {
 pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     assert!(a.is_square(), "tridiagonalization requires a square matrix");
     let n = a.rows();
-    let s = &mut ws.blocked;
+    let (s, inviter) = (&mut ws.blocked, &mut ws.inviter);
     s.d.clear();
     s.d.resize(n, 0.0);
     s.e.clear();
@@ -193,6 +193,18 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     }
     // ~(4/3)n³ flops: the symmetric matvecs plus the rank-2k sweeps.
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 4 * (n as u64).pow(3) / 3);
+    // The panels live in the eigenvector stage's staging bands (the one
+    // band in a parallel region holds `V`), which are free until then.
+    let lent = whole_team().min(2);
+    for (t, pan) in [&mut s.vpan, &mut s.wpan]
+        .into_iter()
+        .enumerate()
+        .take(lent)
+    {
+        let mut band = inviter.lend(t, n);
+        band.clear();
+        *pan = Matrix::from_vec(0, 0, band);
+    }
     s.vpan.resize_zeroed(TRIDIAG_BLOCK, n);
     s.wpan.resize_zeroed(TRIDIAG_BLOCK, n);
     s.pvec.clear();
@@ -270,6 +282,13 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
         let t0 = j0 + jb;
         rank2k_lower(a, t0, jb, &s.vpan, &s.wpan);
         j0 = t0;
+    }
+    for (t, pan) in [&mut s.vpan, &mut s.wpan]
+        .into_iter()
+        .enumerate()
+        .take(lent)
+    {
+        inviter.give_back(t, std::mem::take(pan).into_vec());
     }
     // Remaining 2×2 (or smaller) trailing block: read directly.
     if n >= 2 {
@@ -521,13 +540,22 @@ impl VBlock {
     }
 
     /// `z[i] += Σ_p V[rows.start + i][p] · x(p)` over the first `jb`
-    /// reflectors in ascending order, for the block's rows of `Z`, `w`
-    /// entries each in `z`: four rows per [`kernels::rank1_tile`].
+    /// reflectors in ascending order, for the block's rows of `Z` (`stride`
+    /// entries each in `z`, of which columns `cols`): four rows per
+    /// [`kernels::rank1_tile`].
     #[inline(always)]
-    fn times<'x>(&self, z: &mut [f64], w: usize, jb: usize, x: impl Fn(usize) -> &'x [f64]) {
-        let mut groups = z.chunks_exact_mut(4 * w);
+    fn times<'x>(
+        &self,
+        z: &mut [f64],
+        (stride, cols): (usize, std::ops::Range<usize>),
+        jb: usize,
+        x: impl Fn(usize) -> &'x [f64],
+    ) {
+        let mut groups = z.chunks_exact_mut(4 * stride);
         for (g, group) in groups.by_ref().enumerate() {
-            let mut rows = group.chunks_exact_mut(w);
+            let mut rows = group
+                .chunks_exact_mut(stride)
+                .map(|row| &mut row[cols.clone()]);
             let out = std::array::from_fn(|_| rows.next().expect("four rows"));
             let v = &self.v[4 * g..4 * g + 4];
             let coef = |q: usize| [v[0][q], v[1][q], v[2][q], v[3][q]];
@@ -536,9 +564,9 @@ impl VBlock {
         let done = self.rows.len() - self.rows.len() % 4;
         for (row, zrow) in self.v[done..]
             .iter()
-            .zip(groups.into_remainder().chunks_exact_mut(w))
+            .zip(groups.into_remainder().chunks_exact_mut(stride))
         {
-            kernels::rank1_tile::<1>([zrow], jb, |q| [row[q]], &x);
+            kernels::rank1_tile::<1>([&mut zrow[cols.clone()]], jb, |q| [row[q]], &x);
         }
     }
 }
@@ -597,14 +625,15 @@ pub fn build_t_factors(a: &Matrix, ws: &mut EighWorkspace) {
     }
 }
 
-/// Apply every panel to one column strip of `Z`, its rows `w` wide in
-/// `strip`. Per panel, block by block of `V` ([`VBlock`]):
-/// `X = Vᵀ Z`, a block of `Z`'s rows staying in L1 across the four-row
-/// groups of `X`; `X ← −T X` in place, one row at a time; `Z += V X`. All
-/// three go through [`kernels::rank1_tile`]. Every element accumulates in
-/// ascending row (resp. reflector) order, one multiply and one add at a
-/// time, so a column's arithmetic does not depend on which strip it is in.
-fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [f64], w: usize) {
+/// Apply every panel to one column strip of `Z`, its rows `stride` wide in
+/// `strip`, at most `STRIP_COLS` columns at a time. Per panel, block by
+/// block of `V` ([`VBlock`]): `X = Vᵀ Z`, a block of `Z`'s rows staying in
+/// L1 across the four-row groups of `X`; `X ← −T X` in place, one row at a
+/// time; `Z += V X`. All three go through [`kernels::rank1_tile`]. Every
+/// element accumulates in ascending row (resp. reflector) order, one
+/// multiply and one add at a time, so a column's arithmetic does not depend
+/// on which strip it is in.
+fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [f64], stride: usize) {
     let n = a.rows();
     // Cache-line aligned: strip widths are multiples of 8, so no vector
     // access to a row of `X` straddles two lines, wherever the frame lands.
@@ -614,39 +643,55 @@ fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [f64], w: usize) {
     #[repr(align(64))]
     struct XBlock([f64; TRIDIAG_BLOCK * STRIP_COLS]);
     let mut xblock = XBlock([0.0; TRIDIAG_BLOCK * STRIP_COLS]);
-    for (panel, j0, jb) in panels_rev(n) {
-        let x = &mut xblock.0[..jb * w];
-        x.fill(0.0);
-        for block in panel_blocks(a, j0, jb) {
-            block.vt_times(x, (jb, w, w), |r| &strip[r * w..(r + 1) * w]);
-        }
-        for p in 0..jb {
-            let trow = &tmat.row(panel * TRIDIAG_BLOCK + p)[p..jb];
-            let (done, below) = x.split_at_mut((p + 1) * w);
-            let xrow = &mut done[p * w..];
-            for xv in xrow.iter_mut() {
-                *xv *= trow[0];
+    for c0 in (0..stride).step_by(STRIP_COLS) {
+        let cols = c0..stride.min(c0 + STRIP_COLS);
+        let w = cols.len();
+        for (panel, j0, jb) in panels_rev(n) {
+            let x = &mut xblock.0[..jb * w];
+            x.fill(0.0);
+            for block in panel_blocks(a, j0, jb) {
+                block.vt_times(x, (jb, w, w), |r| &strip[r * stride..][cols.clone()]);
             }
-            kernels::rank1_tile::<1>([xrow], jb - p - 1, |q| [trow[q + 1]], |q| &below[q * w..]);
-        }
-        let x = &*x;
-        for block in panel_blocks(a, j0, jb) {
-            let rows = &mut strip[block.rows.start * w..block.rows.end * w];
-            block.times(rows, w, jb, |p| &x[p * w..]);
+            for p in 0..jb {
+                let trow = &tmat.row(panel * TRIDIAG_BLOCK + p)[p..jb];
+                let (done, below) = x.split_at_mut((p + 1) * w);
+                let xrow = &mut done[p * w..];
+                for xv in xrow.iter_mut() {
+                    *xv *= trow[0];
+                }
+                let rest = |q: usize| &below[q * w..];
+                kernels::rank1_tile::<1>([xrow], jb - p - 1, |q| [trow[q + 1]], rest);
+            }
+            let x = &*x;
+            for block in panel_blocks(a, j0, jb) {
+                let rows = &mut strip[block.rows.start * stride..block.rows.end * stride];
+                block.times(rows, (stride, cols.clone()), jb, |p| &x[p * w..]);
+            }
         }
     }
+}
+
+/// [`build_t_factors`], and the flops of back-transforming `k` columns: panel
+/// `[j0, j0+jb)` touches rows `j0+1..n`, `2·jb·(n−j0−1)·k` flops in each of
+/// `Vᵀ Z` and `Z += V X`.
+fn back_transform_setup(a: &Matrix, ws: &mut EighWorkspace, k: usize) {
+    build_t_factors(a, ws);
+    let rows: usize = panels_rev(a.rows())
+        .map(|(_, j0, jb)| jb * (a.rows() - j0 - 1))
+        .sum();
+    tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 4 * (rows * k) as u64);
 }
 
 /// Apply the orthogonal factor `Q = H_0 H_1 ⋯` of a blocked tridiagonal
 /// reduction to the `n×k` matrix `z` in place (`z ← Q z`) by blocked
 /// compact-WY applications (`I − V T Vᵀ` per panel). The threads of one
-/// fan-out take column strips of `z` (at most `STRIP_COLS` wide, so a strip
-/// stays L2-resident) one after another, copy each into the staging band
-/// the inverse iteration left them (rows on 64-byte boundaries), walk all
-/// panels over it with `sweep_strip` and copy it back; columns never
-/// interact, so the result is bitwise independent of strip width, thread
-/// count and of which columns share a call. `a` must be the reflector-packed
-/// output of [`tridiagonalize_blocked_into`] run with the same workspace.
+/// strip stream take column strips of `z` (at most `STRIP_COLS` wide, so a
+/// strip stays L2-resident) one after another, copy each into their staging
+/// band (rows on 64-byte boundaries), walk all panels over it with
+/// `sweep_strip` and copy it back; columns never interact, so the result is
+/// bitwise independent of strip width, thread count and of which columns
+/// share a call. `a` must be the reflector-packed output of
+/// [`tridiagonalize_blocked_into`] run with the same workspace.
 ///
 /// # Panics
 /// Panics if `z.rows()` differs from `a.rows()`.
@@ -657,14 +702,7 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
     if n < 3 || k == 0 {
         return;
     }
-    build_t_factors(a, ws);
-    // Panel [j0, j0+jb) touches rows j0+1..n: 2·jb·(n−j0−1)·k flops in each
-    // of `Vᵀ Z` and `Z += V X`.
-    let panel_rows: usize = panels_rev(n).map(|(_, j0, jb)| jb * (n - j0 - 1)).sum();
-    tbmd_trace::add(
-        tbmd_trace::Counter::KernelFlops,
-        4 * (panel_rows * k) as u64,
-    );
+    back_transform_setup(a, ws, k);
     // A strip count that is a multiple of the thread count keeps the
     // threads even; widths are multiples of 8 for the vector loops (the
     // last strip takes what is left, padded to 8 in the band with columns
@@ -672,22 +710,25 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
     let nstrips = k.div_ceil(STRIP_COLS).next_multiple_of(whole_team());
     let width = k.div_ceil(nstrips).next_multiple_of(8).min(STRIP_COLS);
     let (tmat, out) = (&ws.blocked.tmat, Mutex::new(z));
-    ws.inviter
-        .for_each_strip(whole_team(), n, k.div_ceil(width), |i, scratch| {
+    let lock = || out.lock().expect("a strip panicked outside the lock");
+    ws.inviter.stream(
+        whole_team(),
+        n,
+        k.div_ceil(width),
+        |i, scratch| {
             let cols = i * width..k.min((i + 1) * width);
             let w = cols.len().next_multiple_of(8);
             let (strip, _) = staging(&mut scratch.band, n * w, n);
-            let z = out.lock().expect("a strip panicked outside the lock");
+            let z = lock();
             for (r, row) in strip.chunks_exact_mut(w).enumerate() {
                 row[..cols.len()].copy_from_slice(&z.row(r)[cols.clone()]);
             }
             drop(z);
             sweep_strip(a, tmat, strip, w);
-            let mut z = out.lock().expect("a strip panicked outside the lock");
-            for (r, row) in strip.chunks_exact(w).enumerate() {
-                z.row_mut(r)[cols.clone()].copy_from_slice(&row[..cols.len()]);
-            }
-        });
+            Some((cols, w))
+        },
+        |strip| strip.copy_into(&mut lock()),
+    );
 }
 
 /// All `n` eigenvalues (ascending) of the tridiagonal factor currently in
@@ -721,53 +762,58 @@ pub fn reduced_eigenvalues_into(
     Ok(())
 }
 
-/// Eigenvectors of the original matrix for the selected (ascending)
-/// eigenvalues `lambda`, given the reflector-packed output `a` of
-/// [`tridiagonalize_blocked_into`] run with the same workspace: inverse
-/// iteration on the tridiagonal factor — sharded over the caller's compute
-/// lease, see [`crate::inverse_iteration::tridiagonal_eigenvectors_into`] —
-/// followed by the blocked back-transform [`apply_q_blocked`]. On return `z`
-/// is `n × lambda.len()` with column `j` pairing `lambda[j]`.
+/// The eigenvector stage of the two-stage solver as a stream: the
+/// eigenvectors of the original matrix for the ascending eigenvalues
+/// `lambda` (global indices from `seed_offset`), given the reflector-packed
+/// output `a` of [`tridiagonalize_blocked_into`] run with the same
+/// workspace. One fan-out as wide as the back-transform takes (`whole_team`)
+/// inverse-iterates each cluster-snapped strip of
+/// [`crate::inverse_iteration`] and back-transforms it (`sweep_strip`) in
+/// its thread's staging band, then hands it to `consume`, strips in
+/// ascending order. No `n × k` block is held; every column is bitwise the
+/// same at any lease width, thread count and shard split (a distributed
+/// rank streams its cluster-snapped shard, `seed_offset` its first index).
+pub fn stream_reduced_eigenvectors(
+    a: &Matrix,
+    lambda: &[f64],
+    seed_offset: usize,
+    ws: &mut EighWorkspace,
+    consume: impl FnMut(Strip<'_>) + Send,
+) {
+    let n = a.rows();
+    if n >= 3 && !lambda.is_empty() {
+        back_transform_setup(a, ws, lambda.len());
+    }
+    let (d, e, tmat) = (&ws.blocked.d, &ws.blocked.e, &ws.blocked.tmat);
+    let sweep = |strip: &mut [f64], w| {
+        if n >= 3 {
+            sweep_strip(a, tmat, strip, w)
+        }
+    };
+    let fan = (whole_team(), STRIP_COLS);
+    stream_eigenvectors(
+        d,
+        e,
+        lambda,
+        seed_offset,
+        fan,
+        &mut ws.inviter,
+        sweep,
+        consume,
+    );
+}
+
+/// [`stream_reduced_eigenvectors`] into the columns of `z`, which ends up
+/// `n × lambda.len()` with column `j` pairing `lambda[j]`: the `n × k`
+/// block the reference paths and the tests read.
 pub fn reduced_eigenvectors_into(
     a: &Matrix,
     lambda: &[f64],
     z: &mut Matrix,
     ws: &mut EighWorkspace,
 ) {
-    crate::inverse_iteration::tridiagonal_eigenvectors_into(
-        &ws.blocked.d,
-        &ws.blocked.e,
-        lambda,
-        z,
-        &mut ws.inviter,
-    );
-    apply_q_blocked(a, ws, z);
-}
-
-/// Offset-aware form of [`reduced_eigenvectors_into`] for distributed
-/// spectrum slicing: `lambda` is a contiguous shard of the globally sorted
-/// spectrum starting at global eigenvalue index `seed_offset`, inverse-iterated
-/// as one shard on the calling thread. With shard boundaries snapped to
-/// cluster boundaries ([`crate::inverse_iteration::snap_range_to_clusters`] with
-/// [`crate::inverse_iteration::cluster_tolerance`]), the columns each rank
-/// produces are bitwise identical to the corresponding columns of a single
-/// full-window [`reduced_eigenvectors_into`] call.
-pub fn reduced_eigenvectors_offset_into(
-    a: &Matrix,
-    lambda: &[f64],
-    seed_offset: usize,
-    z: &mut Matrix,
-    ws: &mut EighWorkspace,
-) {
-    crate::inverse_iteration::tridiagonal_eigenvectors_offset_into(
-        &ws.blocked.d,
-        &ws.blocked.e,
-        lambda,
-        seed_offset,
-        z,
-        &mut ws.inviter,
-    );
-    apply_q_blocked(a, ws, z);
+    ws.inviter.grown += usize::from(z.resize_zeroed(a.rows(), lambda.len()));
+    stream_reduced_eigenvectors(a, lambda, 0, ws, |strip| strip.copy_into(z));
 }
 
 /// Two-stage partial eigendecomposition: blocked tridiagonal reduction, all
@@ -1113,8 +1159,10 @@ mod tests {
             let bounds = [0, snap(cuts[0]), snap(cuts[1]), k];
             for shard in bounds.windows(2) {
                 let (lo, hi) = (shard[0], shard[1]);
-                let mut z = Matrix::zeros(0, 0);
-                reduced_eigenvectors_offset_into(&packed, &values[lo..hi], lo, &mut z, &mut ws);
+                let mut z = Matrix::zeros(n, hi - lo);
+                stream_reduced_eigenvectors(&packed, &values[lo..hi], lo, &mut ws, |strip| {
+                    strip.copy_into(&mut z)
+                });
                 for (jj, j) in (lo..hi).enumerate() {
                     for i in 0..n {
                         assert!(

@@ -140,8 +140,8 @@ impl EighWorkspace {
         (&self.blocked.d, &self.blocked.e)
     }
 
-    /// Times the two-stage solver's eigenvector stage had to grow its
-    /// output or a staging band.
+    /// Times the two-stage solver's eigenvector stage had to grow a staging
+    /// band (or the output of a column-writing entry point).
     pub fn large_alloc_events(&self) -> usize {
         self.inviter.grown
     }
@@ -150,7 +150,13 @@ impl EighWorkspace {
     /// thread's inverse-iteration buffers and staging band.
     pub fn heap_bytes(&self) -> usize {
         let own = 8 * (self.e.capacity() + self.order.capacity());
-        own + self.blocked.heap_bytes() + self.inviter.heap_bytes()
+        own + self.blocked.heap_bytes() + self.inviter.heap_bytes().0
+    }
+
+    /// The part of [`Self::heap_bytes`] in the staging bands: one strip of
+    /// eigenvectors for each thread that ran the eigenvector stage.
+    pub fn strip_bytes(&self) -> usize {
+        self.inviter.heap_bytes().1
     }
 }
 

@@ -33,22 +33,29 @@
 //! [`kernels::dot`]'s accumulator tree, and each lane keeps its own sweep
 //! count and convergence test. A column's bits therefore depend on its
 //! shift, its global index and its cluster alone — not on which vectors
-//! shared its lanes — and are the one-vector-at-a-time bits. Clusters are independent of each other, so a full-window call
-//! ([`tridiagonal_eigenvectors_into`]) cuts `0..k` at cluster boundaries into
-//! strips of at most `STRIP_COLS` (96) vectors, which the threads of the
-//! caller's compute lease take one after another. Each strip is iterated
-//! into its thread's `strip × n` staging band and transposed straight into
-//! its columns of `z`, the one `n × k` buffer; the rest is `O(n)` per thread
-//! (plus `c × n` for a cluster being rotated). The start vectors are keyed
-//! on the global eigenvalue index, so the result is bitwise the one-strip
-//! result whatever the strip width and the thread count.
+//! shared its lanes — and are the one-vector-at-a-time bits.
+//!
+//! Clusters are independent of each other, so a window is cut at cluster
+//! boundaries into strips of at most `STRIP_COLS` (96) vectors
+//! (`stream_eigenvectors`, behind
+//! [`crate::blocked::stream_reduced_eigenvectors`]), which the threads of a
+//! fan-out take one after another. Each strip is iterated into its thread's
+//! staging band as the columns of an `n × strip` block (a cluster's
+//! members as rows of `n` first, contiguous for its Gram–Schmidt sweeps),
+//! transformed in place there (the back-transform, on the dense engines)
+//! and handed to the caller's consumer, strips in ascending order, one at a
+//! time. Nothing holds the `n × k` block unless a consumer builds one
+//! ([`tridiagonal_eigenvectors_into`]). The start vectors are keyed on the
+//! global eigenvalue index, so every column is bitwise the one-strip column
+//! whatever the strip width and the thread count, and what a consumer adds
+//! up strip by strip depends on the cut alone.
 
 use crate::blocked::STRIP_COLS;
 use crate::eigh::{eigh_into, EighWorkspace};
 use crate::kernels;
 use crate::matrix::{held, Matrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Maximum inverse-iteration sweeps per eigenvector. With shifts accurate to
 /// machine precision one solve usually suffices; degenerate-cluster members
@@ -69,61 +76,150 @@ const LANES: usize = 8;
 /// Accumulator lanes of [`norms`]: [`kernels::dot`]'s eight.
 const NORM_ACCUMULATORS: usize = 8;
 
-/// Reusable scratch of [`tridiagonal_eigenvectors_into`]: each thread's
-/// private buffers, and how often the output or a staging band had to grow.
+/// Reusable scratch of the strip driver (`stream_eigenvectors`): each
+/// thread's private buffers, and how often a staging band had to grow.
 #[derive(Debug, Default, Clone)]
 pub struct InverseIterScratch {
     threads: Vec<ThreadScratch>,
     pub(crate) grown: usize,
 }
 
+/// One strip of a window as a stream hands it to its consumer: columns
+/// `cols` of the window are the first `cols.len()` columns of the strip's
+/// rows, each `stride` long, one row per vector component.
+pub struct Strip<'a> {
+    /// The window columns the strip holds.
+    pub cols: std::ops::Range<usize>,
+    rows: &'a [f64],
+    stride: usize,
+}
+
+impl Strip<'_> {
+    /// Component `r` of each of the strip's vectors.
+    pub fn row(&self, r: usize) -> &[f64] {
+        &self.rows[r * self.stride..][..self.cols.len()]
+    }
+
+    /// Copy the strip into its columns of `z` (`n` rows).
+    pub(crate) fn copy_into(&self, z: &mut Matrix) {
+        for r in 0..z.rows() {
+            z.row_mut(r)[self.cols.clone()].copy_from_slice(self.row(r));
+        }
+    }
+}
+
 impl InverseIterScratch {
-    /// Bytes held by every thread's buffers.
-    pub(crate) fn heap_bytes(&self) -> usize {
+    /// Bytes held by every thread's buffers, and by their staging bands
+    /// alone.
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
         let thread = |t: &ThreadScratch| {
             let (f, rr) = (&t.factor, t.cl_b.heap_bytes() + t.cl_rot.heap_bytes());
             let lanes = held(&[&f.du, &f.u1, &f.u2, &f.lmul]) + f.swapped.capacity();
-            held(&[&t.band, &t.x, &t.tz, &t.cl_values]) + lanes + rr + t.cl_eigh.heap_bytes()
+            held(&[&t.band, &t.x, &t.tz, &t.cl_values, &t.cluster])
+                + lanes
+                + rr
+                + t.cl_eigh.heap_bytes()
         };
-        self.threads.iter().map(thread).sum()
+        let bands = self.threads.iter().map(|t| held(&[&t.band])).sum();
+        (self.threads.iter().map(thread).sum(), bands)
     }
 
-    /// `f(i, scratch)` for every strip `i` in `0..strips`, handed out one
-    /// at a time to up to `threads` threads, each with its own scratch (the
-    /// back-transform borrows the bands). The bands of all `threads` are
-    /// sized for vectors of length `n` first, here on the caller, whichever
-    /// threads the fan-out reaches.
-    pub(crate) fn for_each_strip<F>(&mut self, threads: usize, n: usize, strips: usize, f: F)
-    where
-        F: Fn(usize, &mut ThreadScratch) + Sync,
-    {
+    /// Size the bands and iterates of `threads` threads for vectors of
+    /// length `n`, on the calling thread, so that a worker allocates nothing.
+    fn crew(&mut self, threads: usize, n: usize) {
         if self.threads.len() < threads {
             self.threads.resize_with(threads, ThreadScratch::default);
         }
         for t in &mut self.threads[..threads] {
             self.grown += usize::from(staging(&mut t.band, 0, n).1);
+            t.factor.size_for(n);
+            size_exactly(&mut t.x, n * LANES, 0.0);
         }
+    }
+
+    /// Thread `t`'s staging band, sized for vectors of length `n`, lent to
+    /// the reduction for a panel buffer until [`Self::give_back`]: it holds
+    /// nothing between a strip stream and the next reduction.
+    pub(crate) fn lend(&mut self, t: usize, n: usize) -> Vec<f64> {
+        if self.threads.len() <= t {
+            self.threads.resize_with(t + 1, ThreadScratch::default);
+        }
+        self.grown += usize::from(staging(&mut self.threads[t].band, 0, n).1);
+        std::mem::take(&mut self.threads[t].band)
+    }
+
+    /// Take a band [`Self::lend`] lent back, at its full length.
+    pub(crate) fn give_back(&mut self, t: usize, mut band: Vec<f64>) {
+        band.resize(band.capacity(), 0.0);
+        self.threads[t].band = band;
+    }
+
+    /// `fill(i, scratch)` for every strip `i` in `0..strips`, handed out one
+    /// at a time to up to `threads` threads, each with its own scratch; the
+    /// bands of all `threads` are sized for vectors of length `n` first,
+    /// here on the caller. `fill` leaves strip `i` in its thread's band and
+    /// returns its columns and row stride (`None`: an empty strip), and
+    /// `consume` gets the strips in ascending `i`, one at a time, under the
+    /// lock of a ticket: a thread whose predecessor is not consumed yet
+    /// waits for it.
+    pub(crate) fn stream<F, C>(
+        &mut self,
+        threads: usize,
+        n: usize,
+        strips: usize,
+        fill: F,
+        consume: C,
+    ) where
+        F: Fn(usize, &mut ThreadScratch) -> Option<(std::ops::Range<usize>, usize)> + Sync,
+        C: FnMut(Strip<'_>) + Send,
+    {
+        self.crew(threads, n);
         let (next, crew) = (AtomicUsize::new(0), threads.min(strips));
+        let (turn, done) = (Mutex::new((0, consume)), Condvar::new());
         crate::team::chunks_for_each(crew, &mut self.threads[..crew], 1, |_, scratch| loop {
-            // Relaxed: the counter only hands out indices; results travel
-            // through the caller's lock.
+            // Relaxed: the counter only hands out indices; strips travel
+            // through the ticket's lock.
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= strips {
                 break;
             }
-            f(i, &mut scratch[0]);
+            let _abandon = Abandon(&turn, &done);
+            let filled = fill(i, &mut scratch[0]);
+            let mut ticket = turn.lock().expect("a consumer panicked");
+            while ticket.0 != i {
+                assert!(ticket.0 != usize::MAX, "an earlier strip panicked");
+                ticket = done.wait(ticket).expect("a consumer panicked");
+            }
+            if let Some((cols, stride)) = filled {
+                let rows = staged(&scratch[0].band, n * stride);
+                (ticket.1)(Strip { cols, rows, stride });
+            }
+            ticket.0 += 1;
+            done.notify_all();
         });
+    }
+}
+
+/// Wakes the threads of a stream into a panic of their own when a strip
+/// panics, instead of leaving them waiting for its ticket.
+struct Abandon<'a, C>(&'a Mutex<(usize, C)>, &'a Condvar);
+
+impl<C> Drop for Abandon<'_, C> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).0 = usize::MAX;
+            self.1.notify_all();
+        }
     }
 }
 
 /// What one thread needs: the staging band of its strip, the
 /// lane-interleaved `PLU` factors and iterates, and the per-cluster
-/// Rayleigh–Ritz buffers.
+/// Gram–Schmidt and Rayleigh–Ritz buffers.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ThreadScratch {
-    /// The strip being worked on ([`staging`]): here one *row* per vector
-    /// (contiguous for the Gram–Schmidt sweeps), in the back-transform its
-    /// rows of `z`.
+    /// The strip being worked on ([`staging`]), one row per vector
+    /// component.
     pub(crate) band: Vec<f64>,
     /// The factors of up to [`LANES`] shifted matrices.
     factor: LaneFactor,
@@ -131,6 +227,8 @@ pub(crate) struct ThreadScratch {
     x: Vec<f64>,
     /// `T · z` scratch for Rayleigh quotients.
     tz: Vec<f64>,
+    /// The finished members of the cluster being iterated, one row each.
+    cluster: Vec<f64>,
     /// Cluster Gram matrix `Zᵀ T Z` / its eigenvector basis.
     cl_b: Matrix,
     /// Rotated cluster rows.
@@ -149,8 +247,18 @@ pub(crate) fn staging(band: &mut Vec<f64>, len: usize, n: usize) -> (&mut [f64],
         *band = Vec::new();
         *band = vec![0.0; len.max(STRIP_COLS * n) + 7];
     }
-    let start = (band.as_ptr() as usize).wrapping_neg() % 64 / 8;
+    let start = aligned(band);
     (&mut band[start..start + len], grew)
+}
+
+/// The first `len` doubles [`staging`] handed out of `band`.
+fn staged(band: &[f64], len: usize) -> &[f64] {
+    &band[aligned(band)..][..len]
+}
+
+/// The index of the first element of `band` on a 64-byte boundary.
+fn aligned(band: &[f64]) -> usize {
+    (band.as_ptr() as usize).wrapping_neg() % 64 / 8
 }
 
 /// `T − shift_l·I = P_l L_l U_l` with partial pivoting (`gttrf` for a
@@ -444,16 +552,13 @@ fn scale_norm(d: &[f64], e: &[f64]) -> f64 {
 /// pre-computed eigenvalues `lambda` (ascending), written column-wise into
 /// `z` (`n × lambda.len()`, column `j` pairs with `lambda[j]`), by inverse
 /// iteration with Gram–Schmidt reorthogonalization and Rayleigh–Ritz
-/// rotation inside clusters.
+/// rotation inside clusters: `stream_eigenvectors` with a consumer that
+/// copies each strip into its columns.
 ///
 /// The strips of the window run on as many threads as the caller may take
 /// from the team ([`crate::team::width`]: the compute lease's width, every
 /// hardware thread when unconstrained); the columns are bitwise the same at
 /// any width.
-///
-/// `z` is reshaped in storage of `n × n` elements, allocated when it is
-/// first sized for `n`: the window `k ≤ n` can widen from step to step
-/// without moving it, and the pages past `n × k` are never written.
 ///
 /// # Panics
 /// Panics if `d.len() != e.len()`, `lambda.len() > d.len()` or `lambda` is
@@ -465,43 +570,41 @@ pub fn tridiagonal_eigenvectors_into(
     z: &mut Matrix,
     s: &mut InverseIterScratch,
 ) {
-    eigenvectors_in_strips(d, e, lambda, 0, (crate::team::width(), STRIP_COLS), z, s);
+    s.grown += usize::from(z.resize_zeroed(d.len(), lambda.len()));
+    let fan = (crate::team::width(), STRIP_COLS);
+    stream_eigenvectors(
+        d,
+        e,
+        lambda,
+        0,
+        fan,
+        s,
+        |_, _| {},
+        |strip| strip.copy_into(z),
+    );
 }
 
-/// Offset-aware form of [`tridiagonal_eigenvectors_into`] for distributed
-/// spectrum slicing: `lambda` is a contiguous sub-slice of a globally sorted
-/// spectrum starting at global index `seed_offset`, and the deterministic
-/// start vectors are keyed on the *global* index `seed_offset + j`. A rank's
-/// slice is already one shard of the spectrum, so its strips run on the
-/// calling thread.
+/// The strip driver of every eigenvector stage: `lambda` (global indices
+/// from `seed_offset`) cut at cluster boundaries into strips of at most
+/// `strip_cols` vectors, worked through by `threads` threads. Each strip is
+/// iterated into its thread's band as the columns of an `n × w` block (`w`
+/// the strip's width rounded up to 8; the columns past it ride along
+/// unread), then `transform(band, w)` runs on it there, and `consume` gets
+/// it, strips in ascending order ([`InverseIterScratch::stream`]).
 ///
-/// With shard boundaries snapped to cluster boundaries (so no cluster
-/// straddles ranks and the shift-separation perturbation never crosses a
-/// boundary — boundary gaps exceed the cluster tolerance, which dwarfs the
-/// `10ε` shift separation), the columns produced by disjoint shards are
-/// bitwise identical to the corresponding columns of a single full-window
-/// call.
-pub fn tridiagonal_eigenvectors_offset_into(
-    d: &[f64],
-    e: &[f64],
-    lambda: &[f64],
-    seed_offset: usize,
-    z: &mut Matrix,
-    s: &mut InverseIterScratch,
-) {
-    eigenvectors_in_strips(d, e, lambda, seed_offset, (1, STRIP_COLS), z, s);
-}
-
-/// Both public entry points: `lambda` in cluster-snapped strips of at most
-/// `strip_cols` vectors, worked through by `threads` threads.
-fn eigenvectors_in_strips(
+/// # Panics
+/// Panics if `d.len() != e.len()`, `lambda.len() > d.len()` or `lambda` is
+/// not sorted ascending.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stream_eigenvectors(
     d: &[f64],
     e: &[f64],
     lambda: &[f64],
     seed_offset: usize,
     (threads, strip_cols): (usize, usize),
-    z: &mut Matrix,
     s: &mut InverseIterScratch,
+    transform: impl Fn(&mut [f64], usize) + Sync,
+    consume: impl FnMut(Strip<'_>) + Send,
 ) {
     let n = d.len();
     let k = lambda.len();
@@ -511,12 +614,7 @@ fn eigenvectors_in_strips(
         lambda.windows(2).all(|w| w[0] <= w[1]),
         "eigenvalues must be sorted ascending"
     );
-    s.grown += usize::from(z.resize_zeroed_within(n, k, n * n));
     if n == 0 || k == 0 {
-        return;
-    }
-    if n == 1 {
-        z[(0, 0)] = 1.0;
         return;
     }
     let tnorm = scale_norm(d, e);
@@ -524,45 +622,55 @@ fn eigenvectors_in_strips(
     // Strip `i` is `cut(i)..cut(i + 1)`: each cut moved up to the next
     // cluster boundary, so a strip that a wide cluster swallowed is empty.
     let cut = |i: usize| snap_range_to_clusters(lambda, ctol, (i * strip_cols).min(k)..k).start;
-    let (grown, out) = (AtomicUsize::new(0), Mutex::new(z));
-    s.for_each_strip(threads, n, k.div_ceil(strip_cols), |i, scratch| {
+    let grown = AtomicUsize::new(0);
+    let fill = |i: usize, scratch: &mut ThreadScratch| {
         let range = cut(i)..cut(i + 1);
         if range.is_empty() {
-            return;
+            return None;
         }
+        let w = range.len().next_multiple_of(8);
         let mut band = std::mem::take(&mut scratch.band);
-        let (rows, grew) = staging(&mut band, range.len() * n, n);
+        let (rows, grew) = staging(&mut band, n * w, n);
         grown.fetch_add(usize::from(grew), Ordering::Relaxed);
         let seed = seed_offset + range.start;
-        iterate_strip(d, e, &lambda[range.clone()], seed, tnorm, rows, scratch);
-        let mut z = out.lock().expect("a strip panicked outside the lock");
-        for (j, vector) in range.zip(rows.chunks_exact(n)) {
-            for (zi, &v) in z.as_mut_slice()[j..].iter_mut().step_by(k).zip(vector) {
-                *zi = v;
-            }
+        if n == 1 {
+            rows[0] = 1.0;
+        } else {
+            iterate_strip(
+                d,
+                e,
+                &lambda[range.clone()],
+                seed,
+                tnorm,
+                (rows, w),
+                scratch,
+            );
         }
-        drop(z);
+        transform(rows, w);
         scratch.band = band;
-    });
+        Some((range, w))
+    };
+    s.stream(threads, n, k.div_ceil(strip_cols), fill, consume);
     s.grown += grown.into_inner();
 }
 
 /// Inverse iteration for one strip: the eigenvectors of `lambda` (global
-/// indices `seed..`) into the rows of `rows` (`lambda.len() × n`).
+/// indices `seed..`) into the columns of `out` (`n` rows of `w`).
 ///
 /// The shifts follow one chain over the strip (coincident eigenvalues are
 /// pushed apart by `10ε·‖T‖`) and the cluster boundaries come from the gaps.
-/// Cluster members run one at a time ([`iterate_one`]); singletons are
-/// collected and run [`LANES`] at a time ([`iterate_lanes`]). A vector's bits
-/// depend only on its shift, its global index and its cluster, so the
-/// grouping changes none of them.
+/// Cluster members run one at a time ([`Iteration::iterate_one`]) against
+/// the finished members' rows, and a finished cluster is rotated and
+/// written out; singletons are collected and run [`LANES`] at a time
+/// ([`Iteration::iterate_lanes`]). A vector's bits depend only on its shift,
+/// its global index and its cluster, so the grouping changes none of them.
 fn iterate_strip(
     d: &[f64],
     e: &[f64],
     lambda: &[f64],
     seed: usize,
     tnorm: f64,
-    rows: &mut [f64],
+    (out, w): (&mut [f64], usize),
     s: &mut ThreadScratch,
 ) {
     let n = d.len();
@@ -575,9 +683,6 @@ fn iterate_strip(
     };
     let ctol = CLUSTER_RTOL * tnorm;
     let sep = 10.0 * f64::EPSILON * tnorm;
-    s.factor.size_for(n);
-    size_exactly(&mut s.x, n * LANES, 0.0);
-
     let mut batch = Batch::default();
     let mut cluster_start = 0usize;
     let mut prev_shift = f64::NEG_INFINITY;
@@ -596,17 +701,25 @@ fn iterate_strip(
         if cluster_start == j && cluster_ends {
             batch.push(j, shift);
             if batch.len == LANES {
-                it.iterate_lanes(&mut batch, rows, s);
+                it.iterate_lanes(&mut batch, (out, w), s);
             }
             continue;
         }
-        it.iterate_one(j, shift, cluster_start, rows, s);
+        let mut members = std::mem::take(&mut s.cluster);
+        members.truncate((j - cluster_start) * n);
+        it.iterate_one(j, shift, &members, s);
+        members.extend_from_slice(&s.x[..n]);
         if cluster_ends {
-            rayleigh_ritz_rotate(d, e, &mut rows[cluster_start * n..(j + 1) * n], s);
+            rayleigh_ritz_rotate(d, e, &mut members, s);
+            for (q, v) in members.chunks_exact(n).enumerate() {
+                let column = out[cluster_start + q..].iter_mut().step_by(w);
+                write_lane(v.as_chunks::<1>().0, 0, column);
+            }
         }
+        s.cluster = members;
     }
     if batch.len > 0 {
-        it.iterate_lanes(&mut batch, rows, s);
+        it.iterate_lanes(&mut batch, (out, w), s);
     }
 }
 
@@ -642,18 +755,12 @@ impl Iteration<'_> {
         growth >= 0.01 / self.tiny
     }
 
-    /// Vector `j` (strip-local) of the cluster that began at
-    /// `cluster_start`, one at a time: sweeps with Gram–Schmidt against the
-    /// cluster's finished members, a restart from fresh noise if they
-    /// project the iterate out, and one polish sweep after convergence.
-    fn iterate_one(
-        &self,
-        j: usize,
-        shift: f64,
-        cluster_start: usize,
-        rows: &mut [f64],
-        s: &mut ThreadScratch,
-    ) {
+    /// Vector `j` (strip-local) of a cluster whose finished members are the
+    /// rows of `members`, one at a time, into the first `n` entries of
+    /// `s.x`: sweeps with Gram–Schmidt against the members, a restart from
+    /// fresh noise if they project the iterate out, and one polish sweep
+    /// after convergence.
+    fn iterate_one(&self, j: usize, shift: f64, members: &[f64], s: &mut ThreadScratch) {
         let n = self.d.len();
         s.factor.factor(self.d, self.e, [shift], self.tiny);
         let x = s.x[..n].as_chunks_mut::<1>().0;
@@ -663,7 +770,7 @@ impl Iteration<'_> {
             s.factor.solve(x);
             let [growth] = norms(x);
             // Orthogonalize against the finished members of this cluster.
-            for zp in rows[cluster_start * n..j * n].chunks_exact(n) {
+            for zp in members.chunks_exact(n) {
                 let dot = kernels::dot(x.as_flattened(), zp);
                 kernels::axpy(x.as_flattened_mut(), -dot, zp);
             }
@@ -680,17 +787,21 @@ impl Iteration<'_> {
             // Once the growth hits the floor, one final polish sweep.
             converged = self.converged(growth);
         }
-        rows[j * n..(j + 1) * n].copy_from_slice(x.as_flattened());
     }
 
     /// The singletons of `batch`, one per lane, then the batch emptied. A
     /// singleton has no cluster to orthogonalize against, so a lane is
     /// [`Iteration::iterate_one`] without the projection: each lane sweeps
-    /// until its own polish sweep or [`MAX_SWEEPS`], is written to its row
-    /// of `rows` and rides along unread after that. Lanes past
-    /// `batch.len` repeat the first. A lane whose solve comes out zero goes
-    /// back through [`Iteration::iterate_one`], which restarts it.
-    fn iterate_lanes(&self, batch: &mut Batch, rows: &mut [f64], s: &mut ThreadScratch) {
+    /// until its own polish sweep or [`MAX_SWEEPS`], is written to its
+    /// column of `out` (`n` rows of `w`) and rides along unread after that.
+    /// Lanes past `batch.len` repeat the first. A lane whose solve comes out
+    /// zero goes back through [`Iteration::iterate_one`], which restarts it.
+    fn iterate_lanes(
+        &self,
+        batch: &mut Batch,
+        (out, w): (&mut [f64], usize),
+        s: &mut ThreadScratch,
+    ) {
         let n = self.d.len();
         let used = std::mem::take(&mut batch.len);
         for l in used..LANES {
@@ -715,7 +826,7 @@ impl Iteration<'_> {
                     (redo[l], active[l]) = (true, false);
                 } else if converged[l] {
                     active[l] = false;
-                    write_lane(x, l, &mut rows[lane_j[l] * n..(lane_j[l] + 1) * n]);
+                    write_lane(x, l, out[lane_j[l]..].iter_mut().step_by(w));
                 } else {
                     converged[l] = self.converged(growth[l]);
                 }
@@ -726,19 +837,24 @@ impl Iteration<'_> {
         }
         for l in 0..LANES {
             if active[l] {
-                write_lane(x, l, &mut rows[lane_j[l] * n..(lane_j[l] + 1) * n]);
+                write_lane(x, l, out[lane_j[l]..].iter_mut().step_by(w));
             }
         }
         for l in (0..LANES).filter(|&l| redo[l]) {
-            let j = lane_j[l];
-            self.iterate_one(j, shift[l], j, rows, s);
+            self.iterate_one(lane_j[l], shift[l], &[], s);
+            let x = s.x[..n].as_chunks::<1>().0;
+            write_lane(x, 0, out[lane_j[l]..].iter_mut().step_by(w));
         }
     }
 }
 
-/// Copy lane `l` of the interleaved `x` into the contiguous `row`.
-fn write_lane<const L: usize>(x: &[[f64; L]], l: usize, row: &mut [f64]) {
-    for (z, r) in row.iter_mut().zip(x) {
+/// Copy lane `l` of the interleaved `x` into the entries of `column`.
+fn write_lane<'a, const L: usize>(
+    x: &[[f64; L]],
+    l: usize,
+    column: impl Iterator<Item = &'a mut f64>,
+) {
+    for (z, r) in column.zip(x) {
         *z = r[l];
     }
 }
@@ -748,6 +864,29 @@ mod tests {
     use super::*;
     use crate::blocked::{reduced_eigenvalues_into, tridiagonalize_blocked_into};
     use crate::eigh::eigh;
+
+    /// `lambda`'s eigenvectors into `z`, in strips of `strip_cols` worked
+    /// through by `threads` threads.
+    fn in_strips(
+        d: &[f64],
+        e: &[f64],
+        lambda: &[f64],
+        fan: (usize, usize),
+        z: &mut Matrix,
+        s: &mut InverseIterScratch,
+    ) {
+        s.grown += usize::from(z.resize_zeroed(d.len(), lambda.len()));
+        stream_eigenvectors(
+            d,
+            e,
+            lambda,
+            0,
+            fan,
+            s,
+            |_, _| {},
+            |strip| strip.copy_into(z),
+        );
+    }
 
     #[test]
     fn strip_widths_and_thread_counts_give_the_same_bits_on_degenerate_clusters() {
@@ -788,7 +927,7 @@ mod tests {
             let mut z = Matrix::zeros(0, 0);
             let mut s = InverseIterScratch::default();
             let fan = (threads, strip_cols);
-            eigenvectors_in_strips(d, e, &values[..k], 0, fan, &mut z, &mut s);
+            in_strips(d, e, &values[..k], fan, &mut z, &mut s);
             z
         };
         let single = solve(1, STRIP_COLS);
@@ -828,10 +967,10 @@ mod tests {
         let lambda = [1.0, 1.0, 1.0];
         let mut s = InverseIterScratch::default();
         let mut z = Matrix::zeros(0, 0);
-        eigenvectors_in_strips(&d, &e, &lambda, 0, (4, 1), &mut z, &mut s);
+        in_strips(&d, &e, &lambda, (4, 1), &mut z, &mut s);
         assert_eq!(s.grown, 5, "the output and four threads' bands");
         let mut reference = Matrix::zeros(0, 0);
-        eigenvectors_in_strips(&d, &e, &lambda, 0, (1, STRIP_COLS), &mut reference, &mut s);
+        in_strips(&d, &e, &lambda, (1, STRIP_COLS), &mut reference, &mut s);
         assert!(z == reference);
         for j in 0..3 {
             let col = z.col(j);
@@ -842,7 +981,7 @@ mod tests {
             );
         }
         let grown = s.grown;
-        eigenvectors_in_strips(&d, &e, &lambda[..2], 0, (1, 1), &mut z, &mut s);
+        in_strips(&d, &e, &lambda[..2], (1, 1), &mut z, &mut s);
         assert_eq!(s.grown, grown, "a narrower window grew a buffer");
     }
 

@@ -16,13 +16,14 @@
 //!   eigensolver: the small-matrix path and the reference the two-stage
 //!   solver is tested against.
 //! * [`tridiagonalize_blocked_into`] → [`reduced_eigenvalues_into`] →
-//!   [`reduced_eigenvectors_into`] — the two-stage solver (blocked
+//!   [`stream_reduced_eigenvectors`] — the two-stage solver (blocked
 //!   reduction, QL spectrum of the tridiagonal factor, inverse iteration +
-//!   blocked back-transform for a window of states): the per-timestep O(n³)
-//!   kernel of tight-binding MD, on every dense engine. A distributed rank
-//!   takes the whole spectrum from its replicated factor and
-//!   inverse-iterates a cluster-snapped shard of it
-//!   ([`reduced_eigenvectors_offset_into`], [`snap_range_to_clusters`]).
+//!   blocked back-transform for a window of states, strip by strip into a
+//!   consumer): the per-timestep O(n³) kernel of tight-binding MD, on every
+//!   dense engine. A distributed rank takes the whole spectrum from its
+//!   replicated factor and streams a cluster-snapped shard of it
+//!   ([`snap_range_to_clusters`]); [`reduced_eigenvectors_into`] collects
+//!   a window into an `n × k` block for the references and tests.
 
 pub mod blocked;
 pub mod budget;
@@ -35,7 +36,7 @@ pub mod vec3;
 
 pub use blocked::{
     apply_q_blocked, eigh_partial_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
-    reduced_eigenvectors_offset_into, tridiagonalize_blocked_into, TRIDIAG_BLOCK,
+    stream_reduced_eigenvectors, tridiagonalize_blocked_into, TRIDIAG_BLOCK,
 };
 pub use budget::{configure_budget, effective_width, try_lease, Budget, ComputeLease};
 pub use eigh::{
@@ -43,8 +44,7 @@ pub use eigh::{
     tridiagonalize_into, EigError, Eigh, EighWorkspace,
 };
 pub use inverse_iteration::{
-    cluster_tolerance, snap_range_to_clusters, tridiagonal_eigenvectors_into,
-    tridiagonal_eigenvectors_offset_into,
+    cluster_tolerance, snap_range_to_clusters, tridiagonal_eigenvectors_into, Strip,
 };
 pub use kernels::KERNEL_MIN_DIM;
 pub use matrix::Matrix;

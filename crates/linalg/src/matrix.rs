@@ -314,9 +314,19 @@ impl Matrix {
     /// Reshape to `rows × cols` and zero-fill, reusing the existing
     /// allocation when it holds `rows × cols` elements. Returns `true` if
     /// the backing storage had to grow — the allocation counter the
-    /// evaluation workspaces expose.
+    /// evaluation workspaces expose. Growth frees the old storage first and
+    /// allocates exactly `rows × cols` elements.
     pub fn resize_zeroed(&mut self, rows: usize, cols: usize) -> bool {
-        self.resize_zeroed_within(rows, cols, 0)
+        let grow = self.data.capacity() < rows * cols;
+        if grow {
+            self.data = Vec::new();
+            self.data.reserve_exact(rows * cols);
+        }
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        grow
     }
 
     /// Bytes of the backing allocation.
@@ -324,21 +334,9 @@ impl Matrix {
         held(&[&self.data])
     }
 
-    /// [`Matrix::resize_zeroed`] that, when it must grow, frees the old
-    /// storage first and allocates exactly `max(reserve, rows × cols)`
-    /// elements: a buffer whose shape varies below a known bound is
-    /// allocated once, and only its first `rows × cols` elements are written.
-    pub fn resize_zeroed_within(&mut self, rows: usize, cols: usize, reserve: usize) -> bool {
-        let grow = self.data.capacity() < rows * cols;
-        if grow {
-            self.data = Vec::new();
-            self.data.reserve_exact(reserve.max(rows * cols));
-        }
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
-        grow
+    /// The backing allocation, handed back to whoever lent it.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.data
     }
 }
 
@@ -666,12 +664,6 @@ mod tests {
         assert_eq!(m.data.capacity(), cap);
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
         assert!(m.resize_zeroed(40, 40), "growth must be reported");
-        // Sized once at its bound: a wider shape below it reuses the block.
-        let mut c = Matrix::zeros(0, 0);
-        assert!(c.resize_zeroed_within(30, 12, 30 * 30));
-        assert_eq!(c.data.capacity(), 900);
-        assert!(!c.resize_zeroed_within(30, 13, 30 * 30));
-        assert!(c.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! `crates/model/tests/parent_bits.rs`, beside the Hamiltonian builder.
 
 use tbmd_linalg::{
-    apply_q_blocked, cluster_tolerance, eigh, reduced_eigenvalues_into, snap_range_to_clusters,
-    tridiagonal_eigenvectors_into, tridiagonal_eigenvectors_offset_into,
+    apply_q_blocked, cluster_tolerance, eigh, reduced_eigenvalues_into, reduced_eigenvectors_into,
+    snap_range_to_clusters, stream_reduced_eigenvectors, tridiagonal_eigenvectors_into,
     tridiagonalize_blocked_into, Budget, EighWorkspace, Matrix,
 };
 
@@ -63,10 +63,11 @@ fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// Hash of the eigenvector columns of the tridiagonal factor of `ws` for
-/// `values[..k]`: the full window at lease widths 1 and 2 (they must agree),
-/// then three cluster-snapped offset shards (they must agree with the full
-/// window column for column).
-fn eigenvector_hash(ws: &EighWorkspace, values: &[f64], k: usize) -> u64 {
+/// `values[..k]`: the full window at lease widths 1 and 2 (they must agree).
+/// Then three cluster-snapped offset shards of the back-transformed window,
+/// streamed from the reduction `packed`, must agree with the full window
+/// column for column.
+fn eigenvector_hash(packed: &Matrix, ws: &mut EighWorkspace, values: &[f64], k: usize) -> u64 {
     let (d, e) = ws.tridiagonal_factor();
     let full = |width| {
         at_width(width, || {
@@ -80,13 +81,21 @@ fn eigenvector_hash(ws: &EighWorkspace, values: &[f64], k: usize) -> u64 {
     let ctol = cluster_tolerance(d, e);
     let snap = |raw: usize| snap_range_to_clusters(&values[..k], ctol, raw..k).start;
     let bounds = [0, snap(k / 3), snap(2 * k / 3 + 1), k];
-    let mut scratch = Default::default();
+    let mut window = Matrix::default();
+    reduced_eigenvectors_into(packed, &values[..k], &mut window, ws);
     for shard in bounds.windows(2) {
         let (lo, hi) = (shard[0], shard[1]);
-        let mut part = Matrix::default();
-        tridiagonal_eigenvectors_offset_into(d, e, &values[lo..hi], lo, &mut part, &mut scratch);
-        for i in 0..d.len() {
-            assert!(part.row(i) == &z.row(i)[lo..hi], "shard {lo}..{hi} row {i}");
+        let mut part = Matrix::zeros(z.rows(), hi - lo);
+        stream_reduced_eigenvectors(packed, &values[lo..hi], lo, ws, |strip| {
+            for i in 0..part.rows() {
+                part.row_mut(i)[strip.cols.clone()].copy_from_slice(strip.row(i));
+            }
+        });
+        for i in 0..part.rows() {
+            assert!(
+                part.row(i) == &window.row(i)[lo..hi],
+                "shard {lo}..{hi} row {i}"
+            );
         }
     }
     Fnv::new().extend(z.as_slice()).0
@@ -97,7 +106,7 @@ fn reduced_hash(a: &Matrix, k: usize) -> u64 {
     let (mut packed, mut ws, mut values) = (a.clone(), EighWorkspace::default(), Vec::new());
     tridiagonalize_blocked_into(&mut packed, &mut ws);
     reduced_eigenvalues_into(&mut ws, &mut values).unwrap();
-    eigenvector_hash(&ws, &values, k)
+    eigenvector_hash(&packed, &mut ws, &values, k)
 }
 
 /// `Q diag(target) Qᵀ` for a random orthogonal `Q`.

@@ -265,9 +265,6 @@ pub struct FermiLevel {
     pub electron_count: f64,
     /// Mermin correction `−T_e S = 2·kT·Tr g(H)` (eV).
     pub entropy_term: f64,
-    /// Fermi-operator coefficients at `mu` (`c[0]` full; see
-    /// [`chebyshev_coefficients`]).
-    pub coeffs: Vec<f64>,
 }
 
 /// Find μ by bisection on the electron count `2 Tr f(H)` expressed through
@@ -277,7 +274,7 @@ pub struct FermiLevel {
 /// `c_k = (2/n) Σ_j f(x_j) cos(kθ_j)` gives `(4/n) Σ_j f(x_j; μ) D_j` with the
 /// μ-independent node sums `D_j = ½M₀ + Σ_k M_k cos(kθ_j)`, formed once; a
 /// candidate μ then costs O(order) Fermi evaluations. The entropy trace
-/// uses the same `D_j`; only the final coefficients need the k-sum.
+/// uses the same `D_j`.
 pub fn solve_mu(moments: &[f64], shift: f64, scale: f64, kt: f64, n_electrons: f64) -> FermiLevel {
     assert!(kt > 0.0 && moments.len() >= 2);
     let nodes = GaussNodes::new(moments.len());
@@ -317,11 +314,6 @@ pub fn solve_mu(moments: &[f64], shift: f64, scale: f64, kt: f64, n_electrons: f
         mu,
         electron_count: trace(fermi_function, mu),
         entropy_term: kt * trace(entropy_density, mu),
-        coeffs: nodes
-            .coefficients(eps.iter().map(|&e| [fermi_function(e, mu, kt)]))
-            .into_iter()
-            .map(|[ck]| ck)
-            .collect(),
     }
 }
 

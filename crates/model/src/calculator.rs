@@ -15,7 +15,10 @@
 //! 3. **diagonalize** — O(N³) symmetric eigensolve;
 //! 4. **density** — `ρ = 2 C f Cᵀ` on the blocks the forces read:
 //!    O(N·z·N_occ) ([`crate::stages::bond_density`]; the full matrix,
-//!    [`density_matrix_into`], is O(N²·N_occ));
+//!    [`density_matrix_into`], is O(N²·N_occ)). The two-stage solve adds
+//!    it up strip by strip of eigenvectors inside the diagonalize phase;
+//!    only the one-stage solve below 96 orbitals has a density phase of its
+//!    own;
 //! 5. **forces** — O(N·z) contraction of `ρ` with `∂H/∂R` plus the
 //!    repulsive-potential forces, one atom per task, from the same table
 //!    ([`dense_forces`]).
@@ -34,7 +37,7 @@ use crate::stages::{
     bond_contraction, bond_density, dense_forces, entropy_term, epilogue, occupied_factor_into,
     prologue, solve_occupied, spectrum, validate,
 };
-use crate::workspace::{NeighborOutcome, Workspace};
+use crate::workspace::{DenseCache, NeighborOutcome, Workspace};
 use std::time::Duration;
 use tbmd_linalg::{EigError, Matrix, Vec3};
 use tbmd_structure::{NeighborList, Species, Structure};
@@ -319,10 +322,11 @@ impl<'m> TbCalculator<'m> {
     /// The front half of the pipeline — neighbours → bond table and `H` →
     /// solve → `ρ` — through a persistent [`Workspace`]. Leaves `ρ` on the
     /// bond blocks of the neighbour list in [`Workspace::rho_blocks`]
-    /// ([`bond_density`]), the spectrum in `ws.values`, the neighbour list in
-    /// `ws.neighbors`, its radial terms in `ws.bonds` and the eigenvectors
-    /// where `ws.dense_cache` says; everything downstream (forces, stress,
-    /// the health probe) reads those.
+    /// ([`solve_occupied`] on the two-stage path, [`bond_density`] on the
+    /// one-stage one), the spectrum in `ws.values`, the neighbour list in
+    /// `ws.neighbors`, its radial terms in `ws.bonds` and the probe's
+    /// eigenpairs where `ws.dense_cache` says; everything downstream (forces,
+    /// stress, the health probe) reads those.
     pub fn density_with(
         &self,
         s: &Structure,
@@ -340,16 +344,21 @@ impl<'m> TbCalculator<'m> {
             assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h) as usize;
         timings.hamiltonian = sp.finish();
 
-        let (occ, diagonalize) = solve_occupied(ws, s.n_electrons(), self.occupation, self.solver)?;
+        let (n_electrons, occupation) = (s.n_electrons(), self.occupation);
+        let (occ, diagonalize) = solve_occupied(ws, &index, n_electrons, occupation, self.solver)?;
         timings.diagonalize = diagonalize;
 
+        // The two-stage solve streamed ρ already, inside `Diagonalize`.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
-        let (vectors, k) = ws
-            .dense_cache
-            .vectors(&ws.h, &ws.c)
-            .expect("solve_occupied leaves eigenvectors");
-        let nl = ws.neighbors.list();
-        bond_density(nl, &index, vectors, &occ.f[..k], &mut ws.rho_blocks);
+        if let DenseCache::Full { .. } = ws.dense_cache {
+            bond_density(
+                ws.neighbors.list(),
+                &index,
+                &ws.h,
+                &occ.f,
+                &mut ws.rho_blocks,
+            );
+        }
         timings.density = sp.finish();
         Ok((index, occ))
     }

@@ -25,17 +25,15 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `‖Hv − λv‖∞` and an orthogonality spot-check on eigenpair `sampled` of
-/// the first `k` columns of `vectors`, against the pristine `h`.
+/// `‖Hv − λv‖∞` and an orthogonality spot-check on the sampled eigenpair
+/// `v` (index `sampled`) against the pristine `h`, and on its neighbour
+/// `other` in the window when there is one.
 fn probe(
     h: &Matrix,
-    vectors: &Matrix,
     values: &[f64],
-    k: usize,
-    sampled: usize,
+    (sampled, v, other): (usize, Vec<f64>, Option<Vec<f64>>),
     step: usize,
 ) -> HealthRecord {
-    let v = vectors.col(sampled);
     let lambda = values[sampled];
     let residual_inf = h
         .matvec(&v)
@@ -45,13 +43,8 @@ fn probe(
         .fold(0.0_f64, f64::max);
 
     let mut orthogonality = (dot(&v, &v) - 1.0).abs();
-    if k > 1 {
-        let j = if sampled + 1 < k {
-            sampled + 1
-        } else {
-            sampled - 1
-        };
-        orthogonality = orthogonality.max(dot(&v, &vectors.col(j)).abs());
+    if let Some(other) = other {
+        orthogonality = orthogonality.max(dot(&v, &other).abs());
     }
     HealthRecord {
         step,
@@ -59,6 +52,34 @@ fn probe(
         orthogonality,
         sampled_index: sampled,
         n_orbitals: h.rows(),
+    }
+}
+
+/// The sampled eigenpair and its neighbour as the last solve left them, for
+/// a structure of `n` orbitals: columns `full` and its
+/// [`DenseCache::neighbour`] of `h` after the one-stage solve, the pair the
+/// two-stage stream copied out of its strips (index `occupied / 2`).
+/// `None` without a cache, or when its buffers belong to another size.
+fn sampled_pair(
+    ws: &Workspace,
+    n: usize,
+    full: usize,
+) -> Option<(usize, Vec<f64>, Option<Vec<f64>>)> {
+    let fits = n > 0 && ws.h.rows() == n;
+    match ws.dense_cache {
+        DenseCache::Sliced { occupied } if fits && occupied > 0 && ws.probe_pair.len() == 2 * n => {
+            let (v, other) = ws.probe_pair.split_at(n);
+            Some((
+                occupied / 2,
+                v.to_vec(),
+                (occupied > 1).then(|| other.to_vec()),
+            ))
+        }
+        DenseCache::Full { occupied } if fits && ws.h.cols() == n && occupied <= n => {
+            let other = (n > 1).then(|| ws.h.col(DenseCache::neighbour(full, n)));
+            Some((full, ws.h.col(full), other))
+        }
+        _ => None,
     }
 }
 
@@ -86,14 +107,13 @@ pub fn eigensolver_health(
     assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut ws.h);
     // Pristine copy: the solvers overwrite their input in place.
     let h0 = ws.h.clone();
-    solve_occupied(&mut ws, s.n_electrons(), occupation, solver)?;
-    let (vectors, k) = ws
-        .dense_cache
-        .vectors(&ws.h, &ws.c)
-        .expect("solve_occupied leaves eigenvectors");
-    // Middle of the solved window: clear of both the deflation-prone band
-    // edges and the Fermi-window boundary.
-    Ok(probe(&h0, vectors, &ws.values, k, k / 2, step))
+    solve_occupied(&mut ws, &index, s.n_electrons(), occupation, solver)?;
+    // Middle of the solved window (all `n` states after a one-stage solve):
+    // clear of both the deflation-prone band edges and the Fermi-window
+    // boundary.
+    let n = index.total();
+    let pair = sampled_pair(&ws, n, n / 2).expect("solve_occupied leaves eigenvectors");
+    Ok(probe(&h0, &ws.values, pair, step))
 }
 
 /// Incremental health probe on the *cached* eigenpairs of the last dense
@@ -103,7 +123,7 @@ pub fn eigensolver_health(
 /// checks the production solve's own output: it rebuilds a pristine `H`
 /// into the [`Workspace::health_h`] scratch (one `O(n²)` assembly, reusing
 /// the workspace's current neighbour list and bond table) and measures
-/// `‖Hv − λv‖∞` plus an orthogonality spot-check on a sampled occupied
+/// `‖Hv − λv‖∞` plus an orthogonality spot-check on the sampled occupied
 /// eigenpair left behind by the last `evaluate_with`. No eigensolve happens, so the cost is a
 /// Hamiltonian build and one matvec.
 ///
@@ -120,36 +140,20 @@ pub fn cached_eigensolver_health(
         return Ok(None);
     };
     let index = OrbitalIndex::new(s);
-    let n = index.total();
-    let (vectors, k) = ws
-        .dense_cache
-        .vectors(&ws.h, &ws.c)
-        .expect("a marker was set");
-    // Defensive shape checks: a cache marker is only trustworthy if the
-    // buffers it points at still match the structure being probed.
-    if n == 0
-        || k == 0
-        || vectors.rows() != n
-        || vectors.cols() < k
-        || ws.values.len() < k
-        || occupied > k
-    {
+    // Middle of the occupied window, as in the full probe. A cache marker
+    // is only trustworthy if the buffers it points at still match the
+    // structure being probed.
+    let Some(pair) = sampled_pair(ws, index.total(), occupied / 2) else {
+        return Ok(None);
+    };
+    if ws.values.len() <= pair.0 {
         return Ok(None);
     }
     // The last evaluation updated `ws.neighbors` and `ws.bonds` for exactly
     // these positions.
     let (nl, bonds) = (ws.neighbors.list(), &ws.bonds);
     ws.grown += assemble_hamiltonian_into(s, nl, model, bonds, &index, &mut ws.health_h) as usize;
-    // Middle of the occupied window, as in the full probe.
-    let sampled = occupied.max(1).min(k) / 2;
-    Ok(Some(probe(
-        &ws.health_h,
-        vectors,
-        &ws.values,
-        k,
-        sampled,
-        step,
-    )))
+    Ok(Some(probe(&ws.health_h, &ws.values, pair, step)))
 }
 
 #[cfg(test)]

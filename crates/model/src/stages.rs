@@ -14,11 +14,13 @@
 //!   of an energy-only evaluation (the only place [`TWO_STAGE_MIN_DIM`] is
 //!   consulted and [`DenseSolver`] matched);
 //! * [`solve_occupied`] — the dense eigensolve for the occupied subspace:
-//!   spectrum → occupations → occupied eigenvectors (the only place the
-//!   [`DenseCache`] marker is set and the `Diagonalize` span opened);
-//! * [`bond_density`] — `ρ` on the blocks the force and stress contractions
-//!   read, into the only store of `ρ` an engine keeps ([`RhoBlocks`]): one
-//!   block per atom and one per neighbour-list pair ([`for_each_bond_block`]);
+//!   spectrum → occupations → occupied eigenvectors, on the two-stage path
+//!   streamed strip by strip into `ρ` (the only place the [`DenseCache`]
+//!   marker is set and the `Diagonalize` span opened);
+//! * [`bond_density`] / [`RhoBlocks::add_strip`] — `ρ` on the blocks the
+//!   force and stress contractions read, into the only store of `ρ` an
+//!   engine keeps ([`RhoBlocks`]): one block per atom and one per
+//!   neighbour-list pair ([`for_each_bond_block`]);
 //! * [`BondTable::fill`] — every radial term of every neighbour-list entry
 //!   (one [`TbModel::bond`] each) and, folded into the same pass, each
 //!   atom's repulsive embedding; run once per evaluation in the
@@ -43,8 +45,8 @@ use crate::slater_koster::{sk_block_gradient, Hoppings};
 use crate::units::KB_EV;
 use crate::workspace::{DenseCache, Workspace};
 use tbmd_linalg::{
-    eigh_into, kernels, reduced_eigenvalues_into, reduced_eigenvectors_into, team,
-    tridiagonalize_blocked_into, Matrix, Vec3,
+    eigh_into, kernels, reduced_eigenvalues_into, stream_reduced_eigenvectors, team,
+    tridiagonalize_blocked_into, Matrix, Strip, Vec3,
 };
 use tbmd_structure::{Neighbor, NeighborList, Structure};
 use tbmd_trace::{Counter, Hist, Phase};
@@ -127,14 +129,17 @@ pub fn spectrum(ws: &mut Workspace, solver: DenseSolver) -> Result<bool, TbError
 /// Diagonalize `ws.h` for the occupied subspace under one `Diagonalize`
 /// span (returned as `timings.diagonalize`'s value).
 ///
-/// After [`spectrum`], the two-stage branch inverse-iterates only the `k`
-/// states the occupations keep (`f > 10⁻¹²`, exactly the set the
-/// density-matrix filter keeps; `k = n` is simply a full solve) into
-/// `ws.c`; the one-stage branch already left all `n` eigenvectors in
-/// `ws.h`. Either way the spectrum is in `ws.values`, `ws.dense_cache` says
-/// where the vectors are, and [`DenseCache::vectors`] hands them out.
+/// After [`spectrum`], the two-stage branch streams only the `k` states the
+/// occupations keep (`f > 10⁻¹²`, exactly the set the density filter keeps;
+/// `k = n` is simply a full solve) strip by strip into `ρ` on the bond
+/// blocks of `ws.neighbors` ([`RhoBlocks::add_strip`]), so no `n × k` block
+/// is held, and copies the health probe's sampled pair out of its strips;
+/// the one-stage branch already left all `n` eigenvectors in `ws.h`, for
+/// [`bond_density`]. Either way the spectrum is in `ws.values` and
+/// `ws.dense_cache` says which branch ran.
 pub fn solve_occupied(
     ws: &mut Workspace,
+    index: &OrbitalIndex,
     n_electrons: usize,
     occupation: OccupationScheme,
     solver: DenseSolver,
@@ -144,7 +149,27 @@ pub fn solve_occupied(
     let occ = occupations(&ws.values, n_electrons, occupation);
     let occupied = occupied_count(&occ.f);
     ws.dense_cache = if two_stage {
-        reduced_eigenvectors_into(&ws.h, &ws.values[..occupied], &mut ws.c, &mut ws.eigh);
+        let (nl, n, f) = (ws.neighbors.list(), ws.h.rows(), &occ.f[..occupied]);
+        let (rho, pair) = (&mut ws.rho_blocks, &mut ws.probe_pair);
+        let probed = [occupied / 2, DenseCache::neighbour(occupied / 2, occupied)];
+        pair.resize(2 * n, 0.0);
+        rho.lay_out(nl, index);
+        let lambda = &ws.values[..occupied];
+        stream_reduced_eigenvectors(&ws.h, lambda, 0, &mut ws.eigh, |strip| {
+            rho.add_strip(nl, index, &strip, f);
+            for (v, j) in pair.chunks_exact_mut(n).zip(probed) {
+                if strip.cols.contains(&j) {
+                    let c = j - strip.cols.start;
+                    v.iter_mut()
+                        .enumerate()
+                        .for_each(|(r, x)| *x = strip.row(r)[c]);
+                }
+            }
+        });
+        tbmd_trace::add(
+            Counter::KernelFlops,
+            2 * (rho.values.len() * occupied) as u64,
+        );
         DenseCache::Sliced { occupied }
     } else {
         DenseCache::Full { occupied }
@@ -255,8 +280,11 @@ impl RhoBlocks {
         8 * (doubles + self.starts.capacity()) + index
     }
 
-    /// Lay the store out for `nl`, one zeroed double per bond-block element.
-    fn lay_out(&mut self, nl: &NeighborList, index: &OrbitalIndex) {
+    /// Lay the store out for `nl`, one zeroed double per bond-block element,
+    /// and size the scratch for any strip, so that one consumed on a worker
+    /// allocates nothing.
+    pub fn lay_out(&mut self, nl: &NeighborList, index: &OrbitalIndex) {
+        self.scratch.resize(9 * index.total(), 0.0);
         let (partners, mut at) = (&mut self.partners, 0);
         partners.clear();
         for_each_bond_block(nl, |i, j| {
@@ -271,6 +299,64 @@ impl RhoBlocks {
         self.starts.extend(starts);
         self.values.clear();
         self.values.resize(at, 0.0);
+    }
+
+    /// Add one strip of a window's eigenvectors to the store laid out for
+    /// `nl` ([`RhoBlocks::lay_out`]): `ρ_IJ += Σ_n 2 f_n c_In c_Jnᵀ` over the
+    /// strip's columns, `f` the window's occupations. The window's first
+    /// strip stores its blocks instead, so a window of one strip is
+    /// [`bond_density`]'s bits; strips added in ascending order make the
+    /// store depend on the strip cut alone.
+    pub fn add_strip(&mut self, nl: &NeighborList, index: &OrbitalIndex, strip: &Strip, f: &[f64]) {
+        let first = strip.cols.start == 0;
+        self.add_columns(nl, index, |r| strip.row(r), &f[strip.cols.clone()], first);
+    }
+
+    /// The bond blocks of `Σ_k 2 f_k c_k c_kᵀ` over `f.len()` columns, row
+    /// `r` of them `row(r)`, stored (`first`) or added. A bond block is one
+    /// [`kernels::dot4x4`] of the two atoms' rows of `w_ik = √(2f_k)·c_ik`,
+    /// formed per block in the scratch and rounded as `occupied_factor_into`
+    /// rounds them, so each element depends on nothing but those rows.
+    fn add_columns<'a>(
+        &mut self,
+        nl: &NeighborList,
+        index: &OrbitalIndex,
+        row: impl Fn(usize) -> &'a [f64],
+        f: &[f64],
+        first: bool,
+    ) {
+        let cols = f.len();
+        self.scratch.resize(9 * cols, 0.0);
+        let (scale, w) = self.scratch.split_at_mut(cols);
+        for (sv, &fk) in scale.iter_mut().zip(f) {
+            *sv = (2.0 * fk).sqrt();
+        }
+        let (wi, wj) = w.split_at_mut(4 * cols);
+        fn rows(w: &[f64]) -> [&[f64]; 4] {
+            let cols = w.len() / 4;
+            std::array::from_fn(|m| &w[m * cols..(m + 1) * cols])
+        }
+        let mut values = self.values.iter_mut();
+        for_each_bond_block(nl, |i, j| {
+            // Atom j's four rows of `w`, into `wi` at its own diagonal block
+            // (visited first); an atom with fewer orbitals repeats its last
+            // row and the surplus entries are dropped.
+            let out = if j == i { &mut *wi } else { &mut *wj };
+            for m in 0..4 {
+                let c = row(index.offset(j) + m.min(index.n_orbitals(j) - 1));
+                let w = &mut out[m * cols..(m + 1) * cols];
+                for ((wv, &sv), &cv) in w.iter_mut().zip(&*scale).zip(&c[..cols]) {
+                    *wv = sv * cv;
+                }
+            }
+            let block = kernels::dot4x4(rows(wi), rows(if j == i { wi } else { wj }));
+            for dots in block.iter().take(index.n_orbitals(i)) {
+                for &d in dots.iter().take(index.n_orbitals(j)) {
+                    let v = values.next().expect("laid out for nl");
+                    *v = if first { d } else { *v + d };
+                }
+            }
+        });
     }
 
     /// Every element of every block from both sides: its place in the store
@@ -334,19 +420,17 @@ impl RhoBlocks {
     }
 }
 
-/// The density stage of the dense pipeline: `ρ_IJ = Σ_n 2 f_n c_In c_Jnᵀ` on
-/// the bond blocks of `nl` only, into `rho`, from the eigenvector block
-/// `vectors` (`n × f.len()`) and its occupations — `O(N·neighbours·k)`
-/// instead of the `O(N²·k)` full matrix
+/// The density stage of the one-stage pipeline: `ρ_IJ = Σ_n 2 f_n c_In
+/// c_Jnᵀ` on the bond blocks of `nl` only, into `rho`, from the eigenvector
+/// block `vectors` (`n × f.len()` at least) and its occupations —
+/// `O(N·neighbours·k)` instead of the `O(N²·k)` full matrix
 /// ([`crate::calculator::density_matrix_into`], the reference), which the
-/// force and stress contractions never read elsewhere.
+/// force and stress contractions never read elsewhere. The two-stage solve
+/// adds the same blocks strip by strip ([`RhoBlocks::add_strip`]).
 ///
 /// The kept columns are the leading ones with `f > 10⁻¹²` (occupations of
-/// an ascending spectrum never increase). A bond block is one
-/// [`kernels::dot4x4`] of the two atoms' rows of `w_ik = √(2f_k)·c_ik`,
-/// formed per block in the store's scratch and rounded as
-/// `occupied_factor_into` rounds them, so each element depends on nothing
-/// but those rows. Returns the number of kept columns.
+/// an ascending spectrum never increase). Returns the number of kept
+/// columns.
 pub fn bond_density(
     nl: &NeighborList,
     index: &OrbitalIndex,
@@ -360,36 +444,7 @@ pub fn bond_density(
         "occupations must not increase"
     );
     rho.lay_out(nl, index);
-    rho.scratch.resize(9 * cols, 0.0);
-    let (scale, w) = rho.scratch.split_at_mut(cols);
-    for (sv, &fk) in scale.iter_mut().zip(f) {
-        *sv = (2.0 * fk).sqrt();
-    }
-    let (wi, wj) = w.split_at_mut(4 * cols);
-    fn rows(w: &[f64]) -> [&[f64]; 4] {
-        let cols = w.len() / 4;
-        std::array::from_fn(|m| &w[m * cols..(m + 1) * cols])
-    }
-    let mut values = rho.values.iter_mut();
-    for_each_bond_block(nl, |i, j| {
-        // Atom j's four rows of `w`, into `wi` at its own diagonal block
-        // (visited first); an atom with fewer orbitals repeats its last row
-        // and the surplus entries are dropped.
-        let out = if j == i { &mut *wi } else { &mut *wj };
-        for m in 0..4 {
-            let c = vectors.row(index.offset(j) + m.min(index.n_orbitals(j) - 1));
-            let w = &mut out[m * cols..(m + 1) * cols];
-            for ((wv, &sv), &cv) in w.iter_mut().zip(&*scale).zip(&c[..cols]) {
-                *wv = sv * cv;
-            }
-        }
-        let block = kernels::dot4x4(rows(wi), rows(if j == i { wi } else { wj }));
-        for dots in block.iter().take(index.n_orbitals(i)) {
-            for &d in dots.iter().take(index.n_orbitals(j)) {
-                *values.next().expect("laid out for nl") = d;
-            }
-        }
-    });
+    rho.add_columns(nl, index, |r| vectors.row(r), &f[..cols], true);
     tbmd_trace::add(Counter::KernelFlops, 2 * (rho.values.len() * cols) as u64);
     cols
 }

@@ -18,19 +18,11 @@
 //! * **matrices** — the H/eigenvector buffer (diagonalized in place) is
 //!   reused across steps via [`Matrix::resize_zeroed`], and `ρ`, kept on
 //!   the bond blocks alone ([`RhoBlocks`]), is refilled in place.
-//! * **sized once** — the occupied window `k` moves by a state or two
-//!   during MD, so the `n × k` eigenvector block `c` is allocated for
-//!   `n × n` when first sized for `n` and never moves (the pages past
-//!   `n × k` are never written, so they are never resident). A block that
-//!   regrew by `Vec` doubling left its old 4.2 MB block resident at Si-216:
-//!   once glibc has freed a 4–6 MB mmapped block it raises its mmap and trim
-//!   thresholds, so a session built after another one is dropped gets its
-//!   large blocks from the heap, and one Si-216 session peaked at 27.5 MB
-//!   there against 19.4 MB in a fresh process. The fix is in the sizing,
-//!   not in allocator tuning; [`Workspace::bytes`] reports each buffer.
 //! * **eigensolver scratch** — subdiagonal and sort-permutation buffers for
-//!   [`tbmd_linalg::eigh_into`], the tridiagonal factor, reduction panels
-//!   and inverse-iteration buffers of the two-stage solver.
+//!   [`tbmd_linalg::eigh_into`], the tridiagonal factor, and the two-stage
+//!   solver's inverse-iteration buffers and per-thread staging bands, which
+//!   each strip of occupied eigenvectors passes through on its way into `ρ`
+//!   (and which the reduction's panels borrow before that).
 //!
 //! The workspace also keeps counters (rebuilds vs refreshes, buffer-growth
 //! events) that the benchmark reports surface.
@@ -52,11 +44,13 @@ pub enum DenseCache {
     /// No cached eigenpairs (fresh workspace, or last engine left none).
     #[default]
     None,
-    /// Two-stage sliced solve: the `occupied` eigenvectors sit in
-    /// [`Workspace::c`], the full spectrum in [`Workspace::values`], and
-    /// [`Workspace::h`] holds packed reflectors (not `H`).
+    /// Two-stage sliced solve: the `occupied` eigenvectors were streamed
+    /// into `ρ`, and only the probe's sampled pair (column `occupied / 2`
+    /// and its [`DenseCache::neighbour`]) was copied out of its strips; the
+    /// full spectrum is in [`Workspace::values`], and [`Workspace::h`]
+    /// holds packed reflectors (not `H`).
     Sliced {
-        /// Number of occupied columns in [`Workspace::c`].
+        /// Number of occupied states the solve streamed.
         occupied: usize,
     },
     /// One-stage solve: all eigenvectors overwrote [`Workspace::h`] in
@@ -68,14 +62,14 @@ pub enum DenseCache {
 }
 
 impl DenseCache {
-    /// The eigenvector block this marker points at — `c` for a sliced
-    /// solve, `h` for a full one — and how many of its leading columns the
-    /// solve produced. `None` when nothing is cached.
-    pub fn vectors<'w>(self, h: &'w Matrix, c: &'w Matrix) -> Option<(&'w Matrix, usize)> {
-        match self {
-            DenseCache::None => None,
-            DenseCache::Sliced { occupied } => Some((c, occupied)),
-            DenseCache::Full { .. } => Some((h, h.cols())),
+    /// The column the probes check eigenpair `sampled` of a `k`-column
+    /// window against for orthogonality: the next one, the previous one at
+    /// the window's end, `usize::MAX` when the window has one column.
+    pub fn neighbour(sampled: usize, k: usize) -> usize {
+        if sampled + 1 < k {
+            sampled + 1
+        } else {
+            sampled.wrapping_sub(1)
         }
     }
 }
@@ -240,13 +234,13 @@ pub struct Workspace {
     /// eigenvector matrix; the two-stage path leaves the packed Householder
     /// reflectors of the blocked reduction in it.
     pub h: Matrix,
-    /// Occupied-subspace eigenvector block (`n_orb × k`) produced by the
-    /// two-stage solver's inverse-iteration + back-transform stage, in
-    /// storage for `n_orb × n_orb` (see the module doc: sized once).
+    /// An `n_orb × k` eigenvector block, the reference
+    /// [`crate::density_matrix_into`]'s `W = C·diag(√(2f))` and its full
+    /// `ρ = W·Wᵀ`: no engine touches them (the two-stage solve streams its
+    /// eigenvectors into `ρ`, [`crate::stages::solve_occupied`]); they serve
+    /// the frozen benchmark's twin and leave with ROADMAP item 7 (g).
     pub c: Matrix,
-    /// `W = C·diag(√(2f))` and the full `ρ = W·Wᵀ` of the reference
-    /// [`crate::density_matrix_into`]: no engine touches them; they serve the
-    /// frozen benchmark's twin and leave with ROADMAP item 7 (g).
+    /// See `c`.
     pub w: Matrix,
     /// See `w`.
     pub rho: Matrix,
@@ -260,6 +254,9 @@ pub struct Workspace {
     /// Which eigenpairs (if any) the last evaluation left behind for the
     /// incremental health probe.
     pub dense_cache: DenseCache,
+    /// The probe's sampled eigenvector and its neighbour (`2 × n_orb`),
+    /// copied out of their strips by a two-stage solve.
+    pub(crate) probe_pair: Vec<f64>,
     /// Pristine-Hamiltonian scratch for the incremental health probe (the
     /// solve paths consume `h` in place, so the probe rebuilds `H` here).
     pub health_h: Matrix,
@@ -275,8 +272,8 @@ impl Workspace {
     }
 
     /// Number of times an `n_orb`-sized buffer had to grow its allocation:
-    /// `H`, the health probe's `H` (both counted in `grown`), the
-    /// eigenvector block `c` and the inverse iteration's staging bands
+    /// `H`, the health probe's `H` (both counted in `grown`) and the
+    /// eigenvector stage's staging bands
     /// ([`EighWorkspace::large_alloc_events`]). Stays constant after the
     /// first evaluation of the largest system seen — the O(1)-allocations
     /// guarantee the MD loop relies on.
@@ -292,33 +289,48 @@ impl Workspace {
 
     /// The bytes the dense pipeline's buffers hold, by buffer.
     pub fn bytes(&self) -> WorkspaceBytes {
-        WorkspaceBytes {
-            h: self.h.heap_bytes(),
-            c: 8 * self.c.rows() * self.c.cols(),
-            eigensolver: self.eigh.heap_bytes(),
-            bonds: self.bonds.heap_bytes(),
-            rho_blocks: self.rho_blocks.heap_bytes(),
-        }
+        WorkspaceBytes::of(&self.h, &self.eigh, &self.bonds, &self.rho_blocks)
     }
 }
 
-/// The bytes of a [`Workspace`]'s dense buffers ([`Workspace::bytes`]).
+/// The bytes of a dense engine's buffers ([`Workspace::bytes`]). No field
+/// holds an `n × k` eigenvector block: the occupied window passes through
+/// `strips` one strip at a time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspaceBytes {
     /// The Hamiltonian buffer `h` (`n × n`; eigenvectors or packed
     /// reflectors after a solve).
     pub h: usize,
-    /// The part of the eigenvector block `c` the last solve wrote (`n × k`).
-    /// Its storage is reserved for `n × n` when first sized for `n`, but the
-    /// pages past `n × k` are never written, so they are never resident.
-    pub c: usize,
-    /// Eigensolver scratch: reduction panels and factors, inverse-iteration
-    /// buffers and the per-thread staging bands.
+    /// The eigenvector stage's staging bands: one strip of at most
+    /// `STRIP_COLS` (96) vectors of length `n` per thread that ran one (more
+    /// only where a cluster of near-equal eigenvalues widened a strip).
+    pub strips: usize,
+    /// The rest of the eigensolver scratch: reduction panels and factors,
+    /// inverse-iteration buffers.
     pub eigensolver: usize,
     /// The bond table's radial terms.
     pub bonds: usize,
     /// `ρ` on the bond blocks, with its block index.
     pub rho_blocks: usize,
+}
+
+impl WorkspaceBytes {
+    /// The bytes of one engine's buffers: a [`Workspace`]'s or a
+    /// distributed rank's.
+    pub fn of(h: &Matrix, eigh: &EighWorkspace, bonds: &BondTable, rho: &RhoBlocks) -> Self {
+        WorkspaceBytes {
+            h: h.heap_bytes(),
+            strips: eigh.strip_bytes(),
+            eigensolver: eigh.heap_bytes() - eigh.strip_bytes(),
+            bonds: bonds.heap_bytes(),
+            rho_blocks: rho.heap_bytes(),
+        }
+    }
+
+    /// All of them.
+    pub fn total(&self) -> usize {
+        self.h + self.strips + self.eigensolver + self.bonds + self.rho_blocks
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tbmd_linalg::{eigh, Matrix};
+use tbmd_linalg::{eigh, reduced_eigenvectors_into, Matrix};
 use tbmd_model::{
     bond_block_elements, bond_density, bond_force, carbon_xwch, density_matrix, electronic_forces,
     occupations, silicon_gsp, sk_block, stress_from_density, DenseCache, GspTbModel, Hoppings,
@@ -60,6 +60,22 @@ fn assert_bond_blocks(nl: &NeighborList, index: &OrbitalIndex, rho: &RhoBlocks, 
     }
 }
 
+/// The occupied eigenvectors of the last dense evaluation in `ws` and their
+/// count: all `n` columns of `ws.h` after a one-stage solve, or the `k` the
+/// two-stage solve streamed into ρ, recomputed from the step's own
+/// reflectors and factor.
+fn occupied_vectors(ws: &mut Workspace) -> (Matrix, usize) {
+    match ws.dense_cache {
+        DenseCache::Sliced { occupied } => {
+            let mut z = Matrix::default();
+            reduced_eigenvectors_into(&ws.h, &ws.values[..occupied], &mut z, &mut ws.eigh);
+            (z, occupied)
+        }
+        DenseCache::Full { .. } => (ws.h.clone(), ws.h.cols()),
+        DenseCache::None => panic!("no dense solve in the workspace"),
+    }
+}
+
 /// Run the dense pipeline's front half on `s`, rebuild the full `ρ` from the
 /// very eigenvectors it left behind, and compare blocks, trace, forces (both
 /// force stages' forms) and — for periodic cells — stress.
@@ -75,8 +91,8 @@ fn check_pipeline(s: &Structure, model: &dyn TbModel, sliced: bool) {
         "{:?}",
         ws.dense_cache
     );
-    let (vectors, k) = ws.dense_cache.vectors(&ws.h, &ws.c).unwrap();
-    let full = density_matrix(vectors, &occ.f[..k]);
+    let (vectors, k) = occupied_vectors(&mut ws);
+    let full = density_matrix(&vectors, &occ.f[..k]);
     let (nl, rho) = (ws.neighbors.list(), ws.rho_blocks());
     assert_bond_blocks(nl, &index, rho, &full);
     let dense = rho.to_dense(&index);

@@ -16,13 +16,12 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use tbmd_linalg::{
     apply_q_blocked, cluster_tolerance, eigh_into, eigh_partial_into, reduced_eigenvalues_into,
-    reduced_eigenvectors_into, snap_range_to_clusters, team, tridiagonal_eigenvectors_into,
-    tridiagonal_eigenvectors_offset_into, tridiagonalize_blocked_into, Budget, EighWorkspace,
-    Matrix,
+    reduced_eigenvectors_into, snap_range_to_clusters, stream_reduced_eigenvectors, team,
+    tridiagonal_eigenvectors_into, tridiagonalize_blocked_into, Budget, EighWorkspace, Matrix,
 };
 use tbmd_model::{
-    build_hamiltonian, carbon_xwch, density_matrix, silicon_gsp, OrbitalIndex, PhaseTimings,
-    TbCalculator, TbModel, Workspace,
+    build_hamiltonian, carbon_xwch, density_matrix, silicon_gsp, DenseCache, OrbitalIndex,
+    PhaseTimings, TbCalculator, TbModel, Workspace,
 };
 use tbmd_structure::{bulk_diamond, nanotube, NeighborList, Species, Structure};
 
@@ -184,8 +183,9 @@ fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
 fn inverse_iteration_reproduces_the_parent_bits_on_si64() {
     // The factor of the perturbed Si-64 `H` (n = 256) and k = 133 states,
     // not a multiple of the lane count: the full window at lease widths 1
-    // and 2, then three cluster-snapped offset shards that must agree with
-    // it column for column.
+    // and 2, then three cluster-snapped offset shards, streamed through the
+    // back-transform, that must agree with the back-transformed window
+    // column for column.
     let k = 133;
     let (mut packed, mut ws, mut values) = (silicon_h(2, 64), EighWorkspace::default(), Vec::new());
     tridiagonalize_blocked_into(&mut packed, &mut ws);
@@ -203,13 +203,21 @@ fn inverse_iteration_reproduces_the_parent_bits_on_si64() {
     let ctol = cluster_tolerance(d, e);
     let snap = |raw: usize| snap_range_to_clusters(&values[..k], ctol, raw..k).start;
     let bounds = [0, snap(40), snap(97), k];
-    let mut scratch = Default::default();
+    let mut window = Matrix::default();
+    reduced_eigenvectors_into(&packed, &values[..k], &mut window, &mut ws);
     for shard in bounds.windows(2) {
         let (lo, hi) = (shard[0], shard[1]);
-        let mut part = Matrix::default();
-        tridiagonal_eigenvectors_offset_into(d, e, &values[lo..hi], lo, &mut part, &mut scratch);
-        for i in 0..d.len() {
-            assert!(part.row(i) == &z.row(i)[lo..hi], "shard {lo}..{hi} row {i}");
+        let mut part = Matrix::zeros(z.rows(), hi - lo);
+        stream_reduced_eigenvectors(&packed, &values[lo..hi], lo, &mut ws, |strip| {
+            for i in 0..part.rows() {
+                part.row_mut(i)[strip.cols.clone()].copy_from_slice(strip.row(i));
+            }
+        });
+        for i in 0..part.rows() {
+            assert!(
+                part.row(i) == &window.row(i)[lo..hi],
+                "shard {lo}..{hi} row {i}"
+            );
         }
     }
     let got = Fnv::new().extend(z.as_slice()).0;
@@ -266,6 +274,22 @@ fn reduced_eigenvectors_reproduce_the_parent_bits_on_si64() {
     assert_eq!(got, want, "bits moved");
 }
 
+/// The occupied eigenvectors of the last dense evaluation in `ws` and their
+/// count: all `n` columns of `ws.h` after a one-stage solve, or the `k` the
+/// two-stage solve streamed into ρ, recomputed from the step's own
+/// reflectors and factor.
+fn occupied_vectors(ws: &mut Workspace) -> (Matrix, usize) {
+    match ws.dense_cache {
+        DenseCache::Sliced { occupied } => {
+            let mut z = Matrix::default();
+            reduced_eigenvectors_into(&ws.h, &ws.values[..occupied], &mut z, &mut ws.eigh);
+            (z, occupied)
+        }
+        DenseCache::Full { .. } => (ws.h.clone(), ws.h.cols()),
+        DenseCache::None => panic!("no dense solve in the workspace"),
+    }
+}
+
 /// Hash of the dense pipeline's bond-block `ρ` on `s`, in its `n × n` dense
 /// view (blocks, their transposes, zero elsewhere: the layout the pin was
 /// recorded in), then of the SYRK reference density built from the same
@@ -275,8 +299,8 @@ fn density_hash(model: &dyn TbModel, s: &Structure) -> u64 {
     let (index, occ) = TbCalculator::new(model)
         .density_with(s, &mut ws, &mut PhaseTimings::default())
         .unwrap();
-    let (vectors, k) = ws.dense_cache.vectors(&ws.h, &ws.c).unwrap();
-    let reference = density_matrix(vectors, &occ.f[..k]);
+    let (vectors, k) = occupied_vectors(&mut ws);
+    let reference = density_matrix(&vectors, &occ.f[..k]);
     Fnv::new()
         .extend(ws.rho_blocks().to_dense(&index).as_slice())
         .extend(reference.as_slice())
@@ -289,7 +313,9 @@ fn bond_density_reproduces_the_parent_bits() {
     // and the (10,0) tube of one cell, the carbon cell the anneal runs four
     // of. The Si-64 hash was re-recorded when the neighbour list stopped
     // carrying skin entries: it is the parent's dense view with the blocks
-    // of pairs beyond the cutoff zeroed, so no ρ value moved.
+    // of pairs beyond the cutoff zeroed, so no ρ value moved. It was
+    // re-recorded again when the two-stage solve began adding ρ up strip by
+    // strip: its 133-state window spans two strips, the tube's one.
     let si = black_box(silicon_gsp());
     let c = black_box(carbon_xwch());
     let mut tube = nanotube(10, 0, 1, 1.42);
@@ -299,7 +325,7 @@ fn bond_density_reproduces_the_parent_bits() {
             "Si-64",
             &si as &dyn TbModel,
             perturbed_silicon(2, 64),
-            0x160ef5177bc3619cu64,
+            0xea9e936fa71e9ddau64,
         ),
         ("(10,0)x1", &c, tube, 0xa6b521c236784ff5),
     ]

@@ -16,10 +16,10 @@
 //!    `partition_range` shard of the occupied window, with shard boundaries
 //!    snapped to degenerate-cluster boundaries so the
 //!    Gram–Schmidt/Rayleigh–Ritz work of a cluster stays on one rank;
-//! 4. **density matrix** — each rank forms its owned eigenvectors' share of
-//!    ρ on the bond blocks of the replicated neighbour list
-//!    ([`bond_density`], straight into the packed store [`RhoBlocks`]), then
-//!    a sum-allreduce of the store replicates it: O(N·neighbours) wire bytes,
+//! 4. **density matrix** — each rank streams its owned eigenvectors' share
+//!    of ρ on the bond blocks of the replicated neighbour list strip by strip
+//!    ([`RhoBlocks::add_strip`], straight into the packed store), then a
+//!    sum-allreduce of the store replicates it: O(N·neighbours) wire bytes,
 //!    still the dominant volume, where the full matrix the era papers fought
 //!    is O(N²);
 //! 5. **forces** — each rank computes forces for its block of atoms from the
@@ -36,13 +36,13 @@ use crate::ranks::{gather_forces, lock, PhaseClock, RankControl, Replica};
 use crate::vmp::{partition_range, Rank, VmpStats};
 use std::sync::Mutex;
 use tbmd_linalg::{
-    cluster_tolerance, reduced_eigenvalues_into, reduced_eigenvectors_offset_into,
-    snap_range_to_clusters, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
+    cluster_tolerance, reduced_eigenvalues_into, snap_range_to_clusters,
+    stream_reduced_eigenvectors, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
 };
 use tbmd_model::{
-    assemble_hamiltonian_into, bond_density, bond_force, entropy_term, occupations, occupied_count,
-    validate, BondTable, DenseCache, ForceEvaluation, ForceProvider, OccupationScheme,
-    OrbitalIndex, PhaseTimings, RhoBlocks, TbCalculator, TbError, TbModel, Workspace,
+    assemble_hamiltonian_into, bond_force, entropy_term, occupations, occupied_count, validate,
+    BondTable, DenseCache, ForceEvaluation, ForceProvider, OccupationScheme, OrbitalIndex,
+    PhaseTimings, RhoBlocks, TbCalculator, TbError, TbModel, Workspace, WorkspaceBytes,
 };
 use tbmd_structure::{NeighborList, Structure};
 
@@ -70,8 +70,6 @@ struct DenseRankSlot {
     eigh: EighWorkspace,
     /// The whole spectrum, ascending (every rank computes the same bits).
     values: Vec<f64>,
-    /// Owned occupied eigenvector columns.
-    vectors: Matrix,
     /// ρ on the bond blocks, the allreduce payload: the owned columns' share
     /// before the allreduce, the replicated ρ after it.
     rho: RhoBlocks,
@@ -124,6 +122,13 @@ impl<'m> DistributedTb<'m> {
     /// Traffic/flop report of the most recent [`ForceProvider::evaluate`].
     pub fn last_report(&self) -> Option<DistributedReport> {
         lock(&self.last_report).clone()
+    }
+
+    /// The bytes each rank's slot holds, by buffer.
+    pub fn rank_bytes(&self) -> Vec<WorkspaceBytes> {
+        let slots = lock(&self.slots);
+        let bytes = |s: &DenseRankSlot| WorkspaceBytes::of(&s.h, &s.eigh, &s.bonds, &s.rho);
+        slots.iter().map(bytes).collect()
     }
 
     /// The two-stage sliced solve on one rank: replicated `H`, blocked
@@ -181,17 +186,20 @@ impl<'m> DistributedTb<'m> {
         let occ_vals = &slot.values[..k];
         let lo = snap_range_to_clusters(occ_vals, ctol, raw.start..k).start;
         let hi = snap_range_to_clusters(occ_vals, ctol, raw.end..k).start;
-        let (z, eigh) = (&mut slot.vectors, &mut slot.eigh);
-        reduced_eigenvectors_offset_into(&slot.h, &slot.values[lo..hi], lo, z, eigh);
-        rank.count_flops(4 * ((hi - lo) * n_orb * n_orb) as u64);
+        // Each strip of the shard adds its share of ρ on the bond blocks as
+        // it leaves the back-transform (the serial engine's stream).
+        let (rho, f) = (&mut slot.rho, &occ.f[lo..hi]);
+        rho.lay_out(nl, index);
+        stream_reduced_eigenvectors(&slot.h, &slot.values[lo..hi], lo, &mut slot.eigh, |strip| {
+            rho.add_strip(nl, index, &strip, f)
+        });
+        let streamed = (hi - lo) * (4 * n_orb * n_orb + 2 * rho.as_slice().len());
+        rank.count_flops(streamed as u64);
         timings.diagonalize = clock.lap(&mut timings);
 
-        // ---- Phase 4c: the owned columns' share of ρ on the bond blocks
-        // (the serial engine's density stage), then the allreduce of the
-        // store — every rank lays it out by the same list
-        // (`RankControl::launch` never lets replicas updated apart meet).
-        let kept = bond_density(nl, index, &slot.vectors, &occ.f[lo..hi], &mut slot.rho);
-        rank.count_flops(2 * (slot.rho.as_slice().len() * kept) as u64);
+        // ---- Phase 4c: the allreduce of the store — every rank lays it out
+        // by the same list (`RankControl::launch` never lets replicas
+        // updated apart meet).
         clock.blocked(|| rank.allreduce_sum(102, slot.rho.values_mut()));
         timings.density = clock.lap(&mut timings);
 
@@ -385,24 +393,21 @@ mod tests {
     #[test]
     fn a_rank_slot_keeps_rho_on_the_bond_blocks_alone() {
         // A rank's ρ is the allreduce payload itself, one double per
-        // bond-block element; beside `H` its only dense buffer is its own
-        // shard of the occupied eigenvectors, unscaled.
+        // bond-block element; beside `H` its only dense buffer is the one
+        // staging band its shard streams through, a strip at a time.
         let model = silicon_gsp();
         let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
         s.perturb(&mut StdRng::seed_from_u64(64), 0.05);
         let dist = DistributedTb::new(&model, 2);
         dist.evaluate(&s).unwrap();
         let index = OrbitalIndex::new(&s);
+        let n = index.total();
         let slots = lock(&dist.slots);
-        let occ = occupations(&slots[0].values, s.n_electrons(), dist.occupation);
-        let mut columns = 0;
         for slot in slots.iter() {
             let nl = slot.replica.geometry().1;
             assert_eq!(slot.rho.as_slice().len(), bond_block_elements(nl, &index));
-            assert_eq!(slot.vectors.rows(), index.total());
-            columns += slot.vectors.cols();
+            assert_eq!(slot.eigh.strip_bytes(), 8 * (96 * n + 7));
         }
-        assert_eq!(columns, occupied_count(&occ.f));
     }
 
     #[test]

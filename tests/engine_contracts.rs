@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tbmd::linalg::eigvalsh;
+use tbmd::linalg::{eigvalsh, reduced_eigenvectors_into, team, Matrix};
 use tbmd::linscale::{chebyshev::window, SparseH};
 use tbmd::model::{
     bond_block_elements, build_hamiltonian, density_matrix, electronic_forces, occupations,
@@ -20,8 +20,8 @@ use tbmd::model::{
 };
 use tbmd::structure::{apply_strain, bulk_diamond, nanotube, NeighborList};
 use tbmd::{
-    carbon_xwch, silicon_gsp, stress_tensor, Budget, Engine, EngineKind, FaultKind, FaultPlan,
-    ForceProvider, OccupationScheme, Species, Structure, TbError, TbModel, Workspace,
+    carbon_xwch, silicon_gsp, stress_tensor, Budget, DistributedTb, Engine, EngineKind, FaultKind,
+    FaultPlan, ForceProvider, OccupationScheme, Species, Structure, TbError, TbModel, Workspace,
 };
 
 const KT: f64 = 0.1;
@@ -30,6 +30,22 @@ fn perturbed_si64() -> Structure {
     let mut s = bulk_diamond(Species::Silicon, 2, 2, 2);
     s.perturb(&mut StdRng::seed_from_u64(64), 0.05);
     s
+}
+
+/// The occupied eigenvectors of the last dense evaluation in `ws` and their
+/// count: all `n` columns of `ws.h` after a one-stage solve, or the `k` the
+/// two-stage solve streamed into ρ, recomputed from the step's own
+/// reflectors and factor.
+fn occupied_vectors(ws: &mut Workspace) -> (Matrix, usize) {
+    match ws.dense_cache {
+        DenseCache::Sliced { occupied } => {
+            let mut z = Matrix::default();
+            reduced_eigenvectors_into(&ws.h, &ws.values[..occupied], &mut z, &mut ws.eigh);
+            (z, occupied)
+        }
+        DenseCache::Full { .. } => (ws.h.clone(), ws.h.cols()),
+        DenseCache::None => panic!("no dense solve in the workspace"),
+    }
 }
 
 /// Run `f` under a lease of exactly `width` threads, from a budget of its
@@ -273,17 +289,19 @@ fn forces_and_stress_are_the_parent_bits() {
 /// two O(N) entries were re-recorded when both O(N) engines moved from the
 /// Gershgorin window to the Lanczos window (`chebyshev::window`), and again
 /// when their moment and density passes became one pass expanded about a μ
-/// grid point.
+/// grid point. The `si64`, `tube` and `stress` entries were re-recorded when
+/// the two-stage solve began adding ρ up strip by strip of eigenvectors:
+/// their occupied windows span two strips. `dist2`'s shards span one each.
 const PARENT_FORCE_BITS: [(&str, u64); 9] = [
     ("si8 w1", 0x06b6_669a_79bc_6eca),
     ("si8 w2", 0x06b6_669a_79bc_6eca),
-    ("si64 w1", 0x1462_dfe4_a534_e51f),
-    ("si64 w2", 0x1462_dfe4_a534_e51f),
-    ("tube", 0x559f_3869_a137_6de2),
+    ("si64 w1", 0xa045_d4d7_05e3_5a52),
+    ("si64 w2", 0xa045_d4d7_05e3_5a52),
+    ("tube", 0x71b3_9a73_cf5a_f021),
     ("dist2", 0x3af7_9098_731b_b032),
     ("linscale", 0x09cf_e017_391d_c48f),
     ("dist linscale", 0x8270_6043_c157_d0b3),
-    ("stress", 0x0a23_5072_33b5_f054),
+    ("stress", 0xdcc3_451e_e23f_565f),
 ];
 
 /// Silicon that counts its radial calls: [`TbModel::bond`] apart from the
@@ -507,6 +525,7 @@ fn dense_engines_keep_rho_on_the_bond_blocks_alone() {
         .unwrap();
         let sliced_solve = matches!(ws.dense_cache, DenseCache::Sliced { .. });
         assert_eq!(sliced_solve, sliced, "{name}");
+        let (vectors, k) = occupied_vectors(&mut ws);
         let (nl, index, rho) = (ws.neighbors.list(), OrbitalIndex::new(&s), ws.rho_blocks());
         assert_eq!(
             rho.as_slice().len(),
@@ -520,8 +539,7 @@ fn dense_engines_keep_rho_on_the_bond_blocks_alone() {
             s.n_electrons(),
             OccupationScheme::Fermi { kt: KT },
         );
-        let (vectors, k) = ws.dense_cache.vectors(&ws.h, &ws.c).unwrap();
-        let full = density_matrix(vectors, &occ.f[..k]);
+        let full = density_matrix(&vectors, &occ.f[..k]);
         for i in 0..s.n_atoms() {
             for j in nl.neighbors(i).iter().map(|nb| nb.j).chain([i]) {
                 let (ij, ji) = (rho.block(i, j), rho.block(j, i));
@@ -536,6 +554,88 @@ fn dense_engines_keep_rho_on_the_bond_blocks_alone() {
             }
         }
     }
+}
+
+/// The two-stage engines stream the occupied eigenvectors into ρ strip by
+/// strip, so no buffer depends on the occupied window: perturbed Si-64
+/// (serial, lease widths 1 and 2), the (10,0)×2 tube (shared, width 2) and
+/// Si-64 on two ranks, evaluated at smearings of 0.05 and 0.3 eV in turn,
+/// which move the window by tens of states. After the first evaluation
+/// neither the bytes of the workspace and of every rank slot nor the
+/// large-allocation count move, and the reference block `ws.c` is never
+/// allocated.
+#[test]
+fn dense_engines_hold_no_eigenvector_block_whatever_the_window() {
+    let (si, carbon) = (silicon_gsp(), carbon_xwch());
+    let mut tube = nanotube(10, 0, 2, 1.42);
+    tube.perturb(&mut StdRng::seed_from_u64(10), 0.03);
+    let smearings = [0.05, 0.3, 0.05, 0.3].map(|kt| OccupationScheme::Fermi { kt });
+    let runs: [(&str, &dyn TbModel, Structure, usize); 3] = [
+        ("si64 w1", &si, perturbed_si64(), 1),
+        ("si64 w2", &si, perturbed_si64(), 2),
+        ("tube", &carbon, tube, 2),
+    ];
+    for (name, model, s, width) in runs {
+        let mut ws = Workspace::new();
+        let seen: Vec<_> = smearings
+            .iter()
+            .map(|&occupation| {
+                let calc = TbCalculator::with_occupation(model, occupation);
+                leased(width, || calc.evaluate_with(&s, &mut ws)).unwrap();
+                let DenseCache::Sliced { occupied } = ws.dense_cache else {
+                    panic!("{name} runs the two-stage solve");
+                };
+                (occupied, ws.bytes(), ws.large_alloc_events())
+            })
+            .collect();
+        assert!(seen[1].0 > seen[0].0 + 8, "{name}: {seen:?}");
+        assert!(
+            seen.iter().all(|x| (x.1, x.2) == (seen[0].1, seen[0].2)),
+            "{name}: {seen:?}"
+        );
+        assert_eq!(ws.c.capacity(), 0, "{name}");
+    }
+    let mut dist = DistributedTb::new(&si, 2);
+    let (s, mut ws) = (perturbed_si64(), Workspace::new());
+    let seen: Vec<_> = smearings
+        .iter()
+        .map(|&occupation| {
+            dist.occupation = occupation;
+            dist.evaluate_with(&s, &mut ws).unwrap();
+            (dist.rank_bytes(), ws.large_alloc_events())
+        })
+        .collect();
+    assert_eq!(seen[0].0.len(), 2);
+    assert!(seen.iter().all(|x| *x == seen[0]), "two ranks: {seen:?}");
+}
+
+/// ρ is added up strip by strip in ascending order, so its bits depend on
+/// the strip cut alone: for perturbed Si-64, whose window spans two strips,
+/// they are the same at lease widths 1 and 2 and on a thread pinned inline
+/// as a message-passing rank is, where the whole stream runs on one thread.
+#[test]
+fn streamed_rho_is_the_same_bits_at_every_width_and_in_a_region() {
+    let (si, s) = (silicon_gsp(), perturbed_si64());
+    let rho = || {
+        let mut ws = Workspace::new();
+        TbCalculator::new(&si).evaluate_with(&s, &mut ws).unwrap();
+        assert!(matches!(ws.dense_cache, DenseCache::Sliced { occupied } if occupied > 96));
+        ws.rho_blocks()
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>()
+    };
+    let one = leased(1, rho);
+    assert!(leased(2, rho) == one, "width 2");
+    let pinned = std::thread::scope(|scope| {
+        let rank = scope.spawn(|| {
+            team::pin_inline();
+            rho()
+        });
+        rank.join().expect("pinned evaluation")
+    });
+    assert!(pinned == one, "inside a region");
 }
 
 /// One rank-control block serves both distributed engines: a due plan fires
