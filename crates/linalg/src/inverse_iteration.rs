@@ -114,7 +114,7 @@ impl InverseIterScratch {
     pub(crate) fn heap_bytes(&self) -> (usize, usize) {
         let thread = |t: &ThreadScratch| {
             let (f, rr) = (&t.factor, t.cl_b.heap_bytes() + t.cl_rot.heap_bytes());
-            let lanes = held(&[&f.du, &f.u1, &f.u2, &f.lmul]) + f.swapped.capacity();
+            let lanes = held(&[&f.du, &f.u1, &f.lmul]) + f.swapped.capacity();
             held(&[&t.band, &t.x, &t.tz, &t.cl_values, &t.cluster])
                 + lanes
                 + rr
@@ -269,10 +269,10 @@ fn aligned(band: &[f64]) -> usize {
 struct LaneFactor {
     /// Diagonal of `U`.
     du: Vec<f64>,
-    /// First superdiagonal of `U`.
+    /// First superdiagonal of `U`. The second is `e[i + 2]` where row `i`
+    /// was swapped and zero elsewhere, so [`LaneFactor::solve`] reads it off
+    /// `swapped` and `e`.
     u1: Vec<f64>,
-    /// Second superdiagonal of `U` (filled in by row swaps).
-    u2: Vec<f64>,
     /// Elimination multipliers.
     lmul: Vec<f64>,
     /// Row-swap flags of the partial pivoting.
@@ -292,7 +292,7 @@ fn size_exactly<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) {
 
 impl LaneFactor {
     fn size_for(&mut self, n: usize) {
-        for v in [&mut self.du, &mut self.u1, &mut self.u2, &mut self.lmul] {
+        for v in [&mut self.du, &mut self.u1, &mut self.lmul] {
             size_exactly(v, n * LANES, 0.0);
         }
         size_exactly(&mut self.swapped, n * LANES, false);
@@ -304,14 +304,13 @@ impl LaneFactor {
     /// Each lane does the scalar elimination's IEEE operations in its order:
     /// the pivot choice is a select, the multiplier one division of the
     /// selected numerator by the selected denominator, and the next row is
-    /// updated from the selected pairs. `u2[i]` is still zero when row `i`
-    /// is eliminated (only a swap at row `i` fills it), so it enters as the
-    /// literal it would be read as.
+    /// updated from the selected pairs. The second superdiagonal of row `i`
+    /// is still zero when row `i` is eliminated (only a swap at row `i` fills
+    /// it), so it enters as the literal it would be read as.
     fn factor<const L: usize>(&mut self, d: &[f64], e: &[f64], shift: [f64; L], tiny: f64) {
         let n = d.len();
         let du = self.du[..n * L].as_chunks_mut::<L>().0;
         let u1 = self.u1[..n * L].as_chunks_mut::<L>().0;
-        let u2 = self.u2[..n * L].as_chunks_mut::<L>().0;
         let lmul = self.lmul[..n * L].as_chunks_mut::<L>().0;
         let swapped = self.swapped[..n * L].as_chunks_mut::<L>().0;
         let guard = |x: f64| if x == 0.0 { tiny } else { x };
@@ -330,7 +329,6 @@ impl LaneFactor {
                 let (p2, q2) = if keep { (un, 0.0) } else { (0.0, un) };
                 du[i][l] = if keep { dz } else { b };
                 u1[i][l] = if keep { ui[l] } else { dn[l] };
-                u2[i][l] = if keep { 0.0 } else { un };
                 lmul[i][l] = m;
                 swapped[i][l] = !keep;
                 di[l] = p - m * q;
@@ -339,16 +337,15 @@ impl LaneFactor {
         }
         du[n - 1] = di.map(guard);
         u1[n - 1] = ui;
-        u2[n - 1] = [0.0; L];
     }
 
     /// Solve `(T − shift[l]·I) x_l = b_l` in place for every lane, `x` row
-    /// `i` holding the lanes' entries `i`.
-    fn solve<const L: usize>(&self, x: &mut [[f64; L]]) {
+    /// `i` holding the lanes' entries `i`; `e` is the subdiagonal the factor
+    /// was formed from.
+    fn solve<const L: usize>(&self, e: &[f64], x: &mut [[f64; L]]) {
         let n = x.len();
         let du = self.du[..n * L].as_chunks::<L>().0;
         let u1 = self.u1[..n * L].as_chunks::<L>().0;
-        let u2 = self.u2[..n * L].as_chunks::<L>().0;
         let lmul = self.lmul[..n * L].as_chunks::<L>().0;
         let swapped = self.swapped[..n * L].as_chunks::<L>().0;
         // Forward: apply the row swaps and multipliers, row i+1 carried.
@@ -375,7 +372,8 @@ impl LaneFactor {
             let mut xi = [0.0; L];
             for l in 0..L {
                 xi[l] = if i + 2 < n {
-                    (x[i][l] - u1[i][l] * x1[l] - u2[i][l] * x2[l]) / du[i][l]
+                    let u2 = if swapped[i][l] { e[i + 2] } else { 0.0 };
+                    (x[i][l] - u1[i][l] * x1[l] - u2 * x2[l]) / du[i][l]
                 } else {
                     (x[i][l] - u1[i][l] * x1[l]) / du[i][l]
                 };
@@ -767,7 +765,7 @@ impl Iteration<'_> {
         seed_lanes(x, [self.seed + j]);
         let mut converged = false;
         for _sweep in 0..MAX_SWEEPS {
-            s.factor.solve(x);
+            s.factor.solve(self.e, x);
             let [growth] = norms(x);
             // Orthogonalize against the finished members of this cluster.
             for zp in members.chunks_exact(n) {
@@ -815,7 +813,7 @@ impl Iteration<'_> {
         let mut redo = [false; LANES];
         let mut converged = [false; LANES];
         for _sweep in 0..MAX_SWEEPS {
-            s.factor.solve(x);
+            s.factor.solve(self.e, x);
             let growth = norms(x);
             normalize(x, growth);
             for l in 0..LANES {
