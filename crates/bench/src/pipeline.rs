@@ -6,8 +6,8 @@ use std::time::Duration;
 use tbmd::linalg::blocked::{build_t_factors, rank2k_lower};
 use tbmd::linalg::kernels::{axpy, dot, rank1_tile, symv_lower};
 use tbmd::linalg::{
-    apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect, team,
-    tridiagonalize_blocked_into, Eigh, EighWorkspace, Matrix, TRIDIAG_BLOCK,
+    apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect, team, tqli,
+    tqlrat, tridiagonalize_blocked_into, Eigh, EighWorkspace, Matrix, TRIDIAG_BLOCK,
 };
 use tbmd::linscale::chebyshev::{spectral_window, Expansion, Window};
 use tbmd::linscale::{BlockRecurrence, LinearScalingTb, LocalRegion, SparseH};
@@ -15,7 +15,7 @@ use tbmd::model::{
     bond_block_elements, bond_density, build_hamiltonian, DenseCache, OrbitalIndex, PhaseTimings,
     RhoBlocks, TbModel,
 };
-use tbmd::structure::{bulk_diamond, NeighborList};
+use tbmd::structure::{bulk_diamond, displacement_disorder, NeighborList};
 use tbmd::trace::{Counter, ScopedSink};
 use tbmd::{silicon_gsp, DistributedTb, ForceProvider, Species, TbCalculator, Workspace};
 
@@ -281,7 +281,8 @@ pub fn eigensolvers(size: Option<usize>) -> Report {
     report
 }
 
-/// Naive i-k-j GEMM: the summation order the tiled kernel reproduces.
+/// Naive i-k-j GEMM: the summation order of the tiled kernel, a multiply
+/// then an add per term where the tile fuses the two.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     Matrix::from_fn(m, n, |i, j| {
@@ -336,8 +337,8 @@ fn mul_add_peak(iters: usize) -> f64 {
 }
 
 /// The host's fused multiply-add peak for one thread: the chains of
-/// [`mul_add_peak`] as `x = fma(x, m, c)`, the operation the block Chebyshev
-/// step is built from. In the binary built at 512 bits its loop is eight
+/// [`mul_add_peak`] as `x = fma(x, m, c)`, the operation every term of the
+/// dense kernels and the block Chebyshev step is. In the binary built at 512 bits its loop is eight
 /// `vfmadd213pd zmm` per iteration, five iterations unrolled, and nothing
 /// else; where the target has no `fma` feature it is a libm call. GF/s, a
 /// fused multiply-add counting two.
@@ -444,6 +445,75 @@ fn gemm_half(n: usize) -> Vec<(&'static str, f64, usize)> {
             sweep_flops,
         ),
     ]
+}
+
+/// K1e: the eigenvalue stage alone, [`tqli`] (implicit QL: a square root
+/// and two divisions on each rotation's dependent chain) against the
+/// root-free [`tqlrat`], on the tridiagonal factor of Si-64 (256 orbitals)
+/// and Si-216 (864) with 0.1 Å of displacement disorder: the two solvers
+/// alternate on fresh copies of the factor, `reps` times, best of each.
+fn eigenvalue_stage(reps: usize) -> Table {
+    let mut k1e = Table::new(
+        "K1e: the dense eigenvalue stage on a perturbed Si factor, tqli vs the root-free tqlrat \
+         (alternating, best of 9)",
+        &[
+            "factor",
+            "n",
+            "tqli/ms",
+            "tqlrat/ms",
+            "speedup",
+            "max |Δλ| / ‖T‖",
+        ],
+    );
+    let model = silicon_gsp();
+    for cells in [2, 3] {
+        let mut s = bulk_diamond(Species::Silicon, cells, cells, cells);
+        displacement_disorder(&mut s, 0.1, 59);
+        let nl = NeighborList::build(&s, model.cutoff());
+        let mut h = build_hamiltonian(&s, &nl, &model, &OrbitalIndex::new(&s));
+        let mut ws = EighWorkspace::default();
+        tridiagonalize_blocked_into(&mut h, &mut ws);
+        let (d, e) = ws.tridiagonal_factor();
+        let n = d.len();
+        let (mut dc, mut ec) = (d.to_vec(), e.to_vec());
+        let mut timed = |solve: &dyn Fn(&mut [f64], &mut [f64])| {
+            dc.copy_from_slice(d);
+            ec.copy_from_slice(e);
+            let start = std::time::Instant::now();
+            solve(&mut dc, &mut ec);
+            let seconds = start.elapsed().as_secs_f64();
+            dc.sort_by(f64::total_cmp);
+            (seconds, dc.clone())
+        };
+        let ql =
+            |d: &mut [f64], e: &mut [f64]| tqli(d, e, &mut Matrix::zeros(0, d.len())).expect("QL");
+        let rational = |d: &mut [f64], e: &mut [f64]| tqlrat(d, e).expect("rational QL");
+        let (mut t_ql, mut t_rat) = (f64::INFINITY, f64::INFINITY);
+        let (mut v_ql, mut v_rat) = (Vec::new(), Vec::new());
+        for _ in 0..reps {
+            let (t, v) = timed(&ql);
+            (t_ql, v_ql) = (t_ql.min(t), v);
+            let (t, v) = timed(&rational);
+            (t_rat, v_rat) = (t_rat.min(t), v);
+        }
+        let norm = (0..n)
+            .map(|i| e[i].abs() + d[i].abs() + e.get(i + 1).map_or(0.0, |x| x.abs()))
+            .fold(0.0, f64::max);
+        let gap = v_ql
+            .iter()
+            .zip(&v_rat)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        k1e.row(vec![
+            format!("Si-{}", s.n_atoms()),
+            n.to_string(),
+            fmt_f(t_ql * 1e3, 3),
+            fmt_f(t_rat * 1e3, 3),
+            fmt_f(t_ql / t_rat, 2),
+            fmt_e(gap / norm),
+        ]);
+    }
+    k1e
 }
 
 /// The two block steps [`block_steps`] times, as K1b labels them.
@@ -669,7 +739,7 @@ pub fn kernels(size: Option<usize>) -> Report {
 
     let tile = tile_in_l1();
     let mut k1d = Table::new(
-        "K1d: the solver's GEMM-shaped half (rank-1 tiles) against the host's multiply-then-add peak",
+        "K1d: the solver's GEMM-shaped half (rank-1 tiles) against the host's fused multiply-add peak",
         &["stage", "n", "threads", "ms", "GFLOP/s", "of peak"],
     );
     let dash = || "—".to_string();
@@ -679,7 +749,7 @@ pub fn kernels(size: Option<usize>) -> Report {
         "1".into(),
         dash(),
         fmt_f(peak, 2),
-        "1.00".into(),
+        fmt_f(peak / fma, 2),
     ]);
     k1d.row(vec![
         "fused multiply-add peak (registers)".into(),
@@ -687,7 +757,7 @@ pub fn kernels(size: Option<usize>) -> Report {
         "1".into(),
         dash(),
         fmt_f(fma, 2),
-        fmt_f(fma / peak, 2),
+        "1.00".into(),
     ]);
     k1d.row(vec![
         "rank1_tile 4×16, in L1".into(),
@@ -695,7 +765,7 @@ pub fn kernels(size: Option<usize>) -> Report {
         "1".into(),
         dash(),
         fmt_f(tile, 2),
-        fmt_f(tile / peak, 2),
+        fmt_f(tile / fma, 2),
     ]);
     for n in [640, 864] {
         for pinned in [true, false] {
@@ -721,7 +791,7 @@ pub fn kernels(size: Option<usize>) -> Report {
                     threads.to_string(),
                     fmt_f(seconds * 1e3, 2),
                     fmt_f(gflops, 2),
-                    fmt_f(gflops / (peak * threads as f64), 2),
+                    fmt_f(gflops / (fma * threads as f64), 2),
                 ]);
             }
         }
@@ -733,11 +803,13 @@ pub fn kernels(size: Option<usize>) -> Report {
         .table(k1b)
         .table(k1c)
         .table(k1d)
+        .table(eigenvalue_stage(9))
         .note(format!(
             "`of tiled GEMM` is the rate over tiled GEMM's at n = {max_n}: {} GFLOP/s. \
          K1b's `of FMA peak` is the rate over one thread's fused multiply-add peak \
-         (K1d): {} GFLOP/s. K1d's `of peak` is the rate over `threads` × the \
-         multiply-then-add peak; its `threads` = 1 rows run on a thread pinned inline.",
+         (K1d): {} GFLOP/s. K1d's `of peak` is the rate over `threads` × that \
+         fused peak, the operation every tile term is; its `threads` = 1 rows run on \
+         a thread pinned inline. K1e's ‖T‖ is the factor's largest row sum.",
             fmt_f(gemm_gflops, 2),
             fmt_f(fma, 2)
         ));

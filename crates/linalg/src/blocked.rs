@@ -37,7 +37,7 @@
 //! [`BlockedScratch`] (embedded in [`crate::eigh::EighWorkspace`]), so
 //! repeated solves grow no buffer after warmup.
 
-use crate::eigh::{tqli, EigError, EighWorkspace};
+use crate::eigh::{tqlrat, EigError, EighWorkspace};
 use crate::inverse_iteration::{staging, stream_eigenvectors, Strip};
 use crate::kernels;
 use crate::matrix::{held, Matrix};
@@ -116,7 +116,7 @@ pub struct BlockedScratch {
     pvec: Vec<f64>,
     /// One partial matvec result per row band, `SYMV_BANDS × n`.
     bands: Vec<f64>,
-    /// Scratch tridiagonal copy for QL eigenvalue extraction.
+    /// Scratch tridiagonal copy for the rational QL.
     dql: Vec<f64>,
     eql: Vec<f64>,
 }
@@ -427,7 +427,8 @@ fn symv_banded(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64], bands: 
 /// fan-out over four-row groups, dealt round-robin: a group's shared columns
 /// `t0..=r` go through one [`kernels::rank1_tile`] whose `2·jb` terms are the
 /// panel rows `w₀, v₀, w₁, …` read in place, the six elements of the
-/// triangle past them one term at a time. An element's arithmetic does not
+/// triangle past them one term at a time; every term is one fused
+/// multiply-add, as in the kernels. An element's arithmetic does not
 /// depend on the thread count. Public so that the kernel table can time it.
 pub fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &Matrix) {
     let ncols = a.cols();
@@ -473,7 +474,7 @@ pub fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &
         let mut acc = TRIANGLE.map(|(i, c)| ys[i][r + c]);
         for (cq, bq) in coef[..nq].iter().zip(&b) {
             for (x, &(i, c)) in acc.iter_mut().zip(&TRIANGLE) {
-                *x += cq[i] * bq[r + c - t0];
+                *x = cq[i].mul_add(bq[r + c - t0], *x);
             }
         }
         for (x, (i, c)) in acc.into_iter().zip(TRIANGLE) {
@@ -630,8 +631,8 @@ pub fn build_t_factors(a: &Matrix, ws: &mut EighWorkspace) {
 /// block of `V` ([`VBlock`]): `X = Vᵀ Z`, a block of `Z`'s rows staying in
 /// L1 across the four-row groups of `X`; `X ← −T X` in place, one row at a
 /// time; `Z += V X`. All three go through [`kernels::rank1_tile`]. Every
-/// element accumulates in ascending row (resp. reflector) order, one
-/// multiply and one add at a time, so a column's arithmetic does not depend
+/// element accumulates in ascending row (resp. reflector) order, one fused
+/// multiply-add at a time, so a column's arithmetic does not depend
 /// on which strip it is in.
 fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [f64], stride: usize) {
     let n = a.rows();
@@ -732,12 +733,14 @@ pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
 }
 
 /// All `n` eigenvalues (ascending) of the tridiagonal factor currently in
-/// the workspace, by implicit-shift QL on a scratch copy — `O(n²)` with a
-/// small constant, serial, so the spectrum (and every bit downstream of it)
-/// is the same on every host, lease and thread count. The `(d, e)` factor
-/// in the workspace is left intact for the eigenvector stage. The copy is
-/// iterated at unit scale and the spectrum scaled back, both exactly
-/// ([`tqli`]'s scaling contract), so the values are in the units of `(d, e)`
+/// the workspace, by the root-free rational QL ([`tqlrat`]) on a scratch
+/// copy — `O(n²)` with a small constant, serial, so the spectrum (and every
+/// bit downstream of it) is the same on every host, lease and thread count.
+/// The `(d, e)` factor in the workspace is left intact for the eigenvector
+/// stage, which needs no rotation from this one: inverse iteration takes
+/// the values alone. The copy is iterated at unit scale and the spectrum
+/// scaled back, both exactly (the scaling contract of
+/// [`crate::eigh::tqli`]), so the values are in the units of `(d, e)`
 /// whatever its magnitude. This is the one eigenvalue stage of every dense
 /// engine: each distributed rank calls it on its replicated factor too.
 ///
@@ -748,13 +751,11 @@ pub fn reduced_eigenvalues_into(
     values: &mut Vec<f64>,
 ) -> Result<(), EigError> {
     let s = &mut ws.blocked;
-    let n = s.d.len();
     s.dql.clear();
     s.dql.extend_from_slice(&s.d);
     s.eql.clear();
     s.eql.extend_from_slice(&s.e);
-    let mut dummy = Matrix::zeros(0, n);
-    tqli(&mut s.dql, &mut s.eql, &mut dummy)?;
+    tqlrat(&mut s.dql, &mut s.eql)?;
     s.dql
         .sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
     values.clear();
@@ -1192,9 +1193,8 @@ mod tests {
             let tr_s: f64 = d_s.iter().sum();
             let tr_b: f64 = ws.blocked.diagonal().iter().sum();
             assert!((tr_s - tr_b).abs() < 1e-10 * n as f64);
-            let mut dummy = Matrix::zeros(0, n);
             let (mut ds, mut es) = (d_s.clone(), e_s.clone());
-            tqli(&mut ds, &mut es, &mut dummy).unwrap();
+            tqlrat(&mut ds, &mut es).unwrap();
             ds.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let mut vals = Vec::new();
             let mut ws2 = ws.clone();

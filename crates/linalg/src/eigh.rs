@@ -1,5 +1,6 @@
 //! Symmetric eigensolver: Householder tridiagonalization followed by the
-//! implicit-shift QL iteration.
+//! implicit-shift QL iteration, and the root-free rational QL ([`tqlrat`])
+//! that takes a spectrum without vectors.
 //!
 //! This is the classic EISPACK/`tred2`+`tqli` pair (Numerical Recipes, ch. 11)
 //! that tight-binding MD codes of the early 1990s ran at every timestep. The
@@ -11,8 +12,10 @@
 //! **Row layout.** The textbook loops walk columns of a row-major matrix
 //! (`a[k][j]` over `k`, rotations of `z[k][i]` over `k`). Here every inner
 //! loop runs along a contiguous row, and every element still sees the
-//! textbook's multiplies and adds in the textbook's order — no FMA, no
-//! reassociation — so values and vectors are bit for bit EISPACK's:
+//! textbook's terms in the textbook's order, with no reassociation. Each
+//! term is a multiply then an add, as in EISPACK, except the axpys the
+//! reduction hands to [`kernels::axpy4`] / [`kernels::axpy`], which fuse
+//! them like every kernel:
 //!
 //! - the reduction forms `p = A·u` from the lower triangle a row at a time:
 //!   row `j`'s own part as one sequential dot (four rows' chains
@@ -93,8 +96,9 @@ pub fn eigh(mut a: Matrix) -> Result<Eigh, EigError> {
     Ok(Eigh { values, vectors: a })
 }
 
-/// Eigenvalues only (skips accumulating the orthogonal transformation and the
-/// eigenvector updates — roughly 3× cheaper than [`eigh`]).
+/// Eigenvalues only: skips accumulating the orthogonal transformation and
+/// takes the spectrum from the root-free [`tqlrat`] — several times cheaper
+/// than [`eigh`].
 pub fn eigvalsh(mut a: Matrix) -> Result<Vec<f64>, EigError> {
     if !a.is_square() {
         return Err(EigError::NotSquare {
@@ -107,10 +111,7 @@ pub fn eigvalsh(mut a: Matrix) -> Result<Vec<f64>, EigError> {
         return Ok(vec![]);
     }
     let (mut d, mut e) = tridiagonalize(&mut a, false);
-    // `a` is garbage in this mode; hand tqli a dummy 0-row matrix so the
-    // rotation loop body is a no-op.
-    let mut dummy = Matrix::zeros(0, n);
-    tqli(&mut d, &mut e, &mut dummy)?;
+    tqlrat(&mut d, &mut e)?;
     d.sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
     Ok(d)
 }
@@ -412,21 +413,53 @@ fn reflect_rows(lead: &mut [f64], n: usize, u: &[f64], h: f64) {
 /// eigenvectors of the original matrix as rows. Passing a `0×n` matrix
 /// skips the eigenvector work entirely.
 ///
-/// **Scaling contract.** `(d, e)` is multiplied on entry by the power of two
-/// that brings its largest magnitude into `[1, 2)` and the spectrum is
-/// multiplied back on exit. Both are exact, so the rotations and the returned
+/// **Scaling contract** (shared with [`tqlrat`]). `(d, e)` is multiplied on
+/// entry by the power of two that brings its largest magnitude into `[1, 2)`
+/// and the spectrum is multiplied back on exit. Both are exact, so the rotations and the returned
 /// values are those of the unscaled iteration, and the rotation radii can be
 /// taken as `(f² + g²).sqrt()` without a `hypot`: the squares cannot
 /// overflow, and a radius that underflows to zero is below `2⁻⁵³⁷` of the
 /// matrix norm — the deflation branch treats it as the zero it is. A factor
 /// whose largest entry is zero, subnormal or not finite is iterated as given.
 pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError> {
-    let n = d.len();
     assert!(
-        z.rows() == 0 || z.rows() == n,
+        z.rows() == 0 || z.rows() == d.len(),
         "tqli: one vector row per eigenvalue"
     );
-    if n <= 1 {
+    at_unit_scale(d, e, |d, e| tqli_unit(d, e, z))
+}
+
+/// All eigenvalues of a symmetric tridiagonal matrix by Reinsch's rational
+/// QL (EISPACK `tqlrat`): the QL iteration of [`tqli`] carried out on the
+/// squared subdiagonal, so no rotation and no square root sits in the inner
+/// loop — only the shift takes two roots per iteration. It forms no
+/// eigenvectors; [`tqli`] is the solver for those.
+///
+/// `d`, `e` as [`tqli`] takes them; on success `d` holds the (unsorted)
+/// eigenvalues and `e` is scratch. The same scaling contract: the factor is
+/// iterated at unit scale, so no square of it can overflow, and a squared
+/// subdiagonal that underflows is below `2⁻¹⁰⁷⁴` of the norm. A squared
+/// element is negligible once it is at most `(ε·t)²`, `t` the largest
+/// `|d_l| + |e_l|` met so far: deflation is absolute at the matrix's scale,
+/// not relative to the neighbouring diagonal as in [`tqli`].
+///
+/// # Errors
+/// [`EigError::NoConvergence`] if an eigenvalue does not deflate within the
+/// sweep budget (non-finite input).
+pub fn tqlrat(d: &mut [f64], e: &mut [f64]) -> Result<(), EigError> {
+    at_unit_scale(d, e, tqlrat_unit)
+}
+
+/// Run `iterate` on `(d, e)` brought to unit scale: multiplied by the power
+/// of two that brings its largest magnitude into `[1, 2)`, the eigenvalues
+/// multiplied back after. Both are exact. A factor whose largest entry is
+/// zero, subnormal or not finite is iterated as given.
+fn at_unit_scale(
+    d: &mut [f64],
+    e: &mut [f64],
+    iterate: impl FnOnce(&mut [f64], &mut [f64]) -> Result<(), EigError>,
+) -> Result<(), EigError> {
+    if d.len() <= 1 {
         return Ok(());
     }
     let anorm = d.iter().chain(&e[1..]).fold(0.0f64, |m, x| m.max(x.abs()));
@@ -437,9 +470,85 @@ pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError
     d.iter_mut()
         .chain(e.iter_mut())
         .for_each(|x| *x *= inv_unit);
-    let result = tqli_unit(d, e, z);
+    let result = iterate(d, e);
     d.iter_mut().for_each(|x| *x *= unit);
     result
+}
+
+/// The rational QL iteration proper, on a factor of roughly unit max-norm.
+/// `f` accumulates the shifts: past row `l`, `d` holds the diagonal less
+/// `f`, and each deflated `d[l]` gets `f` back. The negated comparisons are
+/// EISPACK's: a NaN counts as not negligible, so non-finite input runs into
+/// the sweep budget instead of deflating.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn tqlrat_unit(d: &mut [f64], e: &mut [f64]) -> Result<(), EigError> {
+    let n = d.len();
+    // The squared subdiagonal, renumbered to e[0..n-1].
+    for i in 1..n {
+        e[i - 1] = e[i] * e[i];
+    }
+    e[n - 1] = 0.0;
+    let (mut f, mut t, mut floor, mut negligible) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for l in 0..n {
+        let h = d[l].abs() + e[l].sqrt();
+        if !(t > h) {
+            t = h;
+            floor = f64::EPSILON * t;
+            negligible = floor * floor;
+        }
+        let mut iter = 0;
+        loop {
+            let mut m = l;
+            while m + 1 < n && !(e[m] <= negligible) {
+                m += 1;
+            }
+            if m == l {
+                break;
+            }
+            iter += 1;
+            if iter > MAX_QL_ITERS {
+                return Err(EigError::NoConvergence {
+                    index: l,
+                    iterations: iter,
+                });
+            }
+            // Wilkinson shift, taken off every row past `l`.
+            let s = e[l].sqrt();
+            let g = d[l];
+            let p = (d[l + 1] - g) / (2.0 * s);
+            let r = (p * p + 1.0).sqrt();
+            d[l] = s / (p + r.copysign(p));
+            let h = g - d[l];
+            d[l + 1..].iter_mut().for_each(|x| *x -= h);
+            f += h;
+            // The rational QL sweep from `m` up to `l`.
+            let nonzero = |g: f64| if g == 0.0 { floor } else { g };
+            let mut g = nonzero(d[m]);
+            let (mut h, mut s) = (g, 0.0);
+            for i in (l..m).rev() {
+                let p = g * h;
+                let r = p + e[i];
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                d[i + 1] = h + s * (h + d[i]);
+                g = nonzero(d[i] - e[i] / g);
+                h = g * p / r;
+            }
+            e[l] = s * g;
+            d[l] = h;
+            // Converged once the new e[l]² = h·s·g is negligible; the test is
+            // taken before the product, which could underflow.
+            if h == 0.0 || e[l].abs() <= (negligible / h).abs() {
+                break;
+            }
+            e[l] *= h;
+            if e[l] == 0.0 {
+                break;
+            }
+        }
+        d[l] += f;
+    }
+    Ok(())
 }
 
 /// The QL iteration proper, on a factor of roughly unit max-norm.
@@ -764,6 +873,153 @@ mod tests {
         let (mut dn, mut en) = (vec![1.0, f64::NAN, 2.0], vec![0.0, 0.5, 0.5]);
         assert!(matches!(
             tqli(&mut dn, &mut en, &mut Matrix::zeros(0, 3)),
+            Err(EigError::NoConvergence { .. })
+        ));
+    }
+
+    /// A random tridiagonal factor, entries in `[-0.5, 0.5)`, `e[0] = 0`.
+    fn random_factor(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
+        };
+        let d = (0..n).map(|_| next()).collect();
+        let e = (0..n).map(|i| if i == 0 { 0.0 } else { next() }).collect();
+        (d, e)
+    }
+
+    /// The ascending spectra of `(d, e)` from [`tqli`] and from [`tqlrat`].
+    fn both_spectra(d: &[f64], e: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (mut dq, mut eq) = (d.to_vec(), e.to_vec());
+        tqli(&mut dq, &mut eq, &mut Matrix::zeros(0, d.len())).unwrap();
+        let (mut dr, mut er) = (d.to_vec(), e.to_vec());
+        tqlrat(&mut dr, &mut er).unwrap();
+        dq.sort_by(f64::total_cmp);
+        dr.sort_by(f64::total_cmp);
+        (dq, dr)
+    }
+
+    /// `max |λ_tqlrat − λ_tqli|` on `(d, e)` is at most `1e-13 · ‖T‖`, with
+    /// `‖T‖` the largest row sum `|e_i| + |d_i| + |e_{i+1}|`.
+    fn assert_root_free_matches_tqli(what: &str, d: &[f64], e: &[f64]) {
+        let n = d.len();
+        let norm = (0..n)
+            .map(|i| e[i].abs() + d[i].abs() + e.get(i + 1).map_or(0.0, |x| x.abs()))
+            .fold(0.0, f64::max);
+        let (ql, rational) = both_spectra(d, e);
+        let gap = ql
+            .iter()
+            .zip(&rational)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            gap <= 1e-13 * norm,
+            "{what}: |Δλ| = {gap:e}, ‖T‖ = {norm:e}"
+        );
+    }
+
+    #[test]
+    fn root_free_spectrum_matches_tqli() {
+        for (n, seed) in [(3usize, 1u64), (17, 2), (100, 3), (256, 4)] {
+            let (d, e) = random_factor(n, seed);
+            assert_root_free_matches_tqli(&format!("random {n}"), &d, &e);
+        }
+        // Toeplitz: 2 + 2·cos(kπ/(n+1)) on the diagonal 2, subdiagonal −1.
+        let n = 64;
+        let (d, mut e) = (vec![2.0; n], vec![-1.0; n]);
+        e[0] = 0.0;
+        assert_root_free_matches_tqli("Toeplitz", &d, &e);
+        let (_, rational) = both_spectra(&d, &e);
+        for (k, got) in rational.iter().rev().enumerate() {
+            let want = 2.0 + 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n + 1) as f64).cos();
+            assert!(
+                (got - want).abs() < 1e-13,
+                "Toeplitz λ_{k}: {got} vs {want}"
+            );
+        }
+        // Graded: entries falling by 10⁻¹⁵ along the factor, and rising.
+        let grade = |i: usize| 10f64.powf(-(i as f64) / 4.0);
+        let (d, mut e): (Vec<f64>, Vec<f64>) = (0..60).map(|i| (grade(i), 0.5 * grade(i))).unzip();
+        e[0] = 0.0;
+        assert_root_free_matches_tqli("graded down", &d, &e);
+        let (mut d, mut e) = (d, e);
+        d.reverse();
+        e[1..].reverse();
+        assert_root_free_matches_tqli("graded up", &d, &e);
+    }
+
+    #[test]
+    fn root_free_spectrum_holds_clusters_and_splits() {
+        // Wilkinson's W₂₁⁺: pairs of eigenvalues equal to 1e-14 and beyond.
+        let d: Vec<f64> = (0..21).map(|i| (10.0 - i as f64).abs()).collect();
+        let mut e = vec![1.0; 21];
+        e[0] = 0.0;
+        assert_root_free_matches_tqli("W21+", &d, &e);
+        // Three copies of one block: split exactly, then coupled by 1e-15.
+        let (block_d, block_e) = random_factor(7, 9);
+        for link in [0.0, 1e-15] {
+            let d: Vec<f64> = block_d.iter().cycle().take(21).copied().collect();
+            let e: Vec<f64> = (0..21)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        if i == 0 {
+                            0.0
+                        } else {
+                            link
+                        }
+                    } else {
+                        block_e[i % 7]
+                    }
+                })
+                .collect();
+            assert_root_free_matches_tqli(&format!("three blocks, link {link:e}"), &d, &e);
+        }
+        // No subdiagonal at all: the diagonal is the spectrum, exactly.
+        let (d, _) = random_factor(9, 5);
+        let (_, rational) = both_spectra(&d, &[0.0; 9]);
+        let mut want = d.clone();
+        want.sort_by(f64::total_cmp);
+        assert_eq!(rational, want);
+        // 1 × 1 is its entry; 2 × 2 the closed form.
+        let (mut one, mut none) = (vec![-3.25], vec![0.0]);
+        tqlrat(&mut one, &mut none).unwrap();
+        assert_eq!(one, vec![-3.25]);
+        let (a, b, c) = (2.0, 1.5, -1.0);
+        let (_, two) = both_spectra(&[a, c], &[0.0, b]);
+        let (mid, rad) = (0.5 * (a + c), (0.25 * (a - c) * (a - c) + b * b).sqrt());
+        assert!((two[0] - (mid - rad)).abs() < 1e-15 && (two[1] - (mid + rad)).abs() < 1e-15);
+        assert_root_free_matches_tqli("2 × 2", &[a, c], &[0.0, b]);
+    }
+
+    #[test]
+    fn root_free_spectrum_scales_with_the_factor() {
+        // Squared subdiagonals at 1e±150 leave the f64 range unless the
+        // factor is brought to unit scale first.
+        let (d, e) = random_factor(40, 17);
+        let (_, reference) = both_spectra(&d, &e);
+        let norm = reference.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for scale in [1e150, 1e-150, 3.0] {
+            let ds: Vec<f64> = d.iter().map(|x| x * scale).collect();
+            let es: Vec<f64> = e.iter().map(|x| x * scale).collect();
+            let (ql, rational) = both_spectra(&ds, &es);
+            for ((got, want), ql) in rational.iter().zip(&reference).zip(&ql) {
+                assert!(
+                    (got / scale - want).abs() <= 1e-13 * norm,
+                    "scale {scale:e}"
+                );
+                assert!((got - ql).abs() <= 1e-13 * norm * scale, "scale {scale:e}");
+            }
+        }
+        // A zero factor is its own spectrum; a NaN does not converge.
+        let (mut dz, mut ez) = (vec![0.0; 5], vec![0.0; 5]);
+        tqlrat(&mut dz, &mut ez).unwrap();
+        assert_eq!(dz, vec![0.0; 5]);
+        let (mut dn, mut en) = (vec![1.0, f64::NAN, 2.0], vec![0.0, 0.5, 0.5]);
+        assert!(matches!(
+            tqlrat(&mut dn, &mut en),
             Err(EigError::NoConvergence { .. })
         ));
     }

@@ -1,10 +1,10 @@
 //! Register-tiled microkernels for the dense and sparse hot paths.
 //!
 //! Every routine here is written for autovectorization on a single core:
-//! fixed-width accumulator lanes break the latency chain of naive
-//! `acc += x*y` reductions (one add per 4–5 cycles) into independent
-//! streams the compiler can keep in vector registers, and the one GEMM
-//! micro-kernel, [`rank1_tile`], holds a `4 × 16` tile of the output in
+//! fixed-width accumulator lanes break the latency chain of a naive
+//! one-accumulator reduction (one multiply-add per 4–5 cycles) into
+//! independent streams the compiler can keep in vector registers, and the
+//! one GEMM micro-kernel, [`rank1_tile`], holds a `4 × 16` tile of the output in
 //! registers across every rank-1 term, so an output element is loaded and
 //! stored once per call instead of once per update. No explicit SIMD
 //! intrinsics are used — the loops are shaped so LLVM's autovectorizer
@@ -30,12 +30,14 @@
 //! `vinsertf128`) and 7 vector loads beside its 8 `vmulpd` and 8 `vaddpd`.
 //! Passed through `std::hint::black_box` before the reduction, the
 //! accumulators stay one vector per row (lane = column mod 4, the lane
-//! assignment the summation order defines) and the chunk is 5 loads, 8
+//! assignment the summation order defines) and the chunk was 5 loads, 8
 //! `vmulpd`, 8 `vaddpd` (one with the load of `p` folded in) and 1 store,
-//! no shuffle: the panel matvec of the blocked tridiagonalization runs
-//! ≈ 1.3× faster on the same bits. The rule: keep such a reduction opaque
-//! and, after touching a loop of this kind, count the shuffles in the
-//! loop of the binary that runs it (`objdump -d`). The chunk loop of
+//! no shuffle: the panel matvec of the blocked tridiagonalization ran
+//! ≈ 1.3× faster on the same bits (measured before the kernels fused their
+//! multiply-adds; each `vmulpd`/`vaddpd` pair is now one `vfmadd`). The
+//! rule: keep such a reduction opaque and, after touching a loop of this
+//! kind, count the shuffles in the loop of the binary that runs it
+//! (`objdump -d`). The chunk loop of
 //! `dot_block` reads shuffle-free as it is where it was checked ([`dot4x4`]
 //! in the bond-density stage, [`dot8`] in the panel corrections): its
 //! transposes sit after the loop.
@@ -46,27 +48,29 @@
 //! scattered through memory every term, and the back-transform ran ≈ 7×
 //! slower than the `axpy4` chains it replaced. With the column loop outside
 //! each row's 16 columns are four `ymm` accumulators and a term is 4 loads,
-//! 4 broadcasts, 16 `vmulpd` and 16 `vaddpd`, no spill. The tile shape is a
+//! 4 broadcasts and 16 multiply-adds, no spill. The tile shape is a
 //! rule too. An earlier probe of such loops over plain `[f64; C]` arrays
 //! found `R × C` = 4×24, 4×32, 8×16 and 2×32 compiled to scalar code
 //! (1.9–3.8 GF/s) where 4×16, 6×16 and 8×8 ran at 19–25 GF/s in L1; with
 //! the nesting here `--emit asm` shows packed code for all of them but
 //! 8×16, whose 32 accumulators spill. 4×16 keeps 16 accumulators, 4
 //! operands and the broadcasts inside the 32 vector registers. After
-//! touching the tile, count `gather`, `vmulpd` and stack accesses in the
+//! touching the tile, count `gather`, `vfmadd` and stack accesses in the
 //! loops of the binary that runs it.
 //!
-//! rustc performs no FMA contraction or reassociation by default, so every
-//! kernel has a fixed, documented IEEE summation order. That makes the
-//! serial and fanned-out callers bitwise identical by construction: each
+//! Every term of every kernel is one fused multiply-add (`f64::mul_add`,
+//! a single rounding), and every kernel has a fixed, documented summation
+//! order. rustc performs no FMA contraction or reassociation on its own, so
+//! the fusing is what the source asks for and nothing else: the serial and
+//! fanned-out callers are bitwise identical by construction, because each
 //! output element's accumulation order depends only on the inner index,
-//! never on the thread partition.
-//!
-//! The dense kernels keep multiply and add apart; the block-sparse
-//! Chebyshev step ([`bsr4_chebyshev_step`]) is the one kernel that *asks*
-//! for fused multiply-adds, where the target has them
-//! (see `fmadd`): its order is as fixed as the others', its bits belong to
-//! the target features the crate was built for.
+//! never on the thread partition, and a kernel built as a composition of
+//! others (a tile as one [`axpy`] per term, [`dot4_axpy4`] as [`dot4`] plus
+//! [`axpy4`]) is that composition bit for bit. The bits do not depend on the
+//! target either: where the CPU has no FMA instruction `mul_add` is libm's
+//! correctly rounded `fma`, the same value an order of magnitude slower.
+//! Fusing halves the arithmetic instructions of the GEMM-shaped sweeps; K1d
+//! reads their rates against the host's fused multiply-add peak.
 
 /// Crossover below which the SYRK in `matrix.rs` stays on the calling
 /// thread. A fan-out pays hand-off overhead that a ≤16×16 product (tiny
@@ -89,7 +93,8 @@ const DOT2_LANES: usize = 4;
 
 /// Eight-lane dot product of two contiguous slices.
 ///
-/// Lane `l` accumulates elements `l, l+8, l+16, …`; the lanes are reduced
+/// Lane `l` accumulates elements `l, l+8, l+16, …`, one fused multiply-add
+/// per element; the lanes are reduced
 /// pairwise `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` and the tail (< 8
 /// elements) is added last in ascending order. The order is fixed — the
 /// result is deterministic and identical from every caller — but it is a
@@ -103,12 +108,12 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     let mut yc = y.chunks_exact(DOT_LANES);
     for (cx, cy) in xc.by_ref().zip(yc.by_ref()) {
         for l in 0..DOT_LANES {
-            acc[l] += cx[l] * cy[l];
+            acc[l] = cx[l].mul_add(cy[l], acc[l]);
         }
     }
     let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
     for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-        s += a * b;
+        s = a.mul_add(b, s);
     }
     s
 }
@@ -160,8 +165,8 @@ pub fn dot4x4(x: [&[f64]; 4], y: [&[f64]; 4]) -> [[f64; 4]; 4] {
 
 /// `x[i]·y[j]` for every pair, the length that of `x[0]`, each entry in the
 /// shared-operand order: [`DOT2_LANES`] accumulators over the elements
-/// `l, l+4, …`, reduced `(a0 + a1) + (a2 + a3)`, then the tail in ascending
-/// order. Over `as_chunks` slices of one length, so the chunk loop has no
+/// `l, l+4, …`, one fused multiply-add each, reduced `(a0 + a1) + (a2 + a3)`,
+/// then the tail in ascending order, fused the same way. Over `as_chunks` slices of one length, so the chunk loop has no
 /// bounds check and vectorizes.
 #[inline(always)]
 fn dot_block<const R: usize, const C: usize>(x: [&[f64]; R], y: [&[f64]; C]) -> [[f64; C]; R] {
@@ -175,7 +180,7 @@ fn dot_block<const R: usize, const C: usize>(x: [&[f64]; R], y: [&[f64]; C]) -> 
             for (a, yj) in acc_i.iter_mut().zip(&ys) {
                 let yv = &yj.0[c];
                 for l in 0..DOT2_LANES {
-                    a[l] += xv[l] * yv[l];
+                    a[l] = xv[l].mul_add(yv[l], a[l]);
                 }
             }
         }
@@ -184,25 +189,27 @@ fn dot_block<const R: usize, const C: usize>(x: [&[f64]; R], y: [&[f64]; C]) -> 
     for t in 0..n % DOT2_LANES {
         for (s_i, xi) in s.iter_mut().zip(&xs) {
             for (sv, yj) in s_i.iter_mut().zip(&ys) {
-                *sv += xi.1[t] * yj.1[t];
+                *sv = xi.1[t].mul_add(yj.1[t], *sv);
             }
         }
     }
     s
 }
 
-/// `y += a * x`. A plain streaming update the autovectorizer already
-/// handles; exposed so call sites share one spelling (and one flop count).
+/// `y += a * x`, one fused multiply-add per element. A plain streaming
+/// update the autovectorizer already handles; exposed so call sites share
+/// one spelling (and one flop count).
 #[inline]
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     debug_assert_eq!(y.len(), x.len());
     for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += a * xv;
+        *yv = a.mul_add(xv, *yv);
     }
 }
 
 /// `y += a * x + b * w`, evaluated left-to-right per element
-/// (`(y + a·x) + b·w`). This is the rank-2 trailing-update shape of the
+/// (`(y + a·x) + b·w`, one fused multiply-add per term): bit for bit two
+/// [`axpy`] calls. This is the rank-2 trailing-update shape of the
 /// blocked tridiagonalization; fusing the two AXPYs halves the traffic on
 /// `y`.
 #[inline]
@@ -210,20 +217,31 @@ pub fn axpy2(y: &mut [f64], a: f64, x: &[f64], b: f64, w: &[f64]) {
     debug_assert_eq!(y.len(), x.len());
     debug_assert_eq!(y.len(), w.len());
     for i in 0..y.len() {
-        y[i] = y[i] + a * x[i] + b * w[i];
+        y[i] = b.mul_add(w[i], a.mul_add(x[i], y[i]));
     }
 }
 
-/// Four fused rank-1 updates of one output row: each element receives
-/// `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`, i.e. four [`axpy`] calls in
-/// order, with the output row loaded and stored once.
+/// Four rank-1 updates of one output row: each element receives
+/// `((o + a0·b0) + a1·b1) + a2·b2 + a3·b3`, one fused multiply-add per term,
+/// i.e. four [`axpy`] calls in order, with the output row loaded and stored
+/// once.
 #[inline]
 pub fn axpy4(orow: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
     let n = orow.len();
     let [b0, b1, b2, b3] = [&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]];
     for j in 0..n {
-        orow[j] = (((orow[j] + a[0] * b0[j]) + a[1] * b1[j]) + a[2] * b2[j]) + a[3] * b3[j];
+        orow[j] = fma4(orow[j], a, [b0[j], b1[j], b2[j], b3[j]]);
     }
+}
+
+/// `(((o + a₀b₀) + a₁b₁) + a₂b₂) + a₃b₃`, one fused multiply-add per term:
+/// an element of [`axpy4`].
+#[inline(always)]
+fn fma4(o: f64, a: [f64; 4], b: [f64; 4]) -> f64 {
+    a[3].mul_add(
+        b[3],
+        a[2].mul_add(b[2], a[1].mul_add(b[1], a[0].mul_add(b[0], o))),
+    )
 }
 
 /// [`dot4`] and [`axpy4`] over the same four rows in one pass: returns
@@ -251,11 +269,11 @@ pub fn dot4_axpy4(p: &mut [f64], x: &[f64], a: [f64; 4], y: [&[f64]; 4]) -> [f64
     for ((pp, xx), ((b0, b1), (b2, b3))) in pc.by_ref().zip(xc.by_ref()).zip(rows) {
         for l in 0..DOT2_LANES {
             let xv = xx[l];
-            acc[0][l] += xv * b0[l];
-            acc[1][l] += xv * b1[l];
-            acc[2][l] += xv * b2[l];
-            acc[3][l] += xv * b3[l];
-            pp[l] = (((pp[l] + a[0] * b0[l]) + a[1] * b1[l]) + a[2] * b2[l]) + a[3] * b3[l];
+            acc[0][l] = xv.mul_add(b0[l], acc[0][l]);
+            acc[1][l] = xv.mul_add(b1[l], acc[1][l]);
+            acc[2][l] = xv.mul_add(b2[l], acc[2][l]);
+            acc[3][l] = xv.mul_add(b3[l], acc[3][l]);
+            pp[l] = fma4(pp[l], a, [b0[l], b1[l], b2[l], b3[l]]);
         }
     }
     let mut s = std::hint::black_box(acc).map(|l| (l[0] + l[1]) + (l[2] + l[3]));
@@ -268,9 +286,9 @@ pub fn dot4_axpy4(p: &mut [f64], x: &[f64], a: [f64; 4], y: [&[f64]; 4]) -> [f64
     {
         let b = tail.map(|t| t[i]);
         for j in 0..4 {
-            s[j] += xv * b[j];
+            s[j] = xv.mul_add(b[j], s[j]);
         }
-        *pv = (((*pv + a[0] * b[0]) + a[1] * b[1]) + a[2] * b[2]) + a[3] * b[3];
+        *pv = fma4(*pv, a, b);
     }
     s
 }
@@ -285,7 +303,7 @@ const TILE_COLS: usize = 16;
 /// held in registers across every term, so an output element is loaded and
 /// stored once per call instead of once per few terms; its arithmetic is
 /// `(…((o + a(0)[i]·b(0)) + a(1)[i]·b(1)) + …)` in ascending `q`, one
-/// multiply and one add per term — bit for bit one [`axpy`] per term, however
+/// fused multiply-add per term — bit for bit one [`axpy`] per term, however
 /// the caller cuts the rows, the columns or the terms into calls. The
 /// `len mod 16` columns past the last tile go through 8-, 4- and 1-wide
 /// tiles of the same code.
@@ -341,7 +359,7 @@ fn tile<'b, const R: usize, const C: usize>(
         // vectorizer pack lanes across rows (see the module doc).
         for (l, &bv) in bq.iter().enumerate() {
             for (acc_i, &ai) in acc.iter_mut().zip(&aq) {
-                acc_i[l] += ai * bv;
+                acc_i[l] = ai.mul_add(bv, acc_i[l]);
             }
         }
     }
@@ -358,7 +376,8 @@ fn tile<'b, const R: usize, const C: usize>(
 /// Four rows per pass: over the columns `lo..r` that rows `r..r+4` share, one
 /// [`dot4_axpy4`] prices the four row dots and scatters the four transposed
 /// contributions, so a row element, `v` and `p` are each loaded once per
-/// four rows; the 4×4 triangle on the diagonal is scalar. The
+/// four rows; the 4×4 triangle on the diagonal is scalar, one fused
+/// multiply-add per term like the rest. The
 /// `(n − lo) mod 4` rows that do not fill a pass come *first*, where they
 /// share no column and are a diagonal triangle of their own. `p[i]` therefore
 /// sums: its [`dot4`] lane tree, its diagonal-triangle terms in ascending
@@ -400,10 +419,10 @@ pub fn symv_lower_band(
         for i in r0..r1 {
             let ai = row(i);
             for c in r0..i {
-                p[i] += ai[c] * v[c];
-                p[c] += ai[c] * v[i];
+                p[i] = ai[c].mul_add(v[c], p[i]);
+                p[c] = ai[c].mul_add(v[i], p[c]);
             }
-            p[i] += ai[i] * v[i];
+            p[i] = ai[i].mul_add(v[i], p[i]);
         }
     };
     let head = lo + (n - lo) % 4;
@@ -557,22 +576,6 @@ impl Clone for Rows64 {
     }
 }
 
-/// `a·b + c`: one fused instruction where the target has it (x86-64 built
-/// with the `fma` feature, which `target-cpu=native` turns on wherever the
-/// host has it, and every aarch64), a separate multiply and add elsewhere —
-/// `f64::mul_add` without the instruction is a libm call an order of
-/// magnitude slower than the two operations. Chosen when the crate is
-/// compiled; the two spellings round differently, so results are comparable
-/// bit for bit only between builds for the same target features.
-#[inline(always)]
-fn fmadd(a: f64, b: f64, c: f64) -> f64 {
-    if cfg!(any(target_feature = "fma", target_arch = "aarch64")) {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
 /// A square block-sparse operator with 4×4 blocks whose diagonal is held
 /// apart: block row `i` owns blocks `block_ptr[i]..block_ptr[i + 1]`, block
 /// `b` multiplies rows `4·block_col[b]..+4` of the operand, and row
@@ -599,8 +602,7 @@ pub struct Bsr4<'a> {
 /// once and passes `gain = 1/scale` with a zero `prev` for the first step
 /// `T₁ = H̃·T₀`, `gain = 2/scale` for every later one.
 ///
-/// Every product is a fused multiply-add where the target has one (`fmadd`
-/// above). Each of the 16 outputs of a block row sums its blocks in list
+/// Every product is a fused multiply-add. Each of the 16 outputs of a block row sums its blocks in list
 /// order in two chains — inner indices `k = 0, 1`, and `k = 2, 3` on top of
 /// the diagonal term — joined once after the last block, before the scaling.
 /// The split keeps two independent multiply-add streams per output in
@@ -647,15 +649,16 @@ pub fn bsr4_chebyshev_step(a: Bsr4<'_>, gain: f64, x: &[Row4], prev: &[Row4], ou
             let xb = &x[4 * j as usize..4 * j as usize + 4];
             for r in 0..4 {
                 for c in 0..4 {
-                    low[r][c] = fmadd(blk[r][1], xb[1][c], fmadd(blk[r][0], xb[0][c], low[r][c]));
-                    high[r][c] = fmadd(blk[r][3], xb[3][c], fmadd(blk[r][2], xb[2][c], high[r][c]));
+                    low[r][c] = blk[r][1].mul_add(xb[1][c], blk[r][0].mul_add(xb[0][c], low[r][c]));
+                    high[r][c] =
+                        blk[r][3].mul_add(xb[3][c], blk[r][2].mul_add(xb[2][c], high[r][c]));
                 }
             }
         }
         let mut row = [[0.0f64; 4]; 4];
         for r in 0..4 {
             for c in 0..4 {
-                row[r][c] = fmadd(gain, low[r][c] + high[r][c], -pi[r][c]);
+                row[r][c] = gain.mul_add(low[r][c] + high[r][c], -pi[r][c]);
             }
         }
         o.copy_from_slice(&row);
@@ -677,7 +680,7 @@ pub fn row_series<const S: usize>(sums: &mut [Row4], iterates: &[Row4], coeffs: 
         let mut acc: [Row4; S] = std::array::from_fn(|s| sums[s * m + b]);
         for (c, t) in coeffs.iter().zip(iterates[b..].iter().step_by(m)) {
             for (acc, &c) in acc.iter_mut().zip(c) {
-                *acc = std::array::from_fn(|col| fmadd(c, t[col], acc[col]));
+                *acc = std::array::from_fn(|col| c.mul_add(t[col], acc[col]));
             }
         }
         for (s, acc) in acc.into_iter().enumerate() {
@@ -769,8 +772,8 @@ mod tests {
     #[test]
     fn matmul_is_bitwise_ascending_p() {
         // The tiled product must match the naive i-k-j accumulation exactly
-        // (same add order per element), on a tile's worth of rows and columns
-        // and the remainders past it.
+        // (same order per element, one fused multiply-add per term), on a
+        // tile's worth of rows and columns and the remainders past it.
         let (m, k, n) = (6, 13, 21);
         let a = crate::Matrix::from_fn(m, k, |i, p| (i * k + p) as f64 * 0.3 - 1.0);
         let b = crate::Matrix::from_fn(k, n, |p, j| ((p * n + j) * 37 % 101) as f64 * 0.01 - 0.5);
@@ -779,7 +782,7 @@ mod tests {
             let mut reference = vec![0.0; n];
             for p in 0..k {
                 for j in 0..n {
-                    reference[j] += a[(i, p)] * b[(p, j)];
+                    reference[j] = a[(i, p)].mul_add(b[(p, j)], reference[j]);
                 }
             }
             for j in 0..n {
@@ -1033,7 +1036,7 @@ mod tests {
             for b in 0..m {
                 for (s, &c) in c.iter().enumerate() {
                     let (t, acc) = (iterates[k * m + b], &mut want[s * m + b]);
-                    *acc = std::array::from_fn(|col| fmadd(c, t[col], acc[col]));
+                    *acc = std::array::from_fn(|col| c.mul_add(t[col], acc[col]));
                 }
             }
         }
@@ -1113,7 +1116,7 @@ mod tests {
                 .collect()
         };
         let (x, prev) = (multivector(&mut rng), multivector(&mut rng));
-        let scale = 3.7;
+        let scale = 3.7f64;
         for gain in [1.0 / scale, 2.0 / scale] {
             // The documented order, one term at a time: per output, the k = 0, 1
             // chain from zero and the k = 2, 3 chain from the diagonal term,
@@ -1125,12 +1128,12 @@ mod tests {
                         let (mut low, mut high) = (0.0, diag[i][r] * x[4 * i + r][c]);
                         for b in block_ptr[i] as usize..block_ptr[i + 1] as usize {
                             let (blk, j) = (&blocks[b], 4 * block_col[b] as usize);
-                            low = fmadd(blk[r][0], x[j][c], low);
-                            low = fmadd(blk[r][1], x[j + 1][c], low);
-                            high = fmadd(blk[r][2], x[j + 2][c], high);
-                            high = fmadd(blk[r][3], x[j + 3][c], high);
+                            low = blk[r][0].mul_add(x[j][c], low);
+                            low = blk[r][1].mul_add(x[j + 1][c], low);
+                            high = blk[r][2].mul_add(x[j + 2][c], high);
+                            high = blk[r][3].mul_add(x[j + 3][c], high);
                         }
-                        want[4 * i + r][c] = fmadd(gain, low + high, -prev[4 * i + r][c]);
+                        want[4 * i + r][c] = gain.mul_add(low + high, -prev[4 * i + r][c]);
                     }
                 }
             }

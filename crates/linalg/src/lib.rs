@@ -40,7 +40,7 @@ pub use blocked::{
 };
 pub use budget::{configure_budget, effective_width, try_lease, Budget, ComputeLease};
 pub use eigh::{
-    eig_residual, eigh, eigh_into, eigvalsh, orthogonality_defect, tqli, tridiagonalize,
+    eig_residual, eigh, eigh_into, eigvalsh, orthogonality_defect, tqli, tqlrat, tridiagonalize,
     tridiagonalize_into, EigError, Eigh, EighWorkspace,
 };
 pub use inverse_iteration::{

@@ -4,7 +4,9 @@
 //! reproduce, bit for bit, what the one-vector-at-a-time kernels computed.
 //!
 //! Each constant is an FNV-1a hash over the `to_bits()` of every output,
-//! recorded by running this file against the code before the rewrite. The
+//! recorded by running this file against the code before the rewrite, and
+//! re-recorded once when every dense kernel moved to one fused multiply-add
+//! per term and the spectrum to the root-free rational QL. The
 //! `perturbed Si-64` pins of the same stage live in
 //! `crates/model/tests/parent_bits.rs`, beside the Hamiltonian builder.
 
@@ -137,14 +139,14 @@ fn inverse_iteration_reproduces_the_parent_bits_on_a_synthetic_spectrum() {
     }
     assert_eq!(target.len(), 205);
     let got = reduced_hash(&with_spectrum(&target, 36), 197);
-    assert_eq!(got, 0x2b47252e94bc3399, "bits moved: {got:#018x}");
+    assert_eq!(got, 0xead4e52c280d133d, "bits moved: {got:#018x}");
 }
 
 #[test]
 fn inverse_iteration_reproduces_the_parent_bits_on_a_random_matrix() {
     // A spectrum with no clusters at all, n and k both off the lane count.
     let got = reduced_hash(&random_symmetric(150, 2026), 131);
-    assert_eq!(got, 0xc523816cfe829e57, "bits moved: {got:#018x}");
+    assert_eq!(got, 0x98136b107eea5b14, "bits moved: {got:#018x}");
 }
 
 #[test]
@@ -166,5 +168,5 @@ fn blocked_reduction_reproduces_the_parent_bits() {
     let mut z = Matrix::from_fn(n, 13, |_, _| next());
     apply_q_blocked(&packed, &mut ws, &mut z);
     let got = h.extend(z.as_slice()).0;
-    assert_eq!(got, 0xd68ac340c1f0e11e, "bits moved: {got:#018x}");
+    assert_eq!(got, 0x19e6f3f802ef5969, "bits moved: {got:#018x}");
 }

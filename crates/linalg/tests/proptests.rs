@@ -151,8 +151,9 @@ proptest! {
 // against the textbook loops, and both are properties worth fuzzing:
 //
 //  * `matmul` routes every row through `rank1_tile`, whose per-element
-//    accumulation order is strictly ascending in the inner index — the
-//    same order as the naive i-k-j triple loop. Equivalence is therefore
+//    accumulation order is strictly ascending in the inner index, one
+//    fused multiply-add per term — the naive i-k-j triple loop written
+//    with `mul_add`. Equivalence is therefore
 //    *bitwise*, across the tile's row and column remainders and the 64-row
 //    blocking boundary alike.
 //  * `dot`/`matvec` reduce through 8 independent lanes, a genuinely
@@ -180,11 +181,11 @@ proptest! {
             for j in 0..n {
                 let mut acc = 0.0f64;
                 for p in 0..k {
-                    acc += a[(i, p)] * b[(p, j)];
+                    acc = a[(i, p)].mul_add(b[(p, j)], acc);
                 }
                 prop_assert_eq!(
                     tiled[(i, j)].to_bits(), acc.to_bits(),
-                    "matmul[({}, {})] diverged from the naive i-k-j order", i, j
+                    "matmul[({}, {})] diverged from the naive fused i-k-j order", i, j
                 );
             }
         }

@@ -11,10 +11,10 @@
 //! point (the moments are read off the diagonal, and ρ is corrected from the
 //! grid point to μ). The matvec count is that of a cold evaluation: a
 //! moments-only pass and the pass at μ's grid point. The block
-//! recurrence fuses its multiply-adds where the target has FMA, and the
-//! model goes through `powf`/`exp` from the host's libm, so like every
-//! other bitwise pin in the repository these belong to the host's feature
-//! set.
+//! recurrence fuses its multiply-adds (`mul_add`, the same value with or
+//! without an FMA instruction), but the model goes through `powf`/`exp`
+//! from the host's libm, so like every other bitwise pin in the repository
+//! these belong to the host's libm.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -229,7 +229,7 @@ pub const TWO_STAGE_MIN_DIM: usize = 96;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseSolver {
     /// Two-stage blocked solver: blocked Householder reduction, full
-    /// tridiagonal spectrum (eigenvalue-only QL), then
+    /// tridiagonal spectrum (the root-free rational QL), then
     /// eigenvectors by inverse iteration for the *occupied* states only,
     /// back-transformed with blocked compact-WY sweeps. The eigenvector
     /// count `k` comes from the occupations (`f > 10⁻¹²`), so the density
@@ -345,10 +345,10 @@ impl<'m> TbCalculator<'m> {
         timings.hamiltonian = sp.finish();
 
         let (n_electrons, occupation) = (s.n_electrons(), self.occupation);
-        let (occ, diagonalize) = solve_occupied(ws, &index, n_electrons, occupation, self.solver)?;
-        timings.diagonalize = diagonalize;
+        let occ = solve_occupied(ws, &index, n_electrons, occupation, self.solver, timings)?;
 
-        // The two-stage solve streamed ρ already, inside `Diagonalize`.
+        // The two-stage solve streamed ρ already, inside `Diagonalize`, and
+        // put that time in `timings.density`.
         let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
         if let DenseCache::Full { .. } = ws.dense_cache {
             bond_density(
@@ -359,7 +359,7 @@ impl<'m> TbCalculator<'m> {
                 &mut ws.rho_blocks,
             );
         }
-        timings.density = sp.finish();
+        timings.density += sp.finish();
         Ok((index, occ))
     }
 

@@ -11,7 +11,7 @@
 //! is one extra evaluation-sized solve, so it runs on a stride (see
 //! `RecorderConfig` in `tbmd-core`), not every step.
 
-use crate::calculator::{DenseSolver, TbError};
+use crate::calculator::{DenseSolver, PhaseTimings, TbError};
 use crate::hamiltonian::{assemble_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
 use crate::occupations::OccupationScheme;
@@ -107,7 +107,15 @@ pub fn eigensolver_health(
     assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut ws.h);
     // Pristine copy: the solvers overwrite their input in place.
     let h0 = ws.h.clone();
-    solve_occupied(&mut ws, &index, s.n_electrons(), occupation, solver)?;
+    let timings = &mut PhaseTimings::default();
+    solve_occupied(
+        &mut ws,
+        &index,
+        s.n_electrons(),
+        occupation,
+        solver,
+        timings,
+    )?;
     // Middle of the solved window (all `n` states after a one-stage solve):
     // clear of both the deflation-prone band edges and the Fermi-window
     // boundary.

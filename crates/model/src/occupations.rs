@@ -1,5 +1,6 @@
 //! Electronic occupations: zero-temperature filling (with degenerate-level
-//! splitting) and Fermi–Dirac smearing with chemical-potential bisection.
+//! splitting) and Fermi–Dirac smearing, the chemical potential from a
+//! safeguarded Newton iteration on the electron count.
 //!
 //! Occupations are per *spatial* state (spin degeneracy is the explicit
 //! factor 2 everywhere), so a closed-shell system fills `n_electrons / 2`
@@ -163,34 +164,75 @@ fn zero_temperature(eigenvalues: &[f64], n_electrons: usize) -> Occupations {
     }
 }
 
+/// Fermi–Dirac occupations at `kt > 0`. The chemical potential is where
+/// the count `2 Σ f((ε − μ)/kT)` first reaches `n_electrons`, found by
+/// Newton's method on the count (its slope `2 Σ f(1 − f)/kT` comes with it)
+/// from the zero-temperature frontier `(ε_h + ε_l)/2`, inside a bracket
+/// `[ε_min − 30 kT, ε_max + 30 kT]`:
+/// - every count narrows the bracket: below the target the point becomes
+///   its lower end, else its upper end;
+/// - a step that would leave it, a zero slope, or a count that hits the
+///   target exactly bisects it instead, so where the count is flat to its
+///   last bit (a gap wider than ≈ 70 kT) the search goes on to the flat
+///   stretch's lower end, as bisection did;
+/// - once a Newton step is below `10⁻¹⁴ (1 + |μ|)`, bisection's stopping
+///   width, it is taken and counted, and the iteration stops: that last
+///   step's error is its square, so the count is exact to μ's last bit even
+///   as kT → 0, where the width alone leaves `10⁻¹⁴/kT` of an electron;
+/// - once the bracket is narrower than that, its upper end is counted.
+///
+/// On the sorted spectrum a count takes `exp` only inside
+/// `|ε − μ| ≤ 40 kT`: below it [`fermi_occ`] is exactly 1, above exactly 0.
 fn fermi(eigenvalues: &[f64], n_electrons: usize, kt: f64) -> Occupations {
+    let n = eigenvalues.len();
+    if n == 0 {
+        return zero_temperature(eigenvalues, n_electrons);
+    }
     let target = n_electrons as f64;
-    let count = |mu: f64| -> f64 {
-        2.0 * eigenvalues
-            .iter()
-            .map(|&e| fermi_occ((e - mu) / kt))
-            .sum::<f64>()
-    };
-    // Bracket the chemical potential.
-    let lo0 = eigenvalues.first().copied().unwrap_or(0.0) - 30.0 * kt;
-    let hi0 = eigenvalues.last().copied().unwrap_or(0.0) + 30.0 * kt;
-    let (mut lo, mut hi) = (lo0, hi0);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if count(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
+    let mut f = vec![0.0; n];
+    // 2Σf and its μ-derivative at `mu`, the occupations left in `f`.
+    let mut count = |mu: f64| {
+        let x = |e: f64| (e - mu) / kt;
+        let full = eigenvalues.partition_point(|&e| x(e) < -40.0);
+        let live = full + eigenvalues[full..].partition_point(|&e| x(e) <= 40.0);
+        f[..full].fill(1.0);
+        f[live..].fill(0.0);
+        let (mut sum, mut slope) = (full as f64, 0.0);
+        for (fk, &e) in f[full..live].iter_mut().zip(&eigenvalues[full..live]) {
+            *fk = fermi_occ(x(e));
+            sum += *fk;
+            slope += *fk * (1.0 - *fk);
         }
-        if hi - lo < 1e-14 * (1.0 + hi.abs()) {
+        (2.0 * sum, 2.0 * slope / kt)
+    };
+    let (mut lo, mut hi) = (eigenvalues[0] - 30.0 * kt, eigenvalues[n - 1] + 30.0 * kt);
+    let frontier = |k: usize| eigenvalues[k.min(n - 1)];
+    let mut mu = 0.5 * (frontier(n_electrons.saturating_sub(1) / 2) + frontier(n_electrons / 2));
+    for round in 1..=200 {
+        let (sum, slope) = count(mu);
+        if sum < target {
+            lo = mu;
+        } else {
+            hi = mu;
+        }
+        let tol = 1e-14 * (1.0 + mu.abs());
+        let newton = mu - (sum - target) / slope;
+        let (next, last) = if hi - lo < tol {
+            (hi, true)
+        } else if sum != target && (lo..=hi).contains(&newton) {
+            (newton, (newton - mu).abs() < tol)
+        } else {
+            (0.5 * (lo + hi), false)
+        };
+        let done = last || round == 200;
+        if done && next != mu {
+            count(next);
+        }
+        mu = next;
+        if done {
             break;
         }
     }
-    let mu = 0.5 * (lo + hi);
-    let f: Vec<f64> = eigenvalues
-        .iter()
-        .map(|&e| fermi_occ((e - mu) / kt))
-        .collect();
     Occupations {
         entropy: fermi_entropy(&f),
         f,
@@ -321,6 +363,87 @@ mod tests {
             assert!((kt - 0.02585).abs() < 1e-4);
         } else {
             panic!("wrong variant");
+        }
+    }
+
+    /// The chemical potential as it was found before the Newton iteration:
+    /// bisection of the same bracket until it is narrower than
+    /// `10⁻¹⁴ (1 + |hi|)`, its midpoint.
+    fn bisected_mu(eigenvalues: &[f64], n_electrons: usize, kt: f64) -> f64 {
+        let count = |mu: f64| -> f64 {
+            2.0 * eigenvalues
+                .iter()
+                .map(|&e| fermi_occ((e - mu) / kt))
+                .sum::<f64>()
+        };
+        let mut lo = eigenvalues[0] - 30.0 * kt;
+        let mut hi = eigenvalues[eigenvalues.len() - 1] + 30.0 * kt;
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if count(mid) < n_electrons as f64 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if hi - lo < 1e-14 * (1.0 + hi.abs()) {
+                break;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// μ within 1e-12 eV of bisection's, the electron count within 1e-10.
+    fn assert_newton_matches_bisection(what: &str, eps: &[f64], ne: usize, kt: f64) {
+        let occ = occupations(eps, ne, OccupationScheme::Fermi { kt });
+        let mu = bisected_mu(eps, ne, kt);
+        assert!(
+            (occ.fermi_level - mu).abs() <= 1e-12,
+            "{what}: μ {} vs bisection {mu}",
+            occ.fermi_level
+        );
+        let count = occ.electron_count();
+        assert!(
+            (count - ne as f64).abs() <= 1e-10,
+            "{what}: {count} electrons for {ne}"
+        );
+    }
+
+    #[test]
+    fn newton_fermi_level_matches_bisection() {
+        // Random spectra of TB-like width, every filling from a quarter to
+        // three quarters, kT from 0.01 to 1 eV.
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for n in [8usize, 32, 256, 864] {
+            let mut eps: Vec<f64> = (0..n).map(|_| -12.0 + 20.0 * next()).collect();
+            eps.sort_by(f64::total_cmp);
+            for ne in [n / 2, n, 3 * n / 2 + 1] {
+                for kt in [0.01, 0.1, 1.0] {
+                    assert_newton_matches_bisection(
+                        &format!("n={n} ne={ne} kT={kt}"),
+                        &eps,
+                        ne,
+                        kt,
+                    );
+                }
+            }
+        }
+        // A degenerate frontier: three levels at 0 eV share four electrons.
+        let eps = [-4.0, -3.5, -1.0, 0.0, 0.0, 0.0, 2.0, 2.5];
+        for kt in [0.2, 0.02, 1e-3] {
+            assert_newton_matches_bisection(&format!("frontier kT={kt}"), &eps, 10, kt);
+        }
+        // kT → 0 on a half-filled level, where μ is pinned to it.
+        let eps = [-3.0, -1.0, 0.5, 2.0];
+        for kt in [1e-3, 1e-4, 1e-5] {
+            let occ = occupations(&eps, 3, OccupationScheme::Fermi { kt });
+            assert!((occ.fermi_level + 1.0).abs() <= 1e-12, "kT={kt}");
+            assert_newton_matches_bisection(&format!("kT={kt}"), &eps, 3, kt);
         }
     }
 

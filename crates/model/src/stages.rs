@@ -127,7 +127,10 @@ pub fn spectrum(ws: &mut Workspace, solver: DenseSolver) -> Result<bool, TbError
 }
 
 /// Diagonalize `ws.h` for the occupied subspace under one `Diagonalize`
-/// span (returned as `timings.diagonalize`'s value).
+/// span. `timings.density` gets the time the strip consumer spent adding
+/// `ρ` ([`RhoBlocks::add_strip`], on whichever thread held the strip's
+/// turn) and `timings.diagonalize` the span's time less that, so the two
+/// add up to the span.
 ///
 /// After [`spectrum`], the two-stage branch streams only the `k` states the
 /// occupations keep (`f > 10⁻¹²`, exactly the set the density filter keeps;
@@ -143,8 +146,10 @@ pub fn solve_occupied(
     n_electrons: usize,
     occupation: OccupationScheme,
     solver: DenseSolver,
-) -> Result<(Occupations, std::time::Duration), TbError> {
+    timings: &mut PhaseTimings,
+) -> Result<Occupations, TbError> {
     let sp = tbmd_trace::span(Phase::Diagonalize);
+    let mut rho_time = std::time::Duration::ZERO;
     let two_stage = spectrum(ws, solver)?;
     let occ = occupations(&ws.values, n_electrons, occupation);
     let occupied = occupied_count(&occ.f);
@@ -156,7 +161,9 @@ pub fn solve_occupied(
         rho.lay_out(nl, index);
         let lambda = &ws.values[..occupied];
         stream_reduced_eigenvectors(&ws.h, lambda, 0, &mut ws.eigh, |strip| {
+            let started = std::time::Instant::now();
             rho.add_strip(nl, index, &strip, f);
+            rho_time += started.elapsed();
             for (v, j) in pair.chunks_exact_mut(n).zip(probed) {
                 if strip.cols.contains(&j) {
                     let c = j - strip.cols.start;
@@ -174,7 +181,9 @@ pub fn solve_occupied(
     } else {
         DenseCache::Full { occupied }
     };
-    Ok((occ, sp.finish()))
+    timings.diagonalize = sp.finish().saturating_sub(rho_time);
+    timings.density = rho_time;
+    Ok(occ)
 }
 
 /// The scaled eigenvector factor `W = C·diag(√(2 f))` restricted to the

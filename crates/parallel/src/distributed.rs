@@ -35,6 +35,7 @@
 use crate::ranks::{gather_forces, lock, PhaseClock, RankControl, Replica};
 use crate::vmp::{partition_range, Rank, VmpStats};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 use tbmd_linalg::{
     cluster_tolerance, reduced_eigenvalues_into, snap_range_to_clusters,
     stream_reduced_eigenvectors, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
@@ -187,21 +188,25 @@ impl<'m> DistributedTb<'m> {
         let lo = snap_range_to_clusters(occ_vals, ctol, raw.start..k).start;
         let hi = snap_range_to_clusters(occ_vals, ctol, raw.end..k).start;
         // Each strip of the shard adds its share of ρ on the bond blocks as
-        // it leaves the back-transform (the serial engine's stream).
+        // it leaves the back-transform (the serial engine's stream); that
+        // time is the density phase's, as on the serial engine.
         let (rho, f) = (&mut slot.rho, &occ.f[lo..hi]);
         rho.lay_out(nl, index);
+        let mut rho_time = Duration::ZERO;
         stream_reduced_eigenvectors(&slot.h, &slot.values[lo..hi], lo, &mut slot.eigh, |strip| {
-            rho.add_strip(nl, index, &strip, f)
+            let started = Instant::now();
+            rho.add_strip(nl, index, &strip, f);
+            rho_time += started.elapsed();
         });
         let streamed = (hi - lo) * (4 * n_orb * n_orb + 2 * rho.as_slice().len());
         rank.count_flops(streamed as u64);
-        timings.diagonalize = clock.lap(&mut timings);
+        timings.diagonalize = clock.lap(&mut timings).saturating_sub(rho_time);
 
         // ---- Phase 4c: the allreduce of the store — every rank lays it out
         // by the same list (`RankControl::launch` never lets replicas
         // updated apart meet).
         clock.blocked(|| rank.allreduce_sum(102, slot.rho.values_mut()));
-        timings.density = clock.lap(&mut timings);
+        timings.density = clock.lap(&mut timings) + rho_time;
 
         // ---- Phase 5: forces for my atom block; allgather.
         let (e_rep, forces) = force_phase(

@@ -221,8 +221,11 @@ fn dense_kinds_are_one_pipeline_at_every_lease_width() {
 }
 
 /// [`fnv`] of the Si-64 and Si-8 energies above, recorded at the parent
-/// commit, where the serial kind ran the scatter-form force stage.
-const PARENT_ENERGY_BITS: u64 = 0xefc6_36a0_e375_57d6;
+/// commit, where the serial kind ran the scatter-form force stage, and
+/// re-recorded when every dense kernel moved to one fused multiply-add per
+/// term, the spectrum to the root-free rational QL and the Fermi level to a
+/// Newton iteration.
+const PARENT_ENERGY_BITS: u64 = 0x8cce_b086_ca5c_442e;
 
 /// [`fnv`] of an evaluation's energy and every force component.
 fn evaluation_bits(eval: &ForceEvaluation) -> u64 {
@@ -292,16 +295,17 @@ fn forces_and_stress_are_the_parent_bits() {
 /// grid point. The `si64`, `tube` and `stress` entries were re-recorded when
 /// the two-stage solve began adding ρ up strip by strip of eigenvectors:
 /// their occupied windows span two strips. `dist2`'s shards span one each.
+/// Every dense entry was re-recorded once more with [`PARENT_ENERGY_BITS`].
 const PARENT_FORCE_BITS: [(&str, u64); 9] = [
-    ("si8 w1", 0x06b6_669a_79bc_6eca),
-    ("si8 w2", 0x06b6_669a_79bc_6eca),
-    ("si64 w1", 0xa045_d4d7_05e3_5a52),
-    ("si64 w2", 0xa045_d4d7_05e3_5a52),
-    ("tube", 0x71b3_9a73_cf5a_f021),
-    ("dist2", 0x3af7_9098_731b_b032),
+    ("si8 w1", 0x00b4_f730_8392_919b),
+    ("si8 w2", 0x00b4_f730_8392_919b),
+    ("si64 w1", 0x071f_5536_71b6_436f),
+    ("si64 w2", 0x071f_5536_71b6_436f),
+    ("tube", 0x750d_d87b_0495_58fe),
+    ("dist2", 0x72ff_d4c0_c020_8496),
     ("linscale", 0x09cf_e017_391d_c48f),
     ("dist linscale", 0x8270_6043_c157_d0b3),
-    ("stress", 0xdcc3_451e_e23f_565f),
+    ("stress", 0x549f_c86a_2daa_a704),
 ];
 
 /// Silicon that counts its radial calls: [`TbModel::bond`] apart from the
