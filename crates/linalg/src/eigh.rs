@@ -414,9 +414,10 @@ fn reflect_rows(lead: &mut [f64], n: usize, u: &[f64], h: f64) {
 /// skips the eigenvector work entirely.
 ///
 /// **Scaling contract** (shared with [`tqlrat`]). `(d, e)` is multiplied on
-/// entry by the power of two that brings its largest magnitude into `[1, 2)`
-/// and the spectrum is multiplied back on exit. Both are exact, so the rotations and the returned
-/// values are those of the unscaled iteration, and the rotation radii can be
+/// entry by the power of two that brings its largest magnitude into
+/// `[1, 2)` and the spectrum is multiplied back on exit. Both are exact, so
+/// the rotations and the returned values are those of the unscaled
+/// iteration, and the rotation radii can be
 /// taken as `(f² + g²).sqrt()` without a `hypot`: the squares cannot
 /// overflow, and a radius that underflows to zero is below `2⁻⁵³⁷` of the
 /// matrix norm — the deflation branch treats it as the zero it is. A factor
@@ -430,30 +431,23 @@ pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), EigError
 }
 
 /// All eigenvalues of a symmetric tridiagonal matrix by Reinsch's rational
-/// QL (EISPACK `tqlrat`): the QL iteration of [`tqli`] carried out on the
-/// squared subdiagonal, so no rotation and no square root sits in the inner
-/// loop — only the shift takes two roots per iteration. It forms no
-/// eigenvectors; [`tqli`] is the solver for those.
-///
-/// `d`, `e` as [`tqli`] takes them; on success `d` holds the (unsorted)
-/// eigenvalues and `e` is scratch. The same scaling contract: the factor is
-/// iterated at unit scale, so no square of it can overflow, and a squared
-/// subdiagonal that underflows is below `2⁻¹⁰⁷⁴` of the norm. A squared
-/// element is negligible once it is at most `(ε·t)²`, `t` the largest
-/// `|d_l| + |e_l|` met so far: deflation is absolute at the matrix's scale,
-/// not relative to the neighbouring diagonal as in [`tqli`].
+/// QL (EISPACK `tqlrat`): [`tqli`]'s iteration on the squared subdiagonal,
+/// with no rotation and no square root in the inner loop (the shift takes
+/// two roots an iteration) and no eigenvectors. `d`, `e` and the scaling
+/// contract as [`tqli`]'s (at unit scale no square overflows); on success
+/// `d` holds the unsorted eigenvalues, `e` is scratch. A squared element is
+/// negligible at `(ε·t)²`, `t` the largest `|d_l| + |e_l|` met so far:
+/// deflation is absolute at the matrix's scale, not relative to the
+/// neighbouring diagonal as in [`tqli`].
 ///
 /// # Errors
-/// [`EigError::NoConvergence`] if an eigenvalue does not deflate within the
-/// sweep budget (non-finite input).
+/// [`EigError::NoConvergence`] on non-finite input.
 pub fn tqlrat(d: &mut [f64], e: &mut [f64]) -> Result<(), EigError> {
     at_unit_scale(d, e, tqlrat_unit)
 }
 
-/// Run `iterate` on `(d, e)` brought to unit scale: multiplied by the power
-/// of two that brings its largest magnitude into `[1, 2)`, the eigenvalues
-/// multiplied back after. Both are exact. A factor whose largest entry is
-/// zero, subnormal or not finite is iterated as given.
+/// Run `iterate` on `(d, e)` at unit scale: the scaling contract of
+/// [`tqli`].
 fn at_unit_scale(
     d: &mut [f64],
     e: &mut [f64],
@@ -475,11 +469,10 @@ fn at_unit_scale(
     result
 }
 
-/// The rational QL iteration proper, on a factor of roughly unit max-norm.
-/// `f` accumulates the shifts: past row `l`, `d` holds the diagonal less
-/// `f`, and each deflated `d[l]` gets `f` back. The negated comparisons are
-/// EISPACK's: a NaN counts as not negligible, so non-finite input runs into
-/// the sweep budget instead of deflating.
+/// The rational QL iteration proper, at unit scale. Past row `l`, `d` holds
+/// the diagonal less the shifts `f`, which each deflated `d[l]` gets back.
+/// The negated tests are EISPACK's: a NaN is not negligible, so non-finite
+/// input runs into the sweep budget instead of deflating.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 fn tqlrat_unit(d: &mut [f64], e: &mut [f64]) -> Result<(), EigError> {
     let n = d.len();
@@ -542,9 +535,6 @@ fn tqlrat_unit(d: &mut [f64], e: &mut [f64]) -> Result<(), EigError> {
                 break;
             }
             e[l] *= h;
-            if e[l] == 0.0 {
-                break;
-            }
         }
         d[l] += f;
     }

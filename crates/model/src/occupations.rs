@@ -164,25 +164,27 @@ fn zero_temperature(eigenvalues: &[f64], n_electrons: usize) -> Occupations {
     }
 }
 
-/// Fermi–Dirac occupations at `kt > 0`. The chemical potential is where
-/// the count `2 Σ f((ε − μ)/kT)` first reaches `n_electrons`, found by
-/// Newton's method on the count (its slope `2 Σ f(1 − f)/kT` comes with it)
-/// from the zero-temperature frontier `(ε_h + ε_l)/2`, inside a bracket
+/// Fermi–Dirac occupations at `kt > 0`. The chemical potential solves
+/// `2 Σ f((ε − μ)/kT) = n_electrons` by Newton's method (the slope
+/// `2 Σ f(1 − f)/kT` comes with each count) from the zero-temperature
+/// Fermi level `(ε_h + ε_l)/2`, inside a bracket
 /// `[ε_min − 30 kT, ε_max + 30 kT]`:
 /// - every count narrows the bracket: below the target the point becomes
-///   its lower end, else its upper end;
-/// - a step that would leave it, a zero slope, or a count that hits the
-///   target exactly bisects it instead, so where the count is flat to its
-///   last bit (a gap wider than ≈ 70 kT) the search goes on to the flat
-///   stretch's lower end, as bisection did;
-/// - once a Newton step is below `10⁻¹⁴ (1 + |μ|)`, bisection's stopping
-///   width, it is taken and counted, and the iteration stops: that last
-///   step's error is its square, so the count is exact to μ's last bit even
-///   as kT → 0, where the width alone leaves `10⁻¹⁴/kT` of an electron;
-/// - once the bracket is narrower than that, its upper end is counted.
+///   its lower end, else its upper end, and a step that would leave it (or
+///   a zero slope) bisects it instead;
+/// - a count that is exact stops the iteration there; so does a Newton step
+///   below `10⁻¹⁴ (1 + |μ|)`, bisection's stopping width, after it is taken
+///   and counted (its error is its square, so the count is exact to μ's
+///   last bit even as kT → 0), and a bracket narrower than that, whose upper
+///   end is counted.
 ///
-/// On the sorted spectrum a count takes `exp` only inside
-/// `|ε − μ| ≤ 40 kT`: below it [`fermi_occ`] is exactly 1, above exactly 0.
+/// On the sorted spectrum a count takes one `exp` per state inside
+/// `|ε − μ| ≤ 40 kT` ([`fermi_occ`] is exactly 1 below, 0 above), and it sums
+/// the Fermi tails — `f` above μ, `f − 1` below — beside a whole number of
+/// states, so it rounds at the tails' scale, not at the count's: bisection
+/// on the plain sum stalled in its rounding noise. Where a gap leaves no
+/// state within 40 kT of the zero-temperature Fermi level the count is
+/// exact there, and that is μ.
 fn fermi(eigenvalues: &[f64], n_electrons: usize, kt: f64) -> Occupations {
     let n = eigenvalues.len();
     if n == 0 {
@@ -190,43 +192,53 @@ fn fermi(eigenvalues: &[f64], n_electrons: usize, kt: f64) -> Occupations {
     }
     let target = n_electrons as f64;
     let mut f = vec![0.0; n];
-    // 2Σf and its μ-derivative at `mu`, the occupations left in `f`.
-    let mut count = |mu: f64| {
+    // The electrons over the target at `mu` and their μ-derivative, the
+    // occupations left in `f`.
+    let mut excess = |mu: f64| {
         let x = |e: f64| (e - mu) / kt;
         let full = eigenvalues.partition_point(|&e| x(e) < -40.0);
         let live = full + eigenvalues[full..].partition_point(|&e| x(e) <= 40.0);
         f[..full].fill(1.0);
         f[live..].fill(0.0);
-        let (mut sum, mut slope) = (full as f64, 0.0);
+        let (mut below, mut tails, mut slope) = (full, 0.0, 0.0);
         for (fk, &e) in f[full..live].iter_mut().zip(&eigenvalues[full..live]) {
-            *fk = fermi_occ(x(e));
-            sum += *fk;
-            slope += *fk * (1.0 - *fk);
+            let xk = x(e);
+            // The smaller of f and 1 − f: the tail on μ's side of the state.
+            let t = (-xk.abs()).exp();
+            let tail = t / (1.0 + t);
+            let under = xk < 0.0;
+            *fk = if under { 1.0 - tail } else { tail };
+            below += usize::from(under);
+            tails += if under { -tail } else { tail };
+            slope += tail * (1.0 - tail);
         }
-        (2.0 * sum, 2.0 * slope / kt)
+        ((2 * below) as f64 - target + 2.0 * tails, 2.0 * slope / kt)
     };
     let (mut lo, mut hi) = (eigenvalues[0] - 30.0 * kt, eigenvalues[n - 1] + 30.0 * kt);
     let frontier = |k: usize| eigenvalues[k.min(n - 1)];
     let mut mu = 0.5 * (frontier(n_electrons.saturating_sub(1) / 2) + frontier(n_electrons / 2));
     for round in 1..=200 {
-        let (sum, slope) = count(mu);
-        if sum < target {
+        let (over, slope) = excess(mu);
+        if over < 0.0 {
             lo = mu;
         } else {
             hi = mu;
         }
+        if over == 0.0 {
+            break;
+        }
         let tol = 1e-14 * (1.0 + mu.abs());
-        let newton = mu - (sum - target) / slope;
+        let newton = mu - over / slope;
         let (next, last) = if hi - lo < tol {
             (hi, true)
-        } else if sum != target && (lo..=hi).contains(&newton) {
+        } else if (lo..=hi).contains(&newton) {
             (newton, (newton - mu).abs() < tol)
         } else {
             (0.5 * (lo + hi), false)
         };
         let done = last || round == 200;
         if done && next != mu {
-            count(next);
+            excess(next);
         }
         mu = next;
         if done {
@@ -419,20 +431,40 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
+        // Where the count's slope at μ is under 0.1/eV its plain sum, which
+        // rounds at up to ~10⁻¹³ electrons, leaves bisection's μ
+        // undetermined at 10⁻¹² eV; there only the count is compared.
+        let mut compared = 0;
         for n in [8usize, 32, 256, 864] {
             let mut eps: Vec<f64> = (0..n).map(|_| -12.0 + 20.0 * next()).collect();
             eps.sort_by(f64::total_cmp);
             for ne in [n / 2, n, 3 * n / 2 + 1] {
                 for kt in [0.01, 0.1, 1.0] {
-                    assert_newton_matches_bisection(
-                        &format!("n={n} ne={ne} kT={kt}"),
-                        &eps,
-                        ne,
-                        kt,
-                    );
+                    let what = format!("n={n} ne={ne} kT={kt}");
+                    let mu = bisected_mu(&eps, ne, kt);
+                    let slope: f64 = eps
+                        .iter()
+                        .map(|&e| fermi_occ((e - mu) / kt))
+                        .map(|f| 2.0 * f * (1.0 - f) / kt)
+                        .sum();
+                    if slope >= 0.1 {
+                        assert_newton_matches_bisection(&what, &eps, ne, kt);
+                        compared += 1;
+                        continue;
+                    }
+                    let occ = occupations(&eps, ne, OccupationScheme::Fermi { kt });
+                    assert!((occ.electron_count() - ne as f64).abs() <= 1e-10, "{what}");
                 }
             }
         }
+        assert!(compared >= 24, "only {compared} of 36 spectra resolve μ");
+        // A gap of 150 kT: the count is exact all across it, bisection's μ
+        // is where the HOMO's f first rounds to 1 (≈ 36.7 kT above it), and
+        // the Newton iteration stays where it starts, mid-gap.
+        let eps = [-3.0, -1.0, 0.5, 2.0];
+        let occ = occupations(&eps, 4, OccupationScheme::Fermi { kt: 0.01 });
+        assert_eq!((occ.fermi_level, occ.electron_count()), (-0.25, 4.0));
+        assert!((bisected_mu(&eps, 4, 0.01) + 1.0 - 0.367).abs() < 0.01);
         // A degenerate frontier: three levels at 0 eV share four electrons.
         let eps = [-4.0, -3.5, -1.0, 0.0, 0.0, 0.0, 2.0, 2.5];
         for kt in [0.2, 0.02, 1e-3] {

@@ -297,15 +297,15 @@ fn forces_and_stress_are_the_parent_bits() {
 /// their occupied windows span two strips. `dist2`'s shards span one each.
 /// Every dense entry was re-recorded once more with [`PARENT_ENERGY_BITS`].
 const PARENT_FORCE_BITS: [(&str, u64); 9] = [
-    ("si8 w1", 0x00b4_f730_8392_919b),
-    ("si8 w2", 0x00b4_f730_8392_919b),
-    ("si64 w1", 0x071f_5536_71b6_436f),
-    ("si64 w2", 0x071f_5536_71b6_436f),
-    ("tube", 0x750d_d87b_0495_58fe),
-    ("dist2", 0x72ff_d4c0_c020_8496),
+    ("si8 w1", 0x8aea_27dc_f350_2840),
+    ("si8 w2", 0x8aea_27dc_f350_2840),
+    ("si64 w1", 0x478a_3f04_914b_2cab),
+    ("si64 w2", 0x478a_3f04_914b_2cab),
+    ("tube", 0x5fcb_1c52_9557_8687),
+    ("dist2", 0x72f3_91c9_e150_812c),
     ("linscale", 0x09cf_e017_391d_c48f),
     ("dist linscale", 0x8270_6043_c157_d0b3),
-    ("stress", 0x549f_c86a_2daa_a704),
+    ("stress", 0xda9d_bfdc_e7ec_1049),
 ];
 
 /// Silicon that counts its radial calls: [`TbModel::bond`] apart from the
