@@ -93,7 +93,9 @@ const REGISTRY: &[Experiment] = &[
         name: "eigensolvers",
         expected: "Residuals, orthogonality and the gap to the QL spectrum are at round-off for \
                    both solvers; the one-stage solve is faster on small matrices and the partial \
-                   solve on large ones, crossing near `TWO_STAGE_MIN_DIM` = 96.",
+                   solve on large ones: random matrices cross near 48, Si Hamiltonians (whose \
+                   degenerate clusters the partial path iterates together) between 64 and \
+                   `TWO_STAGE_MIN_DIM` = 96.",
         run: pipeline::eigensolvers,
     },
     Experiment {

@@ -186,16 +186,17 @@ fn share(part: Duration, whole: Duration) -> f64 {
     part.as_secs_f64() / whole.as_secs_f64()
 }
 
-/// Si diamond `reps`³ and its tight-binding Hamiltonian.
-fn si_hamiltonian(reps: usize) -> Matrix {
-    let s = bulk_diamond(Species::Silicon, reps, reps, reps);
+/// Si diamond of `reps` cells along each axis and its tight-binding
+/// Hamiltonian.
+fn si_hamiltonian(reps: [usize; 3]) -> Matrix {
+    let s = bulk_diamond(Species::Silicon, reps[0], reps[1], reps[2]);
     let model = silicon_gsp();
     let nl = NeighborList::build(&s, model.cutoff());
     build_hamiltonian(&s, &nl, &model, &OrbitalIndex::new(&s))
 }
 
 /// T4b: the one-stage QL solve against the two-stage partial solve on
-/// random symmetric matrices up to order `size` (default 256) and on two
+/// random symmetric matrices up to order `size` (default 256) and on three
 /// real Hamiltonians, timed warm: one untimed call, then the best of 7 on a
 /// reused workspace.
 pub fn eigensolvers(size: Option<usize>) -> Report {
@@ -214,9 +215,9 @@ pub fn eigensolvers(size: Option<usize>) -> Report {
             "max |Δλ|",
         ],
     );
-    // 64, 96 (either side of the crossover), then doubling from 128.
+    // 32–96 (around the crossover), then doubling from 128.
     let doubling = std::iter::successors(Some(128usize), |n| Some(2 * n));
-    let mut matrices: Vec<(String, Matrix)> = [64usize, 96]
+    let mut matrices: Vec<(String, Matrix)> = [32usize, 48, 64, 96]
         .into_iter()
         .chain(doubling)
         .take_while(|&n| n <= max_n)
@@ -226,8 +227,9 @@ pub fn eigensolvers(size: Option<usize>) -> Report {
             (format!("random {n}"), a)
         })
         .collect();
-    matrices.push(("Si-8 H (32)".into(), si_hamiltonian(1)));
-    matrices.push(("Si-64 H (256)".into(), si_hamiltonian(2)));
+    matrices.push(("Si-8 H (32)".into(), si_hamiltonian([1; 3])));
+    matrices.push(("Si-16 H (64)".into(), si_hamiltonian([2, 1, 1])));
+    matrices.push(("Si-64 H (256)".into(), si_hamiltonian([2; 3])));
 
     for (label, a) in &matrices {
         let n = a.rows();

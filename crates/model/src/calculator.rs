@@ -216,9 +216,14 @@ pub struct TbResult {
 /// back-transform stages carry fixed overheads that only amortize once the
 /// matrix outgrows the row-walking scalar path. Measured warm on the
 /// reference host (experiment T4b of `tbmd-report`, min of 7 calls on a
-/// reused workspace, three runs): QL vs partial 0.29–0.42 vs 0.39–0.52 ms
-/// at n = 64, 0.81–1.26 vs 0.89–1.16 ms at n = 96, 2.2–3.0 vs 1.6–2.2 ms
-/// at n = 128 — the two cross at about 96.
+/// reused workspace, three runs, with the fused kernels and the root-free
+/// spectrum): on random matrices QL vs partial read 0.19–0.20 vs 0.20 ms
+/// at n = 48 and 0.37–0.41 vs 0.33–0.35 ms at n = 64, so they cross near
+/// 48; on the Si-16 Hamiltonian (n = 64), whose degenerate clusters the
+/// partial path iterates together, QL still leads, 0.21–0.30 vs
+/// 0.31–0.44 ms, and at n = 96 the partial path leads on random matrices
+/// by 1.4×. A Hamiltonian is what the engines solve, so the floor stays
+/// at 96.
 pub const TWO_STAGE_MIN_DIM: usize = 96;
 
 /// Which dense symmetric eigensolver [`spectrum`] and [`solve_occupied`] run.
