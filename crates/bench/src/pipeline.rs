@@ -278,7 +278,7 @@ pub fn eigensolvers(size: Option<usize>) -> Report {
     let mut report = Report::default();
     report.table(t4b).note(
         "The one-stage solve computes every eigenvector, the partial path only the lowest k; \
-         `TWO_STAGE_MIN_DIM` is where their times cross.",
+         `TWO_STAGE_MIN_DIM` is where their times cross on the Si Hamiltonians.",
     );
     report
 }
