@@ -16,9 +16,9 @@
 //! 4. **density** — `ρ = 2 C f Cᵀ` on the blocks the forces read:
 //!    O(N·z·N_occ) ([`crate::stages::bond_density`]; the full matrix,
 //!    [`density_matrix_into`], is O(N²·N_occ)). The two-stage solve adds
-//!    it up strip by strip of eigenvectors inside the diagonalize phase;
-//!    only the one-stage solve below 96 orbitals has a density phase of its
-//!    own;
+//!    it up strip by strip of eigenvectors inside the diagonalize span, and
+//!    that time is reported as the density phase's; only the one-stage
+//!    solve below 96 orbitals runs a density stage after the solve;
 //! 5. **forces** — O(N·z) contraction of `ρ` with `∂H/∂R` plus the
 //!    repulsive-potential forces, one atom per task, from the same table
 //!    ([`dense_forces`]).

@@ -107,14 +107,14 @@ pub fn eigensolver_health(
     assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut ws.h);
     // Pristine copy: the solvers overwrite their input in place.
     let h0 = ws.h.clone();
-    let timings = &mut PhaseTimings::default();
+    let mut timings = PhaseTimings::default();
     solve_occupied(
         &mut ws,
         &index,
         s.n_electrons(),
         occupation,
         solver,
-        timings,
+        &mut timings,
     )?;
     // Middle of the solved window (all `n` states after a one-stage solve):
     // clear of both the deflation-prone band edges and the Fermi-window
