@@ -7,7 +7,7 @@ use tbmd::linalg::blocked::{build_t_factors, rank2k_lower};
 use tbmd::linalg::kernels::{axpy, dot, rank1_tile, symv_lower};
 use tbmd::linalg::{
     apply_q_blocked, eig_residual, eigh_into, eigh_partial_into, orthogonality_defect, team, tqli,
-    tqlrat, tridiagonalize_blocked_into, Eigh, EighWorkspace, Matrix, TRIDIAG_BLOCK,
+    tqlrat, tridiagonalize_blocked_into, Eigh, EighWorkspace, LowerTriangle, Matrix, TRIDIAG_BLOCK,
 };
 use tbmd::linscale::chebyshev::{spectral_window, Expansion, Window};
 use tbmd::linscale::{BlockRecurrence, LinearScalingTb, LocalRegion, SparseH};
@@ -392,22 +392,23 @@ fn tile_in_l1() -> f64 {
 }
 
 /// K1d: the GEMM-shaped half of the two-stage solver at `n`, on the whole
-/// team (`threads` = 2 on the reference host) or on one thread pinned inline:
+/// team (`threads` = 2 on the reference host) or on one thread pinned inline,
+/// on the packed `H` the engines reduce ([`LowerTriangle`]):
 /// the rank-2k sweeps of a whole reduction (random panels), the compact-WY
 /// T factors, and the back-transform of `0.7 n` vectors (T factors + strip
 /// sweeps), the sweeps alone as the difference. `(stage, seconds, flops)`
 /// rows; the Gram matrix counts as the full square the tiles form.
 fn gemm_half(n: usize) -> Vec<(&'static str, f64, usize)> {
     let k = 7 * n / 10;
-    let mut a = random_matrix(n, n, 80);
-    a.symmetrize();
+    let a0 = random_matrix(n, n, 80);
+    let mut a = LowerTriangle::from_lower(&a0);
     let vpan = random_matrix(TRIDIAG_BLOCK, n, 81);
     let wpan = random_matrix(TRIDIAG_BLOCK, n, 82);
     let panels: Vec<(usize, usize)> = (0..n - 2)
         .step_by(TRIDIAG_BLOCK)
         .map(|j0| (j0, TRIDIAG_BLOCK.min(n - 2 - j0)))
         .collect();
-    let mut sweep = a.clone();
+    let mut sweep = LowerTriangle::from_lower(&a0);
     let (t_rank2k, _) = best_of(3, || {
         for &(j0, jb) in &panels {
             rank2k_lower(&mut sweep, j0 + jb, jb, &vpan, &wpan);
@@ -578,7 +579,7 @@ pub fn block_steps(reps: usize, steps: usize) -> (usize, usize, [Vec<f64>; 2]) {
 pub fn kernels(size: Option<usize>) -> Report {
     let max_n = size.unwrap_or(256).max(64);
     let mut k1a = Table::new(
-        "K1a: tiled vs naive dense kernels (f64)",
+        "K1a: tiled vs naive dense kernels (f64; the tiled SYMV on the packed lower triangle)",
         &["kernel", "n", "naive GFLOP/s", "tiled GFLOP/s", "speedup"],
     );
     let mut row = |kernel: &str, n: usize, flops: f64, naive: f64, tiled: f64| {
@@ -609,7 +610,8 @@ pub fn kernels(size: Option<usize>) -> Report {
         let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut p = vec![0.0; n];
         let (t_naive, _) = best_of(50 * reps, || symv_by_rows(&sym, &v, &mut p));
-        let (t_tiled, _) = best_of(50 * reps, || symv_lower(sym.as_slice(), n, 0, &v, &mut p));
+        let packed = LowerTriangle::from_lower(&sym);
+        let (t_tiled, _) = best_of(50 * reps, || symv_lower(&packed, 0, &v, &mut p));
         // 4 flops per element of the lower triangle.
         row("SYMV", n, (2 * n * (n + 1)) as f64, t_naive, t_tiled);
         n *= 2;

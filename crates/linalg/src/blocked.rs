@@ -42,6 +42,7 @@ use crate::inverse_iteration::{staging, stream_eigenvectors, Strip};
 use crate::kernels;
 use crate::matrix::{held, Matrix};
 use crate::team;
+use crate::triangle::RowStore;
 use std::sync::Mutex;
 
 /// Panel width of the blocked reduction and of the compact-WY application.
@@ -112,6 +113,8 @@ pub struct BlockedScratch {
     /// Negated compact-WY triangular factors `−T`, one `NB`-row band per
     /// panel.
     tmat: Matrix,
+    /// Whether `tmat` holds the factors of the last reduction.
+    t_ready: bool,
     /// The panel matvec's result.
     pvec: Vec<f64>,
     /// One partial matvec result per row band, `SYMV_BANDS × n`.
@@ -138,6 +141,12 @@ impl BlockedScratch {
         let panels = [&self.vpan, &self.wpan, &self.tmat].map(Matrix::heap_bytes);
         factor + held(&[&self.pvec, &self.bands]) + panels.iter().sum::<usize>()
     }
+
+    /// `tmat` zeroed for the T factors of an `n × n` reduction (`n ≥ 3`).
+    fn zero_t_factors(&mut self, n: usize) {
+        let rows = (n - 2).div_ceil(TRIDIAG_BLOCK) * TRIDIAG_BLOCK;
+        self.tmat.resize_zeroed(rows, TRIDIAG_BLOCK);
+    }
 }
 
 /// Generate a Householder reflector for `x = [alpha, rest...]` such that
@@ -158,8 +167,8 @@ fn householder(alpha: f64, rest: &mut [f64]) -> (f64, f64) {
     (tau, beta)
 }
 
-/// Blocked Householder reduction of the symmetric matrix `a` to tridiagonal
-/// form.
+/// Blocked Householder reduction of the symmetric matrix `a` (a full
+/// [`Matrix`] or its [`crate::LowerTriangle`]) to tridiagonal form.
 ///
 /// On return:
 /// * `ws.blocked.d` / `ws.blocked.e` hold the tridiagonal factor in the same
@@ -170,14 +179,15 @@ fn householder(alpha: f64, rest: &mut [f64]) -> (f64, f64) {
 ///   [`apply_q_blocked`] needs to back-transform eigenvectors;
 /// * the rest of `a` is scratch.
 ///
-/// Only the lower triangle of `a` is read.
+/// Only the lower triangle of `a` is read, so both stores give the same
+/// bits.
 ///
 /// # Panics
 /// Panics if `a` is not square.
-pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
-    assert!(a.is_square(), "tridiagonalization requires a square matrix");
-    let n = a.rows();
+pub fn tridiagonalize_blocked_into<A: RowStore>(a: &mut A, ws: &mut EighWorkspace) {
+    let n = a.layout().dim;
     let (s, inviter) = (&mut ws.blocked, &mut ws.inviter);
+    s.t_ready = false;
     s.d.clear();
     s.d.resize(n, 0.0);
     s.e.clear();
@@ -188,7 +198,7 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
         return;
     }
     if n == 1 {
-        s.d[0] = a[(0, 0)];
+        s.d[0] = a.row(0)[0];
         return;
     }
     // ~(4/3)n³ flops: the symmetric matvecs plus the rank-2k sweeps.
@@ -258,7 +268,7 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
             let v = s.vpan.row(jj);
             let p = &mut s.pvec;
             let lo = j + 1;
-            symv_banded(a.as_slice(), n, lo, v, p, &mut s.bands);
+            symv_banded(&*a, lo, v, p, &mut s.bands);
             panel_correction(&mut p[lo..n], &v[lo..n], &s.vpan, &s.wpan, jj);
             for pv in p[lo..n].iter_mut() {
                 *pv *= tau;
@@ -292,9 +302,9 @@ pub fn tridiagonalize_blocked_into(a: &mut Matrix, ws: &mut EighWorkspace) {
     }
     // Remaining 2×2 (or smaller) trailing block: read directly.
     if n >= 2 {
-        s.d[n - 2] = a[(n - 2, n - 2)];
-        s.d[n - 1] = a[(n - 1, n - 1)];
-        s.e[n - 1] = a[(n - 1, n - 2)];
+        s.d[n - 2] = a.row(n - 2)[n - 2];
+        s.d[n - 1] = a.row(n - 1)[n - 1];
+        s.e[n - 1] = a.row(n - 1)[n - 2];
     }
 }
 
@@ -382,10 +392,11 @@ fn panel_correction(p: &mut [f64], v: &[f64], vpan: &Matrix, wpan: &Matrix, jj: 
 /// every addition depend on `(lo, n)` alone, so `p` — and with it `(d, e)`,
 /// τ and the reflectors — is bitwise the same at every width, under every
 /// lease and on a rank thread, which runs the bands inline one after another.
-fn symv_banded(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64], bands: &mut [f64]) {
+fn symv_banded(a: &impl RowStore, lo: usize, v: &[f64], p: &mut [f64], bands: &mut [f64]) {
+    let n = a.layout().dim;
     let m = n - lo;
     if m < SYMV_BAND_FLOOR {
-        return kernels::symv_lower(a, n, lo, v, p);
+        return kernels::symv_lower(a, lo, v, p);
     }
     let head = lo + m % 4;
     let passes = (n - head) / 4;
@@ -407,7 +418,7 @@ fn symv_banded(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64], bands: 
         team::run(width, &|tid| {
             for b in (tid..SYMV_BANDS).step_by(width) {
                 let mut part = parts[b].lock().expect("one thread per band");
-                kernels::symv_lower_band(a, n, lo, bound(b)..bound(b + 1), v, &mut part);
+                kernels::symv_lower_band(a, lo, bound(b)..bound(b + 1), v, &mut part);
             }
         });
     }
@@ -429,16 +440,17 @@ fn symv_banded(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64], bands: 
 /// panel rows `w₀, v₀, w₁, …` read in place, the six elements of the
 /// triangle past them one term at a time; every term is one fused
 /// multiply-add, as in the kernels. An element's arithmetic does not
-/// depend on the thread count. Public so that the kernel table can time it.
-pub fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &Matrix) {
-    let ncols = a.cols();
-    let nq = 2 * jb;
+/// depend on the thread count or the store. Public so that the kernel table
+/// can time it.
+pub fn rank2k_lower<A: RowStore>(a: &mut A, t0: usize, jb: usize, vpan: &Matrix, wpan: &Matrix) {
+    let (l, nq) = (a.layout(), 2 * jb);
+    let n = l.dim;
     let b: [&[f64]; 2 * TRIDIAG_BLOCK] = std::array::from_fn(|q| {
         let pan = if q % 2 == 0 { wpan } else { vpan };
         &pan.row(q / 2)[t0..]
     });
-    let trailing = &mut a.as_mut_slice()[t0 * ncols..];
-    team::chunks_for_each(whole_team(), trailing, 4 * ncols, |g, rows| {
+    let groups = l.runs(&mut a.data_mut()[l.start(t0)..], t0..n, 4);
+    team::for_each_dealt(whole_team(), groups, |g, rows| {
         let r = t0 + 4 * g;
         // Term q's coefficient for row r + i: −v_p[r+i] for q = 2p, −w_p[r+i]
         // for q = 2p + 1.
@@ -446,20 +458,20 @@ pub fn rank2k_lower(a: &mut Matrix, t0: usize, jb: usize, vpan: &Matrix, wpan: &
         for (q, c) in coef[..nq].iter_mut().enumerate() {
             let pan = if q % 2 == 0 { vpan } else { wpan };
             let col = &pan.row(q / 2)[r..];
-            for (i, ci) in c.iter_mut().enumerate().take(rows.len() / ncols) {
+            for (i, ci) in c.iter_mut().enumerate().take(n - r) {
                 *ci = -col[i];
             }
         }
-        if rows.len() < 4 * ncols {
+        if n - r < 4 {
             // The last group may hold fewer than four rows: one at a time.
-            for (i, y) in rows.chunks_exact_mut(ncols).enumerate() {
+            for (i, y) in l.runs(rows, r..n, 1).enumerate() {
                 let y = &mut y[t0..=r + i];
                 kernels::rank1_tile::<1>([y], nq, |q| [coef[q][i]], |q| b[q]);
             }
             return;
         }
         let mut ys: [&mut [f64]; 4] = {
-            let mut rows = rows.chunks_exact_mut(ncols);
+            let mut rows = l.runs(rows, r..r + 4, 1);
             std::array::from_fn(|_| rows.next().expect("four rows"))
         };
         kernels::rank1_tile::<4>(
@@ -496,8 +508,8 @@ struct VBlock {
 
 /// Panel `[j0, j0+jb)`'s `V` as [`VBlock`]s in ascending row order: the
 /// panel's first `jb` rows, then `NB` rows at a time.
-fn panel_blocks(a: &Matrix, j0: usize, jb: usize) -> impl Iterator<Item = VBlock> + '_ {
-    let (n, split) = (a.rows(), j0 + 1 + jb);
+fn panel_blocks<A: RowStore>(a: &A, j0: usize, jb: usize) -> impl Iterator<Item = VBlock> + '_ {
+    let (n, split) = (a.layout().dim, j0 + 1 + jb);
     let below = (split..n).step_by(TRIDIAG_BLOCK);
     let blocks =
         std::iter::once(j0 + 1..split).chain(below.map(move |r| r..n.min(r + TRIDIAG_BLOCK)));
@@ -591,14 +603,16 @@ fn panels_rev(n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
 /// its rows of `V` in ascending order; only its upper triangle is kept. `a`
 /// and `ws` as [`apply_q_blocked`] takes them (`a` at least 3 × 3), whose
 /// first half this is; public so that the kernel table can time it.
-pub fn build_t_factors(a: &Matrix, ws: &mut EighWorkspace) {
-    let n = a.rows();
-    let (tau, tmat) = (&ws.blocked.tau, &mut ws.blocked.tmat);
-    tmat.resize_zeroed(
-        (n - 2).div_ceil(TRIDIAG_BLOCK) * TRIDIAG_BLOCK,
-        TRIDIAG_BLOCK,
-    );
-    for (panel, j0, jb) in panels_rev(n) {
+pub fn build_t_factors<A: RowStore>(a: &A, ws: &mut EighWorkspace) {
+    let s = &mut ws.blocked;
+    s.zero_t_factors(a.layout().dim);
+    t_factors(a, &s.tau, &mut s.tmat);
+    s.t_ready = true;
+}
+
+/// [`build_t_factors`] into a zeroed `tmat`.
+fn t_factors<A: RowStore>(a: &A, tau: &[f64], tmat: &mut Matrix) {
+    for (panel, j0, jb) in panels_rev(a.layout().dim) {
         let t = &mut tmat.as_mut_slice()[panel * TRIDIAG_BLOCK * TRIDIAG_BLOCK..];
         let at = |p: usize, q: usize| p * TRIDIAG_BLOCK + q;
         // The whole square (its two triangles are the same bits: the products
@@ -634,8 +648,8 @@ pub fn build_t_factors(a: &Matrix, ws: &mut EighWorkspace) {
 /// element accumulates in ascending row (resp. reflector) order, one fused
 /// multiply-add at a time, so a column's arithmetic does not depend
 /// on which strip it is in.
-fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [f64], stride: usize) {
-    let n = a.rows();
+fn sweep_strip(a: &impl RowStore, tmat: &Matrix, strip: &mut [f64], stride: usize) {
+    let n = a.layout().dim;
     // Cache-line aligned: strip widths are multiples of 8, so no vector
     // access to a row of `X` straddles two lines, wherever the frame lands.
     // Measured at n = 864, k = 610, two threads (alternating binaries, median
@@ -672,14 +686,15 @@ fn sweep_strip(a: &Matrix, tmat: &Matrix, strip: &mut [f64], stride: usize) {
     }
 }
 
-/// [`build_t_factors`], and the flops of back-transforming `k` columns: panel
-/// `[j0, j0+jb)` touches rows `j0+1..n`, `2·jb·(n−j0−1)·k` flops in each of
-/// `Vᵀ Z` and `Z += V X`.
-fn back_transform_setup(a: &Matrix, ws: &mut EighWorkspace, k: usize) {
-    build_t_factors(a, ws);
-    let rows: usize = panels_rev(a.rows())
-        .map(|(_, j0, jb)| jb * (a.rows() - j0 - 1))
-        .sum();
+/// [`build_t_factors`] unless the workspace holds them, and the flops of
+/// back-transforming `k` columns: panel `[j0, j0+jb)` touches rows
+/// `j0+1..n`, `2·jb·(n−j0−1)·k` flops in each of `Vᵀ Z` and `Z += V X`.
+fn back_transform_setup(a: &impl RowStore, ws: &mut EighWorkspace, k: usize) {
+    if !ws.blocked.t_ready {
+        build_t_factors(a, ws);
+    }
+    let n = a.layout().dim;
+    let rows: usize = panels_rev(n).map(|(_, j0, jb)| jb * (n - j0 - 1)).sum();
     tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 4 * (rows * k) as u64);
 }
 
@@ -692,17 +707,19 @@ fn back_transform_setup(a: &Matrix, ws: &mut EighWorkspace, k: usize) {
 /// `sweep_strip` and copy it back; columns never interact, so the result is
 /// bitwise independent of strip width, thread count and of which columns
 /// share a call. `a` must be the reflector-packed output of
-/// [`tridiagonalize_blocked_into`] run with the same workspace.
+/// [`tridiagonalize_blocked_into`] run with the same workspace; the T
+/// factors are formed anew.
 ///
 /// # Panics
 /// Panics if `z.rows()` differs from `a.rows()`.
-pub fn apply_q_blocked(a: &Matrix, ws: &mut EighWorkspace, z: &mut Matrix) {
-    let n = a.rows();
+pub fn apply_q_blocked<A: RowStore>(a: &A, ws: &mut EighWorkspace, z: &mut Matrix) {
+    let n = a.layout().dim;
     let k = z.cols();
     assert_eq!(z.rows(), n, "apply_q_blocked: row mismatch");
     if n < 3 || k == 0 {
         return;
     }
+    build_t_factors(a, ws);
     back_transform_setup(a, ws, k);
     // A strip count that is a multiple of the thread count keeps the
     // threads even; widths are multiples of 8 for the vector loops (the
@@ -763,25 +780,63 @@ pub fn reduced_eigenvalues_into(
     Ok(())
 }
 
+/// [`reduced_eigenvalues_into`] with the T factors of the reduction in `a`
+/// ([`build_t_factors`]) formed beside it on a second thread when the
+/// entered lease has one ([`team::width`] ≥ 2), for a strip stream of the
+/// same reduction to use. The same bits as the two one after the other.
+///
+/// # Errors
+/// As [`reduced_eigenvalues_into`].
+pub fn reduced_eigenvalues_beside_t_factors<A: RowStore>(
+    a: &A,
+    ws: &mut EighWorkspace,
+    values: &mut Vec<f64>,
+) -> Result<(), EigError> {
+    let n = a.layout().dim;
+    if team::width() < 2 || n < 3 {
+        return reduced_eigenvalues_into(ws, values);
+    }
+    // Zeroed here, so that the thread forming them allocates nothing.
+    ws.blocked.zero_t_factors(n);
+    let s = &mut ws.blocked;
+    let t = Mutex::new((std::mem::take(&mut s.tmat), std::mem::take(&mut s.tau)));
+    let ql = Mutex::new((&mut *ws, values, Ok(())));
+    team::run(2, &|tid| match tid {
+        0 => {
+            let (ws, values, result) = &mut *ql.lock().expect("one thread");
+            *result = reduced_eigenvalues_into(ws, values);
+        }
+        _ => {
+            let (tmat, tau) = &mut *t.lock().expect("one thread");
+            t_factors(a, tau, tmat);
+        }
+    });
+    let result = ql.into_inner().expect("no thread panicked").2;
+    (ws.blocked.tmat, ws.blocked.tau) = t.into_inner().expect("no thread panicked");
+    ws.blocked.t_ready = true;
+    result
+}
+
 /// The eigenvector stage of the two-stage solver as a stream: the
 /// eigenvectors of the original matrix for the ascending eigenvalues
 /// `lambda` (global indices from `seed_offset`), given the reflector-packed
 /// output `a` of [`tridiagonalize_blocked_into`] run with the same
-/// workspace. One fan-out as wide as the back-transform takes (`whole_team`)
+/// workspace (its T factors too, if they are there). One fan-out as wide
+/// as the back-transform takes (`whole_team`)
 /// inverse-iterates each cluster-snapped strip of
 /// [`crate::inverse_iteration`] and back-transforms it (`sweep_strip`) in
 /// its thread's staging band, then hands it to `consume`, strips in
 /// ascending order. No `n × k` block is held; every column is bitwise the
 /// same at any lease width, thread count and shard split (a distributed
 /// rank streams its cluster-snapped shard, `seed_offset` its first index).
-pub fn stream_reduced_eigenvectors(
-    a: &Matrix,
+pub fn stream_reduced_eigenvectors<A: RowStore>(
+    a: &A,
     lambda: &[f64],
     seed_offset: usize,
     ws: &mut EighWorkspace,
     consume: impl FnMut(Strip<'_>) + Send,
 ) {
-    let n = a.rows();
+    let n = a.layout().dim;
     if n >= 3 && !lambda.is_empty() {
         back_transform_setup(a, ws, lambda.len());
     }
@@ -807,13 +862,13 @@ pub fn stream_reduced_eigenvectors(
 /// [`stream_reduced_eigenvectors`] into the columns of `z`, which ends up
 /// `n × lambda.len()` with column `j` pairing `lambda[j]`: the `n × k`
 /// block the reference paths and the tests read.
-pub fn reduced_eigenvectors_into(
-    a: &Matrix,
+pub fn reduced_eigenvectors_into<A: RowStore>(
+    a: &A,
     lambda: &[f64],
     z: &mut Matrix,
     ws: &mut EighWorkspace,
 ) {
-    ws.inviter.grown += usize::from(z.resize_zeroed(a.rows(), lambda.len()));
+    ws.inviter.grown += usize::from(z.resize_zeroed(a.layout().dim, lambda.len()));
     stream_reduced_eigenvectors(a, lambda, 0, ws, |strip| strip.copy_into(z));
 }
 
@@ -1003,6 +1058,54 @@ mod tests {
     }
 
     #[test]
+    fn the_packed_triangle_reduces_solves_and_streams_to_the_matrix_bits() {
+        // Sizes straddling the two-stage floor (96) and the band floor (256)
+        // and covering every n mod 8. Reduction, spectrum and a window of
+        // streamed strips from an n × n `Matrix` (T factors in the stream)
+        // and from its packed lower triangle (T factors beside the
+        // spectrum), at lease widths 1 and 2.
+        type Bits = Vec<u64>;
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Bits>();
+        for n in [96usize, 97, 98, 99, 255, 256, 257, 640] {
+            let a = symmetric_test_matrix(n, 900 + n as u64);
+            let k = n / 2 + 3;
+            let solve = |packed: bool| {
+                let mut ws = EighWorkspace::default();
+                let (mut values, mut strips) = (Vec::new(), Vec::new());
+                let record = |strip: Strip| {
+                    strips.push(strip.cols.start as u64);
+                    (0..n).for_each(|r| strips.extend(bits(strip.row(r))));
+                };
+                if packed {
+                    let mut h = crate::LowerTriangle::from_lower(&a);
+                    tridiagonalize_blocked_into(&mut h, &mut ws);
+                    reduced_eigenvalues_beside_t_factors(&h, &mut ws, &mut values).unwrap();
+                    stream_reduced_eigenvectors(&h, &values[..k], 0, &mut ws, record);
+                } else {
+                    let mut h = a.clone();
+                    tridiagonalize_blocked_into(&mut h, &mut ws);
+                    reduced_eigenvalues_into(&mut ws, &mut values).unwrap();
+                    stream_reduced_eigenvectors(&h, &values[..k], 0, &mut ws, record);
+                }
+                let s = &ws.blocked;
+                [bits(&s.d), bits(&s.e), bits(&s.tau), bits(&values), strips]
+            };
+            let reference = ComputeLease::untracked(1).scoped(|| solve(false));
+            for width in [1, 2] {
+                for packed in [false, true] {
+                    let got = ComputeLease::untracked(width).scoped(|| solve(packed));
+                    for (what, (x, y)) in ["d", "e", "tau", "values", "strips"]
+                        .iter()
+                        .zip(got.iter().zip(&reference))
+                    {
+                        assert!(x == y, "{what}, n={n}, width {width}, packed {packed}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn banded_matvec_matches_the_single_pass() {
         // The same product in a different summation order: round-off apart,
         // on blocks at the floor, one row short of it (single pass: bitwise)
@@ -1013,8 +1116,8 @@ mod tests {
         let mut bands = vec![f64::NAN; SYMV_BANDS * n];
         for lo in [0usize, 1, 2, 3, 39, 40, 41] {
             let (mut banded, mut single) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-            symv_banded(a.as_slice(), n, lo, &v, &mut banded, &mut bands);
-            kernels::symv_lower(a.as_slice(), n, lo, &v, &mut single);
+            symv_banded(&a, lo, &v, &mut banded, &mut bands);
+            kernels::symv_lower(&a, lo, &v, &mut single);
             assert!(
                 banded[..lo].iter().all(|x| x.is_nan()),
                 "wrote above the block"

@@ -72,6 +72,8 @@
 //! Fusing halves the arithmetic instructions of the GEMM-shaped sweeps; K1d
 //! reads their rates against the host's fused multiply-add peak.
 
+use crate::triangle::RowStore;
+
 /// Crossover below which the SYRK in `matrix.rs` stays on the calling
 /// thread. A fan-out pays hand-off overhead that a ≤16×16 product (tiny
 /// test cells, 4-orbital blocks) never amortizes — the same reasoning as
@@ -369,7 +371,7 @@ fn tile<'b, const R: usize, const C: usize>(
 }
 
 /// Symmetric matrix–vector product on the trailing block `[lo, n)` of the
-/// row-major `n × n` matrix `a`, reading only its lower triangle:
+/// `n × n` row store `a`, reading only its lower triangle:
 /// `p[lo..n] = A[lo..n, lo..n] · v[lo..n]` — the panel `A·v` of the blocked
 /// tridiagonalization.
 ///
@@ -386,9 +388,9 @@ fn tile<'b, const R: usize, const C: usize>(
 /// whole block as its one band.
 ///
 /// # Panics
-/// Panics if `a` is shorter than `n × n` or `v`, `p` shorter than `n`.
-pub fn symv_lower(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64]) {
-    symv_lower_band(a, n, lo, lo..n, v, p);
+/// Panics if `v` or `p` is shorter than `n`.
+pub fn symv_lower(a: &impl RowStore, lo: usize, v: &[f64], p: &mut [f64]) {
+    symv_lower_band(a, lo, lo..a.layout().dim, v, p);
 }
 
 /// The share of [`symv_lower`] that rows `band` of the trailing block
@@ -403,17 +405,15 @@ pub fn symv_lower(a: &[f64], n: usize, lo: usize, v: &[f64], p: &mut [f64]) {
 /// rows from `lo + (n − lo) mod 4`), `band.end` on a pass boundary.
 ///
 /// # Panics
-/// Panics if `a` is shorter than `n × n` or `v`, `part` shorter than
-/// `band.end`.
+/// Panics if `v` or `part` is shorter than `band.end`.
 pub fn symv_lower_band(
-    a: &[f64],
-    n: usize,
+    a: &impl RowStore,
     lo: usize,
     band: std::ops::Range<usize>,
     v: &[f64],
     part: &mut [f64],
 ) {
-    let row = |r: usize| &a[r * n..(r + 1) * n];
+    let (n, row) = (a.layout().dim, |r: usize| a.row(r));
     // Rows r0..r1 against columns r0..r1: the part of a pass on the diagonal.
     let triangle = |p: &mut [f64], r0: usize, r1: usize| {
         for i in r0..r1 {
@@ -890,9 +890,10 @@ mod tests {
             })
             .collect();
         let v = seq(n, 0.13, -1.4);
+        let m = crate::Matrix::from_vec(n, n, a.clone());
         for lo in [0, 1, 2, 3, 12, 19, 20, 21, 22] {
             let mut p = vec![f64::NAN; n];
-            symv_lower(&a, n, lo, &v, &mut p);
+            symv_lower(&m, lo, &v, &mut p);
             let mut reference = vec![0.0; n];
             for r in lo..n {
                 let row = &a[r * n..];
@@ -912,8 +913,8 @@ mod tests {
             // partial vectors added in band order.
             let cut = lo + (n - lo) % 4 + 4 * ((n - lo) / 8);
             let (mut upper, mut lower) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-            symv_lower_band(&a, n, lo, lo..cut, &v, &mut upper);
-            symv_lower_band(&a, n, lo, cut..n, &v, &mut lower);
+            symv_lower_band(&m, lo, lo..cut, &v, &mut upper);
+            symv_lower_band(&m, lo, cut..n, &v, &mut lower);
             assert!(
                 upper[cut..].iter().all(|x| x.is_nan()),
                 "wrote below its band"

@@ -9,6 +9,8 @@
 //! * [`Vec3`] — 3-component vectors for positions/velocities/forces.
 //! * [`Matrix`] — dense row-major matrices with cache-blocked products,
 //!   serial or fanned out over the thread team.
+//! * [`LowerTriangle`] — the lower triangle of a symmetric matrix by
+//!   cache-line-aligned rows: the `H` the two-stage solver reduces.
 //! * [`team`] — the process's persistent thread team: the one way any crate
 //!   of the workspace fans a loop out, as wide as the entered
 //!   [`ComputeLease`].
@@ -32,11 +34,13 @@ pub mod inverse_iteration;
 pub mod kernels;
 pub mod matrix;
 pub mod team;
+pub mod triangle;
 pub mod vec3;
 
 pub use blocked::{
-    apply_q_blocked, eigh_partial_into, reduced_eigenvalues_into, reduced_eigenvectors_into,
-    stream_reduced_eigenvectors, tridiagonalize_blocked_into, TRIDIAG_BLOCK,
+    apply_q_blocked, eigh_partial_into, reduced_eigenvalues_beside_t_factors,
+    reduced_eigenvalues_into, reduced_eigenvectors_into, stream_reduced_eigenvectors,
+    tridiagonalize_blocked_into, TRIDIAG_BLOCK,
 };
 pub use budget::{configure_budget, effective_width, try_lease, Budget, ComputeLease};
 pub use eigh::{
@@ -48,4 +52,5 @@ pub use inverse_iteration::{
 };
 pub use kernels::KERNEL_MIN_DIM;
 pub use matrix::Matrix;
+pub use triangle::{LowerTriangle, RowLayout, RowStore};
 pub use vec3::Vec3;

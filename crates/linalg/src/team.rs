@@ -328,12 +328,21 @@ impl Team {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        let chunks = data.chunks_mut(chunk);
-        let width = width.min(chunks.len());
+        self.for_each_dealt(width, data.chunks_mut(chunk), f);
+    }
+
+    /// [`Team::chunks_for_each`] over any items, e.g. row groups of
+    /// different lengths: `f(i, item)` for item `i`, dealt round-robin.
+    pub fn for_each_dealt<I, F>(&self, width: usize, items: impl ExactSizeIterator<Item = I>, f: F)
+    where
+        I: Send,
+        F: Fn(usize, I) + Sync,
+    {
+        let width = width.min(items.len());
         if width <= 1 {
-            return chunks.enumerate().for_each(|(i, c)| f(i, c));
+            return items.enumerate().for_each(|(i, c)| f(i, c));
         }
-        let hands: Vec<_> = deal_round_robin(chunks, width)
+        let hands: Vec<_> = deal_round_robin(items, width)
             .into_iter()
             .map(Mutex::new)
             .collect();
@@ -455,6 +464,15 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     global().chunks_for_each(width, data, chunk, f);
+}
+
+/// [`Team::for_each_dealt`] on the process-wide team.
+pub fn for_each_dealt<I, F>(width: usize, items: impl ExactSizeIterator<Item = I>, f: F)
+where
+    I: Send,
+    F: Fn(usize, I) + Sync,
+{
+    global().for_each_dealt(width, items, f);
 }
 
 /// [`Team::fold`] on the process-wide team.

@@ -308,9 +308,9 @@ impl<'m> TbCalculator<'m> {
         let nl = ws.neighbors.list();
         let index = OrbitalIndex::new(s);
         ws.bonds.fill(self.model, nl);
-        assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h);
+        assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h_lower);
         let rep = ws.bonds.repulsive_energy();
-        spectrum(&mut ws, self.solver)?;
+        spectrum(&mut ws, self.solver, false)?;
         let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
         let band = occ.band_energy(&ws.values);
         Ok(band + rep + entropy_term(self.occupation, occ.entropy))
@@ -345,8 +345,8 @@ impl<'m> TbCalculator<'m> {
         let index = OrbitalIndex::new(s);
         let nl = ws.neighbors.list();
         ws.bonds.fill(self.model, nl);
-        ws.grown +=
-            assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h) as usize;
+        ws.grown += assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h_lower)
+            as usize;
         timings.hamiltonian = sp.finish();
 
         let (n_electrons, occupation) = (s.n_electrons(), self.occupation);

@@ -11,7 +11,7 @@
 use crate::model::TbModel;
 use crate::slater_koster::sk_block;
 use crate::stages::BondTable;
-use tbmd_linalg::{team, Matrix};
+use tbmd_linalg::{team, Matrix, RowStore};
 use tbmd_structure::{NeighborList, Structure};
 
 /// Maps atoms to rows/columns of the Hamiltonian.
@@ -87,10 +87,12 @@ pub fn build_hamiltonian_into(
 
 /// The H stage: the dense Γ-point Hamiltonian in eV from the hoppings of
 /// `bonds` (filled for `nl`) and the model's on-site energies, into a
-/// caller-owned buffer. Returns `true` if the buffer had to grow.
+/// caller-owned store: the whole matrix into a [`Matrix`], its lower
+/// triangle into a [`tbmd_linalg::LowerTriangle`] (every entry the same
+/// bits either way). Returns `true` if the store had to grow.
 ///
 /// Each atom's band of 4 rows (`assemble_band`) is one task of a
-/// [`team::chunks_for_each`] over [`team::width`] threads — the compute
+/// [`team::for_each_dealt`] over [`team::width`] threads — the compute
 /// lease's width, 1 on a rank thread. Bands are disjoint and a band's
 /// arithmetic does not depend on the thread that runs it, so `H` is the same
 /// bits at every width.
@@ -100,22 +102,22 @@ pub fn assemble_hamiltonian_into(
     model: &dyn TbModel,
     bonds: &BondTable,
     index: &OrbitalIndex,
-    h: &mut Matrix,
+    h: &mut impl RowStore,
 ) -> bool {
     let n = index.total();
-    let grew = h.resize_zeroed(n, n);
-    if n > 0 {
-        team::chunks_for_each(team::width(), h.as_mut_slice(), 4 * n, |i, band| {
-            assemble_band(s, nl, model, bonds, index, i, band)
-        });
-    }
+    let grew = h.resize_square(n);
+    let l = h.layout();
+    team::for_each_dealt(team::width(), l.runs(h.data_mut(), 0..n, 4), |i, band| {
+        assemble_band(s, nl, model, bonds, index, i, (band, l.packed))
+    });
     grew
 }
 
 /// Assemble atom `i`'s band of `H` — its 4 rows, zeroed on entry, as one
-/// row-major slice: the on-site energies on the diagonal, then one
-/// Slater–Koster block per directed neighbour entry in list order
-/// (self-image entries accumulate on the diagonal block).
+/// slice of rows of one length: the on-site energies on the diagonal, then
+/// one Slater–Koster block per directed neighbour entry in list order
+/// (self-image entries accumulate on the diagonal block); only the entries
+/// up to the diagonal if `lower`.
 fn assemble_band(
     s: &Structure,
     nl: &NeighborList,
@@ -123,29 +125,26 @@ fn assemble_band(
     bonds: &BondTable,
     index: &OrbitalIndex,
     i: usize,
-    band: &mut [f64],
+    (band, lower): (&mut [f64], bool),
 ) {
-    let n = index.total();
-    let oi = index.offset(i);
+    let (oi, n) = (index.offset(i), band.len() / 4);
     // All bundled models have 4 orbitals/atom, which makes the band layout
     // uniform; assert so a future heteronuclear model fails loudly here.
-    assert_eq!(
-        (oi, band.len()),
-        (4 * i, 4 * n),
-        "band assembly assumes 4 orbitals per atom"
-    );
+    assert_eq!(oi, 4 * i, "band assembly assumes 4 orbitals per atom");
     for (k, &ek) in model.on_site(s.species(i)).iter().enumerate() {
         band[k * n + oi + k] = ek;
     }
     for (nb, t) in bonds.entries(nl, i) {
-        if t.v.iter().all(|&x| x == 0.0) {
+        let oj = index.offset(nb.j);
+        if t.v.iter().all(|&x| x == 0.0) || (lower && oj > oi) {
             continue;
         }
         let b = sk_block(nb.disp.to_array(), t.v);
-        let oj = index.offset(nb.j);
         for (mu, row) in b.iter().enumerate() {
             for (nu, &x) in row.iter().enumerate() {
-                band[mu * n + oj + nu] += x;
+                if !lower || oj + nu <= oi + mu {
+                    band[mu * n + oj + nu] += x;
+                }
             }
         }
     }

@@ -17,7 +17,7 @@ use crate::model::TbModel;
 use crate::occupations::OccupationScheme;
 use crate::stages::solve_occupied;
 use crate::workspace::{DenseCache, Workspace};
-use tbmd_linalg::Matrix;
+use tbmd_linalg::{Matrix, RowStore};
 use tbmd_structure::Structure;
 use tbmd_trace::HealthRecord;
 
@@ -65,7 +65,7 @@ fn sampled_pair(
     n: usize,
     full: usize,
 ) -> Option<(usize, Vec<f64>, Option<Vec<f64>>)> {
-    let fits = n > 0 && ws.h.rows() == n;
+    let fits = n > 0 && ws.h_lower.layout().dim == n;
     match ws.dense_cache {
         DenseCache::Sliced { occupied } if fits && occupied > 0 && ws.probe_pair.len() == 2 * n => {
             let (v, other) = ws.probe_pair.split_at(n);
@@ -75,7 +75,9 @@ fn sampled_pair(
                 (occupied > 1).then(|| other.to_vec()),
             ))
         }
-        DenseCache::Full { occupied } if fits && ws.h.cols() == n && occupied <= n => {
+        DenseCache::Full { occupied }
+            if fits && ws.h.rows() == n && ws.h.cols() == n && occupied <= n =>
+        {
             let other = (n > 1).then(|| ws.h.col(DenseCache::neighbour(full, n)));
             Some((full, ws.h.col(full), other))
         }
@@ -104,9 +106,10 @@ pub fn eigensolver_health(
     let index = OrbitalIndex::new(s);
     let nl = ws.neighbors.list();
     ws.bonds.fill(model, nl);
-    assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut ws.h);
-    // Pristine copy: the solvers overwrite their input in place.
-    let h0 = ws.h.clone();
+    assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut ws.h_lower);
+    // The pristine `H` whole: the solvers overwrite their input in place.
+    let mut h0 = Matrix::default();
+    assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut h0);
     let mut timings = PhaseTimings::default();
     solve_occupied(
         &mut ws,

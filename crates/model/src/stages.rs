@@ -45,8 +45,8 @@ use crate::slater_koster::{sk_block_gradient, Hoppings};
 use crate::units::KB_EV;
 use crate::workspace::{DenseCache, Workspace};
 use tbmd_linalg::{
-    eigh_into, kernels, reduced_eigenvalues_into, stream_reduced_eigenvectors, team,
-    tridiagonalize_blocked_into, Matrix, Strip, Vec3,
+    eigh_into, kernels, reduced_eigenvalues_beside_t_factors, reduced_eigenvalues_into,
+    stream_reduced_eigenvectors, team, tridiagonalize_blocked_into, Matrix, RowStore, Strip, Vec3,
 };
 use tbmd_structure::{Neighbor, NeighborList, Structure};
 use tbmd_trace::{Counter, Hist, Phase};
@@ -102,37 +102,46 @@ pub fn epilogue(grown: usize, timings: &PhaseTimings, unspanned: &[Phase]) {
     }
 }
 
-/// The spectrum stage of the dense solve: `ws.h` → `ws.values`, ascending.
-/// Returns whether the two-stage branch ran.
+/// The spectrum stage of the dense solve: `ws.h_lower` → `ws.values`,
+/// ascending. Returns whether the two-stage branch ran.
 ///
-/// [`DenseSolver::TwoStage`] at `n ≥` [`TWO_STAGE_MIN_DIM`] reduces `ws.h`
-/// to tridiagonal form (the reflectors stay packed in it, the factor in
-/// `ws.eigh`) and takes the complete spectrum from the factor. Below the
-/// crossover, and for [`DenseSolver::FullQl`], the one-stage solve
-/// overwrites `ws.h` with all `n` eigenvectors. An energy-only evaluation
-/// ([`crate::TbCalculator::energy`]) stops here; [`solve_occupied`] goes on
-/// to the eigenvectors, so both read the same bits in `ws.values`.
-pub fn spectrum(ws: &mut Workspace, solver: DenseSolver) -> Result<bool, TbError> {
+/// [`DenseSolver::TwoStage`] at `n ≥` [`TWO_STAGE_MIN_DIM`] reduces
+/// `ws.h_lower` to tridiagonal form (the reflectors stay packed in it, the
+/// factor in `ws.eigh`) and takes the complete spectrum from the factor,
+/// with the back-transform's T factors formed beside it if `t_factors`
+/// ([`reduced_eigenvalues_beside_t_factors`]). Below the crossover, and for
+/// [`DenseSolver::FullQl`], the one-stage solve copies the triangle into
+/// `ws.h` and overwrites it with all `n` eigenvectors. An energy-only
+/// evaluation ([`crate::TbCalculator::energy`]) stops here;
+/// [`solve_occupied`] goes on to the eigenvectors, so both read the same
+/// bits in `ws.values`.
+pub fn spectrum(ws: &mut Workspace, solver: DenseSolver, t_factors: bool) -> Result<bool, TbError> {
     let two_stage = match solver {
-        DenseSolver::TwoStage => ws.h.rows() >= TWO_STAGE_MIN_DIM,
+        DenseSolver::TwoStage => ws.h_lower.layout().dim >= TWO_STAGE_MIN_DIM,
         DenseSolver::FullQl => false,
     };
     if two_stage {
-        tridiagonalize_blocked_into(&mut ws.h, &mut ws.eigh);
-        reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
+        tridiagonalize_blocked_into(&mut ws.h_lower, &mut ws.eigh);
+        if t_factors {
+            reduced_eigenvalues_beside_t_factors(&ws.h_lower, &mut ws.eigh, &mut ws.values)?;
+        } else {
+            reduced_eigenvalues_into(&mut ws.eigh, &mut ws.values)?;
+        }
     } else {
+        ws.grown += usize::from(ws.h_lower.copy_into(&mut ws.h));
         eigh_into(&mut ws.h, &mut ws.values, &mut ws.eigh)?;
     }
     Ok(two_stage)
 }
 
-/// Diagonalize `ws.h` for the occupied subspace under one `Diagonalize`
+/// Diagonalize `ws.h_lower` for the occupied subspace under one `Diagonalize`
 /// span. `timings.density` gets the time the strip consumer spent adding
 /// `ρ` ([`RhoBlocks::add_strip`], on whichever thread held the strip's
 /// turn) and `timings.diagonalize` the span's time less that, so the two
 /// add up to the span.
 ///
-/// After [`spectrum`], the two-stage branch streams only the `k` states the
+/// After [`spectrum`] (T factors formed beside the eigenvalues on a lease of
+/// two threads or more), the two-stage branch streams only the `k` states the
 /// occupations keep (`f > 10⁻¹²`, exactly the set the density filter keeps;
 /// `k = n` is simply a full solve) strip by strip into `ρ` on the bond
 /// blocks of `ws.neighbors` ([`RhoBlocks::add_strip`]), so no `n × k` block
@@ -150,17 +159,21 @@ pub fn solve_occupied(
 ) -> Result<Occupations, TbError> {
     let sp = tbmd_trace::span(Phase::Diagonalize);
     let mut rho_time = std::time::Duration::ZERO;
-    let two_stage = spectrum(ws, solver)?;
+    let two_stage = spectrum(ws, solver, true)?;
     let occ = occupations(&ws.values, n_electrons, occupation);
     let occupied = occupied_count(&occ.f);
     ws.dense_cache = if two_stage {
-        let (nl, n, f) = (ws.neighbors.list(), ws.h.rows(), &occ.f[..occupied]);
+        let (nl, n, f) = (
+            ws.neighbors.list(),
+            ws.h_lower.layout().dim,
+            &occ.f[..occupied],
+        );
         let (rho, pair) = (&mut ws.rho_blocks, &mut ws.probe_pair);
         let probed = [occupied / 2, DenseCache::neighbour(occupied / 2, occupied)];
         pair.resize(2 * n, 0.0);
         rho.lay_out(nl, index);
         let lambda = &ws.values[..occupied];
-        stream_reduced_eigenvectors(&ws.h, lambda, 0, &mut ws.eigh, |strip| {
+        stream_reduced_eigenvectors(&ws.h_lower, lambda, 0, &mut ws.eigh, |strip| {
             let started = std::time::Instant::now();
             rho.add_strip(nl, index, &strip, f);
             rho_time += started.elapsed();

@@ -15,9 +15,10 @@
 //! * **bond table** — the radial terms of every neighbour-list entry and
 //!   every atom's embedding ([`BondTable`]), refilled in place each
 //!   evaluation.
-//! * **matrices** — the H/eigenvector buffer (diagonalized in place) is
-//!   reused across steps via [`Matrix::resize_zeroed`], and `ρ`, kept on
-//!   the bond blocks alone ([`RhoBlocks`]), is refilled in place.
+//! * **matrices** — `H`'s lower triangle ([`LowerTriangle`], reduced in
+//!   place) is reused across steps
+//!   ([`tbmd_linalg::RowStore::resize_square`]), and `ρ`, kept on the bond
+//!   blocks alone ([`RhoBlocks`]), is refilled in place.
 //! * **eigensolver scratch** — subdiagonal and sort-permutation buffers for
 //!   [`tbmd_linalg::eigh_into`], the tridiagonal factor, and the two-stage
 //!   solver's inverse-iteration buffers and per-thread staging bands, which
@@ -29,7 +30,7 @@
 
 use crate::stages::{BondTable, RhoBlocks};
 use std::collections::BTreeSet;
-use tbmd_linalg::{EighWorkspace, Matrix, Vec3};
+use tbmd_linalg::{EighWorkspace, LowerTriangle, Matrix, Vec3};
 use tbmd_structure::{Cell, NeighborList, Structure};
 
 /// Where (if anywhere) the last evaluation left a consumable set of dense
@@ -47,8 +48,8 @@ pub enum DenseCache {
     /// Two-stage sliced solve: the `occupied` eigenvectors were streamed
     /// into `ρ`, and only the probe's sampled pair (column `occupied / 2`
     /// and its [`DenseCache::neighbour`]) was copied out of its strips; the
-    /// full spectrum is in [`Workspace::values`], and [`Workspace::h`]
-    /// holds packed reflectors (not `H`).
+    /// full spectrum is in [`Workspace::values`], and
+    /// [`Workspace::h_lower`] holds packed reflectors (not `H`).
     Sliced {
         /// Number of occupied states the solve streamed.
         occupied: usize,
@@ -230,9 +231,15 @@ pub struct Workspace {
     /// atom's embedding, filled once per evaluation in the Hamiltonian
     /// phase; the H build, the forces and the stress read them.
     pub bonds: BondTable,
-    /// Hamiltonian buffer. The full-QL path overwrites it in place with the
-    /// eigenvector matrix; the two-stage path leaves the packed Householder
-    /// reflectors of the blocked reduction in it.
+    /// `H`'s lower triangle, as the H stage assembles it. The two-stage path
+    /// leaves the packed Householder reflectors of the blocked reduction in
+    /// it.
+    pub h_lower: LowerTriangle,
+    /// The one-stage solve's `n × n` buffer (below
+    /// [`crate::TWO_STAGE_MIN_DIM`], or [`crate::DenseSolver::FullQl`]):
+    /// `H`'s lower triangle copied in, all eigenvectors out. The frozen
+    /// benchmark's twin also builds a full `H` here; that path leaves with
+    /// ROADMAP item 7 (g).
     pub h: Matrix,
     /// An `n_orb × k` eigenvector block, the reference
     /// [`crate::density_matrix_into`]'s `W = C·diag(√(2f))` and its full
@@ -272,7 +279,8 @@ impl Workspace {
     }
 
     /// Number of times an `n_orb`-sized buffer had to grow its allocation:
-    /// `H`, the health probe's `H` (both counted in `grown`) and the
+    /// `H`, the one-stage buffer, the health probe's `H` (all counted in
+    /// `grown`) and the
     /// eigenvector stage's staging bands
     /// ([`EighWorkspace::large_alloc_events`]). Stays constant after the
     /// first evaluation of the largest system seen — the O(1)-allocations
@@ -289,7 +297,8 @@ impl Workspace {
 
     /// The bytes the dense pipeline's buffers hold, by buffer.
     pub fn bytes(&self) -> WorkspaceBytes {
-        WorkspaceBytes::of(&self.h, &self.eigh, &self.bonds, &self.rho_blocks)
+        let h = self.h_lower.heap_bytes() + self.h.heap_bytes();
+        WorkspaceBytes::of(h, &self.eigh, &self.bonds, &self.rho_blocks)
     }
 }
 
@@ -298,8 +307,8 @@ impl Workspace {
 /// `strips` one strip at a time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspaceBytes {
-    /// The Hamiltonian buffer `h` (`n × n`; eigenvectors or packed
-    /// reflectors after a solve).
+    /// `H`: its lower triangle (packed reflectors after a two-stage solve),
+    /// plus the one-stage solve's `n × n` buffer where one ran.
     pub h: usize,
     /// The eigenvector stage's staging bands: one strip of at most
     /// `STRIP_COLS` (96) vectors of length `n` per thread that ran one (more
@@ -315,11 +324,11 @@ pub struct WorkspaceBytes {
 }
 
 impl WorkspaceBytes {
-    /// The bytes of one engine's buffers: a [`Workspace`]'s or a
-    /// distributed rank's.
-    pub fn of(h: &Matrix, eigh: &EighWorkspace, bonds: &BondTable, rho: &RhoBlocks) -> Self {
+    /// The bytes of one engine's buffers, `h` those of `H`: a
+    /// [`Workspace`]'s or a distributed rank's.
+    pub fn of(h: usize, eigh: &EighWorkspace, bonds: &BondTable, rho: &RhoBlocks) -> Self {
         WorkspaceBytes {
-            h: h.heap_bytes(),
+            h,
             strips: eigh.strip_bytes(),
             eigensolver: eigh.heap_bytes() - eigh.strip_bytes(),
             bonds: bonds.heap_bytes(),
@@ -390,6 +399,28 @@ mod tests {
         s.positions_mut()[3] -= Vec3::new(edge, 0.0, 0.0);
         assert_eq!(nw.update(&s, 4.16), NeighborOutcome::Rebuilt);
         assert_eq!(bits(nw.list()), bits(&NeighborList::build(&s, 4.16)));
+    }
+
+    #[test]
+    fn h_is_one_packed_triangle_grown_once() {
+        // Perturbed Si-64 (the perfect crystal's degenerate clusters widen
+        // strips by thread timing): 256 orbitals, rows of 8(m + 1) doubles
+        // for m = r / 8, in all 64 · (1 + … + 32) doubles = 0.26 MiB, and 7
+        // to align them; no n × n buffer.
+        let (model, mut s) = (
+            crate::silicon_gsp(),
+            bulk_diamond(Species::Silicon, 2, 2, 2),
+        );
+        tbmd_structure::displacement_disorder(&mut s, 0.05, 64);
+        let calc = crate::TbCalculator::new(&model);
+        let mut ws = Workspace::new();
+        calc.compute_with(&s, &mut ws).unwrap();
+        assert_eq!(ws.bytes().h, 8 * (64 * (32 * 33 / 2) + 7));
+        let events = ws.large_alloc_events();
+        for _ in 0..5 {
+            calc.compute_with(&s, &mut ws).unwrap();
+            assert_eq!(ws.large_alloc_events(), events);
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn occupied_vectors(ws: &mut Workspace) -> (Matrix, usize) {
     match ws.dense_cache {
         DenseCache::Sliced { occupied } => {
             let mut z = Matrix::default();
-            reduced_eigenvectors_into(&ws.h, &ws.values[..occupied], &mut z, &mut ws.eigh);
+            reduced_eigenvectors_into(&ws.h_lower, &ws.values[..occupied], &mut z, &mut ws.eigh);
             (z, occupied)
         }
         DenseCache::Full { .. } => (ws.h.clone(), ws.h.cols()),

@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tbmd_linalg::{
     cluster_tolerance, reduced_eigenvalues_into, snap_range_to_clusters,
-    stream_reduced_eigenvectors, tridiagonalize_blocked_into, EighWorkspace, Matrix, Vec3,
+    stream_reduced_eigenvectors, tridiagonalize_blocked_into, EighWorkspace, LowerTriangle, Vec3,
 };
 use tbmd_model::{
     assemble_hamiltonian_into, bond_force, entropy_term, occupations, occupied_count, validate,
@@ -64,9 +64,9 @@ struct DenseRankSlot {
     replica: Replica,
     /// The radial terms of the replica's list and every atom's embedding.
     bonds: BondTable,
-    /// Full replicated Hamiltonian; holds the packed Householder reflectors
-    /// after the blocked reduction.
-    h: Matrix,
+    /// The replicated Hamiltonian's lower triangle; holds the packed
+    /// Householder reflectors after the blocked reduction.
+    h: LowerTriangle,
     /// Eigensolver scratch (blocked panels, inverse-iteration buffers).
     eigh: EighWorkspace,
     /// The whole spectrum, ascending (every rank computes the same bits).
@@ -128,7 +128,8 @@ impl<'m> DistributedTb<'m> {
     /// The bytes each rank's slot holds, by buffer.
     pub fn rank_bytes(&self) -> Vec<WorkspaceBytes> {
         let slots = lock(&self.slots);
-        let bytes = |s: &DenseRankSlot| WorkspaceBytes::of(&s.h, &s.eigh, &s.bonds, &s.rho);
+        let bytes =
+            |s: &DenseRankSlot| WorkspaceBytes::of(s.h.heap_bytes(), &s.eigh, &s.bonds, &s.rho);
         slots.iter().map(bytes).collect()
     }
 
