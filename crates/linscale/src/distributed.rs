@@ -1,4 +1,5 @@
-//! Distributed linear-scaling TBMD: the Chebyshev Fermi-operator engine on
+//! Distributed linear-scaling TBMD: the O(N) evaluation body
+//! ([`LinearScalingTb`]'s, the one the serial engine runs on one rank) on
 //! the virtual message-passing machine.
 //!
 //! This is the 1994 end-game: O(N) work *and* near-perfect spatial
@@ -6,20 +7,16 @@
 //! density-matrix columns of its own atoms on their localization regions
 //! (built locally from the replicated geometry — no halo exchange needed
 //! because the region Hamiltonian only requires positions). Communication is
-//! one positions broadcast, an `order`-length moment allreduce per pass for
-//! the chemical potential, scalar energy allreduces, and the force allgather —
-//! all independent of the O(N³) wall that throttled the dense engine's
-//! scaled speedup (experiments F1 vs F8).
+//! one positions broadcast (tag 300), an `order`-length moment allreduce per
+//! pass for the chemical potential (301), one energy allreduce (302) and the
+//! force allgather (303) — all independent of the O(N³) wall that throttled
+//! the dense engine's scaled speedup (experiments F1 vs F8).
 
-use crate::chebyshev::{grid_point, settle, Expansion, Window};
-use crate::engine::{AtomPass, AtomRegion, LinearScalingTb};
-use crate::sparse::SparseH;
+use crate::chebyshev::Window;
+use crate::engine::LinearScalingTb;
 use std::sync::{Mutex, PoisonError};
-use tbmd_model::{
-    bond_force, validate, BondTable, ForceEvaluation, ForceProvider, KeptCandidates, OrbitalIndex,
-    PhaseTimings, TbError, Workspace,
-};
-use tbmd_parallel::{gather_forces, partition_range, PhaseClock, RankControl, Replica, VmpStats};
+use tbmd_model::{validate, DenseCache, ForceEvaluation, ForceProvider, TbError, Workspace};
+use tbmd_parallel::{RankControl, Replica, VmpStats};
 use tbmd_structure::Structure;
 
 /// Report of the most recent distributed O(N) evaluation.
@@ -35,26 +32,6 @@ pub struct DistributedLinScaleReport {
     pub window: Window,
 }
 
-/// Per-rank persistent buffers of the O(N) engine: the replicated geometry
-/// with its amortized neighbour list, and the force accumulator (slot
-/// creation covers the warmup allocation burst).
-#[derive(Default)]
-struct LinScaleRankSlot {
-    replica: Replica,
-    /// The radial terms of the replica's list and every atom's embedding.
-    bonds: BondTable,
-    /// Region candidates of the replica.
-    regions: KeptCandidates,
-    /// This rank's force block.
-    forces_block: Vec<f64>,
-}
-
-impl AsMut<Replica> for LinScaleRankSlot {
-    fn as_mut(&mut self) -> &mut Replica {
-        &mut self.replica
-    }
-}
-
 /// Message-passing O(N) TBMD engine: a [`LinearScalingTb`] — its model,
 /// `kt`, `order` and `r_loc` — with its atoms sharded over ranks.
 pub struct DistributedLinearScalingTb<'m> {
@@ -64,8 +41,9 @@ pub struct DistributedLinearScalingTb<'m> {
     /// rank count each evaluation.
     pub ranks: RankControl,
     last_report: Mutex<Option<DistributedLinScaleReport>>,
-    /// One workspace slot per rank, persisted across steps.
-    slots: Mutex<Vec<LinScaleRankSlot>>,
+    /// One slot per rank, persisted across steps: the geometry replica and
+    /// the workspace the rank's body runs in.
+    slots: Mutex<Vec<(Replica, Workspace)>>,
 }
 
 impl<'m> DistributedLinearScalingTb<'m> {
@@ -93,125 +71,36 @@ impl ForceProvider for DistributedLinearScalingTb<'_> {
         self.evaluate_with(s, &mut Workspace::new())
     }
 
+    /// The O(N) body on every rank, each in its own slot's workspace, after
+    /// the positions broadcast (tag 300).
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        let LinearScalingTb {
-            model,
-            kt,
-            order,
-            r_loc,
-            window,
-            ..
-        } = self.engine;
-        validate(model, s)?;
+        validate(self.engine.model, s)?;
         // Per-rank workspaces hold the solve state; the caller's workspace
         // only carries growth accounting, never dense eigenpairs.
-        ws.dense_cache = tbmd_model::DenseCache::None;
-        let n_atoms = s.n_atoms();
-        // The last evaluation's grid point, the same on every rank.
-        let hint = self.last_report().map(|r| grid_point(r.mu, kt));
-
+        ws.dense_cache = DenseCache::None;
+        let last_mu = self.last_report().map(|r| r.mu);
         // The failure-detection window scales on the orbital count like the
         // dense engine's; for the O(N) engine this overestimates
         // the skew (conservative = slower detection of real faults, never
         // false positives), and it is capped either way.
         let launch = self.ranks.launch(
             &self.slots,
-            |_| 0,
-            4 * n_atoms,
+            300,
+            s,
+            4 * s.n_atoms(),
             ws,
-            |rank, slot: &mut LinScaleRankSlot| {
-                let mut timings = PhaseTimings::default();
-                let mut clock = PhaseClock::start();
-                // ---- Positions broadcast (geometry replication).
-                slot.replica
-                    .refresh(rank, 300, s, model.cutoff(), &mut clock, &mut timings);
-                let (local, nl) = slot.replica.geometry();
-                timings.neighbors = clock.lap(&mut timings);
-
-                let index = OrbitalIndex::new(local);
-                slot.bonds.fill(model, nl);
-                let h = SparseH::assemble(local, nl, model, &slot.bonds, &index);
-                let first = window(&h, kt, order);
-                let my_atoms = partition_range(n_atoms, rank.size(), rank.id());
-                timings.hamiltonian = clock.lap(&mut timings);
-
-                // ---- One pass over my atoms, settled after the moment
-                // allreduce (every rank sees the same global moments and
-                // decides alike), then ρ corrected to μ and my forces.
-                slot.regions.update(local, r_loc);
-                let regions: Vec<AtomRegion> = my_atoms
-                    .clone()
-                    .map(|a| AtomRegion::new(local, &h, &slot.regions, a, r_loc))
-                    .collect();
-                let n_electrons = local.n_electrons() as f64;
-                let (mut next, mut passes) = ((first, hint), 0);
-                let (win, g, fermi, mut atoms) = loop {
-                    let lap = clock.lap(&mut timings);
-                    timings.diagonalize += lap;
-                    let (w, g) = next;
-                    let e = g.map(|g| Expansion::new(w, g, kt));
-                    let mut moments = vec![0.0; w.order];
-                    let atoms: Vec<AtomPass> = regions
-                        .iter()
-                        .map(|region| {
-                            let atom = region.pass(nl, w, e.as_ref(), &mut moments);
-                            rank.count_flops(2 * region.step_ops(w.order - 1));
-                            atom
-                        })
-                        .collect();
-                    passes += 1;
-                    let lap = clock.lap(&mut timings);
-                    timings.density += lap;
-                    clock.blocked(|| rank.allreduce_sum(301, &mut moments));
-                    match settle(w, g, &moments, &h, order, kt, n_electrons) {
-                        Ok(fermi) => break (w, g.expect("settled at a grid point"), fermi, atoms),
-                        Err(rerun) => next = rerun,
-                    }
-                };
-                let band_partial: f64 = atoms.iter_mut().map(|a| a.at(fermi.mu - g)).sum();
-                let lap = clock.lap(&mut timings);
-                timings.diagonalize += lap;
-
-                let mut rep_partial = 0.0;
-                slot.forces_block.clear();
-                for (atom, a) in atoms.iter().zip(my_atoms.clone()) {
-                    rep_partial += slot.bonds.embedding(a).0;
-                    let fi = bond_force(nl, &slot.bonds, a, |j| atom.block(j));
-                    rank.count_flops(400 * nl.neighbors(a).len() as u64);
-                    slot.forces_block.extend_from_slice(&fi.to_array());
-                }
-                // `passes` passes of order − 1 steps, one matvec per owned
-                // orbital column each.
-                let my_orbitals: usize = my_atoms.map(|a| local.species(a).n_orbitals()).sum();
-                tbmd_trace::add(
-                    tbmd_trace::Counter::ChebyshevMatvecs,
-                    (my_orbitals * passes * (win.order - 1)) as u64,
-                );
-                let mut energy_parts = vec![band_partial, rep_partial];
-                clock.blocked(|| rank.allreduce_sum(302, &mut energy_parts));
-                let forces = gather_forces(rank, 303, &slot.forces_block, &mut clock);
-                timings.forces = clock.lap(&mut timings);
-
-                let energy = energy_parts[0] + energy_parts[1] + fermi.entropy_term;
-                Ok(forces.map(|forces| ((energy, forces, fermi.mu, win), timings)))
-            },
+            |rank, local, ws| self.engine.evaluate_on(rank, local, ws, last_mu),
         )?;
-
-        let (energy, forces, mu, win) = launch.result;
         *self
             .last_report
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(DistributedLinScaleReport {
             stats: launch.stats,
-            mu,
+            mu: launch.result.mu,
             n_ranks: launch.n_ranks,
-            window: win,
+            window: launch.result.window,
         });
-        Ok(ForceEvaluation {
-            energy,
-            forces,
-            timings: launch.timings,
-        })
+        Ok(launch.eval)
     }
 
     fn provider_name(&self) -> &str {
@@ -246,14 +135,20 @@ mod tests {
             let shared = engine(&model, 120, 5.0);
             let a = shared.evaluate(&s).unwrap();
             let b = dist.evaluate(&s).unwrap();
+            // One rank runs the serial body: the same bits. Three sum the
+            // moments in another order.
+            let close = |x: f64, y: f64| match p {
+                1 => x.to_bits() == y.to_bits(),
+                _ => (x - y).abs() < 1e-12,
+            };
             assert!(
-                (a.energy - b.energy).abs() < 1e-12,
+                close(a.energy, b.energy),
                 "p={p}: {} vs {}",
                 a.energy,
                 b.energy
             );
             for (fa, fb) in a.forces.iter().zip(&b.forces) {
-                assert!((*fa - *fb).max_abs() < 1e-12, "p={p}");
+                assert!((0..3).all(|k| close(fa[k], fb[k])), "p={p}");
             }
         }
     }

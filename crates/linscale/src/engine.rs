@@ -41,12 +41,13 @@ use crate::chebyshev::{grid_point, settle, window, BlockRecurrence, Expansion, W
 use crate::sparse::{LocalRegion, SparseH};
 use std::sync::{Mutex, PoisonError};
 use tbmd_linalg::kernels::Block4;
-use tbmd_linalg::{team, Vec3};
+use tbmd_linalg::team;
 use tbmd_model::{
-    bond_force, prologue, validate, ForceEvaluation, ForceProvider, KeptCandidates, OrbitalIndex,
-    PhaseTimings, TbError, TbModel, Workspace,
+    bond_forces, prologue, validate, Collectives, DenseCache, ForceEvaluation, ForceProvider,
+    KeptCandidates, OrbitalIndex, PhaseTimings, Solo, TbError, TbModel, Workspace,
 };
 use tbmd_structure::{NeighborList, Structure};
+use tbmd_trace::{Counter, Phase};
 
 /// Diagnostics of the most recent evaluation (for experiment F5).
 #[derive(Debug, Clone)]
@@ -87,8 +88,6 @@ pub struct LinearScalingTb<'m> {
     pub r_loc: f64,
     /// [`window`]: a crate test plants a narrower one to trip the guard.
     pub(crate) window: fn(&SparseH, f64, usize) -> Window,
-    /// Region candidates kept across evaluations.
-    regions: Mutex<KeptCandidates>,
     last_report: Mutex<Option<LinScaleReport>>,
 }
 
@@ -102,7 +101,6 @@ impl<'m> LinearScalingTb<'m> {
             order: 350,
             r_loc: f64::INFINITY,
             window,
-            regions: Mutex::default(),
             last_report: Mutex::new(None),
         }
     }
@@ -294,103 +292,92 @@ impl AtomPass {
     }
 }
 
-impl ForceProvider for LinearScalingTb<'_> {
-    fn evaluate(&self, s: &Structure) -> Result<ForceEvaluation, TbError> {
-        self.evaluate_with(s, &mut Workspace::new())
-    }
-
-    /// Workspace-threaded evaluation. Only the neighbour machinery is
-    /// amortized here, with the engine's region candidates (the Chebyshev
-    /// recurrence buffers are per-atom and per-thread); the kept list is bit
-    /// for bit a fresh build and the members are picked by the same rule,
-    /// so results are identical to the cold path.
-    fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
-        validate(self.model, s)?;
-        // O(N) path: no dense eigenpairs ever land in this workspace.
-        ws.dense_cache = tbmd_model::DenseCache::None;
+impl LinearScalingTb<'_> {
+    /// The O(N) evaluation of rank `c` of its handle's ranks, the one body
+    /// both engines run: neighbours, the block `H` and the [`window`] →
+    /// the regions of the rank's [`Collectives::share`] of the atoms → one
+    /// pass over them in [`MOMENT_CHUNK`] chunks on [`team::map`], at the
+    /// grid point of `last_mu` (the last evaluation's μ) first → the moment
+    /// allreduce (tag 301) and [`settle`], again at μ's grid point if that
+    /// was not it → ρ carried to μ → the rank's forces, the band and
+    /// repulsive energy allreduce (302) and the force gather (303). Rank 0
+    /// gets the evaluation and the report; its region and matvec counts are
+    /// the rank's own.
+    pub(crate) fn evaluate_on<C: Collectives>(
+        &self,
+        c: &mut C,
+        s: &Structure,
+        ws: &mut Workspace,
+        last_mu: Option<f64>,
+    ) -> Result<Option<(ForceEvaluation, LinScaleReport)>, TbError> {
+        let (model, kt, r_loc) = (self.model, self.kt, self.r_loc);
         let mut timings = PhaseTimings::default();
-        let model = self.model;
-        let n_atoms = s.n_atoms();
-
-        prologue(model, s, ws, &mut timings);
+        prologue(c, model, s, ws, &mut timings);
         let nl = ws.neighbors.list();
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
         let index = OrbitalIndex::new(s);
         ws.bonds.fill(model, nl);
         let h = SparseH::assemble(s, nl, model, &ws.bonds, &index);
         // The window is chosen once (μ enters only through coefficients).
-        let first = (self.window)(&h, self.kt, self.order);
+        let first = (self.window)(&h, kt, self.order);
         // Localization regions, one per atom (shared by its 4 columns).
-        // An update cut short leaves the previous candidates and reference.
-        let mut candidates = self.regions.lock().unwrap_or_else(PoisonError::into_inner);
-        candidates.update(s, self.r_loc);
-        let regions: Vec<AtomRegion> = (0..n_atoms)
-            .map(|a| AtomRegion::new(s, &h, &candidates, a, self.r_loc))
+        let atoms = c.share(s.n_atoms());
+        ws.regions.update(s, r_loc);
+        let regions: Vec<AtomRegion> = atoms
+            .clone()
+            .map(|a| AtomRegion::new(s, &h, &ws.regions, a, r_loc))
             .collect();
-        drop(candidates);
-        timings.hamiltonian = sp.finish();
+        timings.hamiltonian = c.lap(Phase::Hamiltonian, &mut timings.communication);
 
-        // ---- One pass per atom at the last evaluation's grid point, again
-        // at μ's if that was not it (see `settle`): moments, then μ from
-        // them, then ρ corrected from the expansion point to μ.
         let width = team::width();
         let n_electrons = s.n_electrons() as f64;
-        let hint = self.last_report().map(|r| grid_point(r.mu, self.kt));
-        let (mut next, mut passes) = ((first, hint), 0);
-        let (win, g, fermi, mut atoms) = loop {
-            let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
+        let (mut next, mut passes) = ((first, last_mu.map(|mu| grid_point(mu, kt))), 0);
+        let (win, g, fermi, mut passed) = loop {
             let (w, g) = next;
-            let e = g.map(|g| Expansion::new(w, g, self.kt));
-            let chunks = team::map(width, n_atoms.div_ceil(MOMENT_CHUNK), |c| {
+            let e = g.map(|g| Expansion::new(w, g, kt));
+            let chunks = team::map(width, regions.len().div_ceil(MOMENT_CHUNK), |k| {
                 let mut moments = vec![0.0; w.order];
-                let chunk = c * MOMENT_CHUNK..((c + 1) * MOMENT_CHUNK).min(n_atoms);
-                let atoms: Vec<AtomPass> = chunk
-                    .map(|a| regions[a].pass(nl, w, e.as_ref(), &mut moments))
+                let chunk = regions.chunks(MOMENT_CHUNK).nth(k).expect("a chunk");
+                let passed: Vec<AtomPass> = chunk
+                    .iter()
+                    .map(|region| region.pass(nl, w, e.as_ref(), &mut moments))
                     .collect();
-                (moments, atoms)
+                (moments, passed)
             });
             passes += 1;
-            timings.density += sp.finish();
-            let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-            let (mut moments, mut atoms) = (vec![0.0; w.order], Vec::with_capacity(n_atoms));
+            timings.density += c.lap(Phase::Density, &mut timings.communication);
+            let (mut moments, mut passed) = (vec![0.0; w.order], Vec::with_capacity(regions.len()));
             for (m, chunk) in chunks {
                 moments.iter_mut().zip(&m).for_each(|(x, y)| *x += y);
-                atoms.extend(chunk);
+                passed.extend(chunk);
             }
-            let settled = settle(w, g, &moments, &h, self.order, self.kt, n_electrons);
-            timings.diagonalize += sp.finish();
+            c.allreduce_sum(301, &mut moments);
+            let settled = settle(w, g, &moments, &h, self.order, kt, n_electrons);
+            timings.diagonalize += c.lap(Phase::Diagonalize, &mut timings.communication);
             match settled {
-                Ok(fermi) => break (w, g.expect("settled at a grid point"), fermi, atoms),
+                Ok(fermi) => break (w, g.expect("settled at a grid point"), fermi, passed),
                 Err(rerun) => next = rerun,
             }
         };
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Diagonalize);
-        let band_energy: f64 = atoms.iter_mut().map(|a| a.at(fermi.mu - g)).sum();
-        timings.diagonalize += sp.finish();
+        let band: f64 = passed.iter_mut().map(|a| a.at(fermi.mu - g)).sum();
+        timings.diagonalize += c.lap(Phase::Diagonalize, &mut timings.communication);
         // `passes` passes of order − 1 steps, one matvec per orbital column
         // each.
         let steps = passes * (win.order - 1);
         let total_matvec_ops: u64 = regions.iter().map(|r| r.step_ops(steps)).sum();
-        tbmd_trace::add(
-            tbmd_trace::Counter::ChebyshevMatvecs,
-            (index.total() * steps) as u64,
-        );
-        tbmd_trace::add(tbmd_trace::Counter::KernelFlops, 2 * total_matvec_ops);
+        let orbitals: usize = atoms.clone().map(|a| s.species(a).n_orbitals()).sum();
+        tbmd_trace::add(Counter::ChebyshevMatvecs, (orbitals * steps) as u64);
+        tbmd_trace::add(Counter::KernelFlops, 2 * total_matvec_ops);
+
+        c.count_flops(2 * total_matvec_ops);
 
         // ---- Forces: electronic from local ρ blocks + repulsive gather.
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let bonds = &ws.bonds;
-        let e_rep = bonds.repulsive_energy();
-        let forces: Vec<Vec3> = team::map(width, n_atoms, |i| {
-            bond_force(nl, bonds, i, |j| atoms[i].block(j))
-        });
-        timings.forces = sp.finish();
-
-        *self
-            .last_report
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(LinScaleReport {
+        let start = atoms.start;
+        let (forces, rep) = bond_forces(c, nl, &ws.bonds, atoms, |i, j| passed[i - start].block(j));
+        let mut energy = vec![band, rep];
+        c.allreduce_sum(302, &mut energy);
+        let forces = c.gather_forces(303, forces);
+        timings.forces = c.lap(Phase::Forces, &mut timings.communication);
+        let report = LinScaleReport {
             mu: fermi.mu,
             electron_count: fermi.electron_count,
             entropy_term: fermi.entropy_term,
@@ -399,12 +386,40 @@ impl ForceProvider for LinearScalingTb<'_> {
             total_matvec_ops,
             passes,
             window: win,
-        });
-        Ok(ForceEvaluation {
-            energy: band_energy + e_rep + fermi.entropy_term,
+        };
+        let energy = energy[0] + energy[1] + fermi.entropy_term;
+        let eval = |forces| ForceEvaluation {
+            energy,
             forces,
             timings,
-        })
+        };
+        Ok(forces.map(|forces| (eval(forces), report)))
+    }
+}
+
+impl ForceProvider for LinearScalingTb<'_> {
+    fn evaluate(&self, s: &Structure) -> Result<ForceEvaluation, TbError> {
+        self.evaluate_with(s, &mut Workspace::new())
+    }
+
+    /// The O(N) body (`LinearScalingTb::evaluate_on`) on one rank
+    /// ([`Solo`]). Only the neighbour machinery and the region candidates
+    /// are amortized in `ws` (the Chebyshev recurrence buffers are per-atom
+    /// and per-thread); both are bit for bit a fresh build, so results are
+    /// identical to the cold path.
+    fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
+        validate(self.model, s)?;
+        // O(N) path: no dense eigenpairs ever land in this workspace.
+        ws.dense_cache = DenseCache::None;
+        let last_mu = self.last_report().map(|r| r.mu);
+        let (eval, report) = self
+            .evaluate_on(&mut Solo::start(), s, ws, last_mu)?
+            .expect("a lone rank gathers every force");
+        *self
+            .last_report
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(report);
+        Ok(eval)
     }
 
     fn provider_name(&self) -> &str {
@@ -417,6 +432,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tbmd_linalg::Vec3;
     use tbmd_model::{silicon_gsp, OccupationScheme, TbCalculator};
     use tbmd_structure::{bulk_diamond, Species};
 

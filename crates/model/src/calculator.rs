@@ -21,26 +21,32 @@
 //!    solve below 96 orbitals runs a density stage after the solve;
 //! 5. **forces** — O(N·z) contraction of `ρ` with `∂H/∂R` plus the
 //!    repulsive-potential forces, one atom per task, from the same table
-//!    ([`dense_forces`]).
+//!    ([`bond_forces`]).
 //!
 //! The fan-outs take [`tbmd_linalg::team::width`] threads, and an atom's
 //! table row, band or force is the same bits on whichever thread runs it,
 //! so a width-1 lease and a wide one give the same result.
 //!
-//! The same phase structure is what `tbmd-parallel` distributes; the stages
+//! The phases are one body, [`TbCalculator::compute_on`], written against
+//! the [`Collectives`] handle: the calculator runs it on one rank ([`Solo`]),
+//! `tbmd-parallel`'s distributed engine on each of its ranks. The stages
 //! themselves live in [`crate::stages`].
 
+use crate::collectives::{Collectives, Solo};
 use crate::hamiltonian::{assemble_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
-use crate::occupations::{occupations, OccupationScheme, Occupations};
+use crate::occupations::{occupations, occupied_count, OccupationScheme, Occupations};
 use crate::stages::{
-    bond_contraction, bond_density, dense_forces, entropy_term, epilogue, occupied_factor_into,
-    prologue, solve_occupied, spectrum, validate,
+    bond_contraction, bond_density, bond_forces, entropy_term, epilogue, occupied_factor_into,
+    prologue, spectrum, validate,
 };
 use crate::workspace::{DenseCache, NeighborOutcome, Workspace};
-use std::time::Duration;
-use tbmd_linalg::{EigError, Matrix, Vec3};
+use std::time::{Duration, Instant};
+use tbmd_linalg::{
+    cluster_tolerance, snap_range_to_clusters, stream_reduced_eigenvectors, EigError, Matrix, Vec3,
+};
 use tbmd_structure::{NeighborList, Species, Structure};
+use tbmd_trace::{Counter, Phase};
 
 /// Errors from a tight-binding calculation.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,7 +232,7 @@ pub struct TbResult {
 /// at 96.
 pub const TWO_STAGE_MIN_DIM: usize = 96;
 
-/// Which dense symmetric eigensolver [`spectrum`] and [`solve_occupied`] run.
+/// Which dense symmetric eigensolver one rank's solve runs.
 ///
 /// Two values because one is the other's test reference: every engine a
 /// front end can build runs [`DenseSolver::TwoStage`], and no request line,
@@ -248,6 +254,15 @@ pub enum DenseSolver {
     /// (`tests/solver_equivalence.rs`, the health probe's unit tests)
     /// compare the two-stage solver against.
     FullQl,
+}
+
+impl DenseSolver {
+    /// Whether an `n`-orbital solve on one of `ranks` ranks is two-stage: a
+    /// rank's share of the occupied window needs it at any size, a lone rank
+    /// only from [`TWO_STAGE_MIN_DIM`] on and never for [`DenseSolver::FullQl`].
+    pub(crate) fn two_stage(self, n: usize, ranks: usize) -> bool {
+        ranks > 1 || (self == DenseSolver::TwoStage && n >= TWO_STAGE_MIN_DIM)
+    }
 }
 
 /// Dense Γ-point tight-binding calculator.
@@ -298,9 +313,8 @@ impl<'m> TbCalculator<'m> {
     /// Potential energy only: the calculator's own front half — neighbours →
     /// `H` → [`spectrum`] — on a fresh [`Workspace`], stopping before
     /// eigenvectors, density matrix and forces. The same bits as the
-    /// `energy` of [`TbCalculator::compute`]; like the health probe it opens
-    /// no phase span, so a listener still sees one sample per phase per
-    /// force evaluation.
+    /// `energy` of [`TbCalculator::compute`]; it opens no phase span, so a
+    /// listener still sees one sample per phase per force evaluation.
     pub fn energy(&self, s: &Structure) -> Result<f64, TbError> {
         validate(self.model, s)?;
         let mut ws = Workspace::new();
@@ -310,7 +324,7 @@ impl<'m> TbCalculator<'m> {
         ws.bonds.fill(self.model, nl);
         assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h_lower);
         let rep = ws.bonds.repulsive_energy();
-        spectrum(&mut ws, self.solver, false)?;
+        spectrum(&mut ws, self.solver.two_stage(index.total(), 1), false)?;
         let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
         let band = occ.band_energy(&ws.values);
         Ok(band + rep + entropy_term(self.occupation, occ.entropy))
@@ -324,14 +338,13 @@ impl<'m> TbCalculator<'m> {
         self.compute_with(s, &mut Workspace::new())
     }
 
-    /// The front half of the pipeline — neighbours → bond table and `H` →
-    /// solve → `ρ` — through a persistent [`Workspace`]. Leaves `ρ` on the
-    /// bond blocks of the neighbour list in [`Workspace::rho_blocks`]
-    /// ([`solve_occupied`] on the two-stage path, [`bond_density`] on the
-    /// one-stage one), the spectrum in `ws.values`, the neighbour list in
-    /// `ws.neighbors`, its radial terms in `ws.bonds` and the probe's
-    /// eigenpairs where `ws.dense_cache` says; everything downstream (forces,
-    /// stress, the health probe) reads those.
+    /// The front half of the evaluation — neighbours → bond table and `H` →
+    /// solve → `ρ` — on one rank ([`Solo`]) through a persistent
+    /// [`Workspace`]. Leaves `ρ` on the bond blocks of the neighbour list in
+    /// [`Workspace::rho_blocks`], the spectrum in `ws.values`, the neighbour
+    /// list in `ws.neighbors`, its radial terms in `ws.bonds` and the
+    /// probe's eigenpairs where `ws.dense_cache` says; the stress and the
+    /// health probe read those.
     pub fn density_with(
         &self,
         s: &Structure,
@@ -339,23 +352,128 @@ impl<'m> TbCalculator<'m> {
         timings: &mut PhaseTimings,
     ) -> Result<(OrbitalIndex, Occupations), TbError> {
         validate(self.model, s)?;
-        prologue(self.model, s, ws, timings);
+        self.density_on(&mut Solo::start(), s, ws, timings)
+    }
 
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Hamiltonian);
+    /// Full evaluation through a persistent [`Workspace`]: amortized
+    /// neighbour lists, reused matrix buffers, in-place eigensolve — the
+    /// dense body ([`TbCalculator::compute_on`]) on one rank. Bit for bit
+    /// [`TbCalculator::compute`]: the kept neighbour list is a fresh
+    /// build's.
+    pub fn compute_with(&self, s: &Structure, ws: &mut Workspace) -> Result<TbResult, TbError> {
+        validate(self.model, s)?;
+        let grown_before = ws.large_alloc_events();
+        let result = self.compute_on(&mut Solo::start(), s, ws)?;
+        let result = result.expect("a lone rank gathers every force");
+        epilogue(ws.large_alloc_events() - grown_before, &result.timings, &[]);
+        Ok(result)
+    }
+
+    /// The dense evaluation of rank `c` of its handle's ranks, the one body
+    /// every dense engine runs: the front half ([`TbCalculator::density_with`]
+    /// on any handle), then [`bond_forces`] on the rank's
+    /// [`Collectives::share`] of the atoms, the force gather (tag 103) and
+    /// the repulsive-energy allreduce (104). Rank 0 gets the result; the
+    /// spectrum and occupations are every rank's.
+    pub fn compute_on<C: Collectives>(
+        &self,
+        c: &mut C,
+        s: &Structure,
+        ws: &mut Workspace,
+    ) -> Result<Option<TbResult>, TbError> {
+        let mut timings = PhaseTimings::default();
+        let (_, occ) = self.density_on(c, s, ws, &mut timings)?;
+        let band = occ.band_energy(&ws.values);
+        let (nl, rho) = (ws.neighbors.list(), &ws.rho_blocks);
+        let atoms = c.share(nl.n_atoms());
+        let (forces, rep) = bond_forces(c, nl, &ws.bonds, atoms, |i, j| rho.block(i, j));
+        let mut rep = vec![rep];
+        let forces = c.gather_forces(103, forces);
+        c.allreduce_sum(104, &mut rep);
+        timings.forces = c.lap(Phase::Forces, &mut timings.communication);
+        let entropy_term = entropy_term(self.occupation, occ.entropy);
+        Ok(forces.map(|forces| TbResult {
+            energy: band + rep[0] + entropy_term,
+            band_energy: band,
+            repulsive_energy: rep[0],
+            entropy_term,
+            forces,
+            eigenvalues: ws.values.clone(),
+            occupations: occ,
+            timings,
+        }))
+    }
+
+    /// The front half of [`TbCalculator::compute_on`]: neighbours, the bond
+    /// table and `H` → [`spectrum`] → occupations → `ρ`, summed over the
+    /// ranks (tag 102).
+    ///
+    /// On the two-stage path ([`DenseSolver::two_stage`]) the rank streams
+    /// its [`Collectives::share`] of the `k` occupied states (`f > 10⁻¹²`),
+    /// snapped to cluster boundaries, strip by strip into `ρ`
+    /// ([`crate::RhoBlocks::add_strip`], time booked to the density phase)
+    /// and copies the health probe's sampled pair out of its strips. The
+    /// one-stage solve leaves all `n` eigenvectors in `ws.h` for
+    /// [`bond_density`].
+    fn density_on<C: Collectives>(
+        &self,
+        c: &mut C,
+        s: &Structure,
+        ws: &mut Workspace,
+        timings: &mut PhaseTimings,
+    ) -> Result<(OrbitalIndex, Occupations), TbError> {
+        prologue(c, self.model, s, ws, timings);
         let index = OrbitalIndex::new(s);
         let nl = ws.neighbors.list();
         ws.bonds.fill(self.model, nl);
         ws.grown += assemble_hamiltonian_into(s, nl, self.model, &ws.bonds, &index, &mut ws.h_lower)
             as usize;
-        timings.hamiltonian = sp.finish();
+        c.count_flops(60 * nl.n_entries() as u64 + 50 * s.n_atoms() as u64);
+        timings.hamiltonian = c.lap(Phase::Hamiltonian, &mut timings.communication);
 
-        let (n_electrons, occupation) = (s.n_electrons(), self.occupation);
-        let occ = solve_occupied(ws, &index, n_electrons, occupation, self.solver, timings)?;
+        let n = index.total();
+        let two_stage = self.solver.two_stage(n, c.size());
+        spectrum(ws, two_stage, true)?;
+        let occ = occupations(&ws.values, s.n_electrons(), self.occupation);
+        let k = occupied_count(&occ.f);
+        let mut rho_time = Duration::ZERO;
+        ws.dense_cache = if two_stage {
+            // The reduction, then QL's ≈ 30 n² for the eigenvalues alone.
+            c.count_flops(4 * (n as u64).pow(3) / 3 + 30 * (n as u64).pow(2));
+            let (d, e) = ws.eigh.tridiagonal_factor();
+            let window =
+                snap_range_to_clusters(&ws.values[..k], cluster_tolerance(d, e), c.share(k));
+            let (nl, lo, f) = (ws.neighbors.list(), window.start, &occ.f[window.clone()]);
+            let (rho, pair) = (&mut ws.rho_blocks, &mut ws.probe_pair);
+            let probed = [k / 2, DenseCache::neighbour(k / 2, k)].map(|j| j.wrapping_sub(lo));
+            pair.resize(2 * n, 0.0);
+            rho.lay_out(nl, &index);
+            let lambda = &ws.values[window.clone()];
+            stream_reduced_eigenvectors(&ws.h_lower, lambda, lo, &mut ws.eigh, |strip| {
+                let started = Instant::now();
+                rho.add_strip(nl, &index, &strip, f);
+                rho_time += started.elapsed();
+                for (v, j) in pair.chunks_exact_mut(n).zip(probed) {
+                    if strip.cols.contains(&j) {
+                        let col = j - strip.cols.start;
+                        v.iter_mut()
+                            .enumerate()
+                            .for_each(|(r, x)| *x = strip.row(r)[col]);
+                    }
+                }
+            });
+            let elements = rho.as_slice().len();
+            c.count_flops((window.len() * (4 * n * n + 2 * elements)) as u64);
+            tbmd_trace::add(Counter::KernelFlops, 2 * (elements * window.len()) as u64);
+            DenseCache::Sliced { occupied: k }
+        } else {
+            DenseCache::Full { occupied: k }
+        };
+        timings.diagonalize = c
+            .lap(Phase::Diagonalize, &mut timings.communication)
+            .saturating_sub(rho_time);
 
-        // The two-stage solve streamed ρ already, inside `Diagonalize`, and
-        // put that time in `timings.density`.
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Density);
-        if let DenseCache::Full { .. } = ws.dense_cache {
+        if !two_stage {
             bond_density(
                 ws.neighbors.list(),
                 &index,
@@ -364,36 +482,9 @@ impl<'m> TbCalculator<'m> {
                 &mut ws.rho_blocks,
             );
         }
-        timings.density += sp.finish();
+        c.allreduce_sum(102, ws.rho_blocks.values_mut());
+        timings.density = c.lap(Phase::Density, &mut timings.communication) + rho_time;
         Ok((index, occ))
-    }
-
-    /// Full evaluation through a persistent [`Workspace`]: amortized
-    /// neighbour lists, reused matrix buffers, in-place eigensolve.
-    /// Bit for bit [`TbCalculator::compute`]: the kept neighbour list is
-    /// a fresh build's.
-    pub fn compute_with(&self, s: &Structure, ws: &mut Workspace) -> Result<TbResult, TbError> {
-        let mut timings = PhaseTimings::default();
-        let grown_before = ws.large_alloc_events();
-        let (_, occ) = self.density_with(s, ws, &mut timings)?;
-        let band = occ.band_energy(&ws.values);
-
-        let sp = tbmd_trace::span(tbmd_trace::Phase::Forces);
-        let (rep, forces) = dense_forces(ws.neighbors.list(), &ws.bonds, &ws.rho_blocks);
-        timings.forces = sp.finish();
-
-        epilogue(ws.large_alloc_events() - grown_before, &timings, &[]);
-        let entropy_term = entropy_term(self.occupation, occ.entropy);
-        Ok(TbResult {
-            energy: band + rep + entropy_term,
-            band_energy: band,
-            repulsive_energy: rep,
-            entropy_term,
-            forces,
-            eigenvalues: ws.values.clone(),
-            occupations: occ,
-            timings,
-        })
     }
 }
 
@@ -420,7 +511,7 @@ pub fn density_matrix_into(vectors: &Matrix, f: &[f64], w: &mut Matrix, rho: &mu
 
 /// Band-structure (electronic) forces: `F_i = 2 Σ_{j∈nb(i)} ρ_ij : ∂B/∂d`.
 /// With [`repulsive_energy_forces`] this is the scatter-form reference the
-/// pipeline's gather-form [`dense_forces`] is tested against; both evaluate
+/// pipeline's gather-form [`bond_forces`] is tested against; both evaluate
 /// the model per distance rather than through a
 /// [`crate::stages::BondTable`], so they share no radial code with it.
 ///

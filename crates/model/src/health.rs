@@ -11,11 +11,10 @@
 //! is one extra evaluation-sized solve, so it runs on a stride (see
 //! `RecorderConfig` in `tbmd-core`), not every step.
 
-use crate::calculator::{DenseSolver, PhaseTimings, TbError};
+use crate::calculator::{DenseSolver, PhaseTimings, TbCalculator, TbError};
 use crate::hamiltonian::{assemble_hamiltonian_into, OrbitalIndex};
 use crate::model::TbModel;
 use crate::occupations::OccupationScheme;
-use crate::stages::solve_occupied;
 use crate::workspace::{DenseCache, Workspace};
 use tbmd_linalg::{Matrix, RowStore};
 use tbmd_structure::Structure;
@@ -85,9 +84,9 @@ fn sampled_pair(
     }
 }
 
-/// Solve the structure's eigenproblem with the production solver path
-/// ([`solve_occupied`]) and report residual + orthogonality of a sampled
-/// occupied eigenpair.
+/// Solve the structure's eigenproblem with the production solver path (the
+/// front half of the dense body, [`TbCalculator::density_with`]) and
+/// report residual + orthogonality of a sampled occupied eigenpair.
 ///
 /// `step` is carried through into the [`HealthRecord`] so the JSONL line
 /// lands at the right place in the run stream. The probe allocates its own
@@ -102,28 +101,18 @@ pub fn eigensolver_health(
     step: usize,
 ) -> Result<HealthRecord, TbError> {
     let mut ws = Workspace::new();
-    ws.neighbors.update(s, model.cutoff());
-    let index = OrbitalIndex::new(s);
-    let nl = ws.neighbors.list();
-    ws.bonds.fill(model, nl);
-    assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut ws.h_lower);
-    // The pristine `H` whole: the solvers overwrite their input in place.
-    let mut h0 = Matrix::default();
-    assemble_hamiltonian_into(s, nl, model, &ws.bonds, &index, &mut h0);
-    let mut timings = PhaseTimings::default();
-    solve_occupied(
-        &mut ws,
-        &index,
-        s.n_electrons(),
-        occupation,
-        solver,
-        &mut timings,
-    )?;
+    let mut calc = TbCalculator::with_occupation(model, occupation);
+    calc.solver = solver;
+    calc.density_with(s, &mut ws, &mut PhaseTimings::default())?;
     // Middle of the solved window (all `n` states after a one-stage solve):
     // clear of both the deflation-prone band edges and the Fermi-window
     // boundary.
+    let index = OrbitalIndex::new(s);
     let n = index.total();
-    let pair = sampled_pair(&ws, n, n / 2).expect("solve_occupied leaves eigenvectors");
+    let pair = sampled_pair(&ws, n, n / 2).expect("the solve leaves eigenvectors");
+    // The pristine `H` whole: the solvers overwrite their input in place.
+    let mut h0 = Matrix::default();
+    assemble_hamiltonian_into(s, ws.neighbors.list(), model, &ws.bonds, &index, &mut h0);
     Ok(probe(&h0, &ws.values, pair, step))
 }
 

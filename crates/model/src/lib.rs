@@ -11,6 +11,7 @@
 pub mod bands;
 pub mod calculator;
 pub mod carbon;
+pub mod collectives;
 pub mod hamiltonian;
 pub mod health;
 pub mod model;
@@ -33,6 +34,7 @@ pub use calculator::{
     PhaseTimings, TbCalculator, TbError, TbResult, TWO_STAGE_MIN_DIM,
 };
 pub use carbon::carbon_xwch;
+pub use collectives::{partition_range, Collectives, Solo};
 pub use hamiltonian::{
     assemble_hamiltonian_into, build_hamiltonian, build_hamiltonian_into, OrbitalIndex,
 };
@@ -46,8 +48,8 @@ pub use scaling::{CutoffTail, GspScaling, RadialFunction, RadialShape};
 pub use silicon::silicon_gsp;
 pub use slater_koster::{sk_block, sk_block_gradient, sk_transpose, Hoppings, SkBlock};
 pub use stages::{
-    bond_block_elements, bond_contraction, bond_density, bond_force, dense_forces, entropy_term,
-    epilogue, for_each_bond_block, prologue, solve_occupied, validate, BondTable, RhoBlocks,
+    bond_block_elements, bond_contraction, bond_density, bond_force, bond_forces, entropy_term,
+    epilogue, for_each_bond_block, prologue, spectrum, validate, BondTable, RhoBlocks,
 };
 pub use stress::{pressure, stress_from_density, stress_tensor, StressTensor, EV_PER_A3_TO_GPA};
 pub use units::{ACCEL_CONV, KB_EV};

@@ -1,22 +1,17 @@
 //! The stages of one tight-binding evaluation, each written once.
 //!
-//! Every engine in the workspace runs the same step — neighbours → `H` →
-//! solve → `ρ` → forces — and differs only in *where* the solve happens
-//! (one thread, a rank shard, a localization region). The parts
-//! that do not depend on that choice live here as plain functions:
+//! Every engine runs the same step — neighbours → `H` → solve → `ρ` →
+//! forces — as one body per method, written against the [`Collectives`]
+//! handle: the dense body is [`crate::TbCalculator::compute_on`], the O(N)
+//! one `tbmd-linscale`'s. The parts both methods share live here as plain
+//! functions:
 //!
 //! * [`validate`] — reject empty structures and unparametrized species;
-//! * [`prologue`] / [`epilogue`] — the neighbour-list update (the only
-//!   place the `Neighbors` span is opened) and the end-of-evaluation
-//!   accounting (the only place off-thread phase clocks are fed to the
-//!   trace registry);
+//! * [`prologue`] / [`epilogue`] — the neighbour-list update, which closes
+//!   the `Neighbors` phase on the handle, and the end-of-evaluation
+//!   accounting (the only place rank clocks are fed to the trace registry);
 //! * [`spectrum`] — `H` → eigenvalues, the dense solve's first half and all
-//!   of an energy-only evaluation (the only place [`TWO_STAGE_MIN_DIM`] is
-//!   consulted and [`DenseSolver`] matched);
-//! * [`solve_occupied`] — the dense eigensolve for the occupied subspace:
-//!   spectrum → occupations → occupied eigenvectors, on the two-stage path
-//!   streamed strip by strip into `ρ` (the only place the [`DenseCache`]
-//!   marker is set and the `Diagonalize` span opened);
+//!   of an energy-only evaluation;
 //! * [`bond_density`] / [`RhoBlocks::add_strip`] — `ρ` on the blocks the
 //!   force and stress contractions read, into the only store of `ρ` an
 //!   engine keeps ([`RhoBlocks`]): one block per atom and one per
@@ -29,24 +24,20 @@
 //! * [`bond_contraction`] / [`bond_force`] — `ρ_ij : ∂B/∂d` for one bond and
 //!   the gather-form force on one atom from the bond table, generic over how
 //!   a 4×4 block of `ρ` is read (bond blocks, dense reference matrix, local
-//!   O(N) blocks); [`dense_forces`] maps it over the atoms.
-//!
-//! [`crate::TbCalculator::compute_with`] strings them into the one dense
-//! Γ-point pipeline; the distributed and O(N) engines call the same leaves
-//! around their own solves.
+//!   O(N) blocks); [`bond_forces`] maps it over a block of atoms.
 
-use crate::calculator::{DenseSolver, PhaseTimings, TbError, TWO_STAGE_MIN_DIM};
+use crate::calculator::{PhaseTimings, TbError};
+use crate::collectives::Collectives;
 use crate::hamiltonian::OrbitalIndex;
 use crate::model::{BondTerms, TbModel};
-use crate::occupations::{
-    occupations, occupied_count, OccupationScheme, Occupations, OCCUPATION_DROP_TOL,
-};
+use crate::occupations::{OccupationScheme, OCCUPATION_DROP_TOL};
 use crate::slater_koster::{sk_block_gradient, Hoppings};
 use crate::units::KB_EV;
-use crate::workspace::{DenseCache, Workspace};
+use crate::workspace::Workspace;
+use std::ops::Range;
 use tbmd_linalg::{
-    eigh_into, kernels, reduced_eigenvalues_beside_t_factors, reduced_eigenvalues_into,
-    stream_reduced_eigenvectors, team, tridiagonalize_blocked_into, Matrix, RowStore, Strip, Vec3,
+    eigh_into, kernels, reduced_eigenvalues_beside_t_factors, reduced_eigenvalues_into, team,
+    tridiagonalize_blocked_into, Matrix, Strip, Vec3,
 };
 use tbmd_structure::{Neighbor, NeighborList, Structure};
 use tbmd_trace::{Counter, Hist, Phase};
@@ -72,19 +63,20 @@ pub fn validate(model: &dyn TbModel, s: &Structure) -> Result<(), TbError> {
     Ok(())
 }
 
-/// Neighbour prologue of an evaluation on the calling thread: bring
-/// `ws.neighbors` up to date with `s` under the `Neighbors` span and note
-/// the outcome in `timings`.
-pub fn prologue(
+/// The neighbour stage every body opens with: bring `ws.neighbors` up to
+/// date with `s`, note the outcome in `timings` and close the `Neighbors`
+/// phase on `c` (after a distributed rank's positions broadcast, whose wait
+/// the rank's clock books as communication).
+pub fn prologue<C: Collectives>(
+    c: &mut C,
     model: &dyn TbModel,
     s: &Structure,
     ws: &mut Workspace,
     timings: &mut PhaseTimings,
 ) {
-    let sp = tbmd_trace::span(Phase::Neighbors);
-    let outcome = ws.neighbors.update(s, model.cutoff());
-    timings.neighbors = sp.finish();
-    timings.note_neighbors(outcome);
+    timings.note_neighbors(ws.neighbors.update(s, model.cutoff()));
+    c.count_flops(10 * ws.neighbors.list().n_entries() as u64);
+    timings.neighbors = c.lap(Phase::Neighbors, &mut timings.communication);
 }
 
 /// Evaluation epilogue: surface `grown` large-buffer growth events, and feed
@@ -103,23 +95,18 @@ pub fn epilogue(grown: usize, timings: &PhaseTimings, unspanned: &[Phase]) {
 }
 
 /// The spectrum stage of the dense solve: `ws.h_lower` → `ws.values`,
-/// ascending. Returns whether the two-stage branch ran.
+/// ascending.
 ///
-/// [`DenseSolver::TwoStage`] at `n ≥` [`TWO_STAGE_MIN_DIM`] reduces
-/// `ws.h_lower` to tridiagonal form (the reflectors stay packed in it, the
-/// factor in `ws.eigh`) and takes the complete spectrum from the factor,
-/// with the back-transform's T factors formed beside it if `t_factors`
-/// ([`reduced_eigenvalues_beside_t_factors`]). Below the crossover, and for
-/// [`DenseSolver::FullQl`], the one-stage solve copies the triangle into
-/// `ws.h` and overwrites it with all `n` eigenvectors. An energy-only
-/// evaluation ([`crate::TbCalculator::energy`]) stops here;
-/// [`solve_occupied`] goes on to the eigenvectors, so both read the same
-/// bits in `ws.values`.
-pub fn spectrum(ws: &mut Workspace, solver: DenseSolver, t_factors: bool) -> Result<bool, TbError> {
-    let two_stage = match solver {
-        DenseSolver::TwoStage => ws.h_lower.layout().dim >= TWO_STAGE_MIN_DIM,
-        DenseSolver::FullQl => false,
-    };
+/// The `two_stage` path (`DenseSolver::two_stage`) reduces `ws.h_lower`
+/// to tridiagonal form (the reflectors stay packed in it, the factor in
+/// `ws.eigh`) and takes the complete spectrum from the factor, with the
+/// back-transform's T factors formed beside it if `t_factors`
+/// ([`reduced_eigenvalues_beside_t_factors`]). The one-stage solve copies
+/// the triangle into `ws.h` and overwrites it with all `n` eigenvectors. An
+/// energy-only evaluation ([`crate::TbCalculator::energy`]) stops here; the
+/// dense body goes on to the eigenvectors, so both read the same bits in
+/// `ws.values`.
+pub fn spectrum(ws: &mut Workspace, two_stage: bool, t_factors: bool) -> Result<(), TbError> {
     if two_stage {
         tridiagonalize_blocked_into(&mut ws.h_lower, &mut ws.eigh);
         if t_factors {
@@ -131,72 +118,7 @@ pub fn spectrum(ws: &mut Workspace, solver: DenseSolver, t_factors: bool) -> Res
         ws.grown += usize::from(ws.h_lower.copy_into(&mut ws.h));
         eigh_into(&mut ws.h, &mut ws.values, &mut ws.eigh)?;
     }
-    Ok(two_stage)
-}
-
-/// Diagonalize `ws.h_lower` for the occupied subspace under one `Diagonalize`
-/// span. `timings.density` gets the time the strip consumer spent adding
-/// `ρ` ([`RhoBlocks::add_strip`], on whichever thread held the strip's
-/// turn) and `timings.diagonalize` the span's time less that, so the two
-/// add up to the span.
-///
-/// After [`spectrum`] (T factors formed beside the eigenvalues on a lease of
-/// two threads or more), the two-stage branch streams only the `k` states the
-/// occupations keep (`f > 10⁻¹²`, exactly the set the density filter keeps;
-/// `k = n` is simply a full solve) strip by strip into `ρ` on the bond
-/// blocks of `ws.neighbors` ([`RhoBlocks::add_strip`]), so no `n × k` block
-/// is held, and copies the health probe's sampled pair out of its strips;
-/// the one-stage branch already left all `n` eigenvectors in `ws.h`, for
-/// [`bond_density`]. Either way the spectrum is in `ws.values` and
-/// `ws.dense_cache` says which branch ran.
-pub fn solve_occupied(
-    ws: &mut Workspace,
-    index: &OrbitalIndex,
-    n_electrons: usize,
-    occupation: OccupationScheme,
-    solver: DenseSolver,
-    timings: &mut PhaseTimings,
-) -> Result<Occupations, TbError> {
-    let sp = tbmd_trace::span(Phase::Diagonalize);
-    let mut rho_time = std::time::Duration::ZERO;
-    let two_stage = spectrum(ws, solver, true)?;
-    let occ = occupations(&ws.values, n_electrons, occupation);
-    let occupied = occupied_count(&occ.f);
-    ws.dense_cache = if two_stage {
-        let (nl, n, f) = (
-            ws.neighbors.list(),
-            ws.h_lower.layout().dim,
-            &occ.f[..occupied],
-        );
-        let (rho, pair) = (&mut ws.rho_blocks, &mut ws.probe_pair);
-        let probed = [occupied / 2, DenseCache::neighbour(occupied / 2, occupied)];
-        pair.resize(2 * n, 0.0);
-        rho.lay_out(nl, index);
-        let lambda = &ws.values[..occupied];
-        stream_reduced_eigenvectors(&ws.h_lower, lambda, 0, &mut ws.eigh, |strip| {
-            let started = std::time::Instant::now();
-            rho.add_strip(nl, index, &strip, f);
-            rho_time += started.elapsed();
-            for (v, j) in pair.chunks_exact_mut(n).zip(probed) {
-                if strip.cols.contains(&j) {
-                    let c = j - strip.cols.start;
-                    v.iter_mut()
-                        .enumerate()
-                        .for_each(|(r, x)| *x = strip.row(r)[c]);
-                }
-            }
-        });
-        tbmd_trace::add(
-            Counter::KernelFlops,
-            2 * (rho.values.len() * occupied) as u64,
-        );
-        DenseCache::Sliced { occupied }
-    } else {
-        DenseCache::Full { occupied }
-    };
-    timings.diagonalize = sp.finish().saturating_sub(rho_time);
-    timings.density = rho_time;
-    Ok(occ)
+    Ok(())
 }
 
 /// The scaled eigenvector factor `W = C·diag(√(2 f))` restricted to the
@@ -602,17 +524,30 @@ pub fn bond_force<R: Fn(usize, usize) -> f64>(
     fi
 }
 
-/// The force stage of the dense pipeline: every atom's [`bond_force`]
-/// against the bond-block `rho`, one task per atom over [`team::width`]
-/// threads, and the repulsive energy [`BondTable::repulsive_energy`]. A task
-/// writes only its own atom's force in a fixed order, so the forces are the
-/// same bits at every width.
-pub fn dense_forces(nl: &NeighborList, bonds: &BondTable, rho: &RhoBlocks) -> (f64, Vec<Vec3>) {
-    let mut forces = vec![Vec3::ZERO; nl.n_atoms()];
-    team::chunks_for_each(team::width(), &mut forces, 1, |i, f| {
-        f[0] = bond_force(nl, bonds, i, |j| rho.block(i, j));
+/// The force stage of both evaluation bodies: the [`bond_force`] of each
+/// atom `i` in `atoms`, `rho_ij(i, j)` reading its block with neighbour `j`,
+/// one task per atom over [`team::width`] threads (counted on `c`), and
+/// their repulsive energy. A task writes only its own atom's force in a
+/// fixed order, so the forces are the same bits at every width.
+pub fn bond_forces<C: Collectives, R: Fn(usize, usize) -> f64>(
+    c: &C,
+    nl: &NeighborList,
+    bonds: &BondTable,
+    atoms: Range<usize>,
+    rho_ij: impl Fn(usize, usize) -> R + Sync,
+) -> (Vec<Vec3>, f64) {
+    c.count_flops(
+        atoms
+            .clone()
+            .map(|i| 400 * nl.neighbors(i).len() as u64)
+            .sum(),
+    );
+    let mut forces = vec![Vec3::ZERO; atoms.len()];
+    team::chunks_for_each(team::width(), &mut forces, 1, |a, f| {
+        let i = atoms.start + a;
+        f[0] = bond_force(nl, bonds, i, |j| rho_ij(i, j));
     });
-    (bonds.repulsive_energy(), forces)
+    (forces, atoms.map(|i| bonds.embedding(i).0).sum())
 }
 
 /// Test helper for the engines clocked through [`prologue`]/[`epilogue`]:

@@ -219,14 +219,17 @@ impl NeighborWorkspace {
     }
 }
 
-/// Persistent evaluation state for the dense engines: neighbour machinery,
-/// matrix buffers, the bond-block `ρ` and eigensolver scratch. Construct
+/// Persistent evaluation state of an evaluation body: neighbour machinery,
+/// matrix buffers, the bond-block `ρ` and eigensolver scratch (the O(N)
+/// body keeps its region candidates here too). Construct
 /// once per MD run and thread it through
 /// [`crate::provider::ForceProvider::evaluate_with`].
 #[derive(Default)]
 pub struct Workspace {
     /// Amortized neighbour lists.
     pub neighbors: NeighborWorkspace,
+    /// The O(N) engines' localization-region candidates, kept at `r_loc`.
+    pub regions: KeptCandidates,
     /// The radial terms of every entry of the neighbour list and every
     /// atom's embedding, filled once per evaluation in the Hamiltonian
     /// phase; the H build, the forces and the stress read them.
@@ -244,7 +247,7 @@ pub struct Workspace {
     /// An `n_orb × k` eigenvector block, the reference
     /// [`crate::density_matrix_into`]'s `W = C·diag(√(2f))` and its full
     /// `ρ = W·Wᵀ`: no engine touches them (the two-stage solve streams its
-    /// eigenvectors into `ρ`, [`crate::stages::solve_occupied`]); they serve
+    /// eigenvectors into `ρ`, [`crate::TbCalculator::compute_on`]); they serve
     /// the frozen benchmark's twin and leave with ROADMAP item 7 (g).
     pub c: Matrix,
     /// See `c`.
@@ -297,8 +300,13 @@ impl Workspace {
 
     /// The bytes the dense pipeline's buffers hold, by buffer.
     pub fn bytes(&self) -> WorkspaceBytes {
-        let h = self.h_lower.heap_bytes() + self.h.heap_bytes();
-        WorkspaceBytes::of(h, &self.eigh, &self.bonds, &self.rho_blocks)
+        WorkspaceBytes {
+            h: self.h_lower.heap_bytes() + self.h.heap_bytes(),
+            strips: self.eigh.strip_bytes(),
+            eigensolver: self.eigh.heap_bytes() - self.eigh.strip_bytes(),
+            bonds: self.bonds.heap_bytes(),
+            rho_blocks: self.rho_blocks.heap_bytes(),
+        }
     }
 }
 
@@ -324,18 +332,6 @@ pub struct WorkspaceBytes {
 }
 
 impl WorkspaceBytes {
-    /// The bytes of one engine's buffers, `h` those of `H`: a
-    /// [`Workspace`]'s or a distributed rank's.
-    pub fn of(h: usize, eigh: &EighWorkspace, bonds: &BondTable, rho: &RhoBlocks) -> Self {
-        WorkspaceBytes {
-            h,
-            strips: eigh.strip_bytes(),
-            eigensolver: eigh.heap_bytes() - eigh.strip_bytes(),
-            bonds: bonds.heap_bytes(),
-            rho_blocks: rho.heap_bytes(),
-        }
-    }
-
     /// All of them.
     pub fn total(&self) -> usize {
         self.h + self.strips + self.eigensolver + self.bonds + self.rho_blocks

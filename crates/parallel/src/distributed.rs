@@ -1,51 +1,43 @@
-//! The distributed-memory TBMD engine: a full tight-binding force evaluation
-//! executed by `P` ranks of the virtual message-passing machine.
+//! The distributed-memory TBMD engine: the dense evaluation body
+//! ([`TbCalculator::compute_on`], the one the serial calculator runs on one
+//! rank) run by `P` ranks of the virtual message-passing machine, each in
+//! its own slot's workspace.
 //!
 //! Decomposition (the replicated-data strategy of the early parallel TBMD
-//! codes, with a rank-sharded two-stage eigensolver):
+//! codes, with a rank-sharded two-stage eigensolver; message tags in
+//! parentheses):
 //!
-//! 1. **positions broadcast** — rank 0 broadcasts the 3N coordinates;
-//! 2. **H build** — every rank fills its own bond table (the radial terms of
-//!    every neighbour-list entry and every atom's embedding) and assembles
-//!    the full Hamiltonian from it and the replicated geometry (0 extra wire
-//!    bytes; broadcasting a rank-0 reduction would move `(n² + 3n)·8` bytes
-//!    instead, see DESIGN.md);
-//! 3. **diagonalize** — each rank runs the serial engine's spectrum stage on
-//!    its replica (blocked tridiagonalization, then QL on the factor for the
-//!    whole spectrum: 0 wire bytes), and inverse-iterates only its
-//!    `partition_range` shard of the occupied window, with shard boundaries
-//!    snapped to degenerate-cluster boundaries so the
-//!    Gram–Schmidt/Rayleigh–Ritz work of a cluster stays on one rank;
-//! 4. **density matrix** — each rank streams its owned eigenvectors' share
-//!    of ρ on the bond blocks of the replicated neighbour list strip by strip
-//!    ([`RhoBlocks::add_strip`], straight into the packed store), then a
-//!    sum-allreduce of the store replicates it: O(N·neighbours) wire bytes,
-//!    still the dominant volume, where the full matrix the era papers fought
-//!    is O(N²);
-//! 5. **forces** — each rank computes forces for its block of atoms from the
-//!    replicated ρ and its bond table; an allgather assembles the full force
-//!    vector.
+//! 1. **positions broadcast** (100) — rank 0 broadcasts the 3N coordinates
+//!    into every rank's replica, which updates its own neighbour list;
+//! 2. **H build** — every rank fills its own bond table and assembles the
+//!    full Hamiltonian from it (0 extra wire bytes; broadcasting a rank-0
+//!    reduction would move `(n² + 3n)·8` bytes instead, see DESIGN.md);
+//! 3. **diagonalize** — every rank takes the whole spectrum from its replica
+//!    (0 wire bytes) and inverse-iterates only its `partition_range` window
+//!    of the occupied states, snapped to degenerate-cluster boundaries so
+//!    the Gram–Schmidt/Rayleigh–Ritz work of a cluster stays on one rank;
+//! 4. **density matrix** (102) — the window's strips stream into ρ on the
+//!    bond blocks of the replicated list, then a sum-allreduce of the store
+//!    replicates it: O(N·neighbours) wire bytes, where the full matrix the
+//!    era papers fought is O(N²);
+//! 5. **forces** (103, 104) — each rank's block of atoms, an allgather of
+//!    the forces and an allreduce of the repulsive energy.
 //!
-//! Wall-clock speedups are not the point on a 2-vCPU host whose ranks
-//! time-share its cores (see DESIGN.md): the engine's value is numerical
-//! equivalence to the serial reference (pinned by tests) plus *measured*
-//! message/byte/flop counts that the era cost model converts into
-//! Delta/Paragon/CM-5 scaling estimates.
+//! On one rank the collectives move nothing and the body is bit for bit the
+//! serial engine's. Wall-clock speedups are not the point on a 2-vCPU host
+//! whose ranks time-share its cores (see DESIGN.md): the engine's value is
+//! numerical equivalence to the serial reference (pinned by tests) plus
+//! *measured* message/byte/flop counts that the era cost model converts
+//! into Delta/Paragon/CM-5 scaling estimates.
 
-use crate::ranks::{gather_forces, lock, PhaseClock, RankControl, Replica};
-use crate::vmp::{partition_range, Rank, VmpStats};
+use crate::ranks::{lock, RankControl, Replica};
+use crate::vmp::VmpStats;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-use tbmd_linalg::{
-    cluster_tolerance, reduced_eigenvalues_into, snap_range_to_clusters,
-    stream_reduced_eigenvectors, tridiagonalize_blocked_into, EighWorkspace, LowerTriangle, Vec3,
-};
 use tbmd_model::{
-    assemble_hamiltonian_into, bond_force, entropy_term, occupations, occupied_count, validate,
-    BondTable, DenseCache, ForceEvaluation, ForceProvider, OccupationScheme, OrbitalIndex,
-    PhaseTimings, RhoBlocks, TbCalculator, TbError, TbModel, Workspace, WorkspaceBytes,
+    validate, DenseCache, ForceEvaluation, ForceProvider, OccupationScheme, OrbitalIndex,
+    TbCalculator, TbError, TbModel, Workspace, WorkspaceBytes,
 };
-use tbmd_structure::{NeighborList, Structure};
+use tbmd_structure::Structure;
 
 /// Report of the most recent distributed evaluation.
 #[derive(Debug, Clone)]
@@ -56,40 +48,6 @@ pub struct DistributedReport {
     pub n_ranks: usize,
 }
 
-/// Per-rank persistent buffers: everything a rank touches every step lives
-/// here and is reused across steps in the engine's slots.
-#[derive(Default)]
-struct DenseRankSlot {
-    /// Replicated geometry and its amortized neighbour list.
-    replica: Replica,
-    /// The radial terms of the replica's list and every atom's embedding.
-    bonds: BondTable,
-    /// The replicated Hamiltonian's lower triangle; holds the packed
-    /// Householder reflectors after the blocked reduction.
-    h: LowerTriangle,
-    /// Eigensolver scratch (blocked panels, inverse-iteration buffers).
-    eigh: EighWorkspace,
-    /// The whole spectrum, ascending (every rank computes the same bits).
-    values: Vec<f64>,
-    /// ρ on the bond blocks, the allreduce payload: the owned columns' share
-    /// before the allreduce, the replicated ρ after it.
-    rho: RhoBlocks,
-    /// This rank's force block (3 components per owned atom).
-    forces_block: Vec<f64>,
-    /// Buffer-growth events in this slot (O(1) after warmup).
-    grown: usize,
-}
-
-impl AsMut<Replica> for DenseRankSlot {
-    fn as_mut(&mut self) -> &mut Replica {
-        &mut self.replica
-    }
-}
-
-/// What a rank hands back: on rank 0 energy and forces, or the eigensolver
-/// failure every rank meets together on the same replicated factor.
-type RankResult = Result<Option<((f64, Vec<Vec3>), PhaseTimings)>, TbError>;
-
 /// Message-passing TBMD engine over the virtual machine.
 pub struct DistributedTb<'m> {
     model: &'m dyn TbModel,
@@ -98,8 +56,9 @@ pub struct DistributedTb<'m> {
     /// Rank count, fault plans, shrink/respawn.
     pub ranks: RankControl,
     last_report: Mutex<Option<DistributedReport>>,
-    /// One workspace slot per rank, persisted across steps.
-    slots: Mutex<Vec<DenseRankSlot>>,
+    /// One slot per rank, persisted across steps: the geometry replica and
+    /// the workspace the rank's body runs in.
+    slots: Mutex<Vec<(Replica, Workspace)>>,
 }
 
 impl<'m> DistributedTb<'m> {
@@ -125,129 +84,10 @@ impl<'m> DistributedTb<'m> {
         lock(&self.last_report).clone()
     }
 
-    /// The bytes each rank's slot holds, by buffer.
+    /// The bytes each rank's workspace holds, by buffer.
     pub fn rank_bytes(&self) -> Vec<WorkspaceBytes> {
-        let slots = lock(&self.slots);
-        let bytes =
-            |s: &DenseRankSlot| WorkspaceBytes::of(s.h.heap_bytes(), &s.eigh, &s.bonds, &s.rho);
-        slots.iter().map(bytes).collect()
+        lock(&self.slots).iter().map(|(_, ws)| ws.bytes()).collect()
     }
-
-    /// The two-stage sliced solve on one rank: replicated `H`, blocked
-    /// tridiagonalization and spectrum, sharded occupied eigenvectors, ρ
-    /// allreduce, force block.
-    fn sliced_rank(
-        &self,
-        s: &Structure,
-        index: &OrbitalIndex,
-        rank: &mut Rank,
-        slot: &mut DenseRankSlot,
-    ) -> RankResult {
-        let (me, psize) = (rank.id(), rank.size());
-        let model = self.model;
-        let n_orb = index.total();
-        let mut timings = PhaseTimings::default();
-        let mut clock = PhaseClock::start();
-
-        // ---- Phase 1: positions broadcast (geometry replication).
-        slot.replica
-            .refresh(rank, 100, s, model.cutoff(), &mut clock, &mut timings);
-        let (local, nl) = slot.replica.geometry();
-        timings.neighbors = clock.lap(&mut timings);
-
-        // ---- Phase 2: the rank's bond table, then the full replicated H
-        // (0 wire bytes; cheaper than broadcasting a rank-0 reduction, see
-        // DESIGN.md).
-        slot.bonds.fill(model, nl);
-        slot.grown +=
-            assemble_hamiltonian_into(local, nl, model, &slot.bonds, index, &mut slot.h) as usize;
-        rank.count_flops(60 * nl.n_entries() as u64 + 50 * s.n_atoms() as u64);
-        timings.hamiltonian = clock.lap(&mut timings);
-
-        // ---- Phase 3: the serial engine's spectrum stage on the replica.
-        // Every rank holds the same factor, so every rank gets the same
-        // spectrum — or the same error, before the next collective.
-        tridiagonalize_blocked_into(&mut slot.h, &mut slot.eigh);
-        reduced_eigenvalues_into(&mut slot.eigh, &mut slot.values)?;
-        // The reduction, then QL's ≈ 30 n² for the eigenvalues alone.
-        rank.count_flops(4 * (n_orb as u64).pow(3) / 3 + 30 * (n_orb as u64).pow(2));
-        let (d, e) = slot.eigh.tridiagonal_factor();
-        let ctol = cluster_tolerance(d, e);
-
-        // ---- Phase 4a: replicated occupations from the full spectrum
-        // (needed for the Fermi level before the occupied window is known).
-        let occ = occupations(&slot.values, s.n_electrons(), self.occupation);
-        let band = occ.band_energy(&slot.values);
-        let k = occupied_count(&occ.f);
-
-        // ---- Phase 4b: sharded occupied window, snapped to cluster
-        // boundaries so each degenerate cluster has one owner rank (its
-        // MGS/Rayleigh–Ritz stays local) and the offset-seeded inverse
-        // iteration reproduces the serial columns bitwise.
-        let raw = partition_range(k, psize, me);
-        let occ_vals = &slot.values[..k];
-        let lo = snap_range_to_clusters(occ_vals, ctol, raw.start..k).start;
-        let hi = snap_range_to_clusters(occ_vals, ctol, raw.end..k).start;
-        // Each strip of the shard adds its share of ρ on the bond blocks as
-        // it leaves the back-transform (the serial engine's stream); that
-        // time is the density phase's, as on the serial engine.
-        let (rho, f) = (&mut slot.rho, &occ.f[lo..hi]);
-        rho.lay_out(nl, index);
-        let mut rho_time = Duration::ZERO;
-        stream_reduced_eigenvectors(&slot.h, &slot.values[lo..hi], lo, &mut slot.eigh, |strip| {
-            let started = Instant::now();
-            rho.add_strip(nl, index, &strip, f);
-            rho_time += started.elapsed();
-        });
-        let streamed = (hi - lo) * (4 * n_orb * n_orb + 2 * rho.as_slice().len());
-        rank.count_flops(streamed as u64);
-        timings.diagonalize = clock.lap(&mut timings).saturating_sub(rho_time);
-
-        // ---- Phase 4c: the allreduce of the store — every rank lays it out
-        // by the same list (`RankControl::launch` never lets replicas
-        // updated apart meet).
-        clock.blocked(|| rank.allreduce_sum(102, slot.rho.values_mut()));
-        timings.density = clock.lap(&mut timings) + rho_time;
-
-        // ---- Phase 5: forces for my atom block; allgather.
-        let (e_rep, forces) = force_phase(
-            rank,
-            &mut clock,
-            nl,
-            &slot.bonds,
-            &slot.rho,
-            &mut slot.forces_block,
-        );
-        timings.forces = clock.lap(&mut timings);
-        let energy = band + e_rep + entropy_term(self.occupation, occ.entropy);
-        Ok(forces.map(|forces| ((energy, forces), timings)))
-    }
-}
-
-/// Phase 5: gather-form forces ([`bond_force`]) for this rank's atom block
-/// from the replicated ρ and the rank's bond table, the force allgather and
-/// the repulsive-energy allreduce. Returns the repulsive energy and, on rank
-/// 0, the assembled forces.
-fn force_phase(
-    rank: &mut Rank,
-    clock: &mut PhaseClock,
-    nl: &NeighborList,
-    bonds: &BondTable,
-    rho: &RhoBlocks,
-    block: &mut Vec<f64>,
-) -> (f64, Option<Vec<Vec3>>) {
-    let my_atoms = partition_range(nl.n_atoms(), rank.size(), rank.id());
-    let my_rep_energy: f64 = my_atoms.clone().map(|i| bonds.embedding(i).0).sum();
-    block.clear();
-    for i in my_atoms {
-        let fi = bond_force(nl, bonds, i, |j| rho.block(i, j));
-        rank.count_flops(400 * nl.neighbors(i).len() as u64);
-        block.extend_from_slice(&fi.to_array());
-    }
-    let forces = gather_forces(rank, 103, block, clock);
-    let mut e_parts = vec![my_rep_energy];
-    clock.blocked(|| rank.allreduce_sum(104, &mut e_parts));
-    (e_parts[0], forces)
 }
 
 impl ForceProvider for DistributedTb<'_> {
@@ -257,29 +97,26 @@ impl ForceProvider for DistributedTb<'_> {
         self.evaluate_with(s, &mut Workspace::new())
     }
 
+    /// The dense body ([`TbCalculator::compute_on`]) on every rank, each
+    /// in its own slot's workspace, after the positions broadcast (tag
+    /// 100).
     fn evaluate_with(&self, s: &Structure, ws: &mut Workspace) -> Result<ForceEvaluation, TbError> {
         validate(self.model, s)?;
         // The solve happens in per-rank workspaces; the caller's workspace
         // never receives dense eigenpairs.
         ws.dense_cache = DenseCache::None;
-        let index = OrbitalIndex::new(s);
-        let launch = self.ranks.launch(
-            &self.slots,
-            |slot| slot.grown + slot.eigh.large_alloc_events(),
-            index.total(),
-            ws,
-            |rank, slot| self.sliced_rank(s, &index, rank, slot),
-        )?;
-        let (energy, forces) = launch.result;
+        let calc = TbCalculator::with_occupation(self.model, self.occupation);
+        let n_orb = OrbitalIndex::new(s).total();
+        let launch = self
+            .ranks
+            .launch(&self.slots, 100, s, n_orb, ws, |rank, local, ws| {
+                Ok(calc.compute_on(rank, local, ws)?.map(|r| (r.into(), ())))
+            })?;
         *lock(&self.last_report) = Some(DistributedReport {
             stats: launch.stats,
             n_ranks: launch.n_ranks,
         });
-        Ok(ForceEvaluation {
-            energy,
-            forces,
-            timings: launch.timings,
-        })
+        Ok(launch.eval)
     }
 
     /// Eigenvalues-only energy on the calling thread — a line-search trial
@@ -409,10 +246,13 @@ mod tests {
         let index = OrbitalIndex::new(&s);
         let n = index.total();
         let slots = lock(&dist.slots);
-        for slot in slots.iter() {
-            let nl = slot.replica.geometry().1;
-            assert_eq!(slot.rho.as_slice().len(), bond_block_elements(nl, &index));
-            assert_eq!(slot.eigh.strip_bytes(), 8 * (96 * n + 7));
+        for (_, ws) in slots.iter() {
+            let nl = ws.neighbors.list();
+            assert_eq!(
+                ws.rho_blocks().as_slice().len(),
+                bond_block_elements(nl, &index)
+            );
+            assert_eq!(ws.eigh.strip_bytes(), 8 * (96 * n + 7));
         }
     }
 

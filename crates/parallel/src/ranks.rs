@@ -1,10 +1,12 @@
 //! What every replicated-data engine on the virtual machine needs besides
-//! its solve: the rank-control block (fault plans, shrink/respawn), the
-//! launch bookkeeping around a virtual-machine run (failure-detection
-//! window, per-rank slots), the per-rank geometry replica, the phase clock
-//! that carves collective waits out of compute phases, and the force
-//! gather. [`crate::DistributedTb`] and `tbmd-linscale`'s distributed O(N)
-//! engine are both written on top of these.
+//! its evaluation body: the rank-control block (fault plans,
+//! shrink/respawn) and the launch around a virtual-machine run
+//! (failure-detection window, one slot per rank of a geometry [`Replica`]
+//! and the [`Workspace`] its body runs in). A body is written once against
+//! `tbmd_model::Collectives`, which [`Rank`] implements with the machine's
+//! messages and a phase clock that carves collective waits out of the
+//! compute phases. [`crate::DistributedTb`] and `tbmd-linscale`'s
+//! distributed O(N) engine both launch through [`RankControl::launch`].
 
 use crate::vmp::{
     default_recv_timeout, vmp_run_opts, FaultPlan, Rank, VmpFault, VmpOptions, VmpStats,
@@ -12,10 +14,9 @@ use crate::vmp::{
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 use tbmd_linalg::Vec3;
-use tbmd_model::{epilogue, NeighborWorkspace, PhaseTimings, TbError, Workspace};
-use tbmd_structure::{NeighborList, Structure};
+use tbmd_model::{epilogue, ForceEvaluation, TbError, Workspace};
+use tbmd_structure::Structure;
 use tbmd_trace::Phase;
 
 /// Lock `m`, poisoned or not: whatever a panicking holder left behind is
@@ -121,29 +122,33 @@ impl RankControl {
     /// Launch one evaluation over the active ranks: take the due fault,
     /// choose the failure-detection window — [`DEFAULT_FAULT_RECV_TIMEOUT`]
     /// when a fault fires, else [`default_recv_timeout`] for an
-    /// `n_orb`-dimensional problem — hand rank `i` `&mut slots[i]` (grown to
-    /// the active count; replicas reset first if an earlier failure or
-    /// re-shard may have left them apart) and map a failed launch to
-    /// [`TbError::RankFailure`]. Rank 0 returns the assembled result and its
-    /// per-phase clocks — the canonical wall-clock view (per-rank spans
-    /// would add up time-shared threads), fed to the trace registry here,
-    /// once — or the error it met computing them, which is returned as is
-    /// (a rank that fails must do so together with rank 0, before the next
-    /// collective, or its peers wait out the window). Slot growth (new slots plus `grown` per slot) lands in
-    /// `ws.grown`, so the O(1)-allocation guarantee stays observable through
-    /// the uniform `Workspace::large_alloc_events`.
-    pub fn launch<S, T>(
+    /// `n_orb`-dimensional problem — and map a failed launch to
+    /// [`TbError::RankFailure`]. Rank `i` owns `slots[i]` (grown to the
+    /// active count; every replica starts over if an earlier failure or
+    /// re-shard may have left them apart): it takes the positions of `s`
+    /// broadcast under `tag` into its replica ([`Replica::refresh`]), then
+    /// runs `f` on them and its workspace. Rank 0 returns the assembled
+    /// evaluation and what else its engine reports, or the error it met,
+    /// returned as is (a rank that fails must do so together with rank 0,
+    /// before the next collective, or its peers wait out the window). Rank
+    /// 0's phase clocks, the canonical wall-clock view (per-rank spans would
+    /// add up time-shared threads), are fed to the trace registry here, and
+    /// slot growth (new slots and each workspace's large allocations) lands
+    /// in `ws.grown`, where `Workspace::large_alloc_events` reads it.
+    pub fn launch<T: Send>(
         &self,
-        slots: &Mutex<Vec<S>>,
-        grown: fn(&S) -> usize,
+        slots: &Mutex<Vec<(Replica, Workspace)>>,
+        tag: u64,
+        s: &Structure,
         n_orb: usize,
         ws: &mut Workspace,
-        f: impl Fn(&mut Rank, &mut S) -> Result<Option<(T, PhaseTimings)>, TbError> + Sync,
-    ) -> Result<Launch<T>, TbError>
-    where
-        S: Default + Send + AsMut<Replica>,
-        T: Send,
-    {
+        f: impl Fn(
+                &mut Rank,
+                &Structure,
+                &mut Workspace,
+            ) -> Result<Option<(ForceEvaluation, T)>, TbError>
+            + Sync,
+    ) -> Result<Launch<T>, TbError> {
         let n_ranks = self.active_ranks();
         let fault = self.take_due_fault(n_ranks);
         let opts = VmpOptions {
@@ -154,18 +159,22 @@ impl RankControl {
             fault,
         };
         let mut slots = lock(slots);
-        let allocated = |slots: &[S]| slots.len() + slots.iter().map(grown).sum::<usize>();
+        let allocated = |slots: &[(Replica, Workspace)]| {
+            let grown = slots.iter().map(|(_, w)| w.large_alloc_events());
+            slots.len() + grown.sum::<usize>()
+        };
         let alloc_before = allocated(&slots);
         if slots.len() < n_ranks {
-            slots.resize_with(n_ranks, S::default);
+            slots.resize_with(n_ranks, Default::default);
         }
         if self.replicas_apart.swap(false, Ordering::SeqCst) {
-            for slot in slots.iter_mut() {
-                *slot.as_mut() = Replica::default();
+            for (replica, w) in slots.iter_mut() {
+                (*replica, w.neighbors) = Default::default();
             }
         }
-        let run = vmp_run_opts(&mut slots[..n_ranks], opts, |mut rank, slot| {
-            f(&mut rank, slot)
+        let run = vmp_run_opts(&mut slots[..n_ranks], opts, |mut rank, (replica, w)| {
+            let local = replica.refresh(&mut rank, tag, s);
+            f(&mut rank, local, w)
         });
         let (mut results, stats) = run.map_err(|e| {
             self.replicas_apart.store(true, Ordering::SeqCst);
@@ -176,13 +185,13 @@ impl RankControl {
         })?;
         let grew = allocated(&slots) - alloc_before;
         ws.grown += grew;
-        let (result, timings) = results
+        let (eval, result) = results
             .swap_remove(0)?
             .expect("rank 0 returns the assembled result");
-        epilogue(grew, &timings, &Phase::ALL);
+        epilogue(grew, &eval.timings, &Phase::ALL);
         Ok(Launch {
+            eval,
             result,
-            timings,
             stats,
             n_ranks,
         })
@@ -191,89 +200,43 @@ impl RankControl {
 
 /// Outcome of a successful [`RankControl::launch`].
 pub struct Launch<T> {
-    /// Rank 0's assembled result.
+    /// Rank 0's assembled evaluation, with its per-phase clocks.
+    pub eval: ForceEvaluation,
+    /// What else rank 0's engine reports.
     pub result: T,
-    /// Rank 0's per-phase clocks.
-    pub timings: PhaseTimings,
     /// Traffic and flop counters of the launch.
     pub stats: VmpStats,
     /// Ranks the launch ran on.
     pub n_ranks: usize,
 }
 
-/// Per-phase clock of one rank: compute time between laps, with the time
-/// blocked in collectives carved out into `timings.communication`.
-pub struct PhaseClock {
-    mark: Instant,
-    blocked: Duration,
-}
-
-impl PhaseClock {
-    /// Start clocking the first phase.
-    pub fn start() -> Self {
-        PhaseClock {
-            mark: Instant::now(),
-            blocked: Duration::ZERO,
-        }
-    }
-
-    /// Run a collective, booking its wall time as communication.
-    pub fn blocked<T>(&mut self, collective: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = collective();
-        self.blocked += t0.elapsed();
-        out
-    }
-
-    /// Close the current phase: its collective waits go to
-    /// `timings.communication`, the remaining compute time is returned.
-    pub fn lap(&mut self, timings: &mut PhaseTimings) -> Duration {
-        let compute = self.mark.elapsed() - self.blocked;
-        timings.communication += self.blocked;
-        self.blocked = Duration::ZERO;
-        self.mark = Instant::now();
-        compute
-    }
-}
-
-/// One rank's replica of the geometry: the structure (topology re-cloned
-/// only when the caller's structure changes shape) and its amortized
-/// neighbour list.
+/// One rank's replica of the geometry: the structure, its topology
+/// re-cloned only when the caller's structure changes shape. Its neighbour
+/// list is the one in the rank's workspace.
 #[derive(Default)]
-pub struct Replica {
-    local: Option<Structure>,
-    neighbors: NeighborWorkspace,
-}
+pub struct Replica(Option<Structure>);
 
 impl Replica {
-    /// Phase 1 of every replicated-data engine: rank 0 broadcasts the 3N
-    /// coordinates under `tag`, every rank overwrites its replica's
-    /// positions and brings its neighbour list up to date.
-    pub fn refresh(
-        &mut self,
-        rank: &mut Rank,
-        tag: u64,
-        s: &Structure,
-        cutoff: f64,
-        clock: &mut PhaseClock,
-        timings: &mut PhaseTimings,
-    ) {
+    /// The first step of every replicated-data evaluation: rank 0
+    /// broadcasts the 3N coordinates of `s` under `tag`, and every rank
+    /// overwrites its replica's positions with them.
+    pub fn refresh(&mut self, rank: &mut Rank, tag: u64, s: &Structure) -> &Structure {
         let mut pos_flat: Vec<f64> = if rank.id() == 0 {
             s.positions().iter().flat_map(|r| r.to_array()).collect()
         } else {
             vec![]
         };
-        clock.blocked(|| rank.broadcast(0, tag, &mut pos_flat));
+        rank.blocked(|rank| rank.broadcast(0, tag, &mut pos_flat));
         let n_atoms = s.n_atoms();
-        let stale = self.local.as_ref().is_none_or(|l| {
+        let stale = self.0.as_ref().is_none_or(|l| {
             l.n_atoms() != n_atoms
                 || l.cell() != s.cell()
                 || (0..n_atoms).any(|i| l.species(i) != s.species(i))
         });
         if stale {
-            self.local = Some(s.clone());
+            self.0 = Some(s.clone());
         }
-        let local = self.local.as_mut().expect("replica just ensured");
+        let local = self.0.as_mut().expect("replica just ensured");
         for (r, c) in local
             .positions_mut()
             .iter_mut()
@@ -281,38 +244,6 @@ impl Replica {
         {
             *r = Vec3::new(c[0], c[1], c[2]);
         }
-        let outcome = self.neighbors.update(local, cutoff);
-        timings.note_neighbors(outcome);
-        rank.count_flops(10 * self.neighbors.list().n_entries() as u64);
+        local
     }
-
-    /// The replicated structure and its neighbour list.
-    ///
-    /// # Panics
-    /// Panics before the first [`Replica::refresh`].
-    pub fn geometry(&self) -> (&Structure, &NeighborList) {
-        (
-            self.local.as_ref().expect("Replica::refresh not called"),
-            self.neighbors.list(),
-        )
-    }
-}
-
-/// Last phase of every replicated-data engine: allgather the per-rank force
-/// blocks (3 components per owned atom, in atom order) under `tag`; rank 0
-/// assembles the full force vector.
-pub fn gather_forces(
-    rank: &mut Rank,
-    tag: u64,
-    block: &[f64],
-    clock: &mut PhaseClock,
-) -> Option<Vec<Vec3>> {
-    let parts = clock.blocked(|| rank.allgather(tag, block));
-    (rank.id() == 0).then(|| {
-        parts
-            .iter()
-            .flat_map(|part| part.chunks_exact(3))
-            .map(|c| Vec3::new(c[0], c[1], c[2]))
-            .collect()
-    })
 }

@@ -21,7 +21,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use tbmd_linalg::Vec3;
+pub use tbmd_model::partition_range;
+use tbmd_model::Collectives;
+use tbmd_trace::Phase;
 
 /// Shared cancellation flag of one launch: set by the first rank that
 /// detects a failure (receive timeout, hung-up peer, or its own unwinding)
@@ -280,6 +284,11 @@ pub struct Rank {
     recv_timeout: Duration,
     /// Launch-wide cancellation flag; latched by the first failure.
     cancel: CancelToken,
+    /// The phase clock: the start of the current phase (the closure's
+    /// start, then the last [`Collectives::lap`]) and the time blocked in
+    /// collectives since.
+    phase_start: Instant,
+    phase_blocked: Duration,
 }
 
 impl Rank {
@@ -316,6 +325,14 @@ impl Rank {
         self.counters[self.id]
             .flops
             .fetch_add(flops, Ordering::Relaxed);
+    }
+
+    /// Run a collective, booking its wall time as communication.
+    pub(crate) fn blocked<T>(&mut self, collective: impl FnOnce(&mut Rank) -> T) -> T {
+        let t0 = Instant::now();
+        let out = collective(self);
+        self.phase_blocked += t0.elapsed();
+        out
     }
 
     /// Blocking tagged send of an `f64` payload.
@@ -526,6 +543,50 @@ impl Rank {
     }
 }
 
+/// A virtual machine's rank as the handle of an evaluation body: its
+/// collectives are the machine's, clocked as communication.
+impl Collectives for Rank {
+    fn id(&self) -> usize {
+        Rank::id(self)
+    }
+
+    fn size(&self) -> usize {
+        Rank::size(self)
+    }
+
+    fn allreduce_sum(&mut self, tag: u64, data: &mut Vec<f64>) {
+        self.blocked(|rank| rank.allreduce_sum(tag, data));
+    }
+
+    /// Allgather the blocks (3 components per atom, in atom order) under
+    /// `tag`; rank 0 assembles the full force vector.
+    fn gather_forces(&mut self, tag: u64, block: Vec<Vec3>) -> Option<Vec<Vec3>> {
+        let flat: Vec<f64> = block.iter().flat_map(|f| f.to_array()).collect();
+        let parts = self.blocked(|rank| rank.allgather(tag, &flat));
+        (self.id() == 0).then(|| {
+            parts
+                .iter()
+                .flat_map(|part| part.chunks_exact(3))
+                .map(|c| Vec3::new(c[0], c[1], c[2]))
+                .collect()
+        })
+    }
+
+    fn count_flops(&self, flops: u64) {
+        Rank::count_flops(self, flops);
+    }
+
+    /// The compute time since the last lap; the collective waits in it are
+    /// added to `communication`. Nothing is fed to the trace registry:
+    /// the launch feeds rank 0's clocks once.
+    fn lap(&mut self, _: Phase, communication: &mut Duration) -> Duration {
+        let compute = self.phase_start.elapsed() - self.phase_blocked;
+        *communication += std::mem::take(&mut self.phase_blocked);
+        self.phase_start = Instant::now();
+        compute
+    }
+}
+
 /// Lowest set bit of `v`, or `size.next_power_of_two()` for `v == 0`.
 fn lowest_set_bit_or_size(v: usize, size: usize) -> usize {
     if v == 0 {
@@ -589,7 +650,7 @@ where
             .zip(receivers)
             .enumerate()
             .map(|(id, (slot, receiver))| {
-                let rank = Rank {
+                let mut rank = Rank {
                     id,
                     size: n_ranks,
                     senders: senders.clone(),
@@ -598,6 +659,8 @@ where
                     counters: Arc::clone(&counters),
                     recv_timeout: opts.recv_timeout,
                     cancel: cancel.clone(),
+                    phase_start: Instant::now(),
+                    phase_blocked: Duration::ZERO,
                 };
                 let (f, launcher_scopes) = (&f, &launcher_scopes);
                 scope.spawn(move || {
@@ -616,6 +679,7 @@ where
                     if let Some(fault) = opts.fault.filter(|fault| fault.rank == id) {
                         inject(fault.kind, id, &rank.cancel);
                     }
+                    rank.phase_start = Instant::now();
                     f(rank, slot)
                 })
             })
@@ -711,16 +775,6 @@ fn classify_panic(id: usize, payload: Box<dyn std::any::Any + Send>) -> RankFaul
             }
         }
     }
-}
-
-/// Evenly partition `n` items over `size` ranks; returns rank `r`'s
-/// half-open range. The first `n % size` ranks get one extra item.
-pub fn partition_range(n: usize, size: usize, r: usize) -> std::ops::Range<usize> {
-    let base = n / size;
-    let extra = n % size;
-    let start = r * base + r.min(extra);
-    let len = base + usize::from(r < extra);
-    start..(start + len)
 }
 
 #[cfg(test)]

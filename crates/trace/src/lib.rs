@@ -66,7 +66,8 @@ pub use record::{
     git_describe, HealthRecord, RecorderSummary, RunManifest, RunRecorder, StepRecord,
 };
 pub use sink::{
-    active, add, entered_scopes, interval, record_ns, set_gauge, span, ScopeGuard, ScopedSink, Span,
+    active, add, entered_scopes, interval, record_ns, set_gauge, span, span_since, ScopeGuard,
+    ScopedSink, Span,
 };
 pub use timeline::{SpanEvent, SpanName};
 pub use watchdog::{DriftWatchdog, WatchdogStatus};

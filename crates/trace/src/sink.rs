@@ -333,10 +333,17 @@ pub struct Span {
 /// Open a span on `phase`, clocked from now.
 #[inline]
 pub fn span(phase: Phase) -> Span {
+    span_since(phase, Instant::now())
+}
+
+/// A span on `phase` clocked from `start`: for a phase whose clock started
+/// before its name was known (the laps of a one-rank evaluation).
+#[inline]
+pub fn span_since(phase: Phase, start: Instant) -> Span {
     Span {
         name: SpanName::Static(phase.name()),
         hist: Hist::for_phase(phase),
-        start: Instant::now(),
+        start,
         armed: true,
     }
 }

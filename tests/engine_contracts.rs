@@ -292,7 +292,9 @@ fn forces_and_stress_are_the_parent_bits() {
 /// two O(N) entries were re-recorded when both O(N) engines moved from the
 /// Gershgorin window to the Lanczos window (`chebyshev::window`), and again
 /// when their moment and density passes became one pass expanded about a μ
-/// grid point. The `si64`, `tube` and `stress` entries were re-recorded when
+/// grid point. `dist linscale` was re-recorded once more when both O(N)
+/// engines came to run one body: a rank now sums its atoms' moments in
+/// chunks of eight, as the serial engine did. The `si64`, `tube` and `stress` entries were re-recorded when
 /// the two-stage solve began adding ρ up strip by strip of eigenvectors:
 /// their occupied windows span two strips. `dist2`'s shards span one each.
 /// Every dense entry was re-recorded once more with [`PARENT_ENERGY_BITS`].
@@ -304,7 +306,7 @@ const PARENT_FORCE_BITS: [(&str, u64); 9] = [
     ("tube", 0x5fcb_1c52_9557_8687),
     ("dist2", 0x72f3_91c9_e150_812c),
     ("linscale", 0x09cf_e017_391d_c48f),
-    ("dist linscale", 0x8270_6043_c157_d0b3),
+    ("dist linscale", 0xf863_1f4d_1d8f_ec8c),
     ("stress", 0xda9d_bfdc_e7ec_1049),
 ];
 

@@ -129,25 +129,51 @@ fn distributed_wire_bytes_equal_the_cost_model() {
     assert!(totals.windows(2).all(|w| w[0] < w[1]), "{totals:?}");
 }
 
-/// On one rank, above the two-stage crossover, the distributed engine is
-/// the serial engine: the same spectrum stage, the same eigenvector window,
-/// the same density and force stages — energy and every force component
-/// bitwise equal.
+/// On one rank each distributed engine is its serial engine — one body on
+/// a one-rank handle: the dense solve on either side of the two-stage
+/// crossover (the one-stage solve at perturbed Si-8, the spectrum stage and
+/// the whole eigenvector window at perturbed Si-64), and the O(N) regions,
+/// chunked moment sum and μ at perturbed Si-64 — energy and every force
+/// component bitwise equal, cold and at the hot second evaluation.
 #[test]
 fn distributed_engine_on_one_rank_is_the_serial_engine() {
     let model = silicon_gsp();
-    let mut s = si64();
-    assert!(4 * s.n_atoms() >= TWO_STAGE_MIN_DIM);
-    s.perturb(&mut StdRng::seed_from_u64(31), 0.05);
-    let serial = TbCalculator::new(&model).evaluate(&s).unwrap();
-    let dist = DistributedTb::new(&model, 1).evaluate(&s).unwrap();
-    assert_eq!(serial.energy.to_bits(), dist.energy.to_bits(), "energy");
-    for (i, (fa, fb)) in serial.forces.iter().zip(&dist.forces).enumerate() {
-        assert_eq!(
-            fa.to_array().map(f64::to_bits),
-            fb.to_array().map(f64::to_bits),
-            "atom {i}"
+    let mut si8 = bulk_diamond(Species::Silicon, 1, 1, 1);
+    si8.perturb(&mut StdRng::seed_from_u64(8), 0.05);
+    let mut si64 = si64();
+    si64.perturb(&mut StdRng::seed_from_u64(31), 0.05);
+    assert!(4 * si8.n_atoms() < TWO_STAGE_MIN_DIM && 4 * si64.n_atoms() >= TWO_STAGE_MIN_DIM);
+    let dist = EngineKind::Distributed { ranks: 1 };
+    let (r_loc, order) = (6.0, 64);
+    let linscale = EngineKind::LinearScaling { r_loc, order };
+    let dist_linscale = EngineKind::DistributedLinearScaling {
+        ranks: 1,
+        r_loc,
+        order,
+    };
+    let runs = [
+        (EngineKind::Serial, dist, 0.1, &si8),
+        (EngineKind::Serial, dist, 0.1, &si64),
+        (linscale, dist_linscale, 0.2, &si64),
+    ];
+    for (serial, distributed, kt, s) in runs {
+        let what = format!("{distributed:?}, {} atoms", s.n_atoms());
+        let (serial, distributed) = (
+            Engine::build(serial, &model, kt),
+            Engine::build(distributed, &model, kt),
         );
+        for pass in ["cold", "hot"] {
+            let a = serial.evaluate(s).unwrap();
+            let b = distributed.evaluate(s).unwrap();
+            assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "{what}, {pass}");
+            for (i, (fa, fb)) in a.forces.iter().zip(&b.forces).enumerate() {
+                assert_eq!(
+                    fa.to_array().map(f64::to_bits),
+                    fb.to_array().map(f64::to_bits),
+                    "{what}, {pass}: atom {i}"
+                );
+            }
+        }
     }
 }
 
