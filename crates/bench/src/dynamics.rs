@@ -6,14 +6,14 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tbmd::md::{RdfAccumulator, RunningStats};
-use tbmd::model::TbModel;
+use tbmd::model::{KeptCandidates, TbModel, DEFAULT_SKIN};
 use tbmd::structure::{bulk_diamond, fullerene_c60};
 use tbmd::{
     carbon_xwch, maxwell_boltzmann, silicon_gsp, MdState, NeighborList, NoseHoover,
     OccupationScheme, Species, Structure, TbCalculator, TemperatureRamp, VelocityVerlet,
 };
 
-use crate::report::{fmt_e, fmt_f, fmt_ms, Report, Table};
+use crate::report::{fmt_e, fmt_f, Report, Table};
 
 fn si8() -> Structure {
     bulk_diamond(Species::Silicon, 1, 1, 1)
@@ -192,7 +192,8 @@ pub fn melting(size: Option<usize>) -> Report {
 }
 
 /// A1: (a) the occupation scheme against NVE conservation through level
-/// crossings, (b) the two neighbour-list builds.
+/// crossings, (b) the one neighbour search against the image sum it is
+/// checked against, at the radii the engines search.
 pub fn ablation(_: Option<usize>) -> Report {
     let model = silicon_gsp();
     let mut occupations = Table::new(
@@ -211,24 +212,49 @@ pub fn ablation(_: Option<usize>) -> Report {
         occupations.row(vec![label.to_string(), fmt_e(peak), fmt_e(peak / e0.abs())]);
     }
 
+    // The radii the engines search at: the kept neighbour list's (cutoff +
+    // skin) and the O(N) region candidates' (r_loc + skin).
+    let r_loc = 6.0;
     let mut lists = Table::new(
-        "A1b: neighbour-list build, brute force vs linked cells",
-        &["N", "brute O(N²)/ms", "linked O(N)/ms", "speedup"],
+        "A1b: neighbour search, image sum vs `NeighborList::build` (medians of interleaved runs)",
+        &[
+            "N",
+            "radius/Å",
+            "image sum/ms",
+            "build/ms",
+            "ratio",
+            "candidates/ms",
+        ],
     );
-    for reps in [3usize, 4, 5] {
+    for (reps, regions) in [(1, false), (2, false), (3, true), (4, true)] {
         let s = bulk_diamond(Species::Silicon, reps, reps, reps);
-        let t0 = Instant::now();
-        NeighborList::build_brute_force(&s, model.cutoff());
-        let t_brute = t0.elapsed();
-        let t0 = Instant::now();
-        NeighborList::build_linked_cell(&s, model.cutoff());
-        let t_linked = t0.elapsed();
-        lists.row(vec![
-            s.n_atoms().to_string(),
-            fmt_ms(t_brute),
-            fmt_ms(t_linked),
-            fmt_f(t_brute.as_secs_f64() / t_linked.as_secs_f64(), 1),
-        ]);
+        let radius = if regions { r_loc } else { model.cutoff() } + DEFAULT_SKIN;
+        let runs: [&dyn Fn(); 3] = [
+            &|| drop(NeighborList::build_brute_force(&s, radius)),
+            &|| drop(NeighborList::build(&s, radius)),
+            &|| KeptCandidates::default().update(&s, r_loc),
+        ];
+        let mut ms = [(); 3].map(|_| Vec::new());
+        for _ in 0..if regions { 21 } else { 101 } {
+            for (run, ms) in runs.iter().zip(&mut ms).take(2 + regions as usize) {
+                let t0 = Instant::now();
+                run();
+                ms.push(1e3 * t0.elapsed().as_secs_f64());
+            }
+        }
+        let [brute, build, update] = ms.map(|mut t| {
+            t.sort_by(f64::total_cmp);
+            t.get(t.len() / 2).copied()
+        });
+        let ratio = build.zip(brute).map(|(a, b)| a / b);
+        let cells = [brute, build, ratio, update].map(|t| t.map_or("—".into(), |t| fmt_f(t, 3)));
+        lists.row(
+            [
+                vec![s.n_atoms().to_string(), fmt_f(radius, 1)],
+                cells.to_vec(),
+            ]
+            .concat(),
+        );
     }
     let mut report = Report::default();
     report.table(occupations).table(lists);

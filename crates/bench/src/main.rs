@@ -151,7 +151,8 @@ const REGISTRY: &[Experiment] = &[
         name: "ablation",
         expected: "(a) Fermi smearing conserves energy as well as zero-temperature filling and \
                    keeps forces continuous through level crossings, hence the MD default. \
-                   (b) Linked cells beat the O(N²) build by a factor that grows with N.",
+                   (b) The one linked-cell search beats the O(N²) image sum from N = 64 on, \
+                   by a factor that grows with N, at the list's and the O(N) regions' radii.",
         run: dynamics::ablation,
     },
     Experiment {

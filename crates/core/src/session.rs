@@ -1126,11 +1126,6 @@ impl<'r> Session<'r> {
         self.steps_done
     }
 
-    /// Whether the run is complete.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Rewind statistics (recoveries, blamed ranks, final rank count).
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.report

@@ -19,13 +19,6 @@ pub enum OccupationScheme {
     Fermi { kt: f64 },
 }
 
-impl OccupationScheme {
-    /// Fermi smearing at a temperature in Kelvin.
-    pub fn fermi_at_kelvin(t: f64) -> Self {
-        OccupationScheme::Fermi { kt: KB_EV * t }
-    }
-}
-
 /// Result of an occupation calculation.
 #[derive(Debug, Clone)]
 pub struct Occupations {
@@ -53,28 +46,6 @@ impl Occupations {
     /// Total electron count `2 Σ f_n`.
     pub fn electron_count(&self) -> f64 {
         2.0 * self.f.iter().sum::<f64>()
-    }
-
-    /// HOMO–LUMO gap for integer fillings; `None` when the frontier level is
-    /// fractionally occupied (metallic/open-shell situation).
-    pub fn homo_lumo_gap(&self, eigenvalues: &[f64]) -> Option<f64> {
-        let mut homo = None;
-        let mut lumo = None;
-        for (k, &fk) in self.f.iter().enumerate() {
-            if fk > 0.999 {
-                homo = Some(eigenvalues[k]);
-            } else if fk < 0.001 {
-                if lumo.is_none() {
-                    lumo = Some(eigenvalues[k]);
-                }
-            } else {
-                return None;
-            }
-        }
-        match (homo, lumo) {
-            (Some(h), Some(l)) => Some(l - h),
-            _ => None,
-        }
     }
 }
 
@@ -290,7 +261,6 @@ mod tests {
         assert!((occ.electron_count() - 4.0).abs() < 1e-12);
         assert!((occ.band_energy(&eps) - 2.0 * (-4.0)).abs() < 1e-12);
         assert!((occ.fermi_level - -0.25).abs() < 1e-12);
-        assert_eq!(occ.homo_lumo_gap(&eps), Some(1.5));
         assert_eq!(occ.entropy, 0.0);
     }
 
@@ -300,7 +270,6 @@ mod tests {
         let occ = occupations(&eps, 3, OccupationScheme::ZeroTemperature);
         assert_eq!(occ.f, vec![1.0, 0.5, 0.0]);
         assert!((occ.electron_count() - 3.0).abs() < 1e-12);
-        assert_eq!(occ.homo_lumo_gap(&eps), None);
     }
 
     #[test]
@@ -367,15 +336,6 @@ mod tests {
         let eps = [-2.0, -1.0, 1.0, 2.0];
         let occ = occupations(&eps, 4, OccupationScheme::Fermi { kt: 0.05 });
         assert!(occ.fermi_level > -1.0 && occ.fermi_level < 1.0);
-    }
-
-    #[test]
-    fn fermi_at_kelvin_constructor() {
-        if let OccupationScheme::Fermi { kt } = OccupationScheme::fermi_at_kelvin(300.0) {
-            assert!((kt - 0.02585).abs() < 1e-4);
-        } else {
-            panic!("wrong variant");
-        }
     }
 
     /// The chemical potential as it was found before the Newton iteration:

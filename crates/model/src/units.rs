@@ -13,24 +13,6 @@ pub const KB_EV: f64 = 8.617_333_262e-5;
 /// 1 amu = 1.660 539 066e-27 kg.
 pub const ACCEL_CONV: f64 = 9.648_533_212e-3;
 
-/// ħ in eV·fs (for vibrational frequency conversions).
-pub const HBAR_EV_FS: f64 = 0.658_211_951;
-
-/// Convert a kinetic energy per degree of freedom into a temperature:
-/// `T = 2 E_kin / (n_dof k_B)`.
-pub fn kinetic_to_temperature(e_kin_ev: f64, n_dof: usize) -> f64 {
-    if n_dof == 0 {
-        return 0.0;
-    }
-    2.0 * e_kin_ev / (n_dof as f64 * KB_EV)
-}
-
-/// Kinetic energy of a particle: `½ m v²` with `m` in amu and `v` in Å/fs,
-/// returned in eV.
-pub fn kinetic_energy_ev(mass_amu: f64, speed_aa_per_fs: f64) -> f64 {
-    0.5 * mass_amu * speed_aa_per_fs * speed_aa_per_fs / ACCEL_CONV
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,24 +25,11 @@ mod tests {
     }
 
     #[test]
-    fn temperature_roundtrip() {
-        // 3N dof at T: E = 3/2 N kT.
-        let t = 500.0;
-        let n = 10;
-        let e = 1.5 * n as f64 * KB_EV * t;
-        assert!((kinetic_to_temperature(e, 3 * n) - t).abs() < 1e-9);
-        assert_eq!(kinetic_to_temperature(1.0, 0), 0.0);
-    }
-
-    #[test]
     fn silicon_thermal_velocity_magnitude() {
         // A Si atom at 300 K has v_rms = sqrt(3kT/m) ≈ 0.005 Å/fs — checks
         // the unit conversion is in the right ballpark.
         let m = 28.0855;
         let v_rms = (3.0 * KB_EV * 300.0 * ACCEL_CONV / m).sqrt();
         assert!(v_rms > 0.003 && v_rms < 0.008, "v_rms = {v_rms}");
-        // And its kinetic energy is (3/2) kT.
-        let e = kinetic_energy_ev(m, v_rms);
-        assert!((e - 1.5 * KB_EV * 300.0).abs() < 1e-12);
     }
 }

@@ -29,7 +29,6 @@
 //! events) that the benchmark reports surface.
 
 use crate::stages::{BondTable, RhoBlocks};
-use std::collections::BTreeSet;
 use tbmd_linalg::{EighWorkspace, LowerTriangle, Matrix, Vec3};
 use tbmd_structure::{Cell, NeighborList, Structure};
 
@@ -137,9 +136,8 @@ impl KeptSkin {
 /// For each atom, the atoms within `radius + `[`DEFAULT_SKIN`] of it at the
 /// reference positions (itself included), kept across steps while they
 /// hold ([`KeptSkin`]): until then they include every atom within `radius`
-/// of it at the minimum-image distance. Where `radius + skin` reaches past a
-/// periodic edge (or is infinite) there are no lists, and every atom is a
-/// candidate.
+/// of it at the minimum-image distance. An infinite radius has no lists:
+/// every atom is a candidate.
 #[derive(Default)]
 pub struct KeptCandidates {
     skin: KeptSkin,
@@ -154,18 +152,21 @@ impl KeptCandidates {
         if self.skin.holds(s, radius) {
             return;
         }
-        let (reach, cell) = (radius + DEFAULT_SKIN, s.cell());
-        let (mut ptr, mut atoms) = (Vec::new(), Vec::new());
-        if reach.is_finite() && (0..3).all(|a| !cell.periodic[a] || reach <= cell.lengths[a]) {
-            let nl = NeighborList::build(s, reach);
-            ptr.push(0);
-            for i in 0..s.n_atoms() {
-                let near = nl.neighbors(i).iter().map(|nb| nb.j as u32);
-                atoms.extend(near.chain([i as u32]).collect::<BTreeSet<_>>());
-                ptr.push(atoms.len());
+        (self.ptr, self.atoms) = (vec![0], Vec::new());
+        if radius.is_finite() {
+            // Each atom's entries ascend in `j` (an atom seen through several
+            // images repeats): insert the atom itself and drop the repeats.
+            let nl = NeighborList::build(s, radius + DEFAULT_SKIN);
+            let mut row = Vec::new();
+            for i in 0..s.n_atoms() as u32 {
+                row.clear();
+                row.extend(nl.neighbors(i as usize).iter().map(|nb| nb.j as u32));
+                row.insert(row.partition_point(|&j| j < i), i);
+                row.dedup();
+                self.atoms.extend_from_slice(&row);
+                self.ptr.push(self.atoms.len());
             }
         }
-        (self.ptr, self.atoms) = (ptr, atoms);
         self.skin.reset(s, radius);
     }
 

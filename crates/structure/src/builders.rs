@@ -278,7 +278,10 @@ mod tests {
         for i in 0..s.n_atoms() {
             assert_eq!(s.coordination(i, d * 1.1), 4, "atom {i} coordination");
         }
-        assert!((s.min_distance().unwrap() - d).abs() < 1e-9);
+        // Those bonds are the only pairs that close: none is shorter.
+        let pairs = s.pairs_within(d * 1.1);
+        assert_eq!(pairs.len(), 2 * s.n_atoms());
+        assert!(pairs.iter().all(|&(_, _, r)| (r - d).abs() < 1e-9));
     }
 
     #[test]
@@ -301,7 +304,8 @@ mod tests {
         for i in 0..s.n_atoms() {
             assert_eq!(s.coordination(i, 1.42 * 1.1), 3, "atom {i}");
         }
-        assert!((s.min_distance().unwrap() - 1.42).abs() < 1e-9);
+        let pairs = s.pairs_within(1.42 * 1.1);
+        assert!(pairs.iter().all(|&(_, _, r)| (r - 1.42).abs() < 1e-9));
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl Cell {
         }
     }
 
-    /// `true` if no axis is periodic.
-    pub fn is_cluster(&self) -> bool {
-        !self.periodic.iter().any(|&p| p)
-    }
-
     /// Minimum-image displacement `r_j - r_i`.
     #[inline]
     pub fn displacement(&self, ri: Vec3, rj: Vec3) -> Vec3 {
@@ -134,7 +129,6 @@ mod tests {
         let a = Vec3::new(0.0, 0.0, 0.0);
         let b = Vec3::new(100.0, -50.0, 3.0);
         assert_eq!(c.displacement(a, b), b);
-        assert!(c.is_cluster());
         assert_eq!(c.volume(), None);
         assert_eq!(c.min_periodic_edge(), None);
     }

@@ -55,17 +55,6 @@ impl Species {
         }
     }
 
-    /// Parse a chemical symbol (case-insensitive).
-    pub fn from_symbol(s: &str) -> Option<Species> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "h" => Some(Species::Hydrogen),
-            "b" => Some(Species::Boron),
-            "c" => Some(Species::Carbon),
-            "si" => Some(Species::Silicon),
-            _ => None,
-        }
-    }
-
     /// A typical nearest-neighbour bond length in Å for the element's
     /// reference phase (diamond for C/Si); used for sanity checks and
     /// structure-builder defaults.
@@ -88,21 +77,6 @@ impl std::fmt::Display for Species {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn symbol_roundtrip() {
-        for sp in [
-            Species::Hydrogen,
-            Species::Boron,
-            Species::Carbon,
-            Species::Silicon,
-        ] {
-            assert_eq!(Species::from_symbol(sp.symbol()), Some(sp));
-        }
-        assert_eq!(Species::from_symbol("si"), Some(Species::Silicon));
-        assert_eq!(Species::from_symbol(" C "), Some(Species::Carbon));
-        assert_eq!(Species::from_symbol("Xx"), None);
-    }
 
     #[test]
     fn orbital_counts() {

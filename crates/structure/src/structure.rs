@@ -85,7 +85,7 @@ impl Structure {
     }
 
     /// Mutable positions (callers must keep them inside sensible bounds;
-    /// [`Structure::wrap_positions`] re-wraps periodic axes).
+    /// atoms may sit outside the primary cell).
     #[inline]
     pub fn positions_mut(&mut self) -> &mut [Vec3] {
         &mut self.positions
@@ -134,13 +134,6 @@ impl Structure {
             .map(|(s, &r)| r * s.mass_amu())
             .sum::<Vec3>()
             / m
-    }
-
-    /// Wrap all positions into the primary cell on periodic axes.
-    pub fn wrap_positions(&mut self) {
-        for r in &mut self.positions {
-            *r = self.cell.wrap(*r);
-        }
     }
 
     /// Displace every atom by a uniform random vector of amplitude
@@ -196,19 +189,6 @@ impl Structure {
             }
         }
         out
-    }
-
-    /// Shortest interatomic distance (useful for validating builders).
-    pub fn min_distance(&self) -> Option<f64> {
-        let n = self.n_atoms();
-        let mut best: Option<f64> = None;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = self.distance(i, j);
-                best = Some(best.map_or(d, |b| b.min(d)));
-            }
-        }
-        best
     }
 
     /// Coordination number of atom `i` at the given bond cutoff.
@@ -309,7 +289,7 @@ mod tests {
         assert_eq!(pairs.len(), 2);
         assert_eq!(s.coordination(0, 1.5), 2);
         assert_eq!(s.coordination(3, 1.5), 0);
-        assert!((s.min_distance().unwrap() - 1.4).abs() < 1e-12);
+        assert!(pairs.iter().all(|&(_, _, d)| (d - 1.4).abs() < 1e-12));
     }
 
     #[test]
@@ -335,19 +315,6 @@ mod tests {
     fn remove_atom_out_of_range() {
         let mut s = two_atom();
         s.remove_atom(5);
-    }
-
-    #[test]
-    fn wrap_positions_periodic() {
-        let mut s = Structure::homogeneous(
-            Species::Silicon,
-            vec![Vec3::new(-1.0, 7.0, 3.0)],
-            Cell::cubic(5.0),
-        );
-        s.wrap_positions();
-        let r = s.position(0);
-        assert!((r.x - 4.0).abs() < 1e-12);
-        assert!((r.y - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -324,11 +324,6 @@ impl RunRecorder {
         self.counters = totals;
     }
 
-    /// Drift watchdog verdict so far.
-    pub fn watchdog_status(&self) -> WatchdogStatus {
-        self.drift.status()
-    }
-
     /// Write the closing summary line, flush, and return the verdict (plus
     /// the captured lines for in-memory recorders).
     pub fn finish(mut self) -> io::Result<RecorderSummary> {
