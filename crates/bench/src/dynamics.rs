@@ -248,13 +248,9 @@ pub fn ablation(_: Option<usize>) -> Report {
         });
         let ratio = build.zip(brute).map(|(a, b)| a / b);
         let cells = [brute, build, ratio, update].map(|t| t.map_or("—".into(), |t| fmt_f(t, 3)));
-        lists.row(
-            [
-                vec![s.n_atoms().to_string(), fmt_f(radius, 1)],
-                cells.to_vec(),
-            ]
-            .concat(),
-        );
+        let mut row = vec![s.n_atoms().to_string(), fmt_f(radius, 1)];
+        row.extend(cells);
+        lists.row(row);
     }
     let mut report = Report::default();
     report.table(occupations).table(lists);
